@@ -1,6 +1,6 @@
 # Convenience targets; CI runs the same commands.
 
-.PHONY: test race leap-race-matrix alloc-gate fuzz fault-smoke bench-smoke bench-json flowtrace-smoke
+.PHONY: test race leap-race-matrix alloc-gate fuzz fault-smoke bench-smoke bench-json bench bench-diff flowtrace-smoke
 
 test:
 	go build ./... && go test ./...
@@ -22,9 +22,12 @@ leap-race-matrix:
 # The zero-allocation steady-state pins: AllocsPerOp == 0 for a full
 # churn wave through the leap engine with hooks detached (and bounded
 # with the full obs stack attached), plus the per-event ReadMemStats
-# bounds and the table-recycling invariants behind them.
+# bounds and the table-recycling invariants behind them; and the
+# allocator kernels' per-iteration pins (MaxMinWorkspace.Fill allocates
+# 0, oracle.Solve the same count at 5 and 500 iterations).
 alloc-gate:
 	go test -v -run 'TestAllocsPerOpSteadyState|TestReleaseFinishedRecycles|TestSteadyStateAllocations|TestPoolSteadyStateAllocations' -count=1 ./internal/leap/
+	go test -v -run 'TestKernelsAllocateNothingPerIteration' -count=1 ./internal/oracle/
 
 # Explore the windowed-vs-serial and fault-injection fuzz targets
 # beyond their committed seed corpora (CI runs 30s per target per
@@ -52,6 +55,20 @@ bench-smoke:
 # window matrix, FCT-checked against serial).
 bench-json:
 	go run ./cmd/benchjson -out BENCH_leap.json -repeat 3
+
+# The repository benchmark (BENCHMARK.json, benchmark/README.md): all
+# six workloads, every metric by name, correctness checked; about two
+# minutes. SEED defaults to 1, the seed changes get tuned on — rerun
+# with SEED=2 before claiming anything.
+SEED ?= 1
+bench:
+	bash benchmark/run.sh -seed $(SEED) -out benchmark/out/latest.json
+
+# Before/after table of two benchmark records against the bounds:
+#   make bench-diff A=parent.json B=benchmark/out/latest.json
+bench-diff:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-diff A=before.json B=after.json" >&2; exit 2; }
+	bash benchmark/run.sh -diff $(A) $(B)
 
 # End-to-end flow-tracing smoke: a windowed leapfct run writing a
 # flow-lifecycle trace, analyzed by flowreport (CI's obs-smoke job

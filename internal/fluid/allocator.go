@@ -304,6 +304,8 @@ func (w *WaterFill) Allocate(net *Network, flows []*Flow, rates []float64) {
 			f.share = 1 / float64(len(g.Members))
 		}
 	}
+	// The share rounds re-solve one flow set under changing weights.
+	w.ws.Prepare(net.Capacity, w.s.paths)
 	for r := 0; r < waterfillShareRounds; r++ {
 		for i, f := range flows {
 			g := f.Group
@@ -316,7 +318,7 @@ func (w *WaterFill) Allocate(net *Network, flows []*Flow, rates []float64) {
 			}
 			w.s.weights[i] = wgt * math.Max(f.share, groupShareFloor)
 		}
-		w.ws.WeightedMaxMin(net.Capacity, w.s.paths, w.s.weights, rates)
+		w.ws.Fill(w.s.weights, rates)
 		groupTotals(groups, flows, rates)
 	}
 	w.add(waterfillShareRounds)
@@ -388,6 +390,7 @@ type XWI struct {
 	ws    oracle.MaxMinWorkspace
 	x     []float64
 	xprev []float64
+	q     []float64 // per-flow path price of the current iteration
 	load  []float64
 	res   []float64
 }
@@ -441,10 +444,7 @@ func (a *XWI) allocate(net *Network, flows []*Flow, rates []float64, subset bool
 		paths[i] = f.Links
 	}
 
-	maxCap := 0.0
-	for _, c := range net.Capacity {
-		maxCap = math.Max(maxCap, c)
-	}
+	maxCap := net.MaxCapacity()
 	if maxCap <= 0 {
 		// Every link dead (fault injection can zero whole components):
 		// keep the weight window and tolerance scale finite; rates are
@@ -458,39 +458,52 @@ func (a *XWI) allocate(net *Network, flows []*Flow, rates []float64, subset bool
 	}
 	price := a.price
 
-	pathPrice := func(i int) float64 {
-		sum := 0.0
-		for _, l := range paths[i] {
-			sum += price[l]
-		}
-		return sum
-	}
-
 	if cap(a.load) < nl {
 		a.load = make([]float64, nl)
 		a.res = make([]float64, nl)
 	}
 	load, minRes := a.load[:nl], a.res[:nl]
+	// The paths are fixed for the whole call and only the weights move
+	// between iterations, so everything the max-min step derives from
+	// the paths alone is prepared once, here.
+	a.ws.Prepare(net.Capacity, paths)
 	// touched is the links the flows cross (every touched link carries
 	// at least one of them); links outside it are idle — in a full
 	// Allocate their prices decay toward zero, in a subset call they
 	// belong to other components and stay untouched.
-	touched := a.s.collectLinks(nl, flows)
+	touched := a.ws.Links()
 	groups := a.s.collectGroups(flows)
 	fast := a.s.gatherAlpha(flows)
 	afU := a.s.afU
+	if cap(a.q) < nf {
+		a.q = make([]float64, nf)
+	}
+	q := a.q[:nf]
+	if cap(a.x) < nf {
+		a.x = make([]float64, nf)
+	}
+	x := a.x[:nf]
 	if a.Tol > 0 {
 		if cap(a.xprev) < nf {
 			a.xprev = make([]float64, nf)
 		}
 	}
-	var x []float64
 	done := 0
 	for it := 0; it < iters; it++ {
 		done = it + 1
+		// Each flow's path price is summed once per iteration: the
+		// weight (Eq. 7) and the residual (Eq. 9) both read it, and no
+		// price is written in between.
+		for i, p := range paths {
+			sum := 0.0
+			for _, l := range p {
+				sum += price[l]
+			}
+			q[i] = sum
+		}
 		if fast {
 			for i, f := range flows {
-				w := afU[i].InverseMarginal(pathPrice(i))
+				w := afU[i].InverseMarginal(q[i])
 				if f.Group != nil {
 					w *= math.Max(f.share, 1e-3)
 				}
@@ -498,7 +511,7 @@ func (a *XWI) allocate(net *Network, flows []*Flow, rates []float64, subset bool
 			}
 		} else {
 			for i, f := range flows {
-				w := f.U.InverseMarginal(pathPrice(i))
+				w := f.U.InverseMarginal(q[i])
 				if f.Group != nil {
 					// §6.3 heuristic: scale the aggregate weight by the
 					// member's throughput share (floored so an unused path
@@ -508,8 +521,7 @@ func (a *XWI) allocate(net *Network, flows []*Flow, rates []float64, subset bool
 				weights[i] = clamp(w, wMin, wMax)
 			}
 		}
-		x = a.ws.WeightedMaxMin(net.Capacity, paths, weights, a.x)
-		a.x = x
+		a.ws.Fill(weights, x)
 		if len(groups) > 0 {
 			groupTotals(groups, flows, x)
 		}
@@ -546,7 +558,7 @@ func (a *XWI) allocate(net *Network, flows []*Flow, rates []float64, subset bool
 			} else {
 				marg = f.U.Marginal(math.Max(agg, math.Max(rate, 1)))
 			}
-			res := (marg - pathPrice(i)) / float64(len(paths[i]))
+			res := (marg - q[i]) / float64(len(paths[i]))
 			for _, l := range paths[i] {
 				load[l] += rate
 				if res < minRes[l] {
@@ -572,9 +584,8 @@ func (a *XWI) allocate(net *Network, flows []*Flow, rates []float64, subset bool
 		if !subset {
 			// Idle links decay toward zero, as the dynamics prescribe
 			// for links traffic has left.
-			st, round := a.s.linkStamp, a.s.linkRound
 			for l := 0; l < nl; l++ {
-				if st[l] != round {
+				if !a.ws.Touches(l) {
 					price[l] *= beta
 				}
 			}
@@ -599,6 +610,7 @@ type Oracle struct {
 	iterCount
 	prices []float64
 	s      scratch
+	sw     oracle.SolveWorkspace
 }
 
 // NewOracle returns an Oracle allocator.
@@ -619,7 +631,9 @@ func (o *Oracle) Stationary() bool { return true }
 // Allocate solves the NUM problem for the current flow set.
 func (o *Oracle) Allocate(net *Network, flows []*Flow, rates []float64) {
 	res := o.solve(net, flows)
-	o.prices = res.Prices
+	// res aliases the solve workspace; the warm-start duals are kept in
+	// a vector of their own.
+	o.prices = append(o.prices[:0], res.Prices...)
 	copy(rates, res.Rates)
 }
 
@@ -631,7 +645,7 @@ func (o *Oracle) Allocate(net *Network, flows []*Flow, rates []float64) {
 func (o *Oracle) AllocateSubset(net *Network, flows []*Flow, rates []float64) {
 	res := o.solve(net, flows)
 	if len(o.prices) != net.Links() {
-		o.prices = res.Prices
+		o.prices = append(o.prices[:0], res.Prices...)
 	} else {
 		for _, l := range o.s.collectLinks(net.Links(), flows) {
 			o.prices[l] = res.Prices[l]
@@ -641,7 +655,7 @@ func (o *Oracle) AllocateSubset(net *Network, flows []*Flow, rates []float64) {
 }
 
 func (o *Oracle) solve(net *Network, flows []*Flow) oracle.Result {
-	res := oracleSolve(net, flows, &o.s, o.MaxIter, o.prices)
+	res := oracleSolve(&o.sw, net, flows, &o.s, o.MaxIter, o.prices)
 	o.add(int64(res.Iterations))
 	return res
 }
@@ -722,10 +736,7 @@ func (a *DGD) allocate(net *Network, flows []*Flow, rates []float64, subset bool
 		iters = 1
 	}
 	nf, nl := len(flows), net.Links()
-	maxCap := 0.0
-	for _, c := range net.Capacity {
-		maxCap = math.Max(maxCap, c)
-	}
+	maxCap := net.MaxCapacity()
 	if maxCap <= 0 {
 		// All-dead network: keep the step size and demand cap finite
 		// (Marginal(0) may be +Inf); projectFeasible still forces every
@@ -954,9 +965,7 @@ func initPrices(net *Network, flows []*Flow) []float64 {
 			// the largest live capacity instead, so prices still land
 			// near a realistic marginal. All-dead nets keep capl == 0
 			// and skip scaling below — every rate is zero regardless.
-			for _, c := range net.Capacity {
-				capl = math.Max(capl, c)
-			}
+			capl = net.MaxCapacity()
 		}
 		fair := capl / math.Max(1, float64(cnt[l0]))
 		target := f0.U.Marginal(fair)

@@ -142,7 +142,7 @@ func TestAllocatorCapacityRecovery(t *testing.T) {
 			for ep := 0; ep < 200; ep++ {
 				eng.Step()
 			}
-			net.Capacity[1] = 0
+			net.SetCapacity(1, 0)
 			eng.InvalidateAllocation()
 			for ep := 0; ep < 200; ep++ {
 				eng.Step()
@@ -150,7 +150,7 @@ func TestAllocatorCapacityRecovery(t *testing.T) {
 			if b.Rate != 0 {
 				t.Fatalf("flow on failed link: rate %g want exactly 0", b.Rate)
 			}
-			net.Capacity[1] = 10e9
+			net.SetCapacity(1, 10e9)
 			eng.InvalidateAllocation()
 			for ep := 0; ep < 500; ep++ {
 				eng.Step()
@@ -159,6 +159,79 @@ func TestAllocatorCapacityRecovery(t *testing.T) {
 			// Post-recovery both flows share link 0 again: each near 5G.
 			if b.Rate < 4e9 || a.Rate < 4e9 {
 				t.Errorf("post-recovery rates a=%g b=%g want ≈5G each", a.Rate, b.Rate)
+			}
+		})
+	}
+}
+
+// TestMaxCapacityCoherentUnderFaults: the maximum the network maintains
+// for XWI and DGD (weight window, step size, tolerance scale) follows
+// every capacity change. On a 10G/40G leaf-spine, fail the 40G links
+// one by one — the maximum drops to 10G with the last — then recover
+// them, and at every step the allocator on the mutated network must
+// give, bit for bit, the rates of a twin allocator run on a network
+// freshly built from the same capacities (NewNetwork scans them).
+func TestMaxCapacityCoherentUnderFaults(t *testing.T) {
+	// 4 leaves × 2 spines: link h is host h's 10G access link (8 hosts,
+	// two per leaf); link 8+2*leaf+spine is the 40G leaf-spine link.
+	const hosts, leaves, spines = 8, 4, 2
+	capacity := make([]float64, hosts+leaves*spines)
+	for l := range capacity {
+		capacity[l] = 10e9
+		if l >= hosts {
+			capacity[l] = 40e9
+		}
+	}
+	fabric := func(leaf, spine int) int { return hosts + spines*leaf + spine }
+	var paths [][]int
+	for src := 0; src < hosts; src++ {
+		for _, dst := range []int{(src + 3) % hosts, (src + 5) % hosts} {
+			spine := (src + dst) % spines
+			paths = append(paths, []int{src, fabric(src/2, spine), fabric(dst/2, spine), dst})
+		}
+	}
+	allocators := map[string]func() SubsetAllocator{
+		"xwi": func() SubsetAllocator { return &XWI{Eta: 5, Beta: 0.5, IterPerEpoch: 48, Tol: 1e-3} },
+		"dgd": func() SubsetAllocator { return &DGD{IterPerEpoch: 200, Tol: 1e-3} },
+	}
+	for name, mk := range allocators {
+		t.Run(name, func(t *testing.T) {
+			mkFlows := func() []*Flow {
+				flows := make([]*Flow, len(paths))
+				for i, p := range paths {
+					flows[i] = NewFlow(i, p, core.ProportionalFair(), 0, 0)
+				}
+				return flows
+			}
+			net := NewNetwork(capacity)
+			got, want := mk(), mk()
+			gotFlows, wantFlows := mkFlows(), mkFlows()
+			gotRates, wantRates := make([]float64, len(paths)), make([]float64, len(paths))
+			check := func(step string) {
+				t.Helper()
+				fresh := NewNetwork(net.Capacity)
+				if net.MaxCapacity() != fresh.MaxCapacity() {
+					t.Fatalf("%s: maintained max capacity %g, a scan finds %g", step, net.MaxCapacity(), fresh.MaxCapacity())
+				}
+				got.AllocateSubset(net, gotFlows, gotRates)
+				want.AllocateSubset(fresh, wantFlows, wantRates)
+				for i := range gotRates {
+					if math.Float64bits(gotRates[i]) != math.Float64bits(wantRates[i]) {
+						t.Fatalf("%s: flow %d rate %v on the mutated network, %v on a fresh one", step, i, gotRates[i], wantRates[i])
+					}
+				}
+			}
+			check("healthy")
+			for l := hosts; l < len(capacity); l++ {
+				net.SetCapacity(l, 0)
+				check("fail")
+			}
+			if net.MaxCapacity() != 10e9 {
+				t.Fatalf("every 40G link down: max capacity %g, want 10G", net.MaxCapacity())
+			}
+			for l := hosts; l < len(capacity); l++ {
+				net.SetCapacity(l, 40e9)
+				check("recover")
 			}
 		})
 	}

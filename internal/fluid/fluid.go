@@ -38,18 +38,46 @@ import (
 
 // Network is the fluid view of a network: nothing but a vector of
 // directed-link capacities in bits/second. Flows reference links by
-// index into this vector.
+// index into this vector. Construct one with NewNetwork and change a
+// capacity with SetCapacity: the network keeps the largest capacity
+// current for the allocators, which scale their weight window, step
+// size and tolerance by it on every solve.
 type Network struct {
 	Capacity []float64
+
+	maxCap float64
 }
 
 // NewNetwork returns a network with the given per-link capacities.
 func NewNetwork(capacity []float64) *Network {
-	return &Network{Capacity: append([]float64(nil), capacity...)}
+	n := &Network{Capacity: append([]float64(nil), capacity...)}
+	n.maxCap = maxCapacity(n.Capacity)
+	return n
 }
 
 // Links returns the number of directed links.
 func (n *Network) Links() int { return len(n.Capacity) }
+
+// SetCapacity changes link l's capacity (fault injection zeroes and
+// restores it) and brings the maintained maximum up to date before
+// returning, so solves — concurrent ones included — only ever read
+// it. It must not run concurrently with a solve on this network.
+func (n *Network) SetCapacity(l int, c float64) {
+	n.Capacity[l] = c
+	n.maxCap = maxCapacity(n.Capacity)
+}
+
+// MaxCapacity returns the largest link capacity (0 for an empty or
+// all-dead network).
+func (n *Network) MaxCapacity() float64 { return n.maxCap }
+
+func maxCapacity(capacity []float64) float64 {
+	m := 0.0
+	for _, c := range capacity {
+		m = math.Max(m, c)
+	}
+	return m
+}
 
 // Flow is one fluid flow: a path, a utility, and a rate.
 type Flow struct {

@@ -1,0 +1,176 @@
+package fluid
+
+import (
+	"fmt"
+	"testing"
+
+	"numfabric/internal/core"
+	"numfabric/internal/oracle"
+	"numfabric/internal/sim"
+)
+
+// The layer micro-benchmarks of the allocator kernels (ROADMAP 1(a)):
+// one connected component of {2, 8, 64, 512} flows on the k=8
+// fat-tree, each kernel alone, reporting ns per flow·iteration and
+// allocs/op. Run with
+//
+//	go test -run '^$' -bench 'WeightedMaxMin|MaxMinFill|XWISolve|OracleSolve' -benchmem ./internal/fluid/
+
+var kernelSizes = []int{2, 8, 64, 512}
+
+// kernelComponent returns n flows forming one connected component: a
+// zigzag chain over random hosts in which consecutive flows share
+// alternately a destination's downlink and a source's uplink.
+func kernelComponent(ft *FatTree, n int, u core.Utility) []*Flow {
+	rng := sim.NewRNG(uint64(n))
+	flows := make([]*Flow, n)
+	prev := rng.Intn(ft.Hosts())
+	for i := range flows {
+		next := rng.Intn(ft.Hosts() - 1)
+		if next >= prev {
+			next++
+		}
+		src, dst := prev, next
+		if i%2 == 1 {
+			src, dst = next, prev
+		}
+		flows[i] = NewFlow(i, ft.Route(src, dst, rng.Intn(ft.K*ft.K/4)), u, 1<<20, 0)
+		prev = next
+	}
+	return flows
+}
+
+func kernelPaths(flows []*Flow) [][]int {
+	paths := make([][]int, len(flows))
+	for i, f := range flows {
+		paths[i] = f.Links
+	}
+	return paths
+}
+
+// kernelWeights returns rounds weight vectors so successive solves do
+// not repeat one input.
+func kernelWeights(n, rounds int) [][]float64 {
+	rng := sim.NewRNG(7)
+	ws := make([][]float64, rounds)
+	for r := range ws {
+		ws[r] = make([]float64, n)
+		for i := range ws[r] {
+			ws[r][i] = 0.1 + 10*rng.Float64()
+		}
+	}
+	return ws
+}
+
+func reportPerFlowIter(b *testing.B, flowIters int64) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(flowIters), "ns/flow-iter")
+}
+
+// BenchmarkWeightedMaxMin is the one-shot solve (WaterFill, the
+// benchmark's reference simulator): discovery, adjacency and filling
+// fused, on a reused workspace.
+func BenchmarkWeightedMaxMin(b *testing.B) {
+	ft := NewFatTree(8, 10e9)
+	for _, n := range kernelSizes {
+		paths := kernelPaths(kernelComponent(ft, n, core.ProportionalFair()))
+		weights := kernelWeights(n, 16)
+		b.Run(fmt.Sprintf("flows=%d", n), func(b *testing.B) {
+			var ws oracle.MaxMinWorkspace
+			x := make([]float64, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ws.WeightedMaxMin(ft.Net.Capacity, paths, weights[i%len(weights)], x)
+			}
+			reportPerFlowIter(b, int64(b.N)*int64(n))
+		})
+	}
+}
+
+// BenchmarkMaxMinFill is one xWI iteration's max-min step: the same
+// solve after one Prepare.
+func BenchmarkMaxMinFill(b *testing.B) {
+	ft := NewFatTree(8, 10e9)
+	for _, n := range kernelSizes {
+		paths := kernelPaths(kernelComponent(ft, n, core.ProportionalFair()))
+		weights := kernelWeights(n, 16)
+		b.Run(fmt.Sprintf("flows=%d", n), func(b *testing.B) {
+			var ws oracle.MaxMinWorkspace
+			ws.Prepare(ft.Net.Capacity, paths)
+			x := make([]float64, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ws.Fill(weights[i%len(weights)], x)
+			}
+			reportPerFlowIter(b, int64(b.N)*int64(n))
+		})
+	}
+}
+
+// BenchmarkXWISolve is the leap engine's unit of allocator work: an
+// AllocateSubset to the fixed point at harness.LeapAllocatorFor
+// (NUMFabric)'s settings with warm prices, alternating between the
+// component and the component less its last flow, as a departure and
+// an arrival would.
+func BenchmarkXWISolve(b *testing.B) {
+	ft := NewFatTree(8, 10e9)
+	for _, n := range kernelSizes {
+		flows := kernelComponent(ft, n, core.ProportionalFair())
+		b.Run(fmt.Sprintf("flows=%d", n), func(b *testing.B) {
+			a := &XWI{Eta: 5, Beta: 0.5, IterPerEpoch: 48, Tol: 1e-3}
+			rates := make([]float64, n)
+			a.AllocateSubset(ft.Net, flows, rates)
+			a.AllocateSubset(ft.Net, flows[:n-1], rates)
+			start := a.SolveIters()
+			var flowIters int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sub := flows[:n-i%2]
+				before := a.SolveIters()
+				a.AllocateSubset(ft.Net, sub, rates)
+				flowIters += (a.SolveIters() - before) * int64(len(sub))
+			}
+			reportPerFlowIter(b, flowIters)
+			b.ReportMetric(float64(a.SolveIters()-start)/float64(b.N), "iters/op")
+		})
+	}
+}
+
+// BenchmarkOracleSolve is oracle.Solve as the event-driven ideals run
+// it: one workspace, warm-started from the previous solve's prices,
+// alternating between the component and the component less its last
+// flow.
+func BenchmarkOracleSolve(b *testing.B) {
+	ft := NewFatTree(8, 10e9)
+	for _, n := range kernelSizes {
+		flows := kernelComponent(ft, n, core.ProportionalFair())
+		problems := [2]*core.Problem{}
+		for k := range problems {
+			p := core.NewProblem(ft.Net.Capacity)
+			for _, f := range flows[:n-k] {
+				p.AddFlow(f.Links, f.U)
+			}
+			problems[k] = p
+		}
+		b.Run(fmt.Sprintf("flows=%d", n), func(b *testing.B) {
+			var ws oracle.SolveWorkspace
+			opts := oracle.SolveOptions{MaxIter: 1500, Tol: 1e-7}
+			opts.InitPrices = ws.Solve(problems[0], opts).Prices
+			opts.InitPrices = ws.Solve(problems[1], opts).Prices
+			var flowIters, iters int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := problems[i%2]
+				res := ws.Solve(p, opts)
+				opts.InitPrices = res.Prices
+				iters += int64(res.Iterations)
+				flowIters += int64(res.Iterations) * int64(len(p.Flows))
+			}
+			reportPerFlowIter(b, flowIters)
+			b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
+		})
+	}
+}

@@ -120,11 +120,12 @@ func (o *Oracle) Worker() SubsetAllocator {
 }
 
 // oracleWorker is Oracle's per-goroutine view: shared duals, private
-// gather buffer and scan scratch.
+// gather buffer, scan scratch and solve workspace.
 type oracleWorker struct {
 	parent *Oracle
 	init   []float64
 	s      scratch
+	sw     oracle.SolveWorkspace
 }
 
 // Allocate solves the full flow set (trivially link-closed).
@@ -150,7 +151,7 @@ func (w *oracleWorker) AllocateSubset(net *Network, flows []*Flow, rates []float
 	for _, l := range touched {
 		init[l] = shared[l]
 	}
-	res := oracleSolve(net, flows, &w.s, w.parent.MaxIter, init)
+	res := oracleSolve(&w.sw, net, flows, &w.s, w.parent.MaxIter, init)
 	w.parent.add(int64(res.Iterations))
 	for _, l := range touched {
 		shared[l] = res.Prices[l]
@@ -159,8 +160,9 @@ func (w *oracleWorker) AllocateSubset(net *Network, flows []*Flow, rates []float
 }
 
 // oracleSolve builds and solves the NUM problem for flows — the shared
-// core of Oracle.Allocate/AllocateSubset and the worker views.
-func oracleSolve(net *Network, flows []*Flow, s *scratch, maxIter int, init []float64) oracle.Result {
+// core of Oracle.Allocate/AllocateSubset and the worker views. The
+// result aliases sw (see oracle.SolveWorkspace.Solve).
+func oracleSolve(sw *oracle.SolveWorkspace, net *Network, flows []*Flow, s *scratch, maxIter int, init []float64) oracle.Result {
 	if maxIter <= 0 {
 		maxIter = 2000
 	}
@@ -178,7 +180,7 @@ func oracleSolve(net *Network, flows []*Flow, s *scratch, maxIter int, init []fl
 		}
 		p.AddFlow(f.Links, f.U)
 	}
-	return oracle.Solve(p, oracle.SolveOptions{
+	return sw.Solve(p, oracle.SolveOptions{
 		MaxIter: maxIter, Tol: 1e-7, InitPrices: init,
 	})
 }

@@ -285,12 +285,15 @@ func FluidIdealFCTs(cfg DynamicConfig, topo *Topology, arrivals []workload.Arriv
 	if utilityFor == nil {
 		utilityFor = func(int64) core.Utility { return core.NewAlphaFair(cfg.Alpha) }
 	}
+	// One workspace serves every event's solve; rates and prices alias
+	// it and are consumed before the next solve.
+	var ws oracle.SolveWorkspace
 	solve := func() []float64 {
 		p := core.NewProblem(caps)
 		for _, ff := range active {
 			p.AddFlow(ff.links, utilityFor(ff.size))
 		}
-		res := oracle.Solve(p, oracle.SolveOptions{
+		res := ws.Solve(p, oracle.SolveOptions{
 			MaxIter: 1500, Tol: 1e-7, InitPrices: prices,
 		})
 		prices = res.Prices

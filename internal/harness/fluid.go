@@ -250,13 +250,14 @@ func RunSemiDynamicFluid(cfg SemiDynamicConfig) SemiDynamicResult {
 
 	var result SemiDynamicResult
 	var prices []float64
+	var ws oracle.SolveWorkspace
 	oracleRates := make(map[*fluid.Flow]float64)
 	beginEvent := func() {
 		p := core.NewProblem(feng.Net().Capacity)
 		for _, sf := range active {
 			p.AddFlow(sf.links, sf.util)
 		}
-		res := oracle.Solve(p, oracle.SolveOptions{MaxIter: 3000, Tol: 1e-6, InitPrices: prices})
+		res := ws.Solve(p, oracle.SolveOptions{MaxIter: 3000, Tol: 1e-6, InitPrices: prices})
 		prices = res.Prices
 		clear(oracleRates)
 		for i, sf := range active {

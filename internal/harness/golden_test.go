@@ -1,0 +1,165 @@
+package harness
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"numfabric/internal/core"
+	"numfabric/internal/fluid"
+	"numfabric/internal/leap"
+	"numfabric/internal/sim"
+	"numfabric/internal/workload"
+)
+
+// The golden fingerprints pin the simulated output of the allocator
+// kernels (oracle.Solve, fluid.XWI/DGD/Oracle, the max-min workspace)
+// bit for bit: FNV-64a over the little-endian Float64bits of every
+// flow's result, in flow order. The constants were generated at the
+// commit before the kernels' iteration-invariant work was hoisted
+// (PR 13's parent); a kernel change that moves one bit of one FCT
+// fails here. Regenerate them only for a change that is *meant* to
+// alter simulated results, and say so in CHANGES.md.
+
+type fingerprint struct{ h hash.Hash64 }
+
+func newFingerprint() fingerprint { return fingerprint{fnv.New64a()} }
+
+func (fp fingerprint) add(v float64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+	fp.h.Write(b[:])
+}
+
+func (fp fingerprint) String() string { return fmt.Sprintf("%016x", fp.h.Sum64()) }
+
+// TestGoldenDynamicLeap is the Figure 5 pipeline on the leap engine:
+// FCT (fluid.XWI through leap) then IdealFCT (oracle.Solve through
+// FluidIdealFCTs) of every record.
+func TestGoldenDynamicLeap(t *testing.T) {
+	cases := []struct {
+		flows int
+		load  float64
+		seed  uint64
+		want  string
+	}{
+		{4000, 0.05, 1, "dcbed89ae80daaad"},
+		{4000, 0.05, 3, "205b3b4432efabea"},
+		{600, 0.4, 1, "ddaa33f6ea8e72e8"},
+	}
+	for _, c := range cases {
+		cfg := DefaultDynamic(NUMFabric, workload.WebSearch(), c.load)
+		cfg.Flows, cfg.Seed = c.flows, c.seed
+		out := RunDynamicWith(EngineLeap, cfg)
+		fp := newFingerprint()
+		for _, r := range out.Records {
+			fp.add(r.FCT)
+			fp.add(r.IdealFCT)
+		}
+		if got := fp.String(); got != c.want || out.Unfinished != 0 {
+			t.Errorf("flows=%d load=%g seed=%d: fingerprint %s (unfinished %d), want %s",
+				c.flows, c.load, c.seed, got, out.Unfinished, c.want)
+		}
+	}
+}
+
+// goldenFatTree runs a schedule through a serial leap engine on the
+// k=8 fat-tree and fingerprints every flow's finish time. prepare may
+// add groups or faults before the run; it returns extra flows to
+// append to the fingerprint after the single-path ones.
+func goldenFatTree(t *testing.T, alloc fluid.Allocator, load float64, nflows int, seed uint64,
+	utility func(int64) core.Utility, prepare func(*fluid.FatTree, *leap.Engine, *sim.RNG) []*fluid.Flow) string {
+	ft := fluid.NewFatTree(8, 10e9)
+	rng := sim.NewRNG(seed)
+	arrivals, paths := FatTreeWebSearch(ft, load, nflows, rng)
+	eng := leap.NewEngine(ft.Net, leap.Config{Allocator: alloc, Workers: 1})
+	flows := make([]*fluid.Flow, 0, len(arrivals))
+	for i, a := range arrivals {
+		flows = append(flows, eng.AddFlow(paths[i], utility(a.Size), a.Size, a.At.Seconds()))
+	}
+	if prepare != nil {
+		flows = append(flows, prepare(ft, eng, rng)...)
+	}
+	eng.Run(math.Inf(1))
+	fp := newFingerprint()
+	for _, f := range flows {
+		if !f.Done() {
+			t.Fatalf("flow %d unfinished", f.ID)
+		}
+		fp.add(f.Finish)
+	}
+	return fp.String()
+}
+
+func fctMin(size int64) core.Utility { return core.FCTMin(size, 0.125) }
+
+func propFair(int64) core.Utility { return core.ProportionalFair() }
+
+func numfabricLeapAllocator() fluid.Allocator {
+	return LeapAllocatorFor(DefaultConfig(NUMFabric, ScaledTopology()))
+}
+
+// TestGoldenFatTreeKernels covers the remaining consumers of the two
+// xWI kernels on the k=8 fat-tree: the paper's algorithm under the
+// §6.3 FCT-min utility, ECMP groups (the multipath share heuristic),
+// fluid.Oracle and DGD as the leap allocator, and a fault schedule
+// (zero-capacity links, price hold, stranded flows, max-capacity
+// tracking).
+func TestGoldenFatTreeKernels(t *testing.T) {
+	pooled := func(groups int) func(*fluid.FatTree, *leap.Engine, *sim.RNG) []*fluid.Flow {
+		return func(ft *fluid.FatTree, eng *leap.Engine, rng *sim.RNG) []*fluid.Flow {
+			var members []*fluid.Flow
+			hosts := ft.Hosts()
+			for gi := 0; gi < groups; gi++ {
+				src := rng.Intn(hosts)
+				dst := (src + 1 + rng.Intn(hosts-1)) % hosts
+				g := eng.AddGroup(samplePaths(ft, src, dst, 4, rng), core.ProportionalFair(),
+					int64(20_000+rng.Intn(2_000_000)), float64(gi)*40e-6)
+				members = append(members, g.Members...)
+			}
+			return members
+		}
+	}
+	faulted := func(ft *fluid.FatTree, eng *leap.Engine, _ *sim.RNG) []*fluid.Flow {
+		faults, err := ExpandFaults(ft, []workload.ScriptedFault{
+			{At: 5 * sim.Millisecond, Target: "agg1.0", Down: 15 * sim.Millisecond},
+			{At: 10 * sim.Millisecond, Target: "core5", Down: 20 * sim.Millisecond},
+			{At: 12 * sim.Millisecond, Target: "link17", Down: 5 * sim.Millisecond},
+			{At: 25 * sim.Millisecond, Target: "edge2.1", Down: 10 * sim.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ScheduleFaults(eng, faults)
+		return nil
+	}
+	cases := []struct {
+		name    string
+		alloc   fluid.Allocator
+		load    float64
+		flows   int
+		seed    uint64
+		utility func(int64) core.Utility
+		prepare func(*fluid.FatTree, *leap.Engine, *sim.RNG) []*fluid.Flow
+		want    string
+	}{
+		{"fctmin-xwi/seed1", numfabricLeapAllocator(), 0.12, 10000, 1, fctMin, nil, "3d5c6ba9507e3847"},
+		{"fctmin-xwi/seed2", numfabricLeapAllocator(), 0.12, 10000, 2, fctMin, nil, "98d3403b531cbd72"},
+		{"pooling-xwi", numfabricLeapAllocator(), 0.1, 3000, 4, propFair, pooled(200), "c8295ae9223e57f2"},
+		{"oracle", fluid.NewOracle(), 0.1, 500, 5, propFair, nil, "73a09f9731873a27"},
+		{"oracle-pooling", fluid.NewOracle(), 0.05, 150, 6, propFair, pooled(12), "669fea2e847d76d4"},
+		{"dgd", LeapAllocatorFor(DefaultConfig(DGD, ScaledTopology())), 0.1, 1000, 7, propFair, nil, "1273d0a1cb1a418e"},
+		{"faults-xwi", numfabricLeapAllocator(), 0.2, 2000, 8, fctMin, faulted, "ca58305bfc5c1ed5"},
+		{"faults-dgd", LeapAllocatorFor(DefaultConfig(DGD, ScaledTopology())), 0.2, 1000, 9, propFair, faulted, "d61f4b7e85eec208"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := goldenFatTree(t, c.alloc, c.load, c.flows, c.seed, c.utility, c.prepare); got != c.want {
+				t.Errorf("fingerprint %s, want %s", got, c.want)
+			}
+		})
+	}
+}

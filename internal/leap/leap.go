@@ -1121,7 +1121,7 @@ func (e *Engine) applyFault(link int, fail bool, t float64) {
 		if e.downDepth[link] > 1 {
 			return
 		}
-		e.net.Capacity[link] = 0
+		e.net.SetCapacity(link, 0)
 		e.capDownT[link] = t
 		e.linksDown++
 		e.batchCause = obs.CauseFail
@@ -1133,7 +1133,7 @@ func (e *Engine) applyFault(link int, fail bool, t float64) {
 		if e.downDepth[link] > 0 {
 			return
 		}
-		e.net.Capacity[link] = e.baseCap[link]
+		e.net.SetCapacity(link, e.baseCap[link])
 		if dt := t - e.capDownT[link]; dt > 0 {
 			e.capLostBitSec += e.baseCap[link] * dt
 		}

@@ -29,30 +29,53 @@ func WeightedMaxMin(capacity []float64, paths [][]int, weight []float64) []float
 	return ws.WeightedMaxMin(capacity, paths, weight, nil)
 }
 
-// MaxMinWorkspace holds the scratch buffers of a WeightedMaxMin solve
-// so repeated solves (the fluid engine runs one per epoch, the leap
-// engine one per event) reuse memory instead of reallocating. Apart
-// from one-time buffer growth, a solve touches only the links the
-// flows actually cross — O(path entries + touched links), not O(all
-// links) — which is what keeps small active sets cheap on big
+// MaxMinWorkspace holds the scratch buffers of weighted max-min
+// solves so repeated solves (the fluid engine runs one per epoch, the
+// leap engine one per event) reuse memory instead of reallocating.
+// Apart from one-time buffer growth, a solve touches only the links
+// the flows actually cross — O(path entries + touched links), not
+// O(all links) — which is what keeps small active sets cheap on big
 // networks (a sparse workload on a fat-tree crosses a few dozen of
-// the hundreds of links). The zero value is ready to use; a workspace
-// must not be used concurrently.
+// the hundreds of links).
+//
+// It offers two entries. WeightedMaxMin is the one-shot solve: link
+// discovery, weight accumulation and progressive filling in one fused
+// pass. Prepare + Fill split the same solve for callers that re-solve
+// one flow set under changing weights (the xWI iteration, Eq. 7 → Eq.
+// 8 → Eqs. 9–11): Prepare does everything that depends only on the
+// paths — touched links in first-touch order, per-link flow counts,
+// the link → flow adjacency — once, and each Fill pays only for what
+// the weights change. Both entries perform the same floating-point
+// operations in the same order, so their rates are bit-identical.
+//
+// The zero value is ready to use; a workspace must not be used
+// concurrently.
 type MaxMinWorkspace struct {
 	frozen       []bool
 	rem          []float64
 	activeWeight []float64
 	activeCount  []int
-	start        []int
-	fill         []int
-	used         []int
-	linkFlows    []int32
-	// stamp[l] == round marks link l as touched this call; slot[l] is
-	// its dense per-call index into start/fill. Stamping avoids the
-	// O(all links) zeroing a fresh marker array would need.
+	// start/linkFlows are the CSR adjacency link → crossing flows,
+	// indexed by the dense slot of each touched link: filling rounds
+	// then cost O(touched links), not O(all links).
+	start     []int
+	fill      []int
+	linkFlows []int32
+	// used lists the touched links in first-touch order. The one-shot
+	// solve prunes it in place as links drain; Fill prunes the copy in
+	// scan so the prepared order survives for the next Fill.
+	used []int
+	scan []int
+	// stamp[l] == round marks link l as touched by the current
+	// problem; slot[l] is its dense index into start. Stamping avoids
+	// the O(all links) zeroing a fresh marker array would need.
 	stamp []int
 	slot  []int32
 	round int
+
+	// The problem Prepare saw, read by Fill.
+	capacity []float64
+	paths    [][]int
 }
 
 func growF(s []float64, n int) []float64 {
@@ -69,66 +92,30 @@ func growI(s []int, n int) []int {
 	return s[:n]
 }
 
-// WeightedMaxMin is WeightedMaxMin reusing the workspace's buffers.
-// The result is written into x when cap(x) suffices (a fresh slice is
-// allocated otherwise) and returned.
-func (ws *MaxMinWorkspace) WeightedMaxMin(capacity []float64, paths [][]int, weight []float64, x []float64) []float64 {
-	nf, nl := len(paths), len(capacity)
-	if cap(x) < nf {
-		x = make([]float64, nf)
-	}
-	x = x[:nf]
-	if cap(ws.frozen) < nf {
-		ws.frozen = make([]bool, nf)
-	}
-	frozen := ws.frozen[:nf]
-	for i := range frozen {
-		frozen[i] = false
-		x[i] = 0
-	}
-	// Discover the touched links in first-touch order and initialize
-	// their residuals/weights on first sight; untouched links are
-	// never read, so nothing network-wide needs zeroing. stamp/slot
-	// are link-indexed but written only for touched links.
+// growLinks sizes the link-indexed buffers for an nl-link network and
+// opens a new stamp round. Only touched links' entries are ever
+// written, so nothing network-wide needs zeroing.
+func (ws *MaxMinWorkspace) growLinks(nl int) {
 	ws.rem = growF(ws.rem, nl)
 	ws.activeWeight = growF(ws.activeWeight, nl)
 	ws.activeCount = growI(ws.activeCount, nl)
-	rem, activeWeight, activeCount := ws.rem, ws.activeWeight, ws.activeCount
 	if cap(ws.stamp) < nl {
 		ws.stamp = make([]int, nl)
 		ws.slot = make([]int32, nl)
 	}
-	stamp, slot := ws.stamp[:nl], ws.slot[:nl]
+	ws.stamp, ws.slot = ws.stamp[:nl], ws.slot[:nl]
 	ws.round++
-	round := ws.round
-	used := ws.used[:0]
-	entries := 0
-	for i, p := range paths {
-		w := weight[i]
-		if w <= 0 {
-			w = 1e-12
-		}
-		for _, l := range p {
-			if stamp[l] != round {
-				stamp[l] = round
-				slot[l] = int32(len(used))
-				used = append(used, l)
-				rem[l] = capacity[l]
-				activeWeight[l], activeCount[l] = 0, 0
-			}
-			activeWeight[l] += w
-			activeCount[l]++
-		}
-		entries += len(p)
-	}
-	// CSR adjacency link → crossing flows, indexed by the dense
-	// per-call slot of each touched link: rounds then cost O(touched
-	// links), not O(all links) — the fluid and leap engines call this
-	// constantly on fat-tree-sized networks where flows are few.
+}
+
+// buildAdjacency fills the CSR link → flow adjacency for the touched
+// links in ws.used, whose per-link flow counts are in activeCount;
+// entries is the total path length.
+func (ws *MaxMinWorkspace) buildAdjacency(paths [][]int, entries int) {
+	used, activeCount, slot := ws.used, ws.activeCount, ws.slot
 	nu := len(used)
 	ws.start = growI(ws.start, nu+1)
 	ws.fill = growI(ws.fill, nu)
-	start, fill := ws.start[:nu+1], ws.fill[:nu]
+	start, fill := ws.start, ws.fill
 	start[0] = 0
 	for s, l := range used {
 		start[s+1] = start[s] + activeCount[l]
@@ -145,9 +132,24 @@ func (ws *MaxMinWorkspace) WeightedMaxMin(capacity []float64, paths [][]int, wei
 			fill[s]++
 		}
 	}
-	// Retain used's (possibly regrown) buffer for the next call.
-	defer func() { ws.used = used }()
+}
 
+// progressiveFill runs the filling rounds over the touched links in
+// used (pruned in place as links drain), given rem, activeWeight and
+// activeCount initialized for every one of them, and writes each
+// flow's rate into x.
+func (ws *MaxMinWorkspace) progressiveFill(used []int, paths [][]int, weight, x []float64) {
+	nf := len(paths)
+	if cap(ws.frozen) < nf {
+		ws.frozen = make([]bool, nf)
+	}
+	frozen := ws.frozen[:nf]
+	for i := range frozen {
+		frozen[i] = false
+		x[i] = 0
+	}
+	rem, activeWeight, activeCount := ws.rem, ws.activeWeight, ws.activeCount
+	start, slot, linkFlows := ws.start, ws.slot, ws.linkFlows
 	remaining := nf
 	for remaining > 0 {
 		// Find the bottleneck link: minimal fair share
@@ -200,6 +202,109 @@ func (ws *MaxMinWorkspace) WeightedMaxMin(capacity []float64, paths [][]int, wei
 			}
 		}
 	}
+}
+
+// WeightedMaxMin is WeightedMaxMin reusing the workspace's buffers:
+// the one-shot solve. The result is written into x when cap(x)
+// suffices (a fresh slice is allocated otherwise) and returned. It
+// overwrites any preparation the workspace held: Prepare again before
+// the next Fill.
+func (ws *MaxMinWorkspace) WeightedMaxMin(capacity []float64, paths [][]int, weight []float64, x []float64) []float64 {
+	x = growF(x, len(paths))
+	// Discover the touched links in first-touch order and initialize
+	// their residuals/weights on first sight; untouched links are
+	// never read.
+	ws.growLinks(len(capacity))
+	rem, activeWeight, activeCount := ws.rem, ws.activeWeight, ws.activeCount
+	stamp, slot, round := ws.stamp, ws.slot, ws.round
+	used := ws.used[:0]
+	entries := 0
+	for i, p := range paths {
+		w := weight[i]
+		if w <= 0 {
+			w = 1e-12
+		}
+		for _, l := range p {
+			if stamp[l] != round {
+				stamp[l] = round
+				slot[l] = int32(len(used))
+				used = append(used, l)
+				rem[l] = capacity[l]
+				activeWeight[l], activeCount[l] = 0, 0
+			}
+			activeWeight[l] += w
+			activeCount[l]++
+		}
+		entries += len(p)
+	}
+	ws.used = used
+	ws.buildAdjacency(paths, entries)
+	ws.progressiveFill(used, paths, weight, x)
+	return x
+}
+
+// Prepare readies the workspace for any number of Fill calls on one
+// problem: it discovers the links the paths touch, counts the flows on
+// each, and builds the link → flow adjacency. capacity and paths are
+// retained (not copied) and must stay unchanged until the last Fill.
+func (ws *MaxMinWorkspace) Prepare(capacity []float64, paths [][]int) {
+	ws.capacity, ws.paths = capacity, paths
+	ws.growLinks(len(capacity))
+	activeCount := ws.activeCount
+	stamp, slot, round := ws.stamp, ws.slot, ws.round
+	used := ws.used[:0]
+	entries := 0
+	for _, p := range paths {
+		for _, l := range p {
+			if stamp[l] != round {
+				stamp[l] = round
+				slot[l] = int32(len(used))
+				used = append(used, l)
+				activeCount[l] = 0
+			}
+			activeCount[l]++
+		}
+		entries += len(p)
+	}
+	ws.used = used
+	ws.buildAdjacency(paths, entries)
+}
+
+// Links returns the links the prepared paths touch, in first-touch
+// order. The slice is the workspace's own: read-only, valid until the
+// next Prepare or one-shot solve.
+func (ws *MaxMinWorkspace) Links() []int { return ws.used }
+
+// Touches reports whether any prepared path crosses link l.
+func (ws *MaxMinWorkspace) Touches(l int) bool { return ws.stamp[l] == ws.round }
+
+// Fill solves the prepared problem for the given weights: exactly the
+// rates WeightedMaxMin(capacity, paths, weight) returns, bit for bit,
+// at the cost of the weight-dependent work alone. x is used as in
+// WeightedMaxMin.
+func (ws *MaxMinWorkspace) Fill(weight []float64, x []float64) []float64 {
+	capacity, paths := ws.capacity, ws.paths
+	x = growF(x, len(paths))
+	rem, activeWeight, activeCount := ws.rem, ws.activeWeight, ws.activeCount
+	start := ws.start
+	for s, l := range ws.used {
+		rem[l] = capacity[l]
+		activeWeight[l] = 0
+		activeCount[l] = start[s+1] - start[s]
+	}
+	// Same flow-then-path order as the one-shot pass, so every link's
+	// weight sum rounds identically.
+	for i, p := range paths {
+		w := weight[i]
+		if w <= 0 {
+			w = 1e-12
+		}
+		for _, l := range p {
+			activeWeight[l] += w
+		}
+	}
+	ws.scan = append(ws.scan[:0], ws.used...)
+	ws.progressiveFill(ws.scan, paths, weight, x)
 	return x
 }
 

@@ -63,17 +63,64 @@ type Result struct {
 // Multipath groups use the paper's §6.3 heuristic: each subflow's
 // weight is the aggregate weight from its own path price, scaled by
 // the subflow's share of the aggregate's throughput.
+//
+// The result's slices are the caller's own. Callers that solve one
+// problem after another (an event-driven simulation re-solving at
+// every arrival and departure) should hold a SolveWorkspace instead.
 func Solve(p *core.Problem, opts SolveOptions) Result {
+	var ws SolveWorkspace
+	return ws.Solve(p, opts)
+}
+
+// SolveWorkspace holds every buffer of a Solve so that a sequence of
+// solves allocates only when a problem outgrows its predecessors, and
+// one solve allocates nothing per iteration. The zero value is ready
+// to use; a workspace must not be used concurrently.
+type SolveWorkspace struct {
+	mm MaxMinWorkspace
+
+	// Per flow.
+	paths     [][]int
+	weights   []float64
+	share     []float64 // multipath throughput shares
+	pathPrice []float64
+	x, prevX  []float64
+
+	// Per link. price is fully defined; the others are written and
+	// read on touched or live links only.
+	price, prevPrice []float64
+	load, minRes     []float64
+	cnt              []int
+	// live lists the only links an iteration visits: the touched links
+	// (mm.Links) followed by the idle ones — links no flow crosses whose
+	// price was non-zero on entry.
+	live []int
+}
+
+// Solve is Solve on the workspace's buffers. Result.Rates and
+// Result.Prices alias them: they are valid until the next Solve on
+// this workspace (passing the previous Prices back as InitPrices is
+// fine).
+func (ws *SolveWorkspace) Solve(p *core.Problem, opts SolveOptions) Result {
 	opts = opts.withDefaults()
 	nf, nl := len(p.Flows), len(p.Capacity)
 	if nf == 0 {
 		return Result{Rates: nil, Prices: make([]float64, nl), Converged: true}
 	}
 
-	paths := make([][]int, nf)
+	if cap(ws.paths) < nf {
+		ws.paths = make([][]int, nf)
+	}
+	paths := ws.paths[:nf]
 	for i, f := range p.Flows {
 		paths[i] = f.Links
 	}
+	// Everything the max-min step derives from the paths alone — the
+	// touched links, per-link flow counts, link → flow adjacency — is
+	// built here, once; iterations only re-fill under new weights.
+	ws.mm.Prepare(p.Capacity, paths)
+	touched := ws.mm.Links()
+
 	maxCap := 0.0
 	for _, c := range p.Capacity {
 		maxCap = math.Max(maxCap, c)
@@ -87,11 +134,14 @@ func Solve(p *core.Problem, opts SolveOptions) Result {
 
 	// Initialize prices so that initial weights are on the order of a
 	// per-flow fair share, which keeps the first max-min sensible.
-	price := make([]float64, nl)
+	ws.price = growF(ws.price, nl)
+	price := ws.price
 	if opts.InitPrices != nil && len(opts.InitPrices) == nl {
 		copy(price, opts.InitPrices)
 	} else {
-		cnt := make([]int, nl)
+		ws.cnt = growI(ws.cnt, nl)
+		cnt := ws.cnt
+		clear(cnt)
 		for _, pth := range paths {
 			for _, l := range pth {
 				cnt[l]++
@@ -134,34 +184,55 @@ func Solve(p *core.Problem, opts SolveOptions) Result {
 		}
 	}
 
-	weights := make([]float64, nf)
-	share := make([]float64, nf) // multipath throughput shares
+	// The live links: an iteration reads and writes link state only on
+	// links some flow crosses (touched) and on links whose price is
+	// not +0 on entry (idle: their prices decay toward zero). Every
+	// other link holds price +0, stays +0 under price *= β, adds 0 to
+	// the convergence maxima below, and is left at +0 by the final
+	// projection — so skipping it changes no bit of the result. After
+	// a warm start almost every link is such a link.
+	live := append(ws.live[:0], touched...)
+	for l, pl := range price {
+		if math.Float64bits(pl) != 0 && !ws.mm.Touches(l) {
+			live = append(live, l)
+		}
+	}
+	ws.live = live
+	idle := live[len(touched):]
+
+	ws.weights = growF(ws.weights, nf)
+	ws.share = growF(ws.share, nf)
+	ws.pathPrice = growF(ws.pathPrice, nf)
+	ws.x = growF(ws.x, nf)
+	ws.prevX = growF(ws.prevX, nf)
+	weights, share, pathPrice, x, prevX := ws.weights, ws.share, ws.pathPrice, ws.x, ws.prevX
+	clear(weights)
 	for g := range p.Groups {
 		n := float64(len(p.Groups[g].Flows))
 		for _, f := range p.Groups[g].Flows {
 			share[f] = 1 / n
 		}
 	}
-	var x []float64
-	prevX := make([]float64, nf)
-	prevPrice := make([]float64, nl)
-
-	pathPrice := func(i int) float64 {
-		sum := 0.0
-		for _, l := range paths[i] {
-			sum += price[l]
-		}
-		return sum
-	}
+	ws.prevPrice = growF(ws.prevPrice, nl)
+	ws.load = growF(ws.load, nl)
+	ws.minRes = growF(ws.minRes, nl)
+	prevPrice, load, minRes := ws.prevPrice, ws.load, ws.minRes
 
 	it := 0
 	converged := false
 	for ; it < opts.MaxIter; it++ {
 		// Weight assignment (Eq. 7), with the multipath share heuristic.
+		// Each flow's path price is summed once here and read again by
+		// the residual below: no price is written in between.
 		for g := range p.Groups {
 			grp := &p.Groups[g]
 			for _, f := range grp.Flows {
-				w := grp.U.InverseMarginal(pathPrice(f))
+				sum := 0.0
+				for _, l := range paths[f] {
+					sum += price[l]
+				}
+				pathPrice[f] = sum
+				w := grp.U.InverseMarginal(sum)
 				if len(grp.Flows) > 1 {
 					// Share floor lets an unused path keep probing.
 					s := math.Max(share[f], 1e-3)
@@ -172,7 +243,7 @@ func Solve(p *core.Problem, opts SolveOptions) Result {
 		}
 
 		// Swift: exact weighted max-min (Eq. 8).
-		x = WeightedMaxMin(p.Capacity, paths, weights)
+		ws.mm.Fill(weights, x)
 
 		// Update multipath shares from realized throughput.
 		for g := range p.Groups {
@@ -194,10 +265,8 @@ func Solve(p *core.Problem, opts SolveOptions) Result {
 		}
 
 		// Price update (Eqs. 9–11).
-		load := make([]float64, nl)
-		minRes := make([]float64, nl)
-		hasFlow := make([]bool, nl)
-		for l := range minRes {
+		for _, l := range touched {
+			load[l] = 0
 			minRes[l] = math.Inf(1)
 		}
 		for g := range p.Groups {
@@ -210,22 +279,16 @@ func Solve(p *core.Problem, opts SolveOptions) Result {
 				rate := x[f]
 				// For aggregates the KKT marginal is of the total rate.
 				marg := grp.U.Marginal(math.Max(agg, minPositive(rate)))
-				res := (marg - pathPrice(f)) / float64(len(paths[f]))
+				res := (marg - pathPrice[f]) / float64(len(paths[f]))
 				for _, l := range paths[f] {
 					load[l] += rate
 					if res < minRes[l] {
 						minRes[l] = res
 					}
-					hasFlow[l] = true
 				}
 			}
 		}
-		for l := 0; l < nl; l++ {
-			if !hasFlow[l] {
-				// No flows: drive the price to zero.
-				price[l] *= opts.Beta
-				continue
-			}
+		for _, l := range touched {
 			if p.Capacity[l] <= 0 {
 				// Failed link: utilization is undefined (0/0) and no
 				// price can admit traffic. Hold the price so a recovery
@@ -239,6 +302,10 @@ func Solve(p *core.Problem, opts SolveOptions) Result {
 				pnew = 0
 			}
 			price[l] = opts.Beta*price[l] + (1-opts.Beta)*pnew
+		}
+		for _, l := range idle {
+			// No flows: drive the price to zero.
+			price[l] *= opts.Beta
 		}
 
 		// Convergence: relative change in all rates below Tol AND
@@ -254,12 +321,9 @@ func Solve(p *core.Problem, opts SolveOptions) Result {
 				den := math.Max(math.Abs(prevX[i]), 1)
 				maxRel = math.Max(maxRel, math.Abs(x[i]-prevX[i])/den)
 			}
-			maxPrice := 0.0
-			for l := range price {
+			maxPrice, maxPriceDelta := 0.0, 0.0
+			for _, l := range live {
 				maxPrice = math.Max(maxPrice, price[l])
-			}
-			maxPriceDelta := 0.0
-			for l := range price {
 				maxPriceDelta = math.Max(maxPriceDelta, math.Abs(price[l]-prevPrice[l]))
 			}
 			if maxRel < opts.Tol && (maxPrice == 0 || maxPriceDelta < 1e-6*maxPrice) {
@@ -269,19 +333,26 @@ func Solve(p *core.Problem, opts SolveOptions) Result {
 			}
 		}
 		copy(prevX, x)
-		copy(prevPrice, price)
+		for _, l := range live {
+			prevPrice[l] = price[l]
+		}
 	}
 	// Complementary-slackness projection: an unsaturated link's true
 	// dual is zero. The iteration drives such prices to zero
 	// geometrically but exits when the primal stabilizes, which can
 	// leave residue many orders of magnitude above the legitimate
 	// price scale of sharply curved utilities.
-	if x != nil {
-		load := p.LinkLoads(x)
-		for l := range price {
-			if load[l] < 0.995*p.Capacity[l] {
-				price[l] = 0
-			}
+	for _, l := range live {
+		load[l] = 0
+	}
+	for i, pth := range paths {
+		for _, l := range pth {
+			load[l] += x[i]
+		}
+	}
+	for _, l := range live {
+		if load[l] < 0.995*p.Capacity[l] {
+			price[l] = 0
 		}
 	}
 	return Result{Rates: x, Prices: price, Iterations: it, Converged: converged}
