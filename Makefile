@@ -1,23 +1,12 @@
 # Convenience targets; CI runs the same commands.
 
-.PHONY: test race leap-race-matrix alloc-gate fuzz fault-smoke bench-smoke bench-json bench bench-diff flowtrace-smoke
+.PHONY: test race alloc-gate fuzz fault-smoke bench-smoke bench bench-diff flowtrace-smoke
 
 test:
 	go build ./... && go test ./...
 
 race:
 	go test -race -short ./...
-
-# The PDES window correctness matrix CI runs cell by cell: the leap
-# package's full suite under -race across worker counts × window
-# off/on, pinned via the LEAP_TEST_* environment knobs.
-# LEAP_TEST_FAULTS=1 bounds the fault property sweep to one seed per
-# cell (the cell's (workers, window) pin still applies to it).
-leap-race-matrix:
-	for w in 1 2 8; do for win in 1 8; do \
-		echo "=== workers=$$w window=$$win"; \
-		LEAP_TEST_WORKERS=$$w LEAP_TEST_WINDOW=$$win LEAP_TEST_FAULTS=1 go test -race ./internal/leap/ || exit 1; \
-	done; done
 
 # The zero-allocation steady-state pins: AllocsPerOp == 0 for a full
 # churn wave through the leap engine with hooks detached (and bounded
@@ -26,21 +15,19 @@ leap-race-matrix:
 # allocator kernels' per-iteration pins (MaxMinWorkspace.Fill allocates
 # 0, oracle.Solve the same count at 5 and 500 iterations).
 alloc-gate:
-	go test -v -run 'TestAllocsPerOpSteadyState|TestReleaseFinishedRecycles|TestSteadyStateAllocations|TestPoolSteadyStateAllocations' -count=1 ./internal/leap/
+	go test -v -run 'TestAllocsPerOpSteadyState|TestReleaseFinishedRecycles|TestSteadyStateAllocations' -count=1 ./internal/leap/
 	go test -v -run 'TestKernelsAllocateNothingPerIteration' -count=1 ./internal/oracle/
 
-# Explore the windowed-vs-serial and fault-injection fuzz targets
-# beyond their committed seed corpora (CI runs 30s per target per
-# push; run longer locally when touching the event loop or the fault
-# path).
+# Explore the local-vs-global and fault-injection fuzz targets beyond
+# their committed seed corpora (CI runs 30s per target per push; run
+# longer locally when touching the event loop or the fault path).
 fuzz:
-	go test -run '^$$' -fuzz FuzzWindowedMatchesSerial -fuzztime 60s ./internal/leap/
+	go test -run '^$$' -fuzz FuzzLocalMatchesGlobal -fuzztime 60s ./internal/leap/
 	go test -run '^$$' -fuzz FuzzFaultSchedule -fuzztime 60s ./internal/leap/
 
 # Fault-injection smoke: the leap fault test suite (property, analytic,
 # and lost-service identity tests) plus the end-to-end example —
-# scripted switch/link faults, stranded-flow resume, byte-identical
-# parallel windowed replay.
+# scripted switch/link faults, stranded-flow resume.
 fault-smoke:
 	go test -run 'TestFault|TestStranded|TestNested|TestSameInstant|TestAllocatorsZeroCapacity|TestAllocatorCapacityRecovery|TestGroupResplitOnDeadLink' \
 		-count=1 ./internal/leap/ ./internal/fluid/
@@ -49,12 +36,7 @@ fault-smoke:
 # One full iteration of each leap benchmark, with their built-in
 # accuracy/identity assertions.
 bench-smoke:
-	go test -run '^$$' -bench 'BenchmarkLeap(FCT|Components|Parallel)' -benchtime 1x .
-
-# Regenerate the perf-trajectory record (the workload × workers ×
-# window matrix, FCT-checked against serial).
-bench-json:
-	go run ./cmd/benchjson -out BENCH_leap.json -repeat 3
+	go test -run '^$$' -bench 'BenchmarkLeap(FCT|Components)' -benchtime 1x .
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md): all
 # six workloads, every metric by name, correctness checked; about two
@@ -70,10 +52,10 @@ bench-diff:
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-diff A=before.json B=after.json" >&2; exit 2; }
 	bash benchmark/run.sh -diff $(A) $(B)
 
-# End-to-end flow-tracing smoke: a windowed leapfct run writing a
+# End-to-end flow-tracing smoke: a leapfct run writing a
 # flow-lifecycle trace, analyzed by flowreport (CI's obs-smoke job
 # runs the same pair plus live endpoint scrapes).
 flowtrace-smoke:
-	go run ./cmd/numfabric -experiment leapfct -workers 4 -window 8 \
+	go run ./cmd/numfabric -experiment leapfct \
 		-flowtrace-out /tmp/flowtrace.jsonl
 	go run ./cmd/flowreport /tmp/flowtrace.jsonl

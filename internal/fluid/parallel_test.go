@@ -136,42 +136,3 @@ func TestEpochEngineStats(t *testing.T) {
 		t.Errorf("XWI epoch engine skipped allocations: %+v", xs)
 	}
 }
-
-// TestFatTreeLinkShards: the pod-local partition covers every link
-// with a shard in [0, k), every intra-pod path is shard-pure, and an
-// inter-pod path spans exactly its two pods' shards.
-func TestFatTreeLinkShards(t *testing.T) {
-	ft := NewFatTree(4, 10e9)
-	shards := ft.LinkShards()
-	if len(shards) != ft.Net.Links() {
-		t.Fatalf("%d shard entries for %d links", len(shards), ft.Net.Links())
-	}
-	nsh := ft.K
-	seen := make(map[int]bool)
-	for l, s := range shards {
-		if s < 0 || s >= nsh {
-			t.Fatalf("link %d: shard %d out of [0,%d)", l, s, nsh)
-		}
-		seen[s] = true
-	}
-	if len(seen) != nsh {
-		t.Errorf("partition uses %d shards, want %d", len(seen), nsh)
-	}
-	// Intra-pod paths (same-leaf and cross-leaf) stay in one shard.
-	for _, dst := range []int{1, 2} {
-		for _, l := range ft.Route(0, dst, 1) {
-			if shards[l] != 0 {
-				t.Errorf("intra-pod path 0→%d leaves pod shard: link %d in %d", dst, l, shards[l])
-			}
-		}
-	}
-	// An inter-pod path touches exactly the two pods.
-	podSeen := map[int]bool{}
-	hostsPerPod := ft.Hosts() / ft.K
-	for _, l := range ft.Route(0, hostsPerPod*2, 3) {
-		podSeen[shards[l]] = true
-	}
-	if len(podSeen) != 2 || !podSeen[0] || !podSeen[2] {
-		t.Errorf("inter-pod path shards = %v, want {0, 2}", podSeen)
-	}
-}

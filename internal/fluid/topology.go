@@ -132,44 +132,6 @@ func (t *FatTree) Route(src, dst, pathChoice int) []int {
 	}
 }
 
-// LinkShards partitions the fat-tree's directed links into k pod-local
-// shards — the topology-locality partition behind the leap engine's
-// sharded link index (leap.Config{LinkShards}). Every link is assigned
-// to the pod whose sub-network it serves: host links, edge↔aggregation
-// links, and the aggregation side of each aggregation↔core link all
-// belong to their pod. Any flow whose path stays inside one pod (the
-// locality a datacenter workload's placement optimizes for) is then
-// shard-pure, so concurrent component floods and completion-event
-// resplices for flows in different pods touch disjoint shards; an
-// inter-pod flow's path spans its two pods' shards, which the engine
-// detects and handles serially.
-func (t *FatTree) LinkShards() []int {
-	half := t.K / 2
-	shard := make([]int, t.Net.Links())
-	for h := range t.hostUp {
-		p, _ := t.locate(h)
-		shard[t.hostUp[h]] = p
-		shard[t.hostDown[h]] = p
-	}
-	for p := 0; p < t.K; p++ {
-		for e := 0; e < half; e++ {
-			for a := 0; a < half; a++ {
-				shard[t.edgeUp[p][e][a]] = p
-			}
-		}
-		for a := 0; a < half; a++ {
-			for e := 0; e < half; e++ {
-				shard[t.edgeDown[p][a][e]] = p
-			}
-			for c := 0; c < half; c++ {
-				shard[t.aggUp[p][a][c]] = p
-				shard[t.aggDown[p][a][c]] = p
-			}
-		}
-	}
-	return shard
-}
-
 // LinkName returns a human-readable label for a directed-link id —
 // "host[5]↑", "edge[2.1]→agg[2.0]", "agg[1.3]→core[13]" — for
 // attribution reports and trace exports. The label table is built

@@ -45,18 +45,6 @@ type DynamicConfig struct {
 	// epoch quantization stops dominating short-flow FCTs; the leap
 	// engine ignores it (event-driven time needs no epoch).
 	FluidEpoch sim.Duration
-	// Workers bounds the leap engine's concurrent solves of the
-	// disjoint components touched by one event batch (leap.Config
-	// {Workers}): 0 uses every core (GOMAXPROCS), 1 forces a serial
-	// run. FCTs are byte-identical either way; the packet and fluid
-	// epoch engines ignore it.
-	Workers int
-	// Window sets the leap engine's PDES lookahead depth
-	// (leap.Config{Window}): how many link-disjoint event instants one
-	// cross-time window may absorb and solve together. 0 or 1 keeps
-	// the instant-at-a-time loop. FCTs are byte-identical at any
-	// depth; the packet and fluid epoch engines ignore it.
-	Window int
 	// Obs attaches observability hooks (phase profiler, tracer, live
 	// progress, metrics) to the flow-level engines; the packet engine
 	// ignores it. Nil hooks cost nothing and never change results.

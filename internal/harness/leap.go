@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"numfabric/internal/core"
 	"numfabric/internal/fluid"
@@ -12,16 +11,6 @@ import (
 	"numfabric/internal/sim"
 	"numfabric/internal/workload"
 )
-
-// LeapWorkers resolves a harness-level worker count to the leap
-// engine's convention: 0 (the configs' zero value) means one worker
-// per core, anything else passes through.
-func LeapWorkers(w int) int {
-	if w <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
-}
 
 // LeapAllocatorFor maps a scheme onto the allocator the event-driven
 // leap engine runs once per active-set change. Leap has no intra-event
@@ -73,10 +62,10 @@ func FatTreeWebSearch(ft *fluid.FatTree, load float64, nflows int, rng *sim.RNG)
 // (workload.Coflows: grid instants of several equal-size fan-in
 // bursts, web-search burst sizes rounded to power-of-two classes) plus
 // one random ECMP path pick per flow, all from one seeded stream. This
-// is the batched counterpart of FatTreeWebSearch and the parallel leap
-// engine's showcase: every grid instant floods into many link-disjoint
-// components solved concurrently, and bursts sharing a size class
-// complete in shared instants, so the completion side batches too.
+// is the batched counterpart of FatTreeWebSearch: every grid instant
+// floods into many link-disjoint components solved in one batch, and
+// bursts sharing a size class complete in shared instants, so the
+// completion side batches too.
 func FatTreeCoflows(ft *fluid.FatTree, load float64, nflows, senders, bursts int, rng *sim.RNG) ([]workload.Arrival, [][]int) {
 	arrivals := workload.Coflows(workload.CoflowConfig{
 		Hosts:    ft.Hosts(),
@@ -99,14 +88,10 @@ func FatTreeCoflows(ft *fluid.FatTree, load float64, nflows, senders, bursts int
 // the identical Poisson workload (same seed, same arrival schedule and
 // spine choices) played through the leap engine, which advances
 // straight from event to event instead of epoch by epoch.
-// cfg.Workers > 1 (or 0: all cores) solves the disjoint components of
-// each event batch concurrently; FCTs are byte-identical regardless.
 func RunDynamicLeap(cfg DynamicConfig) DynamicResult {
 	topo := NewFluidTopology(cfg.Topo)
 	leng := leap.NewEngine(FluidNetwork(topo), leap.Config{
 		Allocator: LeapAllocatorFor(cfg.Scheme),
-		Workers:   LeapWorkers(cfg.Workers),
-		Window:    cfg.Window,
 		Obs:       cfg.Obs,
 	})
 	ScheduleFaults(leng, cfg.Faults)
@@ -190,12 +175,6 @@ type IncastConfig struct {
 	// Bursts is how many bursts arrive, Interval apart.
 	Bursts   int
 	Interval sim.Duration
-	// Workers bounds the leap engine's concurrent component solves
-	// (0 = all cores, 1 = serial; results are identical either way).
-	Workers int
-	// Window sets the leap engine's PDES lookahead depth (see
-	// DynamicConfig.Window); results are identical at any depth.
-	Window int
 	// Obs attaches observability hooks to the leap engine (nil hooks
 	// cost nothing and never change results).
 	Obs  obs.Hooks
@@ -250,8 +229,6 @@ func RunIncastLeap(cfg IncastConfig) IncastResult {
 
 	leng := leap.NewEngine(FluidNetwork(topo), leap.Config{
 		Allocator: LeapAllocatorFor(cfg.Scheme),
-		Workers:   LeapWorkers(cfg.Workers),
-		Window:    cfg.Window,
 		Obs:       cfg.Obs,
 	})
 	flows := make([]*fluid.Flow, len(arrivals))

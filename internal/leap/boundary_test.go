@@ -1,0 +1,138 @@
+package leap
+
+import (
+	"math"
+	"strings"
+	"testing"
+
+	"numfabric/internal/core"
+	"numfabric/internal/fluid"
+)
+
+// mustPanic runs fn and fails unless it panics with a message that
+// names the entry point and the offending argument.
+func mustPanic(t *testing.T, fn func(), want ...string) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Fatal("accepted; want a panic")
+		}
+		msg, _ := r.(string)
+		for _, w := range want {
+			if !strings.Contains(msg, w) {
+				t.Fatalf("panic %q does not mention %q", r, w)
+			}
+		}
+	}()
+	fn()
+}
+
+// assertUntouched fails if a rejected call left anything behind: the
+// engine must still be empty and idle.
+func assertUntouched(t *testing.T, e *Engine) {
+	t.Helper()
+	tbl, gtbl := e.Tables()
+	if tbl.Len() != 0 || gtbl.Len() != 0 || e.Step() || e.Now() != 0 {
+		t.Fatalf("rejected call left state behind: %d flows, %d groups, now %v", tbl.Len(), gtbl.Len(), e.Now())
+	}
+}
+
+// TestAddFlowRejectsMalformedArguments: hostile arguments fail at the
+// boundary, naming the argument, instead of an index panic deep inside
+// Run (an out-of-range link) or a silently poisoned clock (a NaN at).
+func TestAddFlowRejectsMalformedArguments(t *testing.T) {
+	cases := []struct {
+		name  string
+		links []int
+		size  int64
+		at    float64
+		want  string
+	}{
+		{"link past the network", []int{7}, 1 << 20, 0, "link 7"},
+		{"negative link", []int{0, -1}, 1 << 20, 0, "link -1"},
+		{"empty path", []int{}, 1 << 20, 0, "empty path"},
+		{"nil path", nil, 1 << 20, 0, "empty path"},
+		{"negative size", []int{0}, -1, 0, "sizeBytes = -1"},
+		{"NaN arrival", []int{0}, 1 << 20, math.NaN(), "at = NaN"},
+		{"+Inf arrival", []int{0}, 1 << 20, math.Inf(1), "at = +Inf"},
+		{"-Inf arrival", []int{0}, 1 << 20, math.Inf(-1), "at = -Inf"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine(fluid.NewNetwork([]float64{10e9, 10e9}), Config{})
+			mustPanic(t, func() { e.AddFlow(c.links, core.ProportionalFair(), c.size, c.at) }, "AddFlow", c.want)
+			assertUntouched(t, e)
+		})
+	}
+	// The boundary cases that stay legal: an arrival in the past, an
+	// unbounded flow, the last link.
+	e := NewEngine(fluid.NewNetwork([]float64{10e9, 10e9}), Config{})
+	e.AddFlow([]int{1}, core.ProportionalFair(), 0, -1)
+	f := e.AddFlow([]int{0, 1}, core.ProportionalFair(), 1<<20, 0)
+	e.Run(math.Inf(1))
+	if !f.Done() {
+		t.Fatal("legal flow unfinished")
+	}
+}
+
+// TestAddGroupRejectsMalformedArguments: every path is validated
+// before the group or any member is acquired.
+func TestAddGroupRejectsMalformedArguments(t *testing.T) {
+	cases := []struct {
+		name  string
+		paths [][]int
+		size  int64
+		at    float64
+		want  string
+	}{
+		{"no paths", nil, 1 << 20, 0, "no paths"},
+		{"second path out of range", [][]int{{0}, {2}}, 1 << 20, 0, "link 2"},
+		{"empty member path", [][]int{{0}, {}}, 1 << 20, 0, "empty path"},
+		{"negative size", [][]int{{0}, {1}}, -5, 0, "sizeBytes = -5"},
+		{"NaN arrival", [][]int{{0}, {1}}, 1 << 20, math.NaN(), "at = NaN"},
+		{"+Inf arrival", [][]int{{0}, {1}}, 1 << 20, math.Inf(1), "at = +Inf"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine(fluid.NewNetwork([]float64{10e9, 10e9}), Config{})
+			mustPanic(t, func() { e.AddGroup(c.paths, core.ProportionalFair(), c.size, c.at) }, "AddGroup", c.want)
+			assertUntouched(t, e)
+		})
+	}
+}
+
+// TestFaultsRejectMalformedArguments covers FailLink and RecoverLink:
+// a link outside the network or a non-finite time panics naming the
+// entry point, and schedules nothing.
+func TestFaultsRejectMalformedArguments(t *testing.T) {
+	entry := map[string]func(*Engine, int, float64){
+		"FailLink":    (*Engine).FailLink,
+		"RecoverLink": (*Engine).RecoverLink,
+	}
+	cases := []struct {
+		name string
+		link int
+		at   float64
+		want string
+	}{
+		{"link past the network", 2, 0, "link 2"},
+		{"negative link", -1, 0, "link -1"},
+		{"NaN time", 0, math.NaN(), "at = NaN"},
+		{"+Inf time", 0, math.Inf(1), "at = +Inf"},
+		{"-Inf time", 1, math.Inf(-1), "at = -Inf"},
+	}
+	for fn, call := range entry {
+		for _, c := range cases {
+			t.Run(fn+"/"+c.name, func(t *testing.T) {
+				e := NewEngine(fluid.NewNetwork([]float64{10e9, 10e9}), Config{})
+				mustPanic(t, func() { call(e, c.link, c.at) }, fn, c.want)
+				assertUntouched(t, e)
+				if s := e.Stats(); s.Faults != 0 {
+					t.Fatalf("rejected fault was applied: %+v", s)
+				}
+			})
+		}
+	}
+}

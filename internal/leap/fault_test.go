@@ -9,43 +9,11 @@ import (
 	"numfabric/internal/obs"
 )
 
-// faultSeeds returns how many dense-schedule seeds the fault property
-// tests sweep. The CI race matrix pins it via LEAP_TEST_FAULTS (=1 per
-// job: each matrix cell races one seed of fault coverage on top of its
-// pinned (workers, window) configuration instead of the full sweep).
-func faultSeeds(t *testing.T) uint64 {
-	if n, ok := envInt(t, "LEAP_TEST_FAULTS"); ok && n > 0 {
-		return uint64(n)
-	}
-	return 3
-}
-
-// assertSameFinishBits fails unless the two runs left every flow and
-// group at bitwise-equal finish times — including NaN for flows both
-// runs left stranded forever, which plain == would reject.
-func assertSameFinishBits(t *testing.T, label string, seed uint64,
-	af []*fluid.Flow, ag []*fluid.Group, bf []*fluid.Flow, bg []*fluid.Group) {
-	t.Helper()
-	for i := range af {
-		if math.Float64bits(af[i].Finish) != math.Float64bits(bf[i].Finish) {
-			t.Fatalf("%s seed %d flow %d: finish %v != %v",
-				label, seed, af[i].ID, bf[i].Finish, af[i].Finish)
-		}
-	}
-	for i := range ag {
-		if math.Float64bits(ag[i].Finish) != math.Float64bits(bg[i].Finish) {
-			t.Fatalf("%s seed %d group %d: finish %v != %v",
-				label, seed, ag[i].ID, bg[i].Finish, ag[i].Finish)
-		}
-	}
-}
-
 // runDeadDense plays the dense random schedule with links dead killed —
 // either statically (capacity zero from construction, no fault events)
 // or via FailLink at t=0 with no recovery — and returns the engine,
 // flows, and groups after running to completion.
 func runDeadDense(cfg Config, seed uint64, dead []int, static bool) (*Engine, []*fluid.Flow, []*fluid.Group) {
-	cfg.forcePar = true
 	caps := denseCaps()
 	if static {
 		for _, l := range dead {
@@ -67,24 +35,18 @@ func runDeadDense(cfg Config, seed uint64, dead []int, static bool) (*Engine, []
 // a failure at t=0 that never recovers must be indistinguishable from
 // having built the topology without the link — every flow and group
 // finishes (or stays stranded) at bitwise-identical times to a fresh
-// run on the statically degraded capacity vector, across the full
-// (Workers × Window × Global) matrix. Any disagreement is a fault-path
-// bug (a missed re-solve, a wrong retirement order, a stranded flow
-// leaking rate), not float noise.
+// run on the statically degraded capacity vector, component-local and
+// Global alike. Any disagreement is a fault-path bug (a missed
+// re-solve, a wrong retirement order, a stranded flow leaking rate),
+// not float noise.
 func TestFaultMatchesStaticDegraded(t *testing.T) {
 	dead := []int{0, 5} // one link in each bank of the dense schedule
 	cfgs := []Config{{}, {Global: true}}
-	workerSet, windowSet := windowMatrix(t)
-	for _, w := range workerSet {
-		for _, win := range windowSet {
-			cfgs = append(cfgs, Config{Workers: w, Window: win})
-		}
-	}
-	for seed := uint64(1); seed <= faultSeeds(t); seed++ {
+	for seed := uint64(1); seed <= 3; seed++ {
 		se, sf, sg := runDeadDense(Config{}, seed, dead, true)
 		for _, cfg := range cfgs {
 			fe, ff, fg := runDeadDense(cfg, seed, dead, false)
-			assertSameFinishBits(t, "fault-vs-static", seed, sf, sg, ff, fg)
+			assertSameCompletions(t, "fault-vs-static", seed, sf, sg, ff, fg)
 			ss, fs := se.Stats(), fe.Stats()
 			if fs.Stranded != ss.Stranded || fs.Resumed != 0 {
 				t.Errorf("seed %d cfg %+v: stranded %d/%d resumed %d, want static %d/0",
@@ -278,9 +240,9 @@ func buildFuzzFaults(e *Engine, data []byte) {
 // decoded flow/group schedule interleaved with any decoded fault
 // schedule — nested failures, same-instant fail+recover pairs,
 // recoveries past a mid-run deadline cut — must finish every flow and
-// group at times bitwise equal to the fully serial engine, with
-// identical degradation accounting, across the parallel and windowed
-// configurations.
+// group at times bitwise equal component-local and Global (WaterFill
+// is separable across components, dead links included), with the same
+// degradation accounting.
 func FuzzFaultSchedule(f *testing.F) {
 	// Structured seeds: colliding arrivals with a permanent failure, a
 	// fail+recover pair over shared links, same-instant pairs, and
@@ -293,12 +255,8 @@ func FuzzFaultSchedule(f *testing.F) {
 		if len(data) > 512 {
 			data = data[:512]
 		}
-		cut := math.Inf(1)
-		if len(data) > 0 && data[0]&1 == 0 {
-			cut = float64(data[0]) * 25e-6
-		}
+		cut := fuzzCut(data)
 		run := func(cfg Config) (*Engine, []*fluid.Flow, []*fluid.Group) {
-			cfg.forcePar = true
 			e := NewEngine(fluid.NewNetwork(fuzzCaps()), cfg)
 			buildFuzzFaults(e, data)
 			fs, gs := buildFuzzSchedule(e, data)
@@ -306,45 +264,25 @@ func FuzzFaultSchedule(f *testing.F) {
 			e.Run(math.Inf(1))
 			return e, fs, gs
 		}
-		se, sf, sg := run(Config{})
-		ss := se.Stats()
-		for _, cfg := range []Config{
-			{Workers: 4},
-			{Window: 8},
-			{Workers: 4, Window: 8},
-		} {
-			pe, pf, pg := run(cfg)
-			for i := range sf {
-				if math.Float64bits(sf[i].Finish) != math.Float64bits(pf[i].Finish) {
-					t.Fatalf("cfg %+v flow %d: finish %v != serial %v",
-						cfg, sf[i].ID, pf[i].Finish, sf[i].Finish)
-				}
-			}
-			for i := range sg {
-				if math.Float64bits(sg[i].Finish) != math.Float64bits(pg[i].Finish) {
-					t.Fatalf("cfg %+v group %d: finish %v != serial %v",
-						cfg, sg[i].ID, pg[i].Finish, sg[i].Finish)
-				}
-			}
-			ps := pe.Stats()
-			if ps.Faults != ss.Faults || ps.Stranded != ss.Stranded ||
-				ps.Resumed != ss.Resumed || ps.LinksDown != ss.LinksDown {
-				t.Fatalf("cfg %+v: fault stats diverge: faults %d/%d stranded %d/%d resumed %d/%d down %d/%d",
-					cfg, ps.Faults, ss.Faults, ps.Stranded, ss.Stranded,
-					ps.Resumed, ss.Resumed, ps.LinksDown, ss.LinksDown)
-			}
-			if math.Float64bits(ps.StrandedSec) != math.Float64bits(ss.StrandedSec) ||
-				math.Float64bits(ps.CapacityLostBitSec) != math.Float64bits(ss.CapacityLostBitSec) {
-				t.Fatalf("cfg %+v: degradation integrals diverge: stranded %v/%v lost %v/%v",
-					cfg, ps.StrandedSec, ss.StrandedSec,
-					ps.CapacityLostBitSec, ss.CapacityLostBitSec)
-			}
-			// Solve counts are NOT asserted here, unlike the fault-free
-			// fuzzer: a fault sharing an instant with arrivals retires in
-			// its own serial batch (arrival solve, then fault re-solve at
-			// the same t) but merges into one windowed solve. The merged
-			// solve reaches the identical fixed point — the completions
-			// checked above — with less intermediate work.
+		le, lf, lg := run(Config{})
+		ge, gf, gg := run(Config{Global: true})
+		assertSameCompletions(t, "fuzz-faults local-vs-global", 0, lf, lg, gf, gg)
+		ls, gs := le.Stats(), ge.Stats()
+		if gs.Faults != ls.Faults || gs.Stranded != ls.Stranded ||
+			gs.Resumed != ls.Resumed || gs.LinksDown != ls.LinksDown {
+			t.Fatalf("fault stats diverge (global/local): faults %d/%d stranded %d/%d resumed %d/%d down %d/%d",
+				gs.Faults, ls.Faults, gs.Stranded, ls.Stranded,
+				gs.Resumed, ls.Resumed, gs.LinksDown, ls.LinksDown)
+		}
+		// Capacity lost accrues per fault event, in the one retirement
+		// order: bitwise. Stranded time is summed per solve and then
+		// into the total, and a global solve groups the same terms
+		// differently from the per-component ones, so it may differ in
+		// the last bits (testdata 5e549717f8a5a1e0 is such an input).
+		if math.Float64bits(gs.CapacityLostBitSec) != math.Float64bits(ls.CapacityLostBitSec) ||
+			!almostEq(gs.StrandedSec, ls.StrandedSec, 1e-12) {
+			t.Fatalf("degradation integrals diverge (global/local): stranded %v/%v lost %v/%v",
+				gs.StrandedSec, ls.StrandedSec, gs.CapacityLostBitSec, ls.CapacityLostBitSec)
 		}
 	})
 }

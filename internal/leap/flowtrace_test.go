@@ -15,16 +15,11 @@ func traceEverything() *obs.FlowTracer {
 }
 
 // flowTraceConfigs are the engine modes the tracing properties must
-// hold across: serial, parallel, PDES-windowed, windowed-parallel,
-// and the global (non-component) solve path.
+// hold across: component-local and the global solve path.
 func flowTraceConfigs() map[string]Config {
 	return map[string]Config{
-		"serial":          {},
-		"parallel":        {Workers: 4},
-		"windowed":        {Window: 8},
-		"windowed-par":    {Workers: 4, Window: 8},
-		"global":          {Global: true},
-		"sharded-windows": {Workers: 4, Window: 8, LinkShards: []int{0, 0, 0, 0, 1, 1, 1, 1}},
+		"local":  {},
+		"global": {Global: true},
 	}
 }
 
@@ -152,32 +147,19 @@ func TestFlowTraceAttributionIdentity(t *testing.T) {
 	}
 }
 
-// TestFlowTraceWindowAndBatchOrdinals: windowed runs must stamp
-// nonzero window ordinals on solve segments (the engine closed
-// windows), and batch ordinals must be present in every mode.
-func TestFlowTraceWindowAndBatchOrdinals(t *testing.T) {
+// TestFlowTraceBatchOrdinals: solve segments carry the ordinal of the
+// reallocation batch that set their rate.
+func TestFlowTraceBatchOrdinals(t *testing.T) {
 	ft := traceEverything()
-	e, _, _ := runDense(Config{Window: 8, Obs: obs.Hooks{FlowTrace: ft}}, 1)
-	if e.Stats().Windows == 0 {
-		t.Skip("schedule closed no windows")
-	}
-	sawWin, sawBatch := false, false
+	runDense(Config{Obs: obs.Hooks{FlowTrace: ft}}, 1)
 	for _, r := range ft.Records() {
 		for _, seg := range r.Segs {
-			if seg.Win > 0 {
-				sawWin = true
-			}
 			if seg.Batch > 0 {
-				sawBatch = true
+				return
 			}
 		}
 	}
-	if !sawWin {
-		t.Error("windowed run recorded no window ordinals on any segment")
-	}
-	if !sawBatch {
-		t.Error("no batch ordinals recorded")
-	}
+	t.Error("no batch ordinals recorded")
 }
 
 // TestFlowTraceLinkLoadStaysFeasible: with the exact water-filling

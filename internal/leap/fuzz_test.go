@@ -52,12 +52,24 @@ func buildFuzzSchedule(e *Engine, data []byte) ([]*fluid.Flow, []*fluid.Group) {
 	return fs, gs
 }
 
-// FuzzWindowedMatchesSerial is the windowing correctness fuzzer: any
-// decoded schedule, run through the parallel engine with and without
-// PDES windows — including a mid-run deadline cut derived from the
-// input — must finish every flow and group at times bitwise equal to
-// the fully serial engine, with the same event count.
-func FuzzWindowedMatchesSerial(f *testing.F) {
+// fuzzCut derives an optional mid-run deadline from the input, so the
+// fuzzers also cross the horizon branch of Run and resume from it.
+func fuzzCut(data []byte) float64 {
+	if len(data) > 0 && data[0]&1 == 0 {
+		return float64(data[0]) * 25e-6
+	}
+	return math.Inf(1)
+}
+
+// FuzzLocalMatchesGlobal is the event loop's correctness fuzzer: any
+// decoded schedule — including a mid-run deadline cut derived from the
+// input — must finish every flow and group component-local at times
+// bitwise equal to Config{Global: true}, which re-solves the whole
+// active set at every change and keeps no link index, no flood and no
+// elision. WaterFill's progressive filling is separable across
+// connected components, so any disagreement is a bug in the component
+// machinery, not float noise.
+func FuzzLocalMatchesGlobal(f *testing.F) {
 	// Structured seeds: colliding instants on shared links, two-link
 	// paths with groups, unbounded flows, out-of-order arrivals.
 	f.Add([]byte{0, 1, 8, 0, 0, 1, 8, 0, 2, 0x41, 16, 0xc1, 1, 2, 255, 0x20})
@@ -68,49 +80,19 @@ func FuzzWindowedMatchesSerial(f *testing.F) {
 		if len(data) > 512 {
 			data = data[:512]
 		}
-		cut := math.Inf(1)
-		if len(data) > 0 && data[0]&1 == 0 {
-			cut = float64(data[0]) * 25e-6
-		}
+		cut := fuzzCut(data)
 		run := func(cfg Config) (*Engine, []*fluid.Flow, []*fluid.Group) {
-			cfg.forcePar = true
 			e := NewEngine(fluid.NewNetwork(fuzzCaps()), cfg)
 			fs, gs := buildFuzzSchedule(e, data)
 			e.Run(cut)
 			e.Run(math.Inf(1))
 			return e, fs, gs
 		}
-		se, sf, sg := run(Config{})
-		for _, cfg := range []Config{
-			{Workers: 4},
-			{Window: 8},
-			{Workers: 4, Window: 8},
-		} {
-			pe, pf, pg := run(cfg)
-			for i := range sf {
-				if math.Float64bits(sf[i].Finish) != math.Float64bits(pf[i].Finish) {
-					t.Fatalf("cfg %+v flow %d: finish %v != serial %v",
-						cfg, sf[i].ID, pf[i].Finish, sf[i].Finish)
-				}
-			}
-			for i := range sg {
-				if math.Float64bits(sg[i].Finish) != math.Float64bits(pg[i].Finish) {
-					t.Fatalf("cfg %+v group %d: finish %v != serial %v",
-						cfg, sg[i].ID, pg[i].Finish, sg[i].Finish)
-				}
-			}
-			// Events() may legitimately exceed serial: a window's solve
-			// can resplice a completion onto a time bit-equal to an
-			// instant serial merges, splitting it across two windowed
-			// instants. The solve structure, by contrast, is invariant.
-			ps, ss := pe.Stats(), se.Stats()
-			if pe.Events() < se.Events() {
-				t.Fatalf("cfg %+v: events %d < serial %d", cfg, pe.Events(), se.Events())
-			}
-			if ps.Allocs != ss.Allocs || ps.SolvedFlows != ss.SolvedFlows {
-				t.Fatalf("cfg %+v: allocs %d/%d solved %d/%d diverge from serial",
-					cfg, ps.Allocs, ss.Allocs, ps.SolvedFlows, ss.SolvedFlows)
-			}
+		le, lf, lg := run(Config{})
+		ge, gf, gg := run(Config{Global: true})
+		assertSameCompletions(t, "fuzz local-vs-global", 0, lf, lg, gf, gg)
+		if le.Events() != ge.Events() {
+			t.Fatalf("events %d (local) != %d (global)", le.Events(), ge.Events())
 		}
 	})
 }

@@ -64,30 +64,21 @@
 // reduce to O(path length + log n) — and even the coupled minority
 // pays for its few-flow component, not for the whole active set.
 //
-// One run also scales across cores. All events sharing an instant —
-// a batch of synchronized arrivals plus any completions landing on
-// it — seed one reallocation batch; the flood partitions the touched
-// flows into their disjoint connected components (overlapping seeds
-// merge), and because distinct components are independent by
-// construction, Config{Workers} solves them concurrently on a bounded
-// worker pool (the allocators' fluid.ParallelSubsetAllocator path:
-// per-worker scratch over shared per-link warm state, race-free since
-// components are link-disjoint). Completion events live in per-shard
-// heaps under a topology-locality partition of the links
-// (Config{LinkShards}, e.g. fluid.FatTree.LinkShards), so the
-// post-solve resplicing of each component's events also fans out, one
-// worker per touched shard. Completions are byte-identical for every
-// Workers value: components never interact, event application is
-// per-flow exclusive, and the heaps pop in a canonical (time, id)
-// order regardless of push interleaving.
+// The engine is one serial event loop over one completion heap. All
+// events sharing an instant — a batch of synchronized arrivals plus
+// any completions landing on it — seed one reallocation batch; the
+// flood partitions the touched flows into their disjoint connected
+// components (overlapping seeds merge) and the components are solved
+// one after another, in seed order, each at the batch instant. Link
+// failures and recoveries are ordinary events on the same heap. The
+// loop is single-threaded by measurement, not by omission: README
+// "Why the leap engine is single-threaded" has the numbers.
 package leap
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync/atomic"
 
 	"numfabric/internal/core"
 	"numfabric/internal/fluid"
@@ -108,62 +99,8 @@ type Config struct {
 	// the allocator work it saves. Engines whose Allocator does not
 	// implement fluid.SubsetAllocator run Global regardless.
 	Global bool
-	// Workers bounds the goroutines that concurrently solve the
-	// disjoint components touched by one event batch (all events
-	// sharing an instant). Default (≤ 0 and 1 alike) is fully serial.
-	// Components are independent by construction, so completions are
-	// byte-identical for every Workers value; batches touching a
-	// single component are solved inline with no pool overhead.
-	// Workers > 1 requires the Allocator to implement
-	// fluid.ParallelSubsetAllocator (all built-in allocators do);
-	// otherwise the engine falls back to serial solves. Global mode is
-	// always serial — there is only ever one component to solve.
-	//
-	// Workers is a request, not a mandate: the engine clamps it to
-	// GOMAXPROCS at construction (parallel dispatch on a core-starved
-	// runtime is pure overhead) and gates each batch on its actual
-	// work, so Workers > 1 never loses to serial on narrow batches or
-	// scarce cores. Results are byte-identical regardless of what the
-	// gate decides.
-	Workers int
-	// Window enables conservative cross-time parallelism (classic
-	// PDES): instead of batching only events that share an instant,
-	// the event loop pops events forward in virtual time — up to
-	// Window distinct instants per window — for as long as they touch
-	// link-disjoint components, bounded by the earliest event in any
-	// shared component (the safety bound). Completions in link-
-	// disjoint components at different instants commute, so the
-	// window's component set solves as one wide batch, each component
-	// at its own virtual time; completions stay byte-identical to the
-	// serial engine for every Window value. 0 or 1 disables windowing
-	// and keeps the instant-batched event loop unchanged. Global mode
-	// ignores Window (every event shares the one global component, so
-	// a window could never grow past one instant).
-	Window int
-	// forcePar (tests only, hence unexported) skips the GOMAXPROCS
-	// clamp so the parallel machinery is exercised — and raced — even
-	// on single-core runners.
-	forcePar bool
-	// LinkShards partitions the links into locality shards (e.g.
-	// fluid.FatTree.LinkShards, one shard per leaf sub-network). A
-	// completion event lives in the heap shard of its flow's first
-	// link, so the parallel resplice after a batch's solves fans out
-	// one worker per touched shard, each touching only its own heap.
-	// len(LinkShards) must equal the network's link count and entries
-	// must be ≥ 0. Nil derives a modulo partition when Workers > 1.
-	// The engine folds any partition down to at most 4×Workers shards
-	// (a single heap when serial): finer shards add scan cost to every
-	// event, not parallelism. The partition never affects results —
-	// only which worker touches which heap.
-	LinkShards []int
-	// SweepThreshold is the stale-event count beyond which a shard's
-	// event heap is bulk-swept (once stale events also outnumber its
-	// live ones); default 64. Any threshold yields identical
-	// completions — it only trades sweep frequency against heap
-	// growth, which TestSweepThresholdEquivalence pins.
-	SweepThreshold int
 	// Obs attaches optional observability hooks: a phase profiler for
-	// the event loop, a tracer recording per-worker solve spans, a live
+	// the event loop, a tracer recording batch and solve spans, a live
 	// progress snapshot, and registry metrics. Nil hooks (the default)
 	// cost nothing — every instrumentation point is guarded by a nil
 	// check, so the hot loop stays allocation-free and completions are
@@ -180,76 +117,12 @@ type Config struct {
 	GroupTable *fluid.GroupTable
 }
 
-// parallelMinFlows and parallelMinOps gate the worker pool: a batch
-// whose solvable components cover fewer flows than parallelMinFlows is
-// solved inline (a goroutine wakeup costs more than a small solve),
-// and a batch producing fewer resplice ops than parallelMinOps applies
-// them inline. Both gates are pure functions of the batch, so a run's
-// execution shape is deterministic for a fixed Workers setting — and
-// results are byte-identical regardless.
-const (
-	parallelMinFlows = 64
-	parallelMinOps   = 256
-	// parallelFloodMinSeeds gates the parallel flood: fewer seeds than
-	// this flood faster serially than a pool dispatch costs.
-	parallelFloodMinSeeds = 32
-	// parallelGatherMinShards gates the parallel completion gather:
-	// a due-event instant spanning at least this many shards is popped
-	// per shard concurrently and merge-sorted; fewer pop inline. The
-	// due-event COUNT cannot be known before popping, so the shard
-	// count is the proxy — a synchronized instant that spans many
-	// shards almost always carries many events per shard.
-	parallelGatherMinShards = 4
-)
-
-// floodBuf is one shard's flood workspace: the seeds bucketed to the
-// shard, the components its worker grew from them, and whether the
-// shard's flood escaped its shard (aborted; redone serially).
-type floodBuf struct {
-	seeds   []*fluid.Flow
-	comp    []*fluid.Flow
-	compG   []*fluid.Group
-	comps   []compRange
-	aborted bool
-}
-
-// EffectiveWorkers reports the worker count an engine constructed with
-// Config{Workers: w} actually runs: the request clamped to GOMAXPROCS,
-// with w < 1 meaning serial. Benchmarks use it to recognize requested
-// counts that collapse to the same configuration (and so the same true
-// performance) on the current host.
-func EffectiveWorkers(w int) int {
-	if w < 1 {
-		return 1
-	}
-	if p := runtime.GOMAXPROCS(0); w > p {
-		return p
-	}
-	return w
-}
-
-func (c Config) withDefaults() Config {
-	if c.Allocator == nil {
-		c.Allocator = fluid.NewWaterFill()
-	}
-	if c.Workers < 1 {
-		c.Workers = 1
-	}
-	// The scarce-core half of the adaptive gate: requesting more
-	// workers than the runtime has cores buys nothing but dispatch
-	// overhead, so the engine quietly runs with what can actually
-	// execute (EffectiveWorkers). Results are identical either way.
-	if !c.forcePar {
-		c.Workers = EffectiveWorkers(c.Workers)
-	}
-	if c.SweepThreshold <= 0 {
-		c.SweepThreshold = 64
-	}
-	if c.Window < 1 {
-		c.Window = 1
-	}
-	return c
-}
+// defaultSweep is the stale-event count beyond which the event heap is
+// bulk-swept (once stale events also outnumber its live ones). Any
+// threshold yields identical completions — it only trades sweep
+// frequency against heap growth, which TestSweepThresholdEquivalence
+// pins by setting Engine.sweep directly.
+const defaultSweep = 64
 
 // Stats is the engine's work telemetry: what the run cost, in the
 // units that explain the event-driven design.
@@ -287,51 +160,10 @@ type Stats struct {
 	// landing on it) touched at least one component.
 	Batches int
 	// BatchComponents is the total disjoint components across all
-	// batches; BatchComponents/Batches is the mean batch width, the
-	// parallelism the workload actually exposes.
+	// batches; BatchComponents/Batches is the mean batch width.
 	BatchComponents int
 	// MaxBatchComponents is the widest single batch's component count.
 	MaxBatchComponents int
-	// ParallelSolves is how many component solves ran on the worker
-	// pool (zero in serial runs and for single-component batches,
-	// which are solved inline).
-	ParallelSolves int
-	// MaxConcurrentComponents is the largest number of components in
-	// flight concurrently in one batch: min(Workers, the batch's
-	// components).
-	MaxConcurrentComponents int
-	// GateSerial and GateParallel count the adaptive work gate's
-	// decisions on multi-component batches when Workers > 1: batches
-	// solved inline because they carried too little (or too lopsided)
-	// allocator work to repay a pool dispatch, versus batches fanned
-	// across the worker pool. Serial engines leave both zero.
-	GateSerial   int
-	GateParallel int
-	// Windows is how many PDES windows the windowed event loop
-	// (Config.Window > 1) executed; zero otherwise. Each window spans
-	// WindowInstants/Windows event instants and WindowEvents/Windows
-	// completion events on average — the cross-time parallelism the
-	// workload exposes beyond same-instant batching.
-	Windows int
-	// WindowInstants is the total event instants absorbed across all
-	// windows; MaxWindowInstants the widest single window in instants.
-	WindowInstants    int
-	MaxWindowInstants int
-	// WindowEvents is the total completion events collected across all
-	// windows; MaxWindowEvents the most in one window.
-	WindowEvents    int
-	MaxWindowEvents int
-	// WindowComponents is the total disjoint components solved across
-	// all windows; MaxWindowComponents the most in one window's single
-	// cross-instant solve dispatch.
-	WindowComponents    int
-	MaxWindowComponents int
-	// WindowConflicts counts windows cut short by the safety bound —
-	// an instant whose component overlapped one already claimed by an
-	// earlier instant in the same window, or a pending fault instant
-	// (capacity mutation invalidates claims taken over the pre-fault
-	// capacities, so a fault always ends the window it lands in).
-	WindowConflicts int
 	// Faults is how many fault events (FailLink/RecoverLink) the
 	// engine applied, nested repeats and no-op recoveries included.
 	Faults int
@@ -359,8 +191,7 @@ type Stats struct {
 	// AllocIters is the allocator's total internal iterations (price
 	// updates, gradient steps, solver iterations) when the allocator
 	// counts them (implements fluid.IterCounter); zero otherwise.
-	// Allocs counts solve calls; this counts the work inside them,
-	// summed across workers in parallel runs.
+	// Allocs counts solve calls; this counts the work inside them.
 	AllocIters int64
 	// PhaseNanos is the per-phase wall-time breakdown of Run when a
 	// profiler hook is attached (Config.Obs.Profiler); all zeros
@@ -435,15 +266,10 @@ type compRange struct{ f0, f1, g0, g1 int }
 
 // evOp is one deferred completion-event resplice — a flow or group
 // whose rate change requires invalidating and re-pushing its heap
-// event. Ops are produced by the (possibly parallel) solve phase and
-// applied by the (possibly parallel) per-shard resplice phase. t is
-// the virtual time the rate was installed at — always the engine's
-// now in the instant-batched loop, but a window's components solve at
-// their own instants, so the op must carry its base time along. Like
-// heap events, ops carry dense ids, resolved through the tables at
-// apply time.
+// event. The solve phase records them; the resplice phase applies them
+// in component order. Like heap events, ops carry dense ids,
+// resolved through the tables at apply time.
 type evOp struct {
-	t   float64
 	id  int32
 	grp bool
 }
@@ -451,8 +277,8 @@ type evOp struct {
 // compResult is one component's solve outcome: the resplice ops it
 // produced, how many flows its allocator call covered (zero for an
 // elided size-one component), and the stranding transitions the rate
-// install observed (accumulated per component so the concurrent
-// pre-apply stays race-free; the serial reduce sums them).
+// install observed (summed per component first, then into the engine,
+// which fixes the float summation order of Stats.StrandedSec).
 type compResult struct {
 	ops         []evOp
 	solved      int
@@ -475,23 +301,14 @@ type Engine struct {
 	// through them.
 	tbl  *fluid.FlowTable
 	gtbl *fluid.GroupTable
-	// subW are the per-worker subset-solver views (subW[0] also serves
-	// every serial solve); nil in global mode.
-	subW    []fluid.SubsetAllocator
-	workers int
-	sweep   int
-	// window is the configured PDES window depth (instants per
-	// window); 1 keeps the instant-batched loop.
-	window int
-	// pool is the persistent worker pool (nil when serial): parked
-	// goroutines woken per dispatch instead of spawned per batch. The
-	// dispatch closures below are bound once at construction so a
-	// steady-state batch allocates nothing.
-	pool         *pool
-	taskSolve    func(w, oi int)
-	taskFlood    func(w, ti int)
-	taskResplice func(w, ti int)
-	taskGather   func(w, di int)
+	// sub is the subset solver every component solve goes through: the
+	// allocator's one Worker view after a single Prime when it
+	// implements fluid.ParallelSubsetAllocator (all built-in allocators
+	// do), the allocator itself otherwise; nil in global mode.
+	sub fluid.SubsetAllocator
+	// sweep is the stale-event count that triggers a bulk heap sweep
+	// (defaultSweep; tests set it directly).
+	sweep int
 
 	now      float64
 	pending  []*fluid.Flow // arrival order; pending[next:] not yet admitted
@@ -512,18 +329,12 @@ type Engine struct {
 	finishedGroups []*fluid.Group
 
 	rates []float64
-	// heaps are the per-shard completion-event heaps: an event lives
-	// in the shard of its flow's (or group's first member's) first
-	// link under linkShard, so concurrent resplices of link-disjoint
-	// components touch disjoint heaps. One shard when unsharded.
-	heaps []eventHeap
-	// staleEv[s] counts shard s's events invalidated by a reallocation
-	// but not yet discarded; when they outnumber the live ones the
-	// shard is swept in one pass.
-	staleEv []int
-	// linkShard maps a link to its heap shard; nil means everything in
-	// shard 0.
-	linkShard []int
+	// heap holds every scheduled event — completions and faults. stale
+	// counts its events invalidated by a reallocation but not yet
+	// discarded; when they outnumber the live ones the heap is swept in
+	// one pass.
+	heap  eventHeap
+	stale int
 	// changed is the global mode's full-re-solve latch.
 	changed bool
 
@@ -536,19 +347,9 @@ type Engine struct {
 	// no index (every change re-solves everything).
 	linkFlows [][]int32
 	// linkMark stamps the links a flood visited with the flood's
-	// round. Rounds come from the atomic roundSrc so concurrent
-	// shard-local floods draw globally unique rounds — a shard's marks
-	// can never collide with another flood's, past or concurrent
-	// (concurrent floods write disjoint entries: a shard-restricted
-	// flood only traverses shard-pure flows, whose links all lie in
-	// its own shard).
+	// round, so marks never need clearing.
 	linkMark []int
-	roundSrc atomic.Int64
-	// fshard[id] is the flow's purity shard: the shard of all its
-	// links when they agree, −1 for a flow spanning shards (which a
-	// shard-local flood must not traverse — reaching one aborts to the
-	// serial flood).
-	fshard []int16
+	round    int
 
 	// fs[id] is the per-flow engine state (flow IDs are dense); gs[id]
 	// the per-group analog.
@@ -566,56 +367,11 @@ type Engine struct {
 	// flood fills comps with disjoint ranges over comp/compG, each
 	// component solves into its ratesArena range and records its
 	// outcome in its compRes slot (slots keep their op buffers warm
-	// across batches). compOrder is the dispatch order — largest
-	// component first, so the worker pool ends a batch balanced.
+	// across batches). globalOps is the global mode's one-shot outcome.
 	comps      []compRange
 	compRes    []compResult
-	compOrder  []int
 	ratesArena []float64
-	// compTime[ci] is the virtual time component ci solves at: always
-	// the engine's now in the instant-batched loop, per-instant inside
-	// a window.
-	compTime []float64
-	// shardOps/shardList scatter a batch's resplice ops by home shard
-	// for the parallel phase; globalOps is the global mode's one-shot
-	// op buffer.
-	shardOps  [][]evOp
-	shardList []int
-	globalOps compResult
-	// floodBufs are the per-shard flood workspaces of the parallel
-	// flood (seeds bucketed by purity shard, then one worker BFSing
-	// each shard's components); floodShards lists the shards the
-	// current batch seeded. shardEv are the per-shard due-completion
-	// buffers of the parallel event gather.
-	floodBufs   []floodBuf
-	floodShards []int
-	// impureSeeds holds a batch's shard-spanning seeds; the two-phase
-	// parallel flood grows their (necessarily shard-impure) components
-	// serially before the per-shard workers run, so the shard floods
-	// can skip everything those components absorbed.
-	impureSeeds []*fluid.Flow
-	shardEv     [][]event
-	dueShards   []int
-	mergedEv    []event
-	// gatherT/gatherSlack parameterize the pre-bound taskGather (the
-	// pool task funcs take only indices, so per-dispatch scalars ride
-	// on the engine).
-	gatherT     float64
-	gatherSlack float64
-	// floodAbort latches a per-shard flood escaping its shard during
-	// the parallel flood's phase 2 (the aborted shards redo serially).
-	floodAbort atomic.Bool
-
-	// Window (PDES) state — see window.go. winLink/winGroup stamp the
-	// links and groups claimed by the current window's earlier
-	// instants with winSeq; winTasks is the collected instant list and
-	// winBuf the trial-flood scratch.
-	winSeq   int32
-	winLink  []int32
-	winGroup []int32
-	winTasks []winTask
-	winEv    []event
-	winBuf   floodBuf
+	globalOps  compResult
 
 	// Fault-injection state, lazily allocated by the first
 	// FailLink/RecoverLink call so fault-free runs keep their
@@ -639,8 +395,8 @@ type Engine struct {
 	// segments are stamped with: CauseSolve normally, CauseFail or
 	// CauseRecover for the re-solve a fault event triggers (fault
 	// instants solve alone — completions at the same instant retire
-	// first and the windowed loop bounds windows at faults — so the
-	// stamp is exact). Reset to CauseSolve after every solve point.
+	// first — so the stamp is exact). Reset to CauseSolve after every
+	// solve point.
 	batchCause uint8
 
 	events    int
@@ -650,38 +406,20 @@ type Engine struct {
 	elided    int
 	fullSolve int
 
-	batches       int
-	batchComps    int
-	maxBatch      int
-	parSolves     int
-	maxConcurrent int
-	gateSerial    int
-	gateParallel  int
+	batches    int
+	batchComps int
+	maxBatch   int
 
-	windows      int
-	winInstants  int
-	maxInstants  int
-	winEvents    int
-	maxWinEvents int
-	winComps     int
-	maxWinComps  int
-	winConflicts int
-
-	// Observability hooks (nil = disabled; see Config.Obs). The tracer
-	// routes worker w's solve spans to track w+1; track 0 carries the
-	// event loop's batch spans.
+	// Observability hooks (nil = disabled; see Config.Obs). Tracer
+	// track 0 carries the event loop's batch spans, track 1 the
+	// component solve spans.
 	prof    *obs.PhaseProfiler
 	tracer  *obs.Tracer
 	prog    *obs.Progress
 	metrics *obs.EngineMetrics
 
-	// Flow-lifecycle tracing (nil = disabled). Every ft call happens on
-	// the event-loop goroutine — admits, the serial reduce after the
-	// (possibly parallel) component solves, and retirements — so the
-	// tracer sees rate changes in deterministic order and the parallel
-	// phases stay untouched. bneckRep is the parent allocator's
-	// bottleneck reporter (nil when unsupported), safe to call from the
-	// serial reduce because no worker view is solving then; bneck is
+	// Flow-lifecycle tracing (nil = disabled). bneckRep is the
+	// allocator's bottleneck reporter (nil when unsupported); bneck is
 	// its reusable output scratch.
 	ft       *obs.FlowTracer
 	bneckRep fluid.BottleneckReporter
@@ -690,7 +428,9 @@ type Engine struct {
 
 // NewEngine returns an event-driven engine over net.
 func NewEngine(net *fluid.Network, cfg Config) *Engine {
-	cfg = cfg.withDefaults()
+	if cfg.Allocator == nil {
+		cfg.Allocator = fluid.NewWaterFill()
+	}
 	sub, ok := cfg.Allocator.(fluid.SubsetAllocator)
 	tbl := cfg.Table
 	if tbl == nil {
@@ -706,186 +446,36 @@ func NewEngine(net *fluid.Network, cfg Config) *Engine {
 		tbl:        tbl,
 		gtbl:       gtbl,
 		global:     cfg.Global || !ok,
-		workers:    cfg.Workers,
-		sweep:      cfg.SweepThreshold,
-		window:     cfg.Window,
+		sweep:      defaultSweep,
 		batchCause: obs.CauseSolve,
+		prof:       cfg.Obs.Profiler,
+		prog:       cfg.Obs.Progress,
+		metrics:    cfg.Obs.Metrics,
+		tracer:     cfg.Obs.Tracer,
+		ft:         cfg.Obs.FlowTrace,
 	}
-	if e.global {
-		// A global re-solve is one component spanning everything:
-		// nothing to parallelize, nothing to shard — and a window can
-		// never grow past one instant, so windowing is moot too.
-		e.workers = 1
-		e.window = 1
-	} else {
+	if !e.global {
 		e.linkFlows = make([][]int32, net.Links())
 		e.linkMark = make([]int, net.Links())
+		e.sub = sub
 		if ps, isPar := cfg.Allocator.(fluid.ParallelSubsetAllocator); isPar {
-			// Prime once so no worker races on lazy warm-state
-			// initialization; every solve — serial ones included —
-			// then goes through a Worker view, which keeps results
-			// byte-identical across Workers values.
+			// Prime once, then solve through one Worker view: warm state
+			// is initialized up front instead of lazily inside the first
+			// solve, which is the path every committed fingerprint took.
 			ps.Prime(net)
-			e.subW = make([]fluid.SubsetAllocator, e.workers)
-			for i := range e.subW {
-				e.subW[i] = ps.Worker()
-			}
-		} else {
-			e.workers = 1
-			e.subW = []fluid.SubsetAllocator{sub}
+			e.sub = ps.Worker()
 		}
 	}
-	nsh := 1
-	if !e.global {
-		switch {
-		case cfg.LinkShards != nil:
-			if len(cfg.LinkShards) != net.Links() {
-				panic(fmt.Sprintf("leap: LinkShards has %d entries for %d links",
-					len(cfg.LinkShards), net.Links()))
-			}
-			e.linkShard = append([]int(nil), cfg.LinkShards...)
-			for _, s := range e.linkShard {
-				if s < 0 {
-					panic("leap: negative LinkShards entry")
-				}
-				if s+1 > nsh {
-					nsh = s + 1
-				}
-			}
-		case e.workers > 1:
-			// No topology partition given: stripe links across shards
-			// so the resplice phase can still fan out.
-			nsh = net.Links()
-			e.linkShard = make([]int, net.Links())
-			for l := range e.linkShard {
-				e.linkShard[l] = l
-			}
-		}
-		// Fold the partition down to at most 4× the worker count:
-		// more shards than that cannot add resplice parallelism, but
-		// every extra shard heap costs the event loop a comparison per
-		// top-of-heaps scan. Workers: 1 folds to a single heap — the
-		// serial engine keeps its PR 4 event loop byte-for-byte. The
-		// fold (like the partition itself) never affects results.
-		maxSh := 4 * e.workers
-		if e.workers == 1 {
-			maxSh = 1
-		}
-		if nsh > maxSh {
-			if maxSh <= 1 {
-				e.linkShard = nil
-			} else {
-				for l := range e.linkShard {
-					e.linkShard[l] %= maxSh
-				}
-			}
-			nsh = maxSh
-		}
+	if e.tracer != nil {
+		e.tracer.EnsureTracks(2)
+		e.tracer.SetTrackName(0, "engine")
+		e.tracer.SetTrackName(1, "solver")
 	}
-	e.heaps = make([]eventHeap, nsh)
-	e.staleEv = make([]int, nsh)
-	e.shardOps = make([][]evOp, nsh)
-	e.floodBufs = make([]floodBuf, nsh)
-	e.shardEv = make([][]event, nsh)
-	if e.window > 1 {
-		e.winLink = make([]int32, net.Links())
-	}
-	if e.workers > 1 {
-		e.pool = newPool(e.workers-1, e)
-		// Bind the dispatch tasks once: pool.run keeps no closure per
-		// batch, so the steady-state hot loop allocates nothing.
-		e.taskSolve = func(w, oi int) {
-			ci := e.compOrder[oi]
-			if e.tracer != nil {
-				start := e.tracer.Clock()
-				e.solveComponent(e.subW[w], ci)
-				r := e.comps[ci]
-				e.tracer.Span(w+1, "solve", start, int64(r.f1-r.f0))
-				return
-			}
-			e.solveComponent(e.subW[w], ci)
-		}
-		e.taskFlood = func(_, ti int) {
-			fb := &e.floodBufs[e.floodShards[ti]]
-			for _, f := range fb.seeds {
-				if f.Done() || e.fs[f.ID].bits&inCompBit != 0 {
-					continue
-				}
-				if !e.floodComponent(f, int(e.fshard[f.ID]), fb) {
-					fb.aborted = true
-					e.floodAbort.Store(true)
-					return
-				}
-			}
-		}
-		e.taskResplice = func(_, ti int) {
-			for _, op := range e.shardOps[e.shardList[ti]] {
-				e.applyOp(op)
-			}
-		}
-		e.taskGather = func(_, di int) {
-			s := e.dueShards[di]
-			buf := e.shardEv[s][:0]
-			h := &e.heaps[s]
-			for h.len() > 0 {
-				ev := h.top()
-				if e.staleEv[s] > 0 && !e.valid(ev) {
-					h.pop()
-					e.staleEv[s]--
-					continue
-				}
-				if ev.t > e.gatherT+e.gatherSlack {
-					break
-				}
-				buf = append(buf, h.pop())
-			}
-			e.shardEv[s] = buf
-		}
-	}
-	e.prof = cfg.Obs.Profiler
-	e.prog = cfg.Obs.Progress
-	e.metrics = cfg.Obs.Metrics
-	if tr := cfg.Obs.Tracer; tr != nil {
-		e.tracer = tr
-		tr.EnsureTracks(e.workers + 1)
-		tr.SetTrackName(0, "engine")
-		for w := 0; w < e.workers; w++ {
-			tr.SetTrackName(w+1, fmt.Sprintf("worker %d", w))
-		}
-	}
-	if ft := cfg.Obs.FlowTrace; ft != nil {
-		e.ft = ft
-		ft.Bind(net.Capacity)
-		if br, ok := e.alloc.(fluid.BottleneckReporter); ok {
-			e.bneckRep = br
-		}
+	if e.ft != nil {
+		e.ft.Bind(net.Capacity)
+		e.bneckRep, _ = e.alloc.(fluid.BottleneckReporter)
 	}
 	return e
-}
-
-// pureShard returns the shard every one of links lies in, or −1 when
-// they span shards (0 when unsharded).
-func (e *Engine) pureShard(links []int) int16 {
-	if e.linkShard == nil || len(links) == 0 {
-		return 0
-	}
-	s := e.linkShard[links[0]]
-	for _, l := range links[1:] {
-		if e.linkShard[l] != s {
-			return -1
-		}
-	}
-	return int16(s)
-}
-
-// groupPure reports whether every member of g is pure in shard s.
-func (e *Engine) groupPure(g *fluid.Group, s int) bool {
-	for _, m := range g.Members {
-		if e.fshard[m.ID] != int16(s) {
-			return false
-		}
-	}
-	return true
 }
 
 // Now returns the current simulated time in seconds.
@@ -975,33 +565,21 @@ func (e *Engine) Events() int { return e.events }
 // Stats returns the engine's work telemetry so far.
 func (e *Engine) Stats() Stats {
 	s := Stats{
-		Events:                  e.events,
-		Allocs:                  e.allocs,
-		SolvedFlows:             e.solved,
-		MaxComponent:            e.maxComp,
-		Elided:                  e.elided,
-		FullSolveFlows:          e.fullSolve,
-		Batches:                 e.batches,
-		BatchComponents:         e.batchComps,
-		MaxBatchComponents:      e.maxBatch,
-		ParallelSolves:          e.parSolves,
-		MaxConcurrentComponents: e.maxConcurrent,
-		GateSerial:              e.gateSerial,
-		GateParallel:            e.gateParallel,
-		Windows:                 e.windows,
-		WindowInstants:          e.winInstants,
-		MaxWindowInstants:       e.maxInstants,
-		WindowEvents:            e.winEvents,
-		MaxWindowEvents:         e.maxWinEvents,
-		WindowComponents:        e.winComps,
-		MaxWindowComponents:     e.maxWinComps,
-		WindowConflicts:         e.winConflicts,
-		Faults:                  e.faults,
-		Stranded:                e.stranded,
-		Resumed:                 e.resumed,
-		StrandedSec:             e.strandedSec,
-		CapacityLostBitSec:      e.capLostBitSec,
-		LinksDown:               e.linksDown,
+		Events:             e.events,
+		Allocs:             e.allocs,
+		SolvedFlows:        e.solved,
+		MaxComponent:       e.maxComp,
+		Elided:             e.elided,
+		FullSolveFlows:     e.fullSolve,
+		Batches:            e.batches,
+		BatchComponents:    e.batchComps,
+		MaxBatchComponents: e.maxBatch,
+		Faults:             e.faults,
+		Stranded:           e.stranded,
+		Resumed:            e.resumed,
+		StrandedSec:        e.strandedSec,
+		CapacityLostBitSec: e.capLostBitSec,
+		LinksDown:          e.linksDown,
 	}
 	if ic, ok := e.alloc.(fluid.IterCounter); ok {
 		s.AllocIters = ic.SolveIters()
@@ -1012,22 +590,55 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
+// checkTime panics unless at is a finite time: NaN would poison the
+// engine clock (every comparison false, Run returns with the flow
+// unfinished) and ±Inf is never reached or already past forever.
+func checkTime(fn string, at float64) {
+	if math.IsNaN(at) || math.IsInf(at, 0) {
+		panic(fmt.Sprintf("leap: %s: at = %v, want a finite time", fn, at))
+	}
+}
+
+// checkFlow panics unless links is a non-empty path over the engine's
+// network, sizeBytes a payload (0 = unbounded) and at a finite time.
+func (e *Engine) checkFlow(fn string, links []int, sizeBytes int64, at float64) {
+	if len(links) == 0 {
+		panic(fmt.Sprintf("leap: %s: empty path", fn))
+	}
+	n := e.net.Links()
+	for _, l := range links {
+		if l < 0 || l >= n {
+			panic(fmt.Sprintf("leap: %s: link %d in path %v of a %d-link network", fn, l, links, n))
+		}
+	}
+	if sizeBytes < 0 {
+		panic(fmt.Sprintf("leap: %s: sizeBytes = %d, want ≥ 0 (0 = unbounded)", fn, sizeBytes))
+	}
+	checkTime(fn, at)
+}
+
 // AddFlow schedules a flow over links, arriving at time at (seconds;
 // at ≤ Now admits it on the next Step), with utility u and payload
-// sizeBytes (0 = unbounded). It returns the Flow for inspection.
+// sizeBytes (0 = unbounded). It returns the Flow for inspection. A
+// malformed argument — an empty path, a link id outside the network,
+// a negative size, a NaN or infinite at — is a programmer error and
+// panics naming the argument, as FailLink and RecoverLink do.
 func (e *Engine) AddFlow(links []int, u core.Utility, sizeBytes int64, at float64) *fluid.Flow {
+	e.checkFlow("AddFlow", links, sizeBytes, at)
+	return e.addFlow(links, u, sizeBytes, at)
+}
+
+func (e *Engine) addFlow(links []int, u core.Utility, sizeBytes int64, at float64) *fluid.Flow {
 	f := e.tbl.Acquire(links, u, sizeBytes, at)
 	id := f.ID
 	for id >= len(e.fs) {
 		e.fs = append(grow(e.fs), flowState{})
-		e.fshard = append(grow(e.fshard), 0)
 	}
 	// Carry the slot's epoch forward, bumped: a recycled id can still
-	// have stale completion events sitting in the heaps, and the bump
+	// have stale completion events sitting in the heap, and the bump
 	// keeps them stale against the new tenant.
 	st := &e.fs[id]
 	*st = flowState{bits: (st.bits + epInc) & epMask}
-	e.fshard[id] = e.pureShard(f.Links)
 	if n := len(e.pending); n > 0 && at < e.pending[n-1].Arrive {
 		e.unsorted = true
 	}
@@ -1039,25 +650,26 @@ func (e *Engine) AddFlow(links []int, u core.Utility, sizeBytes int64, at float6
 // member subflow per path), arriving as a unit at time at, with
 // utility u of the group's TOTAL rate and a shared payload of
 // sizeBytes (0 = unbounded). It returns the Group for inspection; the
-// member flows are in Group.Members, path order.
+// member flows are in Group.Members, path order. Arguments are
+// validated as in AddFlow, every path included, before anything is
+// acquired; a group needs at least one path.
 func (e *Engine) AddGroup(paths [][]int, u core.Utility, sizeBytes int64, at float64) *fluid.Group {
+	if len(paths) == 0 {
+		panic("leap: AddGroup: no paths")
+	}
+	for _, links := range paths {
+		e.checkFlow("AddGroup", links, sizeBytes, at)
+	}
 	g := e.gtbl.Acquire(u, sizeBytes, at)
 	id := g.ID
 	for id >= len(e.gs) {
 		e.gs = append(grow(e.gs), groupState{})
-		if e.window > 1 {
-			e.winGroup = append(grow(e.winGroup), 0)
-		}
 	}
-	// As in AddFlow: keep a recycled id's epoch moving forward, and
-	// clear any window claim the slot's previous tenant left behind.
+	// As in AddFlow: keep a recycled id's epoch moving forward.
 	gst := &e.gs[id]
 	*gst = groupState{bits: (gst.bits + epInc) & epMask}
-	if e.window > 1 {
-		e.winGroup[id] = 0
-	}
 	for _, links := range paths {
-		g.AddMember(e.AddFlow(links, u, 0, at))
+		g.AddMember(e.addFlow(links, u, 0, at))
 	}
 	return g
 }
@@ -1073,11 +685,13 @@ func (e *Engine) AddGroup(paths [][]int, u core.Utility, sizeBytes int64, at flo
 // matching recoveries unwind it. Switch failures are expressed as the
 // switch's incident directed links (fluid.FatTree's *SwitchLinks).
 //
-// Fault events ride the same epoch-stamped heaps as completions and
-// retire in a canonical order (completions first at a shared instant,
-// then failures, then recoveries, then by link id), so fault runs stay
-// byte-identical across every (Workers, Window, Global) configuration.
-func (e *Engine) FailLink(link int, at float64) { e.scheduleFault(link, at, evkFail) }
+// Fault events ride the same heap as completions and retire in a
+// canonical order (completions first at a shared instant, then
+// failures, then recoveries, then by link id), so under a stationary
+// allocator a fault run finishes byte-identically component-local and
+// Global. A link id outside the network or a NaN or infinite at
+// panics naming the argument.
+func (e *Engine) FailLink(link int, at float64) { e.scheduleFault("FailLink", link, at, evkFail) }
 
 // RecoverLink schedules link to recover at time at: once every nested
 // failure has unwound, capacity is restored to its construction-time
@@ -1085,23 +699,22 @@ func (e *Engine) FailLink(link int, at float64) { e.scheduleFault(link, at, evkF
 // them positive rate and reschedules their completions), and group
 // traffic re-splits over the recovered path. Recovering a healthy link
 // is a counted no-op.
-func (e *Engine) RecoverLink(link int, at float64) { e.scheduleFault(link, at, evkRecover) }
+func (e *Engine) RecoverLink(link int, at float64) {
+	e.scheduleFault("RecoverLink", link, at, evkRecover)
+}
 
-func (e *Engine) scheduleFault(link int, at float64, kind uint8) {
+func (e *Engine) scheduleFault(fn string, link int, at float64, kind uint8) {
 	if link < 0 || link >= e.net.Links() {
-		panic(fmt.Sprintf("leap: fault on link %d of a %d-link network", link, e.net.Links()))
+		panic(fmt.Sprintf("leap: %s: link %d of a %d-link network", fn, link, e.net.Links()))
 	}
+	checkTime(fn, at)
 	if e.baseCap == nil {
 		e.baseCap = append([]float64(nil), e.net.Capacity...)
 		e.downDepth = make([]int32, e.net.Links())
 		e.capDownT = make([]float64, e.net.Links())
 	}
-	sh := 0
-	if e.linkShard != nil {
-		sh = e.linkShard[link]
-	}
 	e.pendingFaults++
-	e.heaps[sh].push(event{t: at, id: int32(link), kind: kind})
+	e.heap.push(event{t: at, id: int32(link), kind: kind})
 }
 
 // applyFault performs one due fault event at time t: flip the link's
@@ -1236,7 +849,7 @@ func (e *Engine) admitIsolated(f *fluid.Flow) {
 	e.fs[f.ID].refT = e.now
 	e.elided++
 	if f.SizeBytes > 0 && f.Rate > 0 {
-		e.pushFlowEvent(f, e.now)
+		e.pushFlowEvent(f)
 	} else if f.SizeBytes > 0 {
 		// Admitted straight onto a dead path: stranded from birth, no
 		// completion to schedule until a recovery re-solves it.
@@ -1249,8 +862,7 @@ func (e *Engine) admitIsolated(f *fluid.Flow) {
 	if e.ft != nil {
 		// No solver ran: the flow takes its line rate, bottlenecked by
 		// the path's min-capacity link (the tracer's default).
-		e.ft.Rate(f.ID, e.now, f.Rate, -1, obs.CauseAdmit, 1,
-			uint64(e.batches), uint64(e.windows))
+		e.ft.Rate(f.ID, e.now, f.Rate, -1, obs.CauseAdmit, 1, uint64(e.batches))
 	}
 }
 
@@ -1318,26 +930,21 @@ func (e *Engine) enqueueID(list []*fluid.Flow, id int32) []*fluid.Flow {
 }
 
 // floodComponent BFSes the connected component of seed over the
-// link-sharing graph into buf. shard ≥ 0 restricts the flood to
-// shard-pure flows: reaching a flow or group outside the shard returns
-// false (the caller abandons the attempt and falls back to the serial
-// unrestricted flood; the visited marks left behind are harmless,
-// since every flood draws a globally unique round). A completed seed
-// contributes nothing.
-func (e *Engine) floodComponent(seed *fluid.Flow, shard int, buf *floodBuf) bool {
-	f0, g0 := len(buf.comp), len(buf.compG)
-	r := int(e.roundSrc.Add(1))
-	buf.comp = e.enqueueTo(buf.comp, seed)
-	for i := f0; i < len(buf.comp); i++ {
-		fl := buf.comp[i]
+// link-sharing graph, appending its flows (sorted into admission
+// order), its groups and its range to comp/compG/comps. A completed
+// seed contributes nothing.
+func (e *Engine) floodComponent(seed *fluid.Flow) {
+	f0, g0 := len(e.comp), len(e.compG)
+	e.round++
+	r := e.round
+	e.comp = e.enqueueTo(e.comp, seed)
+	for i := f0; i < len(e.comp); i++ {
+		fl := e.comp[i]
 		if g := fl.Group; g != nil && e.gs[g.ID].mark != r {
-			if shard >= 0 && !e.groupPure(g, shard) {
-				return false
-			}
 			e.gs[g.ID].mark = r
-			buf.compG = append(buf.compG, g)
+			e.compG = append(e.compG, g)
 			for _, m := range g.Members {
-				buf.comp = e.enqueueTo(buf.comp, m)
+				e.comp = e.enqueueTo(e.comp, m)
 			}
 		}
 		for _, l := range fl.Links {
@@ -1346,16 +953,13 @@ func (e *Engine) floodComponent(seed *fluid.Flow, shard int, buf *floodBuf) bool
 			}
 			e.linkMark[l] = r
 			for _, n := range e.linkFlows[l] {
-				if shard >= 0 && e.fshard[n] != int16(shard) {
-					return false
-				}
-				buf.comp = e.enqueueID(buf.comp, n)
+				e.comp = e.enqueueID(e.comp, n)
 			}
 		}
 	}
 	// Insertion sort into admission order: components are small, and
 	// this dodges sort.Slice's per-call overhead on the hot path.
-	comp := buf.comp[f0:]
+	comp := e.comp[f0:]
 	for i := 1; i < len(comp); i++ {
 		fl := comp[i]
 		k := e.fs[fl.ID].seq
@@ -1366,8 +970,7 @@ func (e *Engine) floodComponent(seed *fluid.Flow, shard int, buf *floodBuf) bool
 		}
 		comp[j+1] = fl
 	}
-	buf.comps = append(buf.comps, compRange{f0, len(buf.comp), g0, len(buf.compG)})
-	return true
+	e.comps = append(e.comps, compRange{f0, len(e.comp), g0, len(e.compG)})
 }
 
 // collectComponents floods out from the pending seeds over the
@@ -1375,29 +978,23 @@ func (e *Engine) floodComponent(seed *fluid.Flow, shard int, buf *floodBuf) bool
 // for payload coupling) and partitions the touched flows into their
 // disjoint connected components: one BFS per seed not absorbed by an
 // earlier seed's flood, so overlapping seeds merge into one component
-// and distinct components never share a link or a group. Each
-// component's flows land in stable admission order, with the groups it
-// spans alongside; seeds that already completed contribute nothing.
+// and distinct components never share a link or a group. Components
+// come out in seed order, each one's flows in stable admission order
+// with the groups it spans alongside; seeds that already completed
+// contribute nothing.
 func (e *Engine) collectComponents() []compRange {
-	if e.workers > 1 && len(e.heaps) > 1 && len(e.touched) >= parallelFloodMinSeeds {
-		if done := e.collectComponentsParallel(); done {
-			return e.comps
-		}
-	}
 	e.comps = e.comps[:0]
 	e.comp = e.comp[:0]
 	e.compG = e.compG[:0]
 	for _, f := range e.touched {
 		e.fs[f.ID].bits &^= seededBit
 	}
-	fb := floodBuf{comp: e.comp, compG: e.compG, comps: e.comps}
 	for _, f := range e.touched {
 		if f.Done() || e.fs[f.ID].bits&inCompBit != 0 {
 			continue
 		}
-		e.floodComponent(f, -1, &fb)
+		e.floodComponent(f)
 	}
-	e.comp, e.compG, e.comps = fb.comp, fb.compG, fb.comps
 	e.touched = e.touched[:0]
 	for _, f := range e.comp {
 		e.fs[f.ID].bits &^= inCompBit
@@ -1405,173 +1002,11 @@ func (e *Engine) collectComponents() []compRange {
 	return e.comps
 }
 
-// collectComponentsParallel is the sharded flood: seeds bucket by
-// their purity shard and one worker per touched shard grows that
-// shard's components — race-free because a shard-restricted flood
-// only visits shard-pure flows, links, and groups, which are disjoint
-// across shards by construction. Shard-impure seeds no longer defeat
-// it: their (necessarily shard-spanning) components are grown by a
-// serial unrestricted pre-pass, whose inCompBit marks the shard
-// workers then skip — an unrestricted BFS exhausts its whole
-// component, so any pure flow adjacent to it is already collected and
-// no shard flood can partially re-collect it. A shard flood that
-// itself escapes its shard (reaching an impure flow or group the
-// pre-pass didn't absorb) aborts just that shard; its partial marks
-// are cleared and its seeds redone serially after the workers join —
-// symmetric reasoning applies: a SUCCESSFUL shard flood's components
-// never span shards, so the redo floods cannot overlap them. It
-// reports false without collecting only when fewer than two shards
-// are seeded (nothing to parallelize); the caller then runs the
-// serial flood. The component SET is identical on every path — only
-// the collection order differs, which nothing downstream depends on.
-func (e *Engine) collectComponentsParallel() bool {
-	touched := e.floodShards[:0]
-	impure := e.impureSeeds[:0]
-	for _, f := range e.touched {
-		e.fs[f.ID].bits &^= seededBit
-		s := e.fshard[f.ID]
-		if s < 0 {
-			impure = append(impure, f)
-			continue
-		}
-		fb := &e.floodBufs[s]
-		if len(fb.seeds) == 0 {
-			touched = append(touched, int(s))
-		}
-		fb.seeds = append(fb.seeds, f)
-	}
-	e.impureSeeds = impure[:0]
-	if len(touched) < 2 {
-		for _, s := range touched {
-			e.floodBufs[s].seeds = e.floodBufs[s].seeds[:0]
-		}
-		e.floodShards = touched[:0]
-		// Re-mark the seeds so the serial fallback reruns them all.
-		for _, f := range e.touched {
-			e.fs[f.ID].bits |= seededBit
-		}
-		return false
-	}
-
-	// Phase 1: grow the impure seeds' components serially and
-	// unrestricted, straight into the output (their inCompBit marks
-	// make the shard workers skip anything they absorbed).
-	e.comp = e.comp[:0]
-	e.compG = e.compG[:0]
-	e.comps = e.comps[:0]
-	out := floodBuf{comp: e.comp, compG: e.compG, comps: e.comps}
-	for _, f := range impure {
-		if f.Done() || e.fs[f.ID].bits&inCompBit != 0 {
-			continue
-		}
-		e.floodComponent(f, -1, &out)
-	}
-
-	// Phase 2: one worker per seeded shard.
-	e.floodAbort.Store(false)
-	e.floodShards = touched
-	workers := e.workers
-	if workers > len(touched) {
-		workers = len(touched)
-	}
-	for _, s := range touched {
-		fb := &e.floodBufs[s]
-		fb.comp = fb.comp[:0]
-		fb.compG = fb.compG[:0]
-		fb.comps = fb.comps[:0]
-		fb.aborted = false
-	}
-	e.pool.run(workers, len(touched), e.taskFlood)
-
-	// Phase 3: concatenate the shard results in deterministic
-	// first-seed shard order, redoing any aborted shard's seeds
-	// serially (their partial marks cleared first, so the redo floods
-	// collect whole components; overlapping redos merge via inCompBit).
-	if e.floodAbort.Load() {
-		for _, s := range touched {
-			fb := &e.floodBufs[s]
-			if fb.aborted {
-				for _, f := range fb.comp {
-					e.fs[f.ID].bits &^= inCompBit
-				}
-			}
-		}
-	}
-	for _, s := range touched {
-		fb := &e.floodBufs[s]
-		if fb.aborted {
-			for _, f := range fb.seeds {
-				if f.Done() || e.fs[f.ID].bits&inCompBit != 0 {
-					continue
-				}
-				e.floodComponent(f, -1, &out)
-			}
-			fb.seeds = fb.seeds[:0]
-			continue
-		}
-		off, goff := len(out.comp), len(out.compG)
-		out.comp = append(out.comp, fb.comp...)
-		out.compG = append(out.compG, fb.compG...)
-		for _, r := range fb.comps {
-			out.comps = append(out.comps, compRange{r.f0 + off, r.f1 + off, r.g0 + goff, r.g1 + goff})
-		}
-		fb.seeds = fb.seeds[:0]
-	}
-	e.comp, e.compG, e.comps = out.comp, out.compG, out.comps
-	e.floodShards = touched[:0]
-	e.touched = e.touched[:0]
-	for _, f := range e.comp {
-		e.fs[f.ID].bits &^= inCompBit
-	}
-	return true
-}
-
-// flowShard returns the heap shard owning f's completion event: the
-// shard of its first link (everything is shard 0 when unsharded).
-func (e *Engine) flowShard(f *fluid.Flow) int {
-	if e.linkShard == nil || len(f.Links) == 0 {
-		return 0
-	}
-	return e.linkShard[f.Links[0]]
-}
-
-// groupShard returns the heap shard owning g's completion event: its
-// first member's shard.
-func (e *Engine) groupShard(g *fluid.Group) int {
-	if e.linkShard == nil || len(g.Members) == 0 {
-		return 0
-	}
-	return e.flowShard(g.Members[0])
-}
-
-func (e *Engine) opShard(op evOp) int {
-	if !op.grp {
-		return e.flowShard(e.tbl.ByID(int(op.id)))
-	}
-	return e.groupShard(e.gtbl.ByID(int(op.id)))
-}
-
-// eventShard returns the heap shard a (possibly popped) event belongs
-// to, resolving completion owners through the tables; a fault event
-// lives in its link's shard.
-func (e *Engine) eventShard(ev event) int {
-	switch ev.kind {
-	case evkFlow:
-		return e.flowShard(e.tbl.ByID(int(ev.id)))
-	case evkGroup:
-		return e.groupShard(e.gtbl.ByID(int(ev.id)))
-	}
-	if e.linkShard == nil {
-		return 0
-	}
-	return e.linkShard[ev.id]
-}
-
 // invalidateFlow bumps f's epoch, marking any heap event it has stale.
 func (e *Engine) invalidateFlow(f *fluid.Flow) {
 	s := &e.fs[f.ID]
 	if s.bits&evBit != 0 {
-		e.staleEv[e.flowShard(f)]++
+		e.stale++
 	}
 	s.bits = (s.bits + epInc) &^ evBit
 }
@@ -1579,23 +1014,23 @@ func (e *Engine) invalidateFlow(f *fluid.Flow) {
 func (e *Engine) invalidateGroup(g *fluid.Group) {
 	s := &e.gs[g.ID]
 	if s.bits&evBit != 0 {
-		e.staleEv[e.groupShard(g)]++
+		e.stale++
 	}
 	s.bits = (s.bits + epInc) &^ evBit
 }
 
-// pushFlowEvent schedules f's completion from base time now — the
-// instant f's rate was installed (f.Remaining is materialized there).
-func (e *Engine) pushFlowEvent(f *fluid.Flow, now float64) {
+// pushFlowEvent schedules f's completion from the current instant,
+// where f's rate was just installed and f.Remaining materialized.
+func (e *Engine) pushFlowEvent(f *fluid.Flow) {
 	s := &e.fs[f.ID]
 	s.bits |= evBit
-	e.heaps[e.flowShard(f)].push(event{t: now + f.Remaining*8/f.Rate, id: int32(f.ID), ep: s.bits & epMask})
+	e.heap.push(event{t: e.now + f.Remaining*8/f.Rate, id: int32(f.ID), ep: s.bits & epMask})
 }
 
-func (e *Engine) pushGroupEvent(g *fluid.Group, now float64) {
+func (e *Engine) pushGroupEvent(g *fluid.Group) {
 	s := &e.gs[g.ID]
 	s.bits |= evBit
-	e.heaps[e.groupShard(g)].push(event{t: now + g.Remaining*8/g.Rate(), id: int32(g.ID), ep: s.bits & epMask, kind: evkGroup})
+	e.heap.push(event{t: e.now + g.Remaining*8/g.Rate(), id: int32(g.ID), ep: s.bits & epMask, kind: evkGroup})
 }
 
 // valid reports whether a heap event is still live: its owner running
@@ -1615,45 +1050,34 @@ func (e *Engine) valid(ev event) bool {
 	return true
 }
 
-// earliest prunes stale events off every shard's top and returns the
-// globally earliest live completion event with its shard. A shard
-// whose staleEv is zero is provably all-live (stale events are counted
-// when their owner's epoch is bumped), so the common case costs one
-// comparison per shard.
-func (e *Engine) earliest() (event, int, bool) {
-	var best event
-	bs := -1
-	for s := range e.heaps {
-		h := &e.heaps[s]
-		for e.staleEv[s] > 0 && h.len() > 0 && !e.valid(h.top()) {
-			h.pop()
-			e.staleEv[s]--
-		}
-		if h.len() == 0 {
-			continue
-		}
-		if bs < 0 || h.top().before(best) {
-			best, bs = h.top(), s
-		}
+// earliest prunes stale events off the top of the heap and returns the
+// earliest live event. With stale at zero the heap is provably
+// all-live (stale events are counted when their owner's epoch is
+// bumped), so the common case is one comparison.
+func (e *Engine) earliest() (event, bool) {
+	for e.stale > 0 && e.heap.len() > 0 && !e.valid(e.heap.top()) {
+		e.heap.pop()
+		e.stale--
 	}
-	return best, bs, bs >= 0
+	if e.heap.len() == 0 {
+		return event{}, false
+	}
+	return e.heap.top(), true
 }
 
-// maybeCompact sweeps any shard whose stale events exceed the sweep
+// maybeCompact sweeps the heap once its stale events exceed the sweep
 // threshold and outnumber its live ones.
 func (e *Engine) maybeCompact() {
-	for s := range e.heaps {
-		if e.staleEv[s] > e.sweep && 2*e.staleEv[s] > e.heaps[s].len() {
-			e.heaps[s].compact(e.valid)
-			e.staleEv[s] = 0
-		}
+	if e.stale > e.sweep && 2*e.stale > e.heap.len() {
+		e.heap.compact(e.valid)
+		e.stale = 0
 	}
 }
 
-// preApplyFlow installs a non-member flow's new rate and materializes
-// its lazy drain, reporting whether its completion event must be
-// respliced (the caller's applyOp — possibly on the shard's worker —
-// performs the actual invalidate+push). A completion time computed
+// preApplyFlow installs a non-member flow's new rate at the current
+// instant and materializes its lazy drain, reporting whether its
+// completion event must be respliced (applyOp performs the actual
+// invalidate+push). A completion time computed
 // from an unchanged rate is still exact — drain is linear — so the
 // existing event stands untouched, which is what keeps untouched
 // rates' schedules byte-stable across other components'
@@ -1662,11 +1086,10 @@ func (e *Engine) maybeCompact() {
 // A zero rate strands the flow: no drain accrues (old ≤ 0 skips the
 // materialization), the resplice op invalidates its event without
 // pushing a new one, and refT freezes at the stranding instant so the
-// eventual resume can accrue the stranded-time integral into res. The
-// stranding transitions are counted into res (per-component scratch)
-// because pre-apply may run on a worker.
-func (e *Engine) preApplyFlow(f *fluid.Flow, rate, now float64, res *compResult) bool {
-	old := f.Rate
+// eventual resume can accrue the stranded-time integral into res,
+// where the stranding transitions are counted too.
+func (e *Engine) preApplyFlow(f *fluid.Flow, rate float64, res *compResult) bool {
+	old, now := f.Rate, e.now
 	if f.SizeBytes == 0 {
 		f.Rate = rate
 		return false
@@ -1706,34 +1129,30 @@ func (e *Engine) preApplyFlow(f *fluid.Flow, rate, now float64, res *compResult)
 	return true
 }
 
-// applyOp performs one deferred event resplice. Safe to run
-// concurrently for ops homed in distinct shards: it touches only the
-// op's own flow/group state and its home shard's heap, and every
-// flow/group appears in at most one op per batch.
+// applyOp performs one deferred event resplice; every flow and group
+// appears in at most one op per batch.
 func (e *Engine) applyOp(op evOp) {
 	if !op.grp {
 		f := e.tbl.ByID(int(op.id))
 		e.invalidateFlow(f)
 		if f.Rate > 0 {
-			e.pushFlowEvent(f, op.t)
+			e.pushFlowEvent(f)
 		}
 		return
 	}
 	g := e.gtbl.ByID(int(op.id))
 	e.invalidateGroup(g)
 	if g.Rate() > 0 {
-		e.pushGroupEvent(g, op.t)
+		e.pushGroupEvent(g)
 	}
 }
 
-// preApply installs one component's freshly solved rates (and the lazy
-// group-payload materialization that must precede them) and records
-// exactly the events whose rates moved as resplice ops in res.
-// Everything it touches — flow rates and refTs, group payloads, the
-// seededBit scratch — is private to the component, so components
-// pre-apply concurrently; only the recorded ops need the per-shard
-// resplice phase.
-func (e *Engine) preApply(flows []*fluid.Flow, groups []*fluid.Group, rates []float64, now float64, res *compResult) {
+// preApply installs one component's freshly solved rates at the
+// current instant (and the lazy group-payload materialization that
+// must precede them) and records exactly the events whose rates moved
+// as resplice ops in res.
+func (e *Engine) preApply(flows []*fluid.Flow, groups []*fluid.Group, rates []float64, res *compResult) {
+	now := e.now
 	// Detect member-rate movement, then materialize the moved groups'
 	// lazy drain at their outgoing total, before any rate is installed.
 	for _, g := range groups {
@@ -1762,8 +1181,8 @@ func (e *Engine) preApply(flows []*fluid.Flow, groups []*fluid.Group, rates []fl
 			f.Rate = rates[i]
 			continue
 		}
-		if e.preApplyFlow(f, rates[i], now, res) {
-			res.ops = append(res.ops, evOp{id: int32(f.ID), t: now})
+		if e.preApplyFlow(f, rates[i], res) {
+			res.ops = append(res.ops, evOp{id: int32(f.ID)})
 		}
 	}
 	for _, g := range groups {
@@ -1775,17 +1194,14 @@ func (e *Engine) preApply(flows []*fluid.Flow, groups []*fluid.Group, rates []fl
 		if gb&seededBit == 0 && (gb&evBit != 0) == (total > 0) {
 			continue
 		}
-		res.ops = append(res.ops, evOp{id: int32(g.ID), grp: true, t: now})
+		res.ops = append(res.ops, evOp{id: int32(g.ID), grp: true})
 	}
 }
 
-// solveComponent runs one component's phase A on the given solver
-// view: the size-≤1 elision or the allocator call, then the
-// component-local rate pre-apply. Concurrent-safe across distinct
-// components and workers.
-func (e *Engine) solveComponent(alloc fluid.SubsetAllocator, ci int) {
+// solveComponent solves component ci: the size-≤1 elision or the
+// allocator call, then the component-local rate pre-apply.
+func (e *Engine) solveComponent(ci int) {
 	r := e.comps[ci]
-	now := e.compTime[ci]
 	res := &e.compRes[ci]
 	res.ops = res.ops[:0]
 	res.solved = 0
@@ -1796,23 +1212,24 @@ func (e *Engine) solveComponent(alloc fluid.SubsetAllocator, ci int) {
 		// takes its path's minimum capacity, the same independence
 		// elision its arrival fast path uses, generalized to
 		// departures that leave a lone neighbor behind.
-		if e.preApplyFlow(flows[0], e.pathMinCap(flows[0]), now, res) {
-			res.ops = append(res.ops, evOp{id: int32(flows[0].ID), t: now})
+		if e.preApplyFlow(flows[0], e.pathMinCap(flows[0]), res) {
+			res.ops = append(res.ops, evOp{id: int32(flows[0].ID)})
 		}
 		return
 	}
 	rates := e.ratesArena[r.f0:r.f1]
-	alloc.AllocateSubset(e.net, flows, rates)
+	e.sub.AllocateSubset(e.net, flows, rates)
 	res.solved = len(flows)
-	e.preApply(flows, e.compG[r.g0:r.g1], rates, now, res)
+	e.preApply(flows, e.compG[r.g0:r.g1], rates, res)
 }
 
 // reallocate re-solves the disjoint component(s) the pending seeds
-// touch — one batch. Multi-component batches fan the solves across the
-// worker pool (phase A: allocator call + component-local rate install)
-// and then resplice the moved completion events per heap shard (phase
-// B), both phases race-free by construction: components are link- and
-// flow-disjoint, and each shard's heap has exactly one worker.
+// touch — one batch, every component at the batch instant e.now. The
+// solve phase runs the components in seed order (allocator call +
+// component-local rate install) and folds each outcome into the
+// counters; the resplice phase then re-pushes the moved completion
+// events, again in component order, so heap push order is a function
+// of the schedule alone.
 func (e *Engine) reallocate() {
 	comps := e.collectComponents()
 	nc := len(comps)
@@ -1838,62 +1255,6 @@ func (e *Engine) reallocate() {
 	if e.prog != nil {
 		e.prog.RecordBatch(nc)
 	}
-	// Every component of an instant batch solves at the batch instant.
-	e.compTime = e.compTime[:0]
-	for ci := 0; ci < nc; ci++ {
-		e.compTime = append(grow(e.compTime), e.now)
-	}
-	e.solveBatch(nc)
-	if e.tracer != nil {
-		e.tracer.Span(0, "batch", batchStart, int64(nc))
-	}
-}
-
-// gateWorkers is the adaptive work gate: it bounds a batch's solve
-// workers by its component count and sends it inline entirely when the
-// batch carries too little solvable work to repay a pool dispatch —
-// or when it is so lopsided that all but one worker would idle behind
-// the largest component anyway. The gate is a pure function of the
-// batch, so a run's execution shape is deterministic for a fixed
-// Workers setting — and results are byte-identical regardless.
-func (e *Engine) gateWorkers(nc int) int {
-	workers := e.workers
-	if workers > nc {
-		workers = nc
-	}
-	if workers <= 1 {
-		return 1
-	}
-	solvable, largest := 0, 0
-	for _, r := range e.comps[:nc] {
-		if n := r.f1 - r.f0; n > 1 || r.g1 > r.g0 {
-			solvable += n
-			if n > largest {
-				largest = n
-			}
-		}
-	}
-	if solvable < parallelMinFlows || solvable-largest < parallelMinFlows/2 {
-		e.gateSerial++
-		if e.prog != nil {
-			e.prog.RecordGate(false)
-		}
-		return 1
-	}
-	e.gateParallel++
-	if e.prog != nil {
-		e.prog.RecordGate(true)
-	}
-	return workers
-}
-
-// solveBatch runs phases A and B over e.comps[:nc], each component at
-// its e.compTime instant: solve + pre-apply (concurrent when the gate
-// allows), reduce the outcomes, then resplice the moved completion
-// events per heap shard. Race-free by construction: components are
-// link- and flow-disjoint, and each shard's heap has exactly one
-// worker.
-func (e *Engine) solveBatch(nc int) {
 	if n := len(e.comp); cap(e.ratesArena) < n {
 		e.ratesArena = make([]float64, 2*n+64)
 	}
@@ -1902,50 +1263,16 @@ func (e *Engine) solveBatch(nc int) {
 		e.compRes = append(e.compRes, make([]compResult, nc-len(e.compRes))...)
 	}
 
-	// Phase A: solve and pre-apply each component.
-	workers := e.gateWorkers(nc)
-	if workers > 1 {
-		if workers > e.maxConcurrent {
-			e.maxConcurrent = workers
+	for ci := 0; ci < nc; ci++ {
+		if e.tracer != nil {
+			start := e.tracer.Clock()
+			e.solveComponent(ci)
+			r := comps[ci]
+			e.tracer.Span(1, "solve", start, int64(r.f1-r.f0))
+			continue
 		}
-		// Dispatch largest-first: with a handful of uneven components
-		// per batch, longest-processing-time order keeps the workers
-		// balanced to the end.
-		order := e.compOrder[:0]
-		for ci := 0; ci < nc; ci++ {
-			order = append(order, ci)
-		}
-		// Insertion sort, stable on index: batches hold a handful of
-		// components, and sort.Slice would allocate per batch.
-		for i := 1; i < len(order); i++ {
-			ci := order[i]
-			si := e.comps[ci].f1 - e.comps[ci].f0
-			j := i - 1
-			for j >= 0 && e.comps[order[j]].f1-e.comps[order[j]].f0 < si {
-				order[j+1] = order[j]
-				j--
-			}
-			order[j+1] = ci
-		}
-		e.compOrder = order
-		e.pool.run(workers, nc, e.taskSolve)
-	} else {
-		for ci := 0; ci < nc; ci++ {
-			if e.tracer != nil {
-				start := e.tracer.Clock()
-				e.solveComponent(e.subW[0], ci)
-				r := e.comps[ci]
-				e.tracer.Span(1, "solve", start, int64(r.f1-r.f0))
-				continue
-			}
-			e.solveComponent(e.subW[0], ci)
-		}
+		e.solveComponent(ci)
 	}
-
-	// Reduce the per-component outcomes (deterministic: slot order)
-	// and scatter the resplice ops to their home shards.
-	parallel := workers > 1
-	touched := e.shardList[:0]
 	for ci := 0; ci < nc; ci++ {
 		r := &e.compRes[ci]
 		if r.solved > 0 {
@@ -1953,9 +1280,6 @@ func (e *Engine) solveBatch(nc int) {
 			e.solved += r.solved
 			if r.solved > e.maxComp {
 				e.maxComp = r.solved
-			}
-			if parallel {
-				e.parSolves++
 			}
 			if e.metrics != nil {
 				e.metrics.Allocs.Inc()
@@ -1969,52 +1293,27 @@ func (e *Engine) solveBatch(nc int) {
 		if e.ft != nil {
 			e.traceComponent(ci)
 		}
-		for _, op := range r.ops {
-			s := e.opShard(op)
-			if len(e.shardOps[s]) == 0 {
-				touched = append(touched, s)
-			}
-			e.shardOps[s] = append(e.shardOps[s], op)
-		}
 	}
 	if e.prof != nil {
 		e.prof.Lap(obs.PhaseSolve)
 	}
 
-	// Phase B: resplice per shard, concurrently when several shards
-	// are touched and the op count repays a second pool dispatch. Ops
-	// within a shard stay in component order; the heaps pop in
-	// canonical (time, id) order regardless.
-	totalOps := 0
-	for _, s := range touched {
-		totalOps += len(e.shardOps[s])
-	}
-	e.shardList = touched
-	if parallel && len(touched) > 1 && totalOps >= parallelMinOps {
-		workers = e.workers
-		if workers > len(touched) {
-			workers = len(touched)
-		}
-		e.pool.run(workers, len(touched), e.taskResplice)
-	} else {
-		for _, s := range touched {
-			for _, op := range e.shardOps[s] {
-				e.applyOp(op)
-			}
+	for ci := 0; ci < nc; ci++ {
+		for _, op := range e.compRes[ci].ops {
+			e.applyOp(op)
 		}
 	}
-	for _, s := range touched {
-		e.shardOps[s] = e.shardOps[s][:0]
-	}
-	e.shardList = touched[:0]
 	e.maybeCompact()
 	if e.prof != nil {
 		e.prof.Lap(obs.PhaseResplice)
 	}
+	if e.tracer != nil {
+		e.tracer.Span(0, "batch", batchStart, int64(nc))
+	}
 }
 
 // accumulateStrands folds one solve's stranding transitions into the
-// engine counters and metrics — called from the serial reduce only.
+// engine counters and metrics.
 func (e *Engine) accumulateStrands(r *compResult) {
 	if r.stranded == 0 && r.resumed == 0 {
 		return
@@ -2033,34 +1332,29 @@ func (e *Engine) accumulateStrands(r *compResult) {
 }
 
 // traceComponent reports one component's solved rates to the flow
-// tracer, from the serial reduce (no worker is solving, so the parent
-// allocator's bottleneck scratch is free). Each plain finite flow gets
-// a rate segment stamped with the component size and the solve's
-// batch/window ordinals; group members and unbounded flows are
-// filtered by the tracer itself. The cause code is the engine's
-// batchCause — CauseFail/CauseRecover when a fault event triggered
-// this solve, CauseSolve otherwise.
+// tracer. Each plain finite flow gets a rate segment stamped with the
+// component size and the solve's batch ordinal; group members and
+// unbounded flows are filtered by the tracer itself. The cause code is
+// the engine's batchCause — CauseFail/CauseRecover when a fault event
+// triggered this solve, CauseSolve otherwise.
 func (e *Engine) traceComponent(ci int) {
 	cr := e.comps[ci]
-	now := e.compTime[ci]
 	flows := e.comp[cr.f0:cr.f1]
 	if e.compRes[ci].solved == 0 {
 		// Elided single-flow component: line rate, min-capacity
 		// bottleneck (the tracer's default for bneck < 0).
 		f := flows[0]
-		e.ft.Rate(f.ID, now, f.Rate, -1, e.batchCause, 1,
-			uint64(e.batches), uint64(e.windows))
+		e.ft.Rate(f.ID, e.now, f.Rate, -1, e.batchCause, 1, uint64(e.batches))
 		return
 	}
 	rates := e.ratesArena[cr.f0:cr.f1]
 	bn := e.bottlenecks(flows, rates)
 	for i, f := range flows {
-		e.ft.Rate(f.ID, now, rates[i], int(bn[i]), e.batchCause, len(flows),
-			uint64(e.batches), uint64(e.windows))
+		e.ft.Rate(f.ID, e.now, rates[i], int(bn[i]), e.batchCause, len(flows), uint64(e.batches))
 	}
 }
 
-// bottlenecks asks the parent allocator for each flow's binding link
+// bottlenecks asks the allocator for each flow's binding link
 // under rates, into a reusable scratch; -1 throughout when the
 // allocator cannot report.
 func (e *Engine) bottlenecks(flows []*fluid.Flow, rates []float64) []int32 {
@@ -2094,7 +1388,7 @@ func (e *Engine) allocateGlobal() {
 	}
 	e.globalOps.ops = e.globalOps.ops[:0]
 	e.globalOps.stranded, e.globalOps.resumed, e.globalOps.strandedSec = 0, 0, 0
-	e.preApply(e.active, e.activeGroups, rates, e.now, &e.globalOps)
+	e.preApply(e.active, e.activeGroups, rates, &e.globalOps)
 	for _, op := range e.globalOps.ops {
 		e.applyOp(op)
 	}
@@ -2106,8 +1400,7 @@ func (e *Engine) allocateGlobal() {
 		// filtered from tracing by the tracer).
 		bn := e.bottlenecks(e.active, rates)
 		for i, f := range e.active {
-			e.ft.Rate(f.ID, e.now, rates[i], int(bn[i]), e.batchCause, n,
-				uint64(e.allocs), uint64(e.windows))
+			e.ft.Rate(f.ID, e.now, rates[i], int(bn[i]), e.batchCause, n, uint64(e.allocs))
 		}
 	}
 	e.changed = false
@@ -2164,28 +1457,18 @@ func (e *Engine) materialize(t float64) {
 func (e *Engine) complete(t float64) {
 	slack := 1e-12 * (1 + math.Abs(t))
 	done := false
-	if e.workers > 1 && len(e.heaps) > 1 {
-		if retired, handled := e.completeParallel(t, slack); handled {
-			if !retired {
-				return
-			}
-			done = true
-			goto compact
-		}
-	}
 	for {
-		ev, s, ok := e.earliest()
+		ev, ok := e.earliest()
 		if !ok || ev.t > t+slack {
 			break
 		}
-		e.heaps[s].pop()
+		e.heap.pop()
 		done = true
 		e.retireEvent(ev)
 	}
 	if !done {
 		return
 	}
-compact:
 	// Compact the done entries out of the active slices: eagerly in
 	// global mode (every re-solve hands e.active to the allocator),
 	// lazily — amortized O(1) per completion — in component mode,
@@ -2201,76 +1484,6 @@ compact:
 	if e.liveActive() == 0 {
 		e.changed = false
 	}
-}
-
-// completeParallel pops the instant's due events per shard
-// concurrently when enough shards are due — the gather — then merge-
-// sorts them into the canonical (time, id) order and retires them
-// serially, exactly the sequence the serial pop loop produces. The
-// due set at time t is fixed (retirement never changes another
-// pending event's time), so gathering first is equivalent. handled is
-// false when too few shards are due to repay the dispatch; retired
-// reports whether anything was due at all.
-func (e *Engine) completeParallel(t, slack float64) (retired, handled bool) {
-	due := e.dueShards[:0]
-	for s := range e.heaps {
-		h := &e.heaps[s]
-		for e.staleEv[s] > 0 && h.len() > 0 && !e.valid(h.top()) {
-			h.pop()
-			e.staleEv[s]--
-		}
-		if h.len() > 0 && h.top().t <= t+slack {
-			due = append(due, s)
-		}
-	}
-	if len(due) < parallelGatherMinShards {
-		e.dueShards = due[:0]
-		return false, false
-	}
-	workers := e.workers
-	if workers > len(due) {
-		workers = len(due)
-	}
-	e.dueShards = due
-	e.gatherT, e.gatherSlack = t, slack
-	e.pool.run(workers, len(due), e.taskGather)
-	e.dueShards = due[:0]
-	// Merge into the canonical retirement order. A k-way merge of the
-	// per-shard (already sorted) runs would do; a sort of the small
-	// gathered set is simpler and off the critical path.
-	merged := e.gatherMerge(due)
-	for _, ev := range merged {
-		e.retireEvent(ev)
-	}
-	return len(merged) > 0, true
-}
-
-// sortEvents insertion-sorts events into the canonical (time, id)
-// retirement order. Due sets are small and near-sorted (per-shard
-// runs), and sort.Slice would allocate on the hot path.
-func sortEvents(evs []event) {
-	for i := 1; i < len(evs); i++ {
-		ev := evs[i]
-		j := i - 1
-		for j >= 0 && ev.before(evs[j]) {
-			evs[j+1] = evs[j]
-			j--
-		}
-		evs[j+1] = ev
-	}
-}
-
-// gatherMerge concatenates the due shards' gathered events and sorts
-// them into the canonical heap order, reusing one engine-owned buffer.
-func (e *Engine) gatherMerge(due []int) []event {
-	merged := e.mergedEv[:0]
-	for _, s := range due {
-		merged = append(merged, e.shardEv[s]...)
-		e.shardEv[s] = e.shardEv[s][:0]
-	}
-	sortEvents(merged)
-	e.mergedEv = merged
-	return merged
 }
 
 // retireEvent completes one due flow or group event — stamp finishes,
@@ -2373,17 +1586,20 @@ func (e *Engine) compactActiveGroups() {
 // whether any further event can occur; false means the simulation has
 // reached a state that will never change again (no pending arrivals
 // and no finite flow draining — any remaining active flows are
-// unbounded and hold their current rates forever). A windowed engine
-// (Config.Window > 1) advances one whole window per Step.
-func (e *Engine) Step() bool { return e.advance(math.Inf(1)) }
+// unbounded and hold their current rates forever).
+func (e *Engine) Step() bool { return e.step(math.Inf(1)) }
 
-// advance is one loop iteration of Run: a PDES window when windowing
-// is on, a single event instant otherwise.
-func (e *Engine) advance(deadline float64) bool {
-	if e.window > 1 {
-		return e.windowStep(deadline)
+// settle re-solves whatever the last admissions, completions and
+// faults left seeded (or, in global mode, latched).
+func (e *Engine) settle() {
+	if e.global {
+		if e.changed && len(e.active) > 0 {
+			e.allocateGlobal()
+		}
+	} else if len(e.touched) > 0 {
+		e.reallocate()
 	}
-	return e.step(deadline)
+	e.batchCause = obs.CauseSolve
 }
 
 // step is Step bounded by a deadline: if the next event lies beyond
@@ -2400,20 +1616,13 @@ func (e *Engine) step(deadline float64) bool {
 	// Idle early-exit: nothing active (stranded flows count as active —
 	// they are waiting on recovery, not runnable) and nothing pending.
 	// Scheduled fault events keep the loop alive so capacity toggles on
-	// an idle network still apply, matching the windowed loop.
+	// an idle network still apply.
 	if e.liveActive() == 0 && e.next >= len(e.pending) && e.pendingFaults == 0 {
 		return false
 	}
-	if e.global {
-		if e.changed && len(e.active) > 0 {
-			e.allocateGlobal()
-		}
-	} else if len(e.touched) > 0 {
-		e.reallocate()
-	}
-	e.batchCause = obs.CauseSolve
+	e.settle()
 	tC := math.Inf(1)
-	if ev, _, ok := e.earliest(); ok {
+	if ev, ok := e.earliest(); ok {
 		tC = ev.t
 	}
 	tA := math.Inf(1)
@@ -2460,7 +1669,7 @@ func (e *Engine) Run(until float64) {
 		e.prof.Arm()
 	}
 	for e.now < until {
-		if !e.advance(until) {
+		if !e.step(until) {
 			return
 		}
 	}
@@ -2471,14 +1680,7 @@ func (e *Engine) Run(until float64) {
 	// the deadline branch having run: settle any seeds that final
 	// completion left (so survivors expose their re-solved rates) and
 	// materialize the lazy drain.
-	if e.global {
-		if e.changed && len(e.active) > 0 {
-			e.allocateGlobal()
-		}
-	} else if len(e.touched) > 0 {
-		e.reallocate()
-	}
-	e.batchCause = obs.CauseSolve
+	e.settle()
 	e.materialize(e.now)
 	if e.prof != nil {
 		e.prof.Lap(obs.PhaseDrain)

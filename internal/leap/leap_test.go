@@ -1,6 +1,7 @@
 package leap
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -306,6 +307,40 @@ func buildDenseSchedule(e *Engine, seed uint64) ([]*fluid.Flow, []*fluid.Group) 
 	return fs, gs
 }
 
+// denseCaps is the dense property schedule's two-bank link vector.
+func denseCaps() []float64 {
+	return []float64{10e9, 10e9, 25e9, 40e9, 10e9, 10e9, 25e9, 40e9}
+}
+
+// runDense plays one dense random schedule to completion under cfg and
+// returns the engine plus its flows and groups.
+func runDense(cfg Config, seed uint64) (*Engine, []*fluid.Flow, []*fluid.Group) {
+	e := NewEngine(fluid.NewNetwork(denseCaps()), cfg)
+	fs, gs := buildDenseSchedule(e, seed)
+	e.Run(math.Inf(1))
+	return e, fs, gs
+}
+
+// assertSameCompletions fails unless the two runs left every flow and
+// group at bitwise-equal finish times — including NaN for flows both
+// runs left unfinished, which plain == would reject.
+func assertSameCompletions(t *testing.T, label string, seed uint64,
+	af []*fluid.Flow, ag []*fluid.Group, bf []*fluid.Flow, bg []*fluid.Group) {
+	t.Helper()
+	for i := range af {
+		if math.Float64bits(af[i].Finish) != math.Float64bits(bf[i].Finish) {
+			t.Fatalf("%s seed %d flow %d: finish %v != %v",
+				label, seed, af[i].ID, af[i].Finish, bf[i].Finish)
+		}
+	}
+	for i := range ag {
+		if math.Float64bits(ag[i].Finish) != math.Float64bits(bg[i].Finish) {
+			t.Fatalf("%s seed %d group %d: finish %v != %v",
+				label, seed, ag[i].ID, ag[i].Finish, bg[i].Finish)
+		}
+	}
+}
+
 // TestComponentLocalMatchesGlobal is the component-machinery property
 // test: dense random schedules (simultaneous arrivals, colliding
 // completions, finite groups) played twice through the engine — once
@@ -316,30 +351,13 @@ func buildDenseSchedule(e *Engine, seed uint64) ([]*fluid.Flow, []*fluid.Group) 
 // any disagreement is a component-tracking bug, not float noise.
 func TestComponentLocalMatchesGlobal(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
-		caps := []float64{10e9, 10e9, 25e9, 40e9, 10e9, 10e9, 25e9, 40e9}
-		local := NewEngine(fluid.NewNetwork(caps), Config{})
-		global := NewEngine(fluid.NewNetwork(caps), Config{Global: true})
-		lf, lg := buildDenseSchedule(local, seed)
-		gf, gg := buildDenseSchedule(global, seed)
-		local.Run(math.Inf(1))
-		global.Run(math.Inf(1))
-
+		local, lf, lg := runDense(Config{}, seed)
+		global, gf, gg := runDense(Config{Global: true}, seed)
 		if local.Events() != global.Events() {
 			t.Errorf("seed %d: events %d (local) vs %d (global)",
 				seed, local.Events(), global.Events())
 		}
-		for i := range lf {
-			if lf[i].Finish != gf[i].Finish {
-				t.Fatalf("seed %d flow %d: finish %v (local) != %v (global)",
-					seed, lf[i].ID, lf[i].Finish, gf[i].Finish)
-			}
-		}
-		for i := range lg {
-			if lg[i].Finish != gg[i].Finish {
-				t.Fatalf("seed %d group %d: finish %v (local) != %v (global)",
-					seed, lg[i].ID, lg[i].Finish, gg[i].Finish)
-			}
-		}
+		assertSameCompletions(t, "local-vs-global", seed, lf, lg, gf, gg)
 		ls, gs := local.Stats(), global.Stats()
 		if ls.SolvedFlows >= gs.SolvedFlows {
 			t.Errorf("seed %d: component-local solved %d flows, global %d — no win",
@@ -417,5 +435,121 @@ func TestIndependenceElision(t *testing.T) {
 	}
 	if !almostEq(a.Rate, 5e9, 1e-9) || !almostEq(c.Rate, 5e9, 1e-9) {
 		t.Errorf("shared rates %v/%v, want 5G each", a.Rate, c.Rate)
+	}
+}
+
+// TestSweepThresholdEquivalence: the lazy-heap bulk-sweep threshold is
+// a pure performance constant — an engine sweeping at every
+// opportunity (threshold 1) and one that effectively never sweeps (a
+// huge threshold) must produce identical completions on the dense
+// schedule, and both must match the default.
+func TestSweepThresholdEquivalence(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		run := func(sweep int) ([]*fluid.Flow, []*fluid.Group) {
+			e := NewEngine(fluid.NewNetwork(denseCaps()), Config{})
+			e.sweep = sweep
+			fs, gs := buildDenseSchedule(e, seed)
+			e.Run(math.Inf(1))
+			return fs, gs
+		}
+		_, df, dg := runDense(Config{}, seed)
+		af, ag := run(1)
+		bf, bg := run(1 << 30)
+		assertSameCompletions(t, "sweep-1", seed, df, dg, af, ag)
+		assertSameCompletions(t, "sweep-never", seed, df, dg, bf, bg)
+	}
+}
+
+// TestBatchStats: synchronized arrivals on disjoint links form one
+// batch of several disjoint components, and the engine's batch
+// telemetry records it.
+func TestBatchStats(t *testing.T) {
+	// Four coupled 20-flow bundles at one instant, each on its own
+	// link: one batch, four disjoint components. The four links carry
+	// identical size ladders, so completions collide into four-wide
+	// batches too.
+	e := NewEngine(fluid.NewNetwork([]float64{10e9, 10e9, 10e9, 10e9}), Config{})
+	for l := 0; l < 4; l++ {
+		for i := 0; i < 20; i++ {
+			e.AddFlow([]int{l}, core.ProportionalFair(), int64(1+i)<<20, 1e-3)
+		}
+	}
+	e.Run(math.Inf(1))
+	s := e.Stats()
+	if s.Batches == 0 || s.BatchComponents < s.Batches {
+		t.Fatalf("batch telemetry not populated: %+v", s)
+	}
+	if s.MaxBatchComponents != 4 {
+		t.Errorf("MaxBatchComponents = %d, want 4", s.MaxBatchComponents)
+	}
+	// Every batch is four components wide; the last one leaves four
+	// lone flows, which are elided rather than solved.
+	if s.BatchComponents != 4*s.Batches || s.Allocs != s.BatchComponents-4 {
+		t.Errorf("batch shape: %d components over %d batches, %d solves", s.BatchComponents, s.Batches, s.Allocs)
+	}
+}
+
+// buildPodBursts adds a synchronized pod-local burst schedule to an
+// engine on a k=4 fat-tree: at each grid instant every pod receives a
+// fan-in burst among its own hosts (plus a finite intra-pod group per
+// instant), so a batch floods into one component per pod and
+// equal-size bursts complete in shared instants. withInterPod mixes in
+// cross-pod flows that merge pods into one component.
+func buildPodBursts(e *Engine, ft *fluid.FatTree, withInterPod bool, seed uint64) []*fluid.Flow {
+	rng := sim.NewRNG(seed)
+	perPod := ft.Hosts() / ft.K
+	var fs []*fluid.Flow
+	for q := 0; q < 12; q++ {
+		at := float64(q) * 500e-6
+		for p := 0; p < ft.K; p++ {
+			base := p * perPod
+			dst := base + rng.Intn(perPod)
+			size := int64(1+rng.Intn(4)) * (256 << 10)
+			for i := 0; i < 8; i++ {
+				src := base + rng.Intn(perPod-1)
+				if src >= dst {
+					src++
+				}
+				path := ft.Route(src, dst, rng.Intn(4))
+				fs = append(fs, e.AddFlow(path, core.ProportionalFair(), size, at))
+			}
+			if q%3 == 0 {
+				a, b := base, base+1
+				e.AddGroup([][]int{ft.Route(a, b, 0), ft.Route(a, b, 1)},
+					core.ProportionalFair(), 512<<10, at)
+			}
+		}
+		if withInterPod {
+			src := rng.Intn(perPod)
+			dst := perPod + rng.Intn(perPod)
+			path := ft.Route(src, dst, rng.Intn(4))
+			fs = append(fs, e.AddFlow(path, core.ProportionalFair(), 1<<20, at))
+		}
+	}
+	return fs
+}
+
+// TestPodBurstsLocalMatchesGlobal: the pod-local burst workload — wide
+// same-instant batches of several components with groups, colliding
+// completions, and (with inter-pod flows) components that merge and
+// split across batches — finishes byte-identically component-local and
+// Global.
+func TestPodBurstsLocalMatchesGlobal(t *testing.T) {
+	for _, interPod := range []bool{false, true} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			run := func(global bool) (*Engine, []*fluid.Flow) {
+				ft := fluid.NewFatTree(4, 10e9)
+				e := NewEngine(ft.Net, Config{Global: global})
+				fs := buildPodBursts(e, ft, interPod, seed)
+				e.Run(math.Inf(1))
+				return e, fs
+			}
+			le, lf := run(false)
+			_, gf := run(true)
+			assertSameCompletions(t, fmt.Sprintf("pod-bursts interPod=%v", interPod), seed, lf, nil, gf, nil)
+			if s := le.Stats(); s.MaxBatchComponents < 2 {
+				t.Errorf("interPod=%v seed %d: pod bursts never batched two components: %+v", interPod, seed, s)
+			}
+		}
 	}
 }

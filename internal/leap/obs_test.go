@@ -27,29 +27,25 @@ func fullHooks() obs.Hooks {
 
 // TestObsDoesNotChangeResults: attaching every observability hook must
 // leave completions byte-identical — instrumentation reads engine
-// state, never steers it — serial and parallel alike.
+// state, never steers it — component-local and Global alike.
 func TestObsDoesNotChangeResults(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		_, bf, bg := runDense(Config{}, seed)
 		_, of, og := runDense(Config{Obs: fullHooks()}, seed)
-		assertSameCompletions(t, "obs-serial", seed, bf, bg, of, og)
-		_, pf, pg := runDense(Config{Workers: 4, Obs: fullHooks()}, seed)
-		assertSameCompletions(t, "obs-parallel", seed, bf, bg, pf, pg)
+		assertSameCompletions(t, "obs-local", seed, bf, bg, of, og)
+		_, gf, gg := runDense(Config{Global: true, Obs: fullHooks()}, seed)
+		assertSameCompletions(t, "obs-global", seed, bf, bg, gf, gg)
 	}
 }
 
 // TestPhaseCoverage: the profiler's laps tile the event loop, so the
 // per-phase sums must cover nearly all of the wall time spent inside
-// Run — the property BENCH_leap.json's breakdown relies on.
+// Run — the property the repository benchmark's leap.phase.* and
+// leap.self_s layers rely on.
 func TestPhaseCoverage(t *testing.T) {
 	prof := obs.NewPhaseProfiler()
 	ft := fluid.NewFatTree(4, 10e9)
-	e := NewEngine(ft.Net, Config{
-		Workers:    4,
-		LinkShards: ft.LinkShards(),
-		Obs:        obs.Hooks{Profiler: prof},
-		forcePar:   true,
-	})
+	e := NewEngine(ft.Net, Config{Obs: obs.Hooks{Profiler: prof}})
 	buildPodBursts(e, ft, false, 1)
 	start := time.Now()
 	e.Run(math.Inf(1))
@@ -82,26 +78,19 @@ func TestPhaseCoverage(t *testing.T) {
 }
 
 // TestSolveSpansMatchComponents: the tracer records exactly one solve
-// span per component solved (on the worker's own track) and one batch
-// span per reallocation batch.
+// span per component solved and one batch span per reallocation batch.
 func TestSolveSpansMatchComponents(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		tr := obs.NewTracer()
-		e, _, _ := func() (*Engine, []*fluid.Flow, []*fluid.Group) {
-			return runDense(Config{Workers: workers, Obs: obs.Hooks{Tracer: tr}}, 2)
-		}()
-		s := e.Stats()
-		if tr.Dropped() != 0 {
-			t.Fatalf("workers=%d: tracer dropped %d spans", workers, tr.Dropped())
-		}
-		if got := tr.SpanCount("solve"); got != s.BatchComponents {
-			t.Errorf("workers=%d: solve spans = %d, components = %d",
-				workers, got, s.BatchComponents)
-		}
-		if got := tr.SpanCount("batch"); got != s.Batches {
-			t.Errorf("workers=%d: batch spans = %d, batches = %d",
-				workers, got, s.Batches)
-		}
+	tr := obs.NewTracer()
+	e, _, _ := runDense(Config{Obs: obs.Hooks{Tracer: tr}}, 2)
+	s := e.Stats()
+	if tr.Dropped() != 0 {
+		t.Fatalf("tracer dropped %d spans", tr.Dropped())
+	}
+	if got := tr.SpanCount("solve"); got != s.BatchComponents {
+		t.Errorf("solve spans = %d, components = %d", got, s.BatchComponents)
+	}
+	if got := tr.SpanCount("batch"); got != s.Batches {
+		t.Errorf("batch spans = %d, batches = %d", got, s.Batches)
 	}
 }
 
@@ -138,24 +127,21 @@ func TestObsMetricsMatchStats(t *testing.T) {
 }
 
 // TestAllocIters: allocators that count internal iterations surface
-// the total through Stats, identically for serial and parallel runs
-// (the solves are byte-identical, so their iteration counts are too).
+// the total through Stats — the engine solves through a Worker view,
+// whose iterations must reach the parent's counter — and a repeated run
+// counts the same total.
 func TestAllocIters(t *testing.T) {
-	mk := func(workers int) Config {
-		return Config{
-			Allocator: &fluid.XWI{IterPerEpoch: 24, Tol: 1e-3},
-			Workers:   workers,
-			forcePar:  true,
-		}
+	mk := func() Config {
+		return Config{Allocator: &fluid.XWI{IterPerEpoch: 24, Tol: 1e-3}}
 	}
-	se, _, _ := runDense(mk(1), 1)
+	se, _, _ := runDense(mk(), 1)
 	ss := se.Stats()
 	if ss.AllocIters < int64(ss.Allocs) {
 		t.Fatalf("AllocIters = %d, want >= Allocs = %d", ss.AllocIters, ss.Allocs)
 	}
-	pe, _, _ := runDense(mk(4), 1)
-	if ps := pe.Stats(); ps.AllocIters != ss.AllocIters {
-		t.Errorf("parallel AllocIters = %d, serial = %d", ps.AllocIters, ss.AllocIters)
+	re, _, _ := runDense(mk(), 1)
+	if rs := re.Stats(); rs.AllocIters != ss.AllocIters {
+		t.Errorf("repeat AllocIters = %d, first run = %d", rs.AllocIters, ss.AllocIters)
 	}
 	// WaterFill counts water-fill rounds.
 	we, _, _ := runDense(Config{}, 1)
@@ -183,18 +169,49 @@ func steadyStateAllocs(t *testing.T, hooks obs.Hooks) float64 {
 		e.AddFlow([]int{0}, core.ProportionalFair(), 1<<16, float64(i)*dt)
 	}
 	e.Run(float64(n/2) * dt)
-	before := e.Events()
+	return warmAllocsPerEvent(t, e, n/2)
+}
 
+// warmAllocsPerEvent runs a warmed-up engine to completion and returns
+// heap allocations per event, failing if fewer than minEvents fired.
+func warmAllocsPerEvent(t *testing.T, e *Engine, minEvents int) float64 {
+	t.Helper()
+	before := e.Events()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	e.Run(math.Inf(1))
 	runtime.ReadMemStats(&m1)
-
 	events := e.Events() - before
-	if events < n/2 {
-		t.Fatalf("second half processed only %d events", events)
+	if events < minEvents {
+		t.Fatalf("warm half processed only %d events", events)
 	}
 	return float64(m1.Mallocs-m0.Mallocs) / float64(events)
+}
+
+// burstAllocs plays repeated synchronized four-link bursts — every
+// batch four components wide, the shape the single-link workload above
+// never produces — and returns heap allocations per event over the
+// second (warm) half of the run.
+func burstAllocs(t *testing.T) float64 {
+	t.Helper()
+	e := NewEngine(fluid.NewNetwork([]float64{10e9, 10e9, 10e9, 10e9}), Config{})
+	// Per-link bytes per round (~100KB) drain well inside dt, so the
+	// active set stays bounded and the run is linear in rounds.
+	const rounds = 200
+	dt := 200e-6
+	for q := 0; q < rounds; q++ {
+		for l := 0; l < 4; l++ {
+			for i := 0; i < 20; i++ {
+				e.AddFlow([]int{l}, core.ProportionalFair(), int64(1+i%4)<<11, float64(q)*dt)
+			}
+		}
+	}
+	e.Run(float64(rounds/2) * dt)
+	allocs := warmAllocsPerEvent(t, e, 1)
+	if s := e.Stats(); s.MaxBatchComponents != 4 {
+		t.Fatalf("bursts never batched four components: %+v", s)
+	}
+	return allocs
 }
 
 // TestSteadyStateAllocations pins the zero-overhead-when-disabled
@@ -208,6 +225,9 @@ func TestSteadyStateAllocations(t *testing.T) {
 	}
 	if off := steadyStateAllocs(t, obs.Hooks{}); off > 0.1 {
 		t.Errorf("obs disabled: %.3f allocs/event, want ~0", off)
+	}
+	if wide := burstAllocs(t); wide > 0.1 {
+		t.Errorf("obs disabled, four-component batches: %.3f allocs/event, want ~0", wide)
 	}
 	// Everything except the flow tracer: the pre-tracing bound holds.
 	noFT := fullHooks()

@@ -12,7 +12,7 @@ import (
 
 // FlowTracer records sampled per-flow lifecycles from the leap engine:
 // arrival, every rate change with its cause (solve batch, component
-// size, PDES window), the bottleneck link binding each rate segment,
+// size), the bottleneck link binding each rate segment,
 // and completion. It follows the package's nil-guarded discipline — a
 // nil *FlowTracer costs the engine nothing — and every mutating method
 // is called from the engine's event-loop goroutine only; an internal
@@ -169,7 +169,6 @@ type FlowSeg struct {
 	Cause uint8   // CauseAdmit, CauseSolve, CauseFail, or CauseRecover
 	Comp  int32   // flows in the component solved (1 on the fast path)
 	Batch uint32  // solve-batch ordinal
-	Win   uint32  // PDES window ordinal (0 with windowing off)
 }
 
 // FlowRecord is one traced flow's lifecycle. All fields are final
@@ -323,10 +322,10 @@ func (t *FlowTracer) Admit(id int, sizeBytes int64, arrive float64, links []int)
 // Rate records a rate change for flow id at virtual time now: the new
 // rate, the bottleneck link the solver reported (negative: attribute
 // to the path's min-capacity link), the cause, the solved component's
-// flow count, and the solve batch / PDES window ordinals. Unchanged
+// flow count, and the solve batch ordinal. Unchanged
 // (rate, bottleneck) pairs coalesce into the open segment; untracked
 // ids are ignored, so callers need not re-check the tracing scope.
-func (t *FlowTracer) Rate(id int, now, rate float64, bneck int, cause uint8, comp int, batch, window uint64) {
+func (t *FlowTracer) Rate(id int, now, rate float64, bneck int, cause uint8, comp int, batch uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	r := t.rec(id)
@@ -344,7 +343,7 @@ func (t *FlowTracer) Rate(id int, now, rate float64, bneck int, cause uint8, com
 	r.account(now)
 	t.links.rateDelta(r.links, rate-r.lastRate, now)
 	seg := FlowSeg{T: now, Rate: rate, Bneck: b, Cause: cause,
-		Comp: int32(comp), Batch: uint32(batch), Win: uint32(window)}
+		Comp: int32(comp), Batch: uint32(batch)}
 	switch n := len(r.Segs); {
 	case r.Truncated > 0 || n >= t.cfg.MaxSegs:
 		r.Truncated++
@@ -523,13 +522,24 @@ func (t *FlowTracer) heapSwap(i, j int) {
 }
 
 // Records returns the kept completed records (hash sample ∪ slowest-K
-// reservoir) sorted by slowdown descending. The records themselves are
-// immutable after completion; the returned slice is the caller's.
+// reservoir) sorted by slowdown descending; the returned slice is the
+// caller's. Hash-sampled records are immutable after completion and
+// are shared. A reservoir record is not — a slower completion evicts
+// it and its storage is recycled for the next admission — so those are
+// copied before the lock is dropped, and a reader on another goroutine
+// never sees a record being rewritten.
 func (t *FlowTracer) Records() []*FlowRecord {
 	t.mu.Lock()
 	out := make([]*FlowRecord, 0, len(t.kept)+len(t.slow))
 	out = append(out, t.kept...)
-	out = append(out, t.slow...)
+	for _, r := range t.slow {
+		c := *r
+		c.Segs = append([]FlowSeg(nil), r.Segs...)
+		c.LostLinks = append([]int32(nil), r.LostLinks...)
+		c.LostSecs = append([]float64(nil), r.LostSecs...)
+		c.links = nil
+		out = append(out, &c)
+	}
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return slowLess(out[j], out[i]) })
 	return out
@@ -580,7 +590,12 @@ type LinkLoss struct {
 // global tail is present while the cut stays within K flows. Returns
 // the losses sorted descending and the number of records aggregated.
 func (t *FlowTracer) SlowdownAttribution(frac float64) ([]LinkLoss, int) {
-	recs := t.Records()
+	return t.tailAttribution(t.Records(), frac)
+}
+
+// tailAttribution is SlowdownAttribution over an already sorted
+// Records() result.
+func (t *FlowTracer) tailAttribution(recs []*FlowRecord, frac float64) ([]LinkLoss, int) {
 	if len(recs) == 0 {
 		return nil, 0
 	}
@@ -650,7 +665,6 @@ type segJSON struct {
 	Cause string  `json:"cause"`
 	Comp  int32   `json:"comp"`
 	Batch uint32  `json:"batch"`
-	Win   uint32  `json:"window,omitempty"`
 }
 
 func (t *FlowTracer) flowJSON(r *FlowRecord) flowJSON {
@@ -685,7 +699,7 @@ func (t *FlowTracer) flowJSON(r *FlowRecord) flowJSON {
 	for i, s := range r.Segs {
 		j.Segs[i] = segJSON{T: s.T, Rate: s.Rate, Bneck: s.Bneck,
 			Name:  t.linkName(int(s.Bneck)),
-			Cause: causeName(s.Cause), Comp: s.Comp, Batch: s.Batch, Win: s.Win}
+			Cause: causeName(s.Cause), Comp: s.Comp, Batch: s.Batch}
 	}
 	return j
 }
@@ -761,11 +775,11 @@ type FlowsSnapshot struct {
 // kept flows and a tail attribution over the slowest frac.
 func (t *FlowTracer) FlowsSnapshotTop(topN int, frac float64) FlowsSnapshot {
 	s := FlowsSnapshot{FlowTraceSummary: t.Summary(), TailFrac: frac}
-	s.Attribution, s.TailFlows = t.SlowdownAttribution(frac)
+	recs := t.Records()
+	s.Attribution, s.TailFlows = t.tailAttribution(recs, frac)
 	if s.Attribution == nil {
 		s.Attribution = []LinkLoss{}
 	}
-	recs := t.Records()
 	if len(recs) > topN {
 		recs = recs[:topN]
 	}

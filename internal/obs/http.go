@@ -24,14 +24,6 @@ type Progress struct {
 	finished  atomic.Int64
 	batches   atomic.Int64
 	batchW    atomic.Int64 // latest batch's component count
-
-	// PDES window totals (absolute engine counters, republished per
-	// window) and the adaptive gate's running decisions.
-	windows      atomic.Int64
-	winInstants  atomic.Int64
-	winConflicts atomic.Int64
-	gateSerial   atomic.Int64
-	gateParallel atomic.Int64
 }
 
 // Record publishes the engine's current position: virtual time
@@ -59,30 +51,6 @@ func (p *Progress) RecordBatch(components int) {
 	p.batchW.Store(int64(components))
 }
 
-// RecordWindows republishes the engine's PDES window totals: windows
-// closed, instants absorbed across them, and conflict-bounded pops.
-func (p *Progress) RecordWindows(windows, instants, conflicts int) {
-	if p == nil {
-		return
-	}
-	p.windows.Store(int64(windows))
-	p.winInstants.Store(int64(instants))
-	p.winConflicts.Store(int64(conflicts))
-}
-
-// RecordGate counts one adaptive-gate decision: parallel dispatch or
-// the serial fallback.
-func (p *Progress) RecordGate(parallel bool) {
-	if p == nil {
-		return
-	}
-	if parallel {
-		p.gateParallel.Add(1)
-	} else {
-		p.gateSerial.Add(1)
-	}
-}
-
 // ProgressSnapshot is the JSON payload of the /progress endpoint.
 type ProgressSnapshot struct {
 	// SimSeconds is the engine's virtual time in seconds.
@@ -99,17 +67,6 @@ type ProgressSnapshot struct {
 	Batches      int64   `json:"batches"`
 	// BatchComponents is the latest reallocation batch's width.
 	BatchComponents int64 `json:"batch_components"`
-	// Windows counts closed PDES windows; AvgWindow is the mean
-	// completion instants absorbed per window; WindowConflicts counts
-	// pops bounded by a link conflict (zero everywhere when windowing
-	// is off).
-	Windows         int64   `json:"windows"`
-	AvgWindow       float64 `json:"avg_window"`
-	WindowConflicts int64   `json:"window_conflicts"`
-	// GateSerial/GateParallel count the adaptive worker gate's
-	// decisions per solve batch.
-	GateSerial   int64 `json:"gate_serial"`
-	GateParallel int64 `json:"gate_parallel"`
 }
 
 // Snapshot captures the current progress with the run-wide average
@@ -125,13 +82,6 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 		Finished:        p.finished.Load(),
 		Batches:         p.batches.Load(),
 		BatchComponents: p.batchW.Load(),
-		Windows:         p.windows.Load(),
-		WindowConflicts: p.winConflicts.Load(),
-		GateSerial:      p.gateSerial.Load(),
-		GateParallel:    p.gateParallel.Load(),
-	}
-	if s.Windows > 0 {
-		s.AvgWindow = float64(p.winInstants.Load()) / float64(s.Windows)
 	}
 	start := p.startWall.Load()
 	if start != 0 {

@@ -13,7 +13,7 @@
 // allocation-guard test and BenchmarkLeapFCT). When enabled, updates
 // are single atomic operations or one monotonic clock read per phase
 // boundary — cheap enough to leave on for the leapfct experiment and
-// the BENCH_leap.json record.
+// the repository benchmark's traced plays.
 package obs
 
 import "time"

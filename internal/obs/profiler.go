@@ -3,8 +3,8 @@ package obs
 // Phase identifies one segment of an engine's event loop. The phases
 // are chosen so that consecutive Lap calls tile the whole loop: the
 // sum over phases equals the wall time spent inside Run, which is
-// what lets BENCH_leap.json assert its breakdown covers ≥ 90% of each
-// run's wall clock.
+// what lets the repository benchmark report Run minus the phases as
+// the engine's unattributed self time.
 type Phase uint8
 
 const (
@@ -19,11 +19,10 @@ const (
 	// touched flows into disjoint link-sharing components.
 	PhaseFlood
 	// PhaseSolve is the allocator solves plus the component-local rate
-	// install (the parallel section in multi-core runs).
+	// install.
 	PhaseSolve
-	// PhaseResplice is the completion-event resplice: scattering and
-	// applying the moved events to the per-shard heaps, plus stale
-	// sweeps.
+	// PhaseResplice is the completion-event resplice: re-pushing the
+	// events whose rates moved, plus the stale sweep.
 	PhaseResplice
 	// PhaseComplete is the completion side: scanning heap tops,
 	// popping due events, and retiring finished flows.
@@ -31,9 +30,9 @@ const (
 	// PhaseDrain is horizon payload materialization — realizing the
 	// lazy drains when a finite deadline cuts a run short.
 	PhaseDrain
-	// PhaseWindow is PDES window collection: popping events forward in
-	// virtual time, trial-flooding their components, and testing the
-	// link-disjointness safety bound (windowed engines only).
+	// PhaseWindow is a retired slot: nothing laps it, so it reports 0.
+	// It (and the window_ns CSV column) stay because the repository
+	// benchmark reads every phase by name.
 	PhaseWindow
 	// PhaseCount is the number of phases.
 	PhaseCount
@@ -134,17 +133,4 @@ func (p *PhaseProfiler) Reset() {
 		return
 	}
 	*p = PhaseProfiler{last: Now()}
-}
-
-// PhaseMap renders a per-phase nanosecond array as a name → nanos map
-// (zero phases omitted) — the JSON-friendly view leap.Stats and
-// BENCH_leap.json export.
-func PhaseMap(nanos [PhaseCount]int64) map[string]int64 {
-	m := make(map[string]int64, PhaseCount)
-	for ph, n := range nanos {
-		if n != 0 {
-			m[phaseNames[ph]] = n
-		}
-	}
-	return m
 }

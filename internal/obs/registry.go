@@ -167,8 +167,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 
 // EngineMetrics is the bundle of registry instruments an engine
 // updates: totals as counters and the per-batch shape as histograms.
-// Updates happen on the engine's event loop (per batch, not per
-// solve), so the hot parallel section never touches them.
+// Updates happen on the engine's event loop, per batch.
 type EngineMetrics struct {
 	// Events counts processed events (arrival instants and completion
 	// batches).
@@ -182,11 +181,6 @@ type EngineMetrics struct {
 	BatchComponents *Histogram
 	// ComponentFlows observes each solved component's flow count.
 	ComponentFlows *Histogram
-	// WindowEvents and WindowComponents observe each PDES window's
-	// width — completion events absorbed and disjoint components
-	// solved per window (windowed engines only; see leap.Config.Window).
-	WindowEvents     *Histogram
-	WindowComponents *Histogram
 	// Faults counts applied fault events (link failures + recoveries);
 	// Stranded and Resumed count flows driven to rate zero by dead
 	// capacity and brought back by recovery (see leap.Stats).
@@ -204,9 +198,6 @@ func NewEngineMetrics(r *Registry, prefix string) *EngineMetrics {
 		SolvedFlows:     r.Counter(prefix + ".solved_flows"),
 		BatchComponents: r.Histogram(prefix + ".batch_components"),
 		ComponentFlows:  r.Histogram(prefix + ".component_flows"),
-
-		WindowEvents:     r.Histogram(prefix + ".window_events"),
-		WindowComponents: r.Histogram(prefix + ".window_components"),
 
 		Faults:   r.Counter(prefix + ".faults"),
 		Stranded: r.Counter(prefix + ".stranded"),

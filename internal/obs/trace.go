@@ -136,7 +136,6 @@ func (t *Tracer) Dropped() int64 {
 var argKeys = map[string]string{
 	"solve":    "flows",
 	"batch":    "components",
-	"window":   "components",
 	"flood":    "seeds",
 	"resplice": "ops",
 }
