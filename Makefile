@@ -1,6 +1,6 @@
 # Convenience targets; CI runs the same commands.
 
-.PHONY: test race alloc-gate fuzz fault-smoke bench-smoke bench bench-diff flowtrace-smoke
+.PHONY: test race alloc-gate obs-inline fuzz fault-smoke bench-smoke bench bench-diff flowtrace-smoke
 
 test:
 	go build ./... && go test ./...
@@ -17,6 +17,21 @@ race:
 alloc-gate:
 	go test -v -run 'TestAllocsPerOpSteadyState|TestReleaseFinishedRecycles|TestSteadyStateAllocations' -count=1 ./internal/leap/
 	go test -v -run 'TestKernelsAllocateNothingPerIteration' -count=1 ./internal/oracle/
+
+# The engines call the obs hooks unguarded, so a detached hook costs
+# one branch only while each engine-facing method stays an inlinable
+# nil-check wrapper. Fails naming the method the compiler no longer
+# inlines (for instance after its body grew past the inlining budget).
+OBS_INLINE = '(*PhaseProfiler).Arm' '(*PhaseProfiler).Lap' \
+	'(*Tracer).Clock' '(*Tracer).Span' '(*Progress).Record' '(*Progress).RecordBatch' \
+	'(*EngineMetrics).Event' '(*EngineMetrics).Batch' '(*EngineMetrics).Solve' \
+	'(*EngineMetrics).Fault' '(*EngineMetrics).Strand' \
+	'(*FlowTracer).Admit' '(*FlowTracer).Rate' '(*FlowTracer).Complete'
+obs-inline:
+	@out=$$(go build -gcflags=-m ./internal/obs 2>&1) || { echo "$$out" >&2; exit 1; }; \
+	for m in $(OBS_INLINE); do \
+		echo "$$out" | grep -qwF "can inline $$m" || { echo "obs-inline: $$m is not inlinable" >&2; exit 1; }; \
+	done; echo "obs-inline: $(words $(OBS_INLINE)) wrappers inlinable"
 
 # Explore the local-vs-global and fault-injection fuzz targets beyond
 # their committed seed corpora (CI runs 30s per target per push; run
@@ -36,7 +51,8 @@ fault-smoke:
 # One full iteration of each leap benchmark, with their built-in
 # accuracy/identity assertions.
 bench-smoke:
-	go test -run '^$$' -bench 'BenchmarkLeap(FCT|Components)' -benchtime 1x .
+	go test -run '^$$' -bench BenchmarkLeapFCT -benchtime 1x .
+	go test -run '^$$' -bench BenchmarkLeapComponents -benchtime 1x ./internal/leap/
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md): all
 # six workloads, every metric by name, correctness checked; about two

@@ -531,60 +531,6 @@ func BenchmarkLeapFCT(b *testing.B) {
 	b.ReportMetric(p95Ratio, "p95-fct-ratio")
 }
 
-// BenchmarkLeapComponents is the component-local A/B: the same
-// web-search schedule — denser than BenchmarkLeapFCT's, so coupled
-// events dominate — through the leap engine twice, component-local
-// versus Config{Global: true} (every active-set change re-solves the
-// whole active set). The FCT distributions must match exactly
-// (WaterFill is separable across components; the engine's property
-// test pins byte-identity), and the reported metrics quantify the
-// win: allocator flows-per-solve, wall-clock speedup, and the
-// component sizes the workload actually produces.
-func BenchmarkLeapComponents(b *testing.B) {
-	const (
-		nflows   = 200_000
-		load     = 0.10
-		linkRate = 10e9
-	)
-	var localRate, speedup, workRatio, avgComp float64
-	for i := 0; i < b.N; i++ {
-		ft, arrivals, paths := leapBenchSchedule(nflows, load, uint64(i)+1)
-
-		run := func(global bool) ([]*fluid.Flow, leap.Stats, float64) {
-			runtime.GC()
-			wall := time.Now()
-			eng := leap.NewEngine(ft.Net, leap.Config{Allocator: fluid.NewWaterFill(), Global: global})
-			flows := make([]*fluid.Flow, len(arrivals))
-			for j, a := range arrivals {
-				flows[j] = eng.AddFlow(paths[j], core.ProportionalFair(), a.Size, a.At.Seconds())
-			}
-			eng.Run(math.Inf(1))
-			return flows, eng.Stats(), time.Since(wall).Seconds()
-		}
-		lFlows, lStats, lWall := run(false)
-		gFlows, gStats, gWall := run(true)
-
-		medL, p95L, _ := normFCTStats(lFlows, linkRate)
-		medG, p95G, _ := normFCTStats(gFlows, linkRate)
-		if medL != medG || p95L != p95G {
-			b.Errorf("component-local FCTs diverge from global: median %v vs %v, p95 %v vs %v",
-				medL, medG, p95L, p95G)
-		}
-		if 2*lStats.SolvedFlows > gStats.SolvedFlows {
-			b.Errorf("allocator work %d flows vs %d global: < 2x reduction",
-				lStats.SolvedFlows, gStats.SolvedFlows)
-		}
-		localRate = float64(len(lFlows)) / lWall
-		speedup = gWall / lWall
-		workRatio = float64(gStats.SolvedFlows) / math.Max(float64(lStats.SolvedFlows), 1)
-		avgComp = float64(lStats.SolvedFlows) / math.Max(float64(lStats.Allocs), 1)
-	}
-	b.ReportMetric(localRate, "flows/s")
-	b.ReportMetric(speedup, "speedup-vs-global")
-	b.ReportMetric(workRatio, "alloc-work-reduction")
-	b.ReportMetric(avgComp, "avg-component")
-}
-
 // BenchmarkFluidPooling runs the ≥10k-subflow multipath fat-tree
 // resource-pooling scenario — 1280 aggregate flow groups, each
 // pooling 8 ECMP subflows under one proportional-fair utility of the

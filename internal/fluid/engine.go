@@ -16,8 +16,8 @@ type Config struct {
 	// Allocator computes per-epoch rates (default NewXWI()).
 	Allocator Allocator
 	// Obs attaches optional observability hooks (phase profiler, live
-	// progress, metrics registry). Nil hooks cost nothing: every
-	// instrumentation point is guarded by a nil check.
+	// progress, metrics registry). The engine calls them unguarded —
+	// internal/obs owns the nil check: a nil hook costs one branch.
 	Obs obs.Hooks
 }
 
@@ -59,16 +59,10 @@ type Engine struct {
 
 	epochFns []func(now float64, active []*Flow)
 
-	// Observability hooks (nil = disabled; see Config.Obs).
-	prof    *obs.PhaseProfiler
-	prog    *obs.Progress
-	metrics *obs.EngineMetrics
-
-	epochs      int
-	allocs      int
-	solvedFlows int
-	maxSolve    int
-	skipped     int
+	// stats is the one counter block (Step increments it in place,
+	// Stats() returns it); hooks is Config.Obs, called unguarded.
+	stats Stats
+	hooks obs.Hooks
 }
 
 // Stats is the epoch engine's work telemetry — the counterpart of
@@ -114,19 +108,11 @@ func (e *Engine) InvalidateAllocation() { e.changed = true }
 
 // Stats returns the engine's work telemetry so far.
 func (e *Engine) Stats() Stats {
-	s := Stats{
-		Epochs:        e.epochs,
-		Allocs:        e.allocs,
-		SolvedFlows:   e.solvedFlows,
-		MaxSolve:      e.maxSolve,
-		SkippedAllocs: e.skipped,
-	}
+	s := e.stats
 	if ic, ok := e.cfg.Allocator.(IterCounter); ok {
 		s.AllocIters = ic.SolveIters()
 	}
-	if e.prof != nil {
-		s.PhaseNanos = e.prof.Nanos()
-	}
+	s.PhaseNanos = e.hooks.Profiler.Nanos()
 	return s
 }
 
@@ -143,13 +129,10 @@ type StationaryAllocator interface {
 
 // NewEngine returns an engine over net.
 func NewEngine(net *Network, cfg Config) *Engine {
-	e := &Engine{net: net, cfg: cfg.withDefaults()}
+	e := &Engine{net: net, cfg: cfg.withDefaults(), hooks: cfg.Obs}
 	if s, ok := e.cfg.Allocator.(StationaryAllocator); ok {
 		e.stationary = s.Stationary()
 	}
-	e.prof = cfg.Obs.Profiler
-	e.prog = cfg.Obs.Progress
-	e.metrics = cfg.Obs.Metrics
 	return e
 }
 
@@ -276,19 +259,15 @@ func (e *Engine) admitDue() {
 // Step advances one epoch. It reports whether any work remains
 // (pending or active flows).
 func (e *Engine) Step() bool {
-	if e.prof != nil {
-		e.prof.Lap(obs.PhaseLoop)
-	}
+	e.hooks.Profiler.Lap(obs.PhaseLoop)
 	e.admitDue()
-	if e.prof != nil {
-		e.prof.Lap(obs.PhaseAdmit)
-	}
+	e.hooks.Profiler.Lap(obs.PhaseAdmit)
 	if len(e.active) == 0 && len(e.pending) == 0 {
 		return false
 	}
 	dt := e.cfg.Epoch
 	if len(e.active) > 0 {
-		e.epochs++
+		e.stats.Epochs++
 		if e.changed || !e.stationary {
 			if cap(e.rates) < len(e.active) {
 				e.rates = make([]float64, 2*len(e.active))
@@ -299,22 +278,14 @@ func (e *Engine) Step() bool {
 				f.Rate = rates[i]
 			}
 			e.changed = false
-			e.allocs++
-			e.solvedFlows += len(e.active)
-			if len(e.active) > e.maxSolve {
-				e.maxSolve = len(e.active)
-			}
-			if e.metrics != nil {
-				e.metrics.Allocs.Inc()
-				e.metrics.SolvedFlows.Add(int64(len(e.active)))
-				e.metrics.ComponentFlows.Observe(float64(len(e.active)))
-			}
+			e.stats.Allocs++
+			e.stats.SolvedFlows += len(e.active)
+			e.stats.MaxSolve = max(e.stats.MaxSolve, len(e.active))
+			e.hooks.Metrics.Solve(len(e.active))
 		} else {
-			e.skipped++
+			e.stats.SkippedAllocs++
 		}
-		if e.prof != nil {
-			e.prof.Lap(obs.PhaseSolve)
-		}
+		e.hooks.Profiler.Lap(obs.PhaseSolve)
 		// Drain; stamp sub-epoch completions.
 		firstDone := len(e.finished)
 		for i := 0; i < len(e.active); {
@@ -376,9 +347,7 @@ func (e *Engine) Step() bool {
 		if batch := e.finished[firstDone:]; len(batch) > 1 {
 			sort.SliceStable(batch, func(i, j int) bool { return batch[i].Finish < batch[j].Finish })
 		}
-		if e.prof != nil {
-			e.prof.Lap(obs.PhaseDrain)
-		}
+		e.hooks.Profiler.Lap(obs.PhaseDrain)
 	} else {
 		// Idle gap: jump straight to the next arrival's epoch.
 		gap := e.pending[0].Arrive - e.now
@@ -390,12 +359,8 @@ func (e *Engine) Step() bool {
 	for _, fn := range e.epochFns {
 		fn(e.now, e.active)
 	}
-	if e.metrics != nil {
-		e.metrics.Events.Inc()
-	}
-	if e.prog != nil {
-		e.prog.Record(e.now, int64(e.epochs), len(e.active), len(e.finished))
-	}
+	e.hooks.Metrics.Event()
+	e.hooks.Progress.Record(e.now, int64(e.stats.Epochs), len(e.active), len(e.finished))
 	return len(e.active) > 0 || len(e.pending) > 0
 }
 
@@ -403,9 +368,7 @@ func (e *Engine) Step() bool {
 // (seconds; math.Inf(1) runs to completion — never terminates if an
 // unbounded flow is active).
 func (e *Engine) Run(until float64) {
-	if e.prof != nil {
-		e.prof.Arm()
-	}
+	e.hooks.Profiler.Arm()
 	for e.now < until {
 		if !e.Step() {
 			return

@@ -121,21 +121,13 @@ type Flow struct {
 // NewFlow constructs a flow outside an Engine, for alternative
 // drivers: the same initialization AddFlow performs, with ID
 // assignment left to the caller. The flow is ready to hand to any
-// Allocator. links is copied; call sites that own the slice use
-// NewFlowOwned to skip the copy, and drivers that also recycle flows
-// use FlowTable.Acquire, which carves the path from a shared arena.
+// Allocator. links is copied, so the caller keeps its slice; drivers
+// that recycle flows use FlowTable.Acquire instead, which carves the
+// path from a shared arena.
 func NewFlow(id int, links []int, u core.Utility, sizeBytes int64, at float64) *Flow {
-	return NewFlowOwned(id, append([]int(nil), links...), u, sizeBytes, at)
-}
-
-// NewFlowOwned is NewFlow for call sites that already own links (and
-// will not mutate it for the flow's lifetime): the slice is adopted
-// as-is, eliminating the one per-flow allocation NewFlow's defensive
-// copy performs.
-func NewFlowOwned(id int, links []int, u core.Utility, sizeBytes int64, at float64) *Flow {
 	return &Flow{
 		ID:        id,
-		Links:     links,
+		Links:     append([]int(nil), links...),
 		U:         u,
 		Weight:    1,
 		SizeBytes: sizeBytes,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"numfabric/internal/core"
+	"numfabric/internal/obs"
 	"numfabric/internal/oracle"
 	"numfabric/internal/sim"
 )
@@ -239,6 +240,46 @@ func TestIdleGapSkip(t *testing.T) {
 	}
 	if f.Finish < 10.0 {
 		t.Errorf("finished at %g, before its arrival", f.Finish)
+	}
+}
+
+// TestObsMetricsMatchStats is the epoch engine's twin of the leap
+// test of the same name: the registry counters it feeds agree with its
+// Stats. Arrivals overlap, so no Step is an idle-gap jump — the one
+// step the registry counts as an event and Stats.Epochs (epochs with a
+// flow active) does not.
+func TestObsMetricsMatchStats(t *testing.T) {
+	reg := obs.NewRegistry()
+	prog := &obs.Progress{}
+	eng := NewEngine(NewNetwork([]float64{10e9, 10e9}), Config{
+		Epoch:     100e-6,
+		Allocator: NewWaterFill(),
+		Obs:       obs.Hooks{Metrics: obs.NewEngineMetrics(reg, "fluid"), Progress: prog},
+	})
+	for i := 0; i < 6; i++ {
+		eng.AddFlow([]int{i % 2}, core.ProportionalFair(), 1250000, float64(i)*300e-6)
+	}
+	eng.Run(math.Inf(1))
+
+	s := eng.Stats()
+	if s.Allocs == 0 || s.SkippedAllocs == 0 || len(eng.Finished()) != 6 {
+		t.Fatalf("schedule exercised neither solve nor skip: %+v", s)
+	}
+	snap := reg.Snapshot()
+	for name, want := range map[string]int{
+		"fluid.events":       s.Epochs,
+		"fluid.allocs":       s.Allocs,
+		"fluid.solved_flows": s.SolvedFlows,
+	} {
+		if got := snap.Counters[name]; got != int64(want) {
+			t.Errorf("%s = %d, stats = %d", name, got, want)
+		}
+	}
+	if got := snap.Histograms["fluid.component_flows"].Count; got != int64(s.Allocs) {
+		t.Errorf("component_flows count = %d, allocs = %d", got, s.Allocs)
+	}
+	if ps := prog.Snapshot(); ps.Events != int64(s.Epochs) || ps.Finished != 6 || ps.ActiveFlows != 0 {
+		t.Errorf("progress %+v disagrees with stats %+v", ps, s)
 	}
 }
 

@@ -50,7 +50,7 @@ const (
 // FlowTable is pooled storage for Flow values: stable pointers, dense
 // recycled ids, and arena-backed paths. The zero value is ready to use.
 // A table is not concurrency-safe; each engine (or each single-threaded
-// driver) owns one, or several engines share one sequentially.
+// driver) owns one.
 type FlowTable struct {
 	slabs []*[flowSlabSize]Flow
 	// n is the high-water mark: every id ever issued is < n.

@@ -201,16 +201,10 @@ func TestFlowTableReset(t *testing.T) {
 	}
 }
 
-// TestNewFlowOwnedAdoptsSlice: the NewFlow/NewFlowOwned split —
-// NewFlow defensively copies, NewFlowOwned adopts the caller's slice
-// as-is (the one per-flow allocation call sites that own their slice
-// no longer pay).
-func TestNewFlowOwnedAdoptsSlice(t *testing.T) {
+// TestNewFlowCopiesLinks: NewFlow defensively copies the caller's
+// path, so a driver may reuse or mutate its slice afterwards.
+func TestNewFlowCopiesLinks(t *testing.T) {
 	links := []int{1, 2}
-	owned := NewFlowOwned(0, links, core.ProportionalFair(), 10, 0)
-	if &owned.Links[0] != &links[0] {
-		t.Error("NewFlowOwned copied the slice instead of adopting it")
-	}
 	copied := NewFlow(1, links, core.ProportionalFair(), 10, 0)
 	if &copied.Links[0] == &links[0] {
 		t.Error("NewFlow adopted the slice instead of copying it")
@@ -218,13 +212,5 @@ func TestNewFlowOwnedAdoptsSlice(t *testing.T) {
 	links[0] = 42
 	if copied.Links[0] != 1 {
 		t.Error("NewFlow's copy aliases the caller's slice")
-	}
-	if owned.Links[0] != 42 {
-		t.Error("NewFlowOwned's view does not alias the caller's slice")
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		NewFlowOwned(0, links, core.ProportionalFair(), 10, 0)
-	}); allocs > 1 {
-		t.Errorf("NewFlowOwned allocates %.0f times, want ≤ 1 (the Flow itself)", allocs)
 	}
 }

@@ -136,3 +136,58 @@ func TestFaultsRejectMalformedArguments(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultsScheduledInThePast: a fault with at ≤ Now is legal and
+// applies on the next Step, at Now — and is billed from Now, not from
+// its past timestamp. One 20 s flow on a 10 Gb/s link, the clock run to
+// 5 s before the late calls (a long flow on a second link keeps the
+// engine from stopping early at the failure): the flow's finish and
+// the capacity-lost integral must both reflect the downtime the flow
+// actually saw.
+func TestFaultsScheduledInThePast(t *testing.T) {
+	const rate = 10e9
+	cases := []struct {
+		name       string
+		failEarly  float64 // FailLink scheduled up front (NaN: none)
+		failLate   float64 // FailLink called at Now = 5 (NaN: none)
+		recover    float64 // RecoverLink called at Now = 5
+		wantDown   float64 // seconds the link is really down
+		wantFinish float64
+	}{
+		{"fail in the past", math.NaN(), 1, 6, 1, 21},
+		{"recover in the past", 3, math.NaN(), 4, 2, 22},
+		{"both in the past", math.NaN(), 1, 2, 0, 20},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine(fluid.NewNetwork([]float64{rate, rate}), Config{})
+			f := e.AddFlow([]int{0}, core.ProportionalFair(), 20*rate/8, 0)
+			e.AddFlow([]int{1}, core.ProportionalFair(), 100*rate/8, 0)
+			if !math.IsNaN(c.failEarly) {
+				e.FailLink(0, c.failEarly)
+			}
+			e.Run(5)
+			if e.Now() != 5 {
+				t.Fatalf("clock at %v, want 5", e.Now())
+			}
+			if !math.IsNaN(c.failLate) {
+				e.FailLink(0, c.failLate)
+			}
+			e.RecoverLink(0, c.recover)
+			e.Run(math.Inf(1))
+			if !almostEq(f.Finish, c.wantFinish, 1e-9) {
+				t.Errorf("finish = %v, want %v", f.Finish, c.wantFinish)
+			}
+			s := e.Stats()
+			if !almostEq(s.CapacityLostBitSec, rate*c.wantDown, 1e-9) {
+				t.Errorf("CapacityLostBitSec = %v, want %v (%v s down)", s.CapacityLostBitSec, rate*c.wantDown, c.wantDown)
+			}
+			if !almostEq(s.StrandedSec, c.wantDown, 1e-9) {
+				t.Errorf("StrandedSec = %v, want %v", s.StrandedSec, c.wantDown)
+			}
+			if s.Faults != 2 || s.LinksDown != 0 {
+				t.Errorf("faults %d, links down %d, want 2 and 0", s.Faults, s.LinksDown)
+			}
+		})
+	}
+}

@@ -13,14 +13,14 @@ import (
 // either statically (capacity zero from construction, no fault events)
 // or via FailLink at t=0 with no recovery — and returns the engine,
 // flows, and groups after running to completion.
-func runDeadDense(cfg Config, seed uint64, dead []int, static bool) (*Engine, []*fluid.Flow, []*fluid.Group) {
+func runDeadDense(global bool, seed uint64, dead []int, static bool) (*Engine, []*fluid.Flow, []*fluid.Group) {
 	caps := denseCaps()
 	if static {
 		for _, l := range dead {
 			caps[l] = 0
 		}
 	}
-	e := NewEngine(fluid.NewNetwork(caps), cfg)
+	e := newEngine(fluid.NewNetwork(caps), Config{}, global)
 	if !static {
 		for _, l := range dead {
 			e.FailLink(l, 0)
@@ -41,20 +41,19 @@ func runDeadDense(cfg Config, seed uint64, dead []int, static bool) (*Engine, []
 // not float noise.
 func TestFaultMatchesStaticDegraded(t *testing.T) {
 	dead := []int{0, 5} // one link in each bank of the dense schedule
-	cfgs := []Config{{}, {Global: true}}
 	for seed := uint64(1); seed <= 3; seed++ {
-		se, sf, sg := runDeadDense(Config{}, seed, dead, true)
-		for _, cfg := range cfgs {
-			fe, ff, fg := runDeadDense(cfg, seed, dead, false)
+		se, sf, sg := runDeadDense(false, seed, dead, true)
+		for _, global := range []bool{false, true} {
+			fe, ff, fg := runDeadDense(global, seed, dead, false)
 			assertSameCompletions(t, "fault-vs-static", seed, sf, sg, ff, fg)
 			ss, fs := se.Stats(), fe.Stats()
 			if fs.Stranded != ss.Stranded || fs.Resumed != 0 {
-				t.Errorf("seed %d cfg %+v: stranded %d/%d resumed %d, want static %d/0",
-					seed, cfg, fs.Stranded, ss.Stranded, fs.Resumed, ss.Stranded)
+				t.Errorf("seed %d global %v: stranded %d/%d resumed %d, want static %d/0",
+					seed, global, fs.Stranded, ss.Stranded, fs.Resumed, ss.Stranded)
 			}
 			if fs.Faults != len(dead) || fs.LinksDown != len(dead) {
-				t.Errorf("seed %d cfg %+v: faults %d linksDown %d, want %d/%d",
-					seed, cfg, fs.Faults, fs.LinksDown, len(dead), len(dead))
+				t.Errorf("seed %d global %v: faults %d linksDown %d, want %d/%d",
+					seed, global, fs.Faults, fs.LinksDown, len(dead), len(dead))
 			}
 			if ss.Faults != 0 || ss.LinksDown != 0 {
 				t.Errorf("seed %d: static run recorded faults: %+v", seed, ss)
@@ -256,16 +255,16 @@ func FuzzFaultSchedule(f *testing.F) {
 			data = data[:512]
 		}
 		cut := fuzzCut(data)
-		run := func(cfg Config) (*Engine, []*fluid.Flow, []*fluid.Group) {
-			e := NewEngine(fluid.NewNetwork(fuzzCaps()), cfg)
+		run := func(global bool) (*Engine, []*fluid.Flow, []*fluid.Group) {
+			e := newEngine(fluid.NewNetwork(fuzzCaps()), Config{}, global)
 			buildFuzzFaults(e, data)
 			fs, gs := buildFuzzSchedule(e, data)
 			e.Run(cut)
 			e.Run(math.Inf(1))
 			return e, fs, gs
 		}
-		le, lf, lg := run(Config{})
-		ge, gf, gg := run(Config{Global: true})
+		le, lf, lg := run(false)
+		ge, gf, gg := run(true)
 		assertSameCompletions(t, "fuzz-faults local-vs-global", 0, lf, lg, gf, gg)
 		ls, gs := le.Stats(), ge.Stats()
 		if gs.Faults != ls.Faults || gs.Stranded != ls.Stranded ||

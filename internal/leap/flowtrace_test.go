@@ -14,24 +14,19 @@ func traceEverything() *obs.FlowTracer {
 	return obs.NewFlowTracer(obs.FlowTraceConfig{SampleRate: 1})
 }
 
-// flowTraceConfigs are the engine modes the tracing properties must
+// flowTraceModes are the engine modes the tracing properties must
 // hold across: component-local and the global solve path.
-func flowTraceConfigs() map[string]Config {
-	return map[string]Config{
-		"local":  {},
-		"global": {Global: true},
-	}
-}
+var flowTraceModes = map[string]bool{"local": false, "global": true}
 
 // TestFlowTraceDoesNotChangeResults: attaching the flow tracer must
 // leave completions byte-identical to a detached run in every engine
 // mode — the tracer only reads engine state.
 func TestFlowTraceDoesNotChangeResults(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
-		_, bf, bg := runDense(Config{}, seed)
-		for name, cfg := range flowTraceConfigs() {
-			cfg.Obs = obs.Hooks{FlowTrace: traceEverything()}
-			_, tf, tg := runDense(cfg, seed)
+		_, bf, bg := runDense(Config{}, false, seed)
+		for name, global := range flowTraceModes {
+			cfg := Config{Obs: obs.Hooks{FlowTrace: traceEverything()}}
+			_, tf, tg := runDense(cfg, global, seed)
 			assertSameCompletions(t, "flowtrace-"+name, seed, bf, bg, tf, tg)
 		}
 	}
@@ -51,10 +46,9 @@ func TestFlowTraceDoesNotChangeResults(t *testing.T) {
 // modulo float accumulation (1e-6 relative).
 func TestFlowTraceAttributionIdentity(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
-		for name, cfg := range flowTraceConfigs() {
+		for name, global := range flowTraceModes {
 			ft := traceEverything()
-			cfg.Obs = obs.Hooks{FlowTrace: ft}
-			_, fs, _ := runDense(cfg, seed)
+			_, fs, _ := runDense(Config{Obs: obs.Hooks{FlowTrace: ft}}, global, seed)
 
 			plain := 0
 			for _, f := range fs {
@@ -151,7 +145,7 @@ func TestFlowTraceAttributionIdentity(t *testing.T) {
 // reallocation batch that set their rate.
 func TestFlowTraceBatchOrdinals(t *testing.T) {
 	ft := traceEverything()
-	runDense(Config{Obs: obs.Hooks{FlowTrace: ft}}, 1)
+	runDense(Config{Obs: obs.Hooks{FlowTrace: ft}}, false, 1)
 	for _, r := range ft.Records() {
 		for _, seg := range r.Segs {
 			if seg.Batch > 0 {
@@ -169,7 +163,7 @@ func TestFlowTraceBatchOrdinals(t *testing.T) {
 func TestFlowTraceLinkLoadStaysFeasible(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		ft := traceEverything()
-		runDense(Config{Obs: obs.Hooks{FlowTrace: ft}}, seed)
+		runDense(Config{Obs: obs.Hooks{FlowTrace: ft}}, false, seed)
 		for _, ls := range ft.LinksSnapshot() {
 			if ls.PeakUtil > 1+1e-9 {
 				t.Errorf("seed %d link %d: settled peak utilization %g > 1",

@@ -64,7 +64,7 @@ func fuzzCut(data []byte) float64 {
 // FuzzLocalMatchesGlobal is the event loop's correctness fuzzer: any
 // decoded schedule — including a mid-run deadline cut derived from the
 // input — must finish every flow and group component-local at times
-// bitwise equal to Config{Global: true}, which re-solves the whole
+// bitwise equal to the global reference mode, which re-solves the whole
 // active set at every change and keeps no link index, no flood and no
 // elision. WaterFill's progressive filling is separable across
 // connected components, so any disagreement is a bug in the component
@@ -81,15 +81,15 @@ func FuzzLocalMatchesGlobal(f *testing.F) {
 			data = data[:512]
 		}
 		cut := fuzzCut(data)
-		run := func(cfg Config) (*Engine, []*fluid.Flow, []*fluid.Group) {
-			e := NewEngine(fluid.NewNetwork(fuzzCaps()), cfg)
+		run := func(global bool) (*Engine, []*fluid.Flow, []*fluid.Group) {
+			e := newEngine(fluid.NewNetwork(fuzzCaps()), Config{}, global)
 			fs, gs := buildFuzzSchedule(e, data)
 			e.Run(cut)
 			e.Run(math.Inf(1))
 			return e, fs, gs
 		}
-		le, lf, lg := run(Config{})
-		ge, gf, gg := run(Config{Global: true})
+		le, lf, lg := run(false)
+		ge, gf, gg := run(true)
 		assertSameCompletions(t, "fuzz local-vs-global", 0, lf, lg, gf, gg)
 		if le.Events() != ge.Events() {
 			t.Fatalf("events %d (local) != %d (global)", le.Events(), ge.Events())

@@ -91,30 +91,15 @@ type Config struct {
 	// fluid.NewWaterFill() — stationary, so event-driven advancement
 	// is exact).
 	Allocator fluid.Allocator
-	// Global disables component-local reallocation and the
-	// independence elision: every coupled arrival and every departure
-	// re-solves the full active set. The A/B switch for verifying the
-	// component machinery (rates and completions must come out
-	// byte-identical under stationary allocators) and for measuring
-	// the allocator work it saves. Engines whose Allocator does not
-	// implement fluid.SubsetAllocator run Global regardless.
-	Global bool
 	// Obs attaches optional observability hooks: a phase profiler for
 	// the event loop, a tracer recording batch and solve spans, a live
-	// progress snapshot, and registry metrics. Nil hooks (the default)
-	// cost nothing — every instrumentation point is guarded by a nil
-	// check, so the hot loop stays allocation-free and completions are
+	// progress snapshot, registry metrics, a flow-lifecycle tracer.
+	// Nil hooks (the default) cost one inlined branch a site — the
+	// engine calls them unguarded, internal/obs owns the nil check — so
+	// the hot loop stays allocation-free, and completions are
 	// byte-identical with hooks on or off (instrumentation never
 	// touches engine state).
 	Obs obs.Hooks
-	// Table and GroupTable, when non-nil, are the pooled storage the
-	// engine acquires its flows and groups from (defaults are fresh
-	// per-engine tables). Passing shared tables lets consecutive
-	// engines — or consecutive Run+ReleaseFinished cycles on one —
-	// recycle ids, slab slots, and path-arena segments, so sustained
-	// churn allocates nothing.
-	Table      *fluid.FlowTable
-	GroupTable *fluid.GroupTable
 }
 
 // defaultSweep is the stale-event count beyond which the event heap is
@@ -152,7 +137,7 @@ type Stats struct {
 	// isolated arrivals stay free on both sides of the comparison.
 	// SolvedFlows / FullSolveFlows is therefore a conservative
 	// component-local win; a fully global engine with no elision at
-	// all pays far more still (Config{Global}, measured by
+	// all pays far more still (the global reference mode, measured by
 	// BenchmarkLeapComponents).
 	FullSolveFlows int
 	// Batches is how many reallocation batches ran — one per event
@@ -291,14 +276,20 @@ type compResult struct {
 // rate is constant, so the state at the next event follows in closed
 // form; nothing is simulated in between.
 type Engine struct {
-	net    *fluid.Network
-	alloc  fluid.Allocator
+	net   *fluid.Network
+	alloc fluid.Allocator
+	// global disables component-local reallocation and the independence
+	// elision: every coupled arrival and every departure re-solves the
+	// full active set. It is the reference the tests and fuzzers hold
+	// the component machinery to (completions must come out
+	// byte-identical under stationary allocators) and
+	// BenchmarkLeapComponents measures it against. NewEngine sets it
+	// exactly when the allocator is no fluid.SubsetAllocator.
 	global bool
-	// tbl/gtbl are the pooled flow and group storage (Config.Table /
-	// Config.GroupTable, or per-engine tables): slab-stable pointers,
-	// dense recycled ids, arena-backed paths. Every id the engine keys
-	// its state by — heap events, evOps, linkFlows, fs/gs — resolves
-	// through them.
+	// tbl/gtbl are the engine's pooled flow and group storage:
+	// slab-stable pointers, dense recycled ids, arena-backed paths.
+	// Every id the engine keys its state by — heap events, evOps,
+	// linkFlows, fs/gs — resolves through them.
 	tbl  *fluid.FlowTable
 	gtbl *fluid.GroupTable
 	// sub is the subset solver every component solve goes through: the
@@ -385,12 +376,6 @@ type Engine struct {
 	downDepth     []int32
 	capDownT      []float64
 	pendingFaults int
-	faults        int
-	stranded      int
-	resumed       int
-	strandedSec   float64
-	capLostBitSec float64
-	linksDown     int
 	// batchCause is the FlowTracer cause code the next solve's rate
 	// segments are stamped with: CauseSolve normally, CauseFail or
 	// CauseRecover for the re-solve a fault event triggers (fault
@@ -399,60 +384,38 @@ type Engine struct {
 	// solve point.
 	batchCause uint8
 
-	events    int
-	allocs    int
-	solved    int
-	maxComp   int
-	elided    int
-	fullSolve int
-
-	batches    int
-	batchComps int
-	maxBatch   int
-
-	// Observability hooks (nil = disabled; see Config.Obs). Tracer
-	// track 0 carries the event loop's batch spans, track 1 the
-	// component solve spans.
-	prof    *obs.PhaseProfiler
-	tracer  *obs.Tracer
-	prog    *obs.Progress
-	metrics *obs.EngineMetrics
-
-	// Flow-lifecycle tracing (nil = disabled). bneckRep is the
-	// allocator's bottleneck reporter (nil when unsupported); bneck is
-	// its reusable output scratch.
-	ft       *obs.FlowTracer
-	bneckRep fluid.BottleneckReporter
-	bneck    []int32
+	// stats is the one counter block: the loop increments its fields
+	// in place and Stats() returns it.
+	stats Stats
+	// hooks is Config.Obs, called unguarded (nil hooks are no-ops in
+	// internal/obs). Tracer track 0 carries the event loop's batch
+	// spans, track 1 the component solve spans. bneck is the reusable
+	// output scratch of the flow tracer's bottleneck queries.
+	hooks obs.Hooks
+	bneck []int32
 }
 
-// NewEngine returns an event-driven engine over net.
-func NewEngine(net *fluid.Network, cfg Config) *Engine {
+// NewEngine returns an event-driven engine over net: component-local
+// for a fluid.SubsetAllocator (every built-in allocator), re-solving
+// the full active set at every change for any other.
+func NewEngine(net *fluid.Network, cfg Config) *Engine { return newEngine(net, cfg, false) }
+
+// newEngine is NewEngine with the global reference mode forced on
+// (see Engine.global) — test plumbing, like Engine.sweep.
+func newEngine(net *fluid.Network, cfg Config, global bool) *Engine {
 	if cfg.Allocator == nil {
 		cfg.Allocator = fluid.NewWaterFill()
 	}
 	sub, ok := cfg.Allocator.(fluid.SubsetAllocator)
-	tbl := cfg.Table
-	if tbl == nil {
-		tbl = fluid.NewFlowTable()
-	}
-	gtbl := cfg.GroupTable
-	if gtbl == nil {
-		gtbl = fluid.NewGroupTable()
-	}
 	e := &Engine{
 		net:        net,
 		alloc:      cfg.Allocator,
-		tbl:        tbl,
-		gtbl:       gtbl,
-		global:     cfg.Global || !ok,
+		tbl:        fluid.NewFlowTable(),
+		gtbl:       fluid.NewGroupTable(),
+		global:     global || !ok,
 		sweep:      defaultSweep,
 		batchCause: obs.CauseSolve,
-		prof:       cfg.Obs.Profiler,
-		prog:       cfg.Obs.Progress,
-		metrics:    cfg.Obs.Metrics,
-		tracer:     cfg.Obs.Tracer,
-		ft:         cfg.Obs.FlowTrace,
+		hooks:      cfg.Obs,
 	}
 	if !e.global {
 		e.linkFlows = make([][]int32, net.Links())
@@ -466,14 +429,11 @@ func NewEngine(net *fluid.Network, cfg Config) *Engine {
 			e.sub = ps.Worker()
 		}
 	}
-	if e.tracer != nil {
-		e.tracer.EnsureTracks(2)
-		e.tracer.SetTrackName(0, "engine")
-		e.tracer.SetTrackName(1, "solver")
-	}
-	if e.ft != nil {
-		e.ft.Bind(net.Capacity)
-		e.bneckRep, _ = e.alloc.(fluid.BottleneckReporter)
+	e.hooks.Tracer.EnsureTracks(2)
+	e.hooks.Tracer.SetTrackName(0, "engine")
+	e.hooks.Tracer.SetTrackName(1, "solver")
+	if e.hooks.FlowTrace != nil {
+		e.hooks.FlowTrace.Bind(net.Capacity)
 	}
 	return e
 }
@@ -499,8 +459,7 @@ func (e *Engine) Finished() []*fluid.Flow { return e.finished }
 // FinishedGroups returns every completed group, in completion order.
 func (e *Engine) FinishedGroups() []*fluid.Group { return e.finishedGroups }
 
-// Tables returns the engine's flow and group storage tables (for
-// inspection, or to hand to another engine's Config).
+// Tables returns the engine's flow and group storage tables.
 func (e *Engine) Tables() (*fluid.FlowTable, *fluid.GroupTable) { return e.tbl, e.gtbl }
 
 // ReleaseFinished recycles every finished flow and group back to the
@@ -557,36 +516,18 @@ func (e *Engine) ReleaseFinished() (flows, groups int) {
 }
 
 // Allocs returns how many allocator solves have run.
-func (e *Engine) Allocs() int { return e.allocs }
+func (e *Engine) Allocs() int { return e.stats.Allocs }
 
 // Events returns how many events have been processed.
-func (e *Engine) Events() int { return e.events }
+func (e *Engine) Events() int { return e.stats.Events }
 
 // Stats returns the engine's work telemetry so far.
 func (e *Engine) Stats() Stats {
-	s := Stats{
-		Events:             e.events,
-		Allocs:             e.allocs,
-		SolvedFlows:        e.solved,
-		MaxComponent:       e.maxComp,
-		Elided:             e.elided,
-		FullSolveFlows:     e.fullSolve,
-		Batches:            e.batches,
-		BatchComponents:    e.batchComps,
-		MaxBatchComponents: e.maxBatch,
-		Faults:             e.faults,
-		Stranded:           e.stranded,
-		Resumed:            e.resumed,
-		StrandedSec:        e.strandedSec,
-		CapacityLostBitSec: e.capLostBitSec,
-		LinksDown:          e.linksDown,
-	}
+	s := e.stats
 	if ic, ok := e.alloc.(fluid.IterCounter); ok {
 		s.AllocIters = ic.SolveIters()
 	}
-	if e.prof != nil {
-		s.PhaseNanos = e.prof.Nanos()
-	}
+	s.PhaseNanos = e.hooks.Profiler.Nanos()
 	return s
 }
 
@@ -674,8 +615,10 @@ func (e *Engine) AddGroup(paths [][]int, u core.Utility, sizeBytes int64, at flo
 	return g
 }
 
-// FailLink schedules directed link link to fail at time at (seconds):
-// its capacity drops to zero and every flow crossing it is re-solved —
+// FailLink schedules directed link link to fail at time at (seconds;
+// at ≤ Now applies on the next Step, at Now, and the downtime and the
+// capacity-lost integral count from then, as the flows see it): its
+// capacity drops to zero and every flow crossing it is re-solved —
 // component-locally, since a failed link disturbs exactly the flows in
 // its active index. Flows left with no usable capacity are stranded
 // (rate zero, completion event cancelled, payload frozen); ECMP group
@@ -693,12 +636,12 @@ func (e *Engine) AddGroup(paths [][]int, u core.Utility, sizeBytes int64, at flo
 // panics naming the argument.
 func (e *Engine) FailLink(link int, at float64) { e.scheduleFault("FailLink", link, at, evkFail) }
 
-// RecoverLink schedules link to recover at time at: once every nested
-// failure has unwound, capacity is restored to its construction-time
-// value, stranded flows on the link resume (a fresh re-solve assigns
-// them positive rate and reschedules their completions), and group
-// traffic re-splits over the recovered path. Recovering a healthy link
-// is a counted no-op.
+// RecoverLink schedules link to recover at time at (at ≤ Now applies
+// on the next Step, at Now): once every nested failure has unwound,
+// capacity is restored to its construction-time value, stranded flows
+// on the link resume (a fresh re-solve assigns them positive rate and
+// reschedules their completions), and group traffic re-splits over
+// the recovered path. Recovering a healthy link is a counted no-op.
 func (e *Engine) RecoverLink(link int, at float64) {
 	e.scheduleFault("RecoverLink", link, at, evkRecover)
 }
@@ -717,18 +660,18 @@ func (e *Engine) scheduleFault(fn string, link int, at float64, kind uint8) {
 	e.heap.push(event{t: at, id: int32(link), kind: kind})
 }
 
-// applyFault performs one due fault event at time t: flip the link's
-// capacity on the 0↔1 depth edge, account the degradation, and seed
-// exactly the active flows crossing the link for the next re-solve.
+// applyFault performs one due fault event at time t — its scheduled
+// time, or Now for one scheduled in the past, which is billed from
+// when it took effect: flip the link's capacity on the 0↔1 depth edge,
+// account the degradation, and seed exactly the active flows crossing
+// the link for the next re-solve.
 // Same-instant fail+recover pairs cancel (capacity net unchanged, zero
 // downtime accrued) but still trigger the seeded re-solve, which finds
 // every rate unchanged and leaves the schedule untouched.
 func (e *Engine) applyFault(link int, fail bool, t float64) {
 	e.pendingFaults--
-	e.faults++
-	if e.metrics != nil && e.metrics.Faults != nil {
-		e.metrics.Faults.Inc()
-	}
+	e.stats.Faults++
+	e.hooks.Metrics.Fault()
 	if fail {
 		e.downDepth[link]++
 		if e.downDepth[link] > 1 {
@@ -736,7 +679,7 @@ func (e *Engine) applyFault(link int, fail bool, t float64) {
 		}
 		e.net.SetCapacity(link, 0)
 		e.capDownT[link] = t
-		e.linksDown++
+		e.stats.LinksDown++
 		e.batchCause = obs.CauseFail
 	} else {
 		if e.downDepth[link] == 0 {
@@ -748,9 +691,9 @@ func (e *Engine) applyFault(link int, fail bool, t float64) {
 		}
 		e.net.SetCapacity(link, e.baseCap[link])
 		if dt := t - e.capDownT[link]; dt > 0 {
-			e.capLostBitSec += e.baseCap[link] * dt
+			e.stats.CapacityLostBitSec += e.baseCap[link] * dt
 		}
-		e.linksDown--
+		e.stats.LinksDown--
 		e.batchCause = obs.CauseRecover
 	}
 	if e.global {
@@ -794,9 +737,7 @@ func (e *Engine) admitDue() {
 				e.activeGroups = append(e.activeGroups, g)
 			}
 		}
-		if e.ft != nil && f.Group == nil && f.SizeBytes > 0 {
-			e.ft.Admit(f.ID, f.SizeBytes, f.Arrive, f.Links)
-		}
+		e.hooks.FlowTrace.Admit(f.ID, f.SizeBytes, f.Arrive, f.Links)
 		switch {
 		case iso:
 			e.admitIsolated(f)
@@ -847,23 +788,19 @@ func (e *Engine) pathMinCap(f *fluid.Flow) float64 {
 func (e *Engine) admitIsolated(f *fluid.Flow) {
 	f.Rate = e.pathMinCap(f)
 	e.fs[f.ID].refT = e.now
-	e.elided++
+	e.stats.Elided++
 	if f.SizeBytes > 0 && f.Rate > 0 {
 		e.pushFlowEvent(f)
 	} else if f.SizeBytes > 0 {
 		// Admitted straight onto a dead path: stranded from birth, no
 		// completion to schedule until a recovery re-solves it.
 		e.fs[f.ID].bits |= strandedBit
-		e.stranded++
-		if e.metrics != nil && e.metrics.Stranded != nil {
-			e.metrics.Stranded.Inc()
-		}
+		e.stats.Stranded++
+		e.hooks.Metrics.Strand(1, 0)
 	}
-	if e.ft != nil {
-		// No solver ran: the flow takes its line rate, bottlenecked by
-		// the path's min-capacity link (the tracer's default).
-		e.ft.Rate(f.ID, e.now, f.Rate, -1, obs.CauseAdmit, 1, uint64(e.batches))
-	}
+	// No solver ran: the flow takes its line rate, bottlenecked by the
+	// path's min-capacity link (the tracer's default).
+	e.hooks.FlowTrace.Rate(f.ID, e.now, f.Rate, -1, obs.CauseAdmit, 1, uint64(e.stats.Batches))
 }
 
 // seed queues f's component for the next reallocation.
@@ -1203,9 +1140,7 @@ func (e *Engine) preApply(flows []*fluid.Flow, groups []*fluid.Group, rates []fl
 func (e *Engine) solveComponent(ci int) {
 	r := e.comps[ci]
 	res := &e.compRes[ci]
-	res.ops = res.ops[:0]
-	res.solved = 0
-	res.stranded, res.resumed, res.strandedSec = 0, 0, 0
+	*res = compResult{ops: res.ops[:0]}
 	flows := e.comp[r.f0:r.f1]
 	if len(flows) == 1 && flows[0].Group == nil {
 		// A component of one plain flow needs no allocator at all: it
@@ -1233,28 +1168,17 @@ func (e *Engine) solveComponent(ci int) {
 func (e *Engine) reallocate() {
 	comps := e.collectComponents()
 	nc := len(comps)
-	if e.prof != nil {
-		e.prof.Lap(obs.PhaseFlood)
-	}
+	e.hooks.Profiler.Lap(obs.PhaseFlood)
 	if nc == 0 {
 		return
 	}
-	var batchStart int64
-	if e.tracer != nil {
-		batchStart = e.tracer.Clock()
-	}
-	e.fullSolve += e.liveActive()
-	e.batches++
-	e.batchComps += nc
-	if nc > e.maxBatch {
-		e.maxBatch = nc
-	}
-	if e.metrics != nil {
-		e.metrics.BatchComponents.Observe(float64(nc))
-	}
-	if e.prog != nil {
-		e.prog.RecordBatch(nc)
-	}
+	batchStart := e.hooks.Tracer.Clock()
+	e.stats.FullSolveFlows += e.liveActive()
+	e.stats.Batches++
+	e.stats.BatchComponents += nc
+	e.stats.MaxBatchComponents = max(e.stats.MaxBatchComponents, nc)
+	e.hooks.Metrics.Batch(nc)
+	e.hooks.Progress.RecordBatch(nc)
 	if n := len(e.comp); cap(e.ratesArena) < n {
 		e.ratesArena = make([]float64, 2*n+64)
 	}
@@ -1263,40 +1187,24 @@ func (e *Engine) reallocate() {
 		e.compRes = append(e.compRes, make([]compResult, nc-len(e.compRes))...)
 	}
 
-	for ci := 0; ci < nc; ci++ {
-		if e.tracer != nil {
-			start := e.tracer.Clock()
-			e.solveComponent(ci)
-			r := comps[ci]
-			e.tracer.Span(1, "solve", start, int64(r.f1-r.f0))
-			continue
-		}
+	for ci, r := range comps {
+		start := e.hooks.Tracer.Clock()
 		e.solveComponent(ci)
+		e.hooks.Tracer.Span(1, "solve", start, int64(r.f1-r.f0))
 	}
 	for ci := 0; ci < nc; ci++ {
 		r := &e.compRes[ci]
 		if r.solved > 0 {
-			e.allocs++
-			e.solved += r.solved
-			if r.solved > e.maxComp {
-				e.maxComp = r.solved
-			}
-			if e.metrics != nil {
-				e.metrics.Allocs.Inc()
-				e.metrics.SolvedFlows.Add(int64(r.solved))
-				e.metrics.ComponentFlows.Observe(float64(r.solved))
-			}
+			e.countSolve(r.solved)
 		} else {
-			e.elided++
+			e.stats.Elided++
 		}
 		e.accumulateStrands(r)
-		if e.ft != nil {
+		if e.hooks.FlowTrace != nil {
 			e.traceComponent(ci)
 		}
 	}
-	if e.prof != nil {
-		e.prof.Lap(obs.PhaseSolve)
-	}
+	e.hooks.Profiler.Lap(obs.PhaseSolve)
 
 	for ci := 0; ci < nc; ci++ {
 		for _, op := range e.compRes[ci].ops {
@@ -1304,12 +1212,17 @@ func (e *Engine) reallocate() {
 		}
 	}
 	e.maybeCompact()
-	if e.prof != nil {
-		e.prof.Lap(obs.PhaseResplice)
-	}
-	if e.tracer != nil {
-		e.tracer.Span(0, "batch", batchStart, int64(nc))
-	}
+	e.hooks.Profiler.Lap(obs.PhaseResplice)
+	e.hooks.Tracer.Span(0, "batch", batchStart, int64(nc))
+}
+
+// countSolve folds one allocator solve over n flows into the counters
+// and metrics.
+func (e *Engine) countSolve(n int) {
+	e.stats.Allocs++
+	e.stats.SolvedFlows += n
+	e.stats.MaxComponent = max(e.stats.MaxComponent, n)
+	e.hooks.Metrics.Solve(n)
 }
 
 // accumulateStrands folds one solve's stranding transitions into the
@@ -1318,17 +1231,10 @@ func (e *Engine) accumulateStrands(r *compResult) {
 	if r.stranded == 0 && r.resumed == 0 {
 		return
 	}
-	e.stranded += r.stranded
-	e.resumed += r.resumed
-	e.strandedSec += r.strandedSec
-	if e.metrics != nil {
-		if e.metrics.Stranded != nil {
-			e.metrics.Stranded.Add(int64(r.stranded))
-		}
-		if e.metrics.Resumed != nil {
-			e.metrics.Resumed.Add(int64(r.resumed))
-		}
-	}
+	e.stats.Stranded += r.stranded
+	e.stats.Resumed += r.resumed
+	e.stats.StrandedSec += r.strandedSec
+	e.hooks.Metrics.Strand(r.stranded, r.resumed)
 }
 
 // traceComponent reports one component's solved rates to the flow
@@ -1344,13 +1250,13 @@ func (e *Engine) traceComponent(ci int) {
 		// Elided single-flow component: line rate, min-capacity
 		// bottleneck (the tracer's default for bneck < 0).
 		f := flows[0]
-		e.ft.Rate(f.ID, e.now, f.Rate, -1, e.batchCause, 1, uint64(e.batches))
+		e.hooks.FlowTrace.Rate(f.ID, e.now, f.Rate, -1, e.batchCause, 1, uint64(e.stats.Batches))
 		return
 	}
 	rates := e.ratesArena[cr.f0:cr.f1]
 	bn := e.bottlenecks(flows, rates)
 	for i, f := range flows {
-		e.ft.Rate(f.ID, e.now, rates[i], int(bn[i]), e.batchCause, len(flows), uint64(e.batches))
+		e.hooks.FlowTrace.Rate(f.ID, e.now, rates[i], int(bn[i]), e.batchCause, len(flows), uint64(e.stats.Batches))
 	}
 }
 
@@ -1362,8 +1268,8 @@ func (e *Engine) bottlenecks(flows []*fluid.Flow, rates []float64) []int32 {
 		e.bneck = make([]int32, 2*len(flows)+16)
 	}
 	bn := e.bneck[:len(flows)]
-	if e.bneckRep != nil {
-		e.bneckRep.Bottlenecks(e.net, flows, rates, bn)
+	if rep, ok := e.alloc.(fluid.BottleneckReporter); ok {
+		rep.Bottlenecks(e.net, flows, rates, bn)
 	} else {
 		for i := range bn {
 			bn[i] = -1
@@ -1380,39 +1286,27 @@ func (e *Engine) allocateGlobal() {
 	}
 	rates := e.rates[:n]
 	e.alloc.Allocate(e.net, e.active, rates)
-	e.allocs++
-	e.solved += n
-	e.fullSolve += n
-	if n > e.maxComp {
-		e.maxComp = n
-	}
-	e.globalOps.ops = e.globalOps.ops[:0]
-	e.globalOps.stranded, e.globalOps.resumed, e.globalOps.strandedSec = 0, 0, 0
+	e.countSolve(n)
+	e.stats.FullSolveFlows += n
+	e.globalOps = compResult{ops: e.globalOps.ops[:0]}
 	e.preApply(e.active, e.activeGroups, rates, &e.globalOps)
 	for _, op := range e.globalOps.ops {
 		e.applyOp(op)
 	}
 	e.accumulateStrands(&e.globalOps)
-	if e.ft != nil {
+	if e.hooks.FlowTrace != nil {
 		// Global mode has no batch counter; the allocation ordinal
 		// stands in. The full active set is trivially link-closed, so
 		// bottleneck loads are exact (group members included in load,
 		// filtered from tracing by the tracer).
 		bn := e.bottlenecks(e.active, rates)
 		for i, f := range e.active {
-			e.ft.Rate(f.ID, e.now, rates[i], int(bn[i]), e.batchCause, n, uint64(e.allocs))
+			e.hooks.FlowTrace.Rate(f.ID, e.now, rates[i], int(bn[i]), e.batchCause, n, uint64(e.stats.Allocs))
 		}
 	}
 	e.changed = false
 	e.maybeCompact()
-	if e.prof != nil {
-		e.prof.Lap(obs.PhaseSolve)
-	}
-	if e.metrics != nil {
-		e.metrics.Allocs.Inc()
-		e.metrics.SolvedFlows.Add(int64(n))
-		e.metrics.ComponentFlows.Observe(float64(n))
-	}
+	e.hooks.Profiler.Lap(obs.PhaseSolve)
 }
 
 // materialize realizes every active finite payload's lazy drain at
@@ -1491,7 +1385,7 @@ func (e *Engine) complete(t float64) {
 // the neighbors the departure uncouples — or applies a due fault.
 func (e *Engine) retireEvent(ev event) {
 	if ev.kind >= evkFail {
-		e.applyFault(int(ev.id), ev.kind == evkFail, ev.t)
+		e.applyFault(int(ev.id), ev.kind == evkFail, math.Max(ev.t, e.now))
 		return
 	}
 	if ev.kind == evkFlow {
@@ -1501,14 +1395,12 @@ func (e *Engine) retireEvent(ev event) {
 		f.Remaining = 0
 		e.finished = append(grow(e.finished), f)
 		e.nDone++
-		if e.ft != nil {
-			e.ft.Complete(f.ID, ev.t)
-		}
+		e.hooks.FlowTrace.Complete(f.ID, ev.t)
 		switch {
 		case e.global:
 			e.changed = true
 		case !e.unlink(f):
-			e.elided++
+			e.stats.Elided++
 		}
 		return
 	}
@@ -1535,7 +1427,7 @@ func (e *Engine) retireEvent(ev event) {
 	case e.global:
 		e.changed = true
 	case !coupled:
-		e.elided++
+		e.stats.Elided++
 	}
 }
 
@@ -1606,13 +1498,9 @@ func (e *Engine) settle() {
 // it, time advances (and payloads drain) only to the deadline and no
 // event fires.
 func (e *Engine) step(deadline float64) bool {
-	if e.prof != nil {
-		e.prof.Lap(obs.PhaseLoop)
-	}
+	e.hooks.Profiler.Lap(obs.PhaseLoop)
 	e.admitDue()
-	if e.prof != nil {
-		e.prof.Lap(obs.PhaseAdmit)
-	}
+	e.hooks.Profiler.Lap(obs.PhaseAdmit)
 	// Idle early-exit: nothing active (stranded flows count as active —
 	// they are waiting on recovery, not runnable) and nothing pending.
 	// Scheduled fault events keep the loop alive so capacity toggles on
@@ -1639,23 +1527,15 @@ func (e *Engine) step(deadline float64) bool {
 	if t > deadline {
 		e.materialize(deadline)
 		e.now = deadline
-		if e.prof != nil {
-			e.prof.Lap(obs.PhaseDrain)
-		}
+		e.hooks.Profiler.Lap(obs.PhaseDrain)
 		return true
 	}
 	e.now = t
 	e.complete(t)
-	e.events++
-	if e.prof != nil {
-		e.prof.Lap(obs.PhaseComplete)
-	}
-	if e.metrics != nil {
-		e.metrics.Events.Inc()
-	}
-	if e.prog != nil {
-		e.prog.Record(e.now, int64(e.events), e.liveActive(), len(e.finished))
-	}
+	e.stats.Events++
+	e.hooks.Profiler.Lap(obs.PhaseComplete)
+	e.hooks.Metrics.Event()
+	e.hooks.Progress.Record(e.now, int64(e.stats.Events), e.liveActive(), len(e.finished))
 	return true
 }
 
@@ -1665,9 +1545,7 @@ func (e *Engine) step(deadline float64) bool {
 // rates settled and payloads materialized at until, exactly as the
 // epoch engine leaves them.
 func (e *Engine) Run(until float64) {
-	if e.prof != nil {
-		e.prof.Arm()
-	}
+	e.hooks.Profiler.Arm()
 	for e.now < until {
 		if !e.step(until) {
 			return
@@ -1682,7 +1560,5 @@ func (e *Engine) Run(until float64) {
 	// materialize the lazy drain.
 	e.settle()
 	e.materialize(e.now)
-	if e.prof != nil {
-		e.prof.Lap(obs.PhaseDrain)
-	}
+	e.hooks.Profiler.Lap(obs.PhaseDrain)
 }

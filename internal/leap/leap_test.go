@@ -312,10 +312,11 @@ func denseCaps() []float64 {
 	return []float64{10e9, 10e9, 25e9, 40e9, 10e9, 10e9, 25e9, 40e9}
 }
 
-// runDense plays one dense random schedule to completion under cfg and
-// returns the engine plus its flows and groups.
-func runDense(cfg Config, seed uint64) (*Engine, []*fluid.Flow, []*fluid.Group) {
-	e := NewEngine(fluid.NewNetwork(denseCaps()), cfg)
+// runDense plays one dense random schedule to completion under cfg —
+// component-local, or through the global reference mode — and returns
+// the engine plus its flows and groups.
+func runDense(cfg Config, global bool, seed uint64) (*Engine, []*fluid.Flow, []*fluid.Group) {
+	e := newEngine(fluid.NewNetwork(denseCaps()), cfg, global)
 	fs, gs := buildDenseSchedule(e, seed)
 	e.Run(math.Inf(1))
 	return e, fs, gs
@@ -351,8 +352,8 @@ func assertSameCompletions(t *testing.T, label string, seed uint64,
 // any disagreement is a component-tracking bug, not float noise.
 func TestComponentLocalMatchesGlobal(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
-		local, lf, lg := runDense(Config{}, seed)
-		global, gf, gg := runDense(Config{Global: true}, seed)
+		local, lf, lg := runDense(Config{}, false, seed)
+		global, gf, gg := runDense(Config{}, true, seed)
 		if local.Events() != global.Events() {
 			t.Errorf("seed %d: events %d (local) vs %d (global)",
 				seed, local.Events(), global.Events())
@@ -452,7 +453,7 @@ func TestSweepThresholdEquivalence(t *testing.T) {
 			e.Run(math.Inf(1))
 			return fs, gs
 		}
-		_, df, dg := runDense(Config{}, seed)
+		_, df, dg := runDense(Config{}, false, seed)
 		af, ag := run(1)
 		bf, bg := run(1 << 30)
 		assertSameCompletions(t, "sweep-1", seed, df, dg, af, ag)
@@ -539,7 +540,7 @@ func TestPodBurstsLocalMatchesGlobal(t *testing.T) {
 		for seed := uint64(1); seed <= 3; seed++ {
 			run := func(global bool) (*Engine, []*fluid.Flow) {
 				ft := fluid.NewFatTree(4, 10e9)
-				e := NewEngine(ft.Net, Config{Global: global})
+				e := newEngine(ft.Net, Config{}, global)
 				fs := buildPodBursts(e, ft, interPod, seed)
 				e.Run(math.Inf(1))
 				return e, fs

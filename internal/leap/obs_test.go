@@ -30,10 +30,10 @@ func fullHooks() obs.Hooks {
 // state, never steers it — component-local and Global alike.
 func TestObsDoesNotChangeResults(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
-		_, bf, bg := runDense(Config{}, seed)
-		_, of, og := runDense(Config{Obs: fullHooks()}, seed)
+		_, bf, bg := runDense(Config{}, false, seed)
+		_, of, og := runDense(Config{Obs: fullHooks()}, false, seed)
 		assertSameCompletions(t, "obs-local", seed, bf, bg, of, og)
-		_, gf, gg := runDense(Config{Global: true, Obs: fullHooks()}, seed)
+		_, gf, gg := runDense(Config{Obs: fullHooks()}, true, seed)
 		assertSameCompletions(t, "obs-global", seed, bf, bg, gf, gg)
 	}
 }
@@ -81,7 +81,7 @@ func TestPhaseCoverage(t *testing.T) {
 // span per component solved and one batch span per reallocation batch.
 func TestSolveSpansMatchComponents(t *testing.T) {
 	tr := obs.NewTracer()
-	e, _, _ := runDense(Config{Obs: obs.Hooks{Tracer: tr}}, 2)
+	e, _, _ := runDense(Config{Obs: obs.Hooks{Tracer: tr}}, false, 2)
 	s := e.Stats()
 	if tr.Dropped() != 0 {
 		t.Fatalf("tracer dropped %d spans", tr.Dropped())
@@ -94,35 +94,57 @@ func TestSolveSpansMatchComponents(t *testing.T) {
 	}
 }
 
-// TestObsMetricsMatchStats: the registry counters an engine feeds must
-// agree with its own Stats.
+// TestObsMetricsMatchStats: every registry instrument an engine feeds
+// must agree with the Stats field it mirrors — the two are incremented
+// side by side from one place each — on a schedule with link failures
+// and recoveries, so the fault counters move too; component-local and
+// through the global solve path.
 func TestObsMetricsMatchStats(t *testing.T) {
-	reg := obs.NewRegistry()
-	prog := &obs.Progress{}
-	e, _, _ := runDense(Config{Obs: obs.Hooks{
-		Metrics:  obs.NewEngineMetrics(reg, "leap"),
-		Progress: prog,
-	}}, 3)
-	s := e.Stats()
-	snap := reg.Snapshot()
-	if got := snap.Counters["leap.events"]; got != int64(s.Events) {
-		t.Errorf("leap.events = %d, stats = %d", got, s.Events)
-	}
-	if got := snap.Counters["leap.allocs"]; got != int64(s.Allocs) {
-		t.Errorf("leap.allocs = %d, stats = %d", got, s.Allocs)
-	}
-	if got := snap.Counters["leap.solved_flows"]; got != int64(s.SolvedFlows) {
-		t.Errorf("leap.solved_flows = %d, stats = %d", got, s.SolvedFlows)
-	}
-	if got := snap.Histograms["leap.batch_components"].Count; got != int64(s.Batches) {
-		t.Errorf("batch_components count = %d, batches = %d", got, s.Batches)
-	}
-	ps := prog.Snapshot()
-	if ps.Events != int64(s.Events) || ps.Finished != int64(len(e.Finished())) {
-		t.Errorf("progress %+v disagrees with stats %+v", ps, s)
-	}
-	if ps.ActiveFlows != 0 {
-		t.Errorf("run-to-completion progress still shows %d active flows", ps.ActiveFlows)
+	for _, global := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		prog := &obs.Progress{}
+		e := newEngine(fluid.NewNetwork(denseCaps()), Config{Obs: obs.Hooks{
+			Metrics:  obs.NewEngineMetrics(reg, "leap"),
+			Progress: prog,
+		}}, global)
+		// One link of each bank down over the middle of the arrivals.
+		for _, l := range []int{0, 5} {
+			e.FailLink(l, 1e-3)
+			e.RecoverLink(l, 3e-3)
+		}
+		buildDenseSchedule(e, 3)
+		e.Run(math.Inf(1))
+
+		s := e.Stats()
+		if s.Faults != 4 || s.Stranded == 0 || s.Resumed != s.Stranded {
+			t.Fatalf("global %v: schedule exercised no strand/resume: %+v", global, s)
+		}
+		snap := reg.Snapshot()
+		for name, want := range map[string]int{
+			"leap.events":       s.Events,
+			"leap.allocs":       s.Allocs,
+			"leap.solved_flows": s.SolvedFlows,
+			"leap.faults":       s.Faults,
+			"leap.stranded":     s.Stranded,
+			"leap.resumed":      s.Resumed,
+		} {
+			if got := snap.Counters[name]; got != int64(want) {
+				t.Errorf("global %v: %s = %d, stats = %d", global, name, got, want)
+			}
+		}
+		if got := snap.Histograms["leap.batch_components"].Count; got != int64(s.Batches) {
+			t.Errorf("global %v: batch_components count = %d, batches = %d", global, got, s.Batches)
+		}
+		if got := snap.Histograms["leap.component_flows"].Count; got != int64(s.Allocs) {
+			t.Errorf("global %v: component_flows count = %d, allocs = %d", global, got, s.Allocs)
+		}
+		ps := prog.Snapshot()
+		if ps.Events != int64(s.Events) || ps.Finished != int64(len(e.Finished())) || ps.Batches != int64(s.Batches) {
+			t.Errorf("global %v: progress %+v disagrees with stats %+v", global, ps, s)
+		}
+		if ps.ActiveFlows != 0 {
+			t.Errorf("global %v: run-to-completion progress still shows %d active flows", global, ps.ActiveFlows)
+		}
 	}
 }
 
@@ -134,17 +156,17 @@ func TestAllocIters(t *testing.T) {
 	mk := func() Config {
 		return Config{Allocator: &fluid.XWI{IterPerEpoch: 24, Tol: 1e-3}}
 	}
-	se, _, _ := runDense(mk(), 1)
+	se, _, _ := runDense(mk(), false, 1)
 	ss := se.Stats()
 	if ss.AllocIters < int64(ss.Allocs) {
 		t.Fatalf("AllocIters = %d, want >= Allocs = %d", ss.AllocIters, ss.Allocs)
 	}
-	re, _, _ := runDense(mk(), 1)
+	re, _, _ := runDense(mk(), false, 1)
 	if rs := re.Stats(); rs.AllocIters != ss.AllocIters {
 		t.Errorf("repeat AllocIters = %d, first run = %d", rs.AllocIters, ss.AllocIters)
 	}
 	// WaterFill counts water-fill rounds.
-	we, _, _ := runDense(Config{}, 1)
+	we, _, _ := runDense(Config{}, false, 1)
 	if ws := we.Stats(); ws.AllocIters <= 0 {
 		t.Errorf("WaterFill AllocIters = %d, want > 0", ws.AllocIters)
 	}

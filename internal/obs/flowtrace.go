@@ -256,12 +256,19 @@ func (t *FlowTracer) Links() *LinkStats {
 }
 
 // Admit starts tracing flow id: size bytes, arriving at arrive,
-// traversing links. The engine calls it for plain finite flows only
-// (group members and unbounded flows are not traced).
+// traversing links. Engines offer every admission; group members and
+// unbounded flows (sizeBytes 0) are not traced. Like Rate and Complete
+// it is an inlinable nil check, callable unguarded on a nil tracer.
 func (t *FlowTracer) Admit(id int, sizeBytes int64, arrive float64, links []int) {
+	if t != nil && sizeBytes > 0 {
+		t.admit(id, sizeBytes, arrive, links)
+	}
+}
+
+func (t *FlowTracer) admit(id int, sizeBytes int64, arrive float64, links []int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.caps == nil || len(links) == 0 || sizeBytes <= 0 {
+	if t.caps == nil || len(links) == 0 {
 		return
 	}
 	lineRate, lineBneck := math.Inf(1), int32(-1)
@@ -326,6 +333,12 @@ func (t *FlowTracer) Admit(id int, sizeBytes int64, arrive float64, links []int)
 // (rate, bottleneck) pairs coalesce into the open segment; untracked
 // ids are ignored, so callers need not re-check the tracing scope.
 func (t *FlowTracer) Rate(id int, now, rate float64, bneck int, cause uint8, comp int, batch uint64) {
+	if t != nil {
+		t.rate(id, now, rate, bneck, cause, comp, batch)
+	}
+}
+
+func (t *FlowTracer) rate(id int, now, rate float64, bneck int, cause uint8, comp int, batch uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	r := t.rec(id)
@@ -381,6 +394,12 @@ func (r *FlowRecord) account(now float64) {
 // whether the record is kept: hash-sampled, reservoir-kept, or
 // recycled. Untracked ids are ignored.
 func (t *FlowTracer) Complete(id int, finish float64) {
+	if t != nil {
+		t.complete(id, finish)
+	}
+}
+
+func (t *FlowTracer) complete(id int, finish float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	r := t.rec(id)

@@ -14,7 +14,8 @@ import (
 
 // Progress is a lock-free live view of a running engine: the event
 // loop stores a few atomics per event, the /progress endpoint reads
-// them from another goroutine. A nil *Progress is a no-op.
+// them from another goroutine. Record and RecordBatch are inlinable
+// nil checks, callable unguarded on a nil *Progress.
 type Progress struct {
 	startWall atomic.Int64  // ns, set on first Record
 	lastWall  atomic.Int64  // ns of the latest Record
@@ -30,9 +31,12 @@ type Progress struct {
 // (seconds), total events processed, live flow count, and finished
 // flow count.
 func (p *Progress) Record(simSeconds float64, events int64, active, finished int) {
-	if p == nil {
-		return
+	if p != nil {
+		p.record(simSeconds, events, active, finished)
 	}
+}
+
+func (p *Progress) record(simSeconds float64, events int64, active, finished int) {
 	wall := Now()
 	p.startWall.CompareAndSwap(0, wall)
 	p.lastWall.Store(wall)
@@ -44,11 +48,10 @@ func (p *Progress) Record(simSeconds float64, events int64, active, finished int
 
 // RecordBatch publishes one reallocation batch's component count.
 func (p *Progress) RecordBatch(components int) {
-	if p == nil {
-		return
+	if p != nil {
+		p.batches.Add(1)
+		p.batchW.Store(int64(components))
 	}
-	p.batches.Add(1)
-	p.batchW.Store(int64(components))
 }
 
 // ProgressSnapshot is the JSON payload of the /progress endpoint.

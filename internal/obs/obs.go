@@ -1,19 +1,23 @@
 // Package obs is the engine-wide observability layer: a phase-timing
 // profiler for the event loops, a registry of counters/gauges/
 // histograms with lock-cheap hot-path updates, Chrome-trace timeline
-// export for the parallel solves, a live progress snapshot, and a
-// debug HTTP endpoint (net/http/pprof, expvar, /metrics, /progress)
-// for long-running processes.
+// export of the leap engine's batches and component solves, a live
+// progress snapshot, and a debug HTTP endpoint (net/http/pprof,
+// expvar, /metrics, /progress) for long-running processes.
 //
-// Everything here is designed to cost nothing when disabled: the
-// engines hold nil hook pointers by default and guard every
-// instrumentation point with a nil check, so the hot loops stay
-// allocation-free and within measurement noise of their
-// pre-instrumentation throughput (pinned by the leap engine's
-// allocation-guard test and BenchmarkLeapFCT). When enabled, updates
-// are single atomic operations or one monotonic clock read per phase
-// boundary — cheap enough to leave on for the leapfct experiment and
-// the repository benchmark's traced plays.
+// This package owns the nil check. An engine keeps its Config.Obs as
+// one Hooks value and calls the hook methods unguarded: every
+// engine-facing method — PhaseProfiler.Lap/Arm, Tracer.Clock/Span,
+// Progress.Record/RecordBatch, EngineMetrics.*, FlowTracer.Admit/
+// Rate/Complete — is a nil-check wrapper the compiler inlines (`make
+// obs-inline` fails when one stops being inlinable), so a detached
+// hook costs its call site one branch and the hot loops stay
+// allocation-free (pinned by the leap engine's allocation-guard test
+// and BenchmarkLeapFCT). An engine guards a site itself only where it
+// would compute arguments nobody but the hook reads. When enabled,
+// updates are single atomic operations or one monotonic clock read per
+// phase boundary — cheap enough to leave on for the leapfct experiment
+// and the repository benchmark's traced plays.
 package obs
 
 import "time"
@@ -29,13 +33,13 @@ var epoch = time.Now()
 func Now() int64 { return int64(time.Since(epoch)) }
 
 // Hooks bundles the observability hooks an engine accepts. Every
-// field is optional; a nil field disables that instrument with zero
-// hot-path cost.
+// field is optional: a nil hook's engine-facing methods do nothing, so
+// the zero Hooks is fully detached.
 type Hooks struct {
 	// Profiler accumulates wall time per event-loop phase.
 	Profiler *PhaseProfiler
-	// Tracer records per-worker timeline spans (component solves,
-	// batches) for Chrome-trace export.
+	// Tracer records timeline spans (reallocation batches, component
+	// solves) for Chrome-trace export.
 	Tracer *Tracer
 	// Progress receives a lock-free live snapshot (virtual time,
 	// events, active flows) every event, for the /progress endpoint.
@@ -47,10 +51,4 @@ type Hooks struct {
 	// bottleneck links, slowdown attribution) and per-link
 	// utilization series.
 	FlowTrace *FlowTracer
-}
-
-// Enabled reports whether any hook is attached.
-func (h Hooks) Enabled() bool {
-	return h.Profiler != nil || h.Tracer != nil || h.Progress != nil ||
-		h.Metrics != nil || h.FlowTrace != nil
 }

@@ -58,14 +58,9 @@ func PhaseName(p Phase) string {
 // time since the previous boundary to the given phase, so consecutive
 // laps tile the run with no gaps and no double counting.
 //
-// A nil *PhaseProfiler is a valid no-op receiver, but hot loops
-// should guard call sites with their own nil check so the disabled
-// path costs a predictable branch instead of a function call.
-//
-// A PhaseProfiler is single-threaded: it belongs to the engine's
-// event loop. Parallel work inside a phase (worker solves) is charged
-// to that phase as wall time, not CPU time — per-worker visibility is
-// the Tracer's job.
+// Arm and Lap are inlinable nil checks, callable unguarded on a nil
+// *PhaseProfiler. A PhaseProfiler is single-threaded: it belongs to
+// the engine's event loop.
 type PhaseProfiler struct {
 	last  int64
 	nanos [PhaseCount]int64
@@ -81,18 +76,20 @@ func NewPhaseProfiler() *PhaseProfiler {
 // only time spent after this call. Engines call it on Run entry;
 // accumulated totals are preserved across Runs.
 func (p *PhaseProfiler) Arm() {
-	if p == nil {
-		return
+	if p != nil {
+		p.last = Now()
 	}
-	p.last = Now()
 }
 
 // Lap charges the time since the previous boundary (the last Arm or
 // Lap) to ph and advances the boundary.
 func (p *PhaseProfiler) Lap(ph Phase) {
-	if p == nil {
-		return
+	if p != nil {
+		p.lap(ph)
 	}
+}
+
+func (p *PhaseProfiler) lap(ph Phase) {
 	now := Now()
 	p.nanos[ph] += now - p.last
 	p.laps[ph]++

@@ -166,8 +166,11 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 }
 
 // EngineMetrics is the bundle of registry instruments an engine
-// updates: totals as counters and the per-batch shape as histograms.
-// Updates happen on the engine's event loop, per batch.
+// updates — totals as counters, the per-batch shape as histograms —
+// through the methods below, each next to the Stats increment it
+// mirrors. The methods are inlinable nil checks, callable unguarded on
+// a nil *EngineMetrics; the instruments tolerate nil too, so a
+// hand-built bundle may leave fields out.
 type EngineMetrics struct {
 	// Events counts processed events (arrival instants and completion
 	// batches).
@@ -177,7 +180,7 @@ type EngineMetrics struct {
 	Allocs      *Counter
 	SolvedFlows *Counter
 	// BatchComponents observes each reallocation batch's disjoint
-	// component count — the parallelism the workload exposes.
+	// component count.
 	BatchComponents *Histogram
 	// ComponentFlows observes each solved component's flow count.
 	ComponentFlows *Histogram
@@ -202,5 +205,47 @@ func NewEngineMetrics(r *Registry, prefix string) *EngineMetrics {
 		Faults:   r.Counter(prefix + ".faults"),
 		Stranded: r.Counter(prefix + ".stranded"),
 		Resumed:  r.Counter(prefix + ".resumed"),
+	}
+}
+
+// Event counts one processed event.
+func (m *EngineMetrics) Event() {
+	if m != nil {
+		m.Events.Inc()
+	}
+}
+
+// Batch observes one reallocation batch's component count.
+func (m *EngineMetrics) Batch(components int) {
+	if m != nil {
+		m.BatchComponents.Observe(float64(components))
+	}
+}
+
+// Solve counts one allocator solve covering flows flows.
+func (m *EngineMetrics) Solve(flows int) {
+	if m != nil {
+		m.solve(flows)
+	}
+}
+
+func (m *EngineMetrics) solve(flows int) {
+	m.Allocs.Inc()
+	m.SolvedFlows.Add(int64(flows))
+	m.ComponentFlows.Observe(float64(flows))
+}
+
+// Fault counts one applied fault event.
+func (m *EngineMetrics) Fault() {
+	if m != nil {
+		m.Faults.Inc()
+	}
+}
+
+// Strand counts flows newly stranded and flows resumed.
+func (m *EngineMetrics) Strand(stranded, resumed int) {
+	if m != nil {
+		m.Stranded.Add(int64(stranded))
+		m.Resumed.Add(int64(resumed))
 	}
 }

@@ -16,10 +16,9 @@ type span struct {
 	arg   int64 // name-dependent payload (flows, components, ops)
 }
 
-// track is one timeline row (one worker, or the engine's event loop).
-// Each track is appended to by exactly one goroutine at a time — the
-// engine routes worker w's spans to track w+1 — so appends need no
-// lock.
+// track is one timeline row. The leap engine writes two from its one
+// event-loop goroutine — track 0 the reallocation batches, track 1 the
+// component solves inside them — so appends need no lock.
 type track struct {
 	name  string
 	spans []span
@@ -27,10 +26,11 @@ type track struct {
 
 // Tracer accumulates timeline spans for Chrome-trace ("trace event
 // format") export: load the JSON in chrome://tracing or
-// ui.perfetto.dev and each parallel batch renders as per-worker
-// tracks of component-solve spans. Spans are bounded by MaxSpans per
-// track; overflow increments a drop counter instead of growing
-// without bound on million-flow runs.
+// ui.perfetto.dev and each reallocation batch renders above the
+// component solves it ran. Spans are bounded by MaxSpans per track;
+// overflow increments a drop counter instead of growing without bound
+// on million-flow runs. Clock and Span are inlinable nil checks,
+// callable unguarded on a nil *Tracer.
 type Tracer struct {
 	// MaxSpans bounds each track's retained spans (default 1 << 19).
 	MaxSpans int
@@ -40,14 +40,12 @@ type Tracer struct {
 }
 
 // NewTracer returns an empty tracer. Tracks are created by
-// EnsureTracks (engines call it with their worker count at
-// construction).
+// EnsureTracks (the leap engine asks for its two at construction).
 func NewTracer() *Tracer { return &Tracer{} }
 
-// EnsureTracks grows the track table to n tracks. Not concurrency-
-// safe — call before handing the tracer to concurrent workers.
-// Existing tracks (and their spans) are preserved, so successive runs
-// sharing a tracer land on one timeline.
+// EnsureTracks grows the track table to n tracks. Existing tracks
+// (and their spans) are preserved, so successive runs sharing a
+// tracer land on one timeline.
 func (t *Tracer) EnsureTracks(n int) {
 	if t == nil {
 		return
@@ -66,18 +64,24 @@ func (t *Tracer) SetTrackName(i int, name string) {
 }
 
 // Clock returns the tracer timebase's current reading; pass it back
-// as a span's start.
-func (t *Tracer) Clock() int64 { return Now() }
+// as a span's start. A nil tracer returns 0 without reading the clock.
+func (t *Tracer) Clock() int64 {
+	if t == nil {
+		return 0
+	}
+	return Now()
+}
 
 // Span records one interval [start, now) on track ti with a
-// name-dependent integer payload. Concurrent calls are safe as long
-// as each track has at most one writer (the engine's per-worker
-// routing guarantees it); spans to unknown tracks or past the cap are
-// counted as drops.
+// name-dependent integer payload. Each track takes one writer at a
+// time; spans to unknown tracks or past the cap are counted as drops.
 func (t *Tracer) Span(ti int, name string, start, arg int64) {
-	if t == nil {
-		return
+	if t != nil {
+		t.span(ti, name, start, arg)
 	}
+}
+
+func (t *Tracer) span(ti int, name string, start, arg int64) {
 	if ti < 0 || ti >= len(t.tracks) {
 		t.drops.Add(1)
 		return
