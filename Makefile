@@ -33,12 +33,13 @@ obs-inline:
 		echo "$$out" | grep -qwF "can inline $$m" || { echo "obs-inline: $$m is not inlinable" >&2; exit 1; }; \
 	done; echo "obs-inline: $(words $(OBS_INLINE)) wrappers inlinable"
 
-# Explore the local-vs-global and fault-injection fuzz targets beyond
-# their committed seed corpora (CI runs 30s per target per push; run
-# longer locally when touching the event loop or the fault path).
+# Explore the leap-vs-reference fuzz target beyond its committed
+# corpus (CI runs 30s per push; run longer locally when touching the
+# event loop, the fault path or the tables). -fuzzminimizetime caps
+# go's minimization of each new interesting input, which otherwise
+# idles the workers for most of the run.
 fuzz:
-	go test -run '^$$' -fuzz FuzzLocalMatchesGlobal -fuzztime 60s ./internal/leap/
-	go test -run '^$$' -fuzz FuzzFaultSchedule -fuzztime 60s ./internal/leap/
+	go test -run '^$$' -fuzz FuzzLeapMatchesReference -fuzztime 60s -fuzzminimizetime 2s ./internal/leap/
 
 # Fault-injection smoke: the leap fault test suite (property, analytic,
 # and lost-service identity tests) plus the end-to-end example —
@@ -48,11 +49,10 @@ fault-smoke:
 		-count=1 ./internal/leap/ ./internal/fluid/
 	go run ./examples/leapfail
 
-# One full iteration of each leap benchmark, with their built-in
-# accuracy/identity assertions.
+# One full iteration of the leap benchmark, with its built-in
+# accuracy assertions.
 bench-smoke:
 	go test -run '^$$' -bench BenchmarkLeapFCT -benchtime 1x .
-	go test -run '^$$' -bench BenchmarkLeapComponents -benchtime 1x ./internal/leap/
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md): all
 # six workloads, every metric by name, correctness checked; about two

@@ -16,36 +16,41 @@ import (
 // order; implementations must fill every entry. Group members appear
 // as ordinary entries of flows; allocators apply the group's utility
 // to the members' total rate (see Group).
+//
+// Every allocator can also re-solve a subset of the active flows — a
+// union of connected components of the link-sharing graph — against
+// the full link capacities. The caller guarantees the subset is closed
+// under link sharing: no active flow outside it crosses a link any
+// subset flow crosses. Under that invariant the subset's optimal rates
+// equal its rates in the full allocation, so AllocateSubset must
+// compute exactly what Allocate would have given these flows for these
+// links, while reading and writing only the links the subset crosses.
+// Per-link state on untouched links (the XWI/DGD prices) is preserved,
+// which is what lets the leap engine re-solve one connected component
+// per event while every other component's warm-started state survives.
+// An allocator with no per-link state (WaterFill) implements it as
+// Allocate itself.
 type Allocator interface {
 	Allocate(net *Network, flows []*Flow, rates []float64)
+	AllocateSubset(net *Network, flows []*Flow, rates []float64)
 	// Reset discards internal state (prices); the next Allocate starts
 	// cold, as after a topology change.
 	Reset()
 }
 
-// SubsetAllocator is an Allocator that can re-solve a subset of the
-// active flows — a union of connected components of the link-sharing
-// graph — against the full link capacities. The caller guarantees the
-// subset is closed under link sharing: no active flow outside it
-// crosses a link any subset flow crosses. Under that invariant the
-// subset's optimal rates equal its rates in the full allocation, so
-// AllocateSubset must compute exactly what Allocate would have given
-// these flows for these links, while reading and writing only the
-// links the subset crosses. Per-link state on untouched links (the
-// XWI/DGD prices) is preserved, which is what lets the leap engine
-// re-solve one connected component per event while every other
-// component's warm-started state survives.
-type SubsetAllocator interface {
-	Allocator
-	AllocateSubset(net *Network, flows []*Flow, rates []float64)
-}
+// SubsetAllocator is Allocator under the name the leap engine's
+// contract uses: the subset path used to be an optional extension, and
+// an allocator without one silently switched the engine to a
+// whole-set mode. It is part of Allocator now, so "no subset path" is
+// a compile error.
+type SubsetAllocator = Allocator
 
 // IterCounter is implemented by allocators that count their internal
 // solver iterations — price updates (XWI), gradient steps (DGD),
 // solver iterations (Oracle), water-fill rounds (WaterFill). The
-// counter is shared across Worker views, so it totals a parallel
-// run's allocator work; it accumulates across Reset (which clears
-// prices, not telemetry).
+// counter is shared across Worker views, so an engine solving through
+// one reads the total off the parent; it accumulates across Reset
+// (which clears prices, not telemetry).
 type IterCounter interface {
 	SolveIters() int64
 }
@@ -57,11 +62,10 @@ type IterCounter interface {
 // during progressive filling (slack 0 at the bottleneck); for the
 // price-dynamics allocators (XWI, DGD) it is the same min-slack
 // criterion over their possibly-transient rates. Callers must pass the
-// same link-closed flow set and rates the preceding solve produced,
-// and must not call concurrently with a solve on the same allocator
-// (the leap engine calls it from its serial reduce, after the parallel
-// component solves have completed). out receives one link id per flow,
-// ties broken to the first link on the path; -1 for an empty path.
+// same link-closed flow set and rates the preceding solve produced
+// (the leap engine calls it once a batch's solves are done, on the
+// tracing path only). out receives one link id per flow, ties broken
+// to the first link on the path; -1 for an empty path.
 type BottleneckReporter interface {
 	Bottlenecks(net *Network, flows []*Flow, rates []float64, out []int32)
 }

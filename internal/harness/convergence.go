@@ -136,6 +136,9 @@ type semiDynamicRun struct {
 
 	active []*sdFlow
 	result SemiDynamicResult
+	// solver serves every event's reference solve: cold prices each
+	// time (no InitPrices), so only its buffers carry over.
+	solver oracle.SolveWorkspace
 
 	// Per-event state.
 	eventStart  sim.Time
@@ -214,7 +217,7 @@ func (r *semiDynamicRun) beginEvent() {
 	for _, sf := range r.active {
 		p.AddFlow(sf.links, sf.util)
 	}
-	res := oracle.Solve(p, oracle.SolveOptions{MaxIter: 3000, Tol: 1e-6})
+	res := r.solver.Solve(p, oracle.SolveOptions{MaxIter: 3000, Tol: 1e-6})
 	r.oracleRates = make(map[*netsim.Flow]float64, len(r.active))
 	for i, sf := range r.active {
 		r.oracleRates[sf.flow] = res.Rates[i]

@@ -8,7 +8,7 @@ import (
 	"numfabric/internal/leap"
 	"numfabric/internal/netsim"
 	"numfabric/internal/obs"
-	"numfabric/internal/oracle"
+	"numfabric/internal/refsim"
 	"numfabric/internal/sim"
 	"numfabric/internal/stats"
 	"numfabric/internal/workload"
@@ -181,11 +181,16 @@ func dynamicWorkload(cfg DynamicConfig, topo *Topology) ([]workload.Arrival, []i
 	for i := range spines {
 		spines[i] = rng.Intn(cfg.Topo.Spines)
 	}
-	utilityFor := cfg.UtilityFor
-	if utilityFor == nil {
-		utilityFor = func(int64) core.Utility { return core.NewAlphaFair(cfg.Alpha) }
+	return arrivals, spines, cfg.utilityFor()
+}
+
+// utilityFor returns the per-flow utility mapping: cfg.UtilityFor, or
+// the α-fair default.
+func (cfg DynamicConfig) utilityFor() func(int64) core.Utility {
+	if cfg.UtilityFor != nil {
+		return cfg.UtilityFor
 	}
-	return arrivals, spines, utilityFor
+	return func(int64) core.Utility { return core.NewAlphaFair(cfg.Alpha) }
 }
 
 // dynamicIdeals computes (or, with SkipFluidIdeal, stubs out) the
@@ -249,98 +254,27 @@ func RunDynamic(cfg DynamicConfig) DynamicResult {
 
 // FluidIdealFCTs computes, for each arrival, the FCT it would have if
 // an Oracle "assigns all flows their optimal NUM rates
-// instantaneously" (§6.1): an event-driven fluid simulation that
-// re-solves the NUM problem at every arrival and departure and drains
-// flows at the optimal rates in between.
+// instantaneously" (§6.1): internal/refsim — re-solve the whole NUM
+// problem at every arrival and departure, drain at the optimal rates in
+// between — with the exact Oracle allocator warm-started across
+// events, plus the base RTT, which even the Oracle cannot beat.
 func FluidIdealFCTs(cfg DynamicConfig, topo *Topology, arrivals []workload.Arrival, spines []int) []float64 {
-	caps := topo.Net.Capacities()
-	type fluidFlow struct {
-		idx       int
-		links     []int
-		size      int64
-		remaining float64 // payload bytes left
+	utilityFor := cfg.utilityFor()
+	ref := refsim.New(fluid.NewNetwork(topo.Net.Capacities()), &fluid.Oracle{MaxIter: 1500})
+	flows := make([]*fluid.Flow, len(arrivals))
+	var pathBuf []int // AddFlow copies the path
+	for i, a := range arrivals {
+		fwd, _ := topo.Route(a.Src, a.Dst, spines[i])
+		pathBuf = AppendPathLinkIDs(pathBuf[:0], fwd)
+		flows[i] = ref.AddFlow(pathBuf, utilityFor(a.Size), a.Size, a.At.Seconds())
 	}
-	out := make([]float64, len(arrivals))
-	for i := range out {
-		out[i] = math.NaN()
-	}
-	var active []*fluidFlow
-	var prices []float64
-	now := 0.0
-	next := 0
-
-	utilityFor := cfg.UtilityFor
-	if utilityFor == nil {
-		utilityFor = func(int64) core.Utility { return core.NewAlphaFair(cfg.Alpha) }
-	}
-	// One workspace serves every event's solve; rates and prices alias
-	// it and are consumed before the next solve.
-	var ws oracle.SolveWorkspace
-	solve := func() []float64 {
-		p := core.NewProblem(caps)
-		for _, ff := range active {
-			p.AddFlow(ff.links, utilityFor(ff.size))
-		}
-		res := ws.Solve(p, oracle.SolveOptions{
-			MaxIter: 1500, Tol: 1e-7, InitPrices: prices,
-		})
-		prices = res.Prices
-		return res.Rates
-	}
-
-	for next < len(arrivals) || len(active) > 0 {
-		var rates []float64
-		if len(active) > 0 {
-			rates = solve()
-		}
-		// Earliest departure under current rates.
-		depT, depI := math.Inf(1), -1
-		for i, ff := range active {
-			if rates[i] <= 0 {
-				continue
-			}
-			t := now + ff.remaining*8/rates[i]
-			if t < depT {
-				depT, depI = t, i
-			}
-		}
-		arrT := math.Inf(1)
-		if next < len(arrivals) {
-			arrT = arrivals[next].At.Seconds()
-		}
-		t := math.Min(depT, arrT)
-		// Drain.
-		for i, ff := range active {
-			ff.remaining -= rates[i] / 8 * (t - now)
-			if ff.remaining < 0 {
-				ff.remaining = 0
-			}
-		}
-		now = t
-		if depT <= arrT && depI >= 0 {
-			ff := active[depI]
-			out[ff.idx] = now - arrivals[ff.idx].At.Seconds()
-			active = append(active[:depI], active[depI+1:]...)
-		} else {
-			a := arrivals[next]
-			fwd, _ := topo.Route(a.Src, a.Dst, spines[next])
-			active = append(active, &fluidFlow{
-				idx:       next,
-				links:     PathLinkIDs(fwd),
-				size:      a.Size,
-				remaining: float64(a.Size),
-			})
-			next++
-		}
-	}
-	// Add the base RTT: even the Oracle cannot beat propagation.
+	ref.Run(math.Inf(1))
 	d0 := cfg.Topo.BaseRTT().Seconds()
-	for i := range out {
-		out[i] += d0
-	}
-	// Guard against zero/NaN ideals for downstream division.
-	for i := range out {
-		if math.IsNaN(out[i]) || out[i] <= 0 {
+	out := make([]float64, len(arrivals))
+	for i, f := range flows {
+		// A flow the Oracle never finishes (NaN) or finishes in no time
+		// falls back to the RTT alone, for downstream division.
+		if out[i] = f.FCT() + d0; math.IsNaN(out[i]) || out[i] <= 0 {
 			out[i] = d0
 		}
 	}

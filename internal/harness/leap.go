@@ -22,7 +22,7 @@ import (
 // and the stationary allocators — water-filling for the queue-level
 // schemes, the exact Oracle for RCP* — are already pure functions of
 // the active set.
-func LeapAllocatorFor(c SchemeConfig) fluid.Allocator {
+func LeapAllocatorFor(c SchemeConfig) fluid.SubsetAllocator {
 	switch c.Scheme {
 	case NUMFabric:
 		// Up to 48 iterations per event, with the tolerance early-exit

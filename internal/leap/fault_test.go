@@ -12,22 +12,23 @@ import (
 // runDeadDense plays the dense random schedule with links dead killed —
 // either statically (capacity zero from construction, no fault events)
 // or via FailLink at t=0 with no recovery — and returns the engine,
-// flows, and groups after running to completion.
-func runDeadDense(global bool, seed uint64, dead []int, static bool) (*Engine, []*fluid.Flow, []*fluid.Group) {
+// flows, and groups after running to completion, invariants checked
+// along the way.
+func runDeadDense(seed uint64, dead []int, static bool) (*Engine, []*fluid.Flow, []*fluid.Group) {
 	caps := denseCaps()
 	if static {
 		for _, l := range dead {
 			caps[l] = 0
 		}
 	}
-	e := newEngine(fluid.NewNetwork(caps), Config{}, global)
+	e := NewEngine(fluid.NewNetwork(caps), Config{})
 	if !static {
 		for _, l := range dead {
 			e.FailLink(l, 0)
 		}
 	}
 	fs, gs := buildDenseSchedule(e, seed)
-	e.Run(math.Inf(1))
+	runChecked(e, math.Inf(1))
 	return e, fs, gs
 }
 
@@ -35,29 +36,26 @@ func runDeadDense(global bool, seed uint64, dead []int, static bool) (*Engine, [
 // a failure at t=0 that never recovers must be indistinguishable from
 // having built the topology without the link — every flow and group
 // finishes (or stays stranded) at bitwise-identical times to a fresh
-// run on the statically degraded capacity vector, component-local and
-// Global alike. Any disagreement is a fault-path bug (a missed
-// re-solve, a wrong retirement order, a stranded flow leaking rate),
-// not float noise.
+// run on the statically degraded capacity vector. Any disagreement is
+// a fault-path bug (a missed re-solve, a wrong retirement order, a
+// stranded flow leaking rate), not float noise.
 func TestFaultMatchesStaticDegraded(t *testing.T) {
 	dead := []int{0, 5} // one link in each bank of the dense schedule
 	for seed := uint64(1); seed <= 3; seed++ {
-		se, sf, sg := runDeadDense(false, seed, dead, true)
-		for _, global := range []bool{false, true} {
-			fe, ff, fg := runDeadDense(global, seed, dead, false)
-			assertSameCompletions(t, "fault-vs-static", seed, sf, sg, ff, fg)
-			ss, fs := se.Stats(), fe.Stats()
-			if fs.Stranded != ss.Stranded || fs.Resumed != 0 {
-				t.Errorf("seed %d global %v: stranded %d/%d resumed %d, want static %d/0",
-					seed, global, fs.Stranded, ss.Stranded, fs.Resumed, ss.Stranded)
-			}
-			if fs.Faults != len(dead) || fs.LinksDown != len(dead) {
-				t.Errorf("seed %d global %v: faults %d linksDown %d, want %d/%d",
-					seed, global, fs.Faults, fs.LinksDown, len(dead), len(dead))
-			}
-			if ss.Faults != 0 || ss.LinksDown != 0 {
-				t.Errorf("seed %d: static run recorded faults: %+v", seed, ss)
-			}
+		se, sf, sg := runDeadDense(seed, dead, true)
+		fe, ff, fg := runDeadDense(seed, dead, false)
+		assertSameCompletions(t, "fault-vs-static", seed, sf, sg, ff, fg)
+		ss, fs := se.Stats(), fe.Stats()
+		if fs.Stranded != ss.Stranded || fs.Resumed != 0 {
+			t.Errorf("seed %d: stranded %d/%d resumed %d, want static %d/0",
+				seed, fs.Stranded, ss.Stranded, fs.Resumed, ss.Stranded)
+		}
+		if fs.Faults != len(dead) || fs.LinksDown != len(dead) {
+			t.Errorf("seed %d: faults %d linksDown %d, want %d/%d",
+				seed, fs.Faults, fs.LinksDown, len(dead), len(dead))
+		}
+		if ss.Faults != 0 || ss.LinksDown != 0 {
+			t.Errorf("seed %d: static run recorded faults: %+v", seed, ss)
 		}
 	}
 }
@@ -213,7 +211,7 @@ func TestFaultLostServiceIdentity(t *testing.T) {
 // shape — a permanent failure, a fail+recover pair, a same-instant
 // fail+recover (which must cancel), a bare recovery (spurious or
 // unwinding an earlier nest), or nothing. Every byte stream is valid.
-func buildFuzzFaults(e *Engine, data []byte) {
+func buildFuzzFaults(e scheduler, data []byte) {
 	const links = 6
 	at := 0.0
 	for i := 0; i+2 < len(data); i += 3 {
@@ -233,55 +231,4 @@ func buildFuzzFaults(e *Engine, data []byte) {
 			e.RecoverLink(l, at)
 		}
 	}
-}
-
-// FuzzFaultSchedule is the fault-injection correctness fuzzer: any
-// decoded flow/group schedule interleaved with any decoded fault
-// schedule — nested failures, same-instant fail+recover pairs,
-// recoveries past a mid-run deadline cut — must finish every flow and
-// group at times bitwise equal component-local and Global (WaterFill
-// is separable across components, dead links included), with the same
-// degradation accounting.
-func FuzzFaultSchedule(f *testing.F) {
-	// Structured seeds: colliding arrivals with a permanent failure, a
-	// fail+recover pair over shared links, same-instant pairs, and
-	// nested failures over groups and unbounded flows.
-	f.Add([]byte{0, 1, 8, 0x85, 0, 1, 8, 0x88, 2, 0x41, 16, 0xc1, 1, 2, 255, 0x20})
-	f.Add([]byte{0, 0, 0xc0, 0, 1, 0xc5, 0, 2, 0xff, 1, 3, 0x81, 2, 4, 100, 0x60})
-	f.Add([]byte{0, 0, 1, 0x80, 0, 0, 1, 0x80, 0, 0, 1, 0x42, 0, 0, 1, 0})
-	f.Add([]byte{3, 0x7f, 200, 0xff, 2, 5, 100, 0x83, 1, 0x48, 50, 0xc5})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 512 {
-			data = data[:512]
-		}
-		cut := fuzzCut(data)
-		run := func(global bool) (*Engine, []*fluid.Flow, []*fluid.Group) {
-			e := newEngine(fluid.NewNetwork(fuzzCaps()), Config{}, global)
-			buildFuzzFaults(e, data)
-			fs, gs := buildFuzzSchedule(e, data)
-			e.Run(cut)
-			e.Run(math.Inf(1))
-			return e, fs, gs
-		}
-		le, lf, lg := run(false)
-		ge, gf, gg := run(true)
-		assertSameCompletions(t, "fuzz-faults local-vs-global", 0, lf, lg, gf, gg)
-		ls, gs := le.Stats(), ge.Stats()
-		if gs.Faults != ls.Faults || gs.Stranded != ls.Stranded ||
-			gs.Resumed != ls.Resumed || gs.LinksDown != ls.LinksDown {
-			t.Fatalf("fault stats diverge (global/local): faults %d/%d stranded %d/%d resumed %d/%d down %d/%d",
-				gs.Faults, ls.Faults, gs.Stranded, ls.Stranded,
-				gs.Resumed, ls.Resumed, gs.LinksDown, ls.LinksDown)
-		}
-		// Capacity lost accrues per fault event, in the one retirement
-		// order: bitwise. Stranded time is summed per solve and then
-		// into the total, and a global solve groups the same terms
-		// differently from the per-component ones, so it may differ in
-		// the last bits (testdata 5e549717f8a5a1e0 is such an input).
-		if math.Float64bits(gs.CapacityLostBitSec) != math.Float64bits(ls.CapacityLostBitSec) ||
-			!almostEq(gs.StrandedSec, ls.StrandedSec, 1e-12) {
-			t.Fatalf("degradation integrals diverge (global/local): stranded %v/%v lost %v/%v",
-				gs.StrandedSec, ls.StrandedSec, gs.CapacityLostBitSec, ls.CapacityLostBitSec)
-		}
-	})
 }

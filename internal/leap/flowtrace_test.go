@@ -14,27 +14,19 @@ func traceEverything() *obs.FlowTracer {
 	return obs.NewFlowTracer(obs.FlowTraceConfig{SampleRate: 1})
 }
 
-// flowTraceModes are the engine modes the tracing properties must
-// hold across: component-local and the global solve path.
-var flowTraceModes = map[string]bool{"local": false, "global": true}
-
 // TestFlowTraceDoesNotChangeResults: attaching the flow tracer must
-// leave completions byte-identical to a detached run in every engine
-// mode — the tracer only reads engine state.
+// leave completions byte-identical to a detached run — the tracer only
+// reads engine state.
 func TestFlowTraceDoesNotChangeResults(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
-		_, bf, bg := runDense(Config{}, false, seed)
-		for name, global := range flowTraceModes {
-			cfg := Config{Obs: obs.Hooks{FlowTrace: traceEverything()}}
-			_, tf, tg := runDense(cfg, global, seed)
-			assertSameCompletions(t, "flowtrace-"+name, seed, bf, bg, tf, tg)
-		}
+		_, bf, bg := runDense(Config{}, seed)
+		_, tf, tg := runDense(Config{Obs: obs.Hooks{FlowTrace: traceEverything()}}, seed)
+		assertSameCompletions(t, "flowtrace", seed, bf, bg, tf, tg)
 	}
 }
 
 // TestFlowTraceAttributionIdentity pins the tracing subsystem's two
-// exactness invariants for every traced flow, across every engine
-// mode:
+// exactness invariants for every traced flow:
 //
 //  1. Tiling: the rate segments cover [Arrive, Finish] exactly — the
 //     first segment starts at the arrival, boundaries strictly
@@ -46,96 +38,94 @@ func TestFlowTraceDoesNotChangeResults(t *testing.T) {
 // modulo float accumulation (1e-6 relative).
 func TestFlowTraceAttributionIdentity(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
-		for name, global := range flowTraceModes {
-			ft := traceEverything()
-			_, fs, _ := runDense(Config{Obs: obs.Hooks{FlowTrace: ft}}, global, seed)
+		ft := traceEverything()
+		_, fs, _ := runDense(Config{Obs: obs.Hooks{FlowTrace: ft}}, seed)
 
-			plain := 0
-			for _, f := range fs {
-				if f.Group == nil && f.SizeBytes > 0 {
-					plain++
+		plain := 0
+		for _, f := range fs {
+			if f.Group == nil && f.SizeBytes > 0 {
+				plain++
+			}
+		}
+		s := ft.Summary()
+		if s.Tracked != uint64(plain) || s.Completed != uint64(plain) || s.Active != 0 {
+			t.Fatalf("seed %d: summary %+v, want %d plain flows tracked and done",
+				seed, s, plain)
+		}
+
+		recs := map[int]*obs.FlowRecord{}
+		for _, r := range ft.Records() {
+			recs[r.ID] = r
+		}
+		for _, f := range fs {
+			if f.Group != nil {
+				if recs[f.ID] != nil {
+					t.Fatalf("seed %d: group member %d traced", seed, f.ID)
+				}
+				continue
+			}
+			r := recs[f.ID]
+			if r == nil {
+				t.Fatalf("seed %d: flow %d has no record", seed, f.ID)
+			}
+			if !r.Finished || r.Finish != f.Finish || r.Arrive != f.Arrive {
+				t.Fatalf("seed %d flow %d: record times (%v, %v) != engine (%v, %v)",
+					seed, f.ID, r.Arrive, r.Finish, f.Arrive, f.Finish)
+			}
+
+			// Tiling: first segment at the arrival, strictly
+			// increasing boundaries, all inside [Arrive, Finish].
+			if len(r.Segs) == 0 || r.Segs[0].T != r.Arrive {
+				t.Fatalf("seed %d flow %d: segments do not start at arrival: %+v",
+					seed, f.ID, r.Segs)
+			}
+			for i := 1; i < len(r.Segs); i++ {
+				if r.Segs[i].T <= r.Segs[i-1].T {
+					t.Fatalf("seed %d flow %d: segment boundaries not increasing at %d: %+v",
+						seed, f.ID, i, r.Segs)
 				}
 			}
-			s := ft.Summary()
-			if s.Tracked != uint64(plain) || s.Completed != uint64(plain) || s.Active != 0 {
-				t.Fatalf("%s seed %d: summary %+v, want %d plain flows tracked and done",
-					name, seed, s, plain)
+			if last := r.Segs[len(r.Segs)-1].T; last > r.Finish {
+				t.Fatalf("seed %d flow %d: segment starts after finish (%v > %v)",
+					seed, f.ID, last, r.Finish)
 			}
-
-			recs := map[int]*obs.FlowRecord{}
-			for _, r := range ft.Records() {
-				recs[r.ID] = r
-			}
-			for _, f := range fs {
-				if f.Group != nil {
-					if recs[f.ID] != nil {
-						t.Fatalf("%s seed %d: group member %d traced", name, seed, f.ID)
+			// Every bottleneck lies on the flow's path (or is the
+			// -1 "unattributed" sentinel, which the engine only
+			// uses without a BottleneckReporter).
+			for i, seg := range r.Segs {
+				onPath := seg.Bneck == -1
+				for _, l := range f.Links {
+					if int32(l) == seg.Bneck {
+						onPath = true
 					}
-					continue
 				}
-				r := recs[f.ID]
-				if r == nil {
-					t.Fatalf("%s seed %d: flow %d has no record", name, seed, f.ID)
+				if !onPath {
+					t.Fatalf("seed %d flow %d seg %d: bottleneck %d not on path %v",
+						seed, f.ID, i, seg.Bneck, f.Links)
 				}
-				if !r.Finished || r.Finish != f.Finish || r.Arrive != f.Arrive {
-					t.Fatalf("%s seed %d flow %d: record times (%v, %v) != engine (%v, %v)",
-						name, seed, f.ID, r.Arrive, r.Finish, f.Arrive, f.Finish)
-				}
-
-				// Tiling: first segment at the arrival, strictly
-				// increasing boundaries, all inside [Arrive, Finish].
-				if len(r.Segs) == 0 || r.Segs[0].T != r.Arrive {
-					t.Fatalf("%s seed %d flow %d: segments do not start at arrival: %+v",
-						name, seed, f.ID, r.Segs)
-				}
-				for i := 1; i < len(r.Segs); i++ {
-					if r.Segs[i].T <= r.Segs[i-1].T {
-						t.Fatalf("%s seed %d flow %d: segment boundaries not increasing at %d: %+v",
-							name, seed, f.ID, i, r.Segs)
-					}
-				}
-				if last := r.Segs[len(r.Segs)-1].T; last > r.Finish {
-					t.Fatalf("%s seed %d flow %d: segment starts after finish (%v > %v)",
-						name, seed, f.ID, last, r.Finish)
-				}
-				// Every bottleneck lies on the flow's path (or is the
-				// -1 "unattributed" sentinel, which the engine only
-				// uses without a BottleneckReporter).
+			}
+			// The segments integrate to the flow's service: with no
+			// truncation, ∫rate·dt over the tiling equals size·8.
+			if r.Truncated == 0 {
+				var bits float64
 				for i, seg := range r.Segs {
-					onPath := seg.Bneck == -1
-					for _, l := range f.Links {
-						if int32(l) == seg.Bneck {
-							onPath = true
-						}
+					end := r.Finish
+					if i+1 < len(r.Segs) {
+						end = r.Segs[i+1].T
 					}
-					if !onPath {
-						t.Fatalf("%s seed %d flow %d seg %d: bottleneck %d not on path %v",
-							name, seed, f.ID, i, seg.Bneck, f.Links)
-					}
+					bits += seg.Rate * (end - seg.T)
 				}
-				// The segments integrate to the flow's service: with no
-				// truncation, ∫rate·dt over the tiling equals size·8.
-				if r.Truncated == 0 {
-					var bits float64
-					for i, seg := range r.Segs {
-						end := r.Finish
-						if i+1 < len(r.Segs) {
-							end = r.Segs[i+1].T
-						}
-						bits += seg.Rate * (end - seg.T)
-					}
-					want := float64(r.SizeBytes) * 8
-					if math.Abs(bits-want) > 1e-6*want {
-						t.Fatalf("%s seed %d flow %d: segments integrate to %g bits, size is %g",
-							name, seed, f.ID, bits, want)
-					}
+				want := float64(r.SizeBytes) * 8
+				if math.Abs(bits-want) > 1e-6*want {
+					t.Fatalf("seed %d flow %d: segments integrate to %g bits, size is %g",
+						seed, f.ID, bits, want)
 				}
-				// The attribution identity.
-				want := r.FCT() - r.IdealFCT()
-				if got := r.TotalLost(); math.Abs(got-want) > 1e-6*r.FCT() {
-					t.Fatalf("%s seed %d flow %d: lost %g != FCT-ideal %g",
-						name, seed, f.ID, got, want)
-				}
+			}
+			// The attribution identity.
+			want := r.FCT() - r.IdealFCT()
+			if got := r.TotalLost(); math.Abs(got-want) > 1e-6*r.FCT() {
+				t.Fatalf("seed %d flow %d: lost %g != FCT-ideal %g",
+					seed, f.ID, got, want)
 			}
 		}
 	}
@@ -145,7 +135,7 @@ func TestFlowTraceAttributionIdentity(t *testing.T) {
 // reallocation batch that set their rate.
 func TestFlowTraceBatchOrdinals(t *testing.T) {
 	ft := traceEverything()
-	runDense(Config{Obs: obs.Hooks{FlowTrace: ft}}, false, 1)
+	runDense(Config{Obs: obs.Hooks{FlowTrace: ft}}, 1)
 	for _, r := range ft.Records() {
 		for _, seg := range r.Segs {
 			if seg.Batch > 0 {
@@ -163,7 +153,7 @@ func TestFlowTraceBatchOrdinals(t *testing.T) {
 func TestFlowTraceLinkLoadStaysFeasible(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		ft := traceEverything()
-		runDense(Config{Obs: obs.Hooks{FlowTrace: ft}}, false, seed)
+		runDense(Config{Obs: obs.Hooks{FlowTrace: ft}}, seed)
 		for _, ls := range ft.LinksSnapshot() {
 			if ls.PeakUtil > 1+1e-9 {
 				t.Errorf("seed %d link %d: settled peak utilization %g > 1",

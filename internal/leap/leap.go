@@ -10,10 +10,10 @@
 // changes, completion times are exact (no epoch quantization of
 // arrivals or departures), and fully idle or fully steady stretches
 // cost nothing regardless of their simulated length. This is the
-// standard flow-level event-driven construction — the same one
-// harness.FluidIdealFCTs uses for the paper's instantaneous Oracle —
-// generalized to pluggable allocators, finite multipath groups, and
-// million-flow workloads.
+// standard flow-level event-driven construction — internal/refsim is
+// its naive form, the referee this package's tests and fuzz target
+// hold the engine to — made incremental for pluggable allocators,
+// finite multipath groups, and million-flow workloads.
 //
 // The engine reuses the fluid package wholesale: fluid.Network link
 // capacities, fluid.Flow/fluid.Group state, and every fluid.Allocator
@@ -87,10 +87,10 @@ import (
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Allocator computes rates at each active-set change (default
-	// fluid.NewWaterFill() — stationary, so event-driven advancement
-	// is exact).
-	Allocator fluid.Allocator
+	// Allocator computes rates at each active-set change, through its
+	// link-closed subset path (default fluid.NewWaterFill() —
+	// stationary, so event-driven advancement is exact).
+	Allocator fluid.SubsetAllocator
 	// Obs attaches optional observability hooks: a phase profiler for
 	// the event loop, a tracer recording batch and solve spans, a live
 	// progress snapshot, registry metrics, a flow-lifecycle tracer.
@@ -130,15 +130,14 @@ type Stats struct {
 	// left nothing behind to re-solve.
 	Elided int
 	// FullSolveFlows is the counterfactual SolvedFlows of the
-	// pre-component engine (global re-solves with the isolated-arrival
+	// pre-component engine (whole-set re-solves with the isolated-arrival
 	// elision it already had): the full active-set size, summed over
 	// every event that reaches reallocation — size-one components
 	// included, since only component tracking can elide those — while
 	// isolated arrivals stay free on both sides of the comparison.
 	// SolvedFlows / FullSolveFlows is therefore a conservative
-	// component-local win; a fully global engine with no elision at
-	// all pays far more still (the global reference mode, measured by
-	// BenchmarkLeapComponents).
+	// component-local win; re-solving everything at every event with
+	// no elision at all (internal/refsim) pays far more still.
 	FullSolveFlows int
 	// Batches is how many reallocation batches ran — one per event
 	// instant whose seeds (same-timestamp arrivals plus completions
@@ -191,8 +190,8 @@ type Stats struct {
 // the payload as of refT and is materialized via
 // Remaining -= (now − refT) × rate / 8 only when the rate actually
 // changes, so an event costs its component, not a sweep over every
-// active flow (and a same-instant rate change drains exactly zero,
-// keeping component-local runs bitwise equal to global ones); seq is
+// active flow (and a same-instant rate change drains exactly zero);
+// seq is
 // the admission sequence number components are sorted by; and bits
 // holds the reallocation epoch (heap events carry the epoch they were
 // pushed under; a mismatch marks them stale) plus the flag bits below.
@@ -277,15 +276,7 @@ type compResult struct {
 // form; nothing is simulated in between.
 type Engine struct {
 	net   *fluid.Network
-	alloc fluid.Allocator
-	// global disables component-local reallocation and the independence
-	// elision: every coupled arrival and every departure re-solves the
-	// full active set. It is the reference the tests and fuzzers hold
-	// the component machinery to (completions must come out
-	// byte-identical under stationary allocators) and
-	// BenchmarkLeapComponents measures it against. NewEngine sets it
-	// exactly when the allocator is no fluid.SubsetAllocator.
-	global bool
+	alloc fluid.SubsetAllocator
 	// tbl/gtbl are the engine's pooled flow and group storage:
 	// slab-stable pointers, dense recycled ids, arena-backed paths.
 	// Every id the engine keys its state by — heap events, evOps,
@@ -295,7 +286,7 @@ type Engine struct {
 	// sub is the subset solver every component solve goes through: the
 	// allocator's one Worker view after a single Prime when it
 	// implements fluid.ParallelSubsetAllocator (all built-in allocators
-	// do), the allocator itself otherwise; nil in global mode.
+	// do), the allocator itself otherwise.
 	sub fluid.SubsetAllocator
 	// sweep is the stale-event count that triggers a bulk heap sweep
 	// (defaultSweep; tests set it directly).
@@ -306,12 +297,11 @@ type Engine struct {
 	next     int
 	unsorted bool
 
-	// active holds the admitted flows in admission order. In component
-	// mode completed flows are compacted out lazily — only once they
-	// reach half the slice — so a completion batch costs its own size,
-	// not a sweep of every active flow; nDone counts the stale entries
-	// (liveActive() is the true active count). Global mode compacts
-	// eagerly, since every re-solve hands e.active to the allocator.
+	// active holds the admitted flows in admission order. Completed
+	// flows are compacted out lazily — only once they reach half the
+	// slice — so a completion batch costs its own size, not a sweep of
+	// every active flow; nDone counts the stale entries (liveActive()
+	// is the true active count).
 	active         []*fluid.Flow
 	nDone          int
 	activeGroups   []*fluid.Group
@@ -319,23 +309,19 @@ type Engine struct {
 	finished       []*fluid.Flow
 	finishedGroups []*fluid.Group
 
-	rates []float64
 	// heap holds every scheduled event — completions and faults. stale
 	// counts its events invalidated by a reallocation but not yet
 	// discarded; when they outnumber the live ones the heap is swept in
 	// one pass.
 	heap  eventHeap
 	stale int
-	// changed is the global mode's full-re-solve latch.
-	changed bool
 
 	// linkFlows[l] lists the active flows crossing link l — by dense
 	// id, four bytes per entry — maintained exactly: arrivals append,
 	// departures swap-remove. It is the link-sharing index — the
 	// isolation fast-path check is a length test and the component
 	// flood traverses it as the adjacency (resolving ids through the
-	// flow table only for flows not yet collected). Global mode keeps
-	// no index (every change re-solves everything).
+	// flow table only for flows not yet collected).
 	linkFlows [][]int32
 	// linkMark stamps the links a flood visited with the flood's
 	// round, so marks never need clearing.
@@ -358,11 +344,10 @@ type Engine struct {
 	// flood fills comps with disjoint ranges over comp/compG, each
 	// component solves into its ratesArena range and records its
 	// outcome in its compRes slot (slots keep their op buffers warm
-	// across batches). globalOps is the global mode's one-shot outcome.
+	// across batches).
 	comps      []compRange
 	compRes    []compResult
 	ratesArena []float64
-	globalOps  compResult
 
 	// Fault-injection state, lazily allocated by the first
 	// FailLink/RecoverLink call so fault-free runs keep their
@@ -395,39 +380,29 @@ type Engine struct {
 	bneck []int32
 }
 
-// NewEngine returns an event-driven engine over net: component-local
-// for a fluid.SubsetAllocator (every built-in allocator), re-solving
-// the full active set at every change for any other.
-func NewEngine(net *fluid.Network, cfg Config) *Engine { return newEngine(net, cfg, false) }
-
-// newEngine is NewEngine with the global reference mode forced on
-// (see Engine.global) — test plumbing, like Engine.sweep.
-func newEngine(net *fluid.Network, cfg Config, global bool) *Engine {
+// NewEngine returns an event-driven engine over net.
+func NewEngine(net *fluid.Network, cfg Config) *Engine {
 	if cfg.Allocator == nil {
 		cfg.Allocator = fluid.NewWaterFill()
 	}
-	sub, ok := cfg.Allocator.(fluid.SubsetAllocator)
 	e := &Engine{
 		net:        net,
 		alloc:      cfg.Allocator,
+		sub:        cfg.Allocator,
 		tbl:        fluid.NewFlowTable(),
 		gtbl:       fluid.NewGroupTable(),
-		global:     global || !ok,
 		sweep:      defaultSweep,
 		batchCause: obs.CauseSolve,
 		hooks:      cfg.Obs,
+		linkFlows:  make([][]int32, net.Links()),
+		linkMark:   make([]int, net.Links()),
 	}
-	if !e.global {
-		e.linkFlows = make([][]int32, net.Links())
-		e.linkMark = make([]int, net.Links())
-		e.sub = sub
-		if ps, isPar := cfg.Allocator.(fluid.ParallelSubsetAllocator); isPar {
-			// Prime once, then solve through one Worker view: warm state
-			// is initialized up front instead of lazily inside the first
-			// solve, which is the path every committed fingerprint took.
-			ps.Prime(net)
-			e.sub = ps.Worker()
-		}
+	if ps, isPar := cfg.Allocator.(fluid.ParallelSubsetAllocator); isPar {
+		// Prime once, then solve through one Worker view: warm state
+		// is initialized up front instead of lazily inside the first
+		// solve, which is the path every committed fingerprint took.
+		ps.Prime(net)
+		e.sub = ps.Worker()
 	}
 	e.hooks.Tracer.EnsureTracks(2)
 	e.hooks.Tracer.SetTrackName(0, "engine")
@@ -579,7 +554,7 @@ func (e *Engine) addFlow(links []int, u core.Utility, sizeBytes int64, at float6
 	// have stale completion events sitting in the heap, and the bump
 	// keeps them stale against the new tenant.
 	st := &e.fs[id]
-	*st = flowState{bits: (st.bits + epInc) & epMask}
+	*st = flowState{bits: e.bumpEpoch(st.bits, int32(id), evkFlow) & epMask}
 	if n := len(e.pending); n > 0 && at < e.pending[n-1].Arrive {
 		e.unsorted = true
 	}
@@ -608,7 +583,7 @@ func (e *Engine) AddGroup(paths [][]int, u core.Utility, sizeBytes int64, at flo
 	}
 	// As in AddFlow: keep a recycled id's epoch moving forward.
 	gst := &e.gs[id]
-	*gst = groupState{bits: (gst.bits + epInc) & epMask}
+	*gst = groupState{bits: e.bumpEpoch(gst.bits, int32(id), evkGroup) & epMask}
 	for _, links := range paths {
 		g.AddMember(e.addFlow(links, u, 0, at))
 	}
@@ -630,10 +605,10 @@ func (e *Engine) AddGroup(paths [][]int, u core.Utility, sizeBytes int64, at flo
 //
 // Fault events ride the same heap as completions and retire in a
 // canonical order (completions first at a shared instant, then
-// failures, then recoveries, then by link id), so under a stationary
-// allocator a fault run finishes byte-identically component-local and
-// Global. A link id outside the network or a NaN or infinite at
-// panics naming the argument.
+// failures, then recoveries, then by link id), which internal/refsim
+// shares, so a fault run is held to the same referee as a fault-free
+// one. A link id outside the network or a NaN or infinite at panics
+// naming the argument.
 func (e *Engine) FailLink(link int, at float64) { e.scheduleFault("FailLink", link, at, evkFail) }
 
 // RecoverLink schedules link to recover at time at (at ≤ Now applies
@@ -696,10 +671,6 @@ func (e *Engine) applyFault(link int, fail bool, t float64) {
 		e.stats.LinksDown--
 		e.batchCause = obs.CauseRecover
 	}
-	if e.global {
-		e.changed = true
-		return
-	}
 	for _, id := range e.linkFlows[link] {
 		e.seed(e.tbl.ByID(int(id)))
 	}
@@ -709,8 +680,7 @@ func (e *Engine) applyFault(link int, fail bool, t float64) {
 // set. A single-path flow whose links carry no other active flow takes
 // the independence fast path — rate set to its path's minimum capacity
 // and one completion event pushed, no allocation; everything else
-// seeds the next component re-solve (or, in global mode, latches the
-// full one).
+// seeds the next component re-solve.
 func (e *Engine) admitDue() {
 	if e.unsorted {
 		rest := e.pending[e.next:]
@@ -722,12 +692,9 @@ func (e *Engine) admitDue() {
 		f := e.pending[n]
 		e.fs[f.ID].seq = e.nadmit
 		e.nadmit++
-		iso := false
-		if !e.global {
-			iso = f.Group == nil && e.isolated(f)
-			for _, l := range f.Links {
-				e.linkFlows[l] = append(e.linkFlows[l], int32(f.ID))
-			}
+		iso := f.Group == nil && e.isolated(f)
+		for _, l := range f.Links {
+			e.linkFlows[l] = append(e.linkFlows[l], int32(f.ID))
 		}
 		e.active = append(e.active, f)
 		if g := f.Group; g != nil {
@@ -738,12 +705,9 @@ func (e *Engine) admitDue() {
 			}
 		}
 		e.hooks.FlowTrace.Admit(f.ID, f.SizeBytes, f.Arrive, f.Links)
-		switch {
-		case iso:
+		if iso {
 			e.admitIsolated(f)
-		case e.global:
-			e.changed = true
-		default:
+		} else {
 			e.seed(f)
 		}
 		n++
@@ -939,21 +903,36 @@ func (e *Engine) collectComponents() []compRange {
 	return e.comps
 }
 
-// invalidateFlow bumps f's epoch, marking any heap event it has stale.
-func (e *Engine) invalidateFlow(f *fluid.Flow) {
-	s := &e.fs[f.ID]
-	if s.bits&evBit != 0 {
+// bumpEpoch returns a slot's state bits with the epoch advanced and
+// evBit cleared, which marks any heap event the slot has stale.
+func (e *Engine) bumpEpoch(bits uint32, id int32, kind uint8) uint32 {
+	if bits&evBit != 0 {
 		e.stale++
 	}
-	s.bits = (s.bits + epInc) &^ evBit
+	bits = (bits + epInc) &^ evBit
+	if bits&epMask == 0 {
+		e.sweepWrapped(id, kind)
+	}
+	return bits
+}
+
+// sweepWrapped runs when a slot's 28-bit epoch wraps: a stale event the
+// slot pushed a whole cycle ago — still in the heap because stale
+// events never passed the sweep threshold — would match a reused epoch
+// value and revalidate, so every stale event and every event of this
+// slot is swept out first.
+func (e *Engine) sweepWrapped(id int32, kind uint8) {
+	e.heap.compact(func(ev event) bool { return (ev.kind != kind || ev.id != id) && e.valid(ev) })
+	e.stale = 0
+}
+
+// invalidateFlow bumps f's epoch, marking any heap event it has stale.
+func (e *Engine) invalidateFlow(f *fluid.Flow) {
+	e.fs[f.ID].bits = e.bumpEpoch(e.fs[f.ID].bits, int32(f.ID), evkFlow)
 }
 
 func (e *Engine) invalidateGroup(g *fluid.Group) {
-	s := &e.gs[g.ID]
-	if s.bits&evBit != 0 {
-		e.stale++
-	}
-	s.bits = (s.bits + epInc) &^ evBit
+	e.gs[g.ID].bits = e.bumpEpoch(e.gs[g.ID].bits, int32(g.ID), evkGroup)
 }
 
 // pushFlowEvent schedules f's completion from the current instant,
@@ -1195,11 +1174,19 @@ func (e *Engine) reallocate() {
 	for ci := 0; ci < nc; ci++ {
 		r := &e.compRes[ci]
 		if r.solved > 0 {
-			e.countSolve(r.solved)
+			e.stats.Allocs++
+			e.stats.SolvedFlows += r.solved
+			e.stats.MaxComponent = max(e.stats.MaxComponent, r.solved)
+			e.hooks.Metrics.Solve(r.solved)
 		} else {
 			e.stats.Elided++
 		}
-		e.accumulateStrands(r)
+		if r.stranded != 0 || r.resumed != 0 {
+			e.stats.Stranded += r.stranded
+			e.stats.Resumed += r.resumed
+			e.stats.StrandedSec += r.strandedSec
+			e.hooks.Metrics.Strand(r.stranded, r.resumed)
+		}
 		if e.hooks.FlowTrace != nil {
 			e.traceComponent(ci)
 		}
@@ -1214,27 +1201,6 @@ func (e *Engine) reallocate() {
 	e.maybeCompact()
 	e.hooks.Profiler.Lap(obs.PhaseResplice)
 	e.hooks.Tracer.Span(0, "batch", batchStart, int64(nc))
-}
-
-// countSolve folds one allocator solve over n flows into the counters
-// and metrics.
-func (e *Engine) countSolve(n int) {
-	e.stats.Allocs++
-	e.stats.SolvedFlows += n
-	e.stats.MaxComponent = max(e.stats.MaxComponent, n)
-	e.hooks.Metrics.Solve(n)
-}
-
-// accumulateStrands folds one solve's stranding transitions into the
-// engine counters and metrics.
-func (e *Engine) accumulateStrands(r *compResult) {
-	if r.stranded == 0 && r.resumed == 0 {
-		return
-	}
-	e.stats.Stranded += r.stranded
-	e.stats.Resumed += r.resumed
-	e.stats.StrandedSec += r.strandedSec
-	e.hooks.Metrics.Strand(r.stranded, r.resumed)
 }
 
 // traceComponent reports one component's solved rates to the flow
@@ -1276,37 +1242,6 @@ func (e *Engine) bottlenecks(flows []*fluid.Flow, rates []float64) []int32 {
 		}
 	}
 	return bn
-}
-
-// allocateGlobal re-solves the full active set (global mode).
-func (e *Engine) allocateGlobal() {
-	n := len(e.active)
-	if cap(e.rates) < n {
-		e.rates = make([]float64, 2*n)
-	}
-	rates := e.rates[:n]
-	e.alloc.Allocate(e.net, e.active, rates)
-	e.countSolve(n)
-	e.stats.FullSolveFlows += n
-	e.globalOps = compResult{ops: e.globalOps.ops[:0]}
-	e.preApply(e.active, e.activeGroups, rates, &e.globalOps)
-	for _, op := range e.globalOps.ops {
-		e.applyOp(op)
-	}
-	e.accumulateStrands(&e.globalOps)
-	if e.hooks.FlowTrace != nil {
-		// Global mode has no batch counter; the allocation ordinal
-		// stands in. The full active set is trivially link-closed, so
-		// bottleneck loads are exact (group members included in load,
-		// filtered from tracing by the tracer).
-		bn := e.bottlenecks(e.active, rates)
-		for i, f := range e.active {
-			e.hooks.FlowTrace.Rate(f.ID, e.now, rates[i], int(bn[i]), e.batchCause, n, uint64(e.stats.Allocs))
-		}
-	}
-	e.changed = false
-	e.maybeCompact()
-	e.hooks.Profiler.Lap(obs.PhaseSolve)
 }
 
 // materialize realizes every active finite payload's lazy drain at
@@ -1363,20 +1298,14 @@ func (e *Engine) complete(t float64) {
 	if !done {
 		return
 	}
-	// Compact the done entries out of the active slices: eagerly in
-	// global mode (every re-solve hands e.active to the allocator),
-	// lazily — amortized O(1) per completion — in component mode,
-	// where nothing reads the slice between compactions.
-	if e.global || 2*e.nDone >= len(e.active) {
+	// Compact the done entries out of the active slices lazily —
+	// amortized O(1) per completion; nothing reads the slices between
+	// compactions.
+	if 2*e.nDone >= len(e.active) {
 		e.compactActive()
 	}
-	if e.global || 2*e.nDoneG >= len(e.activeGroups) {
+	if 2*e.nDoneG >= len(e.activeGroups) {
 		e.compactActiveGroups()
-	}
-	// A drained-empty network has no stale rates to fix; un-latch
-	// changed so the next isolated arrival keeps the fast path.
-	if e.liveActive() == 0 {
-		e.changed = false
 	}
 }
 
@@ -1396,10 +1325,7 @@ func (e *Engine) retireEvent(ev event) {
 		e.finished = append(grow(e.finished), f)
 		e.nDone++
 		e.hooks.FlowTrace.Complete(f.ID, ev.t)
-		switch {
-		case e.global:
-			e.changed = true
-		case !e.unlink(f):
+		if !e.unlink(f) {
 			e.stats.Elided++
 		}
 		return
@@ -1416,17 +1342,14 @@ func (e *Engine) retireEvent(ev event) {
 		m.Finish = g.Finish
 		e.finished = append(grow(e.finished), m)
 		e.nDone++
-		if !e.global && e.unlink(m) {
+		if e.unlink(m) {
 			coupled = true
 		}
 	}
 	e.finishedGroups = append(e.finishedGroups, g)
 	e.nDoneG++
 	e.gs[g.ID].bits &^= activeBit
-	switch {
-	case e.global:
-		e.changed = true
-	case !coupled:
+	if !coupled {
 		e.stats.Elided++
 	}
 }
@@ -1473,7 +1396,7 @@ func (e *Engine) compactActiveGroups() {
 }
 
 // Step advances to the next event: admit due arrivals, reallocate the
-// touched component(s) if the active set changed, and jump time to the
+// touched component(s) if anything was seeded, and jump time to the
 // earlier of the next arrival and the earliest completion. It reports
 // whether any further event can occur; false means the simulation has
 // reached a state that will never change again (no pending arrivals
@@ -1482,13 +1405,9 @@ func (e *Engine) compactActiveGroups() {
 func (e *Engine) Step() bool { return e.step(math.Inf(1)) }
 
 // settle re-solves whatever the last admissions, completions and
-// faults left seeded (or, in global mode, latched).
+// faults left seeded.
 func (e *Engine) settle() {
-	if e.global {
-		if e.changed && len(e.active) > 0 {
-			e.allocateGlobal()
-		}
-	} else if len(e.touched) > 0 {
+	if len(e.touched) > 0 {
 		e.reallocate()
 	}
 	e.batchCause = obs.CauseSolve

@@ -7,6 +7,7 @@ import (
 
 	"numfabric/internal/core"
 	"numfabric/internal/fluid"
+	"numfabric/internal/refsim"
 	"numfabric/internal/sim"
 )
 
@@ -276,7 +277,7 @@ func TestIdleGapCostsNothing(t *testing.T) {
 // quantized so batches land on shared instants and sizes quantized so
 // completions collide — to an engine, via one seeded stream. Returns
 // the flows and groups for comparison.
-func buildDenseSchedule(e *Engine, seed uint64) ([]*fluid.Flow, []*fluid.Group) {
+func buildDenseSchedule(e scheduler, seed uint64) ([]*fluid.Flow, []*fluid.Group) {
 	rng := sim.NewRNG(seed)
 	// Two disjoint banks guarantee the link-sharing graph always has
 	// at least two components for the component-local path to win on.
@@ -312,13 +313,13 @@ func denseCaps() []float64 {
 	return []float64{10e9, 10e9, 25e9, 40e9, 10e9, 10e9, 25e9, 40e9}
 }
 
-// runDense plays one dense random schedule to completion under cfg —
-// component-local, or through the global reference mode — and returns
-// the engine plus its flows and groups.
-func runDense(cfg Config, global bool, seed uint64) (*Engine, []*fluid.Flow, []*fluid.Group) {
-	e := newEngine(fluid.NewNetwork(denseCaps()), cfg, global)
+// runDense plays one dense random schedule to completion under cfg,
+// invariants checked along the way, and returns the engine plus its
+// flows and groups.
+func runDense(cfg Config, seed uint64) (*Engine, []*fluid.Flow, []*fluid.Group) {
+	e := NewEngine(fluid.NewNetwork(denseCaps()), cfg)
 	fs, gs := buildDenseSchedule(e, seed)
-	e.Run(math.Inf(1))
+	runChecked(e, math.Inf(1))
 	return e, fs, gs
 }
 
@@ -342,27 +343,24 @@ func assertSameCompletions(t *testing.T, label string, seed uint64,
 	}
 }
 
-// TestComponentLocalMatchesGlobal is the component-machinery property
-// test: dense random schedules (simultaneous arrivals, colliding
-// completions, finite groups) played twice through the engine — once
-// component-local, once with Global forcing a full re-solve on every
-// active-set change — must produce byte-identical completion times
-// for every flow and group, and the same event count. WaterFill's
+// TestComponentLocalMatchesReference is the component-machinery
+// property test: dense random schedules (simultaneous arrivals,
+// colliding completions, finite groups) through the engine and
+// through internal/refsim — a full re-solve at every single event —
+// must finish every flow and group at the same times. WaterFill's
 // progressive filling is separable across connected components, so
-// any disagreement is a component-tracking bug, not float noise.
-func TestComponentLocalMatchesGlobal(t *testing.T) {
+// any disagreement beyond float noise is a component-tracking bug.
+func TestComponentLocalMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
-		local, lf, lg := runDense(Config{}, false, seed)
-		global, gf, gg := runDense(Config{}, true, seed)
-		if local.Events() != global.Events() {
-			t.Errorf("seed %d: events %d (local) vs %d (global)",
-				seed, local.Events(), global.Events())
-		}
-		assertSameCompletions(t, "local-vs-global", seed, lf, lg, gf, gg)
-		ls, gs := local.Stats(), global.Stats()
-		if ls.SolvedFlows >= gs.SolvedFlows {
-			t.Errorf("seed %d: component-local solved %d flows, global %d — no win",
-				seed, ls.SolvedFlows, gs.SolvedFlows)
+		local, lf, lg := runDense(Config{}, seed)
+		ref := refsim.New(fluid.NewNetwork(denseCaps()), fluid.NewWaterFill())
+		rf, rg := buildDenseSchedule(ref, seed)
+		ref.Run(math.Inf(1))
+		assertMatchesReference(t, "local-vs-reference", seed, finishTimes(lf, lg), finishTimes(rf, rg))
+		ls := local.Stats()
+		if ls.SolvedFlows >= ls.FullSolveFlows {
+			t.Errorf("seed %d: component-local solved %d flows, whole-set re-solves %d — no win",
+				seed, ls.SolvedFlows, ls.FullSolveFlows)
 		}
 		if ls.FullSolveFlows == 0 || ls.MaxComponent == 0 {
 			t.Errorf("seed %d: stats not populated: %+v", seed, ls)
@@ -385,7 +383,7 @@ func TestComponentStats(t *testing.T) {
 	if s.Allocs != 2 || s.SolvedFlows != 4 || s.MaxComponent != 2 {
 		t.Errorf("stats = %+v, want 2 allocs × 2 flows, max component 2", s)
 	}
-	// First solve saw 2 active flows, the second 4: the global engine
+	// First solve saw 2 active flows, the second 4: a whole-set engine
 	// would have paid 6.
 	if s.FullSolveFlows != 6 {
 		t.Errorf("FullSolveFlows = %d, want 6", s.FullSolveFlows)
@@ -453,7 +451,7 @@ func TestSweepThresholdEquivalence(t *testing.T) {
 			e.Run(math.Inf(1))
 			return fs, gs
 		}
-		_, df, dg := runDense(Config{}, false, seed)
+		_, df, dg := runDense(Config{}, seed)
 		af, ag := run(1)
 		bf, bg := run(1 << 30)
 		assertSameCompletions(t, "sweep-1", seed, df, dg, af, ag)
@@ -496,7 +494,7 @@ func TestBatchStats(t *testing.T) {
 // instant), so a batch floods into one component per pod and
 // equal-size bursts complete in shared instants. withInterPod mixes in
 // cross-pod flows that merge pods into one component.
-func buildPodBursts(e *Engine, ft *fluid.FatTree, withInterPod bool, seed uint64) []*fluid.Flow {
+func buildPodBursts(e scheduler, ft *fluid.FatTree, withInterPod bool, seed uint64) []*fluid.Flow {
 	rng := sim.NewRNG(seed)
 	perPod := ft.Hosts() / ft.K
 	var fs []*fluid.Flow
@@ -530,24 +528,23 @@ func buildPodBursts(e *Engine, ft *fluid.FatTree, withInterPod bool, seed uint64
 	return fs
 }
 
-// TestPodBurstsLocalMatchesGlobal: the pod-local burst workload — wide
+// TestPodBurstsMatchReference: the pod-local burst workload — wide
 // same-instant batches of several components with groups, colliding
 // completions, and (with inter-pod flows) components that merge and
-// split across batches — finishes byte-identically component-local and
-// Global.
-func TestPodBurstsLocalMatchesGlobal(t *testing.T) {
+// split across batches — finishes as internal/refsim says it does.
+func TestPodBurstsMatchReference(t *testing.T) {
 	for _, interPod := range []bool{false, true} {
 		for seed := uint64(1); seed <= 3; seed++ {
-			run := func(global bool) (*Engine, []*fluid.Flow) {
-				ft := fluid.NewFatTree(4, 10e9)
-				e := newEngine(ft.Net, Config{}, global)
-				fs := buildPodBursts(e, ft, interPod, seed)
-				e.Run(math.Inf(1))
-				return e, fs
-			}
-			le, lf := run(false)
-			_, gf := run(true)
-			assertSameCompletions(t, fmt.Sprintf("pod-bursts interPod=%v", interPod), seed, lf, nil, gf, nil)
+			ft := fluid.NewFatTree(4, 10e9)
+			le := NewEngine(ft.Net, Config{})
+			lf := buildPodBursts(le, ft, interPod, seed)
+			runChecked(le, math.Inf(1))
+			rt := fluid.NewFatTree(4, 10e9)
+			ref := refsim.New(rt.Net, fluid.NewWaterFill())
+			rf := buildPodBursts(ref, rt, interPod, seed)
+			ref.Run(math.Inf(1))
+			assertMatchesReference(t, fmt.Sprintf("pod-bursts interPod=%v", interPod), seed,
+				finishTimes(lf, nil), finishTimes(rf, nil))
 			if s := le.Stats(); s.MaxBatchComponents < 2 {
 				t.Errorf("interPod=%v seed %d: pod bursts never batched two components: %+v", interPod, seed, s)
 			}

@@ -27,14 +27,12 @@ func fullHooks() obs.Hooks {
 
 // TestObsDoesNotChangeResults: attaching every observability hook must
 // leave completions byte-identical — instrumentation reads engine
-// state, never steers it — component-local and Global alike.
+// state, never steers it.
 func TestObsDoesNotChangeResults(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
-		_, bf, bg := runDense(Config{}, false, seed)
-		_, of, og := runDense(Config{Obs: fullHooks()}, false, seed)
-		assertSameCompletions(t, "obs-local", seed, bf, bg, of, og)
-		_, gf, gg := runDense(Config{Obs: fullHooks()}, true, seed)
-		assertSameCompletions(t, "obs-global", seed, bf, bg, gf, gg)
+		_, bf, bg := runDense(Config{}, seed)
+		_, of, og := runDense(Config{Obs: fullHooks()}, seed)
+		assertSameCompletions(t, "obs", seed, bf, bg, of, og)
 	}
 }
 
@@ -81,7 +79,7 @@ func TestPhaseCoverage(t *testing.T) {
 // span per component solved and one batch span per reallocation batch.
 func TestSolveSpansMatchComponents(t *testing.T) {
 	tr := obs.NewTracer()
-	e, _, _ := runDense(Config{Obs: obs.Hooks{Tracer: tr}}, false, 2)
+	e, _, _ := runDense(Config{Obs: obs.Hooks{Tracer: tr}}, 2)
 	s := e.Stats()
 	if tr.Dropped() != 0 {
 		t.Fatalf("tracer dropped %d spans", tr.Dropped())
@@ -97,54 +95,51 @@ func TestSolveSpansMatchComponents(t *testing.T) {
 // TestObsMetricsMatchStats: every registry instrument an engine feeds
 // must agree with the Stats field it mirrors — the two are incremented
 // side by side from one place each — on a schedule with link failures
-// and recoveries, so the fault counters move too; component-local and
-// through the global solve path.
+// and recoveries, so the fault counters move too.
 func TestObsMetricsMatchStats(t *testing.T) {
-	for _, global := range []bool{false, true} {
-		reg := obs.NewRegistry()
-		prog := &obs.Progress{}
-		e := newEngine(fluid.NewNetwork(denseCaps()), Config{Obs: obs.Hooks{
-			Metrics:  obs.NewEngineMetrics(reg, "leap"),
-			Progress: prog,
-		}}, global)
-		// One link of each bank down over the middle of the arrivals.
-		for _, l := range []int{0, 5} {
-			e.FailLink(l, 1e-3)
-			e.RecoverLink(l, 3e-3)
-		}
-		buildDenseSchedule(e, 3)
-		e.Run(math.Inf(1))
+	reg := obs.NewRegistry()
+	prog := &obs.Progress{}
+	e := NewEngine(fluid.NewNetwork(denseCaps()), Config{Obs: obs.Hooks{
+		Metrics:  obs.NewEngineMetrics(reg, "leap"),
+		Progress: prog,
+	}})
+	// One link of each bank down over the middle of the arrivals.
+	for _, l := range []int{0, 5} {
+		e.FailLink(l, 1e-3)
+		e.RecoverLink(l, 3e-3)
+	}
+	buildDenseSchedule(e, 3)
+	e.Run(math.Inf(1))
 
-		s := e.Stats()
-		if s.Faults != 4 || s.Stranded == 0 || s.Resumed != s.Stranded {
-			t.Fatalf("global %v: schedule exercised no strand/resume: %+v", global, s)
+	s := e.Stats()
+	if s.Faults != 4 || s.Stranded == 0 || s.Resumed != s.Stranded {
+		t.Fatalf("schedule exercised no strand/resume: %+v", s)
+	}
+	snap := reg.Snapshot()
+	for name, want := range map[string]int{
+		"leap.events":       s.Events,
+		"leap.allocs":       s.Allocs,
+		"leap.solved_flows": s.SolvedFlows,
+		"leap.faults":       s.Faults,
+		"leap.stranded":     s.Stranded,
+		"leap.resumed":      s.Resumed,
+	} {
+		if got := snap.Counters[name]; got != int64(want) {
+			t.Errorf("%s = %d, stats = %d", name, got, want)
 		}
-		snap := reg.Snapshot()
-		for name, want := range map[string]int{
-			"leap.events":       s.Events,
-			"leap.allocs":       s.Allocs,
-			"leap.solved_flows": s.SolvedFlows,
-			"leap.faults":       s.Faults,
-			"leap.stranded":     s.Stranded,
-			"leap.resumed":      s.Resumed,
-		} {
-			if got := snap.Counters[name]; got != int64(want) {
-				t.Errorf("global %v: %s = %d, stats = %d", global, name, got, want)
-			}
-		}
-		if got := snap.Histograms["leap.batch_components"].Count; got != int64(s.Batches) {
-			t.Errorf("global %v: batch_components count = %d, batches = %d", global, got, s.Batches)
-		}
-		if got := snap.Histograms["leap.component_flows"].Count; got != int64(s.Allocs) {
-			t.Errorf("global %v: component_flows count = %d, allocs = %d", global, got, s.Allocs)
-		}
-		ps := prog.Snapshot()
-		if ps.Events != int64(s.Events) || ps.Finished != int64(len(e.Finished())) || ps.Batches != int64(s.Batches) {
-			t.Errorf("global %v: progress %+v disagrees with stats %+v", global, ps, s)
-		}
-		if ps.ActiveFlows != 0 {
-			t.Errorf("global %v: run-to-completion progress still shows %d active flows", global, ps.ActiveFlows)
-		}
+	}
+	if got := snap.Histograms["leap.batch_components"].Count; got != int64(s.Batches) {
+		t.Errorf("batch_components count = %d, batches = %d", got, s.Batches)
+	}
+	if got := snap.Histograms["leap.component_flows"].Count; got != int64(s.Allocs) {
+		t.Errorf("component_flows count = %d, allocs = %d", got, s.Allocs)
+	}
+	ps := prog.Snapshot()
+	if ps.Events != int64(s.Events) || ps.Finished != int64(len(e.Finished())) || ps.Batches != int64(s.Batches) {
+		t.Errorf("progress %+v disagrees with stats %+v", ps, s)
+	}
+	if ps.ActiveFlows != 0 {
+		t.Errorf("run-to-completion progress still shows %d active flows", ps.ActiveFlows)
 	}
 }
 
@@ -156,17 +151,17 @@ func TestAllocIters(t *testing.T) {
 	mk := func() Config {
 		return Config{Allocator: &fluid.XWI{IterPerEpoch: 24, Tol: 1e-3}}
 	}
-	se, _, _ := runDense(mk(), false, 1)
+	se, _, _ := runDense(mk(), 1)
 	ss := se.Stats()
 	if ss.AllocIters < int64(ss.Allocs) {
 		t.Fatalf("AllocIters = %d, want >= Allocs = %d", ss.AllocIters, ss.Allocs)
 	}
-	re, _, _ := runDense(mk(), false, 1)
+	re, _, _ := runDense(mk(), 1)
 	if rs := re.Stats(); rs.AllocIters != ss.AllocIters {
 		t.Errorf("repeat AllocIters = %d, first run = %d", rs.AllocIters, ss.AllocIters)
 	}
 	// WaterFill counts water-fill rounds.
-	we, _, _ := runDense(Config{}, false, 1)
+	we, _, _ := runDense(Config{}, 1)
 	if ws := we.Stats(); ws.AllocIters <= 0 {
 		t.Errorf("WaterFill AllocIters = %d, want > 0", ws.AllocIters)
 	}

@@ -135,7 +135,7 @@ const (
 	// CauseAdmit marks a rate set on the admission fast path (isolated
 	// flow, no solver involved).
 	CauseAdmit uint8 = iota
-	// CauseSolve marks a rate set by a component (or global) solve.
+	// CauseSolve marks a rate set by a component solve.
 	CauseSolve
 	// CauseFail marks a rate set by the re-solve a link failure
 	// triggered — including the zero rate of a flow the failure
