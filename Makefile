@@ -1,6 +1,6 @@
 # Convenience targets; CI runs the same commands.
 
-.PHONY: test race alloc-gate obs-inline fuzz fault-smoke bench-smoke bench bench-diff flowtrace-smoke
+.PHONY: test race alloc-gate obs-inline fuzz fault-smoke bench-smoke benchmark-smoke bench bench-diff flowtrace-smoke
 
 test:
 	go build ./... && go test ./...
@@ -37,9 +37,11 @@ obs-inline:
 # corpus (CI runs 30s per push; run longer locally when touching the
 # event loop, the fault path or the tables). -fuzzminimizetime caps
 # go's minimization of each new interesting input, which otherwise
-# idles the workers for most of the run.
+# idles the workers for most of the run. FuzzSchedule then explores
+# the event schedule alone against its sorted-slice model.
 fuzz:
 	go test -run '^$$' -fuzz FuzzLeapMatchesReference -fuzztime 60s -fuzzminimizetime 2s ./internal/leap/
+	go test -run '^$$' -fuzz FuzzSchedule -fuzztime 10s -fuzzminimizetime 2s ./internal/leap/
 
 # Fault-injection smoke: the leap fault test suite (property, analytic,
 # and lost-service identity tests) plus the end-to-end example —
@@ -53,6 +55,17 @@ fault-smoke:
 # accuracy assertions.
 bench-smoke:
 	go test -run '^$$' -bench BenchmarkLeapFCT -benchtime 1x .
+
+# Two three-second plays through the benchmark driver's entry, each of
+# whose last line must report every flow correct: fig5-leap (the
+# Figure 5 pipeline; almost no engine time) and poisson-wf (the leap
+# event loop against benchmark/'s referee). Timing is not gated.
+benchmark-smoke:
+	@for w in fig5-leap poisson-wf; do \
+		result=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 3 --trace 0 | tail -n 1); \
+		echo "$$result"; \
+		echo "$$result" | grep -q '"correct":true' || { echo "benchmark-smoke: $$w not correct" >&2; exit 1; }; \
+	done
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md): all
 # six workloads, every metric by name, correctness checked; about two

@@ -2,12 +2,12 @@ package leap
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"numfabric/internal/core"
 	"numfabric/internal/fluid"
 	"numfabric/internal/obs"
-	"numfabric/internal/refsim"
 )
 
 // benchChurn drives one engine through sustained churn — waves of
@@ -197,69 +197,25 @@ func TestReleaseFinishedRecycles(t *testing.T) {
 	}
 }
 
-// TestEpochWrapAcrossRelease pins the other recycling hazard: a slot's
-// reallocation epoch is 28 bits, so a slot recycled (or re-solved)
-// through a whole cycle lands on an epoch value some old stale event
-// of that slot still carries — and a stale event that sits far in the
-// future, behind a live one, never surfaces to be pruned, nor do enough
-// others pile up to sweep it. The test leaves exactly such an event in
-// the heap (a completion scheduled at 20 ms under a shared rate,
-// superseded when the neighbor left, buried under a bystander's
-// 19.5 ms completion), presets the slot's epoch just below the wrap,
-// and churns the slot until its epoch equals the stale event's: without
-// the sweep at the wrap the event revalidates against the new tenant
-// and finishes it at 20 ms, 13 ms early. Both wrap sites are crossed —
-// the recycling bump in addFlow and the re-solve bump in
-// invalidateFlow — and the referee decides what the finish times are.
-func TestEpochWrapAcrossRelease(t *testing.T) {
-	u := core.ProportionalFair()
-	// play runs the two waves on s; between them atRelease recycles the
-	// first wave and presets the wrap.
-	play := func(s scheduler, run func(until float64), atRelease func(), d2At float64) []float64 {
-		// Wave 1 on slots 0 and 1: the long flow's 20 ms event (at the
-		// shared 5G) goes stale when the short one leaves at 2 ms. The
-		// bystander on link 1 keeps the heap's top live until 19.5 ms.
-		s.AddFlow([]int{0}, u, 12_500_000, 0)
-		s.AddFlow([]int{0}, u, 1_250_000, 0)
-		s.AddFlow([]int{1}, u, 24_375_000, 0)
-		run(11.5e-3)
-		atRelease()
-		// Wave 2: the long flow draws slot 0 and is re-solved at each
-		// neighbor's arrival and departure; alone it would finish at
-		// 33 ms or later, well past the stale 20 ms event.
-		fs := []*fluid.Flow{
-			s.AddFlow([]int{0}, u, 25_000_000, 12e-3),
-			s.AddFlow([]int{0}, u, 1_250_000, 13e-3),
-			s.AddFlow([]int{0}, u, 2_500_000, d2At),
+// TestAdmissionSequenceLimit: the admission sequence components are
+// ordered by is an int32, which a recycling engine at a million flows a
+// second exhausts within the hour. Admitting past it must fail loudly,
+// naming the limit, rather than hand the allocator components in
+// wrapped order. The counter is preset just below the limit; the last
+// representable admission still runs to completion.
+func TestAdmissionSequenceLimit(t *testing.T) {
+	e := NewEngine(fluid.NewNetwork([]float64{10e9}), Config{})
+	e.nadmit = math.MaxInt32 - 1
+	f := e.AddFlow([]int{0}, core.ProportionalFair(), 1<<16, 0)
+	runChecked(e, math.Inf(1))
+	if !f.Done() || e.fs[f.ID].seq != math.MaxInt32-1 {
+		t.Fatalf("last admission: done %v, seq %d", f.Done(), e.fs[f.ID].seq)
+	}
+	e.AddFlow([]int{0}, core.ProportionalFair(), 1<<16, e.Now())
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "2147483647") {
+			t.Fatalf("admission past the limit: recovered %q, want a panic naming 2147483647", msg)
 		}
-		run(math.Inf(1))
-		return finishTimes(fs, nil)
-	}
-	for _, c := range []struct {
-		name   string
-		preset uint32  // slot 0's epoch bits before wave 2
-		d2At   float64 // third arrival: before or after the stale event
-	}{
-		// addFlow wraps to epoch 0; two re-solves later the slot is at
-		// epoch 2, the stale event's.
-		{"wrap-on-recycle", epMask, 25e-3},
-		// addFlow lands on the last epoch, the first re-solve wraps, and
-		// the third reaches epoch 2 just before 20 ms.
-		{"wrap-on-resolve", epMask - epInc, 19e-3},
-	} {
-		e := NewEngine(fluid.NewNetwork([]float64{10e9, 10e9}), Config{})
-		got := play(e, func(until float64) { runChecked(e, until) }, func() {
-			if n, _ := e.ReleaseFinished(); n != 2 || e.heap.len() != 2 || e.stale != 1 {
-				t.Fatalf("%s: wave 1 left %d released, %d heap events, %d stale; want 2, 2, 1",
-					c.name, n, e.heap.len(), e.stale)
-			}
-			if ev := e.heap.ev[1]; ev.id != 0 || ev.t != 20e-3 || ev.ep != 2<<epShift {
-				t.Fatalf("%s: stale event %+v, want slot 0's 20 ms completion at epoch 2", c.name, ev)
-			}
-			e.fs[0].bits = c.preset
-		}, c.d2At)
-		ref := refsim.New(fluid.NewNetwork([]float64{10e9, 10e9}), fluid.NewWaterFill())
-		want := play(ref, ref.Run, func() {}, c.d2At)
-		assertMatchesReference(t, c.name, 0, got, want)
-	}
+	}()
+	e.Step()
 }

@@ -3,8 +3,8 @@ package leap
 // The event kinds. evkFlow and evkGroup are completions (id is a
 // dense flow/group table id); evkFail and evkRecover are scheduled
 // capacity faults (id is a LINK id — never resolved through the flow
-// tables). Fault events carry no epoch: a capacity change can never
-// go stale, so valid() accepts them unconditionally.
+// tables, never re-keyed, and any number may share a link and an
+// instant).
 const (
 	evkFlow uint8 = iota
 	evkGroup
@@ -13,28 +13,20 @@ const (
 )
 
 // event is one scheduled occurrence: a finite flow or group emptying
-// at time t under the rate set when the event was pushed, or a link
-// failing/recovering at t. ep is a completion owner's reallocation
-// epoch at push time; when a component is re-solved the engine bumps
-// its members' epochs, so events from superseded allocations go stale
-// in place and are discarded lazily when they surface at the top of
-// the heap (or in a compaction sweep) instead of costing an O(n) heap
-// rebuild per allocation. Ties break deterministically on (id, kind):
-// flow and group IDs are each dense in their own sequence, so two
-// events can share an id across kinds, and before() then orders the
-// flow ahead of the group — and orders every completion ahead of any
-// fault at the same instant (flows retire under the capacities they
-// drained under; the fault then mutates capacity for the re-solve
-// that follows), with failures ahead of recoveries, then by link id.
+// at time t under its current rate, or a link failing/recovering at t.
+// Ties break deterministically on (id, kind): flow and group IDs are
+// each dense in their own sequence, so two events can share an id
+// across kinds, and before() then orders the flow ahead of the group —
+// and orders every completion ahead of any fault at the same instant
+// (flows retire under the capacities they drained under; the fault
+// then mutates capacity for the re-solve that follows), with failures
+// ahead of recoveries, then by link id.
 //
 // Events carry the owner's dense id, not a pointer — 16 bytes instead
-// of 40, and the id stays meaningful under table recycling
-// (fluid.FlowTable): a recycled id's new tenant starts at a bumped
-// epoch, so the old tenant's events are stale on arrival. The engine
-// resolves owners through its tables when an event surfaces.
+// of 40. The engine resolves owners through its tables when an event
+// surfaces.
 type event struct {
 	t    float64
-	ep   uint32
 	id   int32
 	kind uint8 // evkFlow | evkGroup | evkFail | evkRecover
 }
@@ -59,83 +51,137 @@ func (e event) before(o event) bool {
 	return e.kind == evkFlow && o.kind == evkGroup
 }
 
-// eventHeap is a binary min-heap of completion events keyed on
-// (time, id). Events are pushed one at a time (O(log n)) as rates
-// change; stale events (superseded epochs) are the engine's to detect
-// and skip at pop time, and compact() sweeps them out wholesale when
-// they accumulate.
-type eventHeap struct {
+// schedule is the engine's event queue: a binary min-heap under
+// event.before holding AT MOST ONE completion per flow or group,
+// addressable by owner, plus the fault events. A rate change moves the
+// owner's completion in place (set) or removes it (cancel), so every
+// event in the heap is live and the heap is exactly the set of
+// draining owners.
+//
+// Each owner's heap position (index+1; 0 = no event) lives in the top
+// bits of its state word, flowState.bits or groupState.bits, and is
+// written back on every move. The schedule reaches the words through
+// pointers to the engine's state slices, which the engine grows as ids
+// are handed out.
+//
+// Pop order does not depend on how the heap got here: an owner has at
+// most one event and (t, kind, id) is unique per owner, so before is a
+// strict total order on the completions (equal fault events are
+// interchangeable), and the pop sequence of any correct heap is a
+// function of the key set alone. That is what lets set re-key in place
+// where an earlier design pushed a second event and skipped the first
+// when it surfaced: the live events are the same set at every step.
+type schedule struct {
 	ev []event
+	fs *[]flowState
+	gs *[]groupState
 }
 
-// push inserts one event (O(log n)).
-func (h *eventHeap) push(e event) {
-	h.ev = append(h.ev, e)
-	i := len(h.ev) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.ev[i].before(h.ev[p]) {
-			return
-		}
-		h.ev[i], h.ev[p] = h.ev[p], h.ev[i]
-		i = p
+// bits returns the state word of the completion owner (kind, id).
+func (s *schedule) bits(kind uint8, id int32) *uint32 {
+	if kind == evkFlow {
+		return &(*s.fs)[id].bits
+	}
+	return &(*s.gs)[id].bits
+}
+
+// slot returns the heap index of owner (kind, id)'s completion, -1
+// while it has none.
+func (s *schedule) slot(kind uint8, id int32) int { return int(*s.bits(kind, id)>>posShift) - 1 }
+
+// has reports whether owner (kind, id) has a completion scheduled.
+func (s *schedule) has(kind uint8, id int32) bool { return s.slot(kind, id) >= 0 }
+
+// set schedules owner (kind, id)'s completion at t, moving the event
+// the owner already has or inserting its first (O(log n) either way).
+func (s *schedule) set(kind uint8, id int32, t float64) {
+	i := s.slot(kind, id)
+	if i < 0 {
+		i = len(s.ev)
+		s.ev = append(s.ev, event{})
+	}
+	s.fix(i, event{t: t, id: id, kind: kind})
+}
+
+// cancel removes owner (kind, id)'s completion, if it has one.
+func (s *schedule) cancel(kind uint8, id int32) {
+	if i := s.slot(kind, id); i >= 0 {
+		s.remove(i)
 	}
 }
 
-// len returns the number of events, live and stale.
-func (h *eventHeap) len() int { return len(h.ev) }
+// pushFault inserts a fault event. Faults have no owner word: they are
+// never moved by key or cancelled, only popped.
+func (s *schedule) pushFault(kind uint8, link int32, t float64) {
+	s.ev = append(s.ev, event{})
+	s.fix(len(s.ev)-1, event{t: t, id: link, kind: kind})
+}
+
+func (s *schedule) len() int { return len(s.ev) }
 
 // top returns the earliest event; valid only when len() > 0.
-func (h *eventHeap) top() event { return h.ev[0] }
+func (s *schedule) top() event { return s.ev[0] }
 
 // pop removes and returns the earliest event.
-func (h *eventHeap) pop() event {
-	e := h.ev[0]
-	last := len(h.ev) - 1
-	h.ev[0] = h.ev[last]
-	h.ev = h.ev[:last]
-	if last > 0 {
-		h.down(0)
-	}
+func (s *schedule) pop() event {
+	e := s.ev[0]
+	s.remove(0)
 	return e
 }
 
-// compact drops every event keep rejects and re-establishes heap
-// order over the survivors (one O(n) heapify) — the engine's bulk
-// stale-event sweep.
-func (h *eventHeap) compact(keep func(event) bool) {
-	w := 0
-	for _, e := range h.ev {
-		if keep(e) {
-			h.ev[w] = e
-			w++
-		}
+// remove deletes the event in slot i: the last event takes the slot
+// and sifts to its place.
+func (s *schedule) remove(i int) {
+	if e := s.ev[i]; e.kind < evkFail {
+		*s.bits(e.kind, e.id) &= flagMask
 	}
-	for i := w; i < len(h.ev); i++ {
-		h.ev[i] = event{}
-	}
-	h.ev = h.ev[:w]
-	for i := w/2 - 1; i >= 0; i-- {
-		h.down(i)
+	last := len(s.ev) - 1
+	e := s.ev[last]
+	s.ev = s.ev[:last]
+	if i < last {
+		s.fix(i, e)
 	}
 }
 
-func (h *eventHeap) down(i int) {
-	ev := h.ev
-	n := len(ev)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
+// fix puts e where heap order wants it, starting from the vacant slot
+// i: toward the root while e sorts before its parent, else toward the
+// leaves while a child sorts before e. Displaced events shift through
+// the vacancy, each recording its new position.
+func (s *schedule) fix(i int, e event) {
+	ev := s.ev
+	j := i
+	for j > 0 {
+		p := (j - 1) / 2
+		if !e.before(ev[p]) {
+			break
 		}
-		m := l
-		if r := l + 1; r < n && ev[r].before(ev[l]) {
-			m = r
+		s.place(j, ev[p])
+		j = p
+	}
+	if j == i {
+		for {
+			m := 2*j + 1
+			if m >= len(ev) {
+				break
+			}
+			if r := m + 1; r < len(ev) && ev[r].before(ev[m]) {
+				m = r
+			}
+			if !ev[m].before(e) {
+				break
+			}
+			s.place(j, ev[m])
+			j = m
 		}
-		if !ev[m].before(ev[i]) {
-			return
-		}
-		ev[i], ev[m] = ev[m], ev[i]
-		i = m
+	}
+	s.place(j, e)
+}
+
+// place stores e in slot i and records the position in e's owner word.
+func (s *schedule) place(i int, e event) {
+	s.ev[i] = e
+	if e.kind < evkFail {
+		b := s.bits(e.kind, e.id)
+		*b = *b&flagMask | uint32(i+1)<<posShift
 	}
 }

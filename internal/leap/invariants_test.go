@@ -24,14 +24,17 @@ func runChecked(e *Engine, until float64) {
 // checkInvariants panics unless the engine's derived state agrees with
 // its primary state, between events:
 //
-//   - linkFlows is exactly the links of the live admitted flows;
+//   - linkFlows is exactly the links of the live admitted flows — the
+//     table's tenants that are neither pending, finished nor released,
+//     enumerated without consulting linkFlows — and nLive counts them;
 //   - no link carries more than its capacity (links crossed by a flow
 //     awaiting re-solve are exempt: a failure zeroes capacity before
 //     the solve that zeroes the rates);
-//   - every finite plain flow and group has exactly one live heap event
-//     while it drains and none while it is stranded or unsolved, every
-//     live event belongs to one, stale matches the heap's true stale
-//     count and pendingFaults its fault events;
+//   - schedule slot i holds owner o exactly when o's stored position is
+//     i+1; every finite plain flow and group has exactly one event while
+//     it drains and none while it is stranded or unsolved, every
+//     completion event belongs to one, and pendingFaults counts the
+//     fault events;
 //   - the tables' live slots are exactly the flows and groups the
 //     engine still references, and every other slot is released.
 func (e *Engine) checkInvariants() {
@@ -44,9 +47,14 @@ func (e *Engine) checkInvariants() {
 	want := make([][]int32, nl)
 	load := make([]float64, nl)
 	unsettled := make([]bool, nl)
+	waiting := map[*fluid.Flow]bool{}
+	for _, f := range e.pending[e.next:] {
+		waiting[f] = true
+	}
 	var live []*fluid.Flow
-	for _, f := range e.active {
-		if f.Done() {
+	for id := 0; id < e.tbl.Cap(); id++ {
+		f := e.tbl.ByID(id)
+		if f.Links == nil || f.Done() || waiting[f] {
 			continue
 		}
 		live = append(live, f)
@@ -57,7 +65,7 @@ func (e *Engine) checkInvariants() {
 		}
 	}
 	if len(live) != e.liveActive() {
-		fail("%d live flows in active, liveActive() = %d", len(live), e.liveActive())
+		fail("%d live flows in the table, liveActive() = %d", len(live), e.liveActive())
 	}
 	for l := range want {
 		got := slices.Clone(e.linkFlows[l])
@@ -76,33 +84,35 @@ func (e *Engine) checkInvariants() {
 		id   int32
 	}
 	events := map[owner]int{}
-	stale, faults := 0, 0
-	for _, ev := range e.heap.ev {
-		switch {
-		case ev.kind >= evkFail:
+	faults := 0
+	for i, ev := range e.sched.ev {
+		if ev.kind >= evkFail {
 			faults++
-		case e.valid(ev):
-			events[owner{ev.kind, ev.id}]++
-		default:
-			stale++
+			continue
+		}
+		events[owner{ev.kind, ev.id}]++
+		if at := e.sched.slot(ev.kind, ev.id); at != i {
+			fail("schedule slot %d holds %+v, whose stored slot is %d", i, ev, at)
 		}
 	}
-	if stale != e.stale || faults != e.pendingFaults {
-		fail("heap holds %d stale and %d fault events, engine counts %d and %d", stale, faults, e.stale, e.pendingFaults)
+	if faults != e.pendingFaults {
+		fail("schedule holds %d fault events, engine counts %d", faults, e.pendingFaults)
 	}
 	// checkOwner holds one finite flow or group to its event: settled
 	// means no solve is pending for it, so rate and event must agree.
+	// With every slot's owner pointing back at it (above), an owner that
+	// claims a position and is counted once sits in exactly that slot.
 	checkOwner := func(o owner, bits uint32, rate float64, settled bool) {
-		has := bits&evBit != 0
+		has := e.sched.has(o.kind, o.id)
 		n := events[o]
 		delete(events, o)
 		switch {
 		case has != (n == 1) || n > 1:
-			fail("owner %+v: %d live events, evBit %v", o, n, has)
+			fail("owner %+v: %d events, stored slot %d", o, n, e.sched.slot(o.kind, o.id))
 		case has && (rate <= 0 || bits&strandedBit != 0):
-			fail("owner %+v: live event at rate %v, stranded %v", o, rate, bits&strandedBit != 0)
+			fail("owner %+v: event at rate %v, stranded %v", o, rate, bits&strandedBit != 0)
 		case settled && has != (rate > 0):
-			fail("owner %+v: settled at rate %v, evBit %v", o, rate, has)
+			fail("owner %+v: settled at rate %v, has event %v", o, rate, has)
 		case settled && o.kind == evkFlow && (bits&strandedBit != 0) != (rate <= 0):
 			fail("owner %+v: settled at rate %v, stranded %v", o, rate, bits&strandedBit != 0)
 		}
@@ -113,8 +123,9 @@ func (e *Engine) checkInvariants() {
 		}
 	}
 	groups := map[*fluid.Group]bool{}
-	for _, g := range e.activeGroups {
-		if g.Done() {
+	for _, f := range live {
+		g := f.Group
+		if g == nil || groups[g] {
 			continue
 		}
 		groups[g] = true
@@ -123,7 +134,7 @@ func (e *Engine) checkInvariants() {
 		}
 	}
 	if len(events) != 0 {
-		fail("live events without a draining owner: %v", events)
+		fail("events without a draining owner: %v", events)
 	}
 
 	flows := map[int]bool{}

@@ -42,36 +42,36 @@
 // the full link capacities. Flows in untouched components provably
 // keep their rates, and their scheduled completions stay valid.
 //
-// Completion times live in an event heap keyed on the times implied
-// by each flow's latest rate. Re-solving a component resplices only
-// that component's events: members carry a reallocation epoch, stale
-// events are discarded lazily when they surface (with a bulk sweep
-// when they pile up), and — because a completion time computed from
-// an unchanged rate is still exact — a member whose re-solved rate
-// came back identical keeps its event untouched. The active set is
-// maintained incrementally: arrivals append, completions compact in
-// place, and a component is always handed to the allocator in stable
-// admission order, which keeps event orderings bit-deterministic for
-// a fixed schedule.
+// Completion times live in one addressable schedule (heap.go): a
+// min-heap holding at most one completion per draining flow or group,
+// keyed on the time implied by the owner's latest rate. Re-solving a
+// component re-keys only that component's events, in place — a member
+// whose rate moved has its event moved (or removed, at rate zero), and
+// — because a completion time computed from an unchanged rate is still
+// exact — a member whose re-solved rate came back identical keeps its
+// event untouched. Every event in the schedule is therefore live, and
+// the schedule is the set of draining owners. A component is always
+// handed to the allocator in stable admission order, which keeps event
+// orderings bit-deterministic for a fixed schedule.
 //
 // The limiting fast paths fall out of the same machinery: a
 // single-path flow that shares no link with any active flow is a
 // component of size one, so its arrival takes its path's minimum
 // capacity (the single-flow optimum under any increasing utility) and
-// pushes one heap event with no allocator call at all, and a
+// schedules one completion with no allocator call at all, and a
 // departure that leaves its links empty pops one. On sparse
 // workloads, where most flows run alone at line rate, most events
 // reduce to O(path length + log n) — and even the coupled minority
 // pays for its few-flow component, not for the whole active set.
 //
-// The engine is one serial event loop over one completion heap. All
+// The engine is one serial event loop over that one schedule. All
 // events sharing an instant — a batch of synchronized arrivals plus
 // any completions landing on it — seed one reallocation batch; the
 // flood partitions the touched flows into their disjoint connected
 // components (overlapping seeds merge) and the components are solved
 // one after another, in seed order, each at the batch instant. Link
-// failures and recoveries are ordinary events on the same heap. The
-// loop is single-threaded by measurement, not by omission: README
+// failures and recoveries are ordinary events on the same schedule.
+// The loop is single-threaded by measurement, not by omission: README
 // "Why the leap engine is single-threaded" has the numbers.
 package leap
 
@@ -101,13 +101,6 @@ type Config struct {
 	// touches engine state).
 	Obs obs.Hooks
 }
-
-// defaultSweep is the stale-event count beyond which the event heap is
-// bulk-swept (once stale events also outnumber its live ones). Any
-// threshold yields identical completions — it only trades sweep
-// frequency against heap growth, which TestSweepThresholdEquivalence
-// pins by setting Engine.sweep directly.
-const defaultSweep = 64
 
 // Stats is the engine's work telemetry: what the run cost, in the
 // units that explain the event-driven design.
@@ -153,7 +146,7 @@ type Stats struct {
 	Faults int
 	// Stranded counts plain finite flows driven to rate zero — every
 	// usable path crosses a dead link — with their completion event
-	// invalidated and payload frozen; Resumed counts strandings lifted
+	// cancelled and payload frozen; Resumed counts strandings lifted
 	// by a later re-solve finding positive rate again (recovery, or a
 	// departure freeing an alternative). A flow stranded twice counts
 	// twice. Groups never strand member-by-member: a group with every
@@ -191,35 +184,31 @@ type Stats struct {
 // Remaining -= (now − refT) × rate / 8 only when the rate actually
 // changes, so an event costs its component, not a sweep over every
 // active flow (and a same-instant rate change drains exactly zero);
-// seq is
-// the admission sequence number components are sorted by; and bits
-// holds the reallocation epoch (heap events carry the epoch they were
-// pushed under; a mismatch marks them stale) plus the flag bits below.
+// seq is the admission sequence number components are sorted by; and
+// bits holds the flow's position in the schedule plus the flag bits
+// below.
 type flowState struct {
 	refT float64
 	bits uint32
 	seq  int32
 }
 
-// flowState/groupState bits: four flags and a 28-bit epoch. evBit
-// marks a live heap event, seededBit a pending reallocation seed,
-// inCompBit membership in the component being collected. Groups never
-// use inCompBit (the flood tracks them by mark), so its slot doubles
-// as activeBit — group membership in the activeGroups slice, replacing
-// the old map[*Group]bool lookup on every member admission.
-// strandedBit marks a plain finite flow currently held at rate zero by
-// dead capacity (see Stats.Stranded); while it is set the flow has no
-// heap event and refT records when the stranding began, so the resume
-// can accrue the stranded-time integral.
+// flowState/groupState bits: three flags below posShift and, above it,
+// the owner's position in the schedule — heap index + 1, zero while
+// the owner has no completion scheduled. Only the schedule writes the
+// position (heap.go); the engine reads it through schedule.has.
+// seededBit marks a pending reallocation seed, inCompBit membership in
+// the component being collected (flows only: the flood tracks groups
+// by mark). strandedBit marks a plain finite flow currently held at
+// rate zero by dead capacity (see Stats.Stranded); while it is set the
+// flow has no event and refT records when the stranding began, so the
+// resume can accrue the stranded-time integral.
 const (
-	evBit       = 1 << 0
-	seededBit   = 1 << 1
-	inCompBit   = 1 << 2
-	activeBit   = 1 << 2 // groupState only; shares inCompBit's slot
-	strandedBit = 1 << 3
-	epShift     = 4
-	epInc       = 1 << epShift
-	epMask      = ^uint32(epInc - 1)
+	seededBit   = 1 << 0
+	inCompBit   = 1 << 1
+	strandedBit = 1 << 2
+	posShift    = 3
+	flagMask    = 1<<posShift - 1
 )
 
 // groupState is the per-group analog: mark is the component flood's
@@ -249,10 +238,10 @@ func grow[T any](s []T) []T {
 type compRange struct{ f0, f1, g0, g1 int }
 
 // evOp is one deferred completion-event resplice — a flow or group
-// whose rate change requires invalidating and re-pushing its heap
-// event. The solve phase records them; the resplice phase applies them
-// in component order. Like heap events, ops carry dense ids,
-// resolved through the tables at apply time.
+// whose rate change requires moving or cancelling its scheduled
+// completion. The solve phase records them; the resplice phase applies
+// them in component order. Like events, ops carry dense ids, resolved
+// through the tables at apply time.
 type evOp struct {
 	id  int32
 	grp bool
@@ -279,7 +268,7 @@ type Engine struct {
 	alloc fluid.SubsetAllocator
 	// tbl/gtbl are the engine's pooled flow and group storage:
 	// slab-stable pointers, dense recycled ids, arena-backed paths.
-	// Every id the engine keys its state by — heap events, evOps,
+	// Every id the engine keys its state by — events, evOps,
 	// linkFlows, fs/gs — resolves through them.
 	tbl  *fluid.FlowTable
 	gtbl *fluid.GroupTable
@@ -288,33 +277,22 @@ type Engine struct {
 	// implements fluid.ParallelSubsetAllocator (all built-in allocators
 	// do), the allocator itself otherwise.
 	sub fluid.SubsetAllocator
-	// sweep is the stale-event count that triggers a bulk heap sweep
-	// (defaultSweep; tests set it directly).
-	sweep int
 
 	now      float64
 	pending  []*fluid.Flow // arrival order; pending[next:] not yet admitted
 	next     int
 	unsorted bool
 
-	// active holds the admitted flows in admission order. Completed
-	// flows are compacted out lazily — only once they reach half the
-	// slice — so a completion batch costs its own size, not a sweep of
-	// every active flow; nDone counts the stale entries (liveActive()
-	// is the true active count).
-	active         []*fluid.Flow
-	nDone          int
-	activeGroups   []*fluid.Group
-	nDoneG         int
+	// nLive counts the flows admitted and not yet completed (group
+	// members and stranded flows included); linkFlows indexes them by
+	// link and the tables hold them, so no list of them is kept.
+	nLive          int
 	finished       []*fluid.Flow
 	finishedGroups []*fluid.Group
 
-	// heap holds every scheduled event — completions and faults. stale
-	// counts its events invalidated by a reallocation but not yet
-	// discarded; when they outnumber the live ones the heap is swept in
-	// one pass.
-	heap  eventHeap
-	stale int
+	// sched holds every scheduled event: the one completion of each
+	// draining finite flow and group, and the pending faults.
+	sched schedule
 
 	// linkFlows[l] lists the active flows crossing link l — by dense
 	// id, four bytes per entry — maintained exactly: arrivals append,
@@ -391,12 +369,12 @@ func NewEngine(net *fluid.Network, cfg Config) *Engine {
 		sub:        cfg.Allocator,
 		tbl:        fluid.NewFlowTable(),
 		gtbl:       fluid.NewGroupTable(),
-		sweep:      defaultSweep,
 		batchCause: obs.CauseSolve,
 		hooks:      cfg.Obs,
 		linkFlows:  make([][]int32, net.Links()),
 		linkMark:   make([]int, net.Links()),
 	}
+	e.sched.fs, e.sched.gs = &e.fs, &e.gs
 	if ps, isPar := cfg.Allocator.(fluid.ParallelSubsetAllocator); isPar {
 		// Prime once, then solve through one Worker view: warm state
 		// is initialized up front instead of lazily inside the first
@@ -419,13 +397,6 @@ func (e *Engine) Now() float64 { return e.now }
 // Net returns the engine's network.
 func (e *Engine) Net() *fluid.Network { return e.net }
 
-// Active returns the live view of active flows (including group
-// members), in stable admission order; valid until the next Step.
-func (e *Engine) Active() []*fluid.Flow {
-	e.compactActive()
-	return e.active
-}
-
 // Finished returns every completed flow, in completion order. Group
 // members appear here too, stamped with their group's finish time.
 // ReleaseFinished truncates the list.
@@ -445,14 +416,12 @@ func (e *Engine) Tables() (*fluid.FlowTable, *fluid.GroupTable) { return e.tbl, 
 // without it the tables grow with the total admitted (every pointer
 // stays valid forever, the pre-table behavior). Previously returned
 // pointers to the released flows and groups are invalid afterward.
+// Only the lists are truncated: Stats and the progress snapshot's
+// finished count are cumulative. A finished owner holds no scheduled
+// event (finishing popped it), so its id can be reissued at once.
 // Not safe to interleave with an in-flight Step on another goroutine
 // (the engine was never concurrency-safe at the API level).
 func (e *Engine) ReleaseFinished() (flows, groups int) {
-	// The active slices may still carry retired entries awaiting lazy
-	// compaction, and the admitted prefix of pending still references
-	// its flows; drop both so nothing points at a recycled slot.
-	e.compactActive()
-	e.compactActiveGroups()
 	// A completion batch can seed a survivor that then retires in the
 	// same instant; when the run drains right there, the done flow
 	// stays in the seed list (the flood would skip it). Releasing it
@@ -470,6 +439,8 @@ func (e *Engine) ReleaseFinished() (flows, groups int) {
 		}
 		e.touched = kept
 	}
+	// The admitted prefix of pending still references its flows; drop it
+	// so nothing points at a recycled slot.
 	if e.next > 0 {
 		n := copy(e.pending, e.pending[e.next:])
 		clear(e.pending[n:])
@@ -550,11 +521,9 @@ func (e *Engine) addFlow(links []int, u core.Utility, sizeBytes int64, at float6
 	for id >= len(e.fs) {
 		e.fs = append(grow(e.fs), flowState{})
 	}
-	// Carry the slot's epoch forward, bumped: a recycled id can still
-	// have stale completion events sitting in the heap, and the bump
-	// keeps them stale against the new tenant.
-	st := &e.fs[id]
-	*st = flowState{bits: e.bumpEpoch(st.bits, int32(id), evkFlow) & epMask}
+	// A recycled id starts clean: its previous tenant was released
+	// finished, and finishing popped the only event it had.
+	e.fs[id] = flowState{}
 	if n := len(e.pending); n > 0 && at < e.pending[n-1].Arrive {
 		e.unsorted = true
 	}
@@ -581,9 +550,7 @@ func (e *Engine) AddGroup(paths [][]int, u core.Utility, sizeBytes int64, at flo
 	for id >= len(e.gs) {
 		e.gs = append(grow(e.gs), groupState{})
 	}
-	// As in AddFlow: keep a recycled id's epoch moving forward.
-	gst := &e.gs[id]
-	*gst = groupState{bits: e.bumpEpoch(gst.bits, int32(id), evkGroup) & epMask}
+	e.gs[id] = groupState{}
 	for _, links := range paths {
 		g.AddMember(e.addFlow(links, u, 0, at))
 	}
@@ -603,7 +570,7 @@ func (e *Engine) AddGroup(paths [][]int, u core.Utility, sizeBytes int64, at flo
 // matching recoveries unwind it. Switch failures are expressed as the
 // switch's incident directed links (fluid.FatTree's *SwitchLinks).
 //
-// Fault events ride the same heap as completions and retire in a
+// Fault events ride the same schedule as completions and retire in a
 // canonical order (completions first at a shared instant, then
 // failures, then recoveries, then by link id), which internal/refsim
 // shares, so a fault run is held to the same referee as a fault-free
@@ -632,7 +599,7 @@ func (e *Engine) scheduleFault(fn string, link int, at float64, kind uint8) {
 		e.capDownT = make([]float64, e.net.Links())
 	}
 	e.pendingFaults++
-	e.heap.push(event{t: at, id: int32(link), kind: kind})
+	e.sched.pushFault(kind, int32(link), at)
 }
 
 // applyFault performs one due fault event at time t — its scheduled
@@ -679,7 +646,7 @@ func (e *Engine) applyFault(link int, fail bool, t float64) {
 // admitDue moves every pending flow with Arrive ≤ now into the active
 // set. A single-path flow whose links carry no other active flow takes
 // the independence fast path — rate set to its path's minimum capacity
-// and one completion event pushed, no allocation; everything else
+// and one completion scheduled, no allocation; everything else
 // seeds the next component re-solve.
 func (e *Engine) admitDue() {
 	if e.unsorted {
@@ -690,19 +657,17 @@ func (e *Engine) admitDue() {
 	n := e.next
 	for n < len(e.pending) && e.pending[n].Arrive <= e.now {
 		f := e.pending[n]
+		if e.nadmit == math.MaxInt32 {
+			// seq orders components for the allocator; past the limit it
+			// would go negative and reorder them silently.
+			panic(fmt.Sprintf("leap: %d flows admitted: the int32 admission sequence is exhausted", e.nadmit))
+		}
 		e.fs[f.ID].seq = e.nadmit
 		e.nadmit++
+		e.nLive++
 		iso := f.Group == nil && e.isolated(f)
 		for _, l := range f.Links {
 			e.linkFlows[l] = append(e.linkFlows[l], int32(f.ID))
-		}
-		e.active = append(e.active, f)
-		if g := f.Group; g != nil {
-			gst := &e.gs[g.ID]
-			if gst.bits&activeBit == 0 {
-				gst.bits |= activeBit
-				e.activeGroups = append(e.activeGroups, g)
-			}
 		}
 		e.hooks.FlowTrace.Admit(f.ID, f.SizeBytes, f.Arrive, f.Links)
 		if iso {
@@ -754,7 +719,7 @@ func (e *Engine) admitIsolated(f *fluid.Flow) {
 	e.fs[f.ID].refT = e.now
 	e.stats.Elided++
 	if f.SizeBytes > 0 && f.Rate > 0 {
-		e.pushFlowEvent(f)
+		e.scheduleFlow(f)
 	} else if f.SizeBytes > 0 {
 		// Admitted straight onto a dead path: stranded from birth, no
 		// completion to schedule until a recovery re-solves it.
@@ -903,107 +868,26 @@ func (e *Engine) collectComponents() []compRange {
 	return e.comps
 }
 
-// bumpEpoch returns a slot's state bits with the epoch advanced and
-// evBit cleared, which marks any heap event the slot has stale.
-func (e *Engine) bumpEpoch(bits uint32, id int32, kind uint8) uint32 {
-	if bits&evBit != 0 {
-		e.stale++
-	}
-	bits = (bits + epInc) &^ evBit
-	if bits&epMask == 0 {
-		e.sweepWrapped(id, kind)
-	}
-	return bits
-}
-
-// sweepWrapped runs when a slot's 28-bit epoch wraps: a stale event the
-// slot pushed a whole cycle ago — still in the heap because stale
-// events never passed the sweep threshold — would match a reused epoch
-// value and revalidate, so every stale event and every event of this
-// slot is swept out first.
-func (e *Engine) sweepWrapped(id int32, kind uint8) {
-	e.heap.compact(func(ev event) bool { return (ev.kind != kind || ev.id != id) && e.valid(ev) })
-	e.stale = 0
-}
-
-// invalidateFlow bumps f's epoch, marking any heap event it has stale.
-func (e *Engine) invalidateFlow(f *fluid.Flow) {
-	e.fs[f.ID].bits = e.bumpEpoch(e.fs[f.ID].bits, int32(f.ID), evkFlow)
-}
-
-func (e *Engine) invalidateGroup(g *fluid.Group) {
-	e.gs[g.ID].bits = e.bumpEpoch(e.gs[g.ID].bits, int32(g.ID), evkGroup)
-}
-
-// pushFlowEvent schedules f's completion from the current instant,
-// where f's rate was just installed and f.Remaining materialized.
-func (e *Engine) pushFlowEvent(f *fluid.Flow) {
-	s := &e.fs[f.ID]
-	s.bits |= evBit
-	e.heap.push(event{t: e.now + f.Remaining*8/f.Rate, id: int32(f.ID), ep: s.bits & epMask})
-}
-
-func (e *Engine) pushGroupEvent(g *fluid.Group) {
-	s := &e.gs[g.ID]
-	s.bits |= evBit
-	e.heap.push(event{t: e.now + g.Remaining*8/g.Rate(), id: int32(g.ID), ep: s.bits & epMask, kind: evkGroup})
-}
-
-// valid reports whether a heap event is still live: its owner running
-// and its epoch current. The kind check comes first — a fault event's
-// id is a link id, never resolvable through the flow tables, and a
-// capacity change can never go stale, so faults are always live. Then
-// the epoch check — a stale event (and any event left by a recycled
-// id's previous tenant, whose epoch the new tenant advanced past) is
-// rejected without resolving its owner at all.
-func (e *Engine) valid(ev event) bool {
-	switch ev.kind {
-	case evkFlow:
-		return ev.ep == e.fs[ev.id].bits&epMask && !e.tbl.ByID(int(ev.id)).Done()
-	case evkGroup:
-		return ev.ep == e.gs[ev.id].bits&epMask && !e.gtbl.ByID(int(ev.id)).Done()
-	}
-	return true
-}
-
-// earliest prunes stale events off the top of the heap and returns the
-// earliest live event. With stale at zero the heap is provably
-// all-live (stale events are counted when their owner's epoch is
-// bumped), so the common case is one comparison.
-func (e *Engine) earliest() (event, bool) {
-	for e.stale > 0 && e.heap.len() > 0 && !e.valid(e.heap.top()) {
-		e.heap.pop()
-		e.stale--
-	}
-	if e.heap.len() == 0 {
-		return event{}, false
-	}
-	return e.heap.top(), true
-}
-
-// maybeCompact sweeps the heap once its stale events exceed the sweep
-// threshold and outnumber its live ones.
-func (e *Engine) maybeCompact() {
-	if e.stale > e.sweep && 2*e.stale > e.heap.len() {
-		e.heap.compact(e.valid)
-		e.stale = 0
-	}
+// scheduleFlow sets f's completion from the current instant, where
+// f's rate was just installed and f.Remaining materialized.
+func (e *Engine) scheduleFlow(f *fluid.Flow) {
+	e.sched.set(evkFlow, int32(f.ID), e.now+f.Remaining*8/f.Rate)
 }
 
 // preApplyFlow installs a non-member flow's new rate at the current
 // instant and materializes its lazy drain, reporting whether its
 // completion event must be respliced (applyOp performs the actual
-// invalidate+push). A completion time computed
+// set or cancel). A completion time computed
 // from an unchanged rate is still exact — drain is linear — so the
 // existing event stands untouched, which is what keeps untouched
 // rates' schedules byte-stable across other components'
 // reallocations.
 //
 // A zero rate strands the flow: no drain accrues (old ≤ 0 skips the
-// materialization), the resplice op invalidates its event without
-// pushing a new one, and refT freezes at the stranding instant so the
-// eventual resume can accrue the stranded-time integral into res,
-// where the stranding transitions are counted too.
+// materialization), the resplice op cancels its event, and refT
+// freezes at the stranding instant so the eventual resume can accrue
+// the stranded-time integral into res, where the stranding transitions
+// are counted too.
 func (e *Engine) preApplyFlow(f *fluid.Flow, rate float64, res *compResult) bool {
 	old, now := f.Rate, e.now
 	if f.SizeBytes == 0 {
@@ -1029,7 +913,7 @@ func (e *Engine) preApplyFlow(f *fluid.Flow, rate float64, res *compResult) bool
 			res.strandedSec += dt
 		}
 	}
-	if rate == old && (s.bits&evBit != 0) == (rate > 0) {
+	if rate == old && e.sched.has(evkFlow, int32(f.ID)) == (rate > 0) {
 		return false
 	}
 	if old > 0 {
@@ -1049,17 +933,18 @@ func (e *Engine) preApplyFlow(f *fluid.Flow, rate float64, res *compResult) bool
 // appears in at most one op per batch.
 func (e *Engine) applyOp(op evOp) {
 	if !op.grp {
-		f := e.tbl.ByID(int(op.id))
-		e.invalidateFlow(f)
-		if f.Rate > 0 {
-			e.pushFlowEvent(f)
+		if f := e.tbl.ByID(int(op.id)); f.Rate > 0 {
+			e.scheduleFlow(f)
+		} else {
+			e.sched.cancel(evkFlow, op.id)
 		}
 		return
 	}
 	g := e.gtbl.ByID(int(op.id))
-	e.invalidateGroup(g)
-	if g.Rate() > 0 {
-		e.pushGroupEvent(g)
+	if total := g.Rate(); total > 0 {
+		e.sched.set(evkGroup, op.id, e.now+g.Remaining*8/total)
+	} else {
+		e.sched.cancel(evkGroup, op.id)
 	}
 }
 
@@ -1105,9 +990,7 @@ func (e *Engine) preApply(flows []*fluid.Flow, groups []*fluid.Group, rates []fl
 		if g.SizeBytes == 0 {
 			continue
 		}
-		total := g.Rate()
-		gb := e.gs[g.ID].bits
-		if gb&seededBit == 0 && (gb&evBit != 0) == (total > 0) {
+		if e.gs[g.ID].bits&seededBit == 0 && e.sched.has(evkGroup, int32(g.ID)) == (g.Rate() > 0) {
 			continue
 		}
 		res.ops = append(res.ops, evOp{id: int32(g.ID), grp: true})
@@ -1141,9 +1024,8 @@ func (e *Engine) solveComponent(ci int) {
 // touch — one batch, every component at the batch instant e.now. The
 // solve phase runs the components in seed order (allocator call +
 // component-local rate install) and folds each outcome into the
-// counters; the resplice phase then re-pushes the moved completion
-// events, again in component order, so heap push order is a function
-// of the schedule alone.
+// counters; the resplice phase then re-keys the moved completion
+// events, again in component order.
 func (e *Engine) reallocate() {
 	comps := e.collectComponents()
 	nc := len(comps)
@@ -1198,7 +1080,6 @@ func (e *Engine) reallocate() {
 			e.applyOp(op)
 		}
 	}
-	e.maybeCompact()
 	e.hooks.Profiler.Lap(obs.PhaseResplice)
 	e.hooks.Tracer.Span(0, "batch", batchStart, int64(nc))
 }
@@ -1247,65 +1128,41 @@ func (e *Engine) bottlenecks(flows []*fluid.Flow, rates []float64) []int32 {
 // materialize realizes every active finite payload's lazy drain at
 // time t. Run calls it once when a finite horizon cuts the simulation
 // short, so flows left unfinished expose the Remaining they would
-// have under eager draining.
+// have under eager draining. The draining owners are exactly the
+// schedule's completions, and each drains independently of the rest,
+// so heap order serves as well as any.
 func (e *Engine) materialize(t float64) {
-	for _, f := range e.active {
-		if f.Done() || f.SizeBytes == 0 || f.Group != nil || f.Rate <= 0 {
-			continue
+	for _, ev := range e.sched.ev {
+		switch ev.kind {
+		case evkFlow:
+			f := e.tbl.ByID(int(ev.id))
+			s := &e.fs[ev.id]
+			f.Remaining -= (t - s.refT) * f.Rate / 8
+			if f.Remaining < 0 {
+				f.Remaining = 0
+			}
+			s.refT = t
+		case evkGroup:
+			g := e.gtbl.ByID(int(ev.id))
+			s := &e.gs[ev.id]
+			g.Remaining -= (t - s.refT) * g.Rate() / 8
+			if g.Remaining < 0 {
+				g.Remaining = 0
+			}
+			s.refT = t
 		}
-		s := &e.fs[f.ID]
-		f.Remaining -= (t - s.refT) * f.Rate / 8
-		if f.Remaining < 0 {
-			f.Remaining = 0
-		}
-		s.refT = t
-	}
-	for _, g := range e.activeGroups {
-		if g.Done() || g.SizeBytes == 0 {
-			continue
-		}
-		total := g.Rate()
-		if total <= 0 {
-			continue
-		}
-		s := &e.gs[g.ID]
-		g.Remaining -= (t - s.refT) * total / 8
-		if g.Remaining < 0 {
-			g.Remaining = 0
-		}
-		s.refT = t
 	}
 }
 
 // complete retires every flow and group whose completion event is due
-// at time t, in deterministic (time, id) order, then compacts the
-// active set in place (preserving admission order). A departing flow
-// that shared no link keeps the fast path — its capacity was visible
-// to nobody, so the remaining schedule stands; any other departure
-// seeds its surviving neighbors for a component re-solve.
+// at time t, in deterministic (time, id) order. A departing flow that
+// shared no link keeps the fast path — its capacity was visible to
+// nobody, so the remaining schedule stands; any other departure seeds
+// its surviving neighbors for a component re-solve.
 func (e *Engine) complete(t float64) {
 	slack := 1e-12 * (1 + math.Abs(t))
-	done := false
-	for {
-		ev, ok := e.earliest()
-		if !ok || ev.t > t+slack {
-			break
-		}
-		e.heap.pop()
-		done = true
-		e.retireEvent(ev)
-	}
-	if !done {
-		return
-	}
-	// Compact the done entries out of the active slices lazily —
-	// amortized O(1) per completion; nothing reads the slices between
-	// compactions.
-	if 2*e.nDone >= len(e.active) {
-		e.compactActive()
-	}
-	if 2*e.nDoneG >= len(e.activeGroups) {
-		e.compactActiveGroups()
+	for e.sched.len() > 0 && e.sched.top().t <= t+slack {
+		e.retireEvent(e.sched.pop())
 	}
 }
 
@@ -1319,11 +1176,10 @@ func (e *Engine) retireEvent(ev event) {
 	}
 	if ev.kind == evkFlow {
 		f := e.tbl.ByID(int(ev.id))
-		e.fs[f.ID].bits &^= evBit
 		f.Finish = ev.t
 		f.Remaining = 0
 		e.finished = append(grow(e.finished), f)
-		e.nDone++
+		e.nLive--
 		e.hooks.FlowTrace.Complete(f.ID, ev.t)
 		if !e.unlink(f) {
 			e.stats.Elided++
@@ -1331,7 +1187,6 @@ func (e *Engine) retireEvent(ev event) {
 		return
 	}
 	g := e.gtbl.ByID(int(ev.id))
-	e.gs[g.ID].bits &^= evBit
 	g.Finish = ev.t
 	g.Remaining = 0
 	coupled := false
@@ -1341,59 +1196,19 @@ func (e *Engine) retireEvent(ev event) {
 		}
 		m.Finish = g.Finish
 		e.finished = append(grow(e.finished), m)
-		e.nDone++
+		e.nLive--
 		if e.unlink(m) {
 			coupled = true
 		}
 	}
 	e.finishedGroups = append(e.finishedGroups, g)
-	e.nDoneG++
-	e.gs[g.ID].bits &^= activeBit
 	if !coupled {
 		e.stats.Elided++
 	}
 }
 
-// liveActive is the true active flow count: admitted, not yet
-// completed (stale slice entries excluded).
-func (e *Engine) liveActive() int { return len(e.active) - e.nDone }
-
-// compactActive removes completed flows from the active slice,
-// preserving admission order.
-func (e *Engine) compactActive() {
-	if e.nDone == 0 {
-		return
-	}
-	kept := e.active[:0]
-	for _, f := range e.active {
-		if !f.Done() {
-			kept = append(kept, f)
-		}
-	}
-	for i := len(kept); i < len(e.active); i++ {
-		e.active[i] = nil
-	}
-	e.active = kept
-	e.nDone = 0
-}
-
-// compactActiveGroups is compactActive for the group slice.
-func (e *Engine) compactActiveGroups() {
-	if e.nDoneG == 0 {
-		return
-	}
-	keptG := e.activeGroups[:0]
-	for _, g := range e.activeGroups {
-		if !g.Done() {
-			keptG = append(keptG, g)
-		}
-	}
-	for i := len(keptG); i < len(e.activeGroups); i++ {
-		e.activeGroups[i] = nil
-	}
-	e.activeGroups = keptG
-	e.nDoneG = 0
-}
+// liveActive is the active flow count: admitted, not yet completed.
+func (e *Engine) liveActive() int { return e.nLive }
 
 // Step advances to the next event: admit due arrivals, reallocate the
 // touched component(s) if anything was seeded, and jump time to the
@@ -1429,8 +1244,8 @@ func (e *Engine) step(deadline float64) bool {
 	}
 	e.settle()
 	tC := math.Inf(1)
-	if ev, ok := e.earliest(); ok {
-		tC = ev.t
+	if e.sched.len() > 0 {
+		tC = e.sched.top().t
 	}
 	tA := math.Inf(1)
 	if e.next < len(e.pending) {
@@ -1454,7 +1269,7 @@ func (e *Engine) step(deadline float64) bool {
 	e.stats.Events++
 	e.hooks.Profiler.Lap(obs.PhaseComplete)
 	e.hooks.Metrics.Event()
-	e.hooks.Progress.Record(e.now, int64(e.stats.Events), e.liveActive(), len(e.finished))
+	e.hooks.Progress.Record(e.now, int64(e.stats.Events), e.liveActive(), int(e.nadmit)-e.nLive)
 	return true
 }
 

@@ -437,28 +437,6 @@ func TestIndependenceElision(t *testing.T) {
 	}
 }
 
-// TestSweepThresholdEquivalence: the lazy-heap bulk-sweep threshold is
-// a pure performance constant — an engine sweeping at every
-// opportunity (threshold 1) and one that effectively never sweeps (a
-// huge threshold) must produce identical completions on the dense
-// schedule, and both must match the default.
-func TestSweepThresholdEquivalence(t *testing.T) {
-	for seed := uint64(1); seed <= 3; seed++ {
-		run := func(sweep int) ([]*fluid.Flow, []*fluid.Group) {
-			e := NewEngine(fluid.NewNetwork(denseCaps()), Config{})
-			e.sweep = sweep
-			fs, gs := buildDenseSchedule(e, seed)
-			e.Run(math.Inf(1))
-			return fs, gs
-		}
-		_, df, dg := runDense(Config{}, seed)
-		af, ag := run(1)
-		bf, bg := run(1 << 30)
-		assertSameCompletions(t, "sweep-1", seed, df, dg, af, ag)
-		assertSameCompletions(t, "sweep-never", seed, df, dg, bf, bg)
-	}
-}
-
 // TestBatchStats: synchronized arrivals on disjoint links form one
 // batch of several disjoint components, and the engine's batch
 // telemetry records it.

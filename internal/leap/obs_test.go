@@ -95,7 +95,10 @@ func TestSolveSpansMatchComponents(t *testing.T) {
 // TestObsMetricsMatchStats: every registry instrument an engine feeds
 // must agree with the Stats field it mirrors — the two are incremented
 // side by side from one place each — on a schedule with link failures
-// and recoveries, so the fault counters move too.
+// and recoveries, so the fault counters move too. The run recycles its
+// finished flows halfway, as churn drivers do: the progress snapshot's
+// finished count is cumulative and must not fall back with the list
+// ReleaseFinished truncates.
 func TestObsMetricsMatchStats(t *testing.T) {
 	reg := obs.NewRegistry()
 	prog := &obs.Progress{}
@@ -108,7 +111,12 @@ func TestObsMetricsMatchStats(t *testing.T) {
 		e.FailLink(l, 1e-3)
 		e.RecoverLink(l, 3e-3)
 	}
-	buildDenseSchedule(e, 3)
+	fs, gs := buildDenseSchedule(e, 3)
+	e.Run(2e-3)
+	released, _ := e.ReleaseFinished()
+	if released == 0 || released == len(fs)+2*len(gs) {
+		t.Fatalf("mid-run release recycled %d flows, want some but not all", released)
+	}
 	e.Run(math.Inf(1))
 
 	s := e.Stats()
@@ -135,7 +143,7 @@ func TestObsMetricsMatchStats(t *testing.T) {
 		t.Errorf("component_flows count = %d, allocs = %d", got, s.Allocs)
 	}
 	ps := prog.Snapshot()
-	if ps.Events != int64(s.Events) || ps.Finished != int64(len(e.Finished())) || ps.Batches != int64(s.Batches) {
+	if ps.Events != int64(s.Events) || ps.Finished != int64(released+len(e.Finished())) || ps.Batches != int64(s.Batches) {
 		t.Errorf("progress %+v disagrees with stats %+v", ps, s)
 	}
 	if ps.ActiveFlows != 0 {
