@@ -1,12 +1,25 @@
 # Convenience targets; CI runs the same commands.
 
-.PHONY: test race alloc-gate obs-inline fuzz fault-smoke bench-smoke benchmark-smoke bench bench-diff flowtrace-smoke
+.PHONY: test race loc alloc-gate obs-inline fuzz fault-smoke bench-smoke benchmark-smoke bench bench-diff flowtrace-smoke
 
 test:
 	go build ./... && go test ./...
 
 race:
 	go test -race -short ./...
+
+# The size numbers ROADMAP aim 2 and every CHANGES.md entry quote:
+# non-test Go lines (wc -l) of the four engine-side packages, the repo's
+# Go outside benchmark/ (non-test, and with tests), and the field count
+# of leap.Engine. Informational; nothing is gated on it.
+loc:
+	@for d in leap fluid obs harness; do \
+		printf 'internal/%-8s non-test %6d\n' $$d $$(ls internal/$$d/*.go | grep -v _test.go | xargs cat | wc -l); \
+	done
+	@printf 'leap + fluid      non-test %6d\n' $$(ls internal/leap/*.go internal/fluid/*.go | grep -v _test.go | xargs cat | wc -l)
+	@printf 'repo              non-test %6d\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)
+	@printf 'repo            with tests %6d\n' $$(find . -name '*.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)
+	@printf 'leap.Engine         fields %6d\n' $$(awk '/^type Engine struct/{on=1;next} on&&/^}/{exit} on&&!/^[ \t]*(\/\/|$$)/{n++} END{print n}' internal/leap/leap.go)
 
 # The zero-allocation steady-state pins: AllocsPerOp == 0 for a full
 # churn wave through the leap engine with hooks detached (and bounded

@@ -22,7 +22,8 @@
 // faster; "leap" runs them event-driven (internal/leap) — time jumps
 // straight to the next arrival or completion, the only way to reach
 // million-flow dynamic workloads. An unknown -engine value is an
-// error that lists the valid engines. Four experiments are
+// error that lists the valid engines, and so is a -scale other than
+// "scaled" or "full". Four experiments are
 // fluid/leap-only — they run regimes the packet engine cannot reach:
 // fattree (a k=8 fat-tree serving ≥50k flows), fluidsweep (a
 // multi-seed convergence sweep fanned across goroutines),
@@ -108,6 +109,10 @@ func main() {
 	var err error
 	if engine, err = harness.ParseEngine(*eng); err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if *scale != "scaled" && *scale != "full" {
+		fmt.Fprintf(os.Stderr, "unknown scale %q (valid scales: scaled, full)\n", *scale)
 		os.Exit(2)
 	}
 	if outDir != "" {

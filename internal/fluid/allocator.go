@@ -2,7 +2,6 @@ package fluid
 
 import (
 	"math"
-	"sync/atomic"
 
 	"numfabric/internal/core"
 	"numfabric/internal/oracle"
@@ -47,10 +46,10 @@ type SubsetAllocator = Allocator
 
 // IterCounter is implemented by allocators that count their internal
 // solver iterations — price updates (XWI), gradient steps (DGD),
-// solver iterations (Oracle), water-fill rounds (WaterFill). The
-// counter is shared across Worker views, so an engine solving through
-// one reads the total off the parent; it accumulates across Reset
-// (which clears prices, not telemetry).
+// solver iterations (Oracle), water-fill rounds (WaterFill). The total
+// accumulates across Reset (which clears prices, not telemetry). An
+// allocator belongs to one goroutine, so the counter is a plain
+// integer.
 type IterCounter interface {
 	SolveIters() int64
 }
@@ -70,27 +69,13 @@ type BottleneckReporter interface {
 	Bottlenecks(net *Network, flows []*Flow, rates []float64, out []int32)
 }
 
-// iterCount is the shared iteration tally embedded in each allocator.
-// Like scratch.stamps it is a pointer so Worker views accumulate into
-// their parent's total; it is created lazily on the single-threaded
-// paths (Prime, Worker, the parent's own allocate) before any
-// concurrency starts.
-type iterCount struct {
-	n *atomic.Int64
-}
+// iterCount is the iteration tally embedded in each allocator.
+type iterCount struct{ n int64 }
 
-func (c *iterCount) ensure() *atomic.Int64 {
-	if c.n == nil {
-		c.n = new(atomic.Int64)
-	}
-	return c.n
-}
+func (c *iterCount) add(d int64) { c.n += d }
 
-func (c *iterCount) add(d int64) { c.ensure().Add(d) }
-
-// SolveIters returns the iterations accumulated so far (shared across
-// Worker views).
-func (c *iterCount) SolveIters() int64 { return c.ensure().Load() }
+// SolveIters returns the iterations accumulated so far.
+func (c *iterCount) SolveIters() int64 { return c.n }
 
 // scratch holds the per-call path/weight/group views shared by
 // allocators.
@@ -98,13 +83,9 @@ type scratch struct {
 	paths   [][]int
 	weights []float64
 	groups  []*Group
-	// stamps issues the group-scan stamps. It is a shared monotone
-	// counter rather than a per-scratch int so that worker views of one
-	// allocator (ParallelSubsetAllocator.Worker) can scan groups
-	// concurrently: values are globally unique across the family and
-	// never reused, so a group stamped by one worker's past scan can
-	// never collide with another worker's current one.
-	stamps *atomic.Int64
+	// stamp is the last group-scan stamp collectGroups issued: monotone,
+	// so a group marked by an earlier scan never reads as already seen.
+	stamp int64
 
 	// linkStamp/links collect the distinct links a call's flows cross,
 	// in first-touch order — the sparse iteration domain of the subset
@@ -125,15 +106,6 @@ type scratch struct {
 	afU []core.AlphaFair
 }
 
-// ensureStamps lazily creates the stamp source (single-threaded: the
-// first Allocate, Prime, or Worker call precedes any concurrency).
-func (s *scratch) ensureStamps() *atomic.Int64 {
-	if s.stamps == nil {
-		s.stamps = new(atomic.Int64)
-	}
-	return s.stamps
-}
-
 func (s *scratch) resize(n int) {
 	if cap(s.paths) < n {
 		s.paths = make([][]int, n)
@@ -147,11 +119,11 @@ func (s *scratch) resize(n int) {
 // first-member order, via the groups' scan stamps (no per-call
 // allocation once warm).
 func (s *scratch) collectGroups(flows []*Flow) []*Group {
-	st := s.ensureStamps().Add(1)
+	s.stamp++
 	s.groups = s.groups[:0]
 	for _, f := range flows {
-		if g := f.Group; g != nil && g.stamp != st {
-			g.stamp = st
+		if g := f.Group; g != nil && g.stamp != s.stamp {
+			g.stamp = s.stamp
 			s.groups = append(s.groups, g)
 		}
 	}
@@ -612,7 +584,10 @@ type Oracle struct {
 	MaxIter int
 
 	iterCount
+	// prices is the warm-start dual vector; init is the per-solve copy
+	// of it AllocateSubset confines to the subset's links.
 	prices []float64
+	init   []float64
 	s      scratch
 	sw     oracle.SolveWorkspace
 }
@@ -634,7 +609,7 @@ func (o *Oracle) Stationary() bool { return true }
 
 // Allocate solves the NUM problem for the current flow set.
 func (o *Oracle) Allocate(net *Network, flows []*Flow, rates []float64) {
-	res := o.solve(net, flows)
+	res := o.solve(net, flows, o.prices)
 	// res aliases the solve workspace; the warm-start duals are kept in
 	// a vector of their own.
 	o.prices = append(o.prices[:0], res.Prices...)
@@ -643,23 +618,59 @@ func (o *Oracle) Allocate(net *Network, flows []*Flow, rates []float64) {
 
 // AllocateSubset solves the NUM problem for a link-closed subset. The
 // optimum decomposes across connected components, so the subset's
-// solution equals its rates in the full optimum. Warm-start prices are
-// scattered back only for the links the subset crosses; other
-// components' duals survive for their own next solve.
+// solution equals its rates in the full optimum. The solve warm-starts
+// from the duals of exactly the links the subset crosses (zero
+// elsewhere) and scatters the solved duals back to those links alone,
+// so its rates do not depend on what the rest of the vector holds and
+// other components' duals survive for their own next solve. Without a
+// dual vector for this network (no Prime, or after Reset) the first
+// call cold-starts as Allocate does.
 func (o *Oracle) AllocateSubset(net *Network, flows []*Flow, rates []float64) {
-	res := o.solve(net, flows)
-	if len(o.prices) != net.Links() {
-		o.prices = append(o.prices[:0], res.Prices...)
-	} else {
-		for _, l := range o.s.collectLinks(net.Links(), flows) {
-			o.prices[l] = res.Prices[l]
-		}
+	nl := net.Links()
+	if len(o.prices) != nl {
+		o.Allocate(net, flows, rates)
+		return
+	}
+	touched := o.s.collectLinks(nl, flows)
+	if cap(o.init) < nl {
+		o.init = make([]float64, nl)
+	}
+	init := o.init[:nl]
+	clear(init)
+	for _, l := range touched {
+		init[l] = o.prices[l]
+	}
+	res := o.solve(net, flows, init)
+	for _, l := range touched {
+		o.prices[l] = res.Prices[l]
 	}
 	copy(rates, res.Rates)
 }
 
-func (o *Oracle) solve(net *Network, flows []*Flow) oracle.Result {
-	res := oracleSolve(&o.sw, net, flows, &o.s, o.MaxIter, o.prices)
+// solve builds and solves the NUM problem for flows, warm-started from
+// init. The result aliases o.sw (see oracle.SolveWorkspace.Solve).
+func (o *Oracle) solve(net *Network, flows []*Flow, init []float64) oracle.Result {
+	maxIter := o.MaxIter
+	if maxIter <= 0 {
+		maxIter = 2000
+	}
+	p := core.NewProblem(net.Capacity)
+	for _, g := range o.s.collectGroups(flows) {
+		g.gid = -1
+	}
+	for _, f := range flows {
+		if g := f.Group; g != nil {
+			if g.gid < 0 {
+				g.gid = p.AddAggregate(g.U)
+			}
+			p.AddSubflow(g.gid, f.Links)
+			continue
+		}
+		p.AddFlow(f.Links, f.U)
+	}
+	res := o.sw.Solve(p, oracle.SolveOptions{
+		MaxIter: maxIter, Tol: 1e-7, InitPrices: init,
+	})
 	o.add(int64(res.Iterations))
 	return res
 }

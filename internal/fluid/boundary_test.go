@@ -1,0 +1,99 @@
+package fluid
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"numfabric/internal/core"
+)
+
+// assertRejected runs call on a fresh two-link engine and fails unless
+// it panics with a message naming the entry point and the offending
+// argument and leaves the engine untouched (Step reports no work). The
+// panic is checked first and the engine is never stepped after an
+// accepted call: an engine that took a NaN arrival steps forever, and
+// one that took a bad path panics inside the allocator.
+func assertRejected(t *testing.T, call func(e *Engine), want ...string) {
+	t.Helper()
+	e := NewEngine(NewNetwork([]float64{10e9, 10e9}), Config{Allocator: NewWaterFill()})
+	var msg string
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		call(e)
+		t.Fatal("accepted; want a panic")
+	}()
+	for _, w := range want {
+		if !strings.Contains(msg, w) {
+			t.Fatalf("panic %q does not mention %q", msg, w)
+		}
+	}
+	if e.Step() || e.Now() != 0 {
+		t.Fatalf("rejected call left work behind: Step reports work or moved the clock (now %v)", e.Now())
+	}
+}
+
+// TestEngineRejectsMalformedArguments: hostile AddFlow/AddGroup
+// arguments fail at the boundary, naming the argument, instead of
+// hanging Run (a NaN arrival is never due) or panicking with a bare
+// index error inside the allocator on the first Step (an empty path,
+// an out-of-range link). AddGroup validates every path before creating
+// anything.
+func TestEngineRejectsMalformedArguments(t *testing.T) {
+	u := core.ProportionalFair()
+	flows := []struct {
+		name  string
+		links []int
+		size  int64
+		at    float64
+		want  string
+	}{
+		{"link past the network", []int{7}, 1 << 20, 0, "link 7"},
+		{"negative link", []int{0, -1}, 1 << 20, 0, "link -1"},
+		{"empty path", []int{}, 1 << 20, 0, "empty path"},
+		{"nil path", nil, 1 << 20, 0, "empty path"},
+		{"negative size", []int{0}, -1, 0, "sizeBytes = -1"},
+		{"NaN arrival", []int{0}, 1 << 20, math.NaN(), "at = NaN"},
+		{"+Inf arrival", []int{0}, 1 << 20, math.Inf(1), "at = +Inf"},
+		{"-Inf arrival", []int{0}, 1 << 20, math.Inf(-1), "at = -Inf"},
+	}
+	for _, c := range flows {
+		t.Run("AddFlow/"+c.name, func(t *testing.T) {
+			assertRejected(t, func(e *Engine) { e.AddFlow(c.links, u, c.size, c.at) }, "AddFlow", c.want)
+		})
+	}
+	groups := []struct {
+		name  string
+		paths [][]int
+		size  int64
+		at    float64
+		want  string
+	}{
+		{"no paths", nil, 1 << 20, 0, "no paths"},
+		{"second path out of range", [][]int{{0}, {2}}, 1 << 20, 0, "link 2"},
+		{"empty member path", [][]int{{0}, {}}, 1 << 20, 0, "empty path"},
+		{"negative size", [][]int{{0}, {1}}, -5, 0, "sizeBytes = -5"},
+		{"NaN arrival", [][]int{{0}, {1}}, 1 << 20, math.NaN(), "at = NaN"},
+		{"+Inf arrival", [][]int{{0}, {1}}, 1 << 20, math.Inf(1), "at = +Inf"},
+	}
+	for _, c := range groups {
+		t.Run("AddGroup/"+c.name, func(t *testing.T) {
+			assertRejected(t, func(e *Engine) { e.AddGroup(c.paths, u, c.size, c.at) }, "AddGroup", c.want)
+		})
+	}
+	// What stays legal: an arrival in the past, an unbounded flow (and
+	// group), the last link.
+	e := NewEngine(NewNetwork([]float64{10e9, 10e9}), Config{Allocator: NewWaterFill()})
+	unbounded := e.AddFlow([]int{1}, u, 0, -1)
+	f := e.AddFlow([]int{0, 1}, u, 1<<20, -1e-3)
+	g := e.AddGroup([][]int{{0}, {1}}, u, 1<<20, 0)
+	e.Run(1)
+	if !f.Done() || !g.Done() || unbounded.Rate <= 0 {
+		t.Fatalf("legal arrivals: flow done %v, group done %v, unbounded rate %v", f.Done(), g.Done(), unbounded.Rate)
+	}
+}

@@ -1,6 +1,7 @@
 package fluid
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -167,10 +168,40 @@ func (e *Engine) OnEpoch(fn func(now float64, active []*Flow)) {
 	e.epochFns = append(e.epochFns, fn)
 }
 
+// checkFlow panics unless links is a non-empty path over the engine's
+// network, sizeBytes a payload (0 = unbounded) and at a finite time: a
+// NaN arrival is never due, so Run would step epochs forever, and a
+// bad link id would surface as an index panic inside the allocator.
+func (e *Engine) checkFlow(fn string, links []int, sizeBytes int64, at float64) {
+	if len(links) == 0 {
+		panic(fmt.Sprintf("fluid: %s: empty path", fn))
+	}
+	n := e.net.Links()
+	for _, l := range links {
+		if l < 0 || l >= n {
+			panic(fmt.Sprintf("fluid: %s: link %d in path %v of a %d-link network", fn, l, links, n))
+		}
+	}
+	if sizeBytes < 0 {
+		panic(fmt.Sprintf("fluid: %s: sizeBytes = %d, want ≥ 0 (0 = unbounded)", fn, sizeBytes))
+	}
+	if math.IsNaN(at) || math.IsInf(at, 0) {
+		panic(fmt.Sprintf("fluid: %s: at = %v, want a finite time", fn, at))
+	}
+}
+
 // AddFlow schedules a flow over links, arriving at time at (seconds;
 // at ≤ Now admits it on the next Step), with utility u and payload
-// sizeBytes (0 = unbounded). It returns the Flow for inspection.
+// sizeBytes (0 = unbounded). It returns the Flow for inspection. A
+// malformed argument — an empty path, a link id outside the network, a
+// negative size, a NaN or infinite at — is a programmer error and
+// panics naming the argument.
 func (e *Engine) AddFlow(links []int, u core.Utility, sizeBytes int64, at float64) *Flow {
+	e.checkFlow("AddFlow", links, sizeBytes, at)
+	return e.addFlow(links, u, sizeBytes, at)
+}
+
+func (e *Engine) addFlow(links []int, u core.Utility, sizeBytes int64, at float64) *Flow {
 	f := NewFlow(e.nextID, links, u, sizeBytes, at)
 	e.nextID++
 	e.pending = append(e.pending, f)
@@ -182,12 +213,20 @@ func (e *Engine) AddFlow(links []int, u core.Utility, sizeBytes int64, at float6
 // member subflow per path), arriving as a unit at time at, with
 // utility u of the group's TOTAL rate and a shared payload of
 // sizeBytes (0 = unbounded). It returns the Group for inspection; the
-// member flows are in Group.Members, path order.
+// member flows are in Group.Members, path order. Arguments are
+// validated as in AddFlow, every path included, before anything is
+// created; a group needs at least one path.
 func (e *Engine) AddGroup(paths [][]int, u core.Utility, sizeBytes int64, at float64) *Group {
+	if len(paths) == 0 {
+		panic("fluid: AddGroup: no paths")
+	}
+	for _, links := range paths {
+		e.checkFlow("AddGroup", links, sizeBytes, at)
+	}
 	g := NewGroup(e.nextGroupID, u, sizeBytes, at)
 	e.nextGroupID++
 	for _, links := range paths {
-		g.AddMember(e.AddFlow(links, u, 0, at))
+		g.AddMember(e.addFlow(links, u, 0, at))
 	}
 	return g
 }

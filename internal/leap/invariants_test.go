@@ -64,8 +64,8 @@ func (e *Engine) checkInvariants() {
 			unsettled[l] = unsettled[l] || seeded(f)
 		}
 	}
-	if len(live) != e.liveActive() {
-		fail("%d live flows in the table, liveActive() = %d", len(live), e.liveActive())
+	if len(live) != e.nLive {
+		fail("%d live flows in the table, nLive = %d", len(live), e.nLive)
 	}
 	for l := range want {
 		got := slices.Clone(e.linkFlows[l])

@@ -68,9 +68,11 @@
 // events sharing an instant — a batch of synchronized arrivals plus
 // any completions landing on it — seed one reallocation batch; the
 // flood partitions the touched flows into their disjoint connected
-// components (overlapping seeds merge) and the components are solved
-// one after another, in seed order, each at the batch instant. Link
-// failures and recoveries are ordinary events on the same schedule.
+// components (overlapping seeds merge) and the components are settled
+// one after another, in seed order, each at the batch instant and each
+// in one pass: solve, install the rates, move the completions whose
+// rates changed. Link failures and recoveries are ordinary events on
+// the same schedule.
 // The loop is single-threaded by measurement, not by omission: README
 // "Why the leap engine is single-threaded" has the numbers.
 package leap
@@ -89,7 +91,10 @@ import (
 type Config struct {
 	// Allocator computes rates at each active-set change, through its
 	// link-closed subset path (default fluid.NewWaterFill() —
-	// stationary, so event-driven advancement is exact).
+	// stationary, so event-driven advancement is exact). The engine
+	// solves on this object, from its own goroutine only; if it has the
+	// fluid.ParallelSubsetAllocator priming seam (every built-in
+	// allocator does) NewEngine calls Prime(net) on it once.
 	Allocator fluid.SubsetAllocator
 	// Obs attaches optional observability hooks: a phase profiler for
 	// the event loop, a tracer recording batch and solve spans, a live
@@ -212,7 +217,7 @@ const (
 )
 
 // groupState is the per-group analog: mark is the component flood's
-// visited stamp and the seededBit slot doubles as the per-apply
+// visited stamp and the seededBit slot doubles as the per-install
 // "member rate moved" flag (the two uses never overlap in time).
 type groupState struct {
 	refT float64
@@ -237,46 +242,20 @@ func grow[T any](s []T) []T {
 // flood, as index ranges into the engine's comp/compG scratch slices.
 type compRange struct{ f0, f1, g0, g1 int }
 
-// evOp is one deferred completion-event resplice — a flow or group
-// whose rate change requires moving or cancelling its scheduled
-// completion. The solve phase records them; the resplice phase applies
-// them in component order. Like events, ops carry dense ids, resolved
-// through the tables at apply time.
-type evOp struct {
-	id  int32
-	grp bool
-}
-
-// compResult is one component's solve outcome: the resplice ops it
-// produced, how many flows its allocator call covered (zero for an
-// elided size-one component), and the stranding transitions the rate
-// install observed (summed per component first, then into the engine,
-// which fixes the float summation order of Stats.StrandedSec).
-type compResult struct {
-	ops         []evOp
-	solved      int
-	stranded    int
-	resumed     int
-	strandedSec float64
-}
-
 // Engine advances a fluid network event by event. Between events every
 // rate is constant, so the state at the next event follows in closed
 // form; nothing is simulated in between.
 type Engine struct {
-	net   *fluid.Network
+	net *fluid.Network
+	// alloc is Config.Allocator, primed once by NewEngine; every
+	// component solve is one AllocateSubset call on it.
 	alloc fluid.SubsetAllocator
 	// tbl/gtbl are the engine's pooled flow and group storage:
 	// slab-stable pointers, dense recycled ids, arena-backed paths.
-	// Every id the engine keys its state by — events, evOps,
-	// linkFlows, fs/gs — resolves through them.
+	// Every id the engine keys its state by — events, linkFlows,
+	// fs/gs — resolves through them.
 	tbl  *fluid.FlowTable
 	gtbl *fluid.GroupTable
-	// sub is the subset solver every component solve goes through: the
-	// allocator's one Worker view after a single Prime when it
-	// implements fluid.ParallelSubsetAllocator (all built-in allocators
-	// do), the allocator itself otherwise.
-	sub fluid.SubsetAllocator
 
 	now      float64
 	pending  []*fluid.Flow // arrival order; pending[next:] not yet admitted
@@ -318,13 +297,10 @@ type Engine struct {
 	touched []*fluid.Flow
 	comp    []*fluid.Flow
 	compG   []*fluid.Group
-	// comps/compRes/ratesArena are the per-batch component table: the
-	// flood fills comps with disjoint ranges over comp/compG, each
-	// component solves into its ratesArena range and records its
-	// outcome in its compRes slot (slots keep their op buffers warm
-	// across batches).
+	// comps/ratesArena are the per-batch component table: the flood
+	// fills comps with disjoint ranges over comp/compG, and each
+	// component solves into its ratesArena range.
 	comps      []compRange
-	compRes    []compResult
 	ratesArena []float64
 
 	// Fault-injection state, lazily allocated by the first
@@ -366,7 +342,6 @@ func NewEngine(net *fluid.Network, cfg Config) *Engine {
 	e := &Engine{
 		net:        net,
 		alloc:      cfg.Allocator,
-		sub:        cfg.Allocator,
 		tbl:        fluid.NewFlowTable(),
 		gtbl:       fluid.NewGroupTable(),
 		batchCause: obs.CauseSolve,
@@ -375,12 +350,11 @@ func NewEngine(net *fluid.Network, cfg Config) *Engine {
 		linkMark:   make([]int, net.Links()),
 	}
 	e.sched.fs, e.sched.gs = &e.fs, &e.gs
-	if ps, isPar := cfg.Allocator.(fluid.ParallelSubsetAllocator); isPar {
-		// Prime once, then solve through one Worker view: warm state
-		// is initialized up front instead of lazily inside the first
-		// solve, which is the path every committed fingerprint took.
+	if ps, ok := cfg.Allocator.(fluid.ParallelSubsetAllocator); ok {
+		// The cold start every committed fingerprint took: warm state
+		// sized for the whole network up front, not seeded lazily from
+		// whichever component happens to solve first.
 		ps.Prime(net)
-		e.sub = ps.Worker()
 	}
 	e.hooks.Tracer.EnsureTracks(2)
 	e.hooks.Tracer.SetTrackName(0, "engine")
@@ -460,12 +434,6 @@ func (e *Engine) ReleaseFinished() (flows, groups int) {
 	e.finishedGroups = e.finishedGroups[:0]
 	return flows, groups
 }
-
-// Allocs returns how many allocator solves have run.
-func (e *Engine) Allocs() int { return e.stats.Allocs }
-
-// Events returns how many events have been processed.
-func (e *Engine) Events() int { return e.stats.Events }
 
 // Stats returns the engine's work telemetry so far.
 func (e *Engine) Stats() Stats {
@@ -874,31 +842,31 @@ func (e *Engine) scheduleFlow(f *fluid.Flow) {
 	e.sched.set(evkFlow, int32(f.ID), e.now+f.Remaining*8/f.Rate)
 }
 
-// preApplyFlow installs a non-member flow's new rate at the current
-// instant and materializes its lazy drain, reporting whether its
-// completion event must be respliced (applyOp performs the actual
-// set or cancel). A completion time computed
-// from an unchanged rate is still exact — drain is linear — so the
+// installFlow installs a non-member flow's new rate at the current
+// instant: it materializes the lazy drain under the outgoing rate and
+// moves the flow's completion to the time the new rate implies (or
+// removes it, at rate zero). A completion time computed from an
+// unchanged rate is still exact — drain is linear — so then the
 // existing event stands untouched, which is what keeps untouched
 // rates' schedules byte-stable across other components'
 // reallocations.
 //
 // A zero rate strands the flow: no drain accrues (old ≤ 0 skips the
-// materialization), the resplice op cancels its event, and refT
-// freezes at the stranding instant so the eventual resume can accrue
-// the stranded-time integral into res, where the stranding transitions
-// are counted too.
-func (e *Engine) preApplyFlow(f *fluid.Flow, rate float64, res *compResult) bool {
+// materialization), its event is cancelled, and refT freezes at the
+// stranding instant; the resume returns the time spent stranded for
+// the caller to sum (zero on every other path).
+func (e *Engine) installFlow(f *fluid.Flow, rate float64) (strandedSec float64) {
 	old, now := f.Rate, e.now
 	if f.SizeBytes == 0 {
 		f.Rate = rate
-		return false
+		return 0
 	}
 	s := &e.fs[f.ID]
 	if rate <= 0 {
 		if s.bits&strandedBit == 0 {
 			s.bits |= strandedBit
-			res.stranded++
+			e.stats.Stranded++
+			e.hooks.Metrics.Strand(1, 0)
 			if old <= 0 {
 				// Rate was already zero (admitted dead): the stranding
 				// clock starts now; a positive old rate instead drains
@@ -908,13 +876,12 @@ func (e *Engine) preApplyFlow(f *fluid.Flow, rate float64, res *compResult) bool
 		}
 	} else if s.bits&strandedBit != 0 {
 		s.bits &^= strandedBit
-		res.resumed++
-		if dt := now - s.refT; dt > 0 {
-			res.strandedSec += dt
-		}
+		e.stats.Resumed++
+		e.hooks.Metrics.Strand(0, 1)
+		strandedSec = math.Max(now-s.refT, 0)
 	}
 	if rate == old && e.sched.has(evkFlow, int32(f.ID)) == (rate > 0) {
-		return false
+		return strandedSec
 	}
 	if old > 0 {
 		// Materialize the lazy drain under the outgoing rate. A
@@ -926,36 +893,19 @@ func (e *Engine) preApplyFlow(f *fluid.Flow, rate float64, res *compResult) bool
 	}
 	s.refT = now
 	f.Rate = rate
-	return true
-}
-
-// applyOp performs one deferred event resplice; every flow and group
-// appears in at most one op per batch.
-func (e *Engine) applyOp(op evOp) {
-	if !op.grp {
-		if f := e.tbl.ByID(int(op.id)); f.Rate > 0 {
-			e.scheduleFlow(f)
-		} else {
-			e.sched.cancel(evkFlow, op.id)
-		}
-		return
-	}
-	g := e.gtbl.ByID(int(op.id))
-	if total := g.Rate(); total > 0 {
-		e.sched.set(evkGroup, op.id, e.now+g.Remaining*8/total)
+	if rate > 0 {
+		e.scheduleFlow(f)
 	} else {
-		e.sched.cancel(evkGroup, op.id)
+		e.sched.cancel(evkFlow, int32(f.ID))
 	}
+	return strandedSec
 }
 
-// preApply installs one component's freshly solved rates at the
-// current instant (and the lazy group-payload materialization that
-// must precede them) and records exactly the events whose rates moved
-// as resplice ops in res.
-func (e *Engine) preApply(flows []*fluid.Flow, groups []*fluid.Group, rates []float64, res *compResult) {
-	now := e.now
-	// Detect member-rate movement, then materialize the moved groups'
-	// lazy drain at their outgoing total, before any rate is installed.
+// installGroups is the group half of a component's rate install, run
+// before any member rate is written: flag the groups a member rate is
+// about to move under (seededBit, free outside the flood) and
+// materialize their lazy drain at the outgoing total.
+func (e *Engine) installGroups(flows []*fluid.Flow, groups []*fluid.Group, rates []float64) {
 	for _, g := range groups {
 		e.gs[g.ID].bits &^= seededBit
 	}
@@ -965,67 +915,77 @@ func (e *Engine) preApply(flows []*fluid.Flow, groups []*fluid.Group, rates []fl
 		}
 	}
 	for _, g := range groups {
-		if g.SizeBytes == 0 || e.gs[g.ID].bits&seededBit == 0 {
+		s := &e.gs[g.ID]
+		if g.SizeBytes == 0 || s.bits&seededBit == 0 {
 			continue
 		}
-		s := &e.gs[g.ID]
 		if total := g.Rate(); total > 0 {
-			g.Remaining -= (now - s.refT) * total / 8
+			g.Remaining -= (e.now - s.refT) * total / 8
 			if g.Remaining < 0 {
 				g.Remaining = 0
 			}
 		}
-		s.refT = now
+		s.refT = e.now
 	}
+}
+
+// solveComponent settles one component in one pass at the batch
+// instant: the size-one elision or the allocator call, then each rate
+// installed and each moved completion re-keyed (or cancelled) where it
+// moves, then the counters and the flow tracer. A flow or group whose
+// rate came back unchanged keeps its event untouched. The order of the
+// schedule operations cannot move a bit: every owner has at most one
+// event and event.before is a strict total order (see schedule).
+func (e *Engine) solveComponent(r compRange) {
+	flows, groups := e.comp[r.f0:r.f1], e.compG[r.g0:r.g1]
+	if len(flows) == 1 && flows[0].Group == nil {
+		// A component of one plain flow needs no allocator at all: it
+		// takes its path's minimum capacity, the same independence
+		// elision its arrival fast path uses, generalized to
+		// departures that leave a lone neighbor behind.
+		e.stats.StrandedSec += e.installFlow(flows[0], e.pathMinCap(flows[0]))
+		e.stats.Elided++
+		e.traceComponent(flows, nil)
+		return
+	}
+	rates := e.ratesArena[r.f0:r.f1]
+	e.alloc.AllocateSubset(e.net, flows, rates)
+	e.installGroups(flows, groups, rates)
+	// Stranded time sums per component first, then into Stats: the
+	// float summation order every committed StrandedSec was made with.
+	var strandedSec float64
 	for i, f := range flows {
 		if f.Group != nil {
 			f.Rate = rates[i]
-			continue
-		}
-		if e.preApplyFlow(f, rates[i], res) {
-			res.ops = append(res.ops, evOp{id: int32(f.ID)})
+		} else {
+			strandedSec += e.installFlow(f, rates[i])
 		}
 	}
 	for _, g := range groups {
 		if g.SizeBytes == 0 {
 			continue
 		}
-		if e.gs[g.ID].bits&seededBit == 0 && e.sched.has(evkGroup, int32(g.ID)) == (g.Rate() > 0) {
+		id, total := int32(g.ID), g.Rate()
+		if e.gs[g.ID].bits&seededBit == 0 && e.sched.has(evkGroup, id) == (total > 0) {
 			continue
 		}
-		res.ops = append(res.ops, evOp{id: int32(g.ID), grp: true})
-	}
-}
-
-// solveComponent solves component ci: the size-≤1 elision or the
-// allocator call, then the component-local rate pre-apply.
-func (e *Engine) solveComponent(ci int) {
-	r := e.comps[ci]
-	res := &e.compRes[ci]
-	*res = compResult{ops: res.ops[:0]}
-	flows := e.comp[r.f0:r.f1]
-	if len(flows) == 1 && flows[0].Group == nil {
-		// A component of one plain flow needs no allocator at all: it
-		// takes its path's minimum capacity, the same independence
-		// elision its arrival fast path uses, generalized to
-		// departures that leave a lone neighbor behind.
-		if e.preApplyFlow(flows[0], e.pathMinCap(flows[0]), res) {
-			res.ops = append(res.ops, evOp{id: int32(flows[0].ID)})
+		if total > 0 {
+			e.sched.set(evkGroup, id, e.now+g.Remaining*8/total)
+		} else {
+			e.sched.cancel(evkGroup, id)
 		}
-		return
 	}
-	rates := e.ratesArena[r.f0:r.f1]
-	e.sub.AllocateSubset(e.net, flows, rates)
-	res.solved = len(flows)
-	e.preApply(flows, e.compG[r.g0:r.g1], rates, res)
+	e.stats.Allocs++
+	e.stats.SolvedFlows += len(flows)
+	e.stats.MaxComponent = max(e.stats.MaxComponent, len(flows))
+	e.stats.StrandedSec += strandedSec
+	e.hooks.Metrics.Solve(len(flows))
+	e.traceComponent(flows, rates)
 }
 
 // reallocate re-solves the disjoint component(s) the pending seeds
-// touch — one batch, every component at the batch instant e.now. The
-// solve phase runs the components in seed order (allocator call +
-// component-local rate install) and folds each outcome into the
-// counters; the resplice phase then re-keys the moved completion
-// events, again in component order.
+// touch — one batch, the components settled one after another in seed
+// order, each at the batch instant e.now.
 func (e *Engine) reallocate() {
 	comps := e.collectComponents()
 	nc := len(comps)
@@ -1034,7 +994,7 @@ func (e *Engine) reallocate() {
 		return
 	}
 	batchStart := e.hooks.Tracer.Clock()
-	e.stats.FullSolveFlows += e.liveActive()
+	e.stats.FullSolveFlows += e.nLive
 	e.stats.Batches++
 	e.stats.BatchComponents += nc
 	e.stats.MaxBatchComponents = max(e.stats.MaxBatchComponents, nc)
@@ -1044,63 +1004,33 @@ func (e *Engine) reallocate() {
 		e.ratesArena = make([]float64, 2*n+64)
 	}
 	e.ratesArena = e.ratesArena[:cap(e.ratesArena)]
-	if nc > len(e.compRes) {
-		e.compRes = append(e.compRes, make([]compResult, nc-len(e.compRes))...)
-	}
-
-	for ci, r := range comps {
+	for _, r := range comps {
 		start := e.hooks.Tracer.Clock()
-		e.solveComponent(ci)
+		e.solveComponent(r)
 		e.hooks.Tracer.Span(1, "solve", start, int64(r.f1-r.f0))
 	}
-	for ci := 0; ci < nc; ci++ {
-		r := &e.compRes[ci]
-		if r.solved > 0 {
-			e.stats.Allocs++
-			e.stats.SolvedFlows += r.solved
-			e.stats.MaxComponent = max(e.stats.MaxComponent, r.solved)
-			e.hooks.Metrics.Solve(r.solved)
-		} else {
-			e.stats.Elided++
-		}
-		if r.stranded != 0 || r.resumed != 0 {
-			e.stats.Stranded += r.stranded
-			e.stats.Resumed += r.resumed
-			e.stats.StrandedSec += r.strandedSec
-			e.hooks.Metrics.Strand(r.stranded, r.resumed)
-		}
-		if e.hooks.FlowTrace != nil {
-			e.traceComponent(ci)
-		}
-	}
 	e.hooks.Profiler.Lap(obs.PhaseSolve)
-
-	for ci := 0; ci < nc; ci++ {
-		for _, op := range e.compRes[ci].ops {
-			e.applyOp(op)
-		}
-	}
-	e.hooks.Profiler.Lap(obs.PhaseResplice)
 	e.hooks.Tracer.Span(0, "batch", batchStart, int64(nc))
 }
 
-// traceComponent reports one component's solved rates to the flow
-// tracer. Each plain finite flow gets a rate segment stamped with the
-// component size and the solve's batch ordinal; group members and
-// unbounded flows are filtered by the tracer itself. The cause code is
-// the engine's batchCause — CauseFail/CauseRecover when a fault event
-// triggered this solve, CauseSolve otherwise.
-func (e *Engine) traceComponent(ci int) {
-	cr := e.comps[ci]
-	flows := e.comp[cr.f0:cr.f1]
-	if e.compRes[ci].solved == 0 {
-		// Elided single-flow component: line rate, min-capacity
-		// bottleneck (the tracer's default for bneck < 0).
+// traceComponent reports one component's freshly installed rates to
+// the flow tracer, if one is attached. Each plain finite flow gets a
+// rate segment stamped with the component size and the solve's batch
+// ordinal; group members and unbounded flows are filtered by the tracer
+// itself. The cause code is the engine's batchCause — CauseFail or
+// CauseRecover when a fault event triggered this solve, CauseSolve
+// otherwise. rates is nil for an elided single-flow component.
+func (e *Engine) traceComponent(flows []*fluid.Flow, rates []float64) {
+	if e.hooks.FlowTrace == nil {
+		return
+	}
+	if rates == nil {
+		// Line rate, min-capacity bottleneck (the tracer's default for
+		// bneck < 0).
 		f := flows[0]
 		e.hooks.FlowTrace.Rate(f.ID, e.now, f.Rate, -1, e.batchCause, 1, uint64(e.stats.Batches))
 		return
 	}
-	rates := e.ratesArena[cr.f0:cr.f1]
 	bn := e.bottlenecks(flows, rates)
 	for i, f := range flows {
 		e.hooks.FlowTrace.Rate(f.ID, e.now, rates[i], int(bn[i]), e.batchCause, len(flows), uint64(e.stats.Batches))
@@ -1207,9 +1137,6 @@ func (e *Engine) retireEvent(ev event) {
 	}
 }
 
-// liveActive is the active flow count: admitted, not yet completed.
-func (e *Engine) liveActive() int { return e.nLive }
-
 // Step advances to the next event: admit due arrivals, reallocate the
 // touched component(s) if anything was seeded, and jump time to the
 // earlier of the next arrival and the earliest completion. It reports
@@ -1239,7 +1166,7 @@ func (e *Engine) step(deadline float64) bool {
 	// they are waiting on recovery, not runnable) and nothing pending.
 	// Scheduled fault events keep the loop alive so capacity toggles on
 	// an idle network still apply.
-	if e.liveActive() == 0 && e.next >= len(e.pending) && e.pendingFaults == 0 {
+	if e.nLive == 0 && e.next >= len(e.pending) && e.pendingFaults == 0 {
 		return false
 	}
 	e.settle()
@@ -1269,7 +1196,7 @@ func (e *Engine) step(deadline float64) bool {
 	e.stats.Events++
 	e.hooks.Profiler.Lap(obs.PhaseComplete)
 	e.hooks.Metrics.Event()
-	e.hooks.Progress.Record(e.now, int64(e.stats.Events), e.liveActive(), int(e.nadmit)-e.nLive)
+	e.hooks.Progress.Record(e.now, int64(e.stats.Events), e.nLive, int(e.nadmit)-e.nLive)
 	return true
 }
 

@@ -31,8 +31,8 @@ func TestSingleFlowExactFCT(t *testing.T) {
 	}
 	// A lone flow is independent end to end: the fast path never
 	// invokes the allocator.
-	if e.Allocs() != 0 {
-		t.Errorf("allocs = %d, want 0", e.Allocs())
+	if e.Stats().Allocs != 0 {
+		t.Errorf("allocs = %d, want 0", e.Stats().Allocs)
 	}
 }
 
@@ -161,15 +161,15 @@ func TestFastPathAfterDrainToEmpty(t *testing.T) {
 	e.AddFlow([]int{0}, core.ProportionalFair(), 1<<20, 0)
 	e.AddFlow([]int{0}, core.ProportionalFair(), 1<<20, 0) // coupled pair
 	e.Run(math.Inf(1))
-	base := e.Allocs()
+	base := e.Stats().Allocs
 	if base == 0 {
 		t.Fatal("coupled pair should have allocated")
 	}
 	e.AddFlow([]int{0}, core.ProportionalFair(), 1<<20, e.Now()+1e-3)
 	e.Run(math.Inf(1))
-	if e.Allocs() != base {
+	if e.Stats().Allocs != base {
 		t.Errorf("isolated arrival after drain-to-empty allocated (%d -> %d allocs)",
-			base, e.Allocs())
+			base, e.Stats().Allocs)
 	}
 }
 
@@ -237,9 +237,9 @@ func TestDeterministicEventOrdering(t *testing.T) {
 	buildSchedule(e2)
 	e1.Run(math.Inf(1))
 	e2.Run(math.Inf(1))
-	if e1.Events() != e2.Events() || e1.Allocs() != e2.Allocs() {
+	if e1.Stats().Events != e2.Stats().Events || e1.Stats().Allocs != e2.Stats().Allocs {
 		t.Fatalf("run shape differs: events %d vs %d, allocs %d vs %d",
-			e1.Events(), e2.Events(), e1.Allocs(), e2.Allocs())
+			e1.Stats().Events, e2.Stats().Events, e1.Stats().Allocs, e2.Stats().Allocs)
 	}
 	f1, f2 := e1.Finished(), e2.Finished()
 	if len(f1) != len(f2) {
@@ -264,11 +264,11 @@ func TestIdleGapCostsNothing(t *testing.T) {
 	if len(e.Finished()) != 2 {
 		t.Fatalf("finished %d flows", len(e.Finished()))
 	}
-	if e.Events() > 6 {
-		t.Errorf("%d events for two isolated flows, want ≤ 6", e.Events())
+	if e.Stats().Events > 6 {
+		t.Errorf("%d events for two isolated flows, want ≤ 6", e.Stats().Events)
 	}
-	if e.Allocs() != 0 {
-		t.Errorf("%d allocs, want 0 (both flows independent)", e.Allocs())
+	if e.Stats().Allocs != 0 {
+		t.Errorf("%d allocs, want 0 (both flows independent)", e.Stats().Allocs)
 	}
 }
 
@@ -399,7 +399,7 @@ func TestStrandedNeighborElision(t *testing.T) {
 	a := e.AddFlow([]int{0}, core.ProportionalFair(), 10<<20, 0)
 	e.AddFlow([]int{0}, core.ProportionalFair(), 1<<20, 0)
 	e.Run(math.Inf(1))
-	if got := e.Allocs(); got != 1 {
+	if got := e.Stats().Allocs; got != 1 {
 		t.Errorf("allocs = %d, want 1 (arrival couple only; the departure strands a size-1 component)", got)
 	}
 	// And the stranded flow's schedule reflects the reclaimed capacity:
@@ -420,8 +420,8 @@ func TestIndependenceElision(t *testing.T) {
 	a := e.AddFlow([]int{0}, core.ProportionalFair(), 100<<20, 0)
 	b := e.AddFlow([]int{1}, core.ProportionalFair(), 1<<20, 0)
 	e.Run(1e-3)
-	if e.Allocs() != 0 {
-		t.Errorf("disjoint flows triggered %d allocs, want 0", e.Allocs())
+	if e.Stats().Allocs != 0 {
+		t.Errorf("disjoint flows triggered %d allocs, want 0", e.Stats().Allocs)
 	}
 	if a.Rate != 10e9 || !b.Done() {
 		t.Fatalf("fast-path rates wrong: a=%v b done=%v", a.Rate, b.Done())
@@ -429,7 +429,7 @@ func TestIndependenceElision(t *testing.T) {
 	// c overlaps a on link 0: the allocator must run and split it.
 	c := e.AddFlow([]int{0}, core.ProportionalFair(), 1<<20, e.Now())
 	e.Step()
-	if e.Allocs() == 0 {
+	if e.Stats().Allocs == 0 {
 		t.Error("overlapping arrival did not trigger an allocation")
 	}
 	if !almostEq(a.Rate, 5e9, 1e-9) || !almostEq(c.Rate, 5e9, 1e-9) {
@@ -528,4 +528,63 @@ func TestPodBurstsMatchReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// countingAlloc decorates an allocator with solve counts and nothing
+// else: it has no Prime and no Worker.
+type countingAlloc struct {
+	fluid.SubsetAllocator
+	calls, flows int
+}
+
+func (c *countingAlloc) AllocateSubset(net *fluid.Network, flows []*fluid.Flow, rates []float64) {
+	c.calls++
+	c.flows += len(flows)
+	c.SubsetAllocator.AllocateSubset(net, flows, rates)
+}
+
+// primedCountingAlloc adds the priming seam, counting its use.
+type primedCountingAlloc struct {
+	countingAlloc
+	primes, workers int
+}
+
+func (p *primedCountingAlloc) Prime(net *fluid.Network) {
+	p.primes++
+	p.SubsetAllocator.(fluid.ParallelSubsetAllocator).Prime(net)
+}
+
+func (p *primedCountingAlloc) Worker() fluid.SubsetAllocator {
+	p.workers++
+	return p
+}
+
+// TestSolvesGoThroughTheConfiguredAllocator: the engine solves every
+// component on the allocator object it was configured with — one
+// AllocateSubset per counted solve, covering the counted flows — after
+// priming it exactly once when it can be primed, and never asks it for
+// a Worker view. Priming decides XWI's cold prices, so the primed
+// decorator must reproduce the bare allocator's completions bit for
+// bit.
+func TestSolvesGoThroughTheConfiguredAllocator(t *testing.T) {
+	mkXWI := func() *fluid.XWI { return &fluid.XWI{IterPerEpoch: 64, Tol: 1e-6} }
+	_, bf, bg := runDense(Config{Allocator: mkXWI()}, 3)
+
+	plain := &countingAlloc{SubsetAllocator: fluid.NewWaterFill()}
+	e, _, _ := runDense(Config{Allocator: plain}, 3)
+	if s := e.Stats(); s.Allocs == 0 || plain.calls != s.Allocs || plain.flows != s.SolvedFlows {
+		t.Errorf("unprimed decorator saw %d solves over %d flows, Stats has %d over %d",
+			plain.calls, plain.flows, s.Allocs, s.SolvedFlows)
+	}
+
+	primed := &primedCountingAlloc{countingAlloc: countingAlloc{SubsetAllocator: mkXWI()}}
+	e, pf, pg := runDense(Config{Allocator: primed}, 3)
+	if s := e.Stats(); s.Allocs == 0 || primed.calls != s.Allocs || primed.flows != s.SolvedFlows {
+		t.Errorf("primed decorator saw %d solves over %d flows, Stats has %d over %d",
+			primed.calls, primed.flows, s.Allocs, s.SolvedFlows)
+	}
+	if primed.primes != 1 || primed.workers != 0 {
+		t.Errorf("Prime called %d times and Worker %d, want 1 and 0", primed.primes, primed.workers)
+	}
+	assertSameCompletions(t, "decorated-vs-bare xwi", 3, pf, pg, bf, bg)
 }

@@ -64,9 +64,16 @@ func TestPhaseCoverage(t *testing.T) {
 		t.Errorf("phase sum %d covers %.1f%% of Run wall %d, want >= 90%%",
 			total, 100*float64(total)/float64(wall), wall)
 	}
-	for _, ph := range []obs.Phase{obs.PhaseFlood, obs.PhaseSolve, obs.PhaseResplice, obs.PhaseComplete} {
+	for _, ph := range []obs.Phase{obs.PhaseFlood, obs.PhaseSolve, obs.PhaseComplete} {
 		if s.PhaseNanos[ph] <= 0 {
 			t.Errorf("phase %s recorded no time: %v", obs.PhaseName(ph), s.PhaseNanos)
+		}
+	}
+	// The retired slots: nothing laps them (set/cancel time is inside
+	// PhaseSolve).
+	for _, ph := range []obs.Phase{obs.PhaseResplice, obs.PhaseWindow} {
+		if s.PhaseNanos[ph] != 0 {
+			t.Errorf("retired phase %s recorded %d ns, want 0", obs.PhaseName(ph), s.PhaseNanos[ph])
 		}
 	}
 	// One complete-lap per processed event.
@@ -152,9 +159,7 @@ func TestObsMetricsMatchStats(t *testing.T) {
 }
 
 // TestAllocIters: allocators that count internal iterations surface
-// the total through Stats — the engine solves through a Worker view,
-// whose iterations must reach the parent's counter — and a repeated run
-// counts the same total.
+// the total through Stats, and a repeated run counts the same total.
 func TestAllocIters(t *testing.T) {
 	mk := func() Config {
 		return Config{Allocator: &fluid.XWI{IterPerEpoch: 24, Tol: 1e-3}}
@@ -201,12 +206,12 @@ func steadyStateAllocs(t *testing.T, hooks obs.Hooks) float64 {
 // heap allocations per event, failing if fewer than minEvents fired.
 func warmAllocsPerEvent(t *testing.T, e *Engine, minEvents int) float64 {
 	t.Helper()
-	before := e.Events()
+	before := e.Stats().Events
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	e.Run(math.Inf(1))
 	runtime.ReadMemStats(&m1)
-	events := e.Events() - before
+	events := e.Stats().Events - before
 	if events < minEvents {
 		t.Fatalf("warm half processed only %d events", events)
 	}

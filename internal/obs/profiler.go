@@ -18,11 +18,14 @@ const (
 	// PhaseFlood is the component flood: partitioning a batch's
 	// touched flows into disjoint link-sharing components.
 	PhaseFlood
-	// PhaseSolve is the allocator solves plus the component-local rate
-	// install.
+	// PhaseSolve is settling a batch's components: the allocator
+	// solves, the rate installs, and moving or cancelling the completion
+	// of every owner whose rate changed.
 	PhaseSolve
-	// PhaseResplice is the completion-event resplice: re-pushing the
-	// events whose rates moved, plus the stale sweep.
+	// PhaseResplice is a retired slot: nothing laps it, so it reports 0
+	// (the completion moves it timed are part of PhaseSolve). Like
+	// PhaseWindow it stays, with the resplice_ns CSV column, because the
+	// repository benchmark reads every phase by name.
 	PhaseResplice
 	// PhaseComplete is the completion side: scanning heap tops,
 	// popping due events, and retiring finished flows.
