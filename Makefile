@@ -9,17 +9,22 @@ race:
 	go test -race -short ./...
 
 # The size numbers ROADMAP aim 2 and every CHANGES.md entry quote:
-# non-test Go lines (wc -l) of the four engine-side packages, the repo's
-# Go outside benchmark/ (non-test, and with tests), and the field count
-# of leap.Engine. Informational; nothing is gated on it.
+# non-test Go lines (wc -l) of the four engine-side packages and the
+# CLI, the repo's Go outside benchmark/ (non-test, and with tests), the
+# field count of leap.Engine, and the harness's exported Run* entry
+# points (one per scenario family plus the single-engine experiments;
+# a per-engine fork shows up here). Informational; nothing is gated on
+# it.
 loc:
 	@for d in leap fluid obs harness; do \
 		printf 'internal/%-8s non-test %6d\n' $$d $$(ls internal/$$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 	done
+	@printf 'cmd/numfabric     non-test %6d\n' $$(ls cmd/numfabric/*.go | grep -v _test.go | xargs cat | wc -l)
 	@printf 'leap + fluid      non-test %6d\n' $$(ls internal/leap/*.go internal/fluid/*.go | grep -v _test.go | xargs cat | wc -l)
 	@printf 'repo              non-test %6d\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 	@printf 'repo            with tests %6d\n' $$(find . -name '*.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 	@printf 'leap.Engine         fields %6d\n' $$(awk '/^type Engine struct/{on=1;next} on&&/^}/{exit} on&&!/^[ \t]*(\/\/|$$)/{n++} END{print n}' internal/leap/leap.go)
+	@printf 'harness exported      Run* %6d\n' $$(ls internal/harness/*.go | grep -v _test.go | xargs awk '/^func Run[A-Z]/{n++} END{print n+0}')
 
 # The zero-allocation steady-state pins: AllocsPerOp == 0 for a full
 # churn wave through the leap engine with hooks detached (and bounded

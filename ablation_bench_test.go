@@ -19,7 +19,7 @@ func ablationRun(b *testing.B, mutate func(*harness.SemiDynamicConfig)) harness.
 		if mutate != nil {
 			mutate(&cfg)
 		}
-		res = harness.RunSemiDynamic(cfg)
+		res = harness.RunSemiDynamicWith(harness.EnginePacket, cfg)
 	}
 	return res
 }

@@ -101,7 +101,7 @@ func benchSemiDynamic(b *testing.B, s harness.Scheme) {
 		cfg := harness.DefaultSemiDynamic(s)
 		cfg.Events = 6
 		cfg.Seed = uint64(i + 1)
-		res = harness.RunSemiDynamic(cfg)
+		res = harness.RunSemiDynamicWith(harness.EnginePacket, cfg)
 	}
 	b.ReportMetric(res.Median()*1e3, "median-ms")
 	b.ReportMetric(res.P95()*1e3, "p95-ms")
@@ -165,7 +165,7 @@ func benchDeviation(b *testing.B, cdf *workload.SizeCDF) {
 		cfg := harness.DefaultDynamic(harness.NUMFabric, cdf, 0.4)
 		cfg.Flows = 200
 		cfg.Seed = uint64(i + 1)
-		res := harness.RunDynamic(cfg)
+		res := harness.RunDynamicWith(harness.EnginePacket, cfg)
 		var all []float64
 		for _, rec := range res.Records {
 			all = append(all, rec.Deviation())
@@ -245,10 +245,10 @@ func BenchmarkFig7_FCTvsPFabric(b *testing.B) {
 		cfg := harness.DefaultFCT()
 		cfg.FlowsPerLoad = 150
 		cfg.Seed = uint64(i + 1)
-		nf4 = harness.RunFCT(cfg, harness.NUMFabric, 0.4)
-		pf4 = harness.RunFCT(cfg, harness.PFabric, 0.4)
-		nf6 = harness.RunFCT(cfg, harness.NUMFabric, 0.6)
-		pf6 = harness.RunFCT(cfg, harness.PFabric, 0.6)
+		nf4 = harness.RunFCTWith(harness.EnginePacket, cfg, harness.NUMFabric, 0.4)
+		pf4 = harness.RunFCTWith(harness.EnginePacket, cfg, harness.PFabric, 0.4)
+		nf6 = harness.RunFCTWith(harness.EnginePacket, cfg, harness.NUMFabric, 0.6)
+		pf6 = harness.RunFCTWith(harness.EnginePacket, cfg, harness.PFabric, 0.6)
 	}
 	b.ReportMetric(nf4.MeanNormFCT, "numfabric@0.4")
 	b.ReportMetric(pf4.MeanNormFCT, "pfabric@0.4")
@@ -261,9 +261,9 @@ func BenchmarkFig7_FCTvsPFabric(b *testing.B) {
 func BenchmarkFig8a_ResourcePoolingThroughput(b *testing.B) {
 	var one, pooled4, nopool4 harness.PoolingResult
 	for i := 0; i < b.N; i++ {
-		one = harness.RunPooling(harness.DefaultPooling(1, false))
-		pooled4 = harness.RunPooling(harness.DefaultPooling(4, true))
-		nopool4 = harness.RunPooling(harness.DefaultPooling(4, false))
+		one = harness.RunPoolingWith(harness.EnginePacket, harness.DefaultPooling(1, false))
+		pooled4 = harness.RunPoolingWith(harness.EnginePacket, harness.DefaultPooling(4, true))
+		nopool4 = harness.RunPoolingWith(harness.EnginePacket, harness.DefaultPooling(4, false))
 	}
 	b.ReportMetric(one.TotalThroughputPct(), "1subflow-%")
 	b.ReportMetric(nopool4.TotalThroughputPct(), "4subflows-nopool-%")
@@ -275,8 +275,8 @@ func BenchmarkFig8a_ResourcePoolingThroughput(b *testing.B) {
 func BenchmarkFig8b_ResourcePoolingFairness(b *testing.B) {
 	var pooled, nopool harness.PoolingResult
 	for i := 0; i < b.N; i++ {
-		pooled = harness.RunPooling(harness.DefaultPooling(4, true))
-		nopool = harness.RunPooling(harness.DefaultPooling(4, false))
+		pooled = harness.RunPoolingWith(harness.EnginePacket, harness.DefaultPooling(4, true))
+		nopool = harness.RunPoolingWith(harness.EnginePacket, harness.DefaultPooling(4, false))
 	}
 	b.ReportMetric(pooled.JainIndex(), "jain-pooled")
 	b.ReportMetric(nopool.JainIndex(), "jain-nopool")
@@ -367,7 +367,7 @@ func BenchmarkEngineFluidVsPacket(b *testing.B) {
 	b.Run("packet", func(b *testing.B) {
 		flows := 0
 		for i := 0; i < b.N; i++ {
-			res := harness.RunDynamic(engineBenchConfig(200))
+			res := harness.RunDynamicWith(harness.EnginePacket, engineBenchConfig(200))
 			flows += len(res.Records) + res.Unfinished
 		}
 		b.ReportMetric(float64(flows)/b.Elapsed().Seconds(), "flows/s")
@@ -375,7 +375,7 @@ func BenchmarkEngineFluidVsPacket(b *testing.B) {
 	b.Run("fluid", func(b *testing.B) {
 		flows := 0
 		for i := 0; i < b.N; i++ {
-			res := harness.RunDynamicFluid(engineBenchConfig(200))
+			res := harness.RunDynamicWith(harness.EngineFluid, engineBenchConfig(200))
 			flows += len(res.Records) + res.Unfinished
 		}
 		b.ReportMetric(float64(flows)/b.Elapsed().Seconds(), "flows/s")
@@ -390,7 +390,7 @@ func BenchmarkEngineFluidVsPacket(b *testing.B) {
 // small-scale flows/s is an upper bound on its large-scale rate).
 func BenchmarkFluidFatTree(b *testing.B) {
 	pktStart := time.Now()
-	pktRes := harness.RunDynamic(engineBenchConfig(200))
+	pktRes := harness.RunDynamicWith(harness.EnginePacket, engineBenchConfig(200))
 	pktRate := float64(len(pktRes.Records)+pktRes.Unfinished) / time.Since(pktStart).Seconds()
 
 	const nflows = 50000

@@ -138,7 +138,7 @@ func runFluidSweep(full bool, seed uint64) {
 		func(shard int, rng *sim.RNG) shardResult {
 			cfg := harness.DefaultSemiDynamic(harness.NUMFabric)
 			cfg.Seed = rng.Uint64()
-			res := harness.RunSemiDynamicFluid(cfg)
+			res := harness.RunSemiDynamicWith(harness.EngineFluid, cfg)
 			return shardResult{cfg.Seed, res.Median(), res.P95(), res.Unconverged}
 		})
 	elapsed := time.Since(wall)

@@ -5,14 +5,16 @@
 //
 //	numfabric -experiment fig4a [-scale full] [-seed 1] [-engine fluid]
 //
-// Experiments: table1, table2, fig2, fig4a, fig4bc, fig5a, fig5b,
+// Experiments (the table in this file is the one list; "all" runs
+// them in order): table1, table2, fig2, fig4a, fig4bc, fig5a, fig5b,
 // fig6a, fig6b, fig6c, fig7, fig8, fig9, fig10, fattree, fluidsweep,
-// fluidpooling, leapfct, leapfail, all.
+// fluidpooling, leapfct, leapfail.
 //
 // leapfail injects link failures into the leap engine: a seeded random
 // failure/recovery process swept across failure rates, or — with
 // -faults "target@time[+downtime],..." — a scripted list of link/
-// switch faults (targets linkN, hostN, edgeP.E, aggP.A, coreC).
+// switch faults (targets linkN, hostN, edgeP.E, aggP.A, coreC). -faults
+// with any other experiment is an error, not a silently healthy fabric.
 //
 // -engine selects the execution engine for the convergence (fig4a),
 // dynamic-workload (fig5a/fig5b), FCT (fig7), and resource-pooling
@@ -21,9 +23,12 @@
 // flow-granularity fluid engine (internal/fluid), orders of magnitude
 // faster; "leap" runs them event-driven (internal/leap) — time jumps
 // straight to the next arrival or completion, the only way to reach
-// million-flow dynamic workloads. An unknown -engine value is an
-// error that lists the valid engines, and so is a -scale other than
-// "scaled" or "full". Four experiments are
+// million-flow dynamic workloads. fig4a and fig8 sample unbounded
+// flows' rates over time, which leap cannot do; asked for leap they run
+// its allocators on the epoch engine and their header says so. An
+// unknown -engine or -experiment value is an error that lists the
+// valid ones, and so is a -scale other than "scaled" or "full". Four
+// experiments are
 // fluid/leap-only — they run regimes the packet engine cannot reach:
 // fattree (a k=8 fat-tree serving ≥50k flows), fluidsweep (a
 // multi-seed convergence sweep fanned across goroutines),
@@ -40,6 +45,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strings"
 	"time"
 
 	"numfabric/internal/core"
@@ -88,8 +94,61 @@ func writeCSV(name string, t *trace.Table) {
 	fmt.Printf("wrote %s\n", path)
 }
 
+// experiments is the one list of experiment ids: the -experiment help
+// string, the validity check and the dispatch (in this order, for
+// "all") all read it.
+var experiments = []struct {
+	id string
+	fn func(full bool, seed uint64)
+}{
+	{"table1", runTable1},
+	{"table2", runTable2},
+	{"fig2", runFig2},
+	{"fig4a", runFig4a},
+	{"fig4bc", runFig4bc},
+	{"fig5a", func(f bool, s uint64) { runFig5(f, s, workload.WebSearch()) }},
+	{"fig5b", func(f bool, s uint64) { runFig5(f, s, workload.Enterprise()) }},
+	{"fig6a", runFig6a},
+	{"fig6b", runFig6b},
+	{"fig6c", runFig6c},
+	{"fig7", runFig7},
+	{"fig8", runFig8},
+	{"fig9", runFig9},
+	{"fig10", runFig10},
+	{"fattree", runFatTree},
+	{"fluidsweep", runFluidSweep},
+	{"fluidpooling", runFluidPooling},
+	{"leapfct", runLeapFCT},
+	{"leapfail", runLeapFail},
+}
+
+// experimentIDs lists every valid -experiment value.
+func experimentIDs() string {
+	var b strings.Builder
+	for _, e := range experiments {
+		b.WriteString(e.id + ", ")
+	}
+	return b.String() + "all"
+}
+
+// checkFlags rejects an -experiment outside the table, and a -faults
+// list on an experiment that would ignore it.
+func checkFlags(exp, faults string) error {
+	known := exp == "all"
+	for _, e := range experiments {
+		known = known || e.id == exp
+	}
+	if !known {
+		return fmt.Errorf("unknown experiment %q (valid experiments: %s)", exp, experimentIDs())
+	}
+	if faults != "" && exp != "leapfail" && exp != "all" {
+		return fmt.Errorf("-faults applies to the leapfail experiment only; %s would run on a healthy fabric", exp)
+	}
+	return nil
+}
+
 func main() {
-	exp := flag.String("experiment", "all", "experiment id (table1, table2, fig2, fig4a, fig4bc, fig5a, fig5b, fig6a, fig6b, fig6c, fig7, fig8, fig9, fig10, fattree, fluidsweep, fluidpooling, leapfct, leapfail, all)")
+	exp := flag.String("experiment", "all", "experiment id ("+experimentIDs()+")")
 	scale := flag.String("scale", "scaled", "\"scaled\" (32 hosts, fast) or \"full\" (paper scale, slow)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	out := flag.String("out", "", "directory for CSV output (optional)")
@@ -113,6 +172,10 @@ func main() {
 	}
 	if *scale != "scaled" && *scale != "full" {
 		fmt.Fprintf(os.Stderr, "unknown scale %q (valid scales: scaled, full)\n", *scale)
+		os.Exit(2)
+	}
+	if err := checkFlags(*exp, *faults); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if outDir != "" {
@@ -223,44 +286,12 @@ func main() {
 		}
 	}
 
-	full := *scale == "full"
-	run := func(id string, fn func(bool, uint64)) {
-		if *exp == id || *exp == "all" {
-			fmt.Printf("\n=== %s ===\n", id)
-			fn(full, *seed)
+	for _, e := range experiments {
+		if *exp == e.id || *exp == "all" {
+			fmt.Printf("\n=== %s ===\n", e.id)
+			e.fn(*scale == "full", *seed)
 		}
 	}
-
-	known := map[string]bool{"table1": true, "table2": true, "fig2": true,
-		"fig4a": true, "fig4bc": true, "fig5a": true, "fig5b": true,
-		"fig6a": true, "fig6b": true, "fig6c": true, "fig7": true,
-		"fig8": true, "fig9": true, "fig10": true, "fattree": true,
-		"fluidsweep": true, "fluidpooling": true, "leapfct": true,
-		"leapfail": true, "all": true}
-	if !known[*exp] {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
-	}
-
-	run("table1", runTable1)
-	run("table2", runTable2)
-	run("fig2", runFig2)
-	run("fig4a", runFig4a)
-	run("fig4bc", runFig4bc)
-	run("fig5a", func(f bool, s uint64) { runFig5(f, s, workload.WebSearch()) })
-	run("fig5b", func(f bool, s uint64) { runFig5(f, s, workload.Enterprise()) })
-	run("fig6a", runFig6a)
-	run("fig6b", runFig6b)
-	run("fig6c", runFig6c)
-	run("fig7", runFig7)
-	run("fig8", runFig8)
-	run("fig9", runFig9)
-	run("fig10", runFig10)
-	run("fattree", runFatTree)
-	run("fluidsweep", runFluidSweep)
-	run("fluidpooling", runFluidPooling)
-	run("leapfct", runLeapFCT)
-	run("leapfail", runLeapFail)
 }
 
 func semiCfg(s harness.Scheme, full bool, seed uint64) harness.SemiDynamicConfig {
@@ -326,7 +357,7 @@ func runFig2(full bool, seed uint64) {
 }
 
 func runFig4a(full bool, seed uint64) {
-	fmt.Printf("Convergence-time CDF (Figure 4a, %s engine); times in ms:\n", engine)
+	fmt.Printf("Convergence-time CDF (Figure 4a, %s engine); times in ms:\n", sampledEngine())
 	fmt.Printf("%-10s %8s %8s %8s %12s\n", "scheme", "median", "p95", "max", "unconverged")
 	type row struct {
 		name string
@@ -353,6 +384,17 @@ func runFig4a(full bool, seed uint64) {
 	for _, rw := range rows {
 		writeCSV("fig4a_cdf_"+rw.name+".csv", trace.FromCDF(rw.res.CDF(), "convergence_s"))
 	}
+}
+
+// sampledEngine returns the engine a rate-sampling experiment (fig4a,
+// fig8) runs under -engine, for its header; when that is not the one
+// asked for it first says why, on a line of its own.
+func sampledEngine() harness.Engine {
+	ran, why := harness.SampledEngine(engine)
+	if why != "" {
+		fmt.Printf("-engine %s: %s\n", engine, why)
+	}
+	return ran
 }
 
 func maxOr(xs []float64) float64 {
@@ -466,7 +508,7 @@ func runFig7(full bool, seed uint64) {
 }
 
 func runFig8(full bool, seed uint64) {
-	fmt.Printf("Resource pooling (Figure 8, %s engine):\n", engine)
+	fmt.Printf("Resource pooling (Figure 8, %s engine):\n", sampledEngine())
 	fmt.Printf("%-9s %-8s %8s %8s\n", "subflows", "pooling", "total%", "Jain")
 	for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
 		for _, pool := range []bool{true, false} {

@@ -3,21 +3,30 @@ package main
 import (
 	"bytes"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
 
-// TestUnknownFlagValuesExitBeforeRunning builds the binary and checks
-// that a -scale, -experiment or -engine value outside its set is one
-// stderr line naming it and exit status 2, with no experiment started
-// (a misspelt "-scale ful" used to run the scaled experiment silently).
-func TestUnknownFlagValuesExitBeforeRunning(t *testing.T) {
+func buildBinary(t *testing.T) string {
 	bin := filepath.Join(t.TempDir(), "numfabric")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	return bin
+}
+
+// TestUnknownFlagValuesExitBeforeRunning builds the binary and checks
+// that a -scale, -experiment or -engine value outside its set — or a
+// -faults list on an experiment that would ignore it — is one stderr
+// line naming it and exit status 2, with no experiment started (a
+// misspelt "-scale ful" used to run the scaled experiment silently,
+// and "-experiment fig5a -faults ..." a healthy fabric).
+func TestUnknownFlagValuesExitBeforeRunning(t *testing.T) {
+	bin := buildBinary(t)
 	cases := []struct {
 		name string
 		args []string
@@ -29,6 +38,8 @@ func TestUnknownFlagValuesExitBeforeRunning(t *testing.T) {
 		{"scale empty", []string{"-experiment", "table2", "-scale", ""}, `unknown scale ""`},
 		{"experiment", []string{"-experiment", "table3"}, `unknown experiment "table3"`},
 		{"engine", []string{"-experiment", "table2", "-engine", "fast"}, `unknown engine "fast"`},
+		{"experiment lists the valid ones", []string{"-experiment", "nope"}, "fig4bc, fig5a, fig5b"},
+		{"faults outside leapfail", []string{"-experiment", "fig5a", "-faults", "link1@1ms"}, "-faults applies to the leapfail experiment only"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -43,6 +54,9 @@ func TestUnknownFlagValuesExitBeforeRunning(t *testing.T) {
 			if !strings.Contains(stderr.String(), c.want) {
 				t.Errorf("stderr %q does not mention %s", &stderr, c.want)
 			}
+			if n := strings.Count(stderr.String(), "\n"); n != 1 {
+				t.Errorf("stderr is %d lines, want 1:\n%s", n, &stderr)
+			}
 			if strings.Contains(stdout.String(), "===") {
 				t.Errorf("an experiment started:\n%s", &stdout)
 			}
@@ -54,5 +68,60 @@ func TestUnknownFlagValuesExitBeforeRunning(t *testing.T) {
 		if err != nil || !strings.Contains(string(out), "=== fig2 ===") {
 			t.Errorf("-scale %s: %v\n%s", scale, err, out)
 		}
+	}
+}
+
+// TestExperimentTable: every id in the table (and "all") passes the
+// flag check, alone and — for the two that take one — with a fault
+// list, and the package comment names each id.
+func TestExperimentTable(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _ := strings.Cut(string(src), "\npackage main")
+	for _, e := range experiments {
+		if err := checkFlags(e.id, ""); err != nil {
+			t.Errorf("checkFlags(%q): %v", e.id, err)
+		}
+		if !regexp.MustCompile(`\b` + e.id + `\b`).MatchString(doc) {
+			t.Errorf("package comment does not name experiment %q", e.id)
+		}
+		wantErr := e.id != "leapfail"
+		if err := checkFlags(e.id, "link1@1ms"); (err != nil) != wantErr {
+			t.Errorf("checkFlags(%q, faults): %v, want error %v", e.id, err, wantErr)
+		}
+	}
+	if err := checkFlags("all", "link1@1ms"); err != nil {
+		t.Errorf(`checkFlags("all", faults): %v`, err)
+	}
+	if err := checkFlags("fig", ""); err == nil {
+		t.Error(`checkFlags("fig") accepted a prefix of an id`)
+	}
+}
+
+// TestSampledExperimentsNameTheEngineThatRan: fig4a and fig8 cannot
+// run on leap; asked to, they say which engine runs instead and why,
+// and their header names that engine.
+func TestSampledExperimentsNameTheEngineThatRan(t *testing.T) {
+	bin := buildBinary(t)
+	for _, exp := range []string{"fig4a", "fig8"} {
+		out, err := exec.Command(bin, "-experiment", exp, "-engine", "leap").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", exp, err, out)
+		}
+		for _, want := range []string{"-engine leap: leap has no transient", "fluid engine)"} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("%s -engine leap: output does not contain %q:\n%s", exp, want, out)
+			}
+		}
+		if strings.Contains(string(out), "leap engine)") {
+			t.Errorf("%s -engine leap: header still claims the leap engine:\n%s", exp, out)
+		}
+	}
+	// An engine that does run is named without a note.
+	out, err := exec.Command(bin, "-experiment", "fig8", "-engine", "fluid").CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "(Figure 8, fluid engine)") || strings.Contains(string(out), "-engine fluid:") {
+		t.Errorf("fig8 -engine fluid: %v\n%s", err, out)
 	}
 }

@@ -2,10 +2,8 @@ package harness
 
 import (
 	"numfabric/internal/core"
-	"numfabric/internal/netsim"
 	"numfabric/internal/oracle"
 	"numfabric/internal/sim"
-	"numfabric/internal/stats"
 	"numfabric/internal/transport"
 )
 
@@ -53,13 +51,20 @@ func RunBWFCapacitySweep(capacities []sim.BitRate, alpha float64, measure sim.Du
 	return out
 }
 
+// newBWFFabric returns an empty NUMFabric packet fabric with the
+// control loop tuned for the 20 µs RTT of the hand-wired Figure 9 and
+// 10 networks. Wire the links, then attach the scheme's agents.
+func newBWFFabric(meterTau sim.Duration) *packetFabric {
+	scheme := DefaultConfig(NUMFabric, ScaledTopology())
+	scheme.NUMFabric = transport.DefaultNUMFabric(20 * sim.Microsecond)
+	sub := newPacketNet(scheme)
+	sub.meterTau = meterTau
+	return sub
+}
+
 func runBWFOnce(capacity sim.BitRate, alpha float64, measure sim.Duration) BWFPoint {
-	eng := sim.NewEngine()
-	net := netsim.NewNetwork(eng)
-	params := transport.DefaultNUMFabric(20 * sim.Microsecond)
-	net.QueueFactory = func(p *netsim.Port) netsim.Queue {
-		return DefaultConfig(NUMFabric, ScaledTopology()).QueueFactory()(p)
-	}
+	sub := newBWFFabric(200 * sim.Microsecond)
+	net := sub.net
 
 	// src1, src2 --40G--> s1 --capacity--> s2 --40G--> dst1, dst2.
 	src1 := net.NewNode("src1")
@@ -69,34 +74,23 @@ func runBWFOnce(capacity sim.BitRate, alpha float64, measure sim.Duration) BWFPo
 	dst1 := net.NewNode("dst1")
 	dst2 := net.NewNode("dst2")
 	d := 2 * sim.Microsecond
-	a1, r1 := net.Connect(src1, s1, 40*sim.Gbps, d)
-	a2, r2 := net.Connect(src2, s1, 40*sim.Gbps, d)
-	mid, midR := net.Connect(s1, s2, capacity, d)
-	b1, q1 := net.Connect(s2, dst1, 40*sim.Gbps, d)
-	b2, q2 := net.Connect(s2, dst2, 40*sim.Gbps, d)
+	a1, _ := net.Connect(src1, s1, 40*sim.Gbps, d)
+	a2, _ := net.Connect(src2, s1, 40*sim.Gbps, d)
+	mid, _ := net.Connect(s1, s2, capacity, d)
+	b1, _ := net.Connect(s2, dst1, 40*sim.Gbps, d)
+	b2, _ := net.Connect(s2, dst2, 40*sim.Gbps, d)
+	sub.scheme.AttachAgents(net)
 
-	for _, port := range net.Links {
-		transport.NewXWIAgent(net, port, params)
-	}
-
-	u1 := core.NewBWUtility(Fig2Flow1(), alpha)
-	u2 := core.NewBWUtility(Fig2Flow2(), alpha)
-	f1 := net.NewFlow(src1, dst1, []*netsim.Port{a1, mid, b1}, []*netsim.Port{q1, midR, r1}, 0)
-	f2 := net.NewFlow(src2, dst2, []*netsim.Port{a2, mid, b2}, []*netsim.Port{q2, midR, r2}, 0)
-	transport.NewNUMFabricSender(net, f1, u1, params)
-	transport.NewNUMFabricSender(net, f2, u2, params)
-	f1.Meter = stats.NewRateMeter(200 * sim.Microsecond)
-	f2.Meter = stats.NewRateMeter(200 * sim.Microsecond)
-	eng.Schedule(0, f1.Start)
-	eng.Schedule(0, f2.Start)
-	eng.Run(sim.Time(measure))
+	f1 := sub.start([][]int{{a1.LinkID, mid.LinkID, b1.LinkID}}, core.NewBWUtility(Fig2Flow1(), alpha), false)
+	f2 := sub.start([][]int{{a2.LinkID, mid.LinkID, b2.LinkID}}, core.NewBWUtility(Fig2Flow2(), alpha), false)
+	sub.run(sim.Time(measure))
 
 	want := oracle.BwESingleLink(capacity.Float(),
 		[]*core.BandwidthFunction{Fig2Flow1(), Fig2Flow2()})
 	return BWFPoint{
 		Capacity: capacity.Float(),
-		Flow1:    f1.Meter.RateAt(eng.Now()),
-		Flow2:    f2.Meter.RateAt(eng.Now()),
+		Flow1:    sub.rate(f1),
+		Flow2:    sub.rate(f2),
 		Want1:    want[0],
 		Want2:    want[1],
 	}
@@ -115,12 +109,8 @@ type BWFPoolSample struct {
 // apply the Figure 2 bandwidth functions to each flow's aggregate
 // rate. Expected: (10, 3) before the step, (15, 10) after.
 func RunBWFPooling(alpha float64, switchAt, runFor sim.Duration, sampleEvery sim.Duration) []BWFPoolSample {
-	eng := sim.NewEngine()
-	net := netsim.NewNetwork(eng)
-	params := transport.DefaultNUMFabric(20 * sim.Microsecond)
-	net.QueueFactory = func(p *netsim.Port) netsim.Queue {
-		return DefaultConfig(NUMFabric, ScaledTopology()).QueueFactory()(p)
-	}
+	sub := newBWFFabric(300 * sim.Microsecond)
+	net := sub.net
 
 	srcA := net.NewNode("srcA")
 	srcB := net.NewNode("srcB")
@@ -132,51 +122,32 @@ func RunBWFPooling(alpha float64, switchAt, runFor sim.Duration, sampleEvery sim
 	big := 40 * sim.Gbps
 
 	// Private paths.
-	topA, topAr := net.Connect(srcA, dstA, 5*sim.Gbps, d)
-	botB, botBr := net.Connect(srcB, dstB, 3*sim.Gbps, d)
+	topA, _ := net.Connect(srcA, dstA, 5*sim.Gbps, d)
+	botB, _ := net.Connect(srcB, dstB, 3*sim.Gbps, d)
 	// Shared middle path.
-	inA, inAr := net.Connect(srcA, r1, big, d)
-	inB, inBr := net.Connect(srcB, r1, big, d)
+	inA, _ := net.Connect(srcA, r1, big, d)
+	inB, _ := net.Connect(srcB, r1, big, d)
 	mid, midR := net.Connect(r1, r2, 5*sim.Gbps, d)
-	outA, outAr := net.Connect(r2, dstA, big, d)
-	outB, outBr := net.Connect(r2, dstB, big, d)
+	outA, _ := net.Connect(r2, dstA, big, d)
+	outB, _ := net.Connect(r2, dstB, big, d)
+	sub.scheme.AttachAgents(net)
 
-	for _, port := range net.Links {
-		transport.NewXWIAgent(net, port, params)
-	}
-
-	uA := core.NewBWUtility(Fig2Flow1(), alpha)
-	uB := core.NewBWUtility(Fig2Flow2(), alpha)
-
-	aggA := transport.NewAggregate()
-	aggB := transport.NewAggregate()
-	mkSub := func(src, dst *netsim.Node, fwd, rev []*netsim.Port, u core.Utility, agg *transport.Aggregate) *netsim.Flow {
-		f := net.NewFlow(src, dst, fwd, rev, 0)
-		s := transport.NewNUMFabricSender(net, f, u, params)
-		agg.Add(s)
-		f.Meter = stats.NewRateMeter(300 * sim.Microsecond)
-		eng.Schedule(0, f.Start)
-		return f
-	}
-	fA1 := mkSub(srcA, dstA, []*netsim.Port{topA}, []*netsim.Port{topAr}, uA, aggA)
-	fA2 := mkSub(srcA, dstA, []*netsim.Port{inA, mid, outA}, []*netsim.Port{outAr, midR, inAr}, uA, aggA)
-	fB1 := mkSub(srcB, dstB, []*netsim.Port{botB}, []*netsim.Port{botBr}, uB, aggB)
-	fB2 := mkSub(srcB, dstB, []*netsim.Port{inB, mid, outB}, []*netsim.Port{outBr, midR, inBr}, uB, aggB)
+	// Each flow pools its private path with the shared one.
+	flowA := sub.start([][]int{{topA.LinkID}, {inA.LinkID, mid.LinkID, outA.LinkID}},
+		core.NewBWUtility(Fig2Flow1(), alpha), true)
+	flowB := sub.start([][]int{{botB.LinkID}, {inB.LinkID, mid.LinkID, outB.LinkID}},
+		core.NewBWUtility(Fig2Flow2(), alpha), true)
 
 	// Capacity step: X = 5 → 17 Gb/s (both directions of the cable).
-	eng.Schedule(sim.Time(switchAt), func() {
+	sub.eng.Schedule(sim.Time(switchAt), func() {
 		mid.Rate = 17 * sim.Gbps
 		midR.Rate = 17 * sim.Gbps
 	})
 
 	var samples []BWFPoolSample
-	eng.Every(sim.Time(sampleEvery), sampleEvery, func() {
-		samples = append(samples, BWFPoolSample{
-			At:    eng.Now(),
-			Flow1: fA1.Meter.RateAt(eng.Now()) + fA2.Meter.RateAt(eng.Now()),
-			Flow2: fB1.Meter.RateAt(eng.Now()) + fB2.Meter.RateAt(eng.Now()),
-		})
+	sub.eng.Every(sim.Time(sampleEvery), sampleEvery, func() {
+		samples = append(samples, BWFPoolSample{At: sub.eng.Now(), Flow1: sub.rate(flowA), Flow2: sub.rate(flowB)})
 	})
-	eng.Run(sim.Time(runFor))
+	sub.run(sim.Time(runFor))
 	return samples
 }

@@ -4,7 +4,7 @@ import (
 	"math"
 
 	"numfabric/internal/core"
-	"numfabric/internal/netsim"
+	"numfabric/internal/fluid"
 	"numfabric/internal/oracle"
 	"numfabric/internal/sim"
 	"numfabric/internal/stats"
@@ -111,97 +111,104 @@ func (r SemiDynamicResult) P95() float64 { return stats.Percentile(r.Convergence
 // CDF returns the convergence-time CDF (Figure 4a's curve).
 func (r SemiDynamicResult) CDF() []stats.CDFPoint { return stats.CDF(r.ConvergenceTimes) }
 
-// RunSemiDynamic executes the semi-dynamic convergence experiment and
-// returns per-event convergence times.
-func RunSemiDynamic(cfg SemiDynamicConfig) SemiDynamicResult {
-	r := newSemiDynamicRun(cfg)
-	return r.run()
+// RunSemiDynamicWith runs the semi-dynamic convergence experiment on
+// the chosen engine: the packet transport sampled through EWMA meters
+// every SampleEvery, or the scheme's control dynamics at flow
+// granularity — one allocator iteration per epoch, exact rates (see
+// SampledEngine for what EngineLeap runs).
+func RunSemiDynamicWith(eng Engine, cfg SemiDynamicConfig) SemiDynamicResult {
+	if eng, _ = SampledEngine(eng); eng == EnginePacket {
+		r, _ := newPacketSemiDynamic(cfg)
+		return r.run()
+	}
+	topo := NewFluidTopology(cfg.Topo)
+	sub := &epochFabric{eng: fluid.NewEngine(FluidNetwork(topo), fluid.Config{
+		Epoch:     FluidEpochFor(cfg.Scheme),
+		Allocator: FluidAllocatorFor(cfg.Scheme),
+	})}
+	return newSemiDynamicRun(cfg, topo, sub).run()
+}
+
+// newPacketSemiDynamic builds the scenario on the packet engine.
+func newPacketSemiDynamic(cfg SemiDynamicConfig) (*semiDynamicRun[sim.Time], *packetFabric) {
+	// Calibrate DGD's price scale to the expected fair share.
+	hosts := cfg.Topo.Leaves * cfg.Topo.HostsPerLeaf
+	expectedShare := cfg.Topo.HostLink.Float() * float64(hosts) /
+		float64((cfg.MinActive+cfg.MaxActive)/2) / 4
+	cfg.Scheme.SetUtilityHint(core.NewAlphaFair(cfg.Alpha), expectedShare)
+	cfg.Scheme.RCP.Alpha = cfg.Alpha
+	sub := newPacketFabric(cfg.Topo, cfg.Scheme)
+	sub.meterTau, sub.sampleEvery = cfg.FilterTau, cfg.SampleEvery
+	return newSemiDynamicRun(cfg, sub.topo, sub), sub
 }
 
 type sdFlow struct {
-	flow   *netsim.Flow
-	sender netsim.Sender
-	util   core.Utility
+	handle int
 	links  []int
+	util   core.Utility
 }
 
-type semiDynamicRun struct {
+// semiDynamicRun is the §6.1 scenario over any sampled substrate.
+type semiDynamicRun[T clockUnit] struct {
 	cfg    SemiDynamicConfig
-	eng    *sim.Engine
-	net    *netsim.Network
+	sub    sampledFabric[T]
 	topo   *Topology
 	rng    *sim.RNG
 	pairs  [][2]int
 	spines []int
 
-	active []*sdFlow
+	active []sdFlow
+	// want[i] is active[i]'s Oracle rate since the last event.
+	want   []float64
 	result SemiDynamicResult
 	// solver serves every event's reference solve: cold prices each
 	// time (no InitPrices), so only its buffers carry over.
 	solver oracle.SolveWorkspace
 
 	// Per-event state.
-	eventStart  sim.Time
-	holdStart   sim.Time
-	holding     bool
-	oracleRates map[*netsim.Flow]float64
+	eventStart T
+	holdStart  T
+	holding    bool
 }
 
-func newSemiDynamicRun(cfg SemiDynamicConfig) *semiDynamicRun {
-	eng := sim.NewEngine()
-	net := netsim.NewNetwork(eng)
-	net.QueueFactory = cfg.Scheme.QueueFactory()
-	topo := NewTopology(net, cfg.Topo)
+func newSemiDynamicRun[T clockUnit](cfg SemiDynamicConfig, topo *Topology, sub sampledFabric[T]) *semiDynamicRun[T] {
 	rng := sim.NewRNG(cfg.Seed)
 	pairs := workload.RandomPairs(len(topo.Hosts), cfg.Paths, rng)
 	spines := make([]int, cfg.Paths)
 	for i := range spines {
 		spines[i] = rng.Intn(cfg.Topo.Spines)
 	}
-
-	// Calibrate DGD's price scale to the expected fair share.
-	expectedShare := cfg.Topo.HostLink.Float() * float64(len(topo.Hosts)) /
-		float64((cfg.MinActive+cfg.MaxActive)/2) / 4
-	cfg.Scheme.SetUtilityHint(core.NewAlphaFair(cfg.Alpha), expectedShare)
-	cfg.Scheme.RCP.Alpha = cfg.Alpha
-	cfg.Scheme.AttachAgents(net)
-
-	return &semiDynamicRun{
-		cfg: cfg, eng: eng, net: net, topo: topo, rng: rng,
-		pairs: pairs, spines: spines,
-	}
+	return &semiDynamicRun[T]{cfg: cfg, sub: sub, topo: topo, rng: rng, pairs: pairs, spines: spines}
 }
 
-func (r *semiDynamicRun) run() SemiDynamicResult {
-	// Initial population, then events driven by the sampler.
-	r.eng.Schedule(0, func() {
-		r.applyEvent(true, (r.cfg.MinActive+r.cfg.MaxActive)/2)
-		r.beginEvent()
-	})
-	r.eng.Every(sim.Time(r.cfg.SampleEvery), r.cfg.SampleEvery, r.sample)
-	r.eng.Run(sim.Forever)
+// run starts the initial population, then lets the substrate's sampler
+// drive the events.
+func (r *semiDynamicRun[T]) run() SemiDynamicResult {
+	var t0 T
+	r.applyEvent(true, (r.cfg.MinActive+r.cfg.MaxActive)/2)
+	r.beginEvent(t0)
+	if r.cfg.Events > 0 {
+		r.sub.sample(r.tick)
+	}
 	return r.result
 }
 
 // applyEvent starts (or stops) n flows on random paths.
-func (r *semiDynamicRun) applyEvent(start bool, n int) {
+func (r *semiDynamicRun[T]) applyEvent(start bool, n int) {
 	if start {
 		for i := 0; i < n; i++ {
 			pi := r.rng.Intn(len(r.pairs))
 			pr := r.pairs[pi]
-			f := r.topo.NewFlow(pr[0], pr[1], r.spines[pi], 0)
+			fwd, _ := r.topo.Route(pr[0], pr[1], r.spines[pi])
+			links := PathLinkIDs(fwd)
 			u := core.NewAlphaFair(r.cfg.Alpha)
-			sender := r.cfg.Scheme.AttachSender(r.net, f, u)
-			f.Meter = stats.NewRateMeter(r.cfg.FilterTau)
-			sf := &sdFlow{flow: f, sender: sender, util: u, links: PathLinkIDs(f.Path)}
-			r.active = append(r.active, sf)
-			f.Start()
+			r.active = append(r.active, sdFlow{r.sub.start([][]int{links}, u, false), links, u})
 		}
 		return
 	}
 	for i := 0; i < n && len(r.active) > 0; i++ {
 		idx := r.rng.Intn(len(r.active))
-		r.active[idx].flow.Stop()
+		r.sub.stop(r.active[idx].handle)
 		r.active[idx] = r.active[len(r.active)-1]
 		r.active = r.active[:len(r.active)-1]
 	}
@@ -209,37 +216,26 @@ func (r *semiDynamicRun) applyEvent(start bool, n int) {
 
 // beginEvent computes the Oracle allocation for the new flow set and
 // resets convergence tracking.
-func (r *semiDynamicRun) beginEvent() {
-	r.eventStart = r.eng.Now()
+func (r *semiDynamicRun[T]) beginEvent(now T) {
+	r.eventStart = now
 	r.holding = false
 
-	p := core.NewProblem(r.net.Capacities())
+	p := core.NewProblem(r.topo.Net.Capacities())
 	for _, sf := range r.active {
 		p.AddFlow(sf.links, sf.util)
 	}
 	res := r.solver.Solve(p, oracle.SolveOptions{MaxIter: 3000, Tol: 1e-6})
-	r.oracleRates = make(map[*netsim.Flow]float64, len(r.active))
-	for i, sf := range r.active {
-		r.oracleRates[sf.flow] = res.Rates[i]
-	}
+	r.want = append(r.want[:0], res.Rates...)
 }
 
-// sample checks convergence and schedules the next event when done.
-func (r *semiDynamicRun) sample() {
-	if r.result.Events >= r.cfg.Events {
-		r.eng.Stop()
-		return
-	}
-	now := r.eng.Now()
+// tick is one sample: the §6.1 convergence test, and the next event
+// once this one has converged or timed out. It reports whether events
+// remain.
+func (r *semiDynamicRun[T]) tick(now T) bool {
 	within := 0
-	for _, sf := range r.active {
-		want := r.oracleRates[sf.flow]
-		if want <= 0 {
-			within++
-			continue
-		}
-		got := sf.flow.Meter.RateAt(now)
-		if math.Abs(got-want)/want <= r.cfg.Margin {
+	for i, sf := range r.active {
+		want := r.want[i]
+		if want <= 0 || math.Abs(r.sub.rate(sf.handle)-want)/want <= r.cfg.Margin {
 			within++
 		}
 	}
@@ -253,30 +249,26 @@ func (r *semiDynamicRun) sample() {
 			r.holding = true
 			r.holdStart = now
 		}
-		if now.Sub(r.holdStart) >= r.cfg.Sustain {
-			// Converged: record (minus the filter rise time) and fire
-			// the next event.
-			rise := math.Log(10) * r.cfg.FilterTau.Seconds()
-			ct := r.holdStart.Sub(r.eventStart).Seconds() - rise
-			if ct < 0 {
-				ct = 0
-			}
-			r.result.ConvergenceTimes = append(r.result.ConvergenceTimes, ct)
-			r.nextEvent()
+		if now-r.holdStart >= r.sub.span(r.cfg.Sustain) {
+			// Converged: record (minus the measurement rise time) and
+			// fire the next event.
+			ct := r.sub.seconds(r.holdStart-r.eventStart) - r.sub.riseTime()
+			r.result.ConvergenceTimes = append(r.result.ConvergenceTimes, max(ct, 0))
+			r.nextEvent(now)
 		}
-		return
+	} else {
+		r.holding = false
+		if now-r.eventStart >= r.sub.span(r.cfg.EventTimeout) {
+			r.result.Unconverged++
+			r.nextEvent(now)
+		}
 	}
-	r.holding = false
-	if now.Sub(r.eventStart) >= r.cfg.EventTimeout {
-		r.result.Unconverged++
-		r.nextEvent()
-	}
+	return r.result.Events < r.cfg.Events
 }
 
-func (r *semiDynamicRun) nextEvent() {
+func (r *semiDynamicRun[T]) nextEvent(now T) {
 	r.result.Events++
 	if r.result.Events >= r.cfg.Events {
-		r.eng.Stop()
 		return
 	}
 	n := r.cfg.FlowsPerEvent
@@ -290,5 +282,5 @@ func (r *semiDynamicRun) nextEvent() {
 		start = r.rng.Intn(2) == 0
 	}
 	r.applyEvent(start, n)
-	r.beginEvent()
+	r.beginEvent(now)
 }

@@ -24,7 +24,7 @@ func TestSemiDynamicNUMFabricConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	res := RunSemiDynamic(tinySemiDynamic(NUMFabric))
+	res := RunSemiDynamicWith(EnginePacket, tinySemiDynamic(NUMFabric))
 	if res.Events != 3 {
 		t.Fatalf("ran %d events, want 3", res.Events)
 	}
@@ -42,7 +42,7 @@ func TestSemiDynamicDGDConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	res := RunSemiDynamic(tinySemiDynamic(DGD))
+	res := RunSemiDynamicWith(EnginePacket, tinySemiDynamic(DGD))
 	if len(res.ConvergenceTimes) < 2 {
 		t.Fatalf("only %d/%d events converged", len(res.ConvergenceTimes), res.Events)
 	}
@@ -54,8 +54,8 @@ func TestSemiDynamicDeterminism(t *testing.T) {
 	}
 	cfg := tinySemiDynamic(NUMFabric)
 	cfg.Events = 2
-	a := RunSemiDynamic(cfg)
-	b := RunSemiDynamic(cfg)
+	a := RunSemiDynamicWith(EnginePacket, cfg)
+	b := RunSemiDynamicWith(EnginePacket, cfg)
 	if len(a.ConvergenceTimes) != len(b.ConvergenceTimes) {
 		t.Fatalf("different event outcomes across identical runs")
 	}

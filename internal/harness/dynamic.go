@@ -48,14 +48,8 @@ type DynamicConfig struct {
 	// Obs attaches observability hooks (phase profiler, tracer, live
 	// progress, metrics) to the flow-level engines; the packet engine
 	// ignores it. Nil hooks cost nothing and never change results.
-	Obs obs.Hooks
-	// Faults schedules link failure/recovery events (leap engine only:
-	// RunDynamicLeap feeds them through leap.Engine.FailLink/
-	// RecoverLink before the run; the packet and fluid epoch engines
-	// ignore them). Link ids index the topology's directed links, as
-	// flow paths do.
-	Faults []workload.Fault
-	Seed   uint64
+	Obs  obs.Hooks
+	Seed uint64
 }
 
 // DefaultDynamic returns a scaled dynamic-workload config.
@@ -193,63 +187,90 @@ func (cfg DynamicConfig) utilityFor() func(int64) core.Utility {
 	return func(int64) core.Utility { return core.NewAlphaFair(cfg.Alpha) }
 }
 
-// dynamicIdeals computes (or, with SkipFluidIdeal, stubs out) the
-// per-arrival Oracle ideal FCTs.
-func dynamicIdeals(cfg DynamicConfig, topo *Topology, arrivals []workload.Arrival, spines []int) []float64 {
-	if !cfg.SkipFluidIdeal {
-		return FluidIdealFCTs(cfg, topo, arrivals, spines)
+// RunDynamicWith plays cfg's seeded Poisson workload — the identical
+// arrival schedule and spine picks on every engine — through the
+// packet simulator, the epoch engine or the leap engine, and pairs
+// every finished flow with its fluid-Oracle ideal FCT.
+func RunDynamicWith(eng Engine, cfg DynamicConfig) DynamicResult {
+	if eng == EnginePacket {
+		expectedShare := cfg.Topo.HostLink.Float() / 3
+		cfg.Scheme.SetUtilityHint(cfg.utilityFor()(int64(expectedShare/8)), expectedShare)
+		cfg.Scheme.RCP.Alpha = cfg.Alpha
+		sub := newPacketFabric(cfg.Topo, cfg.Scheme)
+		return runDynamic(cfg, sub.topo, sub)
 	}
-	ideal := make([]float64, len(arrivals))
-	for i := range ideal {
-		ideal[i] = math.NaN()
+	topo := NewFluidTopology(cfg.Topo)
+	baseRTT := cfg.Topo.BaseRTT().Seconds()
+	if eng == EngineLeap {
+		leng := leap.NewEngine(FluidNetwork(topo), leap.Config{
+			Allocator: LeapAllocatorFor(cfg.Scheme),
+			Obs:       cfg.Obs,
+		})
+		res := runDynamic(cfg, topo, &flowLevel{eng: leng, baseRTT: baseRTT})
+		s := leng.Stats()
+		res.LeapStats = &s
+		return res
 	}
-	return ideal
+	epoch := FluidEpochFor(cfg.Scheme)
+	if cfg.FluidEpoch > 0 {
+		epoch = cfg.FluidEpoch.Seconds()
+	}
+	feng := fluid.NewEngine(FluidNetwork(topo), fluid.Config{
+		Epoch:     epoch,
+		Allocator: FluidAllocatorFor(cfg.Scheme),
+		Obs:       cfg.Obs,
+	})
+	res := runDynamic(cfg, topo, &flowLevel{eng: feng, baseRTT: baseRTT})
+	s := feng.Stats()
+	res.FluidStats = &s
+	return res
 }
 
-// RunDynamic plays a Poisson workload through the packet simulator
-// under cfg.Scheme and pairs every finished flow with its fluid-Oracle
-// ideal FCT.
-func RunDynamic(cfg DynamicConfig) DynamicResult {
-	eng := sim.NewEngine()
-	net := netsim.NewNetwork(eng)
-	net.QueueFactory = cfg.Scheme.QueueFactory()
-	topo := NewTopology(net, cfg.Topo)
+// runDynamic is the Figure 5/7 scenario over any substrate. With
+// SkipFluidIdeal every IdealFCT is NaN.
+func runDynamic(cfg DynamicConfig, topo *Topology, sub flowPlayer) DynamicResult {
 	arrivals, spines, utilityFor := dynamicWorkload(cfg, topo)
-
-	expectedShare := cfg.Topo.HostLink.Float() / 3
-	cfg.Scheme.SetUtilityHint(utilityFor(int64(expectedShare/8)), expectedShare)
-	cfg.Scheme.RCP.Alpha = cfg.Alpha
-	cfg.Scheme.AttachAgents(net)
-
-	flows := make([]*netsim.Flow, len(arrivals))
 	var lastArrival sim.Time
-	for i, a := range arrivals {
-		i, a := i, a
-		lastArrival = a.At
-		eng.Schedule(a.At, func() {
-			f := topo.NewFlow(a.Src, a.Dst, spines[i], a.Size)
-			flows[i] = f
-			cfg.Scheme.AttachSender(net, f, utilityFor(a.Size))
-			f.Start()
-		})
+	if n := len(arrivals); n > 0 {
+		lastArrival = arrivals[n-1].At
 	}
-	eng.Run(lastArrival.Add(cfg.Drain))
+	playArrivals(sub, topo, arrivals, spines, utilityFor, lastArrival.Add(cfg.Drain))
 
-	ideal := dynamicIdeals(cfg, topo, arrivals, spines)
+	ideal := func(int) float64 { return math.NaN() }
+	if !cfg.SkipFluidIdeal {
+		fcts := FluidIdealFCTs(cfg, topo, arrivals, spines)
+		ideal = func(i int) float64 { return fcts[i] }
+	}
 	res := DynamicResult{BDP: cfg.Topo.HostLink.Float() / 8 * cfg.Topo.BaseRTT().Seconds()}
-	for i, f := range flows {
-		if f == nil || !f.Done {
-			res.Unfinished++
+	res.Records, res.Unfinished = flowRecords(sub, arrivals, ideal)
+	return res
+}
+
+// playArrivals admits every arrival on its routed path (spines[i]
+// picks arrival i's ECMP path) and runs the substrate to until.
+func playArrivals(sub flowPlayer, topo *Topology, arrivals []workload.Arrival, spines []int,
+	utilityFor func(int64) core.Utility, until sim.Time) {
+	var pathBuf []int
+	for i, a := range arrivals {
+		fwd, _ := topo.Route(a.Src, a.Dst, spines[i])
+		pathBuf = AppendPathLinkIDs(pathBuf[:0], fwd)
+		sub.admit(pathBuf, utilityFor(a.Size), a.Size, a.At)
+	}
+	sub.run(until)
+}
+
+// flowRecords assembles one record per finished flow, in arrival
+// order, and counts the rest.
+func flowRecords(sub flowPlayer, arrivals []workload.Arrival, ideal func(i int) float64) (records []FlowRecord, unfinished int) {
+	for i, a := range arrivals {
+		fct, done := sub.fct(i)
+		if !done {
+			unfinished++
 			continue
 		}
-		res.Records = append(res.Records, FlowRecord{
-			Size:     f.Size,
-			Start:    f.StartTime,
-			FCT:      f.FCT().Seconds(),
-			IdealFCT: ideal[i],
-		})
+		records = append(records, FlowRecord{Size: a.Size, Start: a.At, FCT: fct, IdealFCT: ideal(i)})
 	}
-	return res
+	return records, unfinished
 }
 
 // FluidIdealFCTs computes, for each arrival, the FCT it would have if
@@ -259,22 +280,17 @@ func RunDynamic(cfg DynamicConfig) DynamicResult {
 // between — with the exact Oracle allocator warm-started across
 // events, plus the base RTT, which even the Oracle cannot beat.
 func FluidIdealFCTs(cfg DynamicConfig, topo *Topology, arrivals []workload.Arrival, spines []int) []float64 {
-	utilityFor := cfg.utilityFor()
-	ref := refsim.New(fluid.NewNetwork(topo.Net.Capacities()), &fluid.Oracle{MaxIter: 1500})
-	flows := make([]*fluid.Flow, len(arrivals))
-	var pathBuf []int // AddFlow copies the path
-	for i, a := range arrivals {
-		fwd, _ := topo.Route(a.Src, a.Dst, spines[i])
-		pathBuf = AppendPathLinkIDs(pathBuf[:0], fwd)
-		flows[i] = ref.AddFlow(pathBuf, utilityFor(a.Size), a.Size, a.At.Seconds())
-	}
-	ref.Run(math.Inf(1))
 	d0 := cfg.Topo.BaseRTT().Seconds()
+	ref := &flowLevel{
+		eng:     refsim.New(fluid.NewNetwork(topo.Net.Capacities()), &fluid.Oracle{MaxIter: 1500}),
+		baseRTT: d0,
+	}
+	playArrivals(ref, topo, arrivals, spines, cfg.utilityFor(), sim.Forever)
 	out := make([]float64, len(arrivals))
-	for i, f := range flows {
+	for i := range out {
 		// A flow the Oracle never finishes (NaN) or finishes in no time
 		// falls back to the RTT alone, for downstream division.
-		if out[i] = f.FCT() + d0; math.IsNaN(out[i]) || out[i] <= 0 {
+		if out[i], _ = ref.fct(i); math.IsNaN(out[i]) || out[i] <= 0 {
 			out[i] = d0
 		}
 	}

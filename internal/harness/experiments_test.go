@@ -65,8 +65,8 @@ func TestPoolingImprovesThroughputAndFairness(t *testing.T) {
 	// Figure 8: with 8 subflows, resource pooling approaches optimal
 	// total throughput and near-perfect flow-level fairness; a single
 	// subflow per pair leaves capacity stranded by hash collisions.
-	one := RunPooling(DefaultPooling(1, false))
-	pooled := RunPooling(DefaultPooling(4, true))
+	one := RunPoolingWith(EnginePacket, DefaultPooling(1, false))
+	pooled := RunPoolingWith(EnginePacket, DefaultPooling(4, true))
 
 	if got := pooled.TotalThroughputPct(); got < 80 {
 		t.Errorf("pooled total = %.1f%% of optimal, want > 80%%", got)
@@ -86,7 +86,7 @@ func TestDynamicDeviationNUMFabric(t *testing.T) {
 	}
 	cfg := DefaultDynamic(NUMFabric, workload.WebSearch(), 0.4)
 	cfg.Flows = 120
-	res := RunDynamic(cfg)
+	res := RunDynamicWith(EnginePacket, cfg)
 	if len(res.Records) < 100 {
 		t.Fatalf("only %d/%d flows finished", len(res.Records), cfg.Flows)
 	}
@@ -143,8 +143,8 @@ func TestFCTComparableToPFabric(t *testing.T) {
 	}
 	cfg := DefaultFCT()
 	cfg.FlowsPerLoad = 120
-	nf := RunFCT(cfg, NUMFabric, 0.4)
-	pf := RunFCT(cfg, PFabric, 0.4)
+	nf := RunFCTWith(EnginePacket, cfg, NUMFabric, 0.4)
+	pf := RunFCTWith(EnginePacket, cfg, PFabric, 0.4)
 	if nf.MeanNormFCT <= 0 || pf.MeanNormFCT <= 0 {
 		t.Fatalf("bad normalized FCTs: nf=%v pf=%v", nf.MeanNormFCT, pf.MeanNormFCT)
 	}

@@ -47,13 +47,8 @@ type FCTPoint struct {
 	Unfinished    int
 }
 
-// RunFCT executes the Figure 7 experiment for one scheme at one load
-// on the packet engine and returns the normalized-FCT statistics.
-func RunFCT(cfg FCTConfig, scheme Scheme, load float64) FCTPoint {
-	return RunFCTWith(EnginePacket, cfg, scheme, load)
-}
-
-// RunFCTWith runs the Figure 7 experiment on the chosen engine. The
+// RunFCTWith runs the Figure 7 experiment for one scheme at one load
+// on the chosen engine and returns the normalized-FCT statistics. The
 // FCT-minimization utility carries over unchanged (it is just another
 // utility to the fluid and leap allocators); the packet-transport
 // knobs (2× slowdown, full-BDP initial window) become the matching

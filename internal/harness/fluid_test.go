@@ -104,7 +104,7 @@ func TestParseEngine(t *testing.T) {
 func TestRunSemiDynamicFluid(t *testing.T) {
 	cfg := DefaultSemiDynamic(NUMFabric)
 	cfg.Events = 5
-	res := RunSemiDynamicFluid(cfg)
+	res := RunSemiDynamicWith(EngineFluid, cfg)
 	if res.Events != cfg.Events {
 		t.Fatalf("ran %d events, want %d", res.Events, cfg.Events)
 	}
@@ -122,7 +122,7 @@ func TestRunSemiDynamicFluid(t *testing.T) {
 func TestRunDynamicFluid(t *testing.T) {
 	cfg := DefaultDynamic(NUMFabric, workload.Uniform(1<<20), 0.3)
 	cfg.Flows = 60
-	res := RunDynamicFluid(cfg)
+	res := RunDynamicWith(EngineFluid, cfg)
 	if res.Unfinished != 0 {
 		t.Fatalf("%d flows unfinished", res.Unfinished)
 	}
@@ -173,7 +173,7 @@ func TestFluidPoolingGolden(t *testing.T) {
 		}
 	}
 
-	res := RunPoolingFluid(cfg)
+	res := RunPoolingWith(EngineFluid, cfg)
 	if len(res.FlowThroughputs) != len(want) {
 		t.Fatalf("got %d pair throughputs, want %d", len(res.FlowThroughputs), len(want))
 	}

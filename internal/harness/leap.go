@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"math"
 
 	"numfabric/internal/core"
 	"numfabric/internal/fluid"
@@ -51,11 +50,7 @@ func FatTreeWebSearch(ft *fluid.FatTree, load float64, nflows int, rng *sim.RNG)
 		Duration: sim.Duration(sim.Forever / 2),
 		MaxFlows: nflows,
 	}, rng)
-	paths := make([][]int, len(arrivals))
-	for i, a := range arrivals {
-		paths[i] = ft.Route(a.Src, a.Dst, rng.Intn(ft.K*ft.K/4))
-	}
-	return arrivals, paths
+	return arrivals, fatTreePaths(ft, arrivals, rng)
 }
 
 // FatTreeCoflows draws the synchronized coflow workload on ft's hosts
@@ -77,25 +72,16 @@ func FatTreeCoflows(ft *fluid.FatTree, load float64, nflows, senders, bursts int
 		Groups:   ft.K, // one locality block per pod
 		MaxFlows: nflows,
 	}, rng)
+	return arrivals, fatTreePaths(ft, arrivals, rng)
+}
+
+// fatTreePaths picks one random ECMP path per arrival.
+func fatTreePaths(ft *fluid.FatTree, arrivals []workload.Arrival, rng *sim.RNG) [][]int {
 	paths := make([][]int, len(arrivals))
 	for i, a := range arrivals {
 		paths[i] = ft.Route(a.Src, a.Dst, rng.Intn(ft.K*ft.K/4))
 	}
-	return arrivals, paths
-}
-
-// RunDynamicLeap is the event-driven counterpart of RunDynamicFluid:
-// the identical Poisson workload (same seed, same arrival schedule and
-// spine choices) played through the leap engine, which advances
-// straight from event to event instead of epoch by epoch.
-func RunDynamicLeap(cfg DynamicConfig) DynamicResult {
-	topo := NewFluidTopology(cfg.Topo)
-	leng := leap.NewEngine(FluidNetwork(topo), leap.Config{
-		Allocator: LeapAllocatorFor(cfg.Scheme),
-		Obs:       cfg.Obs,
-	})
-	ScheduleFaults(leng, cfg.Faults)
-	return runDynamicFlowEngine(cfg, topo, leng)
+	return paths
 }
 
 // ScheduleFaults feeds a fault schedule into a leap engine's event
@@ -213,11 +199,10 @@ type IncastResult struct {
 // RunIncastLeap plays the incast workload through the leap engine —
 // each burst is exactly one allocation followed by (typically) one
 // batch of simultaneous completions, the event-driven engine's best
-// case. FCTs include the topology's base RTT, as in RunDynamicLeap.
+// case. FCTs include the topology's base RTT, as in RunDynamicWith.
 func RunIncastLeap(cfg IncastConfig) IncastResult {
 	topo := NewFluidTopology(cfg.Topo)
 	rng := sim.NewRNG(cfg.Seed)
-
 	arrivals := workload.Incast(workload.IncastConfig{
 		Hosts:     len(topo.Hosts),
 		Receiver:  0,
@@ -226,55 +211,36 @@ func RunIncastLeap(cfg IncastConfig) IncastResult {
 		Bursts:    cfg.Bursts,
 		Interval:  cfg.Interval,
 	}, rng)
+	spines := make([]int, len(arrivals))
+	for i := range spines {
+		spines[i] = rng.Intn(cfg.Topo.Spines)
+	}
 
+	d0 := cfg.Topo.BaseRTT().Seconds()
 	leng := leap.NewEngine(FluidNetwork(topo), leap.Config{
 		Allocator: LeapAllocatorFor(cfg.Scheme),
 		Obs:       cfg.Obs,
 	})
-	flows := make([]*fluid.Flow, len(arrivals))
-	burstOf := make([]int, len(arrivals))
-	// The leap engine copies paths into its table arena on AddFlow, so
-	// one buffer serves every admission.
-	var pathBuf []int
-	for i, a := range arrivals {
-		fwd, _ := topo.Route(a.Src, a.Dst, rng.Intn(cfg.Topo.Spines))
-		pathBuf = AppendPathLinkIDs(pathBuf[:0], fwd)
-		flows[i] = leng.AddFlow(pathBuf, core.ProportionalFair(), a.Size, a.At.Seconds())
-		// Interval ≤ 0 (sensible for a single burst) stacks every
-		// arrival into burst 0.
-		if cfg.Interval > 0 {
-			burstOf[i] = int(a.At / sim.Time(cfg.Interval))
-		}
-	}
-	leng.Run(math.Inf(1))
+	sub := &flowLevel{eng: leng, baseRTT: d0}
+	playArrivals(sub, topo, arrivals, spines, func(int64) core.Utility { return core.ProportionalFair() }, sim.Forever)
 
-	d0 := cfg.Topo.BaseRTT().Seconds()
 	// The incast ideal is the documented fan-in bound: a burst's flows
 	// all share the receiver's host link, so even a perfect transport
 	// needs Senders × SizeBytes × 8 / hostLink (+ the base RTT). Every
 	// record gets it — a NaN here used to silently poison any
 	// downstream slowdown percentile.
-	senders := cfg.Senders
-	if max := len(topo.Hosts) - 1; senders > max {
-		senders = max
-	}
+	senders := min(cfg.Senders, len(topo.Hosts)-1)
 	idealFCT := float64(senders)*float64(cfg.SizeBytes)*8/cfg.Topo.HostLink.Float() + d0
 	res := IncastResult{BurstFCTs: make([]float64, cfg.Bursts), Stats: leng.Stats()}
-	for i, f := range flows {
-		if !f.Done() {
-			res.Unfinished++
-			continue
+	res.Records, res.Unfinished = flowRecords(sub, arrivals, func(int) float64 { return idealFCT })
+	for _, rec := range res.Records {
+		// Interval ≤ 0 (sensible for a single burst) stacks every
+		// arrival into burst 0.
+		b := 0
+		if cfg.Interval > 0 {
+			b = int(rec.Start / sim.Time(cfg.Interval))
 		}
-		fct := f.FCT() + d0
-		res.Records = append(res.Records, FlowRecord{
-			Size:     f.SizeBytes,
-			Start:    arrivals[i].At,
-			FCT:      fct,
-			IdealFCT: idealFCT,
-		})
-		if b := burstOf[i]; fct > res.BurstFCTs[b] {
-			res.BurstFCTs[b] = fct
-		}
+		res.BurstFCTs[b] = max(res.BurstFCTs[b], rec.FCT)
 	}
 	return res
 }

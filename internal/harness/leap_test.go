@@ -24,8 +24,8 @@ func TestLeapGoldenVsEpochFCT(t *testing.T) {
 	cfg.SkipFluidIdeal = true
 	cfg.FluidEpoch = 2 * sim.Microsecond
 
-	lp := RunDynamicLeap(cfg)
-	ep := RunDynamicFluid(cfg)
+	lp := RunDynamicWith(EngineLeap, cfg)
+	ep := RunDynamicWith(EngineFluid, cfg)
 	if lp.Unfinished != 0 || ep.Unfinished != 0 {
 		t.Fatalf("unfinished: leap %d, epoch %d", lp.Unfinished, ep.Unfinished)
 	}
@@ -52,7 +52,7 @@ func TestLeapGoldenVsEpochFCT(t *testing.T) {
 func TestRunDynamicLeapDeviation(t *testing.T) {
 	cfg := DefaultDynamic(NUMFabric, workload.Uniform(1<<20), 0.3)
 	cfg.Flows = 60
-	res := RunDynamicLeap(cfg)
+	res := RunDynamicWith(EngineLeap, cfg)
 	if res.Unfinished != 0 {
 		t.Fatalf("%d flows unfinished", res.Unfinished)
 	}
@@ -106,8 +106,8 @@ func TestRunDynamicLeapDeterministic(t *testing.T) {
 	cfg := DefaultDynamic(NUMFabric, workload.WebSearch(), 0.4)
 	cfg.Flows = 120
 	cfg.SkipFluidIdeal = true
-	a := RunDynamicLeap(cfg)
-	b := RunDynamicLeap(cfg)
+	a := RunDynamicWith(EngineLeap, cfg)
+	b := RunDynamicWith(EngineLeap, cfg)
 	if len(a.Records) != len(b.Records) || a.Unfinished != b.Unfinished {
 		t.Fatalf("run shape differs: %d/%d vs %d/%d records/unfinished",
 			len(a.Records), a.Unfinished, len(b.Records), b.Unfinished)

@@ -5,10 +5,7 @@ import (
 
 	"numfabric/internal/core"
 	"numfabric/internal/fluid"
-	"numfabric/internal/netsim"
 	"numfabric/internal/sim"
-	"numfabric/internal/stats"
-	"numfabric/internal/transport"
 	"numfabric/internal/workload"
 )
 
@@ -101,11 +98,9 @@ func (r PoolingResult) JainIndex() float64 {
 	return sum * sum / (n * sq)
 }
 
-// poolingPairs draws the §6.3 scenario deterministically: permutation
-// source–destination pairs, each with cfg.Subflows spine picks, and
-// returns every pair's subflow paths in fluid link-ID form. The RNG
-// draw order mirrors RunPooling's, so both engines play the same
-// hash assignment for a given seed.
+// poolingPairs draws the §6.3 scenario: permutation source–destination
+// pairs, each with cfg.Subflows subflows "hashed onto a path at
+// random", as every pair's subflow paths in link-id form.
 func poolingPairs(topo *Topology, cfg PoolingConfig, rng *sim.RNG) [][][]int {
 	pairs := workload.Permutation(len(topo.Hosts), rng)
 	paths := make([][][]int, len(pairs))
@@ -119,59 +114,45 @@ func poolingPairs(topo *Topology, cfg PoolingConfig, rng *sim.RNG) [][][]int {
 	return paths
 }
 
-// RunPoolingFluid is the fluid-engine counterpart of RunPooling: the
-// identical permutation scenario (same seed, same subflow spine
-// hashes) with each pair's subflows either pooled into one
-// fluid.Group under a proportional-fair utility of the aggregate rate
-// (Pooling), or run as independent proportional-fair flows. Pair
-// throughputs are the allocator's exact steady rates (no EWMA meter).
-func RunPoolingFluid(cfg PoolingConfig) PoolingResult {
-	topo := NewFluidTopology(cfg.Topo)
-	rng := sim.NewRNG(cfg.Seed)
-	pathsByPair := poolingPairs(topo, cfg, rng)
+// RunPoolingWith runs the resource-pooling experiment under NUMFabric
+// on the chosen engine: packet subflows coupled through a
+// transport.Aggregate and read through 200 µs EWMA meters, or a
+// fluid.Group per pair read at the allocator's exact rates (see
+// SampledEngine for what EngineLeap runs). The permutation and the
+// subflow spine hashes are the same on both for a given seed.
+func RunPoolingWith(eng Engine, cfg PoolingConfig) PoolingResult {
 	scheme := DefaultConfig(NUMFabric, cfg.Topo)
+	optimal := cfg.Topo.HostLink.Float()
+	if eng, _ = SampledEngine(eng); eng == EnginePacket {
+		sub := newPacketFabric(cfg.Topo, scheme)
+		sub.meterTau = 200 * sim.Microsecond
+		paths := poolingPairs(sub.topo, cfg, sim.NewRNG(cfg.Seed))
+		return runPooling(sub, paths, cfg.Pooling, optimal, func() { sub.run(sim.Time(cfg.Measure)) })
+	}
+	topo := NewFluidTopology(cfg.Topo)
 	feng := fluid.NewEngine(FluidNetwork(topo), fluid.Config{
 		Epoch:     FluidEpochFor(scheme),
 		Allocator: FluidAllocatorFor(scheme),
 	})
-
-	groups := make([]*fluid.Group, len(pathsByPair))
-	subflows := make([][]*fluid.Flow, len(pathsByPair))
-	for pi, paths := range pathsByPair {
-		if cfg.Pooling {
-			groups[pi] = feng.AddGroup(paths, core.ProportionalFair(), 0, 0)
-			continue
-		}
-		for _, links := range paths {
-			subflows[pi] = append(subflows[pi], feng.AddFlow(links, core.ProportionalFair(), 0, 0))
-		}
-	}
-	feng.Run(cfg.Measure.Seconds())
-
-	res := PoolingResult{Optimal: cfg.Topo.HostLink.Float()}
-	for pi := range pathsByPair {
-		total := 0.0
-		if cfg.Pooling {
-			total = groups[pi].Rate()
-		} else {
-			for _, f := range subflows[pi] {
-				total += f.Rate
-			}
-		}
-		res.FlowThroughputs = append(res.FlowThroughputs, total)
-	}
-	return res
+	paths := poolingPairs(topo, cfg, sim.NewRNG(cfg.Seed))
+	return runPooling(&epochFabric{eng: feng}, paths, cfg.Pooling, optimal, func() { feng.Run(cfg.Measure.Seconds()) })
 }
 
-// RunPoolingWith dispatches the resource-pooling experiment to the
-// chosen engine. EngineLeap falls back to the fluid epoch engine: the
-// experiment measures steady-state throughput of unbounded groups, a
-// scenario with no arrival/completion events for leap to jump between.
-func RunPoolingWith(eng Engine, cfg PoolingConfig) PoolingResult {
-	if eng == EngineFluid || eng == EngineLeap {
-		return RunPoolingFluid(cfg)
+// runPooling is the Figure 8 scenario over any substrate: start every
+// pair's subflows — pooled under one proportional-fair utility of the
+// aggregate rate, or as independent proportional-fair flows — let the
+// engine settle, and tally each pair's total throughput.
+func runPooling(sub flowStarter, pathsByPair [][][]int, pooled bool, optimal float64, settle func()) PoolingResult {
+	handles := make([]int, len(pathsByPair))
+	for pi, paths := range pathsByPair {
+		handles[pi] = sub.start(paths, core.ProportionalFair(), pooled)
 	}
-	return RunPooling(cfg)
+	settle()
+	res := PoolingResult{Optimal: optimal}
+	for _, h := range handles {
+		res.FlowThroughputs = append(res.FlowThroughputs, sub.rate(h))
+	}
+	return res
 }
 
 // FatTreePoolingConfig parameterizes the fluid-only fat-tree
@@ -230,38 +211,17 @@ func RunFatTreePooling(cfg FatTreePoolingConfig) PoolingResult {
 	feng := fluid.NewEngine(ft.Net, fluid.Config{
 		Allocator: FluidAllocatorFor(scheme),
 	})
-
-	groups := make([]*fluid.Group, cfg.Groups)
-	subflows := make([][]*fluid.Flow, cfg.Groups)
-	for gi := 0; gi < cfg.Groups; gi++ {
+	paths := make([][][]int, cfg.Groups)
+	for gi := range paths {
 		src := gi % hosts
-		dst := (src + hosts/2) % hosts
-		paths := samplePaths(ft, src, dst, cfg.Subflows, rng)
-		if cfg.Pooling {
-			groups[gi] = feng.AddGroup(paths, core.ProportionalFair(), 0, 0)
-			continue
-		}
-		for _, links := range paths {
-			subflows[gi] = append(subflows[gi], feng.AddFlow(links, core.ProportionalFair(), 0, 0))
-		}
+		paths[gi] = samplePaths(ft, src, (src+hosts/2)%hosts, cfg.Subflows, rng)
 	}
-	for e := 0; e < cfg.Epochs; e++ {
-		feng.Step()
-	}
-
-	res := PoolingResult{Optimal: cfg.LinkRate * float64(hosts) / float64(cfg.Groups)}
-	for gi := 0; gi < cfg.Groups; gi++ {
-		total := 0.0
-		if cfg.Pooling {
-			total = groups[gi].Rate()
-		} else {
-			for _, f := range subflows[gi] {
-				total += f.Rate
-			}
+	optimal := cfg.LinkRate * float64(hosts) / float64(cfg.Groups)
+	return runPooling(&epochFabric{eng: feng}, paths, cfg.Pooling, optimal, func() {
+		for e := 0; e < cfg.Epochs; e++ {
+			feng.Step()
 		}
-		res.FlowThroughputs = append(res.FlowThroughputs, total)
-	}
-	return res
+	})
 }
 
 // samplePaths draws n distinct ECMP paths between src and dst (all of
@@ -283,47 +243,4 @@ func samplePaths(ft *fluid.FatTree, src, dst, n int, rng *sim.RNG) [][]int {
 		paths[j] = ft.Route(src, dst, choice[j])
 	}
 	return paths
-}
-
-// RunPooling executes the resource-pooling experiment under NUMFabric.
-func RunPooling(cfg PoolingConfig) PoolingResult {
-	eng := sim.NewEngine()
-	net := netsim.NewNetwork(eng)
-	scheme := DefaultConfig(NUMFabric, cfg.Topo)
-	net.QueueFactory = scheme.QueueFactory()
-	topo := NewTopology(net, cfg.Topo)
-	scheme.AttachAgents(net)
-	rng := sim.NewRNG(cfg.Seed)
-
-	pairs := workload.Permutation(len(topo.Hosts), rng)
-	meters := make([][]*stats.RateMeter, len(pairs))
-	for pi, pr := range pairs {
-		var agg *transport.Aggregate
-		if cfg.Pooling {
-			agg = transport.NewAggregate()
-		}
-		for s := 0; s < cfg.Subflows; s++ {
-			// "each sub-flow hashed onto a path at random".
-			spine := rng.Intn(cfg.Topo.Spines)
-			f := topo.NewFlow(pr[0], pr[1], spine, 0)
-			sender := transport.NewNUMFabricSender(net, f, core.ProportionalFair(), scheme.NUMFabric)
-			if agg != nil {
-				agg.Add(sender)
-			}
-			f.Meter = stats.NewRateMeter(200 * sim.Microsecond)
-			meters[pi] = append(meters[pi], f.Meter)
-			eng.Schedule(0, f.Start)
-		}
-	}
-	eng.Run(sim.Time(cfg.Measure))
-
-	res := PoolingResult{Optimal: cfg.Topo.HostLink.Float()}
-	for _, ms := range meters {
-		total := 0.0
-		for _, m := range ms {
-			total += m.RateAt(eng.Now())
-		}
-		res.FlowThroughputs = append(res.FlowThroughputs, total)
-	}
-	return res
 }

@@ -1,0 +1,264 @@
+package harness
+
+import (
+	"math"
+
+	"numfabric/internal/core"
+	"numfabric/internal/fluid"
+	"numfabric/internal/netsim"
+	"numfabric/internal/sim"
+	"numfabric/internal/stats"
+	"numfabric/internal/transport"
+)
+
+// Every §6 scenario — workload draw, RNG order, event script,
+// convergence detector, result assembly — is written once (dynamic.go,
+// convergence.go, pooling.go) over the engine surfaces below; the
+// Run*With entry points are the only place an Engine becomes one.
+// Paths cross the seam as directed-link ids, the form Topology.Route
+// paths, oracle problems and the flow-level engines share. What
+// differs per engine stays behind it: how a flow is wired, how time
+// advances, what a "rate" is (an EWMA meter on packets, the
+// allocator's exact rate on epochs), and the clock's arithmetic.
+
+// flowPlayer is the dynamic family's surface (Figures 5 and 7,
+// incast): finite flows admitted at their arrival instants.
+type flowPlayer interface {
+	// admit schedules the next flow (they are numbered in admission
+	// order); links is only read during the call.
+	admit(links []int, u core.Utility, size int64, at sim.Time)
+	run(until sim.Time)
+	// fct returns flow i's completion time in seconds, and whether it
+	// finished at all.
+	fct(i int) (float64, bool)
+}
+
+// flowStarter is the pooling family's surface (Figure 8 and its
+// fat-tree variant): unbounded flows started now and read later.
+type flowStarter interface {
+	// start launches one subflow per path — pooled under u of their
+	// total rate, or each under its own u — and returns a handle.
+	start(paths [][]int, u core.Utility, pooled bool) int
+	// rate is the handle's total receive rate in bits/second.
+	rate(h int) float64
+}
+
+// clockUnit is an engine's native time arithmetic: integer picoseconds
+// on the packet simulator, accumulated float seconds on the epoch
+// engine. The convergence detector subtracts and compares instants in
+// this unit only, so neither engine's timing is rounded through the
+// other's.
+type clockUnit interface{ sim.Time | float64 }
+
+// sampledFabric is the semi-dynamic family's surface (Figures 4 and
+// 6): flows that start and stop, sampled on the engine's clock.
+type sampledFabric[T clockUnit] interface {
+	flowStarter
+	stop(h int)
+	// sample advances time, calling tick after every sampling period,
+	// until tick returns false.
+	sample(tick func(now T) bool)
+	// span is a configured duration in clock units; seconds, a clock
+	// interval in seconds.
+	span(d sim.Duration) T
+	seconds(d T) float64
+	// riseTime is the measurement lag in seconds to subtract from a
+	// settling time read off rate.
+	riseTime() float64
+}
+
+// packetFabric runs a scheme's packet transport on a netsim network:
+// a leaf-spine Topology, or links the caller wires by hand.
+type packetFabric struct {
+	eng    *sim.Engine
+	net    *netsim.Network
+	topo   *Topology // nil on a hand-wired network
+	scheme SchemeConfig
+
+	// meterTau is the EWMA time constant of the rate meter on every
+	// started flow; its 90% rise time ln(10)·τ is the fabric's
+	// riseTime (§6.1). sampleEvery is the sampling period.
+	meterTau    sim.Duration
+	sampleEvery sim.Duration
+
+	started  [][]*netsim.Flow // by start handle
+	admitted []*netsim.Flow   // by admission number; nil until arrival
+}
+
+// newPacketNet returns a fabric with no links yet; the scheme's agents
+// go on once they are wired.
+func newPacketNet(scheme SchemeConfig) *packetFabric {
+	eng := sim.NewEngine()
+	net := netsim.NewNetwork(eng)
+	net.QueueFactory = scheme.QueueFactory()
+	return &packetFabric{eng: eng, net: net, scheme: scheme}
+}
+
+// newPacketFabric builds the leaf-spine fabric and installs the
+// scheme's link agents; calibrate scheme (SetUtilityHint, RCP.Alpha)
+// beforehand.
+func newPacketFabric(topo TopologyConfig, scheme SchemeConfig) *packetFabric {
+	p := newPacketNet(scheme)
+	p.topo = NewTopology(p.net, topo)
+	scheme.AttachAgents(p.net)
+	return p
+}
+
+// newFlow registers a flow on the forward path links; the reverse path
+// crosses the same cables the other way.
+func (p *packetFabric) newFlow(links []int, size int64) *netsim.Flow {
+	n := len(links)
+	fwd, rev := make([]*netsim.Port, n), make([]*netsim.Port, n)
+	for i, id := range links {
+		fwd[i] = p.net.Links[id]
+		for _, back := range fwd[i].Peer.Ports {
+			if back.Peer == fwd[i].Node {
+				rev[n-1-i] = back
+			}
+		}
+	}
+	return p.net.NewFlow(fwd[0].Node, fwd[n-1].Peer, fwd, rev, size)
+}
+
+func (p *packetFabric) admit(links []int, u core.Utility, size int64, at sim.Time) {
+	i := len(p.admitted)
+	p.admitted = append(p.admitted, nil)
+	links = append([]int(nil), links...)
+	p.eng.Schedule(at, func() {
+		f := p.newFlow(links, size)
+		p.admitted[i] = f
+		p.scheme.AttachSender(p.net, f, u)
+		f.Start()
+	})
+}
+
+func (p *packetFabric) run(until sim.Time) { p.eng.Run(until) }
+
+func (p *packetFabric) fct(i int) (float64, bool) {
+	f := p.admitted[i]
+	if f == nil || !f.Done {
+		return math.NaN(), false
+	}
+	return f.FCT().Seconds(), true
+}
+
+// start wires every subflow before starting any, so a pooled sender's
+// first window already sees its whole aggregate. Pooling is NUMFabric's
+// (the aggregate couples NUMFabric senders).
+func (p *packetFabric) start(paths [][]int, u core.Utility, pooled bool) int {
+	var agg *transport.Aggregate
+	if pooled {
+		agg = transport.NewAggregate()
+	}
+	flows := make([]*netsim.Flow, len(paths))
+	for i, links := range paths {
+		f := p.newFlow(links, 0)
+		s := p.scheme.AttachSender(p.net, f, u)
+		if pooled {
+			agg.Add(s.(*transport.NUMFabricSender))
+		}
+		f.Meter = stats.NewRateMeter(p.meterTau)
+		flows[i] = f
+	}
+	for _, f := range flows {
+		f.Start()
+	}
+	p.started = append(p.started, flows)
+	return len(p.started) - 1
+}
+
+func (p *packetFabric) stop(h int) {
+	for _, f := range p.started[h] {
+		f.Stop()
+	}
+}
+
+func (p *packetFabric) rate(h int) float64 {
+	total := 0.0
+	for _, f := range p.started[h] {
+		total += f.Meter.RateAt(p.eng.Now())
+	}
+	return total
+}
+
+func (p *packetFabric) sample(tick func(now sim.Time) bool) {
+	p.eng.Every(sim.Time(p.sampleEvery), p.sampleEvery, func() {
+		if !tick(p.eng.Now()) {
+			p.eng.Stop()
+		}
+	})
+	p.eng.Run(sim.Forever)
+}
+
+func (p *packetFabric) span(d sim.Duration) sim.Time { return sim.Time(d) }
+func (p *packetFabric) seconds(d sim.Time) float64   { return sim.Duration(d).Seconds() }
+func (p *packetFabric) riseTime() float64            { return math.Log(10) * p.meterTau.Seconds() }
+
+// flowLevel plays finite flows through a flow-level engine, the epoch
+// engine or leap. Neither models propagation, so every completion gets
+// the fabric's base RTT added to stay comparable with packet FCTs and
+// the Oracle ideals.
+type flowLevel struct {
+	eng interface {
+		AddFlow(links []int, u core.Utility, sizeBytes int64, at float64) *fluid.Flow
+		Run(until float64)
+	}
+	baseRTT  float64
+	admitted []*fluid.Flow
+}
+
+// Both flow-level engines copy the path on AddFlow.
+func (e *flowLevel) admit(links []int, u core.Utility, size int64, at sim.Time) {
+	e.admitted = append(e.admitted, e.eng.AddFlow(links, u, size, at.Seconds()))
+}
+
+func (e *flowLevel) run(until sim.Time) { e.eng.Run(until.Seconds()) }
+
+func (e *flowLevel) fct(i int) (float64, bool) {
+	f := e.admitted[i]
+	return f.FCT() + e.baseRTT, f.Done()
+}
+
+// epochFabric runs unbounded flows on the epoch engine: one allocator
+// step per epoch, sampled every epoch, rates exact (no meter, so no
+// rise time).
+type epochFabric struct {
+	eng     *fluid.Engine
+	started [][]*fluid.Flow // by start handle
+}
+
+func (e *epochFabric) start(paths [][]int, u core.Utility, pooled bool) int {
+	var flows []*fluid.Flow
+	if pooled {
+		flows = e.eng.AddGroup(paths, u, 0, e.eng.Now()).Members
+	} else {
+		for _, links := range paths {
+			flows = append(flows, e.eng.AddFlow(links, u, 0, e.eng.Now()))
+		}
+	}
+	e.started = append(e.started, flows)
+	return len(e.started) - 1
+}
+
+func (e *epochFabric) stop(h int) {
+	for _, f := range e.started[h] {
+		e.eng.Stop(f)
+	}
+}
+
+func (e *epochFabric) rate(h int) float64 {
+	total := 0.0
+	for _, f := range e.started[h] {
+		total += f.Rate
+	}
+	return total
+}
+
+func (e *epochFabric) sample(tick func(now float64) bool) {
+	for e.eng.Step() && tick(e.eng.Now()) {
+	}
+}
+
+func (e *epochFabric) span(d sim.Duration) float64 { return d.Seconds() }
+func (e *epochFabric) seconds(d float64) float64   { return d }
+func (e *epochFabric) riseTime() float64           { return 0 }

@@ -16,63 +16,54 @@ type SweepPoint struct {
 	Unconverged int
 }
 
-// SweepDT reproduces Figure 6a: median convergence time versus the
-// window slack dt. Too-small dt leaves flows without queued packets at
-// their bottleneck (events fail to converge); too-large dt builds
-// queues and slows convergence.
-func SweepDT(base SemiDynamicConfig, dts []sim.Duration) []SweepPoint {
-	var out []SweepPoint
-	for _, dt := range dts {
+// sweep runs the packet-engine semi-dynamic experiment n times; vary
+// applies the i-th swept value to a copy of base and returns it as the
+// point's Param.
+func sweep(base SemiDynamicConfig, n int, vary func(i int, cfg *SemiDynamicConfig) float64) []SweepPoint {
+	out := make([]SweepPoint, n)
+	for i := range out {
 		cfg := base
-		cfg.Scheme.NUMFabric.DT = dt
-		res := RunSemiDynamic(cfg)
-		out = append(out, SweepPoint{
-			Param:             float64(dt) / 1e6, // µs
-			MedianConvergence: res.Median(),
-			Unconverged:       res.Unconverged,
-		})
+		out[i].Param = vary(i, &cfg)
+		res := RunSemiDynamicWith(EnginePacket, cfg)
+		out[i].MedianConvergence, out[i].Unconverged = res.Median(), res.Unconverged
 	}
 	return out
 }
 
+// SweepDT reproduces Figure 6a: median convergence time versus the
+// window slack dt (Param in µs). Too-small dt leaves flows without
+// queued packets at their bottleneck (events fail to converge);
+// too-large dt builds queues and slows convergence.
+func SweepDT(base SemiDynamicConfig, dts []sim.Duration) []SweepPoint {
+	return sweep(base, len(dts), func(i int, cfg *SemiDynamicConfig) float64 {
+		cfg.Scheme.NUMFabric.DT = dts[i]
+		return float64(dts[i]) / 1e6
+	})
+}
+
 // SweepPriceInterval reproduces Figure 6b: median convergence time
-// versus the xWI price update interval (paper: 30–128 µs; ~2 RTTs is
-// the sweet spot).
+// versus the xWI price update interval (Param in µs; paper: 30–128 µs,
+// ~2 RTTs is the sweet spot).
 func SweepPriceInterval(base SemiDynamicConfig, intervals []sim.Duration) []SweepPoint {
-	var out []SweepPoint
-	for _, iv := range intervals {
-		cfg := base
-		cfg.Scheme.NUMFabric.PriceUpdateInterval = iv
-		res := RunSemiDynamic(cfg)
-		out = append(out, SweepPoint{
-			Param:             float64(iv) / 1e6,
-			MedianConvergence: res.Median(),
-			Unconverged:       res.Unconverged,
-		})
-	}
-	return out
+	return sweep(base, len(intervals), func(i int, cfg *SemiDynamicConfig) float64 {
+		cfg.Scheme.NUMFabric.PriceUpdateInterval = intervals[i]
+		return float64(intervals[i]) / 1e6
+	})
 }
 
 // SweepAlpha reproduces Figure 6c: median convergence time versus the
 // α-fairness exponent, at normal speed and with the control loop
 // slowed by slowFactor (the paper's 2× remedy for extreme α).
 func SweepAlpha(base SemiDynamicConfig, alphas []float64, slowFactor float64) (normal, slowed []SweepPoint) {
-	for _, a := range alphas {
-		cfg := base
-		cfg.Alpha = a
-		res := RunSemiDynamic(cfg)
-		normal = append(normal, SweepPoint{
-			Param: a, MedianConvergence: res.Median(), Unconverged: res.Unconverged,
-		})
-
-		cfgSlow := base
-		cfgSlow.Alpha = a
-		cfgSlow.Scheme.NUMFabric = cfgSlow.Scheme.NUMFabric.Slowed(slowFactor)
-		resSlow := RunSemiDynamic(cfgSlow)
-		slowed = append(slowed, SweepPoint{
-			Param: a, MedianConvergence: resSlow.Median(), Unconverged: resSlow.Unconverged,
-		})
-	}
+	normal = sweep(base, len(alphas), func(i int, cfg *SemiDynamicConfig) float64 {
+		cfg.Alpha = alphas[i]
+		return alphas[i]
+	})
+	slowed = sweep(base, len(alphas), func(i int, cfg *SemiDynamicConfig) float64 {
+		cfg.Alpha = alphas[i]
+		cfg.Scheme.NUMFabric = cfg.Scheme.NUMFabric.Slowed(slowFactor)
+		return alphas[i]
+	})
 	return normal, slowed
 }
 
@@ -90,14 +81,13 @@ type RateTrace struct {
 // rate of the flow with the given index among the initially started
 // flows, sampled every sampleEvery.
 func RunRateTrace(cfg SemiDynamicConfig, flowIdx int, sampleEvery sim.Duration) RateTrace {
-	r := newSemiDynamicRun(cfg)
+	r, sub := newPacketSemiDynamic(cfg)
 	var trace RateTrace
-	r.eng.Every(sim.Time(sampleEvery), sampleEvery, func() {
+	sub.eng.Every(sim.Time(sampleEvery), sampleEvery, func() {
 		if flowIdx < len(r.active) {
-			sf := r.active[flowIdx]
-			trace.Times = append(trace.Times, r.eng.Now().Seconds())
-			trace.Rates = append(trace.Rates, sf.flow.Meter.RateAt(r.eng.Now()))
-			trace.OracleRates = append(trace.OracleRates, r.oracleRates[sf.flow])
+			trace.Times = append(trace.Times, sub.eng.Now().Seconds())
+			trace.Rates = append(trace.Rates, sub.rate(r.active[flowIdx].handle))
+			trace.OracleRates = append(trace.OracleRates, r.want[flowIdx])
 		}
 	})
 	r.run()

@@ -1,8 +1,11 @@
 // Package harness assembles full experiments: topologies, scheme
 // wiring, workload playback, convergence measurement, and the
-// per-figure experiment drivers of §6. Experiment drivers come in
-// packet- and fluid-engine variants, dispatched through Engine
-// (RunDynamicWith, RunSemiDynamicWith, RunPoolingWith).
+// per-figure experiment drivers of §6. Each scenario family — dynamic
+// (Figures 5 and 7, incast), semi-dynamic (Figures 4 and 6) and
+// resource pooling (Figure 8 and its fat-tree variant) — is written
+// once, over the small per-engine substrates of substrate.go;
+// RunDynamicWith, RunSemiDynamicWith, RunPoolingWith and RunFCTWith
+// take the Engine and are the only place one is chosen.
 package harness
 
 import (
@@ -71,7 +74,6 @@ func ScaledTopology() TopologyConfig {
 // packet crossing the fabric (host→leaf→spine→leaf→host and the ACK
 // back), the d0 of Swift's window calculation.
 func (c TopologyConfig) BaseRTT() sim.Duration {
-	dataHops := 4
 	// Data: per hop, serialization at the slower of the two rates
 	// bounds the worst case; use host-link serialization for the two
 	// edge hops and spine-link for the two core hops.
@@ -82,7 +84,6 @@ func (c TopologyConfig) BaseRTT() sim.Duration {
 	// propagation is not.
 	d += 2 * (c.HostLink.TxTime(netsim.AckSize) + c.LinkDelay)
 	d += 2 * (c.SpineLink.TxTime(netsim.AckSize) + c.LinkDelay)
-	_ = dataHops
 	return d
 }
 

@@ -16,15 +16,13 @@
 //     faster than the packet path, reaching k-ary fat-trees and
 //     ≥50k-flow workloads, with multipath aggregate flow groups
 //     (fluid.Group) for resource pooling at ≥10k-subflow scale
-//     (select it with RunDynamicWith/RunSemiDynamicWith/
-//     RunPoolingWith or cmd/numfabric's -engine fluid flag);
+//     (EngineFluid, or cmd/numfabric's -engine fluid flag);
 //   - an event-driven flow-level engine (internal/leap) that jumps
 //     time straight to the next arrival or completion, recomputing
 //     rates only when the active set changes — exact completion
 //     times, no epoch quantization, and another order of magnitude
 //     on sparse dynamic workloads, reaching million-flow FCT
-//     experiments (EngineLeap, RunDynamicLeap, RunIncastLeap, or
-//     cmd/numfabric's -engine leap flag);
+//     experiments (EngineLeap, or cmd/numfabric's -engine leap flag);
 //   - the utility-function families of the paper's Table 1
 //     (α-fairness, FCT minimization, resource pooling, BwE bandwidth
 //     functions);
@@ -32,10 +30,15 @@
 //     baselines it is evaluated against;
 //   - exact and fluid reference solvers (the paper's "Oracle");
 //   - the workloads and experiment harnesses that regenerate every
-//     table and figure of the paper's evaluation (§6), with a
-//     parallel sweep runner (fluid.Sweep) that fans independent
-//     seeds/configs across goroutines with deterministic per-shard
-//     RNG.
+//     table and figure of the paper's evaluation (§6). Each scenario
+//     is one script played on whichever engine is asked for:
+//     RunDynamicWith, RunSemiDynamicWith and RunPoolingWith take the
+//     EngineType (the rate-sampling two run leap's allocators on the
+//     epoch engine — leap has no transient to sample), and RunDynamic,
+//     RunSemiDynamic, RunPooling and RunDynamicLeap are one-line
+//     shorthands that fix it. A parallel sweep runner (fluid.Sweep)
+//     fans independent seeds/configs across goroutines with
+//     deterministic per-shard RNG.
 //
 // # Quick start
 //
@@ -284,9 +287,9 @@ func DefaultSemiDynamic(s Scheme) SemiDynamicConfig { return harness.DefaultSemi
 func PaperSemiDynamic(s Scheme) SemiDynamicConfig { return harness.PaperSemiDynamic(s) }
 
 // RunSemiDynamic measures convergence times over network events
-// (Figure 4a).
+// (Figure 4a) on the packet engine.
 func RunSemiDynamic(cfg SemiDynamicConfig) SemiDynamicResult {
-	return harness.RunSemiDynamic(cfg)
+	return harness.RunSemiDynamicWith(harness.EnginePacket, cfg)
 }
 
 // DynamicConfig configures the Poisson dynamic-workload experiment
@@ -302,9 +305,11 @@ func DefaultDynamic(s Scheme, cdf *workload.SizeCDF, load float64) DynamicConfig
 // DynamicResult holds per-flow FCT records and deviation statistics.
 type DynamicResult = harness.DynamicResult
 
-// RunDynamic plays a Poisson workload and compares against the fluid
-// Oracle.
-func RunDynamic(cfg DynamicConfig) DynamicResult { return harness.RunDynamic(cfg) }
+// RunDynamic plays a Poisson workload on the packet engine and
+// compares against the fluid Oracle.
+func RunDynamic(cfg DynamicConfig) DynamicResult {
+	return harness.RunDynamicWith(harness.EnginePacket, cfg)
+}
 
 // EngineType selects the execution engine for experiment drivers: the
 // faithful packet-level simulator, the fluid epoch fast path, or the
@@ -333,7 +338,7 @@ func RunDynamicWith(e EngineType, cfg DynamicConfig) DynamicResult {
 // RunDynamicLeap runs the dynamic-workload experiment on the
 // event-driven leap engine (the EngineLeap shortcut).
 func RunDynamicLeap(cfg DynamicConfig) DynamicResult {
-	return harness.RunDynamicLeap(cfg)
+	return harness.RunDynamicWith(harness.EngineLeap, cfg)
 }
 
 // LeapStats is the leap engine's work telemetry — events, allocator
@@ -365,7 +370,8 @@ func DefaultIncast() IncastConfig { return harness.DefaultIncast() }
 func RunIncastLeap(cfg IncastConfig) IncastResult { return harness.RunIncastLeap(cfg) }
 
 // RunSemiDynamicWith runs the §6.1 convergence experiment on the
-// chosen engine.
+// chosen engine; EngineLeap runs leap's allocators on the epoch engine
+// (leap has no transient to sample).
 func RunSemiDynamicWith(e EngineType, cfg SemiDynamicConfig) SemiDynamicResult {
 	return harness.RunSemiDynamicWith(e, cfg)
 }
@@ -385,12 +391,14 @@ func DefaultPooling(subflows int, pooling bool) PoolingConfig {
 
 // RunPooling executes the resource-pooling experiment on the packet
 // engine.
-func RunPooling(cfg PoolingConfig) PoolingResult { return harness.RunPooling(cfg) }
+func RunPooling(cfg PoolingConfig) PoolingResult {
+	return harness.RunPoolingWith(harness.EnginePacket, cfg)
+}
 
 // RunPoolingWith runs the resource-pooling experiment on the chosen
 // engine; EngineFluid plays the identical scenario through fluid
 // multipath aggregate groups (fluid.Group), orders of magnitude
-// faster.
+// faster, and so does EngineLeap (no finite flow, no event to leap to).
 func RunPoolingWith(e EngineType, cfg PoolingConfig) PoolingResult {
 	return harness.RunPoolingWith(e, cfg)
 }
