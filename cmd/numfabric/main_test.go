@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -123,5 +125,25 @@ func TestSampledExperimentsNameTheEngineThatRan(t *testing.T) {
 	out, err := exec.Command(bin, "-experiment", "fig8", "-engine", "fluid").CombinedOutput()
 	if err != nil || !strings.Contains(string(out), "(Figure 8, fluid engine)") || strings.Contains(string(out), "-engine fluid:") {
 		t.Errorf("fig8 -engine fluid: %v\n%s", err, out)
+	}
+}
+
+// TestFatTreeCSVGolden pins the fattree experiment's per-flow CSV —
+// every flow's size and FCT on the epoch engine, in arrival order —
+// byte for byte at seed 1. The digest was generated at PR 20's parent
+// commit, when runFatTree still built its own engine.
+func TestFatTreeCSVGolden(t *testing.T) {
+	const want = "189a17d456bf6725845d6007823c6f930f330396d179d9ff2799301262dd3d55"
+	bin, dir := buildBinary(t), t.TempDir()
+	out, err := exec.Command(bin, "-experiment", "fattree", "-seed", "1", "-out", dir).CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "finished 50000/50000 flows (0 unfinished)") {
+		t.Fatalf("fattree: %v\n%s", err, out)
+	}
+	csv, err := os.ReadFile(filepath.Join(dir, "fattree_fct.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(csv)); got != want {
+		t.Errorf("fattree_fct.csv sha-256 %s, want %s", got, want)
 	}
 }
