@@ -1,6 +1,6 @@
 # Convenience targets; CI runs the same commands.
 
-.PHONY: test race loc alloc-gate obs-inline fuzz fault-smoke bench-smoke benchmark-smoke bench bench-diff flowtrace-smoke
+.PHONY: test race loc alloc-gate obs-inline fuzz fault-smoke bench-smoke cli-golden benchmark-smoke bench bench-diff flowtrace-smoke
 
 test:
 	go build ./... && go test ./...
@@ -13,8 +13,11 @@ race:
 # CLI, the repo's Go outside benchmark/ (non-test, and with tests), the
 # field count of leap.Engine, and the harness's exported Run* entry
 # points (one per scenario family plus the single-engine experiments;
-# a per-engine fork shows up here). Informational; nothing is gated on
-# it.
+# a per-engine fork shows up here), and the schedule players: non-test
+# files outside the engines and benchmark/ that admit an arrival
+# schedule into a flow-level engine themselves (AddFlow at an arrival's
+# At) — one, harness.playArrivals' substrate. Informational; nothing is
+# gated on it.
 loc:
 	@for d in leap fluid obs harness; do \
 		printf 'internal/%-8s non-test %6d\n' $$d $$(ls internal/$$d/*.go | grep -v _test.go | xargs cat | wc -l); \
@@ -25,6 +28,7 @@ loc:
 	@printf 'repo            with tests %6d\n' $$(find . -name '*.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 	@printf 'leap.Engine         fields %6d\n' $$(awk '/^type Engine struct/{on=1;next} on&&/^}/{exit} on&&!/^[ \t]*(\/\/|$$)/{n++} END{print n}' internal/leap/leap.go)
 	@printf 'harness exported      Run* %6d\n' $$(ls internal/harness/*.go | grep -v _test.go | xargs awk '/^func Run[A-Z]/{n++} END{print n+0}')
+	@printf 'schedule players     files %6d\n' $$(grep -rlE 'AddFlow\(.*[Aa]t\.Seconds\(\)' --include='*.go' . | grep -vcE '_test\.go$$|^\./(internal/(leap|fluid|refsim)|benchmark|\.bench_build)/')
 
 # The zero-allocation steady-state pins: AllocsPerOp == 0 for a full
 # churn wave through the leap engine with hooks detached (and bounded
@@ -56,10 +60,13 @@ obs-inline:
 # event loop, the fault path or the tables). -fuzzminimizetime caps
 # go's minimization of each new interesting input, which otherwise
 # idles the workers for most of the run. FuzzSchedule then explores
-# the event schedule alone against its sorted-slice model.
+# the event schedule alone against its sorted-slice model, and
+# FuzzParseFaults the -faults grammar (no panic, no negative time, an
+# accepted list re-parses to itself).
 fuzz:
 	go test -run '^$$' -fuzz FuzzLeapMatchesReference -fuzztime 60s -fuzzminimizetime 2s ./internal/leap/
 	go test -run '^$$' -fuzz FuzzSchedule -fuzztime 10s -fuzzminimizetime 2s ./internal/leap/
+	go test -run '^$$' -fuzz FuzzParseFaults -fuzztime 10s -fuzzminimizetime 2s ./internal/workload/
 
 # Fault-injection smoke: the leap fault test suite (property, analytic,
 # and lost-service identity tests) plus the end-to-end example —
@@ -73,6 +80,23 @@ fault-smoke:
 # accuracy assertions.
 bench-smoke:
 	go test -run '^$$' -bench BenchmarkLeapFCT -benchtime 1x .
+
+# The two CLI experiments that print harness.RunDynamicWith on the
+# fat-tree, at seed 1 and scaled size (about 30 s each; leapfct's load
+# 0.30 is nearly all of its share), diffed against goldens generated at
+# PR 20's parent commit: every deterministic leapfct.csv column (all but
+# flows_per_s and the *_ns phase times), and the scripted leapfail row
+# without its wall time (scripted mode writes no CSV).
+CSV_DETERMINISTIC = awk -F, 'NR==1{for(i=1;i<=NF;i++) keep[i]=($$i!="flows_per_s" && $$i!~/_ns$$/)} \
+	{out="";for(i=1;i<=NF;i++) if(keep[i]) out=out (out==""?"":",") $$i; print out}'
+cli-golden:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && set -e && \
+	go build -o "$$tmp/numfabric" ./cmd/numfabric && \
+	"$$tmp/numfabric" -experiment leapfct -seed 1 -out "$$tmp" >/dev/null && \
+	$(CSV_DETERMINISTIC) "$$tmp/leapfct.csv" | diff cmd/numfabric/testdata/leapfct_seed1.csv - && \
+	"$$tmp/numfabric" -experiment leapfail -seed 1 -faults "agg0.0@10ms+8ms,link3@25ms+5ms" | \
+		awk '$$1=="scripted"{NF--; print}' | diff cmd/numfabric/testdata/leapfail_scripted_seed1.txt - && \
+	echo "cli-golden: leapfct.csv and the scripted leapfail row match cmd/numfabric/testdata"
 
 # Two three-second plays through the benchmark driver's entry, each of
 # whose last line must report every flow correct: fig5-leap (the

@@ -16,7 +16,6 @@ import (
 	"numfabric/internal/core"
 	"numfabric/internal/fluid"
 	"numfabric/internal/harness"
-	"numfabric/internal/leap"
 	"numfabric/internal/oracle"
 	"numfabric/internal/sim"
 	"numfabric/internal/stats"
@@ -397,54 +396,14 @@ func BenchmarkFluidFatTree(b *testing.B) {
 	b.ResetTimer()
 	done := 0
 	for i := 0; i < b.N; i++ {
-		ft := fluid.NewFatTree(8, 10e9)
-		rng := sim.NewRNG(uint64(i) + 1)
-		arrivals := workload.Poisson(workload.PoissonConfig{
-			Hosts:    ft.Hosts(),
-			HostLink: 10 * sim.Gbps,
-			Load:     0.5,
-			CDF:      workload.WebSearch(),
-			Duration: sim.Duration(sim.Forever / 2),
-			MaxFlows: nflows,
-		}, rng)
-		eng := fluid.NewEngine(ft.Net, fluid.Config{Allocator: fluid.NewXWI()})
-		var last sim.Time
-		for _, a := range arrivals {
-			last = a.At
-			path := ft.Route(a.Src, a.Dst, rng.Intn(16))
-			eng.AddFlow(path, core.ProportionalFair(), a.Size, a.At.Seconds())
-		}
-		eng.Run(last.Seconds() + 1.0)
-		done += len(eng.Finished())
+		cfg := harness.DefaultDynamic(harness.NUMFabric, workload.WebSearch(), 0.5)
+		cfg.FatTree, cfg.Flows, cfg.Seed = fluid.NewFatTree(8, 10e9), nflows, uint64(i)+1
+		cfg.FluidEpoch, cfg.Drain = 100*sim.Microsecond, sim.Second
+		done += len(harness.RunDynamicWith(harness.EngineFluid, cfg).Records)
 	}
 	fluidRate := float64(done) / b.Elapsed().Seconds()
 	b.ReportMetric(fluidRate, "flows/s")
 	b.ReportMetric(fluidRate/pktRate, "speedup-vs-packet")
-}
-
-// leapBenchSchedule builds the shared sparse web-search schedule for
-// the leap-vs-epoch comparison: nflows Poisson arrivals on a k=8
-// fat-tree with precomputed ECMP path picks, so both engines play the
-// byte-identical workload.
-func leapBenchSchedule(nflows int, load float64, seed uint64) (*fluid.FatTree, []workload.Arrival, [][]int) {
-	ft := fluid.NewFatTree(8, 10e9)
-	arrivals, paths := harness.FatTreeWebSearch(ft, load, nflows, sim.NewRNG(seed))
-	return ft, arrivals, paths
-}
-
-// normFCTStats returns the median and p95 of FCT normalized by each
-// flow's line-rate wire time — the scale-free distribution the two
-// engines must agree on.
-func normFCTStats(flows []*fluid.Flow, linkRate float64) (median, p95 float64, unfinished int) {
-	var norm []float64
-	for _, f := range flows {
-		if !f.Done() {
-			unfinished++
-			continue
-		}
-		norm = append(norm, f.FCT()*linkRate/(float64(f.SizeBytes)*8))
-	}
-	return stats.Median(norm), stats.Percentile(norm, 0.95), unfinished
 }
 
 // BenchmarkLeapFCT is the event-driven engine's headline: a
@@ -467,46 +426,36 @@ func normFCTStats(flows []*fluid.Flow, linkRate float64) (median, p95 float64, u
 // the allocator mostly stays idle.
 func BenchmarkLeapFCT(b *testing.B) {
 	const (
-		nflows   = 1_000_000
-		load     = 0.015
-		epochAcc = 1e-6
-		linkRate = 10e9
+		nflows = 1_000_000
+		load   = 0.015
 	)
 	var speedup, medRatio, p95Ratio, leapRate float64
 	for i := 0; i < b.N; i++ {
-		ft, arrivals, paths := leapBenchSchedule(nflows, load, uint64(i)+1)
-		last := arrivals[len(arrivals)-1].At.Seconds()
+		// DCTCP's flow-level model is WaterFill on both engines; the
+		// schedule is the seed's, so both play the identical workload.
+		cfg := harness.DefaultDynamic(harness.DCTCP, workload.WebSearch(), load)
+		cfg.FatTree, cfg.Flows, cfg.Seed = fluid.NewFatTree(8, 10e9), nflows, uint64(i)+1
 
 		runtime.GC()
-		wallE := time.Now()
-		fe := fluid.NewEngine(ft.Net, fluid.Config{Epoch: epochAcc, Allocator: fluid.NewWaterFill()})
-		feFlows := make([]*fluid.Flow, len(arrivals))
-		for j, a := range arrivals {
-			feFlows[j] = fe.AddFlow(paths[j], core.ProportionalFair(), a.Size, a.At.Seconds())
-		}
-		fe.Run(last + 1.0)
-		elapsedE := time.Since(wallE)
-		medE, p95E, unfinE := normFCTStats(feFlows, linkRate)
-		feFlows, fe = nil, nil
+		cfg.FluidEpoch, cfg.Drain = sim.Microsecond, sim.Second // the accuracy epoch
+		epoch := harness.RunDynamicWith(harness.EngineFluid, cfg)
+		normE := epoch.Slowdowns()
+		medE, p95E := stats.Median(normE), stats.Percentile(normE, 0.95)
+		epoch.Records, normE = nil, nil
 
 		runtime.GC()
-		wallL := time.Now()
-		le := leap.NewEngine(ft.Net, leap.Config{Allocator: fluid.NewWaterFill()})
-		leFlows := make([]*fluid.Flow, len(arrivals))
-		for j, a := range arrivals {
-			leFlows[j] = le.AddFlow(paths[j], core.ProportionalFair(), a.Size, a.At.Seconds())
-		}
-		le.Run(math.Inf(1))
-		elapsedL := time.Since(wallL)
-		medL, p95L, unfinL := normFCTStats(leFlows, linkRate)
+		cfg.Drain = sim.Duration(sim.Forever)
+		leap := harness.RunDynamicWith(harness.EngineLeap, cfg)
+		normL := leap.Slowdowns()
 
-		if unfinE > 0 || unfinL > 0 {
-			b.Fatalf("unfinished flows: epoch %d, leap %d", unfinE, unfinL)
+		if epoch.Unfinished > 0 || leap.Unfinished > 0 {
+			b.Fatalf("unfinished flows: epoch %d, leap %d", epoch.Unfinished, leap.Unfinished)
 		}
-		speedup = elapsedE.Seconds() / elapsedL.Seconds()
-		medRatio = medL / medE
-		p95Ratio = p95L / p95E
-		leapRate = float64(len(leFlows)) / elapsedL.Seconds()
+		// Both sides are the engine's run alone (DynamicResult.RunWall).
+		speedup = epoch.RunWall.Seconds() / leap.RunWall.Seconds()
+		medRatio = stats.Median(normL) / medE
+		p95Ratio = stats.Percentile(normL, 0.95) / p95E
+		leapRate = float64(len(normL)) / leap.RunWall.Seconds()
 		// The speed claim only counts at equal accuracy: the two FCT
 		// distributions must agree within 5% at the median and p95.
 		if math.Abs(medRatio-1) > 0.05 || math.Abs(p95Ratio-1) > 0.05 {
@@ -516,7 +465,7 @@ func BenchmarkLeapFCT(b *testing.B) {
 		// Component-local reallocation must cut the allocator work
 		// (allocations × flows-per-solve) at least 2× against the
 		// global-re-solve counterfactual the engine tracks.
-		s := le.Stats()
+		s := leap.LeapStats
 		if 2*s.SolvedFlows > s.FullSolveFlows {
 			b.Errorf("allocator work %d flows vs %d global-equivalent: < 2x reduction",
 				s.SolvedFlows, s.FullSolveFlows)

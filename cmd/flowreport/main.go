@@ -17,9 +17,7 @@
 package main
 
 import (
-	"bufio"
 	"encoding/csv"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -27,57 +25,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"numfabric/internal/obs"
 )
-
-// The line types mirror the JSONL schema obs.FlowTracer.WriteJSONL
-// emits; unknown fields are ignored so the reader stays compatible
-// across schema growth.
-
-type lineHeader struct {
-	Type string `json:"type"`
-}
-
-type summaryLine struct {
-	Tracked    uint64  `json:"tracked"`
-	Active     int     `json:"active"`
-	Completed  uint64  `json:"completed"`
-	Kept       int     `json:"kept"`
-	Reservoir  int     `json:"reservoir"`
-	Dropped    uint64  `json:"dropped"`
-	SampleRate float64 `json:"sample_rate"`
-	SlowestK   int     `json:"slowest_k"`
-}
-
-type linkLoss struct {
-	Link        int     `json:"link"`
-	Name        string  `json:"name"`
-	LostSeconds float64 `json:"lost_seconds"`
-	Share       float64 `json:"share"`
-}
-
-type flowLine struct {
-	ID        int        `json:"id"`
-	SizeBytes int64      `json:"size_bytes"`
-	Arrive    float64    `json:"arrive"`
-	Finish    float64    `json:"finish"`
-	Finished  bool       `json:"finished"`
-	FCT       float64    `json:"fct"`
-	IdealFCT  float64    `json:"ideal_fct"`
-	Slowdown  float64    `json:"slowdown"`
-	Sampled   bool       `json:"sampled"`
-	Truncated int        `json:"truncated_segs"`
-	Lost      []linkLoss `json:"lost"`
-	Segs      []json.RawMessage
-}
-
-type linkLine struct {
-	Link        int     `json:"link"`
-	Name        string  `json:"name"`
-	Capacity    float64 `json:"capacity"`
-	AvgUtil     float64 `json:"avg_util"`
-	PeakUtil    float64 `json:"peak_util"`
-	FlowSeconds float64 `json:"flow_seconds"`
-}
 
 func main() {
 	top := flag.Int("top", 10, "slow flows listed in the top table")
@@ -96,62 +46,19 @@ func main() {
 	}
 	defer f.Close()
 
-	var (
-		summary    *summaryLine
-		flows      []flowLine
-		links      []linkLine
-		unfinished int
-	)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24) // flow lines carry full segment detail
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var h lineHeader
-		if err := json.Unmarshal(line, &h); err != nil {
-			fmt.Fprintf(os.Stderr, "flowreport: line %d: %v\n", lineNo, err)
-			os.Exit(1)
-		}
-		switch h.Type {
-		case "summary":
-			var s summaryLine
-			if err := json.Unmarshal(line, &s); err != nil {
-				fmt.Fprintf(os.Stderr, "flowreport: line %d: %v\n", lineNo, err)
-				os.Exit(1)
-			}
-			summary = &s
-		case "flow":
-			var fl flowLine
-			if err := json.Unmarshal(line, &fl); err != nil {
-				fmt.Fprintf(os.Stderr, "flowreport: line %d: %v\n", lineNo, err)
-				os.Exit(1)
-			}
-			if fl.Finished {
-				flows = append(flows, fl)
-			} else {
-				unfinished++
-			}
-		case "link":
-			var ll linkLine
-			if err := json.Unmarshal(line, &ll); err != nil {
-				fmt.Fprintf(os.Stderr, "flowreport: line %d: %v\n", lineNo, err)
-				os.Exit(1)
-			}
-			links = append(links, ll)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	tr, err := obs.ReadFlowTrace(f)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "flowreport:", err)
 		os.Exit(1)
 	}
-	if summary == nil {
-		fmt.Fprintln(os.Stderr, "flowreport: no summary line — not a -flowtrace-out file?")
-		os.Exit(1)
+	summary, links := tr.Summary, tr.Links
+	var flows []obs.FlowLine
+	for _, fl := range tr.Flows {
+		if fl.Finished {
+			flows = append(flows, fl)
+		}
 	}
+	unfinished := len(tr.Flows) - len(flows)
 
 	fmt.Printf("flow trace: %d tracked, %d completed, %d kept + %d reservoir (sample %g, slowest-%d)",
 		summary.Tracked, summary.Completed, summary.Kept, summary.Reservoir,
@@ -221,7 +128,7 @@ func main() {
 			total += l.LostSeconds
 		}
 	}
-	utilOf := map[int]linkLine{}
+	utilOf := map[int]obs.LinkLine{}
 	for _, ll := range links {
 		utilOf[ll.Link] = ll
 	}

@@ -4,66 +4,48 @@ import (
 	"fmt"
 	"time"
 
-	"numfabric/internal/core"
 	"numfabric/internal/fluid"
 	"numfabric/internal/harness"
 	"numfabric/internal/sim"
 	"numfabric/internal/stats"
 	"numfabric/internal/trace"
+	"numfabric/internal/workload"
 )
 
 // runFatTree is the large-scale fluid-only experiment: a k-ary
 // fat-tree (k=8, 128 hosts; -scale full: k=16, 1024 hosts) serving a
 // web-search Poisson workload of ≥50k flows under xWI dynamics — a
 // regime the packet engine cannot reach (extrapolated runtime: hours).
+// It prints harness.RunDynamicWith(EngineFluid, …) on the fat-tree.
 func runFatTree(full bool, seed uint64) {
 	k, nflows := 8, 50000
 	if full {
 		k, nflows = 16, 200000
 	}
-	const linkRate = 10e9
-	ft := fluid.NewFatTree(k, linkRate)
-	rng := sim.NewRNG(seed)
+	ft := fluid.NewFatTree(k, 10e9)
 	fmt.Printf("k=%d fat-tree: %d hosts, %d directed links, %d flows (websearch, load 0.5)\n",
 		k, ft.Hosts(), ft.Net.Links(), nflows)
 
-	arrivals, paths := harness.FatTreeWebSearch(ft, 0.5, nflows, rng)
+	// FCT-oriented scale run: proportional fairness under xWI dynamics
+	// on a 100 µs epoch (convergence experiments use the scheme's 30 µs
+	// price cadence; here the coarser epoch costs nothing measurable in
+	// FCT accuracy and triples throughput), to one second past the last
+	// arrival.
+	cfg := harness.DefaultDynamic(harness.NUMFabric, workload.WebSearch(), 0.5)
+	cfg.FatTree, cfg.Flows, cfg.Seed, cfg.Obs = ft, nflows, seed, cliObs
+	cfg.FluidEpoch, cfg.Drain = 100*sim.Microsecond, sim.Second
+	res := harness.RunDynamicWith(harness.EngineFluid, cfg)
 
-	// FCT-oriented scale run: xWI dynamics on the default 100 µs epoch
-	// (convergence experiments use the scheme's 30 µs price cadence;
-	// here the coarser epoch costs nothing measurable in FCT accuracy
-	// and triples throughput).
-	cfg := harness.DefaultConfig(harness.NUMFabric, harness.ScaledTopology())
-	eng := fluid.NewEngine(ft.Net, fluid.Config{
-		Allocator: harness.FluidAllocatorFor(cfg),
-		Obs:       cliObs,
-	})
-	flows := make([]*fluid.Flow, len(arrivals))
-	var last sim.Time
-	for i, a := range arrivals {
-		last = a.At
-		flows[i] = eng.AddFlow(paths[i], core.ProportionalFair(), a.Size, a.At.Seconds())
-	}
-
-	wall := time.Now()
-	eng.Run(last.Seconds() + 1.0)
-	elapsed := time.Since(wall)
-
-	var fcts []float64
-	unfinished := 0
+	fcts := make([]float64, len(res.Records))
 	tab := trace.NewTable("size_bytes", "fct_s")
-	for _, f := range flows {
-		if !f.Done() {
-			unfinished++
-			continue
-		}
-		fcts = append(fcts, f.FCT())
-		_ = tab.Append(float64(f.SizeBytes), f.FCT())
+	for i, r := range res.Records {
+		fcts[i] = r.FCT
+		_ = tab.Append(float64(r.Size), r.FCT)
 	}
 	sum := stats.Summarize(fcts)
 	fmt.Printf("finished %d/%d flows (%d unfinished) in %v wall-clock (%.0f flows/s)\n",
-		len(fcts), len(flows), unfinished, elapsed.Round(time.Millisecond),
-		float64(len(fcts))/elapsed.Seconds())
+		len(fcts), len(fcts)+res.Unfinished, res.Unfinished, res.RunWall.Round(time.Millisecond),
+		float64(len(fcts))/res.RunWall.Seconds())
 	fmt.Printf("FCT: mean=%.3fms median=%.3fms p95=%.3fms p99=%.3fms max=%.3fms\n",
 		sum.Mean*1e3, sum.Median*1e3, sum.P95*1e3, sum.P99*1e3, sum.Max*1e3)
 	writeCSV("fattree_fct.csv", tab)

@@ -8,31 +8,42 @@ import (
 	"numfabric/internal/core"
 	"numfabric/internal/fluid"
 	"numfabric/internal/harness"
-	"numfabric/internal/leap"
 	"numfabric/internal/obs"
 	"numfabric/internal/sim"
 	"numfabric/internal/stats"
 	"numfabric/internal/trace"
+	"numfabric/internal/workload"
 )
+
+// fatTreeFCTMin is the leapfct/leapfail scenario for
+// harness.RunDynamicWith: a web-search Poisson schedule on ft, NUMFabric
+// with the §6.3 FCT-min utility, run until nothing more can finish.
+func fatTreeFCTMin(ft *fluid.FatTree, load float64, nflows int, seed uint64, hooks obs.Hooks) harness.DynamicConfig {
+	cfg := harness.DefaultDynamic(harness.NUMFabric, workload.WebSearch(), load)
+	cfg.FatTree, cfg.Flows, cfg.Seed, cfg.Obs = ft, nflows, seed, hooks
+	cfg.UtilityFor = func(size int64) core.Utility { return core.FCTMin(size, 0.125) }
+	cfg.Drain = sim.Duration(sim.Forever)
+	return cfg
+}
 
 // runLeapFCT is the event-driven FCT experiment: a web-search Poisson
 // workload on a k=8 fat-tree played through the leap engine under the
 // NUMFabric scheme's xWI dynamics (run to the fixed point at every
 // arrival/departure) with the §6.3 FCT-minimizing utility — the same
 // objective examples/fctmin demos at packet level — swept across load
-// levels. It reports each load's
-// normalized FCT distribution (FCT over the flow's line-rate wire
-// time) plus the engine telemetry that explains the speed: events and
-// allocations, not simulated epochs, bound the work. -scale full runs
-// the million-flow headline at one load; BenchmarkLeapFCT holds the
-// rigorous same-accuracy comparison against the epoch engine.
+// levels. It prints harness.RunDynamicWith(EngineLeap, …) on the
+// fat-tree: each load's normalized FCT distribution (FCT over the
+// flow's line-rate wire time) plus the engine telemetry that explains
+// the speed: events and allocations, not simulated epochs, bound the
+// work. -scale full runs the million-flow headline at one load;
+// BenchmarkLeapFCT holds the same-accuracy comparison against the
+// epoch engine.
 func runLeapFCT(full bool, seed uint64) {
 	const k, linkRate = 8, 10e9
 	nflows, loads := 10000, []float64{0.05, 0.15, 0.3}
 	if full {
 		nflows, loads = 1000000, []float64{0.05}
 	}
-	cfg := harness.DefaultConfig(harness.NUMFabric, harness.ScaledTopology())
 	ft := fluid.NewFatTree(k, linkRate)
 	fmt.Printf("leap-engine FCT sweep: k=%d fat-tree (%d hosts), websearch, %d flows per load\n",
 		k, ft.Hosts(), nflows)
@@ -51,7 +62,6 @@ func runLeapFCT(full bool, seed uint64) {
 	// finally the last — load), a private sampled tracer otherwise.
 	tracer := cliObs.FlowTrace
 	for _, load := range loads {
-		arrivals, paths := harness.FatTreeWebSearch(ft, load, nflows, sim.NewRNG(seed))
 		// Each load gets a fresh phase profiler (so its breakdown covers
 		// exactly that run) on top of whatever -debug-addr/-trace-out
 		// hooks are shared across the sweep.
@@ -64,24 +74,12 @@ func runLeapFCT(full bool, seed uint64) {
 		}
 		tracer.SetLinkName(ft.LinkName)
 		hooks.FlowTrace = tracer
-		eng := leap.NewEngine(ft.Net, leap.Config{
-			Allocator: harness.LeapAllocatorFor(cfg),
-			Obs:       hooks,
-		})
-		for i, a := range arrivals {
-			eng.AddFlow(paths[i], core.FCTMin(a.Size, 0.125), a.Size, a.At.Seconds())
-		}
-		wall := time.Now()
-		eng.Run(math.Inf(1))
-		elapsed := time.Since(wall)
+		res := harness.RunDynamicWith(harness.EngineLeap, fatTreeFCTMin(ft, load, nflows, seed, hooks))
+		elapsed, s := res.RunWall, res.LeapStats
 
-		var norm []float64
-		for _, f := range eng.Finished() {
-			norm = append(norm, f.FCT()/(float64(f.SizeBytes)*8/linkRate))
-		}
+		norm := res.Slowdowns()
 		med, p95 := stats.Median(norm), stats.Percentile(norm, 0.95)
 		rate := float64(len(norm)) / elapsed.Seconds()
-		s := eng.Stats()
 		// avgComp is the mean flows per allocator solve; workX the
 		// factor saved against re-solving the full active set at every
 		// coupled event (the engine's global-counterfactual counter);

@@ -2,14 +2,10 @@ package main
 
 import (
 	"fmt"
-	"math"
-	"os"
 	"time"
 
-	"numfabric/internal/core"
 	"numfabric/internal/fluid"
 	"numfabric/internal/harness"
-	"numfabric/internal/leap"
 	"numfabric/internal/sim"
 	"numfabric/internal/stats"
 	"numfabric/internal/trace"
@@ -28,9 +24,10 @@ import (
 //
 // With -faults the sweep is replaced by one run under the scripted
 // fault list (targets resolve against the fat-tree: linkN, hostN,
-// edgeP.E, aggP.A, coreC; a switch target fails every incident link).
+// edgeP.E, aggP.A, coreC; a switch target fails every incident link),
+// which checkFlags has already parsed and expanded. Every run is
+// harness.RunDynamicWith(EngineLeap, …) with DynamicConfig.Faults.
 func runLeapFail(full bool, seed uint64) {
-	const k, linkRate = 8, 10e9
 	nflows, load := 10000, 0.3
 	failRates := []float64{0, 20, 60, 200} // link failures per second
 	if full {
@@ -38,48 +35,30 @@ func runLeapFail(full bool, seed uint64) {
 		failRates = []float64{0, 20, 60}
 	}
 	const meanDowntime = 5 * sim.Millisecond
-	cfg := harness.DefaultConfig(harness.NUMFabric, harness.ScaledTopology())
 	fmt.Printf("leap fault injection: k=%d fat-tree, websearch load %.2f, %d flows, mean downtime %v\n",
-		k, load, nflows, meanDowntime)
+		leapFailTree().K, load, nflows, meanDowntime)
 	fmt.Printf("%-10s %7s %8s %8s %8s %9s %10s %9s %8s %8s %6s %9s\n",
 		"failrate", "faults", "stranded", "resumed", "ttr(ms)", "strand(s)", "lost(Gb·s)", "allocs", "medNorm", "p95Norm", "unfin", "wall")
 	tab := trace.NewTable("fail_rate", "faults", "links_down", "stranded", "resumed",
 		"time_to_recover_s", "stranded_s", "capacity_lost_bit_s", "allocs",
 		"median_norm_fct", "p95_norm_fct", "unfinished")
 
-	run := func(label string, mkFaults func(ft *fluid.FatTree, horizon sim.Duration) []workload.Fault) (leap.Stats, []float64) {
+	// run plays the workload under one fault schedule, prints its row
+	// and appends it to tab under the given failure rate.
+	run := func(label string, rate float64, faults func(lastArrival sim.Time) []workload.Fault) {
 		// A fresh fat-tree per run: faults mutate its capacities in
 		// place, and permanent failures leave links dead.
-		ft := fluid.NewFatTree(k, linkRate)
-		arrivals, paths := harness.FatTreeWebSearch(ft, load, nflows, sim.NewRNG(seed))
-		horizon := sim.Duration(0)
-		if len(arrivals) > 0 {
-			horizon = sim.Duration(arrivals[len(arrivals)-1].At)
-		}
+		ft := leapFailTree()
 		hooks := cliObs
 		if tracer := hooks.FlowTrace; tracer != nil {
 			tracer.Reset()
 			// LinkLabel annotates links that end the run dead.
 			tracer.SetLinkName(ft.LinkLabel)
 		}
-		eng := leap.NewEngine(ft.Net, leap.Config{
-			Allocator: harness.LeapAllocatorFor(cfg),
-			Obs:       hooks,
-		})
-		harness.ScheduleFaults(eng, mkFaults(ft, horizon))
-		for i, a := range arrivals {
-			eng.AddFlow(paths[i], core.FCTMin(a.Size, 0.125), a.Size, a.At.Seconds())
-		}
-		wall := time.Now()
-		eng.Run(math.Inf(1))
-		elapsed := time.Since(wall)
-
-		var norm []float64
-		for _, f := range eng.Finished() {
-			norm = append(norm, f.FCT()/(float64(f.SizeBytes)*8/linkRate))
-		}
-		s := eng.Stats()
-		unfinished := nflows - len(norm)
+		cfg := fatTreeFCTMin(ft, load, nflows, seed, hooks)
+		cfg.Faults = faults
+		res := harness.RunDynamicWith(harness.EngineLeap, cfg)
+		s, norm := res.LeapStats, res.Slowdowns()
 		// Mean time stranded flows spent at rate zero before resuming —
 		// the flow-level time-to-recover.
 		ttr := 0.0
@@ -89,45 +68,32 @@ func runLeapFail(full bool, seed uint64) {
 		med, p95 := stats.Median(norm), stats.Percentile(norm, 0.95)
 		fmt.Printf("%-10s %7d %8d %8d %8.2f %9.4f %10.2f %9d %8.2f %8.2f %6d %9v\n",
 			label, s.Faults, s.Stranded, s.Resumed, ttr*1e3, s.StrandedSec,
-			s.CapacityLostBitSec/1e9, s.Allocs, med, p95, unfinished,
-			elapsed.Round(time.Millisecond))
-		return s, norm
-	}
-
-	if faultSpec != "" {
-		scripted, err := workload.ParseFaults(faultSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		run("scripted", func(ft *fluid.FatTree, _ sim.Duration) []workload.Fault {
-			faults, err := harness.ExpandFaults(ft, scripted)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			return faults
-		})
-		return
-	}
-
-	for _, rate := range failRates {
-		rate := rate
-		s, norm := run(fmt.Sprintf("%.0f/s", rate), func(ft *fluid.FatTree, horizon sim.Duration) []workload.Fault {
-			return workload.FaultSchedule(workload.FaultConfig{
-				Links:        ft.Net.Links(),
-				Rate:         rate,
-				MeanDowntime: meanDowntime,
-				Horizon:      horizon,
-			}, sim.NewRNG(seed+0x9e3779b9))
-		})
-		ttr := 0.0
-		if s.Resumed > 0 {
-			ttr = s.StrandedSec / float64(s.Resumed)
-		}
+			s.CapacityLostBitSec/1e9, s.Allocs, med, p95, res.Unfinished,
+			res.RunWall.Round(time.Millisecond))
 		_ = tab.Append(rate, float64(s.Faults), float64(s.LinksDown), float64(s.Stranded),
 			float64(s.Resumed), ttr, s.StrandedSec, s.CapacityLostBitSec, float64(s.Allocs),
-			stats.Median(norm), stats.Percentile(norm, 0.95), float64(nflows-len(norm)))
+			med, p95, float64(res.Unfinished))
+	}
+
+	if scriptedFaults != nil {
+		// One run, one printed row; leapfail.csv is the sweep's.
+		run("scripted", 0, func(sim.Time) []workload.Fault { return scriptedFaults })
+		return
+	}
+	links := leapFailTree().Net.Links()
+	for _, rate := range failRates {
+		run(fmt.Sprintf("%.0f/s", rate), rate, func(last sim.Time) []workload.Fault {
+			return workload.FaultSchedule(workload.FaultConfig{
+				Links:        links,
+				Rate:         rate,
+				MeanDowntime: meanDowntime,
+				Horizon:      sim.Duration(last),
+			}, sim.NewRNG(seed+0x9e3779b9))
+		})
 	}
 	writeCSV("leapfail.csv", tab)
 }
+
+// leapFailTree builds the fabric leapfail runs on at either scale;
+// checkFlags resolves -faults targets against it.
+func leapFailTree() *fluid.FatTree { return fluid.NewFatTree(8, 10e9) }

@@ -14,7 +14,8 @@
 // failure/recovery process swept across failure rates, or — with
 // -faults "target@time[+downtime],..." — a scripted list of link/
 // switch faults (targets linkN, hostN, edgeP.E, aggP.A, coreC). -faults
-// with any other experiment is an error, not a silently healthy fabric.
+// with any other experiment is an error, not a silently healthy fabric,
+// and so is a list that does not parse or resolve — before anything runs.
 //
 // -engine selects the execution engine for the convergence (fig4a),
 // dynamic-workload (fig5a/fig5b), FCT (fig7), and resource-pooling
@@ -64,9 +65,10 @@ var outDir string
 // engine is the execution engine selected via -engine.
 var engine harness.Engine
 
-// faultSpec is the scripted fault list selected via -faults (the
-// leapfail experiment's scripted mode).
-var faultSpec string
+// scriptedFaults is the -faults list, parsed and expanded against
+// leapfail's fat-tree by checkFlags: non-nil selects the experiment's
+// scripted mode.
+var scriptedFaults []workload.Fault
 
 // cliObs holds the observability hooks built from -debug-addr and
 // -trace-out; experiments hand it to every engine they build. With
@@ -131,20 +133,32 @@ func experimentIDs() string {
 	return b.String() + "all"
 }
 
-// checkFlags rejects an -experiment outside the table, and a -faults
-// list on an experiment that would ignore it.
-func checkFlags(exp, faults string) error {
+// checkFlags rejects an -experiment outside the table, a -faults list
+// on an experiment that would ignore it, and a list that does not
+// parse or names something leapfail's fat-tree does not have; it
+// returns the list expanded to link faults (nil without -faults).
+func checkFlags(exp, faults string) ([]workload.Fault, error) {
 	known := exp == "all"
 	for _, e := range experiments {
 		known = known || e.id == exp
 	}
 	if !known {
-		return fmt.Errorf("unknown experiment %q (valid experiments: %s)", exp, experimentIDs())
+		return nil, fmt.Errorf("unknown experiment %q (valid experiments: %s)", exp, experimentIDs())
 	}
-	if faults != "" && exp != "leapfail" && exp != "all" {
-		return fmt.Errorf("-faults applies to the leapfail experiment only; %s would run on a healthy fabric", exp)
+	if faults == "" {
+		return nil, nil
 	}
-	return nil
+	if exp != "leapfail" && exp != "all" {
+		return nil, fmt.Errorf("-faults applies to the leapfail experiment only; %s would run on a healthy fabric", exp)
+	}
+	scripted, err := workload.ParseFaults(faults)
+	if err == nil && len(scripted) == 0 {
+		err = fmt.Errorf("-faults %q names no fault", faults)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return harness.ExpandFaults(leapFailTree(), scripted)
 }
 
 func main() {
@@ -164,7 +178,6 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 	flag.Parse()
 	outDir = *out
-	faultSpec = *faults
 	var err error
 	if engine, err = harness.ParseEngine(*eng); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -174,7 +187,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown scale %q (valid scales: scaled, full)\n", *scale)
 		os.Exit(2)
 	}
-	if err := checkFlags(*exp, *faults); err != nil {
+	if scriptedFaults, err = checkFlags(*exp, *faults); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}

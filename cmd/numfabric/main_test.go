@@ -23,10 +23,12 @@ func buildBinary(t *testing.T) string {
 
 // TestUnknownFlagValuesExitBeforeRunning builds the binary and checks
 // that a -scale, -experiment or -engine value outside its set — or a
-// -faults list on an experiment that would ignore it — is one stderr
+// -faults list on an experiment that would ignore it, or one that does
+// not parse or resolve against leapfail's fat-tree — is one stderr
 // line naming it and exit status 2, with no experiment started (a
 // misspelt "-scale ful" used to run the scaled experiment silently,
-// and "-experiment fig5a -faults ..." a healthy fabric).
+// "-experiment fig5a -faults ..." a healthy fabric, and a bad list
+// under "-experiment all" every experiment before leapfail).
 func TestUnknownFlagValuesExitBeforeRunning(t *testing.T) {
 	bin := buildBinary(t)
 	cases := []struct {
@@ -42,6 +44,10 @@ func TestUnknownFlagValuesExitBeforeRunning(t *testing.T) {
 		{"engine", []string{"-experiment", "table2", "-engine", "fast"}, `unknown engine "fast"`},
 		{"experiment lists the valid ones", []string{"-experiment", "nope"}, "fig4bc, fig5a, fig5b"},
 		{"faults outside leapfail", []string{"-experiment", "fig5a", "-faults", "link1@1ms"}, "-faults applies to the leapfail experiment only"},
+		{"faults malformed", []string{"-experiment", "leapfail", "-faults", "link1@soon"}, `fault "link1@soon": bad time`},
+		{"faults empty list", []string{"-experiment", "leapfail", "-faults", " , "}, "names no fault"},
+		{"faults target out of range", []string{"-experiment", "all", "-faults", "core99@1ms"}, `fault target "core99": core out of range [0,16)`},
+		{"faults time overflows", []string{"-experiment", "leapfail", "-faults", "link0@3000h"}, `fault "link0@3000h": time overflows`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -83,21 +89,21 @@ func TestExperimentTable(t *testing.T) {
 	}
 	doc, _, _ := strings.Cut(string(src), "\npackage main")
 	for _, e := range experiments {
-		if err := checkFlags(e.id, ""); err != nil {
+		if _, err := checkFlags(e.id, ""); err != nil {
 			t.Errorf("checkFlags(%q): %v", e.id, err)
 		}
 		if !regexp.MustCompile(`\b` + e.id + `\b`).MatchString(doc) {
 			t.Errorf("package comment does not name experiment %q", e.id)
 		}
 		wantErr := e.id != "leapfail"
-		if err := checkFlags(e.id, "link1@1ms"); (err != nil) != wantErr {
+		if _, err := checkFlags(e.id, "link1@1ms"); (err != nil) != wantErr {
 			t.Errorf("checkFlags(%q, faults): %v, want error %v", e.id, err, wantErr)
 		}
 	}
-	if err := checkFlags("all", "link1@1ms"); err != nil {
-		t.Errorf(`checkFlags("all", faults): %v`, err)
+	if faults, err := checkFlags("all", "agg0.0@1ms+1ms"); err != nil || len(faults) != 32 {
+		t.Errorf(`checkFlags("all", faults): %d link faults, %v; want an agg switch's 16 links failed and recovered`, len(faults), err)
 	}
-	if err := checkFlags("fig", ""); err == nil {
+	if _, err := checkFlags("fig", ""); err == nil {
 		t.Error(`checkFlags("fig") accepted a prefix of an id`)
 	}
 }

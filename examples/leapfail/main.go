@@ -5,7 +5,8 @@
 //
 //  1. healthy — no faults, the baseline;
 //  2. faulted — a scripted schedule (workload.ParseFaults +
-//     harness.ExpandFaults) fails aggregation switch 0.0 (all eight of
+//     harness.ExpandFaults, handed to the harness as
+//     DynamicConfig.Faults) fails aggregation switch 0.0 (all eight of
 //     its directed links) and later one host link, each recovering a
 //     few milliseconds on. Fault events ride the same heap as
 //     completions and retire in a canonical order.
@@ -25,10 +26,8 @@ import (
 	"fmt"
 	"math"
 
-	"numfabric/internal/core"
 	"numfabric/internal/fluid"
 	"numfabric/internal/harness"
-	"numfabric/internal/leap"
 	"numfabric/internal/obs"
 	"numfabric/internal/sim"
 	"numfabric/internal/stats"
@@ -39,17 +38,21 @@ func main() {
 	const (
 		k, linkRate = 4, 10e9
 		load, flows = 0.3, 400
-		seed        = uint64(1)
 		spec        = "agg0.0@10ms+8ms,link3@25ms+5ms"
 	)
 
-	run := func(faultSpec string) (*leap.Engine, []*fluid.Flow, *obs.FlowTracer) {
-		// A fresh fat-tree per run: faults mutate its capacities in place.
+	// run plays the workload through harness.RunDynamicWith on a fresh
+	// fat-tree (faults mutate its capacities in place) under the
+	// scripted faults, if any.
+	run := func(faultSpec string) (harness.DynamicResult, *obs.FlowTracer) {
 		ft := fluid.NewFatTree(k, linkRate)
-		arrivals, paths := harness.FatTreeWebSearch(ft, load, flows, sim.NewRNG(seed))
 		tracer := obs.NewFlowTracer(obs.FlowTraceConfig{SampleRate: 1})
 		tracer.SetLinkName(ft.LinkLabel)
-		e := leap.NewEngine(ft.Net, leap.Config{Obs: obs.Hooks{FlowTrace: tracer}})
+		// DCTCP's flow-level model is max-min water-filling, the leap
+		// engine's stationary allocator.
+		cfg := harness.DefaultDynamic(harness.DCTCP, workload.WebSearch(), load)
+		cfg.FatTree, cfg.Flows, cfg.Drain = ft, flows, sim.Duration(sim.Forever)
+		cfg.Obs = obs.Hooks{FlowTrace: tracer}
 		if faultSpec != "" {
 			scripted, err := workload.ParseFaults(faultSpec)
 			if err != nil {
@@ -59,31 +62,19 @@ func main() {
 			if err != nil {
 				panic(err)
 			}
-			harness.ScheduleFaults(e, sched)
+			cfg.Faults = func(sim.Time) []workload.Fault { return sched }
 		}
-		fs := make([]*fluid.Flow, len(arrivals))
-		for i, a := range arrivals {
-			fs[i] = e.AddFlow(paths[i], core.ProportionalFair(), a.Size, a.At.Seconds())
+		res := harness.RunDynamicWith(harness.EngineLeap, cfg)
+		if res.Unfinished > 0 {
+			panic(fmt.Sprintf("%d flows never finished — a stranded flow did not resume", res.Unfinished))
 		}
-		e.Run(math.Inf(1))
-		return e, fs, tracer
+		return res, tracer
 	}
 
-	slowdowns := func(fs []*fluid.Flow) []float64 {
-		var out []float64
-		for _, f := range fs {
-			if !f.Done() {
-				panic(fmt.Sprintf("flow %d never finished — a stranded flow did not resume", f.ID))
-			}
-			out = append(out, f.FCT()/(float64(f.SizeBytes)*8/linkRate))
-		}
-		return out
-	}
+	healthy, _ := run("")
+	faulted, tracer := run(spec)
 
-	healthy, hf, _ := run("")
-	faulted, ff, tracer := run(spec)
-
-	hs, fs := healthy.Stats(), faulted.Stats()
+	hs, fs := healthy.LeapStats, faulted.LeapStats
 	if hs.Faults != 0 || fs.Faults == 0 {
 		panic(fmt.Sprintf("fault counters wrong: healthy %d, faulted %d", hs.Faults, fs.Faults))
 	}
@@ -103,8 +94,8 @@ func main() {
 		checked++
 	}
 
-	hNorm, fNorm := slowdowns(hf), slowdowns(ff)
-	fmt.Printf("k=%d fat-tree, %d web-search flows, faults %q\n\n", k, len(hf), spec)
+	hNorm, fNorm := healthy.Slowdowns(), faulted.Slowdowns()
+	fmt.Printf("k=%d fat-tree, %d web-search flows, faults %q\n\n", k, len(hNorm), spec)
 	fmt.Printf("%-8s %7s %9s %8s %10s %11s %9s %9s\n",
 		"run", "faults", "stranded", "resumed", "strand(ms)", "lost(Gb·s)", "p50 slow", "p95 slow")
 	fmt.Printf("%-8s %7d %9d %8d %10.3f %11.3f %9.2f %9.2f\n",
@@ -115,5 +106,5 @@ func main() {
 		fs.CapacityLostBitSec/1e9, stats.Median(fNorm), stats.Percentile(fNorm, 0.95))
 	fmt.Printf("\nall %d flows finished in both runs; %d stranded flows resumed; "+
 		"lost-service identity held on %d traced flows\n",
-		len(hf), fs.Resumed, checked)
+		len(hNorm), fs.Resumed, checked)
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math"
+	"time"
 
 	"numfabric/internal/core"
 	"numfabric/internal/fluid"
@@ -21,6 +22,12 @@ import (
 type DynamicConfig struct {
 	Topo   TopologyConfig
 	Scheme SchemeConfig
+	// FatTree, if set, replaces the leaf-spine Topo with this k-ary
+	// fat-tree — the scale experiments, fluid and leap engines only.
+	// FCTs get no RTT added, every IdealFCT is the line-rate transfer
+	// time size·8/rate (an Oracle re-solve per event is out of reach at
+	// this scale), and BDP is 0.
+	FatTree *fluid.FatTree
 
 	CDF  *workload.SizeCDF
 	Load float64
@@ -33,8 +40,13 @@ type DynamicConfig struct {
 	// default is the α-fair utility.
 	UtilityFor func(size int64) core.Utility
 	// Drain bounds how long the simulation runs past the last arrival
-	// for stragglers to finish.
+	// for stragglers to finish; sim.Duration(sim.Forever) runs until
+	// nothing further can happen.
 	Drain sim.Duration
+	// Faults, if set, returns the link faults the leap engine (only)
+	// retires as events, given the last arrival's instant — the horizon
+	// a seeded failure process draws to.
+	Faults func(lastArrival sim.Time) []workload.Fault
 	// SkipFluidIdeal disables the fluid-Oracle ideal-FCT computation
 	// (IdealFCT fields become NaN); Figure 7 normalizes by the
 	// line-rate FCT instead and does not need it.
@@ -104,6 +116,19 @@ type DynamicResult struct {
 	// allocator solves, stationary-skip counts) when the run used the
 	// fluid engine; nil for the packet and leap engines.
 	FluidStats *fluid.Stats
+	// RunWall is the wall-clock time of the engine's run alone (no
+	// draw, routing, admission or record assembly): the denominator of
+	// every flows/s the experiments print.
+	RunWall time.Duration
+}
+
+// Slowdowns returns FCT/IdealFCT for every record.
+func (r DynamicResult) Slowdowns() []float64 {
+	out := make([]float64, len(r.Records))
+	for i, rec := range r.Records {
+		out[i] = rec.FCT / rec.IdealFCT
+	}
+	return out
 }
 
 // Fig5Bins are the flow-size bins of Figure 5, in BDP units.
@@ -157,25 +182,29 @@ func lineRateFCT(size int64, topo TopologyConfig) float64 {
 	return float64(wire)*8/topo.HostLink.Float() + topo.BaseRTT().Seconds()
 }
 
-// dynamicWorkload draws cfg's seeded arrival schedule, ECMP spine
-// picks, and per-flow utility mapping — the shared randomness of every
-// engine's dynamic driver, so the packet, fluid, and leap engines play
-// the byte-identical workload for a given seed.
-func dynamicWorkload(cfg DynamicConfig, topo *Topology) ([]workload.Arrival, []int, func(int64) core.Utility) {
-	rng := sim.NewRNG(cfg.Seed)
+// poissonSchedule is the dynamic family's one draw: a Poisson schedule
+// over fab's hosts, then one ECMP pick per arrival, all from rng — so
+// every engine and either fabric plays the byte-identical workload for
+// a given seed.
+func poissonSchedule(fab fabric, cdf *workload.SizeCDF, load float64, flows int, rng *sim.RNG) ([]workload.Arrival, []int) {
 	arrivals := workload.Poisson(workload.PoissonConfig{
-		Hosts:    len(topo.Hosts),
-		HostLink: cfg.Topo.HostLink,
-		Load:     cfg.Load,
-		CDF:      cfg.CDF,
+		Hosts:    fab.hosts(),
+		HostLink: fab.hostLink(),
+		Load:     load,
+		CDF:      cdf,
 		Duration: sim.Duration(sim.Forever / 2),
-		MaxFlows: cfg.Flows,
+		MaxFlows: flows,
 	}, rng)
-	spines := make([]int, len(arrivals))
-	for i := range spines {
-		spines[i] = rng.Intn(cfg.Topo.Spines)
+	return arrivals, ecmpPicks(fab, len(arrivals), rng)
+}
+
+// ecmpPicks draws one ECMP path pick per arrival.
+func ecmpPicks(fab fabric, n int, rng *sim.RNG) []int {
+	picks := make([]int, n)
+	for i := range picks {
+		picks[i] = rng.Intn(fab.fanOut())
 	}
-	return arrivals, spines, cfg.utilityFor()
+	return picks
 }
 
 // utilityFor returns the per-flow utility mapping: cfg.UtilityFor, or
@@ -187,26 +216,47 @@ func (cfg DynamicConfig) utilityFor() func(int64) core.Utility {
 	return func(int64) core.Utility { return core.NewAlphaFair(cfg.Alpha) }
 }
 
+// baseRTT is the propagation floor the flow-level engines do not
+// model: the leaf-spine fabric's base RTT, none on a fat-tree.
+func (cfg DynamicConfig) baseRTT() float64 {
+	if cfg.FatTree != nil {
+		return 0
+	}
+	return cfg.Topo.BaseRTT().Seconds()
+}
+
 // RunDynamicWith plays cfg's seeded Poisson workload — the identical
-// arrival schedule and spine picks on every engine — through the
-// packet simulator, the epoch engine or the leap engine, and pairs
-// every finished flow with its fluid-Oracle ideal FCT.
+// arrival schedule and ECMP picks on every engine — through the packet
+// simulator, the epoch engine or the leap engine, and pairs every
+// finished flow with its ideal FCT: the fluid Oracle's on the
+// leaf-spine fabric, the line-rate transfer time on cfg.FatTree. A
+// config the engine cannot play panics naming the field.
 func RunDynamicWith(eng Engine, cfg DynamicConfig) DynamicResult {
+	switch {
+	case cfg.FatTree != nil && eng == EnginePacket:
+		panic("harness: DynamicConfig.FatTree runs on the fluid and leap engines, not on packets")
+	case cfg.Faults != nil && eng != EngineLeap:
+		panic("harness: DynamicConfig.Faults needs the leap engine; " + eng.String() + " has no link faults")
+	}
 	if eng == EnginePacket {
 		expectedShare := cfg.Topo.HostLink.Float() / 3
 		cfg.Scheme.SetUtilityHint(cfg.utilityFor()(int64(expectedShare/8)), expectedShare)
 		cfg.Scheme.RCP.Alpha = cfg.Alpha
 		sub := newPacketFabric(cfg.Topo, cfg.Scheme)
-		return runDynamic(cfg, sub.topo, sub)
+		return runDynamic(cfg, sub.topo, sub, nil)
 	}
-	topo := NewFluidTopology(cfg.Topo)
-	baseRTT := cfg.Topo.BaseRTT().Seconds()
+	var fab fabric = fatTree{cfg.FatTree}
+	if cfg.FatTree == nil {
+		fab = NewFluidTopology(cfg.Topo)
+	}
+	sub := &flowLevel{baseRTT: cfg.baseRTT(), admitted: make([]*fluid.Flow, 0, cfg.Flows)}
 	if eng == EngineLeap {
-		leng := leap.NewEngine(FluidNetwork(topo), leap.Config{
+		leng := leap.NewEngine(fab.network(), leap.Config{
 			Allocator: LeapAllocatorFor(cfg.Scheme),
 			Obs:       cfg.Obs,
 		})
-		res := runDynamic(cfg, topo, &flowLevel{eng: leng, baseRTT: baseRTT})
+		sub.eng = leng
+		res := runDynamic(cfg, fab, sub, leng)
 		s := leng.Stats()
 		res.LeapStats = &s
 		return res
@@ -215,53 +265,65 @@ func RunDynamicWith(eng Engine, cfg DynamicConfig) DynamicResult {
 	if cfg.FluidEpoch > 0 {
 		epoch = cfg.FluidEpoch.Seconds()
 	}
-	feng := fluid.NewEngine(FluidNetwork(topo), fluid.Config{
+	feng := fluid.NewEngine(fab.network(), fluid.Config{
 		Epoch:     epoch,
 		Allocator: FluidAllocatorFor(cfg.Scheme),
 		Obs:       cfg.Obs,
 	})
-	res := runDynamic(cfg, topo, &flowLevel{eng: feng, baseRTT: baseRTT})
+	sub.eng = feng
+	res := runDynamic(cfg, fab, sub, nil)
 	s := feng.Stats()
 	res.FluidStats = &s
 	return res
 }
 
-// runDynamic is the Figure 5/7 scenario over any substrate. With
-// SkipFluidIdeal every IdealFCT is NaN.
-func runDynamic(cfg DynamicConfig, topo *Topology, sub flowPlayer) DynamicResult {
-	arrivals, spines, utilityFor := dynamicWorkload(cfg, topo)
+// runDynamic is the Figure 5/7 scenario over any substrate and either
+// fabric; leng retires cfg.Faults (RunDynamicWith has made sure there
+// is one). On the leaf-spine fabric with SkipFluidIdeal every IdealFCT
+// is NaN.
+func runDynamic(cfg DynamicConfig, fab fabric, sub flowPlayer, leng *leap.Engine) DynamicResult {
+	arrivals, picks := poissonSchedule(fab, cfg.CDF, cfg.Load, cfg.Flows, sim.NewRNG(cfg.Seed))
 	var lastArrival sim.Time
 	if n := len(arrivals); n > 0 {
 		lastArrival = arrivals[n-1].At
 	}
-	playArrivals(sub, topo, arrivals, spines, utilityFor, lastArrival.Add(cfg.Drain))
+	if cfg.Faults != nil {
+		scheduleFaults(leng, cfg.Faults(lastArrival))
+	}
+	res := DynamicResult{BDP: cfg.Topo.HostLink.Float() / 8 * cfg.baseRTT()}
+	res.RunWall = playArrivals(sub, fab, arrivals, picks, cfg.utilityFor(), lastArrival.Add(cfg.Drain))
 
 	ideal := func(int) float64 { return math.NaN() }
-	if !cfg.SkipFluidIdeal {
-		fcts := FluidIdealFCTs(cfg, topo, arrivals, spines)
+	if cfg.FatTree != nil {
+		rate := fab.hostLink().Float()
+		ideal = func(i int) float64 { return float64(arrivals[i].Size) * 8 / rate }
+	} else if !cfg.SkipFluidIdeal {
+		fcts := fluidIdealFCTs(cfg, fab, arrivals, picks)
 		ideal = func(i int) float64 { return fcts[i] }
 	}
-	res := DynamicResult{BDP: cfg.Topo.HostLink.Float() / 8 * cfg.Topo.BaseRTT().Seconds()}
 	res.Records, res.Unfinished = flowRecords(sub, arrivals, ideal)
 	return res
 }
 
-// playArrivals admits every arrival on its routed path (spines[i]
-// picks arrival i's ECMP path) and runs the substrate to until.
-func playArrivals(sub flowPlayer, topo *Topology, arrivals []workload.Arrival, spines []int,
-	utilityFor func(int64) core.Utility, until sim.Time) {
+// playArrivals admits every arrival on its routed path (picks[i] is
+// arrival i's ECMP pick; the substrates copy the one path buffer) and
+// runs the substrate to until; it returns the run's wall time.
+func playArrivals(sub flowPlayer, fab fabric, arrivals []workload.Arrival, picks []int,
+	utilityFor func(int64) core.Utility, until sim.Time) time.Duration {
 	var pathBuf []int
 	for i, a := range arrivals {
-		fwd, _ := topo.Route(a.Src, a.Dst, spines[i])
-		pathBuf = AppendPathLinkIDs(pathBuf[:0], fwd)
+		pathBuf = fab.appendRoute(pathBuf[:0], a.Src, a.Dst, picks[i])
 		sub.admit(pathBuf, utilityFor(a.Size), a.Size, a.At)
 	}
+	start := time.Now()
 	sub.run(until)
+	return time.Since(start)
 }
 
 // flowRecords assembles one record per finished flow, in arrival
 // order, and counts the rest.
 func flowRecords(sub flowPlayer, arrivals []workload.Arrival, ideal func(i int) float64) (records []FlowRecord, unfinished int) {
+	records = make([]FlowRecord, 0, len(arrivals))
 	for i, a := range arrivals {
 		fct, done := sub.fct(i)
 		if !done {
@@ -280,12 +342,16 @@ func flowRecords(sub flowPlayer, arrivals []workload.Arrival, ideal func(i int) 
 // between — with the exact Oracle allocator warm-started across
 // events, plus the base RTT, which even the Oracle cannot beat.
 func FluidIdealFCTs(cfg DynamicConfig, topo *Topology, arrivals []workload.Arrival, spines []int) []float64 {
-	d0 := cfg.Topo.BaseRTT().Seconds()
+	return fluidIdealFCTs(cfg, topo, arrivals, spines)
+}
+
+func fluidIdealFCTs(cfg DynamicConfig, fab fabric, arrivals []workload.Arrival, picks []int) []float64 {
+	d0 := cfg.baseRTT()
 	ref := &flowLevel{
-		eng:     refsim.New(fluid.NewNetwork(topo.Net.Capacities()), &fluid.Oracle{MaxIter: 1500}),
+		eng:     refsim.New(fab.network(), &fluid.Oracle{MaxIter: 1500}),
 		baseRTT: d0,
 	}
-	playArrivals(ref, topo, arrivals, spines, cfg.utilityFor(), sim.Forever)
+	playArrivals(ref, fab, arrivals, picks, cfg.utilityFor(), sim.Forever)
 	out := make([]float64, len(arrivals))
 	for i := range out {
 		// A flow the Oracle never finishes (NaN) or finishes in no time

@@ -142,7 +142,7 @@ func goldenFaulted(t *testing.T) func(*fluid.FatTree, *leap.Engine, *sim.RNG) []
 		if err != nil {
 			t.Fatal(err)
 		}
-		ScheduleFaults(eng, faults)
+		scheduleFaults(eng, faults)
 		return nil
 	}
 }

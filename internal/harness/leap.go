@@ -37,20 +37,14 @@ func LeapAllocatorFor(c SchemeConfig) fluid.SubsetAllocator {
 	}
 }
 
-// FatTreeWebSearch draws the fat-tree scale experiments' shared
-// workload — a web-search Poisson schedule over ft's hosts plus one
-// random ECMP path pick per arrival, all from one seeded stream — so
-// the CLI experiments and the benchmarks play identical schedules.
+// FatTreeWebSearch is the dynamic family's draw on ft (a web-search
+// Poisson schedule over its hosts, then one ECMP pick per arrival, all
+// from one seeded stream) with every pick expanded to its path — so a
+// benchmark that admits flows by hand plays the schedule
+// RunDynamicWith plays on DynamicConfig.FatTree.
 func FatTreeWebSearch(ft *fluid.FatTree, load float64, nflows int, rng *sim.RNG) ([]workload.Arrival, [][]int) {
-	arrivals := workload.Poisson(workload.PoissonConfig{
-		Hosts:    ft.Hosts(),
-		HostLink: sim.BitRate(ft.Rate),
-		Load:     load,
-		CDF:      workload.WebSearch(),
-		Duration: sim.Duration(sim.Forever / 2),
-		MaxFlows: nflows,
-	}, rng)
-	return arrivals, fatTreePaths(ft, arrivals, rng)
+	arrivals, picks := poissonSchedule(fatTree{ft}, workload.WebSearch(), load, nflows, rng)
+	return arrivals, fatTreePaths(ft, arrivals, picks)
 }
 
 // FatTreeCoflows draws the synchronized coflow workload on ft's hosts
@@ -72,23 +66,23 @@ func FatTreeCoflows(ft *fluid.FatTree, load float64, nflows, senders, bursts int
 		Groups:   ft.K, // one locality block per pod
 		MaxFlows: nflows,
 	}, rng)
-	return arrivals, fatTreePaths(ft, arrivals, rng)
+	return arrivals, fatTreePaths(ft, arrivals, ecmpPicks(fatTree{ft}, len(arrivals), rng))
 }
 
-// fatTreePaths picks one random ECMP path per arrival.
-func fatTreePaths(ft *fluid.FatTree, arrivals []workload.Arrival, rng *sim.RNG) [][]int {
+// fatTreePaths expands one ECMP pick per arrival to its path.
+func fatTreePaths(ft *fluid.FatTree, arrivals []workload.Arrival, picks []int) [][]int {
 	paths := make([][]int, len(arrivals))
 	for i, a := range arrivals {
-		paths[i] = ft.Route(a.Src, a.Dst, rng.Intn(ft.K*ft.K/4))
+		paths[i] = ft.Route(a.Src, a.Dst, picks[i])
 	}
 	return paths
 }
 
-// ScheduleFaults feeds a fault schedule into a leap engine's event
+// scheduleFaults feeds a fault schedule into a leap engine's event
 // heap; the engine retires each fault at its instant (failures zero
 // the link's capacity and strand the flows crossing it, recoveries
 // restore it and resume them).
-func ScheduleFaults(e *leap.Engine, faults []workload.Fault) {
+func scheduleFaults(e *leap.Engine, faults []workload.Fault) {
 	for _, f := range faults {
 		if f.Fail {
 			e.FailLink(f.Link, f.At.Seconds())
@@ -211,10 +205,7 @@ func RunIncastLeap(cfg IncastConfig) IncastResult {
 		Bursts:    cfg.Bursts,
 		Interval:  cfg.Interval,
 	}, rng)
-	spines := make([]int, len(arrivals))
-	for i := range spines {
-		spines[i] = rng.Intn(cfg.Topo.Spines)
-	}
+	spines := ecmpPicks(topo, len(arrivals), rng)
 
 	d0 := cfg.Topo.BaseRTT().Seconds()
 	leng := leap.NewEngine(FluidNetwork(topo), leap.Config{

@@ -196,8 +196,8 @@ func (p *packetFabric) riseTime() float64            { return math.Log(10) * p.m
 
 // flowLevel plays finite flows through a flow-level engine, the epoch
 // engine or leap. Neither models propagation, so every completion gets
-// the fabric's base RTT added to stay comparable with packet FCTs and
-// the Oracle ideals.
+// the leaf-spine fabric's base RTT added to stay comparable with packet
+// FCTs and the Oracle ideals (none on a fat-tree: DynamicConfig.baseRTT).
 type flowLevel struct {
 	eng interface {
 		AddFlow(links []int, u core.Utility, sizeBytes int64, at float64) *fluid.Flow

@@ -1,9 +1,10 @@
 // Package harness assembles full experiments: topologies, scheme
 // wiring, workload playback, convergence measurement, and the
 // per-figure experiment drivers of §6. Each scenario family — dynamic
-// (Figures 5 and 7, incast), semi-dynamic (Figures 4 and 6) and
-// resource pooling (Figure 8 and its fat-tree variant) — is written
-// once, over the small per-engine substrates of substrate.go;
+// (Figures 5 and 7, incast, the fat-tree scale experiments),
+// semi-dynamic (Figures 4 and 6) and resource pooling (Figure 8 and
+// its fat-tree variant) — is written once, over the small per-engine
+// substrates of substrate.go and, for the dynamic family, either fabric;
 // RunDynamicWith, RunSemiDynamicWith, RunPoolingWith and RunFCTWith
 // take the Engine and are the only place one is chosen.
 package harness
@@ -11,6 +12,7 @@ package harness
 import (
 	"fmt"
 
+	"numfabric/internal/fluid"
 	"numfabric/internal/netsim"
 	"numfabric/internal/sim"
 )
@@ -26,6 +28,7 @@ type Topology struct {
 	Spines []*netsim.Node
 
 	HostsPerLeaf int
+	hostRate     sim.BitRate
 
 	// adj[a][b] is the egress port from node a to adjacent node b.
 	adj map[*netsim.Node]map[*netsim.Node]*netsim.Port
@@ -92,6 +95,7 @@ func NewTopology(net *netsim.Network, cfg TopologyConfig) *Topology {
 	t := &Topology{
 		Net:          net,
 		HostsPerLeaf: cfg.HostsPerLeaf,
+		hostRate:     cfg.HostLink,
 		adj:          make(map[*netsim.Node]map[*netsim.Node]*netsim.Port),
 	}
 	for s := 0; s < cfg.Spines; s++ {
@@ -181,4 +185,42 @@ func AppendPathLinkIDs(dst []int, path []*netsim.Port) []int {
 		dst = append(dst, p.LinkID)
 	}
 	return dst
+}
+
+// fabric is what the dynamic family needs of a topology — the
+// leaf-spine Topology or a k-ary fat-tree: a schedule is arrivals plus
+// one ECMP pick each, and a flow's path is routed at admission.
+type fabric interface {
+	hosts() int
+	hostLink() sim.BitRate
+	// fanOut is the range of the ECMP pick drawn per arrival.
+	fanOut() int
+	// appendRoute appends the directed-link ids of the pick-th path
+	// from host src to host dst to buf.
+	appendRoute(buf []int, src, dst, pick int) []int
+	// network is the flow-level engines' view of the links.
+	network() *fluid.Network
+}
+
+func (t *Topology) hosts() int              { return len(t.Hosts) }
+func (t *Topology) hostLink() sim.BitRate   { return t.hostRate }
+func (t *Topology) fanOut() int             { return len(t.Spines) }
+func (t *Topology) network() *fluid.Network { return FluidNetwork(t) }
+
+func (t *Topology) appendRoute(buf []int, src, dst, pick int) []int {
+	fwd, _ := t.Route(src, dst, pick)
+	return AppendPathLinkIDs(buf, fwd)
+}
+
+// fatTree is a fluid.FatTree as a fabric. Its network is the tree's
+// own, so link faults land on the capacities the caller's tree reports.
+type fatTree struct{ *fluid.FatTree }
+
+func (t fatTree) hosts() int              { return t.Hosts() }
+func (t fatTree) hostLink() sim.BitRate   { return sim.BitRate(t.Rate) }
+func (t fatTree) fanOut() int             { return t.K * t.K / 4 }
+func (t fatTree) network() *fluid.Network { return t.Net }
+
+func (t fatTree) appendRoute(buf []int, src, dst, pick int) []int {
+	return append(buf, t.Route(src, dst, pick)...)
 }

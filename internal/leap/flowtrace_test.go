@@ -1,7 +1,11 @@
 package leap
 
 import (
+	"bytes"
 	"math"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"numfabric/internal/fluid"
@@ -203,5 +207,60 @@ func TestFlowTraceBottleneckIsMinSlack(t *testing.T) {
 		if len(r.LostLinks) != 1 || r.LostLinks[0] != 0 {
 			t.Errorf("victim attribution on %v, want [0]", r.LostLinks)
 		}
+	}
+}
+
+// TestFlowTraceJSONLRoundTrip: what FlowTracer.WriteJSONL writes of a
+// traced run, obs.ReadFlowTrace reads back — the totals, every kept
+// flow with its times and per-link losses, and the per-link statistics
+// — so the offline reader (cmd/flowreport) and the writer cannot drift
+// apart.
+func TestFlowTraceJSONLRoundTrip(t *testing.T) {
+	ft := obs.NewFlowTracer(obs.FlowTraceConfig{SampleRate: 0.5, SlowestK: 8})
+	ft.SetLinkName(func(l int) string { return "L" + strconv.Itoa(l) })
+	runDense(Config{Obs: obs.Hooks{FlowTrace: ft}}, 1)
+
+	var buf bytes.Buffer
+	if err := ft.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := obs.ReadFlowTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Summary != ft.Summary() {
+		t.Errorf("summary %+v, wrote %+v", got.Summary, ft.Summary())
+	}
+	recs := ft.Records()
+	if len(got.Flows) != len(recs) || len(recs) == 0 {
+		t.Fatalf("%d flow lines, wrote %d records", len(got.Flows), len(recs))
+	}
+	for i, r := range recs {
+		fl := got.Flows[i]
+		if fl.ID != r.ID || fl.Seq != r.Seq || !fl.Finished || fl.Arrive != r.Arrive || fl.Finish != r.Finish ||
+			fl.FCT != r.FCT() || fl.IdealFCT != r.IdealFCT() || len(fl.Segs) != len(r.Segs) || len(fl.Lost) != len(r.LostLinks) {
+			t.Fatalf("flow line %d = %+v, wrote record %+v", i, fl, r)
+		}
+		for j, l := range fl.Lost {
+			if l.Link != int(r.LostLinks[j]) || l.LostSeconds != r.LostSecs[j] || l.Name != "L"+strconv.Itoa(l.Link) {
+				t.Fatalf("flow %d loss %d = %+v, wrote link %d lost %v", r.ID, j, l, r.LostLinks[j], r.LostSecs[j])
+			}
+		}
+	}
+	links := ft.LinksSnapshot()
+	if len(got.Links) != len(links) || len(links) == 0 {
+		t.Fatalf("%d link lines, wrote %d", len(got.Links), len(links))
+	}
+	for i, ls := range links {
+		if ll := got.Links[i]; !reflect.DeepEqual(ll.LinkSnapshot, ls) || ll.Name != "L"+strconv.Itoa(ls.Link) {
+			t.Fatalf("link line %d = %+v, wrote %+v", i, ll, ls)
+		}
+	}
+
+	if _, err := obs.ReadFlowTrace(strings.NewReader(`{"type":"flow","id":1}` + "\n")); err == nil {
+		t.Error("a stream without a summary record read as a flow trace")
+	}
+	if _, err := obs.ReadFlowTrace(strings.NewReader("{\"type\":\"summary\"}\nnot json\n")); err == nil || !strings.Contains(err.Error(), "record 2") {
+		t.Errorf("malformed record 2: error %v", err)
 	}
 }

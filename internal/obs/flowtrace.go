@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -656,8 +657,8 @@ func (t *FlowTracer) attribute(recs []*FlowRecord) []LinkLoss {
 	return out
 }
 
-// flowJSON is the JSONL "flow" line (and /flows entry).
-type flowJSON struct {
+// FlowLine is the JSONL "flow" line (and /flows entry).
+type FlowLine struct {
 	Type string `json:"type"`
 	ID   int    `json:"id"`
 	// Seq disambiguates records whose engine id was recycled (see
@@ -673,10 +674,11 @@ type flowJSON struct {
 	Sampled   bool       `json:"sampled"`
 	Truncated int        `json:"truncated_segs,omitempty"`
 	Lost      []LinkLoss `json:"lost,omitempty"`
-	Segs      []segJSON  `json:"segs"`
+	Segs      []LineSeg  `json:"segs"`
 }
 
-type segJSON struct {
+// LineSeg is one constant-rate segment of a FlowLine.
+type LineSeg struct {
 	T     float64 `json:"t"`
 	Rate  float64 `json:"rate"`
 	Bneck int32   `json:"bneck"`
@@ -686,8 +688,8 @@ type segJSON struct {
 	Batch uint32  `json:"batch"`
 }
 
-func (t *FlowTracer) flowJSON(r *FlowRecord) flowJSON {
-	j := flowJSON{
+func (t *FlowTracer) flowLine(r *FlowRecord) FlowLine {
+	j := FlowLine{
 		Type:      "flow",
 		ID:        r.ID,
 		Seq:       r.Seq,
@@ -697,7 +699,7 @@ func (t *FlowTracer) flowJSON(r *FlowRecord) flowJSON {
 		IdealFCT:  r.IdealFCT(),
 		Sampled:   r.Sampled,
 		Truncated: r.Truncated,
-		Segs:      make([]segJSON, len(r.Segs)),
+		Segs:      make([]LineSeg, len(r.Segs)),
 	}
 	if r.Finished {
 		j.Finish = r.Finish
@@ -716,7 +718,7 @@ func (t *FlowTracer) flowJSON(r *FlowRecord) flowJSON {
 		j.Lost = append(j.Lost, ll)
 	}
 	for i, s := range r.Segs {
-		j.Segs[i] = segJSON{T: s.T, Rate: s.Rate, Bneck: s.Bneck,
+		j.Segs[i] = LineSeg{T: s.T, Rate: s.Rate, Bneck: s.Bneck,
 			Name:  t.linkName(int(s.Bneck)),
 			Cause: causeName(s.Cause), Comp: s.Comp, Batch: s.Batch}
 	}
@@ -735,17 +737,17 @@ func (t *FlowTracer) WriteJSONL(w io.Writer) error {
 		return err
 	}
 	for _, r := range t.Records() {
-		if err := enc.Encode(t.flowJSON(r)); err != nil {
+		if err := enc.Encode(t.flowLine(r)); err != nil {
 			return err
 		}
 	}
 	// Unfinished flows and link stats, snapshotted under the lock
 	// (both still mutable while the engine runs).
 	t.mu.Lock()
-	var live []flowJSON
+	var live []FlowLine
 	for _, r := range t.active {
 		if r != nil {
-			live = append(live, t.flowJSON(r))
+			live = append(live, t.flowLine(r))
 		}
 	}
 	linkSnaps := t.links.Snapshot()
@@ -756,7 +758,7 @@ func (t *FlowTracer) WriteJSONL(w io.Writer) error {
 		}
 	}
 	for _, ls := range linkSnaps {
-		j := linkJSON{Type: "link", Name: t.linkName(ls.Link), LinkSnapshot: ls}
+		j := LinkLine{Type: "link", Name: t.linkName(ls.Link), LinkSnapshot: ls}
 		if err := enc.Encode(j); err != nil {
 			return err
 		}
@@ -773,10 +775,64 @@ func (t *FlowTracer) LinksSnapshot() []LinkSnapshot {
 	return t.links.Snapshot()
 }
 
-type linkJSON struct {
+// LinkLine is the JSONL "link" line (and /links entry).
+type LinkLine struct {
 	Type string `json:"type"`
 	Name string `json:"name,omitempty"`
 	LinkSnapshot
+}
+
+// FlowTrace is a WriteJSONL stream read back.
+type FlowTrace struct {
+	Summary FlowTraceSummary
+	// Flows holds every "flow" line in file order: kept records by
+	// slowdown descending, then the flows still active at export.
+	Flows []FlowLine
+	Links []LinkLine
+}
+
+// ReadFlowTrace decodes what WriteJSONL wrote, into the types it
+// encodes from. Record types and fields it does not know are skipped,
+// so an older reader survives schema growth; a stream without a
+// summary record is not a flow trace.
+func ReadFlowTrace(r io.Reader) (*FlowTrace, error) {
+	var (
+		ft      FlowTrace
+		summary bool
+	)
+	dec := json.NewDecoder(r)
+	for n := 1; ; n++ {
+		var rec json.RawMessage
+		var h struct {
+			Type string `json:"type"`
+		}
+		err := dec.Decode(&rec)
+		if err == io.EOF {
+			break
+		}
+		if err == nil {
+			err = json.Unmarshal(rec, &h)
+		}
+		switch {
+		case err != nil:
+		case h.Type == "summary":
+			summary = true
+			err = json.Unmarshal(rec, &ft.Summary)
+		case h.Type == "flow":
+			ft.Flows = append(ft.Flows, FlowLine{})
+			err = json.Unmarshal(rec, &ft.Flows[len(ft.Flows)-1])
+		case h.Type == "link":
+			ft.Links = append(ft.Links, LinkLine{})
+			err = json.Unmarshal(rec, &ft.Links[len(ft.Links)-1])
+		}
+		if err != nil {
+			return nil, fmt.Errorf("obs: flow trace record %d: %w", n, err)
+		}
+	}
+	if !summary {
+		return nil, errors.New("obs: no summary record — not a flow trace (-flowtrace-out file)")
+	}
+	return &ft, nil
 }
 
 // FlowsSnapshot is the /flows endpoint payload: totals, the tail
@@ -787,7 +843,7 @@ type FlowsSnapshot struct {
 	TailFrac    float64    `json:"tail_frac"`
 	TailFlows   int        `json:"tail_flows"`
 	Attribution []LinkLoss `json:"attribution"`
-	Flows       []flowJSON `json:"flows"`
+	Flows       []FlowLine `json:"flows"`
 }
 
 // FlowsSnapshotTop builds the /flows payload with the slowest topN
@@ -802,9 +858,9 @@ func (t *FlowTracer) FlowsSnapshotTop(topN int, frac float64) FlowsSnapshot {
 	if len(recs) > topN {
 		recs = recs[:topN]
 	}
-	s.Flows = make([]flowJSON, len(recs))
+	s.Flows = make([]FlowLine, len(recs))
 	for i, r := range recs {
-		s.Flows[i] = t.flowJSON(r)
+		s.Flows[i] = t.flowLine(r)
 	}
 	return s
 }

@@ -162,9 +162,9 @@ func Handler(reg *Registry, prog *Progress, ft *FlowTracer) http.Handler {
 			return
 		}
 		snaps := ft.LinksSnapshot()
-		out := make([]linkJSON, len(snaps))
+		out := make([]LinkLine, len(snaps))
 		for i, ls := range snaps {
-			out[i] = linkJSON{Type: "link", Name: ft.LinkNameOrIndex(ls.Link), LinkSnapshot: ls}
+			out[i] = LinkLine{Type: "link", Name: ft.LinkNameOrIndex(ls.Link), LinkSnapshot: ls}
 		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

@@ -61,8 +61,19 @@ func (d Duration) Seconds() float64 { return float64(d) / 1e12 }
 // resolution; sub-nanosecond detail is truncated).
 func (d Duration) Std() time.Duration { return time.Duration(int64(d) / 1000) }
 
-// FromStd converts a time.Duration into a simulated Duration.
-func FromStd(d time.Duration) Duration { return Duration(d.Nanoseconds()) * Nanosecond }
+// FromStd converts a time.Duration into a simulated Duration. A span
+// beyond the int64 picosecond range (about ±2,562 hours) saturates at
+// ±Duration(Forever), as Seconds does, instead of wrapping negative.
+func FromStd(d time.Duration) Duration {
+	const limit = time.Duration(Duration(Forever) / Nanosecond)
+	switch {
+	case d > limit:
+		return Duration(Forever)
+	case d < -limit:
+		return -Duration(Forever)
+	}
+	return Duration(d.Nanoseconds()) * Nanosecond
+}
 
 // Seconds constructs a Duration from a floating-point number of
 // seconds. Values beyond the int64 picosecond range — including ±Inf,

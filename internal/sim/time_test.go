@@ -62,6 +62,32 @@ func TestSecondsSaturates(t *testing.T) {
 	}
 }
 
+// TestFromStdSaturates: a time.Duration past the picosecond range
+// (≈ 2,562 h) saturates instead of wrapping — "3000h" used to convert
+// to −7.6·10⁶ s.
+func TestFromStdSaturates(t *testing.T) {
+	const edge = time.Duration(Duration(Forever) / Nanosecond) // largest exact conversion
+	for _, tc := range []struct {
+		in   time.Duration
+		want Duration
+	}{
+		{0, 0},
+		{-3 * time.Microsecond, -3 * Microsecond},
+		{2562 * time.Hour, 2562 * 3600 * Second},
+		{edge, Duration(edge) * Nanosecond},
+		{edge + 1, Duration(Forever)},
+		{-edge - 1, -Duration(Forever)},
+		{3000 * time.Hour, Duration(Forever)},
+		{-3000 * time.Hour, -Duration(Forever)},
+		{math.MaxInt64, Duration(Forever)},
+		{math.MinInt64, -Duration(Forever)},
+	} {
+		if got := FromStd(tc.in); got != tc.want {
+			t.Errorf("FromStd(%v) = %d, want %d", tc.in, int64(got), int64(tc.want))
+		}
+	}
+}
+
 // TestTimeAddSaturates: Add saturates at ±Forever on overflow instead
 // of wrapping, so time pushed past the horizon stays in the future.
 func TestTimeAddSaturates(t *testing.T) {

@@ -147,6 +147,12 @@ func ParseFaults(spec string) ([]ScriptedFault, error) {
 			}
 			f.Down = sim.FromStd(down)
 		}
+		// A time the picosecond clock cannot hold saturates; taken as
+		// an instant it would sit at the end of time (and used to wrap
+		// to before the start).
+		if sim.Time(0).Add(f.At).Add(f.Down) == sim.Forever {
+			return nil, fmt.Errorf("workload: fault %q: time overflows the simulated clock (about 2562h)", part)
+		}
 		out = append(out, f)
 	}
 	return out, nil
