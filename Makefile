@@ -1,6 +1,6 @@
 # Convenience targets; CI runs the same commands.
 
-.PHONY: test race loc alloc-gate obs-inline fuzz fault-smoke bench-smoke cli-golden benchmark-smoke bench bench-diff flowtrace-smoke
+.PHONY: test race loc alloc-gate obs-inline fuzz fault-smoke bench-smoke bench-packet cli-golden benchmark-smoke bench bench-diff flowtrace-smoke
 
 test:
 	go build ./... && go test ./...
@@ -16,14 +16,16 @@ race:
 # a per-engine fork shows up here), and the schedule players: non-test
 # files outside the engines and benchmark/ that admit an arrival
 # schedule into a flow-level engine themselves (AddFlow at an arrival's
-# At) — one, harness.playArrivals' substrate. Informational; nothing is
-# gated on it.
+# At) — one, harness.playArrivals' substrate; and the packet engine's
+# three packages together (ROADMAP item 5's size bound). Informational;
+# nothing is gated on it.
 loc:
 	@for d in leap fluid obs harness; do \
 		printf 'internal/%-8s non-test %6d\n' $$d $$(ls internal/$$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 	done
 	@printf 'cmd/numfabric     non-test %6d\n' $$(ls cmd/numfabric/*.go | grep -v _test.go | xargs cat | wc -l)
 	@printf 'leap + fluid      non-test %6d\n' $$(ls internal/leap/*.go internal/fluid/*.go | grep -v _test.go | xargs cat | wc -l)
+	@printf 'netsim + sim + queue non-test %3d\n' $$(ls internal/netsim/*.go internal/sim/*.go internal/queue/*.go | grep -v _test.go | xargs cat | wc -l)
 	@printf 'repo              non-test %6d\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 	@printf 'repo            with tests %6d\n' $$(find . -name '*.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 	@printf 'leap.Engine         fields %6d\n' $$(awk '/^type Engine struct/{on=1;next} on&&/^}/{exit} on&&!/^[ \t]*(\/\/|$$)/{n++} END{print n}' internal/leap/leap.go)
@@ -35,10 +37,13 @@ loc:
 # with the full obs stack attached), plus the per-event ReadMemStats
 # bounds and the table-recycling invariants behind them; and the
 # allocator kernels' per-iteration pins (MaxMinWorkspace.Fill allocates
-# 0, oracle.Solve the same count at 5 and 500 iterations).
+# 0, oracle.Solve the same count at 5 and 500 iterations); and the
+# packet engine's: 0 per forwarded packet on a warmed two-hop line,
+# behind STFQ and behind DropTail.
 alloc-gate:
 	go test -v -run 'TestAllocsPerOpSteadyState|TestReleaseFinishedRecycles|TestSteadyStateAllocations' -count=1 ./internal/leap/
 	go test -v -run 'TestKernelsAllocateNothingPerIteration' -count=1 ./internal/oracle/
+	go test -v -run 'TestPacketHopAllocations' -count=1 ./internal/netsim/
 
 # The engines call the obs hooks unguarded, so a detached hook costs
 # one branch only while each engine-facing method stays an inlinable
@@ -80,6 +85,12 @@ fault-smoke:
 # accuracy assertions.
 bench-smoke:
 	go test -run '^$$' -bench BenchmarkLeapFCT -benchtime 1x .
+
+# The packet engine's layers in isolation: ns per scheduled event
+# (sim), ns and allocations per packet-hop on a two-hop line (netsim),
+# ns per enqueue+dequeue at backlog 1/16/256 (queue.STFQ).
+bench-packet:
+	go test -run '^$$' -bench 'BenchmarkEngineScheduleRun|BenchmarkPortHop|BenchmarkSTFQ' -benchmem ./internal/sim/ ./internal/netsim/ ./internal/queue/
 
 # The two CLI experiments that print harness.RunDynamicWith on the
 # fat-tree, at seed 1 and scaled size (about 30 s each; leapfct's load

@@ -54,6 +54,7 @@ func (n *Network) Connect(a, b *Node, rate sim.BitRate, delay sim.Duration) (ab,
 			panic("netsim: QueueFactory not set before Connect")
 		}
 		p.Q = n.QueueFactory(p)
+		p.txDoneFn, p.arriveFn = p.txDone, p.arrive
 		n.Links = append(n.Links, p)
 		from.Ports = append(from.Ports, p)
 		return p
@@ -104,13 +105,19 @@ func (n *Network) allocPacket() *Packet {
 	}
 	p := n.pool[len(n.pool)-1]
 	n.pool = n.pool[:len(n.pool)-1]
+	p.pooled = false
 	return p
 }
 
 // freePacket returns a packet to the pool. Callers must not retain
-// references after freeing.
+// references after freeing; freeing one twice would hand the same
+// header to two flows, so it panics.
 func (n *Network) freePacket(p *Packet) {
+	if p.pooled {
+		panic("netsim: packet freed twice")
+	}
 	p.reset()
+	p.pooled = true
 	if len(n.pool) < 1<<16 {
 		n.pool = append(n.pool, p)
 	}

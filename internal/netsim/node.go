@@ -56,8 +56,16 @@ type Port struct {
 	Q      Queue
 	Agents []LinkAgent
 
-	busy bool
-	net  *Network
+	net *Network
+
+	// txPkt is the packet being serialised (nil: transmitter idle).
+	// wireHead..wireTail are the packets propagating to Peer, linked
+	// through Packet.next in tx-done order, which Delay being constant
+	// is their arrival order. A hop's two events are method values
+	// bound once, in Connect, so forwarding a packet allocates nothing.
+	txPkt              *Packet
+	wireHead, wireTail *Packet
+	txDoneFn, arriveFn func()
 
 	// Counters.
 	TxPackets uint64
@@ -89,7 +97,7 @@ func (p *Port) Send(pkt *Packet) {
 			a.OnEnqueue(pkt)
 		}
 	}
-	if !p.busy {
+	if p.txPkt == nil {
 		p.startTx()
 	}
 }
@@ -102,20 +110,43 @@ func (p *Port) startTx() {
 	for _, a := range p.Agents {
 		a.OnDequeue(pkt)
 	}
-	p.busy = true
+	p.txPkt = pkt
 	p.TxPackets++
 	p.TxBytes += uint64(pkt.Size)
-	tx := p.Rate.TxTime(pkt.Size)
-	eng := p.net.Engine
-	eng.After(tx, func() {
-		p.busy = false
-		// Store-and-forward: the packet arrives at the peer after the
-		// propagation delay.
-		eng.After(p.Delay, func() { p.net.arrive(p, pkt) })
-		if p.Q.Len() > 0 {
-			p.startTx()
-		}
-	})
+	p.net.Engine.After(p.Rate.TxTime(pkt.Size), p.txDoneFn)
+}
+
+// txDone runs when txPkt has been serialised. Store-and-forward: the
+// packet arrives at the peer after the propagation delay.
+func (p *Port) txDone() {
+	pkt := p.txPkt
+	p.txPkt = nil
+	pkt.due = p.net.Now().Add(p.Delay)
+	if p.wireTail == nil {
+		p.wireHead = pkt
+	} else {
+		p.wireTail.next = pkt
+	}
+	p.wireTail = pkt
+	p.net.Engine.Schedule(pkt.due, p.arriveFn)
+	if p.Q.Len() > 0 {
+		p.startTx()
+	}
+}
+
+// arrive delivers the head of the wire. Arrival events carry no packet,
+// so a Delay lowered while packets are in flight, which lets a later
+// packet's event fire first, must not deliver the wrong one silently.
+func (p *Port) arrive() {
+	pkt := p.wireHead
+	if now := p.net.Now(); pkt.due != now {
+		panic(fmt.Sprintf("netsim: %v: packet due at %v arrives at %v (Port.Delay changed mid-run)", p, pkt.due, now))
+	}
+	if p.wireHead = pkt.next; p.wireHead == nil {
+		p.wireTail = nil
+	}
+	pkt.next = nil
+	p.net.arrive(p, pkt)
 }
 
 // Utilization returns transmitted bits divided by capacity over the

@@ -99,6 +99,13 @@ type Packet struct {
 	stfqStart float64
 	// arrival orders FIFO queues and breaks STFQ ties.
 	arrival uint64
+
+	// due and next place the packet on a Port's wire: its arrival time
+	// at the peer and the packet serialised after it.
+	due  sim.Time
+	next *Packet
+	// pooled is set while the packet sits in the Network's free pool.
+	pooled bool
 }
 
 // SetSTFQStart records the STFQ virtual start tag (set by the queue at

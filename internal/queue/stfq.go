@@ -1,10 +1,6 @@
 package queue
 
-import (
-	"container/heap"
-
-	"numfabric/internal/netsim"
-)
+import "numfabric/internal/netsim"
 
 // STFQ is Start-Time Fair Queueing (Goyal et al. [20]), the WFQ
 // approximation the NUMFabric switch sketch in §5 builds on. Each
@@ -25,18 +21,13 @@ type STFQ struct {
 	bytes   int
 	virtual float64
 	lastF   map[*netsim.Flow]float64
-	queued  map[*netsim.Flow]int
 	h       stfqHeap
 	arrival uint64
 }
 
 // NewSTFQ returns an STFQ scheduler bounded to limitBytes.
 func NewSTFQ(limitBytes int) *STFQ {
-	return &STFQ{
-		limit:  limitBytes,
-		lastF:  make(map[*netsim.Flow]float64),
-		queued: make(map[*netsim.Flow]int),
-	}
+	return &STFQ{limit: limitBytes, lastF: make(map[*netsim.Flow]float64)}
 }
 
 // staleFactor is the staleness threshold, in MTU-sized packet times
@@ -66,36 +57,30 @@ func (q *STFQ) Enqueue(p *netsim.Packet) []*netsim.Packet {
 			// full-size siblings.
 			vlenMTU := p.VirtualLen * netsim.MTU / float64(p.Size)
 			if f > q.virtual+staleFactor*vlenMTU {
-				f = q.virtual + float64(q.h.Len()+4)*vlenMTU
+				f = q.virtual + float64(len(q.h)+4)*vlenMTU
 			}
 		}
 		s = f
 	}
 	q.lastF[p.Flow] = s + p.VirtualLen
-	q.queued[p.Flow]++
 	p.SetSTFQStart(s)
 	q.arrival++
 	p.SetArrival(q.arrival)
 	q.bytes += p.Size
-	heap.Push(&q.h, p)
+	q.h.push(p)
 	return nil
 }
 
 // Dequeue removes the packet with the smallest virtual start time and
 // advances the link's virtual time to it.
 func (q *STFQ) Dequeue() *netsim.Packet {
-	if q.h.Len() == 0 {
+	if len(q.h) == 0 {
 		return nil
 	}
-	p := heap.Pop(&q.h).(*netsim.Packet)
+	p := q.h.pop()
 	q.bytes -= p.Size
 	q.virtual = p.STFQStart()
-	if n := q.queued[p.Flow]; n <= 1 {
-		delete(q.queued, p.Flow)
-	} else {
-		q.queued[p.Flow] = n - 1
-	}
-	if q.h.Len() == 0 {
+	if len(q.h) == 0 {
 		// Busy period over: reset virtual time and forget finish tags.
 		// Any flow's stale F can only matter while the server is busy;
 		// with an empty queue the next busy period starts fresh, as in
@@ -107,29 +92,58 @@ func (q *STFQ) Dequeue() *netsim.Packet {
 }
 
 // Len returns the number of queued packets.
-func (q *STFQ) Len() int { return q.h.Len() }
+func (q *STFQ) Len() int { return len(q.h) }
 
 // Bytes returns the queued byte count.
 func (q *STFQ) Bytes() int { return q.bytes }
 
-// stfqHeap orders packets by (virtual start, arrival).
+// stfqHeap is a binary min-heap of packets under the strict order
+// (virtual start, arrival), hand-rolled for the reason sim's eventHeap
+// is: every packet-hop pushes and pops one, and container/heap boxes
+// each through an interface.
 type stfqHeap []*netsim.Packet
 
-func (h stfqHeap) Len() int { return len(h) }
-func (h stfqHeap) Less(i, j int) bool {
+func (h stfqHeap) less(i, j int) bool {
 	si, sj := h[i].STFQStart(), h[j].STFQStart()
 	if si != sj {
 		return si < sj
 	}
 	return h[i].Arrival() < h[j].Arrival()
 }
-func (h stfqHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *stfqHeap) Push(x any)   { *h = append(*h, x.(*netsim.Packet)) }
-func (h *stfqHeap) Pop() any {
-	old := *h
-	n := len(old)
-	p := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return p
+
+func (h *stfqHeap) push(p *netsim.Packet) {
+	*h = append(*h, p)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+func (h *stfqHeap) pop() *netsim.Packet {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s[n] = nil
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
+		smallest := i
+		if l := 2*i + 1; l < n && s.less(l, smallest) {
+			smallest = l
+		}
+		if r := 2*i + 2; r < n && s.less(r, smallest) {
+			smallest = r
+		}
+		if smallest == i {
+			return top
+		}
+		s[i], s[smallest] = s[smallest], s[i]
+		i = smallest
+	}
 }

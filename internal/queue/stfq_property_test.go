@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -138,5 +139,60 @@ func TestPFabricConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSTFQHeapOrderProperty: popping everything yields packets in
+// strict (virtual start, arrival) order, ties in the start tag
+// included.
+func TestSTFQHeapOrderProperty(t *testing.T) {
+	f := func(starts []uint8) bool {
+		var h stfqHeap
+		for i, s := range starts {
+			p := &netsim.Packet{}
+			p.SetSTFQStart(float64(s % 8))
+			p.SetArrival(uint64(i))
+			h.push(p)
+		}
+		for prev := (*netsim.Packet)(nil); len(h) > 0; {
+			p := h.pop()
+			if prev != nil && (p.STFQStart() < prev.STFQStart() ||
+				p.STFQStart() == prev.STFQStart() && p.Arrival() <= prev.Arrival()) {
+				return false
+			}
+			prev = p
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// BenchmarkSTFQ is one enqueue plus one dequeue with the given number
+// of packets already queued, spread over eight flows of weights 1–8.
+func BenchmarkSTFQ(b *testing.B) {
+	for _, backlog := range []int{1, 16, 256} {
+		b.Run(fmt.Sprintf("backlog=%d", backlog), func(b *testing.B) {
+			q := NewSTFQ(1 << 30)
+			flows := make([]*netsim.Flow, 8)
+			for i := range flows {
+				flows[i] = &netsim.Flow{ID: i}
+			}
+			pkt := func(i int) *netsim.Packet {
+				f := flows[i%len(flows)]
+				return dataPkt(f, int64(i), netsim.MTU, netsim.MTU/float64(1+f.ID))
+			}
+			for i := 0; i < backlog; i++ {
+				q.Enqueue(pkt(i))
+			}
+			p := pkt(backlog)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q.Enqueue(p)
+				p = q.Dequeue()
+			}
+		})
 	}
 }

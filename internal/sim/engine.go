@@ -75,13 +75,12 @@ func (e *Engine) Every(start Time, period Duration, fn func()) (cancel func()) {
 func (e *Engine) Run(until Time) Time {
 	e.stopped = false
 	for len(e.heap) > 0 && !e.stopped {
-		ev := e.heap.pop()
-		if ev.at > until {
+		if e.heap[0].at > until {
 			// Leave the event for a later Run call.
-			e.heap.push(ev)
 			e.now = until
 			return e.now
 		}
+		ev := e.heap.pop()
 		e.now = ev.at
 		e.Executed++
 		ev.fn()
@@ -98,7 +97,8 @@ func (e *Engine) Pending() int { return len(e.heap) }
 // eventHeap is a binary min-heap ordered by (time, sequence). It is
 // hand-rolled rather than using container/heap to avoid interface
 // boxing on the hot path: the simulator executes tens of millions of
-// events per experiment.
+// events per experiment. queue.STFQ's packet heap follows the same
+// rule.
 type eventHeap []event
 
 func (h eventHeap) less(i, j int) bool {

@@ -121,6 +121,62 @@ func TestEngineEvery(t *testing.T) {
 	}
 }
 
+// TestEngineSplitRunMatchesOneRun: stopping at until boundaries — some
+// between events, some on an event's own instant, some past the last
+// event — leaves every pending event queued and runs the same events
+// in the same order as one uninterrupted Run.
+func TestEngineSplitRunMatchesOneRun(t *testing.T) {
+	play := func(boundaries []Time) (order []int) {
+		e := NewEngine()
+		rng := NewRNG(7)
+		scheduled := 0
+		var spawn func(id, depth int) func()
+		spawn = func(id, depth int) func() {
+			scheduled++
+			return func() {
+				order = append(order, id)
+				if depth < 3 {
+					// One child at this very instant, one later.
+					e.After(0, spawn(id*3+1, depth+1))
+					e.After(Duration(rng.Intn(40)), spawn(id*3+2, depth+1))
+				}
+			}
+		}
+		for i := 0; i < 30; i++ {
+			e.Schedule(Time(rng.Intn(100)), spawn(1000*(i+1), 0))
+		}
+		for _, until := range boundaries {
+			e.Run(until)
+			if e.Pending() > 0 && e.Now() != until {
+				t.Fatalf("Run(%d) left the clock at %d with events pending", until, e.Now())
+			}
+			if e.Pending() != scheduled-len(order) {
+				t.Fatalf("after Run(%d): %d pending, want %d scheduled − %d executed",
+					until, e.Pending(), scheduled, len(order))
+			}
+		}
+		e.Run(Forever)
+		if e.Pending() != 0 || len(order) != scheduled {
+			t.Fatalf("%d pending, %d of %d executed after Run(Forever)", e.Pending(), len(order), scheduled)
+		}
+		return order
+	}
+	whole := play(nil)
+	var boundaries []Time
+	for until := Time(0); until < 260; until += 7 {
+		boundaries = append(boundaries, until, until) // a second call at a boundary runs nothing
+	}
+	split := play(boundaries)
+	if len(split) != len(whole) {
+		t.Fatalf("split run executed %d events, one run %d", len(split), len(whole))
+	}
+	for i := range whole {
+		if split[i] != whole[i] {
+			t.Fatalf("event %d: split run executed %d, one run %d", i, split[i], whole[i])
+		}
+	}
+}
+
 func TestHeapPropertyQuick(t *testing.T) {
 	// Property: popping everything yields a (time, seq)-sorted order.
 	f := func(times []uint16) bool {
