@@ -13,7 +13,8 @@ race:
 # CLI, the repo's Go outside benchmark/ (non-test, and with tests), the
 # field count of leap.Engine, and the harness's exported Run* entry
 # points (one per scenario family plus the single-engine experiments;
-# a per-engine fork shows up here), and the schedule players: non-test
+# a per-engine fork shows up here), the width of the obs seam (lines of
+# the two event loops that touch a hook), and the schedule players: non-test
 # files outside the engines and benchmark/ that admit an arrival
 # schedule into a flow-level engine themselves (AddFlow at an arrival's
 # At) — one, harness.playArrivals' substrate; and the packet engine's
@@ -29,6 +30,7 @@ loc:
 	@printf 'repo              non-test %6d\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 	@printf 'repo            with tests %6d\n' $$(find . -name '*.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 	@printf 'leap.Engine         fields %6d\n' $$(awk '/^type Engine struct/{on=1;next} on&&/^}/{exit} on&&!/^[ \t]*(\/\/|$$)/{n++} END{print n}' internal/leap/leap.go)
+	@printf 'obs hook sites  leap+fluid %3d + %d\n' $$(grep -c 'e\.hooks\.' internal/leap/leap.go) $$(grep -c 'e\.hooks\.' internal/fluid/engine.go)
 	@printf 'harness exported      Run* %6d\n' $$(ls internal/harness/*.go | grep -v _test.go | xargs awk '/^func Run[A-Z]/{n++} END{print n+0}')
 	@printf 'schedule players     files %6d\n' $$(grep -rlE 'AddFlow\(.*[Aa]t\.Seconds\(\)' --include='*.go' . | grep -vcE '_test\.go$$|^\./(internal/(leap|fluid|refsim)|benchmark|\.bench_build)/')
 
@@ -50,9 +52,8 @@ alloc-gate:
 # nil-check wrapper. Fails naming the method the compiler no longer
 # inlines (for instance after its body grew past the inlining budget).
 OBS_INLINE = '(*PhaseProfiler).Arm' '(*PhaseProfiler).Lap' \
-	'(*Tracer).Clock' '(*Tracer).Span' '(*Progress).Record' '(*Progress).RecordBatch' \
-	'(*EngineMetrics).Event' '(*EngineMetrics).Batch' '(*EngineMetrics).Solve' \
-	'(*EngineMetrics).Fault' '(*EngineMetrics).Strand' \
+	'(*Tracer).Clock' '(*Tracer).Span' \
+	'(*Live).Due' '(*Live).Batch' '(*Live).Solve' \
 	'(*FlowTracer).Admit' '(*FlowTracer).Rate' '(*FlowTracer).Complete'
 obs-inline:
 	@out=$$(go build -gcflags=-m ./internal/obs 2>&1) || { echo "$$out" >&2; exit 1; }; \
@@ -67,11 +68,14 @@ obs-inline:
 # idles the workers for most of the run. FuzzSchedule then explores
 # the event schedule alone against its sorted-slice model, and
 # FuzzParseFaults the -faults grammar (no panic, no negative time, an
-# accepted list re-parses to itself).
+# accepted list re-parses to itself), and FuzzReadFlowTrace the offline
+# flow-trace reader (a defined error or a trace that re-encodes to
+# itself).
 fuzz:
 	go test -run '^$$' -fuzz FuzzLeapMatchesReference -fuzztime 60s -fuzzminimizetime 2s ./internal/leap/
 	go test -run '^$$' -fuzz FuzzSchedule -fuzztime 10s -fuzzminimizetime 2s ./internal/leap/
 	go test -run '^$$' -fuzz FuzzParseFaults -fuzztime 10s -fuzzminimizetime 2s ./internal/workload/
+	go test -run '^$$' -fuzz FuzzReadFlowTrace -fuzztime 10s -fuzzminimizetime 2s ./internal/obs/
 
 # Fault-injection smoke: the leap fault test suite (property, analytic,
 # and lost-service identity tests) plus the end-to-end example —

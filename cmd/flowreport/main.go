@@ -20,9 +20,7 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -51,13 +49,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "flowreport:", err)
 		os.Exit(1)
 	}
-	summary, links := tr.Summary, tr.Links
-	var flows []obs.FlowLine
-	for _, fl := range tr.Flows {
-		if fl.Finished {
-			flows = append(flows, fl)
-		}
-	}
+	summary, links, flows := tr.Summary, tr.Links, tr.Finished()
 	unfinished := len(tr.Flows) - len(flows)
 
 	fmt.Printf("flow trace: %d tracked, %d completed, %d kept + %d reservoir (sample %g, slowest-%d)",
@@ -67,13 +59,6 @@ func main() {
 		fmt.Printf(", %d still active", unfinished)
 	}
 	fmt.Println()
-
-	sort.Slice(flows, func(i, j int) bool {
-		if flows[i].Slowdown != flows[j].Slowdown {
-			return flows[i].Slowdown > flows[j].Slowdown
-		}
-		return flows[i].ID < flows[j].ID
-	})
 
 	if len(flows) > 0 {
 		fmt.Printf("\nslowest flows (of %d finished in trace):\n", len(flows))
@@ -100,74 +85,31 @@ func main() {
 
 	// Tail attribution: lost service of the slowest -tail fraction,
 	// grouped by bottleneck link.
-	n := len(flows)
-	if *tail > 0 && *tail < 1 {
-		if n = int(math.Ceil(*tail * float64(len(flows)))); n < 1 {
-			n = 1
-		}
-		if n > len(flows) {
-			n = len(flows)
-		}
-	}
-	type agg struct {
-		name  string
-		lost  float64
-		flows int
-	}
-	byLink := map[int]*agg{}
-	var total float64
-	for _, fl := range flows[:n] {
-		for _, l := range fl.Lost {
-			a := byLink[l.Link]
-			if a == nil {
-				a = &agg{name: l.Name}
-				byLink[l.Link] = a
-			}
-			a.lost += l.LostSeconds
-			a.flows++
-			total += l.LostSeconds
-		}
-	}
+	losses, n := tr.TailAttribution(*tail)
 	utilOf := map[int]obs.LinkLine{}
 	for _, ll := range links {
 		utilOf[ll.Link] = ll
 	}
-	ids := make([]int, 0, len(byLink))
-	for l := range byLink {
-		ids = append(ids, l)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := byLink[ids[i]], byLink[ids[j]]
-		if a.lost != b.lost {
-			return a.lost > b.lost
-		}
-		return ids[i] < ids[j]
-	})
 
-	if len(ids) > 0 {
+	if len(losses) > 0 {
 		fmt.Printf("\nslowdown attribution, slowest %d of %d finished flows (lost service by bottleneck link):\n", n, len(flows))
 		fmt.Printf("%-28s %14s %7s %7s %9s %9s\n",
 			"link", "lost_s", "share", "flows", "avg_util", "peak_util")
-		for _, l := range ids {
-			a := byLink[l]
-			share := 0.0
-			if total > 0 {
-				share = a.lost / total
-			}
-			u, hasU := utilOf[l]
+		for _, a := range losses {
+			u, hasU := utilOf[a.Link]
 			util, peak := "-", "-"
 			if hasU {
 				util = fmt.Sprintf("%8.1f%%", 100*u.AvgUtil)
 				peak = fmt.Sprintf("%8.1f%%", 100*u.PeakUtil)
 			}
-			label := nameOf(a.name, l)
+			label := nameOf(a.Name, a.Link)
 			// A link whose trace reports zero capacity ended the run
 			// failed; mark it unless the trace's label already does.
 			if hasU && u.Capacity <= 0 && !strings.Contains(label, "(dead)") {
 				label += " (dead)"
 			}
 			fmt.Printf("%-28s %14.6g %6.1f%% %7d %9s %9s\n",
-				label, a.lost, 100*share, a.flows, util, peak)
+				label, a.LostSeconds, 100*a.Share, a.Flows, util, peak)
 		}
 	}
 
@@ -179,17 +121,12 @@ func main() {
 		}
 		cw := csv.NewWriter(cf)
 		_ = cw.Write([]string{"link", "name", "lost_seconds", "share", "flows", "avg_util", "peak_util", "flow_seconds"})
-		for _, l := range ids {
-			a := byLink[l]
-			share := 0.0
-			if total > 0 {
-				share = a.lost / total
-			}
-			u := utilOf[l]
+		for _, a := range losses {
+			u := utilOf[a.Link]
 			_ = cw.Write([]string{
-				strconv.Itoa(l), a.name,
-				fmt.Sprintf("%g", a.lost), fmt.Sprintf("%g", share),
-				strconv.Itoa(a.flows),
+				strconv.Itoa(a.Link), a.Name,
+				fmt.Sprintf("%g", a.LostSeconds), fmt.Sprintf("%g", a.Share),
+				strconv.Itoa(a.Flows),
 				fmt.Sprintf("%g", u.AvgUtil), fmt.Sprintf("%g", u.PeakUtil),
 				fmt.Sprintf("%g", u.FlowSeconds),
 			})
@@ -203,7 +140,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "flowreport:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("\nwrote %s (%d links)\n", *csvOut, len(ids))
+		fmt.Printf("\nwrote %s (%d links)\n", *csvOut, len(losses))
 	}
 }
 

@@ -233,14 +233,12 @@ func main() {
 	}
 
 	// The debug server, trace writer, and flow tracer share one hook
-	// set: the server needs live metrics/progress (and serves /flows
-	// and /links off the same tracer the export writes), the trace file
-	// needs the span recorder, and an engine fed all of them costs
-	// nothing extra.
+	// set: the server encodes /metrics and /progress from the live hook
+	// (and serves /flows and /links off the same tracer the export
+	// writes), the trace file needs the span recorder, and an engine fed
+	// all of them costs nothing extra.
 	if *debugAddr != "" || *traceOut != "" || *ftOut != "" {
-		reg := obs.NewRegistry()
-		cliObs.Progress = &obs.Progress{}
-		cliObs.Metrics = obs.NewEngineMetrics(reg, "engine")
+		cliObs.Live = obs.NewLive()
 		if *traceOut != "" {
 			cliObs.Tracer = obs.NewTracer()
 		}
@@ -251,7 +249,7 @@ func main() {
 			})
 		}
 		if *debugAddr != "" {
-			ln, err := obs.Serve(*debugAddr, reg, cliObs.Progress, cliObs.FlowTrace)
+			ln, err := obs.Serve(*debugAddr, cliObs.Live, cliObs.FlowTrace)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)

@@ -13,16 +13,19 @@
 //
 //	go run ./cmd/tracecheck [-metrics metrics.json] trace.json
 //
-// -metrics additionally validates a registry snapshot (the /metrics
-// endpoint's body): it must parse and contain at least one counter.
-// Exit status is 0 when every check passes, 1 otherwise.
+// -metrics additionally validates a /metrics snapshot (obs.Metrics): it
+// must parse, carry this build's obs.SchemaVersion and contain at least
+// one counter. Exit status is 0 when every check passes, 1 otherwise.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+
+	"numfabric/internal/obs"
 )
 
 // traceEvent mirrors the Chrome trace event fields tracecheck cares
@@ -42,41 +45,49 @@ type traceFile struct {
 	TraceEvents     []traceEvent `json:"traceEvents"`
 }
 
-// metricsFile mirrors obs.Snapshot (the /metrics endpoint's body).
-type metricsFile struct {
-	Counters   map[string]int64   `json:"counters"`
-	Gauges     map[string]float64 `json:"gauges"`
-	Histograms map[string]any     `json:"histograms"`
-}
-
 func main() {
-	metrics := flag.String("metrics", "", "also validate a /metrics registry snapshot at this path")
+	metrics := flag.String("metrics", "", "also validate a /metrics snapshot at this path")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: tracecheck [-metrics metrics.json] trace.json")
 		os.Exit(2)
 	}
-
 	failed := false
-	fail := func(format string, a ...any) {
-		failed = true
-		fmt.Fprintf(os.Stderr, "tracecheck: "+format+"\n", a...)
+	check := func(path string, fn func([]byte) (string, error)) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tracecheck:", err)
+			os.Exit(1)
+		}
+		summary, err := fn(data)
+		if err != nil {
+			failed = true
+			fmt.Fprintf(os.Stderr, "tracecheck: %s: %v\n", path, err)
+		} else if !failed {
+			fmt.Printf("%s: %s\n", path, summary)
+		}
 	}
-
-	path := flag.Arg(0)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracecheck:", err)
+	check(flag.Arg(0), checkTrace)
+	if *metrics != "" {
+		check(*metrics, checkMetrics)
+	}
+	if failed {
 		os.Exit(1)
 	}
+}
+
+// checkTrace validates a Chrome-trace file's bytes. It returns a
+// one-line summary, or every failed check joined into one error.
+func checkTrace(data []byte) (string, error) {
 	var tf traceFile
 	if err := json.Unmarshal(data, &tf); err != nil {
-		fmt.Fprintf(os.Stderr, "tracecheck: %s: %v\n", path, err)
-		os.Exit(1)
+		return "", err
 	}
+	var errs []error
+	fail := func(format string, a ...any) { errs = append(errs, fmt.Errorf(format, a...)) }
 
 	if len(tf.TraceEvents) == 0 {
-		fail("%s: no trace events", path)
+		fail("no trace events")
 	}
 	spans := map[string]int{}
 	threadNames := 0
@@ -133,45 +144,35 @@ func main() {
 		}
 	}
 	if spans["solve"] == 0 {
-		fail("%s: no component \"solve\" spans", path)
+		fail("no component \"solve\" spans")
 	}
 	if spans["batch"] == 0 {
-		fail("%s: no reallocation \"batch\" spans", path)
+		fail("no reallocation \"batch\" spans")
 	}
 	// Every component a batch reports must have produced exactly one
 	// solve span (unless the per-track cap dropped spans).
 	if !dropped && components != int64(spans["solve"]) {
-		fail("%s: batch spans report %d components, but %d solve spans present",
-			path, components, spans["solve"])
+		fail("batch spans report %d components, but %d solve spans present", components, spans["solve"])
 	}
 	if threadNames == 0 {
-		fail("%s: no thread_name metadata (tracks would be unlabeled)", path)
+		fail("no thread_name metadata (tracks would be unlabeled)")
 	}
-	if !failed {
-		fmt.Printf("%s: %d events, %d solve spans, %d batch spans, %d named tracks\n",
-			path, len(tf.TraceEvents), spans["solve"], spans["batch"], threadNames)
-	}
+	return fmt.Sprintf("%d events, %d solve spans, %d batch spans, %d named tracks",
+		len(tf.TraceEvents), spans["solve"], spans["batch"], threadNames), errors.Join(errs...)
+}
 
-	if *metrics != "" {
-		mdata, err := os.ReadFile(*metrics)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracecheck:", err)
-			os.Exit(1)
-		}
-		var mf metricsFile
-		if err := json.Unmarshal(mdata, &mf); err != nil {
-			fmt.Fprintf(os.Stderr, "tracecheck: %s: %v\n", *metrics, err)
-			os.Exit(1)
-		}
-		if len(mf.Counters) == 0 {
-			fail("%s: metrics snapshot has no counters", *metrics)
-		} else if !failed {
-			fmt.Printf("%s: %d counters, %d gauges, %d histograms\n",
-				*metrics, len(mf.Counters), len(mf.Gauges), len(mf.Histograms))
-		}
+// checkMetrics validates a /metrics body: it parses, is stamped with
+// this build's schema version, and holds at least one counter.
+func checkMetrics(data []byte) (string, error) {
+	var m obs.Metrics
+	if err := json.Unmarshal(data, &m); err != nil {
+		return "", err
 	}
-
-	if failed {
-		os.Exit(1)
+	if err := obs.CheckSchema(m.Schema); err != nil {
+		return "", err
 	}
+	if len(m.Counters) == 0 {
+		return "", errors.New("metrics snapshot has no counters")
+	}
+	return fmt.Sprintf("%d counters, %d gauges, %d histograms", len(m.Counters), len(m.Gauges), len(m.Histograms)), nil
 }

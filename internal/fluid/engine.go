@@ -16,8 +16,8 @@ type Config struct {
 	Epoch float64
 	// Allocator computes per-epoch rates (default NewXWI()).
 	Allocator Allocator
-	// Obs attaches optional observability hooks (phase profiler, live
-	// progress, metrics registry). The engine calls them unguarded —
+	// Obs attaches optional observability hooks (phase profiler, the live
+	// snapshot behind /metrics and /progress), called unguarded —
 	// internal/obs owns the nil check: a nil hook costs one branch.
 	Obs obs.Hooks
 }
@@ -70,34 +70,35 @@ type Engine struct {
 // leap.Engine.Stats for the fixed-epoch fast path. The epoch engine
 // re-solves the whole active set (its "component" is always the full
 // link-sharing graph), so the interesting ratio is how many of its
-// epochs the stationary-allocator skip turned into free drains.
+// epochs the stationary-allocator skip turned into free drains. (The
+// json tags: obs.Live — Epochs is the epoch engine's event count.)
 type Stats struct {
 	// Epochs is how many epochs advanced with at least one active flow
 	// (idle gaps are jumped and not counted).
-	Epochs int
+	Epochs int `json:"events"`
 	// Allocs is how many allocator solves ran — at most one per epoch,
 	// fewer when a stationary allocator's cached rates were reused.
-	Allocs int
+	Allocs int `json:"allocs"`
 	// SolvedFlows is the total flows handed to the allocator across
 	// all solves (the engine's real allocator work; always the full
 	// active set, unlike leap's touched components).
-	SolvedFlows int
+	SolvedFlows int `json:"solved_flows"`
 	// MaxSolve is the largest single solve's flow count — the active-
 	// set high-water mark at allocation time.
-	MaxSolve int
+	MaxSolve int `json:"max_solve"`
 	// SkippedAllocs is how many active epochs reused the previous
 	// allocation because the allocator is stationary and no flow
 	// arrived or departed — the epoch engine's only elision.
-	SkippedAllocs int
+	SkippedAllocs int `json:"skipped_allocs"`
 	// AllocIters is the allocator's total internal iterations (price
 	// updates, gradient steps, solver iterations) when the allocator
 	// counts them (implements IterCounter); zero otherwise. Allocs
 	// counts solve calls; this counts the work inside them.
-	AllocIters int64
+	AllocIters int64 `json:"alloc_iters"`
 	// PhaseNanos is the per-phase wall-time breakdown of Run when a
 	// profiler hook is attached (Config.Obs.Profiler); all zeros
 	// otherwise. Index with obs.Phase.
-	PhaseNanos [obs.PhaseCount]int64
+	PhaseNanos [obs.PhaseCount]int64 `json:"phase_ns"`
 }
 
 // InvalidateAllocation marks the cached allocation stale. Callers
@@ -320,7 +321,7 @@ func (e *Engine) Step() bool {
 			e.stats.Allocs++
 			e.stats.SolvedFlows += len(e.active)
 			e.stats.MaxSolve = max(e.stats.MaxSolve, len(e.active))
-			e.hooks.Metrics.Solve(len(e.active))
+			e.hooks.Live.Solve(len(e.active))
 		} else {
 			e.stats.SkippedAllocs++
 		}
@@ -398,9 +399,17 @@ func (e *Engine) Step() bool {
 	for _, fn := range e.epochFns {
 		fn(e.now, e.active)
 	}
-	e.hooks.Metrics.Event()
-	e.hooks.Progress.Record(e.now, int64(e.stats.Epochs), len(e.active), len(e.finished))
-	return len(e.active) > 0 || len(e.pending) > 0
+	more := len(e.active) > 0 || len(e.pending) > 0
+	e.publish(!more)
+	return more
+}
+
+// publish is the live hook's one site: the engine's position and Stats
+// value, on a scraper's request or (final) whenever a run ends.
+func (e *Engine) publish(final bool) {
+	if l := e.hooks.Live; l.Due(final) {
+		l.Publish(e.now, len(e.active), len(e.finished), e.Stats())
+	}
 }
 
 // Run advances epochs until no work remains or time reaches until
@@ -408,9 +417,7 @@ func (e *Engine) Step() bool {
 // unbounded flow is active).
 func (e *Engine) Run(until float64) {
 	e.hooks.Profiler.Arm()
-	for e.now < until {
-		if !e.Step() {
-			return
-		}
+	for e.now < until && e.Step() {
 	}
+	e.publish(true)
 }

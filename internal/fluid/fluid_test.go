@@ -7,6 +7,7 @@ import (
 
 	"numfabric/internal/core"
 	"numfabric/internal/obs"
+	"numfabric/internal/obs/obstest"
 	"numfabric/internal/oracle"
 	"numfabric/internal/sim"
 )
@@ -244,42 +245,76 @@ func TestIdleGapSkip(t *testing.T) {
 }
 
 // TestObsMetricsMatchStats is the epoch engine's twin of the leap
-// test of the same name: the registry counters it feeds agree with its
-// Stats. Arrivals overlap, so no Step is an idle-gap jump — the one
-// step the registry counts as an event and Stats.Epochs (epochs with a
-// flow active) does not.
+// test of the same name: /metrics and /progress, scraped over HTTP while
+// the engine steps, are views of its one Stats block. The schedule has
+// an idle gap: the Steps that jump it are not epochs, so the events both
+// documents serve must end at Stats.Epochs, not at the Step count.
 func TestObsMetricsMatchStats(t *testing.T) {
-	reg := obs.NewRegistry()
-	prog := &obs.Progress{}
+	const epoch = 100e-6
+	live := obs.NewLive()
 	eng := NewEngine(NewNetwork([]float64{10e9, 10e9}), Config{
-		Epoch:     100e-6,
+		Epoch:     epoch,
 		Allocator: NewWaterFill(),
-		Obs:       obs.Hooks{Metrics: obs.NewEngineMetrics(reg, "fluid"), Progress: prog},
+		Obs:       obs.Hooks{Live: live},
 	})
-	for i := 0; i < 6; i++ {
-		eng.AddFlow([]int{i % 2}, core.ProportionalFair(), 1250000, float64(i)*300e-6)
+	var arrivals []float64
+	for i := 0; i < 12; i++ {
+		at := float64(i%6) * 300e-6
+		if i >= 6 {
+			at += 20e-3 // long after the first six have drained
+		}
+		arrivals = append(arrivals, at)
+		eng.AddFlow([]int{i % 2}, core.ProportionalFair(), 1250000, at)
 	}
-	eng.Run(math.Inf(1))
-
-	s := eng.Stats()
-	if s.Allocs == 0 || s.SkippedAllocs == 0 || len(eng.Finished()) != 6 {
-		t.Fatalf("schedule exercised neither solve nor skip: %+v", s)
-	}
-	snap := reg.Snapshot()
-	for name, want := range map[string]int{
-		"fluid.events":       s.Epochs,
-		"fluid.allocs":       s.Allocs,
-		"fluid.solved_flows": s.SolvedFlows,
-	} {
-		if got := snap.Counters[name]; got != int64(want) {
-			t.Errorf("%s = %d, stats = %d", name, got, want)
+	// A Step that ends at t admitted what was due an epoch before t.
+	sc := obstest.Start(t, live, func(sim float64) (lo, hi int) {
+		for _, at := range arrivals {
+			if at <= sim-1.5*epoch {
+				lo++
+			}
+			if at <= sim-0.5*epoch {
+				hi++
+			}
+		}
+		return lo, hi
+	})
+	steps := 0 // every Step, the idle-gap jump included
+	eng.OnEpoch(func(float64, []*Flow) { steps++ })
+	for eng.Now() < 22e-3 && eng.Step() {
+		if steps%4 == 0 {
+			sc.Tick()
 		}
 	}
-	if got := snap.Histograms["fluid.component_flows"].Count; got != int64(s.Allocs) {
+	paced := steps
+	sc.Stop()
+	// No scraper from here on, so each exit the engine takes must
+	// publish unasked: Run at a horizon, then Step returning false. (A
+	// scrape leaves its request raised; the Step after it answers that,
+	// and the ones behind it have nothing to answer.)
+	eng.Step()
+	eng.Run(eng.Now() + 3*epoch)
+	if ps, _ := sc.Exact("Run to a horizon", eng.Stats(), eng.Now()); ps.ActiveFlows == 0 {
+		t.Fatal("the horizon left nothing in flight")
+	}
+	for eng.Step() {
+	}
+	s := eng.Stats()
+	ps, m := sc.Exact("Step returning false", s, eng.Now())
+
+	if s.Allocs == 0 || s.SkippedAllocs == 0 || len(eng.Finished()) != len(arrivals) {
+		t.Fatalf("schedule exercised neither solve nor skip: %+v", s)
+	}
+	if paced < 40 || steps <= s.Epochs {
+		t.Fatalf("%d paced Steps of %d, %d epochs: want ten scrapes or more and an idle-gap Step", paced, steps, s.Epochs)
+	}
+	if got, ok := m.Counters["engine.events"]; !ok || got != int64(s.Epochs) {
+		t.Errorf("engine.events = %d (served: %v), epochs = %d", got, ok, s.Epochs)
+	}
+	if got := m.Histograms["engine.component_flows"].Count; got != int64(s.Allocs) {
 		t.Errorf("component_flows count = %d, allocs = %d", got, s.Allocs)
 	}
-	if ps := prog.Snapshot(); ps.Events != int64(s.Epochs) || ps.Finished != 6 || ps.ActiveFlows != 0 {
-		t.Errorf("progress %+v disagrees with stats %+v", ps, s)
+	if ps.Finished != len(arrivals) || ps.ActiveFlows != 0 {
+		t.Errorf("run-to-completion progress: %+v", ps)
 	}
 }
 

@@ -2,6 +2,7 @@ package leap
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"strconv"
@@ -260,7 +261,8 @@ func TestFlowTraceJSONLRoundTrip(t *testing.T) {
 	if _, err := obs.ReadFlowTrace(strings.NewReader(`{"type":"flow","id":1}` + "\n")); err == nil {
 		t.Error("a stream without a summary record read as a flow trace")
 	}
-	if _, err := obs.ReadFlowTrace(strings.NewReader("{\"type\":\"summary\"}\nnot json\n")); err == nil || !strings.Contains(err.Error(), "record 2") {
+	summary := fmt.Sprintf(`{"type":"summary","schema":%d}`, obs.SchemaVersion)
+	if _, err := obs.ReadFlowTrace(strings.NewReader(summary + "\nnot json\n")); err == nil || !strings.Contains(err.Error(), "record 2") {
 		t.Errorf("malformed record 2: error %v", err)
 	}
 }

@@ -97,8 +97,8 @@ type Config struct {
 	// allocator does) NewEngine calls Prime(net) on it once.
 	Allocator fluid.SubsetAllocator
 	// Obs attaches optional observability hooks: a phase profiler for
-	// the event loop, a tracer recording batch and solve spans, a live
-	// progress snapshot, registry metrics, a flow-lifecycle tracer.
+	// the event loop, a tracer recording batch and solve spans, the live
+	// snapshot behind /metrics and /progress, a flow-lifecycle tracer.
 	// Nil hooks (the default) cost one inlined branch a site — the
 	// engine calls them unguarded, internal/obs owns the nil check — so
 	// the hot loop stays allocation-free, and completions are
@@ -108,25 +108,25 @@ type Config struct {
 }
 
 // Stats is the engine's work telemetry: what the run cost, in the
-// units that explain the event-driven design.
+// units that explain the event-driven design (the json tags: obs.Live).
 type Stats struct {
 	// Events is how many events (arrival instants and completion
 	// batches) were processed.
-	Events int
+	Events int `json:"events"`
 	// Allocs is how many allocator solves ran — one per coupled event
 	// whose component holds more than one flow.
-	Allocs int
+	Allocs int `json:"allocs"`
 	// SolvedFlows is the total flows handed to the allocator across
 	// all solves (allocations × flows-per-solve), the engine's real
 	// allocator work.
-	SolvedFlows int
+	SolvedFlows int `json:"solved_flows"`
 	// MaxComponent is the largest single solve's flow count.
-	MaxComponent int
+	MaxComponent int `json:"max_component"`
 	// Elided is how many active-set changes were handled with no
 	// allocator call at all: isolated arrivals and size-one components
 	// (both take the path's minimum capacity), plus departures that
 	// left nothing behind to re-solve.
-	Elided int
+	Elided int `json:"elided"`
 	// FullSolveFlows is the counterfactual SolvedFlows of the
 	// pre-component engine (whole-set re-solves with the isolated-arrival
 	// elision it already had): the full active-set size, summed over
@@ -136,19 +136,19 @@ type Stats struct {
 	// SolvedFlows / FullSolveFlows is therefore a conservative
 	// component-local win; re-solving everything at every event with
 	// no elision at all (internal/refsim) pays far more still.
-	FullSolveFlows int
+	FullSolveFlows int `json:"full_solve_flows"`
 	// Batches is how many reallocation batches ran — one per event
 	// instant whose seeds (same-timestamp arrivals plus completions
 	// landing on it) touched at least one component.
-	Batches int
+	Batches int `json:"batches"`
 	// BatchComponents is the total disjoint components across all
 	// batches; BatchComponents/Batches is the mean batch width.
-	BatchComponents int
+	BatchComponents int `json:"batch_components"`
 	// MaxBatchComponents is the widest single batch's component count.
-	MaxBatchComponents int
+	MaxBatchComponents int `json:"max_batch_components"`
 	// Faults is how many fault events (FailLink/RecoverLink) the
 	// engine applied, nested repeats and no-op recoveries included.
-	Faults int
+	Faults int `json:"faults"`
 	// Stranded counts plain finite flows driven to rate zero — every
 	// usable path crosses a dead link — with their completion event
 	// cancelled and payload frozen; Resumed counts strandings lifted
@@ -156,30 +156,30 @@ type Stats struct {
 	// departure freeing an alternative). A flow stranded twice counts
 	// twice. Groups never strand member-by-member: a group with every
 	// member dead simply holds total rate zero until recovery.
-	Stranded int
-	Resumed  int
+	Stranded int `json:"stranded"`
+	Resumed  int `json:"resumed"`
 	// StrandedSec is the total flow-seconds spent stranded, accrued
 	// when each stranding is lifted — flows still stranded when the
 	// run stops are not included (their loss is visible as unfinished
 	// Remaining instead).
-	StrandedSec float64
+	StrandedSec float64 `json:"stranded_sec"`
 	// CapacityLostBitSec integrates failed capacity over downtime:
 	// Σ base-capacity × (recover − fail) over recovered links, in
 	// bit-seconds. Links still down when the run stops are not
 	// included; LinksDown reports how many those are.
-	CapacityLostBitSec float64
+	CapacityLostBitSec float64 `json:"capacity_lost_bit_sec"`
 	// LinksDown is the number of links currently failed (depth ≥ 1).
-	LinksDown int
+	LinksDown int `json:"links_down"`
 	// AllocIters is the allocator's total internal iterations (price
 	// updates, gradient steps, solver iterations) when the allocator
 	// counts them (implements fluid.IterCounter); zero otherwise.
 	// Allocs counts solve calls; this counts the work inside them.
-	AllocIters int64
+	AllocIters int64 `json:"alloc_iters"`
 	// PhaseNanos is the per-phase wall-time breakdown of Run when a
 	// profiler hook is attached (Config.Obs.Profiler); all zeros
 	// otherwise. Index with obs.Phase; consecutive laps tile the event
 	// loop, so the sum is within noise of the wall time spent in Run.
-	PhaseNanos [obs.PhaseCount]int64
+	PhaseNanos [obs.PhaseCount]int64 `json:"phase_ns"`
 }
 
 // flowState is the engine's per-flow bookkeeping, packed to 16 bytes
@@ -581,7 +581,6 @@ func (e *Engine) scheduleFault(fn string, link int, at float64, kind uint8) {
 func (e *Engine) applyFault(link int, fail bool, t float64) {
 	e.pendingFaults--
 	e.stats.Faults++
-	e.hooks.Metrics.Fault()
 	if fail {
 		e.downDepth[link]++
 		if e.downDepth[link] > 1 {
@@ -693,7 +692,6 @@ func (e *Engine) admitIsolated(f *fluid.Flow) {
 		// completion to schedule until a recovery re-solves it.
 		e.fs[f.ID].bits |= strandedBit
 		e.stats.Stranded++
-		e.hooks.Metrics.Strand(1, 0)
 	}
 	// No solver ran: the flow takes its line rate, bottlenecked by the
 	// path's min-capacity link (the tracer's default).
@@ -866,7 +864,6 @@ func (e *Engine) installFlow(f *fluid.Flow, rate float64) (strandedSec float64) 
 		if s.bits&strandedBit == 0 {
 			s.bits |= strandedBit
 			e.stats.Stranded++
-			e.hooks.Metrics.Strand(1, 0)
 			if old <= 0 {
 				// Rate was already zero (admitted dead): the stranding
 				// clock starts now; a positive old rate instead drains
@@ -877,7 +874,6 @@ func (e *Engine) installFlow(f *fluid.Flow, rate float64) (strandedSec float64) 
 	} else if s.bits&strandedBit != 0 {
 		s.bits &^= strandedBit
 		e.stats.Resumed++
-		e.hooks.Metrics.Strand(0, 1)
 		strandedSec = math.Max(now-s.refT, 0)
 	}
 	if rate == old && e.sched.has(evkFlow, int32(f.ID)) == (rate > 0) {
@@ -979,7 +975,7 @@ func (e *Engine) solveComponent(r compRange) {
 	e.stats.SolvedFlows += len(flows)
 	e.stats.MaxComponent = max(e.stats.MaxComponent, len(flows))
 	e.stats.StrandedSec += strandedSec
-	e.hooks.Metrics.Solve(len(flows))
+	e.hooks.Live.Solve(len(flows))
 	e.traceComponent(flows, rates)
 }
 
@@ -998,8 +994,7 @@ func (e *Engine) reallocate() {
 	e.stats.Batches++
 	e.stats.BatchComponents += nc
 	e.stats.MaxBatchComponents = max(e.stats.MaxBatchComponents, nc)
-	e.hooks.Metrics.Batch(nc)
-	e.hooks.Progress.RecordBatch(nc)
+	e.hooks.Live.Batch(nc)
 	if n := len(e.comp); cap(e.ratesArena) < n {
 		e.ratesArena = make([]float64, 2*n+64)
 	}
@@ -1144,7 +1139,19 @@ func (e *Engine) retireEvent(ev event) {
 // reached a state that will never change again (no pending arrivals
 // and no finite flow draining — any remaining active flows are
 // unbounded and hold their current rates forever).
-func (e *Engine) Step() bool { return e.step(math.Inf(1)) }
+func (e *Engine) Step() bool {
+	more := e.step(math.Inf(1))
+	e.publish(!more)
+	return more
+}
+
+// publish is the live hook's one site: the engine's position and Stats
+// value, on a scraper's request or (final) whenever a run ends.
+func (e *Engine) publish(final bool) {
+	if l := e.hooks.Live; l.Due(final) {
+		l.Publish(e.now, e.nLive, int(e.nadmit)-e.nLive, e.Stats())
+	}
+}
 
 // settle re-solves whatever the last admissions, completions and
 // faults left seeded.
@@ -1195,8 +1202,6 @@ func (e *Engine) step(deadline float64) bool {
 	e.complete(t)
 	e.stats.Events++
 	e.hooks.Profiler.Lap(obs.PhaseComplete)
-	e.hooks.Metrics.Event()
-	e.hooks.Progress.Record(e.now, int64(e.stats.Events), e.nLive, int(e.nadmit)-e.nLive)
 	return true
 }
 
@@ -1207,10 +1212,12 @@ func (e *Engine) step(deadline float64) bool {
 // epoch engine leaves them.
 func (e *Engine) Run(until float64) {
 	e.hooks.Profiler.Arm()
+	defer e.publish(true)
 	for e.now < until {
 		if !e.step(until) {
 			return
 		}
+		e.publish(false)
 	}
 	if math.IsInf(until, 1) {
 		return

@@ -9,16 +9,15 @@ import (
 	"numfabric/internal/core"
 	"numfabric/internal/fluid"
 	"numfabric/internal/obs"
+	"numfabric/internal/obs/obstest"
 )
 
 // fullHooks returns one of every hook, freshly constructed.
 func fullHooks() obs.Hooks {
-	reg := obs.NewRegistry()
 	return obs.Hooks{
 		Profiler: obs.NewPhaseProfiler(),
 		Tracer:   obs.NewTracer(),
-		Progress: &obs.Progress{},
-		Metrics:  obs.NewEngineMetrics(reg, "leap"),
+		Live:     obs.NewLive(),
 		// Reservoir-only sampling: completed records recycle, so the
 		// steady-state allocation bound below covers tracing too.
 		FlowTrace: obs.NewFlowTracer(obs.FlowTraceConfig{SampleRate: 0}),
@@ -99,62 +98,105 @@ func TestSolveSpansMatchComponents(t *testing.T) {
 	}
 }
 
-// TestObsMetricsMatchStats: every registry instrument an engine feeds
-// must agree with the Stats field it mirrors — the two are incremented
-// side by side from one place each — on a schedule with link failures
-// and recoveries, so the fault counters move too. The run recycles its
-// finished flows halfway, as churn drivers do: the progress snapshot's
-// finished count is cumulative and must not fall back with the list
-// ReleaseFinished truncates.
+// TestObsMetricsMatchStats: /metrics and /progress, scraped over HTTP
+// from another goroutine while the engine runs, are views of the
+// engine's one Stats block and cannot drift from it — on a schedule
+// with link failures and recoveries (so the fault counters move) that
+// recycles its finished flows halfway, as churn drivers do. Every
+// mid-run scrape is held to obstest.Start's conditions; finished_flows
+// in particular is cumulative and must not fall back with the list
+// ReleaseFinished truncates. Then, with no scraper asking, the
+// documents equal Stats() field for field after each exit the engine
+// can take: a run's end publishes unconditionally.
 func TestObsMetricsMatchStats(t *testing.T) {
-	reg := obs.NewRegistry()
-	prog := &obs.Progress{}
-	e := NewEngine(fluid.NewNetwork(denseCaps()), Config{Obs: obs.Hooks{
-		Metrics:  obs.NewEngineMetrics(reg, "leap"),
-		Progress: prog,
-	}})
+	live := obs.NewLive()
+	e := NewEngine(fluid.NewNetwork(denseCaps()), Config{Obs: obs.Hooks{Live: live}})
 	// One link of each bank down over the middle of the arrivals.
 	for _, l := range []int{0, 5} {
 		e.FailLink(l, 1e-3)
 		e.RecoverLink(l, 3e-3)
 	}
 	fs, gs := buildDenseSchedule(e, 3)
-	e.Run(2e-3)
+	var arrivals []float64
+	for _, f := range fs {
+		arrivals = append(arrivals, f.Arrive)
+	}
+	for _, g := range gs {
+		for _, m := range g.Members {
+			arrivals = append(arrivals, m.Arrive)
+		}
+	}
+	// An event at time t has admitted every arrival before t; the ones
+	// due exactly at t go in with the next step.
+	sc := obstest.Start(t, live, func(sim float64) (lo, hi int) {
+		for _, at := range arrivals {
+			if at < sim {
+				lo++
+			}
+			if at <= sim {
+				hi++
+			}
+		}
+		return lo, hi
+	})
+	// Stepped four events to a scrape, so the scraper sees the run at
+	// some twenty points, on both sides of the release.
+	steps := 0
+	stepTo := func(until float64) {
+		for e.Now() < until && e.Step() {
+			if steps++; steps%4 == 0 {
+				sc.Tick()
+			}
+		}
+	}
+	stepTo(2e-3)
 	released, _ := e.ReleaseFinished()
-	if released == 0 || released == len(fs)+2*len(gs) {
+	if released == 0 || released == len(arrivals) {
 		t.Fatalf("mid-run release recycled %d flows, want some but not all", released)
 	}
-	e.Run(math.Inf(1))
-
+	stepTo(3.5e-3)
+	sc.Stop()
+	// No scraper from here on, so each exit the engine takes must
+	// publish unasked: Run at a horizon, then Step returning false. (A
+	// scrape leaves its request raised; the step after it answers that,
+	// and the ones behind it have nothing to answer.)
+	e.Step()
+	e.Run(e.Now() + 200e-6)
+	if ps, _ := sc.Exact("Run to a horizon", e.Stats(), e.Now()); ps.ActiveFlows == 0 {
+		t.Fatal("the horizon left nothing in flight")
+	}
+	for e.Step() {
+	}
 	s := e.Stats()
+	ps, m := sc.Exact("Step returning false", s, e.Now())
+
 	if s.Faults != 4 || s.Stranded == 0 || s.Resumed != s.Stranded {
 		t.Fatalf("schedule exercised no strand/resume: %+v", s)
 	}
-	snap := reg.Snapshot()
 	for name, want := range map[string]int{
-		"leap.events":       s.Events,
-		"leap.allocs":       s.Allocs,
-		"leap.solved_flows": s.SolvedFlows,
-		"leap.faults":       s.Faults,
-		"leap.stranded":     s.Stranded,
-		"leap.resumed":      s.Resumed,
+		"engine.events":       s.Events,
+		"engine.allocs":       s.Allocs,
+		"engine.solved_flows": s.SolvedFlows,
+		"engine.faults":       s.Faults,
+		"engine.stranded":     s.Stranded,
+		"engine.resumed":      s.Resumed,
 	} {
-		if got := snap.Counters[name]; got != int64(want) {
-			t.Errorf("%s = %d, stats = %d", name, got, want)
+		if got, ok := m.Counters[name]; !ok || got != int64(want) {
+			t.Errorf("%s = %d (served: %v), stats = %d", name, got, ok, want)
 		}
 	}
-	if got := snap.Histograms["leap.batch_components"].Count; got != int64(s.Batches) {
+	if got := m.Histograms["engine.batch_components"].Count; got != int64(s.Batches) {
 		t.Errorf("batch_components count = %d, batches = %d", got, s.Batches)
 	}
-	if got := snap.Histograms["leap.component_flows"].Count; got != int64(s.Allocs) {
+	if got := m.Histograms["engine.component_flows"].Count; got != int64(s.Allocs) {
 		t.Errorf("component_flows count = %d, allocs = %d", got, s.Allocs)
 	}
-	ps := prog.Snapshot()
-	if ps.Events != int64(s.Events) || ps.Finished != int64(released+len(e.Finished())) || ps.Batches != int64(s.Batches) {
-		t.Errorf("progress %+v disagrees with stats %+v", ps, s)
+	if ps.ActiveFlows != 0 || ps.Finished != len(arrivals) || ps.Finished != released+len(e.Finished()) {
+		t.Errorf("run-to-completion progress: %d active, %d finished; %d admitted, %d released + %d listed",
+			ps.ActiveFlows, ps.Finished, len(arrivals), released, len(e.Finished()))
 	}
-	if ps.ActiveFlows != 0 {
-		t.Errorf("run-to-completion progress still shows %d active flows", ps.ActiveFlows)
+	if steps < 60 {
+		t.Errorf("only %d stepped events: the scraper saw too little of the run", steps)
 	}
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"container/heap"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -39,7 +40,7 @@ type FlowTracer struct {
 	free    []*FlowRecord // recycled records (segment/link capacity kept)
 
 	kept []*FlowRecord // hash-sampled completions
-	slow []*FlowRecord // min-heap on (slowdown, id): the slowest-K reservoir
+	slow slowHeap      // the slowest-K reservoir
 
 	tracked   uint64 // admissions seen
 	completed uint64 // completions seen
@@ -68,8 +69,6 @@ type FlowTraceConfig struct {
 	// accumulates incrementally — but segment detail is truncated and
 	// counted in FlowRecord.Truncated.
 	MaxSegs int
-	// LinkName labels link ids in exports and reports (optional).
-	LinkName func(link int) string
 }
 
 // NewFlowTracer builds a tracer; the engine binds link capacities at
@@ -87,9 +86,7 @@ func NewFlowTracer(cfg FlowTraceConfig) *FlowTracer {
 	if cfg.MaxSegs <= 0 {
 		cfg.MaxSegs = 512
 	}
-	t := &FlowTracer{cfg: cfg}
-	t.SetLinkName(cfg.LinkName)
-	return t
+	return &FlowTracer{cfg: cfg}
 }
 
 // SetLinkName installs (or replaces) the link-label function used in
@@ -211,7 +208,6 @@ type FlowRecord struct {
 	lastT     float64
 	lastRate  float64
 	lastBneck int32
-	heapPos   int // index in the slowest-K heap, -1 otherwise
 }
 
 // FCT returns the flow's completion time minus arrival.
@@ -246,14 +242,6 @@ func (t *FlowTracer) Bind(caps []float64) {
 	}
 	t.caps = caps
 	t.links = newLinkStats(caps)
-}
-
-// Links returns the per-link utilization/active-flow statistics
-// (nil before Bind).
-func (t *FlowTracer) Links() *LinkStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.links
 }
 
 // Admit starts tracing flow id: size bytes, arriving at arrive,
@@ -316,7 +304,6 @@ func (t *FlowTracer) admit(id int, sizeBytes int64, arrive float64, links []int)
 	r.lastT = arrive
 	r.lastRate = 0
 	r.lastBneck = lineBneck
-	r.heapPos = -1
 	// Seed a zero-rate segment at arrival so segments tile
 	// [Arrive, Finish] by construction; a same-instant first solve
 	// overwrites it in place.
@@ -427,11 +414,13 @@ func (t *FlowTracer) complete(id int, finish float64) {
 	}
 	if t.cfg.SlowestK > 0 {
 		if len(t.slow) < t.cfg.SlowestK {
-			t.heapPush(r)
+			heap.Push(&t.slow, r)
 			return
 		}
-		if slowLess(t.slow[0], r) {
-			t.recycle(t.heapReplaceMin(r))
+		if evicted := t.slow[0]; slowLess(evicted, r) {
+			t.slow[0] = r
+			heap.Fix(&t.slow, 0)
+			t.recycle(evicted)
 			return
 		}
 	}
@@ -491,54 +480,19 @@ func slowLess(a, b *FlowRecord) bool {
 	return a.Seq < b.Seq
 }
 
-func (t *FlowTracer) heapPush(r *FlowRecord) {
-	r.heapPos = len(t.slow)
-	t.slow = append(t.slow, r)
-	t.siftUp(r.heapPos)
-}
+// slowHeap is the slowest-K reservoir as a container/heap min-heap on
+// slowLess: the root is the least-slow entry, the next one evicted.
+type slowHeap []*FlowRecord
 
-func (t *FlowTracer) heapReplaceMin(r *FlowRecord) (evicted *FlowRecord) {
-	evicted = t.slow[0]
-	evicted.heapPos = -1
-	r.heapPos = 0
-	t.slow[0] = r
-	t.siftDown(0)
-	return evicted
-}
-
-func (t *FlowTracer) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !slowLess(t.slow[i], t.slow[p]) {
-			break
-		}
-		t.heapSwap(i, p)
-		i = p
-	}
-}
-
-func (t *FlowTracer) siftDown(i int) {
-	n := len(t.slow)
-	for {
-		m := i
-		if l := 2*i + 1; l < n && slowLess(t.slow[l], t.slow[m]) {
-			m = l
-		}
-		if r := 2*i + 2; r < n && slowLess(t.slow[r], t.slow[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		t.heapSwap(i, m)
-		i = m
-	}
-}
-
-func (t *FlowTracer) heapSwap(i, j int) {
-	t.slow[i], t.slow[j] = t.slow[j], t.slow[i]
-	t.slow[i].heapPos = i
-	t.slow[j].heapPos = j
+func (h slowHeap) Len() int           { return len(h) }
+func (h slowHeap) Less(i, j int) bool { return slowLess(h[i], h[j]) }
+func (h slowHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *slowHeap) Push(x any)        { *h = append(*h, x.(*FlowRecord)) }
+func (h *slowHeap) Pop() any {
+	old := *h
+	r := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return r
 }
 
 // Records returns the kept completed records (hash sample ∪ slowest-K
@@ -568,6 +522,7 @@ func (t *FlowTracer) Records() []*FlowRecord {
 // FlowTraceSummary is the header of the /flows endpoint and JSONL
 // export: tracing totals plus sampling configuration.
 type FlowTraceSummary struct {
+	Schema     int     `json:"schema"` // SchemaVersion
 	Tracked    uint64  `json:"tracked"`
 	Active     int     `json:"active"`
 	Completed  uint64  `json:"completed"`
@@ -583,6 +538,7 @@ func (t *FlowTracer) Summary() FlowTraceSummary {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return FlowTraceSummary{
+		Schema:     SchemaVersion,
 		Tracked:    t.tracked,
 		Active:     t.nActive,
 		Completed:  t.completed,
@@ -594,67 +550,36 @@ func (t *FlowTracer) Summary() FlowTraceSummary {
 	}
 }
 
-// LinkLoss is one link's share of aggregated lost service.
+// LinkLoss is one link's share of lost service: of one flow's (a
+// FlowLine's Lost list), or aggregated over a tail of flows.
 type LinkLoss struct {
 	Link        int     `json:"link"`
 	Name        string  `json:"name,omitempty"`
 	LostSeconds float64 `json:"lost_seconds"`
-	// Share is this link's fraction of the aggregate's total lost
-	// service.
+	// Share is this link's fraction of the total lost service.
 	Share float64 `json:"share"`
+	// Flows is how many of an aggregate's flows lost service to the
+	// link (aggregates only).
+	Flows int `json:"flows,omitempty"`
 }
 
-// SlowdownAttribution aggregates per-link lost service across the
-// slowest frac (0 < frac ≤ 1) of kept completed records — e.g. 0.01
-// attributes the p99 tail. The slowest-K reservoir guarantees the true
-// global tail is present while the cut stays within K flows. Returns
-// the losses sorted descending and the number of records aggregated.
-func (t *FlowTracer) SlowdownAttribution(frac float64) ([]LinkLoss, int) {
-	return t.tailAttribution(t.Records(), frac)
-}
-
-// tailAttribution is SlowdownAttribution over an already sorted
-// Records() result.
-func (t *FlowTracer) tailAttribution(recs []*FlowRecord, frac float64) ([]LinkLoss, int) {
-	if len(recs) == 0 {
-		return nil, 0
+// lines returns the kept completed records as flow lines, slowest
+// first.
+func (t *FlowTracer) lines() []FlowLine {
+	recs := t.Records()
+	out := make([]FlowLine, len(recs))
+	for i, r := range recs {
+		out[i] = t.flowLine(r)
 	}
-	n := len(recs)
-	if frac > 0 && frac < 1 {
-		if n = int(math.Ceil(frac * float64(len(recs)))); n < 1 {
-			n = 1
-		}
-		if n > len(recs) {
-			n = len(recs)
-		}
-	}
-	return t.attribute(recs[:n]), n
-}
-
-func (t *FlowTracer) attribute(recs []*FlowRecord) []LinkLoss {
-	byLink := map[int32]float64{}
-	var total float64
-	for _, r := range recs {
-		for i, l := range r.LostLinks {
-			byLink[l] += r.LostSecs[i]
-			total += r.LostSecs[i]
-		}
-	}
-	out := make([]LinkLoss, 0, len(byLink))
-	for l, s := range byLink {
-		ll := LinkLoss{Link: int(l), LostSeconds: s, Name: t.linkName(int(l))}
-		if total > 0 {
-			ll.Share = s / total
-		}
-		out = append(out, ll)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].LostSeconds != out[j].LostSeconds {
-			return out[i].LostSeconds > out[j].LostSeconds
-		}
-		return out[i].Link < out[j].Link
-	})
 	return out
+}
+
+// SlowdownAttribution is FlowTrace.TailAttribution over the kept
+// completed records — e.g. 0.01 attributes the p99 tail. The slowest-K
+// reservoir guarantees the true global tail is present while the cut
+// stays within K flows.
+func (t *FlowTracer) SlowdownAttribution(frac float64) ([]LinkLoss, int) {
+	return (&FlowTrace{Flows: t.lines()}).TailAttribution(frac)
 }
 
 // FlowLine is the JSONL "flow" line (and /flows entry).
@@ -706,10 +631,7 @@ func (t *FlowTracer) flowLine(r *FlowRecord) FlowLine {
 		j.FCT = r.FCT()
 		j.Slowdown = r.Slowdown()
 	}
-	var total float64
-	for _, s := range r.LostSecs {
-		total += s
-	}
+	total := r.TotalLost()
 	for i, l := range r.LostLinks {
 		ll := LinkLoss{Link: int(l), LostSeconds: r.LostSecs[i], Name: t.linkName(int(l))}
 		if total > 0 {
@@ -725,46 +647,28 @@ func (t *FlowTracer) flowLine(r *FlowRecord) FlowLine {
 	return j
 }
 
-// WriteJSONL streams the trace as JSON lines: one {"type":"summary"}
-// header, kept flow records by slowdown descending, still-active
-// (unfinished) flows, then per-link {"type":"link"} statistics.
-func (t *FlowTracer) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(struct {
-		Type string `json:"type"`
-		FlowTraceSummary
-	}{"summary", t.Summary()}); err != nil {
-		return err
-	}
-	for _, r := range t.Records() {
-		if err := enc.Encode(t.flowLine(r)); err != nil {
-			return err
-		}
-	}
+// trace snapshots the tracer as the FlowTrace its JSONL export
+// encodes: kept records by slowdown descending, the flows still active,
+// per-link statistics.
+func (t *FlowTracer) trace() *FlowTrace {
+	ft := &FlowTrace{Summary: t.Summary(), Flows: t.lines()}
 	// Unfinished flows and link stats, snapshotted under the lock
 	// (both still mutable while the engine runs).
 	t.mu.Lock()
-	var live []FlowLine
+	defer t.mu.Unlock()
 	for _, r := range t.active {
 		if r != nil {
-			live = append(live, t.flowLine(r))
+			ft.Flows = append(ft.Flows, t.flowLine(r))
 		}
 	}
-	linkSnaps := t.links.Snapshot()
-	t.mu.Unlock()
-	for _, j := range live {
-		if err := enc.Encode(j); err != nil {
-			return err
-		}
+	for _, ls := range t.links.Snapshot() {
+		ft.Links = append(ft.Links, LinkLine{Type: "link", Name: t.linkName(ls.Link), LinkSnapshot: ls})
 	}
-	for _, ls := range linkSnaps {
-		j := LinkLine{Type: "link", Name: t.linkName(ls.Link), LinkSnapshot: ls}
-		if err := enc.Encode(j); err != nil {
-			return err
-		}
-	}
-	return nil
+	return ft
 }
+
+// WriteJSONL writes the trace as JSON lines (FlowTrace.WriteJSONL).
+func (t *FlowTracer) WriteJSONL(w io.Writer) error { return t.trace().WriteJSONL(w) }
 
 // LinksSnapshot returns the per-link statistics under the tracer's
 // lock — the safe accessor for the /links endpoint while a run is
@@ -782,7 +686,8 @@ type LinkLine struct {
 	LinkSnapshot
 }
 
-// FlowTrace is a WriteJSONL stream read back.
+// FlowTrace is a flow trace at rest: what WriteJSONL writes and
+// ReadFlowTrace reads back.
 type FlowTrace struct {
 	Summary FlowTraceSummary
 	// Flows holds every "flow" line in file order: kept records by
@@ -791,10 +696,109 @@ type FlowTrace struct {
 	Links []LinkLine
 }
 
+// WriteJSONL writes the trace as JSON lines: one {"type":"summary"}
+// header carrying the schema version, the flow lines, then the
+// per-link {"type":"link"} statistics.
+func (ft *FlowTrace) WriteJSONL(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	if err := enc.Encode(struct {
+		Type string `json:"type"`
+		FlowTraceSummary
+	}{"summary", ft.Summary}); err != nil {
+		return err
+	}
+	for i := range ft.Flows {
+		if err := enc.Encode(&ft.Flows[i]); err != nil {
+			return err
+		}
+	}
+	for i := range ft.Links {
+		if err := enc.Encode(&ft.Links[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Finished returns the trace's finished flows, slowest first (by
+// slowdown, then id, then seq).
+func (ft *FlowTrace) Finished() []FlowLine {
+	var fin []FlowLine
+	for _, fl := range ft.Flows {
+		if fl.Finished {
+			fin = append(fin, fl)
+		}
+	}
+	sort.SliceStable(fin, func(i, j int) bool {
+		a, b := &fin[i], &fin[j]
+		if a.Slowdown != b.Slowdown {
+			return a.Slowdown > b.Slowdown
+		}
+		if a.ID != b.ID {
+			return a.ID < b.ID
+		}
+		return a.Seq < b.Seq
+	})
+	return fin
+}
+
+// TailAttribution aggregates per-link lost service over the slowest
+// frac of the trace's finished flows (0 < frac < 1; any other value
+// aggregates them all). It returns the links by lost service
+// descending and how many flows were aggregated — the one routine
+// behind the leapfct table, /flows and cmd/flowreport.
+func (ft *FlowTrace) TailAttribution(frac float64) ([]LinkLoss, int) {
+	fin := ft.Finished()
+	n := len(fin)
+	if n == 0 {
+		return nil, 0
+	}
+	if frac > 0 && frac < 1 {
+		n = min(max(int(math.Ceil(frac*float64(n))), 1), n)
+	}
+	byLink := map[int]*LinkLoss{}
+	var total float64
+	for _, fl := range fin[:n] {
+		for _, l := range fl.Lost {
+			a := byLink[l.Link]
+			if a == nil {
+				a = &LinkLoss{Link: l.Link, Name: l.Name}
+				byLink[l.Link] = a
+			}
+			a.LostSeconds += l.LostSeconds
+			a.Flows++
+			total += l.LostSeconds
+		}
+	}
+	out := make([]LinkLoss, 0, len(byLink))
+	for _, a := range byLink {
+		if total > 0 {
+			a.Share = a.LostSeconds / total
+		}
+		out = append(out, *a)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].LostSeconds != out[j].LostSeconds {
+			return out[i].LostSeconds > out[j].LostSeconds
+		}
+		return out[i].Link < out[j].Link
+	})
+	return out, n
+}
+
+// CheckSchema is the error a reader reports for a document stamped
+// with any version but its own (0: no stamp at all).
+func CheckSchema(got int) error {
+	if got != SchemaVersion {
+		return fmt.Errorf("schema %d, this reader understands schema %d", got, SchemaVersion)
+	}
+	return nil
+}
+
 // ReadFlowTrace decodes what WriteJSONL wrote, into the types it
-// encodes from. Record types and fields it does not know are skipped,
-// so an older reader survives schema growth; a stream without a
-// summary record is not a flow trace.
+// encodes from. Record types and fields it does not know are skipped;
+// a stream without exactly one summary record of this SchemaVersion, or
+// with a negative link id, is not a flow trace this reader accepts.
 func ReadFlowTrace(r io.Reader) (*FlowTrace, error) {
 	var (
 		ft      FlowTrace
@@ -815,15 +819,28 @@ func ReadFlowTrace(r io.Reader) (*FlowTrace, error) {
 		}
 		switch {
 		case err != nil:
+		case h.Type == "summary" && summary:
+			err = errors.New("a second summary record")
 		case h.Type == "summary":
 			summary = true
-			err = json.Unmarshal(rec, &ft.Summary)
+			if err = json.Unmarshal(rec, &ft.Summary); err == nil {
+				err = CheckSchema(ft.Summary.Schema)
+			}
 		case h.Type == "flow":
-			ft.Flows = append(ft.Flows, FlowLine{})
-			err = json.Unmarshal(rec, &ft.Flows[len(ft.Flows)-1])
+			var fl FlowLine
+			err = json.Unmarshal(rec, &fl)
+			for _, l := range fl.Lost {
+				if l.Link < 0 && err == nil {
+					err = fmt.Errorf("lost service on link %d", l.Link)
+				}
+			}
+			ft.Flows = append(ft.Flows, fl)
 		case h.Type == "link":
-			ft.Links = append(ft.Links, LinkLine{})
-			err = json.Unmarshal(rec, &ft.Links[len(ft.Links)-1])
+			var ll LinkLine
+			if err = json.Unmarshal(rec, &ll); err == nil && ll.Link < 0 {
+				err = fmt.Errorf("statistics of link %d", ll.Link)
+			}
+			ft.Links = append(ft.Links, ll)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("obs: flow trace record %d: %w", n, err)
@@ -849,19 +866,12 @@ type FlowsSnapshot struct {
 // FlowsSnapshotTop builds the /flows payload with the slowest topN
 // kept flows and a tail attribution over the slowest frac.
 func (t *FlowTracer) FlowsSnapshotTop(topN int, frac float64) FlowsSnapshot {
-	s := FlowsSnapshot{FlowTraceSummary: t.Summary(), TailFrac: frac}
-	recs := t.Records()
-	s.Attribution, s.TailFlows = t.tailAttribution(recs, frac)
+	s := FlowsSnapshot{FlowTraceSummary: t.Summary(), TailFrac: frac, Flows: t.lines()}
+	s.Attribution, s.TailFlows = (&FlowTrace{Flows: s.Flows}).TailAttribution(frac)
 	if s.Attribution == nil {
 		s.Attribution = []LinkLoss{}
 	}
-	if len(recs) > topN {
-		recs = recs[:topN]
-	}
-	s.Flows = make([]FlowLine, len(recs))
-	for i, r := range recs {
-		s.Flows[i] = t.flowLine(r)
-	}
+	s.Flows = s.Flows[:min(topN, len(s.Flows))]
 	return s
 }
 

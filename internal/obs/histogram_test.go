@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"math/rand"
 	"sync"
@@ -11,53 +9,27 @@ import (
 	"numfabric/internal/stats"
 )
 
-func TestCounterGaugeBasics(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c")
-	c.Inc()
-	c.Add(41)
-	if got := c.Value(); got != 42 {
-		t.Fatalf("counter = %d, want 42", got)
-	}
-	if r.Counter("c") != c {
-		t.Fatalf("Counter(name) should return the same instrument")
-	}
-	g := r.Gauge("g")
-	g.Set(2.5)
-	if got := g.Value(); got != 2.5 {
-		t.Fatalf("gauge = %g, want 2.5", got)
-	}
-	r.GaugeFunc("derived", func() float64 { return 7 })
-
-	s := r.Snapshot()
-	if s.Counters["c"] != 42 || s.Gauges["g"] != 2.5 || s.Gauges["derived"] != 7 {
-		t.Fatalf("snapshot mismatch: %+v", s)
-	}
-}
-
 func TestNilInstrumentsAreNoOps(t *testing.T) {
-	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	var p *PhaseProfiler
-	var pr *Progress
+	var l *Live
 	var tr *Tracer
-	c.Inc()
-	c.Add(3)
-	g.Set(1)
 	h.Observe(1)
 	p.Arm()
 	p.Lap(PhaseSolve)
-	pr.Record(0, 0, 0, 0)
-	pr.RecordBatch(1)
+	l.Batch(1)
+	l.Solve(1)
+	l.Publish(0, 0, 0, nil)
 	tr.Span(0, "solve", 0, 0)
 	tr.EnsureTracks(2)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 ||
-		p.TotalNanos() != 0 || tr.TotalSpans() != 0 {
+	if h.Count() != 0 || p.TotalNanos() != 0 || tr.TotalSpans() != 0 || l.Due(true) {
 		t.Fatal("nil instruments must read as zero")
 	}
-	if got := pr.Snapshot(); got != (ProgressSnapshot{}) {
-		t.Fatalf("nil progress snapshot = %+v, want zero", got)
+	if got := l.Progress(); got != (ProgressSnapshot{Schema: SchemaVersion}) {
+		t.Fatalf("nil live hook's progress = %+v, want zero", got)
+	}
+	if m := l.Metrics(); len(m.Counters)+len(m.Gauges)+len(m.Histograms) != 0 {
+		t.Fatalf("nil live hook's metrics = %+v, want empty", m)
 	}
 }
 
@@ -122,81 +94,6 @@ func TestHistogramEdgeCases(t *testing.T) {
 	}
 }
 
-// TestConcurrentUpdates hammers one counter, gauge, and histogram from
-// many goroutines; run under -race this is the registry's data-race
-// guard, and the counter/histogram totals must be exact.
-func TestConcurrentUpdates(t *testing.T) {
-	r := NewRegistry()
-	const workers = 8
-	const perWorker = 5000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c := r.Counter("events")
-			g := r.Gauge("width")
-			h := r.Histogram("sizes")
-			for i := 0; i < perWorker; i++ {
-				c.Inc()
-				g.Set(float64(i))
-				h.Observe(float64(w*perWorker + i))
-				if i%100 == 0 {
-					_ = r.Snapshot()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	s := r.Snapshot()
-	if s.Counters["events"] != workers*perWorker {
-		t.Errorf("counter = %d, want %d", s.Counters["events"], workers*perWorker)
-	}
-	if s.Histograms["sizes"].Count != workers*perWorker {
-		t.Errorf("histogram count = %d, want %d", s.Histograms["sizes"].Count, workers*perWorker)
-	}
-	wantSum := float64(workers*perWorker) * float64(workers*perWorker-1) / 2
-	gotSum := s.Histograms["sizes"].Mean * float64(s.Histograms["sizes"].Count)
-	if math.Abs(gotSum-wantSum)/wantSum > 1e-9 {
-		t.Errorf("histogram sum = %g, want %g", gotSum, wantSum)
-	}
-}
-
-func TestSnapshotJSONRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("leap.events").Add(123)
-	r.Gauge("leap.load").Set(0.8)
-	r.Histogram("leap.batch_components").Observe(4)
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var s Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
-		t.Fatalf("snapshot JSON does not parse: %v\n%s", err, buf.String())
-	}
-	if s.Counters["leap.events"] != 123 || s.Gauges["leap.load"] != 0.8 {
-		t.Fatalf("round-trip mismatch: %+v", s)
-	}
-	if s.Histograms["leap.batch_components"].Count != 1 {
-		t.Fatalf("histogram round-trip mismatch: %+v", s.Histograms)
-	}
-}
-
-func TestEngineMetricsNames(t *testing.T) {
-	r := NewRegistry()
-	m := NewEngineMetrics(r, "leap")
-	m.Events.Add(10)
-	m.BatchComponents.Observe(3)
-	s := r.Snapshot()
-	if s.Counters["leap.events"] != 10 {
-		t.Errorf("leap.events = %d, want 10", s.Counters["leap.events"])
-	}
-	if s.Histograms["leap.batch_components"].Count != 1 {
-		t.Errorf("leap.batch_components missing: %+v", s.Histograms)
-	}
-}
-
 // TestHistogramQuantileBounds: out-of-range q clamps to the extreme
 // ranks instead of panicking or walking off the bucket array, and the
 // reported quantiles respect the log-linear relative-error bound.
@@ -220,9 +117,9 @@ func TestHistogramQuantileBounds(t *testing.T) {
 }
 
 // TestHistogramConcurrentObserveSnapshot races Observe directly
-// against Snapshot/Quantile on a bare histogram (no registry in
-// between) — under -race this guards the lock-free update path, and
-// every mid-flight snapshot must be internally sane.
+// against Snapshot/Quantile on a bare histogram — under -race this
+// guards the lock-free update path, and every mid-flight snapshot must
+// be internally sane.
 func TestHistogramConcurrentObserveSnapshot(t *testing.T) {
 	h := NewHistogram()
 	const workers = 4

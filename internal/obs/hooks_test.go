@@ -28,13 +28,14 @@ func TestDetachedHooksAreNoOps(t *testing.T) {
 			}
 		}},
 		{"Tracer.Span", func() { h.Tracer.Span(1, "solve", 0, 3) }},
-		{"Progress.Record", func() { h.Progress.Record(1.5, 10, 2, 8) }},
-		{"Progress.RecordBatch", func() { h.Progress.RecordBatch(3) }},
-		{"Metrics.Event", func() { h.Metrics.Event() }},
-		{"Metrics.Batch", func() { h.Metrics.Batch(3) }},
-		{"Metrics.Solve", func() { h.Metrics.Solve(7) }},
-		{"Metrics.Fault", func() { h.Metrics.Fault() }},
-		{"Metrics.Strand", func() { h.Metrics.Strand(2, 1) }},
+		{"Live.Due", func() {
+			if h.Live.Due(true) {
+				t.Error("nil live hook is due")
+			}
+		}},
+		{"Live.Batch", func() { h.Live.Batch(3) }},
+		{"Live.Solve", func() { h.Live.Solve(7) }},
+		{"Live.Publish", func() { h.Live.Publish(1.5, 2, 8, nil) }},
 		{"FlowTrace.Admit", func() { h.FlowTrace.Admit(0, 1<<20, 0, links) }},
 		{"FlowTrace.Rate", func() { h.FlowTrace.Rate(0, 1, 5e9, -1, CauseSolve, 2, 1) }},
 		{"FlowTrace.Complete", func() { h.FlowTrace.Complete(0, 2) }},
@@ -46,11 +47,4 @@ func TestDetachedHooksAreNoOps(t *testing.T) {
 			}
 		})
 	}
-	// An EngineMetrics built by hand may leave instruments out.
-	m := &EngineMetrics{}
-	m.Event()
-	m.Batch(1)
-	m.Solve(1)
-	m.Fault()
-	m.Strand(1, 1)
 }

@@ -26,11 +26,9 @@ func get(t *testing.T, srv *httptest.Server, path string) []byte {
 }
 
 func TestDebugEndpoints(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("leap.events").Add(99)
-	prog := &Progress{}
-	prog.Record(2.0, 1000, 50, 200)
-	prog.RecordBatch(4)
+	live := NewLive()
+	live.Batch(4)
+	live.Publish(2.0, 50, 200, fakeStats{Events: 1000})
 
 	ft := NewFlowTracer(FlowTraceConfig{SampleRate: 1})
 	ft.Bind([]float64{10, 10, 5})
@@ -38,22 +36,22 @@ func TestDebugEndpoints(t *testing.T) {
 	ft.Rate(0, 0, 2.5, 2, CauseSolve, 2, 1)
 	ft.Complete(0, 3.2)
 
-	srv := httptest.NewServer(Handler(reg, prog, ft))
+	srv := httptest.NewServer(Handler(live, ft))
 	defer srv.Close()
 
-	var snap Snapshot
+	var snap Metrics
 	if err := json.Unmarshal(get(t, srv, "/metrics"), &snap); err != nil {
 		t.Fatalf("/metrics does not parse: %v", err)
 	}
-	if snap.Counters["leap.events"] != 99 {
-		t.Errorf("/metrics counter = %d, want 99", snap.Counters["leap.events"])
+	if snap.Schema != SchemaVersion || snap.Counters["engine.events"] != 1000 {
+		t.Errorf("/metrics = %+v, want schema %d and 1000 events", snap, SchemaVersion)
 	}
 
 	var ps ProgressSnapshot
 	if err := json.Unmarshal(get(t, srv, "/progress"), &ps); err != nil {
 		t.Fatalf("/progress does not parse: %v", err)
 	}
-	if ps.Events != 1000 || ps.ActiveFlows != 50 || ps.Finished != 200 || ps.BatchComponents != 4 {
+	if ps.Schema != SchemaVersion || ps.Events != 1000 || ps.ActiveFlows != 50 || ps.Finished != 200 || ps.BatchComponents != 4 {
 		t.Errorf("/progress = %+v", ps)
 	}
 	if ps.SimSeconds < 1.99 || ps.SimSeconds > 2.01 {
@@ -64,7 +62,7 @@ func TestDebugEndpoints(t *testing.T) {
 	if err := json.Unmarshal(get(t, srv, "/flows"), &fs); err != nil {
 		t.Fatalf("/flows does not parse: %v", err)
 	}
-	if fs.Tracked != 1 || fs.Completed != 1 || len(fs.Flows) != 1 {
+	if fs.Schema != SchemaVersion || fs.Tracked != 1 || fs.Completed != 1 || len(fs.Flows) != 1 {
 		t.Errorf("/flows = %+v", fs)
 	}
 	var links []LinkSnapshot
@@ -82,10 +80,10 @@ func TestDebugEndpoints(t *testing.T) {
 }
 
 func TestDebugEndpointsNilBackends(t *testing.T) {
-	srv := httptest.NewServer(Handler(nil, nil, nil))
+	srv := httptest.NewServer(Handler(nil, nil))
 	defer srv.Close()
 	if body := get(t, srv, "/metrics"); len(body) == 0 {
-		t.Error("nil-registry /metrics should still serve JSON")
+		t.Error("nil-hook /metrics should still serve JSON")
 	}
 	var ps ProgressSnapshot
 	if err := json.Unmarshal(get(t, srv, "/progress"), &ps); err != nil {
@@ -100,7 +98,7 @@ func TestDebugEndpointsNilBackends(t *testing.T) {
 }
 
 func TestServe(t *testing.T) {
-	ln, err := Serve("127.0.0.1:0", NewRegistry(), &Progress{}, nil)
+	ln, err := Serve("127.0.0.1:0", NewLive(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,18 +110,5 @@ func TestServe(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
-	}
-}
-
-func TestProgressRates(t *testing.T) {
-	var p Progress
-	p.Record(0, 0, 0, 0)
-	p.Record(5, 500, 10, 20)
-	s := p.Snapshot()
-	if s.Events != 500 || s.SimSeconds != 5 {
-		t.Fatalf("snapshot = %+v", s)
-	}
-	if s.WallSeconds < 0 {
-		t.Fatalf("wall_seconds = %g", s.WallSeconds)
 	}
 }
