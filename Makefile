@@ -1,6 +1,6 @@
 # Convenience targets; CI runs the same commands.
 
-.PHONY: test race loc alloc-gate obs-inline fuzz fault-smoke bench-smoke bench-packet cli-golden benchmark-smoke bench bench-diff flowtrace-smoke
+.PHONY: test race loc alloc-gate obs-inline fuzz fault-smoke bench-smoke bench-packet cli-golden mem-smoke benchmark-smoke bench bench-diff flowtrace-smoke
 
 test:
 	go build ./... && go test ./...
@@ -112,6 +112,12 @@ cli-golden:
 	"$$tmp/numfabric" -experiment leapfail -seed 1 -faults "agg0.0@10ms+8ms,link3@25ms+5ms" | \
 		awk '$$1=="scripted"{NF--; print}' | diff cmd/numfabric/testdata/leapfail_scripted_seed1.txt - && \
 	echo "cli-golden: leapfct.csv and the scripted leapfail row match cmd/numfabric/testdata"
+
+# `numfabric -experiment leapfct -scale full -seed 1` in a child
+# process whose peak resident set (rusage) must stay under 220 MB —
+# 115–135 MB since the harness streams the schedule, ≈ 432 MB before.
+mem-smoke:
+	go test -run TestFullLeapFCTPeakRSS -count=1 -v ./cmd/numfabric
 
 # Two three-second plays through the benchmark driver's entry, each of
 # whose last line must report every flow correct: fig5-leap (the

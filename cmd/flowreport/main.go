@@ -78,8 +78,9 @@ func main() {
 				}
 				worst = fmt.Sprintf("%.0f%% %s", 100*w.Share, nameOf(w.Name, w.Link))
 			}
+			// seq names the flow; id is an engine slot other flows held too.
 			fmt.Printf("%10d %12d %14.6g %14.6g %9.1fx  %s\n",
-				fl.ID, fl.SizeBytes, fl.FCT, fl.IdealFCT, fl.Slowdown, worst)
+				fl.Seq, fl.SizeBytes, fl.FCT, fl.IdealFCT, fl.Slowdown, worst)
 		}
 	}
 

@@ -77,9 +77,10 @@ func runLeapFCT(full bool, seed uint64) {
 		res := harness.RunDynamicWith(harness.EngineLeap, fatTreeFCTMin(ft, load, nflows, seed, hooks))
 		elapsed, s := res.RunWall, res.LeapStats
 
-		norm := res.Slowdowns()
-		med, p95 := stats.Median(norm), stats.Percentile(norm, 0.95)
-		rate := float64(len(norm)) / elapsed.Seconds()
+		// One sort for the three quantiles of the normalized FCTs.
+		norm := stats.Summarize(res.Slowdowns())
+		med, p95, p99 := norm.Median, norm.P95, norm.P99
+		rate := float64(norm.N) / elapsed.Seconds()
 		// avgComp is the mean flows per allocator solve; workX the
 		// factor saved against re-solving the full active set at every
 		// coupled event (the engine's global-counterfactual counter);
@@ -87,9 +88,10 @@ func runLeapFCT(full bool, seed uint64) {
 		avgComp := float64(s.SolvedFlows) / math.Max(float64(s.Allocs), 1)
 		workX := float64(s.FullSolveFlows) / math.Max(float64(s.SolvedFlows), 1)
 		batchW := float64(s.BatchComponents) / math.Max(float64(s.Batches), 1)
-		// Phase shares: where the event loop's wall time went, as a
-		// fraction of the profiled total (the laps tile Run, so the
-		// shares account for essentially all of it).
+		// Phase shares: where the play's wall time went, as a fraction
+		// of the profiled total (the laps tile it, so the shares account
+		// for essentially all of it; what the harness does between Steps
+		// — draw, route, admit, harvest — is in the loop phase).
 		ph := s.PhaseNanos
 		total := math.Max(float64(hooks.Profiler.TotalNanos()), 1)
 		pct := func(p obs.Phase) float64 { return 100 * float64(ph[p]) / total }
@@ -102,7 +104,6 @@ func runLeapFCT(full bool, seed uint64) {
 		// lost their service time, by bottleneck link. The slowest-K
 		// reservoir guarantees the true tail is in the trace even at low
 		// sample rates.
-		p99 := stats.Percentile(norm, 0.99)
 		attr, tailN := tracer.SlowdownAttribution(0.01)
 		tailLink, tailShare := -1.0, 0.0
 		if len(attr) > 0 {

@@ -58,14 +58,14 @@ func runLeapFail(full bool, seed uint64) {
 		cfg := fatTreeFCTMin(ft, load, nflows, seed, hooks)
 		cfg.Faults = faults
 		res := harness.RunDynamicWith(harness.EngineLeap, cfg)
-		s, norm := res.LeapStats, res.Slowdowns()
+		s, norm := res.LeapStats, stats.Summarize(res.Slowdowns())
 		// Mean time stranded flows spent at rate zero before resuming —
 		// the flow-level time-to-recover.
 		ttr := 0.0
 		if s.Resumed > 0 {
 			ttr = s.StrandedSec / float64(s.Resumed)
 		}
-		med, p95 := stats.Median(norm), stats.Percentile(norm, 0.95)
+		med, p95 := norm.Median, norm.P95
 		fmt.Printf("%-10s %7d %8d %8d %8.2f %9.4f %10.2f %9d %8.2f %8.2f %6d %9v\n",
 			label, s.Faults, s.Stranded, s.Resumed, ttr*1e3, s.StrandedSec,
 			s.CapacityLostBitSec/1e9, s.Allocs, med, p95, res.Unfinished,

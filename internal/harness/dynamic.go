@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"iter"
 	"math"
 	"time"
 
@@ -116,9 +117,12 @@ type DynamicResult struct {
 	// allocator solves, stationary-skip counts) when the run used the
 	// fluid engine; nil for the packet and leap engines.
 	FluidStats *fluid.Stats
-	// RunWall is the wall-clock time of the engine's run alone (no
-	// draw, routing, admission or record assembly): the denominator of
-	// every flows/s the experiments print.
+	// RunWall is the wall-clock time of the play: every arrival drawn,
+	// routed and admitted and the engine run to the drain deadline —
+	// interleaved on the leap engine, which steps between admissions, so
+	// there is no engine-only share to report. The dry pass that sizes
+	// the schedule and the fluid-Oracle ideals are outside it. It is the
+	// denominator of every flows/s the experiments print.
 	RunWall time.Duration
 }
 
@@ -182,12 +186,44 @@ func lineRateFCT(size int64, topo TopologyConfig) float64 {
 	return float64(wire)*8/topo.HostLink.Float() + topo.BaseRTT().Seconds()
 }
 
-// poissonSchedule is the dynamic family's one draw: a Poisson schedule
-// over fab's hosts, then one ECMP pick per arrival, all from rng — so
-// every engine and either fabric plays the byte-identical workload for
-// a given seed.
-func poissonSchedule(fab fabric, cdf *workload.SizeCDF, load float64, flows int, rng *sim.RNG) ([]workload.Arrival, []int) {
-	arrivals := workload.Poisson(workload.PoissonConfig{
+// schedule is a drawn arrival schedule: n arrivals, the last at
+// instant last, and all, every pass over which yields the same arrivals
+// in order, each with its ECMP pick.
+type schedule struct {
+	n    int
+	last sim.Time
+	all  iter.Seq2[workload.Arrival, int]
+}
+
+// sliceSchedule is a schedule held whole: arrivals[i] takes picks[i].
+func sliceSchedule(arrivals []workload.Arrival, picks []int) schedule {
+	s := schedule{n: len(arrivals), all: func(yield func(workload.Arrival, int) bool) {
+		for i, a := range arrivals {
+			if !yield(a, picks[i]) {
+				return
+			}
+		}
+	}}
+	if s.n > 0 {
+		s.last = arrivals[s.n-1].At
+	}
+	return s
+}
+
+// poissonStream is the dynamic family's one draw — a Poisson schedule
+// of at most flows arrivals over fab's hosts, then one ECMP pick per
+// arrival, all from rng, so every engine and either fabric plays the
+// byte-identical workload for a given seed — held as two RNG states,
+// not two slices: one discarded pass over the arrivals finds their
+// count, the last instant (faults and the drain deadline need it up
+// front) and where in the stream the picks begin; every pass after
+// that regenerates both from value copies. rng is left at the first pick.
+func poissonStream(fab fabric, cdf *workload.SizeCDF, load float64, flows int, rng *sim.RNG) schedule {
+	if flows <= 0 {
+		load = 0 // Flows caps the count; MaxFlows ≤ 0 would mean no cap
+	}
+	arrivalsFrom := *rng
+	gen := *workload.NewPoisson(workload.PoissonConfig{
 		Hosts:    fab.hosts(),
 		HostLink: fab.hostLink(),
 		Load:     load,
@@ -195,7 +231,34 @@ func poissonSchedule(fab fabric, cdf *workload.SizeCDF, load float64, flows int,
 		Duration: sim.Duration(sim.Forever / 2),
 		MaxFlows: flows,
 	}, rng)
-	return arrivals, ecmpPicks(fab, len(arrivals), rng)
+	var s schedule
+	for dry := gen; ; s.n++ {
+		a, ok := dry.Next()
+		if !ok {
+			break
+		}
+		s.last = a.At
+	}
+	picksFrom, fan := *rng, fab.fanOut()
+	s.all = func(yield func(workload.Arrival, int) bool) {
+		g, ar, pr := gen, arrivalsFrom, picksFrom
+		g.RNG = &ar
+		for a, ok := g.Next(); ok && yield(a, pr.Intn(fan)); a, ok = g.Next() {
+		}
+	}
+	return s
+}
+
+// poissonSchedule is poissonStream collected; rng ends after the last
+// pick, as if both slices had been drawn from it.
+func poissonSchedule(fab fabric, cdf *workload.SizeCDF, load float64, flows int, rng *sim.RNG) ([]workload.Arrival, []int) {
+	s := poissonStream(fab, cdf, load, flows, rng)
+	arrivals, picks := make([]workload.Arrival, 0, s.n), make([]int, 0, s.n)
+	for a, pick := range s.all {
+		arrivals, picks = append(arrivals, a), append(picks, pick)
+		rng.Intn(fab.fanOut())
+	}
+	return arrivals, picks
 }
 
 // ecmpPicks draws one ECMP path pick per arrival.
@@ -249,13 +312,13 @@ func RunDynamicWith(eng Engine, cfg DynamicConfig) DynamicResult {
 	if cfg.FatTree == nil {
 		fab = NewFluidTopology(cfg.Topo)
 	}
-	sub := &flowLevel{baseRTT: cfg.baseRTT(), admitted: make([]*fluid.Flow, 0, cfg.Flows)}
+	sub := &flowLevel{baseRTT: cfg.baseRTT()}
 	if eng == EngineLeap {
 		leng := leap.NewEngine(fab.network(), leap.Config{
 			Allocator: LeapAllocatorFor(cfg.Scheme),
 			Obs:       cfg.Obs,
 		})
-		sub.eng = leng
+		sub.eng, sub.leap = leng, leng
 		res := runDynamic(cfg, fab, sub, leng)
 		s := leng.Stats()
 		res.LeapStats = &s
@@ -282,57 +345,62 @@ func RunDynamicWith(eng Engine, cfg DynamicConfig) DynamicResult {
 // is one). On the leaf-spine fabric with SkipFluidIdeal every IdealFCT
 // is NaN.
 func runDynamic(cfg DynamicConfig, fab fabric, sub flowPlayer, leng *leap.Engine) DynamicResult {
-	arrivals, picks := poissonSchedule(fab, cfg.CDF, cfg.Load, cfg.Flows, sim.NewRNG(cfg.Seed))
-	var lastArrival sim.Time
-	if n := len(arrivals); n > 0 {
-		lastArrival = arrivals[n-1].At
-	}
+	sched := poissonStream(fab, cfg.CDF, cfg.Load, cfg.Flows, sim.NewRNG(cfg.Seed))
 	if cfg.Faults != nil {
-		scheduleFaults(leng, cfg.Faults(lastArrival))
+		scheduleFaults(leng, cfg.Faults(sched.last))
 	}
-	res := DynamicResult{BDP: cfg.Topo.HostLink.Float() / 8 * cfg.baseRTT()}
-	res.RunWall = playArrivals(sub, fab, arrivals, picks, cfg.utilityFor(), lastArrival.Add(cfg.Drain))
-
-	ideal := func(int) float64 { return math.NaN() }
+	ideal := func(int64) float64 { return math.NaN() }
 	if cfg.FatTree != nil {
 		rate := fab.hostLink().Float()
-		ideal = func(i int) float64 { return float64(arrivals[i].Size) * 8 / rate }
-	} else if !cfg.SkipFluidIdeal {
-		fcts := fluidIdealFCTs(cfg, fab, arrivals, picks)
-		ideal = func(i int) float64 { return fcts[i] }
+		ideal = func(size int64) float64 { return float64(size) * 8 / rate }
 	}
-	res.Records, res.Unfinished = flowRecords(sub, arrivals, ideal)
+	res := DynamicResult{BDP: cfg.Topo.HostLink.Float() / 8 * cfg.baseRTT()}
+	cfg.Obs.Profiler.Arm() // the dry pass is not the event loop's
+	res.Records, res.RunWall = playArrivals(sub, fab, sched, cfg.utilityFor(), ideal, sched.last.Add(cfg.Drain))
+	if cfg.FatTree == nil && !cfg.SkipFluidIdeal {
+		for i, fct := range fluidIdealFCTs(cfg, fab, sched) {
+			res.Records[i].IdealFCT = fct
+		}
+	}
+	res.Records, res.Unfinished = finishedRecords(res.Records)
 	return res
 }
 
-// playArrivals admits every arrival on its routed path (picks[i] is
-// arrival i's ECMP pick; the substrates copy the one path buffer) and
-// runs the substrate to until; it returns the run's wall time.
-func playArrivals(sub flowPlayer, fab fabric, arrivals []workload.Arrival, picks []int,
-	utilityFor func(int64) core.Utility, until sim.Time) time.Duration {
-	var pathBuf []int
-	for i, a := range arrivals {
-		pathBuf = fab.appendRoute(pathBuf[:0], a.Src, a.Dst, picks[i])
-		sub.admit(pathBuf, utilityFor(a.Size), a.Size, a.At)
-	}
+// playArrivals plays sched on sub as it happens: each arrival is drawn,
+// routed on its ECMP pick (the substrates copy the one path buffer) and
+// admitted, and sub advances as far as the arrivals it holds allow
+// before the next is fed; after the last, sub runs to until. It returns
+// one record per arrival, in arrival order — FCT NaN where the flow did
+// not finish — and the play's wall time.
+func playArrivals(sub flowPlayer, fab fabric, sched schedule, utilityFor func(int64) core.Utility,
+	ideal func(size int64) float64, until sim.Time) ([]FlowRecord, time.Duration) {
 	start := time.Now()
+	records := make([]FlowRecord, sched.n)
+	var pathBuf []int
+	i := 0
+	for a, pick := range sched.all {
+		records[i] = FlowRecord{Size: a.Size, Start: a.At, FCT: math.NaN(), IdealFCT: ideal(a.Size)}
+		pathBuf = fab.appendRoute(pathBuf[:0], a.Src, a.Dst, pick)
+		sub.admit(pathBuf, utilityFor(a.Size), a.Size, a.At)
+		if i++; i < sched.n {
+			sub.advance(a.At, records)
+		}
+	}
 	sub.run(until)
-	return time.Since(start)
+	sub.harvest(records)
+	return records, time.Since(start)
 }
 
-// flowRecords assembles one record per finished flow, in arrival
-// order, and counts the rest.
-func flowRecords(sub flowPlayer, arrivals []workload.Arrival, ideal func(i int) float64) (records []FlowRecord, unfinished int) {
-	records = make([]FlowRecord, 0, len(arrivals))
-	for i, a := range arrivals {
-		fct, done := sub.fct(i)
-		if !done {
-			unfinished++
-			continue
+// finishedRecords drops, in place, the records of flows that did not
+// finish, and counts them.
+func finishedRecords(records []FlowRecord) (finished []FlowRecord, unfinished int) {
+	finished = records[:0]
+	for _, r := range records {
+		if !math.IsNaN(r.FCT) {
+			finished = append(finished, r)
 		}
-		records = append(records, FlowRecord{Size: a.Size, Start: a.At, FCT: fct, IdealFCT: ideal(i)})
 	}
-	return records, unfinished
+	return finished, len(records) - len(finished)
 }
 
 // FluidIdealFCTs computes, for each arrival, the FCT it would have if
@@ -342,21 +410,21 @@ func flowRecords(sub flowPlayer, arrivals []workload.Arrival, ideal func(i int) 
 // between — with the exact Oracle allocator warm-started across
 // events, plus the base RTT, which even the Oracle cannot beat.
 func FluidIdealFCTs(cfg DynamicConfig, topo *Topology, arrivals []workload.Arrival, spines []int) []float64 {
-	return fluidIdealFCTs(cfg, topo, arrivals, spines)
+	return fluidIdealFCTs(cfg, topo, sliceSchedule(arrivals, spines))
 }
 
-func fluidIdealFCTs(cfg DynamicConfig, fab fabric, arrivals []workload.Arrival, picks []int) []float64 {
+func fluidIdealFCTs(cfg DynamicConfig, fab fabric, sched schedule) []float64 {
 	d0 := cfg.baseRTT()
 	ref := &flowLevel{
 		eng:     refsim.New(fab.network(), &fluid.Oracle{MaxIter: 1500}),
 		baseRTT: d0,
 	}
-	playArrivals(ref, fab, arrivals, picks, cfg.utilityFor(), sim.Forever)
-	out := make([]float64, len(arrivals))
-	for i := range out {
+	recs, _ := playArrivals(ref, fab, sched, cfg.utilityFor(), func(int64) float64 { return 0 }, sim.Forever)
+	out := make([]float64, len(recs))
+	for i, r := range recs {
 		// A flow the Oracle never finishes (NaN) or finishes in no time
 		// falls back to the RTT alone, for downstream division.
-		if out[i], _ = ref.fct(i); math.IsNaN(out[i]) || out[i] <= 0 {
+		if out[i] = r.FCT; math.IsNaN(out[i]) || out[i] <= 0 {
 			out[i] = d0
 		}
 	}

@@ -212,8 +212,7 @@ func RunIncastLeap(cfg IncastConfig) IncastResult {
 		Allocator: LeapAllocatorFor(cfg.Scheme),
 		Obs:       cfg.Obs,
 	})
-	sub := &flowLevel{eng: leng, baseRTT: d0}
-	playArrivals(sub, topo, arrivals, spines, func(int64) core.Utility { return core.ProportionalFair() }, sim.Forever)
+	sub := &flowLevel{eng: leng, leap: leng, baseRTT: d0}
 
 	// The incast ideal is the documented fan-in bound: a burst's flows
 	// all share the receiver's host link, so even a perfect transport
@@ -222,8 +221,11 @@ func RunIncastLeap(cfg IncastConfig) IncastResult {
 	// downstream slowdown percentile.
 	senders := min(cfg.Senders, len(topo.Hosts)-1)
 	idealFCT := float64(senders)*float64(cfg.SizeBytes)*8/cfg.Topo.HostLink.Float() + d0
+	records, _ := playArrivals(sub, topo, sliceSchedule(arrivals, spines),
+		func(int64) core.Utility { return core.ProportionalFair() },
+		func(int64) float64 { return idealFCT }, sim.Forever)
 	res := IncastResult{BurstFCTs: make([]float64, cfg.Bursts), Stats: leng.Stats()}
-	res.Records, res.Unfinished = flowRecords(sub, arrivals, func(int) float64 { return idealFCT })
+	res.Records, res.Unfinished = finishedRecords(records)
 	for _, rec := range res.Records {
 		// Interval ≤ 0 (sensible for a single burst) stacks every
 		// arrival into burst 0.

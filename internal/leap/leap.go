@@ -478,6 +478,10 @@ func (e *Engine) checkFlow(fn string, links []int, sizeBytes int64, at float64) 
 // malformed argument — an empty path, a link id outside the network,
 // a negative size, a NaN or infinite at — is a programmer error and
 // panics naming the argument, as FailLink and RecoverLink do.
+//
+// Flows may be added between Steps, so a driver need not hold a whole
+// schedule in the engine: see Step for the rule that keeps such a run
+// identical to the preloaded one.
 func (e *Engine) AddFlow(links []int, u core.Utility, sizeBytes int64, at float64) *fluid.Flow {
 	e.checkFlow("AddFlow", links, sizeBytes, at)
 	return e.addFlow(links, u, sizeBytes, at)
@@ -1139,6 +1143,17 @@ func (e *Engine) retireEvent(ev event) {
 // reached a state that will never change again (no pending arrivals
 // and no finite flow draining — any remaining active flows are
 // unbounded and hold their current rates forever).
+//
+// A driver may feed arrivals while stepping, harvesting Finished and
+// calling ReleaseFinished as it goes. The run is the preloaded one, bit
+// for bit and counter for counter (TestStepFedMatchesPreloaded), under
+// the strict-lookahead rule: before every Step, every arrival with
+// at ≤ Now has been added, and so has one arrival strictly after Now
+// (or there is none left) — a Step jumps to the earlier of the next
+// completion and the earliest arrival it has been given, which must
+// therefore be the schedule's next. Step, not Run(next arrival):
+// stopping at a deadline materializes the lazy drain, which rounds
+// differently from draining in one piece.
 func (e *Engine) Step() bool {
 	more := e.step(math.Inf(1))
 	e.publish(!more)

@@ -25,7 +25,7 @@ import (
 // bounded by the engine's active set, and per-link lost-service
 // attribution accumulates incrementally with O(path length) state per
 // flow). The keep decision happens at completion: a deterministic hash
-// of the flow id keeps a SampleRate fraction, and a slowest-K
+// of the admission ordinal (Seq) keeps a SampleRate fraction, and a slowest-K
 // reservoir keeps the K worst slowdowns regardless — so the tail that
 // tail-latency attribution cares about is always captured.
 type FlowTracer struct {
@@ -56,7 +56,7 @@ type FlowTracer struct {
 // only the slowest-K reservoir (no hash sampling).
 type FlowTraceConfig struct {
 	// SampleRate is the deterministic fraction of completed flows kept
-	// by hash of flow id (0 keeps none this way, ≥1 keeps all).
+	// by hash of FlowRecord.Seq (0 keeps none this way, ≥1 keeps all).
 	SampleRate float64
 	// SlowestK is the size of the always-keep reservoir of worst
 	// slowdowns (default 64; negative disables).
@@ -174,11 +174,14 @@ type FlowSeg struct {
 // attribution — parallel slices mapping each distinct bottleneck link
 // to the service time lost to it, summing to FCT − IdealFCT.
 type FlowRecord struct {
+	// ID is the engine's id for the flow while it was live — a slot, not
+	// a name.
 	ID int
 	// Seq is the tracer's admission ordinal. Engine flow ids recycle
 	// under table-backed churn (fluid.FlowTable + leap ReleaseFinished:
 	// the id space is bounded by the peak live set), so two records in
-	// one trace can share an ID; Seq is the identity that never does.
+	// one trace can share an ID; Seq is the identity that never does,
+	// and the one the hash sample and every ordering key on.
 	Seq       uint64
 	SizeBytes int64
 	Arrive    float64
@@ -402,7 +405,7 @@ func (t *FlowTracer) complete(id int, finish float64) {
 	t.nActive--
 	t.completed++
 
-	if sampleKeep(uint64(id), t.cfg.SampleRate) {
+	if sampleKeep(r.Seq, t.cfg.SampleRate) {
 		r.Sampled = true
 		if len(t.kept) < t.cfg.MaxRecords {
 			t.kept = append(t.kept, r)
@@ -442,9 +445,11 @@ func (t *FlowTracer) recycle(r *FlowRecord) {
 	t.free = append(t.free, r)
 }
 
-// sampleKeep is the deterministic hash sample: splitmix64 of the flow
-// id against the rate, so the same flows are kept run over run.
-func sampleKeep(id uint64, rate float64) bool {
+// sampleKeep is the deterministic hash sample: splitmix64 of the flow's
+// admission ordinal against the rate, so the same flows are kept run
+// over run — and whether or not the engine recycled ids under them (a
+// hash of the engine id would keep only the few slots that recur).
+func sampleKeep(seq uint64, rate float64) bool {
 	if rate <= 0 {
 		return false
 	}
@@ -453,7 +458,7 @@ func sampleKeep(id uint64, rate float64) bool {
 		// round up to 2⁶⁴.
 		return true
 	}
-	return float64(splitmix64(id)) < rate*18446744073709551616.0 // rate·2⁶⁴
+	return float64(splitmix64(seq)) < rate*18446744073709551616.0 // rate·2⁶⁴
 }
 
 func splitmix64(x uint64) uint64 {
@@ -466,16 +471,14 @@ func splitmix64(x uint64) uint64 {
 	return x
 }
 
-// slowLess orders records by (slowdown, id, seq) ascending — the heap
-// minimum is the least-slow reservoir entry, evicted first. Seq breaks
-// the tie two tenants of one recycled engine id would otherwise leave.
+// slowLess orders records by (slowdown, seq) ascending — the heap
+// minimum is the least-slow reservoir entry, evicted first. The tie
+// breaks on Seq alone: the engine id depends on when the driver
+// released finished flows, the admission ordinal does not.
 func slowLess(a, b *FlowRecord) bool {
 	sa, sb := a.Slowdown(), b.Slowdown()
 	if sa != sb {
 		return sa < sb
-	}
-	if a.ID != b.ID {
-		return a.ID < b.ID
 	}
 	return a.Seq < b.Seq
 }
@@ -586,8 +589,8 @@ func (t *FlowTracer) SlowdownAttribution(frac float64) ([]LinkLoss, int) {
 type FlowLine struct {
 	Type string `json:"type"`
 	ID   int    `json:"id"`
-	// Seq disambiguates records whose engine id was recycled (see
-	// FlowRecord.Seq).
+	// Seq names the flow: ID is the engine slot it occupied, shared
+	// with that slot's other tenants (see FlowRecord.Seq).
 	Seq       uint64     `json:"seq"`
 	SizeBytes int64      `json:"size_bytes"`
 	Arrive    float64    `json:"arrive"`
@@ -721,7 +724,7 @@ func (ft *FlowTrace) WriteJSONL(w io.Writer) error {
 }
 
 // Finished returns the trace's finished flows, slowest first (by
-// slowdown, then id, then seq).
+// slowdown, then seq).
 func (ft *FlowTrace) Finished() []FlowLine {
 	var fin []FlowLine
 	for _, fl := range ft.Flows {
@@ -733,9 +736,6 @@ func (ft *FlowTrace) Finished() []FlowLine {
 		a, b := &fin[i], &fin[j]
 		if a.Slowdown != b.Slowdown {
 			return a.Slowdown > b.Slowdown
-		}
-		if a.ID != b.ID {
-			return a.ID < b.ID
 		}
 		return a.Seq < b.Seq
 	})

@@ -10,7 +10,9 @@ type Phase uint8
 const (
 	// PhaseLoop is the event-loop bookkeeping between instrumented
 	// sections: the step dispatch, next-event time selection, and the
-	// Run loop itself.
+	// Run loop itself — or, for a driver that calls Step itself, whatever
+	// it does between Steps (the harness draws, routes and admits the
+	// next arrivals there).
 	PhaseLoop Phase = iota
 	// PhaseAdmit is arrival admission: popping due arrivals and
 	// seeding (or fast-pathing) them into the active set.

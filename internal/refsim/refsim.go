@@ -52,6 +52,7 @@ type Sim struct {
 	arrivals []arrival
 	faults   []fault
 	active   []*fluid.Flow // admission order
+	finished []*fluid.Flow // completion order
 	nflows   int
 	ngroups  int
 	baseCap  []float64 // what recovery restores
@@ -88,6 +89,10 @@ func (s *Sim) AddGroup(paths [][]int, u core.Utility, sizeBytes int64, at float6
 	s.arrivals = append(s.arrivals, arrival{at, g.Members})
 	return g
 }
+
+// Finished returns every completed flow (group members included), in
+// completion order.
+func (s *Sim) Finished() []*fluid.Flow { return s.finished }
 
 // FailLink and RecoverLink schedule link to fail or recover at time at.
 func (s *Sim) FailLink(link int, at float64)    { s.faults = append(s.faults, fault{at, link, true}) }
@@ -195,6 +200,7 @@ func (s *Sim) depart(f *fluid.Flow) {
 	for _, a := range s.active {
 		if a == f || (g != nil && a.Group == g) {
 			a.Finish, a.Remaining = s.now, 0
+			s.finished = append(s.finished, a)
 			continue
 		}
 		kept = append(kept, a)

@@ -108,13 +108,20 @@ func (m *RateMeter) RateAt(now sim.Time) float64 {
 
 // Percentile returns the p-quantile (p in [0,1]) of xs using linear
 // interpolation between order statistics. It returns NaN for an empty
-// slice. xs is not modified.
+// slice. xs is not modified. Several quantiles of one sample are one
+// Summarize (one sort), not several calls.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
+	return quantileSorted(s, p)
+}
+
+// quantileSorted is Percentile of a non-empty ascending slice (NaNs
+// first, as sort.Float64s leaves them).
+func quantileSorted(s []float64, p float64) float64 {
 	if p <= 0 {
 		return s[0]
 	}
@@ -161,7 +168,7 @@ func Summarize(xs []float64) Summary {
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	q := func(p float64) float64 { return Percentile(s, p) }
+	q := func(p float64) float64 { return quantileSorted(s, p) }
 	return Summary{
 		N:      len(s),
 		Mean:   Mean(s),

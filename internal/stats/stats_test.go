@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -125,6 +126,71 @@ func TestSummarize(t *testing.T) {
 	s := Summarize(xs)
 	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.Median != 3 || s.Mean != 3 {
 		t.Errorf("unexpected summary: %+v", s)
+	}
+}
+
+// percentileBeforeSortOnce is Percentile as it stood while Summarize
+// still called it on its sorted copy (six sorts a summary): copy, sort,
+// interpolate.
+func percentileBeforeSortOnce(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if p <= 0 {
+		return s[0]
+	}
+	if p >= 1 {
+		return s[len(s)-1]
+	}
+	pos := p * float64(len(s)-1)
+	lo := int(pos)
+	frac := pos - float64(lo)
+	if lo+1 >= len(s) {
+		return s[len(s)-1]
+	}
+	return s[lo]*(1-frac) + s[lo+1]*frac
+}
+
+// TestSortOnceKeepsEveryBit: Summarize sorting once and Percentile
+// going through quantileSorted return the bits the copy-and-sort-per-
+// quantile path returned — on random samples, samples with NaNs (which
+// sort first and poison what they touch), heavy ties, and the lengths
+// where the interpolation's edge cases live.
+func TestSortOnceKeepsEveryBit(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	rng := sim.NewRNG(7)
+	for trial := 0; trial < 300; trial++ {
+		xs := make([]float64, trial%7+rng.Intn(200))
+		for i := range xs {
+			switch trial % 3 {
+			case 0:
+				xs[i] = rng.ExpFloat64() * 1e3
+			case 1:
+				xs[i] = float64(rng.Intn(4)) // ties
+			default:
+				if xs[i] = rng.Float64() - 0.5; rng.Intn(10) == 0 {
+					xs[i] = math.NaN()
+				}
+			}
+		}
+		for _, p := range []float64{-1, 0, 0.25, 0.5, 0.75, 0.95, 0.99, 1, 2, rng.Float64()} {
+			if got, want := Percentile(xs, p), percentileBeforeSortOnce(xs, p); !same(got, want) {
+				t.Fatalf("trial %d: Percentile(%d values, %v) = %v, was %v", trial, len(xs), p, got, want)
+			}
+		}
+		if len(xs) == 0 {
+			continue
+		}
+		s, q := Summarize(xs), func(p float64) float64 { return percentileBeforeSortOnce(xs, p) }
+		got := []float64{s.Median, s.P25, s.P75, s.P95, s.P99, s.Min, s.Max}
+		want := []float64{q(0.5), q(0.25), q(0.75), q(0.95), q(0.99), q(0), q(1)}
+		for i := range got {
+			if !same(got[i], want[i]) {
+				t.Fatalf("trial %d: Summarize(%d values) quantile %d = %v, was %v", trial, len(xs), i, got[i], want[i])
+			}
+		}
 	}
 }
 

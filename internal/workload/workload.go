@@ -135,42 +135,66 @@ type PoissonConfig struct {
 	MaxFlows int
 }
 
-// Poisson generates a flow arrival schedule: arrivals form a Poisson
-// process with rate λ = Load × Hosts × HostLink / meanSize, and each
-// flow picks a uniform random source and a distinct uniform random
-// destination.
-func Poisson(cfg PoissonConfig, rng *sim.RNG) []Arrival {
-	mean := cfg.CDF.Mean()
+// PoissonGen draws a Poisson flow arrival schedule one arrival at a
+// time: arrivals form a Poisson process with rate λ = Load × Hosts ×
+// HostLink / meanSize, and each flow picks a uniform random source and
+// a distinct uniform random destination. A copy of a generator given
+// its own RNG continues independently of the original — a copy taken
+// before the first Next replays the schedule from a copy of the RNG
+// state it was made with.
+type PoissonGen struct {
+	// RNG is the stream the next arrival draws from.
+	RNG *sim.RNG
+
+	cfg    PoissonConfig
+	lambda float64 // flows per second
+	t      sim.Time
+	n      int
+	ended  bool
+}
+
+// NewPoisson returns the generator of cfg's schedule over rng.
+func NewPoisson(cfg PoissonConfig, rng *sim.RNG) *PoissonGen {
 	// Bits per second the workload must inject to hit the load target.
 	aggregate := cfg.Load * float64(cfg.Hosts) * cfg.HostLink.Float()
-	lambda := aggregate / (mean * 8) // flows per second
+	return &PoissonGen{RNG: rng, cfg: cfg, lambda: aggregate / (cfg.CDF.Mean() * 8)}
+}
+
+// Next returns the next arrival, and false once the schedule has ended:
+// past cfg.Duration, or after cfg.MaxFlows arrivals.
+func (g *PoissonGen) Next() (Arrival, bool) {
 	// A non-positive (or NaN) rate offers no traffic: the schedule is
 	// empty. Without this guard, λ = 0 made every gap +Inf, whose
 	// implementation-defined float→int64 conversion wrapped t negative
 	// so the `t > Duration` horizon check never tripped — an infinite
 	// loop for Load = 0 (or an astronomically large mean flow size).
-	if !(lambda > 0) {
-		return nil
+	if g.ended || !(g.lambda > 0) || (g.cfg.MaxFlows > 0 && g.n >= g.cfg.MaxFlows) {
+		return Arrival{}, false
 	}
+	g.t = g.t.Add(sim.Seconds(g.RNG.ExpFloat64() / g.lambda))
+	if g.t > sim.Time(g.cfg.Duration) {
+		g.ended = true
+		return Arrival{}, false
+	}
+	src := g.RNG.Intn(g.cfg.Hosts)
+	dst := g.RNG.Intn(g.cfg.Hosts - 1)
+	if dst >= src {
+		dst++
+	}
+	g.n++
+	return Arrival{At: g.t, Src: src, Dst: dst, Size: g.cfg.CDF.Sample(g.RNG.Float64())}, true
+}
+
+// Poisson collects PoissonGen's whole schedule.
+func Poisson(cfg PoissonConfig, rng *sim.RNG) []Arrival {
 	var out []Arrival
-	t := sim.Time(0)
-	for {
-		gap := sim.Seconds(rng.ExpFloat64() / lambda)
-		t = t.Add(gap)
-		if t > sim.Time(cfg.Duration) {
-			break
+	for g := NewPoisson(cfg, rng); ; {
+		a, ok := g.Next()
+		if !ok {
+			return out
 		}
-		src := rng.Intn(cfg.Hosts)
-		dst := rng.Intn(cfg.Hosts - 1)
-		if dst >= src {
-			dst++
-		}
-		out = append(out, Arrival{At: t, Src: src, Dst: dst, Size: cfg.CDF.Sample(rng.Float64())})
-		if cfg.MaxFlows > 0 && len(out) >= cfg.MaxFlows {
-			break
-		}
+		out = append(out, a)
 	}
-	return out
 }
 
 // Permutation returns a one-to-one traffic pattern: sender i in the

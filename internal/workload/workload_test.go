@@ -194,6 +194,43 @@ func TestPoissonDeterministic(t *testing.T) {
 	}
 }
 
+// TestPoissonGenReplays: a copy of a generator taken before its first
+// Next, given a copy of the RNG state it was made with, yields the
+// schedule again; a generator past its end (by horizon or by MaxFlows)
+// stays ended and draws nothing more, so whatever is drawn next from the
+// RNG — the harness's ECMP picks — does not depend on how often Next was
+// polled.
+func TestPoissonGenReplays(t *testing.T) {
+	for _, cfg := range []PoissonConfig{
+		{Hosts: 32, HostLink: 10 * sim.Gbps, Load: 0.6, CDF: WebSearch(), Duration: 20 * sim.Millisecond},
+		{Hosts: 32, HostLink: 10 * sim.Gbps, Load: 0.6, CDF: WebSearch(), Duration: sim.Second, MaxFlows: 300},
+	} {
+		rng := sim.NewRNG(9)
+		from := *rng
+		gen := NewPoisson(cfg, rng)
+		again := *gen
+		again.RNG = &from
+		want := Poisson(cfg, sim.NewRNG(9))
+		if len(want) < 100 {
+			t.Fatalf("%d arrivals, want a schedule worth replaying", len(want))
+		}
+		for i, w := range want {
+			a, okA := gen.Next()
+			b, okB := again.Next()
+			if !okA || !okB || a != w || b != w {
+				t.Fatalf("arrival %d: generator %+v (%v), replay %+v (%v), Poisson %+v", i, a, okA, b, okB, w)
+			}
+		}
+		if _, ok := gen.Next(); ok {
+			t.Fatal("generator outlived Poisson's schedule")
+		}
+		after := *rng
+		if _, ok := gen.Next(); ok || *rng != after {
+			t.Error("an ended generator yielded, or drew from its RNG")
+		}
+	}
+}
+
 func TestIncastShape(t *testing.T) {
 	cfg := IncastConfig{
 		Hosts: 32, Receiver: 7, Senders: 12, SizeBytes: 64 << 10,
