@@ -39,12 +39,14 @@ loc:
 # with the full obs stack attached), plus the per-event ReadMemStats
 # bounds and the table-recycling invariants behind them; and the
 # allocator kernels' per-iteration pins (MaxMinWorkspace.Fill allocates
-# 0, oracle.Solve the same count at 5 and 500 iterations); and the
-# packet engine's: 0 per forwarded packet on a warmed two-hop line,
-# behind STFQ and behind DropTail.
+# 0, oracle.Solve the same count at 5 and 500 iterations, a warm
+# XWI.AllocateSubset on FCTMin flows 0 — the α-fair plan's columns are
+# reused); and the packet engine's: 0 per forwarded packet on a warmed
+# two-hop line, behind STFQ and behind DropTail.
 alloc-gate:
 	go test -v -run 'TestAllocsPerOpSteadyState|TestReleaseFinishedRecycles|TestSteadyStateAllocations' -count=1 ./internal/leap/
 	go test -v -run 'TestKernelsAllocateNothingPerIteration' -count=1 ./internal/oracle/
+	go test -v -run 'TestXWISubsetAllocatesNothingWarm' -count=1 ./internal/fluid/
 	go test -v -run 'TestPacketHopAllocations' -count=1 ./internal/netsim/
 
 # The engines call the obs hooks unguarded, so a detached hook costs
@@ -70,12 +72,14 @@ obs-inline:
 # FuzzParseFaults the -faults grammar (no panic, no negative time, an
 # accepted list re-parses to itself), and FuzzReadFlowTrace the offline
 # flow-trace reader (a defined error or a trace that re-encodes to
-# itself).
+# itself), and FuzzPowerMatchesPow the fixed-exponent power kernel
+# (core.Power ≡ math.Pow on any pair of bit patterns).
 fuzz:
 	go test -run '^$$' -fuzz FuzzLeapMatchesReference -fuzztime 60s -fuzzminimizetime 2s ./internal/leap/
 	go test -run '^$$' -fuzz FuzzSchedule -fuzztime 10s -fuzzminimizetime 2s ./internal/leap/
 	go test -run '^$$' -fuzz FuzzParseFaults -fuzztime 10s -fuzzminimizetime 2s ./internal/workload/
 	go test -run '^$$' -fuzz FuzzReadFlowTrace -fuzztime 10s -fuzzminimizetime 2s ./internal/obs/
+	go test -run '^$$' -fuzz FuzzPowerMatchesPow -fuzztime 10s -fuzzminimizetime 2s ./internal/core/
 
 # Fault-injection smoke: the leap fault test suite (property, analytic,
 # and lost-service identity tests) plus the end-to-end example —
@@ -86,9 +90,13 @@ fault-smoke:
 	go run ./examples/leapfail
 
 # One full iteration of the leap benchmark, with its built-in
-# accuracy assertions.
+# accuracy assertions; then one iteration of each allocator-kernel
+# ledger row (ProportionalFair and FCTMin components, the power kernel
+# against math.Pow) so the rows CHANGES.md quotes cannot rot.
 bench-smoke:
 	go test -run '^$$' -bench BenchmarkLeapFCT -benchtime 1x .
+	go test -run '^$$' -bench 'XWISolve|DGDSolve' -benchtime 1x ./internal/fluid/
+	go test -run '^$$' -bench AlphaKernel -benchtime 1x ./internal/core/
 
 # The packet engine's layers in isolation: ns per scheduled event
 # (sim), ns and allocations per packet-hop on a two-hop line (netsim),

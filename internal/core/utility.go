@@ -63,7 +63,7 @@ func ProportionalFair() AlphaFair { return AlphaFair{Alpha: 1, Weight: 1} }
 // Value returns U(x).
 func (u AlphaFair) Value(x float64) float64 {
 	x = math.Max(x, minRate)
-	w := u.weight()
+	w := u.EffectiveWeight()
 	if u.isLog() {
 		return w * math.Log(x)
 	}
@@ -76,9 +76,9 @@ func (u AlphaFair) Marginal(x float64) float64 {
 	if u.isLog() {
 		// α=1 fast path: w/x, avoiding math.Pow on the hot paths (the
 		// fluid allocators evaluate marginals per flow per epoch).
-		return u.weight() / x
+		return u.EffectiveWeight() / x
 	}
-	return math.Pow(u.weight()/x, u.Alpha)
+	return math.Pow(u.EffectiveWeight()/x, u.Alpha)
 }
 
 // InverseMarginal returns x = w · p^(-1/α).
@@ -87,12 +87,14 @@ func (u AlphaFair) InverseMarginal(p float64) float64 {
 		return math.Inf(1)
 	}
 	if u.isLog() {
-		return u.weight() / p
+		return u.EffectiveWeight() / p
 	}
-	return u.weight() * math.Pow(p, -1/u.Alpha)
+	return u.EffectiveWeight() * math.Pow(p, -1/u.Alpha)
 }
 
-func (u AlphaFair) weight() float64 {
+// EffectiveWeight returns the weight the utility evaluates with: Weight,
+// or 1 when it is unset (≤ 0).
+func (u AlphaFair) EffectiveWeight() float64 {
 	if u.Weight <= 0 {
 		return 1
 	}
@@ -102,7 +104,7 @@ func (u AlphaFair) weight() float64 {
 func (u AlphaFair) isLog() bool { return math.Abs(u.Alpha-1) < 1e-12 }
 
 func (u AlphaFair) String() string {
-	return fmt.Sprintf("AlphaFair(alpha=%g, w=%g)", u.Alpha, u.weight())
+	return fmt.Sprintf("AlphaFair(alpha=%g, w=%g)", u.Alpha, u.EffectiveWeight())
 }
 
 // FCTMin returns the utility that approximates Shortest-Flow-First for
@@ -122,8 +124,7 @@ func FCTMin(sizeBytes int64, epsilon float64) AlphaFair {
 	if epsilon <= 0 {
 		epsilon = 0.125
 	}
-	w := math.Pow(float64(sizeBytes), -1/epsilon)
-	return AlphaFair{Alpha: epsilon, Weight: w}
+	return AlphaFair{Alpha: epsilon, Weight: priorityWeight(float64(sizeBytes), epsilon)}
 }
 
 // SRPTMin is like FCTMin but keyed on remaining size, approximating
@@ -144,6 +145,15 @@ func Deadline(secondsToDeadline, epsilon float64) AlphaFair {
 	if epsilon <= 0 {
 		epsilon = 0.125
 	}
-	w := math.Pow(secondsToDeadline, -1/epsilon)
-	return AlphaFair{Alpha: epsilon, Weight: w}
+	return AlphaFair{Alpha: epsilon, Weight: priorityWeight(secondsToDeadline, epsilon)}
+}
+
+// priorityWeight returns v^(-1/ε) clamped to the positive normal
+// range. A small ε underflows the power to 0 for a large v, which
+// AlphaFair reads as "unset → 1" — the lowest priority silently became
+// one of the highest — and overflows it to +Inf for a small one. The
+// clamp keeps the order (non-increasing in v) until it saturates.
+func priorityWeight(v, epsilon float64) float64 {
+	const minNormal = 0x1p-1022
+	return min(max(math.Pow(v, -1/epsilon), minNormal), math.MaxFloat64)
 }

@@ -133,6 +133,40 @@ func TestDeadlineEarlierWins(t *testing.T) {
 	}
 }
 
+// TestPriorityWeightsStayOrdered: for every ε, FCTMin's and Deadline's
+// weights are positive, finite and non-increasing in the size / the
+// time to the deadline — including the ε small enough that the raw
+// power leaves the float64 range. Before the clamp FCTMin(1e8, 0.01)
+// had weight 0, which AlphaFair reads as 1: the largest flow outranked
+// every other.
+func TestPriorityWeightsStayOrdered(t *testing.T) {
+	sizes := []int64{1, 2, 1_000, 10_000, 1_000_000, 100_000_000, 1 << 40, math.MaxInt64}
+	secs := []float64{1e-9, 1e-6, 1e-3, 0.5, 1, 2, 60, 3600, 1e9}
+	for _, eps := range []float64{0.001, 0.01, 0.02, 0.125, 0.5, 1, 4} {
+		prev := math.Inf(1)
+		for _, s := range sizes {
+			w := FCTMin(s, eps).Weight
+			if !(w > 0 && w <= math.MaxFloat64 && w <= prev) {
+				t.Errorf("FCTMin(%d, %g).Weight = %g after %g", s, eps, w, prev)
+			}
+			prev = w
+		}
+		prev = math.Inf(1)
+		for _, d := range secs {
+			w := Deadline(d, eps).Weight
+			if !(w > 0 && w <= math.MaxFloat64 && w <= prev) {
+				t.Errorf("Deadline(%g, %g).Weight = %g after %g", d, eps, w, prev)
+			}
+			prev = w
+		}
+	}
+	// The case from the field: shortest-flow-first must not reverse.
+	small, big := FCTMin(1_000, 0.01), FCTMin(100_000_000, 0.01)
+	if s, b := small.InverseMarginal(1e-3), big.InverseMarginal(1e-3); !(s >= b) {
+		t.Errorf("ε = 0.01: 1 KB flow's weight %g < 100 MB flow's %g", s, b)
+	}
+}
+
 func TestAlphaFairValueOrdering(t *testing.T) {
 	// Utility is increasing in x.
 	for _, alpha := range []float64{0.5, 1, 2} {

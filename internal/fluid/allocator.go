@@ -99,12 +99,17 @@ type scratch struct {
 	// linkStamp it is link-indexed with only touched entries written.
 	bload []float64
 
-	// afU is the devirtualized utility column: when every flow in a
-	// call carries a core.AlphaFair (see gatherAlpha), hot loops read
-	// the concrete values here instead of calling through the Utility
-	// interface.
-	afU []core.AlphaFair
+	// afW/afK/alphaK are the devirtualized utility plan of one call
+	// (see gatherAlpha): flow i evaluates alphaK[afK[i]] at weight
+	// afW[i] instead of calling through the Utility interface.
+	afW    []float64
+	afK    []uint8
+	alphaK []core.AlphaKernel
 }
+
+// maxAlphaKernels bounds the distinct α one call's plan holds; every
+// committed workload has one.
+const maxAlphaKernels = 4
 
 func (s *scratch) resize(n int) {
 	if cap(s.paths) < n {
@@ -130,26 +135,39 @@ func (s *scratch) collectGroups(flows []*Flow) []*Group {
 	return s.groups
 }
 
-// gatherAlpha fills the afU column with each flow's concrete utility
-// and reports whether every flow carries a core.AlphaFair — the
-// homogeneous-α common case (ProportionalFair and the Table 1 α-fair
-// rows). When it returns true, allocator inner loops switch to a fast
-// variant whose Marginal/InverseMarginal calls are statically
-// dispatched on the 16-byte value (no itab indirection, inlinable);
-// the method bodies are the same either way, so rates are
-// bit-identical to the interface path. Returns false at the first
-// non-AlphaFair utility, leaving afU unspecified.
+// gatherAlpha builds the call's α-fair plan and reports whether every
+// flow carries a core.AlphaFair over at most maxAlphaKernels distinct
+// α — the common case (ProportionalFair, the Table 1 α-fair rows,
+// FCTMin). When it returns true, allocator inner loops switch to a fast
+// variant that evaluates the per-α kernel on the weight column: no itab
+// indirection, and everything math.Pow derives from the exponent alone
+// is prepared here, once per call, instead of per flow per iteration.
+// The kernel returns AlphaFair's own results bit for bit (core.Power),
+// so rates are identical to the interface path. Returns false at the
+// first flow outside the plan, leaving the columns unspecified.
 func (s *scratch) gatherAlpha(flows []*Flow) bool {
-	if cap(s.afU) < len(flows) {
-		s.afU = make([]core.AlphaFair, len(flows))
+	if cap(s.afW) < len(flows) {
+		s.afW = make([]float64, len(flows))
+		s.afK = make([]uint8, len(flows))
 	}
-	s.afU = s.afU[:len(flows)]
+	s.afW, s.afK = s.afW[:len(flows)], s.afK[:len(flows)]
+	s.alphaK = s.alphaK[:0]
 	for i, f := range flows {
 		u, ok := f.U.(core.AlphaFair)
 		if !ok {
 			return false
 		}
-		s.afU[i] = u
+		k := 0
+		for k < len(s.alphaK) && s.alphaK[k].Alpha != u.Alpha {
+			k++
+		}
+		if k == len(s.alphaK) {
+			if k == maxAlphaKernels {
+				return false
+			}
+			s.alphaK = append(s.alphaK, core.NewAlphaKernel(u.Alpha))
+		}
+		s.afW[i], s.afK[i] = u.EffectiveWeight(), uint8(k)
 	}
 	return true
 }
@@ -450,7 +468,7 @@ func (a *XWI) allocate(net *Network, flows []*Flow, rates []float64, subset bool
 	touched := a.ws.Links()
 	groups := a.s.collectGroups(flows)
 	fast := a.s.gatherAlpha(flows)
-	afU := a.s.afU
+	afW, afK, alphaK := a.s.afW, a.s.afK, a.s.alphaK
 	if cap(a.q) < nf {
 		a.q = make([]float64, nf)
 	}
@@ -479,7 +497,7 @@ func (a *XWI) allocate(net *Network, flows []*Flow, rates []float64, subset bool
 		}
 		if fast {
 			for i, f := range flows {
-				w := afU[i].InverseMarginal(q[i])
+				w := alphaK[afK[i]].InverseMarginal(afW[i], q[i])
 				if f.Group != nil {
 					w *= math.Max(f.share, 1e-3)
 				}
@@ -528,11 +546,12 @@ func (a *XWI) allocate(net *Network, flows []*Flow, rates []float64, subset bool
 				// The KKT marginal of an aggregate is of its total rate.
 				agg = f.Group.aggRate
 			}
+			at := max(agg, rate, 1)
 			var marg float64
 			if fast {
-				marg = afU[i].Marginal(math.Max(agg, math.Max(rate, 1)))
+				marg = alphaK[afK[i]].Marginal(afW[i], at)
 			} else {
-				marg = f.U.Marginal(math.Max(agg, math.Max(rate, 1)))
+				marg = f.U.Marginal(at)
 			}
 			res := (marg - q[i]) / float64(len(paths[i]))
 			for _, l := range paths[i] {
@@ -787,7 +806,7 @@ func (a *DGD) allocate(net *Network, flows []*Flow, rates []float64, subset bool
 	q := a.q[:nf]
 	groups := a.s.collectGroups(flows)
 	fast := a.s.gatherAlpha(flows)
-	afU := a.s.afU
+	afW, afK, alphaK := a.s.afW, a.s.afK, a.s.alphaK
 	if a.Tol > 0 {
 		if cap(a.xprev) < nf {
 			a.xprev = make([]float64, nf)
@@ -804,7 +823,7 @@ func (a *DGD) allocate(net *Network, flows []*Flow, rates []float64, subset bool
 				}
 				q[i] = sum
 				if f.Group == nil {
-					x[i] = math.Min(afU[i].InverseMarginal(sum), xCap)
+					x[i] = math.Min(alphaK[afK[i]].InverseMarginal(afW[i], sum), xCap)
 				}
 			}
 		} else {

@@ -2,6 +2,7 @@ package fluid
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"numfabric/internal/core"
@@ -14,7 +15,7 @@ import (
 // fat-tree, each kernel alone, reporting ns per flow·iteration and
 // allocs/op. Run with
 //
-//	go test -run '^$' -bench 'WeightedMaxMin|MaxMinFill|XWISolve|OracleSolve' -benchmem ./internal/fluid/
+//	go test -run '^$' -bench 'WeightedMaxMin|MaxMinFill|XWISolve|DGDSolve|OracleSolve' -benchmem ./internal/fluid/
 
 var kernelSizes = []int{2, 8, 64, 512}
 
@@ -108,17 +109,36 @@ func BenchmarkMaxMinFill(b *testing.B) {
 	}
 }
 
-// BenchmarkXWISolve is the leap engine's unit of allocator work: an
-// AllocateSubset to the fixed point at harness.LeapAllocatorFor
-// (NUMFabric)'s settings with warm prices, alternating between the
-// component and the component less its last flow, as a departure and
-// an arrival would.
-func BenchmarkXWISolve(b *testing.B) {
+// fctMinComponent is kernelComponent under the §6.3 FCT-min utility
+// (ε = 0.125, sizes log-uniform over 1 KB–1 GB): every marginal and
+// inverse marginal is a power, where ProportionalFair's are one
+// division — the utility the fctmin-xwi and cli-leapfct workloads run.
+func fctMinComponent(ft *FatTree, n int) []*Flow {
+	flows := kernelComponent(ft, n, nil)
+	rng := sim.NewRNG(uint64(n) + 1)
+	for _, f := range flows {
+		f.U = core.FCTMin(int64(1e3*math.Pow(1e6, rng.Float64())), 0.125)
+	}
+	return flows
+}
+
+// subsetSolver is what the solve benchmarks need of XWI and DGD.
+type subsetSolver interface {
+	Allocator
+	IterCounter
+}
+
+// benchSubsetSolves is the leap engine's unit of allocator work — an
+// AllocateSubset to the fixed point with warm prices, alternating
+// between the component and the component less its last flow, as a
+// departure and an arrival would — at every kernel size, under
+// ProportionalFair (flows=N) and under FCTMin (fctmin/flows=N), each
+// row on a fresh allocator.
+func benchSubsetSolves(b *testing.B, alloc func() subsetSolver) {
 	ft := NewFatTree(8, 10e9)
-	for _, n := range kernelSizes {
-		flows := kernelComponent(ft, n, core.ProportionalFair())
-		b.Run(fmt.Sprintf("flows=%d", n), func(b *testing.B) {
-			a := &XWI{Eta: 5, Beta: 0.5, IterPerEpoch: 48, Tol: 1e-3}
+	row := func(name string, flows []*Flow) {
+		n, a := len(flows), alloc()
+		b.Run(fmt.Sprintf(name, n), func(b *testing.B) {
 			rates := make([]float64, n)
 			a.AllocateSubset(ft.Net, flows, rates)
 			a.AllocateSubset(ft.Net, flows[:n-1], rates)
@@ -136,6 +156,23 @@ func BenchmarkXWISolve(b *testing.B) {
 			b.ReportMetric(float64(a.SolveIters()-start)/float64(b.N), "iters/op")
 		})
 	}
+	for _, n := range kernelSizes {
+		row("flows=%d", kernelComponent(ft, n, core.ProportionalFair()))
+	}
+	for _, n := range kernelSizes {
+		row("fctmin/flows=%d", fctMinComponent(ft, n))
+	}
+}
+
+// BenchmarkXWISolve: harness.LeapAllocatorFor(NUMFabric)'s settings.
+func BenchmarkXWISolve(b *testing.B) {
+	benchSubsetSolves(b, func() subsetSolver { return &XWI{Eta: 5, Beta: 0.5, IterPerEpoch: 48, Tol: 1e-3} })
+}
+
+// BenchmarkDGDSolve: harness.LeapAllocatorFor(DGD)'s settings — one
+// inverse marginal per flow per gradient step.
+func BenchmarkDGDSolve(b *testing.B) {
+	benchSubsetSolves(b, func() subsetSolver { return &DGD{IterPerEpoch: 600, Tol: 1e-3} })
 }
 
 // BenchmarkOracleSolve is oracle.Solve as the event-driven ideals run

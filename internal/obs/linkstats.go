@@ -89,9 +89,12 @@ func (s *LinkStats) advance(l int32, t float64) {
 	s.seen = true
 }
 
+// point samples link l's series at t. seriesT[l] is the last point's
+// instant, so a full series — every link's, a few ms into a large run —
+// is dismissed without loading its 12 KB of points.
 func (s *LinkStats) point(l int32, t float64) {
 	ser := s.series[l]
-	if n := len(ser); n > 0 && ser[n-1].T == t {
+	if n := len(ser); n > 0 && s.seriesT[l] == t {
 		// Same reallocation instant: keep only the settled state, not
 		// the per-flow transients in between.
 		ser[n-1] = LinkPoint{T: t, Load: s.load[l], Active: s.active[l]}
