@@ -47,6 +47,7 @@ func TestGoldenDynamicLeap(t *testing.T) {
 		want  string
 	}{
 		{4000, 0.05, 1, "dcbed89ae80daaad"},
+		{4000, 0.05, 2, "c383e5910086c599"},
 		{4000, 0.05, 3, "205b3b4432efabea"},
 		{600, 0.4, 1, "ddaa33f6ea8e72e8"},
 	}
