@@ -41,12 +41,13 @@ loc:
 # allocator kernels' per-iteration pins (MaxMinWorkspace.Fill allocates
 # 0, oracle.Solve the same count at 5 and 500 iterations, a warm
 # XWI.AllocateSubset on FCTMin flows 0 — the α-fair plan's columns are
-# reused); and the packet engine's: 0 per forwarded packet on a warmed
+# reused — and a warm Oracle.Allocate 0, groups included: its
+# core.Problem is rebuilt in place); and the packet engine's: 0 per forwarded packet on a warmed
 # two-hop line, behind STFQ and behind DropTail.
 alloc-gate:
 	go test -v -run 'TestAllocsPerOpSteadyState|TestReleaseFinishedRecycles|TestSteadyStateAllocations' -count=1 ./internal/leap/
 	go test -v -run 'TestKernelsAllocateNothingPerIteration' -count=1 ./internal/oracle/
-	go test -v -run 'TestXWISubsetAllocatesNothingWarm' -count=1 ./internal/fluid/
+	go test -v -run 'TestXWISubsetAllocatesNothingWarm|TestOracleAllocatesNothingWarm' -count=1 ./internal/fluid/
 	go test -v -run 'TestPacketHopAllocations' -count=1 ./internal/netsim/
 
 # The engines call the obs hooks unguarded, so a detached hook costs
@@ -91,11 +92,12 @@ fault-smoke:
 
 # One full iteration of the leap benchmark, with its built-in
 # accuracy assertions; then one iteration of each allocator-kernel
-# ledger row (ProportionalFair and FCTMin components, the power kernel
-# against math.Pow) so the rows CHANGES.md quotes cannot rot.
+# ledger row (ProportionalFair and FCTMin components, the Oracle
+# through Allocate, the power kernel against math.Pow) so the rows
+# CHANGES.md quotes cannot rot.
 bench-smoke:
 	go test -run '^$$' -bench BenchmarkLeapFCT -benchtime 1x .
-	go test -run '^$$' -bench 'XWISolve|DGDSolve' -benchtime 1x ./internal/fluid/
+	go test -run '^$$' -bench 'XWISolve|DGDSolve|OracleSolve' -benchtime 1x ./internal/fluid/
 	go test -run '^$$' -bench AlphaKernel -benchtime 1x ./internal/core/
 
 # The packet engine's layers in isolation: ns per scheduled event

@@ -78,8 +78,8 @@ func (p *Power) At(x float64) float64 {
 // AlphaKernel evaluates the α-fair marginal (w/x)^α and its inverse
 // w·p^(−1/α) for one α, the weight passed per call: the bodies of
 // AlphaFair.Marginal and AlphaFair.InverseMarginal with both powers
-// prepared once. The fluid allocators build one per distinct α per
-// solve and keep the weights (AlphaFair.EffectiveWeight) in a column.
+// prepared once. AlphaPlan builds one per distinct α per solve and
+// keeps the weights (AlphaFair.EffectiveWeight) in a column.
 type AlphaKernel struct {
 	Alpha     float64
 	isLog     bool
@@ -114,4 +114,51 @@ func (k *AlphaKernel) InverseMarginal(w, p float64) float64 {
 		return w / p
 	}
 	return w * k.inv.At(p)
+}
+
+// MaxAlphaKernels bounds the distinct α one AlphaPlan holds; every
+// committed workload has one.
+const MaxAlphaKernels = 4
+
+// AlphaPlan is a solver's devirtualised utility plan, built once per
+// solve: entry i (a flow, or a group) evaluates Kernels[K[i]] at weight
+// W[i] instead of calling through the Utility interface — no itab
+// indirection, and everything math.Pow derives from the exponent alone
+// prepared once instead of per entry per iteration. The kernels return
+// AlphaFair's own results bit for bit (Power), so a solver's results
+// are those of its interface path.
+type AlphaPlan struct {
+	W       []float64
+	K       []uint8
+	Kernels []AlphaKernel
+}
+
+// Build plans n entries, entry i under u(i), and reports whether every
+// one is an AlphaFair over at most MaxAlphaKernels distinct α — the
+// common case (ProportionalFair, the Table 1 α-fair rows, FCTMin). It
+// returns false at the first entry outside the plan, leaving the
+// columns unspecified; the solver then takes its interface path.
+func (p *AlphaPlan) Build(n int, u func(i int) Utility) bool {
+	if cap(p.W) < n {
+		p.W, p.K = make([]float64, n), make([]uint8, n)
+	}
+	p.W, p.K, p.Kernels = p.W[:n], p.K[:n], p.Kernels[:0]
+	for i := range n {
+		af, ok := u(i).(AlphaFair)
+		if !ok {
+			return false
+		}
+		k := 0
+		for k < len(p.Kernels) && p.Kernels[k].Alpha != af.Alpha {
+			k++
+		}
+		if k == len(p.Kernels) {
+			if k == MaxAlphaKernels {
+				return false
+			}
+			p.Kernels = append(p.Kernels, NewAlphaKernel(af.Alpha))
+		}
+		p.W[i], p.K[i] = af.EffectiveWeight(), uint8(k)
+	}
+	return true
 }

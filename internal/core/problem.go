@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Problem is a NUM bandwidth-allocation problem instance (Eq. 1):
 //
@@ -39,19 +42,29 @@ func NewProblem(capacity []float64) *Problem {
 	return &Problem{Capacity: append([]float64(nil), capacity...)}
 }
 
+// Reset empties p and sets its capacities, keeping every backing array:
+// the flows, groups and paths added next reuse those of the ones added
+// before, so a caller re-building one problem per event allocates only
+// when a problem outgrows its predecessors. Slices read from p before
+// the Reset are overwritten.
+func (p *Problem) Reset(capacity []float64) {
+	p.Capacity = append(p.Capacity[:0], capacity...)
+	p.Flows, p.Groups = p.Flows[:0], p.Groups[:0]
+}
+
 // AddFlow adds a single-path flow with its own utility and returns its
 // flow index.
 func (p *Problem) AddFlow(links []int, u Utility) int {
-	g := len(p.Groups)
-	p.Groups = append(p.Groups, Group{U: u})
-	return p.addFlowToGroup(links, g)
+	return p.addFlowToGroup(links, p.AddAggregate(u))
 }
 
 // AddAggregate creates a resource-pooling group whose utility applies
 // to the total rate of its subflows; add paths with AddSubflow.
 func (p *Problem) AddAggregate(u Utility) int {
-	p.Groups = append(p.Groups, Group{U: u})
-	return len(p.Groups) - 1
+	g := len(p.Groups)
+	p.Groups = slices.Grow(p.Groups, 1)[:g+1]
+	p.Groups[g] = Group{U: u, Flows: p.Groups[g].Flows[:0]}
+	return g
 }
 
 // AddSubflow adds one path to an aggregate created by AddAggregate and
@@ -62,7 +75,8 @@ func (p *Problem) AddSubflow(group int, links []int) int {
 
 func (p *Problem) addFlowToGroup(links []int, group int) int {
 	id := len(p.Flows)
-	p.Flows = append(p.Flows, FlowSpec{Links: append([]int(nil), links...), Group: group})
+	p.Flows = slices.Grow(p.Flows, 1)[:id+1]
+	p.Flows[id] = FlowSpec{Links: append(p.Flows[id].Links[:0], links...), Group: group}
 	p.Groups[group].Flows = append(p.Groups[group].Flows, id)
 	return id
 }

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestProblemBuildAndValidate(t *testing.T) {
 	p := NewProblem([]float64{10e9, 10e9})
@@ -31,6 +34,47 @@ func TestProblemAggregate(t *testing.T) {
 	u2 := p.TotalUtility([]float64{8e9, 0})
 	if !almostEq(u1, u2, 1e-12) {
 		t.Errorf("aggregate utility depends on split: %v vs %v", u1, u2)
+	}
+}
+
+// TestProblemReset: a problem rebuilt after Reset equals one built
+// fresh — no flow, group member or link of the previous build shows
+// through, though the arrays are reused — and rebuilding one no larger
+// than its predecessor allocates nothing.
+func TestProblemReset(t *testing.T) {
+	us := make([]Utility, 9) // boxed once: the conversion would allocate
+	for i := range us {
+		us[i] = NewAlphaFair(float64(1 + i))
+	}
+	build := func(p *Problem, n int) {
+		for i := 0; i < n; i++ {
+			if i%3 == 0 {
+				g := p.AddAggregate(us[i])
+				p.AddSubflow(g, []int{i % 4, (i + 1) % 4})
+				p.AddSubflow(g, []int{(i + 2) % 4})
+				continue
+			}
+			p.AddFlow([]int{i % 4}, us[i])
+		}
+	}
+	p := NewProblem([]float64{1, 2, 3, 4})
+	build(p, 9)
+	for _, n := range []int{4, 9, 1} {
+		caps := []float64{float64(n), 5, 6, 7}
+		want := NewProblem(caps)
+		build(want, n)
+		p.Reset(caps)
+		build(p, n)
+		if !reflect.DeepEqual(p, want) {
+			t.Fatalf("n=%d: rebuilt %+v, want %+v", n, p, want)
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+	}
+	caps := []float64{1, 2, 3, 4}
+	if n := testing.AllocsPerRun(20, func() { p.Reset(caps); build(p, 9) }); n != 0 {
+		t.Errorf("Reset + rebuild allocates %v times, want 0", n)
 	}
 }
 

@@ -62,7 +62,7 @@ func ProportionalFair() AlphaFair { return AlphaFair{Alpha: 1, Weight: 1} }
 
 // Value returns U(x).
 func (u AlphaFair) Value(x float64) float64 {
-	x = math.Max(x, minRate)
+	x = max(x, minRate)
 	w := u.EffectiveWeight()
 	if u.isLog() {
 		return w * math.Log(x)
@@ -72,7 +72,7 @@ func (u AlphaFair) Value(x float64) float64 {
 
 // Marginal returns U'(x) = (w/x)^α.
 func (u AlphaFair) Marginal(x float64) float64 {
-	x = math.Max(x, minRate)
+	x = max(x, minRate)
 	if u.isLog() {
 		// α=1 fast path: w/x, avoiding math.Pow on the hot paths (the
 		// fluid allocators evaluate marginals per flow per epoch).

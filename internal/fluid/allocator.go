@@ -99,17 +99,10 @@ type scratch struct {
 	// linkStamp it is link-indexed with only touched entries written.
 	bload []float64
 
-	// afW/afK/alphaK are the devirtualized utility plan of one call
-	// (see gatherAlpha): flow i evaluates alphaK[afK[i]] at weight
-	// afW[i] instead of calling through the Utility interface.
-	afW    []float64
-	afK    []uint8
-	alphaK []core.AlphaKernel
+	// plan is the devirtualized utility plan of one call, one entry per
+	// flow (see gatherAlpha).
+	plan core.AlphaPlan
 }
-
-// maxAlphaKernels bounds the distinct α one call's plan holds; every
-// committed workload has one.
-const maxAlphaKernels = 4
 
 func (s *scratch) resize(n int) {
 	if cap(s.paths) < n {
@@ -135,41 +128,12 @@ func (s *scratch) collectGroups(flows []*Flow) []*Group {
 	return s.groups
 }
 
-// gatherAlpha builds the call's α-fair plan and reports whether every
-// flow carries a core.AlphaFair over at most maxAlphaKernels distinct
-// α — the common case (ProportionalFair, the Table 1 α-fair rows,
-// FCTMin). When it returns true, allocator inner loops switch to a fast
-// variant that evaluates the per-α kernel on the weight column: no itab
-// indirection, and everything math.Pow derives from the exponent alone
-// is prepared here, once per call, instead of per flow per iteration.
-// The kernel returns AlphaFair's own results bit for bit (core.Power),
-// so rates are identical to the interface path. Returns false at the
-// first flow outside the plan, leaving the columns unspecified.
+// gatherAlpha builds the call's α-fair plan over the flows' utilities
+// (core.AlphaPlan.Build). When it returns true, allocator inner loops
+// switch to a fast variant that evaluates the per-α kernel on the
+// weight column, with rates identical to the interface path.
 func (s *scratch) gatherAlpha(flows []*Flow) bool {
-	if cap(s.afW) < len(flows) {
-		s.afW = make([]float64, len(flows))
-		s.afK = make([]uint8, len(flows))
-	}
-	s.afW, s.afK = s.afW[:len(flows)], s.afK[:len(flows)]
-	s.alphaK = s.alphaK[:0]
-	for i, f := range flows {
-		u, ok := f.U.(core.AlphaFair)
-		if !ok {
-			return false
-		}
-		k := 0
-		for k < len(s.alphaK) && s.alphaK[k].Alpha != u.Alpha {
-			k++
-		}
-		if k == len(s.alphaK) {
-			if k == maxAlphaKernels {
-				return false
-			}
-			s.alphaK = append(s.alphaK, core.NewAlphaKernel(u.Alpha))
-		}
-		s.afW[i], s.afK[i] = u.EffectiveWeight(), uint8(k)
-	}
-	return true
+	return s.plan.Build(len(flows), func(i int) core.Utility { return flows[i].U })
 }
 
 // collectLinks gathers the distinct links crossed by flows, in
@@ -468,7 +432,7 @@ func (a *XWI) allocate(net *Network, flows []*Flow, rates []float64, subset bool
 	touched := a.ws.Links()
 	groups := a.s.collectGroups(flows)
 	fast := a.s.gatherAlpha(flows)
-	afW, afK, alphaK := a.s.afW, a.s.afK, a.s.alphaK
+	afW, afK, alphaK := a.s.plan.W, a.s.plan.K, a.s.plan.Kernels
 	if cap(a.q) < nf {
 		a.q = make([]float64, nf)
 	}
@@ -608,7 +572,9 @@ type Oracle struct {
 	prices []float64
 	init   []float64
 	s      scratch
-	sw     oracle.SolveWorkspace
+	// p is the problem every solve rebuilds in place (core.Problem.Reset).
+	p  core.Problem
+	sw oracle.SolveWorkspace
 }
 
 // NewOracle returns an Oracle allocator.
@@ -673,7 +639,8 @@ func (o *Oracle) solve(net *Network, flows []*Flow, init []float64) oracle.Resul
 	if maxIter <= 0 {
 		maxIter = 2000
 	}
-	p := core.NewProblem(net.Capacity)
+	p := &o.p
+	p.Reset(net.Capacity)
 	for _, g := range o.s.collectGroups(flows) {
 		g.gid = -1
 	}
@@ -806,7 +773,7 @@ func (a *DGD) allocate(net *Network, flows []*Flow, rates []float64, subset bool
 	q := a.q[:nf]
 	groups := a.s.collectGroups(flows)
 	fast := a.s.gatherAlpha(flows)
-	afW, afK, alphaK := a.s.afW, a.s.afK, a.s.alphaK
+	afW, afK, alphaK := a.s.plan.W, a.s.plan.K, a.s.plan.Kernels
 	if a.Tol > 0 {
 		if cap(a.xprev) < nf {
 			a.xprev = make([]float64, nf)

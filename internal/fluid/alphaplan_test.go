@@ -30,7 +30,7 @@ func TestAlphaPlanMatchesInterfacePath(t *testing.T) {
 			return core.NewWeightedAlphaFair([]float64{0.125, 1, 2}[i%3], float64(1+i%5))
 		}},
 		{"past the bound", false, func(i int) core.Utility {
-			return core.NewWeightedAlphaFair(0.25*float64(1+i%(maxAlphaKernels+2)), float64(1+i%3))
+			return core.NewWeightedAlphaFair(0.25*float64(1+i%(core.MaxAlphaKernels+2)), float64(1+i%3))
 		}},
 		{"one opaque", false, func(i int) core.Utility {
 			if i == n/2 {
@@ -95,5 +95,29 @@ func TestXWISubsetAllocatesNothingWarm(t *testing.T) {
 		i++
 	}); avg != 0 {
 		t.Fatalf("warm XWI.AllocateSubset on FCTMin flows: %v allocs/op, want 0", avg)
+	}
+}
+
+// TestOracleAllocatesNothingWarm: a warm Oracle.Allocate — refsim's
+// call, the Figure 5 ideals' — rebuilds its core.Problem in place and
+// solves on a kept workspace and α plan, so it allocates nothing, on
+// FCTMin flows plus a multipath group (make alloc-gate).
+func TestOracleAllocatesNothingWarm(t *testing.T) {
+	ft := NewFatTree(8, 10e9)
+	flows := fctMinComponent(ft, 24)
+	g := NewGroup(0, core.ProportionalFair(), 1<<20, 0)
+	for i, pick := range []int{0, 5} {
+		g.AddMember(NewFlow(len(flows)+i, ft.Route(3, 40, pick), nil, 0, 0))
+	}
+	flows = append(g.Members, flows...)
+	o := &Oracle{MaxIter: 1500}
+	rates := make([]float64, len(flows))
+	o.Allocate(ft.Net, flows, rates)
+	i := 0
+	if avg := testing.AllocsPerRun(50, func() {
+		o.Allocate(ft.Net, flows[:len(flows)-i%2], rates)
+		i++
+	}); avg != 0 {
+		t.Fatalf("warm Oracle.Allocate: %v allocs/op, want 0", avg)
 	}
 }

@@ -175,39 +175,32 @@ func BenchmarkDGDSolve(b *testing.B) {
 	benchSubsetSolves(b, func() subsetSolver { return &DGD{IterPerEpoch: 600, Tol: 1e-3} })
 }
 
-// BenchmarkOracleSolve is oracle.Solve as the event-driven ideals run
-// it: one workspace, warm-started from the previous solve's prices,
-// alternating between the component and the component less its last
-// flow.
+// BenchmarkOracleSolve is the Oracle as the Figure 5 ideals run it
+// (refsim's whole-set Allocate with harness.FluidIdealFCTs' MaxIter):
+// the core.Problem rebuilt and oracle.Solve'd per call, warm-started
+// from the previous call's prices, alternating between the component
+// and the component less its last flow.
 func BenchmarkOracleSolve(b *testing.B) {
 	ft := NewFatTree(8, 10e9)
 	for _, n := range kernelSizes {
 		flows := kernelComponent(ft, n, core.ProportionalFair())
-		problems := [2]*core.Problem{}
-		for k := range problems {
-			p := core.NewProblem(ft.Net.Capacity)
-			for _, f := range flows[:n-k] {
-				p.AddFlow(f.Links, f.U)
-			}
-			problems[k] = p
-		}
 		b.Run(fmt.Sprintf("flows=%d", n), func(b *testing.B) {
-			var ws oracle.SolveWorkspace
-			opts := oracle.SolveOptions{MaxIter: 1500, Tol: 1e-7}
-			opts.InitPrices = ws.Solve(problems[0], opts).Prices
-			opts.InitPrices = ws.Solve(problems[1], opts).Prices
-			var flowIters, iters int64
+			o := &Oracle{MaxIter: 1500}
+			rates := make([]float64, n)
+			o.Allocate(ft.Net, flows, rates)
+			o.Allocate(ft.Net, flows[:n-1], rates)
+			start := o.SolveIters()
+			var flowIters int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p := problems[i%2]
-				res := ws.Solve(p, opts)
-				opts.InitPrices = res.Prices
-				iters += int64(res.Iterations)
-				flowIters += int64(res.Iterations) * int64(len(p.Flows))
+				sub := flows[:n-i%2]
+				before := o.SolveIters()
+				o.Allocate(ft.Net, sub, rates)
+				flowIters += (o.SolveIters() - before) * int64(len(sub))
 			}
 			reportPerFlowIter(b, flowIters)
-			b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
+			b.ReportMetric(float64(o.SolveIters()-start)/float64(b.N), "iters/op")
 		})
 	}
 }

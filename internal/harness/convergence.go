@@ -161,9 +161,10 @@ type semiDynamicRun[T clockUnit] struct {
 	// want[i] is active[i]'s Oracle rate since the last event.
 	want   []float64
 	result SemiDynamicResult
-	// solver serves every event's reference solve: cold prices each
-	// time (no InitPrices), so only its buffers carry over.
-	solver oracle.SolveWorkspace
+	// problem and solver serve every event's reference solve: cold
+	// prices each time (no InitPrices), so only their buffers carry over.
+	problem core.Problem
+	solver  oracle.SolveWorkspace
 
 	// Per-event state.
 	eventStart T
@@ -220,11 +221,11 @@ func (r *semiDynamicRun[T]) beginEvent(now T) {
 	r.eventStart = now
 	r.holding = false
 
-	p := core.NewProblem(r.topo.Net.Capacities())
+	r.problem.Reset(r.topo.Net.Capacities())
 	for _, sf := range r.active {
-		p.AddFlow(sf.links, sf.util)
+		r.problem.AddFlow(sf.links, sf.util)
 	}
-	res := r.solver.Solve(p, oracle.SolveOptions{MaxIter: 3000, Tol: 1e-6})
+	res := r.solver.Solve(&r.problem, oracle.SolveOptions{MaxIter: 3000, Tol: 1e-6})
 	r.want = append(r.want[:0], res.Rates...)
 }
 

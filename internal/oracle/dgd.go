@@ -66,11 +66,13 @@ func SolveDGD(p *core.Problem, opts DGDOptions) Result {
 	}
 	x := make([]float64, nf)
 	prevX := make([]float64, nf)
+	load := make([]float64, nl)
 	xCap := 10 * maxCap
 
 	it := 0
 	converged := false
 	for ; it < opts.MaxIter; it++ {
+		clear(load)
 		for i, f := range p.Flows {
 			sum := 0.0
 			for _, l := range f.Links {
@@ -78,8 +80,10 @@ func SolveDGD(p *core.Problem, opts DGDOptions) Result {
 			}
 			u := p.Groups[f.Group].U
 			x[i] = math.Min(u.InverseMarginal(sum), xCap)
+			for _, l := range f.Links {
+				load[l] += x[i]
+			}
 		}
-		load := p.LinkLoads(x)
 		for l := 0; l < nl; l++ {
 			price[l] += step * (load[l] - p.Capacity[l])
 			if price[l] < 0 {
@@ -101,11 +105,4 @@ func SolveDGD(p *core.Problem, opts DGDOptions) Result {
 		copy(prevX, x)
 	}
 	return Result{Rates: x, Prices: price, Iterations: it, Converged: converged}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -355,10 +355,3 @@ func fig2Flow2() *core.BandwidthFunction {
 		{FairShare: 5, Bandwidth: 10 * gbps},
 	})
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -78,6 +78,8 @@ func Solve(p *core.Problem, opts SolveOptions) Result {
 // to use; a workspace must not be used concurrently.
 type SolveWorkspace struct {
 	mm MaxMinWorkspace
+	// plan is the α-fair utility plan, one entry per group.
+	plan core.AlphaPlan
 
 	// Per flow.
 	paths     [][]int
@@ -88,9 +90,9 @@ type SolveWorkspace struct {
 
 	// Per link. price is fully defined; the others are written and
 	// read on touched or live links only.
-	price, prevPrice []float64
-	load, minRes     []float64
-	cnt              []int
+	price        []float64
+	load, minRes []float64
+	cnt          []int
 	// live lists the only links an iteration visits: the touched links
 	// (mm.Links) followed by the idle ones — links no flow crosses whose
 	// price was non-zero on entry.
@@ -121,9 +123,11 @@ func (ws *SolveWorkspace) Solve(p *core.Problem, opts SolveOptions) Result {
 	ws.mm.Prepare(p.Capacity, paths)
 	touched := ws.mm.Links()
 
+	// The builtin max, not math.Max (an out-of-line call on amd64): the
+	// same results, NaN and ±0 included.
 	maxCap := 0.0
 	for _, c := range p.Capacity {
-		maxCap = math.Max(maxCap, c)
+		maxCap = max(maxCap, c)
 	}
 	if maxCap <= 0 {
 		// Every link dead: keep the weight window finite; the max-min
@@ -166,7 +170,7 @@ func (ws *SolveWorkspace) Solve(p *core.Problem, opts SolveOptions) Result {
 				// against the largest capacity instead.
 				capl = maxCap
 			}
-			fair := capl / math.Max(1, float64(cnt[paths[f0][0]]))
+			fair := capl / max(1, float64(cnt[paths[f0][0]]))
 			target := grp.U.Marginal(fair)
 			sum := 0.0
 			for _, l := range paths[f0] {
@@ -213,10 +217,13 @@ func (ws *SolveWorkspace) Solve(p *core.Problem, opts SolveOptions) Result {
 			share[f] = 1 / n
 		}
 	}
-	ws.prevPrice = growF(ws.prevPrice, nl)
 	ws.load = growF(ws.load, nl)
 	ws.minRes = growF(ws.minRes, nl)
-	prevPrice, load, minRes := ws.prevPrice, ws.load, ws.minRes
+	load, minRes := ws.load, ws.minRes
+	// fast: group g evaluates kern[gk[g]] at weight gw[g] instead of
+	// calling grp.U (core.AlphaPlan; the same bits).
+	fast := ws.plan.Build(len(p.Groups), func(g int) core.Utility { return p.Groups[g].U })
+	gw, gk, kern := ws.plan.W, ws.plan.K, ws.plan.Kernels
 
 	it := 0
 	converged := false
@@ -232,11 +239,15 @@ func (ws *SolveWorkspace) Solve(p *core.Problem, opts SolveOptions) Result {
 					sum += price[l]
 				}
 				pathPrice[f] = sum
-				w := grp.U.InverseMarginal(sum)
+				var w float64
+				if fast {
+					w = kern[gk[g]].InverseMarginal(gw[g], sum)
+				} else {
+					w = grp.U.InverseMarginal(sum)
+				}
 				if len(grp.Flows) > 1 {
 					// Share floor lets an unused path keep probing.
-					s := math.Max(share[f], 1e-3)
-					w *= s
+					w *= max(share[f], 1e-3)
 				}
 				weights[f] = clamp(w, wMin, wMax)
 			}
@@ -278,7 +289,13 @@ func (ws *SolveWorkspace) Solve(p *core.Problem, opts SolveOptions) Result {
 			for _, f := range grp.Flows {
 				rate := x[f]
 				// For aggregates the KKT marginal is of the total rate.
-				marg := grp.U.Marginal(math.Max(agg, minPositive(rate)))
+				at := max(agg, minPositive(rate))
+				var marg float64
+				if fast {
+					marg = kern[gk[g]].Marginal(gw[g], at)
+				} else {
+					marg = grp.U.Marginal(at)
+				}
 				res := (marg - pathPrice[f]) / float64(len(paths[f]))
 				for _, l := range paths[f] {
 					load[l] += rate
@@ -288,24 +305,34 @@ func (ws *SolveWorkspace) Solve(p *core.Problem, opts SolveOptions) Result {
 				}
 			}
 		}
+		// The price maxima the convergence test reads are taken as the
+		// prices are written: each live link's price before the update
+		// is the previous iteration's.
+		maxPrice, maxPriceDelta := 0.0, 0.0
 		for _, l := range touched {
-			if p.Capacity[l] <= 0 {
-				// Failed link: utilization is undefined (0/0) and no
-				// price can admit traffic. Hold the price so a recovery
-				// warm-starts from the pre-fault dual.
-				continue
+			old := price[l]
+			// A failed link (capacity ≤ 0) holds its price: utilization
+			// is undefined (0/0) and no price can admit traffic, and a
+			// recovery warm-starts from the pre-fault dual. Not c > 0:
+			// a NaN capacity takes the update.
+			if c := p.Capacity[l]; !(c <= 0) {
+				pres := old + minRes[l]
+				u := load[l] / c
+				pnew := pres - opts.Eta*(1-u)*old
+				if pnew < 0 {
+					pnew = 0
+				}
+				price[l] = opts.Beta*old + (1-opts.Beta)*pnew
 			}
-			pres := price[l] + minRes[l]
-			u := load[l] / p.Capacity[l]
-			pnew := pres - opts.Eta*(1-u)*price[l]
-			if pnew < 0 {
-				pnew = 0
-			}
-			price[l] = opts.Beta*price[l] + (1-opts.Beta)*pnew
+			maxPrice = max(maxPrice, price[l])
+			maxPriceDelta = max(maxPriceDelta, math.Abs(price[l]-old))
 		}
 		for _, l := range idle {
 			// No flows: drive the price to zero.
+			old := price[l]
 			price[l] *= opts.Beta
+			maxPrice = max(maxPrice, price[l])
+			maxPriceDelta = max(maxPriceDelta, math.Abs(price[l]-old))
 		}
 
 		// Convergence: relative change in all rates below Tol AND
@@ -318,13 +345,8 @@ func (ws *SolveWorkspace) Solve(p *core.Problem, opts SolveOptions) Result {
 		if it > 0 {
 			maxRel := 0.0
 			for i := range x {
-				den := math.Max(math.Abs(prevX[i]), 1)
-				maxRel = math.Max(maxRel, math.Abs(x[i]-prevX[i])/den)
-			}
-			maxPrice, maxPriceDelta := 0.0, 0.0
-			for _, l := range live {
-				maxPrice = math.Max(maxPrice, price[l])
-				maxPriceDelta = math.Max(maxPriceDelta, math.Abs(price[l]-prevPrice[l]))
+				den := max(math.Abs(prevX[i]), 1)
+				maxRel = max(maxRel, math.Abs(x[i]-prevX[i])/den)
 			}
 			if maxRel < opts.Tol && (maxPrice == 0 || maxPriceDelta < 1e-6*maxPrice) {
 				converged = true
@@ -333,9 +355,6 @@ func (ws *SolveWorkspace) Solve(p *core.Problem, opts SolveOptions) Result {
 			}
 		}
 		copy(prevX, x)
-		for _, l := range live {
-			prevPrice[l] = price[l]
-		}
 	}
 	// Complementary-slackness projection: an unsaturated link's true
 	// dual is zero. The iteration drives such prices to zero

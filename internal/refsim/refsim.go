@@ -19,6 +19,7 @@ package refsim
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"numfabric/internal/core"
@@ -58,6 +59,7 @@ type Sim struct {
 	baseCap  []float64 // what recovery restores
 	depth    []int     // nested failures per link
 	downT    []float64 // when each dead link went down
+	rates    []float64 // the allocation buffer, one entry per active flow
 }
 
 // New returns a simulator over net (whose capacities link faults
@@ -140,10 +142,10 @@ func (s *Sim) Run(until float64) {
 	})
 	for {
 		if len(s.active) > 0 {
-			rates := make([]float64, len(s.active))
-			s.alloc.Allocate(s.net, s.active, rates)
+			s.rates = slices.Grow(s.rates[:0], len(s.active))[:len(s.active)]
+			s.alloc.Allocate(s.net, s.active, s.rates)
 			for i, f := range s.active {
-				f.Rate = rates[i]
+				f.Rate = s.rates[i]
 			}
 		}
 		depT, dep := math.Inf(1), -1
