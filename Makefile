@@ -74,13 +74,16 @@ obs-inline:
 # accepted list re-parses to itself), and FuzzReadFlowTrace the offline
 # flow-trace reader (a defined error or a trace that re-encodes to
 # itself), and FuzzPowerMatchesPow the fixed-exponent power kernel
-# (core.Power ≡ math.Pow on any pair of bit patterns).
+# (core.Power ≡ math.Pow on any pair of bit patterns), and FuzzEventQueue
+# the packet engine's event set (sim.Engine against a sorted (at, seq)
+# model under Schedule/After/Run(until)/Stop interleavings).
 fuzz:
 	go test -run '^$$' -fuzz FuzzLeapMatchesReference -fuzztime 60s -fuzzminimizetime 2s ./internal/leap/
 	go test -run '^$$' -fuzz FuzzSchedule -fuzztime 10s -fuzzminimizetime 2s ./internal/leap/
 	go test -run '^$$' -fuzz FuzzParseFaults -fuzztime 10s -fuzzminimizetime 2s ./internal/workload/
 	go test -run '^$$' -fuzz FuzzReadFlowTrace -fuzztime 10s -fuzzminimizetime 2s ./internal/obs/
 	go test -run '^$$' -fuzz FuzzPowerMatchesPow -fuzztime 10s -fuzzminimizetime 2s ./internal/core/
+	go test -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s -fuzzminimizetime 2s ./internal/sim/
 
 # Fault-injection smoke: the leap fault test suite (property, analytic,
 # and lost-service identity tests) plus the end-to-end example —

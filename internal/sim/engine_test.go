@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	e := NewEngine()
@@ -174,28 +171,6 @@ func TestEngineSplitRunMatchesOneRun(t *testing.T) {
 		if split[i] != whole[i] {
 			t.Fatalf("event %d: split run executed %d, one run %d", i, split[i], whole[i])
 		}
-	}
-}
-
-func TestHeapPropertyQuick(t *testing.T) {
-	// Property: popping everything yields a (time, seq)-sorted order.
-	f := func(times []uint16) bool {
-		var h eventHeap
-		for i, v := range times {
-			h.push(event{at: Time(v), seq: uint64(i)})
-		}
-		prev := event{at: -1}
-		for len(h) > 0 {
-			ev := h.pop()
-			if ev.at < prev.at || (ev.at == prev.at && ev.seq < prev.seq) {
-				return false
-			}
-			prev = ev
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
