@@ -103,11 +103,12 @@ bench-smoke:
 	go test -run '^$$' -bench 'XWISolve|DGDSolve|OracleSolve' -benchtime 1x ./internal/fluid/
 	go test -run '^$$' -bench AlphaKernel -benchtime 1x ./internal/core/
 
-# The packet engine's layers in isolation: ns per scheduled event
+# The packet engine's layers in isolation: ns per event at fig7's gap
+# mix and ~675 pending, and ns per event piled into one calendar bucket
 # (sim), ns and allocations per packet-hop on a two-hop line (netsim),
 # ns per enqueue+dequeue at backlog 1/16/256 (queue.STFQ).
 bench-packet:
-	go test -run '^$$' -bench 'BenchmarkEngineScheduleRun|BenchmarkPortHop|BenchmarkSTFQ' -benchmem ./internal/sim/ ./internal/netsim/ ./internal/queue/
+	go test -run '^$$' -bench 'BenchmarkEngineGapMix|BenchmarkEngineScheduleRun|BenchmarkPortHop|BenchmarkSTFQ' -benchmem ./internal/sim/ ./internal/netsim/ ./internal/queue/
 
 # The two CLI experiments that print harness.RunDynamicWith on the
 # fat-tree, at seed 1 and scaled size (about 30 s each; leapfct's load

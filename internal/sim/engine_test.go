@@ -72,6 +72,49 @@ func TestEngineRunUntilStopsEarly(t *testing.T) {
 	}
 }
 
+// TestEngineRunNeverRewindsTheClock: a Run whose until is behind the
+// clock runs nothing and leaves the clock — and so the earliest instant
+// Schedule accepts — where it was.
+func TestEngineRunNeverRewindsTheClock(t *testing.T) {
+	cases := []struct {
+		name    string
+		events  []Time
+		runs    []Time
+		wantNow Time
+		wantRan int
+	}{
+		{"behind an early return", []Time{100}, []Time{50, 20}, 50, 0},
+		{"behind an executed event", []Time{40, 100}, []Time{60, 45}, 60, 1},
+		{"at the clock", []Time{100}, []Time{50, 50}, 50, 0},
+		{"negative", []Time{10}, []Time{-1}, 0, 0},
+		{"forward again", []Time{100}, []Time{50, 20, 150}, 100, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine()
+			ran := 0
+			for _, at := range c.events {
+				e.Schedule(at, func() { ran++ })
+			}
+			for _, until := range c.runs {
+				e.Run(until)
+			}
+			if e.Now() != c.wantNow || ran != c.wantRan || e.Pending() != len(c.events)-ran {
+				t.Fatalf("Now() = %d after %d of %d events, want %d after %d",
+					e.Now(), ran, len(c.events), c.wantNow, c.wantRan)
+			}
+			if c.wantNow > 0 {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("Schedule(%d) accepted with the clock at %d", c.wantNow-1, c.wantNow)
+					}
+				}()
+				e.Schedule(c.wantNow-1, func() {})
+			}
+		})
+	}
+}
+
 func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	ran := 0
@@ -246,6 +289,9 @@ func TestRNGPermIsPermutation(t *testing.T) {
 	}
 }
 
+// BenchmarkEngineScheduleRun piles up to 1,024 events, 0–63 ps apart and
+// pushed out of order, into what is one calendar bucket: the event set's
+// worst case, not the packet engine's traffic (BenchmarkEngineGapMix is).
 func BenchmarkEngineScheduleRun(b *testing.B) {
 	e := NewEngine()
 	b.ReportAllocs()
@@ -256,4 +302,53 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 		}
 	}
 	e.Run(Forever)
+}
+
+// BenchmarkEngineGapMix replays the packet engine's event traffic as
+// counted over a 1,000-flow fig7 play: 675 events pending (the play's
+// mean), each scheduling its successor at a gap drawn from the play's
+// mix — 61 % in [2^20, 2^21) ps (serialisations), 13.5 % in
+// [2^15, 2^16), 10 % in [2^13, 2^14), 10 % in [2^18, 2^19), 5 % in
+// [2^24, 2^25) and 0.5 % in [2^26, 2^27). One op is one event.
+func BenchmarkEngineGapMix(b *testing.B) {
+	rng := NewRNG(1)
+	gaps := make([]Duration, 1<<12)
+	for i := range gaps {
+		var exp int
+		switch p := rng.Intn(1000); {
+		case p < 610:
+			exp = 20
+		case p < 745:
+			exp = 15
+		case p < 845:
+			exp = 13
+		case p < 945:
+			exp = 18
+		case p < 995:
+			exp = 24
+		default:
+			exp = 26
+		}
+		gaps[i] = Duration(1)<<exp + Duration(rng.Intn(1<<exp))
+	}
+	e := NewEngine()
+	left, next := 0, 0
+	var fire func()
+	fire = func() {
+		e.After(gaps[next&(len(gaps)-1)], fire)
+		next++
+		if left--; left == 0 {
+			e.Stop()
+		}
+	}
+	for i := 0; i < 675; i++ {
+		e.After(gaps[i], fire)
+	}
+	left = 1 << 20 // reach the steady state before timing
+	e.Run(Forever)
+	b.ReportAllocs()
+	b.ResetTimer()
+	left = b.N
+	e.Run(Forever)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
 }

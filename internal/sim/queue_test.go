@@ -155,7 +155,7 @@ func (c *queueCheck) step() {
 			ref = c.model[0].at
 		}
 		var until Time
-		switch c.next() % 4 {
+		switch c.next() % 5 {
 		case 0:
 			until = ref.Add(-c.gap()) // before the next event
 		case 1:
@@ -164,8 +164,10 @@ func (c *queueCheck) step() {
 			until = ref.Add(c.gap())
 		case 3:
 			until = Forever
+		case 4:
+			until = c.now.Add(-c.gap()) // behind the clock: runs nothing
 		}
-		c.run(max(until, c.now))
+		c.run(until)
 	case 3:
 		c.e.Stop() // outside Run: the next Run starts afresh
 	case 4:
@@ -185,7 +187,8 @@ func (c *queueCheck) step() {
 
 // run calls Run(until) and checks where it left the clock: on until if
 // an event beyond it is still pending and nothing stopped the run, on
-// the last event executed otherwise.
+// the last event executed otherwise, and where it was if until is
+// behind it.
 func (c *queueCheck) run(until Time) {
 	c.until, c.stopped = until, false
 	got := c.e.Run(until)
@@ -193,7 +196,7 @@ func (c *queueCheck) run(until Time) {
 		if c.model[0].at <= until {
 			c.t.Fatalf("Run(%d) returned with (at %d, seq %d) pending", until, c.model[0].at, c.model[0].seq)
 		}
-		c.now = until
+		c.now = max(c.now, until)
 	}
 	if got != c.now {
 		c.t.Fatalf("Run(%d) returned %d, want %d", until, got, c.now)

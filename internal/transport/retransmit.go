@@ -15,6 +15,9 @@ type retransmitter struct {
 	flow   *netsim.Flow
 	rto    sim.Duration
 	refill func()
+	// expireFn is r.expire, bound once so that re-arming the timer every
+	// timeout allocates nothing.
+	expireFn func()
 	// lastSeen snapshots CumAcked at each tick; a flow is considered
 	// stalled only if the snapshot is unchanged a full timeout later.
 	lastSeen int64
@@ -22,7 +25,9 @@ type retransmitter struct {
 }
 
 func newRetransmitter(net *netsim.Network, f *netsim.Flow, rto sim.Duration, refill func()) *retransmitter {
-	return &retransmitter{net: net, flow: f, rto: rto, refill: refill, lastSeen: -1}
+	r := &retransmitter{net: net, flow: f, rto: rto, refill: refill, lastSeen: -1}
+	r.expireFn = r.expire
+	return r
 }
 
 // progress is a notification hook for cumulative-ACK advancement;
@@ -42,20 +47,22 @@ func (r *retransmitter) arm() {
 	r.tick()
 }
 
-func (r *retransmitter) tick() {
+func (r *retransmitter) tick() { r.net.Engine.After(r.rto, r.expireFn) }
+
+// expire is one timeout: rewind if nothing was acknowledged since the
+// last one, then re-arm while the flow lives.
+func (r *retransmitter) expire() {
 	f := r.flow
-	r.net.Engine.After(r.rto, func() {
-		if f.Done || f.Stopped {
-			r.armed = false
-			return
-		}
-		outstanding := f.NextSeq > f.CumAcked
-		if outstanding && f.CumAcked == r.lastSeen {
-			// No progress for a full timeout: rewind and resend.
-			f.NextSeq = f.CumAcked
-			r.refill()
-		}
-		r.lastSeen = f.CumAcked
-		r.tick()
-	})
+	if f.Done || f.Stopped {
+		r.armed = false
+		return
+	}
+	outstanding := f.NextSeq > f.CumAcked
+	if outstanding && f.CumAcked == r.lastSeen {
+		// No progress for a full timeout: rewind and resend.
+		f.NextSeq = f.CumAcked
+		r.refill()
+	}
+	r.lastSeen = f.CumAcked
+	r.tick()
 }
