@@ -76,7 +76,9 @@ obs-inline:
 # itself), and FuzzPowerMatchesPow the fixed-exponent power kernel
 # (core.Power ≡ math.Pow on any pair of bit patterns), and FuzzEventQueue
 # the packet engine's event set (sim.Engine against a sorted (at, seq)
-# model under Schedule/After/Run(until)/Stop interleavings).
+# model under Schedule/After/Run(until)/Stop interleavings), and FuzzSTFQ
+# the STFQ scheduler (against a map-keyed model: start-tag bits, dequeue
+# order and drops under enqueue/dequeue/drain interleavings).
 fuzz:
 	go test -run '^$$' -fuzz FuzzLeapMatchesReference -fuzztime 60s -fuzzminimizetime 2s ./internal/leap/
 	go test -run '^$$' -fuzz FuzzSchedule -fuzztime 10s -fuzzminimizetime 2s ./internal/leap/
@@ -84,6 +86,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzReadFlowTrace -fuzztime 10s -fuzzminimizetime 2s ./internal/obs/
 	go test -run '^$$' -fuzz FuzzPowerMatchesPow -fuzztime 10s -fuzzminimizetime 2s ./internal/core/
 	go test -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s -fuzzminimizetime 2s ./internal/sim/
+	go test -run '^$$' -fuzz FuzzSTFQ -fuzztime 10s -fuzzminimizetime 2s ./internal/queue/
 
 # Fault-injection smoke: the leap fault test suite (property, analytic,
 # and lost-service identity tests) plus the end-to-end example —
