@@ -43,7 +43,8 @@ loc:
 # XWI.AllocateSubset on FCTMin flows 0 — the α-fair plan's columns are
 # reused — and a warm Oracle.Allocate 0, groups included: its
 # core.Problem is rebuilt in place); and the packet engine's: 0 per forwarded packet on a warmed
-# two-hop line, behind STFQ and behind DropTail.
+# two-hop line, behind STFQ and behind DropTail, and 0 per dropped packet
+# on rounds that overflow STFQ, DropTail, MultiQueue and PFabric.
 alloc-gate:
 	go test -v -run 'TestAllocsPerOpSteadyState|TestReleaseFinishedRecycles|TestSteadyStateAllocations' -count=1 ./internal/leap/
 	go test -v -run 'TestKernelsAllocateNothingPerIteration' -count=1 ./internal/oracle/
@@ -109,7 +110,8 @@ bench-smoke:
 # The packet engine's layers in isolation: ns per event at fig7's gap
 # mix and ~675 pending, and ns per event piled into one calendar bucket
 # (sim), ns and allocations per packet-hop on a two-hop line (netsim),
-# ns per enqueue+dequeue at backlog 1/16/256 (queue.STFQ).
+# ns per enqueue+dequeue with every dequeue ending a busy period (drain,
+# fig7's regime) and at backlog 1/16/256 (queue.STFQ).
 bench-packet:
 	go test -run '^$$' -bench 'BenchmarkEngineGapMix|BenchmarkEngineScheduleRun|BenchmarkPortHop|BenchmarkSTFQ' -benchmem ./internal/sim/ ./internal/netsim/ ./internal/queue/
 

@@ -45,28 +45,51 @@ func hops(net *netsim.Network) (n uint64) {
 	return n
 }
 
+func drops(net *netsim.Network) (n uint64) {
+	for _, l := range net.Links {
+		n += l.Drops
+	}
+	return n
+}
+
+// overflow is a byte limit below a round's burst: of its 32 packets one
+// goes straight onto the wire, eight queue behind it and 23 are dropped,
+// so a round is 9 × 4 packet-hops.
+const overflow = 8 * netsim.MTU
+
 var hopQueues = []struct {
 	name string
 	qf   func(*netsim.Port) netsim.Queue
-}{{"STFQ", stfqFactory}, {"DropTail", dropTailFactory}}
+	hops uint64 // packet-hops per round
+}{
+	{"STFQ", stfqFactory, 128},
+	{"DropTail", dropTailFactory, 128},
+	{"STFQ-overflow", func(*netsim.Port) netsim.Queue { return queue.NewSTFQ(overflow) }, 36},
+	{"DropTail-overflow", func(*netsim.Port) netsim.Queue { return queue.NewDropTail(overflow) }, 36},
+	{"MultiQueue-overflow", func(*netsim.Port) netsim.Queue { return queue.NewMultiQueue(overflow, 8, 1, 4) }, 36},
+	{"PFabric-overflow", func(*netsim.Port) netsim.Queue { return queue.NewPFabric(overflow) }, 36},
+}
 
 // TestPacketHopAllocations is the packet engine's steady-state pin
 // (make alloc-gate): once the packet pool, the event heap and the
 // queues have grown to the working set, forwarding a packet — enqueue,
 // dequeue, serialisation, propagation, delivery, the ACK — allocates
-// nothing.
+// nothing, and neither does dropping one at a full queue.
 func TestPacketHopAllocations(t *testing.T) {
 	for _, c := range hopQueues {
 		t.Run(c.name, func(t *testing.T) {
 			net, round := hopLine(c.qf)
 			round() // warm
-			before := hops(net)
+			before, dropped := hops(net), drops(net)
 			allocs := testing.AllocsPerRun(50, round) // 50 measured rounds after one of its own
-			if perRound := (hops(net) - before) / 51; perRound != 128 {
-				t.Fatalf("%d packet-hops per round, want 128", perRound)
+			if perRound := (hops(net) - before) / 51; perRound != c.hops {
+				t.Fatalf("%d packet-hops per round, want %d", perRound, c.hops)
+			}
+			if perRound := (drops(net) - dropped) / 51; perRound != 32-c.hops/4 {
+				t.Fatalf("%d drops per round, want %d", perRound, 32-c.hops/4)
 			}
 			if allocs != 0 {
-				t.Errorf("%v allocations per 128 packet-hops, want 0", allocs)
+				t.Errorf("%v allocations per %d packet-hops, want 0", allocs, c.hops)
 			}
 		})
 	}
@@ -149,6 +172,54 @@ func TestWireFIFOProperty(t *testing.T) {
 				t.Fatalf("seed %d: arrival %d is packet %d at %v, want packet %d at %v",
 					seed, i, log.seqs[i], log.at[i], i, want[i])
 			}
+		}
+	}
+}
+
+// TestRateChangedMidRun: a Port.Rate rewritten mid-run (the pooling
+// scenario steps a link's capacity this way) governs every
+// serialisation that starts after it, bit-equal to TxTime at the new
+// rate whether or not 10^12 is a multiple of it; a packet already
+// serialising keeps the rate it started at.
+func TestRateChangedMidRun(t *testing.T) {
+	net, f, wire, log := oneWire(sim.Microsecond)
+	steps := []struct {
+		at   sim.Time
+		rate sim.BitRate
+	}{{0, 10 * sim.Gbps}, {5_000_001, 3 * sim.Gbps}, {11_000_003, 40 * sim.Gbps}, {17_000_007, 7 * sim.Gbps}}
+	for _, s := range steps[1:] {
+		net.Engine.Schedule(s.at, func() { wire.Rate = s.rate })
+	}
+	rateAt := func(at sim.Time) sim.BitRate {
+		r := steps[0].rate
+		for _, s := range steps[1:] {
+			if s.at == at {
+				t.Fatalf("a serialisation starts at the rate step %v", at)
+			}
+			if s.at < at {
+				r = s.rate
+			}
+		}
+		return r
+	}
+	var want []sim.Time
+	var txDone sim.Time
+	for i := 0; i < 60; i++ {
+		send := sim.Time(i/2) * sim.Time(700*sim.Nanosecond)
+		size := []int{netsim.MTU, 777, netsim.AckSize}[i%3]
+		pkt := &netsim.Packet{Flow: f, Kind: netsim.Ack, Seq: int64(i), Size: size, Path: f.Rev}
+		net.Engine.Schedule(send, func() { wire.Send(pkt) })
+		start := max(txDone, send)
+		txDone = start.Add(rateAt(start).TxTime(size))
+		want = append(want, txDone.Add(sim.Microsecond))
+	}
+	net.Engine.Run(sim.Forever)
+	if len(log.at) != len(want) {
+		t.Fatalf("%d arrivals, want %d", len(log.at), len(want))
+	}
+	for i := range want {
+		if log.at[i] != want[i] {
+			t.Fatalf("packet %d arrived at %d ps, want %d ps", log.seqs[i], int64(log.at[i]), int64(want[i]))
 		}
 	}
 }

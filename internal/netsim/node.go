@@ -8,7 +8,9 @@ import (
 
 // Queue is a packet scheduler attached to an egress port. Enqueue may
 // drop (returning the victims, which can include p itself under
-// push-out policies like pFabric's); Dequeue returns nil when empty.
+// push-out policies like pFabric's); the returned slice may be the
+// queue's own scratch, valid only until the next Enqueue, so a drop
+// allocates nothing. Dequeue returns nil when empty.
 type Queue interface {
 	Enqueue(p *Packet) (dropped []*Packet)
 	Dequeue() *Packet
@@ -80,17 +82,11 @@ func (p *Port) String() string {
 // Send enqueues pkt for transmission on this port, starting the
 // transmitter if idle.
 func (p *Port) Send(pkt *Packet) {
-	dropped := p.Q.Enqueue(pkt)
-	for _, d := range dropped {
+	accepted := true
+	for _, d := range p.Q.Enqueue(pkt) {
+		accepted = accepted && d != pkt
 		p.Drops++
 		p.net.dropPacket(d)
-	}
-	accepted := true
-	for _, d := range dropped {
-		if d == pkt {
-			accepted = false
-			break
-		}
 	}
 	if accepted {
 		for _, a := range p.Agents {

@@ -10,9 +10,10 @@ import "numfabric/internal/netsim"
 // port "to avoid complications for comparing the convergence times of
 // different algorithms which are sensitive to packet drops" (§6).
 type DropTail struct {
-	limit int
-	bytes int
-	pkts  fifo
+	limit   int
+	bytes   int
+	pkts    fifo
+	dropped []*netsim.Packet
 }
 
 // NewDropTail returns a FIFO bounded to limitBytes.
@@ -23,7 +24,8 @@ func NewDropTail(limitBytes int) *DropTail {
 // Enqueue appends p, dropping it if the byte limit would be exceeded.
 func (q *DropTail) Enqueue(p *netsim.Packet) []*netsim.Packet {
 	if q.bytes+p.Size > q.limit {
-		return []*netsim.Packet{p}
+		q.dropped = append(q.dropped[:0], p)
+		return q.dropped
 	}
 	q.bytes += p.Size
 	q.pkts.push(p)

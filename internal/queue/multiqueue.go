@@ -27,7 +27,8 @@ type MultiQueue struct {
 	next      int
 	// inTurn marks that band `next` has already been credited its
 	// quantum for the current round-robin visit.
-	inTurn bool
+	inTurn  bool
+	dropped []*netsim.Packet
 }
 
 // NewMultiQueue builds an n-band approximation covering weights
@@ -84,7 +85,8 @@ func (q *MultiQueue) band(p *netsim.Packet) int {
 // Enqueue inserts p into its weight band (tail drop on overflow).
 func (q *MultiQueue) Enqueue(p *netsim.Packet) []*netsim.Packet {
 	if q.bytes+p.Size > q.limit {
-		return []*netsim.Packet{p}
+		q.dropped = append(q.dropped[:0], p)
+		return q.dropped
 	}
 	b := q.band(p)
 	q.bands[b].push(p)

@@ -20,6 +20,7 @@ type PFabric struct {
 	bytes   int
 	pkts    []*netsim.Packet
 	arrival uint64
+	dropped []*netsim.Packet
 }
 
 // NewPFabric returns a pFabric queue bounded to limitBytes (the
@@ -32,7 +33,7 @@ func NewPFabric(limitBytes int) *PFabric {
 func (q *PFabric) Enqueue(p *netsim.Packet) []*netsim.Packet {
 	q.arrival++
 	p.SetArrival(q.arrival)
-	var dropped []*netsim.Packet
+	q.dropped = q.dropped[:0]
 	for q.bytes+p.Size > q.limit {
 		// Evict the worst packet (largest priority value). ACKs are
 		// never evicted before data: they are tiny and losing them
@@ -49,22 +50,22 @@ func (q *PFabric) Enqueue(p *netsim.Packet) []*netsim.Packet {
 		}
 		if worst == -1 {
 			// Only control packets queued; drop the arrival.
-			dropped = append(dropped, p)
-			return dropped
+			q.dropped = append(q.dropped, p)
+			return q.dropped
 		}
 		if p.Kind == netsim.Data && q.pkts[worst].Priority <= p.Priority {
 			// The arrival itself is the worst packet.
-			dropped = append(dropped, p)
-			return dropped
+			q.dropped = append(q.dropped, p)
+			return q.dropped
 		}
 		victim := q.pkts[worst]
 		q.pkts = append(q.pkts[:worst], q.pkts[worst+1:]...)
 		q.bytes -= victim.Size
-		dropped = append(dropped, victim)
+		q.dropped = append(q.dropped, victim)
 	}
 	q.pkts = append(q.pkts, p)
 	q.bytes += p.Size
-	return dropped
+	return q.dropped
 }
 
 // Dequeue removes the next packet per pFabric's two-step rule.

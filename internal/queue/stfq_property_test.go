@@ -171,9 +171,16 @@ func TestSTFQHeapOrderProperty(t *testing.T) {
 
 // BenchmarkSTFQ is one enqueue plus one dequeue with the given number
 // of packets already queued, spread over eight flows of weights 1–8.
+// The drain row queues nothing else, so every dequeue empties the queue
+// and ends a busy period: fig7-packet's regime, where a reset follows
+// about two of every three enqueues.
 func BenchmarkSTFQ(b *testing.B) {
-	for _, backlog := range []int{1, 16, 256} {
-		b.Run(fmt.Sprintf("backlog=%d", backlog), func(b *testing.B) {
+	for _, backlog := range []int{0, 1, 16, 256} {
+		name := fmt.Sprintf("backlog=%d", backlog)
+		if backlog == 0 {
+			name = "drain"
+		}
+		b.Run(name, func(b *testing.B) {
 			q := NewSTFQ(1 << 30)
 			flows := make([]*netsim.Flow, 8)
 			for i := range flows {
