@@ -104,7 +104,7 @@ func runLeapFCT(full bool, seed uint64) {
 		// lost their service time, by bottleneck link. The slowest-K
 		// reservoir guarantees the true tail is in the trace even at low
 		// sample rates.
-		attr, tailN := tracer.SlowdownAttribution(0.01)
+		attr, tailN := tracer.Trace().TailAttribution(0.01)
 		tailLink, tailShare := -1.0, 0.0
 		if len(attr) > 0 {
 			tailLink, tailShare = float64(attr[0].Link), attr[0].Share

@@ -39,6 +39,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -281,12 +282,7 @@ func main() {
 					fmt.Fprintln(os.Stderr, err)
 					return
 				}
-				if err := cliObs.FlowTrace.WriteJSONL(f); err != nil {
-					f.Close()
-					fmt.Fprintln(os.Stderr, err)
-					return
-				}
-				if err := f.Close(); err != nil {
+				if err := errors.Join(cliObs.FlowTrace.WriteJSONL(f), f.Close()); err != nil {
 					fmt.Fprintln(os.Stderr, err)
 					return
 				}

@@ -84,14 +84,13 @@ func main() {
 	}
 
 	// Lost-service identity on every traced flow of the faulted run:
-	// ΣLostSecs (stranded time included) == FCT − IdealFCT.
-	checked := 0
-	for _, r := range tracer.Records() {
-		if gap := r.FCT() - r.IdealFCT(); math.Abs(r.TotalLost()-gap) > 1e-6 {
+	// ΣLost (stranded time included) == FCT − IdealFCT.
+	checked := tracer.Records()
+	for _, r := range checked {
+		if gap := r.FCT - r.IdealFCT; math.Abs(r.TotalLost()-gap) > 1e-6 {
 			panic(fmt.Sprintf("flow %d: lost-service identity broken: %v vs %v",
 				r.ID, r.TotalLost(), gap))
 		}
-		checked++
 	}
 
 	hNorm, fNorm := healthy.Slowdowns(), faulted.Slowdowns()
@@ -106,5 +105,5 @@ func main() {
 		fs.CapacityLostBitSec/1e9, stats.Median(fNorm), stats.Percentile(fNorm, 0.95))
 	fmt.Printf("\nall %d flows finished in both runs; %d stranded flows resumed; "+
 		"lost-service identity held on %d traced flows\n",
-		len(hNorm), fs.Resumed, checked)
+		len(hNorm), fs.Resumed, len(checked))
 }

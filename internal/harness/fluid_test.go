@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -213,5 +214,17 @@ func TestRunDynamicWithDispatch(t *testing.T) {
 	if len(fl.Records)+fl.Unfinished != cfg.Flows {
 		t.Errorf("fluid: %d records + %d unfinished != %d flows",
 			len(fl.Records), fl.Unfinished, cfg.Flows)
+	}
+}
+
+// TestParseEngineHostileInput: a name is matched exactly — empty, a
+// different case or surrounding whitespace is the unknown-engine error,
+// quoting the input as given.
+func TestParseEngineHostileInput(t *testing.T) {
+	for _, s := range []string{"", " ", "Leap", "LEAP", "Fluid", " leap", "leap ", "\tpacket", "leap\n", "le ap"} {
+		got, err := ParseEngine(s)
+		if err == nil || got != 0 || !strings.Contains(err.Error(), fmt.Sprintf("unknown engine %q", s)) {
+			t.Errorf("ParseEngine(%q) = %v, %v; want the unknown-engine error", s, got, err)
+		}
 	}
 }

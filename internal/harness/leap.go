@@ -94,11 +94,24 @@ func scheduleFaults(e *leap.Engine, faults []workload.Fault) {
 
 // ExpandFaults resolves a scripted fault list against a fat-tree: each
 // target becomes the concrete fault events for every incident link
-// (Down > 0 adds the matching recoveries), sorted in retirement order.
+// (Down > 0 adds the matching recoveries), sorted in retirement order;
+// an empty list expands to none. A target the fat-tree lacks, a
+// negative time or downtime (a recovery before its failure), or a time
+// the clock cannot hold — a NaN or infinite sim.Seconds saturates there
+// — is an error, as in workload.ParseFaults.
 func ExpandFaults(ft *fluid.FatTree, scripted []workload.ScriptedFault) ([]workload.Fault, error) {
 	var out []workload.Fault
 	for _, sf := range scripted {
 		kind, i, j, err := workload.ParseFaultTarget(sf.Target)
+		switch {
+		case err != nil:
+		case sf.At < 0:
+			err = fmt.Errorf("harness: fault target %q: negative time", sf.Target)
+		case sf.Down < 0:
+			err = fmt.Errorf("harness: fault target %q: negative downtime (recovery before failure)", sf.Target)
+		case sim.Time(0).Add(sf.At).Add(sf.Down) == sim.Forever:
+			err = fmt.Errorf("harness: fault target %q: time overflows the simulated clock", sf.Target)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"numfabric/internal/fluid"
@@ -170,5 +172,45 @@ func TestRunIncastLeapSingleBurst(t *testing.T) {
 	res := RunIncastLeap(cfg)
 	if res.Unfinished != 0 || len(res.BurstFCTs) != 1 || res.BurstFCTs[0] <= 0 {
 		t.Fatalf("single burst: %d unfinished, bursts %v", res.Unfinished, res.BurstFCTs)
+	}
+}
+
+// TestExpandFaultsHostileInput: every malformed scripted fault is a
+// defined error naming what is wrong, never a panic, and an empty
+// script expands to no faults.
+func TestExpandFaultsHostileInput(t *testing.T) {
+	ft := fluid.NewFatTree(4, 10e9) // 16 hosts, 4 pods of 2+2 switches, 4 cores
+	ms := sim.Millisecond
+	for _, c := range []struct {
+		name string
+		in   workload.ScriptedFault
+		want string
+	}{
+		{"unknown kind", workload.ScriptedFault{Target: "spine0", At: ms}, "unknown kind"},
+		{"no index", workload.ScriptedFault{Target: "link", At: ms}, "bad index"},
+		{"negative index", workload.ScriptedFault{Target: "link-1", At: ms}, "bad index"},
+		{"link out of range", workload.ScriptedFault{Target: fmt.Sprintf("link%d", ft.Net.Links()), At: ms}, "link out of range"},
+		{"host out of range", workload.ScriptedFault{Target: "host16", At: ms}, "host out of range"},
+		{"pod out of range", workload.ScriptedFault{Target: "agg4.0", At: ms}, "want pod < 4"},
+		{"switch out of range", workload.ScriptedFault{Target: "edge0.2", At: ms}, "switch < 2"},
+		{"edge without switch", workload.ScriptedFault{Target: "edge0", At: ms}, "want edgeP.N"},
+		{"core out of range", workload.ScriptedFault{Target: "core4", At: ms}, "core out of range"},
+		{"negative time", workload.ScriptedFault{Target: "link0", At: -ms}, "negative time"},
+		{"NaN time", workload.ScriptedFault{Target: "link0", At: sim.Seconds(math.NaN())}, "overflows the simulated clock"},
+		{"infinite time", workload.ScriptedFault{Target: "link0", At: sim.Seconds(math.Inf(1))}, "overflows the simulated clock"},
+		{"downtime past the clock", workload.ScriptedFault{Target: "link0", At: ms, Down: sim.Duration(sim.Forever)}, "overflows the simulated clock"},
+		{"recover before fail", workload.ScriptedFault{Target: "link0", At: 2 * ms, Down: -ms}, "recovery before failure"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			out, err := ExpandFaults(ft, []workload.ScriptedFault{{Target: "core0", At: ms, Down: ms}, c.in})
+			if err == nil || !strings.Contains(err.Error(), c.want) || out != nil {
+				t.Errorf("ExpandFaults = %v, %v; want an error containing %q", out, err, c.want)
+			}
+		})
+	}
+	for _, empty := range [][]workload.ScriptedFault{nil, {}} {
+		if out, err := ExpandFaults(ft, empty); out != nil || err != nil {
+			t.Errorf("ExpandFaults(%v) = %v, %v; want no faults", empty, out, err)
+		}
 	}
 }

@@ -189,9 +189,9 @@ func TestFaultLostServiceIdentity(t *testing.T) {
 	}
 	var bLost float64
 	for _, r := range recs {
-		gap := r.FCT() - r.IdealFCT()
+		gap := r.FCT - r.IdealFCT
 		if diff := math.Abs(r.TotalLost() - gap); diff > 1e-6 {
-			t.Errorf("flow %d: lost-service identity broken: ΣLostSecs %v vs FCT−Ideal %v (Δ %v)",
+			t.Errorf("flow %d: lost-service identity broken: ΣLost %v vs FCT−Ideal %v (Δ %v)",
 				r.ID, r.TotalLost(), gap, diff)
 		}
 		if r.ID == b.ID {

@@ -127,8 +127,8 @@ func TestFlowTraceAttributionIdentity(t *testing.T) {
 				}
 			}
 			// The attribution identity.
-			want := r.FCT() - r.IdealFCT()
-			if got := r.TotalLost(); math.Abs(got-want) > 1e-6*r.FCT() {
+			want := r.FCT - r.IdealFCT
+			if got := r.TotalLost(); math.Abs(got-want) > 1e-6*r.FCT {
 				t.Fatalf("seed %d flow %d: lost %g != FCT-ideal %g",
 					seed, f.ID, got, want)
 			}
@@ -205,8 +205,8 @@ func TestFlowTraceBottleneckIsMinSlack(t *testing.T) {
 		}
 		// The victim's line rate is the thin link, so time lost to
 		// sharing is attributed to link 0.
-		if len(r.LostLinks) != 1 || r.LostLinks[0] != 0 {
-			t.Errorf("victim attribution on %v, want [0]", r.LostLinks)
+		if len(r.Lost) != 1 || r.Lost[0].Link != 0 {
+			t.Errorf("victim attribution %+v, want link 0 alone", r.Lost)
 		}
 	}
 }
@@ -239,12 +239,12 @@ func TestFlowTraceJSONLRoundTrip(t *testing.T) {
 	for i, r := range recs {
 		fl := got.Flows[i]
 		if fl.ID != r.ID || fl.Seq != r.Seq || !fl.Finished || fl.Arrive != r.Arrive || fl.Finish != r.Finish ||
-			fl.FCT != r.FCT() || fl.IdealFCT != r.IdealFCT() || len(fl.Segs) != len(r.Segs) || len(fl.Lost) != len(r.LostLinks) {
+			fl.FCT != r.FCT || fl.IdealFCT != r.IdealFCT || len(fl.Segs) != len(r.Segs) || !reflect.DeepEqual(fl.Lost, r.Lost) {
 			t.Fatalf("flow line %d = %+v, wrote record %+v", i, fl, r)
 		}
 		for j, l := range fl.Lost {
-			if l.Link != int(r.LostLinks[j]) || l.LostSeconds != r.LostSecs[j] || l.Name != "L"+strconv.Itoa(l.Link) {
-				t.Fatalf("flow %d loss %d = %+v, wrote link %d lost %v", r.ID, j, l, r.LostLinks[j], r.LostSecs[j])
+			if l.Name != "L"+strconv.Itoa(l.Link) {
+				t.Fatalf("flow %d loss %d = %+v, want it labelled", r.ID, j, l)
 			}
 		}
 	}

@@ -321,7 +321,7 @@ type Engine struct {
 	// instants solve alone — completions at the same instant retire
 	// first — so the stamp is exact). Reset to CauseSolve after every
 	// solve point.
-	batchCause uint8
+	batchCause obs.Cause
 
 	// stats is the one counter block: the loop increments its fields
 	// in place and Stats() returns it.

@@ -259,8 +259,8 @@ func TestFlowTraceNamesFlowsBySeq(t *testing.T) {
 	if a, b := keptBy(pre), keptBy(churn); len(a) < 20 || !reflect.DeepEqual(a, b) {
 		t.Errorf("kept records (seq, sampled), slowest first:\npreloaded %v\nreleased  %v", a, b)
 	}
-	wantAttr, wantN := pre.SlowdownAttribution(0.25)
-	gotAttr, gotN := churn.SlowdownAttribution(0.25)
+	wantAttr, wantN := pre.Trace().TailAttribution(0.25)
+	gotAttr, gotN := churn.Trace().TailAttribution(0.25)
 	if wantN == 0 || gotN != wantN || !reflect.DeepEqual(gotAttr, wantAttr) {
 		t.Errorf("tail attribution over %d flows %+v, preloaded over %d: %+v", gotN, gotAttr, wantN, wantAttr)
 	}

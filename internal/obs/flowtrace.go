@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -28,10 +30,24 @@ import (
 // of the admission ordinal (Seq) keeps a SampleRate fraction, and a slowest-K
 // reservoir keeps the K worst slowdowns regardless — so the tail that
 // tail-latency attribution cares about is always captured.
+//
+// One type, FlowRecord, is the flow in memory, on the wire and in the
+// reader. A kept record is labelled once, at completion: each link it
+// names gets the namer's label, each loss its share. Exports carry the
+// labels of export time, as the namer gives them then; only a record
+// whose labels have moved since is copied to relabel it.
 type FlowTracer struct {
-	mu sync.Mutex
+	mu  sync.Mutex
+	cfg FlowTraceConfig
+	// nameFn is the link-label function, held atomically so callers can
+	// install a topology-aware namer (SetLinkName) after construction
+	// while HTTP readers format labels concurrently.
+	nameFn atomic.Pointer[func(link int) string]
+	flowRun
+}
 
-	cfg   FlowTraceConfig
+// flowRun is a FlowTracer's per-run state, all of what Reset clears.
+type flowRun struct {
 	caps  []float64 // link capacities, bound by the engine
 	links *LinkStats
 
@@ -45,11 +61,6 @@ type FlowTracer struct {
 	tracked   uint64 // admissions seen
 	completed uint64 // completions seen
 	dropped   uint64 // completions discarded by the MaxRecords cap
-
-	// nameFn is the link-label function, held atomically so callers can
-	// install a topology-aware namer (SetLinkName) after construction
-	// while HTTP readers format labels concurrently.
-	nameFn atomic.Pointer[func(link int) string]
 }
 
 // FlowTraceConfig parameterizes a FlowTracer. The zero value keeps
@@ -77,9 +88,7 @@ func NewFlowTracer(cfg FlowTraceConfig) *FlowTracer {
 	if cfg.SlowestK == 0 {
 		cfg.SlowestK = 64
 	}
-	if cfg.SlowestK < 0 {
-		cfg.SlowestK = 0
-	}
+	cfg.SlowestK = max(cfg.SlowestK, 0)
 	if cfg.MaxRecords <= 0 {
 		cfg.MaxRecords = 1 << 17
 	}
@@ -118,21 +127,18 @@ func (t *FlowTracer) linkName(l int) string {
 func (t *FlowTracer) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.caps = nil
-	t.links = nil
-	t.active = nil
-	t.nActive = 0
-	t.free = nil
-	t.kept = nil
-	t.slow = nil
-	t.tracked, t.completed, t.dropped = 0, 0, 0
+	t.flowRun = flowRun{}
 }
+
+// Cause is why a rate segment began; its text form ("admit", "solve",
+// "fail", "recover") is what the JSONL trace and /flows carry.
+type Cause uint8
 
 // Causes of a rate segment.
 const (
 	// CauseAdmit marks a rate set on the admission fast path (isolated
 	// flow, no solver involved).
-	CauseAdmit uint8 = iota
+	CauseAdmit Cause = iota
 	// CauseSolve marks a rate set by a component solve.
 	CauseSolve
 	// CauseFail marks a rate set by the re-solve a link failure
@@ -145,93 +151,138 @@ const (
 	CauseRecover
 )
 
-func causeName(c uint8) string {
-	switch c {
-	case CauseAdmit:
-		return "admit"
-	case CauseFail:
-		return "fail"
-	case CauseRecover:
-		return "recover"
+var causeNames = [...]string{"admit", "solve", "fail", "recover"}
+
+func (c Cause) String() string {
+	if int(c) < len(causeNames) {
+		return causeNames[c]
 	}
-	return "solve"
+	return "cause(" + strconv.Itoa(int(c)) + ")"
+}
+
+// MarshalText writes the cause's name.
+func (c Cause) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+
+// UnmarshalText reads a cause's name; any other text is an error.
+func (c *Cause) UnmarshalText(b []byte) error {
+	for i, n := range causeNames {
+		if string(b) == n {
+			*c = Cause(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown cause %q", b)
 }
 
 // FlowSeg is one constant-rate segment of a traced flow's lifetime:
 // the flow ran at Rate over [T, next segment's T) — the last segment
 // ends at completion — bottlenecked by link Bneck.
 type FlowSeg struct {
-	T     float64 // segment start, virtual seconds
-	Rate  float64 // bits/second
-	Bneck int32   // bottleneck link id (min-slack on the flow's path)
-	Cause uint8   // CauseAdmit, CauseSolve, CauseFail, or CauseRecover
-	Comp  int32   // flows in the component solved (1 on the fast path)
-	Batch uint32  // solve-batch ordinal
+	T     float64 `json:"t"`     // segment start, virtual seconds
+	Rate  float64 `json:"rate"`  // bits/second
+	Bneck int32   `json:"bneck"` // bottleneck link id (min-slack on the flow's path)
+	// Name labels Bneck (the tracer's namer; "" without one).
+	Name  string `json:"bneck_name,omitempty"`
+	Cause Cause  `json:"cause"`
+	Comp  int32  `json:"comp"`  // flows in the component solved (1 on the fast path)
+	Batch uint32 `json:"batch"` // solve-batch ordinal
 }
 
-// FlowRecord is one traced flow's lifecycle. All fields are final
-// after completion; LostLinks/LostSecs are the flow's slowdown
-// attribution — parallel slices mapping each distinct bottleneck link
-// to the service time lost to it, summing to FCT − IdealFCT.
+// FlowRecord is one traced flow's lifecycle: what the tracer keeps,
+// Records returns, the JSONL trace's "flow" lines and /flows carry, and
+// ReadFlowTrace reads back. A kept record is final at completion — FCT,
+// Slowdown, the loss shares and the link labels are set then, once — so
+// readers share it; Records copies only the slowest-K reservoir's,
+// whose storage an eviction recycles.
 type FlowRecord struct {
+	Type string `json:"type"` // "flow"
 	// ID is the engine's id for the flow while it was live — a slot, not
 	// a name.
-	ID int
+	ID int `json:"id"`
 	// Seq is the tracer's admission ordinal. Engine flow ids recycle
 	// under table-backed churn (fluid.FlowTable + leap ReleaseFinished:
 	// the id space is bounded by the peak live set), so two records in
 	// one trace can share an ID; Seq is the identity that never does,
 	// and the one the hash sample and every ordering key on.
-	Seq       uint64
-	SizeBytes int64
-	Arrive    float64
-	// LineRate is the flow's ideal rate: the minimum capacity along
-	// its path. IdealFCT = SizeBytes·8 / LineRate.
-	LineRate float64
-	// LineBneck is the path's minimum-capacity link — the bottleneck
-	// attributed to segments the solver didn't bind (fast-path admits
-	// and elided single-flow components run at LineRate).
-	LineBneck int32
-	Finish    float64
-	Finished  bool
+	Seq       uint64  `json:"seq"`
+	SizeBytes int64   `json:"size_bytes"`
+	Arrive    float64 `json:"arrive"`
+	Finish    float64 `json:"finish,omitempty"`
+	Finished  bool    `json:"finished"`
+	// FCT is Finish − Arrive; IdealFCT the line-rate completion time
+	// SizeBytes·8 / (minimum capacity on the path), set at admission;
+	// Slowdown is FCT / IdealFCT. FCT and Slowdown are 0 until completion.
+	FCT      float64 `json:"fct,omitempty"`
+	IdealFCT float64 `json:"ideal_fct"`
+	Slowdown float64 `json:"slowdown,omitempty"`
 	// Sampled is true when the record was kept by the deterministic
 	// hash sample (false: kept by the slowest-K reservoir, or still
 	// active).
-	Sampled bool
+	Sampled bool `json:"sampled"`
 	// Truncated counts rate segments dropped beyond the MaxSegs cap;
 	// attribution is exact regardless.
-	Truncated int
-	Segs      []FlowSeg
-	// LostLinks/LostSecs attribute lost service ∫(LineRate−rate)dt /
-	// LineRate to each distinct bottleneck link.
-	LostLinks []int32
-	LostSecs  []float64
+	Truncated int `json:"truncated_segs,omitempty"`
+	// Lost attributes lost service ∫(LineRate−rate)dt / LineRate to each
+	// distinct bottleneck link, in order of first loss; it sums to
+	// FCT − IdealFCT.
+	Lost []LinkLoss `json:"lost,omitempty"`
+	Segs []FlowSeg  `json:"segs"`
 
 	links     []int32 // the flow's path, for link accounting
+	lineRate  float64 // minimum capacity on the path
+	lineBneck int32   // the link it is on: the bottleneck of segments no solver bound
 	lastT     float64
 	lastRate  float64
 	lastBneck int32
 }
 
-// FCT returns the flow's completion time minus arrival.
-func (r *FlowRecord) FCT() float64 { return r.Finish - r.Arrive }
-
-// IdealFCT returns the line-rate completion time SizeBytes·8/LineRate.
-func (r *FlowRecord) IdealFCT() float64 {
-	return float64(r.SizeBytes) * 8 / r.LineRate
-}
-
-// Slowdown returns FCT / IdealFCT.
-func (r *FlowRecord) Slowdown() float64 { return r.FCT() / r.IdealFCT() }
-
 // TotalLost returns the summed per-link lost service, which equals
 // FCT − IdealFCT for a completed record.
 func (r *FlowRecord) TotalLost() float64 {
 	var s float64
-	for _, v := range r.LostSecs {
-		s += v
+	for _, l := range r.Lost {
+		s += l.LostSeconds
 	}
 	return s
+}
+
+// label sets each loss's share and each link label from name.
+func (r *FlowRecord) label(name func(int) string) {
+	total := r.TotalLost()
+	for i := range r.Lost {
+		l := &r.Lost[i]
+		l.Name = name(l.Link)
+		if total > 0 {
+			l.Share = l.LostSeconds / total
+		}
+	}
+	for i := range r.Segs {
+		r.Segs[i].Name = name(int(r.Segs[i].Bneck))
+	}
+}
+
+// labelled reports whether every link label of r is what name says now.
+func (r *FlowRecord) labelled(name func(int) string) bool {
+	for _, l := range r.Lost {
+		if l.Name != name(l.Link) {
+			return false
+		}
+	}
+	for _, s := range r.Segs {
+		if s.Name != name(int(s.Bneck)) {
+			return false
+		}
+	}
+	return true
+}
+
+// clone returns a copy of r that shares no storage with it.
+func (r *FlowRecord) clone() *FlowRecord {
+	c := *r
+	c.Lost = slices.Clone(r.Lost)
+	c.Segs = slices.Clone(r.Segs)
+	c.links = nil
+	return &c
 }
 
 // Bind gives the tracer the network's link capacities; the engine
@@ -286,27 +337,16 @@ func (t *FlowTracer) admit(id int, sizeBytes int64, arrive float64, links []int)
 	}
 	var r *FlowRecord
 	if n := len(t.free); n > 0 {
-		r = t.free[n-1]
-		t.free = t.free[:n-1]
+		r, t.free = t.free[n-1], t.free[:n-1]
 	} else {
-		r = &FlowRecord{}
+		r = new(FlowRecord)
 	}
 	for _, l := range links {
 		r.links = append(r.links, int32(l))
 	}
-	r.ID = id
-	r.Seq = uint64(t.tracked)
-	r.SizeBytes = sizeBytes
-	r.Arrive = arrive
-	r.LineRate = lineRate
-	r.LineBneck = lineBneck
-	r.Finish = math.NaN()
-	r.Finished = false
-	r.Sampled = false
-	r.Truncated = 0
-	r.lastT = arrive
-	r.lastRate = 0
-	r.lastBneck = lineBneck
+	*r = FlowRecord{Type: "flow", ID: id, Seq: t.tracked, SizeBytes: sizeBytes, Arrive: arrive,
+		IdealFCT: float64(sizeBytes) * 8 / lineRate, Lost: r.Lost, Segs: r.Segs, links: r.links,
+		lineRate: lineRate, lineBneck: lineBneck, lastT: arrive, lastBneck: lineBneck}
 	// Seed a zero-rate segment at arrival so segments tile
 	// [Arrive, Finish] by construction; a same-instant first solve
 	// overwrites it in place.
@@ -323,13 +363,13 @@ func (t *FlowTracer) admit(id int, sizeBytes int64, arrive float64, links []int)
 // flow count, and the solve batch ordinal. Unchanged
 // (rate, bottleneck) pairs coalesce into the open segment; untracked
 // ids are ignored, so callers need not re-check the tracing scope.
-func (t *FlowTracer) Rate(id int, now, rate float64, bneck int, cause uint8, comp int, batch uint64) {
+func (t *FlowTracer) Rate(id int, now, rate float64, bneck int, cause Cause, comp int, batch uint64) {
 	if t != nil {
 		t.rate(id, now, rate, bneck, cause, comp, batch)
 	}
 }
 
-func (t *FlowTracer) rate(id int, now, rate float64, bneck int, cause uint8, comp int, batch uint64) {
+func (t *FlowTracer) rate(id int, now, rate float64, bneck int, cause Cause, comp int, batch uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	r := t.rec(id)
@@ -338,7 +378,7 @@ func (t *FlowTracer) rate(id int, now, rate float64, bneck int, cause uint8, com
 	}
 	b := int32(bneck)
 	if b < 0 {
-		b = r.LineBneck
+		b = r.lineBneck
 	}
 	if (len(r.Segs) > 0 || r.Truncated > 0) && rate == r.lastRate && b == r.lastBneck {
 		return // the open segment continues
@@ -360,30 +400,30 @@ func (t *FlowTracer) rate(id int, now, rate float64, bneck int, cause uint8, com
 }
 
 // account closes the record's open segment at time now, attributing
-// (LineRate − rate)·Δt / LineRate seconds of lost service to the
+// (lineRate − rate)·Δt / lineRate seconds of lost service to the
 // segment's bottleneck link.
 func (r *FlowRecord) account(now float64) {
 	dt := now - r.lastT
 	if dt <= 0 {
 		return
 	}
-	lost := (r.LineRate - r.lastRate) * dt / r.LineRate
+	lost := (r.lineRate - r.lastRate) * dt / r.lineRate
 	if lost == 0 {
 		return
 	}
-	for i, l := range r.LostLinks {
-		if l == r.lastBneck {
-			r.LostSecs[i] += lost
+	for i := range r.Lost {
+		if r.Lost[i].Link == int(r.lastBneck) {
+			r.Lost[i].LostSeconds += lost
 			return
 		}
 	}
-	r.LostLinks = append(r.LostLinks, r.lastBneck)
-	r.LostSecs = append(r.LostSecs, lost)
+	r.Lost = append(r.Lost, LinkLoss{Link: int(r.lastBneck), LostSeconds: lost})
 }
 
 // Complete finalizes flow id at virtual time finish and decides
 // whether the record is kept: hash-sampled, reservoir-kept, or
-// recycled. Untracked ids are ignored.
+// recycled. A kept record is labelled here, once, and never written
+// again. Untracked ids are ignored.
 func (t *FlowTracer) Complete(id int, finish float64) {
 	if t != nil {
 		t.complete(id, finish)
@@ -398,36 +438,34 @@ func (t *FlowTracer) complete(id int, finish float64) {
 		return
 	}
 	r.account(finish)
-	r.Finish = finish
-	r.Finished = true
+	r.Finish, r.Finished = finish, true
+	r.FCT = finish - r.Arrive
+	r.Slowdown = r.FCT / r.IdealFCT
 	t.links.removeFlow(r.links, r.lastRate, finish)
 	t.active[id] = nil
 	t.nActive--
 	t.completed++
 
-	if sampleKeep(r.Seq, t.cfg.SampleRate) {
+	switch {
+	case sampleKeep(r.Seq, t.cfg.SampleRate):
 		r.Sampled = true
-		if len(t.kept) < t.cfg.MaxRecords {
-			t.kept = append(t.kept, r)
-		} else {
+		if len(t.kept) >= t.cfg.MaxRecords {
 			t.dropped++
 			t.recycle(r)
+			return
 		}
+		t.kept = append(t.kept, r)
+	case len(t.slow) < t.cfg.SlowestK:
+		heap.Push(&t.slow, r)
+	case len(t.slow) > 0 && slowLess(t.slow[0], r):
+		t.recycle(t.slow[0])
+		t.slow[0] = r
+		heap.Fix(&t.slow, 0)
+	default:
+		t.recycle(r)
 		return
 	}
-	if t.cfg.SlowestK > 0 {
-		if len(t.slow) < t.cfg.SlowestK {
-			heap.Push(&t.slow, r)
-			return
-		}
-		if evicted := t.slow[0]; slowLess(evicted, r) {
-			t.slow[0] = r
-			heap.Fix(&t.slow, 0)
-			t.recycle(evicted)
-			return
-		}
-	}
-	t.recycle(r)
+	r.label(t.linkName)
 }
 
 func (t *FlowTracer) rec(id int) *FlowRecord {
@@ -438,10 +476,7 @@ func (t *FlowTracer) rec(id int) *FlowRecord {
 }
 
 func (t *FlowTracer) recycle(r *FlowRecord) {
-	r.Segs = r.Segs[:0]
-	r.LostLinks = r.LostLinks[:0]
-	r.LostSecs = r.LostSecs[:0]
-	r.links = r.links[:0]
+	r.Segs, r.Lost, r.links = r.Segs[:0], r.Lost[:0], r.links[:0]
 	t.free = append(t.free, r)
 }
 
@@ -476,9 +511,8 @@ func splitmix64(x uint64) uint64 {
 // breaks on Seq alone: the engine id depends on when the driver
 // released finished flows, the admission ordinal does not.
 func slowLess(a, b *FlowRecord) bool {
-	sa, sb := a.Slowdown(), b.Slowdown()
-	if sa != sb {
-		return sa < sb
+	if a.Slowdown != b.Slowdown {
+		return a.Slowdown < b.Slowdown
 	}
 	return a.Seq < b.Seq
 }
@@ -499,23 +533,16 @@ func (h *slowHeap) Pop() any {
 }
 
 // Records returns the kept completed records (hash sample ∪ slowest-K
-// reservoir) sorted by slowdown descending; the returned slice is the
-// caller's. Hash-sampled records are immutable after completion and
-// are shared. A reservoir record is not — a slower completion evicts
-// it and its storage is recycled for the next admission — so those are
-// copied before the lock is dropped, and a reader on another goroutine
-// never sees a record being rewritten.
+// reservoir) sorted by slowdown descending; the slice is the caller's.
+// Hash-sampled records are final at completion and shared. A reservoir
+// record is not — a slower completion evicts it and its storage is
+// recycled for the next admission — so those are copies.
 func (t *FlowTracer) Records() []*FlowRecord {
 	t.mu.Lock()
 	out := make([]*FlowRecord, 0, len(t.kept)+len(t.slow))
 	out = append(out, t.kept...)
 	for _, r := range t.slow {
-		c := *r
-		c.Segs = append([]FlowSeg(nil), r.Segs...)
-		c.LostLinks = append([]int32(nil), r.LostLinks...)
-		c.LostSecs = append([]float64(nil), r.LostSecs...)
-		c.links = nil
-		out = append(out, &c)
+		out = append(out, r.clone())
 	}
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return slowLess(out[j], out[i]) })
@@ -554,7 +581,7 @@ func (t *FlowTracer) Summary() FlowTraceSummary {
 }
 
 // LinkLoss is one link's share of lost service: of one flow's (a
-// FlowLine's Lost list), or aggregated over a tail of flows.
+// FlowRecord's Lost list), or aggregated over a tail of flows.
 type LinkLoss struct {
 	Link        int     `json:"link"`
 	Name        string  `json:"name,omitempty"`
@@ -566,102 +593,33 @@ type LinkLoss struct {
 	Flows int `json:"flows,omitempty"`
 }
 
-// lines returns the kept completed records as flow lines, slowest
-// first.
-func (t *FlowTracer) lines() []FlowLine {
+// finished returns Records with every link labelled as the namer
+// labels it now — a record whose labels moved since its completion
+// (LinkLabel marks a link that died after the flow finished) as a
+// relabelled copy.
+func (t *FlowTracer) finished() []*FlowRecord {
 	recs := t.Records()
-	out := make([]FlowLine, len(recs))
 	for i, r := range recs {
-		out[i] = t.flowLine(r)
-	}
-	return out
-}
-
-// SlowdownAttribution is FlowTrace.TailAttribution over the kept
-// completed records — e.g. 0.01 attributes the p99 tail. The slowest-K
-// reservoir guarantees the true global tail is present while the cut
-// stays within K flows.
-func (t *FlowTracer) SlowdownAttribution(frac float64) ([]LinkLoss, int) {
-	return (&FlowTrace{Flows: t.lines()}).TailAttribution(frac)
-}
-
-// FlowLine is the JSONL "flow" line (and /flows entry).
-type FlowLine struct {
-	Type string `json:"type"`
-	ID   int    `json:"id"`
-	// Seq names the flow: ID is the engine slot it occupied, shared
-	// with that slot's other tenants (see FlowRecord.Seq).
-	Seq       uint64     `json:"seq"`
-	SizeBytes int64      `json:"size_bytes"`
-	Arrive    float64    `json:"arrive"`
-	Finish    float64    `json:"finish,omitempty"`
-	Finished  bool       `json:"finished"`
-	FCT       float64    `json:"fct,omitempty"`
-	IdealFCT  float64    `json:"ideal_fct"`
-	Slowdown  float64    `json:"slowdown,omitempty"`
-	Sampled   bool       `json:"sampled"`
-	Truncated int        `json:"truncated_segs,omitempty"`
-	Lost      []LinkLoss `json:"lost,omitempty"`
-	Segs      []LineSeg  `json:"segs"`
-}
-
-// LineSeg is one constant-rate segment of a FlowLine.
-type LineSeg struct {
-	T     float64 `json:"t"`
-	Rate  float64 `json:"rate"`
-	Bneck int32   `json:"bneck"`
-	Name  string  `json:"bneck_name,omitempty"`
-	Cause string  `json:"cause"`
-	Comp  int32   `json:"comp"`
-	Batch uint32  `json:"batch"`
-}
-
-func (t *FlowTracer) flowLine(r *FlowRecord) FlowLine {
-	j := FlowLine{
-		Type:      "flow",
-		ID:        r.ID,
-		Seq:       r.Seq,
-		SizeBytes: r.SizeBytes,
-		Arrive:    r.Arrive,
-		Finished:  r.Finished,
-		IdealFCT:  r.IdealFCT(),
-		Sampled:   r.Sampled,
-		Truncated: r.Truncated,
-		Segs:      make([]LineSeg, len(r.Segs)),
-	}
-	if r.Finished {
-		j.Finish = r.Finish
-		j.FCT = r.FCT()
-		j.Slowdown = r.Slowdown()
-	}
-	total := r.TotalLost()
-	for i, l := range r.LostLinks {
-		ll := LinkLoss{Link: int(l), LostSeconds: r.LostSecs[i], Name: t.linkName(int(l))}
-		if total > 0 {
-			ll.Share = r.LostSecs[i] / total
+		if !r.labelled(t.linkName) {
+			recs[i] = r.clone()
+			recs[i].label(t.linkName)
 		}
-		j.Lost = append(j.Lost, ll)
 	}
-	for i, s := range r.Segs {
-		j.Segs[i] = LineSeg{T: s.T, Rate: s.Rate, Bneck: s.Bneck,
-			Name:  t.linkName(int(s.Bneck)),
-			Cause: causeName(s.Cause), Comp: s.Comp, Batch: s.Batch}
-	}
-	return j
+	return recs
 }
 
-// trace snapshots the tracer as the FlowTrace its JSONL export
-// encodes: kept records by slowdown descending, the flows still active,
-// per-link statistics.
-func (t *FlowTracer) trace() *FlowTrace {
-	ft := &FlowTrace{Summary: t.Summary(), Flows: t.lines()}
-	// Unfinished flows and link stats, snapshotted under the lock
-	// (both still mutable while the engine runs).
+// Trace snapshots the tracer as the FlowTrace its JSONL export
+// encodes: kept records by slowdown descending, then copies of the
+// flows still active, then per-link statistics.
+func (t *FlowTracer) Trace() *FlowTrace {
+	ft := &FlowTrace{Summary: t.Summary(), Flows: t.finished()}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, r := range t.active {
 		if r != nil {
-			ft.Flows = append(ft.Flows, t.flowLine(r))
+			c := r.clone() // an active record is still being written
+			c.label(t.linkName)
+			ft.Flows = append(ft.Flows, c)
 		}
 	}
 	for _, ls := range t.links.Snapshot() {
@@ -671,11 +629,11 @@ func (t *FlowTracer) trace() *FlowTrace {
 }
 
 // WriteJSONL writes the trace as JSON lines (FlowTrace.WriteJSONL).
-func (t *FlowTracer) WriteJSONL(w io.Writer) error { return t.trace().WriteJSONL(w) }
+func (t *FlowTracer) WriteJSONL(w io.Writer) error { return t.Trace().WriteJSONL(w) }
 
 // LinksSnapshot returns the per-link statistics under the tracer's
 // lock — the safe accessor for the /links endpoint while a run is
-// live. Labels are attached when a LinkName namer is configured.
+// live.
 func (t *FlowTracer) LinksSnapshot() []LinkSnapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -695,7 +653,7 @@ type FlowTrace struct {
 	Summary FlowTraceSummary
 	// Flows holds every "flow" line in file order: kept records by
 	// slowdown descending, then the flows still active at export.
-	Flows []FlowLine
+	Flows []*FlowRecord
 	Links []LinkLine
 }
 
@@ -710,8 +668,8 @@ func (ft *FlowTrace) WriteJSONL(w io.Writer) error {
 	}{"summary", ft.Summary}); err != nil {
 		return err
 	}
-	for i := range ft.Flows {
-		if err := enc.Encode(&ft.Flows[i]); err != nil {
+	for _, fl := range ft.Flows {
+		if err := enc.Encode(fl); err != nil {
 			return err
 		}
 	}
@@ -725,15 +683,15 @@ func (ft *FlowTrace) WriteJSONL(w io.Writer) error {
 
 // Finished returns the trace's finished flows, slowest first (by
 // slowdown, then seq).
-func (ft *FlowTrace) Finished() []FlowLine {
-	var fin []FlowLine
+func (ft *FlowTrace) Finished() []*FlowRecord {
+	var fin []*FlowRecord
 	for _, fl := range ft.Flows {
 		if fl.Finished {
 			fin = append(fin, fl)
 		}
 	}
 	sort.SliceStable(fin, func(i, j int) bool {
-		a, b := &fin[i], &fin[j]
+		a, b := fin[i], fin[j]
 		if a.Slowdown != b.Slowdown {
 			return a.Slowdown > b.Slowdown
 		}
@@ -800,10 +758,8 @@ func CheckSchema(got int) error {
 // a stream without exactly one summary record of this SchemaVersion, or
 // with a negative link id, is not a flow trace this reader accepts.
 func ReadFlowTrace(r io.Reader) (*FlowTrace, error) {
-	var (
-		ft      FlowTrace
-		summary bool
-	)
+	var ft FlowTrace
+	summary := false
 	dec := json.NewDecoder(r)
 	for n := 1; ; n++ {
 		var rec json.RawMessage
@@ -827,8 +783,8 @@ func ReadFlowTrace(r io.Reader) (*FlowTrace, error) {
 				err = CheckSchema(ft.Summary.Schema)
 			}
 		case h.Type == "flow":
-			var fl FlowLine
-			err = json.Unmarshal(rec, &fl)
+			fl := new(FlowRecord)
+			err = json.Unmarshal(rec, fl)
 			for _, l := range fl.Lost {
 				if l.Link < 0 && err == nil {
 					err = fmt.Errorf("lost service on link %d", l.Link)
@@ -857,16 +813,17 @@ func ReadFlowTrace(r io.Reader) (*FlowTrace, error) {
 type FlowsSnapshot struct {
 	FlowTraceSummary
 	// TailFrac is the slowest fraction aggregated in Attribution.
-	TailFrac    float64    `json:"tail_frac"`
-	TailFlows   int        `json:"tail_flows"`
-	Attribution []LinkLoss `json:"attribution"`
-	Flows       []FlowLine `json:"flows"`
+	TailFrac    float64       `json:"tail_frac"`
+	TailFlows   int           `json:"tail_flows"`
+	Attribution []LinkLoss    `json:"attribution"`
+	Flows       []*FlowRecord `json:"flows"`
 }
 
-// FlowsSnapshotTop builds the /flows payload with the slowest topN
-// kept flows and a tail attribution over the slowest frac.
+// FlowsSnapshotTop builds the /flows payload off one FlowTrace of the
+// kept records: the slowest topN and the TailAttribution of the slowest
+// frac.
 func (t *FlowTracer) FlowsSnapshotTop(topN int, frac float64) FlowsSnapshot {
-	s := FlowsSnapshot{FlowTraceSummary: t.Summary(), TailFrac: frac, Flows: t.lines()}
+	s := FlowsSnapshot{FlowTraceSummary: t.Summary(), TailFrac: frac, Flows: t.finished()}
 	s.Attribution, s.TailFlows = (&FlowTrace{Flows: s.Flows}).TailAttribution(frac)
 	if s.Attribution == nil {
 		s.Attribution = []LinkLoss{}

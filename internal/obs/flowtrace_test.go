@@ -36,13 +36,13 @@ func TestFlowTraceLifecycleAndAttribution(t *testing.T) {
 	if !r.Finished || r.ID != 7 {
 		t.Fatalf("record = %+v", r)
 	}
-	if r.LineRate != 5 || r.LineBneck != 2 {
-		t.Fatalf("line rate/bneck = %g/%d, want 5/2", r.LineRate, r.LineBneck)
+	if r.lineRate != 5 || r.lineBneck != 2 {
+		t.Fatalf("line rate/bneck = %g/%d, want 5/2", r.lineRate, r.lineBneck)
 	}
-	if got, want := r.FCT(), 24.0; got != want {
+	if got, want := r.FCT, 24.0; got != want {
 		t.Errorf("FCT = %g, want %g", got, want)
 	}
-	if got, want := r.IdealFCT(), 16.0; got != want {
+	if got, want := r.IdealFCT, 16.0; got != want {
 		t.Errorf("IdealFCT = %g, want %g", got, want)
 	}
 	// Segments tile [arrive, finish]: the admit seed was overwritten by
@@ -57,16 +57,16 @@ func TestFlowTraceLifecycleAndAttribution(t *testing.T) {
 	if got := r.TotalLost(); got != 8 {
 		t.Errorf("TotalLost = %g, want 8", got)
 	}
-	if want := r.FCT() - r.IdealFCT(); r.TotalLost() != want {
+	if want := r.FCT - r.IdealFCT; r.TotalLost() != want {
 		t.Errorf("identity: lost %g != FCT-ideal %g", r.TotalLost(), want)
 	}
-	if len(r.LostLinks) != 1 || r.LostLinks[0] != 0 || r.LostSecs[0] != 8 {
-		t.Errorf("attribution = %v / %v", r.LostLinks, r.LostSecs)
+	if len(r.Lost) != 1 || r.Lost[0].Link != 0 || r.Lost[0].LostSeconds != 8 || r.Lost[0].Share != 1 {
+		t.Errorf("attribution = %+v", r.Lost)
 	}
 
-	attr, n := ft.SlowdownAttribution(1)
+	attr, n := ft.Trace().TailAttribution(1)
 	if n != 1 || len(attr) != 1 || attr[0].Link != 0 || attr[0].LostSeconds != 8 || attr[0].Share != 1 {
-		t.Errorf("SlowdownAttribution = %+v, %d", attr, n)
+		t.Errorf("TailAttribution = %+v, %d", attr, n)
 	}
 }
 
@@ -83,10 +83,10 @@ func TestFlowTraceZeroRateSeedTilesFromArrival(t *testing.T) {
 		t.Fatalf("segs = %+v", r.Segs)
 	}
 	// 4 s stalled at rate 0 = 4 s lost, on the line bottleneck.
-	if r.TotalLost() != 4 || r.LostLinks[0] != 1 {
-		t.Errorf("lost = %v on %v", r.LostSecs, r.LostLinks)
+	if r.TotalLost() != 4 || r.Lost[0].Link != 1 {
+		t.Errorf("lost = %+v", r.Lost)
 	}
-	if want := r.FCT() - r.IdealFCT(); r.TotalLost() != want {
+	if want := r.FCT - r.IdealFCT; r.TotalLost() != want {
 		t.Errorf("identity: %g != %g", r.TotalLost(), want)
 	}
 }
@@ -147,7 +147,7 @@ func TestFlowTraceTruncationKeepsAttributionExact(t *testing.T) {
 	if r.Truncated == 0 || len(r.Segs) != 4 {
 		t.Fatalf("truncated = %d, segs = %d; want truncation at 4", r.Truncated, len(r.Segs))
 	}
-	want := r.FCT() - r.IdealFCT()
+	want := r.FCT - r.IdealFCT
 	if got := r.TotalLost(); math.Abs(got-want) > 1e-9*want {
 		t.Errorf("attribution after truncation: lost = %g, want %g", got, want)
 	}
@@ -196,7 +196,7 @@ func TestFlowTraceSamplingDeterministicAndReservoir(t *testing.T) {
 	// Records come back slowdown-descending.
 	recs := ft1.Records()
 	for i := 1; i < len(recs); i++ {
-		if recs[i].Slowdown() > recs[i-1].Slowdown() {
+		if recs[i].Slowdown > recs[i-1].Slowdown {
 			t.Fatalf("records not sorted by slowdown at %d", i)
 		}
 	}

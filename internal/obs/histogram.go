@@ -1,16 +1,13 @@
 package obs
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "math"
 
 // Histogram bucketing: log-linear, the HDR-histogram idea cut to its
 // core. A value lands in the bucket of its power-of-two octave
 // (math.Frexp exponent, biased so sub-unit values resolve too),
 // subdivided into histSub linear sub-buckets — so the relative
 // quantile error is bounded by one sub-bucket, a factor of
-// 2^(1/histSub) ≈ 9%, with a fixed 4 KB of memory and no locking.
+// 2^(1/histSub) ≈ 9%, with a fixed 4 KB of memory.
 const (
 	histSub     = 8
 	histOctaves = 64
@@ -21,43 +18,36 @@ const (
 	histBuckets = histOctaves * histSub
 )
 
-// Histogram is a fixed-size log-linear histogram with atomic
-// lock-free updates from any goroutine: Observe is a handful of
-// float ops plus one atomic add (plus CAS loops for the sum/min/max
-// trackers). Negative and NaN observations are dropped; zero lands in
-// the lowest bucket.
+// Histogram is a fixed-size log-linear histogram with one writer:
+// Observe is a handful of float ops and plain stores, so a Histogram
+// belongs to one goroutine (Live's two live on the engine's, and
+// Live.Publish hands scrapers Snapshot copies). Negative and NaN
+// observations are dropped; zero lands in the lowest bucket.
 type Histogram struct {
-	count   atomic.Int64
-	dropped atomic.Int64
-	sumBits atomic.Uint64
-	minBits atomic.Uint64
-	maxBits atomic.Uint64
-	buckets [histBuckets]atomic.Int64
+	count, dropped int64
+	sum, min, max  float64
+	buckets        [histBuckets]int64
 }
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	h := &Histogram{}
-	h.minBits.Store(math.Float64bits(math.Inf(1)))
-	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
-	return h
+	return &Histogram{min: math.Inf(1), max: math.Inf(-1)}
 }
 
-// bucketOf maps v (> 0) to its bucket index.
+// bucketOf maps v (> 0) to its bucket index, reading math.Frexp's
+// exponent and fraction off v's bits: the exponent picks the octave,
+// the top three mantissa bits (histSub = 2³) the sub-bucket. Subnormals
+// land in the first bucket, +Inf in the last.
 func bucketOf(v float64) int {
-	frac, exp := math.Frexp(v) // v = frac × 2^exp, frac ∈ [0.5, 1)
-	oct := exp + histBias
+	b := math.Float64bits(v)
+	oct := int(b>>52) - 1022 + histBias // Frexp's exponent, biased
 	if oct < 0 {
 		return 0
 	}
 	if oct >= histOctaves {
 		return histBuckets - 1
 	}
-	sub := int((frac - 0.5) * 2 * histSub)
-	if sub >= histSub {
-		sub = histSub - 1
-	}
-	return oct*histSub + sub
+	return oct*histSub + int(b>>49&(histSub-1))
 }
 
 // bucketMid returns the geometric representative (midpoint) of bucket
@@ -70,67 +60,28 @@ func bucketMid(i int) float64 {
 	return (lo + hi) / 2
 }
 
-// Observe records one sample. Safe for concurrent use; a nil
-// *Histogram is a no-op.
+// Observe records one sample. A nil *Histogram is a no-op.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
 	if math.IsNaN(v) || v < 0 {
-		h.dropped.Add(1)
+		h.dropped++
 		return
 	}
 	idx := 0
 	if v > 0 {
 		idx = bucketOf(v)
 	}
-	h.buckets[idx].Add(1)
-	h.count.Add(1)
-	atomicAddFloat(&h.sumBits, v)
-	atomicMinFloat(&h.minBits, v)
-	atomicMaxFloat(&h.maxBits, v)
-}
-
-func atomicAddFloat(bits *atomic.Uint64, d float64) {
-	for {
-		old := bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if bits.CompareAndSwap(old, next) {
-			return
-		}
+	h.buckets[idx]++
+	h.count++
+	h.sum += v
+	if v < h.min {
+		h.min = v
 	}
-}
-
-func atomicMinFloat(bits *atomic.Uint64, v float64) {
-	for {
-		old := bits.Load()
-		if math.Float64frombits(old) <= v {
-			return
-		}
-		if bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
+	if v > h.max {
+		h.max = v
 	}
-}
-
-func atomicMaxFloat(bits *atomic.Uint64, v float64) {
-	for {
-		old := bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// Count returns how many samples have been observed.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Quantile returns the q-quantile (q ∈ [0, 1]) as the representative
@@ -140,25 +91,19 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return math.NaN()
 	}
-	n := h.count.Load()
+	n := h.count
 	if n == 0 {
 		return math.NaN()
 	}
-	rank := int64(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
+	rank := min(max(int64(math.Ceil(q*float64(n))), 1), n)
 	var cum int64
 	for i := 0; i < histBuckets; i++ {
-		cum += h.buckets[i].Load()
+		cum += h.buckets[i]
 		if cum >= rank {
 			return bucketMid(i)
 		}
 	}
-	return math.Float64frombits(h.maxBits.Load())
+	return h.max
 }
 
 // HistogramSnapshot is the JSON view of a histogram: count, moments,
@@ -177,27 +122,20 @@ type HistogramSnapshot struct {
 // Snapshot captures the histogram's current state. NaNs (empty
 // histogram) are rendered as zeros so the snapshot stays valid JSON.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	if h == nil || h.count.Load() == 0 {
-		return HistogramSnapshot{Dropped: h.Dropped()}
+	if h == nil {
+		return HistogramSnapshot{}
 	}
-	n := h.count.Load()
+	if h.count == 0 {
+		return HistogramSnapshot{Dropped: h.dropped}
+	}
 	return HistogramSnapshot{
-		Count:   n,
-		Dropped: h.dropped.Load(),
-		Mean:    math.Float64frombits(h.sumBits.Load()) / float64(n),
-		Min:     math.Float64frombits(h.minBits.Load()),
-		Max:     math.Float64frombits(h.maxBits.Load()),
+		Count:   h.count,
+		Dropped: h.dropped,
+		Mean:    h.sum / float64(h.count),
+		Min:     h.min,
+		Max:     h.max,
 		P50:     h.Quantile(0.50),
 		P90:     h.Quantile(0.90),
 		P99:     h.Quantile(0.99),
 	}
-}
-
-// Dropped returns how many observations were rejected (negative or
-// NaN).
-func (h *Histogram) Dropped() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.dropped.Load()
 }

@@ -22,7 +22,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	l.Publish(0, 0, 0, nil)
 	tr.Span(0, "solve", 0, 0)
 	tr.EnsureTracks(2)
-	if h.Count() != 0 || p.TotalNanos() != 0 || tr.TotalSpans() != 0 || l.Due(true) {
+	if h.Snapshot().Count != 0 || p.TotalNanos() != 0 || tr.TotalSpans() != 0 || l.Due(true) {
 		t.Fatal("nil instruments must read as zero")
 	}
 	if got := l.Progress(); got != (ProgressSnapshot{Schema: SchemaVersion}) {
@@ -55,8 +55,8 @@ func TestHistogramQuantiles(t *testing.T) {
 				q, got, exact, rel*100)
 		}
 	}
-	if h.Count() != int64(len(xs)) {
-		t.Fatalf("count = %d, want %d", h.Count(), len(xs))
+	if h.Snapshot().Count != int64(len(xs)) {
+		t.Fatalf("count = %d, want %d", h.Snapshot().Count, len(xs))
 	}
 	snap := h.Snapshot()
 	exactMean := stats.Mean(xs)
@@ -79,18 +79,19 @@ func TestHistogramEdgeCases(t *testing.T) {
 	}
 	h.Observe(math.NaN())
 	h.Observe(-1)
-	if h.Count() != 0 || h.Dropped() != 2 {
-		t.Fatalf("count/dropped = %d/%d, want 0/2", h.Count(), h.Dropped())
+	if h.Snapshot().Count != 0 || h.Snapshot().Dropped != 2 {
+		t.Fatalf("count/dropped = %d/%d, want 0/2", h.Snapshot().Count, h.Snapshot().Dropped)
 	}
 	h.Observe(0)
-	if h.Count() != 1 || h.Quantile(0.5) < 0 {
-		t.Fatalf("zero sample mishandled: count=%d q50=%g", h.Count(), h.Quantile(0.5))
+	if h.Snapshot().Count != 1 || h.Quantile(0.5) < 0 {
+		t.Fatalf("zero sample mishandled: count=%d q50=%g", h.Snapshot().Count, h.Quantile(0.5))
 	}
 	// Far out-of-range values clamp to the end buckets, never panic.
 	h.Observe(1e300)
 	h.Observe(1e-300)
-	if h.Count() != 3 {
-		t.Fatalf("count = %d, want 3", h.Count())
+	h.Observe(math.Inf(1))
+	if s := h.Snapshot(); s.Count != 4 || s.P99 != bucketMid(histBuckets-1) || s.Max != math.Inf(1) {
+		t.Fatalf("snapshot = %+v, want 4 samples, p99 in the last bucket, max +Inf", s)
 	}
 }
 
@@ -116,43 +117,46 @@ func TestHistogramQuantileBounds(t *testing.T) {
 	}
 }
 
-// TestHistogramConcurrentObserveSnapshot races Observe directly
-// against Snapshot/Quantile on a bare histogram — under -race this
-// guards the lock-free update path, and every mid-flight snapshot must
-// be internally sane.
-func TestHistogramConcurrentObserveSnapshot(t *testing.T) {
-	h := NewHistogram()
-	const workers = 4
-	const perWorker = 20000
+// TestHistogramsPublishedWithStats: the histograms have one writer,
+// the engine goroutine, and a scrape reads the snapshots the engine
+// published with its Stats — so in every /metrics body the batch-width
+// histogram holds exactly the batches its engine.batches counter
+// counts, however the scrapes interleave with the engine. Under -race
+// this is also the hook's guard against a histogram read off the
+// engine goroutine.
+func TestHistogramsPublishedWithStats(t *testing.T) {
+	l := NewLive()
+	const scrapers, scrapesEach = 4, 50
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for s := 0; s < scrapers; s++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				h.Observe(float64(i%1000) + 1)
+			for n := 0; n < scrapesEach; n++ {
+				m := l.Metrics()
+				h, batches := m.Histograms["engine.batch_components"], m.Counters["engine.batches"]
+				if h.Count != batches || m.Histograms["engine.component_flows"].Count != 2*batches {
+					t.Errorf("histograms of another event than the counters: %d batches, histograms %+v", batches, m.Histograms)
+					return
+				}
 			}
-		}(w)
+		}()
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 2000; i++ {
-			s := h.Snapshot()
-			if s.Count < 0 || s.Count > workers*perWorker {
-				t.Errorf("snapshot count %d out of range", s.Count)
-				return
-			}
-			if s.Count > 0 && (s.Min < 1 || s.Max > 1000 || s.P50 < 0) {
-				t.Errorf("inconsistent mid-flight snapshot: %+v", s)
-				return
-			}
-			_ = h.Quantile(0.99)
+	scraped := make(chan struct{})
+	go func() { wg.Wait(); close(scraped) }()
+	var st fakeStats
+	for running := true; running; {
+		select {
+		case <-scraped:
+			running = false
+		default:
 		}
-	}()
-	wg.Wait()
-	<-done
-	if h.Count() != workers*perWorker {
-		t.Fatalf("final count %d, want %d", h.Count(), workers*perWorker)
+		st.Batches++
+		l.Batch(1 + st.Batches%3)
+		l.Solve(st.Batches % 5)
+		l.Solve(7)
+		if l.Due(false) {
+			l.Publish(float64(st.Batches), 0, 0, st)
+		}
 	}
 }

@@ -1,5 +1,7 @@
 package obs
 
+import "math"
+
 // LinkStats accumulates per-link utilization and active-flow
 // statistics from the FlowTracer's rate-change stream: exact time
 // integrals (∫load·dt, flow-seconds, peak) plus a bounded time series
@@ -22,13 +24,11 @@ type LinkStats struct {
 
 	series    [][]LinkPoint
 	seriesT   []float64 // last series sample per link
-	minDT     float64   // min spacing between series points
 	maxPoints int
 
-	t0, t1     float64 // observed virtual-time span
-	seen       bool
-	truncated  int64 // series points dropped by the per-link cap
-	maxPerLink int32 // peak active flows on any single link
+	t0, t1     float64 // observed virtual-time span (+Inf, −Inf before any)
+	truncated  int64   // series points dropped by the per-link cap
+	maxPerLink int32   // peak active flows on any single link
 }
 
 // LinkPoint is one time-series sample: the link's traced load
@@ -39,13 +39,9 @@ type LinkPoint struct {
 	Active int32   `json:"active"`
 }
 
-// linkSeriesCap bounds the stored time series per link; linkSeriesDT
-// is the minimum spacing between points (seconds). Aggregates stay
-// exact past the cap.
-const (
-	linkSeriesCap = 512
-	linkSeriesDT  = 0
-)
+// linkSeriesCap bounds the stored time series per link. Aggregates
+// stay exact past the cap.
+const linkSeriesCap = 512
 
 func newLinkStats(caps []float64) *LinkStats {
 	n := len(caps)
@@ -59,8 +55,9 @@ func newLinkStats(caps []float64) *LinkStats {
 		peak:      make([]float64, n),
 		series:    make([][]LinkPoint, n),
 		seriesT:   make([]float64, n),
-		minDT:     linkSeriesDT,
 		maxPoints: linkSeriesCap,
+		t0:        math.Inf(1),
+		t1:        math.Inf(-1),
 	}
 }
 
@@ -80,13 +77,7 @@ func (s *LinkStats) advance(l int32, t float64) {
 		s.flowSecs[l] += float64(s.active[l]) * dt
 		s.lastT[l] = t
 	}
-	if !s.seen || t < s.t0 {
-		s.t0 = t
-	}
-	if !s.seen || t > s.t1 {
-		s.t1 = t
-	}
-	s.seen = true
+	s.t0, s.t1 = min(s.t0, t), max(s.t1, t)
 }
 
 // point samples link l's series at t. seriesT[l] is the last point's
@@ -100,8 +91,8 @@ func (s *LinkStats) point(l int32, t float64) {
 		ser[n-1] = LinkPoint{T: t, Load: s.load[l], Active: s.active[l]}
 		return
 	}
-	if len(ser) > 0 && t-s.seriesT[l] < s.minDT {
-		return
+	if len(ser) > 0 && t < s.seriesT[l] {
+		return // an instant before the last point's
 	}
 	if len(ser) >= s.maxPoints {
 		s.truncated++

@@ -33,27 +33,36 @@ const (
 // in sequence: the endpoints describe the one that published last.
 //
 // The two distributions Stats has no field for — components per batch,
-// flows per solve — are histograms the hook owns (Batch, Solve).
+// flows per solve — are histograms the hook owns (Batch, Solve). Like
+// Stats they have one writer, the engine goroutine, and a publish
+// copies their snapshots next to the Stats value, so /metrics serves
+// counters and histograms of one and the same event.
 type Live struct {
 	want  atomic.Bool   // a scraper is waiting for the next event
 	fresh chan struct{} // one token per publish no scraper has taken
 	born  int64         // Now() at NewLive: the origin of wall_seconds
 
-	batchComponents, componentFlows *Histogram
-	lastBatch                       int // engine goroutine only, until published
+	// Engine goroutine only, until published: the latest batch's width,
+	// and the histograms named by histNames.
+	lastBatch int
+	hists     [2]*Histogram
 
 	mu    sync.Mutex
-	pos   ProgressSnapshot // the published position; its Stats-derived keys are filled per scrape
-	stats any              // the Stats value published with it (a leap.Stats or a fluid.Stats)
+	pos   ProgressSnapshot     // the published position; its Stats-derived keys are filled per scrape
+	stats any                  // the Stats value published with it (a leap.Stats or a fluid.Stats)
+	snaps [2]HistogramSnapshot // and the histograms as they stood
 	// The publish the previous /progress scrape was served, for the
 	// rate between scrapes.
 	prevWall, prevEvents float64
 }
 
+// histNames are Live.hists' keys in /metrics: components per batch,
+// flows per solve.
+var histNames = [2]string{metricsPrefix + "batch_components", metricsPrefix + "component_flows"}
+
 // NewLive returns a hook no engine has published to yet.
 func NewLive() *Live {
-	return &Live{fresh: make(chan struct{}, 1), born: Now(),
-		batchComponents: NewHistogram(), componentFlows: NewHistogram()}
+	return &Live{fresh: make(chan struct{}, 1), born: Now(), hists: [2]*Histogram{NewHistogram(), NewHistogram()}}
 }
 
 // Due reports whether the engine should publish now: a scraper has
@@ -65,20 +74,21 @@ func (l *Live) Due(final bool) bool { return l != nil && (final || l.want.Load()
 func (l *Live) Batch(components int) {
 	if l != nil {
 		l.lastBatch = components
-		l.batchComponents.Observe(float64(components))
+		l.hists[0].Observe(float64(components))
 	}
 }
 
 // Solve observes one allocator solve's flow count.
 func (l *Live) Solve(flows int) {
 	if l != nil {
-		l.componentFlows.Observe(float64(flows))
+		l.hists[1].Observe(float64(flows))
 	}
 }
 
 // Publish stores the engine's position — virtual time, live flows,
-// flows finished so far — and its Stats value as the copy scrapers
-// read, and wakes a waiting one. Engine goroutine only, when Due.
+// flows finished so far — its Stats value and the histograms'
+// snapshots as the copy scrapers read, and wakes a waiting one. Engine
+// goroutine only, when Due.
 func (l *Live) Publish(simSeconds float64, active, finished int, stats any) {
 	if l == nil {
 		return
@@ -86,10 +96,11 @@ func (l *Live) Publish(simSeconds float64, active, finished int, stats any) {
 	// Cleared first: a request raised from here on is answered by the
 	// next event, not lost.
 	l.want.Store(false)
+	snaps := [2]HistogramSnapshot{l.hists[0].Snapshot(), l.hists[1].Snapshot()}
 	l.mu.Lock()
 	l.pos = ProgressSnapshot{Schema: SchemaVersion, SimSeconds: simSeconds, WallSeconds: float64(Now()-l.born) / 1e9,
 		ActiveFlows: active, Finished: finished, BatchComponents: l.lastBatch}
-	l.stats = stats
+	l.stats, l.snaps = stats, snaps
 	l.mu.Unlock()
 	select {
 	case l.fresh <- struct{}{}:
@@ -100,7 +111,7 @@ func (l *Live) Publish(simSeconds float64, active, finished int, stats any) {
 // latest raises a request, waits up to liveWait for the engine to
 // answer it after its next event, and returns the latest copy either
 // way: an idle or finished engine answers with what it published last.
-func (l *Live) latest() (ProgressSnapshot, any) {
+func (l *Live) latest() (ProgressSnapshot, any, [2]HistogramSnapshot) {
 	select {
 	case <-l.fresh: // a publish nobody was waiting for
 	default:
@@ -112,13 +123,13 @@ func (l *Live) latest() (ProgressSnapshot, any) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.pos, l.stats
+	return l.pos, l.stats, l.snaps
 }
 
 // Metrics is the /metrics payload: the publishing engine's Stats
 // fields, each under "engine." + its json tag — integers as counters,
 // floats as gauges, PhaseNanos as one counter per phase name — plus the
-// hook's two histograms.
+// hook's two histograms as that publish copied them.
 type Metrics struct {
 	Schema     int                          `json:"schema"`
 	Counters   map[string]int64             `json:"counters"`
@@ -156,10 +167,11 @@ func (l *Live) Metrics() Metrics {
 	if l == nil {
 		return metricsOf(nil)
 	}
-	_, stats := l.latest()
+	_, stats, snaps := l.latest()
 	m := metricsOf(stats)
-	m.Histograms[metricsPrefix+"batch_components"] = l.batchComponents.Snapshot()
-	m.Histograms[metricsPrefix+"component_flows"] = l.componentFlows.Snapshot()
+	for i, name := range histNames {
+		m.Histograms[name] = snaps[i]
+	}
 	return m
 }
 
@@ -190,7 +202,7 @@ func (l *Live) Progress() ProgressSnapshot {
 	if l == nil {
 		return ProgressSnapshot{Schema: SchemaVersion}
 	}
-	p, stats := l.latest()
+	p, stats, _ := l.latest()
 	m := metricsOf(stats)
 	p.Schema = SchemaVersion
 	p.Events, p.Batches = m.Counters[metricsPrefix+"events"], m.Counters[metricsPrefix+"batches"]

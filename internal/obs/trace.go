@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync/atomic"
 )
 
 // span is one completed timeline interval on a track.
@@ -18,7 +17,7 @@ type span struct {
 
 // track is one timeline row. The leap engine writes two from its one
 // event-loop goroutine — track 0 the reallocation batches, track 1 the
-// component solves inside them — so appends need no lock.
+// component solves inside them — so appends and drops need no lock.
 type track struct {
 	name  string
 	spans []span
@@ -36,7 +35,7 @@ type Tracer struct {
 	MaxSpans int
 
 	tracks []track
-	drops  atomic.Int64
+	drops  int64 // Dropped reads it after the run
 }
 
 // NewTracer returns an empty tracer. Tracks are created by
@@ -73,8 +72,9 @@ func (t *Tracer) Clock() int64 {
 }
 
 // Span records one interval [start, now) on track ti with a
-// name-dependent integer payload. Each track takes one writer at a
-// time; spans to unknown tracks or past the cap are counted as drops.
+// name-dependent integer payload. A Tracer takes one writer at a time
+// (the engine's event loop, for both its tracks); spans to unknown
+// tracks or past the cap are counted as drops.
 func (t *Tracer) Span(ti int, name string, start, arg int64) {
 	if t != nil {
 		t.span(ti, name, start, arg)
@@ -83,7 +83,7 @@ func (t *Tracer) Span(ti int, name string, start, arg int64) {
 
 func (t *Tracer) span(ti int, name string, start, arg int64) {
 	if ti < 0 || ti >= len(t.tracks) {
-		t.drops.Add(1)
+		t.drops++
 		return
 	}
 	maxSpans := t.MaxSpans
@@ -92,7 +92,7 @@ func (t *Tracer) span(ti int, name string, start, arg int64) {
 	}
 	tr := &t.tracks[ti]
 	if len(tr.spans) >= maxSpans {
-		t.drops.Add(1)
+		t.drops++
 		return
 	}
 	tr.spans = append(tr.spans, span{name: name, start: start, dur: Now() - start, arg: arg})
@@ -132,7 +132,7 @@ func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.drops.Load()
+	return t.drops
 }
 
 // argKeys maps span names to the JSON key their integer payload is
@@ -188,7 +188,7 @@ func (t *Tracer) Write(w io.Writer) error {
 			out.TraceEvents = append(out.TraceEvents, ev)
 		}
 	}
-	if n := t.drops.Load(); n > 0 {
+	if n := t.drops; n > 0 {
 		out.TraceEvents = append(out.TraceEvents, traceEvent{
 			Name: "dropped_spans", Ph: "M", Pid: 1, Tid: 0,
 			Args: map[string]any{"count": n},
