@@ -1,6 +1,6 @@
 # Convenience targets; CI runs the same commands.
 
-.PHONY: test race loc alloc-gate obs-inline fuzz fault-smoke bench-smoke bench-packet cli-golden mem-smoke benchmark-smoke bench bench-diff flowtrace-smoke
+.PHONY: test race loc alloc-gate obs-inline fuzz fault-smoke bench-smoke bench-packet hook-price cli-golden mem-smoke benchmark-smoke bench bench-diff flowtrace-smoke
 
 test:
 	go build ./... && go test ./...
@@ -58,7 +58,8 @@ alloc-gate:
 OBS_INLINE = '(*PhaseProfiler).Arm' '(*PhaseProfiler).Lap' \
 	'(*Tracer).Clock' '(*Tracer).Span' \
 	'(*Live).Due' '(*Live).Batch' '(*Live).Solve' \
-	'(*FlowTracer).Admit' '(*FlowTracer).Rate' '(*FlowTracer).Complete'
+	'(*FlowTracer).Admit' '(*FlowTracer).AdmitRate' '(*FlowTracer).Rate' \
+	'(*FlowTracer).Rates' '(*FlowTracer).Complete'
 obs-inline:
 	@out=$$(go build -gcflags=-m ./internal/obs 2>&1) || { echo "$$out" >&2; exit 1; }; \
 	for m in $(OBS_INLINE); do \
@@ -103,7 +104,7 @@ fault-smoke:
 # through Allocate, the power kernel against math.Pow) so the rows
 # CHANGES.md quotes cannot rot.
 bench-smoke:
-	go test -run '^$$' -bench BenchmarkLeapFCT -benchtime 1x .
+	go test -run '^$$' -bench 'BenchmarkLeapFCT$$' -benchtime 1x .
 	go test -run '^$$' -bench 'XWISolve|DGDSolve|OracleSolve' -benchtime 1x ./internal/fluid/
 	go test -run '^$$' -bench AlphaKernel -benchtime 1x ./internal/core/
 
@@ -114,6 +115,15 @@ bench-smoke:
 # fig7's regime) and at backlog 1/16/256 (queue.STFQ).
 bench-packet:
 	go test -run '^$$' -bench 'BenchmarkEngineGapMix|BenchmarkEngineScheduleRun|BenchmarkPortHop|BenchmarkSTFQ' -benchmem ./internal/sim/ ./internal/netsim/ ./internal/queue/
+
+# The price of each observability hook numfabric -experiment leapfct
+# attaches (ROADMAP items 3e and 9): a 100k-flow leapfct play with no
+# hooks, the phase profiler, a 1 % flow tracer, and both, reported as
+# ns per flow and each set's ratio to none (the *-x columns), five
+# times over. Read the medians; a shared machine moves single runs by
+# several percent.
+hook-price:
+	go test -run '^$$' -bench BenchmarkLeapFCTHooks -count 5 .
 
 # The two CLI experiments that print harness.RunDynamicWith on the
 # fat-tree, at seed 1 and scaled size (about 30 s each; leapfct's load

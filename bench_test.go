@@ -16,6 +16,7 @@ import (
 	"numfabric/internal/core"
 	"numfabric/internal/fluid"
 	"numfabric/internal/harness"
+	"numfabric/internal/obs"
 	"numfabric/internal/oracle"
 	"numfabric/internal/sim"
 	"numfabric/internal/stats"
@@ -478,6 +479,64 @@ func BenchmarkLeapFCT(b *testing.B) {
 	b.ReportMetric(speedup, "speedup-vs-epoch")
 	b.ReportMetric(medRatio, "median-fct-ratio")
 	b.ReportMetric(p95Ratio, "p95-fct-ratio")
+}
+
+// BenchmarkLeapFCTHooks prices the observability hooks numfabric
+// -experiment leapfct always attaches: a 100k-flow leapfct play (k=8
+// fat-tree, web-search at load 0.05, xWI with the FCT-min utility, run
+// to completion) through harness.RunDynamicWith with no hooks, the
+// phase profiler alone, a 1 % flow tracer alone, and both — the CLI's
+// default stack. Every iteration plays the same schedule twice under
+// each set, in the order none, profiler, flowtrace, both, both,
+// flowtrace, profiler, none (so a drift across the iteration charges
+// every set alike), and reports ns per flow of the play
+// (DynamicResult.RunWall) for each set plus each set's ratio to the
+// hook-free play. `make hook-price` runs it five times.
+func BenchmarkLeapFCTHooks(b *testing.B) {
+	const nflows = 100_000
+	ft := fluid.NewFatTree(8, 10e9)
+	profiler := func() obs.Hooks { return obs.Hooks{Profiler: obs.NewPhaseProfiler()} }
+	flowTrace := func() obs.Hooks {
+		t := obs.NewFlowTracer(obs.FlowTraceConfig{SampleRate: 0.01})
+		t.SetLinkName(ft.LinkName)
+		return obs.Hooks{FlowTrace: t}
+	}
+	sets := []struct {
+		name  string
+		hooks func() obs.Hooks
+	}{
+		{"none", func() obs.Hooks { return obs.Hooks{} }},
+		{"profiler", profiler},
+		{"flowtrace", flowTrace},
+		{"both", func() obs.Hooks {
+			h := flowTrace()
+			h.Profiler = profiler().Profiler
+			return h
+		}},
+	}
+	wall := make([]time.Duration, len(sets))
+	for i := 0; i < b.N; i++ {
+		for k := range 2 * len(sets) {
+			j := min(k, 2*len(sets)-1-k)
+			s := sets[j]
+			cfg := harness.DefaultDynamic(harness.NUMFabric, workload.WebSearch(), 0.05)
+			cfg.FatTree, cfg.Flows, cfg.Seed, cfg.Obs = ft, nflows, 1, s.hooks()
+			cfg.UtilityFor = func(size int64) core.Utility { return core.FCTMin(size, 0.125) }
+			cfg.Drain = sim.Duration(sim.Forever)
+			runtime.GC()
+			res := harness.RunDynamicWith(harness.EngineLeap, cfg)
+			if res.Unfinished > 0 {
+				b.Fatalf("%s: %d unfinished flows", s.name, res.Unfinished)
+			}
+			wall[j] += res.RunWall
+		}
+	}
+	for j, s := range sets {
+		b.ReportMetric(float64(wall[j].Nanoseconds())/float64(2*b.N*nflows), s.name+"-ns/flow")
+		if j > 0 {
+			b.ReportMetric(wall[j].Seconds()/wall[0].Seconds(), s.name+"-x")
+		}
+	}
 }
 
 // BenchmarkFluidPooling runs the ≥10k-subflow multipath fat-tree

@@ -162,6 +162,22 @@ func checkFlags(exp, faults string) ([]workload.Fault, error) {
 	return harness.ExpandFaults(leapFailTree(), scripted)
 }
 
+// flowTraceConfig is the flow tracer -flowtrace-sample and
+// -flowtrace-slowest ask for: a sample fraction in [0, 1] and a
+// reservoir of slowest flows, 0 meaning none (the config reads 0 as its
+// default of 64, so 0 goes in as the negative that disables it).
+func flowTraceConfig(sample float64, slowest int) (obs.FlowTraceConfig, error) {
+	switch {
+	case !(sample >= 0 && sample <= 1):
+		return obs.FlowTraceConfig{}, fmt.Errorf("-flowtrace-sample %v: want a fraction in [0, 1]", sample)
+	case slowest < 0:
+		return obs.FlowTraceConfig{}, fmt.Errorf("-flowtrace-slowest %d: want a count, 0 for none", slowest)
+	case slowest == 0:
+		slowest = -1
+	}
+	return obs.FlowTraceConfig{SampleRate: sample, SlowestK: slowest}, nil
+}
+
 func main() {
 	exp := flag.String("experiment", "all", "experiment id ("+experimentIDs()+")")
 	scale := flag.String("scale", "scaled", "\"scaled\" (32 hosts, fast) or \"full\" (paper scale, slow)")
@@ -174,7 +190,7 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write a Chrome-trace (chrome://tracing / Perfetto) timeline of engine batches and component solves to this file")
 	ftOut := flag.String("flowtrace-out", "", "write a JSONL flow-lifecycle trace — sampled flow records with per-segment bottleneck links, per-link utilization, slowdown attribution; analyze with cmd/flowreport (leapfct writes the sweep's last load)")
 	ftSample := flag.Float64("flowtrace-sample", 0.01, "deterministic per-flow-id fraction of completions kept in the flow trace (1 = every flow; the slowest flows are kept regardless)")
-	ftSlowest := flag.Int("flowtrace-slowest", 64, "slowest-flow reservoir size for the flow trace: this many worst slowdowns are always kept, independent of sampling")
+	ftSlowest := flag.Int("flowtrace-slowest", 64, "slowest-flow reservoir size for the flow trace: this many worst slowdowns are always kept, independent of sampling (0: none)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memprofile := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 	flag.Parse()
@@ -189,6 +205,11 @@ func main() {
 		os.Exit(2)
 	}
 	if scriptedFaults, err = checkFlags(*exp, *faults); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	ftCfg, err := flowTraceConfig(*ftSample, *ftSlowest)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -244,10 +265,7 @@ func main() {
 			cliObs.Tracer = obs.NewTracer()
 		}
 		if *ftOut != "" || *debugAddr != "" {
-			cliObs.FlowTrace = obs.NewFlowTracer(obs.FlowTraceConfig{
-				SampleRate: *ftSample,
-				SlowestK:   *ftSlowest,
-			})
+			cliObs.FlowTrace = obs.NewFlowTracer(ftCfg)
 		}
 		if *debugAddr != "" {
 			ln, err := obs.Serve(*debugAddr, cliObs.Live, cliObs.FlowTrace)

@@ -11,6 +11,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"numfabric/internal/obs"
 )
 
 func buildBinary(t *testing.T) string {
@@ -48,6 +50,11 @@ func TestUnknownFlagValuesExitBeforeRunning(t *testing.T) {
 		{"faults empty list", []string{"-experiment", "leapfail", "-faults", " , "}, "names no fault"},
 		{"faults target out of range", []string{"-experiment", "all", "-faults", "core99@1ms"}, `fault target "core99": core out of range [0,16)`},
 		{"faults time overflows", []string{"-experiment", "leapfail", "-faults", "link0@3000h"}, `fault "link0@3000h": time overflows`},
+		{"flowtrace sample NaN", []string{"-experiment", "table2", "-flowtrace-sample", "NaN"}, "-flowtrace-sample NaN: want a fraction in [0, 1]"},
+		{"flowtrace sample negative", []string{"-experiment", "table2", "-flowtrace-sample", "-0.5"}, "-flowtrace-sample -0.5: want a fraction"},
+		{"flowtrace sample above one", []string{"-experiment", "table2", "-flowtrace-sample", "1.5"}, "-flowtrace-sample 1.5: want a fraction"},
+		{"flowtrace sample infinite", []string{"-experiment", "table2", "-flowtrace-sample", "+Inf"}, "-flowtrace-sample +Inf: want a fraction"},
+		{"flowtrace slowest negative", []string{"-experiment", "table2", "-flowtrace-slowest", "-3"}, "-flowtrace-slowest -3: want a count"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -75,6 +82,27 @@ func TestUnknownFlagValuesExitBeforeRunning(t *testing.T) {
 		out, err := exec.Command(bin, "-experiment", "fig2", "-scale", scale).CombinedOutput()
 		if err != nil || !strings.Contains(string(out), "=== fig2 ===") {
 			t.Errorf("-scale %s: %v\n%s", scale, err, out)
+		}
+	}
+}
+
+// TestFlowTraceFlags: -flowtrace-slowest 0 asks for no reservoir and
+// gets none (the tracer config reads 0 as its default of 64), the
+// default flags give the default reservoir, and both bounds of the
+// sample fraction are accepted.
+func TestFlowTraceFlags(t *testing.T) {
+	for _, c := range []struct {
+		sample  float64
+		slowest int
+		want    int
+	}{{0.01, 0, 0}, {0.01, 64, 64}, {0, 5, 5}, {1, 1, 1}} {
+		cfg, err := flowTraceConfig(c.sample, c.slowest)
+		if err != nil {
+			t.Fatalf("flowTraceConfig(%v, %d): %v", c.sample, c.slowest, err)
+		}
+		if got := obs.NewFlowTracer(cfg).Summary(); got.SlowestK != c.want || got.SampleRate != c.sample {
+			t.Errorf("flags (%v, %d): tracer keeps slowest %d at sample %v, want %d at %v",
+				c.sample, c.slowest, got.SlowestK, got.SampleRate, c.want, c.sample)
 		}
 	}
 }

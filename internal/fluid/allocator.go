@@ -96,7 +96,8 @@ type scratch struct {
 	linkRound int
 
 	// bload is the per-link load accumulator behind bottlenecks; like
-	// linkStamp it is link-indexed with only touched entries written.
+	// linkStamp it is link-indexed with only touched entries written (a
+	// link's first touch in a call, told by its stamp, zeroes it).
 	bload []float64
 
 	// plan is the devirtualized utility plan of one call, one entry per
@@ -164,16 +165,20 @@ func (s *scratch) collectLinks(nl int, flows []*Flow) []int {
 // alone.
 func (s *scratch) bottlenecks(net *Network, flows []*Flow, rates []float64, out []int32) {
 	nl := net.Links()
-	touched := s.collectLinks(nl, flows)
+	if cap(s.linkStamp) < nl {
+		s.linkStamp = make([]int, nl)
+	}
 	if cap(s.bload) < nl {
 		s.bload = make([]float64, nl)
 	}
-	load := s.bload[:nl]
-	for _, l := range touched {
-		load[l] = 0
-	}
+	st, load := s.linkStamp[:nl], s.bload[:nl]
+	s.linkRound++
+	round := s.linkRound
 	for i, f := range flows {
 		for _, l := range f.Links {
+			if st[l] != round {
+				st[l], load[l] = round, 0
+			}
 			load[l] += rates[i]
 		}
 	}

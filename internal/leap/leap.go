@@ -328,10 +328,12 @@ type Engine struct {
 	stats Stats
 	// hooks is Config.Obs, called unguarded (nil hooks are no-ops in
 	// internal/obs). Tracer track 0 carries the event loop's batch
-	// spans, track 1 the component solve spans. bneck is the reusable
-	// output scratch of the flow tracer's bottleneck queries.
-	hooks obs.Hooks
-	bneck []int32
+	// spans, track 1 the component solve spans. bneck and traceIDs are
+	// the reusable scratch of the flow tracer's component reports: the
+	// bottleneck queries' output and the solved flows' ids.
+	hooks    obs.Hooks
+	bneck    []int32
+	traceIDs []int
 }
 
 // NewEngine returns an event-driven engine over net.
@@ -640,10 +642,10 @@ func (e *Engine) admitDue() {
 		for _, l := range f.Links {
 			e.linkFlows[l] = append(e.linkFlows[l], int32(f.ID))
 		}
-		e.hooks.FlowTrace.Admit(f.ID, f.SizeBytes, f.Arrive, f.Links)
 		if iso {
 			e.admitIsolated(f)
 		} else {
+			e.hooks.FlowTrace.Admit(f.ID, f.SizeBytes, f.Arrive, f.Links)
 			e.seed(f)
 		}
 		n++
@@ -699,7 +701,7 @@ func (e *Engine) admitIsolated(f *fluid.Flow) {
 	}
 	// No solver ran: the flow takes its line rate, bottlenecked by the
 	// path's min-capacity link (the tracer's default).
-	e.hooks.FlowTrace.Rate(f.ID, e.now, f.Rate, -1, obs.CauseAdmit, 1, uint64(e.stats.Batches))
+	e.hooks.FlowTrace.AdmitRate(f.ID, f.SizeBytes, f.Arrive, f.Links, e.now, f.Rate, uint64(e.stats.Batches))
 }
 
 // seed queues f's component for the next reallocation.
@@ -1013,16 +1015,20 @@ func (e *Engine) reallocate() {
 }
 
 // traceComponent reports one component's freshly installed rates to
-// the flow tracer, if one is attached. Each plain finite flow gets a
+// the flow tracer, if one is attached: the site's one branch, inlined.
+func (e *Engine) traceComponent(flows []*fluid.Flow, rates []float64) {
+	if e.hooks.FlowTrace != nil {
+		e.traceRates(flows, rates)
+	}
+}
+
+// traceRates is traceComponent's report. Each plain finite flow gets a
 // rate segment stamped with the component size and the solve's batch
 // ordinal; group members and unbounded flows are filtered by the tracer
 // itself. The cause code is the engine's batchCause — CauseFail or
 // CauseRecover when a fault event triggered this solve, CauseSolve
 // otherwise. rates is nil for an elided single-flow component.
-func (e *Engine) traceComponent(flows []*fluid.Flow, rates []float64) {
-	if e.hooks.FlowTrace == nil {
-		return
-	}
+func (e *Engine) traceRates(flows []*fluid.Flow, rates []float64) {
 	if rates == nil {
 		// Line rate, min-capacity bottleneck (the tracer's default for
 		// bneck < 0).
@@ -1031,9 +1037,12 @@ func (e *Engine) traceComponent(flows []*fluid.Flow, rates []float64) {
 		return
 	}
 	bn := e.bottlenecks(flows, rates)
-	for i, f := range flows {
-		e.hooks.FlowTrace.Rate(f.ID, e.now, rates[i], int(bn[i]), e.batchCause, len(flows), uint64(e.stats.Batches))
+	ids := e.traceIDs[:0]
+	for _, f := range flows {
+		ids = append(ids, f.ID)
 	}
+	e.traceIDs = ids
+	e.hooks.FlowTrace.Rates(e.now, ids, rates, bn, e.batchCause, uint64(e.stats.Batches))
 }
 
 // bottlenecks asks the allocator for each flow's binding link

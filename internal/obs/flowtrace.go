@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"container/heap"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,26 +15,20 @@ import (
 
 // FlowTracer records sampled per-flow lifecycles from the leap engine:
 // arrival, every rate change with its cause (solve batch, component
-// size), the bottleneck link binding each rate segment,
-// and completion. It follows the package's nil-guarded discipline — a
-// nil *FlowTracer costs the engine nothing — and every mutating method
-// is called from the engine's event-loop goroutine only; an internal
-// mutex makes the HTTP snapshot and export paths safe to call
-// concurrently from other goroutines.
+// size) and bottleneck link, and completion. A nil *FlowTracer costs the
+// engine nothing; the mutating methods run on the engine's goroutine,
+// and a mutex makes the snapshot and export paths safe from others.
 //
-// While a flow is active its record is always tracked (memory is
-// bounded by the engine's active set, and per-link lost-service
-// attribution accumulates incrementally with O(path length) state per
-// flow). The keep decision happens at completion: a deterministic hash
-// of the admission ordinal (Seq) keeps a SampleRate fraction, and a slowest-K
-// reservoir keeps the K worst slowdowns regardless — so the tail that
-// tail-latency attribution cares about is always captured.
+// Every active flow's record is tracked (memory is bounded by the active
+// set; lost service accumulates per segment). At completion a hash of
+// the admission ordinal (Seq) keeps a SampleRate fraction, and a
+// slowest-K reservoir keeps the K worst slowdowns regardless, so the
+// tail attribution cares about is always captured.
 //
 // One type, FlowRecord, is the flow in memory, on the wire and in the
-// reader. A kept record is labelled once, at completion: each link it
-// names gets the namer's label, each loss its share. Exports carry the
-// labels of export time, as the namer gives them then; only a record
-// whose labels have moved since is copied to relabel it.
+// reader. A kept record is labelled once, at completion; exports carry
+// the namer's labels of export time, copying only a record whose labels
+// have moved since.
 type FlowTracer struct {
 	mu  sync.Mutex
 	cfg FlowTraceConfig
@@ -55,8 +48,9 @@ type flowRun struct {
 	nActive int
 	free    []*FlowRecord // recycled records (segment/link capacity kept)
 
-	kept []*FlowRecord // hash-sampled completions
-	slow slowHeap      // the slowest-K reservoir
+	kept  []*FlowRecord // hash-sampled completions
+	slow  []*FlowRecord // the slowest-K reservoir
+	least int           // slow[least] is its least-slow entry, the next evicted
 
 	tracked   uint64 // admissions seen
 	completed uint64 // completions seen
@@ -75,15 +69,13 @@ type FlowTraceConfig struct {
 	// MaxRecords caps the hash-sampled kept records (default 1<<17);
 	// completions beyond it are dropped (counted, never the reservoir).
 	MaxRecords int
-	// MaxSegs caps the stored rate segments per record (default 512).
-	// Attribution stays exact past the cap — per-link lost service
-	// accumulates incrementally — but segment detail is truncated and
-	// counted in FlowRecord.Truncated.
+	// MaxSegs caps the stored rate segments per record (default 512);
+	// past it attribution stays exact and segments are only counted
+	// (FlowRecord.Truncated).
 	MaxSegs int
 }
 
-// NewFlowTracer builds a tracer; the engine binds link capacities at
-// construction via Bind.
+// NewFlowTracer builds a tracer; the engine binds it (Bind).
 func NewFlowTracer(cfg FlowTraceConfig) *FlowTracer {
 	if cfg.SlowestK == 0 {
 		cfg.SlowestK = 64
@@ -102,28 +94,23 @@ func NewFlowTracer(cfg FlowTraceConfig) *FlowTracer {
 // exports and reports — typically a topology's LinkName once the
 // network is built. Safe to call while snapshots are being served.
 func (t *FlowTracer) SetLinkName(fn func(link int) string) {
-	if fn == nil {
-		return
+	if fn != nil {
+		t.nameFn.Store(&fn)
 	}
-	t.nameFn.Store(&fn)
 }
 
 // linkName returns the configured label for link l, "" when no namer
 // is installed or l is negative.
 func (t *FlowTracer) linkName(l int) string {
-	if l < 0 {
-		return ""
-	}
-	if p := t.nameFn.Load(); p != nil {
+	if p := t.nameFn.Load(); p != nil && l >= 0 {
 		return (*p)(l)
 	}
 	return ""
 }
 
-// Reset clears all per-run state — active records, kept/reservoir
-// completions, counters, link statistics, and the capacity binding —
-// keeping the sampling configuration, so one tracer (and the debug
-// endpoints holding it) can serve several engine runs in sequence.
+// Reset clears all per-run state — records, counters, link statistics
+// and the capacity binding — keeping the configuration, so one tracer
+// (and the endpoints holding it) can serve several runs in sequence.
 func (t *FlowTracer) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -142,12 +129,10 @@ const (
 	// CauseSolve marks a rate set by a component solve.
 	CauseSolve
 	// CauseFail marks a rate set by the re-solve a link failure
-	// triggered — including the zero rate of a flow the failure
-	// stranded.
+	// triggered, the zero rate of a flow it stranded included.
 	CauseFail
 	// CauseRecover marks a rate set by the re-solve a link recovery
-	// triggered — including the positive rate that resumes a stranded
-	// flow.
+	// triggered, the rate that resumes a stranded flow included.
 	CauseRecover
 )
 
@@ -189,21 +174,18 @@ type FlowSeg struct {
 }
 
 // FlowRecord is one traced flow's lifecycle: what the tracer keeps,
-// Records returns, the JSONL trace's "flow" lines and /flows carry, and
-// ReadFlowTrace reads back. A kept record is final at completion — FCT,
-// Slowdown, the loss shares and the link labels are set then, once — so
-// readers share it; Records copies only the slowest-K reservoir's,
-// whose storage an eviction recycles.
+// Records returns, the JSONL "flow" lines and /flows carry, and
+// ReadFlowTrace reads back. A kept record is final at completion, so
+// readers share it; Records copies only the reservoir's, whose storage
+// an eviction recycles.
 type FlowRecord struct {
 	Type string `json:"type"` // "flow"
 	// ID is the engine's id for the flow while it was live — a slot, not
 	// a name.
 	ID int `json:"id"`
-	// Seq is the tracer's admission ordinal. Engine flow ids recycle
-	// under table-backed churn (fluid.FlowTable + leap ReleaseFinished:
-	// the id space is bounded by the peak live set), so two records in
-	// one trace can share an ID; Seq is the identity that never does,
-	// and the one the hash sample and every ordering key on.
+	// Seq is the tracer's admission ordinal. Engine ids recycle under
+	// churn (leap ReleaseFinished), so two records can share an ID; Seq
+	// never does, and the hash sample and every ordering key on it.
 	Seq       uint64  `json:"seq"`
 	SizeBytes int64   `json:"size_bytes"`
 	Arrive    float64 `json:"arrive"`
@@ -215,9 +197,8 @@ type FlowRecord struct {
 	FCT      float64 `json:"fct,omitempty"`
 	IdealFCT float64 `json:"ideal_fct"`
 	Slowdown float64 `json:"slowdown,omitempty"`
-	// Sampled is true when the record was kept by the deterministic
-	// hash sample (false: kept by the slowest-K reservoir, or still
-	// active).
+	// Sampled is true when the hash sample kept the record (false: the
+	// slowest-K reservoir did, or it is still active).
 	Sampled bool `json:"sampled"`
 	// Truncated counts rate segments dropped beyond the MaxSegs cap;
 	// attribution is exact regardless.
@@ -285,9 +266,8 @@ func (r *FlowRecord) clone() *FlowRecord {
 	return &c
 }
 
-// Bind gives the tracer the network's link capacities; the engine
-// calls it once at construction. Capacities determine each flow's
-// line rate and min-capacity bottleneck, and size the per-link stats.
+// Bind gives the tracer the network's link capacities (each flow's line
+// rate and min-capacity link); the engine calls it at construction.
 func (t *FlowTracer) Bind(caps []float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -304,11 +284,20 @@ func (t *FlowTracer) Bind(caps []float64) {
 // it is an inlinable nil check, callable unguarded on a nil tracer.
 func (t *FlowTracer) Admit(id int, sizeBytes int64, arrive float64, links []int) {
 	if t != nil && sizeBytes > 0 {
-		t.admit(id, sizeBytes, arrive, links)
+		t.admit(id, sizeBytes, arrive, links, arrive, 0, 0)
 	}
 }
 
-func (t *FlowTracer) admit(id int, sizeBytes int64, arrive float64, links []int) {
+// AdmitRate is Admit then Rate(id, now, rate, -1, CauseAdmit, 1, batch),
+// for a flow rated as it is admitted, under one lock and, when now is
+// arrive, in the one pass over its path that leaves what the two would.
+func (t *FlowTracer) AdmitRate(id int, sizeBytes int64, arrive float64, links []int, now, rate float64, batch uint64) {
+	if t != nil && sizeBytes > 0 {
+		t.admit(id, sizeBytes, arrive, links, now, rate, batch)
+	}
+}
+
+func (t *FlowTracer) admit(id int, sizeBytes int64, arrive float64, links []int, now, rate float64, batch uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.caps == nil || len(links) == 0 {
@@ -324,79 +313,103 @@ func (t *FlowTracer) admit(id int, sizeBytes int64, arrive float64, links []int)
 		}
 	}
 	if lineRate <= 0 {
-		// Admitted straight onto a dead (failed) link: no finite ideal
-		// FCT exists to attribute lost service against, so the flow is
-		// not traced. The engine still counts it in Stats.Stranded, and
-		// flows admitted while their path was healthy keep exact
-		// attribution through any later failure (stranded time accrues
-		// in full against the failed bottleneck).
+		// Admitted straight onto a dead link: with no finite ideal FCT
+		// to attribute lost service against, the flow is not traced (the
+		// engine counts it in Stats.Stranded). A flow admitted on a
+		// healthy path keeps exact attribution through later failures.
 		return
 	}
 	for id >= len(t.active) {
 		t.active = append(t.active, nil)
 	}
+	// A recycled record comes back emptied and with its completion
+	// fields zeroed, so only the admission's fields are written.
 	var r *FlowRecord
 	if n := len(t.free); n > 0 {
 		r, t.free = t.free[n-1], t.free[:n-1]
 	} else {
-		r = new(FlowRecord)
+		r = &FlowRecord{Type: "flow"}
 	}
+	r.ID, r.Seq, r.SizeBytes, r.Arrive = id, t.tracked, sizeBytes, arrive
+	r.IdealFCT = float64(sizeBytes) * 8 / lineRate
+	r.lineRate, r.lineBneck, r.lastT = lineRate, lineBneck, arrive
 	for _, l := range links {
 		r.links = append(r.links, int32(l))
 	}
-	*r = FlowRecord{Type: "flow", ID: id, Seq: t.tracked, SizeBytes: sizeBytes, Arrive: arrive,
-		IdealFCT: float64(sizeBytes) * 8 / lineRate, Lost: r.Lost, Segs: r.Segs, links: r.links,
-		lineRate: lineRate, lineBneck: lineBneck, lastT: arrive, lastBneck: lineBneck}
 	// Seed a zero-rate segment at arrival so segments tile
 	// [Arrive, Finish] by construction; a same-instant first solve
 	// overwrites it in place.
-	r.Segs = append(r.Segs, FlowSeg{T: arrive, Bneck: lineBneck, Cause: CauseAdmit})
+	r.segment(arrive, 0, lineBneck, CauseAdmit, 0, 0, t.cfg.MaxSegs)
 	t.active[id] = r
 	t.nActive++
 	t.tracked++
-	t.links.addFlow(r.links, arrive)
-}
-
-// Rate records a rate change for flow id at virtual time now: the new
-// rate, the bottleneck link the solver reported (negative: attribute
-// to the path's min-capacity link), the cause, the solved component's
-// flow count, and the solve batch ordinal. Unchanged
-// (rate, bottleneck) pairs coalesce into the open segment; untracked
-// ids are ignored, so callers need not re-check the tracing scope.
-func (t *FlowTracer) Rate(id int, now, rate float64, bneck int, cause Cause, comp int, batch uint64) {
-	if t != nil {
-		t.rate(id, now, rate, bneck, cause, comp, batch)
+	if now != arrive { // rated after its admission: two passes
+		t.links.addFlow(r.links, arrive, 0)
+		t.setRate(id, now, rate, -1, CauseAdmit, 1, uint32(batch))
+	} else if t.links.addFlow(r.links, arrive, rate); rate != 0 {
+		r.segment(now, rate, lineBneck, CauseAdmit, 1, uint32(batch), t.cfg.MaxSegs)
 	}
 }
 
-func (t *FlowTracer) rate(id int, now, rate float64, bneck int, cause Cause, comp int, batch uint64) {
+// Rate records flow id's rate change at virtual time now: the rate, the
+// bottleneck link the solver reported (negative: the path's
+// min-capacity link), the cause, the component's flow count and the
+// batch ordinal. An unchanged (rate, bottleneck) continues the open
+// segment; untracked ids are ignored.
+func (t *FlowTracer) Rate(id int, now, rate float64, bneck int, cause Cause, comp int, batch uint64) {
+	if t != nil {
+		t.rates(now, []int{id}, []float64{rate}, []int32{int32(bneck)}, cause, comp, batch)
+	}
+}
+
+// Rates is Rate(ids[i], now, rates[i], bneck[i], cause, len(ids), batch)
+// for each of one solved component's flows, under one lock.
+func (t *FlowTracer) Rates(now float64, ids []int, rates []float64, bneck []int32, cause Cause, batch uint64) {
+	if t != nil {
+		t.rates(now, ids, rates, bneck, cause, len(ids), batch)
+	}
+}
+
+func (t *FlowTracer) rates(now float64, ids []int, rates []float64, bneck []int32, cause Cause, comp int, batch uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	for i, id := range ids {
+		t.setRate(id, now, rates[i], bneck[i], cause, int32(comp), uint32(batch))
+	}
+}
+
+func (t *FlowTracer) setRate(id int, now, rate float64, b int32, cause Cause, comp int32, batch uint32) {
 	r := t.rec(id)
 	if r == nil {
 		return
 	}
-	b := int32(bneck)
 	if b < 0 {
 		b = r.lineBneck
 	}
 	if (len(r.Segs) > 0 || r.Truncated > 0) && rate == r.lastRate && b == r.lastBneck {
 		return // the open segment continues
 	}
-	// Close the open segment [lastT, now): attribute its lost service.
-	r.account(now)
 	t.links.rateDelta(r.links, rate-r.lastRate, now)
-	seg := FlowSeg{T: now, Rate: rate, Bneck: b, Cause: cause,
-		Comp: int32(comp), Batch: uint32(batch)}
-	switch n := len(r.Segs); {
-	case r.Truncated > 0 || n >= t.cfg.MaxSegs:
-		r.Truncated++
-	case n > 0 && r.Segs[n-1].T == now:
-		r.Segs[n-1] = seg // zero-length segment: overwrite in place
-	default:
-		r.Segs = append(r.Segs, seg)
-	}
+	r.segment(now, rate, b, cause, comp, batch, t.cfg.MaxSegs)
+}
+
+// segment closes the open segment at now, attributing its lost service,
+// and opens one (over a zero-length one; past maxSegs only counted),
+// field by field: a literal's copy would stall on its own stores.
+func (r *FlowRecord) segment(now, rate float64, b int32, cause Cause, comp int32, batch uint32, maxSegs int) {
+	r.account(now)
 	r.lastT, r.lastRate, r.lastBneck = now, rate, b
+	n := len(r.Segs)
+	switch {
+	case r.Truncated > 0 || n >= maxSegs:
+		r.Truncated++
+		return
+	case n == 0 || r.Segs[n-1].T != now:
+		r.Segs = append(r.Segs, FlowSeg{})
+		n++
+	}
+	s := &r.Segs[n-1] // an active record's: Name stays "" until completion labels it
+	s.T, s.Rate, s.Bneck, s.Cause, s.Comp, s.Batch = now, rate, b, cause, comp, batch
 }
 
 // account closes the record's open segment at time now, attributing
@@ -420,10 +433,9 @@ func (r *FlowRecord) account(now float64) {
 	r.Lost = append(r.Lost, LinkLoss{Link: int(r.lastBneck), LostSeconds: lost})
 }
 
-// Complete finalizes flow id at virtual time finish and decides
-// whether the record is kept: hash-sampled, reservoir-kept, or
-// recycled. A kept record is labelled here, once, and never written
-// again. Untracked ids are ignored.
+// Complete finalizes flow id at virtual time finish and keeps its
+// record (hash-sampled or in the reservoir, labelled here, once, and
+// never written again) or recycles it. Untracked ids are ignored.
 func (t *FlowTracer) Complete(id int, finish float64) {
 	if t != nil {
 		t.complete(id, finish)
@@ -437,7 +449,6 @@ func (t *FlowTracer) complete(id int, finish float64) {
 	if r == nil {
 		return
 	}
-	r.account(finish)
 	r.Finish, r.Finished = finish, true
 	r.FCT = finish - r.Arrive
 	r.Slowdown = r.FCT / r.IdealFCT
@@ -456,15 +467,22 @@ func (t *FlowTracer) complete(id int, finish float64) {
 		}
 		t.kept = append(t.kept, r)
 	case len(t.slow) < t.cfg.SlowestK:
-		heap.Push(&t.slow, r)
-	case len(t.slow) > 0 && slowLess(t.slow[0], r):
-		t.recycle(t.slow[0])
-		t.slow[0] = r
-		heap.Fix(&t.slow, 0)
+		if t.slow = append(t.slow, r); slowLess(r, t.slow[t.least]) {
+			t.least = len(t.slow) - 1
+		}
+	case len(t.slow) > 0 && slowLess(t.slow[t.least], r):
+		t.recycle(t.slow[t.least])
+		t.slow[t.least] = r
+		for i, s := range t.slow {
+			if slowLess(s, t.slow[t.least]) {
+				t.least = i
+			}
+		}
 	default:
 		t.recycle(r)
 		return
 	}
+	r.account(finish) // only a kept record's losses are ever read
 	r.label(t.linkName)
 }
 
@@ -475,15 +493,17 @@ func (t *FlowTracer) rec(id int) *FlowRecord {
 	return t.active[id]
 }
 
+// recycle returns r to the free list emptied, as admit expects it.
 func (t *FlowTracer) recycle(r *FlowRecord) {
 	r.Segs, r.Lost, r.links = r.Segs[:0], r.Lost[:0], r.links[:0]
+	r.Finish, r.Finished, r.FCT, r.Slowdown = 0, false, 0, 0
+	r.Sampled, r.Truncated, r.lastRate = false, 0, 0
 	t.free = append(t.free, r)
 }
 
 // sampleKeep is the deterministic hash sample: splitmix64 of the flow's
 // admission ordinal against the rate, so the same flows are kept run
-// over run — and whether or not the engine recycled ids under them (a
-// hash of the engine id would keep only the few slots that recur).
+// over run however the engine recycled ids under them.
 func sampleKeep(seq uint64, rate float64) bool {
 	if rate <= 0 {
 		return false
@@ -506,10 +526,9 @@ func splitmix64(x uint64) uint64 {
 	return x
 }
 
-// slowLess orders records by (slowdown, seq) ascending — the heap
-// minimum is the least-slow reservoir entry, evicted first. The tie
-// breaks on Seq alone: the engine id depends on when the driver
-// released finished flows, the admission ordinal does not.
+// slowLess orders records by (slowdown, seq) ascending: the least-slow
+// reservoir entry is evicted first. Ties break on Seq, which, unlike
+// the engine id, does not depend on when the driver released flows.
 func slowLess(a, b *FlowRecord) bool {
 	if a.Slowdown != b.Slowdown {
 		return a.Slowdown < b.Slowdown
@@ -517,26 +536,9 @@ func slowLess(a, b *FlowRecord) bool {
 	return a.Seq < b.Seq
 }
 
-// slowHeap is the slowest-K reservoir as a container/heap min-heap on
-// slowLess: the root is the least-slow entry, the next one evicted.
-type slowHeap []*FlowRecord
-
-func (h slowHeap) Len() int           { return len(h) }
-func (h slowHeap) Less(i, j int) bool { return slowLess(h[i], h[j]) }
-func (h slowHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *slowHeap) Push(x any)        { *h = append(*h, x.(*FlowRecord)) }
-func (h *slowHeap) Pop() any {
-	old := *h
-	r := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return r
-}
-
-// Records returns the kept completed records (hash sample ∪ slowest-K
-// reservoir) sorted by slowdown descending; the slice is the caller's.
-// Hash-sampled records are final at completion and shared. A reservoir
-// record is not — a slower completion evicts it and its storage is
-// recycled for the next admission — so those are copies.
+// Records returns the kept records (hash sample ∪ reservoir) by
+// slowdown descending, in a slice of the caller's: hash-sampled records
+// shared, reservoir ones (an eviction recycles their storage) copied.
 func (t *FlowTracer) Records() []*FlowRecord {
 	t.mu.Lock()
 	out := make([]*FlowRecord, 0, len(t.kept)+len(t.slow))
@@ -567,17 +569,9 @@ type FlowTraceSummary struct {
 func (t *FlowTracer) Summary() FlowTraceSummary {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return FlowTraceSummary{
-		Schema:     SchemaVersion,
-		Tracked:    t.tracked,
-		Active:     t.nActive,
-		Completed:  t.completed,
-		Kept:       len(t.kept),
-		Reservoir:  len(t.slow),
-		Dropped:    t.dropped,
-		SampleRate: t.cfg.SampleRate,
-		SlowestK:   t.cfg.SlowestK,
-	}
+	return FlowTraceSummary{Schema: SchemaVersion, Tracked: t.tracked, Active: t.nActive,
+		Completed: t.completed, Kept: len(t.kept), Reservoir: len(t.slow), Dropped: t.dropped,
+		SampleRate: t.cfg.SampleRate, SlowestK: t.cfg.SlowestK}
 }
 
 // LinkLoss is one link's share of lost service: of one flow's (a
@@ -593,10 +587,9 @@ type LinkLoss struct {
 	Flows int `json:"flows,omitempty"`
 }
 
-// finished returns Records with every link labelled as the namer
-// labels it now — a record whose labels moved since its completion
-// (LinkLabel marks a link that died after the flow finished) as a
-// relabelled copy.
+// finished returns Records labelled as the namer labels links now: a
+// record whose labels moved since its completion (a link died after
+// the flow finished) as a relabelled copy.
 func (t *FlowTracer) finished() []*FlowRecord {
 	recs := t.Records()
 	for i, r := range recs {
@@ -632,8 +625,7 @@ func (t *FlowTracer) Trace() *FlowTrace {
 func (t *FlowTracer) WriteJSONL(w io.Writer) error { return t.Trace().WriteJSONL(w) }
 
 // LinksSnapshot returns the per-link statistics under the tracer's
-// lock — the safe accessor for the /links endpoint while a run is
-// live.
+// lock, safe for the /links endpoint while a run is live.
 func (t *FlowTracer) LinksSnapshot() []LinkSnapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -662,23 +654,17 @@ type FlowTrace struct {
 // per-link {"type":"link"} statistics.
 func (ft *FlowTrace) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	if err := enc.Encode(struct {
+	err := enc.Encode(struct {
 		Type string `json:"type"`
 		FlowTraceSummary
-	}{"summary", ft.Summary}); err != nil {
-		return err
+	}{"summary", ft.Summary})
+	for i := 0; i < len(ft.Flows) && err == nil; i++ {
+		err = enc.Encode(ft.Flows[i])
 	}
-	for _, fl := range ft.Flows {
-		if err := enc.Encode(fl); err != nil {
-			return err
-		}
+	for i := 0; i < len(ft.Links) && err == nil; i++ {
+		err = enc.Encode(&ft.Links[i])
 	}
-	for i := range ft.Links {
-		if err := enc.Encode(&ft.Links[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // Finished returns the trace's finished flows, slowest first (by

@@ -277,28 +277,28 @@ func TestFlowTraceLinkStatsSettledPeak(t *testing.T) {
 }
 
 // TestLinkStatsSeriesCap: a full series still settles its last point
-// within that point's instant, drops (and counts) every later one, and
+// within that point's instant, drops every later one, and
 // keeps the exact integrals going.
 func TestLinkStatsSeriesCap(t *testing.T) {
 	s := newLinkStats([]float64{10})
 	s.maxPoints = 3
 	link := []int32{0}
-	s.addFlow(link, 0)
+	s.addFlow(link, 0, 0)
 	s.rateDelta(link, 4, 1)
 	s.rateDelta(link, 2, 2) // third point: the series is full
 	s.rateDelta(link, 1, 2) // same instant: settles the last point
 	want := []LinkPoint{{0, 0, 1}, {1, 4, 1}, {2, 7, 1}}
-	if got := s.series[0]; !slices.Equal(got, want) || s.truncated != 0 {
-		t.Fatalf("series = %v truncated = %d, want %v and 0", got, s.truncated, want)
+	if got := s.Snapshot()[0].Points; !slices.Equal(got, want) {
+		t.Fatalf("series = %v, want %v", got, want)
 	}
 	s.rateDelta(link, 1, 3)
 	s.removeFlow(link, 8, 4)
-	if got := s.series[0]; !slices.Equal(got, want) || s.truncated != 2 {
-		t.Fatalf("past the cap: series = %v truncated = %d, want %v and 2", got, s.truncated, want)
+	if got := s.Snapshot()[0].Points; !slices.Equal(got, want) {
+		t.Fatalf("past the cap: series = %v, want %v", got, want)
 	}
 	// ∫load dt = 4·1 + 7·1 + 8·1.
-	if s.utilBits[0] != 19 || s.flowSecs[0] != 4 {
-		t.Errorf("utilBits = %g flowSecs = %g, want 19 and 4", s.utilBits[0], s.flowSecs[0])
+	if ls := s.link[0]; ls.utilBits != 19 || ls.flowSecs != 4 {
+		t.Errorf("utilBits = %g flowSecs = %g, want 19 and 4", ls.utilBits, ls.flowSecs)
 	}
 }
 

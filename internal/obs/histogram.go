@@ -128,14 +128,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h.count == 0 {
 		return HistogramSnapshot{Dropped: h.dropped}
 	}
-	return HistogramSnapshot{
-		Count:   h.count,
-		Dropped: h.dropped,
-		Mean:    h.sum / float64(h.count),
-		Min:     h.min,
-		Max:     h.max,
-		P50:     h.Quantile(0.50),
-		P90:     h.Quantile(0.90),
-		P99:     h.Quantile(0.99),
-	}
+	return HistogramSnapshot{Count: h.count, Dropped: h.dropped, Mean: h.sum / float64(h.count),
+		Min: h.min, Max: h.max, P50: h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99)}
 }

@@ -69,10 +69,7 @@ func Handler(live *Live, ft *FlowTracer) http.Handler {
 
 // flowsEndpointTop bounds the flows listed by /flows;
 // flowsEndpointFrac is the slowest fraction its attribution covers.
-const (
-	flowsEndpointTop  = 50
-	flowsEndpointFrac = 0.01
-)
+const flowsEndpointTop, flowsEndpointFrac = 50, 0.01
 
 // Serve starts the debug endpoint on addr (e.g. "localhost:6060") and
 // returns the bound listener so callers can report the actual port

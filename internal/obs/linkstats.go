@@ -10,25 +10,32 @@ import "math"
 // experiments.
 //
 // LinkStats is mutated only through the owning FlowTracer (under its
-// mutex, on the engine goroutine); Snapshot takes its own lock so the
-// /links endpoint can read concurrently.
+// mutex, on the engine goroutine), whose LinksSnapshot takes the same
+// mutex so the /links endpoint can read concurrently.
 type LinkStats struct {
-	caps   []float64
-	load   []float64 // current traced bits/second per link
-	active []int32   // current traced flows per link
-
-	lastT    []float64 // last integral update per link
-	utilBits []float64 // ∫ load dt: bits carried by traced flows
-	flowSecs []float64 // ∫ active dt
-	peak     []float64 // max load sustained over a nonzero interval
-
-	series    [][]LinkPoint
-	seriesT   []float64 // last series sample per link
+	caps []float64
+	link []linkStat // the running state, one cache line per link
+	// log is every link's series, point by point as taken, in chunks of
+	// logChunk that an append never moves: a new point lands beside the
+	// last, not in a cold line of its link's series.
+	log       [][]logPoint
+	nlog      int
 	maxPoints int
+	t0, t1    float64 // observed virtual-time span (+Inf, −Inf before any)
+}
 
-	t0, t1     float64 // observed virtual-time span (+Inf, −Inf before any)
-	truncated  int64   // series points dropped by the per-link cap
-	maxPerLink int32   // peak active flows on any single link
+// linkStat is all a rate change on a link reads and writes, in 64
+// bytes (a slice of them is page-aligned past 32 KB).
+type linkStat struct {
+	load     float64 // current traced bits/second
+	lastT    float64 // last integral update
+	utilBits float64 // ∫ load dt: bits carried by traced flows
+	flowSecs float64 // ∫ active dt
+	peak     float64 // max load sustained over a nonzero interval
+	seriesT  float64 // the last series point's instant
+	active   int32   // current traced flows
+	points   int32   // the series' length
+	last     int     // the last series point's place in the log
 }
 
 // LinkPoint is one time-series sample: the link's traced load
@@ -39,103 +46,110 @@ type LinkPoint struct {
 	Active int32   `json:"active"`
 }
 
+// logPoint is a LinkPoint tagged with its link, in the same 24 bytes.
+type logPoint struct {
+	t, load      float64
+	active, link int32
+}
+
+const logChunk = 1 << 12 // 96 KB of points
+
 // linkSeriesCap bounds the stored time series per link. Aggregates
 // stay exact past the cap.
 const linkSeriesCap = 512
 
 func newLinkStats(caps []float64) *LinkStats {
-	n := len(caps)
 	return &LinkStats{
 		caps:      caps,
-		load:      make([]float64, n),
-		active:    make([]int32, n),
-		lastT:     make([]float64, n),
-		utilBits:  make([]float64, n),
-		flowSecs:  make([]float64, n),
-		peak:      make([]float64, n),
-		series:    make([][]LinkPoint, n),
-		seriesT:   make([]float64, n),
+		link:      make([]linkStat, len(caps)),
 		maxPoints: linkSeriesCap,
 		t0:        math.Inf(1),
 		t1:        math.Inf(-1),
 	}
 }
 
-// advance integrates link l's running load and flow count up to t.
-// Peak load is sampled here — over the settled interval [lastT, t) —
-// rather than per rate delta: within one reallocation instant the
-// per-flow updates land sequentially, and the transient mix of new
-// and old rates can exceed capacity without any settled state doing
-// so. Zero-width intervals contribute nothing to the integrals for
-// the same reason.
-func (s *LinkStats) advance(l int32, t float64) {
-	if dt := t - s.lastT[l]; dt > 0 {
-		if s.load[l] > s.peak[l] {
-			s.peak[l] = s.load[l]
+// advance integrates a link's running load and flow count up to t.
+// Peak load is sampled over the settled interval [lastT, t), not per
+// rate delta: one instant's per-flow updates land one by one, and their
+// transient mix of old and new rates can exceed capacity.
+func (ls *linkStat) advance(t float64) {
+	if dt := t - ls.lastT; dt > 0 {
+		if ls.load > ls.peak {
+			ls.peak = ls.load
 		}
-		s.utilBits[l] += s.load[l] * dt
-		s.flowSecs[l] += float64(s.active[l]) * dt
-		s.lastT[l] = t
+		ls.utilBits += ls.load * dt
+		ls.flowSecs += float64(ls.active) * dt
+		ls.lastT = t
 	}
+}
+
+// point samples link l's series at t, passing a full series (every
+// link's, a few ms into a large run) over inline.
+func (s *LinkStats) point(l int32, ls *linkStat, t float64) {
+	if ls.seriesT == t || int(ls.points) < s.maxPoints {
+		s.sample(l, ls, t)
+	}
+}
+
+func (s *LinkStats) sample(l int32, ls *linkStat, t float64) {
+	switch {
+	case ls.points > 0 && ls.seriesT == t:
+		// Same reallocation instant: keep only the settled state, not
+		// the per-flow transients in between.
+	case ls.points > 0 && t < ls.seriesT, int(ls.points) >= s.maxPoints:
+		return // an instant before the last point's, or a full series
+	default:
+		if s.nlog%logChunk == 0 {
+			s.log = append(s.log, make([]logPoint, logChunk))
+		}
+		ls.last, ls.points, ls.seriesT = s.nlog, ls.points+1, t
+		s.nlog++
+	}
+	p := &s.log[ls.last/logChunk][ls.last%logChunk] // written in place, as FlowRecord.segment explains
+	p.t, p.load, p.active, p.link = t, ls.load, ls.active, l
+}
+
+func (s *LinkStats) observe(t float64) {
 	s.t0, s.t1 = min(s.t0, t), max(s.t1, t)
 }
 
-// point samples link l's series at t. seriesT[l] is the last point's
-// instant, so a full series — every link's, a few ms into a large run —
-// is dismissed without loading its 12 KB of points.
-func (s *LinkStats) point(l int32, t float64) {
-	ser := s.series[l]
-	if n := len(ser); n > 0 && s.seriesT[l] == t {
-		// Same reallocation instant: keep only the settled state, not
-		// the per-flow transients in between.
-		ser[n-1] = LinkPoint{T: t, Load: s.load[l], Active: s.active[l]}
-		return
-	}
-	if len(ser) > 0 && t < s.seriesT[l] {
-		return // an instant before the last point's
-	}
-	if len(ser) >= s.maxPoints {
-		s.truncated++
-		return
-	}
-	s.series[l] = append(ser, LinkPoint{T: t, Load: s.load[l], Active: s.active[l]})
-	s.seriesT[l] = t
-}
-
-func (s *LinkStats) addFlow(links []int32, t float64) {
-	if s == nil {
-		return
-	}
+// addFlow counts a flow onto links at t, carrying rate d from the
+// same instant on (0: rated later). The tracer calls addFlow, rateDelta
+// and removeFlow for tracked flows only, so on a bound LinkStats.
+func (s *LinkStats) addFlow(links []int32, t, d float64) {
+	s.observe(t)
 	for _, l := range links {
-		s.advance(l, t)
-		s.active[l]++
-		if s.active[l] > s.maxPerLink {
-			s.maxPerLink = s.active[l]
+		ls := &s.link[l]
+		ls.advance(t)
+		ls.active++
+		if d != 0 {
+			ls.load += d
 		}
-		s.point(l, t)
+		s.point(l, ls, t)
 	}
 }
 
 func (s *LinkStats) rateDelta(links []int32, d float64, t float64) {
-	if s == nil || d == 0 {
+	if d == 0 {
 		return
 	}
+	s.observe(t)
 	for _, l := range links {
-		s.advance(l, t)
-		s.load[l] += d
-		s.point(l, t)
+		ls := &s.link[l]
+		ls.advance(t)
+		ls.load += d
+		s.point(l, ls, t)
 	}
 }
 
 func (s *LinkStats) removeFlow(links []int32, lastRate float64, t float64) {
-	if s == nil {
-		return
-	}
+	s.observe(t)
 	for _, l := range links {
-		s.advance(l, t)
-		s.load[l] -= lastRate
-		s.active[l]--
-		s.point(l, t)
+		ls := &s.link[l]
+		ls.advance(t)
+		ls.load -= lastRate
+		ls.active--
+		s.point(l, ls, t)
 	}
 }
 
@@ -166,25 +180,25 @@ func (s *LinkStats) Snapshot() []LinkSnapshot {
 	if s == nil {
 		return nil
 	}
+	series := make([][]LinkPoint, len(s.link))
+	for i := range s.nlog {
+		p := &s.log[i/logChunk][i%logChunk]
+		series[p.link] = append(series[p.link], LinkPoint{T: p.t, Load: p.load, Active: p.active})
+	}
 	span := s.t1 - s.t0
 	var out []LinkSnapshot
 	for l := range s.caps {
-		if s.flowSecs[l] == 0 && s.active[l] == 0 {
+		st := &s.link[l]
+		if st.flowSecs == 0 && st.active == 0 {
 			continue
 		}
-		ls := LinkSnapshot{
-			Link:        l,
-			Capacity:    s.caps[l],
-			Load:        s.load[l],
-			Active:      s.active[l],
-			FlowSeconds: s.flowSecs[l],
-			Points:      append([]LinkPoint(nil), s.series[l]...),
-		}
+		ls := LinkSnapshot{Link: l, Capacity: s.caps[l], Load: st.load, Active: st.active,
+			FlowSeconds: st.flowSecs, Points: series[l]}
 		if s.caps[l] > 0 {
 			if span > 0 {
-				ls.AvgUtil = s.utilBits[l] / (s.caps[l] * span)
+				ls.AvgUtil = st.utilBits / (s.caps[l] * span)
 			}
-			ls.PeakUtil = s.peak[l] / s.caps[l]
+			ls.PeakUtil = st.peak / s.caps[l]
 		}
 		out = append(out, ls)
 	}

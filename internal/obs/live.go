@@ -185,9 +185,8 @@ type ProgressSnapshot struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	Events      int64   `json:"events"`
 	// EventsPerSec is measured between the publishes two successive
-	// scrapes were served; the first scrape, a scrape served the same
-	// publish again and one after a new engine took over fall back to
-	// Events / WallSeconds.
+	// scrapes were served, or else (a first scrape, the same publish
+	// again, a new engine) is Events / WallSeconds.
 	EventsPerSec float64 `json:"events_per_sec"`
 	ActiveFlows  int     `json:"active_flows"`
 	Finished     int     `json:"finished_flows"`

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -37,6 +40,78 @@ func TestProfilerLapTiling(t *testing.T) {
 	laps := p.Laps()
 	if laps[PhaseSolve] != 1 || laps[PhaseFlood] != 1 || laps[PhaseLoop] != 0 {
 		t.Errorf("laps = %v", laps)
+	}
+}
+
+// TestProfilerSampledAccuracy drives 16,384 synthetic event-loop steps —
+// four times the exact prefix, so three quarters of them are sampled —
+// whose phases busy-wait for known relative costs, and holds the
+// sampled profile to them: every phase's share within 3 points of its
+// cost share, TotalNanos within 10 % of the wall time between Arm and
+// the last lap, and exact lap counts. A sampler that forgets to scale
+// reports about 30 % of the wall time; one that never times PhaseLoop
+// reports a loop share of 0 instead of 20 %. A timed window the
+// scheduler preempts weighs sixteenfold in the shares, so a failed
+// attempt is retried twice; a wrong sampler fails every attempt.
+func TestProfilerSampledAccuracy(t *testing.T) {
+	const (
+		steps = 1 << 14
+		unit  = int64(time.Microsecond)
+	)
+	// Cost units per phase, in loop order; the loop's two units are
+	// spent before each Lap(PhaseLoop), as a driver's work between steps.
+	costs := []struct {
+		ph    Phase
+		units int64
+	}{{PhaseLoop, 2}, {PhaseAdmit, 1}, {PhaseFlood, 1}, {PhaseSolve, 4}, {PhaseComplete, 2}}
+	spin := func(d int64) {
+		for t0 := Now(); Now()-t0 < d; {
+		}
+	}
+	var errs []string
+	for attempt := 0; attempt < 3; attempt++ {
+		errs = errs[:0]
+		p := NewPhaseProfiler()
+		start := Now()
+		p.Arm()
+		for i := 0; i < steps; i++ {
+			for _, c := range costs {
+				spin(c.units * unit)
+				p.Lap(c.ph)
+			}
+		}
+		wall := Now() - start
+		// Lap counts are exact whatever the clock did.
+		laps := p.Laps()
+		for ph := Phase(0); ph < PhaseCount; ph++ {
+			want := int64(0)
+			for _, c := range costs {
+				if c.ph == ph {
+					want = steps
+				}
+			}
+			if laps[ph] != want {
+				t.Fatalf("%s laps = %d, want %d", PhaseName(ph), laps[ph], want)
+			}
+		}
+		nanos, total := p.Nanos(), p.TotalNanos()
+		if dev := float64(total)/float64(wall) - 1; dev < -0.1 || dev > 0.1 {
+			errs = append(errs, fmt.Sprintf("TotalNanos %v is %+.1f%% off the wall time %v",
+				time.Duration(total), 100*dev, time.Duration(wall)))
+		}
+		for _, c := range costs {
+			got, want := 100*float64(nanos[c.ph])/float64(total), 10.0*float64(c.units)
+			if math.Abs(got-want) > 3 {
+				errs = append(errs, fmt.Sprintf("%s share %.1f%%, want %.0f%% ± 3", PhaseName(c.ph), got, want))
+			}
+		}
+		if len(errs) == 0 {
+			break
+		}
+		t.Logf("attempt %d: %s", attempt+1, strings.Join(errs, "; "))
+	}
+	for _, e := range errs {
+		t.Error(e)
 	}
 }
 

@@ -23,12 +23,10 @@ type track struct {
 	spans []span
 }
 
-// Tracer accumulates timeline spans for Chrome-trace ("trace event
-// format") export: load the JSON in chrome://tracing or
-// ui.perfetto.dev and each reallocation batch renders above the
-// component solves it ran. Spans are bounded by MaxSpans per track;
-// overflow increments a drop counter instead of growing without bound
-// on million-flow runs. Clock and Span are inlinable nil checks,
+// Tracer accumulates timeline spans for Chrome-trace export: in
+// chrome://tracing or ui.perfetto.dev each reallocation batch renders
+// above the component solves it ran. Past MaxSpans per track a span is
+// counted as dropped instead. Clock and Span are inlinable nil checks,
 // callable unguarded on a nil *Tracer.
 type Tracer struct {
 	// MaxSpans bounds each track's retained spans (default 1 << 19).
@@ -137,12 +135,7 @@ func (t *Tracer) Dropped() int64 {
 
 // argKeys maps span names to the JSON key their integer payload is
 // exported under.
-var argKeys = map[string]string{
-	"solve":    "flows",
-	"batch":    "components",
-	"flood":    "seeds",
-	"resplice": "ops",
-}
+var argKeys = map[string]string{"solve": "flows", "batch": "components"}
 
 // traceEvent is one Chrome-trace event. ph "X" is a complete span
 // (ts + dur); ph "M" is metadata (thread names).
