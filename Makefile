@@ -80,7 +80,10 @@ obs-inline:
 # the packet engine's event set (sim.Engine against a sorted (at, seq)
 # model under Schedule/After/Run(until)/Stop interleavings), and FuzzSTFQ
 # the STFQ scheduler (against a map-keyed model: start-tag bits, dequeue
-# order and drops under enqueue/dequeue/drain interleavings).
+# order and drops under enqueue/dequeue/drain interleavings), and
+# FuzzPreparedFill the prepared max-min (Prepare + Fill against the
+# one-shot WeightedMaxMin, bit for bit, on palette capacities that make
+# links alike).
 fuzz:
 	go test -run '^$$' -fuzz FuzzLeapMatchesReference -fuzztime 60s -fuzzminimizetime 2s ./internal/leap/
 	go test -run '^$$' -fuzz FuzzSchedule -fuzztime 10s -fuzzminimizetime 2s ./internal/leap/
@@ -89,6 +92,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzPowerMatchesPow -fuzztime 10s -fuzzminimizetime 2s ./internal/core/
 	go test -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s -fuzzminimizetime 2s ./internal/sim/
 	go test -run '^$$' -fuzz FuzzSTFQ -fuzztime 10s -fuzzminimizetime 2s ./internal/queue/
+	go test -run '^$$' -fuzz FuzzPreparedFill -fuzztime 10s -fuzzminimizetime 2s ./internal/oracle/
 
 # Fault-injection smoke: the leap fault test suite (property, analytic,
 # and lost-service identity tests) plus the end-to-end example —

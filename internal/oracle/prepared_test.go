@@ -30,17 +30,60 @@ func randomPaths(rng *sim.RNG, nf, nl int) [][]int {
 	return paths
 }
 
+// fatTreePaths routes nf random host pairs over a k=4 fat-tree (16
+// hosts, 4 pods of 2 edge and 2 aggregation switches, 4 cores) with one
+// random core pick each, numbering links in first-use order: host
+// up/down links, edge↔agg and agg↔core hops in each direction. A sparse
+// flow set crosses mostly private middle hops, so links with the same
+// crossing flows are common.
+func fatTreePaths(rng *sim.RNG, nf int) (paths [][]int, nl int) {
+	ids := map[[4]int]int{}
+	id := func(kind, a, b, c int) int {
+		k := [4]int{kind, a, b, c}
+		if _, ok := ids[k]; !ok {
+			ids[k] = len(ids)
+		}
+		return ids[k]
+	}
+	paths = make([][]int, nf)
+	for i := range paths {
+		src, dst := rng.Intn(16), rng.Intn(16)
+		core := rng.Intn(4)
+		agg := core / 2
+		se, de := src/2, dst/2 // edge switches; pods are edge/2
+		p := []int{id(0, src, 0, 0)}
+		switch {
+		case se == de:
+		case se/2 == de/2:
+			p = append(p, id(1, se, agg, 0), id(2, de/2, agg, de))
+		default:
+			p = append(p, id(1, se, agg, 0), id(3, se/2, agg, core),
+				id(4, core, de/2, 0), id(2, de/2, agg, de))
+		}
+		paths[i] = append(p, id(5, dst, 0, 0))
+	}
+	return paths, len(ids)
+}
+
 // TestPreparedMaxMinMatchesOneShot: one Prepare followed by K Fills
 // with fresh weight vectors gives, bit for bit, the rates of K one-shot
 // WeightedMaxMin calls — on one workspace carried across problems that
 // shrink and then grow (stale stamp/slot/count state), and across the
 // degenerate inputs: weights ≤ 0 (the 1e-12 substitution),
-// zero-capacity links, flows sharing every link, an empty flow set.
+// zero-capacity links, flows sharing every link, an empty flow set. The
+// later problems have many links that carry the same flows at the same
+// capacity (equal capacities, fat-tree paths with private middle hops,
+// a path that crosses one link twice), links with equal flow sets on
+// different capacities or on +0 and −0, NaN capacities, and an exact
+// tie between two such sets of links whose members interleave in
+// first-touch order.
 func TestPreparedMaxMinMatchesOneShot(t *testing.T) {
 	rng := sim.NewRNG(11)
 	type problem struct {
 		capacity []float64
 		paths    [][]int
+		// weights are tried before the random vectors.
+		weights [][]float64
 	}
 	randomProblem := func(nf, nl int) problem {
 		c := make([]float64, nl)
@@ -50,28 +93,79 @@ func TestPreparedMaxMinMatchesOneShot(t *testing.T) {
 				c[l] = 0
 			}
 		}
-		return problem{c, randomPaths(rng, nf, nl)}
+		return problem{c, randomPaths(rng, nf, nl), nil}
 	}
+	// paletteProblem draws capacities from {10, 10, 40} Gbps.
+	paletteProblem := func(paths [][]int, nl int) problem {
+		c := make([]float64, nl)
+		for l := range c {
+			c[l] = 10 * gbps
+			if rng.Intn(3) == 0 {
+				c[l] = 40 * gbps
+			}
+		}
+		return problem{c, paths, nil}
+	}
+	equal := func(nl int, v float64) []float64 {
+		c := make([]float64, nl)
+		for l := range c {
+			c[l] = v
+		}
+		return c
+	}
+	negZero, nan := math.Copysign(0, -1), math.NaN()
 	problems := []problem{
 		randomProblem(40, 24),
 		// Shrink on the same links, then shrink the network too.
 		randomProblem(3, 24),
 		randomProblem(1, 5),
 		// Empty flow set; flows sharing every link; every link dead.
-		{[]float64{10 * gbps, 0, 5 * gbps}, nil},
-		{[]float64{10 * gbps, 4 * gbps}, [][]int{{0, 1}, {0, 1}, {1, 0}}},
-		{[]float64{0, 0}, [][]int{{0}, {0, 1}, {1}}},
+		{[]float64{10 * gbps, 0, 5 * gbps}, nil, nil},
+		{[]float64{10 * gbps, 4 * gbps}, [][]int{{0, 1}, {0, 1}, {1, 0}}, nil},
+		{[]float64{0, 0}, [][]int{{0}, {0, 1}, {1}}, nil},
 		// Grow past every earlier buffer, then back.
 		randomProblem(120, 60),
 		randomProblem(40, 24),
+		// All capacities equal: links 0/1 and 4/5 carry the same flows;
+		// links 0 and 3 share their first flow and their count only.
+		{equal(8, 10*gbps), [][]int{{0, 1, 2}, {0, 1, 3}, {4, 5}, {4, 5, 6, 3}, {7}}, nil},
+		{equal(2, 10*gbps), [][]int{{0, 1}, {0}, {1}}, nil},
+		{equal(30, 10*gbps), randomPaths(rng, 5, 30), nil},
+		// Fat-tree paths, sparse and dense, on one capacity and on two.
+		func() problem { p, nl := fatTreePaths(rng, 3); return problem{equal(nl, 10*gbps), p, nil} }(),
+		func() problem { p, nl := fatTreePaths(rng, 8); return problem{equal(nl, 10*gbps), p, nil} }(),
+		func() problem { p, nl := fatTreePaths(rng, 6); return paletteProblem(p, nl) }(),
+		func() problem { p, nl := fatTreePaths(rng, 40); return paletteProblem(p, nl) }(),
+		// A path crossing one link twice: links 0 and 1 carry flow 0
+		// twice each; link 2 carries flows 0 and 1 once, link 3 flow 0
+		// twice and flow 1 once.
+		{equal(4, 10*gbps), [][]int{{0, 1, 0, 1, 2, 3, 3}, {2, 3}}, nil},
+		// Equal flow sets on different capacities (the larger first):
+		// never one set of links.
+		{[]float64{10 * gbps, 5 * gbps, 10 * gbps}, [][]int{{0, 1, 2}, {0, 1, 2}}, nil},
+		{[]float64{5 * gbps, 10 * gbps, 5 * gbps, 10 * gbps}, [][]int{{1, 0, 3, 2}, {1, 0, 3, 2}, {3}}, nil},
+		// +0 and −0 capacities, in both first-touch orders, and NaN ones.
+		{[]float64{0, negZero, 10 * gbps}, [][]int{{0, 1, 2}, {0, 1}}, nil},
+		{[]float64{0, negZero, 10 * gbps}, [][]int{{1, 0, 2}, {1, 0}}, nil},
+		{[]float64{nan, nan, 10 * gbps, negZero}, [][]int{{0, 1}, {0, 1, 2}, {2}, {3, 0}, {3, 0}}, nil},
+		// A tie at equal share between links {0, 2} (flows 0, 1) and
+		// links {1, 3} (flows 0, 2), first touched in the order 0, 1, 2, 3.
+		{equal(4, 10*gbps), [][]int{{0, 1, 2, 3}, {0, 2}, {1, 3}},
+			[][]float64{{1, 1, 1}, {2, 1, 1}, {1, 3, 3}, {0, 1, 1}}},
+		{[]float64{10 * gbps, 20 * gbps, 10 * gbps, 20 * gbps}, [][]int{{0, 1, 2, 3}, {0, 2}, {1, 3}, {1, 3}},
+			[][]float64{{1, 1, 1, 1}, {1, 1, 0.5, 0.5}}},
 	}
 	var ws MaxMinWorkspace
 	var x []float64
 	for pi, p := range problems {
 		ws.Prepare(p.capacity, p.paths)
-		for k := 0; k < 6; k++ {
+		for k := 0; k < len(p.weights)+6; k++ {
 			w := make([]float64, len(p.paths))
 			for i := range w {
+				if k < len(p.weights) {
+					w[i] = p.weights[k][i]
+					continue
+				}
 				switch rng.Intn(6) {
 				case 0:
 					w[i] = 0
@@ -166,7 +260,9 @@ func TestSolveWorkspaceMatchesFresh(t *testing.T) {
 }
 
 // TestKernelsAllocateNothingPerIteration pins the two hoists as
-// allocation counts: Fill allocates nothing, and a Solve's allocation
+// allocation counts: Fill allocates nothing, neither does a warm
+// Prepare followed by a Fill (on random paths and on fat-tree paths,
+// where many links carry the same flows), and a Solve's allocation
 // count does not depend on how many iterations it runs.
 func TestKernelsAllocateNothingPerIteration(t *testing.T) {
 	rng := sim.NewRNG(3)
@@ -182,6 +278,21 @@ func TestKernelsAllocateNothingPerIteration(t *testing.T) {
 	x := mm.Fill(w, nil)
 	if n := testing.AllocsPerRun(50, func() { mm.Fill(w, x) }); n != 0 {
 		t.Errorf("Fill allocates %v times per call, want 0", n)
+	}
+	ftPaths, nl := fatTreePaths(rng, len(w))
+	ftCap := make([]float64, nl)
+	for l := range ftCap {
+		ftCap[l] = 10 * gbps
+	}
+	for _, pr := range []struct {
+		capacity []float64
+		paths    [][]int
+	}{{p.Capacity, paths}, {ftCap, ftPaths}} {
+		mm.Prepare(pr.capacity, pr.paths)
+		mm.Fill(w, x)
+		if n := testing.AllocsPerRun(50, func() { mm.Prepare(pr.capacity, pr.paths); mm.Fill(w, x) }); n != 0 {
+			t.Errorf("a warm Prepare + Fill allocates %v times per call, want 0", n)
+		}
 	}
 
 	// Tol far below reach, so the solves run to MaxIter (or to a rate
