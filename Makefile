@@ -9,8 +9,8 @@ race:
 	go test -race -short ./...
 
 # The size numbers ROADMAP aim 2 and every CHANGES.md entry quote:
-# non-test Go lines (wc -l) of the four engine-side packages and the
-# CLI, the repo's Go outside benchmark/ (non-test, and with tests), the
+# non-test Go lines (wc -l) of the four engine-side packages, the
+# oracle solvers and the CLI, the repo's Go outside benchmark/ (non-test, and with tests), the
 # field count of leap.Engine, and the harness's exported Run* entry
 # points (one per scenario family plus the single-engine experiments;
 # a per-engine fork shows up here), the width of the obs seam (lines of
@@ -21,7 +21,7 @@ race:
 # three packages together (ROADMAP item 5's size bound). Informational;
 # nothing is gated on it.
 loc:
-	@for d in leap fluid obs harness; do \
+	@for d in leap fluid obs harness oracle; do \
 		printf 'internal/%-8s non-test %6d\n' $$d $$(ls internal/$$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 	done
 	@printf 'cmd/numfabric     non-test %6d\n' $$(ls cmd/numfabric/*.go | grep -v _test.go | xargs cat | wc -l)
@@ -104,12 +104,12 @@ fault-smoke:
 
 # One full iteration of the leap benchmark, with its built-in
 # accuracy assertions; then one iteration of each allocator-kernel
-# ledger row (ProportionalFair and FCTMin components, the Oracle
-# through Allocate, the power kernel against math.Pow) so the rows
-# CHANGES.md quotes cannot rot.
+# ledger row (the prepared max-min's Fill, ProportionalFair and FCTMin
+# components, the Oracle through Allocate, the power kernel against
+# math.Pow) so the rows CHANGES.md quotes cannot rot.
 bench-smoke:
 	go test -run '^$$' -bench 'BenchmarkLeapFCT$$' -benchtime 1x .
-	go test -run '^$$' -bench 'XWISolve|DGDSolve|OracleSolve' -benchtime 1x ./internal/fluid/
+	go test -run '^$$' -bench 'MaxMinFill|XWISolve|DGDSolve|OracleSolve' -benchtime 1x ./internal/fluid/
 	go test -run '^$$' -bench AlphaKernel -benchtime 1x ./internal/core/
 
 # The packet engine's layers in isolation: ns per event at fig7's gap

@@ -204,6 +204,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown scale %q (valid scales: scaled, full)\n", *scale)
 		os.Exit(2)
 	}
+	if *debugHold < 0 {
+		fmt.Fprintf(os.Stderr, "-debug-hold %v: want a duration ≥ 0\n", *debugHold)
+		os.Exit(2)
+	}
 	if scriptedFaults, err = checkFlags(*exp, *faults); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

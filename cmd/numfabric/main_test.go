@@ -55,6 +55,7 @@ func TestUnknownFlagValuesExitBeforeRunning(t *testing.T) {
 		{"flowtrace sample above one", []string{"-experiment", "table2", "-flowtrace-sample", "1.5"}, "-flowtrace-sample 1.5: want a fraction"},
 		{"flowtrace sample infinite", []string{"-experiment", "table2", "-flowtrace-sample", "+Inf"}, "-flowtrace-sample +Inf: want a fraction"},
 		{"flowtrace slowest negative", []string{"-experiment", "table2", "-flowtrace-slowest", "-3"}, "-flowtrace-slowest -3: want a count"},
+		{"debug hold negative", []string{"-experiment", "table2", "-debug-hold", "-1s"}, "-debug-hold -1s: want a duration ≥ 0"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -14,7 +14,10 @@
 //   - BwE bandwidth-function water-filling (§2, Figure 2).
 package oracle
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // WeightedMaxMin computes the network-wide weighted max-min fair
 // allocation by progressive filling: repeatedly find the most
@@ -45,8 +48,16 @@ func WeightedMaxMin(capacity []float64, paths [][]int, weight []float64) []float
 // 8 → Eqs. 9–11): Prepare does everything that depends only on the
 // paths — touched links in first-touch order, per-link flow counts,
 // the link → flow adjacency — once, and each Fill pays only for what
-// the weights change. Both entries perform the same floating-point
-// operations in the same order, so their rates are bit-identical.
+// the weights change. Both perform the same floating-point operations
+// in the same order on every link Fill keeps: bit-identical rates.
+//
+// Prepare also groups the touched links into classes: the same
+// capacity bits and the same crossing-flow list (say, one flow's
+// private hops). Members start from equal residual, weight sum and
+// count and take the same subtractions in the same order, so they stay
+// bit-equal; the scan's strict < keeps the first of equal shares, and
+// the first-touched member (the representative) comes first. So Fill
+// works on representatives alone, and no round's bottleneck changes.
 //
 // The zero value is ready to use; a workspace must not be used
 // concurrently.
@@ -66,6 +77,12 @@ type MaxMinWorkspace struct {
 	// scan so the prepared order survives for the next Fill.
 	used []int
 	scan []int
+	// reps: the representatives in first-touch order; rpaths: each path
+	// restricted to them (views into rbuf); class[s]: slot s's
+	// representative's slot; head (per flow) and next (per slot) chain
+	// the representatives by the first flow of their list.
+	reps, rbuf, class, head, next []int
+	rpaths                        [][]int
 	// stamp[l] == round marks link l as touched by the current
 	// problem; slot[l] is its dense index into start. Stamping avoids
 	// the O(all links) zeroing a fresh marker array would need.
@@ -73,9 +90,8 @@ type MaxMinWorkspace struct {
 	slot  []int32
 	round int
 
-	// The problem Prepare saw, read by Fill.
+	// The capacities Prepare saw, read by Fill.
 	capacity []float64
-	paths    [][]int
 }
 
 func growF(s []float64, n int) []float64 {
@@ -245,10 +261,11 @@ func (ws *MaxMinWorkspace) WeightedMaxMin(capacity []float64, paths [][]int, wei
 
 // Prepare readies the workspace for any number of Fill calls on one
 // problem: it discovers the links the paths touch, counts the flows on
-// each, and builds the link → flow adjacency. capacity and paths are
-// retained (not copied) and must stay unchanged until the last Fill.
+// each, builds the link → flow adjacency and groups the links into
+// classes. capacity is retained (not copied) and must stay unchanged
+// until the last Fill; the paths are not retained.
 func (ws *MaxMinWorkspace) Prepare(capacity []float64, paths [][]int) {
-	ws.capacity, ws.paths = capacity, paths
+	ws.capacity = capacity
 	ws.growLinks(len(capacity))
 	activeCount := ws.activeCount
 	stamp, slot, round := ws.stamp, ws.slot, ws.round
@@ -268,6 +285,49 @@ func (ws *MaxMinWorkspace) Prepare(capacity []float64, paths [][]int) {
 	}
 	ws.used = used
 	ws.buildAdjacency(paths, entries)
+	ws.classify(capacity, paths, entries)
+}
+
+// classify groups the touched links into classes, comparing lists in
+// full among the links whose list starts with the same flow, and
+// restricts every path to the representatives, in path order.
+func (ws *MaxMinWorkspace) classify(capacity []float64, paths [][]int, entries int) {
+	used, start, slot, linkFlows := ws.used, ws.start, ws.slot, ws.linkFlows
+	ws.head = growI(ws.head, len(paths))
+	ws.class = growI(ws.class, len(used))
+	ws.next = growI(ws.next, len(used))
+	head, class, next := ws.head, ws.class, ws.next
+	for i := range head {
+		head[i] = -1
+	}
+	reps := ws.reps[:0]
+	for s, l := range used {
+		flows := linkFlows[start[s]:start[s+1]]
+		r := head[flows[0]]
+		for r >= 0 && (math.Float64bits(capacity[used[r]]) != math.Float64bits(capacity[l]) ||
+			!slices.Equal(linkFlows[start[r]:start[r+1]], flows)) {
+			r = next[r]
+		}
+		if r < 0 {
+			r = s
+			next[s], head[flows[0]] = head[flows[0]], s
+			reps = append(reps, l)
+		}
+		class[s] = r
+	}
+	ws.reps = reps
+	ws.rbuf = growI(ws.rbuf, entries) // never outgrown below: views stay valid
+	rbuf, rpaths := ws.rbuf[:0], ws.rpaths[:0]
+	for _, p := range paths {
+		from := len(rbuf)
+		for _, l := range p {
+			if s := int(slot[l]); class[s] == s {
+				rbuf = append(rbuf, l)
+			}
+		}
+		rpaths = append(rpaths, rbuf[from:])
+	}
+	ws.rpaths = rpaths
 }
 
 // Links returns the links the prepared paths touch, in first-touch
@@ -280,21 +340,22 @@ func (ws *MaxMinWorkspace) Touches(l int) bool { return ws.stamp[l] == ws.round 
 
 // Fill solves the prepared problem for the given weights: exactly the
 // rates WeightedMaxMin(capacity, paths, weight) returns, bit for bit,
-// at the cost of the weight-dependent work alone. x is used as in
-// WeightedMaxMin.
+// at the cost of the weight-dependent work alone, over one link per
+// class. x is used as in WeightedMaxMin.
 func (ws *MaxMinWorkspace) Fill(weight []float64, x []float64) []float64 {
-	capacity, paths := ws.capacity, ws.paths
-	x = growF(x, len(paths))
+	capacity, rpaths := ws.capacity, ws.rpaths
+	x = growF(x, len(rpaths))
 	rem, activeWeight, activeCount := ws.rem, ws.activeWeight, ws.activeCount
-	start := ws.start
-	for s, l := range ws.used {
+	start, slot := ws.start, ws.slot
+	for _, l := range ws.reps {
+		s := slot[l]
 		rem[l] = capacity[l]
 		activeWeight[l] = 0
 		activeCount[l] = start[s+1] - start[s]
 	}
 	// Same flow-then-path order as the one-shot pass, so every link's
 	// weight sum rounds identically.
-	for i, p := range paths {
+	for i, p := range rpaths {
 		w := weight[i]
 		if w <= 0 {
 			w = 1e-12
@@ -303,10 +364,17 @@ func (ws *MaxMinWorkspace) Fill(weight []float64, x []float64) []float64 {
 			activeWeight[l] += w
 		}
 	}
-	ws.scan = append(ws.scan[:0], ws.used...)
-	ws.progressiveFill(ws.scan, paths, weight, x)
+	ws.scan = append(ws.scan[:0], ws.reps...)
+	ws.progressiveFill(ws.scan, rpaths, weight, x)
+	if fillProbe != nil {
+		fillProbe(ws, weight, x)
+	}
 	return x
 }
+
+// fillProbe, set only by tests, sees every Fill: the seam the fill's
+// round and scan counts are taken through, so no counter rides in it.
+var fillProbe func(ws *MaxMinWorkspace, weight, x []float64)
 
 // MaxMin computes the unweighted max-min fair allocation.
 func MaxMin(capacity []float64, paths [][]int) []float64 {

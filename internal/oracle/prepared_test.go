@@ -1,7 +1,9 @@
 package oracle
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"numfabric/internal/core"
@@ -204,6 +206,74 @@ func TestPreparedLinks(t *testing.T) {
 	for l, want := range []bool{false, true, false, false, true, true} {
 		if ws.Touches(l) != want {
 			t.Errorf("Touches(%d) = %v, want %v", l, !want, want)
+		}
+	}
+}
+
+// TestPreparedClasses: the representatives Prepare picks are exactly
+// the first-touched link of each group of touched links with the same
+// capacity bits and the same crossing flows (with multiplicity), each
+// restricted path is its path without the other links, and Fill reads
+// and writes the state of representatives only — a later member's
+// residual, weight sum and count stay as poisoned before the Fills —
+// while Links and Touches still report every touched link.
+func TestPreparedClasses(t *testing.T) {
+	rng := sim.NewRNG(9)
+	for trial := 0; trial < 20; trial++ {
+		paths, nl := fatTreePaths(rng, 1+rng.Intn(12))
+		capacity := make([]float64, nl)
+		for l := range capacity {
+			capacity[l] = []float64{10 * gbps, 40 * gbps, math.Copysign(0, -1)}[rng.Intn(3)]
+		}
+		var ws MaxMinWorkspace
+		ws.Prepare(capacity, paths)
+
+		key := map[int]string{}
+		for i, p := range paths {
+			for _, l := range p {
+				key[l] += fmt.Sprintf(" %d", i)
+			}
+		}
+		var wantReps []int
+		seen := map[string]bool{}
+		for _, l := range ws.Links() {
+			k := fmt.Sprintf("%x:%s", math.Float64bits(capacity[l]), key[l])
+			if !seen[k] {
+				seen[k] = true
+				wantReps = append(wantReps, l)
+			}
+		}
+		if !slices.Equal(ws.reps, wantReps) {
+			t.Fatalf("trial %d: representatives %v, want %v", trial, ws.reps, wantReps)
+		}
+		for i, p := range paths {
+			want := slices.DeleteFunc(slices.Clone(p), func(l int) bool { return !slices.Contains(wantReps, l) })
+			if !slices.Equal(ws.rpaths[i], want) {
+				t.Fatalf("trial %d: flow %d's restricted path %v, want %v", trial, i, ws.rpaths[i], want)
+			}
+		}
+
+		for _, l := range ws.Links() {
+			if !ws.Touches(l) {
+				t.Fatalf("trial %d: Touches(%d) = false for a touched link", trial, l)
+			}
+			if !slices.Contains(wantReps, l) {
+				ws.rem[l], ws.activeWeight[l], ws.activeCount[l] = math.NaN(), math.NaN(), -7
+			}
+		}
+		for k := 0; k < 3; k++ {
+			w := make([]float64, len(paths))
+			for i := range w {
+				w[i] = float64(rng.Intn(4))
+			}
+			if got, want := ws.Fill(w, nil), WeightedMaxMin(capacity, paths, w); !bitsEqual(got, want) {
+				t.Fatalf("trial %d: Fill %v, one-shot %v", trial, got, want)
+			}
+		}
+		for _, l := range ws.Links() {
+			if !slices.Contains(wantReps, l) && (!math.IsNaN(ws.rem[l]) || !math.IsNaN(ws.activeWeight[l]) || ws.activeCount[l] != -7) {
+				t.Fatalf("trial %d: Fill wrote the state of link %d, which is not a representative", trial, l)
+			}
 		}
 	}
 }
