@@ -1,0 +1,140 @@
+// Package cert certifies a bandwidth allocation against the NUM problem
+// it claims to solve (Eq. 1: maximize Σ_g U_g(Σ_{i∈g} x_i) subject to
+// R·x ≤ c, x ≥ 0), from the problem and the claimed rates and link
+// prices alone. It imports no solver: what it reads is a core.Problem —
+// capacities, paths, group membership, utilities — and two vectors.
+//
+// Each check returns the worst relative violation it finds, a number and
+// not a verdict, so every allocator states its own tolerance: 0 is exact,
+// and +Inf marks a NaN or an infinite rate.
+package cert
+
+import (
+	"math"
+
+	"numfabric/internal/core"
+)
+
+// LinkLoads returns the per-link aggregate traffic of rates x.
+func LinkLoads(p *core.Problem, x []float64) []float64 {
+	load := make([]float64, len(p.Capacity))
+	for i, f := range p.Flows {
+		for _, l := range f.Links {
+			load[l] += x[i]
+		}
+	}
+	return load
+}
+
+// Feasibility returns the worst relative violation of the primal
+// constraints by rates x (one per flow of p):
+//   - a live link's load above its capacity, (load − c)/c;
+//   - a dead link's (capacity ≤ 0) load, relative to the largest
+//     capacity: no rate may cross a dead link;
+//   - a negative rate, relative to the largest capacity.
+func Feasibility(p *core.Problem, x []float64) float64 {
+	if len(x) != len(p.Flows) {
+		return math.Inf(1)
+	}
+	scale := 0.0
+	for _, c := range p.Capacity {
+		scale = max(scale, c)
+	}
+	if scale <= 0 {
+		scale = 1
+	}
+	worst := 0.0
+	for _, r := range x {
+		if math.IsNaN(r) || math.IsInf(r, 0) {
+			return math.Inf(1)
+		}
+		worst = max(worst, -r/scale)
+	}
+	for l, y := range LinkLoads(p, x) {
+		if c := p.Capacity[l]; c > 0 {
+			worst = max(worst, (y-c)/c)
+		} else {
+			worst = max(worst, y/scale)
+		}
+	}
+	return worst
+}
+
+// KKT returns the worst relative violation of the NUM optimality
+// conditions by rates x (one per flow) and prices (one per link):
+//   - dual feasibility: a negative price, relative to the largest price
+//     magnitude;
+//   - complementary slackness on each live link: price/that magnitude ×
+//     (c − load)/c, so a priced link must be saturated;
+//   - stationarity, per group g at its total rate y_g and per member f
+//     at its path price q_f: |U_g′(y_g) − q_f| relative to the larger of
+//     the two where f carries rate, and only U_g′(y_g) above q_f where f
+//     is idle. A member that crosses a dead link has an unbounded path
+//     price and is held to neither.
+//
+// The multipath case is the point of the per-group form: the marginal
+// is of the group's total rate, never of one member's.
+func KKT(p *core.Problem, x, price []float64) float64 {
+	if len(x) != len(p.Flows) || len(price) != len(p.Capacity) {
+		return math.Inf(1)
+	}
+	pmax := 0.0
+	for _, q := range price {
+		if math.IsNaN(q) || math.IsInf(q, 0) {
+			return math.Inf(1)
+		}
+		pmax = max(pmax, math.Abs(q))
+	}
+	worst := 0.0
+	if pmax > 0 {
+		for l, y := range LinkLoads(p, x) {
+			q := price[l] / pmax
+			worst = max(worst, -q)
+			if c := p.Capacity[l]; c > 0 && q > 0 {
+				worst = max(worst, q*(c-y)/c)
+			}
+		}
+	}
+	for _, g := range p.Groups {
+		y := 0.0
+		for _, f := range g.Flows {
+			y += x[f]
+		}
+		marg := g.U.Marginal(y)
+		for _, f := range g.Flows {
+			q, dead := pathPrice(p, f, price)
+			switch {
+			case dead:
+			case x[f] > 0:
+				worst = max(worst, relGap(marg, q))
+			case marg > q:
+				worst = max(worst, relGap(marg, q))
+			}
+		}
+	}
+	return worst
+}
+
+// pathPrice is flow f's path price, and whether the path crosses a dead
+// link.
+func pathPrice(p *core.Problem, f int, price []float64) (q float64, dead bool) {
+	for _, l := range p.Flows[f].Links {
+		q += price[l]
+		dead = dead || !(p.Capacity[l] > 0)
+	}
+	return q, dead
+}
+
+// relGap is |a − b| relative to the larger magnitude: 0 when equal, 1
+// when one side is infinite and the other not, +Inf for a NaN.
+func relGap(a, b float64) float64 {
+	switch {
+	case a == b:
+		return 0
+	case math.IsNaN(a) || math.IsNaN(b):
+		return math.Inf(1)
+	case math.IsInf(a, 0) || math.IsInf(b, 0):
+		return 1
+	}
+	return math.Abs(a-b) / max(math.Abs(a), math.Abs(b))
+}

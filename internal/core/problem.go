@@ -165,14 +165,3 @@ func (p *Problem) TotalUtility(x []float64) float64 {
 	}
 	return total
 }
-
-// LinkLoads returns the per-link aggregate traffic for rates x.
-func (p *Problem) LinkLoads(x []float64) []float64 {
-	load := make([]float64, len(p.Capacity))
-	for i, f := range p.Flows {
-		for _, l := range f.Links {
-			load[l] += x[i]
-		}
-	}
-	return load
-}

@@ -122,13 +122,3 @@ func TestIsFeasible(t *testing.T) {
 		t.Error("wrong length accepted")
 	}
 }
-
-func TestLinkLoads(t *testing.T) {
-	p := NewProblem([]float64{10e9, 10e9})
-	p.AddFlow([]int{0, 1}, ProportionalFair())
-	p.AddFlow([]int{1}, ProportionalFair())
-	load := p.LinkLoads([]float64{3e9, 4e9})
-	if load[0] != 3e9 || load[1] != 7e9 {
-		t.Errorf("loads = %v", load)
-	}
-}

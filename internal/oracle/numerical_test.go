@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"numfabric/internal/cert"
 	"numfabric/internal/core"
 	"numfabric/internal/sim"
 )
@@ -44,48 +45,17 @@ func TestFluidXWIRandomTopologies(t *testing.T) {
 	}
 }
 
-// checkKKT verifies the optimality system (Eqs. 5-6) within relative
-// tolerance tol.
+// checkKKT verifies the optimality system (Eqs. 5-6) through
+// internal/cert: feasible to 1e-6, and the worst relative KKT violation
+// — U′ of each group's total rate against each member's path price,
+// complementary slackness per link — within tol.
 func checkKKT(t *testing.T, trial int, p *core.Problem, res Result, tol float64) {
 	t.Helper()
-	if !p.IsFeasible(res.Rates, 1e-6) {
-		t.Fatalf("trial %d: infeasible solution", trial)
+	if v := cert.Feasibility(p, res.Rates); v > 1e-6 {
+		t.Fatalf("trial %d: infeasible solution (%.3g over)", trial, v)
 	}
-	load := p.LinkLoads(res.Rates)
-	// Eq. 5: U'(x_i) = sum of path prices.
-	for i, f := range p.Flows {
-		u := p.Groups[f.Group].U
-		sum := 0.0
-		for _, l := range f.Links {
-			sum += res.Prices[l]
-		}
-		marg := u.Marginal(res.Rates[i])
-		if sum <= 0 {
-			t.Fatalf("trial %d flow %d: zero path price with finite rate %g", trial, i, res.Rates[i])
-		}
-		if math.Abs(marg-sum)/sum > tol {
-			t.Errorf("trial %d flow %d: U'(x)=%.4g vs path price %.4g", trial, i, marg, sum)
-		}
-	}
-	// Eq. 6: p_l (load_l - c_l) = 0 -> positive price implies (near)
-	// saturation.
-	for l := range p.Capacity {
-		if res.Prices[l] <= 0 {
-			continue
-		}
-		u := load[l] / p.Capacity[l]
-		// Ignore vanishing prices (numerically zero relative to the
-		// largest price).
-		maxP := 0.0
-		for _, pr := range res.Prices {
-			maxP = math.Max(maxP, pr)
-		}
-		if res.Prices[l] < 1e-6*maxP {
-			continue
-		}
-		if u < 1-5*tol {
-			t.Errorf("trial %d link %d: price %.3g but utilization %.3f", trial, l, res.Prices[l], u)
-		}
+	if v := cert.KKT(p, res.Rates, res.Prices); v > tol {
+		t.Errorf("trial %d: KKT violated by %.3g relative, want ≤ %g", trial, v, tol)
 	}
 }
 
