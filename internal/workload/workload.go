@@ -17,6 +17,9 @@ import (
 type SizeCDF struct {
 	name string
 	pts  []cdfPoint
+	// logs[i] is math.Log(pts[i].bytes), taken once: a draw interpolates
+	// between two of them.
+	logs []float64
 }
 
 type cdfPoint struct {
@@ -29,7 +32,11 @@ type cdfPoint struct {
 func newSizeCDF(name string, pts []cdfPoint) *SizeCDF {
 	cp := append([]cdfPoint(nil), pts...)
 	sort.Slice(cp, func(i, j int) bool { return cp[i].p < cp[j].p })
-	return &SizeCDF{name: name, pts: cp}
+	logs := make([]float64, len(cp))
+	for i, pt := range cp {
+		logs[i] = math.Log(pt.bytes)
+	}
+	return &SizeCDF{name: name, pts: cp, logs: logs}
 }
 
 // Name identifies the distribution.
@@ -46,21 +53,41 @@ func (c *SizeCDF) Sample(u float64) int64 {
 	if u >= pts[len(pts)-1].p {
 		return int64(pts[len(pts)-1].bytes)
 	}
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].p >= u }) // pts[i-1].p < u <= pts[i].p
-	lo, hi := pts[i-1], pts[i]
-	frac := (u - lo.p) / (hi.p - lo.p)
-	logSize := math.Log(lo.bytes) + frac*(math.Log(hi.bytes)-math.Log(lo.bytes))
+	return c.interpolate(sort.Search(len(pts), func(i int) bool { return pts[i].p >= u }), u)
+}
+
+// interpolate is the size at quantile u on the segment that ends at
+// anchor i: pts[i-1].p < u <= pts[i].p.
+func (c *SizeCDF) interpolate(i int, u float64) int64 {
+	lo, hi := c.pts[i-1].p, c.pts[i].p
+	frac := (u - lo) / (hi - lo)
+	logSize := c.logs[i-1] + frac*(c.logs[i]-c.logs[i-1])
 	return int64(math.Exp(logSize))
 }
 
 // Mean returns the distribution's mean flow size in bytes, computed by
-// numerical integration of the sampled inverse CDF.
+// numerical integration of the sampled inverse CDF: Sample at each of
+// 100,000 midpoints, summed in order. The midpoints rise, so the segment
+// that holds each one is found by walking on from the previous one's.
 func (c *SizeCDF) Mean() float64 {
 	const steps = 100000
+	pts := c.pts
+	first, last := pts[0], pts[len(pts)-1]
 	sum := 0.0
+	seg := 1
 	for i := 0; i < steps; i++ {
 		u := (float64(i) + 0.5) / steps
-		sum += float64(c.Sample(u))
+		switch {
+		case u <= first.p:
+			sum += float64(int64(first.bytes))
+		case u >= last.p:
+			sum += float64(int64(last.bytes))
+		default:
+			for pts[seg].p < u {
+				seg++
+			}
+			sum += float64(c.interpolate(seg, u))
+		}
 	}
 	return sum / steps
 }
