@@ -10,7 +10,6 @@ import (
 	"numfabric/internal/leap"
 	"numfabric/internal/netsim"
 	"numfabric/internal/obs"
-	"numfabric/internal/refsim"
 	"numfabric/internal/sim"
 	"numfabric/internal/stats"
 	"numfabric/internal/workload"
@@ -405,21 +404,23 @@ func finishedRecords(records []FlowRecord) (finished []FlowRecord, unfinished in
 
 // FluidIdealFCTs computes, for each arrival, the FCT it would have if
 // an Oracle "assigns all flows their optimal NUM rates
-// instantaneously" (§6.1): internal/refsim — re-solve the whole NUM
-// problem at every arrival and departure, drain at the optimal rates in
-// between — with the exact Oracle allocator warm-started across
-// events, plus the base RTT, which even the Oracle cannot beat.
+// instantaneously" (§6.1), plus the base RTT, which even the Oracle
+// cannot beat. The optimum splits across link-disjoint components, so
+// it plays the schedule on the leap engine with the exact Oracle
+// allocator: each event re-solves only the components it touches,
+// warm-started from their links' last prices, and a flow alone on its
+// path takes the path's smallest capacity with no solve.
+// internal/refsim, the whole-set re-solve per event, is its referee
+// (TestIdealLeapMatchesRefsim).
 func FluidIdealFCTs(cfg DynamicConfig, topo *Topology, arrivals []workload.Arrival, spines []int) []float64 {
 	return fluidIdealFCTs(cfg, topo, sliceSchedule(arrivals, spines))
 }
 
 func fluidIdealFCTs(cfg DynamicConfig, fab fabric, sched schedule) []float64 {
 	d0 := cfg.baseRTT()
-	ref := &flowLevel{
-		eng:     refsim.New(fab.network(), &fluid.Oracle{MaxIter: 1500}),
-		baseRTT: d0,
-	}
-	recs, _ := playArrivals(ref, fab, sched, cfg.utilityFor(), func(int64) float64 { return 0 }, sim.Forever)
+	leng := leap.NewEngine(fab.network(), leap.Config{Allocator: &fluid.Oracle{MaxIter: 1500}})
+	ideal := &flowLevel{eng: leng, leap: leng, baseRTT: d0}
+	recs, _ := playArrivals(ideal, fab, sched, cfg.utilityFor(), func(int64) float64 { return 0 }, sim.Forever)
 	out := make([]float64, len(recs))
 	for i, r := range recs {
 		// A flow the Oracle never finishes (NaN) or finishes in no time
