@@ -28,9 +28,10 @@
 // flows' rates over time, which leap cannot do; asked for leap they run
 // its allocators on the epoch engine and their header says so. An
 // unknown -engine or -experiment value is an error that lists the
-// valid ones, and so is a -scale other than "scaled" or "full". Four
-// experiments are
-// fluid/leap-only — they run regimes the packet engine cannot reach:
+// valid ones, and so is a -scale other than "scaled" or "full", and so
+// is a -trace-out, -flowtrace-out or -memprofile path that cannot be
+// created: each exits 2 before any experiment starts. Four experiments
+// are fluid/leap-only — they run regimes the packet engine cannot reach:
 // fattree (a k=8 fat-tree serving ≥50k flows), fluidsweep (a
 // multi-seed convergence sweep fanned across goroutines),
 // fluidpooling (multipath aggregate groups pooling ≥10k ECMP subflows
@@ -178,6 +179,20 @@ func flowTraceConfig(sample float64, slowest int) (obs.FlowTraceConfig, error) {
 	return obs.FlowTraceConfig{SampleRate: sample, SlowestK: slowest}, nil
 }
 
+// createOutput creates the file an output flag names, nil for an unset
+// flag; a path that cannot be created exits 2 naming the flag.
+func createOutput(name, path string) *os.File {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		os.Exit(2)
+	}
+	return f
+}
+
 func main() {
 	exp := flag.String("experiment", "all", "experiment id ("+experimentIDs()+")")
 	scale := flag.String("scale", "scaled", "\"scaled\" (32 hosts, fast) or \"full\" (paper scale, slow)")
@@ -217,6 +232,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	// The files the run writes at its end are created now, so a path that
+	// cannot be written stops it before the first experiment.
+	traceFile := createOutput("-trace-out", *traceOut)
+	ftFile := createOutput("-flowtrace-out", *ftOut)
+	memFile := createOutput("-memprofile", *memprofile)
 	if outDir != "" {
 		if err := os.MkdirAll(outDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -240,21 +260,14 @@ func main() {
 			fmt.Printf("wrote %s\n", *cpuprofile)
 		}()
 	}
-	if *memprofile != "" {
-		path := *memprofile
+	if memFile != nil {
 		defer func() {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
+			if err := errors.Join(pprof.WriteHeapProfile(memFile), memFile.Close()); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return
 			}
-			fmt.Printf("wrote %s\n", path)
+			fmt.Printf("wrote %s\n", memFile.Name())
 		}()
 	}
 
@@ -286,31 +299,24 @@ func main() {
 				}()
 			}
 		}
-		if *traceOut != "" {
-			path := *traceOut
+		if traceFile != nil {
 			defer func() {
-				if err := cliObs.Tracer.WriteFile(path); err != nil {
+				if err := errors.Join(cliObs.Tracer.Write(traceFile), traceFile.Close()); err != nil {
 					fmt.Fprintln(os.Stderr, err)
 					return
 				}
-				fmt.Printf("wrote %s (%d spans)\n", path, cliObs.Tracer.TotalSpans())
+				fmt.Printf("wrote %s (%d spans)\n", traceFile.Name(), cliObs.Tracer.TotalSpans())
 			}()
 		}
-		if *ftOut != "" {
-			path := *ftOut
+		if ftFile != nil {
 			defer func() {
-				f, err := os.Create(path)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					return
-				}
-				if err := errors.Join(cliObs.FlowTrace.WriteJSONL(f), f.Close()); err != nil {
+				if err := errors.Join(cliObs.FlowTrace.WriteJSONL(ftFile), ftFile.Close()); err != nil {
 					fmt.Fprintln(os.Stderr, err)
 					return
 				}
 				s := cliObs.FlowTrace.Summary()
 				fmt.Printf("wrote %s (%d flows tracked, %d kept + %d reservoir)\n",
-					path, s.Tracked, s.Kept, s.Reservoir)
+					ftFile.Name(), s.Tracked, s.Kept, s.Reservoir)
 			}()
 		}
 	}

@@ -30,9 +30,12 @@ func buildBinary(t *testing.T) string {
 // line naming it and exit status 2, with no experiment started (a
 // misspelt "-scale ful" used to run the scaled experiment silently,
 // "-experiment fig5a -faults ..." a healthy fabric, and a bad list
-// under "-experiment all" every experiment before leapfail).
+// under "-experiment all" every experiment before leapfail). So is an
+// output file that cannot be created, which used to be reported only
+// after every experiment had run, with exit status 0.
 func TestUnknownFlagValuesExitBeforeRunning(t *testing.T) {
 	bin := buildBinary(t)
+	missing := filepath.Join(t.TempDir(), "no-such-dir", "out")
 	cases := []struct {
 		name string
 		args []string
@@ -56,6 +59,9 @@ func TestUnknownFlagValuesExitBeforeRunning(t *testing.T) {
 		{"flowtrace sample infinite", []string{"-experiment", "table2", "-flowtrace-sample", "+Inf"}, "-flowtrace-sample +Inf: want a fraction"},
 		{"flowtrace slowest negative", []string{"-experiment", "table2", "-flowtrace-slowest", "-3"}, "-flowtrace-slowest -3: want a count"},
 		{"debug hold negative", []string{"-experiment", "table2", "-debug-hold", "-1s"}, "-debug-hold -1s: want a duration ≥ 0"},
+		{"trace out unwritable", []string{"-experiment", "table2", "-trace-out", missing}, "-trace-out: open " + missing},
+		{"flowtrace out unwritable", []string{"-experiment", "table2", "-flowtrace-out", missing}, "-flowtrace-out: open " + missing},
+		{"memprofile unwritable", []string{"-experiment", "table2", "-memprofile", missing}, "-memprofile: open " + missing},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
