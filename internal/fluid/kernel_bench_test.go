@@ -175,11 +175,12 @@ func BenchmarkDGDSolve(b *testing.B) {
 	benchSubsetSolves(b, func() subsetSolver { return &DGD{IterPerEpoch: 600, Tol: 1e-3} })
 }
 
-// BenchmarkOracleSolve is the Oracle as the Figure 5 ideals run it
-// (refsim's whole-set Allocate with harness.FluidIdealFCTs' MaxIter):
-// the core.Problem rebuilt and oracle.Solve'd per call, warm-started
-// from the previous call's prices, alternating between the component
-// and the component less its last flow.
+// BenchmarkOracleSolve is the Oracle at harness.FluidIdealFCTs'
+// MaxIter, through its whole-set Allocate (refsim's path; the ideals
+// themselves go through leap's per-component AllocateSubset): the
+// core.Problem rebuilt and oracle.Solve'd per call, warm-started from
+// the previous call's prices, alternating between the component and the
+// component less its last flow.
 func BenchmarkOracleSolve(b *testing.B) {
 	ft := NewFatTree(8, 10e9)
 	for _, n := range kernelSizes {

@@ -405,13 +405,10 @@ func finishedRecords(records []FlowRecord) (finished []FlowRecord, unfinished in
 // FluidIdealFCTs computes, for each arrival, the FCT it would have if
 // an Oracle "assigns all flows their optimal NUM rates
 // instantaneously" (§6.1), plus the base RTT, which even the Oracle
-// cannot beat. The optimum splits across link-disjoint components, so
-// it plays the schedule on the leap engine with the exact Oracle
-// allocator: each event re-solves only the components it touches,
-// warm-started from their links' last prices, and a flow alone on its
-// path takes the path's smallest capacity with no solve.
-// internal/refsim, the whole-set re-solve per event, is its referee
-// (TestIdealLeapMatchesRefsim).
+// cannot beat: the leap engine with the exact Oracle allocator, which
+// re-solves only the components an event touches (the optimum splits
+// across them) and gives a lone flow its path's smallest capacity.
+// internal/refsim's whole-set re-solves referee it.
 func FluidIdealFCTs(cfg DynamicConfig, topo *Topology, arrivals []workload.Arrival, spines []int) []float64 {
 	return fluidIdealFCTs(cfg, topo, sliceSchedule(arrivals, spines))
 }

@@ -206,11 +206,10 @@ func (p *packetFabric) seconds(d sim.Time) float64   { return sim.Duration(d).Se
 func (p *packetFabric) riseTime() float64            { return math.Log(10) * p.meterTau.Seconds() }
 
 // flowLevel plays finite flows through a flow-level engine: the epoch
-// engine or leap (the played schedule and the Oracle ideals), or, in
-// tests, refsim. None models propagation, so every completion
-// gets the leaf-spine fabric's base RTT added to stay comparable with
-// packet FCTs and the Oracle ideals (none on a fat-tree:
-// DynamicConfig.baseRTT).
+// engine, leap or, in tests, refsim. None models propagation, so every
+// completion gets the leaf-spine fabric's base RTT added to stay
+// comparable with packet FCTs and the Oracle ideals (none on a
+// fat-tree: DynamicConfig.baseRTT).
 type flowLevel struct {
 	eng interface {
 		AddFlow(links []int, u core.Utility, sizeBytes int64, at float64) *fluid.Flow

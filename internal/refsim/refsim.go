@@ -8,9 +8,11 @@
 // No heap, no link index, no components, no lazy drain, no batching,
 // and nothing imported from internal/leap or internal/harness.
 //
-// harness.FluidIdealFCTs runs it with the exact Oracle allocator for
-// the ideal FCTs; internal/leap's tests and fuzz target hold the
-// event-driven engine to it at 1e-9 relative. The model is the leap
+// It is a referee only, imported by tests and the repository benchmark:
+// internal/leap's tests and fuzz target hold the event-driven engine to
+// it at 1e-9 relative, and harness's TestIdealLeapMatchesRefsim holds
+// the Figure 5 ideals — played on the leap engine with the exact Oracle
+// allocator — to its whole-set re-solves at 1e-3. The model is the leap
 // engine's: a failed link has capacity zero and failures nest; a
 // finite flow at rate zero waits; at a shared instant departures come
 // first, then failures, then recoveries (each by link id), then
