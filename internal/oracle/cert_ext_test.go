@@ -17,7 +17,7 @@ import (
 // The Figure 5 ideal plays' certificate bounds. The Oracle stops on a
 // relative rate change below 1e-7, which is not a distance to the
 // optimum: on seeds 1–3 its worst solve is feasible to 2e-16 and meets
-// the KKT conditions to 2.3e-5, on either engine. The bounds leave 5×.
+// the KKT conditions to 2.3e-5, on either engine. The bounds leave 4–5×.
 const (
 	idealFeasTol = 1e-15
 	idealKKTTol  = 1e-4
