@@ -169,6 +169,59 @@ func TestSampledExperimentsNameTheEngineThatRan(t *testing.T) {
 	}
 }
 
+// TestExperimentStdoutGolden pins what the quick experiments print at
+// seed 1, byte for byte, against testdata/stdout/<id>[-<engine>].txt:
+// the report formats, their order and every printed digit. The files
+// are the binary's own stdout (`numfabric -experiment <id> -seed 1
+// [-engine <engine>] > testdata/stdout/<name>.txt`); regenerate one
+// only for a change that moves those results on purpose, in a commit
+// of its own. The engine variants are skipped under -short.
+func TestExperimentStdoutGolden(t *testing.T) {
+	bin := buildBinary(t)
+	cases := []struct{ exp, engine string }{
+		{"table1", ""}, {"table2", ""}, {"fig2", ""}, {"fig5b", ""}, {"fig9", ""}, {"fig10", ""},
+		{"fig4a", "fluid"}, {"fig8", "fluid"},
+		{"fig5a", "fluid"}, {"fig5a", "leap"}, {"fig7", "fluid"}, {"fig7", "leap"},
+	}
+	for _, c := range cases {
+		name := c.exp
+		args := []string{"-experiment", c.exp, "-seed", "1"}
+		if c.engine != "" {
+			name += "-" + c.engine
+			args = append(args, "-engine", c.engine)
+		}
+		t.Run(name, func(t *testing.T) {
+			if c.engine != "" && testing.Short() {
+				t.Skip("engine variant")
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", "stdout", name+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := exec.Command(bin, args...).Output()
+			if err != nil {
+				t.Fatalf("%v: %v", args, err)
+			}
+			if bytes.Equal(got, want) {
+				return
+			}
+			gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+			for i := range max(len(gl), len(wl)) {
+				var g, w string
+				if i < len(gl) {
+					g = gl[i]
+				}
+				if i < len(wl) {
+					w = wl[i]
+				}
+				if g != w {
+					t.Fatalf("stdout line %d:\n got %q\nwant %q", i+1, g, w)
+				}
+			}
+		})
+	}
+}
+
 // TestFatTreeCSVGolden pins the fattree experiment's per-flow CSV —
 // every flow's size and FCT on the epoch engine, in arrival order —
 // byte for byte at seed 1. The digest was generated at PR 20's parent
