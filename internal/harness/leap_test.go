@@ -73,6 +73,24 @@ func TestRunDynamicLeapDeviation(t *testing.T) {
 	}
 }
 
+// TestDGDLeapFinishesFig5 plays the Figure 5 schedules (400 web-search
+// and enterprise flows at load 0.4, seed 1, as `numfabric -experiment
+// fig5a|fig5b -engine leap` does) under DGD on the leap engine: every
+// flow must finish, as on the packet and epoch engines. DGD's gradient
+// steps scale with the marginal at line rate (≈ 1e-10 at 10 Gb/s), so
+// from a cold price of 1 a shared link never comes down and its flows
+// crawl at a fraction of a bit per second.
+func TestDGDLeapFinishesFig5(t *testing.T) {
+	for _, cdf := range []*workload.SizeCDF{workload.WebSearch(), workload.Enterprise()} {
+		cfg := DefaultDynamic(DGD, cdf, 0.4)
+		cfg.Flows, cfg.Seed, cfg.SkipFluidIdeal = 400, 1, true
+		if res := RunDynamicWith(EngineLeap, cfg); res.Unfinished != 0 || len(res.Records) != cfg.Flows {
+			t.Errorf("%s: %d finished, %d unfinished; want all %d finished",
+				cdf.Name(), len(res.Records), res.Unfinished, cfg.Flows)
+		}
+	}
+}
+
 // TestLeapAllocatorDispatch: scheme → leap allocator mapping.
 func TestLeapAllocatorDispatch(t *testing.T) {
 	if a, ok := LeapAllocatorFor(DefaultConfig(NUMFabric, ScaledTopology())).(*fluid.XWI); !ok || a.IterPerEpoch < 16 {
