@@ -103,12 +103,15 @@ fault-smoke:
 	go run ./examples/leapfail
 
 # One full iteration of the leap benchmark, with its built-in
-# accuracy assertions; then one iteration of each allocator-kernel
-# ledger row (the prepared max-min's Fill, ProportionalFair and FCTMin
-# components, the Oracle through Allocate, the power kernel against
-# math.Pow) so the rows CHANGES.md quotes cannot rot.
+# accuracy assertions; then one iteration of the quick experiments of
+# the paper table (BenchmarkPaper: Table 1, Figures 2, 9 and 10) and of
+# each allocator-kernel ledger row (the prepared max-min's Fill,
+# ProportionalFair and FCTMin components, the Oracle through Allocate,
+# the power kernel against math.Pow) so the rows CHANGES.md quotes
+# cannot rot.
 bench-smoke:
 	go test -run '^$$' -bench 'BenchmarkLeapFCT$$' -benchtime 1x .
+	go test -run '^$$' -bench 'BenchmarkPaper/(table1|fig2|fig9|fig10)$$' -benchtime 1x .
 	go test -run '^$$' -bench 'MaxMinFill|XWISolve|DGDSolve|OracleSolve' -benchtime 1x ./internal/fluid/
 	go test -run '^$$' -bench AlphaKernel -benchtime 1x ./internal/core/
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"numfabric/internal/obs"
+	"numfabric/internal/paper"
 )
 
 func buildBinary(t *testing.T) string {
@@ -32,10 +33,15 @@ func buildBinary(t *testing.T) string {
 // "-experiment fig5a -faults ..." a healthy fabric, and a bad list
 // under "-experiment all" every experiment before leapfail). So is an
 // output file that cannot be created, which used to be reported only
-// after every experiment had run, with exit status 0.
+// after every experiment had run, with exit status 0 (an -out or
+// -cpuprofile path: exit status 1).
 func TestUnknownFlagValuesExitBeforeRunning(t *testing.T) {
 	bin := buildBinary(t)
 	missing := filepath.Join(t.TempDir(), "no-such-dir", "out")
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		args []string
@@ -62,6 +68,8 @@ func TestUnknownFlagValuesExitBeforeRunning(t *testing.T) {
 		{"trace out unwritable", []string{"-experiment", "table2", "-trace-out", missing}, "-trace-out: open " + missing},
 		{"flowtrace out unwritable", []string{"-experiment", "table2", "-flowtrace-out", missing}, "-flowtrace-out: open " + missing},
 		{"memprofile unwritable", []string{"-experiment", "table2", "-memprofile", missing}, "-memprofile: open " + missing},
+		{"cpuprofile unwritable", []string{"-experiment", "table2", "-cpuprofile", missing}, "-cpuprofile: open " + missing},
+		{"out unwritable", []string{"-experiment", "table2", "-out", filepath.Join(notDir, "csv")}, "-out: mkdir " + notDir},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -123,16 +131,16 @@ func TestExperimentTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc, _, _ := strings.Cut(string(src), "\npackage main")
-	for _, e := range experiments {
-		if _, err := checkFlags(e.id, ""); err != nil {
-			t.Errorf("checkFlags(%q): %v", e.id, err)
+	for _, e := range paper.Experiments {
+		if _, err := checkFlags(e.ID, ""); err != nil {
+			t.Errorf("checkFlags(%q): %v", e.ID, err)
 		}
-		if !regexp.MustCompile(`\b` + e.id + `\b`).MatchString(doc) {
-			t.Errorf("package comment does not name experiment %q", e.id)
+		if !regexp.MustCompile(`\b` + e.ID + `\b`).MatchString(doc) {
+			t.Errorf("package comment does not name experiment %q", e.ID)
 		}
-		wantErr := e.id != "leapfail"
-		if _, err := checkFlags(e.id, "link1@1ms"); (err != nil) != wantErr {
-			t.Errorf("checkFlags(%q, faults): %v, want error %v", e.id, err, wantErr)
+		wantErr := e.ID != "leapfail"
+		if _, err := checkFlags(e.ID, "link1@1ms"); (err != nil) != wantErr {
+			t.Errorf("checkFlags(%q, faults): %v, want error %v", e.ID, err, wantErr)
 		}
 	}
 	if faults, err := checkFlags("all", "agg0.0@1ms+1ms"); err != nil || len(faults) != 32 {

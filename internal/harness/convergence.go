@@ -285,3 +285,30 @@ func (r *semiDynamicRun[T]) nextEvent(now T) {
 	r.applyEvent(start, n)
 	r.beginEvent(now)
 }
+
+// RateTrace samples one flow's metered rate over time (Figures 4b/4c:
+// "the rate of a typical flow" under DCTCP versus NUMFabric).
+type RateTrace struct {
+	Times []float64 // seconds
+	Rates []float64 // bits/second
+	// OracleRate is the flow's expected (optimal) rate over the trace
+	// window, recomputed after each network event.
+	OracleRates []float64
+}
+
+// RunRateTrace runs a semi-dynamic scenario and records the receive
+// rate of the flow with the given index among the initially started
+// flows, sampled every sampleEvery.
+func RunRateTrace(cfg SemiDynamicConfig, flowIdx int, sampleEvery sim.Duration) RateTrace {
+	r, sub := newPacketSemiDynamic(cfg)
+	var trace RateTrace
+	sub.eng.Every(sim.Time(sampleEvery), sampleEvery, func() {
+		if flowIdx < len(r.active) {
+			trace.Times = append(trace.Times, sub.eng.Now().Seconds())
+			trace.Rates = append(trace.Rates, sub.rate(r.active[flowIdx].handle))
+			trace.OracleRates = append(trace.OracleRates, r.want[flowIdx])
+		}
+	})
+	r.run()
+	return trace
+}

@@ -162,13 +162,10 @@ func TestSweepDTShape(t *testing.T) {
 	}
 	cfg := tinySemiDynamic(NUMFabric)
 	cfg.Events = 2
-	pts := SweepDT(cfg, []sim.Duration{6 * sim.Microsecond, 24 * sim.Microsecond})
-	if len(pts) != 2 {
-		t.Fatal("wrong point count")
-	}
-	for _, p := range pts {
-		if p.Unconverged == 2 {
-			t.Errorf("dt=%vus: no events converged", p.Param)
+	for _, dt := range []sim.Duration{6 * sim.Microsecond, 24 * sim.Microsecond} {
+		cfg.Scheme.NUMFabric.DT = dt
+		if res := RunSemiDynamicWith(EnginePacket, cfg); res.Unconverged == 2 {
+			t.Errorf("dt=%v: no events converged", dt)
 		}
 	}
 }

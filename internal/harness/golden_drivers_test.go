@@ -250,7 +250,8 @@ func TestGoldenDriversRateTrace(t *testing.T) {
 	}
 }
 
-// TestGoldenDriversSweepDT pins Figure 6a's loop on two points.
+// TestGoldenDriversSweepDT pins Figure 6a's loop on two points: dt in
+// µs, median convergence time and unconverged events of each.
 func TestGoldenDriversSweepDT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -258,10 +259,12 @@ func TestGoldenDriversSweepDT(t *testing.T) {
 	cfg := tinySemiDynamic(NUMFabric)
 	cfg.Events = 2
 	fp := newFingerprint()
-	for _, pt := range SweepDT(cfg, []sim.Duration{6 * sim.Microsecond, 18 * sim.Microsecond}) {
-		fp.add(pt.Param)
-		fp.add(pt.MedianConvergence)
-		fp.add(float64(pt.Unconverged))
+	for _, dt := range []sim.Duration{6 * sim.Microsecond, 18 * sim.Microsecond} {
+		cfg.Scheme.NUMFabric.DT = dt
+		res := RunSemiDynamicWith(EnginePacket, cfg)
+		fp.add(float64(dt) / 1e6)
+		fp.add(res.Median())
+		fp.add(float64(res.Unconverged))
 	}
 	const want = "d24a7465826c26bd"
 	if got := fp.String(); got != want {

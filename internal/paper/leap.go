@@ -1,4 +1,4 @@
-package main
+package paper
 
 import (
 	"fmt"
@@ -26,7 +26,7 @@ func fatTreeFCTMin(ft *fluid.FatTree, load float64, nflows int, seed uint64, hoo
 	return cfg
 }
 
-// runLeapFCT is the event-driven FCT experiment: a web-search Poisson
+// leapFCT is the event-driven FCT experiment: a web-search Poisson
 // workload on a k=8 fat-tree played through the leap engine under the
 // NUMFabric scheme's xWI dynamics (run to the fixed point at every
 // arrival/departure) with the §6.3 FCT-minimizing utility — the same
@@ -35,19 +35,19 @@ func fatTreeFCTMin(ft *fluid.FatTree, load float64, nflows int, seed uint64, hoo
 // fat-tree: each load's normalized FCT distribution (FCT over the
 // flow's line-rate wire time) plus the engine telemetry that explains
 // the speed: events and allocations, not simulated epochs, bound the
-// work. -scale full runs the million-flow headline at one load;
+// work. Full scale runs the million-flow headline at one load;
 // BenchmarkLeapFCT holds the same-accuracy comparison against the
 // epoch engine.
-func runLeapFCT(full bool, seed uint64) {
+func leapFCT(env Env, s Scale, seed uint64) Metrics {
 	const k, linkRate = 8, 10e9
 	nflows, loads := 10000, []float64{0.05, 0.15, 0.3}
-	if full {
+	if s == Full {
 		nflows, loads = 1000000, []float64{0.05}
 	}
 	ft := fluid.NewFatTree(k, linkRate)
-	fmt.Printf("leap-engine FCT sweep: k=%d fat-tree (%d hosts), websearch, %d flows per load\n",
+	fmt.Fprintf(env, "leap-engine FCT sweep: k=%d fat-tree (%d hosts), websearch, %d flows per load\n",
 		k, ft.Hosts(), nflows)
-	fmt.Printf("%-6s %10s %10s %10s %12s %10s %9s %8s %8s %9s %7s %7s %7s %10s\n",
+	fmt.Fprintf(env, "%-6s %10s %10s %10s %12s %10s %9s %8s %8s %9s %7s %7s %7s %10s\n",
 		"load", "medNorm", "p95Norm", "flows/s", "events", "allocs", "avgComp", "maxComp", "workX",
 		"batchW", "flood%", "solve%", "compl%", "wall")
 	tab := trace.NewTable("load", "median_norm_fct", "p95_norm_fct", "flows_per_s",
@@ -56,16 +56,16 @@ func runLeapFCT(full bool, seed uint64) {
 		"admit_ns", "flood_ns", "solve_ns", "resplice_ns", "complete_ns", "drain_ns", "loop_ns",
 		"window_ns",
 		"p99_norm_fct", "tail_flows", "tail_link", "tail_link_share")
-	// The flow tracer behind the slowdown-attribution lines: the
-	// CLI-level one when -flowtrace-out/-debug-addr asked for it (reset
+	// The flow tracer behind the slowdown-attribution lines: env's when
+	// it has one (numfabric -flowtrace-out/-debug-addr; reset
 	// per load, so /flows and the JSONL export reflect the current —
 	// finally the last — load), a private sampled tracer otherwise.
-	tracer := cliObs.FlowTrace
+	tracer := env.Obs.FlowTrace
 	for _, load := range loads {
 		// Each load gets a fresh phase profiler (so its breakdown covers
 		// exactly that run) on top of whatever -debug-addr/-trace-out
 		// hooks are shared across the sweep.
-		hooks := cliObs
+		hooks := env.Obs
 		hooks.Profiler = obs.NewPhaseProfiler()
 		if tracer != nil {
 			tracer.Reset()
@@ -75,7 +75,7 @@ func runLeapFCT(full bool, seed uint64) {
 		tracer.SetLinkName(ft.LinkName)
 		hooks.FlowTrace = tracer
 		res := harness.RunDynamicWith(harness.EngineLeap, fatTreeFCTMin(ft, load, nflows, seed, hooks))
-		elapsed, s := res.RunWall, res.LeapStats
+		elapsed, st := res.RunWall, res.LeapStats
 
 		// One sort for the three quantiles of the normalized FCTs.
 		norm := stats.Summarize(res.Slowdowns())
@@ -85,18 +85,18 @@ func runLeapFCT(full bool, seed uint64) {
 		// factor saved against re-solving the full active set at every
 		// coupled event (the engine's global-counterfactual counter);
 		// batchW the mean disjoint components per reallocation batch.
-		avgComp := float64(s.SolvedFlows) / math.Max(float64(s.Allocs), 1)
-		workX := float64(s.FullSolveFlows) / math.Max(float64(s.SolvedFlows), 1)
-		batchW := float64(s.BatchComponents) / math.Max(float64(s.Batches), 1)
+		avgComp := float64(st.SolvedFlows) / math.Max(float64(st.Allocs), 1)
+		workX := float64(st.FullSolveFlows) / math.Max(float64(st.SolvedFlows), 1)
+		batchW := float64(st.BatchComponents) / math.Max(float64(st.Batches), 1)
 		// Phase shares: where the play's wall time went, as a fraction
 		// of the profiled total (the laps tile it, so the shares account
 		// for essentially all of it; what the harness does between Steps
 		// — draw, route, admit, harvest — is in the loop phase).
-		ph := s.PhaseNanos
+		ph := st.PhaseNanos
 		total := math.Max(float64(hooks.Profiler.TotalNanos()), 1)
 		pct := func(p obs.Phase) float64 { return 100 * float64(ph[p]) / total }
-		fmt.Printf("%-6.2f %10.2f %10.2f %10.0f %12d %10d %9.1f %8d %8.1f %9.2f %6.1f%% %6.1f%% %6.1f%% %10v\n",
-			load, med, p95, rate, s.Events, s.Allocs, avgComp, s.MaxComponent, workX,
+		fmt.Fprintf(env, "%-6.2f %10.2f %10.2f %10.0f %12d %10d %9.1f %8d %8.1f %9.2f %6.1f%% %6.1f%% %6.1f%% %10v\n",
+			load, med, p95, rate, st.Events, st.Allocs, avgComp, st.MaxComponent, workX,
 			batchW,
 			pct(obs.PhaseFlood), pct(obs.PhaseSolve), pct(obs.PhaseComplete),
 			elapsed.Round(time.Millisecond))
@@ -115,11 +115,11 @@ func runLeapFCT(full bool, seed uint64) {
 				}
 				line += fmt.Sprintf(" %.0f%% %s", 100*ll.Share, tracer.LinkNameOrIndex(ll.Link))
 			}
-			fmt.Printf("%s (lost service of the %d slowest traced flows)\n", line, tailN)
+			fmt.Fprintf(env, "%s (lost service of the %d slowest traced flows)\n", line, tailN)
 		}
-		_ = tab.Append(load, med, p95, rate, float64(s.Events), float64(s.Allocs),
-			float64(s.SolvedFlows), float64(s.MaxComponent), float64(s.Elided), float64(s.FullSolveFlows),
-			float64(s.Batches),
+		_ = tab.Append(load, med, p95, rate, float64(st.Events), float64(st.Allocs),
+			float64(st.SolvedFlows), float64(st.MaxComponent), float64(st.Elided), float64(st.FullSolveFlows),
+			float64(st.Batches),
 			float64(ph[obs.PhaseAdmit]), float64(ph[obs.PhaseFlood]), float64(ph[obs.PhaseSolve]),
 			float64(ph[obs.PhaseResplice]), float64(ph[obs.PhaseComplete]), float64(ph[obs.PhaseDrain]),
 			// window_ns: no phase laps it any more; the column stays
@@ -127,5 +127,6 @@ func runLeapFCT(full bool, seed uint64) {
 			float64(ph[obs.PhaseLoop]), float64(ph[obs.PhaseWindow]),
 			p99, float64(tailN), tailLink, tailShare)
 	}
-	writeCSV("leapfct.csv", tab)
+	env.writeCSV("leapfct.csv", tab)
+	return nil
 }

@@ -1,4 +1,4 @@
-package main
+package paper
 
 import (
 	"fmt"
@@ -12,7 +12,7 @@ import (
 	"numfabric/internal/workload"
 )
 
-// runLeapFail is the fault-injection experiment: the leapfct workload
+// leapFail is the fault-injection experiment: the leapfct workload
 // (web-search Poisson on a k=8 fat-tree, FCT-min utility, leap engine)
 // run under a seeded random link-failure process, swept across failure
 // rates. Each failed link drops to zero capacity, stranding the flows
@@ -22,22 +22,21 @@ import (
 // capacity lost) next to the FCT distribution, with the zero-rate row
 // as the healthy baseline.
 //
-// With -faults the sweep is replaced by one run under the scripted
-// fault list (targets resolve against the fat-tree: linkN, hostN,
-// edgeP.E, aggP.A, coreC; a switch target fails every incident link),
-// which checkFlags has already parsed and expanded. Every run is
+// With env.Faults the sweep is replaced by one run under that
+// scripted list (already expanded against LeapFailTree: a switch
+// target fails every incident link). Every run is
 // harness.RunDynamicWith(EngineLeap, …) with DynamicConfig.Faults.
-func runLeapFail(full bool, seed uint64) {
+func leapFail(env Env, s Scale, seed uint64) Metrics {
 	nflows, load := 10000, 0.3
 	failRates := []float64{0, 20, 60, 200} // link failures per second
-	if full {
+	if s == Full {
 		nflows = 100000
 		failRates = []float64{0, 20, 60}
 	}
 	const meanDowntime = 5 * sim.Millisecond
-	fmt.Printf("leap fault injection: k=%d fat-tree, websearch load %.2f, %d flows, mean downtime %v\n",
-		leapFailTree().K, load, nflows, meanDowntime)
-	fmt.Printf("%-10s %7s %8s %8s %8s %9s %10s %9s %8s %8s %6s %9s\n",
+	fmt.Fprintf(env, "leap fault injection: k=%d fat-tree, websearch load %.2f, %d flows, mean downtime %v\n",
+		LeapFailTree().K, load, nflows, meanDowntime)
+	fmt.Fprintf(env, "%-10s %7s %8s %8s %8s %9s %10s %9s %8s %8s %6s %9s\n",
 		"failrate", "faults", "stranded", "resumed", "ttr(ms)", "strand(s)", "lost(Gb·s)", "allocs", "medNorm", "p95Norm", "unfin", "wall")
 	tab := trace.NewTable("fail_rate", "faults", "links_down", "stranded", "resumed",
 		"time_to_recover_s", "stranded_s", "capacity_lost_bit_s", "allocs",
@@ -48,8 +47,8 @@ func runLeapFail(full bool, seed uint64) {
 	run := func(label string, rate float64, faults func(lastArrival sim.Time) []workload.Fault) {
 		// A fresh fat-tree per run: faults mutate its capacities in
 		// place, and permanent failures leave links dead.
-		ft := leapFailTree()
-		hooks := cliObs
+		ft := LeapFailTree()
+		hooks := env.Obs
 		if tracer := hooks.FlowTrace; tracer != nil {
 			tracer.Reset()
 			// LinkLabel annotates links that end the run dead.
@@ -58,29 +57,29 @@ func runLeapFail(full bool, seed uint64) {
 		cfg := fatTreeFCTMin(ft, load, nflows, seed, hooks)
 		cfg.Faults = faults
 		res := harness.RunDynamicWith(harness.EngineLeap, cfg)
-		s, norm := res.LeapStats, stats.Summarize(res.Slowdowns())
+		st, norm := res.LeapStats, stats.Summarize(res.Slowdowns())
 		// Mean time stranded flows spent at rate zero before resuming —
 		// the flow-level time-to-recover.
 		ttr := 0.0
-		if s.Resumed > 0 {
-			ttr = s.StrandedSec / float64(s.Resumed)
+		if st.Resumed > 0 {
+			ttr = st.StrandedSec / float64(st.Resumed)
 		}
 		med, p95 := norm.Median, norm.P95
-		fmt.Printf("%-10s %7d %8d %8d %8.2f %9.4f %10.2f %9d %8.2f %8.2f %6d %9v\n",
-			label, s.Faults, s.Stranded, s.Resumed, ttr*1e3, s.StrandedSec,
-			s.CapacityLostBitSec/1e9, s.Allocs, med, p95, res.Unfinished,
+		fmt.Fprintf(env, "%-10s %7d %8d %8d %8.2f %9.4f %10.2f %9d %8.2f %8.2f %6d %9v\n",
+			label, st.Faults, st.Stranded, st.Resumed, ttr*1e3, st.StrandedSec,
+			st.CapacityLostBitSec/1e9, st.Allocs, med, p95, res.Unfinished,
 			res.RunWall.Round(time.Millisecond))
-		_ = tab.Append(rate, float64(s.Faults), float64(s.LinksDown), float64(s.Stranded),
-			float64(s.Resumed), ttr, s.StrandedSec, s.CapacityLostBitSec, float64(s.Allocs),
+		_ = tab.Append(rate, float64(st.Faults), float64(st.LinksDown), float64(st.Stranded),
+			float64(st.Resumed), ttr, st.StrandedSec, st.CapacityLostBitSec, float64(st.Allocs),
 			med, p95, float64(res.Unfinished))
 	}
 
-	if scriptedFaults != nil {
+	if env.Faults != nil {
 		// One run, one printed row; leapfail.csv is the sweep's.
-		run("scripted", 0, func(sim.Time) []workload.Fault { return scriptedFaults })
-		return
+		run("scripted", 0, func(sim.Time) []workload.Fault { return env.Faults })
+		return nil
 	}
-	links := leapFailTree().Net.Links()
+	links := LeapFailTree().Net.Links()
 	for _, rate := range failRates {
 		run(fmt.Sprintf("%.0f/s", rate), rate, func(last sim.Time) []workload.Fault {
 			return workload.FaultSchedule(workload.FaultConfig{
@@ -91,9 +90,10 @@ func runLeapFail(full bool, seed uint64) {
 			}, sim.NewRNG(seed+0x9e3779b9))
 		})
 	}
-	writeCSV("leapfail.csv", tab)
+	env.writeCSV("leapfail.csv", tab)
+	return nil
 }
 
-// leapFailTree builds the fabric leapfail runs on at either scale;
-// checkFlags resolves -faults targets against it.
-func leapFailTree() *fluid.FatTree { return fluid.NewFatTree(8, 10e9) }
+// LeapFailTree builds the fabric leapfail runs on at either scale;
+// a scripted fault list resolves its targets against it.
+func LeapFailTree() *fluid.FatTree { return fluid.NewFatTree(8, 10e9) }
