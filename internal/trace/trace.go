@@ -1,170 +1,23 @@
-// Package trace records time series from running simulations (flow
-// rates, link utilizations, queue depths, prices) and exports them as
-// CSV or JSON for plotting. The experiment CLI uses it to dump the
-// series behind each figure.
+// Package trace holds the result tables behind the paper's figures
+// (a CDF, a sweep, a time series: named columns of float64 rows) and
+// writes them as CSV for plotting; internal/paper's experiments write
+// one per figure when given a directory.
 package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
-	"numfabric/internal/netsim"
-	"numfabric/internal/sim"
 	"numfabric/internal/stats"
 )
 
-// Series is one named time series.
-type Series struct {
-	Name   string    `json:"name"`
-	Times  []float64 `json:"times"`  // seconds
-	Values []float64 `json:"values"` // unit depends on the recorder
-}
-
-// Recorder samples a set of probes on a fixed period and accumulates
-// one Series per probe.
-type Recorder struct {
-	eng    *sim.Engine
-	period sim.Duration
-	probes []probe
-	series []*Series
-	cancel func()
-}
-
-type probe struct {
-	name string
-	fn   func(now sim.Time) float64
-}
-
-// NewRecorder creates a recorder sampling every period. Call Start
-// after adding probes.
-func NewRecorder(eng *sim.Engine, period sim.Duration) *Recorder {
-	if period <= 0 {
-		period = 100 * sim.Microsecond
-	}
-	return &Recorder{eng: eng, period: period}
-}
-
-// Probe registers a named sampling function.
-func (r *Recorder) Probe(name string, fn func(now sim.Time) float64) {
-	r.probes = append(r.probes, probe{name: name, fn: fn})
-}
-
-// FlowRate registers a probe of a flow's metered receive rate
-// (bits/second). The flow must have a Meter.
-func (r *Recorder) FlowRate(name string, f *netsim.Flow) {
-	m := f.Meter
-	r.Probe(name, func(now sim.Time) float64 {
-		if m == nil {
-			return 0
-		}
-		return m.RateAt(now)
-	})
-}
-
-// QueueDepth registers a probe of a port's queue occupancy in bytes.
-func (r *Recorder) QueueDepth(name string, p *netsim.Port) {
-	r.Probe(name, func(sim.Time) float64 { return float64(p.Q.Bytes()) })
-}
-
-// Start begins sampling; it stops when Stop is called or the engine
-// runs out of events.
-func (r *Recorder) Start() {
-	if r.cancel != nil {
-		return
-	}
-	r.series = make([]*Series, len(r.probes))
-	for i, p := range r.probes {
-		r.series[i] = &Series{Name: p.name}
-	}
-	r.cancel = r.eng.Every(r.eng.Now().Add(r.period), r.period, func() {
-		now := r.eng.Now()
-		t := now.Seconds()
-		for i, p := range r.probes {
-			r.series[i].Times = append(r.series[i].Times, t)
-			r.series[i].Values = append(r.series[i].Values, p.fn(now))
-		}
-	})
-}
-
-// Stop halts sampling.
-func (r *Recorder) Stop() {
-	if r.cancel != nil {
-		r.cancel()
-		r.cancel = nil
-	}
-}
-
-// Series returns the recorded series (valid after Start).
-func (r *Recorder) Series() []*Series {
-	out := make([]*Series, len(r.series))
-	copy(out, r.series)
-	return out
-}
-
-// WriteCSV emits all series as one CSV table: a time column followed
-// by one column per series. Series are assumed to share the sampling
-// grid (true for a single Recorder).
-func (r *Recorder) WriteCSV(w io.Writer) error {
-	return WriteCSV(w, r.Series())
-}
-
-// WriteCSV writes series sharing a common time base as CSV.
-func WriteCSV(w io.Writer, series []*Series) error {
-	if len(series) == 0 {
-		return nil
-	}
-	cw := csv.NewWriter(w)
-	header := []string{"time_s"}
-	for _, s := range series {
-		header = append(header, s.Name)
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	n := 0
-	for _, s := range series {
-		if len(s.Times) > n {
-			n = len(s.Times)
-		}
-	}
-	row := make([]string, len(series)+1)
-	for i := 0; i < n; i++ {
-		if i < len(series[0].Times) {
-			row[0] = strconv.FormatFloat(series[0].Times[i], 'g', 10, 64)
-		} else {
-			row[0] = ""
-		}
-		for j, s := range series {
-			if i < len(s.Values) {
-				row[j+1] = strconv.FormatFloat(s.Values[i], 'g', 10, 64)
-			} else {
-				row[j+1] = ""
-			}
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteJSON emits the series as a JSON array.
-func WriteJSON(w io.Writer, series []*Series) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(series)
-}
-
-// Table is a simple column-oriented result table (for non-time-series
-// outputs like the Figure 5 bins or the Figure 4a CDF).
+// Table is a result table: named columns, one float64 per column in
+// each row.
 type Table struct {
-	Columns []string    `json:"columns"`
-	Rows    [][]float64 `json:"rows"`
+	Columns []string
+	Rows    [][]float64
 }
 
 // NewTable creates a table with the given column names.
@@ -176,22 +29,6 @@ func (t *Table) Append(row ...float64) error {
 		return fmt.Errorf("trace: row has %d values, table has %d columns", len(row), len(t.Columns))
 	}
 	t.Rows = append(t.Rows, append([]float64(nil), row...))
-	return nil
-}
-
-// SortBy sorts rows ascending by the named column.
-func (t *Table) SortBy(column string) error {
-	idx := -1
-	for i, c := range t.Columns {
-		if c == column {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return fmt.Errorf("trace: no column %q", column)
-	}
-	sort.SliceStable(t.Rows, func(i, j int) bool { return t.Rows[i][idx] < t.Rows[j][idx] })
 	return nil
 }
 

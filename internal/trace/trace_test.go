@@ -3,69 +3,18 @@ package trace
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"strings"
 	"testing"
 
-	"numfabric/internal/sim"
 	"numfabric/internal/stats"
 )
 
-func TestRecorderSamplesProbes(t *testing.T) {
-	eng := sim.NewEngine()
-	r := NewRecorder(eng, 10*sim.Microsecond)
-	calls := 0
-	r.Probe("counter", func(now sim.Time) float64 {
-		calls++
-		return float64(calls)
-	})
-	r.Start()
-	// Keep the engine busy for 100us.
-	for i := 1; i <= 10; i++ {
-		eng.Schedule(sim.Time(i)*sim.Time(10*sim.Microsecond), func() {})
-	}
-	eng.Run(sim.Time(100 * sim.Microsecond))
-	r.Stop()
-	series := r.Series()
-	if len(series) != 1 {
-		t.Fatalf("series count = %d", len(series))
-	}
-	s := series[0]
-	if len(s.Times) < 9 || len(s.Times) != len(s.Values) {
-		t.Fatalf("samples = %d values = %d", len(s.Times), len(s.Values))
-	}
-	for i := 1; i < len(s.Times); i++ {
-		if s.Times[i] <= s.Times[i-1] {
-			t.Fatal("times not increasing")
-		}
-		if s.Values[i] != s.Values[i-1]+1 {
-			t.Fatal("probe not called once per sample")
-		}
-	}
-}
-
-func TestRecorderStop(t *testing.T) {
-	eng := sim.NewEngine()
-	r := NewRecorder(eng, 10*sim.Microsecond)
-	r.Probe("x", func(sim.Time) float64 { return 1 })
-	r.Start()
-	eng.Schedule(sim.Time(200*sim.Microsecond), func() {})
-	eng.Run(sim.Time(50 * sim.Microsecond))
-	n := len(r.Series()[0].Times)
-	r.Stop()
-	eng.Run(sim.Forever)
-	if got := len(r.Series()[0].Times); got != n {
-		t.Errorf("sampling continued after Stop: %d -> %d", n, got)
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
-	series := []*Series{
-		{Name: "a", Times: []float64{0.1, 0.2}, Values: []float64{1, 2}},
-		{Name: "b", Times: []float64{0.1, 0.2}, Values: []float64{3, 4}},
-	}
+	tab := NewTable("a", "b")
+	_ = tab.Append(1, 3)
+	_ = tab.Append(2, 1.0/3)
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, series); err != nil {
+	if err := tab.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := csv.NewReader(&buf).ReadAll()
@@ -75,36 +24,21 @@ func TestWriteCSV(t *testing.T) {
 	if len(recs) != 3 {
 		t.Fatalf("rows = %d", len(recs))
 	}
-	if strings.Join(recs[0], ",") != "time_s,a,b" {
+	if strings.Join(recs[0], ",") != "a,b" {
 		t.Errorf("header = %v", recs[0])
 	}
-	if recs[1][1] != "1" || recs[2][2] != "4" {
+	if recs[1][1] != "3" || recs[2][1] != "0.3333333333" {
 		t.Errorf("values wrong: %v", recs)
 	}
 }
 
 func TestWriteCSVEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, nil); err != nil {
+	if err := NewTable("x", "y").WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() != 0 {
-		t.Error("empty series should write nothing")
-	}
-}
-
-func TestWriteJSONRoundTrip(t *testing.T) {
-	series := []*Series{{Name: "x", Times: []float64{1}, Values: []float64{2}}}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, series); err != nil {
-		t.Fatal(err)
-	}
-	var back []*Series
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 1 || back[0].Name != "x" || back[0].Values[0] != 2 {
-		t.Errorf("round trip lost data: %+v", back)
+	if buf.String() != "x,y\n" {
+		t.Errorf("a table without rows wrote %q, want the header alone", buf.String())
 	}
 }
 
@@ -119,20 +53,11 @@ func TestTable(t *testing.T) {
 	if err := tab.Append(0.2); err == nil {
 		t.Error("short row accepted")
 	}
-	if err := tab.SortBy("load"); err != nil {
-		t.Fatal(err)
-	}
-	if tab.Rows[0][0] != 0.2 {
-		t.Errorf("not sorted: %v", tab.Rows)
-	}
-	if err := tab.SortBy("nope"); err == nil {
-		t.Error("unknown column accepted")
-	}
 	var buf bytes.Buffer
 	if err := tab.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(buf.String(), "load,fct\n0.2,1\n") {
+	if buf.String() != "load,fct\n0.4,1.2\n0.2,1\n" {
 		t.Errorf("csv = %q", buf.String())
 	}
 }
