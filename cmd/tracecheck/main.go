@@ -1,5 +1,5 @@
 // Command tracecheck validates a Chrome-trace timeline written by
-// -trace-out (obs.Tracer.WriteFile): it checks the JSON parses, the
+// -trace-out (obs.Tracer.Write): it checks the JSON parses, the
 // events carry the fields chrome://tracing and Perfetto require, and
 // the spans the leap engine is supposed to emit — component "solve"
 // spans and, per reallocation instant, "batch" spans — are actually

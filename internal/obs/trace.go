@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 )
 
 // span is one completed timeline interval on a track.
@@ -189,17 +188,4 @@ func (t *Tracer) Write(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
-}
-
-// WriteFile exports the trace to path.
-func (t *Tracer) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

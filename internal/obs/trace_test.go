@@ -120,18 +120,3 @@ func TestTracerCapAndDrops(t *testing.T) {
 		t.Error("trace with drops should carry a dropped_spans marker")
 	}
 }
-
-func TestTracerWriteFile(t *testing.T) {
-	tr := NewTracer()
-	tr.EnsureTracks(1)
-	tr.Span(0, "batch", tr.Clock(), 1)
-	path := t.TempDir() + "/trace.json"
-	if err := tr.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	decodeTrace(t, buf.Bytes())
-}
