@@ -38,10 +38,8 @@ func (a *XWI) Prime(net *Network) {
 // Worker returns a.
 func (a *XWI) Worker() SubsetAllocator { return a }
 
-// Prime sizes the per-link price vector: zeros, as Oracle.Prime does.
-// A cold price of 1 (XWI's) never comes down under DGD, whose steps
-// scale with the marginal at line rate (≈ 1e-10 at 10 Gb/s): flows
-// sharing a link would crawl at a fraction of a bit per second.
+// Prime sizes the per-link price vector at zero: DGD's steps scale with
+// the line-rate marginal (≈ 1e-10), so XWI's cold price of 1 would stay.
 func (a *DGD) Prime(net *Network) {
 	if len(a.price) != net.Links() {
 		a.price = make([]float64, net.Links())
