@@ -188,16 +188,16 @@ func ablations(env Env, s Scale, seed uint64) Metrics {
 	fmt.Fprintln(env, "Design-choice ablations (NUMFabric semi-dynamic convergence, packet engine); times in ms:")
 	fmt.Fprintf(env, "%-12s %8s %12s\n", "variant", "median", "unconverged")
 	variants := []struct {
-		names  []string
+		name   string
 		mutate func(*harness.SemiDynamicConfig)
 	}{
-		{[]string{"pairs", "stfq", "beta50", "eta5"}, func(*harness.SemiDynamicConfig) {}},
-		{[]string{"all-gaps"}, func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.DisablePairProbing = true }},
-		{[]string{"multiqueue8"}, func(c *harness.SemiDynamicConfig) { c.Scheme.UseMultiQueue, c.Scheme.MultiQueueBands = true, 8 }},
-		{[]string{"beta1"}, func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.Beta = 0.01 }},
-		{[]string{"beta90"}, func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.Beta = 0.9 }},
-		{[]string{"eta1"}, func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.Eta = 1 }},
-		{[]string{"eta20"}, func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.Eta = 20 }},
+		{"shipped", func(*harness.SemiDynamicConfig) {}},
+		{"all-gaps", func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.DisablePairProbing = true }},
+		{"multiqueue8", func(c *harness.SemiDynamicConfig) { c.Scheme.UseMultiQueue, c.Scheme.MultiQueueBands = true, 8 }},
+		{"beta1", func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.Beta = 0.01 }},
+		{"beta90", func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.Beta = 0.9 }},
+		{"eta1", func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.Eta = 1 }},
+		{"eta20", func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.Eta = 20 }},
 	}
 	m := Metrics{}
 	for _, v := range variants {
@@ -207,12 +207,12 @@ func ablations(env Env, s Scale, seed uint64) Metrics {
 		}
 		v.mutate(&cfg)
 		res := harness.RunSemiDynamicWith(harness.EnginePacket, cfg)
-		label := v.names[0]
-		if len(v.names) > 1 {
-			label = "shipped"
+		fmt.Fprintf(env, "%-12s %8.3f %8d/%d\n", v.name, res.Median()*1e3, res.Unconverged, res.Events)
+		names := []string{v.name}
+		if v.name == "shipped" {
+			names = []string{"pairs", "stfq", "beta50", "eta5"}
 		}
-		fmt.Fprintf(env, "%-12s %8.3f %8d/%d\n", label, res.Median()*1e3, res.Unconverged, res.Events)
-		for _, name := range v.names {
+		for _, name := range names {
 			m[name+"/median-ms"] = res.Median() * 1e3
 			m[name+"/unconverged"] = float64(res.Unconverged)
 		}
