@@ -180,16 +180,18 @@ func BenchmarkDGDSolve(b *testing.B) {
 // themselves go through leap's per-component AllocateSubset): the
 // core.Problem rebuilt and oracle.Solve'd per call, warm-started from
 // the previous call's prices, alternating between the component and the
-// component less its last flow.
+// component less its last flow. The flows=N rows are kernelComponent's
+// chains, which the xWI iteration solves; the star/flows=N rows are N
+// FCT-min flows sharing one source uplink, each on to a downlink of its
+// own, which oracle.Solve takes in closed form.
 func BenchmarkOracleSolve(b *testing.B) {
-	ft := NewFatTree(8, 10e9)
-	for _, n := range kernelSizes {
-		flows := kernelComponent(ft, n, core.ProportionalFair())
-		b.Run(fmt.Sprintf("flows=%d", n), func(b *testing.B) {
+	row := func(name string, net *Network, flows []*Flow) {
+		n := len(flows)
+		b.Run(fmt.Sprintf(name, n), func(b *testing.B) {
 			o := &Oracle{MaxIter: 1500}
 			rates := make([]float64, n)
-			o.Allocate(ft.Net, flows, rates)
-			o.Allocate(ft.Net, flows[:n-1], rates)
+			o.Allocate(net, flows, rates)
+			o.Allocate(net, flows[:n-1], rates)
 			start := o.SolveIters()
 			var flowIters int64
 			b.ReportAllocs()
@@ -197,11 +199,27 @@ func BenchmarkOracleSolve(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sub := flows[:n-i%2]
 				before := o.SolveIters()
-				o.Allocate(ft.Net, sub, rates)
+				o.Allocate(net, sub, rates)
 				flowIters += (o.SolveIters() - before) * int64(len(sub))
 			}
 			reportPerFlowIter(b, flowIters)
 			b.ReportMetric(float64(o.SolveIters()-start)/float64(b.N), "iters/op")
 		})
+	}
+	ft := NewFatTree(8, 10e9)
+	for _, n := range kernelSizes {
+		row("flows=%d", ft.Net, kernelComponent(ft, n, core.ProportionalFair()))
+	}
+	for _, n := range kernelSizes {
+		capacity := make([]float64, n+1)
+		flows := make([]*Flow, n)
+		rng := sim.NewRNG(uint64(n) + 2)
+		for i := range flows {
+			capacity[i+1] = 10e9
+			size := int64(1e3 * math.Pow(1e6, rng.Float64()))
+			flows[i] = NewFlow(i, []int{0, i + 1}, core.FCTMin(size, 0.125), size, 0)
+		}
+		capacity[0] = 10e9
+		row("star/flows=%d", NewNetwork(capacity), flows)
 	}
 }

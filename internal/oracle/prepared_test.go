@@ -386,4 +386,16 @@ func TestKernelsAllocateNothingPerIteration(t *testing.T) {
 	if n := testing.AllocsPerRun(5, func() { ws.Solve(p, SolveOptions{MaxIter: 50}) }); n != 0 {
 		t.Errorf("a warm SolveWorkspace allocates %v times per solve, want 0", n)
 	}
+	star := core.NewProblem(make([]float64, 9))
+	for i := range 8 {
+		star.Capacity[i+1] = 10 * gbps
+		star.AddFlow([]int{0, i + 1}, core.FCTMin(int64(1000*(i+1)), 0.125))
+	}
+	star.Capacity[0] = 10 * gbps
+	if res := ws.Solve(star, SolveOptions{}); res.Iterations != 1 {
+		t.Fatalf("the star took %d iterations, want the closed form", res.Iterations)
+	}
+	if n := testing.AllocsPerRun(5, func() { ws.Solve(star, SolveOptions{}) }); n != 0 {
+		t.Errorf("a warm star Solve allocates %v times, want 0", n)
+	}
 }

@@ -17,7 +17,8 @@ import (
 // the leap engine with &fluid.Oracle{MaxIter: 1500} as
 // harness.FluidIdealFCTs plays them — by problem shape (singleton,
 // star, other), with the iterations each shape takes and the laminar
-// share of the others. -v logs them.
+// share of the others. Every star must take the closed form, one
+// iteration. -v logs them.
 func TestOracleIdealShapes(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		cfg := harness.DefaultDynamic(harness.NUMFabric, workload.WebSearch(), 0.05)
@@ -34,6 +35,9 @@ func TestOracleIdealShapes(t *testing.T) {
 		t.Logf("seed %d: %v", seed, s)
 		if s.Solves[oracle.ShapeStar] == 0 || s.Solves[oracle.ShapeOther] == 0 {
 			t.Fatalf("seed %d: %v: the play no longer exercises both shapes", seed, s)
+		}
+		if s.Iters[oracle.ShapeStar] != s.Solves[oracle.ShapeStar] {
+			t.Errorf("seed %d: %v: a star took the iteration", seed, s)
 		}
 	}
 }
