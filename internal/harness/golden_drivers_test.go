@@ -26,7 +26,8 @@ func addAll(fp fingerprint, xs []float64) {
 // flows at load 0.4) on the packet and epoch engines: every record's
 // FCT, the epoch run's Oracle ideals, and the unfinished count. The
 // epoch cell was regenerated when the ideals moved onto the leap
-// engine (TestGoldenDynamicLeap); its FCTs kept their bits.
+// engine (TestGoldenDynamicLeap) and when the Oracle began solving stars
+// in closed form; both times its FCTs kept their bits.
 func TestGoldenDriversDynamic(t *testing.T) {
 	cases := []struct {
 		eng        Engine
@@ -35,7 +36,7 @@ func TestGoldenDriversDynamic(t *testing.T) {
 		unfinished int
 	}{
 		{EnginePacket, false, "3271fb89bff58edf", 0},
-		{EngineFluid, true, "a4cb97c2d15fedfc", 0},
+		{EngineFluid, true, "4b7e4fc5bd6d8e6e", 0},
 	}
 	for _, c := range cases {
 		t.Run(c.eng.String(), func(t *testing.T) {
