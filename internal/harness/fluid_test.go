@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -225,6 +226,30 @@ func TestParseEngineHostileInput(t *testing.T) {
 		got, err := ParseEngine(s)
 		if err == nil || got != 0 || !strings.Contains(err.Error(), fmt.Sprintf("unknown engine %q", s)) {
 			t.Errorf("ParseEngine(%q) = %v, %v; want the unknown-engine error", s, got, err)
+		}
+	}
+}
+
+// TestAppendRouteMatchesRoute: the leaf-spine fabric's appendRoute, what
+// playArrivals routes every arrival with, appends exactly the link ids
+// of Route's forward path, for every host pair and spine pick of
+// ScaledTopology (a pick past the spine count wraps, as in Route).
+func TestAppendRouteMatchesRoute(t *testing.T) {
+	topo := NewFluidTopology(ScaledTopology())
+	buf := []int{-1}
+	for src := range topo.Hosts {
+		for dst := range topo.Hosts {
+			if src == dst {
+				continue
+			}
+			for pick := 0; pick <= len(topo.Spines); pick++ {
+				fwd, _ := topo.Route(src, dst, pick)
+				want := PathLinkIDs(fwd)
+				got := topo.appendRoute(buf[:1], src, dst, pick)
+				if got[0] != -1 || !slices.Equal(got[1:], want) {
+					t.Fatalf("appendRoute(%d, %d, %d) = %v after the buffer's -1, want %v", src, dst, pick, got[1:], want)
+				}
+			}
 		}
 	}
 }
