@@ -207,9 +207,19 @@ func (t *Topology) hostLink() sim.BitRate   { return t.hostRate }
 func (t *Topology) fanOut() int             { return len(t.Spines) }
 func (t *Topology) network() *fluid.Network { return FluidNetwork(t) }
 
+// appendRoute appends the link ids of Route's forward path, building
+// neither port slice.
 func (t *Topology) appendRoute(buf []int, src, dst, pick int) []int {
-	fwd, _ := t.Route(src, dst, pick)
-	return AppendPathLinkIDs(buf, fwd)
+	if src == dst {
+		panic("harness: flow to self")
+	}
+	hs, hd := t.Hosts[src], t.Hosts[dst]
+	ls, ld := t.LeafOf(src), t.LeafOf(dst)
+	if ls == ld {
+		return append(buf, t.Port(hs, ls).LinkID, t.Port(ls, hd).LinkID)
+	}
+	sp := t.Spines[pick%len(t.Spines)]
+	return append(buf, t.Port(hs, ls).LinkID, t.Port(ls, sp).LinkID, t.Port(sp, ld).LinkID, t.Port(ld, hd).LinkID)
 }
 
 // fatTree is a fluid.FatTree as a fabric. Its network is the tree's
