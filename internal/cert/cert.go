@@ -1,8 +1,10 @@
 // Package cert certifies a bandwidth allocation against the NUM problem
 // it claims to solve (Eq. 1: maximize Σ_g U_g(Σ_{i∈g} x_i) subject to
 // R·x ≤ c, x ≥ 0), from the problem and the claimed rates and link
-// prices alone. It imports no solver: what it reads is a core.Problem —
-// capacities, paths, group membership, utilities — and two vectors.
+// prices alone — or, for a max-min allocator, against weighted max-min
+// fairness (MaxMin), from the rates and the flows' weights. It imports
+// no solver: what it reads is a core.Problem — capacities, paths, group
+// membership, utilities — and two vectors.
 //
 // Each check returns the worst relative violation it finds, a number and
 // not a verdict, so every allocator states its own tolerance: 0 is exact,
@@ -56,6 +58,46 @@ func Feasibility(p *core.Problem, x []float64) float64 {
 		} else {
 			worst = max(worst, y/scale)
 		}
+	}
+	return worst
+}
+
+// MaxMin returns the worst relative violation of weighted max-min
+// fairness by rates x under weights w (one per flow, finite and > 0):
+// the primal constraints as Feasibility reads them, and the bottleneck
+// certificate — every flow crosses a saturated link on which its
+// rate/weight is maximal. On link l a flow f falls short by the larger
+// of l's slack (c − load)/c (none on a dead link) and f's rate/weight
+// below the largest on l, relative to that largest; f's violation is its
+// least shortfall over its path, +Inf for an empty path.
+func MaxMin(p *core.Problem, w, x []float64) float64 {
+	worst := Feasibility(p, x)
+	if len(w) != len(x) || math.IsInf(worst, 1) {
+		return math.Inf(1)
+	}
+	load := LinkLoads(p, x)
+	top := make([]float64, len(p.Capacity))
+	for i, f := range p.Flows {
+		if !(w[i] > 0) || math.IsInf(w[i], 1) {
+			return math.Inf(1)
+		}
+		for _, l := range f.Links {
+			top[l] = max(top[l], x[i]/w[i])
+		}
+	}
+	for i, f := range p.Flows {
+		least := math.Inf(1)
+		for _, l := range f.Links {
+			v := 0.0
+			if c := p.Capacity[l]; c > 0 {
+				v = (c - load[l]) / c
+			}
+			if t := top[l]; t > 0 {
+				v = max(v, (t-x[i]/w[i])/t)
+			}
+			least = min(least, v)
+		}
+		worst = max(worst, least)
 	}
 	return worst
 }

@@ -153,3 +153,36 @@ func TestKKTDeadLinkAndIdleMember(t *testing.T) {
 		t.Errorf("idle member on a free path: KKT %g, want 1", v)
 	}
 }
+
+// TestMaxMin: a weighted parking lot — flow 0 (weight 1) across both
+// links, flow 1 (weight 2) on the 9 Gb/s link, flow 2 (weight 1) on the
+// 10 Gb/s one — is max-min fair at 3, 6 and 7 Gb/s (the narrow link
+// binds flows 0 and 1 at rate/weight 3, flow 2 takes the rest), and a
+// flow behind a dead link at 0. Each departure is a number: a link left
+// slack, a flow below the largest rate/weight on every link it crosses,
+// an overload, a bad weight or length.
+func TestMaxMin(t *testing.T) {
+	p := core.NewProblem([]float64{9e9, 10e9, 0})
+	pf := core.ProportionalFair()
+	p.AddFlow([]int{0, 1}, pf)
+	p.AddFlow([]int{0}, pf)
+	p.AddFlow([]int{1}, pf)
+	p.AddFlow([]int{2, 1}, pf)
+	w := []float64{1, 2, 1, 1}
+	for _, c := range []struct {
+		name string
+		w, x []float64
+		want float64
+	}{
+		{"fair", w, []float64{3e9, 6e9, 7e9, 0}, 0},
+		{"flow 2 leaves 1 Gb/s", w, []float64{3e9, 6e9, 6e9, 0}, 0.1},
+		{"flow 0 shortchanged", w, []float64{2.7e9, 6.3e9, 7e9, 0}, 0.45 / 3.15},
+		{"narrow link 1% over", w, []float64{3.03e9, 6.06e9, 6.97e9, 0}, 0.01},
+		{"zero weight", []float64{1, 0, 1, 1}, []float64{3e9, 6e9, 7e9, 0}, math.Inf(1)},
+		{"too few weights", w[:3], []float64{3e9, 6e9, 7e9, 0}, math.Inf(1)},
+	} {
+		if got := MaxMin(p, c.w, c.x); math.Abs(got-c.want) > 1e-12 && got != c.want {
+			t.Errorf("%s: %g, want %g", c.name, got, c.want)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"numfabric/internal/cert"
 	"numfabric/internal/core"
 	"numfabric/internal/obs"
 	"numfabric/internal/obs/obstest"
@@ -142,7 +143,8 @@ func TestDGDGolden(t *testing.T) {
 }
 
 // TestWaterFillGolden: WaterFill reproduces the oracle's exact
-// weighted max-min (its reference optimum) immediately.
+// weighted max-min (its reference optimum) immediately, and
+// internal/cert certifies it max-min fair.
 func TestWaterFillGolden(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -171,6 +173,9 @@ func TestWaterFillGolden(t *testing.T) {
 				got[i] = f.Rate
 			}
 			assertWithin(t, c.name, got, want, 1e-9)
+			if v := maxMinViolation(net, flows, got); v > 1e-12 {
+				t.Errorf("%s: max-min certificate violated by %.3g", c.name, v)
+			}
 		})
 	}
 }
@@ -467,4 +472,19 @@ func TestSweepDeterministic(t *testing.T) {
 	if same == len(other) {
 		t.Fatal("different master seeds produced identical streams")
 	}
+}
+
+// maxMinViolation is cert.MaxMin of the flows' rates, each flow weighted
+// as WaterFill weighs it (Weight, or 1 when unset).
+func maxMinViolation(net *Network, flows []*Flow, rates []float64) float64 {
+	p := core.NewProblem(net.Capacity)
+	w := make([]float64, len(flows))
+	for i, f := range flows {
+		p.AddFlow(f.Links, f.U)
+		w[i] = f.Weight
+		if w[i] <= 0 {
+			w[i] = 1
+		}
+	}
+	return cert.MaxMin(p, w, rates)
 }

@@ -35,6 +35,9 @@ func TestWaterFillSubsetMatchesFull(t *testing.T) {
 	all := append(append([]*Flow{}, a...), b...)
 	full := make([]float64, len(all))
 	NewWaterFill().Allocate(net, all, full)
+	if v := maxMinViolation(net, all, full); v > 1e-12 {
+		t.Errorf("the joint solve misses the max-min certificate by %.3g", v)
+	}
 
 	w := NewWaterFill()
 	ra := make([]float64, len(a))

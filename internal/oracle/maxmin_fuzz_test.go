@@ -1,8 +1,11 @@
 package oracle
 
 import (
+	"slices"
 	"testing"
 
+	"numfabric/internal/cert"
+	"numfabric/internal/core"
 	"numfabric/internal/sim"
 )
 
@@ -13,7 +16,8 @@ import (
 // than once, and 1–4 Fills per Prepare with weights from {−1, 0, 0.5,
 // 1, 2, 3} (so weights ≤ 0 and exact ties are common). Two problems
 // share one workspace, so the second Prepare starts from the first's
-// leftovers.
+// leftovers. A fill with every weight > 0 must also pass cert.MaxMin
+// within 1e-12.
 func FuzzPreparedFill(f *testing.F) {
 	f.Add([]byte{4, 3, 0, 1, 1, 2, 2, 0, 1, 2, 3, 2, 1, 0, 3, 1, 2, 3, 4, 5})
 	f.Add([]byte{8, 1, 1, 1, 1, 1, 1, 1, 1, 4, 4, 0, 1, 2, 3, 3, 0, 2, 1, 3, 2, 4, 5, 6, 7, 2, 2, 3})
@@ -63,7 +67,29 @@ func FuzzPreparedFill(f *testing.F) {
 					t.Fatalf("problem %d: capacity %v paths %v weights %v: Fill %v, one-shot %v",
 						problem, capacity, paths, w, x, want)
 				}
+				if v := maxMinCert(capacity, paths, w, x); v > 1e-12 && !slices.ContainsFunc(w, func(w float64) bool { return w <= 0 }) {
+					t.Fatalf("problem %d: capacity %v paths %v weights %v: rates %v miss the max-min certificate by %.3g",
+						problem, capacity, paths, w, x, v)
+				}
 			}
 		}
 	})
+}
+
+// maxMinCert is cert.MaxMin of rates x filled under weights w, each
+// weight ≤ 0 read as the fill reads it (1e-12). The fuzz target holds
+// only fills with every weight > 0 to it: next to a weight of 1e-12 the
+// fill's running weight sums cancel (3 + 1e-12 − 3 keeps four digits),
+// which the certificate reads as a shortfall near 1e-4.
+func maxMinCert(capacity []float64, paths [][]int, w, x []float64) float64 {
+	p := core.NewProblem(capacity)
+	eff := make([]float64, len(w))
+	for i, pth := range paths {
+		p.AddFlow(pth, core.ProportionalFair())
+		eff[i] = w[i]
+		if eff[i] <= 0 {
+			eff[i] = 1e-12
+		}
+	}
+	return cert.MaxMin(p, eff, x)
 }
