@@ -45,6 +45,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -163,6 +164,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	// The debug server's address is bound now, so one that cannot be
+	// listened on stops the run before any output file is created.
+	var debugLn net.Listener
+	if *debugAddr != "" {
+		if debugLn, err = net.Listen("tcp", *debugAddr); err != nil {
+			fmt.Fprintf(os.Stderr, "-debug-addr: %v\n", err)
+			os.Exit(2)
+		}
+	}
 	// The files the run writes at its end are created now, so a path that
 	// cannot be written stops it before the first experiment.
 	traceFile := createOutput("-trace-out", *traceOut)
@@ -212,14 +222,10 @@ func main() {
 		if *ftOut != "" || *debugAddr != "" {
 			cliObs.FlowTrace = obs.NewFlowTracer(ftCfg)
 		}
-		if *debugAddr != "" {
-			ln, err := obs.Serve(*debugAddr, cliObs.Live, cliObs.FlowTrace)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			defer ln.Close()
-			fmt.Printf("debug server on http://%s (/metrics, /progress, /flows, /links, /debug/pprof)\n", ln.Addr())
+		if debugLn != nil {
+			obs.Serve(debugLn, cliObs.Live, cliObs.FlowTrace)
+			defer debugLn.Close()
+			fmt.Printf("debug server on http://%s (/metrics, /progress, /flows, /links, /debug/pprof)\n", debugLn.Addr())
 			if *debugHold > 0 {
 				defer func() {
 					fmt.Printf("holding debug server for %v\n", *debugHold)

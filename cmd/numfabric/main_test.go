@@ -34,11 +34,14 @@ func buildBinary(t *testing.T) string {
 // under "-experiment all" every experiment before leapfail). So is an
 // output file that cannot be created, which used to be reported only
 // after every experiment had run, with exit status 0 (an -out or
-// -cpuprofile path: exit status 1).
+// -cpuprofile path: exit status 1), and a -debug-addr that cannot be
+// listened on, which exited 1 and left an empty -trace-out file behind
+// (now it leaves none).
 func TestUnknownFlagValuesExitBeforeRunning(t *testing.T) {
 	bin := buildBinary(t)
 	missing := filepath.Join(t.TempDir(), "no-such-dir", "out")
 	notDir := filepath.Join(t.TempDir(), "file")
+	traceOut := filepath.Join(t.TempDir(), "trace.json")
 	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +73,8 @@ func TestUnknownFlagValuesExitBeforeRunning(t *testing.T) {
 		{"memprofile unwritable", []string{"-experiment", "table2", "-memprofile", missing}, "-memprofile: open " + missing},
 		{"cpuprofile unwritable", []string{"-experiment", "table2", "-cpuprofile", missing}, "-cpuprofile: open " + missing},
 		{"out unwritable", []string{"-experiment", "table2", "-out", filepath.Join(notDir, "csv")}, "-out: mkdir " + notDir},
+		{"debug addr without port", []string{"-experiment", "table2", "-debug-addr", "nonsense", "-trace-out", traceOut}, "-debug-addr: listen tcp: address nonsense: missing port"},
+		{"debug addr port out of range", []string{"-experiment", "table2", "-debug-addr", "127.0.0.1:99999"}, "-debug-addr: listen tcp: address 99999: invalid port"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -89,6 +94,9 @@ func TestUnknownFlagValuesExitBeforeRunning(t *testing.T) {
 			}
 			if strings.Contains(stdout.String(), "===") {
 				t.Errorf("an experiment started:\n%s", &stdout)
+			}
+			if _, err := os.Stat(traceOut); err == nil {
+				t.Errorf("%s left behind", traceOut)
 			}
 		})
 	}

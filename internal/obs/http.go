@@ -71,16 +71,10 @@ func Handler(live *Live, ft *FlowTracer) http.Handler {
 // flowsEndpointFrac is the slowest fraction its attribution covers.
 const flowsEndpointTop, flowsEndpointFrac = 50, 0.01
 
-// Serve starts the debug endpoint on addr (e.g. "localhost:6060") and
-// returns the bound listener so callers can report the actual port
-// (addr may use :0) and close it on shutdown. The server goroutine
-// exits when the listener closes.
-func Serve(addr string, live *Live, ft *FlowTracer) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: Handler(live, ft)}
-	go srv.Serve(ln)
-	return ln, nil
+// Serve serves the debug endpoint on ln until ln closes. The caller
+// opens the listener, so an address that cannot be listened on is
+// reported before anything else starts, and the bound port of a ":0"
+// address can be read off ln.
+func Serve(ln net.Listener, live *Live, ft *FlowTracer) {
+	go (&http.Server{Handler: Handler(live, ft)}).Serve(ln)
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -98,11 +99,12 @@ func TestDebugEndpointsNilBackends(t *testing.T) {
 }
 
 func TestServe(t *testing.T) {
-	ln, err := Serve("127.0.0.1:0", NewLive(), nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	Serve(ln, NewLive(), nil)
 	resp, err := http.Get("http://" + ln.Addr().String() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
