@@ -102,20 +102,15 @@ type SolveWorkspace struct {
 // Solve is Solve on the workspace's buffers. Result.Rates and
 // Result.Prices alias them: they are valid until the next Solve on
 // this workspace (passing the previous Prices back as InitPrices is
-// fine).
-//
-// Shape decides how: a star (see star) is solved exactly in closed
-// form, every other problem by the xWI iteration.
+// fine). A star is solved in closed form, anything else iterated.
 func (ws *SolveWorkspace) Solve(p *core.Problem, opts SolveOptions) Result {
 	opts = opts.withDefaults()
 	if len(p.Flows) == 0 {
 		return Result{Rates: nil, Prices: make([]float64, len(p.Capacity)), Converged: true}
 	}
 	fast := ws.prepare(p)
-	var res Result
-	if fast && len(ws.plan.Kernels) == 1 && ws.star(p) {
-		res = ws.closedForm(p)
-	} else {
+	res, star := ws.closedForm(p, fast)
+	if !star {
 		res = ws.iterate(p, opts, fast)
 	}
 	if solveProbe != nil {
@@ -124,10 +119,8 @@ func (ws *SolveWorkspace) Solve(p *core.Problem, opts SolveOptions) Result {
 	return res
 }
 
-// prepare does the work both paths share: the paths, the max-min
-// preparation — touched links, per-link flow counts, link → flow
-// adjacency, built once; iterations only re-fill under new weights —
-// and the utility plan, whose result it returns (core.AlphaPlan.Build).
+// prepare does what both paths need: the max-min preparation (touched
+// links, flow counts, adjacency) and the utility plan (Build's result).
 func (ws *SolveWorkspace) prepare(p *core.Problem) bool {
 	nf := len(p.Flows)
 	if cap(ws.paths) < nf {
@@ -141,74 +134,53 @@ func (ws *SolveWorkspace) prepare(p *core.Problem) bool {
 	return ws.plan.Build(len(p.Groups), func(g int) core.Utility { return p.Groups[g].U })
 }
 
-// star reports whether the prepared problem is one closedForm solves:
-// every group one flow on a non-empty path, and every link it touches
-// live (finite capacity > 0) and crossed by one of its flows or by all
-// of them — one flow alone included.
-func (ws *SolveWorkspace) star(p *core.Problem) bool {
-	nf := len(p.Flows)
-	for _, g := range p.Groups {
-		if len(g.Flows) != 1 || len(p.Flows[g.Flows[0]].Links) == 0 {
-			return false
-		}
-	}
-	for _, l := range ws.mm.used {
-		c, n := p.Capacity[l], ws.mm.activeCount[l]
-		if !(c > 0) || math.IsInf(c, 1) || (n != 1 && n != nf) {
-			return false
-		}
-	}
-	return true
-}
-
-// closedForm solves a star of one α exactly. Flow i of weight w_i takes
-// x_i = min(w_i·t, c_i): c_i is its private bottleneck (+Inf without
-// one), and t makes the rates fill C, the smallest capacity every flow
-// crosses; with no such link every flow takes c_i. The water-fill runs
-// in rounds, each capping the flows whose c_i lies at or below the
-// current level; capping only raises the level, so no cap is undone.
-// Levels are taken in weights scaled by the largest uncapped one: FCTMin
-// weights span 2^-1022 to MaxFloat64, where an unscaled rem/W overflows.
-//
-// The shared price is U′ of the heaviest uncapped flow (0 if every flow
-// is capped), on the first link of capacity C; a capped flow's first
-// private bottleneck prices U′(c_i) less that; every other link is 0,
-// what the iteration's final projection gives an unsaturated link.
-func (ws *SolveWorkspace) closedForm(p *core.Problem) Result {
+// closedForm solves the prepared p exactly if it is a star — every group
+// one flow on a non-empty path, one α, every touched link finite, > 0 and
+// crossed by one flow or by all — and reports whether it was. Flow i takes
+// min(w_i·t, c_i), c_i its private bottleneck, t filling C, the least
+// capacity all flows cross: rounds cap the flows with c_i at or below the
+// level (which only rises), in weights scaled by the heaviest uncapped one
+// (FCTMin's span 2^-1022 to MaxFloat64). Prices: U′ of that flow on C's
+// first link, U′(c_i) less that on a capped flow's first private
+// bottleneck, 0 elsewhere (as the iteration's projection leaves slack).
+func (ws *SolveWorkspace) closedForm(p *core.Problem, fast bool) (Result, bool) {
 	nf, mm, plan := len(p.Flows), &ws.mm, &ws.plan
+	if !fast || len(plan.Kernels) != 1 {
+		return Result{}, false
+	}
 	ws.weights, ws.x = growF(ws.weights, nf), growF(ws.x, nf)
-	// w[i] is flow i's weight while it is uncapped and 0 once x[i] is
-	// final; until then x[i] holds c_i.
+	// w[i]: flow i's weight while uncapped, 0 once x[i] is final (c_i until then).
 	w, x := ws.weights, ws.x
-	for i, f := range p.Flows {
-		w[i], x[i] = plan.W[f.Group], math.Inf(1)
+	for g, grp := range p.Groups {
+		if len(grp.Flows) != 1 || len(p.Flows[grp.Flows[0]].Links) == 0 {
+			return Result{}, false
+		}
+		w[grp.Flows[0]], x[grp.Flows[0]] = plan.W[g], math.Inf(1)
 	}
 	shared, rem := -1, math.Inf(1)
 	for s, l := range mm.used {
-		switch i, c := mm.linkFlows[mm.start[s]], p.Capacity[l]; {
-		case mm.activeCount[l] == nf:
-			if c < rem {
-				shared, rem = l, c
-			}
-		case c < x[i]:
+		switch c, n, i := p.Capacity[l], mm.activeCount[l], mm.linkFlows[mm.start[s]]; {
+		case !(c > 0) || math.IsInf(c, 1) || (n != 1 && n != nf):
+			return Result{}, false
+		case n == nf && c < rem:
+			shared, rem = l, c
+		case n < nf && c < x[i]:
 			x[i] = c
 		}
 	}
 	if shared < 0 {
 		clear(w)
 	}
-	// m and level end as the largest uncapped weight and its rate, or m
-	// = 0 when every flow is capped.
-	var m, level float64
-	for {
-		m = 0
+	var m, level float64 // the heaviest uncapped weight (0: none) and its rate
+	for capped := true; capped; {
+		m, capped = 0, false
 		for _, wi := range w {
 			m = max(m, wi)
 		}
 		if m == 0 {
 			break
 		}
-		sum, capped := 0.0, false
+		sum := 0.0
 		for _, wi := range w {
 			sum += wi / m
 		}
@@ -218,16 +190,7 @@ func (ws *SolveWorkspace) closedForm(p *core.Problem) Result {
 				rem, w[i], capped = max(rem-x[i], 0), 0, true
 			}
 		}
-		if !capped {
-			for i, wi := range w {
-				if wi > 0 {
-					x[i] = wi / m * level
-				}
-			}
-			break
-		}
 	}
-
 	ws.price = growF(ws.price, len(p.Capacity))
 	price, k, q := ws.price, &plan.Kernels[0], 0.0
 	clear(price)
@@ -236,22 +199,24 @@ func (ws *SolveWorkspace) closedForm(p *core.Problem) Result {
 		price[shared] = q
 	}
 	for i, f := range p.Flows {
+		if w[i] > 0 {
+			x[i] = w[i] / m * level
+			continue
+		}
 		for _, l := range f.Links {
-			if w[i] == 0 && mm.activeCount[l] == 1 && p.Capacity[l] == x[i] {
+			if mm.activeCount[l] == 1 && p.Capacity[l] == x[i] {
 				price[l] = max(0, k.Marginal(plan.W[f.Group], x[i])-q)
 				break
 			}
 		}
 	}
-	return Result{Rates: x, Prices: price, Iterations: 1, Converged: true}
+	return Result{Rates: x, Prices: price, Iterations: 1, Converged: true}, true
 }
 
-// iterate is the xWI iteration on a prepared problem; fast is prepare's
-// result.
+// iterate is the xWI iteration; fast is prepare's result.
 func (ws *SolveWorkspace) iterate(p *core.Problem, opts SolveOptions, fast bool) Result {
 	nf, nl := len(p.Flows), len(p.Capacity)
-	paths := ws.paths[:nf]
-	touched := ws.mm.Links()
+	paths, touched := ws.paths[:nf], ws.mm.Links()
 
 	// The builtin max, not math.Max (an out-of-line call on amd64): the
 	// same results, NaN and ±0 included.
