@@ -55,17 +55,20 @@ func randomStar(rng *sim.RNG) (p *core.Problem, clamped bool) {
 		}
 	}
 	p = core.NewProblem(nil)
+	tie := 0.0 // flow 0's first private capacity
 	for i := range u {
 		path := []int{}
 		for np := rng.Intn(3); len(path) < np || (len(path) == 0 && nShared == 0); {
-			fair := C / float64(nf)
-			c := fair * (0.2 + 2*rng.Float64())
-			if i > 0 && rng.Intn(4) == 0 {
+			c := C / float64(nf) * (0.2 + 2*rng.Float64())
+			if tie > 0 && rng.Intn(4) == 0 {
 				// A tie in c_i/w_i with flow 0.
-				c = capacity[p.Flows[0].Links[0]] * u[i].EffectiveWeight() / u[0].EffectiveWeight()
+				c = tie * u[i].EffectiveWeight() / u[0].EffectiveWeight()
 				if !(c > 0) || math.IsInf(c, 1) {
 					continue
 				}
+			}
+			if i == 0 && tie == 0 {
+				tie = c
 			}
 			path = append(path, link(c))
 		}
