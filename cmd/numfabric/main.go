@@ -141,6 +141,10 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memprofile := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "unexpected argument %q: experiments are chosen with -experiment\n", flag.Arg(0))
+		os.Exit(2)
+	}
 	engine, err := harness.ParseEngine(*eng)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -56,6 +56,8 @@ func TestUnknownFlagValuesExitBeforeRunning(t *testing.T) {
 		{"scale empty", []string{"-experiment", "table2", "-scale", ""}, `unknown scale ""`},
 		{"experiment", []string{"-experiment", "table3"}, `unknown experiment "table3"`},
 		{"engine", []string{"-experiment", "table2", "-engine", "fast"}, `unknown engine "fast"`},
+		{"positional argument", []string{"fig2"}, `unexpected argument "fig2": experiments are chosen with -experiment`},
+		{"argument after the flags", []string{"-experiment", "table2", "fig2"}, `unexpected argument "fig2"`},
 		{"experiment lists the valid ones", []string{"-experiment", "nope"}, "fig4bc, fig5a, fig5b"},
 		{"faults outside leapfail", []string{"-experiment", "fig5a", "-faults", "link1@1ms"}, "-faults applies to the leapfail experiment only"},
 		{"faults malformed", []string{"-experiment", "leapfail", "-faults", "link1@soon"}, `fault "link1@soon": bad time`},
