@@ -180,3 +180,47 @@ func relGap(a, b float64) float64 {
 	}
 	return math.Abs(a-b) / max(math.Abs(a), math.Abs(b))
 }
+
+// Gap returns the relative NUM duality gap of rates x (one per flow)
+// and prices (one per link): the dual objective
+//
+//	D = Σ_l price_l·c_l + Σ_g sup_{y ≥ 0} [U_g(y) − q_g·y]
+//
+// less the primal Σ_g U_g(y_g) at each group's total rate y_g, in
+// magnitude, relative to Σ_l price_l·c_l (what the utilities pay at the
+// optimum). q_g is the cheapest path price among g's members that cross
+// no dead link; the supremum is taken at U_g′⁻¹(q_g), which for an α-fair
+// group is (α/(1−α))·x̂·q_g, or w(log(w/q_g) − 1) at α = 1, with
+// x̂ = w·q_g^(−1/α). Dead links and groups every member of which crosses
+// one add nothing. +Inf marks a NaN, a non-finite dual (a priced-out
+// group at price 0) or no priced capacity at all.
+func Gap(p *core.Problem, x, price []float64) float64 {
+	if len(x) != len(p.Flows) || len(price) != len(p.Capacity) {
+		return math.Inf(1)
+	}
+	scale := 0.0
+	for l, q := range price {
+		if c := p.Capacity[l]; c > 0 {
+			scale += q * c
+		}
+	}
+	gap := scale
+	for _, g := range p.Groups {
+		y, q := 0.0, math.Inf(1)
+		for _, f := range g.Flows {
+			y += x[f]
+			if qf, dead := pathPrice(p, f, price); !dead {
+				q = min(q, qf)
+			}
+		}
+		if math.IsInf(q, 1) {
+			continue
+		}
+		xq := g.U.InverseMarginal(q)
+		gap += g.U.Value(xq) - q*xq - g.U.Value(y)
+	}
+	if !(scale > 0) || math.IsNaN(gap) || math.IsInf(gap, 0) {
+		return math.Inf(1)
+	}
+	return math.Abs(gap) / scale
+}

@@ -121,6 +121,54 @@ func TestKKTExactOptima(t *testing.T) {
 	}
 }
 
+// TestGapExactOptima: every closed-form optimum has a zero duality gap to
+// rounding, and one price 1 % high opens it by the second-order amount
+// (≈ 5e-5 on one link) — far past any tolerance a solver states.
+func TestGapExactOptima(t *testing.T) {
+	for _, c := range exactOptima() {
+		if v := Gap(c.p, c.x, c.price); v > 1e-14 {
+			t.Errorf("%s: gap %g, want ≈ 0", c.name, v)
+		}
+		for l := range c.price {
+			if c.price[l] == 0 {
+				continue
+			}
+			high := append([]float64(nil), c.price...)
+			high[l] *= 1.01
+			if v := Gap(c.p, c.x, high); v < 1e-6 {
+				t.Errorf("%s: price %d × 1.01: gap %g, want ≥ 1e-6", c.name, l, v)
+			}
+		}
+	}
+	one := exactOptima()[0]
+	for _, m := range []struct {
+		name     string
+		x, price []float64
+	}{
+		{"NaN rate", []float64{math.NaN(), 5e9}, one.price},
+		{"no price", one.x, []float64{0}},
+		{"too few prices", one.x, nil},
+	} {
+		if got := Gap(one.p, m.x, m.price); !math.IsInf(got, 1) {
+			t.Errorf("%s: gap %g, want +Inf", m.name, got)
+		}
+	}
+	// A flow behind a dead link adds nothing; an α ≠ 1 optimum (two α = 2
+	// flows, c/2 each at price (2/c)²) closes the gap too.
+	p := core.NewProblem([]float64{10e9, 0})
+	p.AddFlow([]int{0}, core.ProportionalFair())
+	p.AddFlow([]int{1, 0}, core.ProportionalFair())
+	if v := Gap(p, []float64{10e9, 0}, []float64{1 / 10e9, 0}); v > 1e-14 {
+		t.Errorf("dead path: gap %g, want ≈ 0", v)
+	}
+	two := core.NewProblem([]float64{10e9})
+	two.AddFlow([]int{0}, core.NewAlphaFair(2))
+	two.AddFlow([]int{0}, core.NewAlphaFair(2))
+	if v := Gap(two, []float64{5e9, 5e9}, []float64{1 / 25e18}); v > 1e-14 {
+		t.Errorf("α = 2: gap %g, want ≈ 0", v)
+	}
+}
+
 // TestKKTDeadLinkAndIdleMember: a member across a dead link is held to
 // no stationarity condition (its rate is pinned at zero whatever the
 // price), an idle member only to U′ ≤ its path price.

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -12,9 +13,9 @@ import (
 // Certified is the worst of internal/cert's numbers over a run's
 // solves, with the solve each was found at (numbered from 1).
 type Certified struct {
-	Solves, Unconverged int
-	Feasibility, KKT    float64
-	FeasAt, KKTAt       int
+	Solves, Unconverged   int
+	Feasibility, KKT, Gap float64
+	FeasAt, KKTAt, GapAt  int
 }
 
 // CertifySolves runs play with every Solve certified against the problem
@@ -30,6 +31,9 @@ func CertifySolves(play func()) (c Certified) {
 		}
 		if v := cert.KKT(p, res.Rates, res.Prices); v > c.KKT {
 			c.KKT, c.KKTAt = v, c.Solves
+		}
+		if v := cert.Gap(p, res.Rates, res.Prices); v > c.Gap {
+			c.Gap, c.GapAt = v, c.Solves
 		}
 	}
 	defer func() { solveProbe = nil }()
@@ -50,10 +54,14 @@ var shapeNames = [3]string{"singleton", "star", "other"}
 
 // Shapes tallies a run's solves and their iterations by shape, and how
 // many of the others are laminar: any two touched links' flow sets are
-// nested or disjoint.
+// nested or disjoint. Of the others, Dual counts those a dual Newton over
+// link classes can take — single-flow groups on non-empty paths under one
+// α, every touched capacity finite and > 0 — with their flows and their
+// classes crossed by more than one flow (Shared).
 type Shapes struct {
-	Solves, Iters [3]int
-	Laminar       int
+	Solves, Iters           [3]int
+	Laminar                 int
+	Dual, DualFlows, Shared int
 }
 
 func (s Shapes) String() string {
@@ -61,7 +69,8 @@ func (s Shapes) String() string {
 	for k, n := range s.Solves {
 		fmt.Fprintf(&b, "%s %d (%.1f iterations)  ", shapeNames[k], n, float64(s.Iters[k])/float64(max(n, 1)))
 	}
-	fmt.Fprintf(&b, "laminar others %d", s.Laminar)
+	fmt.Fprintf(&b, "laminar others %d  dual-eligible others %d (%.1f flows, %.1f shared classes)",
+		s.Laminar, s.Dual, float64(s.DualFlows)/float64(max(s.Dual, 1)), float64(s.Shared)/float64(max(s.Dual, 1)))
 	return b.String()
 }
 
@@ -74,6 +83,11 @@ func CountShapes(play func()) (s Shapes) {
 		s.Iters[k] += res.Iterations
 		if k == ShapeOther && laminar(sets) {
 			s.Laminar++
+		}
+		if k == ShapeOther && dualEligible(p) {
+			s.Dual++
+			s.DualFlows += len(p.Flows)
+			s.Shared += sharedClasses(p, sets)
 		}
 	}
 	defer func() { solveProbe = nil }()
@@ -126,4 +140,38 @@ func laminar(sets map[int][]int) bool {
 		}
 	}
 	return true
+}
+
+// dualEligible reports whether every group of p is one flow on a
+// non-empty path, every utility an AlphaFair of one α, and every link a
+// flow crosses of finite capacity > 0.
+func dualEligible(p *core.Problem) bool {
+	alpha := math.NaN()
+	for _, g := range p.Groups {
+		u, ok := g.U.(core.AlphaFair)
+		if len(g.Flows) != 1 || len(p.Flows[g.Flows[0]].Links) == 0 || !ok || (alpha == alpha && u.Alpha != alpha) {
+			return false
+		}
+		alpha = u.Alpha
+	}
+	for _, f := range p.Flows {
+		for _, l := range f.Links {
+			if c := p.Capacity[l]; !(c > 0) || math.IsInf(c, 1) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// sharedClasses counts the distinct flow sets (with capacity) of the
+// links crossed by more than one flow.
+func sharedClasses(p *core.Problem, sets map[int][]int) int {
+	seen := map[string]bool{}
+	for l, fs := range sets {
+		if len(fs) > 1 {
+			seen[fmt.Sprint(p.Capacity[l], fs)] = true
+		}
+	}
+	return len(seen)
 }
