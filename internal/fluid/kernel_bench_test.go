@@ -181,9 +181,12 @@ func BenchmarkDGDSolve(b *testing.B) {
 // core.Problem rebuilt and oracle.Solve'd per call, warm-started from
 // the previous call's prices, alternating between the component and the
 // component less its last flow. The flows=N rows are kernelComponent's
-// chains, which the xWI iteration solves; the star/flows=N rows are N
-// FCT-min flows sharing one source uplink, each on to a downlink of its
-// own, which oracle.Solve takes in closed form.
+// chains on the fat-tree (oracle.Solve's dual Newton while they span at
+// most 64 link classes, the xWI iteration beyond); the star/flows=N rows
+// are N FCT-min flows sharing one source uplink, each on to a downlink
+// of its own, which oracle.Solve takes in closed form; the chain/flows=N
+// rows are N FCT-min flows where flow i shares one link with flow i+1,
+// each with a private link too, which it takes by the dual Newton.
 func BenchmarkOracleSolve(b *testing.B) {
 	row := func(name string, net *Network, flows []*Flow) {
 		n := len(flows)
@@ -221,5 +224,17 @@ func BenchmarkOracleSolve(b *testing.B) {
 		}
 		capacity[0] = 10e9
 		row("star/flows=%d", NewNetwork(capacity), flows)
+	}
+	for _, n := range kernelSizes {
+		capacity := make([]float64, 2*n+1)
+		flows := make([]*Flow, n)
+		rng := sim.NewRNG(uint64(n) + 3)
+		for i := range flows {
+			capacity[2*i], capacity[2*i+1] = 10e9, (2+8*rng.Float64())*1e9
+			size := int64(1e3 * math.Pow(1e6, rng.Float64()))
+			flows[i] = NewFlow(i, []int{2 * i, 2*i + 1, 2*i + 2}, core.FCTMin(size, 0.125), size, 0)
+		}
+		capacity[2*n] = 10e9
+		row("chain/flows=%d", NewNetwork(capacity), flows)
 	}
 }

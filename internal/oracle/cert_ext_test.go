@@ -14,15 +14,18 @@ import (
 	"numfabric/internal/workload"
 )
 
-// The Figure 5 ideal plays' certificate bounds. The Oracle stops on a
-// relative rate change below 1e-7, which is not a distance to the
-// optimum: on seeds 1–3 its worst solve is feasible to 2e-16, meets
+// The Figure 5 ideal plays' certificate bounds. The iterated Oracle
+// stops on a relative rate change below 1e-7, which is not a distance to
+// the optimum: on seeds 1–3 its worst solve is feasible to 2e-16, meets
 // the KKT conditions to 2.3e-5 and closes the duality gap to 1.7e-7, on
-// either engine. The bounds leave 4–6×.
+// either engine. The bounds leave 4–6×. A solve the dual Newton returns
+// is certified by the Newton itself: never above a capacity, and KKT
+// within newtonKKTTol.
 const (
 	idealFeasTol = 1e-15
 	idealKKTTol  = 1e-4
 	idealGapTol  = 1e-6
+	newtonKKTTol = 1e-12
 )
 
 // TestOracleIdealsCertified certifies every Oracle solve of the plays
@@ -30,8 +33,9 @@ const (
 // schedule, 4,000 web-search flows at load 0.05 on seeds 1–3, through
 // refsim and through the leap engine, each with &fluid.Oracle{MaxIter:
 // 1500} — with internal/cert: the rates must be feasible, meet the KKT
-// conditions and close the duality gap within the bounds above. -v logs
-// the worst values.
+// conditions and close the duality gap within the bounds above, and
+// every solve the dual Newton returns within its own. -v logs the worst
+// values.
 func TestOracleIdealsCertified(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		cfg := harness.DefaultDynamic(harness.NUMFabric, workload.WebSearch(), 0.05)
@@ -68,6 +72,11 @@ func TestOracleIdealsCertified(t *testing.T) {
 			if c.Solves == 0 || c.Feasibility > idealFeasTol || c.KKT > idealKKTTol || c.Gap > idealGapTol {
 				t.Errorf("seed %d %s: %d solves, feasibility %.3g (want ≤ %g), KKT %.3g (want ≤ %g), gap %.3g (want ≤ %g)",
 					seed, side.name, c.Solves, c.Feasibility, idealFeasTol, c.KKT, idealKKTTol, c.Gap, idealGapTol)
+			}
+			t.Logf("seed %d %-6s: %5d Newton solves, worst feasibility %.3g, worst KKT %.3g", seed, side.name, c.Newton, c.NewtonFeas, c.NewtonKKT)
+			if c.Newton == 0 || c.NewtonFeas > 0 || c.NewtonKKT > newtonKKTTol {
+				t.Errorf("seed %d %s: %d Newton solves, feasibility %.3g (want ≤ 0), KKT %.3g (want ≤ %g)",
+					seed, side.name, c.Newton, c.NewtonFeas, c.NewtonKKT, newtonKKTTol)
 			}
 		}
 	}

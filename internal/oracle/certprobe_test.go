@@ -11,17 +11,20 @@ import (
 )
 
 // Certified is the worst of internal/cert's numbers over a run's
-// solves, with the solve each was found at (numbered from 1).
+// solves, with the solve each was found at (numbered from 1), and the
+// worst over the solves the dual Newton returned.
 type Certified struct {
 	Solves, Unconverged   int
 	Feasibility, KKT, Gap float64
 	FeasAt, KKTAt, GapAt  int
+	Newton                int
+	NewtonFeas, NewtonKKT float64
 }
 
 // CertifySolves runs play with every Solve certified against the problem
 // it was given and returns the worst values.
 func CertifySolves(play func()) (c Certified) {
-	solveProbe = func(p *core.Problem, res Result) {
+	solveProbe = func(ws *SolveWorkspace, p *core.Problem, res Result) {
 		c.Solves++
 		if !res.Converged {
 			c.Unconverged++
@@ -34,6 +37,11 @@ func CertifySolves(play func()) (c Certified) {
 		}
 		if v := cert.Gap(p, res.Rates, res.Prices); v > c.Gap {
 			c.Gap, c.GapAt = v, c.Solves
+		}
+		if ws.route == routeNewton {
+			c.Newton++
+			c.NewtonFeas = max(c.NewtonFeas, cert.Feasibility(p, res.Rates))
+			c.NewtonKKT = max(c.NewtonKKT, cert.KKT(p, res.Rates, res.Prices))
 		}
 	}
 	defer func() { solveProbe = nil }()
@@ -57,11 +65,14 @@ var shapeNames = [3]string{"singleton", "star", "other"}
 // nested or disjoint. Of the others, Dual counts those a dual Newton over
 // link classes can take — single-flow groups on non-empty paths under one
 // α, every touched capacity finite and > 0 — with their flows and their
-// classes crossed by more than one flow (Shared).
+// classes crossed by more than one flow (Shared); of the solves Solve
+// sent to the Newton, how many it certified (Newton, in NewtonSteps
+// steps) and how many it handed to the iteration (Fallback).
 type Shapes struct {
-	Solves, Iters           [3]int
-	Laminar                 int
-	Dual, DualFlows, Shared int
+	Solves, Iters                 [3]int
+	Laminar                       int
+	Dual, DualFlows, Shared       int
+	Newton, NewtonSteps, Fallback int
 }
 
 func (s Shapes) String() string {
@@ -71,12 +82,13 @@ func (s Shapes) String() string {
 	}
 	fmt.Fprintf(&b, "laminar others %d  dual-eligible others %d (%.1f flows, %.1f shared classes)",
 		s.Laminar, s.Dual, float64(s.DualFlows)/float64(max(s.Dual, 1)), float64(s.Shared)/float64(max(s.Dual, 1)))
+	fmt.Fprintf(&b, "  Newton %d (%.1f steps), fallback %d", s.Newton, float64(s.NewtonSteps)/float64(max(s.Newton, 1)), s.Fallback)
 	return b.String()
 }
 
 // CountShapes runs play with every Solve classified by shape.
 func CountShapes(play func()) (s Shapes) {
-	solveProbe = func(p *core.Problem, res Result) {
+	solveProbe = func(ws *SolveWorkspace, p *core.Problem, res Result) {
 		sets := linkFlowSets(p)
 		k := shapeOf(p, sets)
 		s.Solves[k]++
@@ -88,6 +100,13 @@ func CountShapes(play func()) (s Shapes) {
 			s.Dual++
 			s.DualFlows += len(p.Flows)
 			s.Shared += sharedClasses(p, sets)
+		}
+		switch ws.route {
+		case routeNewton:
+			s.Newton++
+			s.NewtonSteps += res.Iterations
+		case routeFallback:
+			s.Fallback++
 		}
 	}
 	defer func() { solveProbe = nil }()

@@ -79,7 +79,9 @@ func withoutLastGroup(p *core.Problem) *core.Problem {
 // past the plan's bound on distinct α (six here; the bound is four),
 // with one utility the plan cannot see through, on multipath groups
 // and on a zero-capacity link — each solved cold, then warm after a
-// departure, on workspaces carried across the cases.
+// departure, on workspaces carried across the cases. Both sides go
+// through the iteration: Solve sends the single-α, single-path cases to
+// the exact solvers, which the interface path never reaches.
 func TestSolvePlanMatchesInterface(t *testing.T) {
 	alphas := []float64{1, 0.125, 0.5, 2, 0.75, 3}
 	cases := []struct {
@@ -113,8 +115,8 @@ func TestSolvePlanMatchesInterface(t *testing.T) {
 		var init []float64
 		for step, pair := range [][2]*core.Problem{{plain, wrapped}, {withoutLastGroup(plain), withoutLastGroup(wrapped)}} {
 			opts.InitPrices = init // cold first, then warm from the plan's duals
-			got := wsPlain.Solve(pair[0], opts)
-			want := wsWrapped.Solve(pair[1], opts)
+			got := wsPlain.iterate(pair[0], opts.withDefaults(), wsPlain.prepare(pair[0]))
+			want := wsWrapped.iterate(pair[1], opts.withDefaults(), wsWrapped.prepare(pair[1]))
 			if !bitsEqual(got.Rates, want.Rates) || !bitsEqual(got.Prices, want.Prices) ||
 				got.Iterations != want.Iterations || got.Converged != want.Converged {
 				t.Fatalf("%s, step %d: plan path differs from the interface path\n got %+v\nwant %+v", c.name, step, got, want)

@@ -333,7 +333,8 @@ func TestSolveWorkspaceMatchesFresh(t *testing.T) {
 // allocation counts: Fill allocates nothing, neither does a warm
 // Prepare followed by a Fill (on random paths and on fat-tree paths,
 // where many links carry the same flows), and a Solve's allocation
-// count does not depend on how many iterations it runs.
+// count does not depend on how many iterations it runs; a warm star
+// Solve and a warm dual-Newton Solve allocate nothing.
 func TestKernelsAllocateNothingPerIteration(t *testing.T) {
 	rng := sim.NewRNG(3)
 	p := solveProblem(rng, 30, 40)
@@ -397,5 +398,20 @@ func TestKernelsAllocateNothingPerIteration(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(5, func() { ws.Solve(star, SolveOptions{}) }); n != 0 {
 		t.Errorf("a warm star Solve allocates %v times, want 0", n)
+	}
+	// A chain — flow i shares a link with flow i+1 — is the dual Newton's,
+	// warm-started from its own prices.
+	chain := core.NewProblem(make([]float64, 17))
+	for i := range 8 {
+		chain.Capacity[2*i], chain.Capacity[2*i+1] = 10*gbps, (5+float64(i))*gbps
+		chain.AddFlow([]int{2 * i, 2*i + 1, 2*i + 2}, core.FCTMin(int64(1000*(i+1)), 0.125))
+	}
+	chain.Capacity[16] = 10 * gbps
+	init := append([]float64(nil), ws.Solve(chain, SolveOptions{}).Prices...)
+	if ws.route != routeNewton {
+		t.Fatalf("the chain took route %d, want the Newton's", ws.route)
+	}
+	if n := testing.AllocsPerRun(5, func() { ws.Solve(chain, SolveOptions{InitPrices: init}) }); n != 0 {
+		t.Errorf("a warm Newton Solve allocates %v times, want 0", n)
 	}
 }

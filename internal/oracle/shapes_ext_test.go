@@ -18,7 +18,8 @@ import (
 // harness.FluidIdealFCTs plays them — by problem shape (singleton,
 // star, other), with the iterations each shape takes and the laminar
 // share of the others. Every star must take the closed form, one
-// iteration. -v logs them.
+// iteration, and every other the dual Newton can take must go to it
+// first (certified, or handed to the iteration). -v logs them.
 func TestOracleIdealShapes(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		cfg := harness.DefaultDynamic(harness.NUMFabric, workload.WebSearch(), 0.05)
@@ -38,6 +39,9 @@ func TestOracleIdealShapes(t *testing.T) {
 		}
 		if s.Iters[oracle.ShapeStar] != s.Solves[oracle.ShapeStar] {
 			t.Errorf("seed %d: %v: a star took the iteration", seed, s)
+		}
+		if s.Newton+s.Fallback != s.Dual || s.Newton == 0 {
+			t.Errorf("seed %d: %v: the dual-eligible others did not all go to the Newton", seed, s)
 		}
 	}
 }

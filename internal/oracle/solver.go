@@ -97,27 +97,51 @@ type SolveWorkspace struct {
 	// (mm.Links) followed by the idle ones — links no flow crosses whose
 	// price was non-zero on entry.
 	live []int
+
+	nw    newtonWork
+	route int // the last Solve's route, for solveProbe
 }
 
 // Solve is Solve on the workspace's buffers. Result.Rates and
 // Result.Prices alias them: they are valid until the next Solve on
 // this workspace (passing the previous Prices back as InitPrices is
-// fine). A star is solved in closed form, anything else iterated.
+// fine). A problem of single-flow groups on non-empty paths under one α,
+// every touched link finite and > 0, is solved exactly: a star in closed
+// form, anything else by a dual Newton that must certify its result.
+// Everything else, and whatever the Newton does not certify, is iterated
+// from the caller's warm start.
 func (ws *SolveWorkspace) Solve(p *core.Problem, opts SolveOptions) Result {
 	opts = opts.withDefaults()
 	if len(p.Flows) == 0 {
 		return Result{Rates: nil, Prices: make([]float64, len(p.Capacity)), Converged: true}
 	}
 	fast := ws.prepare(p)
-	res, star := ws.closedForm(p, fast)
-	if !star {
+	res, ok := Result{}, false
+	if ws.route = routeIterate; ws.exact(p, fast) {
+		ws.route = routeStar
+		if res, ok = ws.closedForm(p); !ok {
+			ws.route = routeNewton
+			if res, ok = ws.newton(p, opts); !ok {
+				ws.route = routeFallback
+			}
+		}
+	}
+	if !ok {
 		res = ws.iterate(p, opts, fast)
 	}
 	if solveProbe != nil {
-		solveProbe(p, res)
+		solveProbe(ws, p, res)
 	}
 	return res
 }
+
+// The routes a Solve takes, recorded for solveProbe.
+const (
+	routeStar = iota
+	routeNewton
+	routeFallback // the Newton did not certify
+	routeIterate
+)
 
 // prepare does what both paths need: the max-min preparation (touched
 // links, flow counts, adjacency) and the utility plan (Build's result).
@@ -134,33 +158,46 @@ func (ws *SolveWorkspace) prepare(p *core.Problem) bool {
 	return ws.plan.Build(len(p.Groups), func(g int) core.Utility { return p.Groups[g].U })
 }
 
-// closedForm solves the prepared p exactly if it is a star — every group
-// one flow on a non-empty path, one α, every touched link finite, > 0 and
-// crossed by one flow or by all — and reports whether it was. Flow i takes
-// min(w_i·t, c_i), c_i its private bottleneck, t filling C, the least
+// exact reports whether the prepared p is one the exact solvers take:
+// every group one flow on a non-empty path, one α, every touched link
+// finite and > 0.
+func (ws *SolveWorkspace) exact(p *core.Problem, fast bool) bool {
+	if !fast || len(ws.plan.Kernels) != 1 {
+		return false
+	}
+	for _, grp := range p.Groups {
+		if len(grp.Flows) != 1 || len(p.Flows[grp.Flows[0]].Links) == 0 {
+			return false
+		}
+	}
+	for _, l := range ws.mm.used {
+		if c := p.Capacity[l]; !(c > 0) || math.IsInf(c, 1) {
+			return false
+		}
+	}
+	return true
+}
+
+// closedForm solves the prepared exact p if it is a star — every touched
+// link crossed by one flow or by all — and reports whether it was. Flow i
+// takes min(w_i·t, c_i), c_i its private bottleneck, t filling C, the least
 // capacity all flows cross: rounds cap the flows with c_i at or below the
 // level (which only rises), in weights scaled by the heaviest uncapped one
 // (FCTMin's span 2^-1022 to MaxFloat64). Prices: U′ of that flow on C's
 // first link, U′(c_i) less that on a capped flow's first private
 // bottleneck, 0 elsewhere (as the iteration's projection leaves slack).
-func (ws *SolveWorkspace) closedForm(p *core.Problem, fast bool) (Result, bool) {
+func (ws *SolveWorkspace) closedForm(p *core.Problem) (Result, bool) {
 	nf, mm, plan := len(p.Flows), &ws.mm, &ws.plan
-	if !fast || len(plan.Kernels) != 1 {
-		return Result{}, false
-	}
 	ws.weights, ws.x = growF(ws.weights, nf), growF(ws.x, nf)
 	// w[i]: flow i's weight while uncapped, 0 once x[i] is final (c_i until then).
 	w, x := ws.weights, ws.x
 	for g, grp := range p.Groups {
-		if len(grp.Flows) != 1 || len(p.Flows[grp.Flows[0]].Links) == 0 {
-			return Result{}, false
-		}
 		w[grp.Flows[0]], x[grp.Flows[0]] = plan.W[g], math.Inf(1)
 	}
 	shared, rem := -1, math.Inf(1)
 	for s, l := range mm.used {
 		switch c, n, i := p.Capacity[l], mm.activeCount[l], mm.linkFlows[mm.start[s]]; {
-		case !(c > 0) || math.IsInf(c, 1) || (n != 1 && n != nf):
+		case n != 1 && n != nf:
 			return Result{}, false
 		case n == nf && c < rem:
 			shared, rem = l, c
@@ -471,9 +508,10 @@ func (ws *SolveWorkspace) iterate(p *core.Problem, opts SolveOptions, fast bool)
 	return Result{Rates: x, Prices: price, Iterations: it, Converged: converged}
 }
 
-// solveProbe, set only by tests, sees every Solve's problem and result:
-// the seam through which the certificate tests read each solve.
-var solveProbe func(p *core.Problem, res Result)
+// solveProbe, set only by tests, sees every Solve's workspace (its route),
+// problem and result: the seam through which the certificate tests read
+// each solve.
+var solveProbe func(ws *SolveWorkspace, p *core.Problem, res Result)
 
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {

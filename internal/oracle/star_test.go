@@ -136,9 +136,10 @@ func TestStarClosedFormMatchesIteration(t *testing.T) {
 
 // TestNonStarsTakeTheIteration: a problem one step away from a star —
 // a dead, negative-zero, NaN or infinite capacity on a touched link, a
-// two-member group, mixed α, a link crossed by 2 of 3 flows — is left to
-// the iteration, and no rate comes back NaN, nor any price but a NaN
-// capacity's own (the iteration updates that link's price, by design).
+// two-member group, mixed α — is left to the iteration, and a link
+// crossed by 2 of 3 flows to the dual Newton; no rate comes back NaN, nor
+// any price but a NaN capacity's own (the iteration updates that link's
+// price, by design).
 func TestNonStarsTakeTheIteration(t *testing.T) {
 	star := func(c0 float64) *core.Problem {
 		p := core.NewProblem([]float64{c0, 4 * gbps, 6 * gbps, 10 * gbps})
@@ -164,13 +165,14 @@ func TestNonStarsTakeTheIteration(t *testing.T) {
 		"mixed α":          mixed,
 		"2 of 3 flows":     twoOfThree,
 	}
-	if res := Solve(star(10*gbps), SolveOptions{}); res.Iterations != 1 {
-		t.Fatalf("the star itself took %d iterations, want the closed form", res.Iterations)
+	var ws SolveWorkspace
+	if ws.Solve(star(10*gbps), SolveOptions{}); ws.route != routeStar {
+		t.Fatalf("the star itself took route %d, want the closed form", ws.route)
 	}
 	for name, p := range cases {
-		res := Solve(p, SolveOptions{})
-		if res.Iterations == 1 {
-			t.Errorf("%s: solved in closed form", name)
+		res := ws.Solve(p, SolveOptions{})
+		if want := map[bool]int{false: routeIterate, true: routeNewton}[name == "2 of 3 flows"]; ws.route != want {
+			t.Errorf("%s: route %d, want %d", name, ws.route, want)
 		}
 		for _, v := range res.Rates {
 			if math.IsNaN(v) {
