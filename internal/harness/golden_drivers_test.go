@@ -36,7 +36,7 @@ func TestGoldenDriversDynamic(t *testing.T) {
 		unfinished int
 	}{
 		{EnginePacket, false, "3271fb89bff58edf", 0},
-		{EngineFluid, true, "4b7e4fc5bd6d8e6e", 0},
+		{EngineFluid, true, "947d3af45e429da9", 0},
 	}
 	for _, c := range cases {
 		t.Run(c.eng.String(), func(t *testing.T) {
@@ -234,8 +234,8 @@ func TestGoldenDriversRateTrace(t *testing.T) {
 		sampleEvery sim.Duration
 		want        string
 	}{
-		{"converging", converging, 1, 100 * sim.Microsecond, "6acadb562c379a91"},
-		{"timing-out", timingOut, 0, timingOut.SampleEvery, "849126c581a78b25"},
+		{"converging", converging, 1, 100 * sim.Microsecond, "da66cbca07e9aad1"},
+		{"timing-out", timingOut, 0, timingOut.SampleEvery, "1d4178b7aae98d2c"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
