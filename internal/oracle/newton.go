@@ -19,11 +19,12 @@ const (
 // newtonWork is the dual Newton's state. Per class (a max-min class,
 // less any whose flow list another has at a smaller capacity): its
 // representative link, capacity, load, price, gradient, direction and
-// trial price; the dense Hessian and its factor; per flow, its classes
-// (CSR); per max-min slot, its class (^r: merged into class r).
+// trial price; the dense Hessian and the system [H_FF | −g_F] the
+// direction is solved on; per flow, its classes (CSR); per max-min slot,
+// its class (^r: merged into class r).
 type newtonWork struct {
 	rep, fstart, fcls, free, cls     []int
-	c, load, pi, g, d, trial, h, chl []float64
+	c, load, pi, g, d, trial, h, aug []float64
 }
 
 func (nw *newtonWork) classes(i int) []int { return nw.fcls[nw.fstart[i]:nw.fstart[i+1]] }
@@ -66,7 +67,7 @@ func (ws *SolveWorkspace) newton(p *core.Problem, opts SolveOptions) (Result, bo
 	for _, b := range []*[]float64{&nw.load, &nw.pi, &nw.g, &nw.d, &nw.trial} {
 		*b = growF(*b, nc)
 	}
-	nw.h, nw.chl, nw.free = growF(nw.h, nc*nc), growF(nw.chl, nc*(nc+1)), growI(nw.free, nc)
+	nw.h, nw.aug, nw.free = growF(nw.h, nc*nc), growF(nw.aug, nc*(nc+1)), growI(nw.free, nc)
 	nw.fstart, nw.fcls = growI(nw.fstart, nf+1), nw.fcls[:0]
 	for i, rp := range mm.rpaths {
 		nw.fstart[i] = len(nw.fcls)
@@ -213,8 +214,8 @@ func (ws *SolveWorkspace) dualAt(pi []float64) [2]float64 {
 // H singular, a pivot at or below 1e-10 of its diagonal: the diagonal is
 // then regularised, by 1e-10 of itself and 1e3× more per retry.
 func (nw *newtonWork) direction(free []int, nc int) bool {
-	n, a := len(free), nw.chl
-	m := n + 1 // a is H_FF | −g_F, row-major
+	n, a := len(free), nw.aug
+	m := n + 1 // a is [H_FF | −g_F], row-major
 	for reg := 0.0; reg <= 1e-2; reg = max(1e-10, reg*1e3) {
 		ok := true
 		for i, r := range free {
