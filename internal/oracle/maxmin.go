@@ -11,7 +11,7 @@
 //     paper proves the NUM optimum is its unique fixed point);
 //   - a fluid DGD (dual gradient descent) solver used as an
 //     independent cross-check and iteration-count baseline;
-//   - BwE bandwidth-function water-filling on one link (§2, Figure 2).
+//   - BwE bandwidth-function water-filling (§2, Figure 2).
 package oracle
 
 import (
@@ -375,3 +375,37 @@ func (ws *MaxMinWorkspace) Fill(weight []float64, x []float64) []float64 {
 // fillProbe, set only by tests, sees every Fill: the seam the fill's
 // round and scan counts are taken through, so no counter rides in it.
 var fillProbe func(ws *MaxMinWorkspace, weight, x []float64)
+
+// MaxMin computes the unweighted max-min fair allocation.
+func MaxMin(capacity []float64, paths [][]int) []float64 {
+	w := make([]float64, len(paths))
+	for i := range w {
+		w[i] = 1
+	}
+	return WeightedMaxMin(capacity, paths, w)
+}
+
+// BottleneckOf returns, for each flow, the index of its bottleneck
+// link under allocation x: the link on its path with the smallest
+// slack capacity per remaining demand. Used by tests to verify the
+// max-min property (every flow is bottlenecked somewhere).
+func BottleneckOf(capacity []float64, paths [][]int, x []float64) []int {
+	load := make([]float64, len(capacity))
+	for i, p := range paths {
+		for _, l := range p {
+			load[l] += x[i]
+		}
+	}
+	out := make([]int, len(paths))
+	for i, p := range paths {
+		best, bestSlack := -1, math.Inf(1)
+		for _, l := range p {
+			slack := capacity[l] - load[l]
+			if slack < bestSlack {
+				best, bestSlack = l, slack
+			}
+		}
+		out[i] = best
+	}
+	return out
+}

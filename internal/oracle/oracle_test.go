@@ -355,119 +355,3 @@ func fig2Flow2() *core.BandwidthFunction {
 		{FairShare: 5, Bandwidth: 10 * gbps},
 	})
 }
-
-// The reference allocations below have no caller outside this package's
-// tests.
-
-// MaxMin computes the unweighted max-min fair allocation.
-func MaxMin(capacity []float64, paths [][]int) []float64 {
-	w := make([]float64, len(paths))
-	for i := range w {
-		w[i] = 1
-	}
-	return WeightedMaxMin(capacity, paths, w)
-}
-
-// BottleneckOf returns, for each flow, the index of its bottleneck
-// link under allocation x: the link on its path with the smallest
-// slack capacity per remaining demand. Used by tests to verify the
-// max-min property (every flow is bottlenecked somewhere).
-func BottleneckOf(capacity []float64, paths [][]int, x []float64) []int {
-	load := make([]float64, len(capacity))
-	for i, p := range paths {
-		for _, l := range p {
-			load[l] += x[i]
-		}
-	}
-	out := make([]int, len(paths))
-	for i, p := range paths {
-		best, bestSlack := -1, math.Inf(1)
-		for _, l := range p {
-			slack := capacity[l] - load[l]
-			if slack < bestSlack {
-				best, bestSlack = l, slack
-			}
-		}
-		out[i] = best
-	}
-	return out
-}
-
-// BwENetwork computes the multi-link bandwidth-function allocation by
-// progressive filling in fair-share space (the generalization sketched
-// in §2 and detailed in the BwE paper): raise a common fair share for
-// all unfrozen flows until some link saturates, freeze the flows on
-// that link at their current bandwidth, and continue on the rest.
-//
-// capacity[l] and paths[i] are as in WeightedMaxMin; funcs[i] is flow
-// i's bandwidth function. Returns per-flow rates.
-func BwENetwork(capacity []float64, paths [][]int, funcs []*core.BandwidthFunction) []float64 {
-	nf, nl := len(paths), len(capacity)
-	rate := make([]float64, nf)
-	frozen := make([]bool, nf)
-	remaining := nf
-	fCur := 0.0
-
-	flowsOn := make([][]int, nl)
-	for i, p := range paths {
-		for _, l := range p {
-			flowsOn[l] = append(flowsOn[l], i)
-		}
-	}
-
-	for remaining > 0 {
-		// For each link, the fair share at which it would saturate.
-		bestLink, bestF := -1, math.Inf(1)
-		for l := 0; l < nl; l++ {
-			active := false
-			for _, i := range flowsOn[l] {
-				if !frozen[i] {
-					active = true
-					break
-				}
-			}
-			if !active {
-				continue
-			}
-			lfuncs := make([]*core.BandwidthFunction, 0, len(flowsOn[l]))
-			lfrozen := make([]bool, 0, len(flowsOn[l]))
-			lrates := make([]float64, 0, len(flowsOn[l]))
-			for _, i := range flowsOn[l] {
-				lfuncs = append(lfuncs, funcs[i])
-				lfrozen = append(lfrozen, frozen[i])
-				lrates = append(lrates, rate[i])
-			}
-			f := bweFillShare(capacity[l], lfuncs, lfrozen, lrates)
-			if f < bestF {
-				bestLink, bestF = l, f
-			}
-		}
-		if bestLink == -1 {
-			break
-		}
-		if bestF >= 1e12 {
-			// No link ever saturates: all remaining flows max out.
-			for i := 0; i < nf; i++ {
-				if !frozen[i] {
-					rate[i] = funcs[i].Eval(bestF)
-					frozen[i] = true
-					remaining--
-				}
-			}
-			break
-		}
-		if bestF < fCur {
-			bestF = fCur
-		}
-		fCur = bestF
-		for _, i := range flowsOn[bestLink] {
-			if frozen[i] {
-				continue
-			}
-			rate[i] = funcs[i].Eval(fCur)
-			frozen[i] = true
-			remaining--
-		}
-	}
-	return rate
-}
