@@ -186,7 +186,8 @@ func BenchmarkDGDSolve(b *testing.B) {
 // are N FCT-min flows sharing one source uplink, each on to a downlink
 // of its own, which oracle.Solve takes in closed form; the chain/flows=N
 // rows are N FCT-min flows where flow i shares one link with flow i+1,
-// each with a private link too, which it takes by the dual Newton.
+// each with a private link too, which it takes by the dual Newton (2
+// flows make a star; 64 and 512 exceed its 64 classes and iterate).
 func BenchmarkOracleSolve(b *testing.B) {
 	row := func(name string, net *Network, flows []*Flow) {
 		n := len(flows)
