@@ -18,8 +18,12 @@ race:
 # files outside the engines and benchmark/ that admit an arrival
 # schedule into a flow-level engine themselves (AddFlow at an arrival's
 # At) — one, harness.playArrivals' substrate; and the packet engine's
-# three packages together (ROADMAP item 5's size bound). Informational;
-# nothing is gated on it.
+# three packages together (ROADMAP item 5's size bound); and the lone
+# exports: exported non-test functions and methods whose name appears in
+# no other non-test file outside benchmark/ (a heuristic: it also counts
+# the public API, interface methods and names whose callers share their
+# file — CHANGES names each — so a rise means an export that only tests
+# call). Informational; nothing is gated on it.
 loc:
 	@for d in leap fluid obs harness oracle; do \
 		printf 'internal/%-8s non-test %6d\n' $$d $$(ls internal/$$d/*.go | grep -v _test.go | xargs cat | wc -l); \
@@ -33,6 +37,12 @@ loc:
 	@printf 'obs hook sites  leap+fluid %3d + %d\n' $$(grep -c 'e\.hooks\.' internal/leap/leap.go) $$(grep -c 'e\.hooks\.' internal/fluid/engine.go)
 	@printf 'harness exported      Run* %6d\n' $$(ls internal/harness/*.go | grep -v _test.go | xargs awk '/^func Run[A-Z]/{n++} END{print n+0}')
 	@printf 'schedule players     files %6d\n' $$(grep -rlE 'AddFlow\(.*[Aa]t\.Seconds\(\)' --include='*.go' . | grep -vcE '_test\.go$$|^\./(internal/(leap|fluid|refsim)|benchmark|\.bench_build)/')
+	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*'); \
+	printf 'lone exports         funcs %6d\n' $$(for f in $$files; do \
+		for n in $$(sed -nE 's/^func (\([^)]*\) )?([A-Z][A-Za-z0-9_]*).*/\2/p' $$f | sort -u); do \
+			grep -lw "$$n" $$files | grep -qvx "$$f" || echo "$$f $$n"; \
+		done; \
+	done | wc -l)
 
 # The zero-allocation steady-state pins: AllocsPerOp == 0 for a full
 # churn wave through the leap engine with hooks detached (and bounded

@@ -28,12 +28,13 @@
 // straight to the next arrival or completion, the only way to reach
 // million-flow dynamic workloads. fig4a and fig8 sample unbounded
 // flows' rates over time, which leap cannot do; asked for leap they run
-// its allocators on the epoch engine and their header says so. An
-// unknown -engine or -experiment value is an error that lists the
-// valid ones, and so is a -scale other than "scaled" or "full", and so
-// is an -out, -trace-out, -flowtrace-out, -cpuprofile or -memprofile
-// path that cannot be created: each exits 2 before any experiment
-// starts. Four experiments are fluid/leap-only — they run regimes the
+// its allocators on the epoch engine and their header says so. A
+// fluid or leap -engine on any other experiment but all is an error, not
+// a silent packet run. An unknown -engine or -experiment value is an
+// error that lists the valid ones, and so is a -scale other than
+// "scaled" or "full", and so is an -out, -trace-out, -flowtrace-out,
+// -cpuprofile or -memprofile path that cannot be created: each exits 2
+// before any experiment starts. Four experiments are fluid/leap-only — they run regimes the
 // packet engine cannot reach: fattree (a k=8 fat-tree serving ≥50k
 // flows), fluidsweep (a multi-seed convergence sweep fanned across
 // goroutines), fluidpooling (multipath aggregate groups pooling ≥10k
@@ -67,17 +68,33 @@ func experimentIDs() string {
 	return b.String() + "all"
 }
 
-// checkFlags rejects an -experiment outside the table, a -faults list
-// on an experiment that would ignore it, and a list that does not
-// parse or names something leapfail's fat-tree does not have; it
-// returns the list expanded to link faults (nil without -faults).
-func checkFlags(exp, faults string) ([]workload.Fault, error) {
-	known := exp == "all"
+// engineIDs lists the experiments that read -engine.
+func engineIDs() string {
+	var ids []string
+	for _, e := range paper.Experiments {
+		if e.TakesEngine {
+			ids = append(ids, e.ID)
+		}
+	}
+	return strings.Join(ids, ", ")
+}
+
+// checkFlags rejects an -experiment outside the table, an -engine other
+// than packet or a -faults list on an experiment that would ignore it,
+// and a list that does not parse or names something leapfail's
+// fat-tree does not have; it returns the list expanded to link faults
+// (nil without -faults).
+func checkFlags(exp string, engine harness.Engine, faults string) ([]workload.Fault, error) {
+	known, takesEngine := exp == "all", exp == "all"
 	for _, e := range paper.Experiments {
 		known = known || e.ID == exp
+		takesEngine = takesEngine || e.ID == exp && e.TakesEngine
 	}
 	if !known {
 		return nil, fmt.Errorf("unknown experiment %q (valid experiments: %s)", exp, experimentIDs())
+	}
+	if engine != harness.EnginePacket && !takesEngine {
+		return nil, fmt.Errorf("-engine applies to %s only; %s would ignore -engine %s", engineIDs(), exp, engine)
 	}
 	if faults == "" {
 		return nil, nil
@@ -130,7 +147,7 @@ func main() {
 	scale := flag.String("scale", "scaled", "\"scaled\" (32 hosts, fast) or \"full\" (paper scale, slow)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	out := flag.String("out", "", "directory for CSV output (optional)")
-	eng := flag.String("engine", "packet", "\"packet\" (discrete-event simulator), \"fluid\" (flow-level fast path), or \"leap\" (event-driven fast path) for fig4a/fig5a/fig5b/fig7/fig8")
+	eng := flag.String("engine", "packet", "\"packet\" (discrete-event simulator), \"fluid\" (flow-level fast path), or \"leap\" (event-driven fast path) for "+engineIDs())
 	faults := flag.String("faults", "", "scripted faults for the leapfail experiment: comma-separated target@time[+downtime] entries, e.g. \"link12@10ms+5ms,agg0.1@20ms\" (targets linkN, hostN, edgeP.E, aggP.A, coreC; no downtime = permanent)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /progress, /debug/pprof and /debug/vars on this address while experiments run (e.g. localhost:6060)")
 	debugHold := flag.Duration("debug-hold", 0, "keep the -debug-addr server alive this long after the experiments finish")
@@ -158,7 +175,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-debug-hold %v: want a duration ≥ 0\n", *debugHold)
 		os.Exit(2)
 	}
-	scriptedFaults, err := checkFlags(*exp, *faults)
+	scriptedFaults, err := checkFlags(*exp, engine, *faults)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

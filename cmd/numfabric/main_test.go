@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"numfabric/internal/harness"
 	"numfabric/internal/obs"
 	"numfabric/internal/paper"
 )
@@ -59,6 +60,9 @@ func TestUnknownFlagValuesExitBeforeRunning(t *testing.T) {
 		{"positional argument", []string{"fig2"}, `unexpected argument "fig2": experiments are chosen with -experiment`},
 		{"argument after the flags", []string{"-experiment", "table2", "fig2"}, `unexpected argument "fig2"`},
 		{"experiment lists the valid ones", []string{"-experiment", "nope"}, "fig4bc, fig5a, fig5b"},
+		{"engine leap on table2", []string{"-experiment", "table2", "-engine", "leap"}, "-engine applies to fig4a, fig5a, fig5b, fig7, fig8 only; table2 would ignore -engine leap"},
+		{"engine fluid on leapfct", []string{"-experiment", "leapfct", "-engine", "fluid"}, "leapfct would ignore -engine fluid"},
+		{"engine fluid on fattree", []string{"-experiment", "fattree", "-engine", "fluid"}, "fattree would ignore -engine fluid"},
 		{"faults outside leapfail", []string{"-experiment", "fig5a", "-faults", "link1@1ms"}, "-faults applies to the leapfail experiment only"},
 		{"faults malformed", []string{"-experiment", "leapfail", "-faults", "link1@soon"}, `fault "link1@soon": bad time`},
 		{"faults empty list", []string{"-experiment", "leapfail", "-faults", " , "}, "names no fault"},
@@ -134,7 +138,8 @@ func TestFlowTraceFlags(t *testing.T) {
 
 // TestExperimentTable: every id in the table (and "all") passes the
 // flag check, alone and — for the two that take one — with a fault
-// list, and the package comment names each id.
+// list, with -engine leap exactly where the table says it takes an
+// engine, and the package comment names each id.
 func TestExperimentTable(t *testing.T) {
 	src, err := os.ReadFile("main.go")
 	if err != nil {
@@ -142,21 +147,24 @@ func TestExperimentTable(t *testing.T) {
 	}
 	doc, _, _ := strings.Cut(string(src), "\npackage main")
 	for _, e := range paper.Experiments {
-		if _, err := checkFlags(e.ID, ""); err != nil {
+		if _, err := checkFlags(e.ID, harness.EnginePacket, ""); err != nil {
 			t.Errorf("checkFlags(%q): %v", e.ID, err)
 		}
 		if !regexp.MustCompile(`\b` + e.ID + `\b`).MatchString(doc) {
 			t.Errorf("package comment does not name experiment %q", e.ID)
 		}
+		if _, err := checkFlags(e.ID, harness.EngineLeap, ""); (err != nil) == e.TakesEngine {
+			t.Errorf("checkFlags(%q, leap): %v, want error %v", e.ID, err, !e.TakesEngine)
+		}
 		wantErr := e.ID != "leapfail"
-		if _, err := checkFlags(e.ID, "link1@1ms"); (err != nil) != wantErr {
+		if _, err := checkFlags(e.ID, harness.EnginePacket, "link1@1ms"); (err != nil) != wantErr {
 			t.Errorf("checkFlags(%q, faults): %v, want error %v", e.ID, err, wantErr)
 		}
 	}
-	if faults, err := checkFlags("all", "agg0.0@1ms+1ms"); err != nil || len(faults) != 32 {
+	if faults, err := checkFlags("all", harness.EngineLeap, "agg0.0@1ms+1ms"); err != nil || len(faults) != 32 {
 		t.Errorf(`checkFlags("all", faults): %d link faults, %v; want an agg switch's 16 links failed and recovered`, len(faults), err)
 	}
-	if _, err := checkFlags("fig", ""); err == nil {
+	if _, err := checkFlags("fig", harness.EnginePacket, ""); err == nil {
 		t.Error(`checkFlags("fig") accepted a prefix of an id`)
 	}
 }

@@ -153,6 +153,16 @@ func TestGapExactOptima(t *testing.T) {
 			t.Errorf("%s: gap %g, want +Inf", m.name, got)
 		}
 	}
+	// The primal is of each group's total rate: moving rate between a
+	// pooled group's members leaves the gap where it was, at the optimum's
+	// prices and at prices 1 % high.
+	pool := exactOptima()[3]
+	for _, k := range []float64{1, 1.01} {
+		price := []float64{pool.price[0] * k, pool.price[1] * k}
+		if a, b := Gap(pool.p, pool.x, price), Gap(pool.p, []float64{15e9, 5e9}, price); a != b {
+			t.Errorf("%s, prices × %v: gap %g split evenly, %g split 15/5", pool.name, k, a, b)
+		}
+	}
 	// A flow behind a dead link adds nothing; an α ≠ 1 optimum (two α = 2
 	// flows, c/2 each at price (2/c)²) closes the gap too.
 	p := core.NewProblem([]float64{10e9, 0})

@@ -32,11 +32,17 @@ type BandwidthFunction struct {
 const flatSlope = 1.0
 
 // NewBandwidthFunction builds a bandwidth function from vertices. The
-// vertices must have strictly increasing fair share and non-decreasing
-// bandwidth; the first vertex must be (0, 0) or it is prepended.
+// vertices must be finite, with strictly increasing fair share and
+// non-decreasing bandwidth; the first vertex must be (0, 0) or it is
+// prepended.
 func NewBandwidthFunction(pts []BWPoint) (*BandwidthFunction, error) {
 	if len(pts) == 0 {
 		return nil, errors.New("core: bandwidth function needs at least one vertex")
+	}
+	for i, p := range pts {
+		if math.IsNaN(p.FairShare) || math.IsInf(p.FairShare, 0) || math.IsNaN(p.Bandwidth) || math.IsInf(p.Bandwidth, 0) {
+			return nil, fmt.Errorf("core: vertex %d (%v, %v) is not finite", i, p.FairShare, p.Bandwidth)
+		}
 	}
 	cp := append([]BWPoint(nil), pts...)
 	sort.Slice(cp, func(i, j int) bool { return cp[i].FairShare < cp[j].FairShare })

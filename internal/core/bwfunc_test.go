@@ -87,6 +87,25 @@ func TestBandwidthFunctionValidation(t *testing.T) {
 	if _, err := NewBandwidthFunction([]BWPoint{{0, 0}, {1, 10}, {2, 5}}); err == nil {
 		t.Error("decreasing bandwidth should fail")
 	}
+	// Non-finite vertices: Eval cannot search past a NaN fair share, and
+	// an infinite one or a non-finite bandwidth leaves BwE nothing to
+	// allocate.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		pts  []BWPoint
+	}{
+		{"NaN fair share", []BWPoint{{0, 0}, {nan, 10}}},
+		{"+Inf fair share", []BWPoint{{0, 0}, {inf, 10}}},
+		{"-Inf fair share", []BWPoint{{-inf, 0}, {1, 10}}},
+		{"NaN bandwidth", []BWPoint{{0, 0}, {1, nan}}},
+		{"+Inf bandwidth", []BWPoint{{0, 0}, {1, inf}}},
+		{"-Inf bandwidth", []BWPoint{{0, 0}, {1, -inf}}},
+	} {
+		if _, err := NewBandwidthFunction(c.pts); err == nil {
+			t.Errorf("%s should fail", c.name)
+		}
+	}
 	// Missing origin gets prepended.
 	b, err := NewBandwidthFunction([]BWPoint{{1, 10}})
 	if err != nil {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
 // Problem is a NUM bandwidth-allocation problem instance (Eq. 1):
 //
@@ -79,89 +76,4 @@ func (p *Problem) addFlowToGroup(links []int, group int) int {
 	p.Flows[id] = FlowSpec{Links: append(p.Flows[id].Links[:0], links...), Group: group}
 	p.Groups[group].Flows = append(p.Groups[group].Flows, id)
 	return id
-}
-
-// Validate checks internal consistency: link indices in range, positive
-// capacities, every group non-empty with a utility, and the groups
-// forming a partition of the flows.
-func (p *Problem) Validate() error {
-	for l, c := range p.Capacity {
-		if c <= 0 {
-			return fmt.Errorf("core: link %d has non-positive capacity %g", l, c)
-		}
-	}
-	seen := make([]int, len(p.Flows))
-	for i := range seen {
-		seen[i] = -1
-	}
-	for g, grp := range p.Groups {
-		if grp.U == nil {
-			return fmt.Errorf("core: group %d has no utility", g)
-		}
-		if len(grp.Flows) == 0 {
-			return fmt.Errorf("core: group %d has no flows", g)
-		}
-		for _, f := range grp.Flows {
-			if f < 0 || f >= len(p.Flows) {
-				return fmt.Errorf("core: group %d references unknown flow %d", g, f)
-			}
-			if seen[f] != -1 {
-				return fmt.Errorf("core: flow %d in groups %d and %d", f, seen[f], g)
-			}
-			seen[f] = g
-		}
-	}
-	for i, f := range p.Flows {
-		if seen[i] == -1 {
-			return fmt.Errorf("core: flow %d not in any group", i)
-		}
-		if f.Group != seen[i] {
-			return fmt.Errorf("core: flow %d Group field %d disagrees with group membership %d", i, f.Group, seen[i])
-		}
-		if len(f.Links) == 0 {
-			return fmt.Errorf("core: flow %d traverses no links", i)
-		}
-		for _, l := range f.Links {
-			if l < 0 || l >= len(p.Capacity) {
-				return fmt.Errorf("core: flow %d uses unknown link %d", i, l)
-			}
-		}
-	}
-	return nil
-}
-
-// IsFeasible reports whether rates x satisfy the capacity constraints
-// within tolerance tol (relative to each link's capacity).
-func (p *Problem) IsFeasible(x []float64, tol float64) bool {
-	if len(x) != len(p.Flows) {
-		return false
-	}
-	load := make([]float64, len(p.Capacity))
-	for i, f := range p.Flows {
-		if x[i] < 0 {
-			return false
-		}
-		for _, l := range f.Links {
-			load[l] += x[i]
-		}
-	}
-	for l, y := range load {
-		if y > p.Capacity[l]*(1+tol) {
-			return false
-		}
-	}
-	return true
-}
-
-// TotalUtility evaluates the objective Σ_g U_g(Σ_{i∈g} x_i).
-func (p *Problem) TotalUtility(x []float64) float64 {
-	total := 0.0
-	for _, g := range p.Groups {
-		y := 0.0
-		for _, f := range g.Flows {
-			y += x[f]
-		}
-		total += g.U.Value(y)
-	}
-	return total
 }

@@ -685,8 +685,9 @@ func (o *Oracle) solve(net *Network, flows []*Flow, init []float64) oracle.Resul
 // so price ties (the equilibrium condition) settle into a stable
 // share instead of flapping.
 type DGD struct {
-	// Gamma is the step size per unit of the largest link capacity
-	// (default 0.2, matching oracle.DGDOptions).
+	// Gamma is the step size γ of Eq. 4 per unit of the largest link
+	// capacity, so a value behaves alike across link-speed scales
+	// (default 0.2).
 	Gamma float64
 	// IterPerEpoch is how many gradient steps run per epoch
 	// (default 1). DGD needs far more iterations than xWI — that
@@ -759,7 +760,7 @@ func (a *DGD) allocate(net *Network, flows []*Flow, rates []float64, subset bool
 	x := a.x[:nf]
 
 	// Scale the step so prices move by O(γ × typical marginal) per
-	// iteration, as in oracle.SolveDGD.
+	// iteration.
 	pScale := 1.0
 	if nf > 0 {
 		pScale = flows[0].U.Marginal(maxCap / float64(nf))

@@ -58,8 +58,6 @@ type Engine struct {
 	changed    bool
 	stationary bool
 
-	epochFns []func(now float64, active []*Flow)
-
 	// stats is the one counter block (Step increments it in place,
 	// Stats() returns it); hooks is Config.Obs, called unguarded.
 	stats Stats
@@ -100,13 +98,6 @@ type Stats struct {
 	// otherwise. Index with obs.Phase.
 	PhaseNanos [obs.PhaseCount]int64 `json:"phase_ns"`
 }
-
-// InvalidateAllocation marks the cached allocation stale. Callers
-// that mutate link capacities in place (fault injection zeroing a
-// failed link, recovery restoring it) must invoke it: a stationary
-// allocator otherwise reuses rates computed under the old capacities
-// until a flow arrives or departs.
-func (e *Engine) InvalidateAllocation() { e.changed = true }
 
 // Stats returns the engine's work telemetry so far.
 func (e *Engine) Stats() Stats {
@@ -155,19 +146,8 @@ func (e *Engine) Active() []*Flow { return e.active }
 // members appear here too, stamped with their group's finish time.
 func (e *Engine) Finished() []*Flow { return e.finished }
 
-// ActiveGroups returns the live view of active groups; valid until
-// the next Step.
-func (e *Engine) ActiveGroups() []*Group { return e.activeGroups }
-
 // FinishedGroups returns every completed group, in completion order.
 func (e *Engine) FinishedGroups() []*Group { return e.finishedGroups }
-
-// OnEpoch registers a callback invoked after every epoch's drain with
-// the new time and the active flow set — the hook the trace/stats
-// recorders sample from.
-func (e *Engine) OnEpoch(fn func(now float64, active []*Flow)) {
-	e.epochFns = append(e.epochFns, fn)
-}
 
 // checkFlow panics unless links is a non-empty path over the engine's
 // network, sizeBytes a payload (0 = unbounded) and at a finite time: a
@@ -242,17 +222,6 @@ func (e *Engine) Stop(f *Flow) {
 	}
 	e.removeActive(f)
 	f.Rate = 0
-}
-
-// StopGroup removes an active group and all its members immediately;
-// Finish stays NaN on the group and its members.
-func (e *Engine) StopGroup(g *Group) {
-	for _, m := range g.Members {
-		e.Stop(m)
-	}
-	if g.pos >= 0 {
-		e.removeActiveGroup(g)
-	}
 }
 
 func (e *Engine) removeActiveGroup(g *Group) {
@@ -396,9 +365,6 @@ func (e *Engine) Step() bool {
 		}
 	}
 	e.now += dt
-	for _, fn := range e.epochFns {
-		fn(e.now, e.active)
-	}
 	more := len(e.active) > 0 || len(e.pending) > 0
 	e.publish(!more)
 	return more

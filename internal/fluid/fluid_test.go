@@ -235,9 +235,10 @@ func TestIdleGapSkip(t *testing.T) {
 	net := NewNetwork([]float64{10e9})
 	eng := NewEngine(net, Config{Epoch: 100e-6, Allocator: NewWaterFill()})
 	f := eng.AddFlow([]int{0}, core.ProportionalFair(), 1250000, 10.0) // 10 s out
-	steps := 0
-	eng.OnEpoch(func(float64, []*Flow) { steps++ })
-	eng.Run(math.Inf(1))
+	steps := 1
+	for eng.Step() {
+		steps++
+	}
 	if !f.Done() {
 		t.Fatal("flow did not finish")
 	}
@@ -283,14 +284,13 @@ func TestObsMetricsMatchStats(t *testing.T) {
 		}
 		return lo, hi
 	})
-	steps := 0 // every Step, the idle-gap jump included
-	eng.OnEpoch(func(float64, []*Flow) { steps++ })
+	paced := 0 // every Step, the idle-gap jump included
 	for eng.Now() < 22e-3 && eng.Step() {
-		if steps%4 == 0 {
+		if paced++; paced%4 == 0 {
 			sc.Tick()
 		}
 	}
-	paced := steps
+	pacedEpochs := eng.Stats().Epochs
 	sc.Stop()
 	// No scraper from here on, so each exit the engine takes must
 	// publish unasked: Run at a horizon, then Step returning false. (A
@@ -309,8 +309,8 @@ func TestObsMetricsMatchStats(t *testing.T) {
 	if s.Allocs == 0 || s.SkippedAllocs == 0 || len(eng.Finished()) != len(arrivals) {
 		t.Fatalf("schedule exercised neither solve nor skip: %+v", s)
 	}
-	if paced < 40 || steps <= s.Epochs {
-		t.Fatalf("%d paced Steps of %d, %d epochs: want ten scrapes or more and an idle-gap Step", paced, steps, s.Epochs)
+	if paced < 40 || paced <= pacedEpochs {
+		t.Fatalf("%d paced Steps, %d epochs: want ten scrapes or more and an idle-gap Step", paced, pacedEpochs)
 	}
 	if got, ok := m.Counters["engine.events"]; !ok || got != int64(s.Epochs) {
 		t.Errorf("engine.events = %d (served: %v), epochs = %d", got, ok, s.Epochs)

@@ -144,12 +144,3 @@ func (p *Port) arrive() {
 	pkt.next = nil
 	p.net.arrive(p, pkt)
 }
-
-// Utilization returns transmitted bits divided by capacity over the
-// window since the counters were last reset by the caller.
-func (p *Port) Utilization(window sim.Duration) float64 {
-	if window <= 0 {
-		return 0
-	}
-	return float64(p.TxBytes) * 8 / (p.Rate.Float() * window.Seconds())
-}

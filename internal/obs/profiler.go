@@ -61,9 +61,9 @@ func PhaseName(p Phase) string {
 // profilePeriod by a hash of the ordinal (which no periodic workload
 // aliases with). A timed window reads it as it opens, so the untimed
 // ones before it are known in total; Nanos splits that time as the
-// timed windows' splits. Laps stay exact. Against a clock read at every
-// lap of the same run: leapfct's full run (2 M windows) within 0.1 % in
-// total and 0.9 points per share, a 20 k-window run within 8 points.
+// timed windows' splits. Against a clock read at every lap of the same
+// run: leapfct's full run (2 M windows) within 0.1 % in total and 0.9
+// points per share, a 20 k-window run within 8 points.
 //
 // Arm and Lap are inlinable nil checks, callable unguarded on a nil
 // *PhaseProfiler. A PhaseProfiler is single-threaded: it belongs to
@@ -74,7 +74,6 @@ type PhaseProfiler struct {
 	windows int64                // windows Lap(PhaseLoop) opened
 	untimed int64                // wall time of the windows not timed
 	nanos   [2][PhaseCount]int64 // of the first profileExact windows, then of the sample's
-	laps    [PhaseCount]int64
 }
 
 // Short runs are timed whole: sampling starts after profileExact windows.
@@ -98,7 +97,6 @@ func (p *PhaseProfiler) Arm() {
 // Lap) to ph and advances the boundary.
 func (p *PhaseProfiler) Lap(ph Phase) {
 	if p != nil {
-		p.laps[ph]++
 		if p.timing || ph == PhaseLoop {
 			p.lap(ph)
 		}
@@ -142,14 +140,6 @@ func (p *PhaseProfiler) Nanos() (out [PhaseCount]int64) {
 		out[ph] = p.nanos[0][ph] + n + int64(float64(p.untimed)*float64(n)/float64(max(timed, 1)))
 	}
 	return out
-}
-
-// Laps returns how many laps each phase accumulated.
-func (p *PhaseProfiler) Laps() (laps [PhaseCount]int64) {
-	if p != nil {
-		laps = p.laps
-	}
-	return laps
 }
 
 // TotalNanos returns the sum of Nanos over all phases.

@@ -37,9 +37,8 @@ func TestProfilerLapTiling(t *testing.T) {
 	if float64(total) < 0.95*float64(elapsed) {
 		t.Errorf("phase sum %d covers <95%% of elapsed %d", total, elapsed)
 	}
-	laps := p.Laps()
-	if laps[PhaseSolve] != 1 || laps[PhaseFlood] != 1 || laps[PhaseLoop] != 0 {
-		t.Errorf("laps = %v", laps)
+	if nanos[PhaseLoop] != 0 || nanos[PhaseAdmit] != 0 {
+		t.Errorf("phases never lapped were charged: %v", nanos)
 	}
 }
 
@@ -48,7 +47,7 @@ func TestProfilerLapTiling(t *testing.T) {
 // whose phases busy-wait for known relative costs, and holds the
 // sampled profile to them: every phase's share within 3 points of its
 // cost share, TotalNanos within 10 % of the wall time between Arm and
-// the last lap, and exact lap counts. A sampler that forgets to scale
+// the last lap, and nothing charged to a phase never lapped. A sampler that forgets to scale
 // reports about 30 % of the wall time; one that never times PhaseLoop
 // reports a loop share of 0 instead of 20 %. A timed window the
 // scheduler preempts weighs sixteenfold in the shares, so a failed
@@ -81,20 +80,13 @@ func TestProfilerSampledAccuracy(t *testing.T) {
 			}
 		}
 		wall := Now() - start
-		// Lap counts are exact whatever the clock did.
-		laps := p.Laps()
-		for ph := Phase(0); ph < PhaseCount; ph++ {
-			want := int64(0)
-			for _, c := range costs {
-				if c.ph == ph {
-					want = steps
-				}
-			}
-			if laps[ph] != want {
-				t.Fatalf("%s laps = %d, want %d", PhaseName(ph), laps[ph], want)
+		nanos, total := p.Nanos(), p.TotalNanos()
+		// Whatever the clock did, a phase never lapped is charged nothing.
+		for _, ph := range []Phase{PhaseResplice, PhaseDrain, PhaseWindow} {
+			if nanos[ph] != 0 {
+				t.Fatalf("%s, never lapped, charged %d ns", PhaseName(ph), nanos[ph])
 			}
 		}
-		nanos, total := p.Nanos(), p.TotalNanos()
 		if dev := float64(total)/float64(wall) - 1; dev < -0.1 || dev > 0.1 {
 			errs = append(errs, fmt.Sprintf("TotalNanos %v is %+.1f%% off the wall time %v",
 				time.Duration(total), 100*dev, time.Duration(wall)))

@@ -107,22 +107,6 @@ func (t *Tracer) TotalSpans() int {
 	return n
 }
 
-// SpanCount returns how many retained spans carry the given name.
-func (t *Tracer) SpanCount(name string) int {
-	if t == nil {
-		return 0
-	}
-	n := 0
-	for i := range t.tracks {
-		for _, s := range t.tracks[i].spans {
-			if s.name == name {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // Dropped returns how many spans were discarded (unknown track or
 // per-track cap reached).
 func (t *Tracer) Dropped() int64 {

@@ -41,6 +41,7 @@ func TestTracerChromeTraceSchema(t *testing.T) {
 
 	var complete, meta int
 	var sawSolveArg bool
+	named := map[string]int{}
 	for _, raw := range events {
 		ev := raw.(map[string]any)
 		name, _ := ev["name"].(string)
@@ -51,6 +52,7 @@ func TestTracerChromeTraceSchema(t *testing.T) {
 		switch ph {
 		case "X":
 			complete++
+			named[name]++
 			ts, tsOK := ev["ts"].(float64)
 			if !tsOK || ts < 0 {
 				t.Fatalf("complete event with bad ts: %v", ev)
@@ -79,9 +81,8 @@ func TestTracerChromeTraceSchema(t *testing.T) {
 	if !sawSolveArg {
 		t.Error("solve spans should carry a flows arg")
 	}
-	if tr.TotalSpans() != 3 || tr.SpanCount("solve") != 2 || tr.SpanCount("batch") != 1 {
-		t.Errorf("span accounting: total=%d solve=%d batch=%d",
-			tr.TotalSpans(), tr.SpanCount("solve"), tr.SpanCount("batch"))
+	if tr.TotalSpans() != 3 || named["solve"] != 2 || named["batch"] != 1 {
+		t.Errorf("span accounting: total=%d, written %v", tr.TotalSpans(), named)
 	}
 }
 

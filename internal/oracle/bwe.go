@@ -1,10 +1,6 @@
 package oracle
 
-import (
-	"math"
-
-	"numfabric/internal/core"
-)
+import "numfabric/internal/core"
 
 // BwESingleLink computes the bandwidth-function allocation on one link
 // of capacity c, per §2: find the largest fair share f such that
@@ -12,7 +8,7 @@ import (
 // water-filling procedure.) If even an arbitrarily large f cannot fill
 // the link (all functions capped), every flow gets its maximum.
 func BwESingleLink(c float64, funcs []*core.BandwidthFunction) []float64 {
-	f := bweFillShare(c, funcs, nil, nil)
+	f := bweFillShare(c, funcs)
 	out := make([]float64, len(funcs))
 	for i, b := range funcs {
 		out[i] = b.Eval(f)
@@ -21,18 +17,13 @@ func BwESingleLink(c float64, funcs []*core.BandwidthFunction) []float64 {
 }
 
 // bweFillShare returns the largest common fair share f such that the
-// unfrozen flows' demand plus the frozen contribution fits in c. A nil
-// frozen slice means all flows participate. The value is found by
-// bisection over f (the demand is non-decreasing in f).
-func bweFillShare(c float64, funcs []*core.BandwidthFunction, frozen []bool, frozenRate []float64) float64 {
+// flows' demand fits in c. The value is found by bisection over f (the
+// demand is non-decreasing in f).
+func bweFillShare(c float64, funcs []*core.BandwidthFunction) float64 {
 	demand := func(f float64) float64 {
 		sum := 0.0
-		for i, b := range funcs {
-			if frozen != nil && frozen[i] {
-				sum += frozenRate[i]
-			} else {
-				sum += b.Eval(f)
-			}
+		for _, b := range funcs {
+			sum += b.Eval(f)
 		}
 		return sum
 	}
@@ -55,83 +46,4 @@ func bweFillShare(c float64, funcs []*core.BandwidthFunction, frozen []bool, fro
 		}
 	}
 	return lo
-}
-
-// BwENetwork computes the multi-link bandwidth-function allocation by
-// progressive filling in fair-share space (the generalization sketched
-// in §2 and detailed in the BwE paper): raise a common fair share for
-// all unfrozen flows until some link saturates, freeze the flows on
-// that link at their current bandwidth, and continue on the rest.
-//
-// capacity[l] and paths[i] are as in WeightedMaxMin; funcs[i] is flow
-// i's bandwidth function. Returns per-flow rates.
-func BwENetwork(capacity []float64, paths [][]int, funcs []*core.BandwidthFunction) []float64 {
-	nf, nl := len(paths), len(capacity)
-	rate := make([]float64, nf)
-	frozen := make([]bool, nf)
-	remaining := nf
-	fCur := 0.0
-
-	flowsOn := make([][]int, nl)
-	for i, p := range paths {
-		for _, l := range p {
-			flowsOn[l] = append(flowsOn[l], i)
-		}
-	}
-
-	for remaining > 0 {
-		// For each link, the fair share at which it would saturate.
-		bestLink, bestF := -1, math.Inf(1)
-		for l := 0; l < nl; l++ {
-			active := false
-			for _, i := range flowsOn[l] {
-				if !frozen[i] {
-					active = true
-					break
-				}
-			}
-			if !active {
-				continue
-			}
-			lfuncs := make([]*core.BandwidthFunction, 0, len(flowsOn[l]))
-			lfrozen := make([]bool, 0, len(flowsOn[l]))
-			lrates := make([]float64, 0, len(flowsOn[l]))
-			for _, i := range flowsOn[l] {
-				lfuncs = append(lfuncs, funcs[i])
-				lfrozen = append(lfrozen, frozen[i])
-				lrates = append(lrates, rate[i])
-			}
-			f := bweFillShare(capacity[l], lfuncs, lfrozen, lrates)
-			if f < bestF {
-				bestLink, bestF = l, f
-			}
-		}
-		if bestLink == -1 {
-			break
-		}
-		if bestF >= 1e12 {
-			// No link ever saturates: all remaining flows max out.
-			for i := 0; i < nf; i++ {
-				if !frozen[i] {
-					rate[i] = funcs[i].Eval(bestF)
-					frozen[i] = true
-					remaining--
-				}
-			}
-			break
-		}
-		if bestF < fCur {
-			bestF = fCur
-		}
-		fCur = bestF
-		for _, i := range flowsOn[bestLink] {
-			if frozen[i] {
-				continue
-			}
-			rate[i] = funcs[i].Eval(fCur)
-			frozen[i] = true
-			remaining--
-		}
-	}
-	return rate
 }

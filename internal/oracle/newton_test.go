@@ -99,7 +99,8 @@ func withoutFlow(p *core.Problem, f int) *core.Problem {
 // may fall back, and the count is logged. At the clamps the iteration
 // misses the optimum (its weights live in [1e-3, 100 × the largest
 // capacity]), so there the Newton must instead reach at least its total
-// utility. Problems one step outside the Newton's domain
+// utility: at the Newton's prices, a duality gap (cert.Gap) no wider than
+// the iteration's rates leave, to 1e-12. Problems one step outside the Newton's domain
 // — a dead, NaN or +Inf link, a two-member group, mixed α — take the
 // iteration, with no NaN rate.
 func TestNewtonMatchesIteration(t *testing.T) {
@@ -133,8 +134,8 @@ func TestNewtonMatchesIteration(t *testing.T) {
 			}
 			ref := it.iterate(q, opts.withDefaults(), it.prepare(q))
 			if clamped {
-				if u, v := q.TotalUtility(res.Rates), q.TotalUtility(ref.Rates); u < v-1e-12*math.Abs(v) {
-					t.Errorf("trial %d step %d: total utility %v by Newton, %v iterated", trial, step, u, v)
+				if g, h := cert.Gap(q, res.Rates, res.Prices), cert.Gap(q, ref.Rates, res.Prices); !(g <= h+1e-12) {
+					t.Errorf("trial %d step %d: duality gap %.3g by Newton, %.3g iterated", trial, step, g, h)
 				}
 				continue
 			}

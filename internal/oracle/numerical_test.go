@@ -86,38 +86,3 @@ func TestFluidXWIClosedFormAlphaFair(t *testing.T) {
 		}
 	}
 }
-
-// TestFluidXWIIterationCounts quantifies the convergence-speed claim
-// at the fluid level across random instances: xWI should beat
-// conservatively-stepped DGD on iteration count in the vast majority
-// of cases.
-func TestFluidXWIIterationCounts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("many solves")
-	}
-	rng := sim.NewRNG(99)
-	faster := 0
-	const trials = 30
-	for trial := 0; trial < trials; trial++ {
-		nl := 3 + rng.Intn(5)
-		nf := 3 + rng.Intn(8)
-		caps := make([]float64, nl)
-		for l := range caps {
-			caps[l] = (2 + 8*rng.Float64()) * 1e9
-		}
-		p := core.NewProblem(caps)
-		for i := 0; i < nf; i++ {
-			hops := 1 + rng.Intn(min(2, nl))
-			perm := rng.Perm(nl)
-			p.AddFlow(perm[:hops], core.ProportionalFair())
-		}
-		xwi := Solve(p, SolveOptions{Tol: 1e-6})
-		dgd := SolveDGD(p, DGDOptions{Gamma: 0.05, Tol: 1e-6})
-		if xwi.Converged && dgd.Converged && xwi.Iterations < dgd.Iterations {
-			faster++
-		}
-	}
-	if faster < trials*3/4 {
-		t.Errorf("xWI beat conservative DGD in only %d/%d trials", faster, trials)
-	}
-}

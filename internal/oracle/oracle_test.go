@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"numfabric/internal/cert"
 	"numfabric/internal/core"
 	"numfabric/internal/sim"
 )
@@ -38,7 +39,7 @@ func TestMaxMinParkingLot(t *testing.T) {
 	// Max-min: every flow gets C/2.
 	c := []float64{10 * gbps, 10 * gbps}
 	paths := [][]int{{0, 1}, {0}, {1}}
-	x := MaxMin(c, paths)
+	x := WeightedMaxMin(c, paths, []float64{1, 1, 1})
 	for i, want := range []float64{5 * gbps, 5 * gbps, 5 * gbps} {
 		if !almostEq(x[i], want, 1e-9) {
 			t.Errorf("x[%d] = %v, want %v", i, x[i], want)
@@ -51,7 +52,7 @@ func TestMaxMinUnevenBottlenecks(t *testing.T) {
 	// Flow 0 and 1 get 5G at link 0; flow 2 then gets 25G at link 1.
 	c := []float64{10 * gbps, 30 * gbps}
 	paths := [][]int{{0, 1}, {0}, {1}}
-	x := MaxMin(c, paths)
+	x := WeightedMaxMin(c, paths, []float64{1, 1, 1})
 	want := []float64{5 * gbps, 5 * gbps, 25 * gbps}
 	for i := range want {
 		if !almostEq(x[i], want[i], 1e-9) {
@@ -175,68 +176,6 @@ func TestSolveTandemProportionalFair(t *testing.T) {
 	}
 }
 
-func TestSolveMatchesDGDOnRandomNetworks(t *testing.T) {
-	rng := sim.NewRNG(7)
-	for trial := 0; trial < 25; trial++ {
-		nl := 2 + rng.Intn(4)
-		nf := 2 + rng.Intn(6)
-		caps := make([]float64, nl)
-		for l := range caps {
-			caps[l] = (2 + 8*rng.Float64()) * gbps
-		}
-		alpha := []float64{0.5, 1, 2}[rng.Intn(3)]
-		p := core.NewProblem(caps)
-		for i := 0; i < nf; i++ {
-			hops := 1 + rng.Intn(min(2, nl))
-			perm := rng.Perm(nl)
-			w := 0.5 + 2*rng.Float64()
-			p.AddFlow(perm[:hops], core.NewWeightedAlphaFair(alpha, w))
-		}
-		xwi := Solve(p, SolveOptions{})
-		// A conservative step keeps DGD stable for alpha < 1, where
-		// demand is very sensitive to price.
-		dgd := SolveDGD(p, DGDOptions{Gamma: 0.05, MaxIter: 500000})
-		if !xwi.Converged {
-			t.Fatalf("trial %d: xWI did not converge", trial)
-		}
-		if !dgd.Converged {
-			t.Fatalf("trial %d: DGD did not converge", trial)
-		}
-		for i := range xwi.Rates {
-			if !almostEq(xwi.Rates[i], dgd.Rates[i], 2e-2) {
-				t.Errorf("trial %d (alpha=%v): flow %d xWI %v vs DGD %v",
-					trial, alpha, i, xwi.Rates[i], dgd.Rates[i])
-			}
-		}
-		// The optimum is feasible and at least as good as DGD's point.
-		if !p.IsFeasible(xwi.Rates, 1e-6) {
-			t.Errorf("trial %d: xWI solution infeasible", trial)
-		}
-	}
-}
-
-func TestSolveConvergesFasterThanDGD(t *testing.T) {
-	// The paper's core claim, in fluid form: xWI needs fewer iterations
-	// than dual gradient descent run at a step size small enough to be
-	// robust across utility families (DGD must be tuned conservatively
-	// in practice, which is §3's point about the step-size dilemma).
-	p := core.NewProblem([]float64{10 * gbps, 10 * gbps, 10 * gbps})
-	p.AddFlow([]int{0, 1}, core.ProportionalFair())
-	p.AddFlow([]int{1, 2}, core.ProportionalFair())
-	p.AddFlow([]int{0}, core.ProportionalFair())
-	p.AddFlow([]int{2}, core.ProportionalFair())
-	p.AddFlow([]int{1}, core.ProportionalFair())
-	xwi := Solve(p, SolveOptions{Tol: 1e-6})
-	dgd := SolveDGD(p, DGDOptions{Gamma: 0.05, Tol: 1e-6})
-	if !xwi.Converged || !dgd.Converged {
-		t.Fatalf("convergence failure: xwi=%v dgd=%v", xwi.Converged, dgd.Converged)
-	}
-	if xwi.Iterations*2 > dgd.Iterations {
-		t.Errorf("xWI %d iterations vs DGD %d: expected >2x speedup",
-			xwi.Iterations, dgd.Iterations)
-	}
-}
-
 func TestSolveResourcePooling(t *testing.T) {
 	// Two parallel links; one aggregate with a subflow on each, against
 	// one single-path flow on link 0. Proportional fairness over
@@ -260,53 +199,42 @@ func TestSolveResourcePooling(t *testing.T) {
 	}
 }
 
+// TestBwESingleLinkFigure2: on Figure 2's link at 10 and 25 Gb/s the
+// water-fill gives the figure's splits, and at every capacity — these,
+// 5 (inside flow 1's priority range) and 35 (flow 2 capped) — the link
+// is full, or every function at its cap, and the flows not at their caps
+// share one fair share.
 func TestBwESingleLinkFigure2(t *testing.T) {
-	b1 := fig2Flow1()
-	b2 := fig2Flow2()
+	funcs := []*core.BandwidthFunction{fig2Flow1(), fig2Flow2()}
 	// Link 10 Gb/s: flow 1 gets everything.
-	x := BwESingleLink(10*gbps, []*core.BandwidthFunction{b1, b2})
+	x := BwESingleLink(10*gbps, funcs)
 	if !almostEq(x[0], 10*gbps, 1e-3) || x[1] > 0.01*gbps {
 		t.Errorf("10G: got %v", x)
 	}
 	// Link 25 Gb/s: 15 / 10 split.
-	x = BwESingleLink(25*gbps, []*core.BandwidthFunction{b1, b2})
+	x = BwESingleLink(25*gbps, funcs)
 	if !almostEq(x[0], 15*gbps, 1e-3) || !almostEq(x[1], 10*gbps, 1e-3) {
 		t.Errorf("25G: got %v", x)
 	}
-}
-
-func TestBwENetworkMatchesSingleLink(t *testing.T) {
-	b1, b2 := fig2Flow1(), fig2Flow2()
-	funcs := []*core.BandwidthFunction{b1, b2}
 	for _, c := range []float64{5 * gbps, 10 * gbps, 25 * gbps, 35 * gbps} {
-		single := BwESingleLink(c, funcs)
-		multi := BwENetwork([]float64{c}, [][]int{{0}, {0}}, funcs)
-		for i := range single {
-			if !almostEq(single[i], multi[i], 1e-6) {
-				t.Errorf("c=%v flow %d: single %v vs network %v", c, i, single[i], multi[i])
+		x := BwESingleLink(c, funcs)
+		sum, capped, share := 0.0, true, math.NaN()
+		for i, b := range funcs {
+			sum += x[i]
+			if x[i] >= b.MaxBandwidth() {
+				continue
+			}
+			capped = false
+			f := b.Inverse(x[i])
+			if math.IsNaN(share) {
+				share = f
+			} else if !almostEq(f, share, 1e-6) {
+				t.Errorf("c=%v: uncapped flow %d at fair share %v, another at %v", c, i, f, share)
 			}
 		}
-	}
-}
-
-func TestBwENetworkProgressiveFilling(t *testing.T) {
-	// Two identical linear flows on a shared 10G link; flow 1 also
-	// crosses a private 2G link that bottlenecks it early. Flow 0 then
-	// takes the shared leftovers.
-	lin := func() *core.BandwidthFunction {
-		return core.MustBandwidthFunction([]core.BWPoint{
-			{FairShare: 0, Bandwidth: 0}, {FairShare: 10, Bandwidth: 20 * gbps},
-		})
-	}
-	funcs := []*core.BandwidthFunction{lin(), lin()}
-	c := []float64{10 * gbps, 2 * gbps}
-	paths := [][]int{{0}, {0, 1}}
-	x := BwENetwork(c, paths, funcs)
-	if !almostEq(x[1], 2*gbps, 1e-6) {
-		t.Errorf("flow 1 = %v, want 2G", x[1])
-	}
-	if !almostEq(x[0], 8*gbps, 1e-6) {
-		t.Errorf("flow 0 = %v, want 8G", x[0])
+		if !capped && !almostEq(sum, c, 1e-9) {
+			t.Errorf("c=%v: allocated %v, the link is not full", c, sum)
+		}
 	}
 }
 
@@ -328,13 +256,22 @@ func TestNUMApproximatesBwEForLargeAlpha(t *testing.T) {
 	}
 }
 
+// TestBottleneckOf: every flow of the max-min allocation on uneven
+// bottlenecks has one — cert.MaxMin finds, for each, a saturated link on
+// its path where its rate is the largest — with each weight in turn
+// raised.
 func TestBottleneckOf(t *testing.T) {
 	c := []float64{10 * gbps, 30 * gbps}
 	paths := [][]int{{0, 1}, {0}, {1}}
-	x := MaxMin(c, paths)
-	b := BottleneckOf(c, paths, x)
-	if b[0] != 0 || b[1] != 0 || b[2] != 1 {
-		t.Errorf("bottlenecks = %v", b)
+	p := core.NewProblem(c)
+	for _, path := range paths {
+		p.AddFlow(path, core.ProportionalFair())
+	}
+	for _, w := range [][]float64{{1, 1, 1}, {3, 1, 1}, {1, 3, 1}, {1, 1, 3}} {
+		x := WeightedMaxMin(c, paths, w)
+		if v := cert.MaxMin(p, w, x); v > 1e-12 {
+			t.Errorf("weights %v: rates %v violate max-min by %.3g", w, x, v)
+		}
 	}
 }
 

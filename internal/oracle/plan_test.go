@@ -1,10 +1,6 @@
 package oracle
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash/fnv"
-	"math"
 	"testing"
 
 	"numfabric/internal/core"
@@ -126,54 +122,5 @@ func TestSolvePlanMatchesInterface(t *testing.T) {
 			}
 			init = append(init[:0], got.Prices...)
 		}
-	}
-}
-
-// TestSolveDGDGolden pins oracle.SolveDGD bit for bit: FNV-64a over
-// every trial's rates, prices, iteration count and convergence flag, on
-// random networks under α ∈ {0.5, 1, 2}, some trials converging and
-// some stopped at MaxIter. The constant was generated before the
-// per-iteration link-load slice was hoisted into one buffer.
-func TestSolveDGDGolden(t *testing.T) {
-	rng := sim.NewRNG(13)
-	h := fnv.New64a()
-	put := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	converged := 0
-	for trial := 0; trial < 12; trial++ {
-		nl := 2 + rng.Intn(5)
-		caps := make([]float64, nl)
-		for l := range caps {
-			caps[l] = (2 + 8*rng.Float64()) * gbps
-		}
-		alpha := []float64{0.5, 1, 2}[trial%3]
-		p := core.NewProblem(caps)
-		for i, nf := 0, 2+rng.Intn(6); i < nf; i++ {
-			p.AddFlow(randomPaths(rng, 1, nl)[0], core.NewWeightedAlphaFair(alpha, 0.5+2*rng.Float64()))
-		}
-		res := SolveDGD(p, DGDOptions{Gamma: 0.05, MaxIter: 4000 + 2000*(trial%4)})
-		for _, v := range res.Rates {
-			put(math.Float64bits(v))
-		}
-		for _, v := range res.Prices {
-			put(math.Float64bits(v))
-		}
-		put(uint64(res.Iterations))
-		if res.Converged {
-			put(1)
-			converged++
-		} else {
-			put(0)
-		}
-	}
-	if converged == 0 || converged == 12 {
-		t.Fatalf("%d of 12 trials converged; the pin needs both kinds", converged)
-	}
-	const want = "e5412d1385956e06"
-	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
-		t.Errorf("SolveDGD fingerprint %s, want %s", got, want)
 	}
 }

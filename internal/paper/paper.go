@@ -44,8 +44,7 @@ type Env struct {
 	io.Writer
 	// OutDir, when set, receives a CSV of each figure's series.
 	OutDir string
-	// Engine runs the experiments that take one (fig4a, fig5a, fig5b,
-	// fig7, fig8).
+	// Engine runs the experiments that take one (TakesEngine).
 	Engine harness.Engine
 	// Obs holds the hooks every engine an experiment builds is given.
 	// It carries no profiler: leapfct attaches a fresh one per load.
@@ -59,31 +58,34 @@ type Env struct {
 type Experiment struct {
 	ID  string
 	Run func(env Env, s Scale, seed uint64) Metrics
+	// TakesEngine reports whether Run reads Env.Engine; every other
+	// entry runs the engine it is written for.
+	TakesEngine bool
 }
 
 // Experiments is the one list of experiments, in the order "all" runs
 // them.
 var Experiments = []Experiment{
-	{"table1", table1},
-	{"table2", table2},
-	{"fig2", fig2},
-	{"fig4a", fig4a},
-	{"fig4bc", fig4bc},
-	{"fig5a", func(env Env, s Scale, seed uint64) Metrics { return fig5(env, s, seed, workload.WebSearch()) }},
-	{"fig5b", func(env Env, s Scale, seed uint64) Metrics { return fig5(env, s, seed, workload.Enterprise()) }},
-	{"fig6a", fig6a},
-	{"fig6b", fig6b},
-	{"fig6c", fig6c},
-	{"fig7", fig7},
-	{"fig8", fig8},
-	{"fig9", fig9},
-	{"fig10", fig10},
-	{"ablations", ablations},
-	{"fattree", fatTree},
-	{"fluidsweep", fluidSweep},
-	{"fluidpooling", fluidPooling},
-	{"leapfct", leapFCT},
-	{"leapfail", leapFail},
+	{"table1", table1, false},
+	{"table2", table2, false},
+	{"fig2", fig2, false},
+	{"fig4a", fig4a, true},
+	{"fig4bc", fig4bc, false},
+	{"fig5a", func(env Env, s Scale, seed uint64) Metrics { return fig5(env, s, seed, workload.WebSearch()) }, true},
+	{"fig5b", func(env Env, s Scale, seed uint64) Metrics { return fig5(env, s, seed, workload.Enterprise()) }, true},
+	{"fig6a", fig6a, false},
+	{"fig6b", fig6b, false},
+	{"fig6c", fig6c, false},
+	{"fig7", fig7, true},
+	{"fig8", fig8, true},
+	{"fig9", fig9, false},
+	{"fig10", fig10, false},
+	{"ablations", ablations, false},
+	{"fattree", fatTree, false},
+	{"fluidsweep", fluidSweep, false},
+	{"fluidpooling", fluidPooling, false},
+	{"leapfct", leapFCT, false},
+	{"leapfail", leapFail, false},
 }
 
 // writeCSV writes a table into OutDir (no-op when it is unset).

@@ -151,6 +151,3 @@ func (q *MultiQueue) Len() int {
 
 // Bytes returns the queued byte count.
 func (q *MultiQueue) Bytes() int { return q.bytes }
-
-// Bands returns the number of weight bands.
-func (q *MultiQueue) Bands() int { return len(q.bands) }

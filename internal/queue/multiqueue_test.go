@@ -100,7 +100,7 @@ func TestMultiQueueEmptyDequeue(t *testing.T) {
 	if q.Dequeue() != nil {
 		t.Error("empty dequeue returned packet")
 	}
-	if q.Bands() != 4 {
-		t.Errorf("bands = %d", q.Bands())
+	if len(q.bands) != 4 {
+		t.Errorf("bands = %d", len(q.bands))
 	}
 }

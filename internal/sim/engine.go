@@ -103,9 +103,6 @@ func (e *Engine) Run(until Time) Time {
 // Stop halts Run after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return e.queue.len() }
-
 // The calendar's geometry, fitted to the packet engine's scheduling gaps
 // (at − now) as counted over a 1,000-flow fig7 play (13.9 M events, 674
 // pending on average, 1,221 at most): 61 % land 1.05–2.1 µs ahead (a

@@ -63,8 +63,8 @@ func TestEngineRunUntilStopsEarly(t *testing.T) {
 	if ran != 1 {
 		t.Fatalf("ran %d events before t=150, want 1", ran)
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
+	if e.queue.len() != 1 {
+		t.Fatalf("pending = %d, want 1", e.queue.len())
 	}
 	e.Run(Forever)
 	if ran != 2 {
@@ -99,7 +99,7 @@ func TestEngineRunNeverRewindsTheClock(t *testing.T) {
 			for _, until := range c.runs {
 				e.Run(until)
 			}
-			if e.Now() != c.wantNow || ran != c.wantRan || e.Pending() != len(c.events)-ran {
+			if e.Now() != c.wantNow || ran != c.wantRan || e.queue.len() != len(c.events)-ran {
 				t.Fatalf("Now() = %d after %d of %d events, want %d after %d",
 					e.Now(), ran, len(c.events), c.wantNow, c.wantRan)
 			}
@@ -187,17 +187,17 @@ func TestEngineSplitRunMatchesOneRun(t *testing.T) {
 		}
 		for _, until := range boundaries {
 			e.Run(until)
-			if e.Pending() > 0 && e.Now() != until {
+			if e.queue.len() > 0 && e.Now() != until {
 				t.Fatalf("Run(%d) left the clock at %d with events pending", until, e.Now())
 			}
-			if e.Pending() != scheduled-len(order) {
+			if e.queue.len() != scheduled-len(order) {
 				t.Fatalf("after Run(%d): %d pending, want %d scheduled − %d executed",
-					until, e.Pending(), scheduled, len(order))
+					until, e.queue.len(), scheduled, len(order))
 			}
 		}
 		e.Run(Forever)
-		if e.Pending() != 0 || len(order) != scheduled {
-			t.Fatalf("%d pending, %d of %d executed after Run(Forever)", e.Pending(), len(order), scheduled)
+		if e.queue.len() != 0 || len(order) != scheduled {
+			t.Fatalf("%d pending, %d of %d executed after Run(Forever)", e.queue.len(), len(order), scheduled)
 		}
 		return order
 	}
@@ -297,7 +297,7 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.Schedule(e.Now()+Time(i%64), func() {})
-		if e.Pending() > 1024 {
+		if e.queue.len() > 1024 {
 			e.Run(e.Now() + 64)
 		}
 	}

@@ -12,8 +12,8 @@ import (
 // before, at and after the next event, Stop inside and outside Run, and
 // a Schedule into [until, next event) after Run returned early. Every
 // event checks, as it fires, that it is the model's next and that the
-// clock reads its instant; after every step Pending, Now and Executed
-// must match the model.
+// clock reads its instant; after every step the queue's length, Now and
+// Executed must match the model.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 0, 1, 2, 1, 0, 0, 0, 2, 1, 2, 3})
 	f.Add([]byte{5, 0, 0, 0, 0, 0, 5, 7, 2, 1, 4, 9, 9, 2, 2, 0, 4, 0, 3, 0})
@@ -204,8 +204,8 @@ func (c *queueCheck) run(until Time) {
 }
 
 func (c *queueCheck) check() {
-	if c.e.Pending() != len(c.model) {
-		c.t.Fatalf("Pending() = %d, model %d", c.e.Pending(), len(c.model))
+	if c.e.queue.len() != len(c.model) {
+		c.t.Fatalf("Pending() = %d, model %d", c.e.queue.len(), len(c.model))
 	}
 	if c.e.Now() != c.now {
 		c.t.Fatalf("Now() = %d, model %d", c.e.Now(), c.now)

@@ -127,9 +127,6 @@ func (r BitRate) TxTime(n int) Duration {
 	return Duration(float64(bits) * 1e12 / float64(r))
 }
 
-// BytesPerSecond returns the rate in bytes/second.
-func (r BitRate) BytesPerSecond() float64 { return float64(r) / 8 }
-
 // Float returns the rate in bits/second as a float64.
 func (r BitRate) Float() float64 { return float64(r) }
 

@@ -143,12 +143,6 @@ func TestTxTimeProportionalProperty(t *testing.T) {
 	}
 }
 
-func TestBytesPerSecond(t *testing.T) {
-	if got := (8 * Kbps).BytesPerSecond(); got != 1000 {
-		t.Errorf("BytesPerSecond = %v", got)
-	}
-}
-
 func TestStringFormats(t *testing.T) {
 	if got := Time(1500 * Microsecond).String(); got != "1500.000us" {
 		t.Errorf("Time.String = %q", got)

@@ -45,9 +45,6 @@ func (e *EWMA) Update(now sim.Time, sample float64) {
 // Value returns the current filtered value.
 func (e *EWMA) Value() float64 { return e.value }
 
-// Initialized reports whether any sample has been observed.
-func (e *EWMA) Initialized() bool { return e.init }
-
 // Reset clears the filter.
 func (e *EWMA) Reset() { e.value = 0; e.init = false }
 

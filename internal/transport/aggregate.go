@@ -64,6 +64,3 @@ func (a *Aggregate) rawShare(s *NUMFabricSender) float64 {
 	}
 	return s.achieved.Value() / total
 }
-
-// TotalRate returns the aggregate's estimated throughput (bits/s).
-func (a *Aggregate) TotalRate() float64 { return a.totalRate() }

@@ -44,9 +44,6 @@ func (s *DCTCPSender) Start() {
 	s.retx.arm()
 }
 
-// Cwnd returns the congestion window in bytes.
-func (s *DCTCPSender) Cwnd() float64 { return s.cwnd }
-
 // OnAck runs DCTCP's marked-fraction estimator and window law.
 func (s *DCTCPSender) OnAck(p *netsim.Packet) {
 	f := s.flow

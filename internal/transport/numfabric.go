@@ -142,19 +142,11 @@ func (s *NUMFabricSender) Utility() core.Utility { return s.u }
 // Rate returns the achieved-throughput estimate in bits/second.
 func (s *NUMFabricSender) Rate() float64 { return s.achieved.Value() }
 
-// AvailRate returns the packet-pair entitlement estimate Ȓ in
-// bits/second.
-func (s *NUMFabricSender) AvailRate() float64 { return s.avail.Value() }
-
 // Weight returns the current xWI weight.
 func (s *NUMFabricSender) Weight() float64 { return s.weight }
 
 // PathPrice returns the most recent path price feedback.
 func (s *NUMFabricSender) PathPrice() float64 { return s.pathPrice }
-
-// Residual returns the normalized residual currently advertised in
-// outgoing packets (Eq. 9).
-func (s *NUMFabricSender) Residual() float64 { return s.residual }
 
 // Start sends the initial burst (§4.1: "the sender initially sends a
 // small burst (e.g., 3 packets) into the network" so the receiver's

@@ -100,11 +100,11 @@ func TestNUMFabricResidualNearZeroAtFixedPoint(t *testing.T) {
 	s := NewNUMFabricSender(r.net, f, core.ProportionalFair(), params)
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(5 * sim.Millisecond))
-	// Residual = (U'(x) - pathPrice)/len; at convergence ~0 relative
-	// to the price.
-	rel := math.Abs(s.Residual()) * 2 / s.PathPrice()
+	// The advertised residual (U'(x) - pathPrice)/len; at convergence
+	// ~0 relative to the price.
+	rel := math.Abs(s.residual) * 2 / s.PathPrice()
 	if rel > 0.2 {
-		t.Errorf("normalized residual %.3g vs price %.3g: not at fixed point", s.Residual(), s.PathPrice())
+		t.Errorf("normalized residual %.3g vs price %.3g: not at fixed point", s.residual, s.PathPrice())
 	}
 }
 
@@ -274,8 +274,8 @@ func TestDCTCPMarksDriveWindowDown(t *testing.T) {
 	}
 	// The window must have left slow start and be bounded (cwnd not
 	// runaway): a 10G/17us BDP is ~21KB; windows should be O(BDP).
-	if s1.Cwnd() > 40*netsim.MTU*10 {
-		t.Errorf("cwnd = %.0f, runaway", s1.Cwnd())
+	if s1.cwnd > 40*netsim.MTU*10 {
+		t.Errorf("cwnd = %.0f, runaway", s1.cwnd)
 	}
 	// The queue must be controlled well below the 1MB buffer.
 	if q := f1.Path[1].Q.Bytes(); q > 200000 {
@@ -355,7 +355,7 @@ func TestAggregateShares(t *testing.T) {
 	r.eng.Schedule(0, f2.Start)
 	r.eng.Run(sim.Time(3 * sim.Millisecond))
 	// Two disjoint 10G paths: the aggregate should pool ~20G.
-	if got := agg.TotalRate(); math.Abs(got-2e10)/2e10 > 0.1 {
+	if got := agg.totalRate(); math.Abs(got-2e10)/2e10 > 0.1 {
 		t.Errorf("aggregate rate = %.3g, want ~20G", got)
 	}
 	// Shares sum to ~1 and are floored.
