@@ -47,11 +47,12 @@ func TestProfilerLapTiling(t *testing.T) {
 // whose phases busy-wait for known relative costs, and holds the
 // sampled profile to them: every phase's share within 3 points of its
 // cost share, TotalNanos within 10 % of the wall time between Arm and
-// the last lap, and nothing charged to a phase never lapped. A sampler that forgets to scale
-// reports about 30 % of the wall time; one that never times PhaseLoop
-// reports a loop share of 0 instead of 20 %. A timed window the
-// scheduler preempts weighs sixteenfold in the shares, so a failed
-// attempt is retried twice; a wrong sampler fails every attempt.
+// the last lap, and nothing charged to a phase never lapped. A sampler
+// that forgets to scale reports about 30 % of the wall time; one that
+// never times PhaseLoop reports a loop share of 0 instead of 20 %. A
+// timed window the scheduler preempts weighs sixteenfold in the shares,
+// so a failed attempt is retried twice; a wrong sampler fails every
+// attempt.
 func TestProfilerSampledAccuracy(t *testing.T) {
 	const (
 		steps = 1 << 14
