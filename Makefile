@@ -69,7 +69,7 @@ OBS_INLINE = '(*PhaseProfiler).Arm' '(*PhaseProfiler).Lap' \
 	'(*Tracer).Clock' '(*Tracer).Span' \
 	'(*Live).Due' '(*Live).Batch' '(*Live).Solve' \
 	'(*FlowTracer).Admit' '(*FlowTracer).AdmitRate' '(*FlowTracer).Rate' \
-	'(*FlowTracer).Rates' '(*FlowTracer).Complete'
+	'(*FlowTracer).Rates' '(*FlowTracer).Complete' '(*FlowTracer).Publish'
 obs-inline:
 	@out=$$(go build -gcflags=-m ./internal/obs 2>&1) || { echo "$$out" >&2; exit 1; }; \
 	for m in $(OBS_INLINE); do \

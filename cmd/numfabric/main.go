@@ -33,8 +33,11 @@
 // a silent packet run. An unknown -engine or -experiment value is an
 // error that lists the valid ones, and so is a -scale other than
 // "scaled" or "full", and so is an -out, -trace-out, -flowtrace-out,
-// -cpuprofile or -memprofile path that cannot be created: each exits 2
-// before any experiment starts. Four experiments are fluid/leap-only — they run regimes the
+// -cpuprofile or -memprofile path that cannot be created, and so is a
+// flag the run would ignore (-flowtrace-sample or -flowtrace-slowest
+// without -flowtrace-out or -debug-addr, -debug-hold without
+// -debug-addr): each exits 2 before any experiment starts.
+// Four experiments are fluid/leap-only — they run regimes the
 // packet engine cannot reach: fattree (a k=8 fat-tree serving ≥50k
 // flows), fluidsweep (a multi-seed convergence sweep fanned across
 // goroutines), fluidpooling (multipath aggregate groups pooling ≥10k
@@ -128,6 +131,22 @@ func flowTraceConfig(sample float64, slowest int) (obs.FlowTraceConfig, error) {
 	return obs.FlowTraceConfig{SampleRate: sample, SlowestK: slowest}, nil
 }
 
+// ignoredFlag reports a flag set on the command line that the run would
+// ignore: -flowtrace-sample or -flowtrace-slowest with no tracer of the
+// CLI's to configure (no -flowtrace-out or -debug-addr; leapfct then
+// keeps a private 1 % trace), or -debug-hold with no server to hold.
+func ignoredFlag(set map[string]bool, ftOut, debugAddr string) error {
+	for _, name := range []string{"flowtrace-sample", "flowtrace-slowest"} {
+		if set[name] && ftOut == "" && debugAddr == "" {
+			return fmt.Errorf("-%s applies with -flowtrace-out or -debug-addr only; this run keeps no trace it configures", name)
+		}
+	}
+	if set["debug-hold"] && debugAddr == "" {
+		return errors.New("-debug-hold applies with -debug-addr only; this run serves nothing to hold")
+	}
+	return nil
+}
+
 // createOutput creates the file an output flag names, nil for an unset
 // flag; a path that cannot be created exits 2 naming the flag.
 func createOutput(name, path string) *os.File {
@@ -152,7 +171,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /progress, /debug/pprof and /debug/vars on this address while experiments run (e.g. localhost:6060)")
 	debugHold := flag.Duration("debug-hold", 0, "keep the -debug-addr server alive this long after the experiments finish")
 	traceOut := flag.String("trace-out", "", "write a Chrome-trace (chrome://tracing / Perfetto) timeline of engine batches and component solves to this file")
-	ftOut := flag.String("flowtrace-out", "", "write a JSONL flow-lifecycle trace — sampled flow records with per-segment bottleneck links, per-link utilization, slowdown attribution; analyze with cmd/flowreport (leapfct writes the sweep's last load)")
+	ftOut := flag.String("flowtrace-out", "", "write a JSONL flow-lifecycle trace — sampled flow records with per-segment bottleneck links, per-link utilization, slowdown attribution; analyze with cmd/flowreport (the trace is the run's last leap play)")
 	ftSample := flag.Float64("flowtrace-sample", 0.01, "deterministic per-flow-id fraction of completions kept in the flow trace (1 = every flow; the slowest flows are kept regardless)")
 	ftSlowest := flag.Int("flowtrace-slowest", 64, "slowest-flow reservoir size for the flow trace: this many worst slowdowns are always kept, independent of sampling (0: none)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
@@ -182,6 +201,12 @@ func main() {
 	}
 	ftCfg, err := flowTraceConfig(*ftSample, *ftSlowest)
 	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := ignoredFlag(set, *ftOut, *debugAddr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}

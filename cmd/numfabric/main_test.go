@@ -37,7 +37,9 @@ func buildBinary(t *testing.T) string {
 // after every experiment had run, with exit status 0 (an -out or
 // -cpuprofile path: exit status 1), and a -debug-addr that cannot be
 // listened on, which exited 1 and left an empty -trace-out file behind
-// (now it leaves none).
+// (now it leaves none). So is a flag the run would ignore, which used to
+// exit 0: -flowtrace-sample or -flowtrace-slowest with neither
+// -flowtrace-out nor -debug-addr, and -debug-hold without -debug-addr.
 func TestUnknownFlagValuesExitBeforeRunning(t *testing.T) {
 	bin := buildBinary(t)
 	missing := filepath.Join(t.TempDir(), "no-such-dir", "out")
@@ -74,6 +76,9 @@ func TestUnknownFlagValuesExitBeforeRunning(t *testing.T) {
 		{"flowtrace sample infinite", []string{"-experiment", "table2", "-flowtrace-sample", "+Inf"}, "-flowtrace-sample +Inf: want a fraction"},
 		{"flowtrace slowest negative", []string{"-experiment", "table2", "-flowtrace-slowest", "-3"}, "-flowtrace-slowest -3: want a count"},
 		{"debug hold negative", []string{"-experiment", "table2", "-debug-hold", "-1s"}, "-debug-hold -1s: want a duration ≥ 0"},
+		{"flowtrace sample without a trace", []string{"-experiment", "leapfct", "-flowtrace-sample", "0.5"}, "-flowtrace-sample applies with -flowtrace-out or -debug-addr only"},
+		{"flowtrace slowest without a trace", []string{"-experiment", "leapfct", "-flowtrace-slowest", "8", "-trace-out", traceOut}, "-flowtrace-slowest applies with -flowtrace-out or -debug-addr only"},
+		{"debug hold without a server", []string{"-experiment", "table2", "-debug-hold", "1s"}, "-debug-hold applies with -debug-addr only"},
 		{"trace out unwritable", []string{"-experiment", "table2", "-trace-out", missing}, "-trace-out: open " + missing},
 		{"flowtrace out unwritable", []string{"-experiment", "table2", "-flowtrace-out", missing}, "-flowtrace-out: open " + missing},
 		{"memprofile unwritable", []string{"-experiment", "table2", "-memprofile", missing}, "-memprofile: open " + missing},

@@ -105,9 +105,10 @@ func TestXWISubsetAllocatesNothingWarm(t *testing.T) {
 func TestOracleAllocatesNothingWarm(t *testing.T) {
 	ft := NewFatTree(8, 10e9)
 	flows := fctMinComponent(ft, 24)
-	g := NewGroup(0, core.ProportionalFair(), 1<<20, 0)
-	for i, pick := range []int{0, 5} {
-		g.AddMember(NewFlow(len(flows)+i, ft.Route(3, 40, pick), nil, 0, 0))
+	var members FlowTable
+	g := new(GroupTable).Acquire(core.ProportionalFair(), 1<<20, 0)
+	for _, pick := range []int{0, 5} {
+		g.AddMember(members.Acquire(ft.Route(3, 40, pick), nil, 0, 0))
 	}
 	flows = append(g.Members, flows...)
 	o := &Oracle{MaxIter: 1500}

@@ -47,11 +47,13 @@ type Engine struct {
 	active   []*Flow
 	finished []*Flow
 	rates    []float64
-	nextID   int
+	// flows and groups issue every flow and group the engine admits,
+	// with dense ids; nothing is released.
+	flows  FlowTable
+	groups GroupTable
 
 	activeGroups   []*Group
 	finishedGroups []*Group
-	nextGroupID    int
 	// changed tracks whether the active set was modified since the
 	// last allocation; stationary allocators skip recomputation while
 	// it is false.
@@ -183,8 +185,7 @@ func (e *Engine) AddFlow(links []int, u core.Utility, sizeBytes int64, at float6
 }
 
 func (e *Engine) addFlow(links []int, u core.Utility, sizeBytes int64, at float64) *Flow {
-	f := NewFlow(e.nextID, links, u, sizeBytes, at)
-	e.nextID++
+	f := e.flows.Acquire(links, u, sizeBytes, at)
 	e.pending = append(e.pending, f)
 	e.unsorted = true
 	return f
@@ -204,8 +205,7 @@ func (e *Engine) AddGroup(paths [][]int, u core.Utility, sizeBytes int64, at flo
 	for _, links := range paths {
 		e.checkFlow("AddGroup", links, sizeBytes, at)
 	}
-	g := NewGroup(e.nextGroupID, u, sizeBytes, at)
-	e.nextGroupID++
+	g := e.groups.Acquire(u, sizeBytes, at)
 	for _, links := range paths {
 		g.AddMember(e.addFlow(links, u, 0, at))
 	}

@@ -202,9 +202,10 @@ func TestMaxCapacityCoherentUnderFaults(t *testing.T) {
 	for name, mk := range allocators {
 		t.Run(name, func(t *testing.T) {
 			mkFlows := func() []*Flow {
+				var tbl FlowTable
 				flows := make([]*Flow, len(paths))
 				for i, p := range paths {
-					flows[i] = NewFlow(i, p, core.ProportionalFair(), 0, 0)
+					flows[i] = tbl.Acquire(p, core.ProportionalFair(), 0, 0)
 				}
 				return flows
 			}

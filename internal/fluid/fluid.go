@@ -118,26 +118,6 @@ type Flow struct {
 	pos int
 }
 
-// NewFlow constructs a flow outside an Engine, for alternative
-// drivers: the same initialization AddFlow performs, with ID
-// assignment left to the caller. The flow is ready to hand to any
-// Allocator. links is copied, so the caller keeps its slice; drivers
-// that recycle flows use FlowTable.Acquire instead, which carves the
-// path from a shared arena.
-func NewFlow(id int, links []int, u core.Utility, sizeBytes int64, at float64) *Flow {
-	return &Flow{
-		ID:        id,
-		Links:     append([]int(nil), links...),
-		U:         u,
-		Weight:    1,
-		SizeBytes: sizeBytes,
-		Arrive:    at,
-		Remaining: float64(sizeBytes),
-		Finish:    math.NaN(),
-		pos:       -1,
-	}
-}
-
 // Done reports whether the flow has completed.
 func (f *Flow) Done() bool { return !math.IsNaN(f.Finish) }
 

@@ -57,23 +57,6 @@ type Group struct {
 	scan    float64
 }
 
-// NewGroup constructs a group outside an Engine, for alternative
-// drivers (internal/leap's event-driven engine): the same
-// initialization AddGroup performs, with ID assignment left to the
-// caller. Attach member subflows with AddMember.
-func NewGroup(id int, u core.Utility, sizeBytes int64, at float64) *Group {
-	return &Group{
-		ID:        id,
-		U:         u,
-		Weight:    1,
-		SizeBytes: sizeBytes,
-		Arrive:    at,
-		Remaining: float64(sizeBytes),
-		Finish:    math.NaN(),
-		pos:       -1,
-	}
-}
-
 // AddMember attaches f as a member subflow: f's utility aliases the
 // group's, any payload f carries moves into the group's shared
 // SizeBytes/Remaining (a member's own stay zero — members drain only

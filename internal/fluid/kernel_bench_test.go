@@ -24,6 +24,7 @@ var kernelSizes = []int{2, 8, 64, 512}
 // alternately a destination's downlink and a source's uplink.
 func kernelComponent(ft *FatTree, n int, u core.Utility) []*Flow {
 	rng := sim.NewRNG(uint64(n))
+	var tbl FlowTable
 	flows := make([]*Flow, n)
 	prev := rng.Intn(ft.Hosts())
 	for i := range flows {
@@ -35,7 +36,7 @@ func kernelComponent(ft *FatTree, n int, u core.Utility) []*Flow {
 		if i%2 == 1 {
 			src, dst = next, prev
 		}
-		flows[i] = NewFlow(i, ft.Route(src, dst, rng.Intn(ft.K*ft.K/4)), u, 1<<20, 0)
+		flows[i] = tbl.Acquire(ft.Route(src, dst, rng.Intn(ft.K*ft.K/4)), u, 1<<20, 0)
 		prev = next
 	}
 	return flows
@@ -217,25 +218,27 @@ func BenchmarkOracleSolve(b *testing.B) {
 		row("flows=%d", ft.Net, kernelComponent(ft, n, core.ProportionalFair()))
 	}
 	for _, n := range kernelSizes {
+		var tbl FlowTable
 		capacity := make([]float64, n+1)
 		flows := make([]*Flow, n)
 		rng := sim.NewRNG(uint64(n) + 2)
 		for i := range flows {
 			capacity[i+1] = 10e9
 			size := int64(1e3 * math.Pow(1e6, rng.Float64()))
-			flows[i] = NewFlow(i, []int{0, i + 1}, core.FCTMin(size, 0.125), size, 0)
+			flows[i] = tbl.Acquire([]int{0, i + 1}, core.FCTMin(size, 0.125), size, 0)
 		}
 		capacity[0] = 10e9
 		row("star/flows=%d", NewNetwork(capacity), flows)
 	}
 	for _, n := range kernelSizes {
+		var tbl FlowTable
 		capacity := make([]float64, 2*n+1)
 		flows := make([]*Flow, n)
 		rng := sim.NewRNG(uint64(n) + 3)
 		for i := range flows {
 			capacity[2*i], capacity[2*i+1] = 10e9, (2+8*rng.Float64())*1e9
 			size := int64(1e3 * math.Pow(1e6, rng.Float64()))
-			flows[i] = NewFlow(i, []int{2 * i, 2*i + 1, 2*i + 2}, core.FCTMin(size, 0.125), size, 0)
+			flows[i] = tbl.Acquire([]int{2 * i, 2*i + 1, 2*i + 2}, core.FCTMin(size, 0.125), size, 0)
 		}
 		capacity[2*n] = 10e9
 		row("chain/flows=%d", NewNetwork(capacity), flows)

@@ -62,16 +62,18 @@ func TestParallelWorkersMatchSerial(t *testing.T) {
 func TestParallelWorkersGroups(t *testing.T) {
 	net := NewNetwork([]float64{10e9, 10e9, 10e9, 10e9})
 	u := core.ProportionalFair()
-	mkGroup := func(id int, links [2]int) (*Group, []*Flow) {
-		g := NewGroup(id, u, 1<<20, 0)
-		f1 := NewFlow(2*id, []int{links[0]}, u, 0, 0)
-		f2 := NewFlow(2*id+1, []int{links[1]}, u, 0, 0)
+	var flows FlowTable
+	var groups GroupTable
+	mkGroup := func(links [2]int) (*Group, []*Flow) {
+		g := groups.Acquire(u, 1<<20, 0)
+		f1 := flows.Acquire([]int{links[0]}, u, 0, 0)
+		f2 := flows.Acquire([]int{links[1]}, u, 0, 0)
 		g.AddMember(f1)
 		g.AddMember(f2)
 		return g, []*Flow{f1, f2}
 	}
-	_, a := mkGroup(0, [2]int{0, 1})
-	_, b := mkGroup(1, [2]int{2, 3})
+	_, a := mkGroup([2]int{0, 1})
+	_, b := mkGroup([2]int{2, 3})
 
 	parent := NewWaterFill()
 	parent.Prime(net)

@@ -14,14 +14,15 @@ import (
 func subsetScenario() (*Network, []*Flow, []*Flow) {
 	net := NewNetwork([]float64{10e9, 10e9, 25e9, 40e9})
 	u := core.ProportionalFair()
+	var tbl FlowTable
 	a := []*Flow{
-		NewFlow(0, []int{0}, u, 1<<20, 0),
-		NewFlow(1, []int{0, 1}, u, 1<<20, 0),
-		NewFlow(2, []int{1}, u, 1<<20, 0),
+		tbl.Acquire([]int{0}, u, 1<<20, 0),
+		tbl.Acquire([]int{0, 1}, u, 1<<20, 0),
+		tbl.Acquire([]int{1}, u, 1<<20, 0),
 	}
 	b := []*Flow{
-		NewFlow(3, []int{2}, u, 1<<20, 0),
-		NewFlow(4, []int{2, 3}, u, 1<<20, 0),
+		tbl.Acquire([]int{2}, u, 1<<20, 0),
+		tbl.Acquire([]int{2, 3}, u, 1<<20, 0),
 	}
 	return net, a, b
 }

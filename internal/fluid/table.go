@@ -6,10 +6,11 @@ import (
 	"numfabric/internal/core"
 )
 
-// This file is the cache-shaped storage layer behind the event-driven
-// engine (internal/leap): pooled, dense-id tables for flows and groups
-// plus a CSR-style arena for their paths. Three properties drive the
-// layout:
+// This file is the cache-shaped storage layer every flow-level driver
+// takes its flows and groups from — the event-driven engine
+// (internal/leap), the epoch engine and internal/refsim: pooled, dense-id
+// tables for flows and groups plus a CSR-style arena for their paths.
+// Three properties drive the layout:
 //
 //   - Pointer stability. Engine state (link indexes, component scratch,
 //     allocator inputs) holds *Flow/*Group across arbitrary table
@@ -69,11 +70,11 @@ type FlowTable struct {
 // NewFlowTable returns an empty table (equivalent to new(FlowTable)).
 func NewFlowTable() *FlowTable { return &FlowTable{} }
 
-// Acquire returns a freshly initialized flow — the same initialization
-// NewFlow performs — with a recycled id when one is free and the next
-// dense id otherwise. links is copied into the table's path arena (a
-// recycled same-length segment when available), so the caller keeps
-// ownership of its slice and a warm table allocates nothing.
+// Acquire returns a freshly initialized flow with a recycled id when
+// one is free and the next dense id otherwise. links is copied into the
+// table's path arena (a recycled same-length segment when available),
+// so the caller keeps ownership of its slice and a warm table allocates
+// nothing.
 func (t *FlowTable) Acquire(links []int, u core.Utility, sizeBytes int64, at float64) *Flow {
 	var id int
 	if n := len(t.free); n > 0 {
@@ -205,10 +206,9 @@ type GroupTable struct {
 // NewGroupTable returns an empty table (equivalent to new(GroupTable)).
 func NewGroupTable() *GroupTable { return &GroupTable{} }
 
-// Acquire returns a freshly initialized group — the same
-// initialization NewGroup performs — reusing a recycled id and its
-// slot's Members backing when one is free. Attach member subflows with
-// AddMember.
+// Acquire returns a freshly initialized group, reusing a recycled id
+// and its slot's Members backing when one is free. Attach member
+// subflows with AddMember.
 func (t *GroupTable) Acquire(u core.Utility, sizeBytes int64, at float64) *Group {
 	var id int
 	if n := len(t.free); n > 0 {

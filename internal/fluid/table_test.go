@@ -201,16 +201,17 @@ func TestFlowTableReset(t *testing.T) {
 	}
 }
 
-// TestNewFlowCopiesLinks: NewFlow defensively copies the caller's
-// path, so a driver may reuse or mutate its slice afterwards.
-func TestNewFlowCopiesLinks(t *testing.T) {
+// TestAddFlowCopiesLinks: the epoch engine copies the caller's path
+// into its flow table, so a driver may reuse or mutate its slice
+// afterwards.
+func TestAddFlowCopiesLinks(t *testing.T) {
 	links := []int{1, 2}
-	copied := NewFlow(1, links, core.ProportionalFair(), 10, 0)
+	copied := NewEngine(NewNetwork([]float64{1e9, 1e9, 1e9}), Config{}).AddFlow(links, core.ProportionalFair(), 10, 0)
 	if &copied.Links[0] == &links[0] {
-		t.Error("NewFlow adopted the slice instead of copying it")
+		t.Error("AddFlow adopted the slice instead of copying it")
 	}
 	links[0] = 42
 	if copied.Links[0] != 1 {
-		t.Error("NewFlow's copy aliases the caller's slice")
+		t.Error("AddFlow's copy aliases the caller's slice")
 	}
 }

@@ -1170,9 +1170,11 @@ func (e *Engine) Step() bool {
 }
 
 // publish is the live hook's one site: the engine's position and Stats
-// value, on a scraper's request or (final) whenever a run ends.
+// value, and the flow tracer's /flows and /links pages, on a scraper's
+// request or (final) whenever a run ends.
 func (e *Engine) publish(final bool) {
 	if l := e.hooks.Live; l.Due(final) {
+		e.hooks.FlowTrace.Publish()
 		l.Publish(e.now, e.nLive, int(e.nadmit)-e.nLive, e.Stats())
 	}
 }

@@ -134,14 +134,15 @@ func TestGroupVsFlowSharing(t *testing.T) {
 	}
 }
 
-// TestAddMemberMovesPayload: attaching a finite flow to a group via
-// the constructor API folds its payload into the group's shared
+// TestAddMemberMovesPayload: attaching a finite flow from a table to a
+// group folds its payload into the group's shared
 // Remaining; the whole payload drains at the pooled rate and the
 // member completes with the group, never alone.
 func TestAddMemberMovesPayload(t *testing.T) {
-	g := fluid.NewGroup(0, core.ProportionalFair(), 0, 0)
-	a := fluid.NewFlow(0, []int{0}, core.ProportionalFair(), 1<<20, 0)
-	b := fluid.NewFlow(1, []int{1}, core.ProportionalFair(), 1<<20, 0)
+	var flows fluid.FlowTable
+	g := new(fluid.GroupTable).Acquire(core.ProportionalFair(), 0, 0)
+	a := flows.Acquire([]int{0}, core.ProportionalFair(), 1<<20, 0)
+	b := flows.Acquire([]int{1}, core.ProportionalFair(), 1<<20, 0)
 	g.AddMember(a)
 	g.AddMember(b)
 	if a.SizeBytes != 0 || b.SizeBytes != 0 {

@@ -9,15 +9,14 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 )
 
 // FlowTracer records sampled per-flow lifecycles from the leap engine:
 // arrival, every rate change with its cause (solve batch, component
 // size) and bottleneck link, and completion. A nil *FlowTracer costs the
-// engine nothing; the mutating methods run on the engine's goroutine,
-// and a mutex makes the snapshot and export paths safe from others.
+// engine nothing. It has one writer and no lock: while a run is live
+// only the engine's goroutine calls its methods; other goroutines read
+// the copy Publish stored (/flows, /links).
 //
 // Every active flow's record is tracked (memory is bounded by the active
 // set; lost service accumulates per segment). At completion a hash of
@@ -30,16 +29,13 @@ import (
 // the namer's labels of export time, copying only a record whose labels
 // have moved since.
 type FlowTracer struct {
-	mu  sync.Mutex
-	cfg FlowTraceConfig
-	// nameFn is the link-label function, held atomically so callers can
-	// install a topology-aware namer (SetLinkName) after construction
-	// while HTTP readers format labels concurrently.
-	nameFn atomic.Pointer[func(link int) string]
+	cfg    FlowTraceConfig
+	nameFn func(link int) string // the link-label function (SetLinkName)
+	pages  published             // only Publish and the handlers touch it
 	flowRun
 }
 
-// flowRun is a FlowTracer's per-run state, all of what Reset clears.
+// flowRun is a FlowTracer's per-run state, all of what Bind clears.
 type flowRun struct {
 	caps  []float64 // link capacities, bound by the engine
 	links *LinkStats
@@ -92,29 +88,16 @@ func NewFlowTracer(cfg FlowTraceConfig) *FlowTracer {
 
 // SetLinkName installs (or replaces) the link-label function used in
 // exports and reports — typically a topology's LinkName once the
-// network is built. Safe to call while snapshots are being served.
-func (t *FlowTracer) SetLinkName(fn func(link int) string) {
-	if fn != nil {
-		t.nameFn.Store(&fn)
-	}
-}
+// network is built. Call it before the run, not while an engine plays.
+func (t *FlowTracer) SetLinkName(fn func(link int) string) { t.nameFn = fn }
 
 // linkName returns the configured label for link l, "" when no namer
 // is installed or l is negative.
 func (t *FlowTracer) linkName(l int) string {
-	if p := t.nameFn.Load(); p != nil && l >= 0 {
-		return (*p)(l)
+	if t.nameFn != nil && l >= 0 {
+		return t.nameFn(l)
 	}
 	return ""
-}
-
-// Reset clears all per-run state — records, counters, link statistics
-// and the capacity binding — keeping the configuration, so one tracer
-// (and the endpoints holding it) can serve several runs in sequence.
-func (t *FlowTracer) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.flowRun = flowRun{}
 }
 
 // Cause is why a rate segment began; its text form ("admit", "solve",
@@ -266,16 +249,12 @@ func (r *FlowRecord) clone() *FlowRecord {
 	return &c
 }
 
-// Bind gives the tracer the network's link capacities (each flow's line
-// rate and min-capacity link); the engine calls it at construction.
+// Bind starts a fresh run over the network's link capacities (each
+// flow's line rate and min-capacity link), keeping the configuration
+// and namer. The engine calls it at construction, so a tracer handed to
+// several engines in turn describes the last one bound.
 func (t *FlowTracer) Bind(caps []float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.caps != nil {
-		return // one engine per tracer; keep the first binding
-	}
-	t.caps = caps
-	t.links = newLinkStats(caps)
+	t.flowRun = flowRun{caps: caps, links: newLinkStats(caps)}
 }
 
 // Admit starts tracing flow id: size bytes, arriving at arrive,
@@ -289,8 +268,8 @@ func (t *FlowTracer) Admit(id int, sizeBytes int64, arrive float64, links []int)
 }
 
 // AdmitRate is Admit then Rate(id, now, rate, -1, CauseAdmit, 1, batch),
-// for a flow rated as it is admitted, under one lock and, when now is
-// arrive, in the one pass over its path that leaves what the two would.
+// for a flow rated as it is admitted: when now is arrive, in the one
+// pass over its path that leaves what the two would.
 func (t *FlowTracer) AdmitRate(id int, sizeBytes int64, arrive float64, links []int, now, rate float64, batch uint64) {
 	if t != nil && sizeBytes > 0 {
 		t.admit(id, sizeBytes, arrive, links, now, rate, batch)
@@ -298,8 +277,6 @@ func (t *FlowTracer) AdmitRate(id int, sizeBytes int64, arrive float64, links []
 }
 
 func (t *FlowTracer) admit(id int, sizeBytes int64, arrive float64, links []int, now, rate float64, batch uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.caps == nil || len(links) == 0 {
 		return
 	}
@@ -358,23 +335,21 @@ func (t *FlowTracer) admit(id int, sizeBytes int64, arrive float64, links []int,
 // segment; untracked ids are ignored.
 func (t *FlowTracer) Rate(id int, now, rate float64, bneck int, cause Cause, comp int, batch uint64) {
 	if t != nil {
-		t.rates(now, []int{id}, []float64{rate}, []int32{int32(bneck)}, cause, comp, batch)
+		t.setRate(id, now, rate, int32(bneck), cause, int32(comp), uint32(batch))
 	}
 }
 
 // Rates is Rate(ids[i], now, rates[i], bneck[i], cause, len(ids), batch)
-// for each of one solved component's flows, under one lock.
+// for each of one solved component's flows.
 func (t *FlowTracer) Rates(now float64, ids []int, rates []float64, bneck []int32, cause Cause, batch uint64) {
 	if t != nil {
-		t.rates(now, ids, rates, bneck, cause, len(ids), batch)
+		t.rates(now, ids, rates, bneck, cause, batch)
 	}
 }
 
-func (t *FlowTracer) rates(now float64, ids []int, rates []float64, bneck []int32, cause Cause, comp int, batch uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+func (t *FlowTracer) rates(now float64, ids []int, rates []float64, bneck []int32, cause Cause, batch uint64) {
 	for i, id := range ids {
-		t.setRate(id, now, rates[i], bneck[i], cause, int32(comp), uint32(batch))
+		t.setRate(id, now, rates[i], bneck[i], cause, int32(len(ids)), uint32(batch))
 	}
 }
 
@@ -443,8 +418,6 @@ func (t *FlowTracer) Complete(id int, finish float64) {
 }
 
 func (t *FlowTracer) complete(id int, finish float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	r := t.rec(id)
 	if r == nil {
 		return
@@ -537,16 +510,22 @@ func slowLess(a, b *FlowRecord) bool {
 }
 
 // Records returns the kept records (hash sample ∪ reservoir) by
-// slowdown descending, in a slice of the caller's: hash-sampled records
-// shared, reservoir ones (an eviction recycles their storage) copied.
+// slowdown descending, labelled as the namer labels links now, in a
+// slice of the caller's: hash-sampled records shared, reservoir ones
+// (an eviction recycles their storage) copied, and so is a record whose
+// labels moved since its completion (a link died after it finished).
 func (t *FlowTracer) Records() []*FlowRecord {
-	t.mu.Lock()
 	out := make([]*FlowRecord, 0, len(t.kept)+len(t.slow))
 	out = append(out, t.kept...)
 	for _, r := range t.slow {
 		out = append(out, r.clone())
 	}
-	t.mu.Unlock()
+	for i, r := range out {
+		if !r.labelled(t.linkName) {
+			out[i] = r.clone()
+			out[i].label(t.linkName)
+		}
+	}
 	sort.Slice(out, func(i, j int) bool { return slowLess(out[j], out[i]) })
 	return out
 }
@@ -567,8 +546,6 @@ type FlowTraceSummary struct {
 
 // Summary returns the tracer's totals.
 func (t *FlowTracer) Summary() FlowTraceSummary {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return FlowTraceSummary{Schema: SchemaVersion, Tracked: t.tracked, Active: t.nActive,
 		Completed: t.completed, Kept: len(t.kept), Reservoir: len(t.slow), Dropped: t.dropped,
 		SampleRate: t.cfg.SampleRate, SlowestK: t.cfg.SlowestK}
@@ -587,27 +564,11 @@ type LinkLoss struct {
 	Flows int `json:"flows,omitempty"`
 }
 
-// finished returns Records labelled as the namer labels links now: a
-// record whose labels moved since its completion (a link died after
-// the flow finished) as a relabelled copy.
-func (t *FlowTracer) finished() []*FlowRecord {
-	recs := t.Records()
-	for i, r := range recs {
-		if !r.labelled(t.linkName) {
-			recs[i] = r.clone()
-			recs[i].label(t.linkName)
-		}
-	}
-	return recs
-}
-
 // Trace snapshots the tracer as the FlowTrace its JSONL export
 // encodes: kept records by slowdown descending, then copies of the
 // flows still active, then per-link statistics.
 func (t *FlowTracer) Trace() *FlowTrace {
-	ft := &FlowTrace{Summary: t.Summary(), Flows: t.finished()}
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	ft := &FlowTrace{Summary: t.Summary(), Flows: t.Records()}
 	for _, r := range t.active {
 		if r != nil {
 			c := r.clone() // an active record is still being written
@@ -615,22 +576,15 @@ func (t *FlowTracer) Trace() *FlowTrace {
 			ft.Flows = append(ft.Flows, c)
 		}
 	}
-	for _, ls := range t.links.Snapshot() {
-		ft.Links = append(ft.Links, LinkLine{Type: "link", Name: t.linkName(ls.Link), LinkSnapshot: ls})
-	}
+	ft.Links = t.linkLines(t.linkName)
 	return ft
 }
 
 // WriteJSONL writes the trace as JSON lines (FlowTrace.WriteJSONL).
 func (t *FlowTracer) WriteJSONL(w io.Writer) error { return t.Trace().WriteJSONL(w) }
 
-// LinksSnapshot returns the per-link statistics under the tracer's
-// lock, safe for the /links endpoint while a run is live.
-func (t *FlowTracer) LinksSnapshot() []LinkSnapshot {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.links.Snapshot()
-}
+// LinksSnapshot returns the per-link statistics (LinkStats.Snapshot).
+func (t *FlowTracer) LinksSnapshot() []LinkSnapshot { return t.links.Snapshot() }
 
 // LinkLine is the JSONL "link" line (and /links entry).
 type LinkLine struct {
@@ -809,7 +763,7 @@ type FlowsSnapshot struct {
 // kept records: the slowest topN and the TailAttribution of the slowest
 // frac.
 func (t *FlowTracer) FlowsSnapshotTop(topN int, frac float64) FlowsSnapshot {
-	s := FlowsSnapshot{FlowTraceSummary: t.Summary(), TailFrac: frac, Flows: t.finished()}
+	s := FlowsSnapshot{FlowTraceSummary: t.Summary(), TailFrac: frac, Flows: t.Records()}
 	s.Attribution, s.TailFlows = (&FlowTrace{Flows: s.Flows}).TailAttribution(frac)
 	if s.Attribution == nil {
 		s.Attribution = []LinkLoss{}

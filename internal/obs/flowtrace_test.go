@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -362,64 +361,75 @@ func TestFlowTraceUntrackedAndForeignIDsIgnored(t *testing.T) {
 	}
 }
 
+// TestFlowTraceReset: Bind starts a fresh run — a second engine bound
+// to the tracer finds no record, counter or link statistic of the
+// first, on the same network or another.
 func TestFlowTraceReset(t *testing.T) {
 	ft := traced(FlowTraceConfig{SampleRate: 1})
 	ft.Admit(0, 10, 0, []int{0})
 	ft.Rate(0, 0, 10, 0, CauseSolve, 1, 1)
 	ft.Complete(0, 8)
 	ft.Admit(1, 10, 8, []int{0})
-	ft.Reset()
+	ft.Bind([]float64{10, 20, 5})
 	if s := ft.Summary(); s.Tracked != 0 || s.Active != 0 || s.Kept != 0 || s.Reservoir != 0 {
-		t.Fatalf("summary after reset = %+v", s)
+		t.Fatalf("summary after rebind = %+v", s)
 	}
 	if snaps := ft.LinksSnapshot(); snaps != nil {
-		t.Fatalf("link stats survived reset: %+v", snaps)
+		t.Fatalf("link stats survived rebind: %+v", snaps)
 	}
-	// Rebinding (possibly to a different network) starts fresh.
 	ft.Bind([]float64{1})
 	ft.Admit(3, 10, 0, []int{0})
 	ft.Rate(3, 0, 1, 0, CauseSolve, 1, 1)
 	ft.Complete(3, 80)
 	if s := ft.Summary(); s.Tracked != 1 || s.Completed != 1 {
-		t.Fatalf("summary after rebind = %+v", s)
+		t.Fatalf("summary after rebind to another network = %+v", s)
 	}
 }
 
-// TestFlowTraceConcurrentSnapshots drives the tracer from one
-// goroutine (the engine's discipline) while snapshot endpoints read
-// concurrently — the -race guard for the /flows and /links paths.
-func TestFlowTraceConcurrentSnapshots(t *testing.T) {
-	ft := traced(FlowTraceConfig{SampleRate: 0.5, SlowestK: 8})
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				_ = ft.FlowsSnapshotTop(10, 0.1)
-				_ = ft.LinksSnapshot()
-				_ = ft.Summary()
-				var buf bytes.Buffer
-				_ = ft.WriteJSONL(&buf)
-				ft.SetLinkName(func(l int) string { return "x" })
+// TestPublishedPagesAreImmutable: a published /flows body and /links
+// lines share no storage the tracer writes later. The play runs until
+// the slowest-4 reservoir has evicted records, publishes, and goes on
+// through more evictions, completions and rate changes on the same
+// links; the stored copy must marshal to the same bytes.
+func TestPublishedPagesAreImmutable(t *testing.T) {
+	ft := traced(FlowTraceConfig{SampleRate: 0.25, SlowestK: 4, MaxSegs: 4})
+	ft.SetLinkName(func(l int) string { return []string{"a", "b", "c"}[l] })
+	id := 0
+	play := func(n int) {
+		for end := id + n; id < end; id++ {
+			ft.Admit(id, 10, float64(id), []int{id % 3, (id + 1) % 3})
+			for k := range 6 { // more segments than MaxSegs, alternating
+				ft.Rate(id, float64(id)+float64(k)/8, 1+float64((id+k)%5), id%3, CauseSolve, 2, uint64(id))
 			}
-		}()
+			ft.Complete(id, float64(id)+1+float64(id%13))
+		}
 	}
-	for id := 0; id < 3000; id++ {
-		ft.Admit(id, 100, float64(id), []int{id % 3})
-		ft.Rate(id, float64(id), 1+float64(id%7), id%3, CauseSolve, 2, uint64(id))
-		ft.Complete(id, float64(id)+5)
+	marshal := func(p *flowPages) []byte {
+		b, err := json.Marshal(p.flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := json.Marshal(p.links)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(b, l...)
 	}
-	close(done)
-	wg.Wait()
-	if s := ft.Summary(); s.Completed != 3000 {
-		t.Fatalf("completed = %d", s.Completed)
+	play(200)
+	ft.Publish()
+	p := ft.pages.Load()
+	if p.flows.Reservoir != 4 || p.flows.Completed != 200 || len(p.links) != 3 {
+		t.Fatalf("published %+v with %d links, want a full reservoir after 200 completions on 3 links",
+			p.flows.FlowTraceSummary, len(p.links))
+	}
+	before := marshal(p)
+	play(2000)
+	if after := marshal(p); !bytes.Equal(before, after) {
+		t.Errorf("the published copy moved as the play went on:\n%s\nwant\n%s", after, before)
+	}
+	ft.Publish()
+	if ft.pages.Load().flows.Completed != 2200 {
+		t.Errorf("a second Publish did not replace the copy")
 	}
 }
 

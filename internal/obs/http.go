@@ -7,15 +7,16 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sync/atomic"
 )
 
 // Handler builds the debug mux: net/http/pprof under /debug/pprof/,
-// expvar under /debug/vars, /metrics and /progress encoded from the
-// live hook's one copy (each scrape asks the engine for a fresh one),
-// and — off the FlowTracer — the slow-flow attribution at /flows and
-// per-link utilization at /links, both snapshotted under the tracer's
-// lock. Either argument may be nil; its endpoints then serve empty
-// documents.
+// expvar under /debug/vars, and four JSON endpoints that each ask the
+// live hook for a fresh publish and encode the copy the engine stored:
+// /metrics and /progress the live hook's, /flows (slow-flow
+// attribution) and /links (per-link utilization) the tracer's
+// (FlowTracer.Publish). Either argument may be nil; its endpoints then
+// serve empty documents, as a tracer does before its first publish.
 func Handler(live *Live, ft *FlowTracer) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -35,20 +36,24 @@ func Handler(live *Live, ft *FlowTracer) http.Handler {
 	}
 	serve("/metrics", func() any { return live.Metrics() })
 	serve("/progress", func() any { return live.Progress() })
-	serve("/flows", func() any {
+	pages := func() *flowPages {
 		if ft == nil {
-			return struct{}{}
+			return nil
 		}
-		return ft.FlowsSnapshotTop(flowsEndpointTop, flowsEndpointFrac)
+		live.ask()
+		return ft.pages.Load()
+	}
+	serve("/flows", func() any {
+		if p := pages(); p != nil {
+			return p.flows
+		}
+		return struct{}{}
 	})
 	serve("/links", func() any {
-		out := []LinkLine{}
-		if ft != nil {
-			for _, ls := range ft.LinksSnapshot() {
-				out = append(out, LinkLine{Type: "link", Name: ft.LinkNameOrIndex(ls.Link), LinkSnapshot: ls})
-			}
+		if p := pages(); p != nil {
+			return p.links
 		}
-		return out
+		return []LinkLine{}
 	})
 
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -70,6 +75,32 @@ func Handler(live *Live, ft *FlowTracer) http.Handler {
 // flowsEndpointTop bounds the flows listed by /flows;
 // flowsEndpointFrac is the slowest fraction its attribution covers.
 const flowsEndpointTop, flowsEndpointFrac = 50, 0.01
+
+// flowPages are the /flows body and the /links lines of one publish.
+// They share no storage the engine writes later: kept records are final,
+// the reservoir's are copies (Records), and the rest is built for them.
+type flowPages struct {
+	flows FlowsSnapshot
+	links []LinkLine
+}
+
+// published holds the pages a FlowTracer published last.
+type published struct{ atomic.Pointer[flowPages] }
+
+// Publish stores the tracer's /flows body (FlowsSnapshotTop(50, 0.01))
+// and labelled /links lines as the copy those endpoints serve. The
+// engine calls it where Live.Due holds, before Live.Publish wakes the
+// scraper, so links are labelled where capacities are written. An
+// inlinable nil check.
+func (t *FlowTracer) Publish() {
+	if t != nil {
+		t.publish()
+	}
+}
+
+func (t *FlowTracer) publish() {
+	t.pages.Store(&flowPages{t.FlowsSnapshotTop(flowsEndpointTop, flowsEndpointFrac), t.linkLines(t.LinkNameOrIndex)})
+}
 
 // Serve serves the debug endpoint on ln until ln closes. The caller
 // opens the listener, so an address that cannot be listened on is

@@ -36,6 +36,7 @@ func TestDebugEndpoints(t *testing.T) {
 	ft.Admit(0, 1000, 0, []int{0, 2})
 	ft.Rate(0, 0, 2.5, 2, CauseSolve, 2, 1)
 	ft.Complete(0, 3.2)
+	ft.Publish()
 
 	srv := httptest.NewServer(Handler(live, ft))
 	defer srv.Close()

@@ -9,9 +9,9 @@ import "math"
 // plain finite flows — which is the entire population in the FCT
 // experiments.
 //
-// LinkStats is mutated only through the owning FlowTracer (under its
-// mutex, on the engine goroutine), whose LinksSnapshot takes the same
-// mutex so the /links endpoint can read concurrently.
+// LinkStats is owned by its FlowTracer and, like it, by the engine
+// goroutine: the /links endpoint reads the copy FlowTracer.Publish
+// stored, never the running state.
 type LinkStats struct {
 	caps []float64
 	link []linkStat // the running state, one cache line per link
@@ -173,9 +173,8 @@ type LinkSnapshot struct {
 }
 
 // Snapshot returns per-link statistics for every link the trace
-// touched (links with no traced flows are omitted). Must be called
-// through the owning FlowTracer's accessors or after the run — the
-// engine goroutine mutates concurrently otherwise.
+// touched (links with no traced flows are omitted), in storage of the
+// caller's. Engine goroutine or after the run only.
 func (s *LinkStats) Snapshot() []LinkSnapshot {
 	if s == nil {
 		return nil
@@ -203,4 +202,14 @@ func (s *LinkStats) Snapshot() []LinkSnapshot {
 		out = append(out, ls)
 	}
 	return out
+}
+
+// linkLines returns the tracer's per-link statistics labelled by name:
+// the JSONL "link" lines and the /links body.
+func (t *FlowTracer) linkLines(name func(link int) string) []LinkLine {
+	lines := []LinkLine{}
+	for _, ls := range t.LinksSnapshot() {
+		lines = append(lines, LinkLine{Type: "link", Name: name(ls.Link), LinkSnapshot: ls})
+	}
+	return lines
 }

@@ -108,10 +108,13 @@ func (l *Live) Publish(simSeconds float64, active, finished int, stats any) {
 	}
 }
 
-// latest raises a request, waits up to liveWait for the engine to
-// answer it after its next event, and returns the latest copy either
-// way: an idle or finished engine answers with what it published last.
-func (l *Live) latest() (ProgressSnapshot, any, [2]HistogramSnapshot) {
+// ask raises a request and waits up to liveWait for the engine to
+// answer it after its next event; an idle or finished engine leaves
+// what it published last. A nil hook returns at once.
+func (l *Live) ask() {
+	if l == nil {
+		return
+	}
 	select {
 	case <-l.fresh: // a publish nobody was waiting for
 	default:
@@ -121,9 +124,6 @@ func (l *Live) latest() (ProgressSnapshot, any, [2]HistogramSnapshot) {
 	case <-l.fresh:
 	case <-time.After(liveWait):
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.pos, l.stats, l.snaps
 }
 
 // Metrics is the /metrics payload: the publishing engine's Stats
@@ -167,10 +167,12 @@ func (l *Live) Metrics() Metrics {
 	if l == nil {
 		return metricsOf(nil)
 	}
-	_, stats, snaps := l.latest()
-	m := metricsOf(stats)
+	l.ask()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	m := metricsOf(l.stats)
 	for i, name := range histNames {
-		m.Histograms[name] = snaps[i]
+		m.Histograms[name] = l.snaps[i]
 	}
 	return m
 }
@@ -201,15 +203,15 @@ func (l *Live) Progress() ProgressSnapshot {
 	if l == nil {
 		return ProgressSnapshot{Schema: SchemaVersion}
 	}
-	p, stats, _ := l.latest()
-	m := metricsOf(stats)
+	l.ask()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	p, m := l.pos, metricsOf(l.stats)
 	p.Schema = SchemaVersion
 	p.Events, p.Batches = m.Counters[metricsPrefix+"events"], m.Counters[metricsPrefix+"batches"]
 	if p.WallSeconds > 0 {
 		p.EventsPerSec = float64(p.Events) / p.WallSeconds
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if dw, de := p.WallSeconds-l.prevWall, float64(p.Events)-l.prevEvents; l.prevWall > 0 && dw > 0 && de > 0 {
 		p.EventsPerSec = de / dw
 	}

@@ -4,20 +4,22 @@
 // live snapshot an engine publishes on request, and a debug HTTP
 // endpoint (pprof, expvar, /metrics, /progress, /flows, /links).
 //
-// An engine counts its work in one Stats value and this package keeps
-// no second copy: /metrics and /progress are encoded at scrape time
-// from the Stats value the engine last handed to Live; the Stats json
-// tags are the one naming table, SchemaVersion the stamp on every
-// document another program reads back.
+// Every hook has one writer, the engine goroutine, and no lock on its
+// path. Other goroutines read only what the engine published — on a
+// scrape's request (Live.Due) and at a run's end: its Stats value and
+// histograms into Live (/metrics, /progress), the flow tracer's pages
+// into the tracer (/flows, /links). The Stats json tags are the one
+// naming table, SchemaVersion the stamp on every document another
+// program reads back.
 //
 // This package owns the nil check: every engine-facing method is a
 // nil-check wrapper the compiler inlines (`make obs-inline`), so an
 // engine calls its Config.Obs hooks unguarded and a detached hook costs
 // its site one branch. Attached, on a 100k-flow leapfct play (`make
-// hook-price` on a shared 2-vCPU host, three runs of ten counts): the
-// sampled profiler costs +2–7 %, the 1 % flow tracer +23–24 %, both, what
-// numfabric -experiment leapfct attaches, +22–29 %. Live costs an event
-// one atomic load.
+// hook-price` on a shared 2-vCPU host, medians of three sessions of five
+// counts): the sampled profiler costs +0–10 %, the 1 % flow tracer
+// +22–33 %, both, what numfabric -experiment leapfct attaches, +21–35 %.
+// Live costs an event one atomic load.
 package obs
 
 import "time"

@@ -26,9 +26,10 @@ func allocate(p *core.Problem, a interface {
 	fluid.Allocator
 	fluid.IterCounter
 }) ([]float64, int64) {
+	var tbl fluid.FlowTable
 	flows := make([]*fluid.Flow, len(p.Flows))
 	for i, f := range p.Flows {
-		flows[i] = fluid.NewFlow(i, f.Links, p.Groups[f.Group].U, 0, 0)
+		flows[i] = tbl.Acquire(f.Links, p.Groups[f.Group].U, 0, 0)
 	}
 	rates := make([]float64, len(flows))
 	a.Allocate(fluid.NewNetwork(p.Capacity), flows, rates)

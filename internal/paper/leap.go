@@ -57,22 +57,20 @@ func leapFCT(env Env, s Scale, seed uint64) Metrics {
 		"window_ns",
 		"p99_norm_fct", "tail_flows", "tail_link", "tail_link_share")
 	// The flow tracer behind the slowdown-attribution lines: env's when
-	// it has one (numfabric -flowtrace-out/-debug-addr; reset
-	// per load, so /flows and the JSONL export reflect the current —
-	// finally the last — load), a private sampled tracer otherwise.
+	// it has one (numfabric -flowtrace-out/-debug-addr), a private sampled
+	// tracer otherwise. Each load's engine binds it afresh, so /flows and
+	// the JSONL export describe the current — finally the last — load.
 	tracer := env.Obs.FlowTrace
+	if tracer == nil {
+		tracer = obs.NewFlowTracer(obs.FlowTraceConfig{SampleRate: 0.01})
+	}
+	tracer.SetLinkName(ft.LinkName)
 	for _, load := range loads {
 		// Each load gets a fresh phase profiler (so its breakdown covers
 		// exactly that run) on top of whatever -debug-addr/-trace-out
 		// hooks are shared across the sweep.
 		hooks := env.Obs
 		hooks.Profiler = obs.NewPhaseProfiler()
-		if tracer != nil {
-			tracer.Reset()
-		} else {
-			tracer = obs.NewFlowTracer(obs.FlowTraceConfig{SampleRate: 0.01})
-		}
-		tracer.SetLinkName(ft.LinkName)
 		hooks.FlowTrace = tracer
 		res := harness.RunDynamicWith(harness.EngineLeap, fatTreeFCTMin(ft, load, nflows, seed, hooks))
 		elapsed, st := res.RunWall, res.LeapStats

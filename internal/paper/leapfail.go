@@ -50,7 +50,6 @@ func leapFail(env Env, s Scale, seed uint64) Metrics {
 		ft := LeapFailTree()
 		hooks := env.Obs
 		if tracer := hooks.FlowTrace; tracer != nil {
-			tracer.Reset()
 			// LinkLabel annotates links that end the run dead.
 			tracer.SetLinkName(ft.LinkLabel)
 		}

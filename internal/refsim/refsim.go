@@ -56,8 +56,8 @@ type Sim struct {
 	faults   []fault
 	active   []*fluid.Flow // admission order
 	finished []*fluid.Flow // completion order
-	nflows   int
-	ngroups  int
+	flows    fluid.FlowTable
+	groups   fluid.GroupTable
 	baseCap  []float64 // what recovery restores
 	depth    []int     // nested failures per link
 	downT    []float64 // when each dead link went down
@@ -75,8 +75,7 @@ func New(net *fluid.Network, alloc fluid.Allocator) *Sim {
 // AddFlow schedules a flow over links arriving at time at with utility
 // u and payload sizeBytes (0 = unbounded); read its Finish after Run.
 func (s *Sim) AddFlow(links []int, u core.Utility, sizeBytes int64, at float64) *fluid.Flow {
-	f := fluid.NewFlow(s.nflows, links, u, sizeBytes, at)
-	s.nflows++
+	f := s.flows.Acquire(links, u, sizeBytes, at)
 	s.arrivals = append(s.arrivals, arrival{at, []*fluid.Flow{f}})
 	return f
 }
@@ -84,11 +83,9 @@ func (s *Sim) AddFlow(links []int, u core.Utility, sizeBytes int64, at float64) 
 // AddGroup schedules a multipath aggregate: one member subflow per
 // path, one utility of the total rate, one shared payload.
 func (s *Sim) AddGroup(paths [][]int, u core.Utility, sizeBytes int64, at float64) *fluid.Group {
-	g := fluid.NewGroup(s.ngroups, u, sizeBytes, at)
-	s.ngroups++
+	g := s.groups.Acquire(u, sizeBytes, at)
 	for _, links := range paths {
-		g.AddMember(fluid.NewFlow(s.nflows, links, u, 0, at))
-		s.nflows++
+		g.AddMember(s.flows.Acquire(links, u, 0, at))
 	}
 	s.arrivals = append(s.arrivals, arrival{at, g.Members})
 	return g
