@@ -97,3 +97,29 @@ func TestEngineRejectsMalformedArguments(t *testing.T) {
 		t.Fatalf("legal arrivals: flow done %v, group done %v, unbounded rate %v", f.Done(), g.Done(), unbounded.Rate)
 	}
 }
+
+// TestRunRejectsNaN: a NaN horizon panics naming the argument instead
+// of returning at once with every flow unfinished (every comparison
+// with NaN is false). +Inf and a horizon at or before Now keep their
+// meaning: run to completion, and do nothing.
+func TestRunRejectsNaN(t *testing.T) {
+	e := NewEngine(NewNetwork([]float64{10e9}), Config{Allocator: NewWaterFill()})
+	f := e.AddFlow([]int{0}, core.ProportionalFair(), 1000, 0)
+	var msg string
+	func() {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		e.Run(math.NaN())
+	}()
+	if !strings.Contains(msg, "Run") || !strings.Contains(msg, "until = NaN") {
+		t.Fatalf("Run(NaN): panic %q, want one naming Run and until = NaN", msg)
+	}
+	e.Run(-1)
+	e.Run(0)
+	if e.Now() != 0 || f.Done() {
+		t.Fatalf("a horizon at or before Now moved the run: now %v, flow done %v", e.Now(), f.Done())
+	}
+	e.Run(math.Inf(1))
+	if !f.Done() {
+		t.Fatal("Run(+Inf) left the flow unfinished")
+	}
+}

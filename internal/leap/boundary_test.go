@@ -77,6 +77,25 @@ func TestAddFlowRejectsMalformedArguments(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNaN: a NaN horizon panics naming the argument instead
+// of returning at once with every flow unfinished (every comparison
+// with NaN is false). +Inf and a horizon at or before Now keep their
+// meaning: run to completion, and do nothing.
+func TestRunRejectsNaN(t *testing.T) {
+	e := NewEngine(fluid.NewNetwork([]float64{10e9}), Config{})
+	f := e.AddFlow([]int{0}, core.ProportionalFair(), 1000, 0)
+	mustPanic(t, func() { e.Run(math.NaN()) }, "Run", "until = NaN")
+	e.Run(-1)
+	e.Run(0)
+	if e.Now() != 0 || f.Done() {
+		t.Fatalf("a horizon at or before Now moved the run: now %v, flow done %v", e.Now(), f.Done())
+	}
+	e.Run(math.Inf(1))
+	if !f.Done() || !almostEq(f.Finish, 800e-9, 1e-12) {
+		t.Fatalf("Run(+Inf): flow done %v at %v, want 800 ns", f.Done(), f.Finish)
+	}
+}
+
 // TestAddGroupRejectsMalformedArguments: every path is validated
 // before the group or any member is acquired.
 func TestAddGroupRejectsMalformedArguments(t *testing.T) {
