@@ -15,14 +15,11 @@ import (
 func validTrace(t *testing.T) []byte {
 	t.Helper()
 	tr := obs.NewTracer()
-	tr.EnsureTracks(2)
-	tr.SetTrackName(0, "engine")
-	tr.SetTrackName(1, "solver")
 	batch := tr.Clock()
 	for i := 0; i < 2; i++ {
-		tr.Span(1, "solve", tr.Clock(), 3)
+		tr.Span(1, tr.Clock(), 3)
 	}
-	tr.Span(0, "batch", batch, 2)
+	tr.Span(0, batch, 2)
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)

@@ -2,14 +2,14 @@
 // resident-service usage pattern, where flows arrive forever and the
 // process must not grow with the total ever admitted.
 //
-// The engine stores flows in pooled slab tables (fluid.FlowTable) with
+// The engine stores flows in a pooled slab table (fluid.FlowTable) with
 // dense recycled ids and carves their paths from a shared arena.
 // Calling Engine.ReleaseFinished() after harvesting each wave's FCTs
-// hands completed flows back to the tables, so the id space, the slab
+// hands completed flows back to the table, so the id space, the slab
 // slots, and the path segments all recycle: this program admits 50,000
 // flows in 100 waves, yet the table's high-water mark stays at one
 // wave's worth of ids and the path arena stops growing after the first
-// wave. With the tables warm, an entire admit/solve/complete/recycle
+// wave. With the table warm, an entire admit/solve/complete/recycle
 // wave performs zero heap allocations (the `make alloc-gate` pins).
 //
 // Skipping ReleaseFinished is always safe — it is how every batch
@@ -32,7 +32,7 @@ func main() {
 	// coupled component and exercises the full reallocation path.
 	net := fluid.NewNetwork([]float64{10e9})
 	e := leap.NewEngine(net, leap.Config{})
-	tbl, _ := e.Tables()
+	tbl := e.Tables()
 
 	const (
 		waves   = 100
@@ -63,7 +63,7 @@ func main() {
 		for _, f := range e.Finished() {
 			meanFCT += f.FCT()
 		}
-		released, _ := e.ReleaseFinished()
+		released := e.ReleaseFinished()
 		if released != perWave {
 			panic(fmt.Sprintf("wave %d: released %d flows, want %d", w, released, perWave))
 		}

@@ -134,22 +134,9 @@ func NewEngine(net *Network, cfg Config) *Engine {
 // Now returns the current simulated time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Net returns the engine's network.
-func (e *Engine) Net() *Network { return e.net }
-
-// Epoch returns the epoch duration in seconds.
-func (e *Engine) Epoch() float64 { return e.cfg.Epoch }
-
-// Active returns the live view of active flows (including group
-// members); valid until the next Step.
-func (e *Engine) Active() []*Flow { return e.active }
-
 // Finished returns every completed flow, in completion order. Group
 // members appear here too, stamped with their group's finish time.
 func (e *Engine) Finished() []*Flow { return e.finished }
-
-// FinishedGroups returns every completed group, in completion order.
-func (e *Engine) FinishedGroups() []*Group { return e.finishedGroups }
 
 // checkFlow panics unless links is a non-empty path over the engine's
 // network, sizeBytes a payload (0 = unbounded) and at a finite time: a
@@ -380,8 +367,12 @@ func (e *Engine) publish(final bool) {
 
 // Run advances epochs until no work remains or time reaches until
 // (seconds; math.Inf(1) runs to completion — never terminates if an
-// unbounded flow is active).
+// unbounded flow is active). A NaN until panics: no time compares with
+// it, so the run would return at once with nothing done.
 func (e *Engine) Run(until float64) {
+	if math.IsNaN(until) {
+		panic("fluid: Run: until = NaN, want a time or math.Inf(1)")
+	}
 	e.hooks.Profiler.Arm()
 	for e.now < until && e.Step() {
 	}

@@ -91,7 +91,7 @@ func TestAllocatorsZeroCapacity(t *testing.T) {
 					rates[i] = f.Rate
 				}
 				assertFinite(t, c.name, rates)
-				if v := maxMinViolation(eng.Net(), flows, rates); name == "waterfill" && v > 1e-12 {
+				if v := maxMinViolation(eng.net, flows, rates); name == "waterfill" && v > 1e-12 {
 					t.Errorf("max-min certificate violated by %.3g", v)
 				}
 				for i, r := range rates {

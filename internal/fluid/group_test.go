@@ -195,6 +195,25 @@ func TestWaterFillGroupBottleneckAware(t *testing.T) {
 	}
 }
 
+// TestAddMemberMovesPayload: attaching a finite flow from a table to a
+// group folds its payload into the group's shared Remaining; the whole
+// payload drains at the pooled rate and the member completes with the
+// group, never alone.
+func TestAddMemberMovesPayload(t *testing.T) {
+	var flows FlowTable
+	g := new(GroupTable).Acquire(core.ProportionalFair(), 0, 0)
+	a := flows.Acquire([]int{0}, core.ProportionalFair(), 1<<20, 0)
+	b := flows.Acquire([]int{1}, core.ProportionalFair(), 1<<20, 0)
+	g.AddMember(a)
+	g.AddMember(b)
+	if a.SizeBytes != 0 || b.SizeBytes != 0 {
+		t.Fatal("member payloads not moved to the group")
+	}
+	if g.SizeBytes != 2<<20 || g.Remaining != float64(2<<20) {
+		t.Fatalf("group payload = %d/%g, want %d", g.SizeBytes, g.Remaining, 2<<20)
+	}
+}
+
 // TestGroupFiniteDrain: a finite group drains its shared payload at
 // the members' total rate and completes as a unit with sub-epoch
 // precision.
@@ -215,8 +234,8 @@ func TestGroupFiniteDrain(t *testing.T) {
 			t.Errorf("member %d finish %g want group finish %g", i, m.Finish, g.Finish)
 		}
 	}
-	if len(eng.FinishedGroups()) != 1 {
-		t.Errorf("FinishedGroups has %d entries, want 1", len(eng.FinishedGroups()))
+	if len(eng.finishedGroups) != 1 {
+		t.Errorf("%d finished groups, want 1", len(eng.finishedGroups))
 	}
 }
 
@@ -270,8 +289,8 @@ func TestGroupStopAndMemberWithdraw(t *testing.T) {
 	if g.Done() {
 		t.Error("stopped group should not be marked Done")
 	}
-	if len(eng.Active()) != 0 {
-		t.Errorf("%d flows active, want 0", len(eng.Active()))
+	if len(eng.active) != 0 {
+		t.Errorf("%d flows active, want 0", len(eng.active))
 	}
 }
 

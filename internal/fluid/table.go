@@ -203,9 +203,6 @@ type GroupTable struct {
 	free  []int32
 }
 
-// NewGroupTable returns an empty table (equivalent to new(GroupTable)).
-func NewGroupTable() *GroupTable { return &GroupTable{} }
-
 // Acquire returns a freshly initialized group, reusing a recycled id
 // and its slot's Members backing when one is free. Attach member
 // subflows with AddMember.

@@ -144,7 +144,7 @@ func TestFlowTableSlabGrowth(t *testing.T) {
 // recycled slot's Members backing array survives for the next tenant
 // (the steady-state zero-allocation path for grouped workloads).
 func TestGroupTableRecycling(t *testing.T) {
-	gt := NewGroupTable()
+	gt := new(GroupTable)
 	ft := NewFlowTable()
 	u := core.NewAlphaFair(2)
 

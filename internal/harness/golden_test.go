@@ -83,10 +83,9 @@ func goldenCoflows(ft *fluid.FatTree, load float64, nflows int, rng *sim.RNG) ([
 
 // goldenFatTree runs a schedule through the leap engine on the k=8
 // fat-tree and fingerprints every flow's finish time. prepare may add
-// groups or faults before the run; it returns extra flows to append to
-// the fingerprint after the single-path ones.
+// faults before the run.
 func goldenFatTree(t *testing.T, alloc fluid.Allocator, schedule goldenSchedule, load float64, nflows int, seed uint64,
-	utility func(int64) core.Utility, prepare func(*fluid.FatTree, *leap.Engine, *sim.RNG) []*fluid.Flow) string {
+	utility func(int64) core.Utility, prepare func(*fluid.FatTree, *leap.Engine)) string {
 	ft := fluid.NewFatTree(8, 10e9)
 	rng := sim.NewRNG(seed)
 	arrivals, paths := schedule(ft, load, nflows, rng)
@@ -96,7 +95,7 @@ func goldenFatTree(t *testing.T, alloc fluid.Allocator, schedule goldenSchedule,
 		flows = append(flows, eng.AddFlow(paths[i], utility(a.Size), a.Size, a.At.Seconds()))
 	}
 	if prepare != nil {
-		flows = append(flows, prepare(ft, eng, rng)...)
+		prepare(ft, eng)
 	}
 	eng.Run(math.Inf(1))
 	fp := newFingerprint()
@@ -117,27 +116,10 @@ func numfabricLeapAllocator() fluid.Allocator {
 	return LeapAllocatorFor(DefaultConfig(NUMFabric, ScaledTopology()))
 }
 
-// goldenPooled adds ECMP groups (4 sampled paths each) on top of the
-// single-path schedule and returns their members.
-func goldenPooled(groups int) func(*fluid.FatTree, *leap.Engine, *sim.RNG) []*fluid.Flow {
-	return func(ft *fluid.FatTree, eng *leap.Engine, rng *sim.RNG) []*fluid.Flow {
-		var members []*fluid.Flow
-		hosts := ft.Hosts()
-		for gi := 0; gi < groups; gi++ {
-			src := rng.Intn(hosts)
-			dst := (src + 1 + rng.Intn(hosts-1)) % hosts
-			g := eng.AddGroup(samplePaths(ft, src, dst, 4, rng), core.ProportionalFair(),
-				int64(20_000+rng.Intn(2_000_000)), float64(gi)*40e-6)
-			members = append(members, g.Members...)
-		}
-		return members
-	}
-}
-
 // goldenFaulted schedules a switch/link fault script, every failure
 // recovered, so every flow still finishes.
-func goldenFaulted(t *testing.T) func(*fluid.FatTree, *leap.Engine, *sim.RNG) []*fluid.Flow {
-	return func(ft *fluid.FatTree, eng *leap.Engine, _ *sim.RNG) []*fluid.Flow {
+func goldenFaulted(t *testing.T) func(*fluid.FatTree, *leap.Engine) {
+	return func(ft *fluid.FatTree, eng *leap.Engine) {
 		faults, err := ExpandFaults(ft, []workload.ScriptedFault{
 			{At: 5 * sim.Millisecond, Target: "agg1.0", Down: 15 * sim.Millisecond},
 			{At: 10 * sim.Millisecond, Target: "core5", Down: 20 * sim.Millisecond},
@@ -148,14 +130,13 @@ func goldenFaulted(t *testing.T) func(*fluid.FatTree, *leap.Engine, *sim.RNG) []
 			t.Fatal(err)
 		}
 		scheduleFaults(eng, faults)
-		return nil
 	}
 }
 
 // TestGoldenFatTreeKernels covers the remaining consumers of the two
 // xWI kernels on the k=8 fat-tree: the paper's algorithm under the
-// §6.3 FCT-min utility, ECMP groups (the multipath share heuristic),
-// fluid.Oracle and DGD as the leap allocator, and a fault schedule
+// §6.3 FCT-min utility, fluid.Oracle and DGD as the leap allocator, and
+// a fault schedule
 // (zero-capacity links, price hold, stranded flows, max-capacity
 // tracking). The two DGD constants were regenerated when DGD.Prime
 // began seeding zero prices instead of 1, which had starved every flow
@@ -169,14 +150,12 @@ func TestGoldenFatTreeKernels(t *testing.T) {
 		flows   int
 		seed    uint64
 		utility func(int64) core.Utility
-		prepare func(*fluid.FatTree, *leap.Engine, *sim.RNG) []*fluid.Flow
+		prepare func(*fluid.FatTree, *leap.Engine)
 		want    string
 	}{
 		{"fctmin-xwi/seed1", numfabricLeapAllocator(), 0.12, 10000, 1, fctMin, nil, "3d5c6ba9507e3847"},
 		{"fctmin-xwi/seed2", numfabricLeapAllocator(), 0.12, 10000, 2, fctMin, nil, "98d3403b531cbd72"},
-		{"pooling-xwi", numfabricLeapAllocator(), 0.1, 3000, 4, propFair, goldenPooled(200), "c8295ae9223e57f2"},
 		{"oracle", fluid.NewOracle(), 0.1, 500, 5, propFair, nil, "4586b813ec5bde52"},
-		{"oracle-pooling", fluid.NewOracle(), 0.05, 150, 6, propFair, goldenPooled(12), "bfdc57b14544b7df"},
 		{"dgd", LeapAllocatorFor(DefaultConfig(DGD, ScaledTopology())), 0.1, 1000, 7, propFair, nil, "9bdcf262cc9c8b66"},
 		{"faults-xwi", numfabricLeapAllocator(), 0.2, 2000, 8, fctMin, goldenFaulted(t), "ca58305bfc5c1ed5"},
 		// Load 0.1, not 0.2: at 0.2 DGD runs most of its 600 steps per
@@ -198,10 +177,10 @@ func TestGoldenFatTreeKernels(t *testing.T) {
 // doing: the Poisson schedule (one arrival or departure per instant,
 // the heap and the independence fast paths) and the synchronized
 // coflow schedule (wide same-instant batches of many disjoint
-// components through solveBatch, colliding completions), plus ECMP
-// groups and a fault schedule on the coflows. Constants generated at
-// the commit before the worker pool, sharded heaps and PDES windows
-// were deleted (PR 14's parent).
+// components through solveBatch, colliding completions), plus a fault
+// schedule on the coflows. Constants generated at the commit before the
+// worker pool, sharded heaps and PDES windows were deleted (PR 14's
+// parent).
 func TestGoldenFatTreeWaterFill(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -209,14 +188,13 @@ func TestGoldenFatTreeWaterFill(t *testing.T) {
 		load     float64
 		flows    int
 		seed     uint64
-		prepare  func(*fluid.FatTree, *leap.Engine, *sim.RNG) []*fluid.Flow
+		prepare  func(*fluid.FatTree, *leap.Engine)
 		want     string
 	}{
 		{"poisson/seed1", FatTreeWebSearch, 0.1, 20000, 1, nil, "d79d4c5a5adbec75"},
 		{"poisson/seed2", FatTreeWebSearch, 0.2, 20000, 2, nil, "d1743a0e513a3f32"},
 		{"coflows/seed1", goldenCoflows, 0.1, 20000, 1, nil, "d7958bead297f5e8"},
 		{"coflows/seed2", goldenCoflows, 0.3, 20000, 2, nil, "fe3ece726bc15b9d"},
-		{"coflows-pooling", goldenCoflows, 0.1, 5000, 3, goldenPooled(200), "c2bc2740ee4bbef0"},
 		{"coflows-faults", goldenCoflows, 0.2, 5000, 4, goldenFaulted(t), "11fa653c77b07fca"},
 	}
 	for _, c := range cases {

@@ -54,7 +54,7 @@ func TestStreamedPlayHoldsTheLiveSet(t *testing.T) {
 		peak = max(peak, live)
 	}
 
-	tbl, _ := leng.Tables()
+	tbl := leng.Tables()
 	bound := peak + releaseEvery + 16
 	if peak == 0 || tbl.Cap() > bound || len(sub.number) > bound || tbl.ArenaInts() > 6*bound {
 		t.Errorf("after %d flows (peak live %d): table cap %d, index %d entries, arena %d ints; want ≤ %d, %d and %d",

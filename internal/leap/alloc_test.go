@@ -96,7 +96,7 @@ func TestSeedDrainedAcrossRelease(t *testing.T) {
 	e.AddFlow([]int{0}, u, 48<<10, 0)
 	e.AddFlow([]int{0}, u, 48<<10, 0)
 	e.Run(1e-3)
-	if n, _ := e.ReleaseFinished(); n != 2 {
+	if n := e.ReleaseFinished(); n != 2 {
 		t.Fatalf("wave 0: released %d flows, want 2", n)
 	}
 	// The second wave draws both recycled ids; the first AddFlow gets
@@ -116,7 +116,7 @@ func TestSeedDrainedAcrossRelease(t *testing.T) {
 	if got := len(e.Finished()); got != 2 {
 		t.Fatalf("wave 1: %d finished entries, want 2 (duplicates mean a double retire)", got)
 	}
-	if n, _ := e.ReleaseFinished(); n != 2 {
+	if n := e.ReleaseFinished(); n != 2 {
 		t.Fatalf("wave 1: released %d flows, want 2", n)
 	}
 }
@@ -167,7 +167,7 @@ func TestTableReuseIdenticalResults(t *testing.T) {
 func TestReleaseFinishedRecycles(t *testing.T) {
 	net := fluid.NewNetwork([]float64{10e9})
 	e := NewEngine(net, Config{})
-	tbl, _ := e.Tables()
+	tbl := e.Tables()
 	const wave = 100
 	now := 0.0
 	var capAfterFirst, arenaAfterFirst int
@@ -178,7 +178,7 @@ func TestReleaseFinishedRecycles(t *testing.T) {
 		}
 		now += 5e-3
 		e.Run(now)
-		if n, _ := e.ReleaseFinished(); n != wave {
+		if n := e.ReleaseFinished(); n != wave {
 			t.Fatalf("wave %d: released %d flows, want %d", w, n, wave)
 		}
 		if w == 0 {

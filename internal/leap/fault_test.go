@@ -11,10 +11,9 @@ import (
 
 // runDeadDense plays the dense random schedule with links dead killed —
 // either statically (capacity zero from construction, no fault events)
-// or via FailLink at t=0 with no recovery — and returns the engine,
-// flows, and groups after running to completion, invariants checked
-// along the way.
-func runDeadDense(seed uint64, dead []int, static bool) (*Engine, []*fluid.Flow, []*fluid.Group) {
+// or via FailLink at t=0 with no recovery — and returns the engine and
+// flows after running to completion, invariants checked along the way.
+func runDeadDense(seed uint64, dead []int, static bool) (*Engine, []*fluid.Flow) {
 	caps := denseCaps()
 	if static {
 		for _, l := range dead {
@@ -27,24 +26,23 @@ func runDeadDense(seed uint64, dead []int, static bool) (*Engine, []*fluid.Flow,
 			e.FailLink(l, 0)
 		}
 	}
-	fs, gs := buildDenseSchedule(e, seed)
+	fs := buildDenseSchedule(e, seed)
 	runChecked(e, math.Inf(1))
-	return e, fs, gs
+	return e, fs
 }
 
 // TestFaultMatchesStaticDegraded is the fault-injection property test:
 // a failure at t=0 that never recovers must be indistinguishable from
-// having built the topology without the link — every flow and group
-// finishes (or stays stranded) at bitwise-identical times to a fresh
+// having built the topology without the link — every flow finishes (or stays stranded) at bitwise-identical times to a fresh
 // run on the statically degraded capacity vector. Any disagreement is
 // a fault-path bug (a missed re-solve, a wrong retirement order, a
 // stranded flow leaking rate), not float noise.
 func TestFaultMatchesStaticDegraded(t *testing.T) {
 	dead := []int{0, 5} // one link in each bank of the dense schedule
 	for seed := uint64(1); seed <= 3; seed++ {
-		se, sf, sg := runDeadDense(seed, dead, true)
-		fe, ff, fg := runDeadDense(seed, dead, false)
-		assertSameCompletions(t, "fault-vs-static", seed, sf, sg, ff, fg)
+		se, sf := runDeadDense(seed, dead, true)
+		fe, ff := runDeadDense(seed, dead, false)
+		assertSameCompletions(t, "fault-vs-static", seed, sf, ff)
 		ss, fs := se.Stats(), fe.Stats()
 		if fs.Stranded != ss.Stranded || fs.Resumed != 0 {
 			t.Errorf("seed %d: stranded %d/%d resumed %d, want static %d/0",

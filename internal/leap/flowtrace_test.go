@@ -24,9 +24,9 @@ func traceEverything() *obs.FlowTracer {
 // reads engine state.
 func TestFlowTraceDoesNotChangeResults(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
-		_, bf, bg := runDense(Config{}, seed)
-		_, tf, tg := runDense(Config{Obs: obs.Hooks{FlowTrace: traceEverything()}}, seed)
-		assertSameCompletions(t, "flowtrace", seed, bf, bg, tf, tg)
+		_, bf := runDense(Config{}, seed)
+		_, tf := runDense(Config{Obs: obs.Hooks{FlowTrace: traceEverything()}}, seed)
+		assertSameCompletions(t, "flowtrace", seed, bf, tf)
 	}
 }
 
@@ -44,18 +44,18 @@ func TestFlowTraceDoesNotChangeResults(t *testing.T) {
 func TestFlowTraceAttributionIdentity(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		ft := traceEverything()
-		_, fs, _ := runDense(Config{Obs: obs.Hooks{FlowTrace: ft}}, seed)
+		_, fs := runDense(Config{Obs: obs.Hooks{FlowTrace: ft}}, seed)
 
-		plain := 0
+		finite := 0
 		for _, f := range fs {
-			if f.Group == nil && f.SizeBytes > 0 {
-				plain++
+			if f.SizeBytes > 0 {
+				finite++
 			}
 		}
 		s := ft.Summary()
-		if s.Tracked != uint64(plain) || s.Completed != uint64(plain) || s.Active != 0 {
-			t.Fatalf("seed %d: summary %+v, want %d plain flows tracked and done",
-				seed, s, plain)
+		if s.Tracked != uint64(finite) || s.Completed != uint64(finite) || s.Active != 0 {
+			t.Fatalf("seed %d: summary %+v, want %d finite flows tracked and done",
+				seed, s, finite)
 		}
 
 		recs := map[int]*obs.FlowRecord{}
@@ -63,12 +63,6 @@ func TestFlowTraceAttributionIdentity(t *testing.T) {
 			recs[r.ID] = r
 		}
 		for _, f := range fs {
-			if f.Group != nil {
-				if recs[f.ID] != nil {
-					t.Fatalf("seed %d: group member %d traced", seed, f.ID)
-				}
-				continue
-			}
 			r := recs[f.ID]
 			if r == nil {
 				t.Fatalf("seed %d: flow %d has no record", seed, f.ID)

@@ -13,7 +13,6 @@ import (
 // test and the internal/refsim referee take the identical calls.
 type scheduler interface {
 	AddFlow(links []int, u core.Utility, sizeBytes int64, at float64) *fluid.Flow
-	AddGroup(paths [][]int, u core.Utility, sizeBytes int64, at float64) *fluid.Group
 	FailLink(link int, at float64)
 	RecoverLink(link int, at float64)
 }
@@ -31,14 +30,13 @@ func fuzzCaps() []float64 {
 // buildFuzzSchedule decodes a byte stream into a random schedule
 // starting at time base: four bytes per entry select the arrival-grid
 // delta (zero deltas build colliding instants), a one- or two-link
-// path, the size (255 encodes an unbounded flow), out-of-order
-// scheduling (exercising the unsorted-pending sort), and whether the
-// entry is a flow or a two-path group. Every byte stream is a valid
-// schedule, so the fuzzer explores the engine, not the decoder.
-func buildFuzzSchedule(e scheduler, data []byte, base float64) ([]*fluid.Flow, []*fluid.Group) {
+// path, the size (255 encodes an unbounded flow) and out-of-order
+// scheduling (exercising the unsorted-pending sort). Every byte stream
+// is a valid schedule, so the fuzzer explores the engine, not the
+// decoder.
+func buildFuzzSchedule(e scheduler, data []byte, base float64) []*fluid.Flow {
 	const links = 6
 	var fs []*fluid.Flow
-	var gs []*fluid.Group
 	at := base
 	for i := 0; i+3 < len(data); i += 4 {
 		b0, b1, b2, b3 := data[i], data[i+1], data[i+2], data[i+3]
@@ -57,14 +55,9 @@ func buildFuzzSchedule(e scheduler, data []byte, base float64) ([]*fluid.Flow, [
 		if b3&0x20 != 0 && t >= 100e-6 {
 			t -= 100e-6 // schedule behind the tail: unsorted pending
 		}
-		if b3&0xc0 == 0xc0 && size > 0 {
-			p2 := []int{int(b3) % links}
-			gs = append(gs, e.AddGroup([][]int{path, p2}, core.ProportionalFair(), size, t))
-		} else {
-			fs = append(fs, e.AddFlow(path, core.ProportionalFair(), size, t))
-		}
+		fs = append(fs, e.AddFlow(path, core.ProportionalFair(), size, t))
 	}
-	return fs, gs
+	return fs
 }
 
 // fuzzCut derives an optional mid-run deadline from the input, so the
@@ -76,21 +69,18 @@ func fuzzCut(data []byte) float64 {
 	return math.Inf(1)
 }
 
-// finishTimes snapshots every flow's and group's finish time (NaN
-// while unfinished), flows first.
-func finishTimes(fs []*fluid.Flow, gs []*fluid.Group) []float64 {
-	out := make([]float64, 0, len(fs)+len(gs))
+// finishTimes snapshots every flow's finish time (NaN while
+// unfinished).
+func finishTimes(fs []*fluid.Flow) []float64 {
+	out := make([]float64, 0, len(fs))
 	for _, f := range fs {
 		out = append(out, f.Finish)
-	}
-	for _, g := range gs {
-		out = append(out, g.Finish)
 	}
 	return out
 }
 
 // assertMatchesReference fails unless the engine and the referee left
-// the same flows and groups unfinished and finished every other one
+// the same flows unfinished and finished every other one
 // at the same time to 1e-9 relative — float noise between an
 // incremental and a whole-set solve is orders of magnitude below
 // that, a scheduling bug orders of magnitude above.
@@ -107,7 +97,7 @@ func assertMatchesReference(t *testing.T, label string, seed uint64, got, want [
 }
 
 // FuzzLeapMatchesReference is the engine's one correctness fuzzer: a
-// byte stream decodes into arrivals, ECMP groups, unbounded flows and
+// byte stream decodes into arrivals, unbounded flows and
 // an interleaved fault schedule (nested failures, same-instant
 // fail+recover pairs, recoveries past the cut), an optional mid-run
 // deadline, an optional ReleaseFinished there, and — after a cut — a
@@ -118,7 +108,7 @@ func assertMatchesReference(t *testing.T, label string, seed uint64, got, want [
 // the same times and agree on the degradation accounting.
 func FuzzLeapMatchesReference(f *testing.F) {
 	// Structured seeds: colliding instants on shared links, two-link
-	// paths with groups, unbounded flows, out-of-order arrivals; then
+	// paths, unbounded flows, out-of-order arrivals; then
 	// the same with permanent failures, fail+recover pairs over shared
 	// links, same-instant pairs and nested failures.
 	f.Add([]byte{0, 1, 8, 0, 0, 1, 8, 0, 2, 0x41, 16, 0xc1, 1, 2, 255, 0x20})
@@ -141,23 +131,23 @@ func FuzzLeapMatchesReference(f *testing.F) {
 		// the second wave's.
 		play := func(s scheduler, run func(until float64), atCut func()) []float64 {
 			buildFuzzFaults(s, data)
-			fs, gs := buildFuzzSchedule(s, data, 0)
+			fs := buildFuzzSchedule(s, data, 0)
 			run(cut)
-			first := finishTimes(fs, gs)
+			first := finishTimes(fs)
 			if math.IsInf(cut, 1) {
 				return first
 			}
 			atCut()
-			fs2, gs2 := buildFuzzSchedule(s, data, cut)
+			fs2 := buildFuzzSchedule(s, data, cut)
 			run(math.Inf(1))
 			// What was still running at the cut was not released: its
 			// pointers are good.
-			for i, v := range finishTimes(fs, gs) {
+			for i, v := range finishTimes(fs) {
 				if math.IsNaN(first[i]) {
 					first[i] = v
 				}
 			}
-			return append(first, finishTimes(fs2, gs2)...)
+			return append(first, finishTimes(fs2)...)
 		}
 		e := NewEngine(fluid.NewNetwork(fuzzCaps()), Config{})
 		got := play(e, func(until float64) { runChecked(e, until) }, func() {

@@ -1,71 +1,56 @@
 package leap
 
-// The event kinds. evkFlow and evkGroup are completions (id is a
-// dense flow/group table id); evkFail and evkRecover are scheduled
-// capacity faults (id is a LINK id — never resolved through the flow
-// tables, never re-keyed, and any number may share a link and an
-// instant).
+// The event kinds. evkFlow is a completion (id is a dense flow table
+// id); evkFail and evkRecover are scheduled capacity faults (id is a
+// LINK id — never resolved through the flow table, never re-keyed, and
+// any number may share a link and an instant).
 const (
 	evkFlow uint8 = iota
-	evkGroup
 	evkFail
 	evkRecover
 )
 
-// event is one scheduled occurrence: a finite flow or group emptying
-// at time t under its current rate, or a link failing/recovering at t.
-// Ties break deterministically on (id, kind): flow and group IDs are
-// each dense in their own sequence, so two events can share an id
-// across kinds, and before() then orders the flow ahead of the group —
-// and orders every completion ahead of any fault at the same instant
-// (flows retire under the capacities they drained under; the fault
-// then mutates capacity for the re-solve that follows), with failures
-// ahead of recoveries, then by link id.
+// event is one scheduled occurrence: a finite flow emptying at time t
+// under its current rate, or a link failing/recovering at t. Ties break
+// deterministically: completions by flow id, and every completion ahead
+// of any fault at the same instant (flows retire under the capacities
+// they drained under; the fault then mutates capacity for the re-solve
+// that follows), with failures ahead of recoveries, then by link id.
 //
-// Events carry the owner's dense id, not a pointer — 16 bytes instead
-// of 40. The engine resolves owners through its tables when an event
+// Events carry the flow's dense id, not a pointer — 16 bytes instead
+// of 40. The engine resolves flows through its table when an event
 // surfaces.
 type event struct {
 	t    float64
 	id   int32
-	kind uint8 // evkFlow | evkGroup | evkFail | evkRecover
+	kind uint8 // evkFlow | evkFail | evkRecover
 }
 
 func (e event) before(o event) bool {
 	if e.t != o.t {
 		return e.t < o.t
 	}
-	if e.kind >= evkFail || o.kind >= evkFail {
-		// Faults sort after every completion at their instant;
-		// among faults: failures first, then by link id.
-		if e.kind != o.kind {
-			return e.kind < o.kind
-		}
-		return e.id < o.id
+	if e.kind != o.kind {
+		// Faults sort after every completion at their instant, and
+		// failures before recoveries.
+		return e.kind < o.kind
 	}
-	if e.id != o.id {
-		return e.id < o.id
-	}
-	// Same id across kinds (a flow and a group may share an id):
-	// flows first.
-	return e.kind == evkFlow && o.kind == evkGroup
+	return e.id < o.id
 }
 
 // schedule is the engine's event queue: a binary min-heap under
-// event.before holding AT MOST ONE completion per flow or group,
-// addressable by owner, plus the fault events. A rate change moves the
-// owner's completion in place (set) or removes it (cancel), so every
-// event in the heap is live and the heap is exactly the set of
-// draining owners.
+// event.before holding AT MOST ONE completion per flow, addressable by
+// flow id, plus the fault events. A rate change moves the flow's
+// completion in place (set) or removes it (cancel), so every event in
+// the heap is live and the heap is exactly the set of draining flows.
 //
-// Each owner's heap position (index+1; 0 = no event) lives in the top
-// bits of its state word, flowState.bits or groupState.bits, and is
-// written back on every move. The schedule reaches the words through
-// pointers to the engine's state slices, which the engine grows as ids
-// are handed out.
+// Each flow's heap position (index+1; 0 = no event) lives in the top
+// bits of its state word, flowState.bits, and is written back on every
+// move. The schedule reaches the words through a pointer to the
+// engine's state slice, which the engine grows as ids are handed out.
 //
-// Pop order does not depend on how the heap got here: an owner has at
-// most one event and (t, kind, id) is unique per owner, so before is a
+// Pop order does not depend on how the heap got here: a flow has at
+// most one event and (t, kind, id) is unique per flow, so before is a
 // strict total order on the completions (equal fault events are
 // interchangeable), and the pop sequence of any correct heap is a
 // function of the key set alone. That is what lets set re-key in place
@@ -74,43 +59,34 @@ func (e event) before(o event) bool {
 type schedule struct {
 	ev []event
 	fs *[]flowState
-	gs *[]groupState
 }
 
-// bits returns the state word of the completion owner (kind, id).
-func (s *schedule) bits(kind uint8, id int32) *uint32 {
-	if kind == evkFlow {
-		return &(*s.fs)[id].bits
-	}
-	return &(*s.gs)[id].bits
-}
+// slot returns the heap index of flow id's completion, -1 while it has
+// none.
+func (s *schedule) slot(id int32) int { return int((*s.fs)[id].bits>>posShift) - 1 }
 
-// slot returns the heap index of owner (kind, id)'s completion, -1
-// while it has none.
-func (s *schedule) slot(kind uint8, id int32) int { return int(*s.bits(kind, id)>>posShift) - 1 }
+// has reports whether flow id has a completion scheduled.
+func (s *schedule) has(id int32) bool { return s.slot(id) >= 0 }
 
-// has reports whether owner (kind, id) has a completion scheduled.
-func (s *schedule) has(kind uint8, id int32) bool { return s.slot(kind, id) >= 0 }
-
-// set schedules owner (kind, id)'s completion at t, moving the event
-// the owner already has or inserting its first (O(log n) either way).
-func (s *schedule) set(kind uint8, id int32, t float64) {
-	i := s.slot(kind, id)
+// set schedules flow id's completion at t, moving the event the flow
+// already has or inserting its first (O(log n) either way).
+func (s *schedule) set(id int32, t float64) {
+	i := s.slot(id)
 	if i < 0 {
 		i = len(s.ev)
 		s.ev = append(s.ev, event{})
 	}
-	s.fix(i, event{t: t, id: id, kind: kind})
+	s.fix(i, event{t: t, id: id, kind: evkFlow})
 }
 
-// cancel removes owner (kind, id)'s completion, if it has one.
-func (s *schedule) cancel(kind uint8, id int32) {
-	if i := s.slot(kind, id); i >= 0 {
+// cancel removes flow id's completion, if it has one.
+func (s *schedule) cancel(id int32) {
+	if i := s.slot(id); i >= 0 {
 		s.remove(i)
 	}
 }
 
-// pushFault inserts a fault event. Faults have no owner word: they are
+// pushFault inserts a fault event. Faults have no state word: they are
 // never moved by key or cancelled, only popped.
 func (s *schedule) pushFault(kind uint8, link int32, t float64) {
 	s.ev = append(s.ev, event{})
@@ -132,8 +108,8 @@ func (s *schedule) pop() event {
 // remove deletes the event in slot i: the last event takes the slot
 // and sifts to its place.
 func (s *schedule) remove(i int) {
-	if e := s.ev[i]; e.kind < evkFail {
-		*s.bits(e.kind, e.id) &= flagMask
+	if e := s.ev[i]; e.kind == evkFlow {
+		(*s.fs)[e.id].bits &= flagMask
 	}
 	last := len(s.ev) - 1
 	e := s.ev[last]
@@ -177,11 +153,12 @@ func (s *schedule) fix(i int, e event) {
 	s.place(j, e)
 }
 
-// place stores e in slot i and records the position in e's owner word.
+// place stores e in slot i and records the position in its flow's
+// state word.
 func (s *schedule) place(i int, e event) {
 	s.ev[i] = e
-	if e.kind < evkFail {
-		b := s.bits(e.kind, e.id)
+	if e.kind == evkFlow {
+		b := &(*s.fs)[e.id].bits
 		*b = *b&flagMask | uint32(i+1)<<posShift
 	}
 }

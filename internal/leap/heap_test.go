@@ -6,27 +6,27 @@ import (
 	"testing"
 )
 
-// testFlags are planted in every owner word before a schedule test
-// runs: the schedule shares the word with the engine's flags and must
-// hand them back untouched.
+// testFlags are planted in every flow's state word before a schedule
+// test runs: the schedule shares the word with the engine's flags and
+// must hand them back untouched.
 const testFlags = seededBit | strandedBit
 
-// newTestSchedule returns a schedule over n flow and n group owner
-// words of its own.
+// newTestSchedule returns a schedule over n flow state words of its
+// own.
 func newTestSchedule(n int) *schedule {
-	fs, gs := make([]flowState, n), make([]groupState, n)
+	fs := make([]flowState, n)
 	for i := range fs {
-		fs[i].bits, gs[i].bits = testFlags, testFlags
+		fs[i].bits = testFlags
 	}
-	return &schedule{fs: &fs, gs: &gs}
+	return &schedule{fs: &fs}
 }
 
 // scheduleModel is the referee: the same contents as a slice kept
 // sorted under event.before, every operation a linear scan.
 type scheduleModel []event
 
-func (m *scheduleModel) find(kind uint8, id int32) int {
-	return slices.IndexFunc(*m, func(e event) bool { return e.kind == kind && e.id == id })
+func (m *scheduleModel) find(id int32) int {
+	return slices.IndexFunc(*m, func(e event) bool { return e.kind == evkFlow && e.id == id })
 }
 
 func (m *scheduleModel) insert(e event) {
@@ -37,15 +37,15 @@ func (m *scheduleModel) insert(e event) {
 	*m = slices.Insert(*m, i, e)
 }
 
-func (m *scheduleModel) cancel(kind uint8, id int32) {
-	if i := m.find(kind, id); i >= 0 {
+func (m *scheduleModel) cancel(id int32) {
+	if i := m.find(id); i >= 0 {
 		*m = slices.Delete(*m, i, i+1)
 	}
 }
 
-func (m *scheduleModel) set(kind uint8, id int32, t float64) {
-	m.cancel(kind, id)
-	m.insert(event{t: t, id: id, kind: kind})
+func (m *scheduleModel) set(id int32, t float64) {
+	m.cancel(id)
+	m.insert(event{t: t, id: id, kind: evkFlow})
 }
 
 func (m *scheduleModel) pop() event {
@@ -55,8 +55,8 @@ func (m *scheduleModel) pop() event {
 }
 
 // checkSchedule fails unless s is a heap under before holding exactly
-// m's events, every completion's owner word stores its slot (and only
-// owners with an event store one), and no flag bit moved.
+// m's events, every completion's flow word stores its slot (and only
+// flows with an event store one), and no flag bit moved.
 func checkSchedule(t testing.TB, s *schedule, m scheduleModel) {
 	t.Helper()
 	if s.len() != len(m) {
@@ -66,24 +66,22 @@ func checkSchedule(t testing.TB, s *schedule, m scheduleModel) {
 		if i > 0 && e.before(s.ev[(i-1)/2]) {
 			t.Fatalf("slot %d %+v sorts before its parent %+v", i, e, s.ev[(i-1)/2])
 		}
-		if e.kind < evkFail && s.slot(e.kind, e.id) != i {
-			t.Fatalf("slot %d holds %+v, whose stored slot is %d", i, e, s.slot(e.kind, e.id))
+		if e.kind == evkFlow && s.slot(e.id) != i {
+			t.Fatalf("slot %d holds %+v, whose stored slot is %d", i, e, s.slot(e.id))
 		}
 	}
-	for _, kind := range []uint8{evkFlow, evkGroup} {
-		for id := int32(0); int(id) < len(*s.fs); id++ {
-			if flags := *s.bits(kind, id) & flagMask; flags != testFlags {
-				t.Fatalf("owner (%d,%d): flag bits %b, want %b", kind, id, flags, testFlags)
-			}
-			mi := m.find(kind, id)
-			if s.has(kind, id) != (mi >= 0) {
-				t.Fatalf("owner (%d,%d): has = %v, model index %d", kind, id, s.has(kind, id), mi)
-			}
-			// The slot check above makes the stored position of an owner
-			// with an event point at that event; compare its key.
-			if mi >= 0 && s.ev[s.slot(kind, id)] != m[mi] {
-				t.Fatalf("owner (%d,%d): scheduled %+v, model %+v", kind, id, s.ev[s.slot(kind, id)], m[mi])
-			}
+	for id := int32(0); int(id) < len(*s.fs); id++ {
+		if flags := (*s.fs)[id].bits & flagMask; flags != testFlags {
+			t.Fatalf("flow %d: flag bits %b, want %b", id, flags, testFlags)
+		}
+		mi := m.find(id)
+		if s.has(id) != (mi >= 0) {
+			t.Fatalf("flow %d: has = %v, model index %d", id, s.has(id), mi)
+		}
+		// The slot check above makes the stored position of a flow with
+		// an event point at that event; compare its key.
+		if mi >= 0 && s.ev[s.slot(id)] != m[mi] {
+			t.Fatalf("flow %d: scheduled %+v, model %+v", id, s.ev[s.slot(id)], m[mi])
 		}
 	}
 	if s.len() > 0 && s.top() != m[0] {
@@ -105,13 +103,13 @@ func drainBoth(t testing.TB, s *schedule, m scheduleModel) {
 
 // TestScheduleOps walks the schedule's operations one case at a time —
 // insert, re-key toward the root and toward the leaves, cancel of the
-// root, an interior slot and the last slot, cancel of an owner with no
+// root, an interior slot and the last slot, cancel of a flow with no
 // event, and the tie order at one instant — each against the model,
 // structure checked after every step, then drained.
 func TestScheduleOps(t *testing.T) {
 	type step struct {
 		op   string // set | cancel | fault | pop
-		kind uint8
+		kind uint8  // of a fault
 		id   int32
 		t    float64
 	}
@@ -143,24 +141,24 @@ func TestScheduleOps(t *testing.T) {
 		// under the t=20 parent, which it must rise past.
 		{"cancel interior, filler sifts up", with(step{"set", evkFlow, 1, 20}, step{"set", evkFlow, 3, 21}, step{"set", evkFlow, 4, 22}, step{"cancel", evkFlow, 3, 0}), event{t: 1, id: 0}},
 		{"cancel last", with(step{"cancel", evkFlow, 6, 0}), event{t: 1, id: 0}},
-		{"cancel only event", []step{{"set", evkGroup, 2, 1}, {"cancel", evkGroup, 2, 0}}, event{}},
-		{"cancel without event", with(step{"cancel", evkFlow, 7, 0}, step{"cancel", evkGroup, 0, 0}), event{t: 1, id: 0}},
+		{"cancel only event", []step{{"set", evkFlow, 2, 1}, {"cancel", evkFlow, 2, 0}}, event{}},
+		{"cancel without event", with(step{"cancel", evkFlow, 7, 0}), event{t: 1, id: 0}},
 		{"pop then re-insert", with(step{"pop", 0, 0, 0}, step{"set", evkFlow, 0, 2.5}), event{t: 2, id: 1}},
 		{"ties and duplicate faults", []step{
-			{"fault", evkRecover, 0, 1}, {"fault", evkFail, 1, 1}, {"set", evkGroup, 3, 1}, {"fault", evkFail, 0, 1},
-			{"set", evkFlow, 3, 1}, {"set", evkFlow, 2, 1}, {"fault", evkFail, 1, 1}, {"set", evkGroup, 2, 1},
-		}, event{t: 1, id: 2}},
+			{"fault", evkRecover, 0, 1}, {"fault", evkFail, 1, 1}, {"set", evkFlow, 4, 1}, {"fault", evkFail, 0, 1},
+			{"set", evkFlow, 3, 1}, {"set", evkFlow, 2, 1}, {"fault", evkFail, 1, 1}, {"set", evkFlow, 1, 1},
+		}, event{t: 1, id: 1}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s, m := newTestSchedule(8), scheduleModel{}
 			for _, st := range c.steps {
 				switch st.op {
 				case "set":
-					s.set(st.kind, st.id, st.t)
-					m.set(st.kind, st.id, st.t)
+					s.set(st.id, st.t)
+					m.set(st.id, st.t)
 				case "cancel":
-					s.cancel(st.kind, st.id)
-					m.cancel(st.kind, st.id)
+					s.cancel(st.id)
+					m.cancel(st.id)
 				case "fault":
 					s.pushFault(st.kind, st.id, st.t)
 					m.insert(event{t: st.t, id: st.id, kind: st.kind})
@@ -177,38 +175,38 @@ func TestScheduleOps(t *testing.T) {
 			drainBoth(t, s, m)
 		})
 	}
-	// The tie order itself, spelled out: completions by id with the flow
-	// ahead of the group, then failures by link, then recoveries.
+	// The tie order itself, spelled out: completions by flow id, then
+	// failures by link, then recoveries.
 	s := newTestSchedule(8)
 	s.pushFault(evkRecover, 0, 1)
 	s.pushFault(evkFail, 1, 1)
-	s.set(evkGroup, 3, 1)
+	s.set(4, 1)
 	s.pushFault(evkFail, 0, 1)
-	s.set(evkFlow, 3, 1)
-	s.set(evkFlow, 2, 1)
-	s.set(evkFlow, 5, 0.5)
+	s.set(3, 1)
+	s.set(2, 1)
+	s.set(5, 0.5)
 	var got []string
 	for s.len() > 0 {
 		e := s.pop()
 		got = append(got, fmt.Sprintf("%v:%d:%d", e.t, e.kind, e.id))
 	}
-	want := []string{"0.5:0:5", "1:0:2", "1:0:3", "1:1:3", "1:2:0", "1:2:1", "1:3:0"}
+	want := []string{"0.5:0:5", "1:0:2", "1:0:3", "1:0:4", "1:1:0", "1:1:1", "1:2:0"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("pop order %v, want %v", got, want)
 	}
 }
 
 // FuzzSchedule replays a byte stream as set/cancel/pop/pushFault
-// operations over eight flow and eight group owners at sixteen distinct
+// operations over sixteen flows and eight links at sixteen distinct
 // times (so ties and re-keys to the same time are common) against the
 // sorted-slice model: equal pops, and after every operation the heap
-// order, every owner's stored position and the flag bits all hold.
+// order, every flow's stored position and the flag bits all hold.
 func FuzzSchedule(f *testing.F) {
 	f.Add([]byte{0, 1, 9, 0, 2, 3, 0, 1, 2, 2, 1, 1, 3, 4, 3, 2})
 	f.Add([]byte{0, 0, 0, 0, 16, 0, 0, 32, 0, 3, 1, 0, 3, 17, 0, 2, 2, 2, 2})
 	f.Add([]byte{0, 7, 15, 0, 6, 14, 0, 5, 13, 0, 4, 12, 0, 3, 11, 1, 5, 0, 3, 0, 1, 6, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, m := newTestSchedule(8), scheduleModel{}
+		s, m := newTestSchedule(16), scheduleModel{}
 		next := func() byte {
 			if len(data) == 0 {
 				return 0
@@ -219,15 +217,15 @@ func FuzzSchedule(f *testing.F) {
 		}
 		for len(data) > 0 {
 			op, who := next()%4, next()
-			kind, id := who>>3&1, int32(who&7)
+			id := int32(who & 15)
 			switch op {
 			case 0:
 				at := float64(next() % 16)
-				s.set(kind, id, at)
-				m.set(kind, id, at)
+				s.set(id, at)
+				m.set(id, at)
 			case 1:
-				s.cancel(kind, id)
-				m.cancel(kind, id)
+				s.cancel(id)
+				m.cancel(id)
 			case 2:
 				if len(m) > 0 {
 					if got, want := s.pop(), m.pop(); got != want {
@@ -235,9 +233,9 @@ func FuzzSchedule(f *testing.F) {
 					}
 				}
 			case 3:
-				at := float64(next() % 16)
-				s.pushFault(evkFail+kind, id, at)
-				m.insert(event{t: at, id: id, kind: evkFail + kind})
+				at, kind, link := float64(next()%16), evkFail+who>>4&1, int32(who&7)
+				s.pushFault(kind, link, at)
+				m.insert(event{t: at, id: link, kind: kind})
 			}
 			checkSchedule(t, s, m)
 		}
@@ -252,8 +250,8 @@ func FuzzSchedule(f *testing.F) {
 // the same time), 200,000 pops and no cancel — only a link fault
 // cancels — at a peak of 44 scheduled events; coflows-wf peaks at 690
 // and cli-leapfct at 25. A round here is that ratio, 7 pops each
-// followed by the owner's next first set, 6 re-keys of a resident
-// owner (alternately earlier and later), plus one cancel-and-reinsert
+// followed by the flow's next first set, 6 re-keys of a resident
+// flow (alternately earlier and later), plus one cancel-and-reinsert
 // so the fault path is timed too: 22 operations.
 func BenchmarkSchedule(b *testing.B) {
 	for _, n := range []int{44, 690} {
@@ -268,7 +266,7 @@ func BenchmarkSchedule(b *testing.B) {
 			}
 			resident := func() event { return s.ev[int(draw()*float64(n-1))] }
 			for id := 0; id < n; id++ {
-				s.set(evkFlow, int32(id), draw())
+				s.set(int32(id), draw())
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -277,19 +275,19 @@ func BenchmarkSchedule(b *testing.B) {
 				for k := 0; k < 7; k++ {
 					e := s.pop()
 					now = e.t
-					s.set(evkFlow, e.id, now+draw())
+					s.set(e.id, now+draw())
 				}
 				for k := 0; k < 6; k++ {
 					e := resident()
 					if k%2 == 0 {
-						s.set(evkFlow, e.id, now+(e.t-now)*draw())
+						s.set(e.id, now+(e.t-now)*draw())
 					} else {
-						s.set(evkFlow, e.id, e.t+draw())
+						s.set(e.id, e.t+draw())
 					}
 				}
 				e := resident()
-				s.cancel(evkFlow, e.id)
-				s.set(evkFlow, e.id, e.t)
+				s.cancel(e.id)
+				s.set(e.id, e.t)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/22, "ns/sched-op")
 		})

@@ -30,13 +30,12 @@ func runChecked(e *Engine, until float64) {
 //   - no link carries more than its capacity (links crossed by a flow
 //     awaiting re-solve are exempt: a failure zeroes capacity before
 //     the solve that zeroes the rates);
-//   - schedule slot i holds owner o exactly when o's stored position is
-//     i+1; every finite plain flow and group has exactly one event while
-//     it drains and none while it is stranded or unsolved, every
-//     completion event belongs to one, and pendingFaults counts the
-//     fault events;
-//   - the tables' live slots are exactly the flows and groups the
-//     engine still references, and every other slot is released.
+//   - schedule slot i holds flow f exactly when f's stored position is
+//     i+1; every finite flow has exactly one event while it drains and
+//     none while it is stranded or unsolved, every completion event
+//     belongs to one, and pendingFaults counts the fault events;
+//   - the table's live slots are exactly the flows the engine still
+//     references, and every other slot is released.
 func (e *Engine) checkInvariants() {
 	fail := func(format string, args ...any) {
 		panic(fmt.Sprintf("leap invariant at t=%v: ", e.now) + fmt.Sprintf(format, args...))
@@ -79,62 +78,46 @@ func (e *Engine) checkInvariants() {
 		}
 	}
 
-	type owner struct {
-		kind uint8
-		id   int32
-	}
-	events := map[owner]int{}
+	events := map[int32]int{}
 	faults := 0
 	for i, ev := range e.sched.ev {
-		if ev.kind >= evkFail {
+		if ev.kind != evkFlow {
 			faults++
 			continue
 		}
-		events[owner{ev.kind, ev.id}]++
-		if at := e.sched.slot(ev.kind, ev.id); at != i {
+		events[ev.id]++
+		if at := e.sched.slot(ev.id); at != i {
 			fail("schedule slot %d holds %+v, whose stored slot is %d", i, ev, at)
 		}
 	}
 	if faults != e.pendingFaults {
 		fail("schedule holds %d fault events, engine counts %d", faults, e.pendingFaults)
 	}
-	// checkOwner holds one finite flow or group to its event: settled
-	// means no solve is pending for it, so rate and event must agree.
-	// With every slot's owner pointing back at it (above), an owner that
-	// claims a position and is counted once sits in exactly that slot.
-	checkOwner := func(o owner, bits uint32, rate float64, settled bool) {
-		has := e.sched.has(o.kind, o.id)
-		n := events[o]
-		delete(events, o)
-		switch {
-		case has != (n == 1) || n > 1:
-			fail("owner %+v: %d events, stored slot %d", o, n, e.sched.slot(o.kind, o.id))
-		case has && (rate <= 0 || bits&strandedBit != 0):
-			fail("owner %+v: event at rate %v, stranded %v", o, rate, bits&strandedBit != 0)
-		case settled && has != (rate > 0):
-			fail("owner %+v: settled at rate %v, has event %v", o, rate, has)
-		case settled && o.kind == evkFlow && (bits&strandedBit != 0) != (rate <= 0):
-			fail("owner %+v: settled at rate %v, stranded %v", o, rate, bits&strandedBit != 0)
-		}
-	}
+	// Each live finite flow is held to its event: settled means no
+	// solve is pending for it, so rate and event must agree. With every
+	// slot's flow pointing back at it (above), a flow that claims a
+	// position and is counted once sits in exactly that slot.
 	for _, f := range live {
-		if f.Group == nil && f.SizeBytes > 0 {
-			checkOwner(owner{evkFlow, int32(f.ID)}, e.fs[f.ID].bits, f.Rate, !seeded(f))
-		}
-	}
-	groups := map[*fluid.Group]bool{}
-	for _, f := range live {
-		g := f.Group
-		if g == nil || groups[g] {
+		if f.SizeBytes == 0 {
 			continue
 		}
-		groups[g] = true
-		if g.SizeBytes > 0 {
-			checkOwner(owner{evkGroup, int32(g.ID)}, e.gs[g.ID].bits, g.Rate(), !slices.ContainsFunc(g.Members, seeded))
+		id, bits, rate, settled := int32(f.ID), e.fs[f.ID].bits, f.Rate, !seeded(f)
+		has := e.sched.has(id)
+		n := events[id]
+		delete(events, id)
+		switch {
+		case has != (n == 1) || n > 1:
+			fail("flow %d: %d events, stored slot %d", id, n, e.sched.slot(id))
+		case has && (rate <= 0 || bits&strandedBit != 0):
+			fail("flow %d: event at rate %v, stranded %v", id, rate, bits&strandedBit != 0)
+		case settled && has != (rate > 0):
+			fail("flow %d: settled at rate %v, has event %v", id, rate, has)
+		case settled && (bits&strandedBit != 0) != (rate <= 0):
+			fail("flow %d: settled at rate %v, stranded %v", id, rate, bits&strandedBit != 0)
 		}
 	}
 	if len(events) != 0 {
-		fail("events without a draining owner: %v", events)
+		fail("events without a draining flow: %v", events)
 	}
 
 	flows := map[int]bool{}
@@ -144,16 +127,10 @@ func (e *Engine) checkInvariants() {
 				fail("flow %d is not its table slot's tenant", f.ID)
 			}
 			flows[f.ID] = true
-			if g := f.Group; g != nil {
-				groups[g] = true
-			}
 		}
 	}
-	for _, g := range e.finishedGroups {
-		groups[g] = true
-	}
-	if len(flows) != e.tbl.Len() || len(groups) != e.gtbl.Len() {
-		fail("engine references %d flows and %d groups, tables hold %d and %d live", len(flows), len(groups), e.tbl.Len(), e.gtbl.Len())
+	if len(flows) != e.tbl.Len() {
+		fail("engine references %d flows, the table holds %d live", len(flows), e.tbl.Len())
 	}
 	for id := 0; id < e.tbl.Cap(); id++ {
 		if !flows[id] && e.tbl.ByID(id).Links != nil {

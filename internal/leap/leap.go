@@ -5,22 +5,22 @@
 // so a sparse dynamic workload burns almost all of its cycles
 // re-solving an unchanged allocation between arrivals. This package
 // instead leaps straight to the next event: the earlier of the next
-// scheduled arrival and the earliest flow (or group) completion under
-// the current rates. Rates are recomputed only when the active set
-// changes, completion times are exact (no epoch quantization of
-// arrivals or departures), and fully idle or fully steady stretches
-// cost nothing regardless of their simulated length. This is the
+// scheduled arrival and the earliest flow completion under the current
+// rates. Rates are recomputed only when the active set changes,
+// completion times are exact (no epoch quantization of arrivals or
+// departures), and fully idle or fully steady stretches cost nothing
+// regardless of their simulated length. This is the
 // standard flow-level event-driven construction — internal/refsim is
 // its naive form, the referee this package's tests and fuzz target
-// hold the engine to — made incremental for pluggable allocators,
-// finite multipath groups, and million-flow workloads.
+// hold the engine to — made incremental for pluggable allocators and
+// million-flow workloads. It plays single-path flows; multipath groups
+// (Figure 8's resource pooling) run on the epoch engine.
 //
 // The engine reuses the fluid package wholesale: fluid.Network link
-// capacities, fluid.Flow/fluid.Group state, and every fluid.Allocator
-// (WaterFill, XWI, DGD, Oracle). For the stationary allocators
-// (WaterFill, Oracle) event-driven advancement is exact: rates are a
-// pure function of the active set, so holding them constant between
-// events loses nothing. For the dynamic allocators (XWI, DGD) each
+// capacities, fluid.Flow state, and every fluid.Allocator (WaterFill,
+// XWI, DGD, Oracle). For the stationary allocators (WaterFill, Oracle)
+// event-driven advancement is exact: rates are a pure function of the
+// active set, so holding them constant between events loses nothing. For the dynamic allocators (XWI, DGD) each
 // event runs the allocator's IterPerEpoch internal iterations once —
 // configure enough iterations to reach the fixed point (prices
 // warm-start across events) and the engine models a transport that
@@ -31,10 +31,9 @@
 // Work is bounded by LOCAL events, not events: an arrival or
 // departure can only disturb the flows in its own connected component
 // of the link-sharing graph (flows are vertices, sharing a link is an
-// edge, and a multipath group's members are linked through their
-// shared payload), because the component's flows collectively see
-// every unit of capacity on every link they cross — no flow outside
-// it competes there. So each coupled event re-solves just the touched
+// edge), because the component's flows collectively see every unit of
+// capacity on every link they cross — no flow outside it competes
+// there. So each coupled event re-solves just the touched
 // component(s), via the allocators' link-closed subset path
 // (fluid.SubsetAllocator): the engine keeps a per-link index of
 // active flows, floods out from the event's flows to collect the
@@ -43,23 +42,23 @@
 // keep their rates, and their scheduled completions stay valid.
 //
 // Completion times live in one addressable schedule (heap.go): a
-// min-heap holding at most one completion per draining flow or group,
-// keyed on the time implied by the owner's latest rate. Re-solving a
-// component re-keys only that component's events, in place — a member
-// whose rate moved has its event moved (or removed, at rate zero), and
-// — because a completion time computed from an unchanged rate is still
-// exact — a member whose re-solved rate came back identical keeps its
-// event untouched. Every event in the schedule is therefore live, and
-// the schedule is the set of draining owners. A component is always
-// handed to the allocator in stable admission order, which keeps event
+// min-heap holding at most one completion per draining flow, keyed on
+// the time implied by the flow's latest rate. Re-solving a component
+// re-keys only that component's events, in place — a flow whose rate
+// moved has its event moved (or removed, at rate zero), and — because a
+// completion time computed from an unchanged rate is still exact — a
+// flow whose re-solved rate came back identical keeps its event
+// untouched. Every event in the schedule is therefore live, and the
+// schedule is the set of draining flows. A component is always handed
+// to the allocator in stable admission order, which keeps event
 // orderings bit-deterministic for a fixed schedule.
 //
-// The limiting fast paths fall out of the same machinery: a
-// single-path flow that shares no link with any active flow is a
-// component of size one, so its arrival takes its path's minimum
-// capacity (the single-flow optimum under any increasing utility) and
-// schedules one completion with no allocator call at all, and a
-// departure that leaves its links empty pops one. On sparse
+// The limiting fast paths fall out of the same machinery: a flow that
+// shares no link with any active flow is a component of size one, so
+// its arrival takes its path's minimum capacity (the single-flow
+// optimum under any increasing utility) and schedules one completion
+// with no allocator call at all, and a departure that leaves its links
+// empty pops one. On sparse
 // workloads, where most flows run alone at line rate, most events
 // reduce to O(path length + log n) — and even the coupled minority
 // pays for its few-flow component, not for the whole active set.
@@ -149,13 +148,12 @@ type Stats struct {
 	// Faults is how many fault events (FailLink/RecoverLink) the
 	// engine applied, nested repeats and no-op recoveries included.
 	Faults int `json:"faults"`
-	// Stranded counts plain finite flows driven to rate zero — every
+	// Stranded counts finite flows driven to rate zero — every
 	// usable path crosses a dead link — with their completion event
 	// cancelled and payload frozen; Resumed counts strandings lifted
 	// by a later re-solve finding positive rate again (recovery, or a
 	// departure freeing an alternative). A flow stranded twice counts
-	// twice. Groups never strand member-by-member: a group with every
-	// member dead simply holds total rate zero until recovery.
+	// twice.
 	Stranded int `json:"stranded"`
 	Resumed  int `json:"resumed"`
 	// StrandedSec is the total flow-seconds spent stranded, accrued
@@ -198,13 +196,12 @@ type flowState struct {
 	seq  int32
 }
 
-// flowState/groupState bits: three flags below posShift and, above it,
-// the owner's position in the schedule — heap index + 1, zero while
-// the owner has no completion scheduled. Only the schedule writes the
-// position (heap.go); the engine reads it through schedule.has.
-// seededBit marks a pending reallocation seed, inCompBit membership in
-// the component being collected (flows only: the flood tracks groups
-// by mark). strandedBit marks a plain finite flow currently held at
+// flowState bits: three flags below posShift and, above it, the flow's
+// position in the schedule — heap index + 1, zero while the flow has
+// no completion scheduled. Only the schedule writes the position
+// (heap.go); the engine reads it through schedule.has. seededBit marks
+// a pending reallocation seed, inCompBit membership in the component
+// being collected. strandedBit marks a finite flow currently held at
 // rate zero by dead capacity (see Stats.Stranded); while it is set the
 // flow has no event and refT records when the stranding began, so the
 // resume can accrue the stranded-time integral.
@@ -215,15 +212,6 @@ const (
 	posShift    = 3
 	flagMask    = 1<<posShift - 1
 )
-
-// groupState is the per-group analog: mark is the component flood's
-// visited stamp and the seededBit slot doubles as the per-install
-// "member rate moved" flag (the two uses never overlap in time).
-type groupState struct {
-	refT float64
-	bits uint32
-	mark int
-}
 
 // grow returns s with its backing array doubled once length reaches
 // capacity: for multi-megabyte slices the runtime's growth factor
@@ -239,8 +227,8 @@ func grow[T any](s []T) []T {
 }
 
 // compRange is one disjoint connected component within a batch's
-// flood, as index ranges into the engine's comp/compG scratch slices.
-type compRange struct{ f0, f1, g0, g1 int }
+// flood, as an index range into the engine's comp scratch slice.
+type compRange struct{ f0, f1 int }
 
 // Engine advances a fluid network event by event. Between events every
 // rate is constant, so the state at the next event follows in closed
@@ -250,27 +238,24 @@ type Engine struct {
 	// alloc is Config.Allocator, primed once by NewEngine; every
 	// component solve is one AllocateSubset call on it.
 	alloc fluid.SubsetAllocator
-	// tbl/gtbl are the engine's pooled flow and group storage:
-	// slab-stable pointers, dense recycled ids, arena-backed paths.
-	// Every id the engine keys its state by — events, linkFlows,
-	// fs/gs — resolves through them.
-	tbl  *fluid.FlowTable
-	gtbl *fluid.GroupTable
+	// tbl is the engine's pooled flow storage: slab-stable pointers,
+	// dense recycled ids, arena-backed paths. Every id the engine keys
+	// its state by — events, linkFlows, fs — resolves through it.
+	tbl *fluid.FlowTable
 
 	now      float64
 	pending  []*fluid.Flow // arrival order; pending[next:] not yet admitted
 	next     int
 	unsorted bool
 
-	// nLive counts the flows admitted and not yet completed (group
-	// members and stranded flows included); linkFlows indexes them by
-	// link and the tables hold them, so no list of them is kept.
-	nLive          int
-	finished       []*fluid.Flow
-	finishedGroups []*fluid.Group
+	// nLive counts the flows admitted and not yet completed (stranded
+	// flows included); linkFlows indexes them by link and the table
+	// holds them, so no list of them is kept.
+	nLive    int
+	finished []*fluid.Flow
 
 	// sched holds every scheduled event: the one completion of each
-	// draining finite flow and group, and the pending faults.
+	// draining finite flow, and the pending faults.
 	sched schedule
 
 	// linkFlows[l] lists the active flows crossing link l — by dense
@@ -285,10 +270,8 @@ type Engine struct {
 	linkMark []int
 	round    int
 
-	// fs[id] is the per-flow engine state (flow IDs are dense); gs[id]
-	// the per-group analog.
+	// fs[id] is the per-flow engine state (flow IDs are dense).
 	fs     []flowState
-	gs     []groupState
 	nadmit int32
 
 	// touched seeds the next component flood: flows whose arrival
@@ -296,10 +279,9 @@ type Engine struct {
 	// departures. Cleared by reallocate.
 	touched []*fluid.Flow
 	comp    []*fluid.Flow
-	compG   []*fluid.Group
 	// comps/ratesArena are the per-batch component table: the flood
-	// fills comps with disjoint ranges over comp/compG, and each
-	// component solves into its ratesArena range.
+	// fills comps with disjoint ranges over comp, and each component
+	// solves into its ratesArena range.
 	comps      []compRange
 	ratesArena []float64
 
@@ -345,22 +327,18 @@ func NewEngine(net *fluid.Network, cfg Config) *Engine {
 		net:        net,
 		alloc:      cfg.Allocator,
 		tbl:        fluid.NewFlowTable(),
-		gtbl:       fluid.NewGroupTable(),
 		batchCause: obs.CauseSolve,
 		hooks:      cfg.Obs,
 		linkFlows:  make([][]int32, net.Links()),
 		linkMark:   make([]int, net.Links()),
 	}
-	e.sched.fs, e.sched.gs = &e.fs, &e.gs
+	e.sched.fs = &e.fs
 	if ps, ok := cfg.Allocator.(fluid.ParallelSubsetAllocator); ok {
 		// The cold start every committed fingerprint took: warm state
 		// sized for the whole network up front, not seeded lazily from
 		// whichever component happens to solve first.
 		ps.Prime(net)
 	}
-	e.hooks.Tracer.EnsureTracks(2)
-	e.hooks.Tracer.SetTrackName(0, "engine")
-	e.hooks.Tracer.SetTrackName(1, "solver")
 	if e.hooks.FlowTrace != nil {
 		e.hooks.FlowTrace.Bind(net.Capacity)
 	}
@@ -370,34 +348,27 @@ func NewEngine(net *fluid.Network, cfg Config) *Engine {
 // Now returns the current simulated time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Net returns the engine's network.
-func (e *Engine) Net() *fluid.Network { return e.net }
-
-// Finished returns every completed flow, in completion order. Group
-// members appear here too, stamped with their group's finish time.
+// Finished returns every completed flow, in completion order.
 // ReleaseFinished truncates the list.
 func (e *Engine) Finished() []*fluid.Flow { return e.finished }
 
-// FinishedGroups returns every completed group, in completion order.
-func (e *Engine) FinishedGroups() []*fluid.Group { return e.finishedGroups }
+// Tables returns the engine's flow storage table.
+func (e *Engine) Tables() *fluid.FlowTable { return e.tbl }
 
-// Tables returns the engine's flow and group storage tables.
-func (e *Engine) Tables() (*fluid.FlowTable, *fluid.GroupTable) { return e.tbl, e.gtbl }
-
-// ReleaseFinished recycles every finished flow and group back to the
-// engine's tables and truncates the finished lists, returning the
-// counts released. Churn-heavy drivers call it after harvesting FCTs —
-// between Run calls, or periodically during one — so ids, slab slots,
-// and path segments recycle and sustained churn allocates nothing;
-// without it the tables grow with the total admitted (every pointer
-// stays valid forever, the pre-table behavior). Previously returned
-// pointers to the released flows and groups are invalid afterward.
-// Only the lists are truncated: Stats and the progress snapshot's
-// finished count are cumulative. A finished owner holds no scheduled
-// event (finishing popped it), so its id can be reissued at once.
+// ReleaseFinished recycles every finished flow back to the engine's
+// table and truncates the finished list, returning the count released.
+// Churn-heavy drivers call it after harvesting FCTs — between Run
+// calls, or periodically during one — so ids, slab slots, and path
+// segments recycle and sustained churn allocates nothing; without it
+// the table grows with the total admitted (every pointer stays valid
+// forever, the pre-table behavior). Previously returned pointers to the
+// released flows are invalid afterward. Only the list is truncated:
+// Stats and the progress snapshot's finished count are cumulative. A
+// finished flow holds no scheduled event (finishing popped it), so its
+// id can be reissued at once.
 // Not safe to interleave with an in-flight Step on another goroutine
 // (the engine was never concurrency-safe at the API level).
-func (e *Engine) ReleaseFinished() (flows, groups int) {
+func (e *Engine) ReleaseFinished() int {
 	// A completion batch can seed a survivor that then retires in the
 	// same instant; when the run drains right there, the done flow
 	// stays in the seed list (the flood would skip it). Releasing it
@@ -423,18 +394,13 @@ func (e *Engine) ReleaseFinished() (flows, groups int) {
 		e.pending = e.pending[:n]
 		e.next = 0
 	}
-	flows, groups = len(e.finished), len(e.finishedGroups)
+	n := len(e.finished)
 	for i, f := range e.finished {
 		e.tbl.Release(f)
 		e.finished[i] = nil
 	}
 	e.finished = e.finished[:0]
-	for i, g := range e.finishedGroups {
-		e.gtbl.Release(g)
-		e.finishedGroups[i] = nil
-	}
-	e.finishedGroups = e.finishedGroups[:0]
-	return flows, groups
+	return n
 }
 
 // Stats returns the engine's work telemetry so far.
@@ -456,24 +422,6 @@ func checkTime(fn string, at float64) {
 	}
 }
 
-// checkFlow panics unless links is a non-empty path over the engine's
-// network, sizeBytes a payload (0 = unbounded) and at a finite time.
-func (e *Engine) checkFlow(fn string, links []int, sizeBytes int64, at float64) {
-	if len(links) == 0 {
-		panic(fmt.Sprintf("leap: %s: empty path", fn))
-	}
-	n := e.net.Links()
-	for _, l := range links {
-		if l < 0 || l >= n {
-			panic(fmt.Sprintf("leap: %s: link %d in path %v of a %d-link network", fn, l, links, n))
-		}
-	}
-	if sizeBytes < 0 {
-		panic(fmt.Sprintf("leap: %s: sizeBytes = %d, want ≥ 0 (0 = unbounded)", fn, sizeBytes))
-	}
-	checkTime(fn, at)
-}
-
 // AddFlow schedules a flow over links, arriving at time at (seconds;
 // at ≤ Now admits it on the next Step), with utility u and payload
 // sizeBytes (0 = unbounded). It returns the Flow for inspection. A
@@ -485,11 +433,19 @@ func (e *Engine) checkFlow(fn string, links []int, sizeBytes int64, at float64) 
 // schedule in the engine: see Step for the rule that keeps such a run
 // identical to the preloaded one.
 func (e *Engine) AddFlow(links []int, u core.Utility, sizeBytes int64, at float64) *fluid.Flow {
-	e.checkFlow("AddFlow", links, sizeBytes, at)
-	return e.addFlow(links, u, sizeBytes, at)
-}
-
-func (e *Engine) addFlow(links []int, u core.Utility, sizeBytes int64, at float64) *fluid.Flow {
+	if len(links) == 0 {
+		panic("leap: AddFlow: empty path")
+	}
+	n := e.net.Links()
+	for _, l := range links {
+		if l < 0 || l >= n {
+			panic(fmt.Sprintf("leap: AddFlow: link %d in path %v of a %d-link network", l, links, n))
+		}
+	}
+	if sizeBytes < 0 {
+		panic(fmt.Sprintf("leap: AddFlow: sizeBytes = %d, want ≥ 0 (0 = unbounded)", sizeBytes))
+	}
+	checkTime("AddFlow", at)
 	f := e.tbl.Acquire(links, u, sizeBytes, at)
 	id := f.ID
 	for id >= len(e.fs) {
@@ -505,44 +461,17 @@ func (e *Engine) addFlow(links []int, u core.Utility, sizeBytes int64, at float6
 	return f
 }
 
-// AddGroup schedules a multipath aggregate over the given paths (one
-// member subflow per path), arriving as a unit at time at, with
-// utility u of the group's TOTAL rate and a shared payload of
-// sizeBytes (0 = unbounded). It returns the Group for inspection; the
-// member flows are in Group.Members, path order. Arguments are
-// validated as in AddFlow, every path included, before anything is
-// acquired; a group needs at least one path.
-func (e *Engine) AddGroup(paths [][]int, u core.Utility, sizeBytes int64, at float64) *fluid.Group {
-	if len(paths) == 0 {
-		panic("leap: AddGroup: no paths")
-	}
-	for _, links := range paths {
-		e.checkFlow("AddGroup", links, sizeBytes, at)
-	}
-	g := e.gtbl.Acquire(u, sizeBytes, at)
-	id := g.ID
-	for id >= len(e.gs) {
-		e.gs = append(grow(e.gs), groupState{})
-	}
-	e.gs[id] = groupState{}
-	for _, links := range paths {
-		g.AddMember(e.addFlow(links, u, 0, at))
-	}
-	return g
-}
-
 // FailLink schedules directed link link to fail at time at (seconds;
 // at ≤ Now applies on the next Step, at Now, and the downtime and the
 // capacity-lost integral count from then, as the flows see it): its
 // capacity drops to zero and every flow crossing it is re-solved —
 // component-locally, since a failed link disturbs exactly the flows in
 // its active index. Flows left with no usable capacity are stranded
-// (rate zero, completion event cancelled, payload frozen); ECMP group
-// members on the link drop to rate zero and the group's traffic
-// re-splits over its surviving paths. Failures nest: failing an
-// already-failed link deepens a counter and changes nothing until the
-// matching recoveries unwind it. Switch failures are expressed as the
-// switch's incident directed links (fluid.FatTree's *SwitchLinks).
+// (rate zero, completion event cancelled, payload frozen). Failures
+// nest: failing an already-failed link deepens a counter and changes
+// nothing until the matching recoveries unwind it. Switch failures are
+// expressed as the switch's incident directed links (fluid.FatTree's
+// *SwitchLinks).
 //
 // Fault events ride the same schedule as completions and retire in a
 // canonical order (completions first at a shared instant, then
@@ -554,10 +483,10 @@ func (e *Engine) FailLink(link int, at float64) { e.scheduleFault("FailLink", li
 
 // RecoverLink schedules link to recover at time at (at ≤ Now applies
 // on the next Step, at Now): once every nested failure has unwound,
-// capacity is restored to its construction-time value, stranded flows
-// on the link resume (a fresh re-solve assigns them positive rate and
-// reschedules their completions), and group traffic re-splits over
-// the recovered path. Recovering a healthy link is a counted no-op.
+// capacity is restored to its construction-time value and stranded
+// flows on the link resume (a fresh re-solve assigns them positive rate
+// and reschedules their completions). Recovering a healthy link is a
+// counted no-op.
 func (e *Engine) RecoverLink(link int, at float64) {
 	e.scheduleFault("RecoverLink", link, at, evkRecover)
 }
@@ -617,7 +546,7 @@ func (e *Engine) applyFault(link int, fail bool, t float64) {
 }
 
 // admitDue moves every pending flow with Arrive ≤ now into the active
-// set. A single-path flow whose links carry no other active flow takes
+// set. A flow whose links carry no other active flow takes
 // the independence fast path — rate set to its path's minimum capacity
 // and one completion scheduled, no allocation; everything else
 // seeds the next component re-solve.
@@ -638,7 +567,7 @@ func (e *Engine) admitDue() {
 		e.fs[f.ID].seq = e.nadmit
 		e.nadmit++
 		e.nLive++
-		iso := f.Group == nil && e.isolated(f)
+		iso := e.isolated(f)
 		for _, l := range f.Links {
 			e.linkFlows[l] = append(e.linkFlows[l], int32(f.ID))
 		}
@@ -686,19 +615,11 @@ func (e *Engine) pathMinCap(f *fluid.Flow) float64 {
 }
 
 // admitIsolated gives an independent flow its single-flow optimum and
-// splices its completion into the schedule.
+// splices its completion into the schedule — or, admitted straight onto
+// a dead path, strands it from birth until a recovery re-solves it.
 func (e *Engine) admitIsolated(f *fluid.Flow) {
-	f.Rate = e.pathMinCap(f)
-	e.fs[f.ID].refT = e.now
+	e.installFlow(f, e.pathMinCap(f))
 	e.stats.Elided++
-	if f.SizeBytes > 0 && f.Rate > 0 {
-		e.scheduleFlow(f)
-	} else if f.SizeBytes > 0 {
-		// Admitted straight onto a dead path: stranded from birth, no
-		// completion to schedule until a recovery re-solves it.
-		e.fs[f.ID].bits |= strandedBit
-		e.stats.Stranded++
-	}
 	// No solver ran: the flow takes its line rate, bottlenecked by the
 	// path's min-capacity link (the tracer's default).
 	e.hooks.FlowTrace.AdmitRate(f.ID, f.SizeBytes, f.Arrive, f.Links, e.now, f.Rate, uint64(e.stats.Batches))
@@ -769,22 +690,15 @@ func (e *Engine) enqueueID(list []*fluid.Flow, id int32) []*fluid.Flow {
 
 // floodComponent BFSes the connected component of seed over the
 // link-sharing graph, appending its flows (sorted into admission
-// order), its groups and its range to comp/compG/comps. A completed
-// seed contributes nothing.
+// order) and its range to comp/comps. A completed seed contributes
+// nothing.
 func (e *Engine) floodComponent(seed *fluid.Flow) {
-	f0, g0 := len(e.comp), len(e.compG)
+	f0 := len(e.comp)
 	e.round++
 	r := e.round
 	e.comp = e.enqueueTo(e.comp, seed)
 	for i := f0; i < len(e.comp); i++ {
 		fl := e.comp[i]
-		if g := fl.Group; g != nil && e.gs[g.ID].mark != r {
-			e.gs[g.ID].mark = r
-			e.compG = append(e.compG, g)
-			for _, m := range g.Members {
-				e.comp = e.enqueueTo(e.comp, m)
-			}
-		}
 		for _, l := range fl.Links {
 			if e.linkMark[l] == r {
 				continue
@@ -808,22 +722,19 @@ func (e *Engine) floodComponent(seed *fluid.Flow) {
 		}
 		comp[j+1] = fl
 	}
-	e.comps = append(e.comps, compRange{f0, len(e.comp), g0, len(e.compG)})
+	e.comps = append(e.comps, compRange{f0, len(e.comp)})
 }
 
 // collectComponents floods out from the pending seeds over the
-// link-sharing graph (link lists for link neighbors, group membership
-// for payload coupling) and partitions the touched flows into their
+// link-sharing graph and partitions the touched flows into their
 // disjoint connected components: one BFS per seed not absorbed by an
 // earlier seed's flood, so overlapping seeds merge into one component
-// and distinct components never share a link or a group. Components
-// come out in seed order, each one's flows in stable admission order
-// with the groups it spans alongside; seeds that already completed
-// contribute nothing.
+// and distinct components never share a link. Components come out in
+// seed order, each one's flows in stable admission order; seeds that
+// already completed contribute nothing.
 func (e *Engine) collectComponents() []compRange {
 	e.comps = e.comps[:0]
 	e.comp = e.comp[:0]
-	e.compG = e.compG[:0]
 	for _, f := range e.touched {
 		e.fs[f.ID].bits &^= seededBit
 	}
@@ -843,10 +754,10 @@ func (e *Engine) collectComponents() []compRange {
 // scheduleFlow sets f's completion from the current instant, where
 // f's rate was just installed and f.Remaining materialized.
 func (e *Engine) scheduleFlow(f *fluid.Flow) {
-	e.sched.set(evkFlow, int32(f.ID), e.now+f.Remaining*8/f.Rate)
+	e.sched.set(int32(f.ID), e.now+f.Remaining*8/f.Rate)
 }
 
-// installFlow installs a non-member flow's new rate at the current
+// installFlow installs a flow's new rate at the current
 // instant: it materializes the lazy drain under the outgoing rate and
 // moves the flow's completion to the time the new rate implies (or
 // removes it, at rate zero). A completion time computed from an
@@ -882,7 +793,7 @@ func (e *Engine) installFlow(f *fluid.Flow, rate float64) (strandedSec float64) 
 		e.stats.Resumed++
 		strandedSec = math.Max(now-s.refT, 0)
 	}
-	if rate == old && e.sched.has(evkFlow, int32(f.ID)) == (rate > 0) {
+	if rate == old && e.sched.has(int32(f.ID)) == (rate > 0) {
 		return strandedSec
 	}
 	if old > 0 {
@@ -898,50 +809,22 @@ func (e *Engine) installFlow(f *fluid.Flow, rate float64) (strandedSec float64) 
 	if rate > 0 {
 		e.scheduleFlow(f)
 	} else {
-		e.sched.cancel(evkFlow, int32(f.ID))
+		e.sched.cancel(int32(f.ID))
 	}
 	return strandedSec
-}
-
-// installGroups is the group half of a component's rate install, run
-// before any member rate is written: flag the groups a member rate is
-// about to move under (seededBit, free outside the flood) and
-// materialize their lazy drain at the outgoing total.
-func (e *Engine) installGroups(flows []*fluid.Flow, groups []*fluid.Group, rates []float64) {
-	for _, g := range groups {
-		e.gs[g.ID].bits &^= seededBit
-	}
-	for i, f := range flows {
-		if g := f.Group; g != nil && rates[i] != f.Rate {
-			e.gs[g.ID].bits |= seededBit
-		}
-	}
-	for _, g := range groups {
-		s := &e.gs[g.ID]
-		if g.SizeBytes == 0 || s.bits&seededBit == 0 {
-			continue
-		}
-		if total := g.Rate(); total > 0 {
-			g.Remaining -= (e.now - s.refT) * total / 8
-			if g.Remaining < 0 {
-				g.Remaining = 0
-			}
-		}
-		s.refT = e.now
-	}
 }
 
 // solveComponent settles one component in one pass at the batch
 // instant: the size-one elision or the allocator call, then each rate
 // installed and each moved completion re-keyed (or cancelled) where it
-// moves, then the counters and the flow tracer. A flow or group whose
-// rate came back unchanged keeps its event untouched. The order of the
-// schedule operations cannot move a bit: every owner has at most one
-// event and event.before is a strict total order (see schedule).
+// moves, then the counters and the flow tracer. A flow whose rate came
+// back unchanged keeps its event untouched. The order of the schedule
+// operations cannot move a bit: every flow has at most one event and
+// event.before is a strict total order (see schedule).
 func (e *Engine) solveComponent(r compRange) {
-	flows, groups := e.comp[r.f0:r.f1], e.compG[r.g0:r.g1]
-	if len(flows) == 1 && flows[0].Group == nil {
-		// A component of one plain flow needs no allocator at all: it
+	flows := e.comp[r.f0:r.f1]
+	if len(flows) == 1 {
+		// A component of one flow needs no allocator at all: it
 		// takes its path's minimum capacity, the same independence
 		// elision its arrival fast path uses, generalized to
 		// departures that leave a lone neighbor behind.
@@ -952,30 +835,11 @@ func (e *Engine) solveComponent(r compRange) {
 	}
 	rates := e.ratesArena[r.f0:r.f1]
 	e.alloc.AllocateSubset(e.net, flows, rates)
-	e.installGroups(flows, groups, rates)
 	// Stranded time sums per component first, then into Stats: the
 	// float summation order every committed StrandedSec was made with.
 	var strandedSec float64
 	for i, f := range flows {
-		if f.Group != nil {
-			f.Rate = rates[i]
-		} else {
-			strandedSec += e.installFlow(f, rates[i])
-		}
-	}
-	for _, g := range groups {
-		if g.SizeBytes == 0 {
-			continue
-		}
-		id, total := int32(g.ID), g.Rate()
-		if e.gs[g.ID].bits&seededBit == 0 && e.sched.has(evkGroup, id) == (total > 0) {
-			continue
-		}
-		if total > 0 {
-			e.sched.set(evkGroup, id, e.now+g.Remaining*8/total)
-		} else {
-			e.sched.cancel(evkGroup, id)
-		}
+		strandedSec += e.installFlow(f, rates[i])
 	}
 	e.stats.Allocs++
 	e.stats.SolvedFlows += len(flows)
@@ -1008,10 +872,10 @@ func (e *Engine) reallocate() {
 	for _, r := range comps {
 		start := e.hooks.Tracer.Clock()
 		e.solveComponent(r)
-		e.hooks.Tracer.Span(1, "solve", start, int64(r.f1-r.f0))
+		e.hooks.Tracer.Span(1, start, int64(r.f1-r.f0))
 	}
 	e.hooks.Profiler.Lap(obs.PhaseSolve)
-	e.hooks.Tracer.Span(0, "batch", batchStart, int64(nc))
+	e.hooks.Tracer.Span(0, batchStart, int64(nc))
 }
 
 // traceComponent reports one component's freshly installed rates to
@@ -1022,12 +886,12 @@ func (e *Engine) traceComponent(flows []*fluid.Flow, rates []float64) {
 	}
 }
 
-// traceRates is traceComponent's report. Each plain finite flow gets a
-// rate segment stamped with the component size and the solve's batch
-// ordinal; group members and unbounded flows are filtered by the tracer
-// itself. The cause code is the engine's batchCause — CauseFail or
-// CauseRecover when a fault event triggered this solve, CauseSolve
-// otherwise. rates is nil for an elided single-flow component.
+// traceRates is traceComponent's report. Each finite flow gets a rate
+// segment stamped with the component size and the solve's batch
+// ordinal; unbounded flows are filtered by the tracer itself. The cause
+// code is the engine's batchCause — CauseFail or CauseRecover when a
+// fault event triggered this solve, CauseSolve otherwise. rates is nil
+// for an elided single-flow component.
 func (e *Engine) traceRates(flows []*fluid.Flow, rates []float64) {
 	if rates == nil {
 		// Line rate, min-capacity bottleneck (the tracer's default for
@@ -1066,33 +930,25 @@ func (e *Engine) bottlenecks(flows []*fluid.Flow, rates []float64) []int32 {
 // materialize realizes every active finite payload's lazy drain at
 // time t. Run calls it once when a finite horizon cuts the simulation
 // short, so flows left unfinished expose the Remaining they would
-// have under eager draining. The draining owners are exactly the
+// have under eager draining. The draining flows are exactly the
 // schedule's completions, and each drains independently of the rest,
 // so heap order serves as well as any.
 func (e *Engine) materialize(t float64) {
 	for _, ev := range e.sched.ev {
-		switch ev.kind {
-		case evkFlow:
-			f := e.tbl.ByID(int(ev.id))
-			s := &e.fs[ev.id]
-			f.Remaining -= (t - s.refT) * f.Rate / 8
-			if f.Remaining < 0 {
-				f.Remaining = 0
-			}
-			s.refT = t
-		case evkGroup:
-			g := e.gtbl.ByID(int(ev.id))
-			s := &e.gs[ev.id]
-			g.Remaining -= (t - s.refT) * g.Rate() / 8
-			if g.Remaining < 0 {
-				g.Remaining = 0
-			}
-			s.refT = t
+		if ev.kind != evkFlow {
+			continue
 		}
+		f := e.tbl.ByID(int(ev.id))
+		s := &e.fs[ev.id]
+		f.Remaining -= (t - s.refT) * f.Rate / 8
+		if f.Remaining < 0 {
+			f.Remaining = 0
+		}
+		s.refT = t
 	}
 }
 
-// complete retires every flow and group whose completion event is due
+// complete retires every flow whose completion event is due
 // at time t, in deterministic (time, id) order. A departing flow that
 // shared no link keeps the fast path — its capacity was visible to
 // nobody, so the remaining schedule stands; any other departure seeds
@@ -1104,43 +960,21 @@ func (e *Engine) complete(t float64) {
 	}
 }
 
-// retireEvent completes one due flow or group event — stamp finishes,
-// move to the finished lists, unlink from the link index, and seed
-// the neighbors the departure uncouples — or applies a due fault.
+// retireEvent completes one due flow — stamp its finish, move it to
+// the finished list, unlink it from the link index, and seed the
+// neighbors the departure uncouples — or applies a due fault.
 func (e *Engine) retireEvent(ev event) {
-	if ev.kind >= evkFail {
+	if ev.kind != evkFlow {
 		e.applyFault(int(ev.id), ev.kind == evkFail, math.Max(ev.t, e.now))
 		return
 	}
-	if ev.kind == evkFlow {
-		f := e.tbl.ByID(int(ev.id))
-		f.Finish = ev.t
-		f.Remaining = 0
-		e.finished = append(grow(e.finished), f)
-		e.nLive--
-		e.hooks.FlowTrace.Complete(f.ID, ev.t)
-		if !e.unlink(f) {
-			e.stats.Elided++
-		}
-		return
-	}
-	g := e.gtbl.ByID(int(ev.id))
-	g.Finish = ev.t
-	g.Remaining = 0
-	coupled := false
-	for _, m := range g.Members {
-		if m.Done() {
-			continue
-		}
-		m.Finish = g.Finish
-		e.finished = append(grow(e.finished), m)
-		e.nLive--
-		if e.unlink(m) {
-			coupled = true
-		}
-	}
-	e.finishedGroups = append(e.finishedGroups, g)
-	if !coupled {
+	f := e.tbl.ByID(int(ev.id))
+	f.Finish = ev.t
+	f.Remaining = 0
+	e.finished = append(grow(e.finished), f)
+	e.nLive--
+	e.hooks.FlowTrace.Complete(f.ID, ev.t)
+	if !e.unlink(f) {
 		e.stats.Elided++
 	}
 }
@@ -1235,8 +1069,12 @@ func (e *Engine) step(deadline float64) bool {
 // until (seconds; math.Inf(1) runs to completion of every finite
 // flow). Flows still draining at until are left unfinished — with
 // rates settled and payloads materialized at until, exactly as the
-// epoch engine leaves them.
+// epoch engine leaves them. A NaN until panics: no time compares
+// with it, so the run would return at once with nothing done.
 func (e *Engine) Run(until float64) {
+	if math.IsNaN(until) {
+		panic("leap: Run: until = NaN, want a time or math.Inf(1)")
+	}
 	e.hooks.Profiler.Arm()
 	defer e.publish(true)
 	for e.now < until {

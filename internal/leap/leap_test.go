@@ -94,65 +94,6 @@ func TestMatchesEpochEngine(t *testing.T) {
 	}
 }
 
-// TestGroupCompletesAsUnit: a finite two-path group drains its shared
-// payload at the members' total rate and completes as one event, with
-// members stamped at the group's finish.
-func TestGroupCompletesAsUnit(t *testing.T) {
-	net := fluid.NewNetwork([]float64{10e9, 10e9})
-	e := NewEngine(net, Config{})
-	size := int64(math.Round(20e9 * 1e-3 / 8)) // 1 ms at the pooled 20G
-	g := e.AddGroup([][]int{{0}, {1}}, core.ProportionalFair(), size, 0)
-	e.Run(math.Inf(1))
-	if !g.Done() || !almostEq(g.FCT(), 1e-3, 1e-6) {
-		t.Fatalf("group FCT = %v, want 1ms", g.FCT())
-	}
-	for i, m := range g.Members {
-		if !m.Done() || m.Finish != g.Finish {
-			t.Errorf("member %d finish %v != group %v", i, m.Finish, g.Finish)
-		}
-	}
-	if len(e.FinishedGroups()) != 1 || len(e.Finished()) != 2 {
-		t.Errorf("finished: %d groups, %d flows", len(e.FinishedGroups()), len(e.Finished()))
-	}
-}
-
-// TestGroupVsFlowSharing: a group competing with a plain flow on one
-// of its paths gets the multi-path benefit (pooled rate above a single
-// link's fair share).
-func TestGroupVsFlowSharing(t *testing.T) {
-	net := fluid.NewNetwork([]float64{10e9, 10e9})
-	e := NewEngine(net, Config{})
-	g := e.AddGroup([][]int{{0}, {1}}, core.ProportionalFair(), 0, 0)
-	e.AddFlow([]int{0}, core.ProportionalFair(), 0, 0)
-	e.Step() // admit + allocate
-	got := g.Rate()
-	// WaterFill's bottleneck-aware split: the member on the contended
-	// link sheds weight onto the free one, so the pooled rate clears
-	// what any single 10G path could carry.
-	if got < 10.5e9 {
-		t.Errorf("pooled rate %.3g, want > 10.5G", got)
-	}
-}
-
-// TestAddMemberMovesPayload: attaching a finite flow from a table to a
-// group folds its payload into the group's shared
-// Remaining; the whole payload drains at the pooled rate and the
-// member completes with the group, never alone.
-func TestAddMemberMovesPayload(t *testing.T) {
-	var flows fluid.FlowTable
-	g := new(fluid.GroupTable).Acquire(core.ProportionalFair(), 0, 0)
-	a := flows.Acquire([]int{0}, core.ProportionalFair(), 1<<20, 0)
-	b := flows.Acquire([]int{1}, core.ProportionalFair(), 1<<20, 0)
-	g.AddMember(a)
-	g.AddMember(b)
-	if a.SizeBytes != 0 || b.SizeBytes != 0 {
-		t.Fatal("member payloads not moved to the group")
-	}
-	if g.SizeBytes != 2<<20 || g.Remaining != float64(2<<20) {
-		t.Fatalf("group payload = %d/%g, want %d", g.SizeBytes, g.Remaining, 2<<20)
-	}
-}
-
 // TestFastPathAfterDrainToEmpty: once every flow (including a coupled
 // pair whose completion latches a reallocation) has drained out, the
 // next isolated arrival still takes the zero-allocation fast path.
@@ -218,9 +159,7 @@ func buildSchedule(e *Engine) []*fluid.Flow {
 		at := float64(i%11) * 37e-6
 		fs = append(fs, e.AddFlow(links[i%len(links)], core.ProportionalFair(), sz, at))
 	}
-	// Two finite groups and a late burst of synchronized arrivals.
-	e.AddGroup([][]int{{0, 2}, {1, 2}}, core.ProportionalFair(), 1<<20, 50e-6)
-	e.AddGroup([][]int{{0, 2}, {1, 2}}, core.ProportionalFair(), 2<<20, 120e-6)
+	// A late burst of synchronized arrivals.
 	for i := 0; i < 8; i++ {
 		fs = append(fs, e.AddFlow(links[i%2], core.ProportionalFair(), 256<<10, 300e-6))
 	}
@@ -273,18 +212,16 @@ func TestIdleGapCostsNothing(t *testing.T) {
 	}
 }
 
-// buildDenseSchedule adds a dense random mixed workload — plain flows
-// and finite groups over two disjoint link banks, with arrivals
-// quantized so batches land on shared instants and sizes quantized so
-// completions collide — to an engine, via one seeded stream. Returns
-// the flows and groups for comparison.
-func buildDenseSchedule(e scheduler, seed uint64) ([]*fluid.Flow, []*fluid.Group) {
+// buildDenseSchedule adds a dense random workload — flows over two
+// disjoint link banks, with arrivals quantized so batches land on
+// shared instants and sizes quantized so completions collide — to an
+// engine, via one seeded stream. Returns the flows for comparison.
+func buildDenseSchedule(e scheduler, seed uint64) []*fluid.Flow {
 	rng := sim.NewRNG(seed)
 	// Two disjoint banks guarantee the link-sharing graph always has
 	// at least two components for the component-local path to win on.
 	banks := [2][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}
 	var fs []*fluid.Flow
-	var gs []*fluid.Group
 	for i := 0; i < 150; i++ {
 		bank := banks[rng.Intn(2)]
 		// A 1-2 link path within the bank.
@@ -299,14 +236,7 @@ func buildDenseSchedule(e scheduler, seed uint64) ([]*fluid.Flow, []*fluid.Group
 		sz := int64(rng.Intn(16)+1) * (64 << 10)
 		fs = append(fs, e.AddFlow(path, core.ProportionalFair(), sz, at))
 	}
-	for i := 0; i < 8; i++ {
-		bank := banks[rng.Intn(2)]
-		paths := [][]int{{bank[rng.Intn(len(bank))]}, {bank[rng.Intn(len(bank))]}}
-		at := float64(rng.Intn(40)) * 100e-6
-		sz := int64(rng.Intn(8)+1) * (256 << 10)
-		gs = append(gs, e.AddGroup(paths, core.ProportionalFair(), sz, at))
-	}
-	return fs, gs
+	return fs
 }
 
 // denseCaps is the dense property schedule's two-bank link vector.
@@ -316,19 +246,18 @@ func denseCaps() []float64 {
 
 // runDense plays one dense random schedule to completion under cfg,
 // invariants checked along the way, and returns the engine plus its
-// flows and groups.
-func runDense(cfg Config, seed uint64) (*Engine, []*fluid.Flow, []*fluid.Group) {
+// flows.
+func runDense(cfg Config, seed uint64) (*Engine, []*fluid.Flow) {
 	e := NewEngine(fluid.NewNetwork(denseCaps()), cfg)
-	fs, gs := buildDenseSchedule(e, seed)
+	fs := buildDenseSchedule(e, seed)
 	runChecked(e, math.Inf(1))
-	return e, fs, gs
+	return e, fs
 }
 
-// assertSameCompletions fails unless the two runs left every flow and
-// group at bitwise-equal finish times — including NaN for flows both
-// runs left unfinished, which plain == would reject.
-func assertSameCompletions(t *testing.T, label string, seed uint64,
-	af []*fluid.Flow, ag []*fluid.Group, bf []*fluid.Flow, bg []*fluid.Group) {
+// assertSameCompletions fails unless the two runs left every flow at
+// bitwise-equal finish times — including NaN for flows both runs left
+// unfinished, which plain == would reject.
+func assertSameCompletions(t *testing.T, label string, seed uint64, af, bf []*fluid.Flow) {
 	t.Helper()
 	for i := range af {
 		if math.Float64bits(af[i].Finish) != math.Float64bits(bf[i].Finish) {
@@ -336,28 +265,22 @@ func assertSameCompletions(t *testing.T, label string, seed uint64,
 				label, seed, af[i].ID, af[i].Finish, bf[i].Finish)
 		}
 	}
-	for i := range ag {
-		if math.Float64bits(ag[i].Finish) != math.Float64bits(bg[i].Finish) {
-			t.Fatalf("%s seed %d group %d: finish %v != %v",
-				label, seed, ag[i].ID, ag[i].Finish, bg[i].Finish)
-		}
-	}
 }
 
 // TestComponentLocalMatchesReference is the component-machinery
 // property test: dense random schedules (simultaneous arrivals,
-// colliding completions, finite groups) through the engine and
-// through internal/refsim — a full re-solve at every single event —
-// must finish every flow and group at the same times. WaterFill's
+// colliding completions) through the engine and through
+// internal/refsim — a full re-solve at every single event — must
+// finish every flow at the same times. WaterFill's
 // progressive filling is separable across connected components, so
 // any disagreement beyond float noise is a component-tracking bug.
 func TestComponentLocalMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
-		local, lf, lg := runDense(Config{}, seed)
+		local, lf := runDense(Config{}, seed)
 		ref := refsim.New(fluid.NewNetwork(denseCaps()), fluid.NewWaterFill())
-		rf, rg := buildDenseSchedule(ref, seed)
+		rf := buildDenseSchedule(ref, seed)
 		ref.Run(math.Inf(1))
-		assertMatchesReference(t, "local-vs-reference", seed, finishTimes(lf, lg), finishTimes(rf, rg))
+		assertMatchesReference(t, "local-vs-reference", seed, finishTimes(lf), finishTimes(rf))
 		ls := local.Stats()
 		if ls.SolvedFlows >= ls.FullSolveFlows {
 			t.Errorf("seed %d: component-local solved %d flows, whole-set re-solves %d — no win",
@@ -469,8 +392,8 @@ func TestBatchStats(t *testing.T) {
 
 // buildPodBursts adds a synchronized pod-local burst schedule to an
 // engine on a k=4 fat-tree: at each grid instant every pod receives a
-// fan-in burst among its own hosts (plus a finite intra-pod group per
-// instant), so a batch floods into one component per pod and
+// fan-in burst among its own hosts, so a batch floods into one
+// component per pod and
 // equal-size bursts complete in shared instants. withInterPod mixes in
 // cross-pod flows that merge pods into one component.
 func buildPodBursts(e scheduler, ft *fluid.FatTree, withInterPod bool, seed uint64) []*fluid.Flow {
@@ -491,11 +414,6 @@ func buildPodBursts(e scheduler, ft *fluid.FatTree, withInterPod bool, seed uint
 				path := ft.Route(src, dst, rng.Intn(4))
 				fs = append(fs, e.AddFlow(path, core.ProportionalFair(), size, at))
 			}
-			if q%3 == 0 {
-				a, b := base, base+1
-				e.AddGroup([][]int{ft.Route(a, b, 0), ft.Route(a, b, 1)},
-					core.ProportionalFair(), 512<<10, at)
-			}
 		}
 		if withInterPod {
 			src := rng.Intn(perPod)
@@ -508,7 +426,7 @@ func buildPodBursts(e scheduler, ft *fluid.FatTree, withInterPod bool, seed uint
 }
 
 // TestPodBurstsMatchReference: the pod-local burst workload — wide
-// same-instant batches of several components with groups, colliding
+// same-instant batches of several components, colliding
 // completions, and (with inter-pod flows) components that merge and
 // split across batches — finishes as internal/refsim says it does.
 func TestPodBurstsMatchReference(t *testing.T) {
@@ -523,7 +441,7 @@ func TestPodBurstsMatchReference(t *testing.T) {
 			rf := buildPodBursts(ref, rt, interPod, seed)
 			ref.Run(math.Inf(1))
 			assertMatchesReference(t, fmt.Sprintf("pod-bursts interPod=%v", interPod), seed,
-				finishTimes(lf, nil), finishTimes(rf, nil))
+				finishTimes(lf), finishTimes(rf))
 			if s := le.Stats(); s.MaxBatchComponents < 2 {
 				t.Errorf("interPod=%v seed %d: pod bursts never batched two components: %+v", interPod, seed, s)
 			}
@@ -569,17 +487,17 @@ func (p *primedCountingAlloc) Worker() fluid.SubsetAllocator {
 // bit.
 func TestSolvesGoThroughTheConfiguredAllocator(t *testing.T) {
 	mkXWI := func() *fluid.XWI { return &fluid.XWI{IterPerEpoch: 64, Tol: 1e-6} }
-	_, bf, bg := runDense(Config{Allocator: mkXWI()}, 3)
+	_, bf := runDense(Config{Allocator: mkXWI()}, 3)
 
 	plain := &countingAlloc{SubsetAllocator: fluid.NewWaterFill()}
-	e, _, _ := runDense(Config{Allocator: plain}, 3)
+	e, _ := runDense(Config{Allocator: plain}, 3)
 	if s := e.Stats(); s.Allocs == 0 || plain.calls != s.Allocs || plain.flows != s.SolvedFlows {
 		t.Errorf("unprimed decorator saw %d solves over %d flows, Stats has %d over %d",
 			plain.calls, plain.flows, s.Allocs, s.SolvedFlows)
 	}
 
 	primed := &primedCountingAlloc{countingAlloc: countingAlloc{SubsetAllocator: mkXWI()}}
-	e, pf, pg := runDense(Config{Allocator: primed}, 3)
+	e, pf := runDense(Config{Allocator: primed}, 3)
 	if s := e.Stats(); s.Allocs == 0 || primed.calls != s.Allocs || primed.flows != s.SolvedFlows {
 		t.Errorf("primed decorator saw %d solves over %d flows, Stats has %d over %d",
 			primed.calls, primed.flows, s.Allocs, s.SolvedFlows)
@@ -587,5 +505,5 @@ func TestSolvesGoThroughTheConfiguredAllocator(t *testing.T) {
 	if primed.primes != 1 || primed.workers != 0 {
 		t.Errorf("Prime called %d times and Worker %d, want 1 and 0", primed.primes, primed.workers)
 	}
-	assertSameCompletions(t, "decorated-vs-bare xwi", 3, pf, pg, bf, bg)
+	assertSameCompletions(t, "decorated-vs-bare xwi", 3, pf, bf)
 }

@@ -31,9 +31,9 @@ func fullHooks() obs.Hooks {
 // state, never steers it.
 func TestObsDoesNotChangeResults(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
-		_, bf, bg := runDense(Config{}, seed)
-		_, of, og := runDense(Config{Obs: fullHooks()}, seed)
-		assertSameCompletions(t, "obs", seed, bf, bg, of, og)
+		_, bf := runDense(Config{}, seed)
+		_, of := runDense(Config{Obs: fullHooks()}, seed)
+		assertSameCompletions(t, "obs", seed, bf, of)
 	}
 }
 
@@ -84,7 +84,7 @@ func TestPhaseCoverage(t *testing.T) {
 // reallocation batch.
 func TestSolveSpansMatchComponents(t *testing.T) {
 	tr := obs.NewTracer()
-	e, _, _ := runDense(Config{Obs: obs.Hooks{Tracer: tr}}, 2)
+	e, _ := runDense(Config{Obs: obs.Hooks{Tracer: tr}}, 2)
 	s := e.Stats()
 	if tr.Dropped() != 0 {
 		t.Fatalf("tracer dropped %d spans", tr.Dropped())
@@ -129,15 +129,9 @@ func TestObsMetricsMatchStats(t *testing.T) {
 		e.FailLink(l, 1e-3)
 		e.RecoverLink(l, 3e-3)
 	}
-	fs, gs := buildDenseSchedule(e, 3)
 	var arrivals []float64
-	for _, f := range fs {
+	for _, f := range buildDenseSchedule(e, 3) {
 		arrivals = append(arrivals, f.Arrive)
-	}
-	for _, g := range gs {
-		for _, m := range g.Members {
-			arrivals = append(arrivals, m.Arrive)
-		}
 	}
 	// An event at time t has admitted every arrival before t; the ones
 	// due exactly at t go in with the next step.
@@ -163,7 +157,7 @@ func TestObsMetricsMatchStats(t *testing.T) {
 		}
 	}
 	stepTo(2e-3)
-	released, _ := e.ReleaseFinished()
+	released := e.ReleaseFinished()
 	if released == 0 || released == len(arrivals) {
 		t.Fatalf("mid-run release recycled %d flows, want some but not all", released)
 	}
@@ -219,17 +213,17 @@ func TestAllocIters(t *testing.T) {
 	mk := func() Config {
 		return Config{Allocator: &fluid.XWI{IterPerEpoch: 24, Tol: 1e-3}}
 	}
-	se, _, _ := runDense(mk(), 1)
+	se, _ := runDense(mk(), 1)
 	ss := se.Stats()
 	if ss.AllocIters < int64(ss.Allocs) {
 		t.Fatalf("AllocIters = %d, want >= Allocs = %d", ss.AllocIters, ss.Allocs)
 	}
-	re, _, _ := runDense(mk(), 1)
+	re, _ := runDense(mk(), 1)
 	if rs := re.Stats(); rs.AllocIters != ss.AllocIters {
 		t.Errorf("repeat AllocIters = %d, first run = %d", rs.AllocIters, ss.AllocIters)
 	}
 	// WaterFill counts water-fill rounds.
-	we, _, _ := runDense(Config{}, 1)
+	we, _ := runDense(Config{}, 1)
 	if ws := we.Stats(); ws.AllocIters <= 0 {
 		t.Errorf("WaterFill AllocIters = %d, want > 0", ws.AllocIters)
 	}

@@ -14,13 +14,13 @@ import (
 )
 
 // A fed schedule is what a driver that plays arrivals as they happen
-// hands the engine: entries in arrival order (one path: a plain flow;
-// two: an ECMP group), and fail/recover pairs scheduled up front.
+// hands the engine: flows in arrival order, and fail/recover pairs
+// scheduled up front.
 type (
 	fedEntry struct {
-		at    float64
-		paths [][]int
-		size  int64
+		at   float64
+		path []int
+		size int64
 	}
 	fedFault struct {
 		link     int
@@ -33,7 +33,7 @@ type (
 )
 
 // buildFedSchedule draws a seeded schedule on ft: Poisson-ish arrivals
-// with same-instant bursts, ECMP groups and fail/recover pairs. It opens
+// with same-instant bursts and fail/recover pairs. It opens
 // with a flow alone in the network and an arrival on its path at exactly
 // its completion instant.
 func buildFedSchedule(ft *fluid.FatTree, seed uint64) fedSchedule {
@@ -47,17 +47,13 @@ func buildFedSchedule(ft *fluid.FatTree, seed uint64) fedSchedule {
 	}
 	entry := func(at float64) fedEntry {
 		src, dst := pair()
-		en := fedEntry{at: at, size: int64(1+rng.Intn(100)) << 12}
-		en.paths = [][]int{ft.Route(src, dst, rng.Intn(ft.K*ft.K/4))}
-		if rng.Intn(8) == 0 {
-			en.paths = append(en.paths, ft.Route(src, dst, rng.Intn(ft.K*ft.K/4)))
-		}
-		return en
+		size := int64(1+rng.Intn(100)) << 12
+		return fedEntry{at: at, path: ft.Route(src, dst, rng.Intn(ft.K*ft.K/4)), size: size}
 	}
 	var s fedSchedule
-	first := fedEntry{paths: [][]int{ft.Route(0, 1, 0)}, size: 1 << 16}
+	first := fedEntry{path: ft.Route(0, 1, 0), size: 1 << 16}
 	at := float64(first.size) * 8 / ft.Rate // the lone flow's finish, as scheduleFlow computes it
-	s.entries = append(s.entries, first, fedEntry{at: at, paths: first.paths, size: 1 << 14})
+	s.entries = append(s.entries, first, fedEntry{at: at, path: first.path, size: 1 << 14})
 	for n := 120 + rng.Intn(200); len(s.entries) < n; {
 		at += rng.ExpFloat64() * 40e-6
 		burst := 1
@@ -108,40 +104,22 @@ func playFed(ft *fluid.FatTree, cfg Config, s fedSchedule, until float64, cadenc
 	for i := range res.finish {
 		res.finish[i] = math.NaN()
 	}
-	// flowEntry and groupEntry map a recycled flow or group id to its
-	// entry (−1: a group's member); left marks where an unfinished
-	// entry's payload is read at the end.
-	var flowEntry, groupEntry []int
+	// flowEntry maps a recycled flow id to its entry; left marks where
+	// an unfinished entry's payload is read at the end.
+	var flowEntry []int
 	left := make([]*float64, n)
-	note := func(ids *[]int, id, entry int) {
-		for id >= len(*ids) {
-			*ids = append(*ids, -1)
-		}
-		(*ids)[id] = entry
-	}
 	add := func(i int) {
 		en := s.entries[i]
-		if len(en.paths) == 1 {
-			f := e.AddFlow(en.paths[0], core.ProportionalFair(), en.size, en.at)
-			note(&flowEntry, f.ID, i)
-			left[i] = &f.Remaining
-			return
+		f := e.AddFlow(en.path, core.ProportionalFair(), en.size, en.at)
+		for f.ID >= len(flowEntry) {
+			flowEntry = append(flowEntry, -1)
 		}
-		g := e.AddGroup(en.paths, core.ProportionalFair(), en.size, en.at)
-		note(&groupEntry, g.ID, i)
-		left[i] = &g.Remaining
-		for _, m := range g.Members {
-			note(&flowEntry, m.ID, -1)
-		}
+		flowEntry[f.ID] = i
+		left[i] = &f.Remaining
 	}
 	harvest := func() {
 		for _, f := range e.Finished() {
-			if i := flowEntry[f.ID]; i >= 0 {
-				res.finish[i] = f.Finish
-			}
-		}
-		for _, g := range e.FinishedGroups() {
-			res.finish[groupEntry[g.ID]] = g.Finish
+			res.finish[flowEntry[f.ID]] = f.Finish
 		}
 		if cadence > 0 {
 			e.ReleaseFinished()
@@ -179,7 +157,7 @@ func playFed(ft *fluid.FatTree, cfg Config, s fedSchedule, until float64, cadenc
 // play rests on: feeding arrivals while stepping, with finished flows
 // released on any cadence, is the preloaded run — every finish time and
 // every unfinished payload bit for bit, Stats field for field. Sixty
-// seeded schedules cover plain flows, ECMP groups, fail/recover pairs
+// seeded schedules cover flows, fail/recover pairs
 // (some permanent past the horizon), same-instant bursts (the feed
 // boundary falls after a burst's first arrival every time, since that
 // one lies after Now and its siblings are held back), an arrival at a

@@ -258,9 +258,9 @@ func (t *FlowTracer) Bind(caps []float64) {
 }
 
 // Admit starts tracing flow id: size bytes, arriving at arrive,
-// traversing links. Engines offer every admission; group members and
-// unbounded flows (sizeBytes 0) are not traced. Like Rate and Complete
-// it is an inlinable nil check, callable unguarded on a nil tracer.
+// traversing links. Engines offer every admission; unbounded flows
+// (sizeBytes 0) are not traced. Like Rate and Complete it is an
+// inlinable nil check, callable unguarded on a nil tracer.
 func (t *FlowTracer) Admit(id int, sizeBytes int64, arrive float64, links []int) {
 	if t != nil && sizeBytes > 0 {
 		t.admit(id, sizeBytes, arrive, links, arrive, 0, 0)

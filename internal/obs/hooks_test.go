@@ -20,14 +20,12 @@ func TestDetachedHooksAreNoOps(t *testing.T) {
 				t.Error("nil profiler reports phase time")
 			}
 		}},
-		{"Tracer.EnsureTracks", func() { h.Tracer.EnsureTracks(2) }},
-		{"Tracer.SetTrackName", func() { h.Tracer.SetTrackName(0, "engine") }},
 		{"Tracer.Clock", func() {
 			if c := h.Tracer.Clock(); c != 0 {
 				t.Errorf("nil tracer clock = %d, want 0 (no clock read)", c)
 			}
 		}},
-		{"Tracer.Span", func() { h.Tracer.Span(1, "solve", 0, 3) }},
+		{"Tracer.Span", func() { h.Tracer.Span(1, 0, 3) }},
 		{"Live.Due", func() {
 			if h.Live.Due(true) {
 				t.Error("nil live hook is due")

@@ -49,10 +49,25 @@ func TestProfilerLapTiling(t *testing.T) {
 // cost share, TotalNanos within 10 % of the wall time between Arm and
 // the last lap, and nothing charged to a phase never lapped. A sampler
 // that forgets to scale reports about 30 % of the wall time; one that
-// never times PhaseLoop reports a loop share of 0 instead of 20 %. A
-// timed window the scheduler preempts weighs sixteenfold in the shares,
-// so a failed attempt is retried twice; a wrong sampler fails every
-// attempt.
+// never times PhaseLoop reports a loop share of 0 instead of 20 %.
+//
+// Each phase waits for a running deadline, not for its cost from when
+// it starts: the clock reads of the Laps and of the wait itself then
+// fall inside the next phase's wait instead of adding to it. Under the
+// race detector those reads cost about a third of a unit per phase,
+// which a wait timed from its own start would add to every phase alike,
+// pulling the solve share from 40 % to 37 %.
+//
+// A wait that overran its deadline by more than a unit was preempted;
+// the next one starts from where it ended, so the following phases do
+// not shrink to catch up. The profile counts a preemption once in the
+// exact prefix, sixteenfold in a sampled window and not at all in an
+// untimed one, so a few milliseconds lost to another process in one
+// sampled window move a share by more than 3 points. An attempt whose
+// preemptions, so weighted, add up to more than 2 % of its wall time
+// says nothing about the sampler and is retried without counting; three
+// undisturbed attempts that miss fail the test, as does a tenth attempt
+// that misses. A wrong sampler misses on every attempt.
 func TestProfilerSampledAccuracy(t *testing.T) {
 	const (
 		steps = 1 << 14
@@ -64,20 +79,40 @@ func TestProfilerSampledAccuracy(t *testing.T) {
 		ph    Phase
 		units int64
 	}{{PhaseLoop, 2}, {PhaseAdmit, 1}, {PhaseFlood, 1}, {PhaseSolve, 4}, {PhaseComplete, 2}}
-	spin := func(d int64) {
-		for t0 := Now(); Now()-t0 < d; {
+	// weight is how often the profile counts time spent in window n,
+	// the one the nth Lap(PhaseLoop) opens: the profiler's own choice of
+	// timed windows.
+	weight := func(n int) int64 {
+		switch {
+		case n < profileExact:
+			return 1
+		case splitmix64(uint64(n))%profilePeriod == 0:
+			return profilePeriod
 		}
+		return 0
 	}
 	var errs []string
-	for attempt := 0; attempt < 3; attempt++ {
+	for attempt, misses := 1, 0; attempt <= 10 && misses < 3; attempt++ {
 		errs = errs[:0]
 		p := NewPhaseProfiler()
 		start := Now()
 		p.Arm()
+		deadline, w, preempted := Now(), int64(1), int64(0)
+		spin := func(d int64) {
+			for deadline += d; Now() < deadline; {
+			}
+			if now := Now(); now-deadline > unit {
+				preempted += w * (now - deadline)
+				deadline = now
+			}
+		}
 		for i := 0; i < steps; i++ {
 			for _, c := range costs {
 				spin(c.units * unit)
 				p.Lap(c.ph)
+				if c.ph == PhaseLoop {
+					w = weight(i)
+				}
 			}
 		}
 		wall := Now() - start
@@ -101,7 +136,12 @@ func TestProfilerSampledAccuracy(t *testing.T) {
 		if len(errs) == 0 {
 			break
 		}
-		t.Logf("attempt %d: %s", attempt+1, strings.Join(errs, "; "))
+		disturbed := 50*preempted > wall
+		if !disturbed {
+			misses++
+		}
+		t.Logf("attempt %d (preempted %.1f%% of the wall time, weighted; disturbed %v): %s",
+			attempt, 100*float64(preempted)/float64(wall), disturbed, strings.Join(errs, "; "))
 	}
 	for _, e := range errs {
 		t.Error(e)

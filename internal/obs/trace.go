@@ -2,62 +2,42 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
 // span is one completed timeline interval on a track.
 type span struct {
-	name  string
 	start int64 // ns since process start
 	dur   int64 // ns
-	arg   int64 // name-dependent payload (flows, components, ops)
+	arg   int64 // the track's payload (components, flows)
 }
 
-// track is one timeline row. The leap engine writes two from its one
-// event-loop goroutine — track 0 the reallocation batches, track 1 the
-// component solves inside them — so appends and drops need no lock.
-type track struct {
-	name  string
-	spans []span
+// tracks describes the two timeline rows the leap engine writes from
+// its one event-loop goroutine, so appends and drops need no lock:
+// track 0 the reallocation batches, track 1 the component solves
+// inside them. Each row has its thread name, the name of every span on
+// it and the JSON key the span's integer payload is exported under.
+var tracks = [2]struct{ thread, span, arg string }{
+	{"engine", "batch", "components"},
+	{"solver", "solve", "flows"},
 }
+
+// maxSpans bounds each track's retained spans, and so the tracer's
+// memory; past it a span is counted as dropped.
+const maxSpans = 1 << 19
 
 // Tracer accumulates timeline spans for Chrome-trace export: in
 // chrome://tracing or ui.perfetto.dev each reallocation batch renders
-// above the component solves it ran. Past MaxSpans per track a span is
-// counted as dropped instead. Clock and Span are inlinable nil checks,
-// callable unguarded on a nil *Tracer.
+// above the component solves it ran. Clock and Span are inlinable nil
+// checks, callable unguarded on a nil *Tracer.
 type Tracer struct {
-	// MaxSpans bounds each track's retained spans (default 1 << 19).
-	MaxSpans int
-
-	tracks []track
-	drops  int64 // Dropped reads it after the run
+	spans [len(tracks)][]span
+	drops int64 // Dropped reads it after the run
 }
 
-// NewTracer returns an empty tracer. Tracks are created by
-// EnsureTracks (the leap engine asks for its two at construction).
+// NewTracer returns an empty tracer. Successive runs sharing a tracer
+// land on one timeline.
 func NewTracer() *Tracer { return &Tracer{} }
-
-// EnsureTracks grows the track table to n tracks. Existing tracks
-// (and their spans) are preserved, so successive runs sharing a
-// tracer land on one timeline.
-func (t *Tracer) EnsureTracks(n int) {
-	if t == nil {
-		return
-	}
-	for len(t.tracks) < n {
-		t.tracks = append(t.tracks, track{})
-	}
-}
-
-// SetTrackName names a track for the exported timeline.
-func (t *Tracer) SetTrackName(i int, name string) {
-	if t == nil || i < 0 || i >= len(t.tracks) {
-		return
-	}
-	t.tracks[i].name = name
-}
 
 // Clock returns the tracer timebase's current reading; pass it back
 // as a span's start. A nil tracer returns 0 without reading the clock.
@@ -68,31 +48,22 @@ func (t *Tracer) Clock() int64 {
 	return Now()
 }
 
-// Span records one interval [start, now) on track ti with a
-// name-dependent integer payload. A Tracer takes one writer at a time
-// (the engine's event loop, for both its tracks); spans to unknown
-// tracks or past the cap are counted as drops.
-func (t *Tracer) Span(ti int, name string, start, arg int64) {
+// Span records one interval [start, now) on track ti (0 batches, 1
+// solves) with its integer payload. A Tracer takes one writer at a
+// time (the engine's event loop, for both its tracks); spans past the
+// per-track cap are counted as drops.
+func (t *Tracer) Span(ti int, start, arg int64) {
 	if t != nil {
-		t.span(ti, name, start, arg)
+		t.span(ti, start, arg)
 	}
 }
 
-func (t *Tracer) span(ti int, name string, start, arg int64) {
-	if ti < 0 || ti >= len(t.tracks) {
+func (t *Tracer) span(ti int, start, arg int64) {
+	if len(t.spans[ti]) >= maxSpans {
 		t.drops++
 		return
 	}
-	maxSpans := t.MaxSpans
-	if maxSpans <= 0 {
-		maxSpans = 1 << 19
-	}
-	tr := &t.tracks[ti]
-	if len(tr.spans) >= maxSpans {
-		t.drops++
-		return
-	}
-	tr.spans = append(tr.spans, span{name: name, start: start, dur: Now() - start, arg: arg})
+	t.spans[ti] = append(t.spans[ti], span{start: start, dur: Now() - start, arg: arg})
 }
 
 // TotalSpans returns how many spans are retained across all tracks.
@@ -100,25 +71,16 @@ func (t *Tracer) TotalSpans() int {
 	if t == nil {
 		return 0
 	}
-	n := 0
-	for i := range t.tracks {
-		n += len(t.tracks[i].spans)
-	}
-	return n
+	return len(t.spans[0]) + len(t.spans[1])
 }
 
-// Dropped returns how many spans were discarded (unknown track or
-// per-track cap reached).
+// Dropped returns how many spans were discarded at the per-track cap.
 func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
 	}
 	return t.drops
 }
-
-// argKeys maps span names to the JSON key their integer payload is
-// exported under.
-var argKeys = map[string]string{"solve": "flows", "batch": "components"}
 
 // traceEvent is one Chrome-trace event. ph "X" is a complete span
 // (ts + dur); ph "M" is metadata (thread names).
@@ -141,27 +103,19 @@ type traceFile struct {
 // Write exports the accumulated spans as Chrome-trace JSON.
 func (t *Tracer) Write(w io.Writer) error {
 	out := traceFile{DisplayTimeUnit: "ms"}
-	for ti := range t.tracks {
-		tr := &t.tracks[ti]
-		name := tr.name
-		if name == "" {
-			name = fmt.Sprintf("track %d", ti)
-		}
+	for ti, tr := range tracks {
 		out.TraceEvents = append(out.TraceEvents, traceEvent{
 			Name: "thread_name", Ph: "M", Pid: 1, Tid: ti,
-			Args: map[string]any{"name": name},
+			Args: map[string]any{"name": tr.thread},
 		})
 	}
-	for ti := range t.tracks {
-		for _, s := range t.tracks[ti].spans {
-			ev := traceEvent{
-				Name: s.name, Ph: "X", Pid: 1, Tid: ti,
+	for ti, tr := range tracks {
+		for _, s := range t.spans[ti] {
+			out.TraceEvents = append(out.TraceEvents, traceEvent{
+				Name: tr.span, Ph: "X", Pid: 1, Tid: ti,
 				Ts: float64(s.start) / 1e3, Dur: float64(s.dur) / 1e3,
-			}
-			if key := argKeys[s.name]; key != "" {
-				ev.Args = map[string]any{key: s.arg}
-			}
-			out.TraceEvents = append(out.TraceEvents, ev)
+				Args: map[string]any{tr.arg: s.arg},
+			})
 		}
 	}
 	if n := t.drops; n > 0 {

@@ -20,17 +20,15 @@ func decodeTrace(t *testing.T, data []byte) map[string]any {
 	return doc
 }
 
+// TestTracerChromeTraceSchema: the export names the leap engine's two
+// tracks, writes each span under its track's span name with the
+// payload under its track's arg key, and nothing else.
 func TestTracerChromeTraceSchema(t *testing.T) {
 	tr := NewTracer()
-	tr.EnsureTracks(3)
-	tr.SetTrackName(0, "engine")
-	tr.SetTrackName(1, "worker 0")
-	tr.SetTrackName(2, "worker 1")
-
 	s := tr.Clock()
-	tr.Span(1, "solve", s, 12)
-	tr.Span(2, "solve", s, 7)
-	tr.Span(0, "batch", s, 2)
+	tr.Span(1, s, 12)
+	tr.Span(1, s, 7)
+	tr.Span(0, s, 2)
 
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
@@ -39,9 +37,10 @@ func TestTracerChromeTraceSchema(t *testing.T) {
 	doc := decodeTrace(t, buf.Bytes())
 	events := doc["traceEvents"].([]any)
 
-	var complete, meta int
-	var sawSolveArg bool
+	var complete int
+	var sawSolveArg, sawBatchArg bool
 	named := map[string]int{}
+	threads := map[float64]string{}
 	for _, raw := range events {
 		ev := raw.(map[string]any)
 		name, _ := ev["name"].(string)
@@ -60,14 +59,18 @@ func TestTracerChromeTraceSchema(t *testing.T) {
 			if dur, ok := ev["dur"].(float64); ok && dur < 0 {
 				t.Fatalf("complete event with negative dur: %v", ev)
 			}
-			if name == "solve" {
-				args, _ := ev["args"].(map[string]any)
-				if flows, ok := args["flows"].(float64); ok && flows > 0 {
-					sawSolveArg = true
-				}
+			args, _ := ev["args"].(map[string]any)
+			tid, _ := ev["tid"].(float64)
+			if flows, ok := args["flows"].(float64); ok && flows > 0 && name == "solve" && tid == 1 {
+				sawSolveArg = true
+			}
+			if comps, ok := args["components"].(float64); ok && comps == 2 && name == "batch" && tid == 0 {
+				sawBatchArg = true
 			}
 		case "M":
-			meta++
+			args, _ := ev["args"].(map[string]any)
+			tid, _ := ev["tid"].(float64)
+			threads[tid], _ = args["name"].(string)
 		default:
 			t.Fatalf("unexpected ph %q", ph)
 		}
@@ -75,35 +78,32 @@ func TestTracerChromeTraceSchema(t *testing.T) {
 	if complete != 3 {
 		t.Errorf("complete events = %d, want 3", complete)
 	}
-	if meta != 3 {
-		t.Errorf("thread_name metadata events = %d, want 3", meta)
+	if len(threads) != 2 || threads[0] != "engine" || threads[1] != "solver" {
+		t.Errorf("thread names %v, want engine on 0 and solver on 1", threads)
 	}
-	if !sawSolveArg {
-		t.Error("solve spans should carry a flows arg")
+	if !sawSolveArg || !sawBatchArg {
+		t.Errorf("solve spans on track 1 should carry a flows arg (%v), batch spans on track 0 a components arg (%v)",
+			sawSolveArg, sawBatchArg)
 	}
 	if tr.TotalSpans() != 3 || named["solve"] != 2 || named["batch"] != 1 {
 		t.Errorf("span accounting: total=%d, written %v", tr.TotalSpans(), named)
 	}
 }
 
+// TestTracerCapAndDrops: a track holds maxSpans spans; past that a span
+// is counted as dropped, on its own track only, and the export says so.
 func TestTracerCapAndDrops(t *testing.T) {
 	tr := NewTracer()
-	tr.MaxSpans = 4
-	tr.EnsureTracks(1)
+	tr.spans[0] = make([]span, maxSpans-4)
 	for i := 0; i < 10; i++ {
-		tr.Span(0, "solve", tr.Clock(), 1)
+		tr.Span(0, tr.Clock(), 1)
 	}
-	if tr.TotalSpans() != 4 {
-		t.Errorf("retained = %d, want 4", tr.TotalSpans())
+	tr.Span(1, tr.Clock(), 1)
+	if tr.TotalSpans() != maxSpans+1 {
+		t.Errorf("retained = %d, want %d", tr.TotalSpans(), maxSpans+1)
 	}
 	if tr.Dropped() != 6 {
 		t.Errorf("dropped = %d, want 6", tr.Dropped())
-	}
-	// Out-of-range tracks drop, never panic.
-	tr.Span(5, "solve", tr.Clock(), 1)
-	tr.Span(-1, "solve", tr.Clock(), 1)
-	if tr.Dropped() != 8 {
-		t.Errorf("dropped = %d, want 8", tr.Dropped())
 	}
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {

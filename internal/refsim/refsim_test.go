@@ -41,19 +41,17 @@ func TestClosedForms(t *testing.T) {
 			a.Finish, s.LinksDown, s.CapacityLostBitSec)
 	}
 
-	// A two-path group drains one payload at the pooled rate and
-	// finishes as a unit; the unbounded flow never does; the horizon
-	// stops the clock with the payload part-drained.
-	s = New(fluid.NewNetwork([]float64{10e9, 10e9, 10e9}), fluid.NewWaterFill())
-	g := s.AddGroup([][]int{{0}, {1}}, u, 4*mb, 0)
-	f := s.AddFlow([]int{2}, u, 0, 0)
+	// The horizon stops the clock with the payload part-drained; the
+	// unbounded flow never finishes.
+	s = New(fluid.NewNetwork([]float64{10e9, 10e9}), fluid.NewWaterFill())
+	a = s.AddFlow([]int{0}, u, 2*mb, 0)
+	f := s.AddFlow([]int{1}, u, 0, 0)
 	s.Run(1e-3)
-	if !near(g.Remaining, 2*mb) || g.Done() {
-		t.Errorf("group at the 1 ms horizon: %v bytes left, done %v; want half of 4 MB", g.Remaining, g.Done())
+	if !near(a.Remaining, mb) || a.Done() {
+		t.Errorf("flow at the 1 ms horizon: %v bytes left, done %v; want half of 2 MB", a.Remaining, a.Done())
 	}
 	s.Run(math.Inf(1))
-	if !near(g.Finish, 2e-3) || g.Members[0].Finish != g.Finish || g.Members[1].Finish != g.Finish || f.Done() || f.Rate != 10e9 {
-		t.Errorf("group: finish %v (members %v, %v), unbounded flow done %v at rate %v",
-			g.Finish, g.Members[0].Finish, g.Members[1].Finish, f.Done(), f.Rate)
+	if !near(a.Finish, 2e-3) || f.Done() || f.Rate != 10e9 {
+		t.Errorf("finish %v, unbounded flow done %v at rate %v; want 2 ms, false, 10G", a.Finish, f.Done(), f.Rate)
 	}
 }
