@@ -206,3 +206,68 @@ func TestGoldenFatTreeWaterFill(t *testing.T) {
 		})
 	}
 }
+
+// goldenEpochPooling plays a small fat-tree pooling scenario on the
+// epoch engine — k=4, 32 random inter-pod host pairs of 4 ECMP
+// subflows each, one core uplink in four cut to 1 Gb/s so subflows of
+// one pair see unequal congestion, 100 epochs — pooled (one
+// fluid.Group per pair) or as independent flows, and fingerprints
+// every pair's total rate and every subflow's rate.
+func goldenEpochPooling(alloc fluid.Allocator, pooled bool) string {
+	ft := fluid.NewFatTree(4, 10e9)
+	rng := sim.NewRNG(1)
+	perPod := ft.Hosts() / 4
+	fabric := &epochFabric{eng: fluid.NewEngine(ft.Net, fluid.Config{Allocator: alloc})}
+	for gi := range 32 {
+		srcPod := rng.Intn(4)
+		dstPod := (srcPod + 1 + rng.Intn(3)) % 4
+		src, dst := srcPod*perPod+rng.Intn(perPod), dstPod*perPod+rng.Intn(perPod)
+		paths := samplePaths(ft, src, dst, 4, rng)
+		if gi%4 == 0 {
+			ft.Net.SetCapacity(paths[0][2], 1e9) // agg → core
+		}
+		fabric.start(paths, core.ProportionalFair(), pooled)
+	}
+	for range 100 {
+		fabric.eng.Step()
+	}
+	fp := newFingerprint()
+	for h, flows := range fabric.started {
+		fp.add(fabric.rate(h))
+		for _, f := range flows {
+			fp.add(f.Rate)
+		}
+	}
+	return fp.String()
+}
+
+// TestGoldenEpochPooling pins the epoch engine's multipath groups bit
+// for bit under each allocator's group handling (WaterFill's share
+// split, XWI's and DGD's group-level weights, the Oracle's exact
+// multipath solve), next to the same subflows run unpooled.
+// fig8-fluid's golden prints rounded throughputs only. The constants
+// were generated before the epoch engine's finite-group mode and the
+// flow and group Weight fields were deleted; raising groupShareFloor
+// from 0.05 to 0.06 moves waterfill/pooled.
+func TestGoldenEpochPooling(t *testing.T) {
+	scheme := func(s Scheme) fluid.Allocator { return FluidAllocatorFor(DefaultConfig(s, ScaledTopology())) }
+	cases := []struct {
+		name  string
+		alloc func() fluid.Allocator
+		want  [2]string // unpooled, pooled
+	}{
+		{"waterfill", func() fluid.Allocator { return fluid.NewWaterFill() }, [2]string{"856b656479121519", "21a75abe7b617414"}},
+		{"xwi", func() fluid.Allocator { return scheme(NUMFabric) }, [2]string{"a00314f264635669", "e484e5e69b857059"}},
+		{"dgd", func() fluid.Allocator { return scheme(DGD) }, [2]string{"21b8381d6a448db4", "1ac67aa93c15f133"}},
+		{"oracle", func() fluid.Allocator { return fluid.NewOracle() }, [2]string{"78f0c40277bfd6f1", "a29db2ba7e58b567"}},
+	}
+	for _, c := range cases {
+		for i, mode := range []string{"unpooled", "pooled"} {
+			t.Run(c.name+"/"+mode, func(t *testing.T) {
+				if got := goldenEpochPooling(c.alloc(), i == 1); got != c.want[i] {
+					t.Errorf("fingerprint %s, want %s", got, c.want[i])
+				}
+			})
+		}
+	}
+}
