@@ -123,3 +123,53 @@ func TestRunRejectsNaN(t *testing.T) {
 		t.Fatal("Run(+Inf) left the flow unfinished")
 	}
 }
+
+// TestNewEngineRejectsNonFiniteEpoch: a NaN or +Inf Config.Epoch panics
+// naming the field instead of running with a clock that jumps to NaN or
+// +Inf — finishing a flow at a bogus sub-epoch time and never admitting
+// the next arrival. A value ≤ 0 (-Inf included) keeps meaning the
+// default epoch.
+func TestNewEngineRejectsNonFiniteEpoch(t *testing.T) {
+	net := NewNetwork([]float64{10e9})
+	for _, epoch := range []float64{math.NaN(), math.Inf(1)} {
+		t.Run(fmt.Sprint(epoch), func(t *testing.T) {
+			var msg string
+			func() {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				NewEngine(net, Config{Epoch: epoch, Allocator: NewWaterFill()})
+			}()
+			if !strings.Contains(msg, "NewEngine") || !strings.Contains(msg, fmt.Sprintf("Epoch = %v", epoch)) {
+				t.Fatalf("Epoch %v: panic %q, want one naming NewEngine and the Epoch", epoch, msg)
+			}
+		})
+	}
+	for _, epoch := range []float64{0, -1, math.Inf(-1)} {
+		e := NewEngine(net, Config{Epoch: epoch, Allocator: NewWaterFill()})
+		f := e.AddFlow([]int{0}, core.ProportionalFair(), 1000, 1e-3)
+		e.Run(math.Inf(1))
+		if want := 1e-3 + 1000*8/10e9; !f.Done() || math.Abs(f.Finish-want) > 1e-12 {
+			t.Fatalf("Epoch %v: flow done %v at %v, want the default epoch's finish at %v", epoch, f.Done(), f.Finish, want)
+		}
+	}
+}
+
+// TestStopBeforeAdmission: a flow stopped before any Step admitted it
+// is never admitted — rate 0, Finish NaN, absent from Finished — whether
+// it was due at once or later.
+func TestStopBeforeAdmission(t *testing.T) {
+	e := NewEngine(NewNetwork([]float64{10e9}), Config{Allocator: NewWaterFill()})
+	u := core.ProportionalFair()
+	unbounded := e.AddFlow([]int{0}, u, 0, 0)
+	later := e.AddFlow([]int{0}, u, 1000, 1e-3)
+	e.Stop(unbounded)
+	e.Stop(later)
+	e.Run(5e-3)
+	for _, f := range []*Flow{unbounded, later} {
+		if f.Rate != 0 || f.Done() {
+			t.Errorf("stopped flow %d ran: rate %v, finish %v", f.ID, f.Rate, f.Finish)
+		}
+	}
+	if n := len(e.Finished()); n != 0 {
+		t.Errorf("%d finished flows, want 0", n)
+	}
+}

@@ -3,6 +3,7 @@ package fluid
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"numfabric/internal/core"
@@ -12,7 +13,8 @@ import (
 // Config parameterizes an Engine.
 type Config struct {
 	// Epoch is the allocation period in seconds (default 100 µs —
-	// about the packet transport's price-update cadence).
+	// about the packet transport's price-update cadence — for a value
+	// ≤ 0; NaN and +Inf panic in NewEngine).
 	Epoch float64
 	// Allocator computes per-epoch rates (default NewXWI()).
 	Allocator Allocator
@@ -122,8 +124,13 @@ type StationaryAllocator interface {
 	Stationary() bool
 }
 
-// NewEngine returns an engine over net.
+// NewEngine returns an engine over net. A NaN or +Inf cfg.Epoch panics
+// naming the field: the clock would jump to NaN or +Inf on the first
+// Step, stamping bogus finishes and never admitting a later arrival.
 func NewEngine(net *Network, cfg Config) *Engine {
+	if math.IsNaN(cfg.Epoch) || math.IsInf(cfg.Epoch, 1) {
+		panic(fmt.Sprintf("fluid: NewEngine: Config.Epoch = %v, want a finite period (≤ 0 = default)", cfg.Epoch))
+	}
 	e := &Engine{net: net, cfg: cfg.withDefaults(), hooks: cfg.Obs}
 	if s, ok := e.cfg.Allocator.(StationaryAllocator); ok {
 		e.stationary = s.Stationary()
@@ -199,12 +206,15 @@ func (e *Engine) AddGroup(paths [][]int, u core.Utility, sizeBytes int64, at flo
 	return g
 }
 
-// Stop removes an active flow immediately (for unbounded flows driven
-// by an external event script); its Finish stays NaN. Stopping a group
-// member withdraws that one path; the group keeps draining on the
-// rest.
+// Stop removes a flow immediately (for unbounded flows driven by an
+// external event script); its Finish stays NaN. A flow not yet admitted
+// never will be. Stopping a group member withdraws that one path; the
+// group keeps draining on the rest.
 func (e *Engine) Stop(f *Flow) {
 	if f.pos < 0 {
+		if i := slices.Index(e.pending, f); i >= 0 {
+			e.pending = slices.Delete(e.pending, i, i+1)
+		}
 		return
 	}
 	e.removeActive(f)
