@@ -33,7 +33,7 @@ func main() {
 	// with a proportional-fair utility of the total rate.
 	paths := ft.Routes(0, 8)
 	fmt.Printf("host 0 -> host 8: %d equal-cost paths\n", len(paths))
-	g := eng.AddGroup(paths, core.ProportionalFair(), 0, 0)
+	g := eng.AddGroup(paths, core.ProportionalFair(), 0)
 
 	// A competing single-path flow collides with the group's first
 	// path at host 8's NIC — both share the 10 Gb/s downlink.

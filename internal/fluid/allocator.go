@@ -220,18 +220,18 @@ func groupTotals(groups []*Group, flows []*Flow, x []float64) {
 	}
 }
 
-// WaterFill is the instantaneous weighted max-min allocator: every
-// epoch the rates jump straight to the exact water-filling allocation
-// (Eq. 8) for the flows' static weights, via the oracle's progressive
-// filling. It models a fabric whose transport converges instantly —
-// the Swift layer with fixed weights — and is the fastest allocator.
+// WaterFill is the instantaneous max-min allocator: every epoch the
+// rates jump straight to the exact water-filling allocation (Eq. 8),
+// every flow weighted 1, via the oracle's progressive filling. It
+// models a fabric whose transport converges instantly — the Swift
+// layer with fixed weights — and is the fastest allocator.
 //
-// Groups split their weight across members by each member's share of
-// the group's max-min throughput, iterated a few rounds so members
-// through tighter bottlenecks shed weight onto less congested paths
-// (per-member bottleneck awareness). Shares restart equal every call,
-// so the allocation stays a pure function of the active flow set and
-// the allocator remains stationary.
+// Groups split their weight of 1 across members by each member's
+// share of the group's max-min throughput, iterated a few rounds so
+// members through tighter bottlenecks shed weight onto less congested
+// paths (per-member bottleneck awareness). Shares restart equal every
+// call, so the allocation stays a pure function of the active flow set
+// and the allocator remains stationary.
 type WaterFill struct {
 	iterCount
 	s  scratch
@@ -251,10 +251,7 @@ func (w *WaterFill) Allocate(net *Network, flows []*Flow, rates []float64) {
 	w.s.resize(len(flows))
 	for i, f := range flows {
 		w.s.paths[i] = f.Links
-		w.s.weights[i] = f.Weight
-		if w.s.weights[i] <= 0 {
-			w.s.weights[i] = 1
-		}
+		w.s.weights[i] = 1
 	}
 	groups := w.s.collectGroups(flows)
 	if len(groups) == 0 {
@@ -271,15 +268,9 @@ func (w *WaterFill) Allocate(net *Network, flows []*Flow, rates []float64) {
 	w.ws.Prepare(net.Capacity, w.s.paths)
 	for r := 0; r < waterfillShareRounds; r++ {
 		for i, f := range flows {
-			g := f.Group
-			if g == nil {
-				continue
+			if f.Group != nil {
+				w.s.weights[i] = math.Max(f.share, groupShareFloor)
 			}
-			wgt := g.Weight
-			if wgt <= 0 {
-				wgt = 1
-			}
-			w.s.weights[i] = wgt * math.Max(f.share, groupShareFloor)
 		}
 		w.ws.Fill(w.s.weights, rates)
 		groupTotals(groups, flows, rates)

@@ -106,7 +106,7 @@ func TestOracleAllocatesNothingWarm(t *testing.T) {
 	ft := NewFatTree(8, 10e9)
 	flows := fctMinComponent(ft, 24)
 	var members FlowTable
-	g := new(GroupTable).Acquire(core.ProportionalFair(), 1<<20, 0)
+	g := &Group{U: core.ProportionalFair()}
 	for _, pick := range []int{0, 5} {
 		g.AddMember(members.Acquire(ft.Route(3, 40, pick), nil, 0, 0))
 	}

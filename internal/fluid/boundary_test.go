@@ -70,31 +70,29 @@ func TestEngineRejectsMalformedArguments(t *testing.T) {
 	groups := []struct {
 		name  string
 		paths [][]int
-		size  int64
 		at    float64
 		want  string
 	}{
-		{"no paths", nil, 1 << 20, 0, "no paths"},
-		{"second path out of range", [][]int{{0}, {2}}, 1 << 20, 0, "link 2"},
-		{"empty member path", [][]int{{0}, {}}, 1 << 20, 0, "empty path"},
-		{"negative size", [][]int{{0}, {1}}, -5, 0, "sizeBytes = -5"},
-		{"NaN arrival", [][]int{{0}, {1}}, 1 << 20, math.NaN(), "at = NaN"},
-		{"+Inf arrival", [][]int{{0}, {1}}, 1 << 20, math.Inf(1), "at = +Inf"},
+		{"no paths", nil, 0, "no paths"},
+		{"second path out of range", [][]int{{0}, {2}}, 0, "link 2"},
+		{"empty member path", [][]int{{0}, {}}, 0, "empty path"},
+		{"NaN arrival", [][]int{{0}, {1}}, math.NaN(), "at = NaN"},
+		{"+Inf arrival", [][]int{{0}, {1}}, math.Inf(1), "at = +Inf"},
 	}
 	for _, c := range groups {
 		t.Run("AddGroup/"+c.name, func(t *testing.T) {
-			assertRejected(t, func(e *Engine) { e.AddGroup(c.paths, u, c.size, c.at) }, "AddGroup", c.want)
+			assertRejected(t, func(e *Engine) { e.AddGroup(c.paths, u, c.at) }, "AddGroup", c.want)
 		})
 	}
-	// What stays legal: an arrival in the past, an unbounded flow (and
-	// group), the last link.
+	// What stays legal: an arrival in the past, an unbounded flow, a
+	// group, the last link.
 	e := NewEngine(NewNetwork([]float64{10e9, 10e9}), Config{Allocator: NewWaterFill()})
 	unbounded := e.AddFlow([]int{1}, u, 0, -1)
 	f := e.AddFlow([]int{0, 1}, u, 1<<20, -1e-3)
-	g := e.AddGroup([][]int{{0}, {1}}, u, 1<<20, 0)
+	g := e.AddGroup([][]int{{0}, {1}}, u, -1e-3)
 	e.Run(1)
-	if !f.Done() || !g.Done() || unbounded.Rate <= 0 {
-		t.Fatalf("legal arrivals: flow done %v, group done %v, unbounded rate %v", f.Done(), g.Done(), unbounded.Rate)
+	if !f.Done() || g.Rate() <= 0 || unbounded.Rate <= 0 {
+		t.Fatalf("legal arrivals: flow done %v, group rate %v, unbounded rate %v", f.Done(), g.Rate(), unbounded.Rate)
 	}
 }
 

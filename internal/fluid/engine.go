@@ -49,13 +49,9 @@ type Engine struct {
 	active   []*Flow
 	finished []*Flow
 	rates    []float64
-	// flows and groups issue every flow and group the engine admits,
-	// with dense ids; nothing is released.
-	flows  FlowTable
-	groups GroupTable
-
-	activeGroups   []*Group
-	finishedGroups []*Group
+	// flows issues every flow the engine admits, with dense ids;
+	// nothing is released.
+	flows FlowTable
 	// changed tracks whether the active set was modified since the
 	// last allocation; stationary allocators skip recomputation while
 	// it is false.
@@ -142,7 +138,7 @@ func NewEngine(net *Network, cfg Config) *Engine {
 func (e *Engine) Now() float64 { return e.now }
 
 // Finished returns every completed flow, in completion order. Group
-// members appear here too, stamped with their group's finish time.
+// members never complete: they run until stopped.
 func (e *Engine) Finished() []*Flow { return e.finished }
 
 // checkFlow panics unless links is a non-empty path over the engine's
@@ -185,21 +181,21 @@ func (e *Engine) addFlow(links []int, u core.Utility, sizeBytes int64, at float6
 	return f
 }
 
-// AddGroup schedules a multipath aggregate over the given paths (one
-// member subflow per path), arriving as a unit at time at, with
-// utility u of the group's TOTAL rate and a shared payload of
-// sizeBytes (0 = unbounded). It returns the Group for inspection; the
-// member flows are in Group.Members, path order. Arguments are
-// validated as in AddFlow, every path included, before anything is
-// created; a group needs at least one path.
-func (e *Engine) AddGroup(paths [][]int, u core.Utility, sizeBytes int64, at float64) *Group {
+// AddGroup schedules an unbounded multipath aggregate over the given
+// paths (one member subflow per path), arriving as a unit at time at,
+// with utility u of the group's TOTAL rate. It returns the Group for
+// inspection; the member flows are in Group.Members, path order, and
+// run until stopped. Arguments are validated as in AddFlow, every path
+// included, before anything is created; a group needs at least one
+// path.
+func (e *Engine) AddGroup(paths [][]int, u core.Utility, at float64) *Group {
 	if len(paths) == 0 {
 		panic("fluid: AddGroup: no paths")
 	}
 	for _, links := range paths {
-		e.checkFlow("AddGroup", links, sizeBytes, at)
+		e.checkFlow("AddGroup", links, 0, at)
 	}
-	g := e.groups.Acquire(u, sizeBytes, at)
+	g := &Group{U: u}
 	for _, links := range paths {
 		g.AddMember(e.addFlow(links, u, 0, at))
 	}
@@ -209,7 +205,7 @@ func (e *Engine) AddGroup(paths [][]int, u core.Utility, sizeBytes int64, at flo
 // Stop removes a flow immediately (for unbounded flows driven by an
 // external event script); its Finish stays NaN. A flow not yet admitted
 // never will be. Stopping a group member withdraws that one path; the
-// group keeps draining on the rest.
+// group runs on the rest.
 func (e *Engine) Stop(f *Flow) {
 	if f.pos < 0 {
 		if i := slices.Index(e.pending, f); i >= 0 {
@@ -219,15 +215,6 @@ func (e *Engine) Stop(f *Flow) {
 	}
 	e.removeActive(f)
 	f.Rate = 0
-}
-
-func (e *Engine) removeActiveGroup(g *Group) {
-	i := g.pos
-	last := len(e.activeGroups) - 1
-	e.activeGroups[i] = e.activeGroups[last]
-	e.activeGroups[i].pos = i
-	e.activeGroups = e.activeGroups[:last]
-	g.pos = -1
 }
 
 func (e *Engine) removeActive(f *Flow) {
@@ -250,10 +237,6 @@ func (e *Engine) admitDue() {
 		f := e.pending[n]
 		f.pos = len(e.active)
 		e.active = append(e.active, f)
-		if g := f.Group; g != nil && g.pos < 0 {
-			g.pos = len(e.activeGroups)
-			e.activeGroups = append(e.activeGroups, g)
-		}
 		n++
 	}
 	if n > 0 {
@@ -311,42 +294,6 @@ func (e *Engine) Step() bool {
 			e.removeActive(f)
 			e.finished = append(e.finished, f)
 			// removeActive moved another flow into slot i; revisit it.
-		}
-		// Drain groups: a finite group's shared payload empties at the
-		// members' total rate, and the group completes as a unit (the
-		// per-flow loop above skips members — their SizeBytes is 0).
-		firstDoneGroup := len(e.finishedGroups)
-		for gi := 0; gi < len(e.activeGroups); {
-			g := e.activeGroups[gi]
-			total := g.Rate()
-			if g.SizeBytes == 0 || total <= 0 {
-				gi++
-				continue
-			}
-			drain := total / 8 * dt
-			if drain < g.Remaining {
-				g.Remaining -= drain
-				gi++
-				continue
-			}
-			g.Finish = e.now + g.Remaining*8/total
-			g.Remaining = 0
-			for _, m := range g.Members {
-				// A member withdrawn earlier via Stop keeps its NaN
-				// Finish — it did not complete.
-				if m.pos < 0 {
-					continue
-				}
-				m.Finish = g.Finish
-				e.removeActive(m)
-				e.finished = append(e.finished, m)
-			}
-			e.removeActiveGroup(g)
-			e.finishedGroups = append(e.finishedGroups, g)
-			// removeActiveGroup moved another group into slot gi.
-		}
-		if batch := e.finishedGroups[firstDoneGroup:]; len(batch) > 1 {
-			sort.SliceStable(batch, func(i, j int) bool { return batch[i].Finish < batch[j].Finish })
 		}
 		// The scan discovers same-epoch completions in slice order;
 		// restore completion order within the epoch's batch.

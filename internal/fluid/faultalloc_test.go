@@ -115,7 +115,7 @@ func TestGroupResplitOnDeadLink(t *testing.T) {
 	for name, mk := range faultAllocators() {
 		t.Run(name, func(t *testing.T) {
 			eng := NewEngine(NewNetwork([]float64{10e9, 0}), Config{Epoch: 100e-6, Allocator: mk()})
-			g := eng.AddGroup([][]int{{0}, {1}}, core.ProportionalFair(), 0, 0)
+			g := eng.AddGroup([][]int{{0}, {1}}, core.ProportionalFair(), 0)
 			for ep := 0; ep < 500; ep++ {
 				eng.Step()
 			}

@@ -60,8 +60,8 @@ func (n *Network) Links() int { return len(n.Capacity) }
 
 // SetCapacity changes link l's capacity (fault injection zeroes and
 // restores it) and brings the maintained maximum up to date before
-// returning, so solves — concurrent ones included — only ever read
-// it. It must not run concurrently with a solve on this network.
+// returning, so solves only ever read it. It must not run concurrently
+// with a solve on this network.
 func (n *Network) SetCapacity(l int, c float64) {
 	n.Capacity[l] = c
 	n.maxCap = maxCapacity(n.Capacity)
@@ -85,11 +85,9 @@ type Flow struct {
 	ID int
 	// Links are the directed links the flow traverses.
 	Links []int
-	// U is the flow's NUM utility. Required by the XWI and DGD
-	// allocators; WaterFill uses only Weight.
+	// U is the flow's NUM utility. Required by the XWI, DGD and Oracle
+	// allocators; WaterFill ignores it (every flow weighs 1).
 	U core.Utility
-	// Weight is the flow's weighted-max-min weight (default 1).
-	Weight float64
 	// SizeBytes is the payload; 0 means unbounded (runs until stopped).
 	SizeBytes int64
 	// Arrive is the arrival time in seconds.
@@ -103,9 +101,8 @@ type Flow struct {
 	Finish float64
 
 	// Group is the aggregate this flow belongs to as a member subflow,
-	// nil for an ordinary single-path flow. Grouped flows drain from
-	// the group's shared payload and their U aliases the group's
-	// utility of the TOTAL rate.
+	// nil for an ordinary single-path flow. A member is unbounded and
+	// its U aliases the group's utility of the TOTAL rate.
 	Group *Group
 
 	// share is the flow's smoothed fraction of its group's throughput,

@@ -143,31 +143,29 @@ func TestDGDGolden(t *testing.T) {
 }
 
 // TestWaterFillGolden: WaterFill reproduces the oracle's exact
-// weighted max-min (its reference optimum) immediately, and
-// internal/cert certifies it max-min fair.
+// max-min (its reference optimum) immediately, and internal/cert
+// certifies it max-min fair.
 func TestWaterFillGolden(t *testing.T) {
 	cases := []struct {
 		name     string
 		capacity []float64
 		paths    [][]int
-		weights  []float64
 	}{
-		{"single/equal", []float64{10e9}, [][]int{{0}, {0}}, []float64{1, 1}},
-		{"single/weighted", []float64{10e9}, [][]int{{0}, {0}}, []float64{1, 3}},
-		{"parkinglot", []float64{10e9, 10e9, 10e9},
-			[][]int{{0, 1, 2}, {0}, {1}, {2}}, []float64{1, 1, 1, 1}},
+		{"single/equal", []float64{10e9}, [][]int{{0}, {0}}},
+		{"parkinglot", []float64{10e9, 10e9, 10e9}, [][]int{{0, 1, 2}, {0}, {1}, {2}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			net := NewNetwork(c.capacity)
 			eng := NewEngine(net, Config{Allocator: NewWaterFill()})
 			flows := make([]*Flow, len(c.paths))
+			weights := make([]float64, len(c.paths))
 			for i, p := range c.paths {
 				flows[i] = eng.AddFlow(p, core.ProportionalFair(), 0, 0)
-				flows[i].Weight = c.weights[i]
+				weights[i] = 1
 			}
 			eng.Step()
-			want := oracle.WeightedMaxMin(c.capacity, c.paths, c.weights)
+			want := oracle.WeightedMaxMin(c.capacity, c.paths, weights)
 			got := make([]float64, len(flows))
 			for i, f := range flows {
 				got[i] = f.Rate
@@ -475,16 +473,13 @@ func TestSweepDeterministic(t *testing.T) {
 }
 
 // maxMinViolation is cert.MaxMin of the flows' rates, each flow weighted
-// as WaterFill weighs it (Weight, or 1 when unset).
+// 1 as WaterFill weighs it.
 func maxMinViolation(net *Network, flows []*Flow, rates []float64) float64 {
 	p := core.NewProblem(net.Capacity)
 	w := make([]float64, len(flows))
 	for i, f := range flows {
 		p.AddFlow(f.Links, f.U)
-		w[i] = f.Weight
-		if w[i] <= 0 {
-			w[i] = 1
-		}
+		w[i] = 1
 	}
 	return cert.MaxMin(p, w, rates)
 }

@@ -82,7 +82,7 @@ func groupSteadyState(t *testing.T, c groupCase, alloc Allocator, maxEpochs int)
 	eng := NewEngine(NewNetwork(c.capacity), Config{Epoch: 100e-6, Allocator: alloc})
 	var groups []*Group
 	for _, paths := range c.groupPaths {
-		groups = append(groups, eng.AddGroup(paths, core.ProportionalFair(), 0, 0))
+		groups = append(groups, eng.AddGroup(paths, core.ProportionalFair(), 0))
 	}
 	var flows []*Flow
 	for _, links := range c.singles {
@@ -172,7 +172,7 @@ func TestDGDGroupGolden(t *testing.T) {
 func TestWaterFillGroupBottleneckAware(t *testing.T) {
 	// Group over two idle links: full 20G.
 	eng := NewEngine(NewNetwork([]float64{10e9, 10e9}), Config{Allocator: NewWaterFill()})
-	g := eng.AddGroup([][]int{{0}, {1}}, core.ProportionalFair(), 0, 0)
+	g := eng.AddGroup([][]int{{0}, {1}}, core.ProportionalFair(), 0)
 	eng.Step()
 	if got := g.Rate(); math.Abs(got-20e9) > 1 {
 		t.Errorf("idle pool: group rate %g want 20G", got)
@@ -181,7 +181,7 @@ func TestWaterFillGroupBottleneckAware(t *testing.T) {
 	// A competitor on link 0: the group's weight concentrates on link
 	// 1 (member 1 near 10G), leaving the competitor most of link 0.
 	eng = NewEngine(NewNetwork([]float64{10e9, 10e9}), Config{Allocator: NewWaterFill()})
-	g = eng.AddGroup([][]int{{0}, {1}}, core.ProportionalFair(), 0, 0)
+	g = eng.AddGroup([][]int{{0}, {1}}, core.ProportionalFair(), 0)
 	single := eng.AddFlow([]int{0}, core.ProportionalFair(), 0, 0)
 	eng.Step()
 	if got := g.Members[1].Rate; math.Abs(got-10e9) > 1 {
@@ -195,81 +195,12 @@ func TestWaterFillGroupBottleneckAware(t *testing.T) {
 	}
 }
 
-// TestAddMemberMovesPayload: attaching a finite flow from a table to a
-// group folds its payload into the group's shared Remaining; the whole
-// payload drains at the pooled rate and the member completes with the
-// group, never alone.
-func TestAddMemberMovesPayload(t *testing.T) {
-	var flows FlowTable
-	g := new(GroupTable).Acquire(core.ProportionalFair(), 0, 0)
-	a := flows.Acquire([]int{0}, core.ProportionalFair(), 1<<20, 0)
-	b := flows.Acquire([]int{1}, core.ProportionalFair(), 1<<20, 0)
-	g.AddMember(a)
-	g.AddMember(b)
-	if a.SizeBytes != 0 || b.SizeBytes != 0 {
-		t.Fatal("member payloads not moved to the group")
-	}
-	if g.SizeBytes != 2<<20 || g.Remaining != float64(2<<20) {
-		t.Fatalf("group payload = %d/%g, want %d", g.SizeBytes, g.Remaining, 2<<20)
-	}
-}
-
-// TestGroupFiniteDrain: a finite group drains its shared payload at
-// the members' total rate and completes as a unit with sub-epoch
-// precision.
-func TestGroupFiniteDrain(t *testing.T) {
-	eng := NewEngine(NewNetwork([]float64{10e9, 10e9}), Config{Epoch: 100e-6, Allocator: NewWaterFill()})
-	const size = 10 << 20 // 10 MB over 20 Gb/s: ~4.19 ms
-	g := eng.AddGroup([][]int{{0}, {1}}, core.ProportionalFair(), size, 0)
-	eng.Run(math.Inf(1))
-	if !g.Done() {
-		t.Fatal("group did not finish")
-	}
-	want := float64(size) * 8 / 20e9
-	if math.Abs(g.FCT()-want)/want > 0.01 {
-		t.Errorf("group FCT %g want %g", g.FCT(), want)
-	}
-	for i, m := range g.Members {
-		if !m.Done() || m.Finish != g.Finish {
-			t.Errorf("member %d finish %g want group finish %g", i, m.Finish, g.Finish)
-		}
-	}
-	if len(eng.finishedGroups) != 1 {
-		t.Errorf("%d finished groups, want 1", len(eng.finishedGroups))
-	}
-}
-
-// TestGroupFiniteDrainWithWithdrawnMember: a member withdrawn via
-// Stop before its group completes keeps its NaN Finish and stays out
-// of Finished(); the remaining members complete with the group.
-func TestGroupFiniteDrainWithWithdrawnMember(t *testing.T) {
-	eng := NewEngine(NewNetwork([]float64{10e9, 10e9}), Config{Epoch: 100e-6, Allocator: NewWaterFill()})
-	const size = 10 << 20 // 10 MB on the one remaining 10 Gb/s path: ~8.4 ms
-	g := eng.AddGroup([][]int{{0}, {1}}, core.ProportionalFair(), size, 0)
-	eng.Step()
-	eng.Stop(g.Members[0])
-	eng.Run(math.Inf(1))
-	if !g.Done() {
-		t.Fatal("group did not finish")
-	}
-	if g.Members[0].Done() {
-		t.Error("withdrawn member should keep its NaN Finish")
-	}
-	if !g.Members[1].Done() || g.Members[1].Finish != g.Finish {
-		t.Error("surviving member should complete with the group")
-	}
-	for _, f := range eng.Finished() {
-		if f == g.Members[0] {
-			t.Error("withdrawn member appears in Finished()")
-		}
-	}
-}
-
 // TestGroupStopAndMemberWithdraw: stopping one member withdraws just
-// that path; stopping the other leaves the group idle, not Done.
+// that path; stopping the other leaves the group idle, no member
+// finished.
 func TestGroupStopAndMemberWithdraw(t *testing.T) {
 	eng := NewEngine(NewNetwork([]float64{10e9, 10e9}), Config{Epoch: 100e-6, Allocator: NewWaterFill()})
-	g := eng.AddGroup([][]int{{0}, {1}}, core.ProportionalFair(), 0, 0)
+	g := eng.AddGroup([][]int{{0}, {1}}, core.ProportionalFair(), 0)
 	eng.Step()
 	if got := g.Rate(); math.Abs(got-20e9) > 1 {
 		t.Fatalf("group rate %g want 20G", got)
@@ -286,8 +217,10 @@ func TestGroupStopAndMemberWithdraw(t *testing.T) {
 	if got := g.Rate(); got != 0 {
 		t.Errorf("after withdrawing both paths: rate %g want 0", got)
 	}
-	if g.Done() {
-		t.Error("stopped group should not be marked Done")
+	for i, m := range g.Members {
+		if m.Done() {
+			t.Errorf("stopped member %d marked Done", i)
+		}
 	}
 	if len(eng.active) != 0 {
 		t.Errorf("%d flows active, want 0", len(eng.active))
@@ -295,12 +228,12 @@ func TestGroupStopAndMemberWithdraw(t *testing.T) {
 }
 
 // TestGroupLateArrival: a group arriving mid-run is admitted as a unit
-// and reduces an established flow's rate.
+// and reduces an established flow's rate; stopping its members gives
+// the flow its link back.
 func TestGroupLateArrival(t *testing.T) {
 	eng := NewEngine(NewNetwork([]float64{10e9, 10e9}), Config{Epoch: 100e-6, Allocator: NewWaterFill()})
 	long := eng.AddFlow([]int{0}, core.ProportionalFair(), 0, 0)
-	// 2.5 MB pooled at ≥10 Gb/s arrives at t=5ms and drains in ≤2 ms.
-	g := eng.AddGroup([][]int{{0}, {1}}, core.ProportionalFair(), 2500000, 5e-3)
+	g := eng.AddGroup([][]int{{0}, {1}}, core.ProportionalFair(), 5e-3)
 	eng.Run(4e-3)
 	if got := long.Rate; math.Abs(got-10e9) > 1 {
 		t.Errorf("alone: rate %g want 10G", got)
@@ -312,9 +245,13 @@ func TestGroupLateArrival(t *testing.T) {
 	if long.Rate > 9.9e9 {
 		t.Errorf("established flow rate %g; group arrival had no effect", long.Rate)
 	}
+	eng.Run(7e-3)
+	for _, m := range g.Members {
+		eng.Stop(m)
+	}
 	eng.Run(9e-3)
-	if !g.Done() {
-		t.Fatal("group should have finished")
+	if got := g.Rate(); got != 0 {
+		t.Fatalf("stopped group rate %g want 0", got)
 	}
 	if got := long.Rate; math.Abs(got-10e9) > 1 {
 		t.Errorf("after group departure: rate %g want 10G", got)

@@ -63,9 +63,8 @@ func TestParallelWorkersGroups(t *testing.T) {
 	net := NewNetwork([]float64{10e9, 10e9, 10e9, 10e9})
 	u := core.ProportionalFair()
 	var flows FlowTable
-	var groups GroupTable
 	mkGroup := func(links [2]int) (*Group, []*Flow) {
-		g := groups.Acquire(u, 1<<20, 0)
+		g := &Group{U: u}
 		f1 := flows.Acquire([]int{links[0]}, u, 0, 0)
 		f2 := flows.Acquire([]int{links[1]}, u, 0, 0)
 		g.AddMember(f1)

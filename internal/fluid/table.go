@@ -7,15 +7,16 @@ import (
 )
 
 // This file is the cache-shaped storage layer every flow-level driver
-// takes its flows and groups from — the event-driven engine
-// (internal/leap), the epoch engine and internal/refsim: pooled, dense-id
-// tables for flows and groups plus a CSR-style arena for their paths.
+// takes its flows from — the event-driven engine (internal/leap), the
+// epoch engine and internal/refsim: a pooled, dense-id flow table plus
+// a CSR-style arena for the flows' paths. (The epoch engine's groups
+// are plain allocations: it creates a handful and releases none.)
 // Three properties drive the layout:
 //
 //   - Pointer stability. Engine state (link indexes, component scratch,
-//     allocator inputs) holds *Flow/*Group across arbitrary table
-//     growth, so storage is slabbed — fixed-size arrays allocated once
-//     and never moved — rather than one growable slice.
+//     allocator inputs) holds *Flow across arbitrary table growth, so
+//     storage is slabbed — fixed-size arrays allocated once and never
+//     moved — rather than one growable slice.
 //   - Dense recycled identity. Ids index per-flow engine state
 //     (flowState vectors, heap events, per-link active lists), so they
 //     must stay dense under churn: Release pushes an id onto a free
@@ -25,9 +26,9 @@ import (
 //   - Zero steady-state allocation. Paths are carved from a shared
 //     chunked arena (the CSR: segments of one flat store, not a
 //     per-flow make), and released segments recycle through per-length
-//     free lists; slab slots, path segments, and Group.Members backing
-//     all reuse, so churn in steady state performs no heap allocation
-//     at all (pinned by the leap package's AllocsPerOp tests).
+//     free lists; slab slots and path segments both reuse, so churn in
+//     steady state performs no heap allocation at all (pinned by the
+//     leap package's AllocsPerOp tests).
 //
 // The arena stores []int segments (not int32): Flow.Links is the
 // public field every allocator and the oracle's max-min workspace
@@ -36,9 +37,6 @@ import (
 const (
 	flowSlabBits = 9 // 512 flows per slab
 	flowSlabSize = 1 << flowSlabBits
-
-	groupSlabBits = 7 // 128 groups per slab
-	groupSlabSize = 1 << groupSlabBits
 
 	// pathChunk is the arena growth quantum, in ints.
 	pathChunk = 4096
@@ -93,7 +91,6 @@ func (t *FlowTable) Acquire(links []int, u core.Utility, sizeBytes int64, at flo
 		ID:        id,
 		Links:     t.path(links),
 		U:         u,
-		Weight:    1,
 		SizeBytes: sizeBytes,
 		Arrive:    at,
 		Remaining: float64(sizeBytes),
@@ -178,108 +175,3 @@ func (t *FlowTable) Cap() int { return t.n }
 // segments are not re-counted) — the telemetry the arena-reuse tests
 // pin.
 func (t *FlowTable) ArenaInts() int { return t.carved }
-
-// Reset forgets every flow while keeping the slabs and the current
-// arena chunk for reuse. All previously returned pointers and path
-// views are invalid afterward.
-func (t *FlowTable) Reset() {
-	t.free = t.free[:0]
-	t.n = 0
-	t.live = 0
-	t.arena = t.arena[:0]
-	// Recycled segments may alias chunks the truncated arena will carve
-	// over; drop them all.
-	t.segFree = t.segFree[:0]
-	t.carved = 0
-}
-
-// GroupTable is FlowTable's analog for multipath aggregates: stable
-// pointers, dense recycled ids, and Members backing arrays that
-// survive recycling. The zero value is ready to use.
-type GroupTable struct {
-	slabs []*[groupSlabSize]Group
-	n     int
-	live  int
-	free  []int32
-}
-
-// Acquire returns a freshly initialized group, reusing a recycled id
-// and its slot's Members backing when one is free. Attach member
-// subflows with AddMember.
-func (t *GroupTable) Acquire(u core.Utility, sizeBytes int64, at float64) *Group {
-	var id int
-	if n := len(t.free); n > 0 {
-		id = int(t.free[n-1])
-		t.free = t.free[:n-1]
-	} else {
-		id = t.n
-		if id>>groupSlabBits == len(t.slabs) {
-			t.slabs = append(t.slabs, new([groupSlabSize]Group))
-		}
-		t.n++
-	}
-	t.live++
-	g := &t.slabs[id>>groupSlabBits][id&(groupSlabSize-1)]
-	members := g.Members[:0]
-	*g = Group{
-		ID:        id,
-		U:         u,
-		Weight:    1,
-		SizeBytes: sizeBytes,
-		Arrive:    at,
-		Remaining: float64(sizeBytes),
-		Finish:    math.NaN(),
-		pos:       -1,
-	}
-	g.Members = members
-	return g
-}
-
-// ByID returns the group with the given id (see FlowTable.ByID).
-func (t *GroupTable) ByID(id int) *Group {
-	return &t.slabs[id>>groupSlabBits][id&(groupSlabSize-1)]
-}
-
-// Release recycles g's id. Members are NOT released — release each
-// member to its own FlowTable — but their backing array is kept for
-// the slot's next tenant.
-func (t *GroupTable) Release(g *Group) {
-	if t.ByID(g.ID) != g {
-		panic("fluid: Release of a Group not owned by this table")
-	}
-	if g.pos == releasedPos {
-		panic("fluid: double Release of a Group")
-	}
-	for i := range g.Members {
-		g.Members[i] = nil
-	}
-	g.Members = g.Members[:0]
-	g.U = nil
-	g.pos = releasedPos
-	t.free = append(t.free, int32(g.ID))
-	t.live--
-}
-
-// Len returns the number of live (acquired, unreleased) groups.
-func (t *GroupTable) Len() int { return t.live }
-
-// Cap returns the id high-water mark (see FlowTable.Cap).
-func (t *GroupTable) Cap() int { return t.n }
-
-// Reset forgets every group while keeping the slabs (and each slot's
-// Members backing) for reuse.
-func (t *GroupTable) Reset() {
-	for _, slab := range t.slabs {
-		for i := range slab {
-			g := &slab[i]
-			for j := range g.Members {
-				g.Members[j] = nil
-			}
-			g.Members = g.Members[:0]
-			g.U = nil
-		}
-	}
-	t.free = t.free[:0]
-	t.n = 0
-	t.live = 0
-}

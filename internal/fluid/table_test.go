@@ -140,67 +140,6 @@ func TestFlowTableSlabGrowth(t *testing.T) {
 	}
 }
 
-// TestGroupTableRecycling: group ids recycle like flow ids, and a
-// recycled slot's Members backing array survives for the next tenant
-// (the steady-state zero-allocation path for grouped workloads).
-func TestGroupTableRecycling(t *testing.T) {
-	gt := new(GroupTable)
-	ft := NewFlowTable()
-	u := core.NewAlphaFair(2)
-
-	g := gt.Acquire(u, 1000, 0)
-	for i := 0; i < 4; i++ {
-		g.AddMember(ft.Acquire([]int{i}, u, 0, 0))
-	}
-	if g.ID != 0 || len(g.Members) != 4 {
-		t.Fatalf("group id %d with %d members, want 0 with 4", g.ID, len(g.Members))
-	}
-	backing := &g.Members[0] // address of the backing array's first slot
-
-	for _, m := range append([]*Flow(nil), g.Members...) {
-		ft.Release(m)
-	}
-	gt.Release(g)
-	if gt.Len() != 0 || gt.Cap() != 1 {
-		t.Fatalf("Len/Cap after release = %d/%d, want 0/1", gt.Len(), gt.Cap())
-	}
-
-	g2 := gt.Acquire(u, 500, 1)
-	if g2.ID != 0 {
-		t.Errorf("recycled group id = %d, want 0", g2.ID)
-	}
-	if len(g2.Members) != 0 {
-		t.Errorf("recycled group has %d stale members", len(g2.Members))
-	}
-	g2.AddMember(ft.Acquire([]int{9}, u, 0, 1))
-	if &g2.Members[0] != backing {
-		t.Error("recycled group did not reuse its Members backing array")
-	}
-	if g2.Remaining != 500 || g2.Arrive != 1 || g2.Done() {
-		t.Errorf("recycled group not re-initialized: %+v", g2)
-	}
-}
-
-// TestFlowTableReset: Reset forgets everything — ids restart at 0 and
-// the arena is carved fresh (recycled segments are dropped, since they
-// may alias chunks the truncated arena will reuse).
-func TestFlowTableReset(t *testing.T) {
-	tbl := NewFlowTable()
-	u := core.ProportionalFair()
-	for i := 0; i < 5; i++ {
-		tbl.Acquire([]int{i, i + 1}, u, 1, 0)
-	}
-	tbl.Reset()
-	if tbl.Len() != 0 || tbl.Cap() != 0 || tbl.ArenaInts() != 0 {
-		t.Fatalf("after Reset: Len/Cap/ArenaInts = %d/%d/%d, want 0/0/0",
-			tbl.Len(), tbl.Cap(), tbl.ArenaInts())
-	}
-	f := tbl.Acquire([]int{7}, u, 1, 0)
-	if f.ID != 0 || f.Links[0] != 7 {
-		t.Errorf("post-Reset acquire: id %d links %v, want 0 [7]", f.ID, f.Links)
-	}
-}
-
 // TestAddFlowCopiesLinks: the epoch engine copies the caller's path
 // into its flow table, so a driver may reuse or mutate its slice
 // afterwards.

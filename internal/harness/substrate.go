@@ -280,7 +280,7 @@ type epochFabric struct {
 func (e *epochFabric) start(paths [][]int, u core.Utility, pooled bool) int {
 	var flows []*fluid.Flow
 	if pooled {
-		flows = e.eng.AddGroup(paths, u, 0, e.eng.Now()).Members
+		flows = e.eng.AddGroup(paths, u, e.eng.Now()).Members
 	} else {
 		for _, links := range paths {
 			flows = append(flows, e.eng.AddFlow(links, u, 0, e.eng.Now()))
