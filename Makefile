@@ -93,9 +93,11 @@ obs-inline:
 # order and drops under enqueue/dequeue/drain interleavings), and
 # FuzzPreparedFill the prepared max-min (Prepare + Fill against the
 # one-shot WeightedMaxMin, bit for bit, on palette capacities that make
-# links alike).
+# links alike). LEAP_FUZZTIME sets the first target's budget (CI's
+# fuzz-smoke job runs this target with 30s).
+LEAP_FUZZTIME ?= 60s
 fuzz:
-	go test -run '^$$' -fuzz FuzzLeapMatchesReference -fuzztime 60s -fuzzminimizetime 2s ./internal/leap/
+	go test -run '^$$' -fuzz FuzzLeapMatchesReference -fuzztime $(LEAP_FUZZTIME) -fuzzminimizetime 2s ./internal/leap/
 	go test -run '^$$' -fuzz FuzzSchedule -fuzztime 10s -fuzzminimizetime 2s ./internal/leap/
 	go test -run '^$$' -fuzz FuzzParseFaults -fuzztime 10s -fuzzminimizetime 2s ./internal/workload/
 	go test -run '^$$' -fuzz FuzzReadFlowTrace -fuzztime 10s -fuzzminimizetime 2s ./internal/obs/
