@@ -12,9 +12,9 @@ import (
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Epoch is the allocation period in seconds (default 100 µs —
-	// about the packet transport's price-update cadence — for a value
-	// ≤ 0; NaN and +Inf panic in NewEngine).
+	// Epoch is the allocation period in seconds. A value ≤ 0 means the
+	// default, 100 µs (about the packet transport's price-update
+	// cadence); NaN or +Inf panics in NewEngine.
 	Epoch float64
 	// Allocator computes per-epoch rates (default NewXWI()).
 	Allocator Allocator
