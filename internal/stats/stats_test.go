@@ -90,6 +90,16 @@ func TestPercentileEmpty(t *testing.T) {
 	}
 }
 
+// TestPercentileNaNQuantile: a NaN quantile is no quantile — NaN, as for
+// an empty sample. It used to panic converting int(NaN) to an index.
+func TestPercentileNaNQuantile(t *testing.T) {
+	for _, xs := range [][]float64{{1}, {3, 1, 2}, {math.NaN(), 1}} {
+		if got := Percentile(xs, math.NaN()); !math.IsNaN(got) {
+			t.Errorf("Percentile(%v, NaN) = %v, want NaN", xs, got)
+		}
+	}
+}
+
 func TestPercentileDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
 	Percentile(xs, 0.5)
