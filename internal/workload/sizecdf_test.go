@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -58,5 +60,22 @@ func TestSizeCDFMatchesFormulas(t *testing.T) {
 				bad++
 			}
 		}
+	}
+}
+
+// TestSampleNaNPanicsNamingU: a NaN quantile is a caller's bug, and the
+// panic says so by naming the argument — it used to be an index out of
+// range from the segment search, which no anchor satisfies.
+func TestSampleNaNPanicsNamingU(t *testing.T) {
+	for _, c := range []*SizeCDF{WebSearch(), Enterprise()} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "Sample(NaN)") || !strings.Contains(msg, "u must be in [0, 1]") {
+					t.Errorf("%s: Sample(NaN) panicked with %q, want it to name u and its range", c.Name(), msg)
+				}
+			}()
+			c.Sample(math.NaN())
+		}()
 	}
 }
