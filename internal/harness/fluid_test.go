@@ -233,21 +233,25 @@ func TestParseEngineHostileInput(t *testing.T) {
 // TestAppendRouteMatchesRoute: the leaf-spine fabric's appendRoute, what
 // playArrivals routes every arrival with, appends exactly the link ids
 // of Route's forward path, for every host pair and spine pick of
-// ScaledTopology (a pick past the spine count wraps, as in Route).
+// PaperTopology and ScaledTopology (a pick past the spine count wraps,
+// as in Route).
 func TestAppendRouteMatchesRoute(t *testing.T) {
-	topo := NewFluidTopology(ScaledTopology())
-	buf := []int{-1}
-	for src := range topo.Hosts {
-		for dst := range topo.Hosts {
-			if src == dst {
-				continue
-			}
-			for pick := 0; pick <= len(topo.Spines); pick++ {
-				fwd, _ := topo.Route(src, dst, pick)
-				want := PathLinkIDs(fwd)
-				got := topo.appendRoute(buf[:1], src, dst, pick)
-				if got[0] != -1 || !slices.Equal(got[1:], want) {
-					t.Fatalf("appendRoute(%d, %d, %d) = %v after the buffer's -1, want %v", src, dst, pick, got[1:], want)
+	for _, cfg := range []TopologyConfig{PaperTopology(), ScaledTopology()} {
+		topo := NewFluidTopology(cfg)
+		buf := []int{-1}
+		for src := range topo.Hosts {
+			for dst := range topo.Hosts {
+				if src == dst {
+					continue
+				}
+				for pick := 0; pick <= len(topo.Spines); pick++ {
+					fwd, _ := topo.Route(src, dst, pick)
+					want := PathLinkIDs(fwd)
+					got := topo.appendRoute(buf[:1], src, dst, pick)
+					if got[0] != -1 || !slices.Equal(got[1:], want) {
+						t.Fatalf("%d hosts: appendRoute(%d, %d, %d) = %v after the buffer's -1, want %v",
+							len(topo.Hosts), src, dst, pick, got[1:], want)
+					}
 				}
 			}
 		}

@@ -231,3 +231,102 @@ func TestMeanMedian(t *testing.T) {
 		t.Error("median wrong")
 	}
 }
+
+// summarizeBySort is Summarize written out over sort.Float64s: copy,
+// sort, then every field from the sorted copy. It is the reference a
+// faster sort must match bit for bit.
+func summarizeBySort(xs []float64) Summary {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	sum := 0.0
+	for _, x := range s {
+		sum += x
+	}
+	q := func(p float64) float64 { return percentileBeforeSortOnce(xs, p) }
+	return Summary{N: len(s), Mean: sum / float64(len(s)), Median: q(0.5), P25: q(0.25), P75: q(0.75),
+		P95: q(0.95), P99: q(0.99), Min: s[0], Max: s[len(s)-1]}
+}
+
+// hostileSample draws n values of one kind: heavy-tailed positives (the
+// slowdowns Summarize sees most), ties, NaNs among signed values,
+// infinities, subnormals, or both zeros.
+func hostileSample(rng *sim.RNG, kind, n int) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		switch kind {
+		case 0:
+			xs[i] = 1 + rng.ExpFloat64()*rng.ExpFloat64()*10
+		case 1:
+			xs[i] = float64(rng.Intn(5))
+		case 2:
+			if xs[i] = (rng.Float64() - 0.5) * 2e3; rng.Intn(20) == 0 {
+				xs[i] = math.NaN()
+			}
+		case 3:
+			xs[i] = []float64{math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64, rng.Float64() - 0.5}[rng.Intn(5)]
+		case 4:
+			xs[i] = math.Float64frombits(rng.Uint64() & (1<<52 - 1)) // subnormal
+			if rng.Intn(2) == 0 {
+				xs[i] = -xs[i]
+			}
+		default:
+			xs[i] = []float64{0, math.Copysign(0, -1), 1, -1}[rng.Intn(4)]
+		}
+	}
+	return xs
+}
+
+// sameBits is bit identity, except that a zero may differ in sign when
+// the sample holds both zeros: a sort is free to order -0 and +0, which
+// compare equal, either way.
+func sameBits(a, b float64, signedZeros bool) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || signedZeros && a == 0 && b == 0
+}
+
+// TestSummarizeKeepsEveryBit: every Summary field, every Percentile and
+// every CDF point come out as the sort.Float64s path computes them, on
+// samples of every hostile kind at lengths from 1 to past 65,536.
+func TestSummarizeKeepsEveryBit(t *testing.T) {
+	rng := sim.NewRNG(11)
+	for _, n := range []int{1, 2, 3, 12, 13, 100, 255, 256, 257, 1000, 4097, 70000} {
+		for kind := 0; kind < 6; kind++ {
+			xs := hostileSample(rng, kind, n)
+			zeros := kind == 5
+			got, want := Summarize(xs), summarizeBySort(xs)
+			g := []float64{got.Mean, got.Median, got.P25, got.P75, got.P95, got.P99, got.Min, got.Max}
+			w := []float64{want.Mean, want.Median, want.P25, want.P75, want.P95, want.P99, want.Min, want.Max}
+			if got.N != want.N {
+				t.Fatalf("n=%d kind %d: N = %d, want %d", n, kind, got.N, want.N)
+			}
+			for i := range g {
+				if !sameBits(g[i], w[i], zeros) {
+					t.Fatalf("n=%d kind %d: Summary field %d = %v, want %v", n, kind, i, g[i], w[i])
+				}
+			}
+			for _, p := range []float64{0, 0.01, 0.5, 0.999, 1, rng.Float64()} {
+				if got, want := Percentile(xs, p), percentileBeforeSortOnce(xs, p); !sameBits(got, want, zeros) {
+					t.Fatalf("n=%d kind %d: Percentile(%v) = %v, want %v", n, kind, p, got, want)
+				}
+			}
+			s := append([]float64(nil), xs...)
+			sort.Float64s(s)
+			cdf := CDF(xs)
+			j := 0
+			for i, x := range s {
+				if i > 0 && x == s[i-1] {
+					continue
+				}
+				for i+1 < len(s) && s[i+1] == x {
+					i++
+				}
+				if p := float64(i+1) / float64(len(s)); j >= len(cdf) || !sameBits(cdf[j].X, x, zeros) || cdf[j].P != p {
+					t.Fatalf("n=%d kind %d: CDF point %d = %+v, want {%v %v}", n, kind, j, cdf[j:min(j+1, len(cdf))], x, p)
+				}
+				j++
+			}
+			if j != len(cdf) {
+				t.Fatalf("n=%d kind %d: CDF has %d points, want %d", n, kind, len(cdf), j)
+			}
+		}
+	}
+}
