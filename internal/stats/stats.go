@@ -105,10 +105,10 @@ func (m *RateMeter) RateAt(now sim.Time) float64 {
 
 // Percentile returns the p-quantile (p in [0,1]) of xs using linear
 // interpolation between order statistics. It returns NaN for an empty
-// slice. xs is not modified. Several quantiles of one sample are one
-// Summarize (one sort), not several calls.
+// slice or a NaN p. xs is not modified. Several quantiles of one sample
+// are one Summarize (one sort), not several calls.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
+	if len(xs) == 0 || math.IsNaN(p) {
 		return math.NaN()
 	}
 	s := append([]float64(nil), xs...)
