@@ -6,6 +6,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -45,6 +46,8 @@ func (c *SizeCDF) Name() string { return c.name }
 // Sample draws a flow size in bytes using inverse-transform sampling
 // with log-linear interpolation between the CDF's anchor points
 // (heavy-tailed distributions interpolate far better in log space).
+// A u below the first anchor or above the last takes that anchor's
+// size; a NaN u panics.
 func (c *SizeCDF) Sample(u float64) int64 {
 	pts := c.pts
 	if u <= pts[0].p {
@@ -52,6 +55,9 @@ func (c *SizeCDF) Sample(u float64) int64 {
 	}
 	if u >= pts[len(pts)-1].p {
 		return int64(pts[len(pts)-1].bytes)
+	}
+	if math.IsNaN(u) {
+		panic(fmt.Sprintf("workload: %s Sample(%v): u must be in [0, 1]", c.name, u))
 	}
 	return c.interpolate(sort.Search(len(pts), func(i int) bool { return pts[i].p >= u }), u)
 }
