@@ -216,7 +216,9 @@ func sliceSchedule(arrivals []workload.Arrival, picks []int) schedule {
 // not two slices: one discarded pass over the arrivals finds their
 // count, the last instant (faults and the drain deadline need it up
 // front) and where in the stream the picks begin; every pass after
-// that regenerates both from value copies. rng is left at the first pick.
+// that regenerates both from value copies. The discarded pass makes
+// every draw but interpolates no size (PoissonGen.Draw). rng is left
+// at the first pick.
 func poissonStream(fab fabric, cdf *workload.SizeCDF, load float64, flows int, rng *sim.RNG) schedule {
 	if flows <= 0 {
 		load = 0 // Flows caps the count; MaxFlows ≤ 0 would mean no cap
@@ -232,7 +234,7 @@ func poissonStream(fab fabric, cdf *workload.SizeCDF, load float64, flows int, r
 	}, rng)
 	var s schedule
 	for dry := gen; ; s.n++ {
-		a, ok := dry.Next()
+		a, _, ok := dry.Draw()
 		if !ok {
 			break
 		}

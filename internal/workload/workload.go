@@ -21,6 +21,9 @@ type SizeCDF struct {
 	// logs[i] is math.Log(pts[i].bytes), taken once: a draw interpolates
 	// between two of them.
 	logs []float64
+	// mean is Mean's value where it is carried as a literal (the
+	// built-in workloads); 0 means Mean integrates.
+	mean float64
 }
 
 type cdfPoint struct {
@@ -29,15 +32,15 @@ type cdfPoint struct {
 }
 
 // newSizeCDF builds a CDF from points sorted by probability; the
-// first point anchors the minimum size.
-func newSizeCDF(name string, pts []cdfPoint) *SizeCDF {
+// first point anchors the minimum size. mean is Mean as a literal, or 0.
+func newSizeCDF(name string, mean float64, pts []cdfPoint) *SizeCDF {
 	cp := append([]cdfPoint(nil), pts...)
 	sort.Slice(cp, func(i, j int) bool { return cp[i].p < cp[j].p })
 	logs := make([]float64, len(cp))
 	for i, pt := range cp {
 		logs[i] = math.Log(pt.bytes)
 	}
-	return &SizeCDF{name: name, pts: cp, logs: logs}
+	return &SizeCDF{name: name, pts: cp, logs: logs, mean: mean}
 }
 
 // Name identifies the distribution.
@@ -59,7 +62,16 @@ func (c *SizeCDF) Sample(u float64) int64 {
 	if math.IsNaN(u) {
 		panic(fmt.Sprintf("workload: %s Sample(%v): u must be in [0, 1]", c.name, u))
 	}
-	return c.interpolate(sort.Search(len(pts), func(i int) bool { return pts[i].p >= u }), u)
+	// sort.Search for the first anchor with p >= u, without its closure.
+	lo, hi := 0, len(pts)
+	for lo < hi {
+		if h := int(uint(lo+hi) >> 1); pts[h].p < u {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return c.interpolate(lo, u)
 }
 
 // interpolate is the size at quantile u on the segment that ends at
@@ -71,11 +83,22 @@ func (c *SizeCDF) interpolate(i int, u float64) int64 {
 	return int64(math.Exp(logSize))
 }
 
-// Mean returns the distribution's mean flow size in bytes, computed by
+// Mean returns the distribution's mean flow size in bytes, defined by
 // numerical integration of the sampled inverse CDF: Sample at each of
-// 100,000 midpoints, summed in order. The midpoints rise, so the segment
-// that holds each one is found by walking on from the previous one's.
+// 100,000 midpoints, summed in order. WebSearch and Enterprise carry
+// that sum's result as a literal (a test holds each to the integration
+// bit for bit); any other CDF integrates on every call.
 func (c *SizeCDF) Mean() float64 {
+	if c.mean != 0 {
+		return c.mean
+	}
+	return c.integrate()
+}
+
+// integrate is Mean by its definition. The midpoints rise, so the
+// segment that holds each one is found by walking on from the previous
+// one's.
+func (c *SizeCDF) integrate() float64 {
 	const steps = 100000
 	pts := c.pts
 	first, last := pts[0], pts[len(pts)-1]
@@ -104,7 +127,7 @@ func (c *SizeCDF) Mean() float64 {
 // 1 MB". Sizes are the standard DCTCP-paper anchors.
 func WebSearch() *SizeCDF {
 	const kb = 1 << 10
-	return newSizeCDF("websearch", []cdfPoint{
+	return newSizeCDF("websearch", 1255755.50568, []cdfPoint{
 		{6 * kb, 0.15},
 		{13 * kb, 0.20},
 		{19 * kb, 0.30},
@@ -124,7 +147,7 @@ func WebSearch() *SizeCDF {
 // flows smaller than 10 KB", with ~70% of flows of only 1–2 packets.
 func Enterprise() *SizeCDF {
 	const kb = 1 << 10
-	return newSizeCDF("enterprise", []cdfPoint{
+	return newSizeCDF("enterprise", 47349.16486, []cdfPoint{
 		{1 * kb, 0.45},
 		{2 * kb, 0.62},
 		{3 * kb, 0.70},
@@ -141,7 +164,7 @@ func Enterprise() *SizeCDF {
 // Uniform returns a degenerate CDF that always yields size bytes; it
 // makes deterministic tests easy.
 func Uniform(size int64) *SizeCDF {
-	return newSizeCDF("uniform", []cdfPoint{{float64(size), 1}})
+	return newSizeCDF("uniform", 0, []cdfPoint{{float64(size), 1}})
 }
 
 // Arrival describes one flow arrival in a dynamic workload.
@@ -194,20 +217,34 @@ func NewPoisson(cfg PoissonConfig, rng *sim.RNG) *PoissonGen {
 }
 
 // Next returns the next arrival, and false once the schedule has ended:
-// past cfg.Duration, or after cfg.MaxFlows arrivals.
+// past cfg.Duration, or after cfg.MaxFlows arrivals. It is Draw plus
+// the size at Draw's quantile.
 func (g *PoissonGen) Next() (Arrival, bool) {
+	a, u, ok := g.Draw()
+	if ok {
+		a.Size = g.cfg.CDF.Sample(u)
+	}
+	return a, ok
+}
+
+// Draw is Next without the size: it makes every draw Next makes — the
+// gap, the source, the destination and the size quantile u — and leaves
+// the RNG and the clock where Next leaves them, but returns u in place
+// of the interpolated size. A pass that only counts the schedule or
+// finds its last instant draws with it.
+func (g *PoissonGen) Draw() (a Arrival, u float64, ok bool) {
 	// A non-positive (or NaN) rate offers no traffic: the schedule is
 	// empty. Without this guard, λ = 0 made every gap +Inf, whose
 	// implementation-defined float→int64 conversion wrapped t negative
 	// so the `t > Duration` horizon check never tripped — an infinite
 	// loop for Load = 0 (or an astronomically large mean flow size).
 	if g.ended || !(g.lambda > 0) || (g.cfg.MaxFlows > 0 && g.n >= g.cfg.MaxFlows) {
-		return Arrival{}, false
+		return Arrival{}, 0, false
 	}
 	g.t = g.t.Add(sim.Seconds(g.RNG.ExpFloat64() / g.lambda))
 	if g.t > sim.Time(g.cfg.Duration) {
 		g.ended = true
-		return Arrival{}, false
+		return Arrival{}, 0, false
 	}
 	src := g.RNG.Intn(g.cfg.Hosts)
 	dst := g.RNG.Intn(g.cfg.Hosts - 1)
@@ -215,7 +252,7 @@ func (g *PoissonGen) Next() (Arrival, bool) {
 		dst++
 	}
 	g.n++
-	return Arrival{At: g.t, Src: src, Dst: dst, Size: g.cfg.CDF.Sample(g.RNG.Float64())}, true
+	return Arrival{At: g.t, Src: src, Dst: dst}, g.RNG.Float64(), true
 }
 
 // Poisson collects PoissonGen's whole schedule.

@@ -231,6 +231,40 @@ func TestPoissonGenReplays(t *testing.T) {
 	}
 }
 
+// TestDrawLeavesNextsState: n Draws leave the RNG state, the clock and
+// the count exactly where n Nexts leave them, and each Draw's arrival is
+// Next's without the size, whose quantile it returns — through the end
+// of the schedule (by horizon and by MaxFlows) and past it.
+func TestDrawLeavesNextsState(t *testing.T) {
+	for _, cfg := range []PoissonConfig{
+		{Hosts: 32, HostLink: 10 * sim.Gbps, Load: 0.6, CDF: WebSearch(), Duration: 20 * sim.Millisecond},
+		{Hosts: 128, HostLink: 10 * sim.Gbps, Load: 0.3, CDF: Enterprise(), Duration: sim.Second, MaxFlows: 500},
+		{Hosts: 2, HostLink: sim.Gbps, Load: 0.9, CDF: Uniform(1500), Duration: sim.Millisecond},
+	} {
+		next, draw := NewPoisson(cfg, sim.NewRNG(5)), NewPoisson(cfg, sim.NewRNG(5))
+		n := 0
+		for ; ; n++ {
+			a, okA := next.Next()
+			b, u, okB := draw.Draw()
+			if okB {
+				b.Size = cfg.CDF.Sample(u)
+			}
+			if okA != okB || a != b || *next.RNG != *draw.RNG || next.t != draw.t || next.n != draw.n || next.ended != draw.ended {
+				t.Fatalf("%s, step %d: Next %+v (%v) and Draw %+v (%v) left different generators", cfg.CDF.Name(), n, a, okA, b, okB)
+			}
+			if !okA {
+				break
+			}
+		}
+		if n < 100 {
+			t.Fatalf("%s: %d arrivals, want a schedule worth comparing", cfg.CDF.Name(), n)
+		}
+		if _, _, ok := draw.Draw(); ok || *next.RNG != *draw.RNG {
+			t.Errorf("%s: an ended generator drew", cfg.CDF.Name())
+		}
+	}
+}
+
 func TestIncastShape(t *testing.T) {
 	cfg := IncastConfig{
 		Hosts: 32, Receiver: 7, Senders: 12, SizeBytes: 64 << 10,
@@ -325,4 +359,27 @@ func TestMeanReasonable(t *testing.T) {
 	if ent < 2<<10 || ent > 200<<10 {
 		t.Errorf("enterprise mean = %.0f bytes", ent)
 	}
+}
+
+// BenchmarkPoissonCount: ns per arrival of a web-search schedule on a
+// k = 8 fat-tree's 128 hosts, drawn by Draw (the counting pass) and by
+// Next (Draw plus the size's interpolation).
+func BenchmarkPoissonCount(b *testing.B) {
+	cfg := PoissonConfig{Hosts: 128, HostLink: 10 * sim.Gbps, Load: 0.05, CDF: WebSearch(), Duration: sim.Duration(sim.Forever / 2)}
+	b.Run("draw", func(b *testing.B) {
+		g := NewPoisson(cfg, sim.NewRNG(1))
+		for i := 0; i < b.N; i++ {
+			if _, _, ok := g.Draw(); !ok {
+				b.Fatal("schedule ended")
+			}
+		}
+	})
+	b.Run("next", func(b *testing.B) {
+		g := NewPoisson(cfg, sim.NewRNG(1))
+		for i := 0; i < b.N; i++ {
+			if _, ok := g.Next(); !ok {
+				b.Fatal("schedule ended")
+			}
+		}
+	})
 }
