@@ -3,6 +3,7 @@ package fluid
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"numfabric/internal/cert"
@@ -378,6 +379,60 @@ func TestFatTreeStructure(t *testing.T) {
 		}
 		if same && half > 1 {
 			t.Errorf("k=%d: path choices 0 and 1 identical", k)
+		}
+	}
+}
+
+// routeByTier is FatTree.Route as it was written before AppendRoute: one
+// slice literal per tier the path climbs to.
+func routeByTier(t *FatTree, src, dst, pathChoice int) []int {
+	half := t.K / 2
+	sp, se := t.locate(src)
+	dp, de := t.locate(dst)
+	if sp == dp && se == de {
+		return []int{t.hostUp[src], t.hostDown[dst]}
+	}
+	a := pathChoice % half
+	if a < 0 {
+		a = -a
+	}
+	if sp == dp {
+		return []int{t.hostUp[src], t.edgeUp[sp][se][a], t.edgeDown[sp][a][de], t.hostDown[dst]}
+	}
+	c := (pathChoice / half) % half
+	if c < 0 {
+		c = -c
+	}
+	return []int{t.hostUp[src], t.edgeUp[sp][se][a], t.aggUp[sp][a][c], t.aggDown[dp][a][c], t.edgeDown[dp][a][de], t.hostDown[dst]}
+}
+
+// TestFatTreeAppendRouteMatchesRoute: at k = 4 and k = 8, for every
+// host pair and every pick (past the path count, and negative),
+// AppendRoute appends exactly Route's links after what the buffer held,
+// and Route returns the per-tier literal's links in a slice of exactly
+// their length — what a caller that keeps a million paths pays for.
+func TestFatTreeAppendRouteMatchesRoute(t *testing.T) {
+	for _, k := range []int{4, 8} {
+		ft := NewFatTree(k, 10e9)
+		buf := []int{-1}
+		for src := 0; src < ft.Hosts(); src++ {
+			for dst := 0; dst < ft.Hosts(); dst++ {
+				if src == dst {
+					continue
+				}
+				for pick := -1; pick <= k*k/4; pick++ {
+					want := routeByTier(ft, src, dst, pick)
+					route := ft.Route(src, dst, pick)
+					if !slices.Equal(route, want) || cap(route) != len(want) {
+						t.Fatalf("k=%d: Route(%d, %d, %d) = %v (cap %d), want %v", k, src, dst, pick, route, cap(route), want)
+					}
+					got := ft.AppendRoute(buf[:1], src, dst, pick)
+					if got[0] != -1 || !slices.Equal(got[1:], want) {
+						t.Fatalf("k=%d: AppendRoute(%d, %d, %d) = %v after the buffer's -1, want %v", k, src, dst, pick, got[1:], want)
+					}
+					buf = got
+				}
+			}
 		}
 	}
 }

@@ -95,8 +95,22 @@ func (t *FatTree) locate(h int) (pod, edge int) {
 // Route returns the directed-link path from host src to host dst.
 // pathChoice selects among the equal-cost paths (agg and core picks),
 // like the spine argument of the leaf-spine topology; any non-negative
-// value is valid.
+// value is valid. It is AppendRoute into a slice of the path's length.
 func (t *FatTree) Route(src, dst, pathChoice int) []int {
+	n := 6
+	sp, se := t.locate(src)
+	if dp, de := t.locate(dst); sp == dp && se == de {
+		n = 2
+	} else if sp == dp {
+		n = 4
+	}
+	return t.AppendRoute(make([]int, 0, n), src, dst, pathChoice)
+}
+
+// AppendRoute appends Route(src, dst, pathChoice) to buf and returns
+// the extended slice: a caller that copies each path on admission
+// routes every flow through one buffer.
+func (t *FatTree) AppendRoute(buf []int, src, dst, pathChoice int) []int {
 	if src == dst {
 		panic("fluid: fat-tree flow to self")
 	}
@@ -104,32 +118,32 @@ func (t *FatTree) Route(src, dst, pathChoice int) []int {
 	sp, se := t.locate(src)
 	dp, de := t.locate(dst)
 	if sp == dp && se == de {
-		return []int{t.hostUp[src], t.hostDown[dst]}
+		return append(buf, t.hostUp[src], t.hostDown[dst])
 	}
 	a := pathChoice % half
 	if a < 0 {
 		a = -a
 	}
 	if sp == dp {
-		return []int{
+		return append(buf,
 			t.hostUp[src],
 			t.edgeUp[sp][se][a],
 			t.edgeDown[sp][a][de],
 			t.hostDown[dst],
-		}
+		)
 	}
 	c := (pathChoice / half) % half
 	if c < 0 {
 		c = -c
 	}
-	return []int{
+	return append(buf,
 		t.hostUp[src],
 		t.edgeUp[sp][se][a],
 		t.aggUp[sp][a][c],
 		t.aggDown[dp][a][c],
 		t.edgeDown[dp][a][de],
 		t.hostDown[dst],
-	}
+	)
 }
 
 // LinkName returns a human-readable label for a directed-link id —

@@ -32,6 +32,11 @@ type Topology struct {
 
 	// adj[a][b] is the egress port from node a to adjacent node b.
 	adj map[*netsim.Node]map[*netsim.Node]*netsim.Port
+	// The directed-link ids appendRoute reads: host h's link up to its
+	// leaf and down from it, and leaf l's link up to spine s
+	// (leafUp[l][s]) and down from it (leafDown[l][s]).
+	hostUp, hostDown []int
+	leafUp, leafDown [][]int
 }
 
 // TopologyConfig sizes a leaf-spine fabric.
@@ -107,17 +112,22 @@ func NewTopology(net *netsim.Network, cfg TopologyConfig) *Topology {
 		for h := 0; h < cfg.HostsPerLeaf; h++ {
 			host := net.NewNode(fmt.Sprintf("h%d", l*cfg.HostsPerLeaf+h))
 			t.Hosts = append(t.Hosts, host)
-			t.connect(host, leaf, cfg.HostLink, cfg.LinkDelay)
+			up, down := t.connect(host, leaf, cfg.HostLink, cfg.LinkDelay)
+			t.hostUp, t.hostDown = append(t.hostUp, up.LinkID), append(t.hostDown, down.LinkID)
 		}
-		for _, spine := range t.Spines {
-			t.connect(leaf, spine, cfg.SpineLink, cfg.LinkDelay)
+		ups, downs := make([]int, cfg.Spines), make([]int, cfg.Spines)
+		for s, spine := range t.Spines {
+			up, down := t.connect(leaf, spine, cfg.SpineLink, cfg.LinkDelay)
+			ups[s], downs[s] = up.LinkID, down.LinkID
 		}
+		t.leafUp, t.leafDown = append(t.leafUp, ups), append(t.leafDown, downs)
 	}
 	return t
 }
 
-func (t *Topology) connect(a, b *netsim.Node, rate sim.BitRate, delay sim.Duration) {
-	ab, ba := t.Net.Connect(a, b, rate, delay)
+// connect links a and b both ways and returns the a→b and b→a ports.
+func (t *Topology) connect(a, b *netsim.Node, rate sim.BitRate, delay sim.Duration) (ab, ba *netsim.Port) {
+	ab, ba = t.Net.Connect(a, b, rate, delay)
 	if t.adj[a] == nil {
 		t.adj[a] = make(map[*netsim.Node]*netsim.Port)
 	}
@@ -126,6 +136,7 @@ func (t *Topology) connect(a, b *netsim.Node, rate sim.BitRate, delay sim.Durati
 	}
 	t.adj[a][b] = ab
 	t.adj[b][a] = ba
+	return ab, ba
 }
 
 // LeafOf returns the leaf switch of host index h.
@@ -207,19 +218,19 @@ func (t *Topology) hostLink() sim.BitRate   { return t.hostRate }
 func (t *Topology) fanOut() int             { return len(t.Spines) }
 func (t *Topology) network() *fluid.Network { return FluidNetwork(t) }
 
-// appendRoute appends the link ids of Route's forward path, building
-// neither port slice.
+// appendRoute appends the link ids of Route's forward path, read from
+// the id tables NewTopology built: no port, map or slice is touched.
 func (t *Topology) appendRoute(buf []int, src, dst, pick int) []int {
 	if src == dst {
 		panic("harness: flow to self")
 	}
-	hs, hd := t.Hosts[src], t.Hosts[dst]
-	ls, ld := t.LeafOf(src), t.LeafOf(dst)
+	up, down := t.hostUp[src], t.hostDown[dst]
+	ls, ld := src/t.HostsPerLeaf, dst/t.HostsPerLeaf
 	if ls == ld {
-		return append(buf, t.Port(hs, ls).LinkID, t.Port(ls, hd).LinkID)
+		return append(buf, up, down)
 	}
-	sp := t.Spines[pick%len(t.Spines)]
-	return append(buf, t.Port(hs, ls).LinkID, t.Port(ls, sp).LinkID, t.Port(sp, ld).LinkID, t.Port(ld, hd).LinkID)
+	sp := pick % len(t.Spines)
+	return append(buf, up, t.leafUp[ls][sp], t.leafDown[ld][sp], down)
 }
 
 // fatTree is a fluid.FatTree as a fabric. Its network is the tree's
@@ -232,5 +243,5 @@ func (t fatTree) fanOut() int             { return t.K * t.K / 4 }
 func (t fatTree) network() *fluid.Network { return t.Net }
 
 func (t fatTree) appendRoute(buf []int, src, dst, pick int) []int {
-	return append(buf, t.Route(src, dst, pick)...)
+	return t.AppendRoute(buf, src, dst, pick)
 }
