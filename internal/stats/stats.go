@@ -1,6 +1,14 @@
 // Package stats provides the small statistical tools the experiments
 // need: time-based exponentially weighted moving averages (the paper
 // filters rates with an 80 µs EWMA), percentiles, CDFs and histograms.
+//
+// Percentile, Summarize and CDF sort a copy of their sample through one
+// sort, sortFloats: sort.Float64s below radixCutoff values, an LSD radix
+// sort on order-preserving keys from there on. Both leave the sample in
+// the same order up to values that compare equal, so every quantile,
+// mean and CDF point has the same bits either way (only the sign of a
+// zero drawn from a sample holding both zeros, or the payload of a NaN,
+// can tell them apart).
 package stats
 
 import (
@@ -112,12 +120,12 @@ func Percentile(xs []float64, p float64) float64 {
 		return math.NaN()
 	}
 	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
+	sortFloats(s)
 	return quantileSorted(s, p)
 }
 
 // quantileSorted is Percentile of a non-empty ascending slice (NaNs
-// first, as sort.Float64s leaves them).
+// first, as sortFloats leaves them).
 func quantileSorted(s []float64, p float64) float64 {
 	if p <= 0 {
 		return s[0]
@@ -164,7 +172,7 @@ func Summarize(xs []float64) Summary {
 		return Summary{Mean: nan, Median: nan, P25: nan, P75: nan, P95: nan, P99: nan, Min: nan, Max: nan}
 	}
 	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
+	sortFloats(s)
 	q := func(p float64) float64 { return quantileSorted(s, p) }
 	return Summary{
 		N:      len(s),
@@ -193,7 +201,7 @@ func CDF(xs []float64) []CDFPoint {
 		return nil
 	}
 	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
+	sortFloats(s)
 	out := make([]CDFPoint, 0, len(s))
 	for i, x := range s {
 		p := float64(i+1) / float64(len(s))
@@ -204,4 +212,77 @@ func CDF(xs []float64) []CDFPoint {
 		out = append(out, CDFPoint{X: x, P: p})
 	}
 	return out
+}
+
+// radixCutoff is the sample length from which sortFloats radix-sorts:
+// below it sort.Float64s is the faster of the two (BenchmarkSortFloats).
+const radixCutoff = 1024
+
+// sortFloats sorts s ascending with NaNs first, as sort.Float64s does.
+func sortFloats(s []float64) {
+	if len(s) < radixCutoff {
+		sort.Float64s(s)
+		return
+	}
+	radixSort(s, make([]float64, len(s)))
+}
+
+// floatKey maps x to a uint64 whose unsigned order is x's numeric
+// order: a negative value's bits flipped, a positive one's (+0's
+// included) with the sign bit set. A NaN keys below -Inf if its sign
+// bit is set and above +Inf if not.
+func floatKey(x float64) uint64 {
+	b := math.Float64bits(x)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// radixSort sorts s (at least one value) as sort.Float64s does by an
+// LSD radix sort on floatKey, a byte a pass, moving values between s
+// and scratch (as long as s). A pass whose byte every key shares is
+// skipped. The NaNs the keys put last are moved to the front after.
+func radixSort(s, scratch []float64) {
+	var counts [8][256]int
+	for _, x := range s {
+		k := floatKey(x)
+		counts[0][byte(k)]++
+		counts[1][byte(k>>8)]++
+		counts[2][byte(k>>16)]++
+		counts[3][byte(k>>24)]++
+		counts[4][byte(k>>32)]++
+		counts[5][byte(k>>40)]++
+		counts[6][byte(k>>48)]++
+		counts[7][byte(k>>56)]++
+	}
+	src, dst := s, scratch
+	for d := range counts {
+		c, shift := &counts[d], uint(8*d)
+		if c[byte(floatKey(src[0])>>shift)] == len(s) {
+			continue
+		}
+		at := 0
+		for i, n := range c {
+			c[i] = at
+			at += n
+		}
+		for _, x := range src {
+			b := byte(floatKey(x) >> shift)
+			i := c[b]
+			dst[i] = x
+			c[b] = i + 1
+		}
+		src, dst = dst, src
+	}
+	nan := 0
+	for nan < len(src) && math.IsNaN(src[len(src)-1-nan]) {
+		nan++
+	}
+	if nan == 0 && &src[0] == &s[0] {
+		return
+	}
+	tail := len(src) - nan
+	copy(dst[:nan], src[tail:])
+	copy(dst[nan:], src[:tail])
+	if &dst[0] != &s[0] {
+		copy(s, dst)
+	}
 }
