@@ -95,16 +95,12 @@ func (t *FatTree) locate(h int) (pod, edge int) {
 // Route returns the directed-link path from host src to host dst.
 // pathChoice selects among the equal-cost paths (agg and core picks),
 // like the spine argument of the leaf-spine topology; any non-negative
-// value is valid. It is AppendRoute into a slice of the path's length.
+// value is valid. It is AppendRoute copied into a slice of exactly the
+// path's length: a caller may keep a million of them.
 func (t *FatTree) Route(src, dst, pathChoice int) []int {
-	n := 6
-	sp, se := t.locate(src)
-	if dp, de := t.locate(dst); sp == dp && se == de {
-		n = 2
-	} else if sp == dp {
-		n = 4
-	}
-	return t.AppendRoute(make([]int, 0, n), src, dst, pathChoice)
+	var buf [6]int
+	p := t.AppendRoute(buf[:0], src, dst, pathChoice)
+	return append(make([]int, 0, len(p)), p...)
 }
 
 // AppendRoute appends Route(src, dst, pathChoice) to buf and returns
