@@ -21,11 +21,12 @@ func sortedSame(got, want []float64) int {
 	return -1
 }
 
-// FuzzSortFloats holds radixSort, and sortFloats on either side of
-// radixCutoff, to sort.Float64s element by element. The input's 8-byte
-// words are the values, repeated rep times — even copies exactly (ties),
-// odd copies with their low mantissa bits perturbed — so a short input
-// reaches the radix path's lengths.
+// FuzzSortFloats holds radixSort, countingSort, and sortFloats on either
+// side of radixCutoff, to sort.Float64s element by element. The input's
+// 8-byte words are the values, repeated rep times — even copies exactly
+// (ties), odd copies with their low mantissa bits perturbed — so a short
+// input reaches the long paths' lengths, with few distinct values or
+// many.
 func FuzzSortFloats(f *testing.F) {
 	words := func(xs ...float64) []byte {
 		b := make([]byte, 8*len(xs))
@@ -62,6 +63,14 @@ func FuzzSortFloats(f *testing.F) {
 		if i := sortedSame(radix, want); i >= 0 {
 			t.Fatalf("radixSort of %d values: [%d] = %v, sort.Float64s has %v", n, i, radix[i], want[i])
 		}
+		counted := append([]float64(nil), xs...)
+		if countingSort(counted) {
+			if i := sortedSame(counted, want); i >= 0 {
+				t.Fatalf("countingSort of %d values: [%d] = %v, sort.Float64s has %v", n, i, counted[i], want[i])
+			}
+		} else if i := sortedSame(counted, xs); i >= 0 {
+			t.Fatalf("countingSort gave up on %d values but moved [%d]", n, i)
+		}
 		got := append([]float64(nil), xs...)
 		sortFloats(got)
 		if i := sortedSame(got, want); i >= 0 {
@@ -82,22 +91,31 @@ func slowdowns(n int) []float64 {
 }
 
 // BenchmarkSortFloats: ns per value to copy and sort n slowdowns by
-// radix and by sort.Float64s. The 1M row is a million-flow play's
-// Summarize; the short rows place radixCutoff.
+// radix and by sort.Float64s, and n values of which only 512 differ
+// (as a coflow play's slowdowns) by counting and by sort.Float64s. The
+// 1M rows are a million-flow play's Summarize; the short rows place
+// radixCutoff.
 func BenchmarkSortFloats(b *testing.B) {
 	for _, n := range []int{256, 512, 768, 1024, 2048, 1_000_000} {
 		xs := slowdowns(n)
+		few := make([]float64, n)
+		for i := range few {
+			few[i] = xs[i%512]
+		}
 		s, scratch := make([]float64, n), make([]float64, n)
 		for _, c := range []struct {
 			name string
+			xs   []float64
 			sort func()
 		}{
-			{"radix", func() { radixSort(s, scratch) }},
-			{"sort.Float64s", func() { sort.Float64s(s) }},
+			{"radix", xs, func() { radixSort(s, scratch) }},
+			{"sort.Float64s", xs, func() { sort.Float64s(s) }},
+			{"counting,512-values", few, func() { countingSort(s) }},
+			{"sort.Float64s,512-values", few, func() { sort.Float64s(s) }},
 		} {
 			b.Run(fmt.Sprintf("%s/n=%d", c.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					copy(s, xs)
+					copy(s, c.xs)
 					c.sort()
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/value")

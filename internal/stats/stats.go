@@ -3,12 +3,13 @@
 // filters rates with an 80 µs EWMA), percentiles, CDFs and histograms.
 //
 // Percentile, Summarize and CDF sort a copy of their sample through one
-// sort, sortFloats: sort.Float64s below radixCutoff values, an LSD radix
-// sort on order-preserving keys from there on. Both leave the sample in
-// the same order up to values that compare equal, so every quantile,
-// mean and CDF point has the same bits either way (only the sign of a
-// zero drawn from a sample holding both zeros, or the payload of a NaN,
-// can tell them apart).
+// sort, sortFloats: sort.Float64s below radixCutoff values; from there a
+// counting sort when the sample holds at most fewValues distinct values,
+// and an LSD radix sort on order-preserving keys otherwise. All three
+// leave the sample in the same order up to values that compare equal,
+// so every quantile, mean and CDF point has the same bits whichever ran
+// (only the sign of a zero drawn from a sample holding both zeros, or
+// the payload of a NaN, can tell them apart).
 package stats
 
 import (
@@ -218,13 +219,66 @@ func CDF(xs []float64) []CDFPoint {
 // below it sort.Float64s is the faster of the two (BenchmarkSortFloats).
 const radixCutoff = 1024
 
+// fewValues is the most distinct values a sample may hold for sortFloats
+// to counting-sort it instead: a coflow play's slowdowns take a few
+// hundred values, on which sort.Float64s's equal-element partitions
+// beat the radix sort's eight fixed passes and a count beats both.
+const fewValues = 1024
+
 // sortFloats sorts s ascending with NaNs first, as sort.Float64s does.
 func sortFloats(s []float64) {
-	if len(s) < radixCutoff {
+	switch {
+	case len(s) < radixCutoff:
 		sort.Float64s(s)
-		return
+	case !countingSort(s):
+		radixSort(s, make([]float64, len(s)))
 	}
-	radixSort(s, make([]float64, len(s)))
+}
+
+// countingSort sorts s, and reports true, if s holds at most fewValues
+// distinct values (by bits): it counts each in an open-addressed table,
+// sorts the distinct values and writes each out as often as it was
+// counted. Past fewValues it stops and returns false with s untouched.
+func countingSort(s []float64) bool {
+	const bits = 11 // 2048 slots: a table at most half full
+	var (
+		keys  [1 << bits]uint64
+		count [1 << bits]int // 0 marks an empty slot
+	)
+	slot := func(b uint64) uint64 {
+		i := b * 0x9e3779b97f4a7c15 >> (64 - bits)
+		for count[i] != 0 && keys[i] != b {
+			i = (i + 1) & (1<<bits - 1)
+		}
+		return i
+	}
+	distinct := 0
+	for _, x := range s {
+		b := math.Float64bits(x)
+		i := slot(b)
+		if count[i] == 0 {
+			if distinct++; distinct > fewValues {
+				return false
+			}
+			keys[i] = b
+		}
+		count[i]++
+	}
+	values := make([]float64, 0, distinct)
+	for i, c := range count {
+		if c != 0 {
+			values = append(values, math.Float64frombits(keys[i]))
+		}
+	}
+	sort.Float64s(values)
+	at := 0
+	for _, v := range values {
+		for c := count[slot(math.Float64bits(v))]; c > 0; c-- {
+			s[at] = v
+			at++
+		}
+	}
+	return true
 }
 
 // floatKey maps x to a uint64 whose unsigned order is x's numeric
@@ -239,7 +293,7 @@ func floatKey(x float64) uint64 {
 // radixSort sorts s (at least one value) as sort.Float64s does by an
 // LSD radix sort on floatKey, a byte a pass, moving values between s
 // and scratch (as long as s). A pass whose byte every key shares is
-// skipped. The NaNs the keys put last are moved to the front after.
+// skipped. The NaNs the keys put last are rotated to the front after.
 func radixSort(s, scratch []float64) {
 	var counts [8][256]int
 	for _, x := range s {
@@ -272,17 +326,16 @@ func radixSort(s, scratch []float64) {
 		}
 		src, dst = dst, src
 	}
-	nan := 0
-	for nan < len(src) && math.IsNaN(src[len(src)-1-nan]) {
+	if &src[0] != &s[0] {
+		copy(s, src)
+	}
+	n, nan := len(s), 0
+	for nan < n && math.IsNaN(s[n-1-nan]) {
 		nan++
 	}
-	if nan == 0 && &src[0] == &s[0] {
-		return
-	}
-	tail := len(src) - nan
-	copy(dst[:nan], src[tail:])
-	copy(dst[nan:], src[:tail])
-	if &dst[0] != &s[0] {
-		copy(s, dst)
+	if nan > 0 {
+		copy(scratch, s[n-nan:])
+		copy(s[nan:], s[:n-nan])
+		copy(s, scratch[:nan])
 	}
 }
