@@ -9,12 +9,14 @@
 // leave the sample in the same order up to values that compare equal,
 // so every quantile, mean and CDF point has the same bits whichever ran
 // (only the sign of a zero drawn from a sample holding both zeros, or
-// the payload of a NaN, can tell them apart).
+// the payload of a NaN, can tell them apart). The copies and the radix
+// sort's scratch come from one pool.
 package stats
 
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"numfabric/internal/sim"
 )
@@ -120,9 +122,10 @@ func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 || math.IsNaN(p) {
 		return math.NaN()
 	}
-	s := append([]float64(nil), xs...)
-	sortFloats(s)
-	return quantileSorted(s, p)
+	s := sortedCopy(xs)
+	q := quantileSorted(*s, p)
+	buffers.Put(s)
+	return q
 }
 
 // quantileSorted is Percentile of a non-empty ascending slice (NaNs
@@ -172,10 +175,10 @@ func Summarize(xs []float64) Summary {
 		nan := math.NaN()
 		return Summary{Mean: nan, Median: nan, P25: nan, P75: nan, P95: nan, P99: nan, Min: nan, Max: nan}
 	}
-	s := append([]float64(nil), xs...)
-	sortFloats(s)
+	b := sortedCopy(xs)
+	s := *b
 	q := func(p float64) float64 { return quantileSorted(s, p) }
-	return Summary{
+	sum := Summary{
 		N:      len(s),
 		Mean:   Mean(s),
 		Median: q(0.5),
@@ -186,6 +189,8 @@ func Summarize(xs []float64) Summary {
 		Min:    s[0],
 		Max:    s[len(s)-1],
 	}
+	buffers.Put(b)
+	return sum
 }
 
 // CDFPoint is one point of an empirical CDF.
@@ -201,8 +206,8 @@ func CDF(xs []float64) []CDFPoint {
 	if len(xs) == 0 {
 		return nil
 	}
-	s := append([]float64(nil), xs...)
-	sortFloats(s)
+	b := sortedCopy(xs)
+	s := *b
 	out := make([]CDFPoint, 0, len(s))
 	for i, x := range s {
 		p := float64(i+1) / float64(len(s))
@@ -212,7 +217,34 @@ func CDF(xs []float64) []CDFPoint {
 		}
 		out = append(out, CDFPoint{X: x, P: p})
 	}
+	buffers.Put(b)
 	return out
+}
+
+// buffers recycles the sorted copies Percentile, Summarize and CDF take
+// and the radix sort's scratch (*[]float64 each), so that several
+// quantiles taken of one sample — Median, then Percentile — sort in the
+// memory of two copies, as they did before the scratch existed.
+var buffers sync.Pool
+
+// getFloats returns a slice of n floats of arbitrary contents from
+// buffers, or a new one.
+func getFloats(n int) *[]float64 {
+	if b, ok := buffers.Get().(*[]float64); ok && cap(*b) >= n {
+		*b = (*b)[:n]
+		return b
+	}
+	b := make([]float64, n)
+	return &b
+}
+
+// sortedCopy returns xs copied into a slice from buffers and sorted by
+// sortFloats. The caller puts it back once done reading it.
+func sortedCopy(xs []float64) *[]float64 {
+	b := getFloats(len(xs))
+	copy(*b, xs)
+	sortFloats(*b)
+	return b
 }
 
 // radixCutoff is the sample length from which sortFloats radix-sorts:
@@ -231,7 +263,9 @@ func sortFloats(s []float64) {
 	case len(s) < radixCutoff:
 		sort.Float64s(s)
 	case !countingSort(s):
-		radixSort(s, make([]float64, len(s)))
+		scratch := getFloats(len(s))
+		radixSort(s, *scratch)
+		buffers.Put(scratch)
 	}
 }
 

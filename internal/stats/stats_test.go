@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -329,4 +330,28 @@ func TestSummarizeKeepsEveryBit(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSortBuffersShared: goroutines summarizing their own samples at
+// once, through the pooled copies and scratch, each get their sample's
+// summary (run with -race).
+func TestSortBuffersShared(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		xs := hostileSample(sim.NewRNG(uint64(g)), g%3, 500+1500*g)
+		want, wantP, wantCDF := summarizeBySort(xs), percentileBeforeSortOnce(xs, 0.9), len(CDF(xs))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				got, gotP, gotCDF := Summarize(xs), Percentile(xs, 0.9), len(CDF(xs))
+				if !sameBits(got.Median, want.Median, false) || !sameBits(got.Mean, want.Mean, false) ||
+					!sameBits(gotP, wantP, false) || gotCDF != wantCDF {
+					t.Errorf("%d values: summary %+v, p90 %v, %d CDF points; want %+v, %v, %d", len(xs), got, gotP, gotCDF, want, wantP, wantCDF)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
