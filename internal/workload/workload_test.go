@@ -231,35 +231,62 @@ func TestPoissonGenReplays(t *testing.T) {
 	}
 }
 
-// TestDrawLeavesNextsState: n Draws leave the RNG state, the clock and
-// the count exactly where n Nexts leave them, and each Draw's arrival is
-// Next's without the size, whose quantile it returns — through the end
-// of the schedule (by horizon and by MaxFlows) and past it.
+// nextInLine is PoissonGen.Next as it was written before Draw split it:
+// the gap, the source, the destination and the size, drawn in line. It
+// is the reference Draw and Next are held to.
+func nextInLine(g *PoissonGen) (Arrival, bool) {
+	if g.ended || !(g.lambda > 0) || (g.cfg.MaxFlows > 0 && g.n >= g.cfg.MaxFlows) {
+		return Arrival{}, false
+	}
+	g.t = g.t.Add(sim.Seconds(g.RNG.ExpFloat64() / g.lambda))
+	if g.t > sim.Time(g.cfg.Duration) {
+		g.ended = true
+		return Arrival{}, false
+	}
+	src := g.RNG.Intn(g.cfg.Hosts)
+	dst := g.RNG.Intn(g.cfg.Hosts - 1)
+	if dst >= src {
+		dst++
+	}
+	g.n++
+	return Arrival{At: g.t, Src: src, Dst: dst, Size: g.cfg.CDF.Sample(g.RNG.Float64())}, true
+}
+
+// TestDrawLeavesNextsState: n Draws and n Nexts leave the RNG state, the
+// clock and the count exactly where n in-line draws leave them, and
+// each Draw's arrival is the in-line one without the size, whose
+// quantile it returns — through the end of the schedule (by horizon
+// and by MaxFlows) and past it.
 func TestDrawLeavesNextsState(t *testing.T) {
 	for _, cfg := range []PoissonConfig{
 		{Hosts: 32, HostLink: 10 * sim.Gbps, Load: 0.6, CDF: WebSearch(), Duration: 20 * sim.Millisecond},
 		{Hosts: 128, HostLink: 10 * sim.Gbps, Load: 0.3, CDF: Enterprise(), Duration: sim.Second, MaxFlows: 500},
 		{Hosts: 2, HostLink: sim.Gbps, Load: 0.9, CDF: Uniform(1500), Duration: sim.Millisecond},
 	} {
-		next, draw := NewPoisson(cfg, sim.NewRNG(5)), NewPoisson(cfg, sim.NewRNG(5))
+		ref, next, draw := NewPoisson(cfg, sim.NewRNG(5)), NewPoisson(cfg, sim.NewRNG(5)), NewPoisson(cfg, sim.NewRNG(5))
+		same := func(g *PoissonGen) bool {
+			return *g.RNG == *ref.RNG && g.t == ref.t && g.n == ref.n && g.ended == ref.ended
+		}
 		n := 0
 		for ; ; n++ {
+			want, ok := nextInLine(ref)
 			a, okA := next.Next()
 			b, u, okB := draw.Draw()
 			if okB {
 				b.Size = cfg.CDF.Sample(u)
 			}
-			if okA != okB || a != b || *next.RNG != *draw.RNG || next.t != draw.t || next.n != draw.n || next.ended != draw.ended {
-				t.Fatalf("%s, step %d: Next %+v (%v) and Draw %+v (%v) left different generators", cfg.CDF.Name(), n, a, okA, b, okB)
+			if okA != ok || okB != ok || a != want || b != want || !same(next) || !same(draw) {
+				t.Fatalf("%s, step %d: in line %+v (%v), Next %+v (%v), Draw %+v (%v): generators differ",
+					cfg.CDF.Name(), n, want, ok, a, okA, b, okB)
 			}
-			if !okA {
+			if !ok {
 				break
 			}
 		}
 		if n < 100 {
 			t.Fatalf("%s: %d arrivals, want a schedule worth comparing", cfg.CDF.Name(), n)
 		}
-		if _, _, ok := draw.Draw(); ok || *next.RNG != *draw.RNG {
+		if _, _, ok := draw.Draw(); ok || !same(draw) {
 			t.Errorf("%s: an ended generator drew", cfg.CDF.Name())
 		}
 	}
