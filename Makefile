@@ -93,7 +93,10 @@ obs-inline:
 # order and drops under enqueue/dequeue/drain interleavings), and
 # FuzzPreparedFill the prepared max-min (Prepare + Fill against the
 # one-shot WeightedMaxMin, bit for bit, on palette capacities that make
-# links alike). LEAP_FUZZTIME sets the first target's budget (CI's
+# links alike), and FuzzSortFloats the stats package's sort (its radix
+# path and sortFloats against sort.Float64s, element by element, on NaNs,
+# signed zeros, infinities and subnormals at lengths on both sides of the
+# radix cutoff). LEAP_FUZZTIME sets the first target's budget (CI's
 # fuzz-smoke job runs this target with 30s).
 LEAP_FUZZTIME ?= 60s
 fuzz:
@@ -105,6 +108,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s -fuzzminimizetime 2s ./internal/sim/
 	go test -run '^$$' -fuzz FuzzSTFQ -fuzztime 10s -fuzzminimizetime 2s ./internal/queue/
 	go test -run '^$$' -fuzz FuzzPreparedFill -fuzztime 10s -fuzzminimizetime 2s ./internal/oracle/
+	go test -run '^$$' -fuzz FuzzSortFloats -fuzztime 10s -fuzzminimizetime 2s ./internal/stats/
 
 # Fault-injection smoke: the leap fault test suite (property, analytic,
 # and lost-service identity tests) plus the end-to-end example —
@@ -119,13 +123,16 @@ fault-smoke:
 # the paper table (BenchmarkPaper: Table 1, Figures 2, 9 and 10) and of
 # each allocator-kernel ledger row (the prepared max-min's Fill,
 # ProportionalFair and FCTMin components, the Oracle through Allocate,
-# the power kernel against math.Pow) so the rows CHANGES.md quotes
-# cannot rot.
+# the power kernel against math.Pow, a million slowdowns sorted by radix
+# and by sort.Float64s, a web-search arrival drawn by PoissonGen.Draw and
+# by Next) so the rows CHANGES.md quotes cannot rot.
 bench-smoke:
 	go test -run '^$$' -bench 'BenchmarkLeapFCT$$' -benchtime 1x .
 	go test -run '^$$' -bench 'BenchmarkPaper/(table1|fig2|fig9|fig10)$$' -benchtime 1x .
 	go test -run '^$$' -bench 'MaxMinFill|XWISolve|DGDSolve|OracleSolve' -benchtime 1x ./internal/fluid/
 	go test -run '^$$' -bench AlphaKernel -benchtime 1x ./internal/core/
+	go test -run '^$$' -bench 'SortFloats/.*/n=1000000$$' -benchtime 3x ./internal/stats/
+	go test -run '^$$' -bench PoissonCount -benchtime 1000000x ./internal/workload/
 
 # The packet engine's layers in isolation: ns per event at fig7's gap
 # mix and ~675 pending, and ns per event piled into one calendar bucket
