@@ -219,7 +219,7 @@ func (t *Topology) fanOut() int             { return len(t.Spines) }
 func (t *Topology) network() *fluid.Network { return FluidNetwork(t) }
 
 // appendRoute appends the link ids of Route's forward path, read from
-// the id tables NewTopology built: no port, map or slice is touched.
+// the id tables NewTopology built, not from the ports' maps.
 func (t *Topology) appendRoute(buf []int, src, dst, pick int) []int {
 	if src == dst {
 		panic("harness: flow to self")
