@@ -10,8 +10,8 @@ import (
 	"numfabric/internal/sim"
 )
 
-// sortedSame reports whether got and want hold the same values in the
-// same places under ==, a NaN matching a NaN.
+// sortedSame returns the first index at which got and want hold values
+// that differ under ==, a NaN matching a NaN, or -1.
 func sortedSame(got, want []float64) int {
 	for i := range want {
 		if got[i] != want[i] && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
@@ -25,8 +25,8 @@ func sortedSame(got, want []float64) int {
 // side of radixCutoff, to sort.Float64s element by element. The input's
 // 8-byte words are the values, repeated rep times — even copies exactly
 // (ties), odd copies with their low mantissa bits perturbed — so a short
-// input reaches the long paths' lengths, with few distinct values or
-// many.
+// input reaches the long paths' lengths (up to 2^17 values), with few
+// distinct values or many.
 func FuzzSortFloats(f *testing.F) {
 	words := func(xs ...float64) []byte {
 		b := make([]byte, 8*len(xs))
@@ -47,12 +47,12 @@ func FuzzSortFloats(f *testing.F) {
 		if m == 0 {
 			return
 		}
-		n := m * (1 + int(rep%2048))
+		n := min(m*(1+int(rep%2048)), max(m, 1<<17))
 		xs := make([]float64, n)
 		for i := range xs {
 			b := binary.LittleEndian.Uint64(data[8*(i%m):])
-			if copy := i / m; copy%2 == 1 {
-				b ^= uint64(copy)
+			if c := i / m; c%2 == 1 {
+				b ^= uint64(c)
 			}
 			xs[i] = math.Float64frombits(b)
 		}
