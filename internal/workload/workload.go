@@ -21,8 +21,7 @@ type SizeCDF struct {
 	// logs[i] is math.Log(pts[i].bytes), taken once: a draw interpolates
 	// between two of them.
 	logs []float64
-	// mean is Mean's value where it is carried as a literal (the
-	// built-in workloads); 0 means Mean integrates.
+	// mean is Mean's value.
 	mean float64
 }
 
@@ -32,7 +31,7 @@ type cdfPoint struct {
 }
 
 // newSizeCDF builds a CDF from points sorted by probability; the
-// first point anchors the minimum size. mean is Mean as a literal, or 0.
+// first point anchors the minimum size. mean is what Mean returns.
 func newSizeCDF(name string, mean float64, pts []cdfPoint) *SizeCDF {
 	cp := append([]cdfPoint(nil), pts...)
 	sort.Slice(cp, func(i, j int) bool { return cp[i].p < cp[j].p })
@@ -83,43 +82,12 @@ func (c *SizeCDF) interpolate(i int, u float64) int64 {
 	return int64(math.Exp(logSize))
 }
 
-// Mean returns the distribution's mean flow size in bytes, defined by
-// numerical integration of the sampled inverse CDF: Sample at each of
-// 100,000 midpoints, summed in order. WebSearch and Enterprise carry
-// that sum's result as a literal (a test holds each to the integration
-// bit for bit); any other CDF integrates on every call.
-func (c *SizeCDF) Mean() float64 {
-	if c.mean != 0 {
-		return c.mean
-	}
-	return c.integrate()
-}
-
-// integrate is Mean by its definition. The midpoints rise, so the
-// segment that holds each one is found by walking on from the previous
-// one's.
-func (c *SizeCDF) integrate() float64 {
-	const steps = 100000
-	pts := c.pts
-	first, last := pts[0], pts[len(pts)-1]
-	sum := 0.0
-	seg := 1
-	for i := 0; i < steps; i++ {
-		u := (float64(i) + 0.5) / steps
-		switch {
-		case u <= first.p:
-			sum += float64(int64(first.bytes))
-		case u >= last.p:
-			sum += float64(int64(last.bytes))
-		default:
-			for pts[seg].p < u {
-				seg++
-			}
-			sum += float64(c.interpolate(seg, u))
-		}
-	}
-	return sum / steps
-}
+// Mean returns the distribution's mean flow size in bytes: for
+// WebSearch and Enterprise the numerical integration of the sampled
+// inverse CDF (Sample at each of 100,000 midpoints, summed in order),
+// carried as a literal that a test holds to the integration bit for
+// bit; for Uniform its size.
+func (c *SizeCDF) Mean() float64 { return c.mean }
 
 // WebSearch is the web-search cluster workload of [3] used in §6.1 and
 // §6.3: "about 50% of the flows are smaller than 100 KB, but 95% of
@@ -164,7 +132,7 @@ func Enterprise() *SizeCDF {
 // Uniform returns a degenerate CDF that always yields size bytes; it
 // makes deterministic tests easy.
 func Uniform(size int64) *SizeCDF {
-	return newSizeCDF("uniform", 0, []cdfPoint{{float64(size), 1}})
+	return newSizeCDF("uniform", float64(size), []cdfPoint{{float64(size), 1}})
 }
 
 // Arrival describes one flow arrival in a dynamic workload.
