@@ -21,11 +21,11 @@ func sortedSame(got, want []float64) int {
 	return -1
 }
 
-// FuzzSortFloats holds radixSort, countingSort, and sortFloats on either
-// side of radixCutoff, to sort.Float64s element by element. The input's
-// 8-byte words are the values, repeated rep times — even copies exactly
-// (ties), odd copies with their low mantissa bits perturbed — so a short
-// input reaches the long paths' lengths (up to 2^17 values), with few
+// FuzzSortFloats holds radixSort, and sortFloats on either side of
+// radixCutoff, to sort.Float64s element by element. The input's 8-byte
+// words are the values, repeated rep times — even copies exactly (ties),
+// odd copies with their low mantissa bits perturbed — so a short input
+// reaches the radix path's lengths (up to 2^17 values), with few
 // distinct values or many.
 func FuzzSortFloats(f *testing.F) {
 	words := func(xs ...float64) []byte {
@@ -63,14 +63,6 @@ func FuzzSortFloats(f *testing.F) {
 		if i := sortedSame(radix, want); i >= 0 {
 			t.Fatalf("radixSort of %d values: [%d] = %v, sort.Float64s has %v", n, i, radix[i], want[i])
 		}
-		counted := append([]float64(nil), xs...)
-		if countingSort(counted) {
-			if i := sortedSame(counted, want); i >= 0 {
-				t.Fatalf("countingSort of %d values: [%d] = %v, sort.Float64s has %v", n, i, counted[i], want[i])
-			}
-		} else if i := sortedSame(counted, xs); i >= 0 {
-			t.Fatalf("countingSort gave up on %d values but moved [%d]", n, i)
-		}
 		got := append([]float64(nil), xs...)
 		sortFloats(got)
 		if i := sortedSame(got, want); i >= 0 {
@@ -90,18 +82,37 @@ func slowdowns(n int) []float64 {
 	return xs
 }
 
-// BenchmarkSortFloats: ns per value to copy and sort n slowdowns by
-// radix and by sort.Float64s, and n values of which only 512 differ
-// (as a coflow play's slowdowns) by counting and by sort.Float64s. The
-// 1M rows are a million-flow play's Summarize; the short rows place
-// radixCutoff.
+// fewValues is n values taken from 512 slowdowns, each about 40 % less
+// often than the one before, so that they pile on a few, as a coflow
+// play's do: its 200 k slowdowns take 525 values, ten of them 85 %.
+func fewValues(n int) []float64 {
+	xs, rng := slowdowns(512), sim.NewRNG(2)
+	few := make([]float64, n)
+	for i := range few {
+		few[i] = xs[min(int(rng.ExpFloat64()*2), 511)]
+	}
+	return few
+}
+
+// TestRepeatsRoutesFewValues: sortFloats sends a million slowdowns to
+// the radix sort and a million fewValues to sort.Float64s, each the
+// faster there (BenchmarkSortFloats).
+func TestRepeatsRoutesFewValues(t *testing.T) {
+	if repeats(slowdowns(1_000_000)) {
+		t.Error("repeats: true on slowdowns, which radix-sort faster")
+	}
+	if !repeats(fewValues(1_000_000)) {
+		t.Error("repeats: false on fewValues, which sort.Float64s sorts faster")
+	}
+}
+
+// BenchmarkSortFloats: ns per value to copy and sort n slowdowns, and n
+// fewValues, by radix and by sort.Float64s. The 1M rows are a
+// million-flow play's Summarize and show why repeats sends fewValues to
+// sort.Float64s; the short rows place radixCutoff.
 func BenchmarkSortFloats(b *testing.B) {
 	for _, n := range []int{256, 512, 768, 1024, 2048, 1_000_000} {
-		xs := slowdowns(n)
-		few := make([]float64, n)
-		for i := range few {
-			few[i] = xs[i%512]
-		}
+		xs, few := slowdowns(n), fewValues(n)
 		s, scratch := make([]float64, n), make([]float64, n)
 		for _, c := range []struct {
 			name string
@@ -110,8 +121,8 @@ func BenchmarkSortFloats(b *testing.B) {
 		}{
 			{"radix", xs, func() { radixSort(s, scratch) }},
 			{"sort.Float64s", xs, func() { sort.Float64s(s) }},
-			{"counting,512-values", few, func() { countingSort(s) }},
-			{"sort.Float64s,512-values", few, func() { sort.Float64s(s) }},
+			{"radix,few-values", few, func() { radixSort(s, scratch) }},
+			{"sort.Float64s,few-values", few, func() { sort.Float64s(s) }},
 		} {
 			b.Run(fmt.Sprintf("%s/n=%d", c.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

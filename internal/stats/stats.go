@@ -3,13 +3,13 @@
 // filters rates with an 80 µs EWMA), percentiles, CDFs and histograms.
 //
 // Percentile, Summarize and CDF sort a copy of their sample through one
-// sort, sortFloats: sort.Float64s below radixCutoff values; from there a
-// counting sort when the sample holds at most fewValues distinct values,
-// and an LSD radix sort on order-preserving keys otherwise. All three
-// leave the sample in the same order up to values that compare equal,
-// so every quantile, mean and CDF point has the same bits whichever ran
-// (only the sign of a zero drawn from a sample holding both zeros, or
-// the payload of a NaN, can tell them apart). The copies and the radix
+// sort, sortFloats: an LSD radix sort on order-preserving keys from
+// radixCutoff values on, unless a probe finds the sample repeating
+// values, and sort.Float64s otherwise. Both leave the sample in the
+// same order up to values that compare equal, so every quantile, mean
+// and CDF point has the same bits whichever ran (only the sign of a
+// zero drawn from a sample holding both zeros, or the payload of a NaN,
+// can tell them apart). The copies and the radix
 // sort's scratch come from one pool.
 package stats
 
@@ -251,68 +251,38 @@ func sortedCopy(xs []float64) *[]float64 {
 // below it sort.Float64s is the faster of the two (BenchmarkSortFloats).
 const radixCutoff = 1024
 
-// fewValues is the most distinct values a sample may hold for sortFloats
-// to counting-sort it instead: a coflow play's slowdowns take a few
-// hundred values, on which sort.Float64s's equal-element partitions
-// beat the radix sort's eight fixed passes and a count beats both.
-const fewValues = 1024
-
 // sortFloats sorts s ascending with NaNs first, as sort.Float64s does.
+// A sample of radixCutoff values or more is radix-sorted unless it
+// repeats values.
 func sortFloats(s []float64) {
-	switch {
-	case len(s) < radixCutoff:
+	if len(s) < radixCutoff || repeats(s) {
 		sort.Float64s(s)
-	case !countingSort(s):
-		scratch := getFloats(len(s))
-		radixSort(s, *scratch)
-		buffers.Put(scratch)
+		return
 	}
+	scratch := getFloats(len(s))
+	radixSort(s, *scratch)
+	buffers.Put(scratch)
 }
 
-// countingSort sorts s, and reports true, if s holds at most fewValues
-// distinct values (by bits): it counts each in an open-addressed table,
-// sorts the distinct values and writes each out as often as it was
-// counted. Past fewValues it stops and returns false with s untouched.
-func countingSort(s []float64) bool {
-	const bits = 11 // 2048 slots: a table at most half full
-	var (
-		keys  [1 << bits]uint64
-		count [1 << bits]int // 0 marks an empty slot
-	)
-	slot := func(b uint64) uint64 {
-		i := b * 0x9e3779b97f4a7c15 >> (64 - bits)
-		for count[i] != 0 && keys[i] != b {
-			i = (i + 1) & (1<<bits - 1)
-		}
-		return i
+// repeats reports whether fewer than half of 64 values read from s at
+// an even stride differ. Such a sample (a coflow play's slowdowns take
+// a few hundred values) sorts faster by sort.Float64s, whose
+// equal-element partitions shrink it, than by the radix sort's fixed
+// passes (BenchmarkSortFloats).
+func repeats(s []float64) bool {
+	const probe = 64
+	var p [probe]float64
+	for i := range p {
+		p[i] = s[i*len(s)/probe]
 	}
-	distinct := 0
-	for _, x := range s {
-		b := math.Float64bits(x)
-		i := slot(b)
-		if count[i] == 0 {
-			if distinct++; distinct > fewValues {
-				return false
-			}
-			keys[i] = b
-		}
-		count[i]++
-	}
-	values := make([]float64, 0, distinct)
-	for i, c := range count {
-		if c != 0 {
-			values = append(values, math.Float64frombits(keys[i]))
+	sort.Float64s(p[:])
+	differ := 1
+	for i := 1; i < probe; i++ {
+		if p[i] != p[i-1] {
+			differ++
 		}
 	}
-	sort.Float64s(values)
-	at := 0
-	for _, v := range values {
-		for c := count[slot(math.Float64bits(v))]; c > 0; c-- {
-			s[at] = v
-			at++
-		}
-	}
-	return true
+	return differ < probe/2
 }
 
 // floatKey maps x to a uint64 whose unsigned order is x's numeric
