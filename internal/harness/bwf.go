@@ -63,7 +63,24 @@ func newBWFFabric(meterTau sim.Duration) *packetFabric {
 }
 
 func runBWFOnce(capacity sim.BitRate, alpha float64, measure sim.Duration) BWFPoint {
-	sub := newBWFFabric(200 * sim.Microsecond)
+	sub, f1, f2 := newBWFSweepNet(capacity, alpha)
+	sub.run(sim.Time(measure))
+
+	want := oracle.BwESingleLink(capacity.Float(),
+		[]*core.BandwidthFunction{Fig2Flow1(), Fig2Flow2()})
+	return BWFPoint{
+		Capacity: capacity.Float(),
+		Flow1:    sub.rate(f1),
+		Flow2:    sub.rate(f2),
+		Want1:    want[0],
+		Want2:    want[1],
+	}
+}
+
+// newBWFSweepNet wires Figure 9's network at the given bottleneck
+// capacity and starts its two flows.
+func newBWFSweepNet(capacity sim.BitRate, alpha float64) (sub *packetFabric, f1, f2 int) {
+	sub = newBWFFabric(200 * sim.Microsecond)
 	net := sub.net
 
 	// src1, src2 --40G--> s1 --capacity--> s2 --40G--> dst1, dst2.
@@ -81,19 +98,9 @@ func runBWFOnce(capacity sim.BitRate, alpha float64, measure sim.Duration) BWFPo
 	b2, _ := net.Connect(s2, dst2, 40*sim.Gbps, d)
 	sub.scheme.AttachAgents(net)
 
-	f1 := sub.start([][]int{{a1.LinkID, mid.LinkID, b1.LinkID}}, core.NewBWUtility(Fig2Flow1(), alpha), false)
-	f2 := sub.start([][]int{{a2.LinkID, mid.LinkID, b2.LinkID}}, core.NewBWUtility(Fig2Flow2(), alpha), false)
-	sub.run(sim.Time(measure))
-
-	want := oracle.BwESingleLink(capacity.Float(),
-		[]*core.BandwidthFunction{Fig2Flow1(), Fig2Flow2()})
-	return BWFPoint{
-		Capacity: capacity.Float(),
-		Flow1:    sub.rate(f1),
-		Flow2:    sub.rate(f2),
-		Want1:    want[0],
-		Want2:    want[1],
-	}
+	f1 = sub.start([][]int{{a1.LinkID, mid.LinkID, b1.LinkID}}, core.NewBWUtility(Fig2Flow1(), alpha), false)
+	f2 = sub.start([][]int{{a2.LinkID, mid.LinkID, b2.LinkID}}, core.NewBWUtility(Fig2Flow2(), alpha), false)
+	return sub, f1, f2
 }
 
 // BWFPoolSample is one time-series sample of Figure 10.
@@ -109,7 +116,19 @@ type BWFPoolSample struct {
 // apply the Figure 2 bandwidth functions to each flow's aggregate
 // rate. Expected: (10, 3) before the step, (15, 10) after.
 func RunBWFPooling(alpha float64, switchAt, runFor sim.Duration, sampleEvery sim.Duration) []BWFPoolSample {
-	sub := newBWFFabric(300 * sim.Microsecond)
+	sub, flowA, flowB := newBWFPoolNet(alpha, switchAt)
+	var samples []BWFPoolSample
+	sub.eng.Every(sim.Time(sampleEvery), sampleEvery, func() {
+		samples = append(samples, BWFPoolSample{At: sub.eng.Now(), Flow1: sub.rate(flowA), Flow2: sub.rate(flowB)})
+	})
+	sub.run(sim.Time(runFor))
+	return samples
+}
+
+// newBWFPoolNet wires Figure 10's network, starts its two pooled flows
+// and schedules the middle link's capacity step.
+func newBWFPoolNet(alpha float64, switchAt sim.Duration) (sub *packetFabric, flowA, flowB int) {
+	sub = newBWFFabric(300 * sim.Microsecond)
 	net := sub.net
 
 	srcA := net.NewNode("srcA")
@@ -133,9 +152,9 @@ func RunBWFPooling(alpha float64, switchAt, runFor sim.Duration, sampleEvery sim
 	sub.scheme.AttachAgents(net)
 
 	// Each flow pools its private path with the shared one.
-	flowA := sub.start([][]int{{topA.LinkID}, {inA.LinkID, mid.LinkID, outA.LinkID}},
+	flowA = sub.start([][]int{{topA.LinkID}, {inA.LinkID, mid.LinkID, outA.LinkID}},
 		core.NewBWUtility(Fig2Flow1(), alpha), true)
-	flowB := sub.start([][]int{{botB.LinkID}, {inB.LinkID, mid.LinkID, outB.LinkID}},
+	flowB = sub.start([][]int{{botB.LinkID}, {inB.LinkID, mid.LinkID, outB.LinkID}},
 		core.NewBWUtility(Fig2Flow2(), alpha), true)
 
 	// Capacity step: X = 5 → 17 Gb/s (both directions of the cable).
@@ -143,11 +162,5 @@ func RunBWFPooling(alpha float64, switchAt, runFor sim.Duration, sampleEvery sim
 		mid.Rate = 17 * sim.Gbps
 		midR.Rate = 17 * sim.Gbps
 	})
-
-	var samples []BWFPoolSample
-	sub.eng.Every(sim.Time(sampleEvery), sampleEvery, func() {
-		samples = append(samples, BWFPoolSample{At: sub.eng.Now(), Flow1: sub.rate(flowA), Flow2: sub.rate(flowB)})
-	})
-	sub.run(sim.Time(runFor))
-	return samples
+	return sub, flowA, flowB
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"testing"
 
@@ -231,10 +230,11 @@ func TestParseEngineHostileInput(t *testing.T) {
 }
 
 // TestAppendRouteMatchesRoute: the leaf-spine fabric's appendRoute, what
-// playArrivals routes every arrival with, appends exactly the link ids
-// of Route's forward path, for every host pair and spine pick of
-// PaperTopology and ScaledTopology (a pick past the spine count wraps,
-// as in Route).
+// playArrivals routes every arrival with, appends a path that walks the
+// fabric from host src to host dst — each link leaves the node the one
+// before it reached — crossing spine pick % Spines when the hosts' leaves
+// differ, for every host pair and spine pick of PaperTopology and
+// ScaledTopology.
 func TestAppendRouteMatchesRoute(t *testing.T) {
 	for _, cfg := range []TopologyConfig{PaperTopology(), ScaledTopology()} {
 		topo := NewFluidTopology(cfg)
@@ -245,15 +245,44 @@ func TestAppendRouteMatchesRoute(t *testing.T) {
 					continue
 				}
 				for pick := 0; pick <= len(topo.Spines); pick++ {
-					fwd, _ := topo.Route(src, dst, pick)
-					want := PathLinkIDs(fwd)
 					got := topo.appendRoute(buf[:1], src, dst, pick)
-					if got[0] != -1 || !slices.Equal(got[1:], want) {
-						t.Fatalf("%d hosts: appendRoute(%d, %d, %d) = %v after the buffer's -1, want %v",
-							len(topo.Hosts), src, dst, pick, got[1:], want)
+					if got[0] != -1 {
+						t.Fatalf("appendRoute(%d, %d, %d) overwrote the buffer's -1: %v", src, dst, pick, got)
+					}
+					if err := walkRoute(topo, src, dst, pick, got[1:]); err != nil {
+						t.Fatalf("%d hosts: appendRoute(%d, %d, %d) = %v: %v", len(topo.Hosts), src, dst, pick, got[1:], err)
 					}
 				}
 			}
 		}
 	}
+}
+
+// walkRoute checks that path leads from host src to host dst over
+// chained links: two on one leaf, else four through spine pick % Spines.
+func walkRoute(topo *Topology, src, dst, pick int, path []int) error {
+	at := topo.Hosts[src]
+	for i, id := range path {
+		l := topo.Net.Links[id]
+		if l.Node != at {
+			return fmt.Errorf("link %d leaves %s, not %s where link %d arrived", id, l.Node.Name, at.Name, i-1)
+		}
+		at = l.Peer
+	}
+	if at != topo.Hosts[dst] {
+		return fmt.Errorf("arrives at %s, not host %d", at.Name, dst)
+	}
+	if src/topo.HostsPerLeaf == dst/topo.HostsPerLeaf {
+		if len(path) != 2 {
+			return fmt.Errorf("%d links on one leaf, want 2", len(path))
+		}
+		return nil
+	}
+	if len(path) != 4 {
+		return fmt.Errorf("%d links across leaves, want 4", len(path))
+	}
+	if sp := topo.Net.Links[path[1]].Peer; sp != topo.Spines[pick%len(topo.Spines)] {
+		return fmt.Errorf("crosses %s, want spine %d", sp.Name, pick%len(topo.Spines))
+	}
+	return nil
 }

@@ -173,6 +173,58 @@ func TestTopologyRoutesAreConsistent(t *testing.T) {
 	}
 }
 
+// TestPacketFlowsReverseTheirCables: every packet flow the harness wires
+// — started on the leaf-spine packet fabric, made by Topology.NewFlow,
+// or started on the hand-wired Figure 9 and 10 networks — runs from its
+// first link's node to its last link's peer, and its ACKs return over
+// the same cables: Rev[k-1-i] is Path[i] with Node and Peer swapped.
+func TestPacketFlowsReverseTheirCables(t *testing.T) {
+	tc := ScaledTopology()
+	sub := newPacketFabric(tc, DefaultConfig(NUMFabric, tc))
+	var paths [][]int
+	for src := range sub.topo.Hosts {
+		for dst := range sub.topo.Hosts {
+			for pick := 0; src != dst && pick <= tc.Spines; pick++ {
+				paths = append(paths, sub.topo.appendRoute(nil, src, dst, pick))
+			}
+		}
+	}
+	sub.start(paths, core.ProportionalFair(), false)
+
+	paper := NewFluidTopology(PaperTopology())
+	for src := range paper.Hosts {
+		for dst := range paper.Hosts {
+			for pick := 0; src != dst && pick <= len(paper.Spines); pick++ {
+				paper.NewFlow(src, dst, pick, 0)
+			}
+		}
+	}
+	fig9, _, _ := newBWFSweepNet(10*sim.Gbps, 5)
+	fig10, _, _ := newBWFPoolNet(5, sim.Millisecond)
+
+	for _, c := range []struct {
+		name string
+		net  *netsim.Network
+		want int
+	}{{"leaf-spine", sub.net, len(paths)}, {"Topology.NewFlow", paper.Net, 128 * 127 * 5}, {"fig9", fig9.net, 2}, {"fig10", fig10.net, 4}} {
+		if len(c.net.Flows) != c.want {
+			t.Fatalf("%s: %d flows, want %d", c.name, len(c.net.Flows), c.want)
+		}
+		for _, f := range c.net.Flows {
+			k := len(f.Path)
+			if len(f.Rev) != k || f.Src != f.Path[0].Node || f.Dst != f.Path[k-1].Peer {
+				t.Fatalf("%s flow %d: %s→%s over %d links, %d back", c.name, f.ID, f.Src.Name, f.Dst.Name, k, len(f.Rev))
+			}
+			for i, p := range f.Path {
+				if r := f.Rev[k-1-i]; r.Node != p.Peer || r.Peer != p.Node {
+					t.Fatalf("%s flow %d: Rev[%d] is link %d %s→%s, want link %d %s→%s reversed",
+						c.name, f.ID, k-1-i, r.LinkID, r.Node.Name, r.Peer.Name, p.LinkID, p.Node.Name, p.Peer.Name)
+				}
+			}
+		}
+	}
+}
+
 func TestBaseRTTMatchesPaper(t *testing.T) {
 	// The paper's network RTT is 16 µs; our derived d0 should be close.
 	rtt := PaperTopology().BaseRTT()

@@ -133,3 +133,21 @@ func TestFlowWithoutSenderPanics(t *testing.T) {
 	}()
 	f.Start()
 }
+
+// TestConnectPairsCableDirections: the k-th Connect numbers its cable's
+// two directions 2k and 2k+1, so link l's reverse is link l^1.
+func TestConnectPairsCableDirections(t *testing.T) {
+	net := netsim.NewNetwork(sim.NewEngine())
+	net.QueueFactory = dropTailFactory
+	nodes := []*netsim.Node{net.NewNode("a"), net.NewNode("b"), net.NewNode("c")}
+	for k, pair := range [][2]int{{0, 1}, {1, 2}, {2, 0}, {0, 1}, {1, 1}} {
+		a, b := nodes[pair[0]], nodes[pair[1]]
+		ab, ba := net.Connect(a, b, 10*sim.Gbps, sim.Microsecond)
+		if ab.LinkID != 2*k || ba.LinkID != 2*k+1 {
+			t.Fatalf("Connect %d: ids %d, %d, want %d, %d", k, ab.LinkID, ba.LinkID, 2*k, 2*k+1)
+		}
+		if net.Links[ab.LinkID] != ab || net.Links[ba.LinkID] != ba || ab.Node != a || ab.Peer != b || ba.Node != b || ba.Peer != a {
+			t.Fatalf("Connect %d: ports %v, %v are not a→b, b→a at their ids", k, ab, ba)
+		}
+	}
+}
