@@ -46,7 +46,10 @@ type BWFPoint struct {
 func RunBWFCapacitySweep(capacities []sim.BitRate, alpha float64, measure sim.Duration) []BWFPoint {
 	var out []BWFPoint
 	for _, c := range capacities {
-		out = append(out, runBWFOnce(c, alpha, measure))
+		sub, f1, f2 := newBWFSweepNet(c, alpha)
+		sub.run(sim.Time(measure))
+		want := oracle.BwESingleLink(c.Float(), []*core.BandwidthFunction{Fig2Flow1(), Fig2Flow2()})
+		out = append(out, BWFPoint{Capacity: c.Float(), Flow1: sub.rate(f1), Flow2: sub.rate(f2), Want1: want[0], Want2: want[1]})
 	}
 	return out
 }
@@ -60,21 +63,6 @@ func newBWFFabric(meterTau sim.Duration) *packetFabric {
 	sub := newPacketNet(scheme)
 	sub.meterTau = meterTau
 	return sub
-}
-
-func runBWFOnce(capacity sim.BitRate, alpha float64, measure sim.Duration) BWFPoint {
-	sub, f1, f2 := newBWFSweepNet(capacity, alpha)
-	sub.run(sim.Time(measure))
-
-	want := oracle.BwESingleLink(capacity.Float(),
-		[]*core.BandwidthFunction{Fig2Flow1(), Fig2Flow2()})
-	return BWFPoint{
-		Capacity: capacity.Float(),
-		Flow1:    sub.rate(f1),
-		Flow2:    sub.rate(f2),
-		Want1:    want[0],
-		Want2:    want[1],
-	}
 }
 
 // newBWFSweepNet wires Figure 9's network at the given bottleneck

@@ -122,7 +122,7 @@ func RunSemiDynamicWith(eng Engine, cfg SemiDynamicConfig) SemiDynamicResult {
 		return r.run()
 	}
 	topo := NewFluidTopology(cfg.Topo)
-	sub := &epochFabric{eng: fluid.NewEngine(FluidNetwork(topo), fluid.Config{
+	sub := &epochFabric{eng: fluid.NewEngine(topo.network(), fluid.Config{
 		Epoch:     FluidEpochFor(cfg.Scheme),
 		Allocator: FluidAllocatorFor(cfg.Scheme),
 	})}
@@ -200,8 +200,7 @@ func (r *semiDynamicRun[T]) applyEvent(start bool, n int) {
 		for i := 0; i < n; i++ {
 			pi := r.rng.Intn(len(r.pairs))
 			pr := r.pairs[pi]
-			fwd, _ := r.topo.Route(pr[0], pr[1], r.spines[pi])
-			links := PathLinkIDs(fwd)
+			links := r.topo.Route(pr[0], pr[1], r.spines[pi])
 			u := core.NewAlphaFair(r.cfg.Alpha)
 			r.active = append(r.active, sdFlow{r.sub.start([][]int{links}, u, false), links, u})
 		}

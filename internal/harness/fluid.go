@@ -46,14 +46,6 @@ func ParseEngine(s string) (Engine, error) {
 		s, strings.Join(EngineNames, ", "))
 }
 
-// FluidNetwork adapts a built Topology to the fluid engine's network
-// view: the same directed-link capacity vector, indexed by the same
-// LinkIDs that Topology.Route paths and oracle problems use, so routes
-// and oracle solutions carry over between engines unchanged.
-func FluidNetwork(t *Topology) *fluid.Network {
-	return fluid.NewNetwork(t.Net.Capacities())
-}
-
 // NewFluidTopology builds a Topology used purely as the fluid engine's
 // link-ID and route map: no packets ever flow, so the queue factory is
 // a stub that satisfies netsim's construction invariant.

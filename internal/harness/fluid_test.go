@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,8 +26,7 @@ func TestFluidLeafSpineGolden(t *testing.T) {
 	var paths [][]int
 	var utils []core.Utility
 	for i, pr := range pairs {
-		fwd, _ := topo.Route(pr[0], pr[1], pr[2])
-		paths = append(paths, PathLinkIDs(fwd))
+		paths = append(paths, topo.Route(pr[0], pr[1], pr[2]))
 		if i%2 == 0 {
 			utils = append(utils, core.ProportionalFair())
 		} else {
@@ -40,7 +40,7 @@ func TestFluidLeafSpineGolden(t *testing.T) {
 	}
 	want := oracle.Solve(p, oracle.SolveOptions{}).Rates
 
-	feng := fluid.NewEngine(FluidNetwork(topo), fluid.Config{
+	feng := fluid.NewEngine(topo.network(), fluid.Config{
 		Epoch:     100e-6,
 		Allocator: &fluid.XWI{IterPerEpoch: 4},
 	})
@@ -234,7 +234,7 @@ func TestParseEngineHostileInput(t *testing.T) {
 // fabric from host src to host dst — each link leaves the node the one
 // before it reached — crossing spine pick % Spines when the hosts' leaves
 // differ, for every host pair and spine pick of PaperTopology and
-// ScaledTopology.
+// ScaledTopology; Route returns the same ids.
 func TestAppendRouteMatchesRoute(t *testing.T) {
 	for _, cfg := range []TopologyConfig{PaperTopology(), ScaledTopology()} {
 		topo := NewFluidTopology(cfg)
@@ -251,6 +251,9 @@ func TestAppendRouteMatchesRoute(t *testing.T) {
 					}
 					if err := walkRoute(topo, src, dst, pick, got[1:]); err != nil {
 						t.Fatalf("%d hosts: appendRoute(%d, %d, %d) = %v: %v", len(topo.Hosts), src, dst, pick, got[1:], err)
+					}
+					if route := topo.Route(src, dst, pick); !slices.Equal(route, got[1:]) {
+						t.Fatalf("Route(%d, %d, %d) = %v, appendRoute %v", src, dst, pick, route, got[1:])
 					}
 				}
 			}

@@ -155,9 +155,10 @@ func TestTopologyRoutesAreConsistent(t *testing.T) {
 	if len(topo.Hosts) != tc.Leaves*tc.HostsPerLeaf {
 		t.Fatalf("%d hosts", len(topo.Hosts))
 	}
-	// Cross-leaf route has 4 hops, intra-leaf 2, and the reverse path
-	// mirrors the forward path's cables.
-	fwd, rev := topo.Route(0, 9, 1)
+	// Cross-leaf route has 4 hops, intra-leaf 2, and the flow's reverse
+	// path mirrors the forward path's cables.
+	f := topo.NewFlow(0, 9, 1, 0)
+	fwd, rev := f.Path, f.Rev
 	if len(fwd) != 4 || len(rev) != 4 {
 		t.Fatalf("cross-leaf hops fwd=%d rev=%d", len(fwd), len(rev))
 	}
@@ -167,8 +168,7 @@ func TestTopologyRoutesAreConsistent(t *testing.T) {
 			t.Errorf("hop %d: fwd %v not mirrored by rev %v", i, fwd[i], rev[j])
 		}
 	}
-	fwd2, _ := topo.Route(0, 1, 0)
-	if len(fwd2) != 2 {
+	if fwd2 := topo.Route(0, 1, 0); len(fwd2) != 2 {
 		t.Errorf("intra-leaf hops = %d, want 2", len(fwd2))
 	}
 }

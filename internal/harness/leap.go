@@ -221,7 +221,7 @@ func RunIncastLeap(cfg IncastConfig) IncastResult {
 	spines := ecmpPicks(topo, len(arrivals), rng)
 
 	d0 := cfg.Topo.BaseRTT().Seconds()
-	leng := leap.NewEngine(FluidNetwork(topo), leap.Config{
+	leng := leap.NewEngine(topo.network(), leap.Config{
 		Allocator: LeapAllocatorFor(cfg.Scheme),
 		Obs:       cfg.Obs,
 	})

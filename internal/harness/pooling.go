@@ -106,9 +106,7 @@ func poolingPairs(topo *Topology, cfg PoolingConfig, rng *sim.RNG) [][][]int {
 	paths := make([][][]int, len(pairs))
 	for pi, pr := range pairs {
 		for s := 0; s < cfg.Subflows; s++ {
-			spine := rng.Intn(cfg.Topo.Spines)
-			fwd, _ := topo.Route(pr[0], pr[1], spine)
-			paths[pi] = append(paths[pi], PathLinkIDs(fwd))
+			paths[pi] = append(paths[pi], topo.Route(pr[0], pr[1], rng.Intn(cfg.Topo.Spines)))
 		}
 	}
 	return paths
@@ -130,7 +128,7 @@ func RunPoolingWith(eng Engine, cfg PoolingConfig) PoolingResult {
 		return runPooling(sub, paths, cfg.Pooling, optimal, func() { sub.run(sim.Time(cfg.Measure)) })
 	}
 	topo := NewFluidTopology(cfg.Topo)
-	feng := fluid.NewEngine(FluidNetwork(topo), fluid.Config{
+	feng := fluid.NewEngine(topo.network(), fluid.Config{
 		Epoch:     FluidEpochFor(scheme),
 		Allocator: FluidAllocatorFor(scheme),
 	})

@@ -111,28 +111,12 @@ func newPacketFabric(topo TopologyConfig, scheme SchemeConfig) *packetFabric {
 	return p
 }
 
-// newFlow registers a flow on the forward path links; the reverse path
-// crosses the same cables the other way.
-func (p *packetFabric) newFlow(links []int, size int64) *netsim.Flow {
-	n := len(links)
-	fwd, rev := make([]*netsim.Port, n), make([]*netsim.Port, n)
-	for i, id := range links {
-		fwd[i] = p.net.Links[id]
-		for _, back := range fwd[i].Peer.Ports {
-			if back.Peer == fwd[i].Node {
-				rev[n-1-i] = back
-			}
-		}
-	}
-	return p.net.NewFlow(fwd[0].Node, fwd[n-1].Peer, fwd, rev, size)
-}
-
 func (p *packetFabric) admit(links []int, u core.Utility, size int64, at sim.Time) {
 	i := len(p.admitted)
 	p.admitted = append(p.admitted, nil)
 	links = append([]int(nil), links...)
 	p.eng.Schedule(at, func() {
-		f := p.newFlow(links, size)
+		f := p.net.NewFlow(links, size)
 		p.admitted[i] = f
 		p.scheme.AttachSender(p.net, f, u)
 		f.Start()
@@ -163,7 +147,7 @@ func (p *packetFabric) start(paths [][]int, u core.Utility, pooled bool) int {
 	}
 	flows := make([]*netsim.Flow, len(paths))
 	for i, links := range paths {
-		f := p.newFlow(links, 0)
+		f := p.net.NewFlow(links, 0)
 		s := p.scheme.AttachSender(p.net, f, u)
 		if pooled {
 			agg.Add(s.(*transport.NUMFabricSender))

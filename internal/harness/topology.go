@@ -24,14 +24,11 @@ import (
 type Topology struct {
 	Net    *netsim.Network
 	Hosts  []*netsim.Node
-	Leaves []*netsim.Node
 	Spines []*netsim.Node
 
 	HostsPerLeaf int
 	hostRate     sim.BitRate
 
-	// adj[a][b] is the egress port from node a to adjacent node b.
-	adj map[*netsim.Node]map[*netsim.Node]*netsim.Port
 	// The directed-link ids appendRoute reads: host h's link up to its
 	// leaf and down from it, and leaf l's link up to spine s
 	// (leafUp[l][s]) and down from it (leafDown[l][s]).
@@ -95,29 +92,27 @@ func (c TopologyConfig) BaseRTT() sim.Duration {
 	return d
 }
 
-// NewTopology builds the fabric on net.
+// NewTopology builds the fabric on net. It panics unless every count
+// of cfg is at least 1.
 func NewTopology(net *netsim.Network, cfg TopologyConfig) *Topology {
-	t := &Topology{
-		Net:          net,
-		HostsPerLeaf: cfg.HostsPerLeaf,
-		hostRate:     cfg.HostLink,
-		adj:          make(map[*netsim.Node]map[*netsim.Node]*netsim.Port),
+	if cfg.Leaves < 1 || cfg.Spines < 1 || cfg.HostsPerLeaf < 1 {
+		panic(fmt.Sprintf("harness: NewTopology: Leaves = %d, Spines = %d, HostsPerLeaf = %d; want each ≥ 1", cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf))
 	}
+	t := &Topology{Net: net, HostsPerLeaf: cfg.HostsPerLeaf, hostRate: cfg.HostLink}
 	for s := 0; s < cfg.Spines; s++ {
 		t.Spines = append(t.Spines, net.NewNode(fmt.Sprintf("spine%d", s)))
 	}
 	for l := 0; l < cfg.Leaves; l++ {
 		leaf := net.NewNode(fmt.Sprintf("leaf%d", l))
-		t.Leaves = append(t.Leaves, leaf)
 		for h := 0; h < cfg.HostsPerLeaf; h++ {
 			host := net.NewNode(fmt.Sprintf("h%d", l*cfg.HostsPerLeaf+h))
 			t.Hosts = append(t.Hosts, host)
-			up, down := t.connect(host, leaf, cfg.HostLink, cfg.LinkDelay)
+			up, down := net.Connect(host, leaf, cfg.HostLink, cfg.LinkDelay)
 			t.hostUp, t.hostDown = append(t.hostUp, up.LinkID), append(t.hostDown, down.LinkID)
 		}
 		ups, downs := make([]int, cfg.Spines), make([]int, cfg.Spines)
 		for s, spine := range t.Spines {
-			up, down := t.connect(leaf, spine, cfg.SpineLink, cfg.LinkDelay)
+			up, down := net.Connect(leaf, spine, cfg.SpineLink, cfg.LinkDelay)
 			ups[s], downs[s] = up.LinkID, down.LinkID
 		}
 		t.leafUp, t.leafDown = append(t.leafUp, ups), append(t.leafDown, downs)
@@ -125,77 +120,23 @@ func NewTopology(net *netsim.Network, cfg TopologyConfig) *Topology {
 	return t
 }
 
-// connect links a and b both ways and returns the a→b and b→a ports.
-func (t *Topology) connect(a, b *netsim.Node, rate sim.BitRate, delay sim.Duration) (ab, ba *netsim.Port) {
-	ab, ba = t.Net.Connect(a, b, rate, delay)
-	if t.adj[a] == nil {
-		t.adj[a] = make(map[*netsim.Node]*netsim.Port)
+// Route returns the directed-link ids of the path from host src to
+// host dst, crossing spine spine % Spines when their leaves differ
+// (spine selects the ECMP path for multipath experiments). It panics
+// naming a host outside the fabric or a negative spine.
+func (t *Topology) Route(src, dst, spine int) []int {
+	switch n := len(t.Hosts); {
+	case src < 0 || src >= n || dst < 0 || dst >= n:
+		panic(fmt.Sprintf("harness: Route: hosts %d→%d, want both in [0, %d)", src, dst, n))
+	case spine < 0:
+		panic(fmt.Sprintf("harness: Route: spine %d, want ≥ 0", spine))
 	}
-	if t.adj[b] == nil {
-		t.adj[b] = make(map[*netsim.Node]*netsim.Port)
-	}
-	t.adj[a][b] = ab
-	t.adj[b][a] = ba
-	return ab, ba
-}
-
-// LeafOf returns the leaf switch of host index h.
-func (t *Topology) LeafOf(h int) *netsim.Node {
-	return t.Leaves[h/t.HostsPerLeaf]
-}
-
-// Port returns the egress port from a to adjacent b.
-func (t *Topology) Port(a, b *netsim.Node) *netsim.Port {
-	p := t.adj[a][b]
-	if p == nil {
-		panic(fmt.Sprintf("harness: no link %s->%s", a, b))
-	}
-	return p
-}
-
-// Route computes the forward and reverse source routes between host
-// indices src and dst, crossing the given spine (ignored when both
-// hosts share a leaf). spine selects the ECMP path for multipath
-// experiments.
-func (t *Topology) Route(src, dst, spine int) (fwd, rev []*netsim.Port) {
-	if src == dst {
-		panic("harness: flow to self")
-	}
-	hs, hd := t.Hosts[src], t.Hosts[dst]
-	ls, ld := t.LeafOf(src), t.LeafOf(dst)
-	if ls == ld {
-		fwd = []*netsim.Port{t.Port(hs, ls), t.Port(ls, hd)}
-		rev = []*netsim.Port{t.Port(hd, ld), t.Port(ld, hs)}
-		return fwd, rev
-	}
-	sp := t.Spines[spine%len(t.Spines)]
-	fwd = []*netsim.Port{t.Port(hs, ls), t.Port(ls, sp), t.Port(sp, ld), t.Port(ld, hd)}
-	rev = []*netsim.Port{t.Port(hd, ld), t.Port(ld, sp), t.Port(sp, ls), t.Port(ls, hs)}
-	return fwd, rev
+	return t.appendRoute(nil, src, dst, spine)
 }
 
 // NewFlow registers a flow between host indices via the chosen spine.
 func (t *Topology) NewFlow(src, dst, spine int, size int64) *netsim.Flow {
-	fwd, rev := t.Route(src, dst, spine)
-	return t.Net.NewFlow(t.Hosts[src], t.Hosts[dst], fwd, rev, size)
-}
-
-// PathLinkIDs converts a port path to the LinkID form Oracle problems
-// use.
-func PathLinkIDs(path []*netsim.Port) []int {
-	return AppendPathLinkIDs(nil, path)
-}
-
-// AppendPathLinkIDs is PathLinkIDs into a reusable buffer: it appends
-// path's link ids to dst and returns the extended slice. Drivers that
-// feed engines which copy the path on admission (the leap engine's
-// table arena, the epoch engine's NewFlow) reuse one buffer across
-// every AddFlow instead of allocating a fresh slice per flow.
-func AppendPathLinkIDs(dst []int, path []*netsim.Port) []int {
-	for _, p := range path {
-		dst = append(dst, p.LinkID)
-	}
-	return dst
+	return t.Net.NewFlow(t.Route(src, dst, spine), size)
 }
 
 // fabric is what the dynamic family needs of a topology — the
@@ -216,10 +157,11 @@ type fabric interface {
 func (t *Topology) hosts() int              { return len(t.Hosts) }
 func (t *Topology) hostLink() sim.BitRate   { return t.hostRate }
 func (t *Topology) fanOut() int             { return len(t.Spines) }
-func (t *Topology) network() *fluid.Network { return FluidNetwork(t) }
+func (t *Topology) network() *fluid.Network { return fluid.NewNetwork(t.Net.Capacities()) }
 
-// appendRoute appends the link ids of Route's forward path, read from
-// the id tables NewTopology built, not from the ports' maps.
+// appendRoute appends the link ids of Route's path, read from the id
+// tables NewTopology built, to buf. It leaves the range checks to Route:
+// playArrivals draws its hosts and picks in range.
 func (t *Topology) appendRoute(buf []int, src, dst, pick int) []int {
 	if src == dst {
 		panic("harness: flow to self")

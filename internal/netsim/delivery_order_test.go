@@ -154,7 +154,7 @@ func runIncast(t *testing.T) *deliveryObserver {
 	}
 	sw := net.NewNode("S")
 	recv := net.NewNode("R")
-	sr, rs := net.Connect(sw, recv, 10*sim.Gbps, 20*sim.Microsecond)
+	sr, _ := net.Connect(sw, recv, 10*sim.Gbps, 20*sim.Microsecond)
 	const hosts = 4
 	for i := 0; i < hosts; i++ {
 		h := net.NewNode(fmt.Sprintf("H%d", i))
@@ -162,8 +162,8 @@ func runIncast(t *testing.T) *deliveryObserver {
 		if i == hosts-1 {
 			delay = (10 * sim.Gbps).TxTime(netsim.MTU)
 		}
-		hs, sh := net.Connect(h, sw, 10*sim.Gbps, delay)
-		f := net.NewFlow(h, recv, []*netsim.Port{hs, sr}, []*netsim.Port{rs, sh}, 0)
+		hs, _ := net.Connect(h, sw, 10*sim.Gbps, delay)
+		f := net.NewFlow([]int{hs.LinkID, sr.LinkID}, 0)
 		f.Sender = &clockedSender{o: o, flow: f, burst: 12, count: 40, weight: float64(1 + i)}
 		// Hosts 0 and 1 start at the same instant, so their packets
 		// reach the switch at the same instants from different ports.

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+
 	"numfabric/internal/sim"
 	"numfabric/internal/stats"
 )
@@ -63,15 +65,29 @@ type Flow struct {
 	net *Network
 }
 
-// NewFlow registers a flow over the given forward path. The reverse
-// path must traverse the same cables in the opposite direction (the
-// topology builders construct it).
-func (n *Network) NewFlow(src, dst *Node, path, rev []*Port, size int64) *Flow {
+// NewFlow registers a flow over a forward path of directed-link ids,
+// from the first link's node to the last link's peer. Its ACKs cross
+// the same cables the other way: Connect numbers a cable's directions
+// 2k and 2k+1, so link l's reverse is link l^1. Whether the links chain
+// is checked as packets forward.
+func (n *Network) NewFlow(path []int, size int64) *Flow {
+	switch {
+	case len(path) == 0:
+		panic("netsim: NewFlow: empty path")
+	case size < 0:
+		panic(fmt.Sprintf("netsim: NewFlow: size = %d, want ≥ 0 (0 = unbounded)", size))
+	}
+	k := len(path)
+	ports := make([]*Port, 2*k)
+	fwd, rev := ports[:k:k], ports[k:]
+	for i, l := range path {
+		fwd[i], rev[k-1-i] = n.Links[l], n.Links[l^1]
+	}
 	f := &Flow{
 		ID:   len(n.Flows),
-		Src:  src,
-		Dst:  dst,
-		Path: path,
+		Src:  fwd[0].Node,
+		Dst:  fwd[k-1].Peer,
+		Path: fwd,
 		Rev:  rev,
 		Size: size,
 		net:  n,

@@ -26,8 +26,8 @@ func (quietSender) OnAck(p *netsim.Packet) {}
 // packet-hops, 32 packets deep in the first queue and several on each
 // wire at once.
 func hopLine(qf func(*netsim.Port) netsim.Queue) (net *netsim.Network, round func()) {
-	net, fwd, rev, a, b := line(qf)
-	f := net.NewFlow(a, b, fwd, rev, 0)
+	net, path := line(qf)
+	f := net.NewFlow(path, 0)
 	f.Sender = quietSender{}
 	return net, func() {
 		for i := 0; i < 32; i++ {
@@ -133,7 +133,7 @@ func oneWire(delay sim.Duration) (*netsim.Network, *netsim.Flow, *netsim.Port, *
 	net.QueueFactory = dropTailFactory
 	a, b := net.NewNode("A"), net.NewNode("B")
 	ab, ba := net.Connect(a, b, 10*sim.Gbps, delay)
-	f := net.NewFlow(a, b, []*netsim.Port{ab}, []*netsim.Port{ba}, 0)
+	f := net.NewFlow([]int{ab.LinkID}, 0)
 	log := &arrivalLog{net: net}
 	f.Sender = log
 	return net, f, ba, log

@@ -10,9 +10,9 @@ import (
 func TestPacketPoolRecyclesCleanly(t *testing.T) {
 	// Run a flow long enough that the packet pool recycles heavily;
 	// every delivered payload byte must still be accounted exactly.
-	net, fwd, rev, a, b := line(dropTailFactory)
+	net, path := line(dropTailFactory)
 	const size = 1 << 20
-	f := net.NewFlow(a, b, fwd, rev, size)
+	f := net.NewFlow(path, size)
 	s := &burstSender{net: net, flow: f, burst: 4}
 	f.Sender = s
 	// Window-of-4 ack-clocked sender.
@@ -65,8 +65,8 @@ func (s *ackClockedSender) OnAck(p *netsim.Packet) {
 }
 
 func TestRemainingAccounting(t *testing.T) {
-	net, fwd, rev, a, b := line(dropTailFactory)
-	f := net.NewFlow(a, b, fwd, rev, 10000)
+	net, path := line(dropTailFactory)
+	f := net.NewFlow(path, 10000)
 	if f.Remaining() != 10000 {
 		t.Errorf("remaining = %d", f.Remaining())
 	}
@@ -78,17 +78,17 @@ func TestRemainingAccounting(t *testing.T) {
 	if f.Remaining() != 0 {
 		t.Errorf("remaining clamped = %d", f.Remaining())
 	}
-	inf := net.NewFlow(a, b, fwd, rev, 0)
+	inf := net.NewFlow(path, 0)
 	if inf.Remaining() != 1<<40 {
 		t.Errorf("unbounded remaining = %d", inf.Remaining())
 	}
 }
 
 func TestWrongRoutePanics(t *testing.T) {
-	net, fwd, _, a, b := line(dropTailFactory)
-	// Reverse path deliberately broken: second hop doesn't connect.
-	bad := []*netsim.Port{fwd[1], fwd[0]} // starts at S, not at B
-	f := net.NewFlow(a, b, fwd, bad, 0)
+	net, path := line(dropTailFactory)
+	// Forward path deliberately broken: S→B, then A→S, which leaves A
+	// though the first hop arrived at B.
+	f := net.NewFlow([]int{path[1], path[0]}, 0)
 	f.Sender = &ackClockedSender{net: net, flow: f, window: 1}
 	net.Engine.Schedule(0, f.Start)
 	defer func() {
@@ -124,8 +124,8 @@ func TestConnectRequiresQueueFactory(t *testing.T) {
 }
 
 func TestFlowWithoutSenderPanics(t *testing.T) {
-	net, fwd, rev, a, b := line(dropTailFactory)
-	f := net.NewFlow(a, b, fwd, rev, 0)
+	net, path := line(dropTailFactory)
+	f := net.NewFlow(path, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("Start without sender did not panic")

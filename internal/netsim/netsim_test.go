@@ -54,24 +54,24 @@ func (s *burstSender) OnAck(p *netsim.Packet) {
 }
 
 // line builds A --rate--> S --rate--> B with the given per-hop
-// propagation delay and returns forward and reverse paths.
-func line(qf func(*netsim.Port) netsim.Queue) (*netsim.Network, []*netsim.Port, []*netsim.Port, *netsim.Node, *netsim.Node) {
+// propagation delay and returns the A→B path's link ids.
+func line(qf func(*netsim.Port) netsim.Queue) (*netsim.Network, []int) {
 	eng := sim.NewEngine()
 	net := netsim.NewNetwork(eng)
 	net.QueueFactory = qf
 	a := net.NewNode("A")
 	s := net.NewNode("S")
 	b := net.NewNode("B")
-	as, sa := net.Connect(a, s, 10*sim.Gbps, 2*sim.Microsecond)
-	sb, bs := net.Connect(s, b, 10*sim.Gbps, 2*sim.Microsecond)
-	return net, []*netsim.Port{as, sb}, []*netsim.Port{bs, sa}, a, b
+	as, _ := net.Connect(a, s, 10*sim.Gbps, 2*sim.Microsecond)
+	sb, _ := net.Connect(s, b, 10*sim.Gbps, 2*sim.Microsecond)
+	return net, []int{as.LinkID, sb.LinkID}
 }
 
 func dropTailFactory(p *netsim.Port) netsim.Queue { return queue.NewDropTail(1 << 20) }
 
 func TestSinglePacketDeliveryTiming(t *testing.T) {
-	net, fwd, rev, a, b := line(dropTailFactory)
-	f := net.NewFlow(a, b, fwd, rev, 0)
+	net, path := line(dropTailFactory)
+	f := net.NewFlow(path, 0)
 	s := &burstSender{net: net, flow: f, burst: 1}
 	f.Sender = s
 	net.Engine.Schedule(0, f.Start)
@@ -89,8 +89,8 @@ func TestSinglePacketDeliveryTiming(t *testing.T) {
 }
 
 func TestInterPacketTimeMeasuredAtBottleneck(t *testing.T) {
-	net, fwd, rev, a, b := line(dropTailFactory)
-	f := net.NewFlow(a, b, fwd, rev, 0)
+	net, path := line(dropTailFactory)
+	f := net.NewFlow(path, 0)
 	s := &burstSender{net: net, flow: f, burst: 3}
 	f.Sender = s
 	net.Engine.Schedule(0, f.Start)
@@ -126,10 +126,10 @@ func (a *priceStamp) OnDequeue(p *netsim.Packet) {
 }
 
 func TestPathPriceAccumulationAndEcho(t *testing.T) {
-	net, fwd, rev, a, b := line(dropTailFactory)
-	fwd[0].Agents = append(fwd[0].Agents, &priceStamp{price: 1.25})
-	fwd[1].Agents = append(fwd[1].Agents, &priceStamp{price: 2.5})
-	f := net.NewFlow(a, b, fwd, rev, 0)
+	net, path := line(dropTailFactory)
+	f := net.NewFlow(path, 0)
+	f.Path[0].Agents = append(f.Path[0].Agents, &priceStamp{price: 1.25})
+	f.Path[1].Agents = append(f.Path[1].Agents, &priceStamp{price: 2.5})
 	s := &burstSender{net: net, flow: f, burst: 1}
 	f.Sender = s
 	net.Engine.Schedule(0, f.Start)
@@ -144,12 +144,12 @@ func TestPathPriceAccumulationAndEcho(t *testing.T) {
 }
 
 func TestAgentsIgnoreAcks(t *testing.T) {
-	net, fwd, rev, a, b := line(dropTailFactory)
+	net, path := line(dropTailFactory)
+	f := net.NewFlow(path, 0)
 	stamp := &priceStamp{price: 1}
 	// Attach to the reverse path: ACKs must NOT accumulate price.
-	rev[0].Agents = append(rev[0].Agents, stamp)
-	rev[1].Agents = append(rev[1].Agents, stamp)
-	f := net.NewFlow(a, b, fwd, rev, 0)
+	f.Rev[0].Agents = append(f.Rev[0].Agents, stamp)
+	f.Rev[1].Agents = append(f.Rev[1].Agents, stamp)
 	s := &burstSender{net: net, flow: f, burst: 1}
 	f.Sender = s
 	net.Engine.Schedule(0, f.Start)
@@ -161,8 +161,8 @@ func TestAgentsIgnoreAcks(t *testing.T) {
 }
 
 func TestFlowCompletionAndFCT(t *testing.T) {
-	net, fwd, rev, a, b := line(dropTailFactory)
-	f := net.NewFlow(a, b, fwd, rev, 3000) // 1460+1460+80 payload bytes
+	net, path := line(dropTailFactory)
+	f := net.NewFlow(path, 3000) // 1460+1460+80 payload bytes
 	s := &burstSender{net: net, flow: f, burst: 10}
 	f.Sender = s
 	var doneAt sim.Time
@@ -185,8 +185,8 @@ func TestFlowCompletionAndFCT(t *testing.T) {
 }
 
 func TestReceiverCumulativeAckOnGap(t *testing.T) {
-	net, fwd, rev, a, b := line(dropTailFactory)
-	f := net.NewFlow(a, b, fwd, rev, 0)
+	net, path := line(dropTailFactory)
+	f := net.NewFlow(path, 0)
 	s := &burstSender{net: net, flow: f, burst: 0}
 	f.Sender = s
 	net.Engine.Schedule(0, func() {
@@ -217,10 +217,10 @@ func TestDropAccounting(t *testing.T) {
 	// first enters service immediately, the second queues, and the
 	// remaining two are tail-dropped.
 	tiny := func(p *netsim.Port) netsim.Queue { return queue.NewDropTail(1600) }
-	net, fwd, rev, a, b := line(tiny)
+	net, path := line(tiny)
 	var dropped int
 	net.DropHook = func(p *netsim.Packet) { dropped++ }
-	f := net.NewFlow(a, b, fwd, rev, 0)
+	f := net.NewFlow(path, 0)
 	s := &burstSender{net: net, flow: f, burst: 4}
 	f.Sender = s
 	net.Engine.Schedule(0, f.Start)
@@ -229,8 +229,8 @@ func TestDropAccounting(t *testing.T) {
 	if dropped != 2 || f.Drops != 2 {
 		t.Errorf("dropped=%d flow.Drops=%d, want 2", dropped, f.Drops)
 	}
-	if fwd[0].Drops != 2 {
-		t.Errorf("port drop counter = %d, want 2", fwd[0].Drops)
+	if f.Path[0].Drops != 2 {
+		t.Errorf("port drop counter = %d, want 2", f.Path[0].Drops)
 	}
 	if len(s.acks) != 2 {
 		t.Errorf("%d acks, want 2", len(s.acks))
@@ -238,8 +238,8 @@ func TestDropAccounting(t *testing.T) {
 }
 
 func TestRateMeterOnFlow(t *testing.T) {
-	net, fwd, rev, a, b := line(dropTailFactory)
-	f := net.NewFlow(a, b, fwd, rev, 0)
+	net, path := line(dropTailFactory)
+	f := net.NewFlow(path, 0)
 	f.Meter = stats.NewRateMeter(20 * sim.Microsecond)
 	s := &burstSender{net: net, flow: f, burst: 500}
 	f.Sender = s
@@ -253,7 +253,7 @@ func TestRateMeterOnFlow(t *testing.T) {
 }
 
 func TestLinkCapacitiesVector(t *testing.T) {
-	net, fwd, _, _, _ := line(dropTailFactory)
+	net, path := line(dropTailFactory)
 	caps := net.Capacities()
 	if len(caps) != 4 {
 		t.Fatalf("got %d links, want 4", len(caps))
@@ -263,24 +263,24 @@ func TestLinkCapacitiesVector(t *testing.T) {
 			t.Errorf("capacity = %v, want 1e10", c)
 		}
 	}
-	if fwd[0].LinkID < 0 || fwd[0].LinkID >= 4 {
-		t.Errorf("LinkID out of range: %d", fwd[0].LinkID)
+	if path[0] < 0 || path[0] >= 4 {
+		t.Errorf("LinkID out of range: %d", path[0])
 	}
 }
 
 func TestPortUtilizationCounter(t *testing.T) {
-	net, fwd, rev, a, b := line(dropTailFactory)
-	f := net.NewFlow(a, b, fwd, rev, 0)
+	net, path := line(dropTailFactory)
+	f := net.NewFlow(path, 0)
 	s := &burstSender{net: net, flow: f, burst: 100}
 	f.Sender = s
 	net.Engine.Schedule(0, f.Start)
 	end := net.Engine.Run(sim.Forever)
 	// 100 packets back-to-back, then ACK tail: the bits sent are clearly
 	// positive and no more than the line rate carries over the run.
-	if bits := float64(fwd[0].TxBytes) * 8; bits <= 0 || bits > fwd[0].Rate.Float()*end.Sub(0).Seconds() {
-		t.Errorf("%g bits sent in %v at %v", bits, end.Sub(0), fwd[0].Rate)
+	if bits := float64(f.Path[0].TxBytes) * 8; bits <= 0 || bits > f.Path[0].Rate.Float()*end.Sub(0).Seconds() {
+		t.Errorf("%g bits sent in %v at %v", bits, end.Sub(0), f.Path[0].Rate)
 	}
-	if fwd[0].TxPackets != 100 {
-		t.Errorf("TxPackets = %d, want 100", fwd[0].TxPackets)
+	if f.Path[0].TxPackets != 100 {
+		t.Errorf("TxPackets = %d, want 100", f.Path[0].TxPackets)
 	}
 }

@@ -39,7 +39,9 @@ func (n *Network) NewNode(name string) *Node {
 
 // Connect joins a and b with a full-duplex link of the given rate and
 // one-way propagation delay, returning the two directed ports
-// (a→b, b→a). Queues come from QueueFactory.
+// (a→b, b→a). The k-th cable's ports are links 2k and 2k+1, so each
+// direction's reverse is its LinkID^1 (NewFlow relies on it). Queues
+// come from QueueFactory.
 func (n *Network) Connect(a, b *Node, rate sim.BitRate, delay sim.Duration) (ab, ba *Port) {
 	mk := func(from, to *Node) *Port {
 		p := &Port{

@@ -61,7 +61,7 @@ func TestOracleIdealsCertified(t *testing.T) {
 			}},
 		} {
 			c := oracle.CertifySolves(func() {
-				eng := side.eng(harness.FluidNetwork(topo))
+				eng := side.eng(fluid.NewNetwork(topo.Net.Capacities()))
 				for i, a := range arrivals {
 					eng.AddFlow(paths[i], core.NewAlphaFair(cfg.Alpha), a.Size, a.At.Seconds())
 				}
@@ -103,8 +103,7 @@ func fig5Schedule(cfg harness.DynamicConfig, topo *harness.Topology) ([]workload
 	}, rng)
 	paths := make([][]int, len(arrivals))
 	for i, a := range arrivals {
-		fwd, _ := topo.Route(a.Src, a.Dst, rng.Intn(len(topo.Spines)))
-		paths[i] = harness.PathLinkIDs(fwd)
+		paths[i] = topo.Route(a.Src, a.Dst, rng.Intn(len(topo.Spines)))
 	}
 	return arrivals, paths
 }

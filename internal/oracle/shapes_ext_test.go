@@ -27,7 +27,7 @@ func TestOracleIdealShapes(t *testing.T) {
 		topo := harness.NewFluidTopology(cfg.Topo)
 		arrivals, paths := fig5Schedule(cfg, topo)
 		s := oracle.CountShapes(func() {
-			eng := leap.NewEngine(harness.FluidNetwork(topo), leap.Config{Allocator: &fluid.Oracle{MaxIter: 1500}})
+			eng := leap.NewEngine(fluid.NewNetwork(topo.Net.Capacities()), leap.Config{Allocator: &fluid.Oracle{MaxIter: 1500}})
 			for i, a := range arrivals {
 				eng.AddFlow(paths[i], core.NewAlphaFair(cfg.Alpha), a.Size, a.At.Seconds())
 			}

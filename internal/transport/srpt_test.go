@@ -15,7 +15,7 @@ func TestSRPTNearlyDoneFlowOvertakes(t *testing.T) {
 	r := newRig(stfqFactory)
 	params := DefaultNUMFabric(testRTT).Slowed(2)
 	fa := r.addFlow("a", 10<<20)
-	fb := r.addFlowTo("b", fa.Dst, fa.Path[1], fa.Rev[0], 2<<20)
+	fb := r.addFlowTo("b", fa.Path[1], 2<<20)
 	for _, port := range r.net.Links {
 		NewXWIAgent(r.net, port, params)
 	}

@@ -35,19 +35,19 @@ func fifoFactory(p *netsim.Port) netsim.Queue { return queue.NewDropTail(1 << 20
 func (r *rig) addFlow(name string, size int64) *netsim.Flow {
 	src := r.net.NewNode("s" + name)
 	dst := r.net.NewNode("d" + name)
-	su, us := r.net.Connect(src, r.sw, 10*sim.Gbps, 2*sim.Microsecond)
-	sd, ds := r.net.Connect(r.sw, dst, 10*sim.Gbps, 2*sim.Microsecond)
-	f := r.net.NewFlow(src, dst, []*netsim.Port{su, sd}, []*netsim.Port{ds, us}, size)
+	su, _ := r.net.Connect(src, r.sw, 10*sim.Gbps, 2*sim.Microsecond)
+	sd, _ := r.net.Connect(r.sw, dst, 10*sim.Gbps, 2*sim.Microsecond)
+	f := r.net.NewFlow([]int{su.LinkID, sd.LinkID}, size)
 	f.Meter = stats.NewRateMeter(80 * sim.Microsecond)
 	return f
 }
 
 // addFlowTo creates a new source sending to an existing destination
-// host (sharing its bottleneck NIC).
-func (r *rig) addFlowTo(name string, dst *netsim.Node, dstIn *netsim.Port, dstOut *netsim.Port, size int64) *netsim.Flow {
+// host over its switch port dstIn (sharing its bottleneck NIC).
+func (r *rig) addFlowTo(name string, dstIn *netsim.Port, size int64) *netsim.Flow {
 	src := r.net.NewNode("s" + name)
-	su, us := r.net.Connect(src, r.sw, 10*sim.Gbps, 2*sim.Microsecond)
-	f := r.net.NewFlow(src, dst, []*netsim.Port{su, dstIn}, []*netsim.Port{dstOut, us}, size)
+	su, _ := r.net.Connect(src, r.sw, 10*sim.Gbps, 2*sim.Microsecond)
+	f := r.net.NewFlow([]int{su.LinkID, dstIn.LinkID}, size)
 	f.Meter = stats.NewRateMeter(80 * sim.Microsecond)
 	return f
 }
@@ -175,8 +175,7 @@ func TestXWIAgentPriceRisesUnderLoadFallsWhenIdle(t *testing.T) {
 func TestDGDConvergesToFairShare(t *testing.T) {
 	r := newRig(fifoFactory)
 	f1 := r.addFlow("a", 0)
-	dst := f1.Dst
-	f2 := r.addFlowTo("b", dst, f1.Path[1], f1.Rev[0], 0)
+	f2 := r.addFlowTo("b", f1.Path[1], 0)
 	params := DefaultDGD(testRTT, PriceRefFor(core.ProportionalFair(), 5e9))
 	for _, port := range r.net.Links {
 		NewDGDAgent(r.net, port, params)
@@ -218,7 +217,7 @@ func TestRCPAlphaFairSplit(t *testing.T) {
 	// single bottleneck.
 	r := newRig(fifoFactory)
 	f1 := r.addFlow("a", 0)
-	f2 := r.addFlowTo("b", f1.Dst, f1.Path[1], f1.Rev[0], 0)
+	f2 := r.addFlowTo("b", f1.Path[1], 0)
 	params := DefaultRCP(testRTT, 2)
 	for _, port := range r.net.Links {
 		NewRCPAgent(r.net, port, params)
@@ -238,7 +237,7 @@ func TestRCPAlphaFairSplit(t *testing.T) {
 func TestRCPAgentRateTracksFairShare(t *testing.T) {
 	r := newRig(fifoFactory)
 	f1 := r.addFlow("a", 0)
-	f2 := r.addFlowTo("b", f1.Dst, f1.Path[1], f1.Rev[0], 0)
+	f2 := r.addFlowTo("b", f1.Path[1], 0)
 	params := DefaultRCP(testRTT, 1)
 	var bottleneck *RCPAgent
 	for _, port := range r.net.Links {
@@ -261,7 +260,7 @@ func TestDCTCPMarksDriveWindowDown(t *testing.T) {
 	ecnFactory := func(p *netsim.Port) netsim.Queue { return queue.NewECN(1<<20, 30000) }
 	r := newRig(ecnFactory)
 	f1 := r.addFlow("a", 0)
-	f2 := r.addFlowTo("b", f1.Dst, f1.Path[1], f1.Rev[0], 0)
+	f2 := r.addFlowTo("b", f1.Path[1], 0)
 	params := DefaultDCTCP(testRTT)
 	s1 := NewDCTCPSender(r.net, f1, params)
 	NewDCTCPSender(r.net, f2, params)
@@ -287,7 +286,7 @@ func TestPFabricCompletesUnderDrops(t *testing.T) {
 	pfFactory := func(p *netsim.Port) netsim.Queue { return queue.NewPFabric(36000) }
 	r := newRig(pfFactory)
 	f1 := r.addFlow("a", 5<<20)
-	f2 := r.addFlowTo("b", f1.Dst, f1.Path[1], f1.Rev[0], 200<<10)
+	f2 := r.addFlowTo("b", f1.Path[1], 200<<10)
 	params := DefaultPFabric(testRTT)
 	NewPFabricSender(r.net, f1, params)
 	NewPFabricSender(r.net, f2, params)

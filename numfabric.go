@@ -259,7 +259,11 @@ func (f *Fabric) OracleRates(utilities []Utility) []float64 {
 		if i < len(utilities) && utilities[i] != nil {
 			u = utilities[i]
 		}
-		p.AddFlow(harness.PathLinkIDs(fl.Path), u)
+		links := make([]int, len(fl.Path))
+		for j, port := range fl.Path {
+			links[j] = port.LinkID
+		}
+		p.AddFlow(links, u)
 	}
 	return oracle.Solve(p, oracle.SolveOptions{}).Rates
 }
