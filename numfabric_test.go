@@ -1,7 +1,9 @@
 package numfabric
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -183,6 +185,45 @@ func TestFacadeIncastLeap(t *testing.T) {
 	for b, fct := range res.BurstFCTs {
 		if fct < ideal || fct > 1.2*ideal {
 			t.Errorf("burst %d completion %.4g, want within [1, 1.2]x of %.4g", b, fct, ideal)
+		}
+	}
+}
+
+// TestFabricRejectsHostileInputs: a spine below 0, a host outside
+// [0, Hosts), a fabric without spines and a negative flow size each
+// panic naming the input — not with an index out of range or a divide
+// by zero, and not by building a flow that never sends.
+func TestFabricRejectsHostileInputs(t *testing.T) {
+	u := ProportionalFair()
+	noSpines := ScaledFabric()
+	noSpines.Spines = 0
+	type row struct {
+		name string
+		run  func()
+		want string
+	}
+	rows := []row{
+		{"negative spine", func() { NewFabric(ScaledFabric(), SchemeNUMFabric).StartFlow(0, 9, -1, u) }, "spine -1"},
+		{"negative aggregate spine", func() { NewFabric(ScaledFabric(), SchemeNUMFabric).StartAggregateFlow(0, 9, []int{0, -2}, u) }, "spine -2"},
+		{"host past the fabric", func() { NewFabric(ScaledFabric(), SchemeNUMFabric).StartFlow(0, 99, 0, u) }, "hosts 0→99, want both in [0, 32)"},
+		{"negative host", func() { NewFabric(ScaledFabric(), SchemeNUMFabric).StartFlow(-1, 9, 0, u) }, "hosts -1→9, want both in [0, 32)"},
+		{"no spines", func() { NewFabric(noSpines, SchemeNUMFabric).StartFlow(0, 9, 0, u) }, "Spines = 0"},
+	}
+	for _, s := range []Scheme{SchemeNUMFabric, SchemeDGD, SchemeRCP, SchemeDCTCP, SchemePFabric} {
+		rows = append(rows, row{"negative size under " + s.String(), func() {
+			fab := NewFabric(ScaledFabric(), s)
+			fab.StartSizedFlow(0, 9, 0, -5, u)
+			fab.Run(5 * time.Millisecond)
+		}, "size = -5"})
+	}
+	for _, r := range rows {
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			r.run()
+			return
+		}()
+		if !strings.Contains(msg, r.want) {
+			t.Errorf("%s: panic %q, want one naming %q", r.name, msg, r.want)
 		}
 	}
 }
