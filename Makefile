@@ -1,12 +1,19 @@
 # Convenience targets; CI runs the same commands.
 
-.PHONY: test race loc alloc-gate obs-inline fuzz fault-smoke bench-smoke bench-packet hook-price cli-golden mem-smoke benchmark-smoke bench bench-diff flowtrace-smoke
+.PHONY: test race paper loc alloc-gate obs-inline fuzz fault-smoke bench-smoke bench-packet hook-price cli-golden mem-smoke benchmark-smoke bench bench-diff flowtrace-smoke
 
 test:
 	go build ./... && go test ./...
 
 race:
 	go test -race -short ./...
+
+# The paper's claim table as a scorecard: TestPaperClaims prints one
+# line per §6 claim (verdict, section, experiment entry at Short,
+# measured metrics, tolerance) and fails if one does not hold; about
+# 8 s, skipped under -short. `go test ./...` runs the same test.
+paper:
+	go test -count=1 -v -run TestPaperClaims ./internal/paper
 
 # The size numbers ROADMAP aim 2 and every CHANGES.md entry quote:
 # non-test Go lines (wc -l) of the four engine-side packages, the

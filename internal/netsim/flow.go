@@ -71,10 +71,7 @@ type Flow struct {
 // 2k and 2k+1, so link l's reverse is link l^1. Whether the links chain
 // is checked as packets forward.
 func (n *Network) NewFlow(path []int, size int64) *Flow {
-	switch {
-	case len(path) == 0:
-		panic("netsim: NewFlow: empty path")
-	case size < 0:
+	if size < 0 {
 		panic(fmt.Sprintf("netsim: NewFlow: size = %d, want ≥ 0 (0 = unbounded)", size))
 	}
 	k := len(path)

@@ -175,6 +175,20 @@ func fig6c(env Env, s Scale, seed uint64) Metrics {
 	return m
 }
 
+// ablationVariants are the runs ablations makes, the shipped one first.
+var ablationVariants = []struct {
+	name   string
+	mutate func(*harness.SemiDynamicConfig)
+}{
+	{"shipped", func(*harness.SemiDynamicConfig) {}},
+	{"all-gaps", func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.DisablePairProbing = true }},
+	{"multiqueue8", func(c *harness.SemiDynamicConfig) { c.Scheme.UseMultiQueue, c.Scheme.MultiQueueBands = true, 8 }},
+	{"beta1", func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.Beta = 0.01 }},
+	{"beta90", func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.Beta = 0.9 }},
+	{"eta1", func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.Eta = 1 }},
+	{"eta20", func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.Eta = 20 }},
+}
+
 // ablations compares NUMFabric's shipped mechanisms with their ablated
 // variants on the semi-dynamic convergence scenario (packet engine):
 // packet-pair rate probing against sampling every inter-packet gap
@@ -187,20 +201,8 @@ func fig6c(env Env, s Scale, seed uint64) Metrics {
 func ablations(env Env, s Scale, seed uint64) Metrics {
 	fmt.Fprintln(env, "Design-choice ablations (NUMFabric semi-dynamic convergence, packet engine); times in ms:")
 	fmt.Fprintf(env, "%-12s %8s %12s\n", "variant", "median", "unconverged")
-	variants := []struct {
-		name   string
-		mutate func(*harness.SemiDynamicConfig)
-	}{
-		{"shipped", func(*harness.SemiDynamicConfig) {}},
-		{"all-gaps", func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.DisablePairProbing = true }},
-		{"multiqueue8", func(c *harness.SemiDynamicConfig) { c.Scheme.UseMultiQueue, c.Scheme.MultiQueueBands = true, 8 }},
-		{"beta1", func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.Beta = 0.01 }},
-		{"beta90", func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.Beta = 0.9 }},
-		{"eta1", func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.Eta = 1 }},
-		{"eta20", func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.Eta = 20 }},
-	}
 	m := Metrics{}
-	for _, v := range variants {
+	for _, v := range ablationVariants {
 		cfg := semiCfg(harness.NUMFabric, s, seed)
 		if s == Short {
 			cfg.Events = 5
