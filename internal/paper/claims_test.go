@@ -66,10 +66,13 @@ func TestPaperClaims(t *testing.T) {
 					t.Fatalf("%s: %s reports no metric %q", c.claim, c.entry, name)
 				}
 				vals = append(vals, fmt.Sprintf("%s %.3g", name, v))
-				if prev := m[chain[max(i-1, 0)]]; i > 0 && v < prev*(1+c.tolerance) {
+				if i == 0 {
+					continue
+				}
+				if least := m[chain[i-1]] * (1 + c.tolerance); v < least {
 					verdict = "FAILS"
 					t.Errorf("%s (%s): %s = %.4g, want ≥ %s × %.2f = %.4g",
-						c.claim, c.section, name, v, chain[i-1], 1+c.tolerance, prev*(1+c.tolerance))
+						c.claim, c.section, name, v, chain[i-1], 1+c.tolerance, least)
 				}
 			}
 			measured = append(measured, strings.Join(vals, " ≤ "))
