@@ -172,6 +172,48 @@ func TestGoldenFatTreeKernels(t *testing.T) {
 	}
 }
 
+// capCounter wraps the leap engine's xWI allocator and counts its
+// solves (AllocateSubset calls) and the ones that ran the full
+// IterPerEpoch: those stopped at the cap, not at Tol.
+type capCounter struct {
+	*fluid.XWI
+	solves, capped int
+}
+
+func (c *capCounter) AllocateSubset(net *fluid.Network, flows []*fluid.Flow, rates []float64) {
+	before := c.SolveIters()
+	c.XWI.AllocateSubset(net, flows, rates)
+	c.solves++
+	if c.SolveIters()-before == int64(c.IterPerEpoch) {
+		c.capped++
+	}
+}
+
+// TestXWICapShare pins how many of the fctmin-xwi cells' xWI solves
+// stop at the IterPerEpoch cap rather than at the tolerance. Those
+// solves' rates are not at xWI's fixed point, and they carry about half
+// of xWI's flow-iterations on the benchmark's fctmin-xwi schedule. The
+// share is recorded, not fixed: raising the cap moves FCT bits.
+func TestXWICapShare(t *testing.T) {
+	cases := []struct {
+		seed           uint64
+		solves, capped int
+	}{
+		{1, 9637, 1059},
+		{2, 8712, 861},
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("seed%d", c.seed), func(t *testing.T) {
+			alloc := &capCounter{XWI: numfabricLeapAllocator().(*fluid.XWI)}
+			goldenFatTree(t, alloc, FatTreeWebSearch, 0.12, 10000, c.seed, fctMin, nil)
+			if alloc.solves != c.solves || alloc.capped != c.capped {
+				t.Errorf("%d of %d solves ran the full %d iterations, want %d of %d",
+					alloc.capped, alloc.solves, alloc.IterPerEpoch, c.capped, c.solves)
+			}
+		})
+	}
+}
+
 // TestGoldenFatTreeWaterFill pins the event loop itself under the
 // stationary allocator, where every bit of a finish time is the loop's
 // doing: the Poisson schedule (one arrival or departure per instant,
