@@ -30,19 +30,31 @@ paper:
 # no other non-test file outside benchmark/ (a heuristic: it also counts
 # the public API, interface methods and names whose callers share their
 # file — CHANGES names each — so a rise means an export that only tests
-# call). Informational; nothing is gated on it.
+# call). Five rows are gated (ROADMAP item 9): make loc fails, naming
+# the row, when internal/fluid, leap + fluid, internal/oracle or
+# internal/harness non-test lines, or the harness's exported Run*,
+# exceed the ceilings below. A change that shrinks a row lowers its
+# ceiling; one that must raise it says why in CHANGES.md.
+LOC_CEIL_FLUID      = 1970
+LOC_CEIL_LEAP_FLUID = 3234
+LOC_CEIL_ORACLE     = 1241
+LOC_CEIL_HARNESS    = 2280
+LOC_CEIL_RUNS       = 9
+# nontest counts the non-test Go lines of the files $(1) names.
+nontest = ls $(1) | grep -v _test.go | xargs cat | wc -l
+harness_runs = ls internal/harness/*.go | grep -v _test.go | xargs awk '/^func Run[A-Z]/{n++} END{print n+0}'
 loc:
 	@for d in leap fluid obs harness oracle; do \
-		printf 'internal/%-8s non-test %6d\n' $$d $$(ls internal/$$d/*.go | grep -v _test.go | xargs cat | wc -l); \
+		printf 'internal/%-8s non-test %6d\n' $$d $$($(call nontest,internal/$$d/*.go)); \
 	done
-	@printf 'cmd/numfabric     non-test %6d\n' $$(ls cmd/numfabric/*.go | grep -v _test.go | xargs cat | wc -l)
-	@printf 'leap + fluid      non-test %6d\n' $$(ls internal/leap/*.go internal/fluid/*.go | grep -v _test.go | xargs cat | wc -l)
-	@printf 'netsim + sim + queue non-test %3d\n' $$(ls internal/netsim/*.go internal/sim/*.go internal/queue/*.go | grep -v _test.go | xargs cat | wc -l)
+	@printf 'cmd/numfabric     non-test %6d\n' $$($(call nontest,cmd/numfabric/*.go))
+	@printf 'leap + fluid      non-test %6d\n' $$($(call nontest,internal/leap/*.go internal/fluid/*.go))
+	@printf 'netsim + sim + queue non-test %3d\n' $$($(call nontest,internal/netsim/*.go internal/sim/*.go internal/queue/*.go))
 	@printf 'repo              non-test %6d\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 	@printf 'repo            with tests %6d\n' $$(find . -name '*.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 	@printf 'leap.Engine         fields %6d\n' $$(awk '/^type Engine struct/{on=1;next} on&&/^}/{exit} on&&!/^[ \t]*(\/\/|$$)/{n++} END{print n}' internal/leap/leap.go)
 	@printf 'obs hook sites  leap+fluid %3d + %d\n' $$(grep -c 'e\.hooks\.' internal/leap/leap.go) $$(grep -c 'e\.hooks\.' internal/fluid/engine.go)
-	@printf 'harness exported      Run* %6d\n' $$(ls internal/harness/*.go | grep -v _test.go | xargs awk '/^func Run[A-Z]/{n++} END{print n+0}')
+	@printf 'harness exported      Run* %6d\n' $$($(harness_runs))
 	@printf 'schedule players     files %6d\n' $$(grep -rlE 'AddFlow\(.*[Aa]t\.Seconds\(\)' --include='*.go' . | grep -vcE '_test\.go$$|^\./(internal/(leap|fluid|refsim)|benchmark|\.bench_build)/')
 	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*'); \
 	printf 'lone exports         funcs %6d\n' $$(for f in $$files; do \
@@ -50,6 +62,13 @@ loc:
 			grep -lw "$$n" $$files | grep -qvx "$$f" || echo "$$f $$n"; \
 		done; \
 	done | wc -l)
+	@fail=0; over() { if [ "$$2" -gt "$$3" ]; then echo "loc: $$1 is $$2, over its ceiling $$3" >&2; fail=1; fi; }; \
+	over 'internal/fluid non-test' $$($(call nontest,internal/fluid/*.go)) $(LOC_CEIL_FLUID); \
+	over 'leap + fluid non-test' $$($(call nontest,internal/leap/*.go internal/fluid/*.go)) $(LOC_CEIL_LEAP_FLUID); \
+	over 'internal/oracle non-test' $$($(call nontest,internal/oracle/*.go)) $(LOC_CEIL_ORACLE); \
+	over 'internal/harness non-test' $$($(call nontest,internal/harness/*.go)) $(LOC_CEIL_HARNESS); \
+	over 'harness exported Run*' $$($(harness_runs)) $(LOC_CEIL_RUNS); \
+	exit $$fail
 
 # The zero-allocation steady-state pins: AllocsPerOp == 0 for a full
 # churn wave through the leap engine with hooks detached (and bounded
@@ -57,9 +76,10 @@ loc:
 # bounds and the table-recycling invariants behind them; and the
 # allocator kernels' per-iteration pins (MaxMinWorkspace.Fill allocates
 # 0, oracle.Solve the same count at 5 and 500 iterations, a warm
-# XWI.AllocateSubset on FCTMin flows 0 — the α-fair plan's columns are
-# reused — and a warm Oracle.Allocate 0, groups included: its
-# core.Problem is rebuilt in place); and the packet engine's: 0 per forwarded packet on a warmed
+# XWI.AllocateSubset on FCTMin flows plus a multipath group 0 — the
+# α-fair plan's columns and the group scan are reused — and a warm
+# Oracle.Allocate 0: its core.Problem is rebuilt in place); and the
+# packet engine's: 0 per forwarded packet on a warmed
 # two-hop line, behind STFQ and behind DropTail, and 0 per dropped packet
 # on rounds that overflow STFQ, DropTail, MultiQueue and PFabric.
 alloc-gate:

@@ -13,8 +13,8 @@ import (
 // convergence dynamics over simulated time and warm-start across
 // arrivals and departures). rates has one entry per flow, in flow
 // order; implementations must fill every entry. Group members appear
-// as ordinary entries of flows; allocators apply the group's utility
-// to the members' total rate (see Group).
+// as ordinary entries of flows; only XWI reads their Group, applying
+// the group's utility to the members' total rate (see Group).
 //
 // Every allocator can also re-solve a subset of the active flows — a
 // union of connected components of the link-sharing graph — against
@@ -46,7 +46,7 @@ type SubsetAllocator = Allocator
 
 // IterCounter is implemented by allocators that count their internal
 // solver iterations — price updates (XWI), gradient steps (DGD),
-// solver iterations (Oracle), water-fill rounds (WaterFill). The total
+// solver iterations (Oracle), one fill per call (WaterFill). The total
 // accumulates across Reset (which clears prices, not telemetry). An
 // allocator belongs to one goroutine, so the counter is a plain
 // integer.
@@ -77,8 +77,8 @@ func (c *iterCount) add(d int64) { c.n += d }
 // SolveIters returns the iterations accumulated so far.
 func (c *iterCount) SolveIters() int64 { return c.n }
 
-// scratch holds the per-call path/weight/group views shared by
-// allocators.
+// scratch holds the per-call path/weight views shared by allocators,
+// and XWI's group view.
 type scratch struct {
 	paths   [][]int
 	weights []float64
@@ -193,11 +193,6 @@ func (s *scratch) bottlenecks(net *Network, flows []*Flow, rates []float64, out 
 	}
 }
 
-// groupShareFloor keeps a group member's weight share above zero so an
-// idle path keeps probing for newly available capacity (the same idea
-// as transport.Aggregate's floor on the packet side).
-const groupShareFloor = 0.05
-
 // groupTotals recomputes each group's aggRate as the members' total in
 // x and refreshes the members' smoothed throughput shares.
 func groupTotals(groups []*Group, flows []*Flow, x []float64) {
@@ -224,14 +219,8 @@ func groupTotals(groups []*Group, flows []*Flow, x []float64) {
 // rates jump straight to the exact water-filling allocation (Eq. 8),
 // every flow weighted 1, via the oracle's progressive filling. It
 // models a fabric whose transport converges instantly — the Swift
-// layer with fixed weights — and is the fastest allocator.
-//
-// Groups split their weight of 1 across members by each member's
-// share of the group's max-min throughput, iterated a few rounds so
-// members through tighter bottlenecks shed weight onto less congested
-// paths (per-member bottleneck awareness). Shares restart equal every
-// call, so the allocation stays a pure function of the active flow set
-// and the allocator remains stationary.
+// layer with fixed weights — and is the fastest allocator. It plays no
+// groups.
 type WaterFill struct {
 	iterCount
 	s  scratch
@@ -241,11 +230,6 @@ type WaterFill struct {
 // NewWaterFill returns a WaterFill allocator.
 func NewWaterFill() *WaterFill { return &WaterFill{} }
 
-// waterfillShareRounds is how many share-refinement water-fill rounds
-// grouped allocations run; shares contract geometrically, so a few
-// rounds reach the fixed split to well under a percent.
-const waterfillShareRounds = 8
-
 // Allocate computes the weighted max-min allocation.
 func (w *WaterFill) Allocate(net *Network, flows []*Flow, rates []float64) {
 	w.s.resize(len(flows))
@@ -253,29 +237,8 @@ func (w *WaterFill) Allocate(net *Network, flows []*Flow, rates []float64) {
 		w.s.paths[i] = f.Links
 		w.s.weights[i] = 1
 	}
-	groups := w.s.collectGroups(flows)
-	if len(groups) == 0 {
-		w.ws.WeightedMaxMin(net.Capacity, w.s.paths, w.s.weights, rates)
-		w.add(1)
-		return
-	}
-	for _, f := range flows {
-		if g := f.Group; g != nil {
-			f.share = 1 / float64(len(g.Members))
-		}
-	}
-	// The share rounds re-solve one flow set under changing weights.
-	w.ws.Prepare(net.Capacity, w.s.paths)
-	for r := 0; r < waterfillShareRounds; r++ {
-		for i, f := range flows {
-			if f.Group != nil {
-				w.s.weights[i] = math.Max(f.share, groupShareFloor)
-			}
-		}
-		w.ws.Fill(w.s.weights, rates)
-		groupTotals(groups, flows, rates)
-	}
-	w.add(waterfillShareRounds)
+	w.ws.WeightedMaxMin(net.Capacity, w.s.paths, w.s.weights, rates)
+	w.add(1)
 }
 
 // AllocateSubset computes the weighted max-min allocation for a
@@ -555,8 +518,7 @@ func (a *XWI) allocate(net *Network, flows []*Flow, rates []float64, subset bool
 // warm-starting link prices across epochs. It models an idealized
 // transport with instantaneous convergence — the paper's Oracle — and
 // is the fluid analog of schemes like RCP* that are engineered to
-// realize the α-fair optimum directly. Groups are solved exactly, as
-// multi-flow groups of the underlying core.Problem.
+// realize the α-fair optimum directly. It plays no groups.
 type Oracle struct {
 	// MaxIter bounds the solver per epoch (default 2000; warm starts
 	// keep the realized count far lower).
@@ -637,17 +599,7 @@ func (o *Oracle) solve(net *Network, flows []*Flow, init []float64) oracle.Resul
 	}
 	p := &o.p
 	p.Reset(net.Capacity)
-	for _, g := range o.s.collectGroups(flows) {
-		g.gid = -1
-	}
 	for _, f := range flows {
-		if g := f.Group; g != nil {
-			if g.gid < 0 {
-				g.gid = p.AddAggregate(g.U)
-			}
-			p.AddSubflow(g.gid, f.Links)
-			continue
-		}
 		p.AddFlow(f.Links, f.U)
 	}
 	res := o.sw.Solve(p, oracle.SolveOptions{
@@ -668,13 +620,7 @@ func (o *Oracle) solve(net *Network, flows []*Flow, init []float64) oracle.Resul
 // returned allocation is projected onto the capacity region by
 // uniformly scaling flows through overloaded links. The price dynamics
 // themselves use the unprojected rates, exactly as in the algorithm.
-//
-// Groups follow the multipath dual: an aggregate's demand is
-// U'⁻¹(cheapest member path price) — at the optimum all used paths
-// share the minimum price — and the demand is steered onto the
-// cheapest member path(s), with the split smoothed across iterations
-// so price ties (the equilibrium condition) settle into a stable
-// share instead of flapping.
+// It plays no groups.
 type DGD struct {
 	// Gamma is the step size γ of Eq. 4 per unit of the largest link
 	// capacity, so a value behaves alike across link-speed scales
@@ -696,7 +642,6 @@ type DGD struct {
 	x     []float64
 	xprev []float64
 	load  []float64
-	q     []float64
 	s     scratch
 }
 
@@ -764,11 +709,6 @@ func (a *DGD) allocate(net *Network, flows []*Flow, rates []float64, subset bool
 	}
 	load := a.load[:nl]
 	touched := a.s.collectLinks(nl, flows)
-	if cap(a.q) < nf {
-		a.q = make([]float64, nf)
-	}
-	q := a.q[:nf]
-	groups := a.s.collectGroups(flows)
 	fast := a.s.gatherAlpha(flows)
 	afW, afK, alphaK := a.s.plan.W, a.s.plan.K, a.s.plan.Kernels
 	if a.Tol > 0 {
@@ -785,10 +725,7 @@ func (a *DGD) allocate(net *Network, flows []*Flow, rates []float64, subset bool
 				for _, l := range f.Links {
 					sum += price[l]
 				}
-				q[i] = sum
-				if f.Group == nil {
-					x[i] = math.Min(alphaK[afK[i]].InverseMarginal(afW[i], sum), xCap)
-				}
+				x[i] = math.Min(alphaK[afK[i]].InverseMarginal(afW[i], sum), xCap)
 			}
 		} else {
 			for i, f := range flows {
@@ -796,14 +733,8 @@ func (a *DGD) allocate(net *Network, flows []*Flow, rates []float64, subset bool
 				for _, l := range f.Links {
 					sum += price[l]
 				}
-				q[i] = sum
-				if f.Group == nil {
-					x[i] = math.Min(f.U.InverseMarginal(sum), xCap)
-				}
+				x[i] = math.Min(f.U.InverseMarginal(sum), xCap)
 			}
-		}
-		if len(groups) > 0 {
-			a.groupDemands(groups, flows, q, x, xCap)
 		}
 		for _, l := range touched {
 			load[l] = 0
@@ -852,70 +783,6 @@ func (a *DGD) allocate(net *Network, flows []*Flow, rates []float64, subset bool
 	// load still holds the final iteration's per-link loads of x,
 	// which rates now equals — reuse it for the projection.
 	projectFeasible(net, flows, rates, load)
-}
-
-// groupDemands fills x for group members: each group demands
-// U'⁻¹(cheapest member path price) in total, steered onto the member
-// path(s) at that minimum price. Because at the multipath optimum all
-// used paths tie at the minimum price (a degenerate face of the dual),
-// the steering carries heavy inertia: shares move a few percent per
-// iteration toward the current cheapest set, so price ties settle into
-// a stable time-average split instead of flapping the whole demand
-// between members. Shares persist on the flows and are renormalized so
-// every group's shares sum to one.
-func (a *DGD) groupDemands(groups []*Group, flows []*Flow, q, x []float64, xCap float64) {
-	const inertia = 0.95
-	for _, g := range groups {
-		g.qmin = math.Inf(1)
-		g.scan = 0 // cheapest-member count, then share sum
-		g.aggRate = 0
-	}
-	for i, f := range flows {
-		if g := f.Group; g != nil && q[i] < g.qmin {
-			g.qmin = q[i]
-		}
-	}
-	cheap := func(i int, f *Flow) bool {
-		qmin := f.Group.qmin
-		return q[i] <= qmin*(1+1e-9)+1e-12
-	}
-	for i, f := range flows {
-		if f.Group != nil && cheap(i, f) {
-			f.Group.scan++
-		}
-	}
-	for i, f := range flows {
-		g := f.Group
-		if g == nil {
-			continue
-		}
-		target := 0.0
-		if cheap(i, f) {
-			target = 1 / g.scan
-		}
-		f.share = inertia*f.share + (1-inertia)*target
-	}
-	for _, g := range groups {
-		g.scan = 0
-	}
-	for _, f := range flows {
-		if f.Group != nil {
-			f.Group.scan += f.share
-		}
-	}
-	for i, f := range flows {
-		g := f.Group
-		if g == nil {
-			continue
-		}
-		y := math.Min(f.U.InverseMarginal(g.qmin), xCap)
-		if g.scan > 0 {
-			x[i] = y * f.share / g.scan
-		} else {
-			x[i] = y / float64(len(g.Members))
-		}
-		g.aggRate += x[i]
-	}
 }
 
 // projectFeasible scales rates down so no link exceeds capacity: each

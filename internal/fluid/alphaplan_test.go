@@ -82,10 +82,17 @@ func TestAlphaPlanMatchesInterfacePath(t *testing.T) {
 
 // TestXWISubsetAllocatesNothingWarm: the plan's columns are reused
 // like the rest of the scratch — a warm AllocateSubset on FCTMin flows
-// allocates nothing (make alloc-gate).
+// plus a multipath group allocates nothing, its group scan and totals
+// included (make alloc-gate).
 func TestXWISubsetAllocatesNothingWarm(t *testing.T) {
 	ft := NewFatTree(8, 10e9)
 	flows := fctMinComponent(ft, 64)
+	var members FlowTable
+	g := &Group{U: core.ProportionalFair()}
+	for _, pick := range []int{0, 5} {
+		g.AddMember(members.Acquire(ft.Route(3, 40, pick), nil, 0, 0))
+	}
+	flows = append(g.Members, flows...)
 	a := &XWI{Eta: 5, Beta: 0.5, IterPerEpoch: 48, Tol: 1e-3}
 	rates := make([]float64, len(flows))
 	a.AllocateSubset(ft.Net, flows, rates)
@@ -94,23 +101,17 @@ func TestXWISubsetAllocatesNothingWarm(t *testing.T) {
 		a.AllocateSubset(ft.Net, flows[:len(flows)-i%2], rates)
 		i++
 	}); avg != 0 {
-		t.Fatalf("warm XWI.AllocateSubset on FCTMin flows: %v allocs/op, want 0", avg)
+		t.Fatalf("warm XWI.AllocateSubset on FCTMin flows and a group: %v allocs/op, want 0", avg)
 	}
 }
 
 // TestOracleAllocatesNothingWarm: a warm Oracle.Allocate — refsim's
 // call, the Figure 5 ideals' — rebuilds its core.Problem in place and
 // solves on a kept workspace and α plan, so it allocates nothing, on
-// FCTMin flows plus a multipath group (make alloc-gate).
+// FCTMin flows (make alloc-gate).
 func TestOracleAllocatesNothingWarm(t *testing.T) {
 	ft := NewFatTree(8, 10e9)
 	flows := fctMinComponent(ft, 24)
-	var members FlowTable
-	g := &Group{U: core.ProportionalFair()}
-	for _, pick := range []int{0, 5} {
-		g.AddMember(members.Acquire(ft.Route(3, 40, pick), nil, 0, 0))
-	}
-	flows = append(g.Members, flows...)
 	o := &Oracle{MaxIter: 1500}
 	rates := make([]float64, len(flows))
 	o.Allocate(ft.Net, flows, rates)

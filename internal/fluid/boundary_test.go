@@ -9,15 +9,16 @@ import (
 	"numfabric/internal/core"
 )
 
-// assertRejected runs call on a fresh two-link engine and fails unless
-// it panics with a message naming the entry point and the offending
-// argument and leaves the engine untouched (Step reports no work). The
-// panic is checked first and the engine is never stepped after an
-// accepted call: an engine that took a NaN arrival steps forever, and
-// one that took a bad path panics inside the allocator.
-func assertRejected(t *testing.T, call func(e *Engine), want ...string) {
+// assertRejected runs call on a fresh two-link engine under alloc and
+// fails unless it panics with a message naming the entry point and the
+// offending argument and leaves the engine untouched (Step reports no
+// work). The panic is checked first and the engine is never stepped
+// after an accepted call: an engine that took a NaN arrival steps
+// forever, and one that took a bad path or a nil utility panics inside
+// the allocator.
+func assertRejected(t *testing.T, alloc Allocator, call func(e *Engine), want ...string) {
 	t.Helper()
-	e := NewEngine(NewNetwork([]float64{10e9, 10e9}), Config{Allocator: NewWaterFill()})
+	e := NewEngine(NewNetwork([]float64{10e9, 10e9}), Config{Allocator: alloc})
 	var msg string
 	func() {
 		defer func() {
@@ -41,55 +42,66 @@ func assertRejected(t *testing.T, call func(e *Engine), want ...string) {
 // TestEngineRejectsMalformedArguments: hostile AddFlow/AddGroup
 // arguments fail at the boundary, naming the argument, instead of
 // hanging Run (a NaN arrival is never due) or panicking with a bare
-// index error inside the allocator on the first Step (an empty path,
-// an out-of-range link). AddGroup validates every path before creating
-// anything.
+// runtime error inside the allocator on the first Step (an empty path,
+// an out-of-range link, a nil utility). AddGroup validates every path
+// before creating anything, and names the allocator unless it is XWI,
+// the one that plays groups.
 func TestEngineRejectsMalformedArguments(t *testing.T) {
-	u := core.ProportionalFair()
+	pf := core.ProportionalFair()
 	flows := []struct {
 		name  string
 		links []int
+		u     core.Utility
 		size  int64
 		at    float64
 		want  string
 	}{
-		{"link past the network", []int{7}, 1 << 20, 0, "link 7"},
-		{"negative link", []int{0, -1}, 1 << 20, 0, "link -1"},
-		{"empty path", []int{}, 1 << 20, 0, "empty path"},
-		{"nil path", nil, 1 << 20, 0, "empty path"},
-		{"negative size", []int{0}, -1, 0, "sizeBytes = -1"},
-		{"NaN arrival", []int{0}, 1 << 20, math.NaN(), "at = NaN"},
-		{"+Inf arrival", []int{0}, 1 << 20, math.Inf(1), "at = +Inf"},
-		{"-Inf arrival", []int{0}, 1 << 20, math.Inf(-1), "at = -Inf"},
+		{"link past the network", []int{7}, pf, 1 << 20, 0, "link 7"},
+		{"negative link", []int{0, -1}, pf, 1 << 20, 0, "link -1"},
+		{"empty path", []int{}, pf, 1 << 20, 0, "empty path"},
+		{"nil path", nil, pf, 1 << 20, 0, "empty path"},
+		{"nil utility", []int{0}, nil, 1 << 20, 0, "nil utility"},
+		{"negative size", []int{0}, pf, -1, 0, "sizeBytes = -1"},
+		{"NaN arrival", []int{0}, pf, 1 << 20, math.NaN(), "at = NaN"},
+		{"+Inf arrival", []int{0}, pf, 1 << 20, math.Inf(1), "at = +Inf"},
+		{"-Inf arrival", []int{0}, pf, 1 << 20, math.Inf(-1), "at = -Inf"},
 	}
 	for _, c := range flows {
 		t.Run("AddFlow/"+c.name, func(t *testing.T) {
-			assertRejected(t, func(e *Engine) { e.AddFlow(c.links, u, c.size, c.at) }, "AddFlow", c.want)
+			assertRejected(t, NewXWI(), func(e *Engine) { e.AddFlow(c.links, c.u, c.size, c.at) }, "AddFlow", c.want)
 		})
 	}
 	groups := []struct {
 		name  string
 		paths [][]int
+		u     core.Utility
 		at    float64
 		want  string
 	}{
-		{"no paths", nil, 0, "no paths"},
-		{"second path out of range", [][]int{{0}, {2}}, 0, "link 2"},
-		{"empty member path", [][]int{{0}, {}}, 0, "empty path"},
-		{"NaN arrival", [][]int{{0}, {1}}, math.NaN(), "at = NaN"},
-		{"+Inf arrival", [][]int{{0}, {1}}, math.Inf(1), "at = +Inf"},
+		{"no paths", nil, pf, 0, "no paths"},
+		{"second path out of range", [][]int{{0}, {2}}, pf, 0, "link 2"},
+		{"empty member path", [][]int{{0}, {}}, pf, 0, "empty path"},
+		{"nil utility", [][]int{{0}, {1}}, nil, 0, "nil utility"},
+		{"NaN arrival", [][]int{{0}, {1}}, pf, math.NaN(), "at = NaN"},
+		{"+Inf arrival", [][]int{{0}, {1}}, pf, math.Inf(1), "at = +Inf"},
 	}
 	for _, c := range groups {
 		t.Run("AddGroup/"+c.name, func(t *testing.T) {
-			assertRejected(t, func(e *Engine) { e.AddGroup(c.paths, u, c.at) }, "AddGroup", c.want)
+			assertRejected(t, NewXWI(), func(e *Engine) { e.AddGroup(c.paths, c.u, c.at) }, "AddGroup", c.want)
+		})
+	}
+	for _, alloc := range []Allocator{NewWaterFill(), NewDGD(), NewOracle()} {
+		name := fmt.Sprintf("%T", alloc)
+		t.Run("AddGroup/"+name, func(t *testing.T) {
+			assertRejected(t, alloc, func(e *Engine) { e.AddGroup([][]int{{0}, {1}}, pf, 0) }, "AddGroup", name)
 		})
 	}
 	// What stays legal: an arrival in the past, an unbounded flow, a
 	// group, the last link.
-	e := NewEngine(NewNetwork([]float64{10e9, 10e9}), Config{Allocator: NewWaterFill()})
-	unbounded := e.AddFlow([]int{1}, u, 0, -1)
-	f := e.AddFlow([]int{0, 1}, u, 1<<20, -1e-3)
-	g := e.AddGroup([][]int{{0}, {1}}, u, -1e-3)
+	e := NewEngine(NewNetwork([]float64{10e9, 10e9}), Config{Allocator: NewXWI()})
+	unbounded := e.AddFlow([]int{1}, pf, 0, -1)
+	f := e.AddFlow([]int{0, 1}, pf, 1<<20, -1e-3)
+	g := e.AddGroup([][]int{{0}, {1}}, pf, -1e-3)
 	e.Run(1)
 	if !f.Done() || g.Rate() <= 0 || unbounded.Rate <= 0 {
 		t.Fatalf("legal arrivals: flow done %v, group rate %v, unbounded rate %v", f.Done(), g.Rate(), unbounded.Rate)

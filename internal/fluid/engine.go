@@ -142,10 +142,11 @@ func (e *Engine) Now() float64 { return e.now }
 func (e *Engine) Finished() []*Flow { return e.finished }
 
 // checkFlow panics unless links is a non-empty path over the engine's
-// network, sizeBytes a payload (0 = unbounded) and at a finite time: a
-// NaN arrival is never due, so Run would step epochs forever, and a
-// bad link id would surface as an index panic inside the allocator.
-func (e *Engine) checkFlow(fn string, links []int, sizeBytes int64, at float64) {
+// network, u a utility, sizeBytes a payload (0 = unbounded) and at a
+// finite time: a NaN arrival is never due, so Run would step epochs
+// forever, and a bad link id or a nil utility would surface as a bare
+// runtime panic inside the allocator.
+func (e *Engine) checkFlow(fn string, links []int, u core.Utility, sizeBytes int64, at float64) {
 	if len(links) == 0 {
 		panic(fmt.Sprintf("fluid: %s: empty path", fn))
 	}
@@ -154,6 +155,9 @@ func (e *Engine) checkFlow(fn string, links []int, sizeBytes int64, at float64) 
 		if l < 0 || l >= n {
 			panic(fmt.Sprintf("fluid: %s: link %d in path %v of a %d-link network", fn, l, links, n))
 		}
+	}
+	if u == nil {
+		panic(fmt.Sprintf("fluid: %s: nil utility", fn))
 	}
 	if sizeBytes < 0 {
 		panic(fmt.Sprintf("fluid: %s: sizeBytes = %d, want ≥ 0 (0 = unbounded)", fn, sizeBytes))
@@ -167,10 +171,10 @@ func (e *Engine) checkFlow(fn string, links []int, sizeBytes int64, at float64) 
 // at ≤ Now admits it on the next Step), with utility u and payload
 // sizeBytes (0 = unbounded). It returns the Flow for inspection. A
 // malformed argument — an empty path, a link id outside the network, a
-// negative size, a NaN or infinite at — is a programmer error and
-// panics naming the argument.
+// nil utility, a negative size, a NaN or infinite at — is a programmer
+// error and panics naming the argument.
 func (e *Engine) AddFlow(links []int, u core.Utility, sizeBytes int64, at float64) *Flow {
-	e.checkFlow("AddFlow", links, sizeBytes, at)
+	e.checkFlow("AddFlow", links, u, sizeBytes, at)
 	return e.addFlow(links, u, sizeBytes, at)
 }
 
@@ -187,13 +191,17 @@ func (e *Engine) addFlow(links []int, u core.Utility, sizeBytes int64, at float6
 // inspection; the member flows are in Group.Members, path order, and
 // run until stopped. Arguments are validated as in AddFlow, every path
 // included, before anything is created; a group needs at least one
-// path.
+// path. Only the XWI allocator plays groups: under any other AddGroup
+// panics naming the allocator.
 func (e *Engine) AddGroup(paths [][]int, u core.Utility, at float64) *Group {
 	if len(paths) == 0 {
 		panic("fluid: AddGroup: no paths")
 	}
 	for _, links := range paths {
-		e.checkFlow("AddGroup", links, 0, at)
+		e.checkFlow("AddGroup", links, u, 0, at)
+	}
+	if _, ok := e.cfg.Allocator.(*XWI); !ok {
+		panic(fmt.Sprintf("fluid: AddGroup: allocator %T plays no groups, want *fluid.XWI", e.cfg.Allocator))
 	}
 	g := &Group{U: u}
 	for _, links := range paths {

@@ -110,25 +110,23 @@ func TestAllocatorsZeroCapacity(t *testing.T) {
 
 // TestGroupResplitOnDeadLink: a multipath group with one member on a
 // dead link sheds that member (exactly zero) and carries its aggregate
-// on the surviving path.
+// on the surviving path, under XWI, the allocator that plays groups.
 func TestGroupResplitOnDeadLink(t *testing.T) {
-	for name, mk := range faultAllocators() {
-		t.Run(name, func(t *testing.T) {
-			eng := NewEngine(NewNetwork([]float64{10e9, 0}), Config{Epoch: 100e-6, Allocator: mk()})
-			g := eng.AddGroup([][]int{{0}, {1}}, core.ProportionalFair(), 0)
-			for ep := 0; ep < 500; ep++ {
-				eng.Step()
-			}
-			m0, m1 := g.Members[0].Rate, g.Members[1].Rate
-			assertFinite(t, name, []float64{m0, m1})
-			if m1 != 0 {
-				t.Errorf("member on dead link: rate %g want exactly 0", m1)
-			}
-			if m0 < 9e9 {
-				t.Errorf("surviving member rate %g want ≥ 9G (aggregate re-split)", m0)
-			}
-		})
-	}
+	t.Run("xwi", func(t *testing.T) {
+		eng := NewEngine(NewNetwork([]float64{10e9, 0}), Config{Epoch: 100e-6, Allocator: &XWI{IterPerEpoch: 4}})
+		g := eng.AddGroup([][]int{{0}, {1}}, core.ProportionalFair(), 0)
+		for ep := 0; ep < 500; ep++ {
+			eng.Step()
+		}
+		m0, m1 := g.Members[0].Rate, g.Members[1].Rate
+		assertFinite(t, "xwi", []float64{m0, m1})
+		if m1 != 0 {
+			t.Errorf("member on dead link: rate %g want exactly 0", m1)
+		}
+		if m0 < 9e9 {
+			t.Errorf("surviving member rate %g want ≥ 9G (aggregate re-split)", m0)
+		}
+	})
 }
 
 // TestAllocatorCapacityRecovery: zeroing a capacity in place and then

@@ -19,8 +19,9 @@
 // Flows may be pooled into multipath aggregates (Group): N member
 // subflows, each on its own path, governed by one utility of the
 // group's total rate — the paper's resource-pooling objective (Table 1
-// row 4, §6.3) at fluid granularity. Every allocator splits a group's
-// demand across its members (see Group).
+// row 4, §6.3) at fluid granularity. The XWI allocator splits a
+// group's demand across its members; no other allocator plays groups
+// (see Group).
 //
 // The package also provides a k-ary fat-tree topology generator
 // (topologies far beyond the packet path's leaf-spine reach) with full
@@ -85,8 +86,8 @@ type Flow struct {
 	ID int
 	// Links are the directed links the flow traverses.
 	Links []int
-	// U is the flow's NUM utility. Required by the XWI, DGD and Oracle
-	// allocators; WaterFill ignores it (every flow weighs 1).
+	// U is the flow's NUM utility. Required: both engines reject nil,
+	// though WaterFill weighs every flow 1 and never reads it.
 	U core.Utility
 	// SizeBytes is the payload; 0 means unbounded (runs until stopped).
 	SizeBytes int64
@@ -106,8 +107,8 @@ type Flow struct {
 	Group *Group
 
 	// share is the flow's smoothed fraction of its group's throughput,
-	// the state behind the §6.3 multipath weight heuristic; allocators
-	// update it across epochs.
+	// the state behind the §6.3 multipath weight heuristic; XWI updates
+	// it across epochs.
 	share float64
 
 	// pos is the flow's index in the engine's active slice (-1 when

@@ -10,11 +10,9 @@ import "numfabric/internal/core"
 // packet side and of core.Problem's multi-flow groups on the oracle
 // side.
 //
-// Allocators split the group's demand across members: WaterFill
-// iterates a bottleneck-aware share split, XWI and DGD run their price
-// dynamics on group-level weights (see each allocator's doc), and
-// Oracle solves the exact multipath NUM problem. A group runs until its
-// members are stopped.
+// Only the XWI allocator plays a group (Engine.AddGroup rejects any
+// other): it runs the paper's §6.3 multipath heuristic on group-level
+// weights (see XWI). A group runs until its members are stopped.
 type Group struct {
 	// U is the group's NUM utility, a function of the total rate.
 	U core.Utility
@@ -22,17 +20,11 @@ type Group struct {
 	// Their U field aliases the group's utility.
 	Members []*Flow
 
-	// stamp, gid, aggRate, qmin, and scan are allocator scan scratch:
-	// stamp marks the group as seen in the current pass, gid maps it
-	// to a problem-group index (Oracle), aggRate always holds the
-	// members' most recently allocated total rate, qmin the minimum
-	// member path price (DGD), and scan is a spare per-pass
-	// accumulator (member counts, share sums).
+	// stamp and aggRate are XWI's scan scratch: stamp marks the group
+	// as seen in the current pass, and aggRate holds the members' most
+	// recently allocated total rate.
 	stamp   int64
-	gid     int
 	aggRate float64
-	qmin    float64
-	scan    float64
 }
 
 // AddMember attaches f as a member subflow: f's utility aliases the

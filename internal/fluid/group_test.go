@@ -140,66 +140,11 @@ func TestXWIGroupGolden(t *testing.T) {
 	}
 }
 
-// TestOracleGroupExact: the Oracle allocator realizes the exact
-// multipath optimum in a single epoch.
-func TestOracleGroupExact(t *testing.T) {
-	for _, c := range groupCases() {
-		t.Run(c.name, func(t *testing.T) {
-			wantG, wantS := oracleGroupOptimum(c)
-			gotG, gotS := groupSteadyState(t, c, NewOracle(), 50)
-			assertWithin(t, c.name+"/groups", gotG, wantG, 0.01)
-			assertWithin(t, c.name+"/singles", gotS, wantS, 0.01)
-		})
-	}
-}
-
-// TestDGDGroupGolden: the DGD dynamics with multipath demand steering
-// reach the pooling optimum on the symmetric cases.
-func TestDGDGroupGolden(t *testing.T) {
-	for _, c := range groupCases() {
-		t.Run(c.name, func(t *testing.T) {
-			wantG, wantS := oracleGroupOptimum(c)
-			gotG, gotS := groupSteadyState(t, c, &DGD{Gamma: 0.05, IterPerEpoch: 100}, 5000)
-			assertWithin(t, c.name+"/groups", gotG, wantG, 0.02)
-			assertWithin(t, c.name+"/singles", gotS, wantS, 0.02)
-		})
-	}
-}
-
-// TestWaterFillGroupBottleneckAware: under pure water-filling a group
-// sheds weight from a congested path onto an uncontended one, and a
-// group over disjoint idle paths uses their full combined capacity.
-func TestWaterFillGroupBottleneckAware(t *testing.T) {
-	// Group over two idle links: full 20G.
-	eng := NewEngine(NewNetwork([]float64{10e9, 10e9}), Config{Allocator: NewWaterFill()})
-	g := eng.AddGroup([][]int{{0}, {1}}, core.ProportionalFair(), 0)
-	eng.Step()
-	if got := g.Rate(); math.Abs(got-20e9) > 1 {
-		t.Errorf("idle pool: group rate %g want 20G", got)
-	}
-
-	// A competitor on link 0: the group's weight concentrates on link
-	// 1 (member 1 near 10G), leaving the competitor most of link 0.
-	eng = NewEngine(NewNetwork([]float64{10e9, 10e9}), Config{Allocator: NewWaterFill()})
-	g = eng.AddGroup([][]int{{0}, {1}}, core.ProportionalFair(), 0)
-	single := eng.AddFlow([]int{0}, core.ProportionalFair(), 0, 0)
-	eng.Step()
-	if got := g.Members[1].Rate; math.Abs(got-10e9) > 1 {
-		t.Errorf("uncontended member: rate %g want 10G", got)
-	}
-	if single.Rate < 0.85*10e9 {
-		t.Errorf("competitor rate %g; group failed to shed the congested path", single.Rate)
-	}
-	if got := g.Rate(); got < 10e9 {
-		t.Errorf("group rate %g want ≥ 10G", got)
-	}
-}
-
 // TestGroupStopAndMemberWithdraw: stopping one member withdraws just
 // that path; stopping the other leaves the group idle, no member
 // finished.
 func TestGroupStopAndMemberWithdraw(t *testing.T) {
-	eng := NewEngine(NewNetwork([]float64{10e9, 10e9}), Config{Epoch: 100e-6, Allocator: NewWaterFill()})
+	eng := NewEngine(NewNetwork([]float64{10e9, 10e9}), Config{Epoch: 100e-6, Allocator: NewXWI()})
 	g := eng.AddGroup([][]int{{0}, {1}}, core.ProportionalFair(), 0)
 	eng.Step()
 	if got := g.Rate(); math.Abs(got-20e9) > 1 {
@@ -231,7 +176,7 @@ func TestGroupStopAndMemberWithdraw(t *testing.T) {
 // and reduces an established flow's rate; stopping its members gives
 // the flow its link back.
 func TestGroupLateArrival(t *testing.T) {
-	eng := NewEngine(NewNetwork([]float64{10e9, 10e9}), Config{Epoch: 100e-6, Allocator: NewWaterFill()})
+	eng := NewEngine(NewNetwork([]float64{10e9, 10e9}), Config{Epoch: 100e-6, Allocator: NewXWI()})
 	long := eng.AddFlow([]int{0}, core.ProportionalFair(), 0, 0)
 	g := eng.AddGroup([][]int{{0}, {1}}, core.ProportionalFair(), 5e-3)
 	eng.Run(4e-3)

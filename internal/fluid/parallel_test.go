@@ -74,7 +74,7 @@ func TestParallelWorkersGroups(t *testing.T) {
 	_, a := mkGroup([2]int{0, 1})
 	_, b := mkGroup([2]int{2, 3})
 
-	parent := NewWaterFill()
+	parent := &XWI{IterPerEpoch: 48, Tol: 1e-3}
 	parent.Prime(net)
 	w := parent.Worker()
 	ra := make([]float64, 2)

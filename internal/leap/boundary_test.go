@@ -65,6 +65,15 @@ func TestAddFlowRejectsMalformedArguments(t *testing.T) {
 			assertUntouched(t, e)
 		})
 	}
+	// A nil utility: the allocators that read it would crash with a
+	// nil dereference at the first solve.
+	for name, alloc := range map[string]fluid.Allocator{"xwi": fluid.NewXWI(), "oracle": fluid.NewOracle()} {
+		t.Run("nil utility/"+name, func(t *testing.T) {
+			e := NewEngine(fluid.NewNetwork([]float64{10e9, 10e9}), Config{Allocator: alloc})
+			mustPanic(t, func() { e.AddFlow([]int{0}, nil, 1<<20, 0) }, "AddFlow", "nil utility")
+			assertUntouched(t, e)
+		})
+	}
 	// The boundary cases that stay legal: an arrival in the past, an
 	// unbounded flow, the last link.
 	e := NewEngine(fluid.NewNetwork([]float64{10e9, 10e9}), Config{})

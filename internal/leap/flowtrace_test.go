@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"numfabric/internal/core"
 	"numfabric/internal/fluid"
 	"numfabric/internal/obs"
 )
@@ -177,8 +178,8 @@ func TestFlowTraceBottleneckIsMinSlack(t *testing.T) {
 		Obs: obs.Hooks{FlowTrace: ft},
 	})
 	// Two flows share link 0; the victim also crosses the fat link 1.
-	victim := e.AddFlow([]int{0, 1}, nil, 1<<20, 0)
-	e.AddFlow([]int{0}, nil, 1<<20, 0)
+	victim := e.AddFlow([]int{0, 1}, core.ProportionalFair(), 1<<20, 0)
+	e.AddFlow([]int{0}, core.ProportionalFair(), 1<<20, 0)
 	e.Run(math.Inf(1))
 	if victim.Finish == 0 {
 		t.Fatal("victim did not finish")

@@ -426,8 +426,9 @@ func checkTime(fn string, at float64) {
 // at ≤ Now admits it on the next Step), with utility u and payload
 // sizeBytes (0 = unbounded). It returns the Flow for inspection. A
 // malformed argument — an empty path, a link id outside the network,
-// a negative size, a NaN or infinite at — is a programmer error and
-// panics naming the argument, as FailLink and RecoverLink do.
+// a nil utility, a negative size, a NaN or infinite at — is a
+// programmer error and panics naming the argument, as FailLink and
+// RecoverLink do.
 //
 // Flows may be added between Steps, so a driver need not hold a whole
 // schedule in the engine: see Step for the rule that keeps such a run
@@ -441,6 +442,9 @@ func (e *Engine) AddFlow(links []int, u core.Utility, sizeBytes int64, at float6
 		if l < 0 || l >= n {
 			panic(fmt.Sprintf("leap: AddFlow: link %d in path %v of a %d-link network", l, links, n))
 		}
+	}
+	if u == nil {
+		panic("leap: AddFlow: nil utility")
 	}
 	if sizeBytes < 0 {
 		panic(fmt.Sprintf("leap: AddFlow: sizeBytes = %d, want ≥ 0 (0 = unbounded)", sizeBytes))
