@@ -58,6 +58,7 @@ import (
 
 	"numfabric/internal/harness"
 	"numfabric/internal/obs"
+	"numfabric/internal/obs/obshttp"
 	"numfabric/internal/paper"
 	"numfabric/internal/workload"
 )
@@ -269,7 +270,7 @@ func main() {
 			cliObs.FlowTrace = obs.NewFlowTracer(ftCfg)
 		}
 		if debugLn != nil {
-			obs.Serve(debugLn, cliObs.Live, cliObs.FlowTrace)
+			obshttp.Serve(debugLn, cliObs.Live, cliObs.FlowTrace)
 			defer debugLn.Close()
 			fmt.Printf("debug server on http://%s (/metrics, /progress, /flows, /links, /debug/pprof)\n", debugLn.Addr())
 			if *debugHold > 0 {

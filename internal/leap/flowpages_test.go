@@ -13,6 +13,7 @@ import (
 	"numfabric/internal/core"
 	"numfabric/internal/fluid"
 	"numfabric/internal/obs"
+	"numfabric/internal/obs/obshttp"
 	"numfabric/internal/sim"
 	"numfabric/internal/workload"
 )
@@ -45,7 +46,7 @@ func faultedFatTreePlay(hooks obs.Hooks) *Engine {
 }
 
 // TestFlowEndpointsScrapedDuringFaultedPlay scrapes /flows and /links
-// through obs.Handler, each from a goroutine of its own, while
+// through obshttp.Handler, each from a goroutine of its own, while
 // faultedFatTreePlay runs; with -race it fails for any link label or
 // snapshot formatted off the engine goroutine, where it races the
 // faults' SetCapacity. Every /flows body must describe one publish:
@@ -54,7 +55,7 @@ func TestFlowEndpointsScrapedDuringFaultedPlay(t *testing.T) {
 	tracer := obs.NewFlowTracer(obs.FlowTraceConfig{SampleRate: 0.05, SlowestK: 16})
 	live := obs.NewLive()
 	e := faultedFatTreePlay(obs.Hooks{Live: live, FlowTrace: tracer})
-	srv := httptest.NewServer(obs.Handler(live, tracer))
+	srv := httptest.NewServer(obshttp.Handler(live, tracer))
 	defer srv.Close()
 
 	var (

@@ -14,6 +14,7 @@ import (
 	"numfabric/internal/core"
 	"numfabric/internal/fluid"
 	"numfabric/internal/obs"
+	"numfabric/internal/obs/obshttp"
 )
 
 // goldenFlowTracePlay is the fixed traced play TestFlowTraceExportGolden
@@ -72,7 +73,7 @@ func TestFlowTraceExportGolden(t *testing.T) {
 	}
 	serve := func(path string) []byte {
 		rec := httptest.NewRecorder()
-		obs.Handler(live, ft).ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		obshttp.Handler(live, ft).ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 		return rec.Body.Bytes()
 	}
 	for _, c := range []struct {

@@ -31,7 +31,7 @@ import (
 type FlowTracer struct {
 	cfg    FlowTraceConfig
 	nameFn func(link int) string // the link-label function (SetLinkName)
-	pages  published             // only Publish and the handlers touch it
+	pages  published             // only Publish and Published touch it
 	flowRun
 }
 

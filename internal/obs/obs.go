@@ -1,8 +1,8 @@
 // Package obs is the engine-wide observability layer: a phase
 // profiler for the event loops, Chrome-trace export of the leap
-// engine's batches and component solves, a flow-lifecycle tracer, the
-// live snapshot an engine publishes on request, and a debug HTTP
-// endpoint (pprof, expvar, /metrics, /progress, /flows, /links).
+// engine's batches and component solves, a flow-lifecycle tracer, and
+// the live snapshot and flow pages an engine publishes on request,
+// which internal/obs/obshttp serves (numfabric -debug-addr).
 //
 // Every hook has one writer, the engine goroutine, and no lock on its
 // path. Other goroutines read only what the engine published — on a

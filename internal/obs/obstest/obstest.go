@@ -4,22 +4,22 @@ package obstest
 
 import (
 	"encoding/json"
-	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
 
 	"numfabric/internal/obs"
+	"numfabric/internal/obs/obshttp"
 )
 
-// Scraper reads /progress and /metrics off obs.Handler, over HTTP, from
-// a goroutine of its own while the test's goroutine steps an engine.
+// Scraper reads /progress and /metrics off obshttp.Handler from a
+// goroutine of its own while the test's goroutine steps an engine.
 type Scraper struct {
-	t    testing.TB
-	srv  *httptest.Server
-	tick chan struct{}
-	stop chan struct{}
-	done chan struct{}
+	t     testing.TB
+	serve func(path string) *httptest.ResponseRecorder
+	tick  chan struct{}
+	stop  chan struct{}
+	done  chan struct{}
 }
 
 // Start begins scraping live's endpoints in a loop. Each scrape of the
@@ -29,9 +29,13 @@ type Scraper struct {
 // is what the schedule has admitted by sim_seconds, which admitted
 // brackets (an arrival due exactly then may or may not be in yet).
 func Start(t testing.TB, live *obs.Live, admitted func(simSeconds float64) (lo, hi int)) *Scraper {
-	s := &Scraper{t: t, srv: httptest.NewServer(obs.Handler(live, nil)),
-		tick: make(chan struct{}), stop: make(chan struct{}), done: make(chan struct{})}
-	t.Cleanup(s.srv.Close)
+	h := obshttp.Handler(live, nil)
+	serve := func(path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		return rec
+	}
+	s := &Scraper{t: t, serve: serve, tick: make(chan struct{}), stop: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(s.done)
 		var last obs.ProgressSnapshot
@@ -101,13 +105,7 @@ func (s *Scraper) Exact(exit string, stats any, simSeconds float64) (obs.Progres
 }
 
 func (s *Scraper) get(path string, v any) {
-	resp, err := http.Get(s.srv.URL + path)
-	if err != nil {
-		s.t.Errorf("GET %s: %v", path, err)
-		return
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+	if err := json.NewDecoder(s.serve(path).Body).Decode(v); err != nil {
 		s.t.Errorf("GET %s: %v", path, err)
 	}
 }
