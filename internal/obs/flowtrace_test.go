@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -197,6 +198,32 @@ func TestFlowTraceSamplingDeterministicAndReservoir(t *testing.T) {
 	for i := 1; i < len(recs); i++ {
 		if recs[i].Slowdown > recs[i-1].Slowdown {
 			t.Fatalf("records not sorted by slowdown at %d", i)
+		}
+	}
+}
+
+// TestTailAttributionOfRecordsMatchesTrace: the kept records alone
+// attribute the tail exactly as the whole trace does — Trace adds only
+// the flows still active and the link lines, neither of which
+// TailAttribution reads — so numfabric's leapfct line need not export
+// one.
+func TestTailAttributionOfRecordsMatchesTrace(t *testing.T) {
+	ft := traced(FlowTraceConfig{SampleRate: 0.25, SlowestK: 4})
+	for id := 0; id < 300; id++ {
+		ft.Admit(id, 10, float64(id), []int{id % 3, (id + 1) % 3})
+		ft.Rate(id, float64(id), 1+float64(id%7), id%3, CauseSolve, 1, 1)
+		if id%5 != 0 { // every fifth flow is still active at the end
+			ft.Complete(id, float64(id)+1+float64(id%11))
+		}
+	}
+	if s := ft.Summary(); s.Active != 60 || s.Kept+s.Reservoir == 0 {
+		t.Fatalf("summary = %+v, want 60 active flows and some kept", s)
+	}
+	for _, frac := range []float64{0.01, 0.25, 1} {
+		wantAttr, wantN := ft.Trace().TailAttribution(frac)
+		gotAttr, gotN := (&FlowTrace{Flows: ft.Records()}).TailAttribution(frac)
+		if gotN != wantN || len(wantAttr) == 0 || !reflect.DeepEqual(gotAttr, wantAttr) {
+			t.Errorf("frac %g: records attribute %d flows %+v, the trace %d flows %+v", frac, gotN, gotAttr, wantN, wantAttr)
 		}
 	}
 }

@@ -102,7 +102,7 @@ func leapFCT(env Env, s Scale, seed uint64) Metrics {
 		// lost their service time, by bottleneck link. The slowest-K
 		// reservoir guarantees the true tail is in the trace even at low
 		// sample rates.
-		attr, tailN := tracer.Trace().TailAttribution(0.01)
+		attr, tailN := (&obs.FlowTrace{Flows: tracer.Records()}).TailAttribution(0.01)
 		tailLink, tailShare := -1.0, 0.0
 		if len(attr) > 0 {
 			tailLink, tailShare = float64(attr[0].Link), attr[0].Share
