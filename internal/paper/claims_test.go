@@ -30,6 +30,16 @@ var claims = []claim{
 		[][]string{{"pairs/median-ms", "all-gaps/median-ms"}, {"pairs/unconverged", "all-gaps/unconverged"}},
 		0,
 	},
+	{
+		"two pooled bandwidth-function flows: flow 1 gets more than flow 2 before the capacity step, and both rise after it",
+		"§6.3, Fig. 10", "fig10",
+		[][]string{
+			{"flow2-before-Gbps", "flow1-before-Gbps"},
+			{"flow1-before-Gbps", "flow1-after-Gbps"},
+			{"flow2-before-Gbps", "flow2-after-Gbps"},
+		},
+		0.25,
+	},
 }
 
 // TestPaperClaims runs each claim's experiment and checks its chains;
