@@ -194,22 +194,40 @@ func (c *capCounter) AllocateSubset(net *fluid.Network, flows []*fluid.Flow, rat
 // with rates still moving by more than Tol (the rest meet Tol on the
 // last iteration), and on the benchmark's fctmin-xwi schedule they
 // carry about half of xWI's flow-iterations. The share is recorded,
-// not fixed: raising the cap moves FCT bits.
+// not fixed: raising the cap moves FCT bits. The load-0.3 row is the
+// regime where most solves stop at the cap (ROADMAP item 1's cliff); no
+// other golden plays that load, so it also pins the row's iterations
+// and FCT fingerprint.
 func TestXWICapShare(t *testing.T) {
 	cases := []struct {
+		name           string
 		seed           uint64
+		load           float64
+		flows          int
 		solves, capped int
+		iters          int64  // 0: not pinned
+		fingerprint    string // "": not pinned (TestGoldenFatTreeKernels has it)
 	}{
-		{1, 9637, 1059},
-		{2, 8712, 861},
+		{"seed1", 1, 0.12, 10000, 9637, 1059, 0, ""},
+		{"seed2", 2, 0.12, 10000, 8712, 861, 0, ""},
+		{"seed2-load0.3", 2, 0.3, 2000, 3578, 1698, 108835, "3eed24ee273f4e94"},
 	}
 	for _, c := range cases {
-		t.Run(fmt.Sprintf("seed%d", c.seed), func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
+			if c.load > 0.12 && testing.Short() {
+				t.Skip("the load-0.3 play takes ≈ 3 s")
+			}
 			alloc := &capCounter{XWI: numfabricLeapAllocator().(*fluid.XWI)}
-			goldenFatTree(t, alloc, FatTreeWebSearch, 0.12, 10000, c.seed, fctMin, nil)
+			fp := goldenFatTree(t, alloc, FatTreeWebSearch, c.load, c.flows, c.seed, fctMin, nil)
 			if alloc.solves != c.solves || alloc.capped != c.capped {
 				t.Errorf("%d of %d solves ran the full %d iterations, want %d of %d",
 					alloc.capped, alloc.solves, alloc.IterPerEpoch, c.capped, c.solves)
+			}
+			if c.iters != 0 && alloc.SolveIters() != c.iters {
+				t.Errorf("%d iterations, want %d", alloc.SolveIters(), c.iters)
+			}
+			if c.fingerprint != "" && fp != c.fingerprint {
+				t.Errorf("fingerprint %s, want %s", fp, c.fingerprint)
 			}
 		})
 	}
