@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"numfabric/internal/cert"
 	"numfabric/internal/core"
 	"numfabric/internal/oracle"
 )
@@ -213,7 +214,13 @@ func TestXWIKernelBits(t *testing.T) {
 			p.AddSubflow(g0, []int{0, 1})
 			p.AddSubflow(g1, []int{1, 2})
 			p.AddFlow([]int{2}, pf)
-			h.solve(p, oracle.SolveOptions{})
+			res := h.solve(p, oracle.SolveOptions{})
+			// The certificate that holds when the load order moves bits: the
+			// §6.3 share floor keeps each group's minor path probing, 3.4 %
+			// short of the pooled optimum by the duality gap.
+			if feas, gap := cert.Feasibility(p, res.Rates), cert.Gap(p, res.Rates, res.Prices); feas > 0 || gap > 0.034 {
+				t.Errorf("feasibility %.3g (want 0), duality gap %.3g (want ≤ 0.034)", feas, gap)
+			}
 		}, "50df2d5b639b8d0b"},
 		{"oracle/maxiter-cut", func(t *testing.T, h *bitHash) {
 			p := core.NewProblem([]float64{10e9, 4e9, 10e9, 7e9})
