@@ -77,15 +77,10 @@ func (c *iterCount) add(d int64) { c.n += d }
 // SolveIters returns the iterations accumulated so far.
 func (c *iterCount) SolveIters() int64 { return c.n }
 
-// scratch holds the per-call path/weight views shared by allocators,
-// and XWI's group view.
+// scratch holds the per-call path/weight views shared by allocators.
 type scratch struct {
 	paths   [][]int
 	weights []float64
-	groups  []*Group
-	// stamp is the last group-scan stamp collectGroups issued: monotone,
-	// so a group marked by an earlier scan never reads as already seen.
-	stamp int64
 
 	// linkStamp/links collect the distinct links a call's flows cross,
 	// in first-touch order — the sparse iteration domain of the subset
@@ -114,19 +109,16 @@ func (s *scratch) resize(n int) {
 	s.weights = s.weights[:n]
 }
 
-// collectGroups gathers the distinct aggregates among flows, in
-// first-member order, via the groups' scan stamps (no per-call
-// allocation once warm).
-func (s *scratch) collectGroups(flows []*Flow) []*Group {
-	s.stamp++
-	s.groups = s.groups[:0]
-	for _, f := range flows {
-		if g := f.Group; g != nil && g.stamp != s.stamp {
-			g.stamp = s.stamp
-			s.groups = append(s.groups, g)
-		}
+// seedPrices returns cold link prices for flows on net (oracle.SeedPrices),
+// a dead first link scaled against the largest capacity.
+func (s *scratch) seedPrices(net *Network, flows []*Flow) []float64 {
+	s.resize(len(flows))
+	for i, f := range flows {
+		s.paths[i] = f.Links
 	}
-	return s.groups
+	price := make([]float64, net.Links())
+	oracle.SeedPrices(price, net.Capacity, s.paths, func(i int) core.Utility { return flows[i].U }, net.MaxCapacity())
+	return price
 }
 
 // gatherAlpha builds the call's α-fair plan over the flows' utilities
@@ -193,28 +185,6 @@ func (s *scratch) bottlenecks(net *Network, flows []*Flow, rates []float64, out 
 	}
 }
 
-// groupTotals recomputes each group's aggRate as the members' total in
-// x and refreshes the members' smoothed throughput shares.
-func groupTotals(groups []*Group, flows []*Flow, x []float64) {
-	for _, g := range groups {
-		g.aggRate = 0
-	}
-	for i, f := range flows {
-		if f.Group != nil {
-			f.Group.aggRate += x[i]
-		}
-	}
-	for i, f := range flows {
-		g := f.Group
-		if g == nil || g.aggRate <= 0 {
-			continue
-		}
-		// Smooth the share to stabilize the heuristic (as in
-		// oracle.Solve).
-		f.share = 0.5*f.share + 0.5*x[i]/g.aggRate
-	}
-}
-
 // WaterFill is the instantaneous max-min allocator: every epoch the
 // rates jump straight to the exact water-filling allocation (Eq. 8),
 // every flow weighted 1, via the oracle's progressive filling. It
@@ -277,13 +247,15 @@ func (w *WaterFill) Stationary() bool { return true }
 // NUM optimum (the paper's Theorem 1: the fixed point of these
 // dynamics solves the NUM problem).
 //
-// Groups use the paper's §6.3 multipath heuristic, exactly as
-// oracle.Solve does: each member's weight is the aggregate weight
-// implied by its own path price, scaled by the member's smoothed share
-// of the group's throughput, and residuals use the utility's marginal
-// at the group's TOTAL rate. The shares persist across epochs on the
-// member flows, so convergence warm-starts over arrivals and
-// departures like the prices do.
+// Each round is one oracle.XWIStep, the step oracle.Solve iterates to
+// its fixed point; XWI plays it from its own held prices and, with Tol
+// set, stops once the rates stop moving. Groups use the paper's §6.3
+// multipath heuristic (see oracle.XWIStep): each member's weight is the
+// aggregate weight implied by its own path price, scaled by the
+// member's smoothed share of the group's throughput, and residuals use
+// the utility's marginal at the group's TOTAL rate. The shares persist
+// across epochs on the member flows, so convergence warm-starts over
+// arrivals and departures like the prices do.
 type XWI struct {
 	// Eta is the underutilization gain η (Eq. 10; default 5).
 	Eta float64
@@ -304,12 +276,8 @@ type XWI struct {
 	iterCount
 	price []float64
 	s     scratch
-	ws    oracle.MaxMinWorkspace
-	x     []float64
+	step  oracle.XWIStep
 	xprev []float64
-	q     []float64 // per-flow path price of the current iteration
-	load  []float64
-	res   []float64
 }
 
 // NewXWI returns an XWI allocator with Table 2 defaults.
@@ -355,12 +323,6 @@ func (a *XWI) AllocateSubset(net *Network, flows []*Flow, rates []float64) {
 func (a *XWI) allocate(net *Network, flows []*Flow, rates []float64, subset bool) {
 	eta, beta, iters := a.defaults()
 	nf, nl := len(flows), net.Links()
-	a.s.resize(nf)
-	paths, weights := a.s.paths, a.s.weights
-	for i, f := range flows {
-		paths[i] = f.Links
-	}
-
 	maxCap := net.MaxCapacity()
 	if maxCap <= 0 {
 		// Every link dead (fault injection can zero whole components):
@@ -368,80 +330,42 @@ func (a *XWI) allocate(net *Network, flows []*Flow, rates []float64, subset bool
 		// forced to zero by the max-min step regardless.
 		maxCap = 1
 	}
-	wMin, wMax := 1e-3, 100*maxCap
-
 	if len(a.price) != nl {
-		a.price = initPrices(net, flows)
+		a.price = a.s.seedPrices(net, flows)
 	}
-	price := a.price
-
-	if cap(a.load) < nl {
-		a.load = make([]float64, nl)
-		a.res = make([]float64, nl)
+	price, st := a.price, &a.step
+	paths, group, share := st.Reset(nf)
+	pooled := false
+	for i, f := range flows {
+		paths[i], group[i] = f.Links, -1
+		if g := f.Group; g != nil {
+			// A group is numbered by the index of one of its members.
+			if g.idx >= nf || flows[g.idx].Group != g {
+				g.idx = i
+			}
+			group[i], share[i], pooled = g.idx, f.share, true
+		}
 	}
-	load, minRes := a.load[:nl], a.res[:nl]
 	// The paths are fixed for the whole call and only the weights move
 	// between iterations, so everything the max-min step derives from
 	// the paths alone is prepared once, here.
-	a.ws.Prepare(net.Capacity, paths)
-	// touched is the links the flows cross (every touched link carries
-	// at least one of them); links outside it are idle — in a full
-	// Allocate their prices decay toward zero, in a subset call they
-	// belong to other components and stay untouched.
-	touched := a.ws.Links()
-	groups := a.s.collectGroups(flows)
-	fast := a.s.gatherAlpha(flows)
-	afW, afK, alphaK := a.s.plan.W, a.s.plan.K, a.s.plan.Kernels
-	if cap(a.q) < nf {
-		a.q = make([]float64, nf)
+	st.Prepare(net.Capacity, func(i int) core.Utility { return flows[i].U })
+	// Links no flow crosses are idle: in a full Allocate their prices
+	// decay toward zero, as the dynamics prescribe for links traffic has
+	// left; in a subset call they belong to other components and stay
+	// untouched.
+	var idle []int
+	if !subset {
+		idle = st.Idle(price)
 	}
-	q := a.q[:nf]
-	if cap(a.x) < nf {
-		a.x = make([]float64, nf)
+	if a.Tol > 0 && cap(a.xprev) < nf {
+		a.xprev = make([]float64, nf)
 	}
-	x := a.x[:nf]
-	if a.Tol > 0 {
-		if cap(a.xprev) < nf {
-			a.xprev = make([]float64, nf)
-		}
-	}
+	var x []float64
 	done := 0
 	for it := 0; it < iters; it++ {
 		done = it + 1
-		// Each flow's path price is summed once per iteration: the
-		// weight (Eq. 7) and the residual (Eq. 9) both read it, and no
-		// price is written in between.
-		for i, p := range paths {
-			sum := 0.0
-			for _, l := range p {
-				sum += price[l]
-			}
-			q[i] = sum
-		}
-		if fast {
-			for i, f := range flows {
-				w := alphaK[afK[i]].InverseMarginal(afW[i], q[i])
-				if f.Group != nil {
-					w *= math.Max(f.share, 1e-3)
-				}
-				weights[i] = clamp(w, wMin, wMax)
-			}
-		} else {
-			for i, f := range flows {
-				w := f.U.InverseMarginal(q[i])
-				if f.Group != nil {
-					// §6.3 heuristic: scale the aggregate weight by the
-					// member's throughput share (floored so an unused path
-					// keeps probing), as in oracle.Solve.
-					w *= math.Max(f.share, 1e-3)
-				}
-				weights[i] = clamp(w, wMin, wMax)
-			}
-		}
-		a.ws.Fill(weights, x)
-		if len(groups) > 0 {
-			groupTotals(groups, flows, x)
-		}
+		x = st.Rates(price, maxCap)
 		if a.Tol > 0 {
 			xprev := a.xprev[:nf]
 			maxMove := 0.0
@@ -457,55 +381,12 @@ func (a *XWI) allocate(net *Network, flows []*Flow, rates []float64, subset bool
 				break
 			}
 		}
-
-		for _, l := range touched {
-			load[l] = 0
-			minRes[l] = math.Inf(1)
-		}
+		st.Update(price, net.Capacity, eta, beta, idle)
+	}
+	if pooled {
 		for i, f := range flows {
-			rate := x[i]
-			agg := rate
 			if f.Group != nil {
-				// The KKT marginal of an aggregate is of its total rate.
-				agg = f.Group.aggRate
-			}
-			at := max(agg, rate, 1)
-			var marg float64
-			if fast {
-				marg = alphaK[afK[i]].Marginal(afW[i], at)
-			} else {
-				marg = f.U.Marginal(at)
-			}
-			res := (marg - q[i]) / float64(len(paths[i]))
-			for _, l := range paths[i] {
-				load[l] += rate
-				if res < minRes[l] {
-					minRes[l] = res
-				}
-			}
-		}
-		for _, l := range touched {
-			if net.Capacity[l] <= 0 {
-				// Failed link: utilization is undefined (0/0) and no
-				// price can admit traffic. Hold the price so a recovery
-				// warm-starts from the pre-fault dual.
-				continue
-			}
-			pres := price[l] + minRes[l]
-			u := load[l] / net.Capacity[l]
-			pnew := pres - eta*(1-u)*price[l]
-			if pnew < 0 {
-				pnew = 0
-			}
-			price[l] = beta*price[l] + (1-beta)*pnew
-		}
-		if !subset {
-			// Idle links decay toward zero, as the dynamics prescribe
-			// for links traffic has left.
-			for l := 0; l < nl; l++ {
-				if !a.ws.Touches(l) {
-					price[l] *= beta
-				}
+				f.share = share[i]
 			}
 		}
 	}
@@ -687,7 +568,7 @@ func (a *DGD) allocate(net *Network, flows []*Flow, rates []float64, subset bool
 		maxCap = 1
 	}
 	if len(a.price) != nl {
-		a.price = initPrices(net, flows)
+		a.price = a.s.seedPrices(net, flows)
 	}
 	price := a.price
 	if cap(a.x) < nf {
@@ -800,62 +681,4 @@ func projectFeasible(net *Network, flows []*Flow, rates []float64, load []float6
 		}
 		rates[i] *= scale
 	}
-}
-
-// initPrices seeds per-link prices the way oracle.Solve does: inverse
-// flow counts, scaled so a representative flow's weight lands near its
-// fair share.
-func initPrices(net *Network, flows []*Flow) []float64 {
-	nl := net.Links()
-	price := make([]float64, nl)
-	cnt := make([]int, nl)
-	for _, f := range flows {
-		for _, l := range f.Links {
-			cnt[l]++
-		}
-	}
-	for l := range price {
-		n := cnt[l]
-		if n == 0 {
-			n = 1
-		}
-		price[l] = 1.0 / float64(n)
-	}
-	if len(flows) > 0 {
-		f0 := flows[0]
-		l0 := f0.Links[0]
-		capl := net.Capacity[l0]
-		if capl <= 0 {
-			// Dead representative link (fault injection): scale against
-			// the largest live capacity instead, so prices still land
-			// near a realistic marginal. All-dead nets keep capl == 0
-			// and skip scaling below — every rate is zero regardless.
-			capl = net.MaxCapacity()
-		}
-		fair := capl / math.Max(1, float64(cnt[l0]))
-		target := f0.U.Marginal(fair)
-		sum := 0.0
-		for _, l := range f0.Links {
-			sum += price[l]
-		}
-		// A dead first link makes fair == 0 and Marginal(0) can be
-		// +Inf; an infinite scale would poison every price.
-		if sum > 0 && target > 0 && !math.IsInf(target, 1) {
-			scale := target / sum
-			for l := range price {
-				price[l] *= scale
-			}
-		}
-	}
-	return price
-}
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -20,11 +20,9 @@ type Group struct {
 	// Their U field aliases the group's utility.
 	Members []*Flow
 
-	// stamp and aggRate are XWI's scan scratch: stamp marks the group
-	// as seen in the current pass, and aggRate holds the members' most
-	// recently allocated total rate.
-	stamp   int64
-	aggRate float64
+	// idx is XWI's scratch: in a call whose flows hold a member at
+	// index idx, the group's number; otherwise stale.
+	idx int
 }
 
 // AddMember attaches f as a member subflow: f's utility aliases the

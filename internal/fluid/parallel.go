@@ -31,7 +31,7 @@ func (w *WaterFill) Worker() SubsetAllocator { return w }
 // dynamics warm from the first event on.
 func (a *XWI) Prime(net *Network) {
 	if len(a.price) != net.Links() {
-		a.price = initPrices(net, nil)
+		a.price = a.s.seedPrices(net, nil)
 	}
 }
 

@@ -57,8 +57,8 @@ func TestParallelWorkersMatchSerial(t *testing.T) {
 }
 
 // TestParallelWorkersGroups: alternating solves of two group-bearing
-// subsets through one allocator exercise the group-scan stamp — a stamp
-// that repeated would silently drop a group from the allocator's view.
+// subsets through one allocator exercise the per-call group numbering —
+// a number left from the other subset would pool the wrong members.
 func TestParallelWorkersGroups(t *testing.T) {
 	net := NewNetwork([]float64{10e9, 10e9, 10e9, 10e9})
 	u := core.ProportionalFair()

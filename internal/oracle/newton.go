@@ -42,7 +42,7 @@ func (nw *newtonWork) classes(i int) []int { return nw.fcls[nw.fstart[i]:nw.fsta
 // step, backtracks with Armijo on the projected path (within the dual's
 // rounding), and stops at a relative KKT residual ≤ newtonKKT.
 func (ws *SolveWorkspace) newton(p *core.Problem, opts SolveOptions) (Result, bool) {
-	nf, mm, nw, k := len(p.Flows), &ws.mm, &ws.nw, &ws.plan.Kernels[0]
+	nf, mm, nw, k := len(p.Flows), &ws.step.mm, &ws.nw, &ws.step.plan.Kernels[0]
 	if len(mm.reps) > maxNewtonClasses {
 		return Result{}, false
 	}
@@ -80,10 +80,9 @@ func (ws *SolveWorkspace) newton(p *core.Problem, opts SolveOptions) (Result, bo
 	nw.fstart[nf] = len(nw.fcls)
 	// v_i: FCTMin's weights span 2^-1022 to MaxFloat64, their α-th powers
 	// a range every quotient below fits in.
-	ws.weights, ws.x, ws.pathPrice = growF(ws.weights, nf), growF(ws.x, nf), growF(ws.pathPrice, nf)
-	v, x, q, pi := ws.weights, ws.x, ws.pathPrice, nw.pi
-	for i, f := range p.Flows {
-		if v[i] = k.Marginal(ws.plan.W[f.Group], 1); !(v[i] > 0) || math.IsInf(v[i], 1) {
+	v, x, q, pi := ws.step.weights, ws.step.x, ws.step.pathPrice, nw.pi
+	for i := range p.Flows {
+		if v[i] = k.Marginal(ws.step.plan.W[i], 1); !(v[i] > 0) || math.IsInf(v[i], 1) {
 			return Result{}, false
 		}
 	}
@@ -99,7 +98,7 @@ func (ws *SolveWorkspace) newton(p *core.Problem, opts SolveOptions) (Result, bo
 	// bounds the optimum's) — of the least fair share if it is 0 — by
 	// spreading the difference over the path's classes.
 	ws.dualAt(pi)
-	for i, f := range p.Flows {
+	for i := range p.Flows {
 		cls, least, fair := nw.classes(i), math.Inf(1), math.Inf(1)
 		for _, r := range cls {
 			least, fair = min(least, nw.c[r]), min(fair, nw.c[r]/float64(len(flowsOn(nw.rep[r]))))
@@ -107,7 +106,7 @@ func (ws *SolveWorkspace) newton(p *core.Problem, opts SolveOptions) (Result, bo
 		if q[i] > 0 {
 			fair = least
 		}
-		if u := k.Marginal(ws.plan.W[f.Group], fair); q[i] < u {
+		if u := k.Marginal(ws.step.plan.W[i], fair); q[i] < u {
 			for _, r := range cls {
 				pi[r] += (u - q[i]) / float64(len(cls))
 			}
@@ -170,7 +169,7 @@ func (ws *SolveWorkspace) newton(p *core.Problem, opts SolveOptions) (Result, bo
 // cert.LinkLoads sums a link's.
 func (ws *SolveWorkspace) loads() {
 	clear(ws.nw.load)
-	for i, xi := range ws.x {
+	for i, xi := range ws.step.x {
 		for _, r := range ws.nw.classes(i) {
 			ws.nw.load[r] += xi
 		}
@@ -181,7 +180,7 @@ func (ws *SolveWorkspace) loads() {
 // positive, the rates they imply, and returns the dual D and the sum of
 // its terms' magnitudes; D is +Inf where a path price is not positive.
 func (ws *SolveWorkspace) dualAt(pi []float64) [2]float64 {
-	k, q, bad := &ws.plan.Kernels[0], ws.pathPrice, false
+	k, q, bad := &ws.step.plan.Kernels[0], ws.step.pathPrice, false
 	for i := range q {
 		q[i] = 0
 		for _, r := range ws.nw.classes(i) {
@@ -194,9 +193,9 @@ func (ws *SolveWorkspace) dualAt(pi []float64) [2]float64 {
 		d += pi[r] * c
 	}
 	noise := d
-	for i, v := range ws.weights {
-		ws.x[i] = k.InverseMarginal(1, q[i]/v)
-		t := k.Alpha / (1 - k.Alpha) * ws.x[i] * q[i]
+	for i, v := range ws.step.weights {
+		ws.step.x[i] = k.InverseMarginal(1, q[i]/v)
+		t := k.Alpha / (1 - k.Alpha) * ws.step.x[i] * q[i]
 		if math.Abs(k.Alpha-1) < 1e-12 {
 			t = v * (math.Log(v/q[i]) - 1)
 		}
@@ -254,8 +253,8 @@ func (nw *newtonWork) direction(free []int, nc int) bool {
 // computes it, is not its path price to 1e-12 (≥ it at rate 0): below the
 // utilities' 1 b/s floor, or where math.Pow loses a subnormal W/x.
 func (ws *SolveWorkspace) newtonResult(p *core.Problem, steps int) (Result, bool) {
-	nw, x, k := &ws.nw, ws.x, &ws.plan.Kernels[0]
-	for i, f := range p.Flows {
+	nw, x, k := &ws.nw, ws.step.x, &ws.step.plan.Kernels[0]
+	for i := range p.Flows {
 		s := 1.0
 		for _, r := range nw.classes(i) {
 			if nw.load[r] > nw.c[r] {
@@ -263,7 +262,7 @@ func (ws *SolveWorkspace) newtonResult(p *core.Problem, steps int) (Result, bool
 			}
 		}
 		x[i] *= s
-		if u, q := k.Marginal(ws.plan.W[f.Group], x[i]), ws.pathPrice[i]; u > q && x[i] == 0 || math.Abs(u-q) > 1e-12*max(u, q) && x[i] > 0 {
+		if u, q := k.Marginal(ws.step.plan.W[i], x[i]), ws.step.pathPrice[i]; u > q && x[i] == 0 || math.Abs(u-q) > 1e-12*max(u, q) && x[i] > 0 {
 			return Result{}, false
 		}
 	}

@@ -111,8 +111,10 @@ func TestSolvePlanMatchesInterface(t *testing.T) {
 		var init []float64
 		for step, pair := range [][2]*core.Problem{{plain, wrapped}, {withoutLastGroup(plain), withoutLastGroup(wrapped)}} {
 			opts.InitPrices = init // cold first, then warm from the plan's duals
-			got := wsPlain.iterate(pair[0], opts.withDefaults(), wsPlain.prepare(pair[0]))
-			want := wsWrapped.iterate(pair[1], opts.withDefaults(), wsWrapped.prepare(pair[1]))
+			wsPlain.prepare(pair[0])
+			wsWrapped.prepare(pair[1])
+			got := wsPlain.iterate(pair[0], opts.withDefaults())
+			want := wsWrapped.iterate(pair[1], opts.withDefaults())
 			if !bitsEqual(got.Rates, want.Rates) || !bitsEqual(got.Prices, want.Prices) ||
 				got.Iterations != want.Iterations || got.Converged != want.Converged {
 				t.Fatalf("%s, step %d: plan path differs from the interface path\n got %+v\nwant %+v", c.name, step, got, want)

@@ -55,14 +55,11 @@ type Result struct {
 }
 
 // Solve computes the NUM-optimal allocation for p using the fluid xWI
-// iteration (§4.2): prices → weights (Eq. 7) → exact weighted max-min
-// (Eq. 8, via progressive filling) → price update (Eqs. 9–11). The
-// paper proves this dynamical system's unique fixed point solves the
-// NUM problem; we iterate it to numerical convergence.
-//
-// Multipath groups use the paper's §6.3 heuristic: each subflow's
-// weight is the aggregate weight from its own path price, scaled by
-// the subflow's share of the aggregate's throughput.
+// iteration (§4.2; XWIStep, which also covers multipath groups): prices
+// → weights (Eq. 7) → exact weighted max-min (Eq. 8, via progressive
+// filling) → price update (Eqs. 9–11). The paper proves this dynamical
+// system's unique fixed point solves the NUM problem; we iterate it to
+// numerical convergence.
 //
 // The result's slices are the caller's own. Callers that solve one
 // problem after another (an event-driven simulation re-solving at
@@ -77,26 +74,11 @@ func Solve(p *core.Problem, opts SolveOptions) Result {
 // one solve allocates nothing per iteration. The zero value is ready
 // to use; a workspace must not be used concurrently.
 type SolveWorkspace struct {
-	mm MaxMinWorkspace
-	// plan is the α-fair utility plan, one entry per group.
-	plan core.AlphaPlan
-
-	// Per flow.
-	paths     [][]int
-	weights   []float64
-	share     []float64 // multipath throughput shares
-	pathPrice []float64
-	x, prevX  []float64
-
-	// Per link. price is fully defined; the others are written and
-	// read on touched or live links only.
-	price        []float64
-	load, minRes []float64
-	cnt          []int
-	// live lists the only links an iteration visits: the touched links
-	// (mm.Links) followed by the idle ones — links no flow crosses whose
-	// price was non-zero on entry.
-	live []int
+	// step holds what every route shares: preparation, plan, flow buffers.
+	step  XWIStep
+	prevX []float64
+	price []float64 // per link
+	prevP []float64 // per live link, its price before the last Update
 
 	nw    newtonWork
 	route int // the last Solve's route, for solveProbe
@@ -108,8 +90,9 @@ type SolveWorkspace struct {
 // fine). A problem of single-flow groups on non-empty paths under one α,
 // every touched link finite and > 0, is solved exactly: a star in closed
 // form, anything else by a dual Newton that must certify its result.
-// Everything else, and whatever the Newton does not certify, is iterated
-// from the caller's warm start.
+// Everything else, and whatever the Newton does not certify, runs the
+// xWI iteration (XWIStep, the step fluid.XWI plays) from the caller's
+// warm start, stopping on relative rate change and price stability.
 func (ws *SolveWorkspace) Solve(p *core.Problem, opts SolveOptions) Result {
 	opts = opts.withDefaults()
 	if len(p.Flows) == 0 {
@@ -127,7 +110,7 @@ func (ws *SolveWorkspace) Solve(p *core.Problem, opts SolveOptions) Result {
 		}
 	}
 	if !ok {
-		res = ws.iterate(p, opts, fast)
+		res = ws.iterate(p, opts)
 	}
 	if solveProbe != nil {
 		solveProbe(ws, p, res)
@@ -143,26 +126,28 @@ const (
 	routeIterate
 )
 
-// prepare does what both paths need: the max-min preparation (touched
-// links, flow counts, adjacency) and the utility plan (Build's result).
+// prepare does what every route needs: the step's columns (a group of
+// two or more flows is one to it, numbered by its first flow, at equal
+// shares), the max-min preparation and the plan (Prepare's result).
 func (ws *SolveWorkspace) prepare(p *core.Problem) bool {
-	nf := len(p.Flows)
-	if cap(ws.paths) < nf {
-		ws.paths = make([][]int, nf)
+	paths, group, share := ws.step.Reset(len(p.Flows))
+	for _, grp := range p.Groups {
+		g := -1
+		if len(grp.Flows) > 1 {
+			g = grp.Flows[0]
+		}
+		for _, f := range grp.Flows {
+			paths[f], group[f], share[f] = p.Flows[f].Links, g, 1/float64(len(grp.Flows))
+		}
 	}
-	paths := ws.paths[:nf]
-	for i, f := range p.Flows {
-		paths[i] = f.Links
-	}
-	ws.mm.Prepare(p.Capacity, paths)
-	return ws.plan.Build(len(p.Groups), func(g int) core.Utility { return p.Groups[g].U })
+	return ws.step.Prepare(p.Capacity, func(i int) core.Utility { return p.Groups[p.Flows[i].Group].U })
 }
 
 // exact reports whether the prepared p is one the exact solvers take:
 // every group one flow on a non-empty path, one α, every touched link
 // finite and > 0.
 func (ws *SolveWorkspace) exact(p *core.Problem, fast bool) bool {
-	if !fast || len(ws.plan.Kernels) != 1 {
+	if !fast || len(ws.step.plan.Kernels) != 1 {
 		return false
 	}
 	for _, grp := range p.Groups {
@@ -170,7 +155,7 @@ func (ws *SolveWorkspace) exact(p *core.Problem, fast bool) bool {
 			return false
 		}
 	}
-	for _, l := range ws.mm.used {
+	for _, l := range ws.step.mm.used {
 		if c := p.Capacity[l]; !(c > 0) || math.IsInf(c, 1) {
 			return false
 		}
@@ -187,12 +172,11 @@ func (ws *SolveWorkspace) exact(p *core.Problem, fast bool) bool {
 // first link, U′(c_i) less that on a capped flow's first private
 // bottleneck, 0 elsewhere (as the iteration's projection leaves slack).
 func (ws *SolveWorkspace) closedForm(p *core.Problem) (Result, bool) {
-	nf, mm, plan := len(p.Flows), &ws.mm, &ws.plan
-	ws.weights, ws.x = growF(ws.weights, nf), growF(ws.x, nf)
+	nf, mm, plan := len(p.Flows), &ws.step.mm, &ws.step.plan
 	// w[i]: flow i's weight while uncapped, 0 once x[i] is final (c_i until then).
-	w, x := ws.weights, ws.x
-	for g, grp := range p.Groups {
-		w[grp.Flows[0]], x[grp.Flows[0]] = plan.W[g], math.Inf(1)
+	w, x := ws.step.weights, ws.step.x
+	for i := range w {
+		w[i], x[i] = plan.W[i], math.Inf(1)
 	}
 	shared, rem := -1, math.Inf(1)
 	for s, l := range mm.used {
@@ -242,7 +226,7 @@ func (ws *SolveWorkspace) closedForm(p *core.Problem) (Result, bool) {
 		}
 		for _, l := range f.Links {
 			if mm.activeCount[l] == 1 && p.Capacity[l] == x[i] {
-				price[l] = max(0, k.Marginal(plan.W[f.Group], x[i])-q)
+				price[l] = max(0, k.Marginal(plan.W[i], x[i])-q)
 				break
 			}
 		}
@@ -250,11 +234,12 @@ func (ws *SolveWorkspace) closedForm(p *core.Problem) (Result, bool) {
 	return Result{Rates: x, Prices: price, Iterations: 1, Converged: true}, true
 }
 
-// iterate is the xWI iteration; fast is prepare's result.
-func (ws *SolveWorkspace) iterate(p *core.Problem, opts SolveOptions, fast bool) Result {
-	nf, nl := len(p.Flows), len(p.Capacity)
-	paths, touched := ws.paths[:nf], ws.mm.Links()
-
+// iterate runs the xWI iteration from the caller's warm start, or cold
+// from SeedPrices, until no rate moves by Tol relative to it (at least
+// 1) with prices stable, or MaxIter; then projects the prices onto
+// complementary slackness.
+func (ws *SolveWorkspace) iterate(p *core.Problem, opts SolveOptions) Result {
+	st, nl := &ws.step, len(p.Capacity)
 	// The builtin max, not math.Max (an out-of-line call on amd64): the
 	// same results, NaN and ±0 included.
 	maxCap := 0.0
@@ -266,206 +251,27 @@ func (ws *SolveWorkspace) iterate(p *core.Problem, opts SolveOptions, fast bool)
 		// step pins all rates at zero regardless.
 		maxCap = 1
 	}
-	wMin, wMax := 1e-3, 100*maxCap
-
-	// Initialize prices so that initial weights are on the order of a
-	// per-flow fair share, which keeps the first max-min sensible.
 	ws.price = growF(ws.price, nl)
 	price := ws.price
 	if opts.InitPrices != nil && len(opts.InitPrices) == nl {
 		copy(price, opts.InitPrices)
 	} else {
-		ws.cnt = growI(ws.cnt, nl)
-		cnt := ws.cnt
-		clear(cnt)
-		for _, pth := range paths {
-			for _, l := range pth {
-				cnt[l]++
-			}
-		}
-		for l := range price {
-			n := cnt[l]
-			if n == 0 {
-				n = 1
-			}
-			price[l] = 1.0 / float64(n)
-		}
-		// Scale prices so a typical flow's U'⁻¹(path price) is near its
-		// fair share.
-		scale := 1.0
-		for g := range p.Groups {
-			grp := &p.Groups[g]
-			f0 := grp.Flows[0]
-			capl := p.Capacity[paths[f0][0]]
-			if capl <= 0 {
-				// Dead representative link (fault injection): scale
-				// against the largest capacity instead.
-				capl = maxCap
-			}
-			fair := capl / max(1, float64(cnt[paths[f0][0]]))
-			target := grp.U.Marginal(fair)
-			sum := 0.0
-			for _, l := range paths[f0] {
-				sum += price[l]
-			}
-			// Guard against a dead first link: fair == 0 can make the
-			// marginal +Inf, and an infinite scale poisons every price.
-			if sum > 0 && target > 0 && !math.IsInf(target, 1) {
-				scale = target / sum
-			}
-			break
-		}
-		for l := range price {
-			price[l] *= scale
-		}
+		// A dead first link scales against the largest capacity.
+		SeedPrices(price, p.Capacity, st.paths, func(i int) core.Utility { return p.Groups[p.Flows[i].Group].U }, maxCap)
 	}
-
-	// The live links: an iteration reads and writes link state only on
-	// links some flow crosses (touched) and on links whose price is
-	// not +0 on entry (idle: their prices decay toward zero). Every
-	// other link holds price +0, stays +0 under price *= β, adds 0 to
-	// the convergence maxima below, and is left at +0 by the final
-	// projection — so skipping it changes no bit of the result. After
-	// a warm start almost every link is such a link.
-	live := append(ws.live[:0], touched...)
-	for l, pl := range price {
-		if math.Float64bits(pl) != 0 && !ws.mm.Touches(l) {
-			live = append(live, l)
-		}
-	}
-	ws.live = live
-	idle := live[len(touched):]
-
-	ws.weights = growF(ws.weights, nf)
-	ws.share = growF(ws.share, nf)
-	ws.pathPrice = growF(ws.pathPrice, nf)
-	ws.x = growF(ws.x, nf)
-	ws.prevX = growF(ws.prevX, nf)
-	weights, share, pathPrice, x, prevX := ws.weights, ws.share, ws.pathPrice, ws.x, ws.prevX
-	clear(weights)
-	for g := range p.Groups {
-		n := float64(len(p.Groups[g].Flows))
-		for _, f := range p.Groups[g].Flows {
-			share[f] = 1 / n
-		}
-	}
-	ws.load = growF(ws.load, nl)
-	ws.minRes = growF(ws.minRes, nl)
-	load, minRes := ws.load, ws.minRes
-	// fast: group g evaluates kern[gk[g]] at weight gw[g] instead of
-	// calling grp.U (core.AlphaPlan; the same bits).
-	gw, gk, kern := ws.plan.W, ws.plan.K, ws.plan.Kernels
-
+	// Iterations visit only the live links (Idle): every other link holds
+	// +0 throughout, so skipping it changes no bit of the result.
+	idle := st.Idle(price)
+	ws.prevX, ws.prevP = growF(ws.prevX, len(st.x)), growF(ws.prevP, len(st.live))
+	x, prevX, prevP := st.x, ws.prevX, ws.prevP
 	it := 0
 	converged := false
 	for ; it < opts.MaxIter; it++ {
-		// Weight assignment (Eq. 7), with the multipath share heuristic.
-		// Each flow's path price is summed once here and read again by
-		// the residual below: no price is written in between.
-		for g := range p.Groups {
-			grp := &p.Groups[g]
-			for _, f := range grp.Flows {
-				sum := 0.0
-				for _, l := range paths[f] {
-					sum += price[l]
-				}
-				pathPrice[f] = sum
-				var w float64
-				if fast {
-					w = kern[gk[g]].InverseMarginal(gw[g], sum)
-				} else {
-					w = grp.U.InverseMarginal(sum)
-				}
-				if len(grp.Flows) > 1 {
-					// Share floor lets an unused path keep probing.
-					w *= max(share[f], 1e-3)
-				}
-				weights[f] = clamp(w, wMin, wMax)
-			}
+		st.Rates(price, maxCap)
+		for j, l := range st.live {
+			prevP[j] = price[l]
 		}
-
-		// Swift: exact weighted max-min (Eq. 8).
-		ws.mm.Fill(weights, x)
-
-		// Update multipath shares from realized throughput.
-		for g := range p.Groups {
-			grp := &p.Groups[g]
-			if len(grp.Flows) <= 1 {
-				continue
-			}
-			total := 0.0
-			for _, f := range grp.Flows {
-				total += x[f]
-			}
-			if total <= 0 {
-				continue
-			}
-			for _, f := range grp.Flows {
-				// Smooth the share to stabilize the heuristic.
-				share[f] = 0.5*share[f] + 0.5*(x[f]/total)
-			}
-		}
-
-		// Price update (Eqs. 9–11).
-		for _, l := range touched {
-			load[l] = 0
-			minRes[l] = math.Inf(1)
-		}
-		for g := range p.Groups {
-			grp := &p.Groups[g]
-			agg := 0.0
-			for _, f := range grp.Flows {
-				agg += x[f]
-			}
-			for _, f := range grp.Flows {
-				rate := x[f]
-				// For aggregates the KKT marginal is of the total rate.
-				at := max(agg, minPositive(rate))
-				var marg float64
-				if fast {
-					marg = kern[gk[g]].Marginal(gw[g], at)
-				} else {
-					marg = grp.U.Marginal(at)
-				}
-				res := (marg - pathPrice[f]) / float64(len(paths[f]))
-				for _, l := range paths[f] {
-					load[l] += rate
-					if res < minRes[l] {
-						minRes[l] = res
-					}
-				}
-			}
-		}
-		// The price maxima the convergence test reads are taken as the
-		// prices are written: each live link's price before the update
-		// is the previous iteration's.
-		maxPrice, maxPriceDelta := 0.0, 0.0
-		for _, l := range touched {
-			old := price[l]
-			// A failed link (capacity ≤ 0) holds its price: utilization
-			// is undefined (0/0) and no price can admit traffic, and a
-			// recovery warm-starts from the pre-fault dual. Not c > 0:
-			// a NaN capacity takes the update.
-			if c := p.Capacity[l]; !(c <= 0) {
-				pres := old + minRes[l]
-				u := load[l] / c
-				pnew := pres - opts.Eta*(1-u)*old
-				if pnew < 0 {
-					pnew = 0
-				}
-				price[l] = opts.Beta*old + (1-opts.Beta)*pnew
-			}
-			maxPrice = max(maxPrice, price[l])
-			maxPriceDelta = max(maxPriceDelta, math.Abs(price[l]-old))
-		}
-		for _, l := range idle {
-			// No flows: drive the price to zero.
-			old := price[l]
-			price[l] *= opts.Beta
-			maxPrice = max(maxPrice, price[l])
-			maxPriceDelta = max(maxPriceDelta, math.Abs(price[l]-old))
-		}
-
+		st.Update(price, p.Capacity, opts.Eta, opts.Beta, idle)
 		// Convergence: relative change in all rates below Tol AND
 		// prices stable relative to the current price scale. The
 		// second condition matters for sharply curved utilities
@@ -479,7 +285,7 @@ func (ws *SolveWorkspace) iterate(p *core.Problem, opts SolveOptions, fast bool)
 				den := max(math.Abs(prevX[i]), 1)
 				maxRel = max(maxRel, math.Abs(x[i]-prevX[i])/den)
 			}
-			if maxRel < opts.Tol && (maxPrice == 0 || maxPriceDelta < 1e-6*maxPrice) {
+			if maxRel < opts.Tol && ws.pricesStable(price) {
 				converged = true
 				it++
 				break
@@ -491,16 +297,13 @@ func (ws *SolveWorkspace) iterate(p *core.Problem, opts SolveOptions, fast bool)
 	// dual is zero. The iteration drives such prices to zero
 	// geometrically but exits when the primal stabilizes, which can
 	// leave residue many orders of magnitude above the legitimate
-	// price scale of sharply curved utilities.
-	for _, l := range live {
+	// price scale of sharply curved utilities. The last Update left the
+	// touched links' loads of x; idle links carry none.
+	load := st.load
+	for _, l := range idle {
 		load[l] = 0
 	}
-	for i, pth := range paths {
-		for _, l := range pth {
-			load[l] += x[i]
-		}
-	}
-	for _, l := range live {
+	for _, l := range st.live {
 		if load[l] < 0.995*p.Capacity[l] {
 			price[l] = 0
 		}
@@ -508,24 +311,17 @@ func (ws *SolveWorkspace) iterate(p *core.Problem, opts SolveOptions, fast bool)
 	return Result{Rates: x, Prices: price, Iterations: it, Converged: converged}
 }
 
+// pricesStable reports whether the last Update moved no live link's price
+// by 1e-6 of the largest price, or left every price at 0.
+func (ws *SolveWorkspace) pricesStable(price []float64) bool {
+	maxPrice, maxDelta := 0.0, 0.0
+	for j, l := range ws.step.live {
+		maxPrice, maxDelta = max(maxPrice, price[l]), max(maxDelta, math.Abs(price[l]-ws.prevP[j]))
+	}
+	return maxPrice == 0 || maxDelta < 1e-6*maxPrice
+}
+
 // solveProbe, set only by tests, sees every Solve's workspace (its route),
 // problem and result: the seam through which the certificate tests read
 // each solve.
 var solveProbe func(ws *SolveWorkspace, p *core.Problem, res Result)
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func minPositive(v float64) float64 {
-	if v > 1 {
-		return v
-	}
-	return 1
-}

@@ -113,7 +113,8 @@ func TestStarClosedFormMatchesIteration(t *testing.T) {
 			// utility bounds it however far the iteration got.
 			opts.MaxIter = 500
 		}
-		ref := it.iterate(p, opts.withDefaults(), it.prepare(p))
+		it.prepare(p)
+		ref := it.iterate(p, opts.withDefaults())
 		if clamped {
 			clampedStars++
 			if g, h := cert.Gap(p, res.Rates, res.Prices), cert.Gap(p, ref.Rates, res.Prices); !(g <= h+1e-12) {
@@ -138,7 +139,8 @@ func TestStarClosedFormMatchesIteration(t *testing.T) {
 
 // TestNonStarsTakeTheIteration: a problem one step away from a star —
 // a dead, negative-zero, NaN or infinite capacity on a touched link, a
-// two-member group, mixed α — is left to the iteration, and a link
+// two-member group, mixed α, an empty path on the first flow (which the
+// cold start must not read a link from) — is left to the iteration, and a link
 // crossed by 2 of 3 flows to the dual Newton; no rate comes back NaN, nor
 // any price but a NaN capacity's own (the iteration updates that link's
 // price, by design).
@@ -158,6 +160,9 @@ func TestNonStarsTakeTheIteration(t *testing.T) {
 	mixed.Groups[1].U = core.NewAlphaFair(2)
 	twoOfThree := star(10 * gbps)
 	twoOfThree.Flows[2].Links = []int{3}
+	emptyFirst := core.NewProblem([]float64{10 * gbps})
+	emptyFirst.AddFlow(nil, core.ProportionalFair())
+	emptyFirst.AddFlow([]int{0}, core.ProportionalFair())
 	cases := map[string]*core.Problem{
 		"+0 capacity":      star(0),
 		"-0 capacity":      star(math.Copysign(0, -1)),
@@ -166,6 +171,7 @@ func TestNonStarsTakeTheIteration(t *testing.T) {
 		"two-member group": group,
 		"mixed α":          mixed,
 		"2 of 3 flows":     twoOfThree,
+		"empty first path": emptyFirst,
 	}
 	var ws SolveWorkspace
 	if ws.Solve(star(10*gbps), SolveOptions{}); ws.route != routeStar {
