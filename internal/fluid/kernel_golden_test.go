@@ -221,7 +221,7 @@ func TestXWIKernelBits(t *testing.T) {
 			if feas, gap := cert.Feasibility(p, res.Rates), cert.Gap(p, res.Rates, res.Prices); feas > 0 || gap > 0.034 {
 				t.Errorf("feasibility %.3g (want 0), duality gap %.3g (want ≤ 0.034)", feas, gap)
 			}
-		}, "50df2d5b639b8d0b"},
+		}, "0bd87d699b4718e1"},
 		{"oracle/maxiter-cut", func(t *testing.T, h *bitHash) {
 			p := core.NewProblem([]float64{10e9, 4e9, 10e9, 7e9})
 			p.AddFlow([]int{0, 1}, pf)
