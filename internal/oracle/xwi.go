@@ -81,8 +81,7 @@ func (s *XWIStep) Idle(price []float64) []int {
 // keeps probing) clamped to [1e-3, 100·maxCap], the max-min rates (Eq.
 // 8), returned, and the group totals that smooth the shares.
 func (s *XWIStep) Rates(price []float64, maxCap float64) []float64 {
-	kern, k, w, wMax, fast, us := s.plan.Kernels, s.plan.K, s.plan.W, 100*maxCap, s.fast, s.us
-	q, weights, group, share, agg := s.pathPrice, s.weights, s.group, s.share, s.agg
+	q, weights, wMax := s.pathPrice, s.weights, 100*maxCap
 	for i, pth := range s.paths {
 		sum := 0.0
 		for _, l := range pth {
@@ -92,21 +91,23 @@ func (s *XWIStep) Rates(price []float64, maxCap float64) []float64 {
 	}
 	for i, sum := range q {
 		var wi float64
-		if fast {
-			wi = kern[k[i]].InverseMarginal(w[i], sum)
+		if s.fast {
+			wi = s.plan.Kernels[s.plan.K[i]].InverseMarginal(s.plan.W[i], sum)
 		} else {
-			wi = us[i].InverseMarginal(sum)
+			wi = s.us[i].InverseMarginal(sum)
 		}
-		if group[i] >= 0 {
-			wi *= max(share[i], 1e-3)
+		if s.group[i] >= 0 {
+			wi *= max(s.share[i], 1e-3)
 		}
-		if wi = max(wi, 1e-3); wi > wMax {
+		if wi < 1e-3 {
+			wi = 1e-3
+		} else if wi > wMax {
 			wi = wMax
 		}
 		weights[i] = wi
 	}
 	x := s.mm.Fill(weights, s.x)
-	if s.pooled {
+	if group, share, agg := s.group, s.share, s.agg; s.pooled {
 		clear(agg)
 		for i, g := range group {
 			if g >= 0 {
@@ -130,23 +131,22 @@ func (s *XWIStep) Rates(price []float64, maxCap float64) []float64 {
 // the pre-fault dual); not c > 0: a NaN capacity takes the update. The
 // idle links given decay toward zero.
 func (s *XWIStep) Update(price, capacity []float64, eta, beta float64, idle []int) {
-	kern, k, w, fast, us, group, agg := s.plan.Kernels, s.plan.K, s.plan.W, s.fast, s.us, s.group, s.agg
-	touched, load, minRes, x, q := s.mm.Links(), s.load, s.minRes, s.x, s.pathPrice
+	touched, load, minRes := s.mm.Links(), s.load, s.minRes
 	for _, l := range touched {
 		load[l], minRes[l] = 0, math.Inf(1)
 	}
 	for i, pth := range s.paths {
-		rate, a := x[i], x[i]
-		if g := group[i]; g >= 0 {
-			a = agg[g]
+		rate, a := s.x[i], s.x[i]
+		if g := s.group[i]; g >= 0 {
+			a = s.agg[g]
 		}
 		var marg float64
-		if fast {
-			marg = kern[k[i]].Marginal(w[i], max(a, rate, 1))
+		if s.fast {
+			marg = s.plan.Kernels[s.plan.K[i]].Marginal(s.plan.W[i], max(a, rate, 1))
 		} else {
-			marg = us[i].Marginal(max(a, rate, 1))
+			marg = s.us[i].Marginal(max(a, rate, 1))
 		}
-		res := (marg - q[i]) / float64(len(pth))
+		res := (marg - s.pathPrice[i]) / float64(len(pth))
 		for _, l := range pth {
 			load[l] += rate
 			if res < minRes[l] {
