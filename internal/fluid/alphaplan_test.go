@@ -82,7 +82,7 @@ func TestAlphaPlanMatchesInterfacePath(t *testing.T) {
 
 // TestXWISubsetAllocatesNothingWarm: the plan's columns are reused
 // like the rest of the scratch — a warm AllocateSubset on FCTMin flows
-// plus a multipath group allocates nothing, its group scan and totals
+// plus a multipath group allocates nothing, its group numbering and totals
 // included (make alloc-gate).
 func TestXWISubsetAllocatesNothingWarm(t *testing.T) {
 	ft := NewFatTree(8, 10e9)

@@ -83,7 +83,7 @@ func TestParallelWorkersGroups(t *testing.T) {
 		w.AllocateSubset(net, a, ra)
 		w.AllocateSubset(net, b, rb)
 		if ra[0]+ra[1] < 19e9 || rb[0]+rb[1] < 19e9 {
-			t.Fatalf("round %d: a group lost its pooled rate: %v %v (group scan dropped?)", round, ra, rb)
+			t.Fatalf("round %d: a group lost its pooled rate: %v %v (group numbering stale?)", round, ra, rb)
 		}
 	}
 }
