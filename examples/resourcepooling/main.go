@@ -24,7 +24,7 @@ func main() {
 	fmt.Println("subflows  pooling  total%   Jain fairness")
 	for _, k := range []int{1, 2, 4, 8} {
 		for _, pooling := range []bool{false, true} {
-			res := numfabric.RunPooling(numfabric.DefaultPooling(k, pooling))
+			res := numfabric.RunPoolingWith(numfabric.EnginePacket, numfabric.DefaultPooling(k, pooling))
 			label := "off"
 			if pooling {
 				label = "on "
@@ -36,7 +36,7 @@ func main() {
 
 	fmt.Println()
 	fmt.Println("Figure 8b flavor: per-pair throughput, ranked (4 subflows, pooling on):")
-	res := numfabric.RunPooling(numfabric.DefaultPooling(4, true))
+	res := numfabric.RunPoolingWith(numfabric.EnginePacket, numfabric.DefaultPooling(4, true))
 	for i, pct := range res.RankedPct() {
 		if i%8 == 0 && i > 0 {
 			fmt.Println()

@@ -54,19 +54,38 @@ type IterCounter interface {
 	SolveIters() int64
 }
 
-// BottleneckReporter is implemented by allocators that can identify,
-// after a solve, each flow's binding link: the link on its path with
-// the least residual capacity under the solved rates. For the exact
-// max-min allocators this is the link whose saturation froze the flow
-// during progressive filling (slack 0 at the bottleneck); for the
+// Bottlenecks writes each flow's binding link under rates into out: the
+// link on its path with the least residual capacity, ties broken to the
+// first link on the path, -1 for an empty path. For the exact max-min
+// allocators this is the link whose saturation froze the flow during
+// progressive filling (slack 0 at the bottleneck); for the
 // price-dynamics allocators (XWI, DGD) it is the same min-slack
-// criterion over their possibly-transient rates. Callers must pass the
-// same link-closed flow set and rates the preceding solve produced
-// (the leap engine calls it once a batch's solves are done, on the
-// tracing path only). out receives one link id per flow, ties broken
-// to the first link on the path; -1 for an empty path.
-type BottleneckReporter interface {
-	Bottlenecks(net *Network, flows []*Flow, rates []float64, out []int32)
+// criterion over their possibly-transient rates. The flows must be
+// link-closed, as a leap component is: their rates are then the entire
+// load on every link they cross, so each link's residual capacity is
+// exact from them alone. load is link-indexed scratch, at least
+// net.Links() long; only the entries of the links the flows cross are
+// written.
+func Bottlenecks(net *Network, flows []*Flow, rates, load []float64, out []int32) {
+	for _, f := range flows {
+		for _, l := range f.Links {
+			load[l] = 0
+		}
+	}
+	for i, f := range flows {
+		for _, l := range f.Links {
+			load[l] += rates[i]
+		}
+	}
+	for i, f := range flows {
+		best, bestSlack := int32(-1), math.Inf(1)
+		for _, l := range f.Links {
+			if slack := net.Capacity[l] - load[l]; slack < bestSlack {
+				bestSlack, best = slack, int32(l)
+			}
+		}
+		out[i] = best
+	}
 }
 
 // iterCount is the iteration tally embedded in each allocator.
@@ -89,11 +108,6 @@ type scratch struct {
 	linkStamp []int
 	links     []int
 	linkRound int
-
-	// bload is the per-link load accumulator behind bottlenecks; like
-	// linkStamp it is link-indexed with only touched entries written (a
-	// link's first touch in a call, told by its stamp, zeroes it).
-	bload []float64
 
 	// plan is the devirtualized utility plan of one call, one entry per
 	// flow (see gatherAlpha).
@@ -150,41 +164,6 @@ func (s *scratch) collectLinks(nl int, flows []*Flow) []int {
 	return s.links
 }
 
-// bottlenecks implements BottleneckReporter for every allocator: with
-// the flow set link-closed, the subset's own rates are the entire load
-// on every link it crosses, so per-link residual capacity — and with
-// it each flow's min-slack binding link — is exact from the subset
-// alone.
-func (s *scratch) bottlenecks(net *Network, flows []*Flow, rates []float64, out []int32) {
-	nl := net.Links()
-	if cap(s.linkStamp) < nl {
-		s.linkStamp = make([]int, nl)
-	}
-	if cap(s.bload) < nl {
-		s.bload = make([]float64, nl)
-	}
-	st, load := s.linkStamp[:nl], s.bload[:nl]
-	s.linkRound++
-	round := s.linkRound
-	for i, f := range flows {
-		for _, l := range f.Links {
-			if st[l] != round {
-				st[l], load[l] = round, 0
-			}
-			load[l] += rates[i]
-		}
-	}
-	for i, f := range flows {
-		best, bestSlack := int32(-1), math.Inf(1)
-		for _, l := range f.Links {
-			if slack := net.Capacity[l] - load[l]; slack < bestSlack {
-				bestSlack, best = slack, int32(l)
-			}
-		}
-		out[i] = best
-	}
-}
-
 // WaterFill is the instantaneous max-min allocator: every epoch the
 // rates jump straight to the exact water-filling allocation (Eq. 8),
 // every flow weighted 1, via the oracle's progressive filling. It
@@ -219,11 +198,6 @@ func (w *WaterFill) Allocate(net *Network, flows []*Flow, rates []float64) {
 // alone yields bitwise the rates the full solve gives it.
 func (w *WaterFill) AllocateSubset(net *Network, flows []*Flow, rates []float64) {
 	w.Allocate(net, flows, rates)
-}
-
-// Bottlenecks reports each flow's binding link under the given rates.
-func (w *WaterFill) Bottlenecks(net *Network, flows []*Flow, rates []float64, out []int32) {
-	w.s.bottlenecks(net, flows, rates, out)
 }
 
 // Reset is a no-op: WaterFill is stateless.
@@ -299,11 +273,6 @@ func (a *XWI) defaults() (eta, beta float64, iters int) {
 
 // Reset discards the link prices.
 func (a *XWI) Reset() { a.price = nil }
-
-// Bottlenecks reports each flow's binding link under the given rates.
-func (a *XWI) Bottlenecks(net *Network, flows []*Flow, rates []float64, out []int32) {
-	a.s.bottlenecks(net, flows, rates, out)
-}
 
 // Allocate advances the xWI dynamics by IterPerEpoch price updates and
 // returns the latest water-filling allocation.
@@ -422,11 +391,6 @@ func NewOracle() *Oracle { return &Oracle{} }
 // Reset discards the warm-start prices.
 func (o *Oracle) Reset() { o.prices = nil }
 
-// Bottlenecks reports each flow's binding link under the given rates.
-func (o *Oracle) Bottlenecks(net *Network, flows []*Flow, rates []float64, out []int32) {
-	o.s.bottlenecks(net, flows, rates, out)
-}
-
 // Stationary reports that the optimum is a pure function of the
 // active flow set.
 func (o *Oracle) Stationary() bool { return true }
@@ -531,11 +495,6 @@ func NewDGD() *DGD { return &DGD{Gamma: 0.2, IterPerEpoch: 1} }
 
 // Reset discards the link prices.
 func (a *DGD) Reset() { a.price = nil }
-
-// Bottlenecks reports each flow's binding link under the given rates.
-func (a *DGD) Bottlenecks(net *Network, flows []*Flow, rates []float64, out []int32) {
-	a.s.bottlenecks(net, flows, rates, out)
-}
 
 // Allocate advances the DGD dynamics and returns the (feasibility-
 // projected) rates.

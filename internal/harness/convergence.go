@@ -33,24 +33,27 @@ type SemiDynamicConfig struct {
 	// fairness, α=1).
 	Alpha float64
 
-	// ConvergedFrac and Margin define convergence: ConvergedFrac of
-	// flows within Margin of their Oracle rate (paper: 95% within
-	// 10%).
-	ConvergedFrac float64
-	Margin        float64
-	// Sustain is how long the margin must hold (paper: 5 ms).
+	// Sustain is how long the §6.1 convergence test must hold
+	// (paper: 5 ms).
 	Sustain sim.Duration
-	// SampleEvery is the rate-sampling period.
-	SampleEvery sim.Duration
-	// FilterTau is the rate filter time constant (paper: 80 µs); the
-	// filter's 90% rise time ln(10)·τ is subtracted from measured
-	// convergence times, as in §6.1.
-	FilterTau sim.Duration
 	// EventTimeout abandons an event as non-converged.
 	EventTimeout sim.Duration
 
 	Seed uint64
 }
+
+// The §6.1 convergence test: convergedFrac of the flows within margin
+// of their Oracle rate (paper: 95 % within 10 %), held for
+// SemiDynamicConfig.Sustain. The packet engine reads rates through EWMA
+// meters of time constant filterTau (paper: 80 µs) every samplePeriod;
+// the filter's 90 % rise time ln(10)·filterTau is subtracted from each
+// measured convergence time, as in §6.1.
+const (
+	convergedFrac = 0.95
+	margin        = 0.10
+	samplePeriod  = 20 * sim.Microsecond
+	filterTau     = 80 * sim.Microsecond
+)
 
 // DefaultSemiDynamic returns a scaled-down semi-dynamic scenario for
 // the given scheme that completes in seconds of wall time. Scale
@@ -67,11 +70,7 @@ func DefaultSemiDynamic(s Scheme) SemiDynamicConfig {
 		MaxActive:     100,
 		Events:        12,
 		Alpha:         1,
-		ConvergedFrac: 0.95,
-		Margin:        0.10,
 		Sustain:       5 * sim.Millisecond,
-		SampleEvery:   20 * sim.Microsecond,
-		FilterTau:     80 * sim.Microsecond,
 		EventTimeout:  40 * sim.Millisecond,
 		Seed:          1,
 	}
@@ -113,7 +112,7 @@ func (r SemiDynamicResult) CDF() []stats.CDFPoint { return stats.CDF(r.Convergen
 
 // RunSemiDynamicWith runs the semi-dynamic convergence experiment on
 // the chosen engine: the packet transport sampled through EWMA meters
-// every SampleEvery, or the scheme's control dynamics at flow
+// every samplePeriod, or the scheme's control dynamics at flow
 // granularity — one allocator iteration per epoch, exact rates (see
 // SampledEngine for what EngineLeap runs).
 func RunSemiDynamicWith(eng Engine, cfg SemiDynamicConfig) SemiDynamicResult {
@@ -138,7 +137,7 @@ func newPacketSemiDynamic(cfg SemiDynamicConfig) (*semiDynamicRun[sim.Time], *pa
 	cfg.Scheme.SetUtilityHint(core.NewAlphaFair(cfg.Alpha), expectedShare)
 	cfg.Scheme.RCP.Alpha = cfg.Alpha
 	sub := newPacketFabric(cfg.Topo, cfg.Scheme)
-	sub.meterTau, sub.sampleEvery = cfg.FilterTau, cfg.SampleEvery
+	sub.meterTau = filterTau
 	return newSemiDynamicRun(cfg, sub.topo, sub), sub
 }
 
@@ -235,7 +234,7 @@ func (r *semiDynamicRun[T]) tick(now T) bool {
 	within := 0
 	for i, sf := range r.active {
 		want := r.want[i]
-		if want <= 0 || math.Abs(r.sub.rate(sf.handle)-want)/want <= r.cfg.Margin {
+		if want <= 0 || math.Abs(r.sub.rate(sf.handle)-want)/want <= margin {
 			within++
 		}
 	}
@@ -244,7 +243,7 @@ func (r *semiDynamicRun[T]) tick(now T) bool {
 		frac = float64(within) / float64(len(r.active))
 	}
 
-	if frac >= r.cfg.ConvergedFrac {
+	if frac >= convergedFrac {
 		if !r.holding {
 			r.holding = true
 			r.holdStart = now

@@ -8,6 +8,7 @@ import (
 	"numfabric/internal/netsim"
 	"numfabric/internal/queue"
 	"numfabric/internal/sim"
+	"numfabric/internal/transport"
 )
 
 // Engine selects the execution engine for an experiment: the
@@ -83,9 +84,9 @@ func FluidEpochFor(c SchemeConfig) float64 {
 	case NUMFabric:
 		return c.NUMFabric.PriceUpdateInterval.Seconds()
 	case DGD:
-		return c.DGD.UpdateInterval.Seconds()
+		return transport.DGDUpdateInterval.Seconds()
 	case RCP:
-		return c.RCP.UpdateInterval.Seconds()
+		return transport.RCPUpdateInterval.Seconds()
 	default:
 		return 100e-6
 	}

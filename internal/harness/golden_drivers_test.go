@@ -235,7 +235,7 @@ func TestGoldenDriversRateTrace(t *testing.T) {
 		want        string
 	}{
 		{"converging", converging, 1, 100 * sim.Microsecond, "da66cbca07e9aad1"},
-		{"timing-out", timingOut, 0, timingOut.SampleEvery, "1d4178b7aae98d2c"},
+		{"timing-out", timingOut, 0, samplePeriod, "1d4178b7aae98d2c"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

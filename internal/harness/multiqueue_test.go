@@ -24,7 +24,6 @@ func TestMultiQueueApproximationSaneAllocations(t *testing.T) {
 	tc := ScaledTopology()
 	cfg := DefaultConfig(NUMFabric, tc)
 	cfg.UseMultiQueue = true
-	cfg.MultiQueueBands = 8
 	net.QueueFactory = cfg.QueueFactory()
 	topo := NewTopology(net, tc)
 	cfg.AttachAgents(net)

@@ -37,7 +37,6 @@ func PoolingTopology() TopologyConfig {
 		HostsPerLeaf: 8,
 		HostLink:     10 * sim.Gbps,
 		SpineLink:    10 * sim.Gbps,
-		LinkDelay:    2 * sim.Microsecond,
 	}
 }
 

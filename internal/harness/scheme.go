@@ -49,17 +49,10 @@ type SchemeConfig struct {
 	DCTCP     transport.DCTCPParams
 	PFabric   transport.PFabricParams
 
-	// BufferBytes is the per-port buffer (paper: 1 MB).
-	BufferBytes int
-	// ECNThresholdBytes is DCTCP's marking threshold K.
-	ECNThresholdBytes int
-	// PFabricBufferBytes is pFabric's small per-port buffer.
-	PFabricBufferBytes int
 	// UseMultiQueue replaces exact STFQ with the §8 "small set of
-	// queues with different weights" approximation (MultiQueueBands
+	// queues with different weights" approximation (multiQueueBands
 	// DRR bands with exponentially spaced weights).
-	UseMultiQueue   bool
-	MultiQueueBands int
+	UseMultiQueue bool
 }
 
 // DefaultConfig returns a scheme config with Table 2 defaults for the
@@ -67,15 +60,12 @@ type SchemeConfig struct {
 func DefaultConfig(s Scheme, topo TopologyConfig) SchemeConfig {
 	rtt := topo.BaseRTT()
 	return SchemeConfig{
-		Scheme:             s,
-		NUMFabric:          transport.DefaultNUMFabric(rtt),
-		DGD:                transport.DefaultDGD(rtt, 0), // PriceRef set by SetUtilityHint
-		RCP:                transport.DefaultRCP(rtt, 1),
-		DCTCP:              transport.DefaultDCTCP(rtt),
-		PFabric:            transport.DefaultPFabric(rtt),
-		BufferBytes:        1 << 20, // 1 MB per port (§6)
-		ECNThresholdBytes:  30000,   // ~20 packets at 10 Gb/s
-		PFabricBufferBytes: 36000,   // ~2 BDP, per the pFabric paper
+		Scheme:    s,
+		NUMFabric: transport.DefaultNUMFabric(rtt),
+		DGD:       transport.DefaultDGD(rtt, 0), // PriceRef set by SetUtilityHint
+		RCP:       transport.DefaultRCP(rtt, 1),
+		DCTCP:     transport.DefaultDCTCP(rtt),
+		PFabric:   transport.DefaultPFabric(rtt),
 	}
 }
 
@@ -86,29 +76,36 @@ func (c *SchemeConfig) SetUtilityHint(u core.Utility, fairShare float64) {
 	c.DGD.PriceRef = transport.PriceRefFor(u, fairShare)
 }
 
+// The switch buffers: every scheme's per-port buffer (§6: 1 MB),
+// DCTCP's ECN marking threshold K (~20 packets at 10 Gb/s), pFabric's
+// small per-port buffer (~2 BDP, per the pFabric paper), and the DRR
+// bands of the §8 multi-queue approximation.
+const (
+	BufferBytes        = 1 << 20
+	ecnThresholdBytes  = 30000
+	pfabricBufferBytes = 36000
+	multiQueueBands    = 8
+)
+
 // QueueFactory returns the netsim queue constructor for the scheme.
 func (c SchemeConfig) QueueFactory() func(*netsim.Port) netsim.Queue {
 	switch c.Scheme {
 	case NUMFabric:
 		if c.UseMultiQueue {
-			bands := c.MultiQueueBands
-			if bands <= 0 {
-				bands = 8
-			}
 			return func(p *netsim.Port) netsim.Queue {
 				// Cover weights from 1e-4 of line rate up to line rate.
 				minW := p.Rate.Float() * 1e-4
 				ratio := 3.9 // ~4 decades over 8 bands
-				return queue.NewMultiQueue(c.BufferBytes, bands, minW, ratio)
+				return queue.NewMultiQueue(BufferBytes, multiQueueBands, minW, ratio)
 			}
 		}
-		return func(p *netsim.Port) netsim.Queue { return queue.NewSTFQ(c.BufferBytes) }
+		return func(p *netsim.Port) netsim.Queue { return queue.NewSTFQ(BufferBytes) }
 	case DCTCP:
-		return func(p *netsim.Port) netsim.Queue { return queue.NewECN(c.BufferBytes, c.ECNThresholdBytes) }
+		return func(p *netsim.Port) netsim.Queue { return queue.NewECN(BufferBytes, ecnThresholdBytes) }
 	case PFabric:
-		return func(p *netsim.Port) netsim.Queue { return queue.NewPFabric(c.PFabricBufferBytes) }
+		return func(p *netsim.Port) netsim.Queue { return queue.NewPFabric(pfabricBufferBytes) }
 	default: // DGD, RCP*
-		return func(p *netsim.Port) netsim.Queue { return queue.NewDropTail(c.BufferBytes) }
+		return func(p *netsim.Port) netsim.Queue { return queue.NewDropTail(BufferBytes) }
 	}
 }
 

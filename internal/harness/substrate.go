@@ -84,9 +84,8 @@ type packetFabric struct {
 
 	// meterTau is the EWMA time constant of the rate meter on every
 	// started flow; its 90% rise time ln(10)·τ is the fabric's
-	// riseTime (§6.1). sampleEvery is the sampling period.
-	meterTau    sim.Duration
-	sampleEvery sim.Duration
+	// riseTime (§6.1).
+	meterTau sim.Duration
 
 	started  [][]*netsim.Flow // by start handle
 	admitted []*netsim.Flow   // by admission number; nil until arrival
@@ -177,7 +176,7 @@ func (p *packetFabric) rate(h int) float64 {
 }
 
 func (p *packetFabric) sample(tick func(now sim.Time) bool) {
-	p.eng.Every(sim.Time(p.sampleEvery), p.sampleEvery, func() {
+	p.eng.Every(sim.Time(samplePeriod), samplePeriod, func() {
 		if !tick(p.eng.Now()) {
 			p.eng.Stop()
 		}

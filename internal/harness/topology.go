@@ -41,15 +41,17 @@ type TopologyConfig struct {
 	Leaves       int
 	Spines       int
 	HostsPerLeaf int
-	HostLink     sim.BitRate  // host↔leaf speed (paper: 10 Gb/s)
-	SpineLink    sim.BitRate  // leaf↔spine speed (paper: 40 Gb/s)
-	LinkDelay    sim.Duration // per-hop, one-way propagation delay
+	HostLink     sim.BitRate // host↔leaf speed (paper: 10 Gb/s)
+	SpineLink    sim.BitRate // leaf↔spine speed (paper: 40 Gb/s)
 }
 
+// linkDelay is every link's one-way propagation delay. With four hops
+// each way and store-and-forward, 2 µs per hop gives a zero-load data
+// RTT of ≈16 µs for full-size packets, the network RTT of §6.
+const linkDelay = 2 * sim.Microsecond
+
 // PaperTopology is the evaluation fabric of §6: full bisection
-// bandwidth, network RTT 16 µs. With four hops each way and
-// store-and-forward, a 2 µs per-hop delay gives a zero-load data RTT
-// of ≈16 µs for full-size packets.
+// bandwidth, network RTT 16 µs.
 func PaperTopology() TopologyConfig {
 	return TopologyConfig{
 		Leaves:       8,
@@ -57,7 +59,6 @@ func PaperTopology() TopologyConfig {
 		HostsPerLeaf: 16,
 		HostLink:     10 * sim.Gbps,
 		SpineLink:    40 * sim.Gbps,
-		LinkDelay:    2 * sim.Microsecond,
 	}
 }
 
@@ -71,7 +72,6 @@ func ScaledTopology() TopologyConfig {
 		HostsPerLeaf: 8,
 		HostLink:     10 * sim.Gbps,
 		SpineLink:    40 * sim.Gbps,
-		LinkDelay:    2 * sim.Microsecond,
 	}
 }
 
@@ -83,12 +83,12 @@ func (c TopologyConfig) BaseRTT() sim.Duration {
 	// bounds the worst case; use host-link serialization for the two
 	// edge hops and spine-link for the two core hops.
 	d := sim.Duration(0)
-	d += 2 * (c.HostLink.TxTime(netsim.MTU) + c.LinkDelay)
-	d += 2 * (c.SpineLink.TxTime(netsim.MTU) + c.LinkDelay)
+	d += 2 * (c.HostLink.TxTime(netsim.MTU) + linkDelay)
+	d += 2 * (c.SpineLink.TxTime(netsim.MTU) + linkDelay)
 	// ACK path: serialization of 64 B is negligible but the
 	// propagation is not.
-	d += 2 * (c.HostLink.TxTime(netsim.AckSize) + c.LinkDelay)
-	d += 2 * (c.SpineLink.TxTime(netsim.AckSize) + c.LinkDelay)
+	d += 2 * (c.HostLink.TxTime(netsim.AckSize) + linkDelay)
+	d += 2 * (c.SpineLink.TxTime(netsim.AckSize) + linkDelay)
 	return d
 }
 
@@ -107,12 +107,12 @@ func NewTopology(net *netsim.Network, cfg TopologyConfig) *Topology {
 		for h := 0; h < cfg.HostsPerLeaf; h++ {
 			host := net.NewNode(fmt.Sprintf("h%d", l*cfg.HostsPerLeaf+h))
 			t.Hosts = append(t.Hosts, host)
-			up, down := net.Connect(host, leaf, cfg.HostLink, cfg.LinkDelay)
+			up, down := net.Connect(host, leaf, cfg.HostLink, linkDelay)
 			t.hostUp, t.hostDown = append(t.hostUp, up.LinkID), append(t.hostDown, down.LinkID)
 		}
 		ups, downs := make([]int, cfg.Spines), make([]int, cfg.Spines)
 		for s, spine := range t.Spines {
-			up, down := net.Connect(leaf, spine, cfg.SpineLink, cfg.LinkDelay)
+			up, down := net.Connect(leaf, spine, cfg.SpineLink, linkDelay)
 			ups[s], downs[s] = up.LinkID, down.LinkID
 		}
 		t.leafUp, t.leafDown = append(t.leafUp, ups), append(t.leafDown, downs)

@@ -89,11 +89,9 @@ func TestFlowTraceAttributionIdentity(t *testing.T) {
 				t.Fatalf("seed %d flow %d: segment starts after finish (%v > %v)",
 					seed, f.ID, last, r.Finish)
 			}
-			// Every bottleneck lies on the flow's path (or is the
-			// -1 "unattributed" sentinel, which the engine only
-			// uses without a BottleneckReporter).
+			// Every bottleneck lies on the flow's path.
 			for i, seg := range r.Segs {
-				onPath := seg.Bneck == -1
+				onPath := false
 				for _, l := range f.Links {
 					if int32(l) == seg.Bneck {
 						onPath = true
@@ -202,6 +200,56 @@ func TestFlowTraceBottleneckIsMinSlack(t *testing.T) {
 		// sharing is attributed to link 0.
 		if len(r.Lost) != 1 || r.Lost[0].Link != 0 {
 			t.Errorf("victim attribution %+v, want link 0 alone", r.Lost)
+		}
+	}
+}
+
+// subsetOnly forwards fluid.SubsetAllocator's methods and nothing else,
+// as a decorator that times or counts an allocator's solves may.
+type subsetOnly struct{ fluid.SubsetAllocator }
+
+// TestFlowTraceBottleneckThroughWrapper: the traced bottleneck is the
+// engine's to compute, so an allocator behind a wrapper that forwards
+// only SubsetAllocator records the same segments as the bare one — here
+// on a path whose least-slack link (the shared 40 Gb/s one) is not its
+// least-capacity link (the idle 10 Gb/s one).
+func TestFlowTraceBottleneckThroughWrapper(t *testing.T) {
+	var victim int
+	play := func(alloc fluid.SubsetAllocator) map[int][]obs.FlowSeg {
+		ft := obs.NewFlowTracer(obs.FlowTraceConfig{SampleRate: 1})
+		e := NewEngine(fluid.NewNetwork([]float64{10e9, 40e9}), Config{
+			Allocator: alloc,
+			Obs:       obs.Hooks{FlowTrace: ft},
+		})
+		// The victim crosses both links; seven more flows share link 1
+		// with it, so each gets 5 Gb/s and link 0 keeps 5 Gb/s of slack.
+		victim = e.AddFlow([]int{0, 1}, core.ProportionalFair(), 1<<20, 0).ID
+		for i := 0; i < 7; i++ {
+			e.AddFlow([]int{1}, core.ProportionalFair(), 2<<20, 0)
+		}
+		e.Run(math.Inf(1))
+		segs := map[int][]obs.FlowSeg{}
+		for _, r := range ft.Records() {
+			segs[r.ID] = r.Segs
+		}
+		return segs
+	}
+	bare := play(fluid.NewWaterFill())
+	wrapped := play(subsetOnly{fluid.NewWaterFill()})
+	if len(wrapped) != len(bare) {
+		t.Fatalf("wrapped allocator traced %d flows, bare %d", len(wrapped), len(bare))
+	}
+	for id, segs := range bare {
+		if !reflect.DeepEqual(wrapped[id], segs) {
+			t.Errorf("flow %d: wrapped allocator traced %+v, bare %+v", id, wrapped[id], segs)
+		}
+	}
+	if len(bare[victim]) == 0 {
+		t.Fatal("victim has no segments")
+	}
+	for i, seg := range bare[victim] {
+		if seg.Bneck != 1 {
+			t.Errorf("victim seg %d: bottleneck %d, want the shared link 1 (segs %+v)", i, seg.Bneck, bare[victim])
 		}
 	}
 }

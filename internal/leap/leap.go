@@ -310,11 +310,13 @@ type Engine struct {
 	stats Stats
 	// hooks is Config.Obs, called unguarded (nil hooks are no-ops in
 	// internal/obs). Tracer track 0 carries the event loop's batch
-	// spans, track 1 the component solve spans. bneck and traceIDs are
-	// the reusable scratch of the flow tracer's component reports: the
-	// bottleneck queries' output and the solved flows' ids.
+	// spans, track 1 the component solve spans. bneck, bload and
+	// traceIDs are the reusable scratch of the flow tracer's component
+	// reports: the bottleneck queries' output and link-indexed load, and
+	// the solved flows' ids.
 	hooks    obs.Hooks
 	bneck    []int32
+	bload    []float64
 	traceIDs []int
 }
 
@@ -913,21 +915,17 @@ func (e *Engine) traceRates(flows []*fluid.Flow, rates []float64) {
 	e.hooks.FlowTrace.Rates(e.now, ids, rates, bn, e.batchCause, uint64(e.stats.Batches))
 }
 
-// bottlenecks asks the allocator for each flow's binding link
-// under rates, into a reusable scratch; -1 throughout when the
-// allocator cannot report.
+// bottlenecks returns each flow's binding link under rates
+// (fluid.Bottlenecks), in reusable scratch.
 func (e *Engine) bottlenecks(flows []*fluid.Flow, rates []float64) []int32 {
 	if cap(e.bneck) < len(flows) {
 		e.bneck = make([]int32, 2*len(flows)+16)
 	}
-	bn := e.bneck[:len(flows)]
-	if rep, ok := e.alloc.(fluid.BottleneckReporter); ok {
-		rep.Bottlenecks(e.net, flows, rates, bn)
-	} else {
-		for i := range bn {
-			bn[i] = -1
-		}
+	if e.bload == nil {
+		e.bload = make([]float64, e.net.Links())
 	}
+	bn := e.bneck[:len(flows)]
+	fluid.Bottlenecks(e.net, flows, rates, e.bload, bn)
 	return bn
 }
 

@@ -50,7 +50,7 @@ type flowRun struct {
 
 	tracked   uint64 // admissions seen
 	completed uint64 // completions seen
-	dropped   uint64 // completions discarded by the MaxRecords cap
+	dropped   uint64 // completions discarded by the maxRecords cap
 }
 
 // FlowTraceConfig parameterizes a FlowTracer. The zero value keeps
@@ -62,9 +62,6 @@ type FlowTraceConfig struct {
 	// SlowestK is the size of the always-keep reservoir of worst
 	// slowdowns (default 64; negative disables).
 	SlowestK int
-	// MaxRecords caps the hash-sampled kept records (default 1<<17);
-	// completions beyond it are dropped (counted, never the reservoir).
-	MaxRecords int
 	// MaxSegs caps the stored rate segments per record (default 512);
 	// past it attribution stays exact and segments are only counted
 	// (FlowRecord.Truncated).
@@ -77,9 +74,6 @@ func NewFlowTracer(cfg FlowTraceConfig) *FlowTracer {
 		cfg.SlowestK = 64
 	}
 	cfg.SlowestK = max(cfg.SlowestK, 0)
-	if cfg.MaxRecords <= 0 {
-		cfg.MaxRecords = 1 << 17
-	}
 	if cfg.MaxSegs <= 0 {
 		cfg.MaxSegs = 512
 	}
@@ -417,6 +411,10 @@ func (t *FlowTracer) Complete(id int, finish float64) {
 	}
 }
 
+// maxRecords caps the hash-sampled kept records; completions beyond it
+// are dropped (counted, never the reservoir).
+const maxRecords = 1 << 17
+
 func (t *FlowTracer) complete(id int, finish float64) {
 	r := t.rec(id)
 	if r == nil {
@@ -433,7 +431,7 @@ func (t *FlowTracer) complete(id int, finish float64) {
 	switch {
 	case sampleKeep(r.Seq, t.cfg.SampleRate):
 		r.Sampled = true
-		if len(t.kept) >= t.cfg.MaxRecords {
+		if len(t.kept) >= maxRecords {
 			t.dropped++
 			t.recycle(r)
 			return

@@ -13,9 +13,6 @@ type SolveOptions struct {
 	// Tol is the relative rate-change convergence tolerance
 	// (default 1e-9).
 	Tol float64
-	// Eta is the xWI underutilization gain (Eq. 10; default 5, per
-	// Table 2 — xWI is largely insensitive to it).
-	Eta float64
 	// Beta is the xWI price-averaging parameter (Eq. 11; default 0.5).
 	Beta float64
 	// InitPrices, if non-nil, warm-starts the link prices (e.g. from a
@@ -32,9 +29,6 @@ func (o SolveOptions) withDefaults() SolveOptions {
 	}
 	if o.Tol <= 0 {
 		o.Tol = 1e-9
-	}
-	if o.Eta <= 0 {
-		o.Eta = 5
 	}
 	if o.Beta <= 0 || o.Beta >= 1 {
 		o.Beta = 0.5
@@ -234,6 +228,10 @@ func (ws *SolveWorkspace) closedForm(p *core.Problem) (Result, bool) {
 	return Result{Rates: x, Prices: price, Iterations: 1, Converged: true}, true
 }
 
+// solveEta is the xWI underutilization gain η of Eq. 10 that Solve's
+// iteration plays (Table 2: 5; xWI is largely insensitive to it).
+const solveEta = 5
+
 // iterate runs the xWI iteration from the caller's warm start, or cold
 // from SeedPrices, until no rate moves by Tol relative to it (at least
 // 1) with prices stable, or MaxIter; then projects the prices onto
@@ -271,7 +269,7 @@ func (ws *SolveWorkspace) iterate(p *core.Problem, opts SolveOptions) Result {
 		for j, l := range st.live {
 			prevP[j] = price[l]
 		}
-		st.Update(price, p.Capacity, opts.Eta, opts.Beta, idle)
+		st.Update(price, p.Capacity, solveEta, opts.Beta, idle)
 		// Convergence: relative change in all rates below Tol AND
 		// prices stable relative to the current price scale. The
 		// second condition matters for sharply curved utilities

@@ -182,7 +182,7 @@ var ablationVariants = []struct {
 }{
 	{"shipped", func(*harness.SemiDynamicConfig) {}},
 	{"all-gaps", func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.DisablePairProbing = true }},
-	{"multiqueue8", func(c *harness.SemiDynamicConfig) { c.Scheme.UseMultiQueue, c.Scheme.MultiQueueBands = true, 8 }},
+	{"multiqueue8", func(c *harness.SemiDynamicConfig) { c.Scheme.UseMultiQueue = true }},
 	{"beta1", func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.Beta = 0.01 }},
 	{"beta90", func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.Beta = 0.9 }},
 	{"eta1", func(c *harness.SemiDynamicConfig) { c.Scheme.NUMFabric.Eta = 1 }},

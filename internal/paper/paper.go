@@ -18,6 +18,7 @@ import (
 	"numfabric/internal/obs"
 	"numfabric/internal/oracle"
 	"numfabric/internal/trace"
+	"numfabric/internal/transport"
 	"numfabric/internal/workload"
 )
 
@@ -156,10 +157,10 @@ func table2(env Env, s Scale, seed uint64) Metrics {
 		cfg.NUMFabric.EWMATime, cfg.NUMFabric.DT, cfg.NUMFabric.PriceUpdateInterval,
 		cfg.NUMFabric.Eta, cfg.NUMFabric.Beta)
 	fmt.Fprintf(env, "  DGD:       priceUpdateInterval=%v gains a=%g b=%g (normalized)\n",
-		cfg.DGD.UpdateInterval, cfg.DGD.GainA, cfg.DGD.GainB)
+		transport.DGDUpdateInterval, transport.DGDGainA, transport.DGDGainB)
 	fmt.Fprintf(env, "  RCP*:      rateUpdateInterval=%v gains a=%g b=%g\n",
-		cfg.RCP.UpdateInterval, cfg.RCP.GainA, cfg.RCP.GainB)
-	fmt.Fprintf(env, "  network:   baseRTT=%v buffer=%dB/port\n", rtt, cfg.BufferBytes)
+		transport.RCPUpdateInterval, transport.RCPGainA, transport.RCPGainB)
+	fmt.Fprintf(env, "  network:   baseRTT=%v buffer=%dB/port\n", rtt, harness.BufferBytes)
 	return nil
 }
 

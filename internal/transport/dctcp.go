@@ -5,15 +5,22 @@ import (
 	"numfabric/internal/sim"
 )
 
+// DCTCP's constants: the marked-fraction EWMA gain g = 1/16 of the
+// DCTCP paper (Alizadeh et al., SIGCOMM 2010), and the slow-start
+// initial window of 10 packets (RFC 6928).
+const (
+	dctcpG              = 1.0 / 16
+	dctcpInitWindowPkts = 10
+)
+
 // DCTCPSender implements DCTCP: window-based congestion control that
 // reacts to the *fraction* of ECN-marked packets. The switch side is
 // just the ECN-marking FIFO in internal/queue. Figure 4b uses DCTCP to
 // show that a deployed scheme's rates "are very noisy at timescales of
 // 100s of microseconds" and essentially never converge.
 type DCTCPSender struct {
-	net    *netsim.Network
-	flow   *netsim.Flow
-	params DCTCPParams
+	net  *netsim.Network
+	flow *netsim.Flow
 
 	cwnd        float64 // bytes
 	alpha       float64 // EWMA of marked fraction
@@ -29,8 +36,7 @@ func NewDCTCPSender(net *netsim.Network, f *netsim.Flow, p DCTCPParams) *DCTCPSe
 	s := &DCTCPSender{
 		net:       net,
 		flow:      f,
-		params:    p,
-		cwnd:      float64(p.InitWindowPkts * netsim.MTU),
+		cwnd:      float64(dctcpInitWindowPkts * netsim.MTU),
 		slowStart: true,
 	}
 	s.retx = newRetransmitter(net, f, sim.Duration(10*float64(p.BaseRTT)), s.fill)
@@ -64,8 +70,7 @@ func (s *DCTCPSender) OnAck(p *netsim.Packet) {
 		if s.ackedBytes > 0 {
 			frac = float64(s.markedBytes) / float64(s.ackedBytes)
 		}
-		g := s.params.G
-		s.alpha = (1-g)*s.alpha + g*frac
+		s.alpha = (1-dctcpG)*s.alpha + dctcpG*frac
 		if s.markedBytes > 0 {
 			s.cwnd = s.cwnd * (1 - s.alpha/2)
 			s.slowStart = false

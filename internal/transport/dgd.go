@@ -3,6 +3,7 @@ package transport
 import (
 	"numfabric/internal/core"
 	"numfabric/internal/netsim"
+	"numfabric/internal/sim"
 )
 
 // DGDSender is the idealized Dual Gradient Descent host of §6: "The
@@ -40,6 +41,23 @@ func (s *DGDSender) OnAck(p *netsim.Packet) {
 // Rate returns the current pacing rate (bits/second).
 func (s *DGDSender) Rate() float64 { return s.rate }
 
+// DGD's Table 2 settings: the price update interval, and the gains a
+// and b of Eq. 14 (price += a(y−C) + b·q). The gains are normalized so
+// they work at any link speed: the applied step is
+//
+//	Δp = PriceRef · (DGDGainA·(y−C)/C + DGDGainB·q/BDPBytes)
+//
+// where PriceRef (DGDParams) is a per-experiment price scale (≈ the
+// optimal price magnitude, set from the utility at a fair-share rate
+// guess). Like the paper we swept the gain space and picked the fastest
+// point that converges without oscillating across this repo's
+// experiments.
+const (
+	DGDUpdateInterval = 16 * sim.Microsecond
+	DGDGainA          = 0.05
+	DGDGainB          = 0.015
+)
+
 // DGDAgent is the DGD switch link agent: the gradient price update of
 // Eq. 14, p ← [p + a(y−C) + b·q]₊, run periodically. The queue term
 // b·q (the paper's addition to the classic Eq. 4) controls standing
@@ -61,7 +79,7 @@ func NewDGDAgent(net *netsim.Network, port *netsim.Port, p DGDParams) *DGDAgent 
 		bdpBytes: port.Rate.Float() / 8 * p.BaseRTT.Seconds(),
 	}
 	port.Agents = append(port.Agents, a)
-	net.Engine.Every(net.Now().Add(p.UpdateInterval), p.UpdateInterval, a.update)
+	net.Engine.Every(net.Now().Add(DGDUpdateInterval), DGDUpdateInterval, a.update)
 	return a
 }
 
@@ -81,11 +99,11 @@ func (a *DGDAgent) OnDequeue(p *netsim.Packet) {
 
 func (a *DGDAgent) update() {
 	c := a.port.Rate.Float()
-	y := float64(a.bytesServiced) * 8 / a.params.UpdateInterval.Seconds()
+	y := float64(a.bytesServiced) * 8 / DGDUpdateInterval.Seconds()
 	q := float64(a.port.Q.Bytes())
 	// Normalized Eq. 14: gains are dimensionless, PriceRef carries the
 	// price scale (see DGDParams).
-	delta := a.params.PriceRef * (a.params.GainA*(y-c)/c + a.params.GainB*q/a.bdpBytes)
+	delta := a.params.PriceRef * (DGDGainA*(y-c)/c + DGDGainB*q/a.bdpBytes)
 	a.Price += delta
 	if a.Price < 0 {
 		a.Price = 0

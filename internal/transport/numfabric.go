@@ -148,14 +148,15 @@ func (s *NUMFabricSender) Weight() float64 { return s.weight }
 // PathPrice returns the most recent path price feedback.
 func (s *NUMFabricSender) PathPrice() float64 { return s.pathPrice }
 
+// initialBurst is the packets a sender sends before feedback arrives
+// (§4.1: 3).
+const initialBurst = 3
+
 // Start sends the initial burst (§4.1: "the sender initially sends a
 // small burst (e.g., 3 packets) into the network" so the receiver's
 // inter-packet gaps reflect the bottleneck's available bandwidth).
 func (s *NUMFabricSender) Start() {
-	burst := s.params.InitialBurst
-	if burst < 1 {
-		burst = 1
-	}
+	burst := initialBurst
 	if s.params.InitWindowBDP {
 		nic := s.flow.Path[0].Rate
 		bdp := int(nic.Float() / 8 * (s.params.BaseRTT).Seconds())
@@ -285,13 +286,14 @@ func (s *NUMFabricSender) aggregateRate() float64 {
 // microseconds of extra pipe, exactly where the shortfall bites.
 const extraSlackPkts = 3
 
+// minWindow floors the congestion window in packets so WFQ always has
+// a packet of each backlogged flow to schedule (2).
+const minWindow = 2
+
 // window returns the Swift window W = Ȓ(d0+dt) in bytes (§4.1), plus
 // the fixed extraSlackPkts allowance.
 func (s *NUMFabricSender) window() int64 {
-	minW := int64(s.params.MinWindow) * netsim.MTU
-	if minW <= 0 {
-		minW = 2 * netsim.MTU
-	}
+	const minW = minWindow * netsim.MTU
 	if !s.haveAvail {
 		return minW
 	}

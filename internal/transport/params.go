@@ -30,11 +30,6 @@ type NUMFabricParams struct {
 	Eta float64
 	// Beta is the price-averaging factor β of Eq. 11 (0.5).
 	Beta float64
-	// InitialBurst is the packets sent before feedback arrives (3).
-	InitialBurst int
-	// MinWindow floors the congestion window in packets so WFQ always
-	// has a packet of each backlogged flow to schedule (2).
-	MinWindow int
 	// InitWindowBDP, if true, opens the first window to a full BDP
 	// (used in the FCT experiments, mimicking pFabric's initial
 	// window; §6.3 footnote).
@@ -42,8 +37,9 @@ type NUMFabricParams struct {
 	// DisablePairProbing is an ablation switch: sample EVERY
 	// inter-packet gap for the rate estimate (the naive reading of
 	// §4.1) instead of only back-to-back pair gaps. Expect window-
-	// starved flows to under-achieve their entitlement; see DESIGN.md
-	// reproduction note 1.
+	// starved flows to under-achieve their entitlement. The §4.1
+	// sampling ablation plays it as the all-gaps variant, and
+	// TestPaperClaims pins that it converges no faster than pairs.
 	DisablePairProbing bool
 }
 
@@ -57,8 +53,6 @@ func DefaultNUMFabric(baseRTT sim.Duration) NUMFabricParams {
 		PriceUpdateInterval: 30 * sim.Microsecond,
 		Eta:                 5,
 		Beta:                0.5,
-		InitialBurst:        3,
-		MinWindow:           2,
 	}
 }
 
@@ -71,19 +65,10 @@ func (p NUMFabricParams) Slowed(k float64) NUMFabricParams {
 	return p
 }
 
-// DGDParams tune the Dual Gradient Descent scheme. GainA and GainB
-// correspond to a and b in Eq. 14 (price += a(y−C) + b·q), with the
-// same roles as Table 2's values; they are normalized here so the
-// defaults work at any link speed: the applied step is
-//
-//	Δp = PriceRef · (GainA·(y−C)/C + GainB·q/BDPBytes)
-//
-// where PriceRef is a per-experiment price scale (≈ the optimal price
-// magnitude, set from the utility at a fair-share rate guess).
+// DGDParams tune the Dual Gradient Descent scheme. Its gains and
+// update interval are the constants DGDGainA, DGDGainB and
+// DGDUpdateInterval (dgd.go).
 type DGDParams struct {
-	UpdateInterval sim.Duration
-	GainA          float64
-	GainB          float64
 	// PriceRef scales the dimensionless gains into price units.
 	PriceRef float64
 	// BaseRTT is d0, used with the NIC rate for the 2×BDP cap the
@@ -91,25 +76,15 @@ type DGDParams struct {
 	BaseRTT sim.Duration
 }
 
-// DefaultDGD returns gains that converge (without oscillating) across
-// this repo's experiments; like the paper we swept the gain space and
-// picked the fastest stable point.
+// DefaultDGD returns the DGD settings for a network with the given
+// base RTT and price scale.
 func DefaultDGD(baseRTT sim.Duration, priceRef float64) DGDParams {
-	return DGDParams{
-		UpdateInterval: 16 * sim.Microsecond,
-		GainA:          0.05,
-		GainB:          0.015,
-		PriceRef:       priceRef,
-		BaseRTT:        baseRTT,
-	}
+	return DGDParams{PriceRef: priceRef, BaseRTT: baseRTT}
 }
 
-// RCPParams tune RCP* (Eq. 15): the advertised fair rate on each link
-// evolves as R ← R·(1 + (T/d)·(a(C−y) − b·q/d)/C).
+// RCPParams tune RCP* (Eq. 15). Its gains and update interval are the
+// constants RCPGainA, RCPGainB and RCPUpdateInterval (rcp.go).
 type RCPParams struct {
-	UpdateInterval sim.Duration
-	GainA          float64
-	GainB          float64
 	// Alpha is the α-fairness exponent of the objective (Eq. 16).
 	Alpha float64
 	// BaseRTT is d, the running-average RTT (fixed to the fabric RTT
@@ -119,28 +94,18 @@ type RCPParams struct {
 
 // DefaultRCP returns Table 2-style RCP* settings for objective α.
 func DefaultRCP(baseRTT sim.Duration, alpha float64) RCPParams {
-	return RCPParams{
-		UpdateInterval: 16 * sim.Microsecond,
-		GainA:          0.4,
-		GainB:          0.2,
-		Alpha:          alpha,
-		BaseRTT:        baseRTT,
-	}
+	return RCPParams{Alpha: alpha, BaseRTT: baseRTT}
 }
 
 // DCTCPParams tune DCTCP.
 type DCTCPParams struct {
-	// G is the gain of the marked-fraction EWMA (1/16).
-	G float64
-	// BaseRTT sizes the initial window and paces window growth.
+	// BaseRTT sizes the retransmission timeout.
 	BaseRTT sim.Duration
-	// InitWindowPkts is the slow-start initial window (10).
-	InitWindowPkts int
 }
 
 // DefaultDCTCP returns standard DCTCP settings.
 func DefaultDCTCP(baseRTT sim.Duration) DCTCPParams {
-	return DCTCPParams{G: 1.0 / 16, BaseRTT: baseRTT, InitWindowPkts: 10}
+	return DCTCPParams{BaseRTT: baseRTT}
 }
 
 // PFabricParams tune the minimal pFabric host transport.
@@ -148,11 +113,9 @@ type PFabricParams struct {
 	// BaseRTT sizes the (fixed) BDP window and the retransmission
 	// timeout.
 	BaseRTT sim.Duration
-	// RTOMultiple is the go-back-N timeout in RTTs (3).
-	RTOMultiple float64
 }
 
 // DefaultPFabric returns the pFabric host settings.
 func DefaultPFabric(baseRTT sim.Duration) PFabricParams {
-	return PFabricParams{BaseRTT: baseRTT, RTOMultiple: 3}
+	return PFabricParams{BaseRTT: baseRTT}
 }

@@ -5,6 +5,10 @@ import (
 	"numfabric/internal/sim"
 )
 
+// pfabricRTOMultiple is the go-back-N timeout in base RTTs: the pFabric
+// paper's small fixed timeout of about three RTTs.
+const pfabricRTOMultiple = 3
+
 // PFabricSender is the minimal pFabric host transport: send at a fixed
 // window of one BDP with every packet stamped with the flow's
 // remaining size as its priority, and recover from the (intentional)
@@ -22,10 +26,7 @@ func NewPFabricSender(net *netsim.Network, f *netsim.Flow, p PFabricParams) *PFa
 	nic := f.Path[0].Rate.Float()
 	bdp := int64(nic / 8 * p.BaseRTT.Seconds())
 	s := &PFabricSender{net: net, flow: f, window: bdp}
-	rto := sim.Duration(p.RTOMultiple * float64(p.BaseRTT))
-	if rto <= 0 {
-		rto = 3 * p.BaseRTT
-	}
+	rto := sim.Duration(pfabricRTOMultiple * float64(p.BaseRTT))
 	s.retx = newRetransmitter(net, f, rto, s.fill)
 	f.Sender = s
 	return s

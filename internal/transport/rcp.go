@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"numfabric/internal/netsim"
+	"numfabric/internal/sim"
 )
 
 // RCPSender is the RCP* host (§6): each link advertises a fair-share
@@ -42,6 +43,14 @@ func (s *RCPSender) OnAck(p *netsim.Packet) {
 // Rate returns the current pacing rate (bits/second).
 func (s *RCPSender) Rate() float64 { return s.rate }
 
+// RCP*'s Table 2 settings: the rate update interval T and the gains a
+// and b of Eq. 15.
+const (
+	RCPUpdateInterval = 16 * sim.Microsecond
+	RCPGainA          = 0.4
+	RCPGainB          = 0.2
+)
+
 // RCPAgent is the RCP* switch link agent: the advertised rate evolves
 // per Eq. 15,
 //
@@ -61,7 +70,7 @@ type RCPAgent struct {
 func NewRCPAgent(net *netsim.Network, port *netsim.Port, p RCPParams) *RCPAgent {
 	a := &RCPAgent{port: port, R: port.Rate.Float(), params: p}
 	port.Agents = append(port.Agents, a)
-	net.Engine.Every(net.Now().Add(p.UpdateInterval), p.UpdateInterval, a.update)
+	net.Engine.Every(net.Now().Add(RCPUpdateInterval), RCPUpdateInterval, a.update)
 	return a
 }
 
@@ -82,11 +91,11 @@ func (a *RCPAgent) OnDequeue(p *netsim.Packet) {
 
 func (a *RCPAgent) update() {
 	c := a.port.Rate.Float()
-	y := float64(a.bytesServiced) * 8 / a.params.UpdateInterval.Seconds()
+	y := float64(a.bytesServiced) * 8 / RCPUpdateInterval.Seconds()
 	q := float64(a.port.Q.Bytes()) * 8 // bits of backlog
-	t := a.params.UpdateInterval.Seconds()
+	t := RCPUpdateInterval.Seconds()
 	d := a.params.BaseRTT.Seconds()
-	grad := (a.params.GainA*(c-y) - a.params.GainB*q/d) / c
+	grad := (RCPGainA*(c-y) - RCPGainB*q/d) / c
 	a.R *= 1 + (t/d)*grad
 	// Keep R in a sane band: a tiny floor prevents deadlock after deep
 	// backlog. The ceiling sits far above capacity: on underutilized

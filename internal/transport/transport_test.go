@@ -407,12 +407,15 @@ func TestDefaultParamsMatchTable2(t *testing.T) {
 	if p.Eta != 5 || p.Beta != 0.5 {
 		t.Errorf("eta=%v beta=%v, want 5, 0.5", p.Eta, p.Beta)
 	}
-	d := DefaultDGD(16*sim.Microsecond, 1)
-	if d.UpdateInterval != 16*sim.Microsecond {
-		t.Errorf("DGD interval = %v, want 16us", d.UpdateInterval)
+	if DGDUpdateInterval != 16*sim.Microsecond || DGDGainA != 0.05 || DGDGainB != 0.015 {
+		t.Errorf("DGD interval %v gains a=%v b=%v, want 16us, 0.05, 0.015",
+			DGDUpdateInterval, DGDGainA, DGDGainB)
 	}
-	rc := DefaultRCP(16*sim.Microsecond, 1)
-	if rc.UpdateInterval != 16*sim.Microsecond {
-		t.Errorf("RCP interval = %v, want 16us", rc.UpdateInterval)
+	if RCPUpdateInterval != 16*sim.Microsecond || RCPGainA != 0.4 || RCPGainB != 0.2 {
+		t.Errorf("RCP* interval %v gains a=%v b=%v, want 16us, 0.4, 0.2",
+			RCPUpdateInterval, RCPGainA, RCPGainB)
+	}
+	if initialBurst != 3 || minWindow != 2 {
+		t.Errorf("initial burst %d, min window %d packets, want 3, 2", initialBurst, minWindow)
 	}
 }

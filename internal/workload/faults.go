@@ -37,8 +37,6 @@ type FaultConfig struct {
 	MeanDowntime sim.Duration
 	// Horizon bounds the failure instants (recoveries may land later).
 	Horizon sim.Duration
-	// MaxFaults, if > 0, caps the number of failures.
-	MaxFaults int
 }
 
 // FaultSchedule generates a deterministic, seeded fault schedule:
@@ -54,7 +52,6 @@ func FaultSchedule(cfg FaultConfig, rng *sim.RNG) []Fault {
 	}
 	var out []Fault
 	t := sim.Time(0)
-	n := 0
 	for {
 		gap := sim.Seconds(rng.ExpFloat64() / cfg.Rate)
 		t = t.Add(gap)
@@ -66,10 +63,6 @@ func FaultSchedule(cfg FaultConfig, rng *sim.RNG) []Fault {
 		if cfg.MeanDowntime > 0 {
 			down := sim.Seconds(rng.ExpFloat64() * cfg.MeanDowntime.Seconds())
 			out = append(out, Fault{At: t.Add(down), Link: l, Fail: false})
-		}
-		n++
-		if cfg.MaxFaults > 0 && n >= cfg.MaxFaults {
-			break
 		}
 	}
 	SortFaults(out)

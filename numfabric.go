@@ -34,9 +34,7 @@
 //     is one script played on whichever engine is asked for:
 //     RunDynamicWith, RunSemiDynamicWith and RunPoolingWith take the
 //     EngineType (the rate-sampling two run leap's allocators on the
-//     epoch engine — leap has no transient to sample), and RunDynamic,
-//     RunSemiDynamic, RunPooling and RunDynamicLeap are one-line
-//     shorthands that fix it. A parallel sweep runner (fluid.Sweep)
+//     epoch engine — leap has no transient to sample). A parallel sweep runner (fluid.Sweep)
 //     fans independent seeds/configs across goroutines with
 //     deterministic per-shard RNG.
 //
@@ -290,12 +288,6 @@ func DefaultSemiDynamic(s Scheme) SemiDynamicConfig { return harness.DefaultSemi
 // PaperSemiDynamic returns the full-scale §6.1 scenario.
 func PaperSemiDynamic(s Scheme) SemiDynamicConfig { return harness.PaperSemiDynamic(s) }
 
-// RunSemiDynamic measures convergence times over network events
-// (Figure 4a) on the packet engine.
-func RunSemiDynamic(cfg SemiDynamicConfig) SemiDynamicResult {
-	return harness.RunSemiDynamicWith(harness.EnginePacket, cfg)
-}
-
 // DynamicConfig configures the Poisson dynamic-workload experiment
 // (Figure 5).
 type DynamicConfig = harness.DynamicConfig
@@ -308,12 +300,6 @@ func DefaultDynamic(s Scheme, cdf *workload.SizeCDF, load float64) DynamicConfig
 
 // DynamicResult holds per-flow FCT records and deviation statistics.
 type DynamicResult = harness.DynamicResult
-
-// RunDynamic plays a Poisson workload on the packet engine and
-// compares against the fluid Oracle.
-func RunDynamic(cfg DynamicConfig) DynamicResult {
-	return harness.RunDynamicWith(harness.EnginePacket, cfg)
-}
 
 // EngineType selects the execution engine for experiment drivers: the
 // faithful packet-level simulator, the fluid epoch fast path, or the
@@ -337,12 +323,6 @@ func ParseEngine(s string) (EngineType, error) { return harness.ParseEngine(s) }
 // exact completion times, cycles spent only at arrivals/departures.
 func RunDynamicWith(e EngineType, cfg DynamicConfig) DynamicResult {
 	return harness.RunDynamicWith(e, cfg)
-}
-
-// RunDynamicLeap runs the dynamic-workload experiment on the
-// event-driven leap engine (the EngineLeap shortcut).
-func RunDynamicLeap(cfg DynamicConfig) DynamicResult {
-	return harness.RunDynamicWith(harness.EngineLeap, cfg)
 }
 
 // LeapStats is the leap engine's work telemetry — events, allocator
@@ -391,12 +371,6 @@ type PoolingResult = harness.PoolingResult
 // subflow count and pooling objective.
 func DefaultPooling(subflows int, pooling bool) PoolingConfig {
 	return harness.DefaultPooling(subflows, pooling)
-}
-
-// RunPooling executes the resource-pooling experiment on the packet
-// engine.
-func RunPooling(cfg PoolingConfig) PoolingResult {
-	return harness.RunPoolingWith(harness.EnginePacket, cfg)
 }
 
 // RunPoolingWith runs the resource-pooling experiment on the chosen
