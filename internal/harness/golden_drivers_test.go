@@ -218,6 +218,8 @@ func TestGoldenDriversIncast(t *testing.T) {
 // semi-dynamic script. The second cell samples at the detector's own
 // period through events that time out, so the instant each event fires
 // — not only the convergence times the result reports — is pinned.
+// The third cell is Figure 4b's DCTCP trace: its window law, ECN
+// marking queue and retransmission timer sit under no other pin.
 func TestGoldenDriversRateTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -236,6 +238,7 @@ func TestGoldenDriversRateTrace(t *testing.T) {
 	}{
 		{"converging", converging, 1, 100 * sim.Microsecond, "da66cbca07e9aad1"},
 		{"timing-out", timingOut, 0, samplePeriod, "1d4178b7aae98d2c"},
+		{"dctcp", tinySemiDynamic(DCTCP), 0, 100 * sim.Microsecond, "a7d7a495419b63db"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
