@@ -141,29 +141,29 @@ func (e *Engine) Now() float64 { return e.now }
 // members never complete: they run until stopped.
 func (e *Engine) Finished() []*Flow { return e.finished }
 
-// checkFlow panics unless links is a non-empty path over the engine's
-// network, u a utility, sizeBytes a payload (0 = unbounded) and at a
-// finite time: a NaN arrival is never due, so Run would step epochs
-// forever, and a bad link id or a nil utility would surface as a bare
-// runtime panic inside the allocator.
-func (e *Engine) checkFlow(fn string, links []int, u core.Utility, sizeBytes int64, at float64) {
+// CheckFlow, both flow-level engines' check, panics naming fn (the entry
+// point) unless links is a non-empty path over net, u a utility,
+// sizeBytes a payload (0 = unbounded) and at a finite time: a NaN
+// arrival is never due, so Run would step forever, and a bad link or a
+// nil utility would surface as a bare runtime panic in the allocator.
+func CheckFlow(fn string, net *Network, links []int, u core.Utility, sizeBytes int64, at float64) {
 	if len(links) == 0 {
-		panic(fmt.Sprintf("fluid: %s: empty path", fn))
+		panic(fn + ": empty path")
 	}
-	n := e.net.Links()
+	n := net.Links()
 	for _, l := range links {
 		if l < 0 || l >= n {
-			panic(fmt.Sprintf("fluid: %s: link %d in path %v of a %d-link network", fn, l, links, n))
+			panic(fmt.Sprintf("%s: link %d in path %v of a %d-link network", fn, l, links, n))
 		}
 	}
 	if u == nil {
-		panic(fmt.Sprintf("fluid: %s: nil utility", fn))
+		panic(fn + ": nil utility")
 	}
 	if sizeBytes < 0 {
-		panic(fmt.Sprintf("fluid: %s: sizeBytes = %d, want ≥ 0 (0 = unbounded)", fn, sizeBytes))
+		panic(fmt.Sprintf("%s: sizeBytes = %d, want ≥ 0 (0 = unbounded)", fn, sizeBytes))
 	}
 	if math.IsNaN(at) || math.IsInf(at, 0) {
-		panic(fmt.Sprintf("fluid: %s: at = %v, want a finite time", fn, at))
+		panic(fmt.Sprintf("%s: at = %v, want a finite time", fn, at))
 	}
 }
 
@@ -174,7 +174,7 @@ func (e *Engine) checkFlow(fn string, links []int, u core.Utility, sizeBytes int
 // nil utility, a negative size, a NaN or infinite at — is a programmer
 // error and panics naming the argument.
 func (e *Engine) AddFlow(links []int, u core.Utility, sizeBytes int64, at float64) *Flow {
-	e.checkFlow("AddFlow", links, u, sizeBytes, at)
+	CheckFlow("fluid: AddFlow", e.net, links, u, sizeBytes, at)
 	return e.addFlow(links, u, sizeBytes, at)
 }
 
@@ -198,7 +198,7 @@ func (e *Engine) AddGroup(paths [][]int, u core.Utility, at float64) *Group {
 		panic("fluid: AddGroup: no paths")
 	}
 	for _, links := range paths {
-		e.checkFlow("AddGroup", links, u, 0, at)
+		CheckFlow("fluid: AddGroup", e.net, links, u, 0, at)
 	}
 	if _, ok := e.cfg.Allocator.(*XWI); !ok {
 		panic(fmt.Sprintf("fluid: AddGroup: allocator %T plays no groups, want *fluid.XWI", e.cfg.Allocator))

@@ -436,22 +436,7 @@ func checkTime(fn string, at float64) {
 // schedule in the engine: see Step for the rule that keeps such a run
 // identical to the preloaded one.
 func (e *Engine) AddFlow(links []int, u core.Utility, sizeBytes int64, at float64) *fluid.Flow {
-	if len(links) == 0 {
-		panic("leap: AddFlow: empty path")
-	}
-	n := e.net.Links()
-	for _, l := range links {
-		if l < 0 || l >= n {
-			panic(fmt.Sprintf("leap: AddFlow: link %d in path %v of a %d-link network", l, links, n))
-		}
-	}
-	if u == nil {
-		panic("leap: AddFlow: nil utility")
-	}
-	if sizeBytes < 0 {
-		panic(fmt.Sprintf("leap: AddFlow: sizeBytes = %d, want ≥ 0 (0 = unbounded)", sizeBytes))
-	}
-	checkTime("AddFlow", at)
+	fluid.CheckFlow("leap: AddFlow", e.net, links, u, sizeBytes, at)
 	f := e.tbl.Acquire(links, u, sizeBytes, at)
 	id := f.ID
 	for id >= len(e.fs) {
