@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"numfabric/internal/core"
 	"numfabric/internal/fluid"
 	"numfabric/internal/harness"
 	"numfabric/internal/obs"
@@ -209,9 +208,8 @@ func BenchmarkLeapFCTHooks(b *testing.B) {
 		for k := range 2 * len(sets) {
 			j := min(k, 2*len(sets)-1-k)
 			s := sets[j]
-			cfg := harness.DefaultDynamic(harness.NUMFabric, workload.WebSearch(), 0.05)
+			cfg := harness.DefaultFCTMin(harness.NUMFabric, harness.ScaledTopology(), 0.05)
 			cfg.FatTree, cfg.Flows, cfg.Seed, cfg.Obs = ft, nflows, 1, s.hooks()
-			cfg.UtilityFor = func(size int64) core.Utility { return core.FCTMin(size, 0.125) }
 			cfg.Drain = sim.Duration(sim.Forever)
 			runtime.GC()
 			res := harness.RunDynamicWith(harness.EngineLeap, cfg)

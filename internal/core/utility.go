@@ -107,6 +107,10 @@ func (u AlphaFair) String() string {
 	return fmt.Sprintf("AlphaFair(alpha=%g, w=%g)", u.Alpha, u.EffectiveWeight())
 }
 
+// FCTEpsilon is the ε of §6.3's FCT-minimization experiment, the
+// strict-concavity constant of FCTMin and Deadline.
+const FCTEpsilon = 0.125
+
 // FCTMin returns the utility that approximates Shortest-Flow-First for
 // minimizing flow completion time (Table 1, row 3, with the footnote's
 // strict-concavity fix):
@@ -114,15 +118,16 @@ func (u AlphaFair) String() string {
 //	U(x) = (1/s) · x^(1-ε) / (1-ε)
 //
 // where s is the flow size in bytes and ε a small constant (the paper
-// uses ε = 0.125 in §6.3). This is the weighted α-fair utility with
-// α = ε and w = s^(-1/ε): smaller flows get sharply higher marginal
-// utility and therefore near-strict priority.
+// uses FCTEpsilon in §6.3; ε ≤ 0 falls back to it). This is the
+// weighted α-fair utility with α = ε and w = s^(-1/ε): smaller flows
+// get sharply higher marginal utility and therefore near-strict
+// priority.
 func FCTMin(sizeBytes int64, epsilon float64) AlphaFair {
 	if sizeBytes < 1 {
 		sizeBytes = 1
 	}
 	if epsilon <= 0 {
-		epsilon = 0.125
+		epsilon = FCTEpsilon
 	}
 	return AlphaFair{Alpha: epsilon, Weight: priorityWeight(float64(sizeBytes), epsilon)}
 }
@@ -143,7 +148,7 @@ func Deadline(secondsToDeadline, epsilon float64) AlphaFair {
 		secondsToDeadline = 1e-6
 	}
 	if epsilon <= 0 {
-		epsilon = 0.125
+		epsilon = FCTEpsilon
 	}
 	return AlphaFair{Alpha: epsilon, Weight: priorityWeight(secondsToDeadline, epsilon)}
 }

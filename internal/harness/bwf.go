@@ -4,7 +4,6 @@ import (
 	"numfabric/internal/core"
 	"numfabric/internal/oracle"
 	"numfabric/internal/sim"
-	"numfabric/internal/transport"
 )
 
 // Fig2Flow1 is the blue bandwidth function of the paper's Figure 2:
@@ -59,7 +58,7 @@ func RunBWFCapacitySweep(capacities []sim.BitRate, alpha float64, measure sim.Du
 // 10 networks. Wire the links, then attach the scheme's agents.
 func newBWFFabric(meterTau sim.Duration) *packetFabric {
 	scheme := DefaultConfig(NUMFabric, ScaledTopology())
-	scheme.NUMFabric = transport.DefaultNUMFabric(20 * sim.Microsecond)
+	scheme.BaseRTT = 20 * sim.Microsecond
 	sub := newPacketNet(scheme)
 	sub.meterTau = meterTau
 	return sub

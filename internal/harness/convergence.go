@@ -8,6 +8,7 @@ import (
 	"numfabric/internal/oracle"
 	"numfabric/internal/sim"
 	"numfabric/internal/stats"
+	"numfabric/internal/transport"
 	"numfabric/internal/workload"
 )
 
@@ -134,8 +135,8 @@ func newPacketSemiDynamic(cfg SemiDynamicConfig) (*semiDynamicRun[sim.Time], *pa
 	hosts := cfg.Topo.Leaves * cfg.Topo.HostsPerLeaf
 	expectedShare := cfg.Topo.HostLink.Float() * float64(hosts) /
 		float64((cfg.MinActive+cfg.MaxActive)/2) / 4
-	cfg.Scheme.SetUtilityHint(core.NewAlphaFair(cfg.Alpha), expectedShare)
-	cfg.Scheme.RCP.Alpha = cfg.Alpha
+	cfg.Scheme.DGDPriceRef = transport.PriceRefFor(core.NewAlphaFair(cfg.Alpha), expectedShare)
+	cfg.Scheme.RCPAlpha = cfg.Alpha
 	sub := newPacketFabric(cfg.Topo, cfg.Scheme)
 	sub.meterTau = filterTau
 	return newSemiDynamicRun(cfg, sub.topo, sub), sub

@@ -12,6 +12,7 @@ import (
 	"numfabric/internal/obs"
 	"numfabric/internal/sim"
 	"numfabric/internal/stats"
+	"numfabric/internal/transport"
 	"numfabric/internal/workload"
 )
 
@@ -77,6 +78,29 @@ func DefaultDynamic(s Scheme, cdf *workload.SizeCDF, load float64) DynamicConfig
 		Drain:  200 * sim.Millisecond,
 		Seed:   1,
 	}
+}
+
+// DefaultFCTMin returns §6.3's FCT-minimization scenario (Figure 7) on
+// topo at the given load: the dynamic workload on the web-search CDF
+// with the α-fair objective at α = ε, a 500 ms drain, and no Oracle
+// ideals (Figure 7 normalizes by the line-rate FCT, NormalizedFCTs).
+// For NUMFabric each flow takes the FCT-min utility, and "for NUMFabric
+// to converge to optimal values for such a small α, we slow down the
+// system 2×"; its initial window is a full BDP so short flows finish in
+// one RTT, mimicking pFabric. The fluid engine reads the slowed loop as
+// its epoch; the leap engine reads neither knob.
+func DefaultFCTMin(s Scheme, topo TopologyConfig, load float64) DynamicConfig {
+	cfg := DefaultDynamic(s, workload.WebSearch(), load)
+	cfg.Topo, cfg.Scheme = topo, DefaultConfig(s, topo)
+	cfg.Alpha = core.FCTEpsilon
+	cfg.Drain = 500 * sim.Millisecond
+	cfg.SkipFluidIdeal = true
+	if s == NUMFabric {
+		cfg.Scheme.NUMFabric = cfg.Scheme.NUMFabric.Slowed(2)
+		cfg.Scheme.NUMFabric.InitWindowBDP = true
+		cfg.UtilityFor = func(size int64) core.Utility { return core.FCTMin(size, core.FCTEpsilon) }
+	}
+	return cfg
 }
 
 // FlowRecord is the outcome of one finite flow.
@@ -304,8 +328,8 @@ func RunDynamicWith(eng Engine, cfg DynamicConfig) DynamicResult {
 	}
 	if eng == EnginePacket {
 		expectedShare := cfg.Topo.HostLink.Float() / 3
-		cfg.Scheme.SetUtilityHint(cfg.utilityFor()(int64(expectedShare/8)), expectedShare)
-		cfg.Scheme.RCP.Alpha = cfg.Alpha
+		cfg.Scheme.DGDPriceRef = transport.PriceRefFor(cfg.utilityFor()(int64(expectedShare/8)), expectedShare)
+		cfg.Scheme.RCPAlpha = cfg.Alpha
 		sub := newPacketFabric(cfg.Topo, cfg.Scheme)
 		return runDynamic(cfg, sub.topo, sub, nil)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"numfabric/internal/netsim"
 	"numfabric/internal/sim"
+	"numfabric/internal/stats"
 	"numfabric/internal/workload"
 )
 
@@ -141,18 +142,19 @@ func TestFCTComparableToPFabric(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	cfg := DefaultFCT()
-	cfg.FlowsPerLoad = 120
-	nf := RunFCTWith(EnginePacket, cfg, NUMFabric, 0.4)
-	pf := RunFCTWith(EnginePacket, cfg, PFabric, 0.4)
-	if nf.MeanNormFCT <= 0 || pf.MeanNormFCT <= 0 {
-		t.Fatalf("bad normalized FCTs: nf=%v pf=%v", nf.MeanNormFCT, pf.MeanNormFCT)
+	meanNormFCT := func(s Scheme) float64 {
+		cfg := DefaultFCTMin(s, ScaledTopology(), 0.4)
+		cfg.Flows = 120
+		return stats.Mean(RunDynamicWith(EnginePacket, cfg).NormalizedFCTs(cfg.Topo))
+	}
+	nf, pf := meanNormFCT(NUMFabric), meanNormFCT(PFabric)
+	if nf <= 0 || pf <= 0 {
+		t.Fatalf("bad normalized FCTs: nf=%v pf=%v", nf, pf)
 	}
 	// Figure 7: NUMFabric within ~4-20% of pFabric; allow headroom at
 	// test scale.
-	if nf.MeanNormFCT > 1.8*pf.MeanNormFCT {
-		t.Errorf("NUMFabric mean norm FCT %.2f vs pFabric %.2f: too far",
-			nf.MeanNormFCT, pf.MeanNormFCT)
+	if nf > 1.8*pf {
+		t.Errorf("NUMFabric mean norm FCT %.2f vs pFabric %.2f: too far", nf, pf)
 	}
 }
 

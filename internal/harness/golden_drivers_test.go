@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"numfabric/internal/sim"
+	"numfabric/internal/stats"
 	"numfabric/internal/workload"
 )
 
@@ -165,11 +166,12 @@ func TestGoldenDriversPooling(t *testing.T) {
 	}
 }
 
-// TestGoldenDriversFCT pins Figure 7's point assembly (scheme knobs,
-// FCT-min utility, line-rate normalization) over the dynamic driver.
+// TestGoldenDriversFCT pins Figure 7's point (the DefaultFCTMin recipe
+// — scheme knobs, FCT-min utility — and the line-rate normalization)
+// over the dynamic driver: load, mean, median and p95 normalized FCT,
+// unfinished count.
 func TestGoldenDriversFCT(t *testing.T) {
-	cfg := DefaultFCT()
-	cfg.FlowsPerLoad = 120
+	const load = 0.6
 	cases := []struct {
 		eng    Engine
 		scheme Scheme
@@ -184,11 +186,14 @@ func TestGoldenDriversFCT(t *testing.T) {
 			if testing.Short() && c.eng == EnginePacket {
 				t.Skip("simulation-heavy")
 			}
-			pt := RunFCTWith(c.eng, cfg, c.scheme, 0.6)
+			cfg := DefaultFCTMin(c.scheme, ScaledTopology(), load)
+			cfg.Flows = 120
+			res := RunDynamicWith(c.eng, cfg)
+			norm := res.NormalizedFCTs(cfg.Topo)
 			fp := newFingerprint()
-			addAll(fp, []float64{pt.Load, pt.MeanNormFCT, pt.MedianNormFCT, pt.P95NormFCT, float64(pt.Unfinished)})
-			if got := fp.String(); got != c.want || pt.Scheme != c.scheme.String() {
-				t.Errorf("fingerprint %s (scheme %s), want %s", got, pt.Scheme, c.want)
+			addAll(fp, []float64{load, stats.Mean(norm), stats.Median(norm), stats.Percentile(norm, 0.95), float64(res.Unfinished)})
+			if got := fp.String(); got != c.want {
+				t.Errorf("fingerprint %s, want %s", got, c.want)
 			}
 		})
 	}

@@ -8,6 +8,7 @@ import (
 	"numfabric/internal/netsim"
 	"numfabric/internal/sim"
 	"numfabric/internal/stats"
+	"numfabric/internal/transport"
 )
 
 // runScheme builds a scaled fabric, starts flows (src, dst, weight)
@@ -19,7 +20,7 @@ func runScheme(t *testing.T, s Scheme, flows [][3]int, d sim.Duration) []float64
 	net := netsim.NewNetwork(eng)
 	tc := ScaledTopology()
 	cfg := DefaultConfig(s, tc)
-	cfg.SetUtilityHint(core.ProportionalFair(), 5e9)
+	cfg.DGDPriceRef = transport.PriceRefFor(core.ProportionalFair(), 5e9)
 	net.QueueFactory = cfg.QueueFactory()
 	topo := NewTopology(net, tc)
 	cfg.AttachAgents(net)

@@ -6,6 +6,7 @@ import (
 	"numfabric/internal/core"
 	"numfabric/internal/netsim"
 	"numfabric/internal/queue"
+	"numfabric/internal/sim"
 	"numfabric/internal/transport"
 )
 
@@ -38,16 +39,23 @@ func (s Scheme) String() string {
 	}
 }
 
-// SchemeConfig carries every scheme's parameters; only the selected
-// scheme's block is used.
+// SchemeConfig carries every scheme's parameters; the selected scheme
+// reads BaseRTT and its own fields.
 type SchemeConfig struct {
 	Scheme Scheme
+	// BaseRTT is d0, the fabric's zero-queue RTT: every transport sizes
+	// its BDP window or cap, its timeout, or (RCP*) Eq. 15's d from it.
+	BaseRTT sim.Duration
 
 	NUMFabric transport.NUMFabricParams
-	DGD       transport.DGDParams
-	RCP       transport.RCPParams
-	DCTCP     transport.DCTCPParams
-	PFabric   transport.PFabricParams
+	// DGDPriceRef scales DGD's dimensionless gains into price units:
+	// the packet drivers set it to transport.PriceRefFor a typical
+	// flow's utility at its expected fair share, the analogue of the
+	// paper sweeping DGD's gains per workload.
+	DGDPriceRef float64
+	// RCPAlpha is the α-fairness exponent RCP* implements (Eq. 16);
+	// the packet drivers set it to the scenario's α.
+	RCPAlpha float64
 
 	// UseMultiQueue replaces exact STFQ with the §8 "small set of
 	// queues with different weights" approximation (multiQueueBands
@@ -58,22 +66,12 @@ type SchemeConfig struct {
 // DefaultConfig returns a scheme config with Table 2 defaults for the
 // given fabric.
 func DefaultConfig(s Scheme, topo TopologyConfig) SchemeConfig {
-	rtt := topo.BaseRTT()
 	return SchemeConfig{
 		Scheme:    s,
-		NUMFabric: transport.DefaultNUMFabric(rtt),
-		DGD:       transport.DefaultDGD(rtt, 0), // PriceRef set by SetUtilityHint
-		RCP:       transport.DefaultRCP(rtt, 1),
-		DCTCP:     transport.DefaultDCTCP(rtt),
-		PFabric:   transport.DefaultPFabric(rtt),
+		BaseRTT:   topo.BaseRTT(),
+		NUMFabric: transport.DefaultNUMFabric(),
+		RCPAlpha:  1,
 	}
-}
-
-// SetUtilityHint calibrates price-scaled parameters (DGD's PriceRef)
-// from a representative utility and per-flow fair-share guess, the
-// analogue of the paper sweeping DGD's gains per workload.
-func (c *SchemeConfig) SetUtilityHint(u core.Utility, fairShare float64) {
-	c.DGD.PriceRef = transport.PriceRefFor(u, fairShare)
 }
 
 // The switch buffers: every scheme's per-port buffer (§6: 1 MB),
@@ -118,9 +116,9 @@ func (c SchemeConfig) AttachAgents(net *netsim.Network) {
 		case NUMFabric:
 			transport.NewXWIAgent(net, port, c.NUMFabric)
 		case DGD:
-			transport.NewDGDAgent(net, port, c.DGD)
+			transport.NewDGDAgent(net, port, c.DGDPriceRef, c.BaseRTT)
 		case RCP:
-			transport.NewRCPAgent(net, port, c.RCP)
+			transport.NewRCPAgent(net, port, c.RCPAlpha, c.BaseRTT)
 		case DCTCP, PFabric:
 			// Queue-level mechanisms only; no periodic agent.
 		}
@@ -128,20 +126,20 @@ func (c SchemeConfig) AttachAgents(net *netsim.Network) {
 }
 
 // AttachSender equips flow f with the scheme's host transport. u is
-// the flow's utility (used by NUMFabric and DGD; RCP*'s α comes from
-// its params; DCTCP and pFabric ignore it).
+// the flow's utility (used by NUMFabric and DGD; RCP*'s α is RCPAlpha;
+// DCTCP and pFabric ignore it).
 func (c SchemeConfig) AttachSender(net *netsim.Network, f *netsim.Flow, u core.Utility) netsim.Sender {
 	switch c.Scheme {
 	case NUMFabric:
-		return transport.NewNUMFabricSender(net, f, u, c.NUMFabric)
+		return transport.NewNUMFabricSender(net, f, u, c.NUMFabric, c.BaseRTT)
 	case DGD:
-		return transport.NewDGDSender(net, f, u, c.DGD)
+		return transport.NewDGDSender(net, f, u, c.BaseRTT)
 	case RCP:
-		return transport.NewRCPSender(net, f, c.RCP)
+		return transport.NewRCPSender(net, f, c.RCPAlpha, c.BaseRTT)
 	case DCTCP:
-		return transport.NewDCTCPSender(net, f, c.DCTCP)
+		return transport.NewDCTCPSender(net, f, c.BaseRTT)
 	case PFabric:
-		return transport.NewPFabricSender(net, f, c.PFabric)
+		return transport.NewPFabricSender(net, f, c.BaseRTT)
 	default:
 		panic("harness: unknown scheme")
 	}

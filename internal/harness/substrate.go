@@ -101,7 +101,7 @@ func newPacketNet(scheme SchemeConfig) *packetFabric {
 }
 
 // newPacketFabric builds the leaf-spine fabric and installs the
-// scheme's link agents; calibrate scheme (SetUtilityHint, RCP.Alpha)
+// scheme's link agents; calibrate scheme (DGDPriceRef, RCPAlpha)
 // beforehand.
 func newPacketFabric(topo TopologyConfig, scheme SchemeConfig) *packetFabric {
 	p := newPacketNet(scheme)

@@ -29,7 +29,7 @@ func NewTenant(name string) *Tenant {
 // shared utility u (a function of the tenant's TOTAL rate).
 func (t *Tenant) AddFlow(topo *Topology, cfg SchemeConfig, src, dst, spine int, u core.Utility) *netsim.Flow {
 	f := topo.NewFlow(src, dst, spine, 0)
-	s := transport.NewNUMFabricSender(topo.Net, f, u, cfg.NUMFabric)
+	s := transport.NewNUMFabricSender(topo.Net, f, u, cfg.NUMFabric, cfg.BaseRTT)
 	t.agg.Add(s)
 	f.Meter = stats.NewRateMeter(200 * sim.Microsecond)
 	t.flows = append(t.flows, f)

@@ -5,8 +5,9 @@
 // semi-dynamic (Figures 4 and 6) and resource pooling (Figure 8 and
 // its fat-tree variant) — is written once, over the small per-engine
 // substrates of substrate.go and, for the dynamic family, either fabric;
-// RunDynamicWith, RunSemiDynamicWith, RunPoolingWith and RunFCTWith
-// take the Engine and are the only place one is chosen.
+// RunDynamicWith, RunSemiDynamicWith and RunPoolingWith take the Engine
+// and are the only place one is chosen. Figure 7 is the dynamic family
+// on the DefaultFCTMin recipe.
 package harness
 
 import (

@@ -54,24 +54,24 @@ func fig5(env Env, s Scale, seed uint64, cdf *workload.SizeCDF) Metrics {
 // web-search workload; its metrics are the mean normalized FCTs.
 func fig7(env Env, s Scale, seed uint64) Metrics {
 	fmt.Fprintf(env, "FCT vs pFabric on the web-search workload (Figure 7, %s engine):\n", env.Engine)
-	cfg := harness.DefaultFCT()
-	cfg.Seed = seed
-	cfg.Obs = env.Obs
+	topo, flows, loads := harness.ScaledTopology(), 300, []float64{0.2, 0.4, 0.6, 0.8}
 	switch s {
 	case Short:
-		cfg.FlowsPerLoad, cfg.Loads = 150, []float64{0.4, 0.6}
+		flows, loads = 150, []float64{0.4, 0.6}
 	case Full:
-		cfg.Topo = harness.PaperTopology()
-		cfg.FlowsPerLoad = 2000
+		topo, flows = harness.PaperTopology(), 2000
 	}
 	fmt.Fprintf(env, "%-6s %-10s %10s %10s %10s\n", "load", "scheme", "meanNorm", "medianNorm", "p95Norm")
 	m := Metrics{}
-	for _, load := range cfg.Loads {
+	for _, load := range loads {
 		for _, scheme := range []harness.Scheme{harness.NUMFabric, harness.PFabric} {
-			pt := harness.RunFCTWith(env.Engine, cfg, scheme, load)
+			cfg := harness.DefaultFCTMin(scheme, topo, load)
+			cfg.Flows, cfg.Seed, cfg.Obs = flows, seed, env.Obs
+			norm := harness.RunDynamicWith(env.Engine, cfg).NormalizedFCTs(topo)
+			mean := stats.Mean(norm)
 			fmt.Fprintf(env, "%-6.1f %-10s %10.2f %10.2f %10.2f\n",
-				load, pt.Scheme, pt.MeanNormFCT, pt.MedianNormFCT, pt.P95NormFCT)
-			m[fmt.Sprintf("%s@%g", strings.ToLower(pt.Scheme), load)] = pt.MeanNormFCT
+				load, scheme, mean, stats.Median(norm), stats.Percentile(norm, 0.95))
+			m[fmt.Sprintf("%s@%g", strings.ToLower(scheme.String()), load)] = mean
 		}
 	}
 	return m

@@ -5,23 +5,20 @@ import (
 	"math"
 	"time"
 
-	"numfabric/internal/core"
 	"numfabric/internal/fluid"
 	"numfabric/internal/harness"
 	"numfabric/internal/obs"
 	"numfabric/internal/sim"
 	"numfabric/internal/stats"
 	"numfabric/internal/trace"
-	"numfabric/internal/workload"
 )
 
 // fatTreeFCTMin is the leapfct/leapfail scenario for
-// harness.RunDynamicWith: a web-search Poisson schedule on ft, NUMFabric
-// with the §6.3 FCT-min utility, run until nothing more can finish.
+// harness.RunDynamicWith: §6.3's FCT-min recipe for NUMFabric on ft,
+// run until nothing more can finish.
 func fatTreeFCTMin(ft *fluid.FatTree, load float64, nflows int, seed uint64, hooks obs.Hooks) harness.DynamicConfig {
-	cfg := harness.DefaultDynamic(harness.NUMFabric, workload.WebSearch(), load)
+	cfg := harness.DefaultFCTMin(harness.NUMFabric, harness.ScaledTopology(), load)
 	cfg.FatTree, cfg.Flows, cfg.Seed, cfg.Obs = ft, nflows, seed, hooks
-	cfg.UtilityFor = func(size int64) core.Utility { return core.FCTMin(size, 0.125) }
 	cfg.Drain = sim.Duration(sim.Forever)
 	return cfg
 }

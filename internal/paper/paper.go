@@ -124,7 +124,7 @@ func table1(env Env, s Scale, seed uint64) Metrics {
 	}
 	show("alpha-fair (a=1), equal", core.NewAlphaFair(1), core.NewAlphaFair(1))
 	weighted := show("weighted alpha-fair (w=1 vs w=3)", core.NewWeightedAlphaFair(1, 1), core.NewWeightedAlphaFair(1, 3))
-	fctMin := show("FCT-min (10KB vs 10MB flows)", core.FCTMin(10<<10, 0.125), core.FCTMin(10<<20, 0.125))
+	fctMin := show("FCT-min (10KB vs 10MB flows)", core.FCTMin(10<<10, core.FCTEpsilon), core.FCTMin(10<<20, core.FCTEpsilon))
 	show("bandwidth functions (Fig. 2)", core.NewBWUtility(harness.Fig2Flow1(), 5), core.NewBWUtility(harness.Fig2Flow2(), 5))
 
 	p := core.NewProblem([]float64{10e9, 10e9})

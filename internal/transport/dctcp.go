@@ -31,15 +31,16 @@ type DCTCPSender struct {
 	retx        *retransmitter
 }
 
-// NewDCTCPSender attaches a DCTCP transport to f.
-func NewDCTCPSender(net *netsim.Network, f *netsim.Flow, p DCTCPParams) *DCTCPSender {
+// NewDCTCPSender attaches a DCTCP transport to f; the retransmission
+// timeout is 10 base RTTs.
+func NewDCTCPSender(net *netsim.Network, f *netsim.Flow, baseRTT sim.Duration) *DCTCPSender {
 	s := &DCTCPSender{
 		net:       net,
 		flow:      f,
 		cwnd:      float64(dctcpInitWindowPkts * netsim.MTU),
 		slowStart: true,
 	}
-	s.retx = newRetransmitter(net, f, sim.Duration(10*float64(p.BaseRTT)), s.fill)
+	s.retx = newRetransmitter(net, f, sim.Duration(10*float64(baseRTT)), s.fill)
 	f.Sender = s
 	return s
 }

@@ -16,10 +16,11 @@ type DGDSender struct {
 	u core.Utility
 }
 
-// NewDGDSender attaches a DGD transport with utility u to f.
-func NewDGDSender(net *netsim.Network, f *netsim.Flow, u core.Utility, p DGDParams) *DGDSender {
+// NewDGDSender attaches a DGD transport with utility u to f; baseRTT
+// sizes the 2×BDP cap.
+func NewDGDSender(net *netsim.Network, f *netsim.Flow, u core.Utility, baseRTT sim.Duration) *DGDSender {
 	s := &DGDSender{u: u}
-	s.pacedSender = newPacedSender(net, f, p.BaseRTT, func(pkt *netsim.Packet) {})
+	s.pacedSender = newPacedSender(net, f, baseRTT, func(pkt *netsim.Packet) {})
 	f.Sender = s
 	return s
 }
@@ -47,11 +48,11 @@ func (s *DGDSender) Rate() float64 { return s.rate }
 //
 //	Δp = PriceRef · (DGDGainA·(y−C)/C + DGDGainB·q/BDPBytes)
 //
-// where PriceRef (DGDParams) is a per-experiment price scale (≈ the
-// optimal price magnitude, set from the utility at a fair-share rate
-// guess). Like the paper we swept the gain space and picked the fastest
-// point that converges without oscillating across this repo's
-// experiments.
+// where PriceRef (NewDGDAgent's priceRef) is a per-experiment price
+// scale (≈ the optimal price magnitude, set from the utility at a
+// fair-share rate guess). Like the paper we swept the gain space and
+// picked the fastest point that converges without oscillating across
+// this repo's experiments.
 const (
 	DGDUpdateInterval = 16 * sim.Microsecond
 	DGDGainA          = 0.05
@@ -67,16 +68,18 @@ type DGDAgent struct {
 
 	Price         float64
 	bytesServiced int64
-	params        DGDParams
+	priceRef      float64
 	bdpBytes      float64
 }
 
-// NewDGDAgent attaches DGD price computation to port.
-func NewDGDAgent(net *netsim.Network, port *netsim.Port, p DGDParams) *DGDAgent {
+// NewDGDAgent attaches DGD price computation to port: priceRef scales
+// the dimensionless gains into price units (PriceRefFor), and baseRTT
+// sizes the BDP that normalizes the queue term.
+func NewDGDAgent(net *netsim.Network, port *netsim.Port, priceRef float64, baseRTT sim.Duration) *DGDAgent {
 	a := &DGDAgent{
 		port:     port,
-		params:   p,
-		bdpBytes: port.Rate.Float() / 8 * p.BaseRTT.Seconds(),
+		priceRef: priceRef,
+		bdpBytes: port.Rate.Float() / 8 * baseRTT.Seconds(),
 	}
 	port.Agents = append(port.Agents, a)
 	net.Engine.Every(net.Now().Add(DGDUpdateInterval), DGDUpdateInterval, a.update)
@@ -101,9 +104,9 @@ func (a *DGDAgent) update() {
 	c := a.port.Rate.Float()
 	y := float64(a.bytesServiced) * 8 / DGDUpdateInterval.Seconds()
 	q := float64(a.port.Q.Bytes())
-	// Normalized Eq. 14: gains are dimensionless, PriceRef carries the
-	// price scale (see DGDParams).
-	delta := a.params.PriceRef * (DGDGainA*(y-c)/c + DGDGainB*q/a.bdpBytes)
+	// Normalized Eq. 14: gains are dimensionless, priceRef carries the
+	// price scale.
+	delta := a.priceRef * (DGDGainA*(y-c)/c + DGDGainB*q/a.bdpBytes)
 	a.Price += delta
 	if a.Price < 0 {
 		a.Price = 0

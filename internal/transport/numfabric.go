@@ -41,10 +41,11 @@ const (
 //     (U'(Ȓ) − pathPrice)/pathLen for the switches' price update
 //     (Eq. 9).
 type NUMFabricSender struct {
-	net    *netsim.Network
-	flow   *netsim.Flow
-	u      core.Utility
-	params NUMFabricParams
+	net     *netsim.Network
+	flow    *netsim.Flow
+	u       core.Utility
+	params  NUMFabricParams
+	baseRTT sim.Duration // d0: sizes the BDP window and the timeout
 
 	// avail estimates the flow's WFQ entitlement from packet-pair
 	// probe gaps; it sizes the window so the flow can always ramp to
@@ -96,13 +97,14 @@ type NUMFabricSender struct {
 }
 
 // NewNUMFabricSender attaches a NUMFabric transport to f with the flow
-// utility u.
-func NewNUMFabricSender(net *netsim.Network, f *netsim.Flow, u core.Utility, p NUMFabricParams) *NUMFabricSender {
+// utility u on a fabric whose zero-queue RTT is baseRTT.
+func NewNUMFabricSender(net *netsim.Network, f *netsim.Flow, u core.Utility, p NUMFabricParams, baseRTT sim.Duration) *NUMFabricSender {
 	s := &NUMFabricSender{
 		net:      net,
 		flow:     f,
 		u:        u,
 		params:   p,
+		baseRTT:  baseRTT,
 		avail:    *stats.NewEWMA(p.EWMATime),
 		achieved: *stats.NewEWMA(p.EWMATime),
 		resRate:  *stats.NewEWMA(4 * p.EWMATime),
@@ -114,7 +116,7 @@ func NewNUMFabricSender(net *netsim.Network, f *netsim.Flow, u core.Utility, p N
 		weight:   f.Path[0].Rate.Float(),
 		residual: math.Inf(1),
 	}
-	s.retx = newRetransmitter(net, f, 20*p.BaseRTT, s.reviveAndFill)
+	s.retx = newRetransmitter(net, f, 20*baseRTT, s.reviveAndFill)
 	f.Sender = s
 	return s
 }
@@ -159,7 +161,7 @@ func (s *NUMFabricSender) Start() {
 	burst := initialBurst
 	if s.params.InitWindowBDP {
 		nic := s.flow.Path[0].Rate
-		bdp := int(nic.Float() / 8 * (s.params.BaseRTT).Seconds())
+		bdp := int(nic.Float() / 8 * s.baseRTT.Seconds())
 		if n := bdp / netsim.MSS; n > burst {
 			burst = n
 		}
@@ -301,7 +303,7 @@ func (s *NUMFabricSender) window() int64 {
 	// (so the aggregate standing queue at a bottleneck is C·dt
 	// regardless of flow count), floored at a few whole packets so
 	// slow flows still park schedulable packets at their bottleneck.
-	pipe := int64(s.avail.Value() / 8 * s.params.BaseRTT.Seconds())
+	pipe := int64(s.avail.Value() / 8 * s.baseRTT.Seconds())
 	slack := int64(s.avail.Value() / 8 * s.params.DT.Seconds())
 	if min := int64(extraSlackPkts * netsim.MTU); slack < min {
 		slack = min

@@ -14,15 +14,14 @@ import (
 )
 
 // NUMFabricParams are the Swift/xWI knobs with the paper's defaults
-// (Table 2).
+// (Table 2). The zero-queue fabric RTT d0 they work with is the
+// constructors' baseRTT argument, the fabric's one value.
 type NUMFabricParams struct {
 	// EWMATime is the Swift rate-estimator time constant (20 µs).
 	EWMATime sim.Duration
 	// DT is the window slack beyond the BDP (6 µs ≈ 5 packets at
 	// 10 Gb/s; §6.2 discusses the trade-off).
 	DT sim.Duration
-	// BaseRTT is d0, the zero-queue fabric RTT (16 µs topology RTT).
-	BaseRTT sim.Duration
 	// PriceUpdateInterval is the synchronized xWI price period (30 µs,
 	// ~2 RTTs).
 	PriceUpdateInterval sim.Duration
@@ -43,13 +42,11 @@ type NUMFabricParams struct {
 	DisablePairProbing bool
 }
 
-// DefaultNUMFabric returns Table 2's NUMFabric settings for a network
-// with the given base RTT.
-func DefaultNUMFabric(baseRTT sim.Duration) NUMFabricParams {
+// DefaultNUMFabric returns Table 2's NUMFabric settings.
+func DefaultNUMFabric() NUMFabricParams {
 	return NUMFabricParams{
 		EWMATime:            20 * sim.Microsecond,
 		DT:                  6 * sim.Microsecond,
-		BaseRTT:             baseRTT,
 		PriceUpdateInterval: 30 * sim.Microsecond,
 		Eta:                 5,
 		Beta:                0.5,
@@ -63,59 +60,4 @@ func (p NUMFabricParams) Slowed(k float64) NUMFabricParams {
 	p.EWMATime = sim.Duration(float64(p.EWMATime) * k)
 	p.PriceUpdateInterval = sim.Duration(float64(p.PriceUpdateInterval) * k)
 	return p
-}
-
-// DGDParams tune the Dual Gradient Descent scheme. Its gains and
-// update interval are the constants DGDGainA, DGDGainB and
-// DGDUpdateInterval (dgd.go).
-type DGDParams struct {
-	// PriceRef scales the dimensionless gains into price units.
-	PriceRef float64
-	// BaseRTT is d0, used with the NIC rate for the 2×BDP cap the
-	// paper imposes on unacknowledged bytes.
-	BaseRTT sim.Duration
-}
-
-// DefaultDGD returns the DGD settings for a network with the given
-// base RTT and price scale.
-func DefaultDGD(baseRTT sim.Duration, priceRef float64) DGDParams {
-	return DGDParams{PriceRef: priceRef, BaseRTT: baseRTT}
-}
-
-// RCPParams tune RCP* (Eq. 15). Its gains and update interval are the
-// constants RCPGainA, RCPGainB and RCPUpdateInterval (rcp.go).
-type RCPParams struct {
-	// Alpha is the α-fairness exponent of the objective (Eq. 16).
-	Alpha float64
-	// BaseRTT is d, the running-average RTT (fixed to the fabric RTT
-	// in simulation), also used for the 2×BDP cap.
-	BaseRTT sim.Duration
-}
-
-// DefaultRCP returns Table 2-style RCP* settings for objective α.
-func DefaultRCP(baseRTT sim.Duration, alpha float64) RCPParams {
-	return RCPParams{Alpha: alpha, BaseRTT: baseRTT}
-}
-
-// DCTCPParams tune DCTCP.
-type DCTCPParams struct {
-	// BaseRTT sizes the retransmission timeout.
-	BaseRTT sim.Duration
-}
-
-// DefaultDCTCP returns standard DCTCP settings.
-func DefaultDCTCP(baseRTT sim.Duration) DCTCPParams {
-	return DCTCPParams{BaseRTT: baseRTT}
-}
-
-// PFabricParams tune the minimal pFabric host transport.
-type PFabricParams struct {
-	// BaseRTT sizes the (fixed) BDP window and the retransmission
-	// timeout.
-	BaseRTT sim.Duration
-}
-
-// DefaultPFabric returns the pFabric host settings.
-func DefaultPFabric(baseRTT sim.Duration) PFabricParams {
-	return PFabricParams{BaseRTT: baseRTT}
 }

@@ -21,12 +21,13 @@ type PFabricSender struct {
 	retx   *retransmitter
 }
 
-// NewPFabricSender attaches a pFabric transport to f.
-func NewPFabricSender(net *netsim.Network, f *netsim.Flow, p PFabricParams) *PFabricSender {
+// NewPFabricSender attaches a pFabric transport to f; baseRTT sizes its
+// fixed BDP window and its timeout.
+func NewPFabricSender(net *netsim.Network, f *netsim.Flow, baseRTT sim.Duration) *PFabricSender {
 	nic := f.Path[0].Rate.Float()
-	bdp := int64(nic / 8 * p.BaseRTT.Seconds())
+	bdp := int64(nic / 8 * baseRTT.Seconds())
 	s := &PFabricSender{net: net, flow: f, window: bdp}
-	rto := sim.Duration(pfabricRTOMultiple * float64(p.BaseRTT))
+	rto := sim.Duration(pfabricRTOMultiple * float64(baseRTT))
 	s.retx = newRetransmitter(net, f, rto, s.fill)
 	f.Sender = s
 	return s

@@ -21,10 +21,11 @@ type RCPSender struct {
 	alpha float64
 }
 
-// NewRCPSender attaches an RCP* transport to f.
-func NewRCPSender(net *netsim.Network, f *netsim.Flow, p RCPParams) *RCPSender {
-	s := &RCPSender{alpha: p.Alpha}
-	s.pacedSender = newPacedSender(net, f, p.BaseRTT, func(pkt *netsim.Packet) {})
+// NewRCPSender attaches an RCP* transport for the α-fair objective
+// alpha to f; baseRTT sizes the 2×BDP cap.
+func NewRCPSender(net *netsim.Network, f *netsim.Flow, alpha float64, baseRTT sim.Duration) *RCPSender {
+	s := &RCPSender{alpha: alpha}
+	s.pacedSender = newPacedSender(net, f, baseRTT, func(pkt *netsim.Packet) {})
 	f.Sender = s
 	return s
 }
@@ -62,13 +63,16 @@ type RCPAgent struct {
 
 	R             float64 // advertised fair rate, bits/second
 	bytesServiced int64
-	params        RCPParams
+	alpha         float64      // the α-fairness exponent of Eq. 16
+	baseRTT       sim.Duration // d, the running-average RTT of Eq. 15
 }
 
-// NewRCPAgent attaches RCP* rate computation to port. R starts at the
-// link capacity (the standard RCP initialization).
-func NewRCPAgent(net *netsim.Network, port *netsim.Port, p RCPParams) *RCPAgent {
-	a := &RCPAgent{port: port, R: port.Rate.Float(), params: p}
+// NewRCPAgent attaches RCP* rate computation for objective alpha to
+// port. R starts at the link capacity (the standard RCP
+// initialization). Eq. 15's running-average RTT d is fixed to the
+// fabric's baseRTT in simulation.
+func NewRCPAgent(net *netsim.Network, port *netsim.Port, alpha float64, baseRTT sim.Duration) *RCPAgent {
+	a := &RCPAgent{port: port, R: port.Rate.Float(), alpha: alpha, baseRTT: baseRTT}
 	port.Agents = append(port.Agents, a)
 	net.Engine.Every(net.Now().Add(RCPUpdateInterval), RCPUpdateInterval, a.update)
 	return a
@@ -85,7 +89,7 @@ func (a *RCPAgent) OnDequeue(p *netsim.Packet) {
 	if p.Kind != netsim.Data {
 		return
 	}
-	p.RCPSum += math.Pow(a.R, -a.params.Alpha)
+	p.RCPSum += math.Pow(a.R, -a.alpha)
 	p.PathLen++
 }
 
@@ -94,7 +98,7 @@ func (a *RCPAgent) update() {
 	y := float64(a.bytesServiced) * 8 / RCPUpdateInterval.Seconds()
 	q := float64(a.port.Q.Bytes()) * 8 // bits of backlog
 	t := RCPUpdateInterval.Seconds()
-	d := a.params.BaseRTT.Seconds()
+	d := a.baseRTT.Seconds()
 	grad := (RCPGainA*(c-y) - RCPGainB*q/d) / c
 	a.R *= 1 + (t/d)*grad
 	// Keep R in a sane band: a tiny floor prevents deadlock after deep

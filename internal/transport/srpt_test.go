@@ -13,14 +13,14 @@ func TestSRPTNearlyDoneFlowOvertakes(t *testing.T) {
 	// B (smaller total size) would win; under SRPT, A (smaller
 	// REMAINING size) should finish first.
 	r := newRig(stfqFactory)
-	params := DefaultNUMFabric(testRTT).Slowed(2)
+	params := DefaultNUMFabric().Slowed(2)
 	fa := r.addFlow("a", 10<<20)
 	fb := r.addFlowTo("b", fa.Path[1], 2<<20)
 	for _, port := range r.net.Links {
 		NewXWIAgent(r.net, port, params)
 	}
-	sa := NewNUMFabricSender(r.net, fa, core.SRPTMin(10<<20, 0.125), params)
-	sb := NewNUMFabricSender(r.net, fb, core.SRPTMin(2<<20, 0.125), params)
+	sa := NewNUMFabricSender(r.net, fa, core.SRPTMin(10<<20, 0.125), params, testRTT)
+	sb := NewNUMFabricSender(r.net, fb, core.SRPTMin(2<<20, 0.125), params, testRTT)
 	AttachSRPT(r.net, sa, 50*sim.Microsecond, 0.125)
 	AttachSRPT(r.net, sb, 50*sim.Microsecond, 0.125)
 
@@ -41,12 +41,12 @@ func TestSRPTNearlyDoneFlowOvertakes(t *testing.T) {
 
 func TestSRPTUtilityRefreshes(t *testing.T) {
 	r := newRig(stfqFactory)
-	params := DefaultNUMFabric(testRTT)
+	params := DefaultNUMFabric()
 	f := r.addFlow("a", 5<<20)
 	for _, port := range r.net.Links {
 		NewXWIAgent(r.net, port, params)
 	}
-	s := NewNUMFabricSender(r.net, f, core.SRPTMin(5<<20, 0.125), params)
+	s := NewNUMFabricSender(r.net, f, core.SRPTMin(5<<20, 0.125), params, testRTT)
 	AttachSRPT(r.net, s, 100*sim.Microsecond, 0.125)
 	u0 := s.Utility()
 	r.eng.Schedule(0, f.Start)
@@ -61,12 +61,12 @@ func TestSRPTUtilityRefreshes(t *testing.T) {
 
 func TestDeadlinePriorityGrows(t *testing.T) {
 	r := newRig(stfqFactory)
-	params := DefaultNUMFabric(testRTT)
+	params := DefaultNUMFabric()
 	f := r.addFlow("a", 50<<20)
 	for _, port := range r.net.Links {
 		NewXWIAgent(r.net, port, params)
 	}
-	s := NewNUMFabricSender(r.net, f, core.Deadline(0.01, 0.125), params)
+	s := NewNUMFabricSender(r.net, f, core.Deadline(0.01, 0.125), params, testRTT)
 	AttachDeadline(r.net, s, sim.Time(10*sim.Millisecond), 100*sim.Microsecond, 0.125)
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(1 * sim.Millisecond))
@@ -80,9 +80,9 @@ func TestDeadlinePriorityGrows(t *testing.T) {
 
 func TestSRPTCancelStopsRefresh(t *testing.T) {
 	r := newRig(stfqFactory)
-	params := DefaultNUMFabric(testRTT)
+	params := DefaultNUMFabric()
 	f := r.addFlow("a", 5<<20)
-	s := NewNUMFabricSender(r.net, f, core.SRPTMin(5<<20, 0.125), params)
+	s := NewNUMFabricSender(r.net, f, core.SRPTMin(5<<20, 0.125), params, testRTT)
 	cancel := AttachSRPT(r.net, s, 100*sim.Microsecond, 0.125)
 	cancel()
 	u0 := s.Utility()

@@ -56,12 +56,12 @@ const testRTT = 17 * sim.Microsecond
 
 func TestNUMFabricSingleFlowSaturates(t *testing.T) {
 	r := newRig(stfqFactory)
-	params := DefaultNUMFabric(testRTT)
+	params := DefaultNUMFabric()
 	f := r.addFlow("a", 0)
 	for _, port := range r.net.Links {
 		NewXWIAgent(r.net, port, params)
 	}
-	NewNUMFabricSender(r.net, f, core.ProportionalFair(), params)
+	NewNUMFabricSender(r.net, f, core.ProportionalFair(), params, testRTT)
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(3 * sim.Millisecond))
 	if got := f.Meter.Rate(); math.Abs(got-1e10)/1e10 > 0.05 {
@@ -71,12 +71,12 @@ func TestNUMFabricSingleFlowSaturates(t *testing.T) {
 
 func TestNUMFabricWeightFollowsPrice(t *testing.T) {
 	r := newRig(stfqFactory)
-	params := DefaultNUMFabric(testRTT)
+	params := DefaultNUMFabric()
 	f := r.addFlow("a", 0)
 	for _, port := range r.net.Links {
 		NewXWIAgent(r.net, port, params)
 	}
-	s := NewNUMFabricSender(r.net, f, core.ProportionalFair(), params)
+	s := NewNUMFabricSender(r.net, f, core.ProportionalFair(), params, testRTT)
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(3 * sim.Millisecond))
 	// For proportional fairness, w = 1/price; at the fixed point the
@@ -92,12 +92,12 @@ func TestNUMFabricWeightFollowsPrice(t *testing.T) {
 
 func TestNUMFabricResidualNearZeroAtFixedPoint(t *testing.T) {
 	r := newRig(stfqFactory)
-	params := DefaultNUMFabric(testRTT)
+	params := DefaultNUMFabric()
 	f := r.addFlow("a", 0)
 	for _, port := range r.net.Links {
 		NewXWIAgent(r.net, port, params)
 	}
-	s := NewNUMFabricSender(r.net, f, core.ProportionalFair(), params)
+	s := NewNUMFabricSender(r.net, f, core.ProportionalFair(), params, testRTT)
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(5 * sim.Millisecond))
 	// The advertised residual (U'(x) - pathPrice)/len; at convergence
@@ -110,12 +110,12 @@ func TestNUMFabricResidualNearZeroAtFixedPoint(t *testing.T) {
 
 func TestNUMFabricFiniteFlowCompletes(t *testing.T) {
 	r := newRig(stfqFactory)
-	params := DefaultNUMFabric(testRTT)
+	params := DefaultNUMFabric()
 	f := r.addFlow("a", 1<<20)
 	for _, port := range r.net.Links {
 		NewXWIAgent(r.net, port, params)
 	}
-	NewNUMFabricSender(r.net, f, core.ProportionalFair(), params)
+	NewNUMFabricSender(r.net, f, core.ProportionalFair(), params, testRTT)
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(50 * sim.Millisecond))
 	if !f.Done {
@@ -129,9 +129,9 @@ func TestNUMFabricFiniteFlowCompletes(t *testing.T) {
 
 func TestNUMFabricStopHaltsTransmission(t *testing.T) {
 	r := newRig(stfqFactory)
-	params := DefaultNUMFabric(testRTT)
+	params := DefaultNUMFabric()
 	f := r.addFlow("a", 0)
-	NewNUMFabricSender(r.net, f, core.ProportionalFair(), params)
+	NewNUMFabricSender(r.net, f, core.ProportionalFair(), params, testRTT)
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(1 * sim.Millisecond))
 	f.Stop()
@@ -144,7 +144,7 @@ func TestNUMFabricStopHaltsTransmission(t *testing.T) {
 
 func TestXWIAgentPriceRisesUnderLoadFallsWhenIdle(t *testing.T) {
 	r := newRig(stfqFactory)
-	params := DefaultNUMFabric(testRTT)
+	params := DefaultNUMFabric()
 	var agents []*XWIAgent
 	mk := func() {
 		for _, port := range r.net.Links {
@@ -153,7 +153,7 @@ func TestXWIAgentPriceRisesUnderLoadFallsWhenIdle(t *testing.T) {
 	}
 	f := r.addFlow("a", 0)
 	mk()
-	NewNUMFabricSender(r.net, f, core.ProportionalFair(), params)
+	NewNUMFabricSender(r.net, f, core.ProportionalFair(), params, testRTT)
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(3 * sim.Millisecond))
 	maxPrice := 0.0
@@ -176,12 +176,12 @@ func TestDGDConvergesToFairShare(t *testing.T) {
 	r := newRig(fifoFactory)
 	f1 := r.addFlow("a", 0)
 	f2 := r.addFlowTo("b", f1.Path[1], 0)
-	params := DefaultDGD(testRTT, PriceRefFor(core.ProportionalFair(), 5e9))
+	priceRef := PriceRefFor(core.ProportionalFair(), 5e9)
 	for _, port := range r.net.Links {
-		NewDGDAgent(r.net, port, params)
+		NewDGDAgent(r.net, port, priceRef, testRTT)
 	}
-	NewDGDSender(r.net, f1, core.ProportionalFair(), params)
-	NewDGDSender(r.net, f2, core.ProportionalFair(), params)
+	NewDGDSender(r.net, f1, core.ProportionalFair(), testRTT)
+	NewDGDSender(r.net, f2, core.ProportionalFair(), testRTT)
 	r.eng.Schedule(0, f1.Start)
 	r.eng.Schedule(0, f2.Start)
 	r.eng.Run(sim.Time(10 * sim.Millisecond))
@@ -195,11 +195,11 @@ func TestDGDConvergesToFairShare(t *testing.T) {
 func TestDGDPacedBelowLineRate(t *testing.T) {
 	r := newRig(fifoFactory)
 	f := r.addFlow("a", 0)
-	params := DefaultDGD(testRTT, PriceRefFor(core.ProportionalFair(), 5e9))
+	priceRef := PriceRefFor(core.ProportionalFair(), 5e9)
 	for _, port := range r.net.Links {
-		NewDGDAgent(r.net, port, params)
+		NewDGDAgent(r.net, port, priceRef, testRTT)
 	}
-	s := NewDGDSender(r.net, f, core.ProportionalFair(), params)
+	s := NewDGDSender(r.net, f, core.ProportionalFair(), testRTT)
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(5 * sim.Millisecond))
 	if s.Rate() <= 0 || s.Rate() > 1e10 {
@@ -218,12 +218,12 @@ func TestRCPAlphaFairSplit(t *testing.T) {
 	r := newRig(fifoFactory)
 	f1 := r.addFlow("a", 0)
 	f2 := r.addFlowTo("b", f1.Path[1], 0)
-	params := DefaultRCP(testRTT, 2)
+	const alpha = 2
 	for _, port := range r.net.Links {
-		NewRCPAgent(r.net, port, params)
+		NewRCPAgent(r.net, port, alpha, testRTT)
 	}
-	NewRCPSender(r.net, f1, params)
-	NewRCPSender(r.net, f2, params)
+	NewRCPSender(r.net, f1, alpha, testRTT)
+	NewRCPSender(r.net, f2, alpha, testRTT)
 	r.eng.Schedule(0, f1.Start)
 	r.eng.Schedule(0, f2.Start)
 	r.eng.Run(sim.Time(10 * sim.Millisecond))
@@ -238,16 +238,16 @@ func TestRCPAgentRateTracksFairShare(t *testing.T) {
 	r := newRig(fifoFactory)
 	f1 := r.addFlow("a", 0)
 	f2 := r.addFlowTo("b", f1.Path[1], 0)
-	params := DefaultRCP(testRTT, 1)
+	const alpha = 1
 	var bottleneck *RCPAgent
 	for _, port := range r.net.Links {
-		a := NewRCPAgent(r.net, port, params)
+		a := NewRCPAgent(r.net, port, alpha, testRTT)
 		if port == f1.Path[1] {
 			bottleneck = a
 		}
 	}
-	NewRCPSender(r.net, f1, params)
-	NewRCPSender(r.net, f2, params)
+	NewRCPSender(r.net, f1, alpha, testRTT)
+	NewRCPSender(r.net, f2, alpha, testRTT)
 	r.eng.Schedule(0, f1.Start)
 	r.eng.Schedule(0, f2.Start)
 	r.eng.Run(sim.Time(10 * sim.Millisecond))
@@ -261,9 +261,8 @@ func TestDCTCPMarksDriveWindowDown(t *testing.T) {
 	r := newRig(ecnFactory)
 	f1 := r.addFlow("a", 0)
 	f2 := r.addFlowTo("b", f1.Path[1], 0)
-	params := DefaultDCTCP(testRTT)
-	s1 := NewDCTCPSender(r.net, f1, params)
-	NewDCTCPSender(r.net, f2, params)
+	s1 := NewDCTCPSender(r.net, f1, testRTT)
+	NewDCTCPSender(r.net, f2, testRTT)
 	r.eng.Schedule(0, f1.Start)
 	r.eng.Schedule(0, f2.Start)
 	r.eng.Run(sim.Time(20 * sim.Millisecond))
@@ -287,9 +286,8 @@ func TestPFabricCompletesUnderDrops(t *testing.T) {
 	r := newRig(pfFactory)
 	f1 := r.addFlow("a", 5<<20)
 	f2 := r.addFlowTo("b", f1.Path[1], 200<<10)
-	params := DefaultPFabric(testRTT)
-	NewPFabricSender(r.net, f1, params)
-	NewPFabricSender(r.net, f2, params)
+	NewPFabricSender(r.net, f1, testRTT)
+	NewPFabricSender(r.net, f2, testRTT)
 	r.eng.Schedule(0, f1.Start)
 	r.eng.Schedule(0, f2.Start)
 	r.eng.Run(sim.Time(100 * sim.Millisecond))
@@ -307,8 +305,7 @@ func TestPFabricRemainingSizePriority(t *testing.T) {
 	pfFactory := func(p *netsim.Port) netsim.Queue { return queue.NewPFabric(36000) }
 	r := newRig(pfFactory)
 	f := r.addFlow("a", 1<<20)
-	params := DefaultPFabric(testRTT)
-	NewPFabricSender(r.net, f, params)
+	NewPFabricSender(r.net, f, testRTT)
 	// Capture priorities as packets depart the source NIC.
 	var prios []float64
 	f.Path[0].Agents = append(f.Path[0].Agents, prioRecorder{&prios})
@@ -336,15 +333,15 @@ func (r prioRecorder) OnDequeue(p *netsim.Packet) {
 
 func TestAggregateShares(t *testing.T) {
 	r := newRig(stfqFactory)
-	params := DefaultNUMFabric(testRTT)
+	params := DefaultNUMFabric()
 	f1 := r.addFlow("a", 0)
 	f2 := r.addFlow("b", 0)
 	for _, port := range r.net.Links {
 		NewXWIAgent(r.net, port, params)
 	}
 	agg := NewAggregate()
-	s1 := NewNUMFabricSender(r.net, f1, core.ProportionalFair(), params)
-	s2 := NewNUMFabricSender(r.net, f2, core.ProportionalFair(), params)
+	s1 := NewNUMFabricSender(r.net, f1, core.ProportionalFair(), params, testRTT)
+	s2 := NewNUMFabricSender(r.net, f2, core.ProportionalFair(), params, testRTT)
 	agg.Add(s1)
 	agg.Add(s2)
 	if len(agg.Senders()) != 2 {
@@ -372,9 +369,9 @@ func TestRetransmitterRecoversFromTotalLoss(t *testing.T) {
 	// in-service packet: go-back-N must still deliver the flow.
 	tiny := func(p *netsim.Port) netsim.Queue { return queue.NewDropTail(1600) }
 	r := newRig(tiny)
-	params := DefaultNUMFabric(testRTT)
+	params := DefaultNUMFabric()
 	f := r.addFlow("a", 20<<10)
-	NewNUMFabricSender(r.net, f, core.ProportionalFair(), params)
+	NewNUMFabricSender(r.net, f, core.ProportionalFair(), params, testRTT)
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(100 * sim.Millisecond))
 	if !f.Done {
@@ -383,18 +380,18 @@ func TestRetransmitterRecoversFromTotalLoss(t *testing.T) {
 }
 
 func TestSlowedScalesParameters(t *testing.T) {
-	p := DefaultNUMFabric(testRTT)
+	p := DefaultNUMFabric()
 	s := p.Slowed(2)
 	if s.EWMATime != 2*p.EWMATime || s.PriceUpdateInterval != 2*p.PriceUpdateInterval {
 		t.Errorf("Slowed(2) wrong: %+v", s)
 	}
-	if s.DT != p.DT || s.BaseRTT != p.BaseRTT {
-		t.Error("Slowed must not change dt or base RTT")
+	if s.DT != p.DT {
+		t.Error("Slowed must not change dt")
 	}
 }
 
 func TestDefaultParamsMatchTable2(t *testing.T) {
-	p := DefaultNUMFabric(16 * sim.Microsecond)
+	p := DefaultNUMFabric()
 	if p.EWMATime != 20*sim.Microsecond {
 		t.Errorf("ewmaTime = %v, want 20us", p.EWMATime)
 	}

@@ -96,7 +96,7 @@ func WeightedAlphaFair(alpha, weight float64) Utility {
 
 // FCTMin returns the utility that approximates Shortest-Flow-First
 // scheduling for a flow of the given size (§2, §6.3).
-func FCTMin(sizeBytes int64) Utility { return core.FCTMin(sizeBytes, 0.125) }
+func FCTMin(sizeBytes int64) Utility { return core.FCTMin(sizeBytes, core.FCTEpsilon) }
 
 // BandwidthFunction is a BwE-style piecewise-linear bandwidth
 // function B(fair share) (§2).
@@ -144,7 +144,7 @@ func NewFabric(cfg FabricConfig, s Scheme) *Fabric {
 	eng := sim.NewEngine()
 	net := netsim.NewNetwork(eng)
 	scheme := harness.DefaultConfig(s, cfg)
-	scheme.SetUtilityHint(core.ProportionalFair(), cfg.HostLink.Float()/3)
+	scheme.DGDPriceRef = transport.PriceRefFor(core.ProportionalFair(), cfg.HostLink.Float()/3)
 	net.QueueFactory = scheme.QueueFactory()
 	topo := harness.NewTopology(net, cfg)
 	scheme.AttachAgents(net)
@@ -219,7 +219,7 @@ func (f *Fabric) StartAggregateFlow(src, dst int, spines []int, u Utility) *Aggr
 	out := &AggregateFlow{agg: transport.NewAggregate(), fab: f}
 	for _, sp := range spines {
 		fl := f.topo.NewFlow(src, dst, sp, 0)
-		s := transport.NewNUMFabricSender(f.net, fl, u, f.scheme.NUMFabric)
+		s := transport.NewNUMFabricSender(f.net, fl, u, f.scheme.NUMFabric, f.scheme.BaseRTT)
 		out.agg.Add(s)
 		fl.Meter = stats.NewRateMeter(200 * sim.Microsecond)
 		f.eng.Schedule(f.eng.Now(), fl.Start)
@@ -444,8 +444,8 @@ func (f *Fabric) StartSRPTFlow(src, dst, spine int, sizeBytes int64) *Flow {
 		panic("numfabric: SRPT requires SchemeNUMFabric")
 	}
 	fl := f.topo.NewFlow(src, dst, spine, sizeBytes)
-	s := transport.NewNUMFabricSender(f.net, fl, core.SRPTMin(sizeBytes, 0.125), f.scheme.NUMFabric)
-	transport.AttachSRPT(f.net, s, 100*sim.Microsecond, 0.125)
+	s := transport.NewNUMFabricSender(f.net, fl, core.SRPTMin(sizeBytes, core.FCTEpsilon), f.scheme.NUMFabric, f.scheme.BaseRTT)
+	transport.AttachSRPT(f.net, s, 100*sim.Microsecond, core.FCTEpsilon)
 	fl.Meter = stats.NewRateMeter(80 * sim.Microsecond)
 	f.eng.Schedule(f.eng.Now(), fl.Start)
 	return &Flow{inner: fl, fab: f}
@@ -459,8 +459,8 @@ func (f *Fabric) StartDeadlineFlow(src, dst, spine int, sizeBytes int64, deadlin
 		panic("numfabric: deadline scheduling requires SchemeNUMFabric")
 	}
 	fl := f.topo.NewFlow(src, dst, spine, sizeBytes)
-	s := transport.NewNUMFabricSender(f.net, fl, core.Deadline(deadline.Seconds(), 0.125), f.scheme.NUMFabric)
-	transport.AttachDeadline(f.net, s, f.eng.Now().Add(sim.FromStd(deadline)), 100*sim.Microsecond, 0.125)
+	s := transport.NewNUMFabricSender(f.net, fl, core.Deadline(deadline.Seconds(), core.FCTEpsilon), f.scheme.NUMFabric, f.scheme.BaseRTT)
+	transport.AttachDeadline(f.net, s, f.eng.Now().Add(sim.FromStd(deadline)), 100*sim.Microsecond, core.FCTEpsilon)
 	fl.Meter = stats.NewRateMeter(80 * sim.Microsecond)
 	f.eng.Schedule(f.eng.Now(), fl.Start)
 	return &Flow{inner: fl, fab: f}
