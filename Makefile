@@ -40,12 +40,12 @@ paper:
 # shrinks a row lowers its ceiling; one that must raise it says why in
 # CHANGES.md.
 LOC_CEIL_FLUID      = 1750
-LOC_CEIL_LEAP_FLUID = 3012
+LOC_CEIL_LEAP_FLUID = 2997
 LOC_CEIL_ORACLE     = 1239
-LOC_CEIL_HARNESS    = 2275
-LOC_CEIL_RUNS       = 9
+LOC_CEIL_HARNESS    = 2207
+LOC_CEIL_RUNS       = 8
 LOC_CEIL_OBS        = 1740
-LOC_CEIL_OPTIONS    = 115
+LOC_CEIL_OPTIONS    = 101
 # nontest counts the non-test Go lines of the files $(1) names.
 nontest = ls $(1) | grep -v _test.go | xargs cat | wc -l
 harness_runs = ls internal/harness/*.go | grep -v _test.go | xargs awk '/^func Run[A-Z]/{n++} END{print n+0}'

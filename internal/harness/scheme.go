@@ -48,10 +48,10 @@ type SchemeConfig struct {
 	BaseRTT sim.Duration
 
 	NUMFabric transport.NUMFabricParams
-	// DGDPriceRef scales DGD's dimensionless gains into price units:
-	// the packet drivers set it to transport.PriceRefFor a typical
-	// flow's utility at its expected fair share, the analogue of the
-	// paper sweeping DGD's gains per workload.
+	// DGDPriceRef scales DGD's dimensionless gains into price units.
+	// The packet drivers set it with transport.PriceRefFor from a
+	// typical flow's utility at its expected fair share, the analogue
+	// of the paper sweeping DGD's gains per workload.
 	DGDPriceRef float64
 	// RCPAlpha is the α-fairness exponent RCP* implements (Eq. 16);
 	// the packet drivers set it to the scenario's α.
