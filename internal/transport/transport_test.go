@@ -281,6 +281,32 @@ func TestDCTCPMarksDriveWindowDown(t *testing.T) {
 	}
 }
 
+// TestDCTCPRecoversByTimeout plays one finite DCTCP flow behind ECN
+// queues four packets deep: the 10-packet initial window overflows the
+// source NIC, and DCTCP has no fast retransmit, so only the go-back-N
+// timeout (10 base RTTs) can deliver the rest. The FCT is pinned: a
+// change to the timeout moves it.
+func TestDCTCPRecoversByTimeout(t *testing.T) {
+	shallow := func(p *netsim.Port) netsim.Queue { return queue.NewECN(4*netsim.MTU, 2*netsim.MTU) }
+	r := newRig(shallow)
+	drops := 0
+	r.net.DropHook = func(p *netsim.Packet) { drops++ }
+	f := r.addFlow("a", 64<<10)
+	NewDCTCPSender(r.net, f, testRTT)
+	r.eng.Schedule(0, f.Start)
+	r.eng.Run(sim.Time(100 * sim.Millisecond))
+	if drops == 0 {
+		t.Fatal("no drop: the initial window fit the queue, nothing exercised the timeout")
+	}
+	if !f.Done {
+		t.Fatalf("flow did not recover from %d drops (rcvd %d of %d)", drops, f.RcvdBytes, f.Size)
+	}
+	const wantFCT = sim.Duration(2731068800)
+	if got := f.FCT(); got != wantFCT {
+		t.Errorf("FCT = %d ps after %d drops, want %d", got, drops, wantFCT)
+	}
+}
+
 func TestPFabricCompletesUnderDrops(t *testing.T) {
 	pfFactory := func(p *netsim.Port) netsim.Queue { return queue.NewPFabric(36000) }
 	r := newRig(pfFactory)
