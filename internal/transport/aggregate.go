@@ -20,9 +20,6 @@ func (a *Aggregate) Add(s *NUMFabricSender) {
 	s.agg = a
 }
 
-// Senders returns the enrolled subflow senders.
-func (a *Aggregate) Senders() []*NUMFabricSender { return a.senders }
-
 // totalRate sums the subflows' achieved-throughput estimates.
 func (a *Aggregate) totalRate() float64 {
 	total := 0.0

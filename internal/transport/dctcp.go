@@ -56,7 +56,6 @@ func (s *DCTCPSender) OnAck(p *netsim.Packet) {
 	f := s.flow
 	if p.Seq > f.CumAcked {
 		f.CumAcked = p.Seq
-		s.retx.progress()
 	}
 	acked := int64(p.AckedBytes)
 	s.ackedBytes += acked

@@ -20,7 +20,7 @@ type DGDSender struct {
 // sizes the 2×BDP cap.
 func NewDGDSender(net *netsim.Network, f *netsim.Flow, u core.Utility, baseRTT sim.Duration) *DGDSender {
 	s := &DGDSender{u: u}
-	s.pacedSender = newPacedSender(net, f, baseRTT, func(pkt *netsim.Packet) {})
+	s.pacedSender = newPacedSender(net, f, baseRTT)
 	f.Sender = s
 	return s
 }
@@ -38,9 +38,6 @@ func (s *DGDSender) OnAck(p *netsim.Packet) {
 		s.setRate(s.u.InverseMarginal(p.EchoPathPrice))
 	}
 }
-
-// Rate returns the current pacing rate (bits/second).
-func (s *DGDSender) Rate() float64 { return s.rate }
 
 // DGD's Table 2 settings: the price update interval, and the gains a
 // and b of Eq. 14 (price += a(y−C) + b·q). The gains are normalized so

@@ -85,11 +85,6 @@ type NUMFabricSender struct {
 	// aggregate throughput (§6.3's heuristic).
 	agg *Aggregate
 
-	// OnRateSample, if set, observes every accepted packet-pair rate
-	// sample (bits/second) — an instrumentation hook for experiments
-	// and debugging.
-	OnRateSample func(sample float64)
-
 	// retx is a go-back-N safety net: NUMFabric provisions buffers so
 	// drops do not happen in normal operation (§6), but transients can
 	// still overflow a queue and a flow must not stall forever.
@@ -138,18 +133,6 @@ func (s *NUMFabricSender) reviveAndFill() {
 // objectives that re-derive the utility as the flow drains).
 func (s *NUMFabricSender) SetUtility(u core.Utility) { s.u = u }
 
-// Utility returns the sender's current utility function.
-func (s *NUMFabricSender) Utility() core.Utility { return s.u }
-
-// Rate returns the achieved-throughput estimate in bits/second.
-func (s *NUMFabricSender) Rate() float64 { return s.achieved.Value() }
-
-// Weight returns the current xWI weight.
-func (s *NUMFabricSender) Weight() float64 { return s.weight }
-
-// PathPrice returns the most recent path price feedback.
-func (s *NUMFabricSender) PathPrice() float64 { return s.pathPrice }
-
 // initialBurst is the packets a sender sends before feedback arrives
 // (§4.1: 3).
 const initialBurst = 3
@@ -180,7 +163,6 @@ func (s *NUMFabricSender) OnAck(p *netsim.Packet) {
 	f := s.flow
 	if p.Seq > f.CumAcked {
 		f.CumAcked = p.Seq
-		s.retx.progress()
 	}
 
 	now := s.net.Now()
@@ -195,9 +177,6 @@ func (s *NUMFabricSender) OnAck(p *netsim.Packet) {
 		sample := float64(p.AckedBytes+netsim.HeaderSize) * 8 / p.EchoIPT.Seconds()
 		s.avail.Update(now, sample)
 		s.haveAvail = true
-		if s.OnRateSample != nil {
-			s.OnRateSample(sample)
-		}
 	}
 
 	// Achieved-throughput sample: ACKed wire bytes over elapsed time,

@@ -19,7 +19,6 @@ type pacedSender struct {
 	capBytes int64   // 2×BDP unacked-bytes cap
 	timerArm bool
 	blocked  bool // hit the unacked cap; resume on ACK
-	setupPkt func(p *netsim.Packet)
 	minRate  float64
 	lineRate float64
 	retx     *retransmitter
@@ -29,14 +28,13 @@ type pacedSender struct {
 	lastBytes int
 }
 
-func newPacedSender(net *netsim.Network, f *netsim.Flow, baseRTT sim.Duration, setup func(p *netsim.Packet)) *pacedSender {
+func newPacedSender(net *netsim.Network, f *netsim.Flow, baseRTT sim.Duration) *pacedSender {
 	nic := f.Path[0].Rate.Float()
 	bdp := nic / 8 * baseRTT.Seconds()
 	s := &pacedSender{
 		net:      net,
 		flow:     f,
 		capBytes: int64(2 * bdp),
-		setupPkt: setup,
 		// Classic RCP-style rate floor: one full packet per RTT, so a
 		// throttled flow keeps probing at control-loop timescales and
 		// can recover within an RTT of conditions improving.
@@ -124,7 +122,7 @@ func (s *pacedSender) sendLoop() {
 	}
 	seq := f.NextSeq
 	f.NextSeq += int64(payload)
-	f.SendData(seq, payload, s.setupPkt)
+	f.SendData(seq, payload, nil)
 	s.lastSend = now
 	s.lastBytes = payload + netsim.HeaderSize
 
@@ -144,7 +142,6 @@ func (s *pacedSender) onAck(p *netsim.Packet) {
 	f := s.flow
 	if p.Seq > f.CumAcked {
 		f.CumAcked = p.Seq
-		s.retx.progress()
 	}
 	if s.blocked && f.NextSeq-f.CumAcked < s.capBytes {
 		s.blocked = false

@@ -44,7 +44,6 @@ func (s *PFabricSender) OnAck(p *netsim.Packet) {
 	f := s.flow
 	if p.Seq > f.CumAcked {
 		f.CumAcked = p.Seq
-		s.retx.progress()
 	}
 	s.fill()
 }

@@ -25,7 +25,7 @@ type RCPSender struct {
 // alpha to f; baseRTT sizes the 2×BDP cap.
 func NewRCPSender(net *netsim.Network, f *netsim.Flow, alpha float64, baseRTT sim.Duration) *RCPSender {
 	s := &RCPSender{alpha: alpha}
-	s.pacedSender = newPacedSender(net, f, baseRTT, func(pkt *netsim.Packet) {})
+	s.pacedSender = newPacedSender(net, f, baseRTT)
 	f.Sender = s
 	return s
 }
@@ -40,9 +40,6 @@ func (s *RCPSender) OnAck(p *netsim.Packet) {
 		s.setRate(math.Pow(p.EchoRCPSum, -1/s.alpha))
 	}
 }
-
-// Rate returns the current pacing rate (bits/second).
-func (s *RCPSender) Rate() float64 { return s.rate }
 
 // RCP*'s Table 2 settings: the rate update interval T and the gains a
 // and b of Eq. 15.

@@ -30,13 +30,6 @@ func newRetransmitter(net *netsim.Network, f *netsim.Flow, rto sim.Duration, ref
 	return r
 }
 
-// progress is a notification hook for cumulative-ACK advancement;
-// the current implementation needs no per-ACK state (staleness is
-// judged purely from tick-time snapshots), but senders call it at the
-// natural place so alternative policies (e.g. adaptive timeouts) can
-// be dropped in.
-func (r *retransmitter) progress() {}
-
 // arm starts the timeout loop.
 func (r *retransmitter) arm() {
 	if r.armed {

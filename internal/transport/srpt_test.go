@@ -48,10 +48,10 @@ func TestSRPTUtilityRefreshes(t *testing.T) {
 	}
 	s := NewNUMFabricSender(r.net, f, core.SRPTMin(5<<20, 0.125), params, testRTT)
 	AttachSRPT(r.net, s, 100*sim.Microsecond, 0.125)
-	u0 := s.Utility()
+	u0 := s.u
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(2 * sim.Millisecond))
-	u1 := s.Utility()
+	u1 := s.u
 	// As the flow drains, the SRPT weight grows: at a common price the
 	// refreshed utility must demand a higher rate.
 	if u1.InverseMarginal(1e-3) <= u0.InverseMarginal(1e-3) {
@@ -70,9 +70,9 @@ func TestDeadlinePriorityGrows(t *testing.T) {
 	AttachDeadline(r.net, s, sim.Time(10*sim.Millisecond), 100*sim.Microsecond, 0.125)
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(1 * sim.Millisecond))
-	u1 := s.Utility()
+	u1 := s.u
 	r.eng.Run(sim.Time(8 * sim.Millisecond))
-	u2 := s.Utility()
+	u2 := s.u
 	if u2.InverseMarginal(1e-3) <= u1.InverseMarginal(1e-3) {
 		t.Error("deadline utility did not sharpen as the deadline approached")
 	}
@@ -85,10 +85,10 @@ func TestSRPTCancelStopsRefresh(t *testing.T) {
 	s := NewNUMFabricSender(r.net, f, core.SRPTMin(5<<20, 0.125), params, testRTT)
 	cancel := AttachSRPT(r.net, s, 100*sim.Microsecond, 0.125)
 	cancel()
-	u0 := s.Utility()
+	u0 := s.u
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(2 * sim.Millisecond))
-	if s.Utility() != u0 {
+	if s.u != u0 {
 		t.Error("cancelled refresher still updated the utility")
 	}
 }

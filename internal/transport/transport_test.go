@@ -82,11 +82,11 @@ func TestNUMFabricWeightFollowsPrice(t *testing.T) {
 	// For proportional fairness, w = 1/price; at the fixed point the
 	// weight equals the achieved rate (§4.2: "the weights computed by
 	// Eq. 7 will be the same as the optimal rates").
-	if s.PathPrice() <= 0 {
+	if s.pathPrice <= 0 {
 		t.Fatal("no price feedback")
 	}
-	if math.Abs(s.Weight()-1e10)/1e10 > 0.15 {
-		t.Errorf("fixed-point weight = %.3g, want ~1e10", s.Weight())
+	if math.Abs(s.weight-1e10)/1e10 > 0.15 {
+		t.Errorf("fixed-point weight = %.3g, want ~1e10", s.weight)
 	}
 }
 
@@ -102,9 +102,9 @@ func TestNUMFabricResidualNearZeroAtFixedPoint(t *testing.T) {
 	r.eng.Run(sim.Time(5 * sim.Millisecond))
 	// The advertised residual (U'(x) - pathPrice)/len; at convergence
 	// ~0 relative to the price.
-	rel := math.Abs(s.residual) * 2 / s.PathPrice()
+	rel := math.Abs(s.residual) * 2 / s.pathPrice
 	if rel > 0.2 {
-		t.Errorf("normalized residual %.3g vs price %.3g: not at fixed point", s.residual, s.PathPrice())
+		t.Errorf("normalized residual %.3g vs price %.3g: not at fixed point", s.residual, s.pathPrice)
 	}
 }
 
@@ -202,8 +202,8 @@ func TestDGDPacedBelowLineRate(t *testing.T) {
 	s := NewDGDSender(r.net, f, core.ProportionalFair(), testRTT)
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(5 * sim.Millisecond))
-	if s.Rate() <= 0 || s.Rate() > 1e10 {
-		t.Errorf("DGD rate = %.3g, want in (0, 10G]", s.Rate())
+	if s.rate <= 0 || s.rate > 1e10 {
+		t.Errorf("DGD rate = %.3g, want in (0, 10G]", s.rate)
 	}
 	// 2xBDP cap: unacked bytes never exceed 2*BDP.
 	bdp := 1e10 / 8 * testRTT.Seconds()
@@ -370,7 +370,7 @@ func TestAggregateShares(t *testing.T) {
 	s2 := NewNUMFabricSender(r.net, f2, core.ProportionalFair(), params, testRTT)
 	agg.Add(s1)
 	agg.Add(s2)
-	if len(agg.Senders()) != 2 {
+	if len(agg.senders) != 2 {
 		t.Fatal("senders not registered")
 	}
 	r.eng.Schedule(0, f1.Start)
