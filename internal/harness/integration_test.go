@@ -234,3 +234,53 @@ func TestBaseRTTMatchesPaper(t *testing.T) {
 		t.Errorf("base RTT = %.2fus, want ~16us", us)
 	}
 }
+
+// TestEquilibriumQueuesAreSmall validates §6's claim that the schemes
+// "target a small queue occupancy ... typically only a few packets at
+// equilibrium" despite the 1 MB provisioned buffers.
+func TestEquilibriumQueuesAreSmall(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	eng := sim.NewEngine()
+	net := netsim.NewNetwork(eng)
+	tc := ScaledTopology()
+	cfg := DefaultConfig(NUMFabric, tc)
+	net.QueueFactory = cfg.QueueFactory()
+	topo := NewTopology(net, tc)
+	cfg.AttachAgents(net)
+
+	// Four long-lived flows into one NIC.
+	for i := 0; i < 4; i++ {
+		f := topo.NewFlow(i, 9, i%tc.Spines, 0)
+		cfg.AttachSender(net, f, core.ProportionalFair())
+		eng.Schedule(0, f.Start)
+	}
+	eng.Run(sim.Time(5 * sim.Millisecond))
+
+	// Sample the bottleneck queue over 2 ms of equilibrium.
+	var maxDepth int
+	samples := 0
+	eng.Every(eng.Now(), 50*sim.Microsecond, func() {
+		for _, port := range net.Links {
+			if d := port.Q.Len(); d > maxDepth {
+				maxDepth = d
+			}
+		}
+		samples++
+		if samples >= 40 {
+			eng.Stop()
+		}
+	})
+	eng.Run(sim.Forever)
+
+	// 4 flows x (rate-proportional slack + 3-packet floor): a few
+	// dozen packets at the very most, far below the 1MB (~700 pkt)
+	// buffer.
+	if maxDepth > 60 {
+		t.Errorf("max equilibrium queue depth = %d packets, want a few dozen max", maxDepth)
+	}
+	if maxDepth == 0 {
+		t.Error("no queueing at a 4-flow bottleneck? measurement broken")
+	}
+}

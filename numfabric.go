@@ -171,7 +171,13 @@ func (f *Fabric) StartFlow(src, dst, spine int, u Utility) *Flow {
 func (f *Fabric) StartSizedFlow(src, dst, spine int, sizeBytes int64, u Utility) *Flow {
 	fl := f.topo.NewFlow(src, dst, spine, sizeBytes)
 	f.scheme.AttachSender(f.net, fl, u)
-	fl.Meter = stats.NewRateMeter(80 * sim.Microsecond)
+	return f.start(fl, 80*sim.Microsecond)
+}
+
+// start meters fl over an EWMA window, starts it at the current
+// simulation time and wraps it.
+func (f *Fabric) start(fl *netsim.Flow, meter sim.Duration) *Flow {
+	fl.Meter = stats.NewRateMeter(meter)
 	f.eng.Schedule(f.eng.Now(), fl.Start)
 	return &Flow{inner: fl, fab: f}
 }
@@ -200,14 +206,21 @@ func (fl *Flow) FCT() time.Duration { return fl.inner.FCT().Std() }
 // Stop ceases transmission.
 func (fl *Flow) Stop() { fl.inner.Stop() }
 
-// AggregateFlow is a multipath flow: subflows over distinct spine
-// paths whose total rate is governed by one utility (resource
-// pooling, Table 1 row 4 / §6.3).
+// AggregateFlow is a set of NUMFabric subflows whose total rate is
+// governed by one utility: a multipath flow over distinct spine paths
+// (resource pooling, Table 1 row 4 / §6.3), or a Tenant whose flows
+// have arbitrary endpoints.
 type AggregateFlow struct {
 	subs []*Flow
 	agg  *transport.Aggregate
 	fab  *Fabric
 }
+
+// Tenant groups flows with arbitrary endpoints under one utility of
+// the tenant's total rate (the §8 tenant-aggregate generalization):
+// the resource-pooling machinery applied to flows that need not share
+// endpoints.
+type Tenant = AggregateFlow
 
 // StartAggregateFlow starts subflows src→dst over the given spines,
 // pooled under utility u of the aggregate rate. Requires the
@@ -216,16 +229,31 @@ func (f *Fabric) StartAggregateFlow(src, dst int, spines []int, u Utility) *Aggr
 	if f.scheme.Scheme != harness.NUMFabric {
 		panic("numfabric: resource pooling requires SchemeNUMFabric")
 	}
-	out := &AggregateFlow{agg: transport.NewAggregate(), fab: f}
+	a := &AggregateFlow{agg: transport.NewAggregate(), fab: f}
 	for _, sp := range spines {
-		fl := f.topo.NewFlow(src, dst, sp, 0)
-		s := transport.NewNUMFabricSender(f.net, fl, u, f.scheme.NUMFabric, f.scheme.BaseRTT)
-		out.agg.Add(s)
-		fl.Meter = stats.NewRateMeter(200 * sim.Microsecond)
-		f.eng.Schedule(f.eng.Now(), fl.Start)
-		out.subs = append(out.subs, &Flow{inner: fl, fab: f})
+		a.AddFlow(src, dst, sp, u)
 	}
-	return out
+	return a
+}
+
+// NewTenant creates an empty tenant aggregate on the fabric. Requires
+// the NUMFabric scheme.
+func (f *Fabric) NewTenant() *Tenant {
+	if f.scheme.Scheme != harness.NUMFabric {
+		panic("numfabric: tenant aggregates require SchemeNUMFabric")
+	}
+	return &Tenant{agg: transport.NewAggregate(), fab: f}
+}
+
+// AddFlow starts an unbounded subflow src→dst through spine; u applies
+// to the aggregate's total rate.
+func (a *AggregateFlow) AddFlow(src, dst, spine int, u Utility) *Flow {
+	f := a.fab
+	fl := f.topo.NewFlow(src, dst, spine, 0)
+	a.agg.Add(transport.NewNUMFabricSender(f.net, fl, u, f.scheme.NUMFabric, f.scheme.BaseRTT))
+	sub := f.start(fl, 200*sim.Microsecond)
+	a.subs = append(a.subs, sub)
+	return sub
 }
 
 // Rate returns the aggregate receive rate in bits/second.
@@ -446,9 +474,7 @@ func (f *Fabric) StartSRPTFlow(src, dst, spine int, sizeBytes int64) *Flow {
 	fl := f.topo.NewFlow(src, dst, spine, sizeBytes)
 	s := transport.NewNUMFabricSender(f.net, fl, core.SRPTMin(sizeBytes, core.FCTEpsilon), f.scheme.NUMFabric, f.scheme.BaseRTT)
 	transport.AttachSRPT(f.net, s, 100*sim.Microsecond, core.FCTEpsilon)
-	fl.Meter = stats.NewRateMeter(80 * sim.Microsecond)
-	f.eng.Schedule(f.eng.Now(), fl.Start)
-	return &Flow{inner: fl, fab: f}
+	return f.start(fl, 80*sim.Microsecond)
 }
 
 // StartDeadlineFlow starts a finite flow whose priority sharpens as
@@ -461,32 +487,5 @@ func (f *Fabric) StartDeadlineFlow(src, dst, spine int, sizeBytes int64, deadlin
 	fl := f.topo.NewFlow(src, dst, spine, sizeBytes)
 	s := transport.NewNUMFabricSender(f.net, fl, core.Deadline(deadline.Seconds(), core.FCTEpsilon), f.scheme.NUMFabric, f.scheme.BaseRTT)
 	transport.AttachDeadline(f.net, s, f.eng.Now().Add(sim.FromStd(deadline)), 100*sim.Microsecond, core.FCTEpsilon)
-	fl.Meter = stats.NewRateMeter(80 * sim.Microsecond)
-	f.eng.Schedule(f.eng.Now(), fl.Start)
-	return &Flow{inner: fl, fab: f}
+	return f.start(fl, 80*sim.Microsecond)
 }
-
-// Tenant groups flows with arbitrary endpoints under one utility of
-// the tenant's total rate (the §8 tenant-aggregate generalization).
-type Tenant struct {
-	inner *harness.Tenant
-	fab   *Fabric
-}
-
-// NewTenant creates a tenant aggregate on the fabric. Requires the
-// NUMFabric scheme.
-func (f *Fabric) NewTenant(name string) *Tenant {
-	if f.scheme.Scheme != harness.NUMFabric {
-		panic("numfabric: tenant aggregates require SchemeNUMFabric")
-	}
-	return &Tenant{inner: harness.NewTenant(name), fab: f}
-}
-
-// AddFlow starts an unbounded tenant flow; u applies to the tenant's
-// aggregate rate.
-func (t *Tenant) AddFlow(src, dst, spine int, u Utility) {
-	t.inner.AddFlow(t.fab.topo, t.fab.scheme, src, dst, spine, u)
-}
-
-// Rate returns the tenant's aggregate rate in bits/second.
-func (t *Tenant) Rate() float64 { return t.inner.Rate(t.fab.eng.Now()) }

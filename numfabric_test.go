@@ -131,19 +131,22 @@ func TestFacadeDeadlineFlow(t *testing.T) {
 
 func TestFacadeTenants(t *testing.T) {
 	fab := NewFabric(ScaledFabric(), SchemeNUMFabric)
-	a := fab.NewTenant("A")
-	bten := fab.NewTenant("B")
+	a := fab.NewTenant()
+	bten := fab.NewTenant()
 	a.AddFlow(0, 9, 0, ProportionalFair())
 	a.AddFlow(1, 9, 1, ProportionalFair())
 	a.AddFlow(2, 9, 0, ProportionalFair())
 	bten.AddFlow(3, 9, 1, ProportionalFair())
 	fab.Run(15 * time.Millisecond)
 	ra, rb := a.Rate(), bten.Rate()
-	if ra+rb < 8e9 {
+	if math.Abs(ra+rb-1e10)/1e10 > 0.1 {
 		t.Errorf("total tenant rate %.3g, want ~10G", ra+rb)
 	}
-	if ratio := ra / rb; ratio < 0.6 || ratio > 1.7 {
-		t.Errorf("tenant split %.2f:1, want ~1:1", ratio)
+	if ratio := ra / rb; ratio < 0.7 || ratio > 1.5 {
+		t.Errorf("tenant split %.2f:1 (A=%.2fG B=%.2fG), want ~1:1", ratio, ra/1e9, rb/1e9)
+	}
+	if len(a.Subflows()) != 3 || len(bten.Subflows()) != 1 {
+		t.Errorf("subflows %d and %d, want 3 and 1", len(a.Subflows()), len(bten.Subflows()))
 	}
 }
 
