@@ -150,10 +150,3 @@ func (p *PhaseProfiler) TotalNanos() int64 {
 	}
 	return total
 }
-
-// Reset clears the accumulated totals and re-arms the clock.
-func (p *PhaseProfiler) Reset() {
-	if p != nil {
-		*p = PhaseProfiler{last: Now(), timing: true}
-	}
-}

@@ -158,15 +158,6 @@ func TestProfilerArmExcludesSetup(t *testing.T) {
 	}
 }
 
-func TestProfilerReset(t *testing.T) {
-	p := NewPhaseProfiler()
-	p.Lap(PhaseSolve)
-	p.Reset()
-	if p.TotalNanos() != 0 {
-		t.Errorf("total after reset = %d, want 0", p.TotalNanos())
-	}
-}
-
 func TestPhaseNames(t *testing.T) {
 	seen := map[string]bool{}
 	for ph := Phase(0); ph < PhaseCount; ph++ {

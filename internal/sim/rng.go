@@ -27,11 +27,6 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
-// Split returns a new independent generator derived from this one.
-// Useful for giving each subsystem its own stream so adding draws in
-// one subsystem does not perturb another.
-func (r *RNG) Split() *RNG { return NewRNG(r.Uint64()) }
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns a uniformly distributed 64-bit value.

@@ -56,9 +56,6 @@ func (e *EWMA) Update(now sim.Time, sample float64) {
 // Value returns the current filtered value.
 func (e *EWMA) Value() float64 { return e.value }
 
-// Reset clears the filter.
-func (e *EWMA) Reset() { e.value = 0; e.init = false }
-
 // RateMeter measures a byte-arrival rate in bits/second using the
 // paper's EWMA methodology: each arrival contributes an instantaneous
 // rate sample bytes/interarrival-gap, smoothed with time constant tau.
