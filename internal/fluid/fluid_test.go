@@ -3,6 +3,7 @@ package fluid
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -505,8 +506,10 @@ func TestSweepDeterministic(t *testing.T) {
 	job := func(shard int, rng *sim.RNG) [2]uint64 {
 		return [2]uint64{uint64(shard), rng.Uint64()}
 	}
-	serial := Sweep(SweepOptions{Workers: 1, Seed: 42}, 64, job)
-	wide := Sweep(SweepOptions{Workers: 16, Seed: 42}, 64, job)
+	withProcs(t, 1)
+	serial := Sweep(42, 64, job)
+	runtime.GOMAXPROCS(16)
+	wide := Sweep(42, 64, job)
 	for i := range serial {
 		if serial[i] != wide[i] {
 			t.Fatalf("shard %d: serial %v != parallel %v", i, serial[i], wide[i])
@@ -515,7 +518,7 @@ func TestSweepDeterministic(t *testing.T) {
 			t.Fatalf("result %d out of shard order: %v", i, serial[i])
 		}
 	}
-	other := Sweep(SweepOptions{Workers: 16, Seed: 43}, 64, job)
+	other := Sweep(43, 64, job)
 	same := 0
 	for i := range other {
 		if other[i][1] == serial[i][1] {

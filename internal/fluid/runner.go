@@ -8,35 +8,20 @@ import (
 	"numfabric/internal/sim"
 )
 
-// SweepOptions configures a parallel sweep.
-type SweepOptions struct {
-	// Workers bounds the goroutines (default GOMAXPROCS).
-	Workers int
-	// Seed is the master seed; each shard gets an independent RNG
-	// stream derived from it.
-	Seed uint64
-}
-
-// Sweep fans n independent jobs across worker goroutines and returns
-// their results in shard order. Each shard receives its own RNG whose
-// stream is derived deterministically from the master seed and the
-// shard index alone — results are bit-identical regardless of worker
-// count or scheduling, so a sweep parallelized 32-wide reproduces a
-// serial run exactly.
+// Sweep fans n independent jobs across GOMAXPROCS worker goroutines
+// and returns their results in shard order. Each shard receives its
+// own RNG whose stream is derived deterministically from the master
+// seed and the shard index alone — results are bit-identical
+// regardless of worker count or scheduling, so a sweep parallelized
+// 32-wide reproduces a serial run exactly.
 //
 // Jobs must be independent (no shared mutable state); a job typically
 // builds its own Network and Engine from the shard index and RNG.
-func Sweep[T any](opts SweepOptions, n int, job func(shard int, rng *sim.RNG) T) []T {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+func Sweep[T any](seed uint64, n int, job func(shard int, rng *sim.RNG) T) []T {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	// Per-shard seeds are drawn serially up front so the mapping
 	// shard → stream never depends on execution order.
-	master := sim.NewRNG(opts.Seed)
+	master := sim.NewRNG(seed)
 	seeds := make([]uint64, n)
 	for i := range seeds {
 		seeds[i] = master.Uint64()

@@ -1,16 +1,24 @@
 package fluid
 
 import (
+	"runtime"
 	"testing"
 
 	"numfabric/internal/sim"
 )
 
+// withProcs sets GOMAXPROCS, and so Sweep's worker count, to n for
+// the rest of the test.
+func withProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestSweepEmpty: n == 0 returns an empty (non-nil-safe) result and
 // never invokes the job — there is nothing to fan out.
 func TestSweepEmpty(t *testing.T) {
 	called := false
-	out := Sweep(SweepOptions{Seed: 1}, 0, func(shard int, rng *sim.RNG) int {
+	out := Sweep(1, 0, func(shard int, rng *sim.RNG) int {
 		called = true
 		return shard
 	})
@@ -22,10 +30,11 @@ func TestSweepEmpty(t *testing.T) {
 	}
 }
 
-// TestSweepMoreWorkersThanJobs: Workers far above n is clamped — every
-// job runs exactly once, in shard order.
+// TestSweepMoreWorkersThanJobs: GOMAXPROCS far above n is clamped —
+// every job runs exactly once, in shard order.
 func TestSweepMoreWorkersThanJobs(t *testing.T) {
-	out := Sweep(SweepOptions{Workers: 64, Seed: 7}, 3, func(shard int, rng *sim.RNG) int {
+	withProcs(t, 64)
+	out := Sweep(7, 3, func(shard int, rng *sim.RNG) int {
 		return shard
 	})
 	if len(out) != 3 {
@@ -49,11 +58,13 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 		}
 		return v
 	}
-	serial := Sweep(SweepOptions{Workers: 1, Seed: 99}, 40, job)
-	wide := Sweep(SweepOptions{Workers: 32, Seed: 99}, 40, job)
+	withProcs(t, 1)
+	serial := Sweep(99, 40, job)
+	runtime.GOMAXPROCS(32)
+	wide := Sweep(99, 40, job)
 	for i := range serial {
 		if serial[i] != wide[i] {
-			t.Fatalf("shard %d: Workers:1 %v != Workers:32 %v", i, serial[i], wide[i])
+			t.Fatalf("shard %d: 1 worker %v != 32 workers %v", i, serial[i], wide[i])
 		}
 	}
 }

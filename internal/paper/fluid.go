@@ -118,7 +118,7 @@ func fluidSweep(env Env, s Scale, seed uint64) Metrics {
 		unconv int
 	}
 	wall := time.Now()
-	results := fluid.Sweep(fluid.SweepOptions{Seed: seed}, shards,
+	results := fluid.Sweep(seed, shards,
 		func(shard int, rng *sim.RNG) shardResult {
 			cfg := harness.DefaultSemiDynamic(harness.NUMFabric)
 			cfg.Seed = rng.Uint64()
