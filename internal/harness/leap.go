@@ -6,7 +6,6 @@ import (
 	"numfabric/internal/core"
 	"numfabric/internal/fluid"
 	"numfabric/internal/leap"
-	"numfabric/internal/obs"
 	"numfabric/internal/sim"
 	"numfabric/internal/workload"
 )
@@ -159,8 +158,7 @@ func ExpandFaults(ft *fluid.FatTree, scripted []workload.ScriptedFault) ([]workl
 // worst-case arrival pattern for a transport's convergence (every
 // burst reshuffles every rate at one instant).
 type IncastConfig struct {
-	Topo   TopologyConfig
-	Scheme SchemeConfig
+	Topo TopologyConfig
 	// Senders per burst (capped at hosts−1).
 	Senders int
 	// SizeBytes is each sender's payload.
@@ -168,20 +166,15 @@ type IncastConfig struct {
 	// Bursts is how many bursts arrive, Interval apart.
 	Bursts   int
 	Interval sim.Duration
-	// Obs attaches observability hooks to the leap engine (nil hooks
-	// cost nothing and never change results).
-	Obs  obs.Hooks
-	Seed uint64
+	Seed     uint64
 }
 
 // DefaultIncast returns a scaled incast scenario: 16 senders × 64 KB
 // per burst into host 0, bursts every 2 ms (comfortably longer than a
 // burst's ~840 µs line-rate drain, so bursts do not overlap).
 func DefaultIncast() IncastConfig {
-	topo := ScaledTopology()
 	return IncastConfig{
-		Topo:      topo,
-		Scheme:    DefaultConfig(NUMFabric, topo),
+		Topo:      ScaledTopology(),
 		Senders:   16,
 		SizeBytes: 64 << 10,
 		Bursts:    5,
@@ -203,7 +196,8 @@ type IncastResult struct {
 	Stats leap.Stats
 }
 
-// RunIncastLeap plays the incast workload through the leap engine —
+// RunIncastLeap plays the incast workload through the leap engine
+// under NUMFabric's xWI allocator (LeapAllocatorFor) —
 // each burst is exactly one allocation followed by (typically) one
 // batch of simultaneous completions, the event-driven engine's best
 // case. FCTs include the topology's base RTT, as in RunDynamicWith.
@@ -222,8 +216,7 @@ func RunIncastLeap(cfg IncastConfig) IncastResult {
 
 	d0 := cfg.Topo.BaseRTT().Seconds()
 	leng := leap.NewEngine(topo.network(), leap.Config{
-		Allocator: LeapAllocatorFor(cfg.Scheme),
-		Obs:       cfg.Obs,
+		Allocator: LeapAllocatorFor(DefaultConfig(NUMFabric, cfg.Topo)),
 	})
 	sub := &flowLevel{eng: leng, leap: leng, baseRTT: d0}
 

@@ -323,8 +323,9 @@ type CoflowConfig struct {
 	// blocks (a k-ary fat-tree's pods are blocks of k²/4 consecutive
 	// hosts, so Groups = k matches them). Each burst confines its
 	// receiver and senders to one block, which keeps concurrent bursts
-	// in distinct blocks link-disjoint end to end — the disjoint
-	// components a parallel solver feeds on. ≤ 1 spans the fabric.
+	// in distinct blocks link-disjoint end to end, so the leap engine
+	// floods and solves each one as a component of its own. ≤ 1 spans
+	// the fabric.
 	Groups int
 	// MaxFlows caps the total arrivals.
 	MaxFlows int
