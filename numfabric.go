@@ -247,13 +247,11 @@ func (f *Fabric) NewTenant() *Tenant {
 
 // AddFlow starts an unbounded subflow src→dst through spine; u applies
 // to the aggregate's total rate.
-func (a *AggregateFlow) AddFlow(src, dst, spine int, u Utility) *Flow {
+func (a *AggregateFlow) AddFlow(src, dst, spine int, u Utility) {
 	f := a.fab
 	fl := f.topo.NewFlow(src, dst, spine, 0)
 	a.agg.Add(transport.NewNUMFabricSender(f.net, fl, u, f.scheme.NUMFabric, f.scheme.BaseRTT))
-	sub := f.start(fl, 200*sim.Microsecond)
-	a.subs = append(a.subs, sub)
-	return sub
+	a.subs = append(a.subs, f.start(fl, 200*sim.Microsecond))
 }
 
 // Rate returns the aggregate receive rate in bits/second.
