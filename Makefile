@@ -39,13 +39,13 @@ paper:
 # exported Run*, or the options exceed the ceilings below. A change that
 # shrinks a row lowers its ceiling; one that must raise it says why in
 # CHANGES.md.
-LOC_CEIL_FLUID      = 1750
-LOC_CEIL_LEAP_FLUID = 2997
+LOC_CEIL_FLUID      = 1735
+LOC_CEIL_LEAP_FLUID = 2982
 LOC_CEIL_ORACLE     = 1239
-LOC_CEIL_HARNESS    = 2207
+LOC_CEIL_HARNESS    = 2150
 LOC_CEIL_RUNS       = 8
-LOC_CEIL_OBS        = 1740
-LOC_CEIL_OPTIONS    = 101
+LOC_CEIL_OBS        = 1733
+LOC_CEIL_OPTIONS    = 97
 # nontest counts the non-test Go lines of the files $(1) names.
 nontest = ls $(1) | grep -v _test.go | xargs cat | wc -l
 harness_runs = ls internal/harness/*.go | grep -v _test.go | xargs awk '/^func Run[A-Z]/{n++} END{print n+0}'
