@@ -235,6 +235,62 @@ func TestBaseRTTMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestTenantLevelFairness: two tenants share one bottleneck NIC.
+// Tenant A runs 3 flows, tenant B runs 1. Per-flow fairness would give
+// A 3/4 of the link; tenant-level proportional fairness must split it
+// 50/50 regardless of the flow-count imbalance (the §8 aggregate
+// generalization). A tenant is a transport.Aggregate over NUMFabric
+// senders whose flows need not share endpoints.
+func TestTenantLevelFairness(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	eng := sim.NewEngine()
+	net := netsim.NewNetwork(eng)
+	tc := ScaledTopology()
+	cfg := DefaultConfig(NUMFabric, tc)
+	net.QueueFactory = cfg.QueueFactory()
+	topo := NewTopology(net, tc)
+	cfg.AttachAgents(net)
+
+	type tenant struct {
+		agg   *transport.Aggregate
+		flows []*netsim.Flow
+	}
+	add := func(tn *tenant, src, dst, spine int) {
+		f := topo.NewFlow(src, dst, spine, 0)
+		tn.agg.Add(transport.NewNUMFabricSender(net, f, core.ProportionalFair(), cfg.NUMFabric, cfg.BaseRTT))
+		f.Meter = stats.NewRateMeter(200 * sim.Microsecond)
+		tn.flows = append(tn.flows, f)
+		eng.Schedule(0, f.Start)
+	}
+	rate := func(tn *tenant) float64 {
+		total := 0.0
+		for _, f := range tn.flows {
+			total += f.Meter.RateAt(eng.Now())
+		}
+		return total
+	}
+	tenantA := &tenant{agg: transport.NewAggregate()}
+	tenantB := &tenant{agg: transport.NewAggregate()}
+	// All four flows converge on host 9's NIC.
+	add(tenantA, 0, 9, 0)
+	add(tenantA, 1, 9, 1)
+	add(tenantA, 2, 9, 0)
+	add(tenantB, 3, 9, 1)
+
+	eng.Run(sim.Time(15 * sim.Millisecond))
+	ra, rb := rate(tenantA), rate(tenantB)
+
+	if math.Abs(ra+rb-1e10)/1e10 > 0.1 {
+		t.Errorf("total = %.3g, want ~10G", ra+rb)
+	}
+	ratio := ra / rb
+	if ratio < 0.7 || ratio > 1.5 {
+		t.Errorf("tenant split %.2f:1 (A=%.2fG B=%.2fG), want ~1:1", ratio, ra/1e9, rb/1e9)
+	}
+}
+
 // TestEquilibriumQueuesAreSmall validates §6's claim that the schemes
 // "target a small queue occupancy ... typically only a few packets at
 // equilibrium" despite the 1 MB provisioned buffers.
