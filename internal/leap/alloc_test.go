@@ -205,7 +205,7 @@ func TestReleaseFinishedRecycles(t *testing.T) {
 // representable admission still runs to completion.
 func TestAdmissionSequenceLimit(t *testing.T) {
 	e := NewEngine(fluid.NewNetwork([]float64{10e9}), Config{})
-	e.nadmit = math.MaxInt32 - 1
+	e.arrivals.nadmit = math.MaxInt32 - 1
 	f := e.AddFlow([]int{0}, core.ProportionalFair(), 1<<16, 0)
 	runChecked(e, math.Inf(1))
 	if !f.Done() || e.fs[f.ID].seq != math.MaxInt32-1 {

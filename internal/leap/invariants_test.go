@@ -24,16 +24,16 @@ func runChecked(e *Engine, until float64) {
 // checkInvariants panics unless the engine's derived state agrees with
 // its primary state, between events:
 //
-//   - linkFlows is exactly the links of the live admitted flows — the
+//   - the link index is exactly the links of the live admitted flows — the
 //     table's tenants that are neither pending, finished nor released,
-//     enumerated without consulting linkFlows — and nLive counts them;
+//     enumerated without consulting the index — and nLive counts them;
 //   - no link carries more than its capacity (links crossed by a flow
 //     awaiting re-solve are exempt: a failure zeroes capacity before
 //     the solve that zeroes the rates);
 //   - schedule slot i holds flow f exactly when f's stored position is
 //     i+1; every finite flow has exactly one event while it drains and
 //     none while it is stranded or unsolved, every completion event
-//     belongs to one, and pendingFaults counts the fault events;
+//     belongs to one;
 //   - the table's live slots are exactly the flows the engine still
 //     references, and every other slot is released.
 func (e *Engine) checkInvariants() {
@@ -47,7 +47,7 @@ func (e *Engine) checkInvariants() {
 	load := make([]float64, nl)
 	unsettled := make([]bool, nl)
 	waiting := map[*fluid.Flow]bool{}
-	for _, f := range e.pending[e.next:] {
+	for _, f := range e.arrivals.waiting() {
 		waiting[f] = true
 	}
 	var live []*fluid.Flow
@@ -67,11 +67,11 @@ func (e *Engine) checkInvariants() {
 		fail("%d live flows in the table, nLive = %d", len(live), e.nLive)
 	}
 	for l := range want {
-		got := slices.Clone(e.linkFlows[l])
+		got := slices.Clone(e.links.flows[l])
 		slices.Sort(got)
 		slices.Sort(want[l])
 		if !slices.Equal(got, want[l]) {
-			fail("linkFlows[%d] = %v, live flows crossing it are %v", l, got, want[l])
+			fail("link index [%d] = %v, live flows crossing it are %v", l, got, want[l])
 		}
 		if c := e.net.Capacity[l]; !unsettled[l] && load[l] > c*(1+1e-9) {
 			fail("link %d carries %v of capacity %v", l, load[l], c)
@@ -79,19 +79,14 @@ func (e *Engine) checkInvariants() {
 	}
 
 	events := map[int32]int{}
-	faults := 0
 	for i, ev := range e.sched.ev {
 		if ev.kind != evkFlow {
-			faults++
 			continue
 		}
 		events[ev.id]++
 		if at := e.sched.slot(ev.id); at != i {
 			fail("schedule slot %d holds %+v, whose stored slot is %d", i, ev, at)
 		}
-	}
-	if faults != e.pendingFaults {
-		fail("schedule holds %d fault events, engine counts %d", faults, e.pendingFaults)
 	}
 	// Each live finite flow is held to its event: settled means no
 	// solve is pending for it, so rate and event must agree. With every
@@ -121,7 +116,7 @@ func (e *Engine) checkInvariants() {
 	}
 
 	flows := map[int]bool{}
-	for _, list := range [][]*fluid.Flow{e.pending[e.next:], live, e.finished} {
+	for _, list := range [][]*fluid.Flow{e.arrivals.waiting(), live, e.finished} {
 		for _, f := range list {
 			if e.tbl.ByID(f.ID) != f {
 				fail("flow %d is not its table slot's tenant", f.ID)

@@ -41,18 +41,6 @@
 // the full link capacities. Flows in untouched components provably
 // keep their rates, and their scheduled completions stay valid.
 //
-// Completion times live in one addressable schedule (heap.go): a
-// min-heap holding at most one completion per draining flow, keyed on
-// the time implied by the flow's latest rate. Re-solving a component
-// re-keys only that component's events, in place — a flow whose rate
-// moved has its event moved (or removed, at rate zero), and — because a
-// completion time computed from an unchanged rate is still exact — a
-// flow whose re-solved rate came back identical keeps its event
-// untouched. Every event in the schedule is therefore live, and the
-// schedule is the set of draining flows. A component is always handed
-// to the allocator in stable admission order, which keeps event
-// orderings bit-deterministic for a fixed schedule.
-//
 // The limiting fast paths fall out of the same machinery: a flow that
 // shares no link with any active flow is a component of size one, so
 // its arrival takes its path's minimum capacity (the single-flow
@@ -63,7 +51,7 @@
 // reduce to O(path length + log n) — and even the coupled minority
 // pays for its few-flow component, not for the whole active set.
 //
-// The engine is one serial event loop over that one schedule. All
+// The engine is one serial event loop over one schedule. All
 // events sharing an instant — a batch of synchronized arrivals plus
 // any completions landing on it — seed one reallocation batch; the
 // flood partitions the touched flows into their disjoint connected
@@ -74,12 +62,21 @@
 // the same schedule.
 // The loop is single-threaded by measurement, not by omission: README
 // "Why the leap engine is single-threaded" has the numbers.
+//
+// The Engine (this file) owns the loop — admit, settle the touched
+// components, retire what is due — and each of the loop's other
+// decisions is one unexported type in its own file:
+//   - heap.go, schedule: the events, one completion per draining flow;
+//   - links.go, linkIndex: the active flows by link, and the flood;
+//   - batch.go, componentBatch: a batch's seeds, components and rates;
+//   - arrivals.go, arrivalQueue: the waiting flows, admission order;
+//   - faults.go, linkFault: a link's base capacity, depth and downtime;
+//   - trace.go, traceScratch: the flow tracer's component reports.
 package leap
 
 import (
-	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"numfabric/internal/core"
 	"numfabric/internal/fluid"
@@ -226,10 +223,6 @@ func grow[T any](s []T) []T {
 	return s
 }
 
-// compRange is one disjoint connected component within a batch's
-// flood, as an index range into the engine's comp scratch slice.
-type compRange struct{ f0, f1 int }
-
 // Engine advances a fluid network event by event. Between events every
 // rate is constant, so the state at the next event follows in closed
 // form; nothing is simulated in between.
@@ -240,63 +233,24 @@ type Engine struct {
 	alloc fluid.SubsetAllocator
 	// tbl is the engine's pooled flow storage: slab-stable pointers,
 	// dense recycled ids, arena-backed paths. Every id the engine keys
-	// its state by — events, linkFlows, fs — resolves through it.
+	// its state by — events, the link index, fs — resolves through it.
 	tbl *fluid.FlowTable
 
 	now      float64
-	pending  []*fluid.Flow // arrival order; pending[next:] not yet admitted
-	next     int
-	unsorted bool
+	arrivals arrivalQueue
 
 	// nLive counts the flows admitted and not yet completed (stranded
-	// flows included); linkFlows indexes them by link and the table
+	// flows included); the link index holds them by link and the table
 	// holds them, so no list of them is kept.
 	nLive    int
 	finished []*fluid.Flow
 
-	// sched holds every scheduled event: the one completion of each
-	// draining finite flow, and the pending faults.
 	sched schedule
-
-	// linkFlows[l] lists the active flows crossing link l — by dense
-	// id, four bytes per entry — maintained exactly: arrivals append,
-	// departures swap-remove. It is the link-sharing index — the
-	// isolation fast-path check is a length test and the component
-	// flood traverses it as the adjacency (resolving ids through the
-	// flow table only for flows not yet collected).
-	linkFlows [][]int32
-	// linkMark stamps the links a flood visited with the flood's
-	// round, so marks never need clearing.
-	linkMark []int
-	round    int
-
+	links linkIndex
 	// fs[id] is the per-flow engine state (flow IDs are dense).
 	fs     []flowState
-	nadmit int32
-
-	// touched seeds the next component flood: flows whose arrival
-	// coupled them to someone, and the still-active neighbors of
-	// departures. Cleared by reallocate.
-	touched []*fluid.Flow
-	comp    []*fluid.Flow
-	// comps/ratesArena are the per-batch component table: the flood
-	// fills comps with disjoint ranges over comp, and each component
-	// solves into its ratesArena range.
-	comps      []compRange
-	ratesArena []float64
-
-	// Fault-injection state, lazily allocated by the first
-	// FailLink/RecoverLink call so fault-free runs keep their
-	// zero-alloc steady state untouched. baseCap snapshots the
-	// capacities recovery restores; downDepth[l] counts nested
-	// failures of link l (capacity changes only on the 0↔1 edges);
-	// capDownT[l] stamps when l last went down, for the capacity-lost
-	// integral; pendingFaults counts scheduled fault events not yet
-	// applied, so the idle early-exit cannot drop a future fault.
-	baseCap       []float64
-	downDepth     []int32
-	capDownT      []float64
-	pendingFaults int
+	batch  componentBatch
+	faults []linkFault
 	// batchCause is the FlowTracer cause code the next solve's rate
 	// segments are stamped with: CauseSolve normally, CauseFail or
 	// CauseRecover for the re-solve a fault event triggers (fault
@@ -310,14 +264,9 @@ type Engine struct {
 	stats Stats
 	// hooks is Config.Obs, called unguarded (nil hooks are no-ops in
 	// internal/obs). Tracer track 0 carries the event loop's batch
-	// spans, track 1 the component solve spans. bneck, bload and
-	// traceIDs are the reusable scratch of the flow tracer's component
-	// reports: the bottleneck queries' output and link-indexed load, and
-	// the solved flows' ids.
-	hooks    obs.Hooks
-	bneck    []int32
-	bload    []float64
-	traceIDs []int
+	// spans, track 1 the component solve spans.
+	hooks obs.Hooks
+	trace traceScratch
 }
 
 // NewEngine returns an event-driven engine over net.
@@ -331,10 +280,10 @@ func NewEngine(net *fluid.Network, cfg Config) *Engine {
 		tbl:        fluid.NewFlowTable(),
 		batchCause: obs.CauseSolve,
 		hooks:      cfg.Obs,
-		linkFlows:  make([][]int32, net.Links()),
-		linkMark:   make([]int, net.Links()),
+		links:      linkIndex{flows: make([][]int32, net.Links()), mark: make([]int, net.Links())},
 	}
 	e.sched.fs = &e.fs
+	e.batch.fs, e.batch.tbl = &e.fs, e.tbl
 	if ps, ok := cfg.Allocator.(fluid.ParallelSubsetAllocator); ok {
 		// The cold start every committed fingerprint took: warm state
 		// sized for the whole network up front, not seeded lazily from
@@ -371,30 +320,14 @@ func (e *Engine) Tables() *fluid.FlowTable { return e.tbl }
 // Not safe to interleave with an in-flight Step on another goroutine
 // (the engine was never concurrency-safe at the API level).
 func (e *Engine) ReleaseFinished() int {
-	// A completion batch can seed a survivor that then retires in the
-	// same instant; when the run drains right there, the done flow
-	// stays in the seed list (the flood would skip it). Releasing it
-	// anyway would hand the stale seed to the slot's next tenant, so
-	// drop done seeds before recycling.
-	if len(e.touched) > 0 {
-		kept := e.touched[:0]
-		for _, f := range e.touched {
-			if !f.Done() {
-				kept = append(kept, f)
-			}
-		}
-		for i := len(kept); i < len(e.touched); i++ {
-			e.touched[i] = nil
-		}
-		e.touched = kept
-	}
+	// A survivor seeded and retired in one instant stays a seed when the
+	// run drains right there; drop done seeds, or the slot's next tenant
+	// would inherit them.
+	e.batch.touched = slices.DeleteFunc(e.batch.touched, (*fluid.Flow).Done)
 	// The admitted prefix of pending still references its flows; drop it
 	// so nothing points at a recycled slot.
-	if e.next > 0 {
-		n := copy(e.pending, e.pending[e.next:])
-		clear(e.pending[n:])
-		e.pending = e.pending[:n]
-		e.next = 0
+	if e.arrivals.next > 0 {
+		e.arrivals.dropAdmitted()
 	}
 	n := len(e.finished)
 	for i, f := range e.finished {
@@ -413,15 +346,6 @@ func (e *Engine) Stats() Stats {
 	}
 	s.PhaseNanos = e.hooks.Profiler.Nanos()
 	return s
-}
-
-// checkTime panics unless at is a finite time: NaN would poison the
-// engine clock (every comparison false, Run returns with the flow
-// unfinished) and ±Inf is never reached or already past forever.
-func checkTime(fn string, at float64) {
-	if math.IsNaN(at) || math.IsInf(at, 0) {
-		panic(fmt.Sprintf("leap: %s: at = %v, want a finite time", fn, at))
-	}
 }
 
 // AddFlow schedules a flow over links, arriving at time at (seconds;
@@ -445,152 +369,40 @@ func (e *Engine) AddFlow(links []int, u core.Utility, sizeBytes int64, at float6
 	// A recycled id starts clean: its previous tenant was released
 	// finished, and finishing popped the only event it had.
 	e.fs[id] = flowState{}
-	if n := len(e.pending); n > 0 && at < e.pending[n-1].Arrive {
-		e.unsorted = true
-	}
-	e.pending = append(grow(e.pending), f)
+	e.arrivals.add(f)
 	return f
 }
 
-// FailLink schedules directed link link to fail at time at (seconds;
-// at ≤ Now applies on the next Step, at Now, and the downtime and the
-// capacity-lost integral count from then, as the flows see it): its
-// capacity drops to zero and every flow crossing it is re-solved —
-// component-locally, since a failed link disturbs exactly the flows in
-// its active index. Flows left with no usable capacity are stranded
-// (rate zero, completion event cancelled, payload frozen). Failures
-// nest: failing an already-failed link deepens a counter and changes
-// nothing until the matching recoveries unwind it. Switch failures are
-// expressed as the switch's incident directed links (fluid.FatTree's
-// *SwitchLinks).
-//
-// Fault events ride the same schedule as completions and retire in a
-// canonical order (completions first at a shared instant, then
-// failures, then recoveries, then by link id), which internal/refsim
-// shares, so a fault run is held to the same referee as a fault-free
-// one. A link id outside the network or a NaN or infinite at panics
-// naming the argument.
-func (e *Engine) FailLink(link int, at float64) { e.scheduleFault("FailLink", link, at, evkFail) }
-
-// RecoverLink schedules link to recover at time at (at ≤ Now applies
-// on the next Step, at Now): once every nested failure has unwound,
-// capacity is restored to its construction-time value and stranded
-// flows on the link resume (a fresh re-solve assigns them positive rate
-// and reschedules their completions). Recovering a healthy link is a
-// counted no-op.
-func (e *Engine) RecoverLink(link int, at float64) {
-	e.scheduleFault("RecoverLink", link, at, evkRecover)
-}
-
-func (e *Engine) scheduleFault(fn string, link int, at float64, kind uint8) {
-	if link < 0 || link >= e.net.Links() {
-		panic(fmt.Sprintf("leap: %s: link %d of a %d-link network", fn, link, e.net.Links()))
-	}
-	checkTime(fn, at)
-	if e.baseCap == nil {
-		e.baseCap = append([]float64(nil), e.net.Capacity...)
-		e.downDepth = make([]int32, e.net.Links())
-		e.capDownT = make([]float64, e.net.Links())
-	}
-	e.pendingFaults++
-	e.sched.pushFault(kind, int32(link), at)
-}
-
-// applyFault performs one due fault event at time t — its scheduled
-// time, or Now for one scheduled in the past, which is billed from
-// when it took effect: flip the link's capacity on the 0↔1 depth edge,
-// account the degradation, and seed exactly the active flows crossing
-// the link for the next re-solve.
-// Same-instant fail+recover pairs cancel (capacity net unchanged, zero
-// downtime accrued) but still trigger the seeded re-solve, which finds
-// every rate unchanged and leaves the schedule untouched.
-func (e *Engine) applyFault(link int, fail bool, t float64) {
-	e.pendingFaults--
-	e.stats.Faults++
-	if fail {
-		e.downDepth[link]++
-		if e.downDepth[link] > 1 {
-			return
-		}
-		e.net.SetCapacity(link, 0)
-		e.capDownT[link] = t
-		e.stats.LinksDown++
-		e.batchCause = obs.CauseFail
-	} else {
-		if e.downDepth[link] == 0 {
-			return
-		}
-		e.downDepth[link]--
-		if e.downDepth[link] > 0 {
-			return
-		}
-		e.net.SetCapacity(link, e.baseCap[link])
-		if dt := t - e.capDownT[link]; dt > 0 {
-			e.stats.CapacityLostBitSec += e.baseCap[link] * dt
-		}
-		e.stats.LinksDown--
-		e.batchCause = obs.CauseRecover
-	}
-	for _, id := range e.linkFlows[link] {
-		e.seed(e.tbl.ByID(int(id)))
-	}
-}
-
 // admitDue moves every pending flow with Arrive ≤ now into the active
-// set. A flow whose links carry no other active flow takes
-// the independence fast path — rate set to its path's minimum capacity
-// and one completion scheduled, no allocation; everything else
-// seeds the next component re-solve.
+// set. A flow whose links carry no other active flow takes the
+// independence fast path: its single-flow optimum, one completion
+// spliced into the schedule, no allocation — or, admitted straight onto
+// a dead path, stranded from birth until a recovery re-solves it.
+// Everything else seeds the next component re-solve.
 func (e *Engine) admitDue() {
-	if e.unsorted {
-		rest := e.pending[e.next:]
-		sort.SliceStable(rest, func(i, j int) bool { return rest[i].Arrive < rest[j].Arrive })
-		e.unsorted = false
-	}
-	n := e.next
-	for n < len(e.pending) && e.pending[n].Arrive <= e.now {
-		f := e.pending[n]
-		if e.nadmit == math.MaxInt32 {
-			// seq orders components for the allocator; past the limit it
-			// would go negative and reorder them silently.
-			panic(fmt.Sprintf("leap: %d flows admitted: the int32 admission sequence is exhausted", e.nadmit))
+	for {
+		f, seq := e.arrivals.admit(e.now)
+		if f == nil {
+			break
 		}
-		e.fs[f.ID].seq = e.nadmit
-		e.nadmit++
+		e.fs[f.ID].seq = seq
 		e.nLive++
-		iso := e.isolated(f)
-		for _, l := range f.Links {
-			e.linkFlows[l] = append(e.linkFlows[l], int32(f.ID))
-		}
-		if iso {
-			e.admitIsolated(f)
-		} else {
+		if !e.links.link(f) {
 			e.hooks.FlowTrace.Admit(f.ID, f.SizeBytes, f.Arrive, f.Links)
-			e.seed(f)
+			e.batch.seed(f)
+			continue
 		}
-		n++
+		e.installFlow(f, e.pathMinCap(f))
+		e.stats.Elided++
+		// No solver ran: the flow takes its line rate, bottlenecked by the
+		// path's min-capacity link (the tracer's default).
+		e.hooks.FlowTrace.AdmitRate(f.ID, f.SizeBytes, f.Arrive, f.Links, e.now, f.Rate, uint64(e.stats.Batches))
 	}
-	e.next = n
-	// Compact the admitted prefix out once it dominates the slice:
-	// amortized O(1) per admission, and under churn + ReleaseFinished
-	// it keeps pending from growing with the total admitted (and from
-	// pinning recycled flows).
-	if n > 64 && 2*n >= len(e.pending) {
-		m := copy(e.pending, e.pending[n:])
-		clear(e.pending[m:])
-		e.pending = e.pending[:m]
-		e.next = 0
+	// Compact once the admitted prefix dominates: amortized O(1) per
+	// admission, and pending stays bounded under churn.
+	if n := e.arrivals.next; n > 64 && 2*n >= len(e.arrivals.pending) {
+		e.arrivals.dropAdmitted()
 	}
-}
-
-// isolated reports whether none of f's links carry an active flow.
-func (e *Engine) isolated(f *fluid.Flow) bool {
-	for _, l := range f.Links {
-		if len(e.linkFlows[l]) != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // pathMinCap returns the minimum capacity along f's path — the
@@ -603,149 +415,6 @@ func (e *Engine) pathMinCap(f *fluid.Flow) float64 {
 		}
 	}
 	return rate
-}
-
-// admitIsolated gives an independent flow its single-flow optimum and
-// splices its completion into the schedule — or, admitted straight onto
-// a dead path, strands it from birth until a recovery re-solves it.
-func (e *Engine) admitIsolated(f *fluid.Flow) {
-	e.installFlow(f, e.pathMinCap(f))
-	e.stats.Elided++
-	// No solver ran: the flow takes its line rate, bottlenecked by the
-	// path's min-capacity link (the tracer's default).
-	e.hooks.FlowTrace.AdmitRate(f.ID, f.SizeBytes, f.Arrive, f.Links, e.now, f.Rate, uint64(e.stats.Batches))
-}
-
-// seed queues f's component for the next reallocation.
-func (e *Engine) seed(f *fluid.Flow) {
-	st := &e.fs[f.ID]
-	if st.bits&seededBit != 0 {
-		return
-	}
-	st.bits |= seededBit
-	e.touched = append(e.touched, f)
-}
-
-// unlink removes a departing f from its links' lists and seeds the
-// neighbors it leaves behind — the flows whose component just gained
-// capacity. It reports whether there were any; false is the solo
-// departure, whose capacity was visible to nobody, so the remaining
-// schedule stands.
-func (e *Engine) unlink(f *fluid.Flow) (coupled bool) {
-	id := int32(f.ID)
-	for _, l := range f.Links {
-		lf := e.linkFlows[l]
-		for i, n := range lf {
-			if n == id {
-				last := len(lf) - 1
-				lf[i] = lf[last]
-				lf = lf[:last]
-				e.linkFlows[l] = lf
-				break
-			}
-		}
-		for _, n := range lf {
-			coupled = true
-			e.seed(e.tbl.ByID(int(n)))
-		}
-	}
-	return coupled
-}
-
-// enqueueTo adds f to the component list being collected, once.
-func (e *Engine) enqueueTo(list []*fluid.Flow, f *fluid.Flow) []*fluid.Flow {
-	st := &e.fs[f.ID]
-	if f.Done() || st.bits&inCompBit != 0 {
-		return list
-	}
-	st.bits |= inCompBit
-	return append(list, f)
-}
-
-// enqueueID is enqueueTo keyed by dense id — the flood's adjacency
-// walk, which checks the state bits before resolving the flow at all
-// (already-collected neighbors, the common case on dense links, never
-// touch the table).
-func (e *Engine) enqueueID(list []*fluid.Flow, id int32) []*fluid.Flow {
-	st := &e.fs[id]
-	if st.bits&inCompBit != 0 {
-		return list
-	}
-	f := e.tbl.ByID(int(id))
-	if f.Done() {
-		return list
-	}
-	st.bits |= inCompBit
-	return append(list, f)
-}
-
-// floodComponent BFSes the connected component of seed over the
-// link-sharing graph, appending its flows (sorted into admission
-// order) and its range to comp/comps. A completed seed contributes
-// nothing.
-func (e *Engine) floodComponent(seed *fluid.Flow) {
-	f0 := len(e.comp)
-	e.round++
-	r := e.round
-	e.comp = e.enqueueTo(e.comp, seed)
-	for i := f0; i < len(e.comp); i++ {
-		fl := e.comp[i]
-		for _, l := range fl.Links {
-			if e.linkMark[l] == r {
-				continue
-			}
-			e.linkMark[l] = r
-			for _, n := range e.linkFlows[l] {
-				e.comp = e.enqueueID(e.comp, n)
-			}
-		}
-	}
-	// Insertion sort into admission order: components are small, and
-	// this dodges sort.Slice's per-call overhead on the hot path.
-	comp := e.comp[f0:]
-	for i := 1; i < len(comp); i++ {
-		fl := comp[i]
-		k := e.fs[fl.ID].seq
-		j := i - 1
-		for j >= 0 && e.fs[comp[j].ID].seq > k {
-			comp[j+1] = comp[j]
-			j--
-		}
-		comp[j+1] = fl
-	}
-	e.comps = append(e.comps, compRange{f0, len(e.comp)})
-}
-
-// collectComponents floods out from the pending seeds over the
-// link-sharing graph and partitions the touched flows into their
-// disjoint connected components: one BFS per seed not absorbed by an
-// earlier seed's flood, so overlapping seeds merge into one component
-// and distinct components never share a link. Components come out in
-// seed order, each one's flows in stable admission order; seeds that
-// already completed contribute nothing.
-func (e *Engine) collectComponents() []compRange {
-	e.comps = e.comps[:0]
-	e.comp = e.comp[:0]
-	for _, f := range e.touched {
-		e.fs[f.ID].bits &^= seededBit
-	}
-	for _, f := range e.touched {
-		if f.Done() || e.fs[f.ID].bits&inCompBit != 0 {
-			continue
-		}
-		e.floodComponent(f)
-	}
-	e.touched = e.touched[:0]
-	for _, f := range e.comp {
-		e.fs[f.ID].bits &^= inCompBit
-	}
-	return e.comps
-}
-
-// scheduleFlow sets f's completion from the current instant, where
-// f's rate was just installed and f.Remaining materialized.
-func (e *Engine) scheduleFlow(f *fluid.Flow) {
-	e.sched.set(int32(f.ID), e.now+f.Remaining*8/f.Rate)
 }
 
 // installFlow installs a flow's new rate at the current
@@ -798,7 +467,7 @@ func (e *Engine) installFlow(f *fluid.Flow, rate float64) (strandedSec float64) 
 	s.refT = now
 	f.Rate = rate
 	if rate > 0 {
-		e.scheduleFlow(f)
+		e.sched.set(int32(f.ID), now+f.Remaining*8/rate)
 	} else {
 		e.sched.cancel(int32(f.ID))
 	}
@@ -813,7 +482,7 @@ func (e *Engine) installFlow(f *fluid.Flow, rate float64) (strandedSec float64) 
 // operations cannot move a bit: every flow has at most one event and
 // event.before is a strict total order (see schedule).
 func (e *Engine) solveComponent(r compRange) {
-	flows := e.comp[r.f0:r.f1]
+	flows := e.batch.comp[r.f0:r.f1]
 	if len(flows) == 1 {
 		// A component of one flow needs no allocator at all: it
 		// takes its path's minimum capacity, the same independence
@@ -824,7 +493,7 @@ func (e *Engine) solveComponent(r compRange) {
 		e.traceComponent(flows, nil)
 		return
 	}
-	rates := e.ratesArena[r.f0:r.f1]
+	rates := e.batch.rates[r.f0:r.f1]
 	e.alloc.AllocateSubset(e.net, flows, rates)
 	// Stranded time sums per component first, then into Stats: the
 	// float summation order every committed StrandedSec was made with.
@@ -844,7 +513,7 @@ func (e *Engine) solveComponent(r compRange) {
 // touch — one batch, the components settled one after another in seed
 // order, each at the batch instant e.now.
 func (e *Engine) reallocate() {
-	comps := e.collectComponents()
+	comps := e.links.collectComponents(&e.batch)
 	nc := len(comps)
 	e.hooks.Profiler.Lap(obs.PhaseFlood)
 	if nc == 0 {
@@ -856,10 +525,7 @@ func (e *Engine) reallocate() {
 	e.stats.BatchComponents += nc
 	e.stats.MaxBatchComponents = max(e.stats.MaxBatchComponents, nc)
 	e.hooks.Live.Batch(nc)
-	if n := len(e.comp); cap(e.ratesArena) < n {
-		e.ratesArena = make([]float64, 2*n+64)
-	}
-	e.ratesArena = e.ratesArena[:cap(e.ratesArena)]
+	e.batch.rates = slices.Grow(e.batch.rates[:0], len(e.batch.comp))[:len(e.batch.comp)]
 	for _, r := range comps {
 		start := e.hooks.Tracer.Clock()
 		e.solveComponent(r)
@@ -867,51 +533,6 @@ func (e *Engine) reallocate() {
 	}
 	e.hooks.Profiler.Lap(obs.PhaseSolve)
 	e.hooks.Tracer.Span(0, batchStart, int64(nc))
-}
-
-// traceComponent reports one component's freshly installed rates to
-// the flow tracer, if one is attached: the site's one branch, inlined.
-func (e *Engine) traceComponent(flows []*fluid.Flow, rates []float64) {
-	if e.hooks.FlowTrace != nil {
-		e.traceRates(flows, rates)
-	}
-}
-
-// traceRates is traceComponent's report. Each finite flow gets a rate
-// segment stamped with the component size and the solve's batch
-// ordinal; unbounded flows are filtered by the tracer itself. The cause
-// code is the engine's batchCause — CauseFail or CauseRecover when a
-// fault event triggered this solve, CauseSolve otherwise. rates is nil
-// for an elided single-flow component.
-func (e *Engine) traceRates(flows []*fluid.Flow, rates []float64) {
-	if rates == nil {
-		// Line rate, min-capacity bottleneck (the tracer's default for
-		// bneck < 0).
-		f := flows[0]
-		e.hooks.FlowTrace.Rate(f.ID, e.now, f.Rate, -1, e.batchCause, 1, uint64(e.stats.Batches))
-		return
-	}
-	bn := e.bottlenecks(flows, rates)
-	ids := e.traceIDs[:0]
-	for _, f := range flows {
-		ids = append(ids, f.ID)
-	}
-	e.traceIDs = ids
-	e.hooks.FlowTrace.Rates(e.now, ids, rates, bn, e.batchCause, uint64(e.stats.Batches))
-}
-
-// bottlenecks returns each flow's binding link under rates
-// (fluid.Bottlenecks), in reusable scratch.
-func (e *Engine) bottlenecks(flows []*fluid.Flow, rates []float64) []int32 {
-	if cap(e.bneck) < len(flows) {
-		e.bneck = make([]int32, 2*len(flows)+16)
-	}
-	if e.bload == nil {
-		e.bload = make([]float64, e.net.Links())
-	}
-	bn := e.bneck[:len(flows)]
-	fluid.Bottlenecks(e.net, flows, rates, e.bload, bn)
-	return bn
 }
 
 // materialize realizes every active finite payload's lazy drain at
@@ -935,34 +556,27 @@ func (e *Engine) materialize(t float64) {
 	}
 }
 
-// complete retires every flow whose completion event is due
-// at time t, in deterministic (time, id) order. A departing flow that
-// shared no link keeps the fast path — its capacity was visible to
-// nobody, so the remaining schedule stands; any other departure seeds
-// its surviving neighbors for a component re-solve.
+// complete retires every event due at time t, in the schedule's order:
+// a fault is applied; a flow is finished and unlinked, seeding the
+// neighbors its departure uncouples. A departure that shared no link
+// keeps the fast path: the remaining schedule stands.
 func (e *Engine) complete(t float64) {
 	slack := 1e-12 * (1 + math.Abs(t))
 	for e.sched.len() > 0 && e.sched.top().t <= t+slack {
-		e.retireEvent(e.sched.pop())
-	}
-}
-
-// retireEvent completes one due flow — stamp its finish, move it to
-// the finished list, unlink it from the link index, and seed the
-// neighbors the departure uncouples — or applies a due fault.
-func (e *Engine) retireEvent(ev event) {
-	if ev.kind != evkFlow {
-		e.applyFault(int(ev.id), ev.kind == evkFail, math.Max(ev.t, e.now))
-		return
-	}
-	f := e.tbl.ByID(int(ev.id))
-	f.Finish = ev.t
-	f.Remaining = 0
-	e.finished = append(grow(e.finished), f)
-	e.nLive--
-	e.hooks.FlowTrace.Complete(f.ID, ev.t)
-	if !e.unlink(f) {
-		e.stats.Elided++
+		ev := e.sched.pop()
+		if ev.kind != evkFlow {
+			e.applyFault(int(ev.id), ev.kind == evkFail, math.Max(ev.t, e.now))
+			continue
+		}
+		f := e.tbl.ByID(int(ev.id))
+		f.Finish = ev.t
+		f.Remaining = 0
+		e.finished = append(grow(e.finished), f)
+		e.nLive--
+		e.hooks.FlowTrace.Complete(f.ID, ev.t)
+		if !e.links.unlink(f, &e.batch) {
+			e.stats.Elided++
+		}
 	}
 }
 
@@ -996,14 +610,14 @@ func (e *Engine) Step() bool {
 func (e *Engine) publish(final bool) {
 	if l := e.hooks.Live; l.Due(final) {
 		e.hooks.FlowTrace.Publish()
-		l.Publish(e.now, e.nLive, int(e.nadmit)-e.nLive, e.Stats())
+		l.Publish(e.now, e.nLive, int(e.arrivals.nadmit)-e.nLive, e.Stats())
 	}
 }
 
 // settle re-solves whatever the last admissions, completions and
 // faults left seeded.
 func (e *Engine) settle() {
-	if len(e.touched) > 0 {
+	if len(e.batch.touched) > 0 {
 		e.reallocate()
 	}
 	e.batchCause = obs.CauseSolve
@@ -1016,22 +630,16 @@ func (e *Engine) step(deadline float64) bool {
 	e.hooks.Profiler.Lap(obs.PhaseLoop)
 	e.admitDue()
 	e.hooks.Profiler.Lap(obs.PhaseAdmit)
-	// Idle early-exit: nothing active (stranded flows count as active —
-	// they are waiting on recovery, not runnable) and nothing pending.
-	// Scheduled fault events keep the loop alive so capacity toggles on
-	// an idle network still apply.
-	if e.nLive == 0 && e.next >= len(e.pending) && e.pendingFaults == 0 {
-		return false
-	}
 	e.settle()
 	tC := math.Inf(1)
 	if e.sched.len() > 0 {
 		tC = e.sched.top().t
 	}
 	tA := math.Inf(1)
-	if e.next < len(e.pending) {
-		tA = e.pending[e.next].Arrive
+	if w := e.arrivals.waiting(); len(w) > 0 {
+		tA = w[0].Arrive
 	}
+	// No completion, fault or arrival left: nothing can change again.
 	if math.IsInf(tC, 1) && math.IsInf(tA, 1) {
 		return false
 	}

@@ -52,7 +52,7 @@ func buildFedSchedule(ft *fluid.FatTree, seed uint64) fedSchedule {
 	}
 	var s fedSchedule
 	first := fedEntry{path: ft.Route(0, 1, 0), size: 1 << 16}
-	at := float64(first.size) * 8 / ft.Rate // the lone flow's finish, as scheduleFlow computes it
+	at := float64(first.size) * 8 / ft.Rate // the lone flow's finish, as installFlow computes it
 	s.entries = append(s.entries, first, fedEntry{at: at, path: first.path, size: 1 << 14})
 	for n := 120 + rng.Intn(200); len(s.entries) < n; {
 		at += rng.ExpFloat64() * 40e-6
