@@ -32,7 +32,7 @@ type DCTCPSender struct {
 }
 
 // NewDCTCPSender attaches a DCTCP transport to f; the retransmission
-// timeout is 10 base RTTs.
+// timeout is 10 base RTTs, and restarts the window (see timeout).
 func NewDCTCPSender(net *netsim.Network, f *netsim.Flow, baseRTT sim.Duration) *DCTCPSender {
 	s := &DCTCPSender{
 		net:       net,
@@ -40,7 +40,7 @@ func NewDCTCPSender(net *netsim.Network, f *netsim.Flow, baseRTT sim.Duration) *
 		cwnd:      float64(dctcpInitWindowPkts * netsim.MTU),
 		slowStart: true,
 	}
-	s.retx = newRetransmitter(net, f, sim.Duration(10*float64(baseRTT)), s.fill)
+	s.retx = newRetransmitter(net, f, sim.Duration(10*float64(baseRTT)), s.timeout)
 	f.Sender = s
 	return s
 }
@@ -85,6 +85,17 @@ func (s *DCTCPSender) OnAck(p *netsim.Packet) {
 		s.ackedBytes, s.markedBytes = 0, 0
 		s.windowEnd = f.NextSeq
 	}
+	s.fill()
+}
+
+// timeout runs after the go-back-N rewind. It restarts from RFC 5681
+// §3.1's loss window of one segment, which RFC 8257 §3.5 keeps for
+// DCTCP, rather than resending a whole window into the queue that just
+// overflowed, and it starts a new marked-fraction observation window.
+func (s *DCTCPSender) timeout() {
+	s.cwnd = netsim.MTU
+	s.ackedBytes, s.markedBytes = 0, 0
+	s.windowEnd = s.flow.NextSeq
 	s.fill()
 }
 

@@ -284,8 +284,11 @@ func TestDCTCPMarksDriveWindowDown(t *testing.T) {
 // TestDCTCPRecoversByTimeout plays one finite DCTCP flow behind ECN
 // queues four packets deep: the 10-packet initial window overflows the
 // source NIC, and DCTCP has no fast retransmit, so only the go-back-N
-// timeout (10 base RTTs) can deliver the rest. The FCT is pinned: a
-// change to the timeout moves it.
+// timeout (10 base RTTs) can deliver the rest, restarting each time
+// from a one-segment loss window. The FCT and the drop count are
+// pinned: a change to the timeout or to the window it restarts from
+// moves them (resending the whole window took 107 drops and
+// 2,731,068,800 ps).
 func TestDCTCPRecoversByTimeout(t *testing.T) {
 	shallow := func(p *netsim.Port) netsim.Queue { return queue.NewECN(4*netsim.MTU, 2*netsim.MTU) }
 	r := newRig(shallow)
@@ -301,9 +304,9 @@ func TestDCTCPRecoversByTimeout(t *testing.T) {
 	if !f.Done {
 		t.Fatalf("flow did not recover from %d drops (rcvd %d of %d)", drops, f.RcvdBytes, f.Size)
 	}
-	const wantFCT = sim.Duration(2731068800)
-	if got := f.FCT(); got != wantFCT {
-		t.Errorf("FCT = %d ps after %d drops, want %d", got, drops, wantFCT)
+	const wantFCT, wantDrops = sim.Duration(742380800), 14
+	if got := f.FCT(); got != wantFCT || drops != wantDrops {
+		t.Errorf("FCT = %d ps after %d drops, want %d after %d", got, drops, wantFCT, wantDrops)
 	}
 }
 
