@@ -201,7 +201,12 @@ type IncastResult struct {
 // each burst is exactly one allocation followed by (typically) one
 // batch of simultaneous completions, the event-driven engine's best
 // case. FCTs include the topology's base RTT, as in RunDynamicWith.
+// SizeBytes ≤ 0 panics naming the field (on leap, 0 is an unbounded
+// flow, which never finishes), as does what workload.Incast rejects.
 func RunIncastLeap(cfg IncastConfig) IncastResult {
+	if cfg.SizeBytes <= 0 {
+		panic(fmt.Sprintf("harness: RunIncastLeap: SizeBytes = %d, want > 0", cfg.SizeBytes))
+	}
 	topo := NewFluidTopology(cfg.Topo)
 	rng := sim.NewRNG(cfg.Seed)
 	arrivals := workload.Incast(workload.IncastConfig{
@@ -233,7 +238,7 @@ func RunIncastLeap(cfg IncastConfig) IncastResult {
 	res := IncastResult{BurstFCTs: make([]float64, cfg.Bursts), Stats: leng.Stats()}
 	res.Records, res.Unfinished = finishedRecords(records)
 	for _, rec := range res.Records {
-		// Interval ≤ 0 (sensible for a single burst) stacks every
+		// Interval = 0 (sensible for a single burst) stacks every
 		// arrival into burst 0.
 		b := 0
 		if cfg.Interval > 0 {

@@ -193,6 +193,35 @@ func TestRunIncastLeapSingleBurst(t *testing.T) {
 	}
 }
 
+// TestRunIncastLeapRejects: a degenerate incast config panics naming
+// its field instead of dying inside a make (negative Senders or Bursts),
+// stacking every burst into the first (negative Interval), or returning
+// no records (SizeBytes 0 is an unbounded flow on leap).
+func TestRunIncastLeapRejects(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*IncastConfig)
+		want string
+	}{
+		{"Senders", func(c *IncastConfig) { c.Senders = -1 }, "Senders = -1"},
+		{"Bursts", func(c *IncastConfig) { c.Bursts = -1 }, "Bursts = -1"},
+		{"Interval", func(c *IncastConfig) { c.Interval = -1 }, "Interval = -1"},
+		{"SizeBytes zero", func(c *IncastConfig) { c.SizeBytes = 0 }, "SizeBytes = 0"},
+		{"SizeBytes negative", func(c *IncastConfig) { c.SizeBytes = -1 }, "SizeBytes = -1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultIncast()
+			c.set(&cfg)
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, c.want) {
+					t.Errorf("recovered %q, want a panic naming %s", msg, c.want)
+				}
+			}()
+			RunIncastLeap(cfg)
+		})
+	}
+}
+
 // TestExpandFaultsHostileInput: every malformed scripted fault is a
 // defined error naming what is wrong, never a panic, and an empty
 // script expands to no faults.

@@ -272,8 +272,17 @@ type IncastConfig struct {
 // Incast generates the burst arrival schedule: burst k arrives at
 // exactly k × Interval (every flow of a burst shares one timestamp —
 // the synchronization is the point), from a fresh random subset of
-// distinct senders, none of them the receiver.
+// distinct senders, none of them the receiver. A negative Senders,
+// Bursts or Interval, or a Receiver outside [0, Hosts), panics naming
+// the field.
 func Incast(cfg IncastConfig, rng *sim.RNG) []Arrival {
+	if cfg.Senders < 0 || cfg.Bursts < 0 || cfg.Interval < 0 {
+		panic(fmt.Sprintf("workload: Incast: Senders = %d, Bursts = %d, Interval = %d ps; want each ≥ 0",
+			cfg.Senders, cfg.Bursts, int64(cfg.Interval)))
+	}
+	if cfg.Receiver < 0 || cfg.Receiver >= cfg.Hosts {
+		panic(fmt.Sprintf("workload: Incast: Receiver = %d of %d Hosts", cfg.Receiver, cfg.Hosts))
+	}
 	n := cfg.Senders
 	if max := cfg.Hosts - 1; n > max {
 		n = max

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"numfabric/internal/sim"
@@ -335,6 +336,33 @@ func TestIncastSendersCapped(t *testing.T) {
 	if len(arr) != (cfg.Hosts-1)*cfg.Bursts {
 		t.Fatalf("got %d arrivals, want senders capped at hosts-1 (%d)",
 			len(arr), (cfg.Hosts-1)*cfg.Bursts)
+	}
+}
+
+// TestIncastRejects: a negative count or interval, or a receiver that
+// is not a host, panics naming the field.
+func TestIncastRejects(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*IncastConfig)
+		want string
+	}{
+		{"Senders", func(c *IncastConfig) { c.Senders = -1 }, "Senders = -1"},
+		{"Bursts", func(c *IncastConfig) { c.Bursts = -1 }, "Bursts = -1"},
+		{"Interval", func(c *IncastConfig) { c.Interval = -1 }, "Interval = -1"},
+		{"Receiver negative", func(c *IncastConfig) { c.Receiver = -1 }, "Receiver = -1"},
+		{"Receiver past the hosts", func(c *IncastConfig) { c.Receiver = c.Hosts }, "Receiver = 8 of 8 Hosts"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := IncastConfig{Hosts: 8, Senders: 4, SizeBytes: 1 << 10, Bursts: 2, Interval: sim.Millisecond}
+			c.set(&cfg)
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, c.want) {
+					t.Errorf("recovered %q, want a panic naming %s", msg, c.want)
+				}
+			}()
+			Incast(cfg, sim.NewRNG(1))
+		})
 	}
 }
 
