@@ -108,7 +108,7 @@ func goldenFatTree(t *testing.T, alloc fluid.Allocator, schedule goldenSchedule,
 	return fp.String()
 }
 
-func fctMin(size int64) core.Utility { return core.FCTMin(size, 0.125) }
+func fctMin(size int64) core.Utility { return core.FCTMin(size, core.FCTEpsilon) }
 
 func propFair(int64) core.Utility { return core.ProportionalFair() }
 

@@ -34,7 +34,7 @@ func faultedFatTreePlay(hooks obs.Hooks) *Engine {
 	last := 0.0
 	for a, ok := gen.Next(); ok; a, ok = gen.Next() {
 		path := ft.Route(a.Src, a.Dst, rng.Intn(ft.K*ft.K/4))
-		e.AddFlow(path, core.FCTMin(a.Size, 0.125), a.Size, a.At.Seconds())
+		e.AddFlow(path, core.FCTMin(a.Size, core.FCTEpsilon), a.Size, a.At.Seconds())
 		last = a.At.Seconds()
 	}
 	for at := 0.0; at < last; at += 200e-6 {

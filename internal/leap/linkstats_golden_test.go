@@ -34,7 +34,7 @@ func linkStatsGoldenPlay() *obs.FlowTracer {
 	}, rng)
 	for a, ok := gen.Next(); ok; a, ok = gen.Next() {
 		path := ft.Route(a.Src, a.Dst, rng.Intn(ft.K*ft.K/4))
-		e.AddFlow(path, core.FCTMin(a.Size, 0.125), a.Size, a.At.Seconds())
+		e.AddFlow(path, core.FCTMin(a.Size, core.FCTEpsilon), a.Size, a.At.Seconds())
 	}
 	e.Run(math.Inf(1))
 	return tracer

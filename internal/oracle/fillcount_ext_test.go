@@ -48,7 +48,7 @@ func playFCTMinXWI(seed uint64, flows int) {
 	alloc := harness.LeapAllocatorFor(harness.DefaultConfig(harness.NUMFabric, harness.ScaledTopology()))
 	eng := leap.NewEngine(ft.Net, leap.Config{Allocator: alloc})
 	for i, a := range arrivals {
-		eng.AddFlow(paths[i], core.FCTMin(a.Size, 0.125), a.Size, a.At.Seconds())
+		eng.AddFlow(paths[i], core.FCTMin(a.Size, core.FCTEpsilon), a.Size, a.At.Seconds())
 	}
 	eng.Run(math.Inf(1))
 }
