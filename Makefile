@@ -42,7 +42,7 @@ paper:
 # shrinks a row lowers its ceiling; one that must raise it says why in
 # CHANGES.md.
 LOC_CEIL_FLUID      = 1735
-LOC_CEIL_LEAP_FLUID = 2982
+LOC_CEIL_LEAP_FLUID = 2976
 LOC_CEIL_ORACLE     = 1239
 LOC_CEIL_HARNESS    = 2150
 LOC_CEIL_RUNS       = 8
@@ -51,8 +51,11 @@ LOC_CEIL_OPTIONS    = 97
 LOC_CEIL_FIELDS     = 16
 # nontest counts the non-test Go lines of the files $(1) names.
 nontest = ls $(1) | grep -v _test.go | xargs cat | wc -l
-# hooksites counts the non-test lines of the files $(1) names that call a hook.
+# hooksites counts the non-test lines of the files $(1) names that call
+# a hook.
 hooksites = ls $(1) | grep -v _test.go | xargs cat | grep -c 'e\.hooks\.'
+# engine_fields counts the field lines of leap.Engine, comments and
+# blank lines skipped.
 engine_fields = awk '/^type Engine struct/{on=1;next} on&&/^}/{exit} on&&!/^[ \t]*(\/\/|$$)/{n++} END{print n}' internal/leap/leap.go
 harness_runs = ls internal/harness/*.go | grep -v _test.go | xargs awk '/^func Run[A-Z]/{n++} END{print n+0}'
 # options counts the exported names declared on the field lines of the

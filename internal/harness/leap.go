@@ -196,13 +196,12 @@ type IncastResult struct {
 	Stats leap.Stats
 }
 
-// RunIncastLeap plays the incast workload through the leap engine
-// under NUMFabric's xWI allocator (LeapAllocatorFor) —
-// each burst is exactly one allocation followed by (typically) one
-// batch of simultaneous completions, the event-driven engine's best
-// case. FCTs include the topology's base RTT, as in RunDynamicWith.
-// SizeBytes ≤ 0 panics naming the field (on leap, 0 is an unbounded
-// flow, which never finishes), as does what workload.Incast rejects.
+// RunIncastLeap plays the incast workload through the leap engine under
+// NUMFabric's xWI allocator (LeapAllocatorFor): each burst is exactly
+// one allocation followed by (typically) one batch of simultaneous
+// completions, the event-driven engine's best case. FCTs include the
+// topology's base RTT, as in RunDynamicWith. SizeBytes ≤ 0 (0 is an
+// unbounded leap flow) panics naming the field.
 func RunIncastLeap(cfg IncastConfig) IncastResult {
 	if cfg.SizeBytes <= 0 {
 		panic(fmt.Sprintf("harness: RunIncastLeap: SizeBytes = %d, want > 0", cfg.SizeBytes))
@@ -225,11 +224,8 @@ func RunIncastLeap(cfg IncastConfig) IncastResult {
 	})
 	sub := &flowLevel{eng: leng, leap: leng, baseRTT: d0}
 
-	// The incast ideal is the documented fan-in bound: a burst's flows
-	// all share the receiver's host link, so even a perfect transport
-	// needs Senders × SizeBytes × 8 / hostLink (+ the base RTT). Every
-	// record gets it — a NaN here used to silently poison any
-	// downstream slowdown percentile.
+	// Every record's ideal is the fan-in bound BurstFCTs states: even a
+	// perfect transport shares the receiver's host link among the burst.
 	senders := min(cfg.Senders, len(topo.Hosts)-1)
 	idealFCT := float64(senders)*float64(cfg.SizeBytes)*8/cfg.Topo.HostLink.Float() + d0
 	records, _ := playArrivals(sub, topo, sliceSchedule(arrivals, spines),
@@ -238,8 +234,7 @@ func RunIncastLeap(cfg IncastConfig) IncastResult {
 	res := IncastResult{BurstFCTs: make([]float64, cfg.Bursts), Stats: leng.Stats()}
 	res.Records, res.Unfinished = finishedRecords(records)
 	for _, rec := range res.Records {
-		// Interval = 0 (sensible for a single burst) stacks every
-		// arrival into burst 0.
+		// Interval 0 (sensible for a single burst) stacks every burst in 0.
 		b := 0
 		if cfg.Interval > 0 {
 			b = int(rec.Start / sim.Time(cfg.Interval))
