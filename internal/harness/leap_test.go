@@ -193,10 +193,9 @@ func TestRunIncastLeapSingleBurst(t *testing.T) {
 	}
 }
 
-// TestRunIncastLeapRejects: a degenerate incast config panics naming
-// its field instead of dying inside a make (negative Senders or Bursts),
-// stacking every burst into the first (negative Interval), or returning
-// no records (SizeBytes 0 is an unbounded flow on leap).
+// TestRunIncastLeapRejects: a negative Senders, Bursts or Interval, or
+// a SizeBytes ≤ 0 (0 is an unbounded flow on leap, which never
+// finishes), panics naming the field.
 func TestRunIncastLeapRejects(t *testing.T) {
 	for _, c := range []struct {
 		name string

@@ -38,11 +38,11 @@ func (b *componentBatch) seedIDs(ids []int32) {
 	}
 }
 
-// enqueueID adds live flow id to the component being collected, once.
-// Already-collected neighbors, the common case on dense links, never
-// touch the table.
-func (b *componentBatch) enqueueID(id int32) {
-	st := &(*b.fs)[id]
+// enqueueID adds live flow id to the component being collected, once;
+// fs is *b.fs, hoisted by the flood. Already-collected neighbors, the
+// common case on dense links, never touch the table.
+func (b *componentBatch) enqueueID(fs []flowState, id int32) {
+	st := &fs[id]
 	if st.bits&inCompBit != 0 {
 		return
 	}

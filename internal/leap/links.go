@@ -54,10 +54,10 @@ func (x *linkIndex) unlink(f *fluid.Flow, b *componentBatch) (coupled bool) {
 // seed over the link-sharing graph, appending its flows (sorted into
 // admission order) and its range to b.comp/b.comps.
 func (x *linkIndex) floodComponent(b *componentBatch, seed *fluid.Flow) {
-	f0 := len(b.comp)
+	f0, fs := len(b.comp), *b.fs
 	x.round++
 	r := x.round
-	b.enqueueID(int32(seed.ID))
+	b.enqueueID(fs, int32(seed.ID))
 	for i := f0; i < len(b.comp); i++ {
 		for _, l := range b.comp[i].Links {
 			if x.mark[l] == r {
@@ -65,13 +65,13 @@ func (x *linkIndex) floodComponent(b *componentBatch, seed *fluid.Flow) {
 			}
 			x.mark[l] = r
 			for _, n := range x.flows[l] {
-				b.enqueueID(n)
+				b.enqueueID(fs, n)
 			}
 		}
 	}
 	// Insertion sort into admission order: components are small, and
 	// this dodges sort.Slice's per-call overhead on the hot path.
-	fs, comp := *b.fs, b.comp[f0:]
+	comp := b.comp[f0:]
 	for i := 1; i < len(comp); i++ {
 		fl := comp[i]
 		k := fs[fl.ID].seq

@@ -287,8 +287,7 @@ func TestDCTCPMarksDriveWindowDown(t *testing.T) {
 // timeout (10 base RTTs) can deliver the rest, restarting each time
 // from a one-segment loss window. The FCT and the drop count are
 // pinned: a change to the timeout or to the window it restarts from
-// moves them (resending the whole window took 107 drops and
-// 2,731,068,800 ps).
+// moves them.
 func TestDCTCPRecoversByTimeout(t *testing.T) {
 	shallow := func(p *netsim.Port) netsim.Queue { return queue.NewECN(4*netsim.MTU, 2*netsim.MTU) }
 	r := newRig(shallow)
