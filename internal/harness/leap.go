@@ -234,7 +234,7 @@ func RunIncastLeap(cfg IncastConfig) IncastResult {
 	res := IncastResult{BurstFCTs: make([]float64, cfg.Bursts), Stats: leng.Stats()}
 	res.Records, res.Unfinished = finishedRecords(records)
 	for _, rec := range res.Records {
-		// Interval 0 (sensible for a single burst) stacks every burst in 0.
+		// Interval 0 (sensible for a single burst) puts every flow in burst 0.
 		b := 0
 		if cfg.Interval > 0 {
 			b = int(rec.Start / sim.Time(cfg.Interval))
