@@ -281,31 +281,64 @@ func TestDCTCPMarksDriveWindowDown(t *testing.T) {
 	}
 }
 
-// TestDCTCPRecoversByTimeout plays one finite DCTCP flow behind ECN
-// queues four packets deep: the 10-packet initial window overflows the
-// source NIC, and DCTCP has no fast retransmit, so only the go-back-N
-// timeout (10 base RTTs) can deliver the rest, restarting each time
-// from a one-segment loss window. The FCT and the drop count are
-// pinned: a change to the timeout or to the window it restarts from
+// TestDCTCPRecoversByTimeout plays finite flows behind ECN queues four
+// packets deep, where only the go-back-N timeout can deliver what the
+// queues drop. In the dctcp row one DCTCP flow's 10-packet initial
+// window overflows the source NIC, and DCTCP has no fast retransmit, so
+// each timeout (10 base RTTs) restarts it from a one-segment loss
+// window. In the rcp row two RCP* flows start at line rate into one
+// shared port before the first rate feedback, and the paced senders'
+// timeout (20 base RTTs) rewinds them. Each row pins the last FCT and
+// the drop count: a change to a timeout or to what it restarts from
 // moves them.
 func TestDCTCPRecoversByTimeout(t *testing.T) {
 	shallow := func(p *netsim.Port) netsim.Queue { return queue.NewECN(4*netsim.MTU, 2*netsim.MTU) }
-	r := newRig(shallow)
-	drops := 0
-	r.net.DropHook = func(p *netsim.Packet) { drops++ }
-	f := r.addFlow("a", 64<<10)
-	NewDCTCPSender(r.net, f, testRTT)
-	r.eng.Schedule(0, f.Start)
-	r.eng.Run(sim.Time(100 * sim.Millisecond))
-	if drops == 0 {
-		t.Fatal("no drop: the initial window fit the queue, nothing exercised the timeout")
-	}
-	if !f.Done {
-		t.Fatalf("flow did not recover from %d drops (rcvd %d of %d)", drops, f.RcvdBytes, f.Size)
-	}
-	const wantFCT, wantDrops = sim.Duration(742380800), 14
-	if got := f.FCT(); got != wantFCT || drops != wantDrops {
-		t.Errorf("FCT = %d ps after %d drops, want %d after %d", got, drops, wantFCT, wantDrops)
+	for _, tc := range []struct {
+		name  string
+		flows func(r *rig) []*netsim.Flow
+		// wantFCT is the latest completion of the row's flows.
+		wantFCT   sim.Duration
+		wantDrops int
+	}{
+		{"dctcp", func(r *rig) []*netsim.Flow {
+			f := r.addFlow("a", 64<<10)
+			NewDCTCPSender(r.net, f, testRTT)
+			return []*netsim.Flow{f}
+		}, 742380800, 14},
+		{"rcp", func(r *rig) []*netsim.Flow {
+			f1 := r.addFlow("a", 64<<10)
+			f2 := r.addFlowTo("b", f1.Path[1], 64<<10)
+			for _, port := range r.net.Links {
+				NewRCPAgent(r.net, port, 1, testRTT)
+			}
+			NewRCPSender(r.net, f1, 1, testRTT)
+			NewRCPSender(r.net, f2, 1, testRTT)
+			return []*netsim.Flow{f1, f2}
+		}, 1375868800, 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(shallow)
+			drops := 0
+			r.net.DropHook = func(p *netsim.Packet) { drops++ }
+			flows := tc.flows(r)
+			for _, f := range flows {
+				r.eng.Schedule(0, f.Start)
+			}
+			r.eng.Run(sim.Time(100 * sim.Millisecond))
+			if drops == 0 {
+				t.Fatal("no drop: the queues held every packet, nothing exercised the timeout")
+			}
+			var fct sim.Duration
+			for _, f := range flows {
+				if !f.Done {
+					t.Fatalf("flow %d did not recover from %d drops (rcvd %d of %d)", f.ID, drops, f.RcvdBytes, f.Size)
+				}
+				fct = max(fct, f.FCT())
+			}
+			if fct != tc.wantFCT || drops != tc.wantDrops {
+				t.Errorf("FCT = %d ps after %d drops, want %d after %d", fct, drops, tc.wantFCT, tc.wantDrops)
+			}
+		})
 	}
 }
 
