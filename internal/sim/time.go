@@ -94,11 +94,15 @@ func Seconds(s float64) Duration {
 	return Duration(ps)
 }
 
-func (t Time) String() string {
-	return fmt.Sprintf("%.3fus", float64(t)/1e6)
-}
+func (t Time) String() string { return Duration(t).String() }
 
+// String prints microseconds to three places, except a nonzero value
+// under 1 ns, which that would round to 0.000us or -0.000us: it prints
+// in picoseconds.
 func (d Duration) String() string {
+	if d != 0 && d > -Nanosecond && d < Nanosecond {
+		return fmt.Sprintf("%dps", int64(d))
+	}
 	return fmt.Sprintf("%.3fus", float64(d)/1e6)
 }
 

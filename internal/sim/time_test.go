@@ -150,6 +150,23 @@ func TestStringFormats(t *testing.T) {
 	if got := (5 * Microsecond).String(); got != "5.000us" {
 		t.Errorf("Duration.String = %q", got)
 	}
+	for _, tc := range []struct {
+		d    Duration
+		want string
+	}{
+		{-1, "-1ps"},
+		{0, "0.000us"},
+		{999, "999ps"},
+		{Nanosecond, "0.001us"},
+		{16 * Microsecond, "16.000us"},
+	} {
+		if got := tc.d.String(); got != tc.want {
+			t.Errorf("Duration(%d).String() = %q, want %q", int64(tc.d), got, tc.want)
+		}
+		if got := Time(tc.d).String(); got != tc.want {
+			t.Errorf("Time(%d).String() = %q, want %q", int64(tc.d), got, tc.want)
+		}
+	}
 }
 
 func TestEngineAfterNegativeClamps(t *testing.T) {
