@@ -84,9 +84,10 @@ func (a portObserver) OnDequeue(p *netsim.Packet) {
 	o.word('D', int64(o.net.Now()), int64(a.port.LinkID), int64(p.Flow.ID), p.Seq, int64(p.Kind))
 }
 
-// clockedSender opens with a burst and then sends one packet per ACK
-// until count packets are out; the last is a zero-payload fragment
-// (Size == HeaderSize), the one before it a short tail.
+// clockedSender opens with a burst and then sends one segment per ACK
+// until count packets are out. It never resends, so a flow sized count−2
+// segments and a short tail ends in that tail and then one zero-payload
+// fragment (Size == HeaderSize), sent at the end of the stream.
 type clockedSender struct {
 	o      *deliveryObserver
 	flow   *netsim.Flow
@@ -106,18 +107,8 @@ func (s *clockedSender) sendNext() {
 	if s.sent >= s.count {
 		return
 	}
-	payload := netsim.MSS
-	switch s.count - s.sent {
-	case 2:
-		payload = 100 + 37*s.flow.ID
-	case 1:
-		payload = 0
-	}
 	s.sent++
-	seq := s.flow.NextSeq
-	s.flow.NextSeq += int64(payload)
-	w := s.weight
-	s.flow.SendData(seq, payload, func(p *netsim.Packet) { p.VirtualLen = float64(p.Size) / w })
+	s.flow.SendNext(func(p *netsim.Packet) { p.VirtualLen = float64(p.Size) / s.weight })
 }
 
 func (s *clockedSender) OnAck(p *netsim.Packet) {
@@ -163,8 +154,10 @@ func runIncast(t *testing.T) *deliveryObserver {
 			delay = (10 * sim.Gbps).TxTime(netsim.MTU)
 		}
 		hs, _ := net.Connect(h, sw, 10*sim.Gbps, delay)
-		f := net.NewFlow([]int{hs.LinkID, sr.LinkID}, 0)
-		f.Sender = &clockedSender{o: o, flow: f, burst: 12, count: 40, weight: float64(1 + i)}
+		const count = 40
+		tail := 100 + 37*i
+		f := net.NewFlow([]int{hs.LinkID, sr.LinkID}, int64((count-2)*netsim.MSS+tail))
+		f.Sender = &clockedSender{o: o, flow: f, burst: 12, count: count, weight: float64(1 + i)}
 		// Hosts 0 and 1 start at the same instant, so their packets
 		// reach the switch at the same instants from different ports.
 		eng.Schedule(sim.Time(sim.Duration(i/2)*700*sim.Nanosecond), f.Start)

@@ -43,9 +43,19 @@ type Flow struct {
 	// OnComplete, if set, fires when the receiver has the whole flow.
 	OnComplete func(f *Flow)
 
-	// Sender-side byte accounting, maintained by transports.
+	// Sender-side go-back-N state: SendNext advances NextSeq, each ACK
+	// advances CumAcked before Sender.OnAck runs, and the timeout
+	// SetTimeout arms rewinds NextSeq to CumAcked.
 	NextSeq  int64 // next payload byte to send
 	CumAcked int64 // cumulative in-order bytes acknowledged
+
+	// Go-back-N timeout (SetTimeout): its period, the sender's refill,
+	// expire bound once so that re-arming allocates nothing, and the
+	// CumAcked the last tick saw.
+	rto      sim.Duration
+	refill   func()
+	expireFn func()
+	lastSeen int64
 
 	// Receiver-side state.
 	RcvdBytes   int64 // cumulative in-order payload received
@@ -93,21 +103,48 @@ func (n *Network) NewFlow(path []int, size int64) *Flow {
 	return f
 }
 
-// Start launches the flow's sender at the current simulation time.
+// Start launches the flow's sender at the current simulation time,
+// then arms the timeout if SetTimeout set one.
 func (f *Flow) Start() {
 	f.StartTime = f.net.Now()
 	if f.Sender == nil {
 		panic("netsim: flow has no sender")
 	}
 	f.Sender.Start()
+	if f.rto > 0 {
+		f.net.Engine.After(f.rto, f.expireFn)
+	}
+}
+
+// SetTimeout gives the flow go-back-N loss recovery, armed by Start:
+// every rto while the flow lives, if data is outstanding and CumAcked
+// has not moved since the previous tick, NextSeq rewinds to CumAcked
+// and refill runs to resend.
+func (f *Flow) SetTimeout(rto sim.Duration, refill func()) {
+	f.rto, f.refill, f.lastSeen = rto, refill, -1
+	f.expireFn = f.expire
+}
+
+// expire is one timeout tick: rewind if nothing was acknowledged since
+// the last one, then re-arm until the flow is done or stopped.
+func (f *Flow) expire() {
+	if f.Done || f.Stopped {
+		return
+	}
+	if f.NextSeq > f.CumAcked && f.CumAcked == f.lastSeen {
+		f.NextSeq = f.CumAcked
+		f.refill()
+	}
+	f.lastSeen = f.CumAcked
+	f.net.Engine.After(f.rto, f.expireFn)
 }
 
 // Stop tells the sender to cease transmitting new data.
 func (f *Flow) Stop() { f.Stopped = true }
 
-// Remaining returns the payload bytes not yet sent (for pFabric
-// priorities and SRPT utilities). Unbounded flows return a large
-// sentinel.
+// Remaining returns the payload bytes not yet acknowledged, Size −
+// CumAcked floored at 0 (pFabric's packet priority, and SRPT
+// utilities). Unbounded flows return a large sentinel.
 func (f *Flow) Remaining() int64 {
 	if f.Size == 0 {
 		return 1 << 40
@@ -119,23 +156,35 @@ func (f *Flow) Remaining() int64 {
 	return r
 }
 
-// SendData builds and transmits one data packet with payload bytes
-// [seq, seq+payload). setup, if non-nil, stamps scheme-specific header
-// fields before the packet enters the NIC queue.
-func (f *Flow) SendData(seq int64, payload int, setup func(p *Packet)) {
+// Pending reports whether the stream has bytes left to send: the flow
+// is not stopped, and it is unbounded or NextSeq is short of Size.
+func (f *Flow) Pending() bool { return !f.Stopped && (f.Size == 0 || f.NextSeq < f.Size) }
+
+// SendNext transmits the stream's next segment, payload bytes
+// [NextSeq, NextSeq+payload) with payload = MSS or the bytes left
+// before Size, advances NextSeq past it and returns payload. setup, if
+// non-nil, stamps scheme-specific header fields before the packet
+// enters the NIC queue.
+func (f *Flow) SendNext(setup func(p *Packet)) int {
+	payload := MSS
+	if f.Size > 0 && f.Size-f.NextSeq < MSS {
+		payload = int(f.Size - f.NextSeq)
+	}
 	p := f.net.allocPacket()
 	p.Flow = f
 	p.Kind = Data
-	p.Seq = seq
+	p.Seq = f.NextSeq
 	p.Size = payload + HeaderSize
 	p.Path = f.Path
 	p.Hop = 0
 	p.SentAt = f.net.Now()
+	f.NextSeq += int64(payload)
 	if setup != nil {
 		setup(p)
 	}
 	f.SentPkts++
 	f.Path[0].Send(p)
+	return payload
 }
 
 // deliver handles a packet reaching its final node.
@@ -151,6 +200,9 @@ func (f *Flow) deliver(n *Network, node *Node, p *Packet) {
 			panic("netsim: ack delivered to wrong node")
 		}
 		f.AckPkts++
+		if p.Seq > f.CumAcked {
+			f.CumAcked = p.Seq
+		}
 		if f.Sender != nil {
 			f.Sender.OnAck(p)
 		}

@@ -14,7 +14,7 @@ func stfqFactory(p *netsim.Port) netsim.Queue { return queue.NewSTFQ(1 << 20) }
 
 func unitWeight(p *netsim.Packet) { p.VirtualLen = float64(p.Size) }
 
-// quietSender ignores feedback; the tests below drive SendData
+// quietSender ignores feedback; the tests below drive SendNext
 // themselves.
 type quietSender struct{}
 
@@ -31,8 +31,7 @@ func hopLine(qf func(*netsim.Port) netsim.Queue) (net *netsim.Network, round fun
 	f.Sender = quietSender{}
 	return net, func() {
 		for i := 0; i < 32; i++ {
-			f.SendData(f.NextSeq, netsim.MSS, unitWeight)
-			f.NextSeq += netsim.MSS
+			f.SendNext(unitWeight)
 		}
 		net.Engine.Run(sim.Forever)
 	}

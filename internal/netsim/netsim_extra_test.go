@@ -13,11 +13,7 @@ func TestPacketPoolRecyclesCleanly(t *testing.T) {
 	net, path := line(dropTailFactory)
 	const size = 1 << 20
 	f := net.NewFlow(path, size)
-	s := &burstSender{net: net, flow: f, burst: 4}
-	f.Sender = s
 	// Window-of-4 ack-clocked sender.
-	resend := func(p *netsim.Packet) {}
-	_ = resend
 	f.Sender = &ackClockedSender{net: net, flow: f, window: 4}
 	net.Engine.Schedule(0, f.Start)
 	net.Engine.Run(sim.Forever)
@@ -44,25 +40,12 @@ func (s *ackClockedSender) Start() {
 }
 
 func (s *ackClockedSender) sendNext() {
-	f := s.flow
-	if f.Size > 0 && f.NextSeq >= f.Size {
-		return
+	if s.flow.Pending() {
+		s.flow.SendNext(nil)
 	}
-	payload := netsim.MSS
-	if f.Size > 0 && f.Size-f.NextSeq < int64(payload) {
-		payload = int(f.Size - f.NextSeq)
-	}
-	seq := f.NextSeq
-	f.NextSeq += int64(payload)
-	f.SendData(seq, payload, nil)
 }
 
-func (s *ackClockedSender) OnAck(p *netsim.Packet) {
-	if p.Seq > s.flow.CumAcked {
-		s.flow.CumAcked = p.Seq
-	}
-	s.sendNext()
-}
+func (s *ackClockedSender) OnAck(p *netsim.Packet) { s.sendNext() }
 
 func TestRemainingAccounting(t *testing.T) {
 	net, path := line(dropTailFactory)

@@ -28,24 +28,12 @@ type ackInfo struct {
 }
 
 func (s *burstSender) Start() {
-	for i := 0; i < s.burst; i++ {
-		if s.flow.Size > 0 && s.flow.NextSeq >= s.flow.Size {
-			return
-		}
-		payload := netsim.MSS
-		if s.flow.Size > 0 && s.flow.Size-s.flow.NextSeq < int64(payload) {
-			payload = int(s.flow.Size - s.flow.NextSeq)
-		}
-		seq := s.flow.NextSeq
-		s.flow.NextSeq += int64(payload)
-		s.flow.SendData(seq, payload, s.setup)
+	for i := 0; i < s.burst && s.flow.Pending(); i++ {
+		s.flow.SendNext(s.setup)
 	}
 }
 
 func (s *burstSender) OnAck(p *netsim.Packet) {
-	if p.Seq > s.flow.CumAcked {
-		s.flow.CumAcked = p.Seq
-	}
 	s.acks = append(s.acks, ackInfo{
 		seq: p.Seq, ipt: p.EchoIPT,
 		pathPrice: p.EchoPathPrice, pathLen: p.EchoPathLen,
@@ -192,8 +180,9 @@ func TestReceiverCumulativeAckOnGap(t *testing.T) {
 	net.Engine.Schedule(0, func() {
 		f.StartTime = net.Now()
 		// In-order packet, then a gap (skipping one MSS).
-		f.SendData(0, netsim.MSS, nil)
-		f.SendData(int64(2*netsim.MSS), netsim.MSS, nil)
+		f.SendNext(nil)
+		f.NextSeq += netsim.MSS
+		f.SendNext(nil)
 	})
 	net.Engine.Run(sim.Forever)
 
@@ -209,6 +198,41 @@ func TestReceiverCumulativeAckOnGap(t *testing.T) {
 	}
 	if f.RcvdBytes != int64(netsim.MSS) {
 		t.Errorf("RcvdBytes = %d, want %d", f.RcvdBytes, netsim.MSS)
+	}
+}
+
+// TestTimeoutRewindsToCumAck loses a flow's second segment: the
+// timeout must leave the first tick alone (it has no earlier CumAcked
+// to compare), rewind NextSeq to the cumulative ACK on the second,
+// and stop ticking once the resent stream completes the flow.
+func TestTimeoutRewindsToCumAck(t *testing.T) {
+	net, path := line(dropTailFactory)
+	f := net.NewFlow(path, 3*netsim.MSS)
+	f.Sender = &burstSender{net: net, flow: f}
+	const rto = 100 * sim.Microsecond
+	var rewinds []int64
+	f.SetTimeout(rto, func() {
+		rewinds = append(rewinds, f.NextSeq)
+		for f.Pending() {
+			f.SendNext(nil)
+		}
+	})
+	net.Engine.Schedule(0, func() {
+		f.Start()
+		f.SendNext(nil)
+		f.NextSeq += netsim.MSS
+		f.SendNext(nil)
+	})
+	end := net.Engine.Run(sim.Time(100 * rto))
+
+	if len(rewinds) != 1 || rewinds[0] != netsim.MSS {
+		t.Errorf("rewound to %v, want once to %d", rewinds, netsim.MSS)
+	}
+	if !f.Done || f.RcvdBytes != f.Size || f.EndTime < sim.Time(2*rto) {
+		t.Errorf("done %v at %v with %d of %d bytes, want done after the second tick", f.Done, f.EndTime, f.RcvdBytes, f.Size)
+	}
+	if end != sim.Time(3*rto) {
+		t.Errorf("last event at %v, want the third tick %v", end, sim.Time(3*rto))
 	}
 }
 

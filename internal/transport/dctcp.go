@@ -19,7 +19,6 @@ const (
 // show that a deployed scheme's rates "are very noisy at timescales of
 // 100s of microseconds" and essentially never converge.
 type DCTCPSender struct {
-	net  *netsim.Network
 	flow *netsim.Flow
 
 	cwnd        float64 // bytes
@@ -28,35 +27,27 @@ type DCTCPSender struct {
 	markedBytes int64
 	windowEnd   int64 // Seq marking the end of the current cwnd round
 	slowStart   bool
-	retx        *retransmitter
 }
 
 // NewDCTCPSender attaches a DCTCP transport to f; the retransmission
 // timeout is 10 base RTTs, and restarts the window (see timeout).
 func NewDCTCPSender(net *netsim.Network, f *netsim.Flow, baseRTT sim.Duration) *DCTCPSender {
 	s := &DCTCPSender{
-		net:       net,
 		flow:      f,
 		cwnd:      float64(dctcpInitWindowPkts * netsim.MTU),
 		slowStart: true,
 	}
-	s.retx = newRetransmitter(net, f, sim.Duration(10*float64(baseRTT)), s.timeout)
+	f.SetTimeout(sim.Duration(10*float64(baseRTT)), s.timeout)
 	f.Sender = s
 	return s
 }
 
 // Start opens with the initial window.
-func (s *DCTCPSender) Start() {
-	s.fill()
-	s.retx.arm()
-}
+func (s *DCTCPSender) Start() { s.fill() }
 
 // OnAck runs DCTCP's marked-fraction estimator and window law.
 func (s *DCTCPSender) OnAck(p *netsim.Packet) {
 	f := s.flow
-	if p.Seq > f.CumAcked {
-		f.CumAcked = p.Seq
-	}
 	acked := int64(p.AckedBytes)
 	s.ackedBytes += acked
 	if p.EchoCE {
@@ -101,16 +92,8 @@ func (s *DCTCPSender) timeout() {
 
 func (s *DCTCPSender) fill() {
 	f := s.flow
-	for !f.Stopped &&
-		(f.Size == 0 || f.NextSeq < f.Size) &&
-		float64(f.NextSeq-f.CumAcked) < s.cwnd {
-		payload := netsim.MSS
-		if f.Size > 0 && f.Size-f.NextSeq < int64(payload) {
-			payload = int(f.Size - f.NextSeq)
-		}
-		seq := f.NextSeq
-		f.NextSeq += int64(payload)
-		f.SendData(seq, payload, nil)
+	for f.Pending() && float64(f.NextSeq-f.CumAcked) < s.cwnd {
+		f.SendNext(nil)
 	}
 }
 

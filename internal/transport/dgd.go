@@ -33,7 +33,7 @@ func (s *DGDSender) Start() { s.start() }
 // OnAck re-derives the rate from the path price (Eq. 3):
 // x = U'⁻¹(Σ p_l).
 func (s *DGDSender) OnAck(p *netsim.Packet) {
-	s.onAck(p)
+	s.onAck()
 	if p.EchoPathLen > 0 {
 		s.setRate(s.u.InverseMarginal(p.EchoPathPrice))
 	}

@@ -84,11 +84,6 @@ type NUMFabricSender struct {
 	// path's perspective; the sender scales it by its share of the
 	// aggregate throughput (§6.3's heuristic).
 	agg *Aggregate
-
-	// retx is a go-back-N safety net: NUMFabric provisions buffers so
-	// drops do not happen in normal operation (§6), but transients can
-	// still overflow a queue and a flow must not stall forever.
-	retx *retransmitter
 }
 
 // NewNUMFabricSender attaches a NUMFabric transport to f with the flow
@@ -111,7 +106,10 @@ func NewNUMFabricSender(net *netsim.Network, f *netsim.Flow, u core.Utility, p N
 		weight:   f.Path[0].Rate.Float(),
 		residual: math.Inf(1),
 	}
-	s.retx = newRetransmitter(net, f, 20*baseRTT, s.reviveAndFill)
+	// Go-back-N is a safety net: NUMFabric provisions buffers so drops
+	// do not happen in normal operation (§6), but transients can still
+	// overflow a queue and a flow must not stall forever.
+	f.SetTimeout(20*baseRTT, s.reviveAndFill)
 	f.Sender = s
 	return s
 }
@@ -149,22 +147,16 @@ func (s *NUMFabricSender) Start() {
 			burst = n
 		}
 	}
-	for i := 0; i < burst && s.more(); i++ {
+	for i := 0; i < burst && s.flow.Pending(); i++ {
 		// Every packet after the first travels back-to-back with its
 		// predecessor, so it is a valid rate probe.
 		s.sendOne(i > 0)
 	}
-	s.retx.arm()
 }
 
 // OnAck runs Swift's estimator and xWI's weight update, then fills the
 // window.
 func (s *NUMFabricSender) OnAck(p *netsim.Packet) {
-	f := s.flow
-	if p.Seq > f.CumAcked {
-		f.CumAcked = p.Seq
-	}
-
 	now := s.net.Now()
 	// Entitlement sample: bytesAcked / interPacketTime (§4.1), taken
 	// from packet-pair probes only — the gap behind a back-to-back
@@ -294,14 +286,6 @@ func (s *NUMFabricSender) window() int64 {
 	return w
 }
 
-func (s *NUMFabricSender) more() bool {
-	f := s.flow
-	if f.Stopped {
-		return false
-	}
-	return f.Size == 0 || f.NextSeq < f.Size
-}
-
 // fillWindow transmits in back-to-back pairs: pairs keep the receiver
 // supplied with valid packet-pair rate probes even in ACK-clocked
 // steady state, where single sends per ACK would never place two of
@@ -310,32 +294,23 @@ func (s *NUMFabricSender) more() bool {
 func (s *NUMFabricSender) fillWindow() {
 	f := s.flow
 	w := s.window()
-	for s.more() && f.NextSeq-f.CumAcked+2*netsim.MSS <= w {
+	for f.Pending() && f.NextSeq-f.CumAcked+2*netsim.MSS <= w {
 		s.sendOne(false)
-		if s.more() {
+		if f.Pending() {
 			s.sendOne(true)
 		}
 	}
 	// Tail of a finite flow: send the final fragment alone.
-	if s.more() && f.Size > 0 && f.Size-f.NextSeq <= int64(netsim.MSS) &&
+	if f.Pending() && f.Size > 0 && f.Size-f.NextSeq <= int64(netsim.MSS) &&
 		f.NextSeq-f.CumAcked+(f.Size-f.NextSeq) <= w {
 		s.sendOne(false)
 	}
 }
 
 func (s *NUMFabricSender) sendOne(probe bool) {
-	f := s.flow
-	payload := netsim.MSS
-	if f.Size > 0 && f.Size-f.NextSeq < int64(payload) {
-		payload = int(f.Size - f.NextSeq)
-	}
-	seq := f.NextSeq
-	f.NextSeq += int64(payload)
-	res := s.residual
-	w := s.weight
-	f.SendData(seq, payload, func(p *netsim.Packet) {
-		p.VirtualLen = float64(p.Size) / w
-		p.NormResidual = res
+	s.flow.SendNext(func(p *netsim.Packet) {
+		p.VirtualLen = float64(p.Size) / s.weight
+		p.NormResidual = s.residual
 		p.PairProbe = probe
 	})
 }

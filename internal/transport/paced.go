@@ -21,7 +21,6 @@ type pacedSender struct {
 	blocked  bool // hit the unacked cap; resume on ACK
 	minRate  float64
 	lineRate float64
-	retx     *retransmitter
 
 	// Pacing state: time and wire size of the last transmission.
 	lastSend  sim.Time
@@ -45,7 +44,7 @@ func newPacedSender(net *netsim.Network, f *netsim.Flow, baseRTT sim.Duration) *
 	// first price feedback (Eq. 3 demands infinite rate at zero
 	// price), and the resulting drops would otherwise pin the flow at
 	// its unacked-bytes cap forever.
-	s.retx = newRetransmitter(net, f, 20*baseRTT, func() {
+	f.SetTimeout(20*baseRTT, func() {
 		s.blocked = false
 		s.sendLoop()
 	})
@@ -68,15 +67,6 @@ func (s *pacedSender) start() {
 		s.rate = s.lineRate
 	}
 	s.sendLoop()
-	s.retx.arm()
-}
-
-func (s *pacedSender) more() bool {
-	f := s.flow
-	if f.Stopped {
-		return false
-	}
-	return f.Size == 0 || f.NextSeq < f.Size
 }
 
 // maxPaceRecheck bounds how long a pacing timer may sleep before
@@ -95,7 +85,7 @@ func (s *pacedSender) sendLoop() {
 		return
 	}
 	f := s.flow
-	if !s.more() {
+	if !f.Pending() {
 		return
 	}
 	if f.NextSeq-f.CumAcked >= s.capBytes {
@@ -116,15 +106,8 @@ func (s *pacedSender) sendLoop() {
 		})
 		return
 	}
-	payload := netsim.MSS
-	if f.Size > 0 && f.Size-f.NextSeq < int64(payload) {
-		payload = int(f.Size - f.NextSeq)
-	}
-	seq := f.NextSeq
-	f.NextSeq += int64(payload)
-	f.SendData(seq, payload, nil)
 	s.lastSend = now
-	s.lastBytes = payload + netsim.HeaderSize
+	s.lastBytes = f.SendNext(nil) + netsim.HeaderSize
 
 	gap := sim.Seconds(float64(s.lastBytes) * 8 / s.rate)
 	if gap > sim.Duration(maxPaceRecheck) {
@@ -137,12 +120,9 @@ func (s *pacedSender) sendLoop() {
 	})
 }
 
-// onAck records progress and unblocks a parked sender.
-func (s *pacedSender) onAck(p *netsim.Packet) {
+// onAck unblocks a parked sender.
+func (s *pacedSender) onAck() {
 	f := s.flow
-	if p.Seq > f.CumAcked {
-		f.CumAcked = p.Seq
-	}
 	if s.blocked && f.NextSeq-f.CumAcked < s.capBytes {
 		s.blocked = false
 		s.sendLoop()

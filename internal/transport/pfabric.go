@@ -15,10 +15,8 @@ const pfabricRTOMultiple = 3
 // switch drops with a go-back-N timeout. pFabric's premise is that
 // "rate control is minimal" because the switches enforce SRPT.
 type PFabricSender struct {
-	net    *netsim.Network
 	flow   *netsim.Flow
 	window int64
-	retx   *retransmitter
 }
 
 // NewPFabricSender attaches a pFabric transport to f; baseRTT sizes its
@@ -26,44 +24,27 @@ type PFabricSender struct {
 func NewPFabricSender(net *netsim.Network, f *netsim.Flow, baseRTT sim.Duration) *PFabricSender {
 	nic := f.Path[0].Rate.Float()
 	bdp := int64(nic / 8 * baseRTT.Seconds())
-	s := &PFabricSender{net: net, flow: f, window: bdp}
-	rto := sim.Duration(pfabricRTOMultiple * float64(baseRTT))
-	s.retx = newRetransmitter(net, f, rto, s.fill)
+	s := &PFabricSender{flow: f, window: bdp}
+	f.SetTimeout(sim.Duration(pfabricRTOMultiple*float64(baseRTT)), s.fill)
 	f.Sender = s
 	return s
 }
 
 // Start opens a full BDP window (pFabric's "start at line rate").
-func (s *PFabricSender) Start() {
-	s.fill()
-	s.retx.arm()
-}
+func (s *PFabricSender) Start() { s.fill() }
 
 // OnAck advances the window.
-func (s *PFabricSender) OnAck(p *netsim.Packet) {
-	f := s.flow
-	if p.Seq > f.CumAcked {
-		f.CumAcked = p.Seq
-	}
-	s.fill()
-}
+func (s *PFabricSender) OnAck(p *netsim.Packet) { s.fill() }
 
 func (s *PFabricSender) fill() {
 	f := s.flow
-	for !f.Stopped &&
-		(f.Size == 0 || f.NextSeq < f.Size) &&
-		f.NextSeq-f.CumAcked < s.window {
-		payload := netsim.MSS
-		if f.Size > 0 && f.Size-f.NextSeq < int64(payload) {
-			payload = int(f.Size - f.NextSeq)
-		}
-		seq := f.NextSeq
-		f.NextSeq += int64(payload)
-		remaining := f.Remaining()
-		f.SendData(seq, payload, func(p *netsim.Packet) {
-			p.Priority = float64(remaining)
-		})
+	for f.Pending() && f.NextSeq-f.CumAcked < s.window {
+		f.SendNext(stampPriority)
 	}
 }
+
+// stampPriority stamps a data packet with its flow's unacknowledged
+// bytes, the priority pFabric's switches serve smallest first.
+func stampPriority(p *netsim.Packet) { p.Priority = float64(p.Flow.Remaining()) }
 
 var _ netsim.Sender = (*PFabricSender)(nil)

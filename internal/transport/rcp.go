@@ -35,7 +35,7 @@ func (s *RCPSender) Start() { s.start() }
 
 // OnAck applies Eq. 16 to the echoed Σ R^(-α).
 func (s *RCPSender) OnAck(p *netsim.Packet) {
-	s.onAck(p)
+	s.onAck()
 	if p.EchoRCPSum > 0 {
 		s.setRate(math.Pow(p.EchoRCPSum, -1/s.alpha))
 	}
