@@ -97,8 +97,8 @@ func Seconds(s float64) Duration {
 func (t Time) String() string { return Duration(t).String() }
 
 // String prints microseconds to three places, except a nonzero value
-// under 1 ns, which that would round to 0.000us or -0.000us: it prints
-// in picoseconds.
+// under 1 ns, which three places would round to -0.000us, 0.000us or
+// 0.001us: it prints in picoseconds.
 func (d Duration) String() string {
 	if d != 0 && d > -Nanosecond && d < Nanosecond {
 		return fmt.Sprintf("%dps", int64(d))

@@ -144,16 +144,12 @@ func TestTxTimeProportionalProperty(t *testing.T) {
 }
 
 func TestStringFormats(t *testing.T) {
-	if got := Time(1500 * Microsecond).String(); got != "1500.000us" {
-		t.Errorf("Time.String = %q", got)
-	}
-	if got := (5 * Microsecond).String(); got != "5.000us" {
-		t.Errorf("Duration.String = %q", got)
-	}
 	for _, tc := range []struct {
 		d    Duration
 		want string
 	}{
+		{1500 * Microsecond, "1500.000us"},
+		{5 * Microsecond, "5.000us"},
 		{-1, "-1ps"},
 		{0, "0.000us"},
 		{999, "999ps"},
