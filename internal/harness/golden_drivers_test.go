@@ -92,6 +92,9 @@ func TestGoldenDriversSemiDynamic(t *testing.T) {
 	// A timeout shorter than DGD's convergence: some events give up.
 	packetTimeout := packetCfg(DGD)
 	packetTimeout.EventTimeout = 1500 * sim.Microsecond
+	// RCP* at α = 2 takes Eq. 16's x^(-1/α) power; at α = 1 it is 1/x.
+	rcpAlpha2 := packetCfg(RCP)
+	rcpAlpha2.Alpha = 2
 	cases := []struct {
 		name string
 		eng  Engine
@@ -101,6 +104,8 @@ func TestGoldenDriversSemiDynamic(t *testing.T) {
 		{"packet/numfabric", EnginePacket, packetCfg(NUMFabric), "a6b43524ced53545"},
 		{"packet/dgd", EnginePacket, packetCfg(DGD), "2f733081a86e6ae6"},
 		{"packet/dgd-timeout", EnginePacket, packetTimeout, "cbd5e9aa2f7199b6"},
+		{"packet/rcp", EnginePacket, packetCfg(RCP), "03265223a18c58d5"},
+		{"packet/rcp-alpha2", EnginePacket, rcpAlpha2, "3ed3b28c15c938f1"},
 		{"fluid/numfabric", EngineFluid, fluidCfg(NUMFabric), "171028266fd51bf2"},
 		{"fluid/dgd", EngineFluid, fluidCfg(DGD), "0df7b879f1b71f70"},
 	}
