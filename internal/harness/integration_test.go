@@ -29,7 +29,7 @@ func runScheme(t *testing.T, s Scheme, flows [][3]int, d sim.Duration) []float64
 	for _, spec := range flows {
 		f := topo.NewFlow(spec[0], spec[1], 0, 0)
 		u := core.NewWeightedAlphaFair(1, float64(spec[2]))
-		cfg.AttachSender(net, f, u)
+		cfg.AttachSender(f, u)
 		f.Meter = stats.NewRateMeter(80 * sim.Microsecond)
 		fs = append(fs, f)
 		eng.Schedule(0, f.Start)
@@ -125,8 +125,8 @@ func TestPFabricShortFlowPreempts(t *testing.T) {
 
 	long := topo.NewFlow(0, 9, 0, 50<<20)
 	short := topo.NewFlow(1, 9, 0, 100<<10) // 100 KB
-	cfg.AttachSender(net, long, nil)
-	cfg.AttachSender(net, short, nil)
+	cfg.AttachSender(long, nil)
+	cfg.AttachSender(short, nil)
 	eng.Schedule(0, long.Start)
 	eng.Schedule(sim.Time(2*sim.Millisecond), short.Start)
 	eng.Run(sim.Time(20 * sim.Millisecond))
@@ -259,7 +259,7 @@ func TestTenantLevelFairness(t *testing.T) {
 	}
 	add := func(tn *tenant, src, dst, spine int) {
 		f := topo.NewFlow(src, dst, spine, 0)
-		tn.agg.Add(transport.NewNUMFabricSender(net, f, core.ProportionalFair(), cfg.NUMFabric, cfg.BaseRTT))
+		tn.agg.Add(transport.NewNUMFabricSender(f, core.ProportionalFair(), cfg.NUMFabric, cfg.BaseRTT))
 		f.Meter = stats.NewRateMeter(200 * sim.Microsecond)
 		tn.flows = append(tn.flows, f)
 		eng.Schedule(0, f.Start)
@@ -309,7 +309,7 @@ func TestEquilibriumQueuesAreSmall(t *testing.T) {
 	// Four long-lived flows into one NIC.
 	for i := 0; i < 4; i++ {
 		f := topo.NewFlow(i, 9, i%tc.Spines, 0)
-		cfg.AttachSender(net, f, core.ProportionalFair())
+		cfg.AttachSender(f, core.ProportionalFair())
 		eng.Schedule(0, f.Start)
 	}
 	eng.Run(sim.Time(5 * sim.Millisecond))

@@ -31,7 +31,7 @@ func TestMultiQueueApproximationSaneAllocations(t *testing.T) {
 	var flows []*netsim.Flow
 	for i, spec := range [][2]int{{0, 9}, {1, 9}} {
 		f := topo.NewFlow(spec[0], spec[1], i, 0)
-		cfg.AttachSender(net, f, core.ProportionalFair())
+		cfg.AttachSender(f, core.ProportionalFair())
 		f.Meter = stats.NewRateMeter(80 * sim.Microsecond)
 		flows = append(flows, f)
 		eng.Schedule(0, f.Start)

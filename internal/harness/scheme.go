@@ -114,11 +114,11 @@ func (c SchemeConfig) AttachAgents(net *netsim.Network) {
 	for _, port := range net.Links {
 		switch c.Scheme {
 		case NUMFabric:
-			transport.NewXWIAgent(net, port, c.NUMFabric)
+			transport.NewXWIAgent(port, c.NUMFabric)
 		case DGD:
-			transport.NewDGDAgent(net, port, c.DGDPriceRef, c.BaseRTT)
+			transport.NewDGDAgent(port, c.DGDPriceRef, c.BaseRTT)
 		case RCP:
-			transport.NewRCPAgent(net, port, c.RCPAlpha, c.BaseRTT)
+			transport.NewRCPAgent(port, c.RCPAlpha, c.BaseRTT)
 		case DCTCP, PFabric:
 			// Queue-level mechanisms only; no periodic agent.
 		}
@@ -126,20 +126,20 @@ func (c SchemeConfig) AttachAgents(net *netsim.Network) {
 }
 
 // AttachSender equips flow f with the scheme's host transport. u is
-// the flow's utility (used by NUMFabric and DGD; RCP*'s α is RCPAlpha;
-// DCTCP and pFabric ignore it).
-func (c SchemeConfig) AttachSender(net *netsim.Network, f *netsim.Flow, u core.Utility) netsim.Sender {
+// the flow's utility for NUMFabric and DGD; RCP* is the DGD host at
+// the α-fair utility of RCPAlpha, and DCTCP and pFabric ignore u.
+func (c SchemeConfig) AttachSender(f *netsim.Flow, u core.Utility) netsim.Sender {
 	switch c.Scheme {
 	case NUMFabric:
-		return transport.NewNUMFabricSender(net, f, u, c.NUMFabric, c.BaseRTT)
+		return transport.NewNUMFabricSender(f, u, c.NUMFabric, c.BaseRTT)
 	case DGD:
-		return transport.NewDGDSender(net, f, u, c.BaseRTT)
+		return transport.NewDGDSender(f, u, c.BaseRTT)
 	case RCP:
-		return transport.NewRCPSender(net, f, c.RCPAlpha, c.BaseRTT)
+		return transport.NewDGDSender(f, core.NewAlphaFair(c.RCPAlpha), c.BaseRTT)
 	case DCTCP:
-		return transport.NewDCTCPSender(net, f, c.BaseRTT)
+		return transport.NewDCTCPSender(f, c.BaseRTT)
 	case PFabric:
-		return transport.NewPFabricSender(net, f, c.BaseRTT)
+		return transport.NewPFabricSender(f, c.BaseRTT)
 	default:
 		panic("harness: unknown scheme")
 	}

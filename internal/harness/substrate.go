@@ -117,7 +117,7 @@ func (p *packetFabric) admit(links []int, u core.Utility, size int64, at sim.Tim
 	p.eng.Schedule(at, func() {
 		f := p.net.NewFlow(links, size)
 		p.admitted[i] = f
-		p.scheme.AttachSender(p.net, f, u)
+		p.scheme.AttachSender(f, u)
 		f.Start()
 	})
 }
@@ -147,7 +147,7 @@ func (p *packetFabric) start(paths [][]int, u core.Utility, pooled bool) int {
 	flows := make([]*netsim.Flow, len(paths))
 	for i, links := range paths {
 		f := p.net.NewFlow(links, 0)
-		s := p.scheme.AttachSender(p.net, f, u)
+		s := p.scheme.AttachSender(f, u)
 		if pooled {
 			agg.Add(s.(*transport.NUMFabricSender))
 		}

@@ -139,6 +139,9 @@ func (f *Flow) expire() {
 	f.net.Engine.After(f.rto, f.expireFn)
 }
 
+// Engine returns the engine that drives the flow's network.
+func (f *Flow) Engine() *sim.Engine { return f.net.Engine }
+
 // Stop tells the sender to cease transmitting new data.
 func (f *Flow) Stop() { f.Stopped = true }
 
@@ -249,7 +252,6 @@ func (f *Flow) receiveData(n *Network, p *Packet) {
 	ack.AckedBytes = acked
 	ack.EchoPathPrice = p.PathPrice
 	ack.EchoPathLen = p.PathLen
-	ack.EchoRCPSum = p.RCPSum
 	ack.EchoIPT = ipt
 	ack.EchoCE = p.CE
 	ack.EchoPairProbe = p.PairProbe

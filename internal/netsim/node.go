@@ -79,6 +79,9 @@ func (p *Port) String() string {
 	return fmt.Sprintf("%s->%s", p.Node.Name, p.Peer.Name)
 }
 
+// Engine returns the engine that drives the port's network.
+func (p *Port) Engine() *sim.Engine { return p.net.Engine }
+
 // Send enqueues pkt for transmission on this port, starting the
 // transmitter if idle.
 func (p *Port) Send(pkt *Packet) {

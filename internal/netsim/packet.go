@@ -50,18 +50,14 @@ type Packet struct {
 	// VirtualLen is virtualPacketLen = L/w, used by STFQ (Eq. 13);
 	// zero for control packets.
 	VirtualLen float64
-	// PathPrice accumulates the per-link xWI prices (or DGD prices)
-	// along the path.
+	// PathPrice accumulates the per-link prices along the path: xWI's,
+	// DGD's, or RCP*'s R_l^(-α) (Eq. 16).
 	PathPrice float64
 	// PathLen counts the links traversed.
 	PathLen int
 	// NormResidual is the flow's normalized residual
 	// (U'(x̂) − pathPrice)/|L(i)| (Eq. 9), read by switches at enqueue.
 	NormResidual float64
-
-	// --- RCP* field ---
-	// RCPSum accumulates R_l^(-alpha) along the path (Eq. 16).
-	RCPSum float64
 
 	// --- pFabric field ---
 	// Priority is the scheduling priority (remaining flow size in
@@ -83,7 +79,6 @@ type Packet struct {
 	AckedBytes    int
 	EchoPathPrice float64
 	EchoPathLen   int
-	EchoRCPSum    float64
 	// EchoIPT is the receiver-measured inter-packet arrival time; zero
 	// until the second data packet arrives.
 	EchoIPT sim.Duration
@@ -94,11 +89,12 @@ type Packet struct {
 	// SentAt is stamped by the sender for RTT estimation.
 	SentAt sim.Time
 
-	// stfqStart is the STFQ virtual start time, set at enqueue and
-	// used to order the priority queue (Eq. 12).
-	stfqStart float64
-	// arrival orders FIFO queues and breaks STFQ ties.
-	arrival uint64
+	// STFQStart is the STFQ virtual start time, set by the queue at
+	// enqueue and used to order it (Eq. 12).
+	STFQStart float64
+	// Arrival is a queue-local arrival sequence number: it orders FIFO
+	// queues and breaks scheduling ties deterministically.
+	Arrival uint64
 
 	// due and next place the packet on a Port's wire: its arrival time
 	// at the peer and the packet serialised after it.
@@ -107,20 +103,6 @@ type Packet struct {
 	// pooled is set while the packet sits in the Network's free pool.
 	pooled bool
 }
-
-// SetSTFQStart records the STFQ virtual start tag (set by the queue at
-// enqueue).
-func (p *Packet) SetSTFQStart(s float64) { p.stfqStart = s }
-
-// STFQStart returns the STFQ virtual start tag.
-func (p *Packet) STFQStart() float64 { return p.stfqStart }
-
-// SetArrival records a queue-local arrival sequence number used to
-// break scheduling ties deterministically.
-func (p *Packet) SetArrival(a uint64) { p.arrival = a }
-
-// Arrival returns the queue-local arrival sequence number.
-func (p *Packet) Arrival() uint64 { return p.arrival }
 
 // PayloadLen returns the payload byte count of a data packet.
 func (p *Packet) PayloadLen() int {

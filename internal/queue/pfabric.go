@@ -32,7 +32,7 @@ func NewPFabric(limitBytes int) *PFabric {
 // Enqueue inserts p, evicting the lowest-priority packet on overflow.
 func (q *PFabric) Enqueue(p *netsim.Packet) []*netsim.Packet {
 	q.arrival++
-	p.SetArrival(q.arrival)
+	p.Arrival = q.arrival
 	q.dropped = q.dropped[:0]
 	for q.bytes+p.Size > q.limit {
 		// Evict the worst packet (largest priority value). ACKs are
@@ -44,7 +44,7 @@ func (q *PFabric) Enqueue(p *netsim.Packet) []*netsim.Packet {
 				continue
 			}
 			if worst == -1 || cand.Priority > q.pkts[worst].Priority ||
-				(cand.Priority == q.pkts[worst].Priority && cand.Arrival() < q.pkts[worst].Arrival()) {
+				(cand.Priority == q.pkts[worst].Priority && cand.Arrival < q.pkts[worst].Arrival) {
 				worst = i
 			}
 		}
@@ -78,7 +78,7 @@ func (q *PFabric) Dequeue() *netsim.Packet {
 	best := -1
 	for i, p := range q.pkts {
 		if p.Kind != netsim.Data {
-			if best == -1 || p.Arrival() < q.pkts[best].Arrival() {
+			if best == -1 || p.Arrival < q.pkts[best].Arrival {
 				best = i
 			}
 		}
@@ -87,7 +87,7 @@ func (q *PFabric) Dequeue() *netsim.Packet {
 		// Step 1: most urgent data packet.
 		for i, p := range q.pkts {
 			if best == -1 || p.Priority < q.pkts[best].Priority ||
-				(p.Priority == q.pkts[best].Priority && p.Arrival() < q.pkts[best].Arrival()) {
+				(p.Priority == q.pkts[best].Priority && p.Arrival < q.pkts[best].Arrival) {
 				best = i
 			}
 		}

@@ -178,8 +178,8 @@ func TestSTFQResetOnEmpty(t *testing.T) {
 	// inherit the old flow's enormous finish tag.
 	q.Enqueue(dataPkt(f, 1, 1500, 1500))
 	p := q.Dequeue()
-	if p.STFQStart() != 0 {
-		t.Errorf("virtual start after reset = %v, want 0", p.STFQStart())
+	if p.STFQStart != 0 {
+		t.Errorf("virtual start after reset = %v, want 0", p.STFQStart)
 	}
 }
 

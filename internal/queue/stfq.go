@@ -66,9 +66,9 @@ func (q *STFQ) Enqueue(p *netsim.Packet) []*netsim.Packet {
 		s = f
 	}
 	tag.f = s + p.VirtualLen
-	p.SetSTFQStart(s)
+	p.STFQStart = s
 	q.arrival++
-	p.SetArrival(q.arrival)
+	p.Arrival = q.arrival
 	q.bytes += p.Size
 	q.h.push(p)
 	return nil
@@ -82,7 +82,7 @@ func (q *STFQ) Dequeue() *netsim.Packet {
 	}
 	p := q.h.pop()
 	q.bytes -= p.Size
-	q.virtual = p.STFQStart()
+	q.virtual = p.STFQStart
 	if len(q.h) == 0 {
 		// Busy period over: reset virtual time and forget finish tags.
 		// Any flow's stale F can only matter while the server is busy;
@@ -163,11 +163,11 @@ func (t *finishTags) grow() {
 type stfqHeap []*netsim.Packet
 
 func (h stfqHeap) less(i, j int) bool {
-	si, sj := h[i].STFQStart(), h[j].STFQStart()
+	si, sj := h[i].STFQStart, h[j].STFQStart
 	if si != sj {
 		return si < sj
 	}
-	return h[i].Arrival() < h[j].Arrival()
+	return h[i].Arrival < h[j].Arrival
 }
 
 func (h *stfqHeap) push(p *netsim.Packet) {

@@ -204,7 +204,7 @@ func (c *stfqCheck) enqueue(p *netsim.Packet) {
 	if len(dropped) != 0 {
 		c.t.Fatalf("packet %d accepted by the model, dropped %v", p.Seq, dropped)
 	}
-	if got := p.STFQStart(); math.Float64bits(got) != math.Float64bits(want) {
+	if got := p.STFQStart; math.Float64bits(got) != math.Float64bits(want) {
 		c.t.Fatalf("packet %d (flow %p, id %d): start tag %v, model %v", p.Seq, p.Flow, p.Flow.ID, got, want)
 	}
 }
@@ -221,8 +221,8 @@ func (c *stfqCheck) dequeue() {
 	if got != want.p {
 		c.t.Fatalf("dequeued packet %v, model %d (start %v, arrival %d)", got, want.p.Seq, want.start, want.arrival)
 	}
-	if math.Float64bits(got.STFQStart()) != math.Float64bits(want.start) {
-		c.t.Fatalf("packet %d dequeued with start %v, model %v", got.Seq, got.STFQStart(), want.start)
+	if math.Float64bits(got.STFQStart) != math.Float64bits(want.start) {
+		c.t.Fatalf("packet %d dequeued with start %v, model %v", got.Seq, got.STFQStart, want.start)
 	}
 }
 

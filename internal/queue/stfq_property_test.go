@@ -107,10 +107,10 @@ func TestSTFQVirtualTimeMonotoneProperty(t *testing.T) {
 				lastV = -1.0
 				continue
 			}
-			if p.STFQStart() < lastV {
+			if p.STFQStart < lastV {
 				return false
 			}
-			lastV = p.STFQStart()
+			lastV = p.STFQStart
 		}
 		return true
 	}
@@ -150,14 +150,14 @@ func TestSTFQHeapOrderProperty(t *testing.T) {
 		var h stfqHeap
 		for i, s := range starts {
 			p := &netsim.Packet{}
-			p.SetSTFQStart(float64(s % 8))
-			p.SetArrival(uint64(i))
+			p.STFQStart = float64(s % 8)
+			p.Arrival = uint64(i)
 			h.push(p)
 		}
 		for prev := (*netsim.Packet)(nil); len(h) > 0; {
 			p := h.pop()
-			if prev != nil && (p.STFQStart() < prev.STFQStart() ||
-				p.STFQStart() == prev.STFQStart() && p.Arrival() <= prev.Arrival()) {
+			if prev != nil && (p.STFQStart < prev.STFQStart ||
+				p.STFQStart == prev.STFQStart && p.Arrival <= prev.Arrival) {
 				return false
 			}
 			prev = p

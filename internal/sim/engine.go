@@ -59,22 +59,15 @@ func (e *Engine) After(d Duration, fn func()) {
 	e.Schedule(e.now.Add(d), fn)
 }
 
-// Every runs fn every period, starting at start. The returned cancel
-// function stops future firings.
-func (e *Engine) Every(start Time, period Duration, fn func()) (cancel func()) {
-	stopped := false
+// Every runs fn every period, starting at start, for as long as the
+// engine runs.
+func (e *Engine) Every(start Time, period Duration, fn func()) {
 	var tick func()
 	tick = func() {
-		if stopped {
-			return
-		}
 		fn()
-		if !stopped {
-			e.After(period, tick)
-		}
+		e.After(period, tick)
 	}
 	e.Schedule(start, tick)
-	return func() { stopped = true }
 }
 
 // Run executes events until the queue is empty, the until time is

@@ -142,14 +142,8 @@ func TestEngineSchedulePastPanics(t *testing.T) {
 func TestEngineEvery(t *testing.T) {
 	e := NewEngine()
 	var fires []Time
-	var cancel func()
-	cancel = e.Every(10, 5, func() {
-		fires = append(fires, e.Now())
-		if len(fires) == 3 {
-			cancel()
-		}
-	})
-	e.Run(Forever)
+	e.Every(10, 5, func() { fires = append(fires, e.Now()) })
+	e.Run(22)
 	want := []Time{10, 15, 20}
 	if len(fires) != len(want) {
 		t.Fatalf("fired %d times, want %d: %v", len(fires), len(want), fires)

@@ -31,7 +31,7 @@ type DCTCPSender struct {
 
 // NewDCTCPSender attaches a DCTCP transport to f; the retransmission
 // timeout is 10 base RTTs, and restarts the window (see timeout).
-func NewDCTCPSender(net *netsim.Network, f *netsim.Flow, baseRTT sim.Duration) *DCTCPSender {
+func NewDCTCPSender(f *netsim.Flow, baseRTT sim.Duration) *DCTCPSender {
 	s := &DCTCPSender{
 		flow:      f,
 		cwnd:      float64(dctcpInitWindowPkts * netsim.MTU),

@@ -41,7 +41,6 @@ const (
 //     (U'(Ȓ) − pathPrice)/pathLen for the switches' price update
 //     (Eq. 9).
 type NUMFabricSender struct {
-	net     *netsim.Network
 	flow    *netsim.Flow
 	u       core.Utility
 	params  NUMFabricParams
@@ -88,9 +87,8 @@ type NUMFabricSender struct {
 
 // NewNUMFabricSender attaches a NUMFabric transport to f with the flow
 // utility u on a fabric whose zero-queue RTT is baseRTT.
-func NewNUMFabricSender(net *netsim.Network, f *netsim.Flow, u core.Utility, p NUMFabricParams, baseRTT sim.Duration) *NUMFabricSender {
+func NewNUMFabricSender(f *netsim.Flow, u core.Utility, p NUMFabricParams, baseRTT sim.Duration) *NUMFabricSender {
 	s := &NUMFabricSender{
-		net:      net,
 		flow:     f,
 		u:        u,
 		params:   p,
@@ -127,10 +125,6 @@ func (s *NUMFabricSender) reviveAndFill() {
 	s.fillWindow()
 }
 
-// SetUtility replaces the utility function (used by SRPT-style
-// objectives that re-derive the utility as the flow drains).
-func (s *NUMFabricSender) SetUtility(u core.Utility) { s.u = u }
-
 // initialBurst is the packets a sender sends before feedback arrives
 // (§4.1: 3).
 const initialBurst = 3
@@ -157,7 +151,7 @@ func (s *NUMFabricSender) Start() {
 // OnAck runs Swift's estimator and xWI's weight update, then fills the
 // window.
 func (s *NUMFabricSender) OnAck(p *netsim.Packet) {
-	now := s.net.Now()
+	now := s.flow.Engine().Now()
 	// Entitlement sample: bytesAcked / interPacketTime (§4.1), taken
 	// from packet-pair probes only — the gap behind a back-to-back
 	// companion measures the bottleneck WFQ's service rate for this
@@ -354,7 +348,7 @@ type XWIAgent struct {
 
 // NewXWIAgent attaches xWI price computation to port and schedules its
 // synchronized periodic update.
-func NewXWIAgent(net *netsim.Network, port *netsim.Port, p NUMFabricParams) *XWIAgent {
+func NewXWIAgent(port *netsim.Port, p NUMFabricParams) *XWIAgent {
 	a := &XWIAgent{
 		port:     port,
 		minRes:   math.Inf(1),
@@ -363,7 +357,8 @@ func NewXWIAgent(net *netsim.Network, port *netsim.Port, p NUMFabricParams) *XWI
 		interval: p.PriceUpdateInterval,
 	}
 	port.Agents = append(port.Agents, a)
-	net.Engine.Every(net.Now().Add(p.PriceUpdateInterval), p.PriceUpdateInterval, a.update)
+	eng := port.Engine()
+	eng.Every(eng.Now().Add(p.PriceUpdateInterval), p.PriceUpdateInterval, a.update)
 	return a
 }
 

@@ -3,8 +3,9 @@
 //
 //   - NUMFabric: the Swift weighted max-min transport (§4.1) plus the
 //     xWI weight/price computation (§4.2, §5);
-//   - DGD: the Dual Gradient Descent baseline (§3, Eq. 14);
-//   - RCP*: α-fair RCP (Eq. 15–16);
+//   - DGD: the Dual Gradient Descent baseline (§3, Eqs. 3 and 14);
+//   - RCP*: α-fair RCP (Eq. 15–16), DGD's host at the α-fair utility
+//     behind a link agent that prices at R^(-α);
 //   - DCTCP: the deployed ECN-based congestion control of Fig. 4b;
 //   - pFabric: the FCT-minimizing comparison of Fig. 7.
 package transport

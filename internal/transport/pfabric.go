@@ -21,7 +21,7 @@ type PFabricSender struct {
 
 // NewPFabricSender attaches a pFabric transport to f; baseRTT sizes its
 // fixed BDP window and its timeout.
-func NewPFabricSender(net *netsim.Network, f *netsim.Flow, baseRTT sim.Duration) *PFabricSender {
+func NewPFabricSender(f *netsim.Flow, baseRTT sim.Duration) *PFabricSender {
 	nic := f.Path[0].Rate.Float()
 	bdp := int64(nic / 8 * baseRTT.Seconds())
 	s := &PFabricSender{flow: f, window: bdp}

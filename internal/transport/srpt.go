@@ -2,7 +2,6 @@ package transport
 
 import (
 	"numfabric/internal/core"
-	"numfabric/internal/netsim"
 	"numfabric/internal/sim"
 )
 
@@ -10,46 +9,36 @@ import (
 // Shortest-Remaining-Processing-Time scheduling: §2 notes "the
 // weights can be chosen inversely proportional to the remaining flow
 // size ... to approximate Shortest-Remaining-Processing-Time". The
-// utility is re-derived from the flow's remaining bytes every refresh
-// period, so a nearly finished large flow gains priority over a
+// utility is re-derived from the flow's remaining bytes every
+// refreshPeriod, so a nearly finished large flow gains priority over a
 // just-started medium one.
-//
-// The returned cancel function stops the refresher; it also stops by
-// itself when the flow completes or is stopped.
-func AttachSRPT(net *netsim.Network, s *NUMFabricSender, refresh sim.Duration, epsilon float64) (cancel func()) {
-	if refresh <= 0 {
-		refresh = 100 * sim.Microsecond
-	}
-	stopped := false
-	var tick func()
-	tick = func() {
-		if stopped || s.flow.Done || s.flow.Stopped {
-			return
-		}
-		s.SetUtility(core.SRPTMin(s.flow.Remaining(), epsilon))
-		net.Engine.After(refresh, tick)
-	}
-	net.Engine.After(refresh, tick)
-	return func() { stopped = true }
+func AttachSRPT(s *NUMFabricSender) {
+	refresh(s, func() core.Utility { return core.SRPTMin(s.flow.Remaining(), core.FCTEpsilon) })
 }
 
 // AttachDeadline is the Earliest-Deadline-First analogue: the utility
 // weight grows as the deadline approaches (§2's EDF discussion).
 // deadline is an absolute simulation time.
-func AttachDeadline(net *netsim.Network, s *NUMFabricSender, deadline sim.Time, refresh sim.Duration, epsilon float64) (cancel func()) {
-	if refresh <= 0 {
-		refresh = 100 * sim.Microsecond
-	}
-	stopped := false
+func AttachDeadline(s *NUMFabricSender, deadline sim.Time) {
+	eng := s.flow.Engine()
+	refresh(s, func() core.Utility { return core.Deadline(deadline.Sub(eng.Now()).Seconds(), core.FCTEpsilon) })
+}
+
+// refreshPeriod is how often AttachSRPT and AttachDeadline re-derive
+// a sender's utility.
+const refreshPeriod = 100 * sim.Microsecond
+
+// refresh sets s's utility to u() every refreshPeriod until its flow
+// is done or stopped.
+func refresh(s *NUMFabricSender, u func() core.Utility) {
+	eng := s.flow.Engine()
 	var tick func()
 	tick = func() {
-		if stopped || s.flow.Done || s.flow.Stopped {
+		if s.flow.Done || s.flow.Stopped {
 			return
 		}
-		remaining := deadline.Sub(net.Now()).Seconds()
-		s.SetUtility(core.Deadline(remaining, epsilon))
-		net.Engine.After(refresh, tick)
+		s.u = u()
+		eng.After(refreshPeriod, tick)
 	}
-	net.Engine.After(refresh, tick)
-	return func() { stopped = true }
+	eng.After(refreshPeriod, tick)
 }

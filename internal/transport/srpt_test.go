@@ -17,12 +17,12 @@ func TestSRPTNearlyDoneFlowOvertakes(t *testing.T) {
 	fa := r.addFlow("a", 10<<20)
 	fb := r.addFlowTo("b", fa.Path[1], 2<<20)
 	for _, port := range r.net.Links {
-		NewXWIAgent(r.net, port, params)
+		NewXWIAgent(port, params)
 	}
-	sa := NewNUMFabricSender(r.net, fa, core.SRPTMin(10<<20, 0.125), params, testRTT)
-	sb := NewNUMFabricSender(r.net, fb, core.SRPTMin(2<<20, 0.125), params, testRTT)
-	AttachSRPT(r.net, sa, 50*sim.Microsecond, 0.125)
-	AttachSRPT(r.net, sb, 50*sim.Microsecond, 0.125)
+	sa := NewNUMFabricSender(fa, core.SRPTMin(10<<20, 0.125), params, testRTT)
+	sb := NewNUMFabricSender(fb, core.SRPTMin(2<<20, 0.125), params, testRTT)
+	AttachSRPT(sa)
+	AttachSRPT(sb)
 
 	r.eng.Schedule(0, fa.Start)
 	// Start B when A has ~1MB remaining (10MB at 10G ≈ 8.6ms; 9MB in
@@ -44,10 +44,10 @@ func TestSRPTUtilityRefreshes(t *testing.T) {
 	params := DefaultNUMFabric()
 	f := r.addFlow("a", 5<<20)
 	for _, port := range r.net.Links {
-		NewXWIAgent(r.net, port, params)
+		NewXWIAgent(port, params)
 	}
-	s := NewNUMFabricSender(r.net, f, core.SRPTMin(5<<20, 0.125), params, testRTT)
-	AttachSRPT(r.net, s, 100*sim.Microsecond, 0.125)
+	s := NewNUMFabricSender(f, core.SRPTMin(5<<20, 0.125), params, testRTT)
+	AttachSRPT(s)
 	u0 := s.u
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(2 * sim.Millisecond))
@@ -64,10 +64,10 @@ func TestDeadlinePriorityGrows(t *testing.T) {
 	params := DefaultNUMFabric()
 	f := r.addFlow("a", 50<<20)
 	for _, port := range r.net.Links {
-		NewXWIAgent(r.net, port, params)
+		NewXWIAgent(port, params)
 	}
-	s := NewNUMFabricSender(r.net, f, core.Deadline(0.01, 0.125), params, testRTT)
-	AttachDeadline(r.net, s, sim.Time(10*sim.Millisecond), 100*sim.Microsecond, 0.125)
+	s := NewNUMFabricSender(f, core.Deadline(0.01, 0.125), params, testRTT)
+	AttachDeadline(s, sim.Time(10*sim.Millisecond))
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(1 * sim.Millisecond))
 	u1 := s.u
@@ -78,17 +78,26 @@ func TestDeadlinePriorityGrows(t *testing.T) {
 	}
 }
 
-func TestSRPTCancelStopsRefresh(t *testing.T) {
+// TestRefreshStopsWithItsFlow: an SRPT flow and a deadline flow on a
+// rig with no link agents finish within a millisecond, and their
+// utility refreshers stop with them, so Run drains the event set and
+// returns long before its 1 s horizon.
+func TestRefreshStopsWithItsFlow(t *testing.T) {
 	r := newRig(stfqFactory)
 	params := DefaultNUMFabric()
-	f := r.addFlow("a", 5<<20)
-	s := NewNUMFabricSender(r.net, f, core.SRPTMin(5<<20, 0.125), params, testRTT)
-	cancel := AttachSRPT(r.net, s, 100*sim.Microsecond, 0.125)
-	cancel()
-	u0 := s.u
-	r.eng.Schedule(0, f.Start)
-	r.eng.Run(sim.Time(2 * sim.Millisecond))
-	if s.u != u0 {
-		t.Error("cancelled refresher still updated the utility")
+	const size = 200_000
+	fa := r.addFlow("a", size)
+	fb := r.addFlow("b", size)
+	AttachSRPT(NewNUMFabricSender(fa, core.SRPTMin(size, core.FCTEpsilon), params, testRTT))
+	AttachDeadline(NewNUMFabricSender(fb, core.Deadline(0.01, core.FCTEpsilon), params, testRTT), sim.Time(10*sim.Millisecond))
+	r.eng.Schedule(0, fa.Start)
+	r.eng.Schedule(0, fb.Start)
+	const horizon = sim.Time(sim.Second)
+	end := r.eng.Run(horizon)
+	if !fa.Done || !fb.Done {
+		t.Fatalf("flows incomplete: srpt=%v deadline=%v", fa.Done, fb.Done)
+	}
+	if end >= horizon {
+		t.Errorf("Run returned at %v: a refresher outlived its flow (flows done at %v and %v)", end, fa.EndTime, fb.EndTime)
 	}
 }

@@ -59,9 +59,9 @@ func TestNUMFabricSingleFlowSaturates(t *testing.T) {
 	params := DefaultNUMFabric()
 	f := r.addFlow("a", 0)
 	for _, port := range r.net.Links {
-		NewXWIAgent(r.net, port, params)
+		NewXWIAgent(port, params)
 	}
-	NewNUMFabricSender(r.net, f, core.ProportionalFair(), params, testRTT)
+	NewNUMFabricSender(f, core.ProportionalFair(), params, testRTT)
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(3 * sim.Millisecond))
 	if got := f.Meter.Rate(); math.Abs(got-1e10)/1e10 > 0.05 {
@@ -74,9 +74,9 @@ func TestNUMFabricWeightFollowsPrice(t *testing.T) {
 	params := DefaultNUMFabric()
 	f := r.addFlow("a", 0)
 	for _, port := range r.net.Links {
-		NewXWIAgent(r.net, port, params)
+		NewXWIAgent(port, params)
 	}
-	s := NewNUMFabricSender(r.net, f, core.ProportionalFair(), params, testRTT)
+	s := NewNUMFabricSender(f, core.ProportionalFair(), params, testRTT)
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(3 * sim.Millisecond))
 	// For proportional fairness, w = 1/price; at the fixed point the
@@ -95,9 +95,9 @@ func TestNUMFabricResidualNearZeroAtFixedPoint(t *testing.T) {
 	params := DefaultNUMFabric()
 	f := r.addFlow("a", 0)
 	for _, port := range r.net.Links {
-		NewXWIAgent(r.net, port, params)
+		NewXWIAgent(port, params)
 	}
-	s := NewNUMFabricSender(r.net, f, core.ProportionalFair(), params, testRTT)
+	s := NewNUMFabricSender(f, core.ProportionalFair(), params, testRTT)
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(5 * sim.Millisecond))
 	// The advertised residual (U'(x) - pathPrice)/len; at convergence
@@ -113,9 +113,9 @@ func TestNUMFabricFiniteFlowCompletes(t *testing.T) {
 	params := DefaultNUMFabric()
 	f := r.addFlow("a", 1<<20)
 	for _, port := range r.net.Links {
-		NewXWIAgent(r.net, port, params)
+		NewXWIAgent(port, params)
 	}
-	NewNUMFabricSender(r.net, f, core.ProportionalFair(), params, testRTT)
+	NewNUMFabricSender(f, core.ProportionalFair(), params, testRTT)
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(50 * sim.Millisecond))
 	if !f.Done {
@@ -131,7 +131,7 @@ func TestNUMFabricStopHaltsTransmission(t *testing.T) {
 	r := newRig(stfqFactory)
 	params := DefaultNUMFabric()
 	f := r.addFlow("a", 0)
-	NewNUMFabricSender(r.net, f, core.ProportionalFair(), params, testRTT)
+	NewNUMFabricSender(f, core.ProportionalFair(), params, testRTT)
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(1 * sim.Millisecond))
 	f.Stop()
@@ -148,12 +148,12 @@ func TestXWIAgentPriceRisesUnderLoadFallsWhenIdle(t *testing.T) {
 	var agents []*XWIAgent
 	mk := func() {
 		for _, port := range r.net.Links {
-			agents = append(agents, NewXWIAgent(r.net, port, params))
+			agents = append(agents, NewXWIAgent(port, params))
 		}
 	}
 	f := r.addFlow("a", 0)
 	mk()
-	NewNUMFabricSender(r.net, f, core.ProportionalFair(), params, testRTT)
+	NewNUMFabricSender(f, core.ProportionalFair(), params, testRTT)
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(3 * sim.Millisecond))
 	maxPrice := 0.0
@@ -178,10 +178,10 @@ func TestDGDConvergesToFairShare(t *testing.T) {
 	f2 := r.addFlowTo("b", f1.Path[1], 0)
 	priceRef := PriceRefFor(core.ProportionalFair(), 5e9)
 	for _, port := range r.net.Links {
-		NewDGDAgent(r.net, port, priceRef, testRTT)
+		NewDGDAgent(port, priceRef, testRTT)
 	}
-	NewDGDSender(r.net, f1, core.ProportionalFair(), testRTT)
-	NewDGDSender(r.net, f2, core.ProportionalFair(), testRTT)
+	NewDGDSender(f1, core.ProportionalFair(), testRTT)
+	NewDGDSender(f2, core.ProportionalFair(), testRTT)
 	r.eng.Schedule(0, f1.Start)
 	r.eng.Schedule(0, f2.Start)
 	r.eng.Run(sim.Time(10 * sim.Millisecond))
@@ -197,9 +197,9 @@ func TestDGDPacedBelowLineRate(t *testing.T) {
 	f := r.addFlow("a", 0)
 	priceRef := PriceRefFor(core.ProportionalFair(), 5e9)
 	for _, port := range r.net.Links {
-		NewDGDAgent(r.net, port, priceRef, testRTT)
+		NewDGDAgent(port, priceRef, testRTT)
 	}
-	s := NewDGDSender(r.net, f, core.ProportionalFair(), testRTT)
+	s := NewDGDSender(f, core.ProportionalFair(), testRTT)
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(5 * sim.Millisecond))
 	if s.rate <= 0 || s.rate > 1e10 {
@@ -220,10 +220,10 @@ func TestRCPAlphaFairSplit(t *testing.T) {
 	f2 := r.addFlowTo("b", f1.Path[1], 0)
 	const alpha = 2
 	for _, port := range r.net.Links {
-		NewRCPAgent(r.net, port, alpha, testRTT)
+		NewRCPAgent(port, alpha, testRTT)
 	}
-	NewRCPSender(r.net, f1, alpha, testRTT)
-	NewRCPSender(r.net, f2, alpha, testRTT)
+	NewDGDSender(f1, core.NewAlphaFair(alpha), testRTT)
+	NewDGDSender(f2, core.NewAlphaFair(alpha), testRTT)
 	r.eng.Schedule(0, f1.Start)
 	r.eng.Schedule(0, f2.Start)
 	r.eng.Run(sim.Time(10 * sim.Millisecond))
@@ -241,13 +241,13 @@ func TestRCPAgentRateTracksFairShare(t *testing.T) {
 	const alpha = 1
 	var bottleneck *RCPAgent
 	for _, port := range r.net.Links {
-		a := NewRCPAgent(r.net, port, alpha, testRTT)
+		a := NewRCPAgent(port, alpha, testRTT)
 		if port == f1.Path[1] {
 			bottleneck = a
 		}
 	}
-	NewRCPSender(r.net, f1, alpha, testRTT)
-	NewRCPSender(r.net, f2, alpha, testRTT)
+	NewDGDSender(f1, core.NewAlphaFair(alpha), testRTT)
+	NewDGDSender(f2, core.NewAlphaFair(alpha), testRTT)
 	r.eng.Schedule(0, f1.Start)
 	r.eng.Schedule(0, f2.Start)
 	r.eng.Run(sim.Time(10 * sim.Millisecond))
@@ -261,8 +261,8 @@ func TestDCTCPMarksDriveWindowDown(t *testing.T) {
 	r := newRig(ecnFactory)
 	f1 := r.addFlow("a", 0)
 	f2 := r.addFlowTo("b", f1.Path[1], 0)
-	s1 := NewDCTCPSender(r.net, f1, testRTT)
-	NewDCTCPSender(r.net, f2, testRTT)
+	s1 := NewDCTCPSender(f1, testRTT)
+	NewDCTCPSender(f2, testRTT)
 	r.eng.Schedule(0, f1.Start)
 	r.eng.Schedule(0, f2.Start)
 	r.eng.Run(sim.Time(20 * sim.Millisecond))
@@ -287,7 +287,7 @@ func TestDCTCPMarksDriveWindowDown(t *testing.T) {
 // window overflows the source NIC, and DCTCP has no fast retransmit, so
 // each timeout (10 base RTTs) restarts it from a one-segment loss
 // window. In the rcp row two RCP* flows start at line rate into one
-// shared port before the first rate feedback, and the paced senders'
+// shared port before the first rate feedback, and the DGD host's
 // timeout (20 base RTTs) rewinds them. Each row pins the last FCT and
 // the drop count: a change to a timeout or to what it restarts from
 // moves them.
@@ -302,17 +302,17 @@ func TestDCTCPRecoversByTimeout(t *testing.T) {
 	}{
 		{"dctcp", func(r *rig) []*netsim.Flow {
 			f := r.addFlow("a", 64<<10)
-			NewDCTCPSender(r.net, f, testRTT)
+			NewDCTCPSender(f, testRTT)
 			return []*netsim.Flow{f}
 		}, 742380800, 14},
 		{"rcp", func(r *rig) []*netsim.Flow {
 			f1 := r.addFlow("a", 64<<10)
 			f2 := r.addFlowTo("b", f1.Path[1], 64<<10)
 			for _, port := range r.net.Links {
-				NewRCPAgent(r.net, port, 1, testRTT)
+				NewRCPAgent(port, 1, testRTT)
 			}
-			NewRCPSender(r.net, f1, 1, testRTT)
-			NewRCPSender(r.net, f2, 1, testRTT)
+			NewDGDSender(f1, core.NewAlphaFair(1), testRTT)
+			NewDGDSender(f2, core.NewAlphaFair(1), testRTT)
 			return []*netsim.Flow{f1, f2}
 		}, 1375868800, 16},
 	} {
@@ -347,8 +347,8 @@ func TestPFabricCompletesUnderDrops(t *testing.T) {
 	r := newRig(pfFactory)
 	f1 := r.addFlow("a", 5<<20)
 	f2 := r.addFlowTo("b", f1.Path[1], 200<<10)
-	NewPFabricSender(r.net, f1, testRTT)
-	NewPFabricSender(r.net, f2, testRTT)
+	NewPFabricSender(f1, testRTT)
+	NewPFabricSender(f2, testRTT)
 	r.eng.Schedule(0, f1.Start)
 	r.eng.Schedule(0, f2.Start)
 	r.eng.Run(sim.Time(100 * sim.Millisecond))
@@ -366,7 +366,7 @@ func TestPFabricRemainingSizePriority(t *testing.T) {
 	pfFactory := func(p *netsim.Port) netsim.Queue { return queue.NewPFabric(36000) }
 	r := newRig(pfFactory)
 	f := r.addFlow("a", 1<<20)
-	NewPFabricSender(r.net, f, testRTT)
+	NewPFabricSender(f, testRTT)
 	// Capture priorities as packets depart the source NIC.
 	var prios []float64
 	f.Path[0].Agents = append(f.Path[0].Agents, prioRecorder{&prios})
@@ -398,11 +398,11 @@ func TestAggregateShares(t *testing.T) {
 	f1 := r.addFlow("a", 0)
 	f2 := r.addFlow("b", 0)
 	for _, port := range r.net.Links {
-		NewXWIAgent(r.net, port, params)
+		NewXWIAgent(port, params)
 	}
 	agg := NewAggregate()
-	s1 := NewNUMFabricSender(r.net, f1, core.ProportionalFair(), params, testRTT)
-	s2 := NewNUMFabricSender(r.net, f2, core.ProportionalFair(), params, testRTT)
+	s1 := NewNUMFabricSender(f1, core.ProportionalFair(), params, testRTT)
+	s2 := NewNUMFabricSender(f2, core.ProportionalFair(), params, testRTT)
 	agg.Add(s1)
 	agg.Add(s2)
 	if len(agg.senders) != 2 {
@@ -432,7 +432,7 @@ func TestRetransmitterRecoversFromTotalLoss(t *testing.T) {
 	r := newRig(tiny)
 	params := DefaultNUMFabric()
 	f := r.addFlow("a", 20<<10)
-	NewNUMFabricSender(r.net, f, core.ProportionalFair(), params, testRTT)
+	NewNUMFabricSender(f, core.ProportionalFair(), params, testRTT)
 	r.eng.Schedule(0, f.Start)
 	r.eng.Run(sim.Time(100 * sim.Millisecond))
 	if !f.Done {

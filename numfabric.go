@@ -170,7 +170,7 @@ func (f *Fabric) StartFlow(src, dst, spine int, u Utility) *Flow {
 // StartSizedFlow is StartFlow with a finite payload size.
 func (f *Fabric) StartSizedFlow(src, dst, spine int, sizeBytes int64, u Utility) *Flow {
 	fl := f.topo.NewFlow(src, dst, spine, sizeBytes)
-	f.scheme.AttachSender(f.net, fl, u)
+	f.scheme.AttachSender(fl, u)
 	return f.start(fl, 80*sim.Microsecond)
 }
 
@@ -250,7 +250,7 @@ func (f *Fabric) NewTenant() *Tenant {
 func (a *AggregateFlow) AddFlow(src, dst, spine int, u Utility) {
 	f := a.fab
 	fl := f.topo.NewFlow(src, dst, spine, 0)
-	a.agg.Add(transport.NewNUMFabricSender(f.net, fl, u, f.scheme.NUMFabric, f.scheme.BaseRTT))
+	a.agg.Add(transport.NewNUMFabricSender(fl, u, f.scheme.NUMFabric, f.scheme.BaseRTT))
 	a.subs = append(a.subs, f.start(fl, 200*sim.Microsecond))
 }
 
@@ -470,8 +470,8 @@ func (f *Fabric) StartSRPTFlow(src, dst, spine int, sizeBytes int64) *Flow {
 		panic("numfabric: SRPT requires SchemeNUMFabric")
 	}
 	fl := f.topo.NewFlow(src, dst, spine, sizeBytes)
-	s := transport.NewNUMFabricSender(f.net, fl, core.SRPTMin(sizeBytes, core.FCTEpsilon), f.scheme.NUMFabric, f.scheme.BaseRTT)
-	transport.AttachSRPT(f.net, s, 100*sim.Microsecond, core.FCTEpsilon)
+	s := transport.NewNUMFabricSender(fl, core.SRPTMin(sizeBytes, core.FCTEpsilon), f.scheme.NUMFabric, f.scheme.BaseRTT)
+	transport.AttachSRPT(s)
 	return f.start(fl, 80*sim.Microsecond)
 }
 
@@ -483,7 +483,7 @@ func (f *Fabric) StartDeadlineFlow(src, dst, spine int, sizeBytes int64, deadlin
 		panic("numfabric: deadline scheduling requires SchemeNUMFabric")
 	}
 	fl := f.topo.NewFlow(src, dst, spine, sizeBytes)
-	s := transport.NewNUMFabricSender(f.net, fl, core.Deadline(deadline.Seconds(), core.FCTEpsilon), f.scheme.NUMFabric, f.scheme.BaseRTT)
-	transport.AttachDeadline(f.net, s, f.eng.Now().Add(sim.FromStd(deadline)), 100*sim.Microsecond, core.FCTEpsilon)
+	s := transport.NewNUMFabricSender(fl, core.Deadline(deadline.Seconds(), core.FCTEpsilon), f.scheme.NUMFabric, f.scheme.BaseRTT)
+	transport.AttachDeadline(s, f.eng.Now().Add(sim.FromStd(deadline)))
 	return f.start(fl, 80*sim.Microsecond)
 }
